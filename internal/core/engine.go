@@ -25,12 +25,19 @@ import (
 	"github.com/streamworks/streamworks/internal/stream"
 )
 
-// MatchEvent is one complete match reported by the engine.
+// MatchEvent is one complete match reported by the engine. Under shared
+// plans the queries of one consumer group (internal/mqo) receive the very
+// same *match.Match and Signature string for a data subgraph they all match:
+// both are immutable from emission on, and sinks must treat them so.
 type MatchEvent struct {
 	// Query is the name of the registered query that matched.
 	Query string
 	// Match is the complete binding of the query graph in the data graph.
 	Match *match.Match
+	// Signature is Match.Signature() when the emitter has already built it
+	// (the shared DAG builds it once per consumer group), empty otherwise;
+	// read it through CanonicalSignature.
+	Signature string
 	// DetectedAt is the stream watermark at the moment of detection; the
 	// detection latency of an event is DetectedAt minus the event's last
 	// edge timestamp (zero for in-order streams).
@@ -46,6 +53,15 @@ type MatchEvent struct {
 	// never crossed a serving tier). The flush point subtracts it to record
 	// the match's full arrival-to-delivery journey.
 	ArrivedWallNS int64
+}
+
+// CanonicalSignature returns the match's canonical signature, reusing the
+// one the emitter built when there is one.
+func (e MatchEvent) CanonicalSignature() string {
+	if e.Signature != "" {
+		return e.Signature
+	}
+	return e.Match.Signature()
 }
 
 // String renders the event compactly.
@@ -277,7 +293,7 @@ func (e *Engine) RegisterQuery(q *query.Graph, opts ...RegistrationOption) (*Reg
 		// extendRetention may have rebuilt the dynamic graph (pre-ingest
 		// only); point the DAG at the live instance before attaching.
 		e.dag.SetGraph(e.dyn)
-		att, err := e.dag.Attach(name, q, reg.plan, mqo.AttachOptions{Emit: reg.emitShared})
+		att, err := e.dag.Attach(name, q, reg.plan, mqo.AttachOptions{EmitSigned: reg.emitShared})
 		if err != nil {
 			return nil, fmt.Errorf("registering %q: %w", name, err)
 		}

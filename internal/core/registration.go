@@ -295,16 +295,18 @@ func (r *Registration) processCandidates(cands []leafCandidate, de *graph.Edge, 
 }
 
 // emitShared is the shared-DAG emission point, mirroring insertPrims' tail:
-// the DAG invokes it (via the attachment's Emit callback) for every complete
-// match of this query, already remapped into the query's own pattern space
-// and deduplicated. Events accumulate on engine.dagEvents, which ProcessEdge
-// (and the plan-swap replay) points at the appropriate buffer.
-func (r *Registration) emitShared(qm *match.Match) {
+// the DAG invokes it (via the attachment's EmitSigned callback) for every
+// complete match of this query, already remapped into the query's own
+// pattern space and deduplicated, with the signature its consumer group
+// built. Events accumulate on engine.dagEvents, which ProcessEdge (and the
+// plan-swap replay) points at the appropriate buffer.
+func (r *Registration) emitShared(qm *match.Match, signature string) {
 	e := r.engine
 	o := &e.obs
 	ev := MatchEvent{
 		Query:      r.name,
 		Match:      qm,
+		Signature:  signature,
 		DetectedAt: e.dyn.Watermark(),
 	}
 	if o.enabled {

@@ -259,7 +259,7 @@ func (e *Engine) swapPlanShared(reg *Registration, plan *decompose.Plan, est *st
 	// per-edge slice.
 	saved := e.dagEvents
 	e.dagEvents = nil
-	att, err := e.dag.Swap(reg.name, plan, reg.emitShared)
+	att, err := e.dag.Swap(reg.name, plan)
 	if err != nil {
 		e.dagEvents = saved
 		return fmt.Errorf("core: shared-plan swap for %q: %w", reg.name, err)

@@ -12,6 +12,7 @@ import (
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/match"
 	"github.com/streamworks/streamworks/internal/query"
+	"github.com/streamworks/streamworks/internal/testutil/allocbudget"
 )
 
 func fixture(t *testing.T) (*graph.Graph, *query.Graph, []core.MatchEvent) {
@@ -202,5 +203,27 @@ func TestWriteTable(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "attacker=#1") {
 		t.Fatalf("bare table missing binding:\n%s", buf.String())
+	}
+}
+
+// TestBuildReportAllocationBudget: a report costs its bindings and its
+// edge-ID list; the signature is reused when the event carries one (the
+// shared DAG builds it once per consumer group) and built otherwise.
+func TestBuildReportAllocationBudget(t *testing.T) {
+	_, q, events := fixture(t)
+	unsigned := events[0]
+	if unsigned.Signature != "" {
+		t.Fatalf("per-query engine pre-built a signature: %q", unsigned.Signature)
+	}
+	signed := unsigned
+	signed.Signature = unsigned.Match.Signature()
+	var r MatchReport
+	allocbudget.Check(t, "export.BuildReport", func() { r = BuildReport(signed, q, nil) })
+	if r.Signature != signed.Signature {
+		t.Fatalf("report signature %q, event carried %q", r.Signature, signed.Signature)
+	}
+	allocbudget.Check(t, "export.BuildReport/unsigned", func() { r = BuildReport(unsigned, q, nil) })
+	if r.Signature != signed.Signature {
+		t.Fatalf("report signature %q, want %q", r.Signature, signed.Signature)
 	}
 }

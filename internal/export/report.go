@@ -57,7 +57,7 @@ func BuildReport(ev core.MatchEvent, q *query.Graph, g *graph.Graph) MatchReport
 		DetectedAt:    int64(ev.DetectedAt),
 		SpanStart:     int64(ev.Match.Span.Start),
 		SpanEnd:       int64(ev.Match.Span.End),
-		Signature:     ev.Match.Signature(),
+		Signature:     ev.CanonicalSignature(),
 		ArrivedWallNS: ev.ArrivedWallNS,
 	}
 	// ForEachVertex iterates in ascending pattern-ID order, matching the

@@ -169,7 +169,7 @@ type MatchSet map[string]struct{}
 
 // Add records an event's canonical key.
 func (s MatchSet) Add(ev core.MatchEvent) {
-	s.AddKey(ev.Query, ev.Match.Signature())
+	s.AddKey(ev.Query, ev.CanonicalSignature())
 }
 
 // AddKey records a match identified by (query, signature) — the form a

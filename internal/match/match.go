@@ -9,16 +9,17 @@
 //
 // The representation is deliberately flat: pattern vertex and edge IDs are
 // dense (assigned from 0 in registration order by the query builder), so the
-// bindings are plain slices indexed by pattern ID rather than maps. That
-// makes Clone a pair of copies, Compatible/Join linear scans and the
-// canonical match identity a cached 64-bit hash — the per-edge hot path
-// allocates no map buckets and builds no strings. String-valued identities
-// (Signature, ProjectKey) survive only at the export/report boundary.
+// bindings are one slot array indexed by pattern ID rather than maps, in the
+// same heap object as the match header. That makes Clone one allocation and
+// a copy, Compatible/Join linear scans and the canonical match identity a
+// cached 64-bit hash — the per-edge hot path allocates no map buckets and
+// builds no strings. String-valued identities (Signature, ProjectKey)
+// survive only at the export/report boundary.
 package match
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -27,54 +28,89 @@ import (
 	"github.com/streamworks/streamworks/internal/query"
 )
 
-// unbound is the "no binding" sentinel of the dense binding slices. The
+// unbound is the "no binding" sentinel of the dense binding slots. The
 // all-ones data IDs are reserved — graph.AddEdge rejects them at the ingest
 // boundary (graph.ErrReservedID) — so the sentinel can never collide with a
-// real binding. Both binding slices store raw uint64 IDs (vertex and edge
-// IDs are uint64 underneath) so a single backing array can serve both.
+// real binding. Vertex and edge slots both store raw uint64 IDs (vertex and
+// edge IDs are uint64 underneath) so one slot array serves both.
 const unbound = ^uint64(0)
 
 // Match is a (possibly partial) homomorphic image of a query subgraph in the
 // data graph under the one-to-one vertex correspondence required by subgraph
 // isomorphism. The zero value is an empty match ready for extension.
+//
+// A match is a single heap object: the sized constructors (and Clone, Join,
+// Remap) allocate the header and its binding slots together (see NewSized), so
+// producing a match costs one allocation. Only a zero-value match grown on
+// demand, or a pattern wider than the largest inline size, spills its slots
+// into a second object.
 type Match struct {
-	// vertices[qv] is the data vertex bound to pattern vertex qv, or
-	// unbound. The slice grows on demand; NewForQuery sizes it up front,
-	// sharing one backing array with edges (capacity-clipped so growth can
-	// never clobber the neighbour).
-	vertices []uint64
-	// edges[qe] is the data edge bound to pattern edge qe, or unbound.
-	edges []uint64
+	// slots holds the vertex slots followed by the edge slots:
+	// slots[:nvs][qv] is the data vertex bound to pattern vertex qv and
+	// slots[nvs:][qe] the data edge bound to pattern edge qe, or unbound.
+	slots []uint64
+	nvs   int32
 	// nv and ne count the bound entries so NumVertices/NumEdges stay O(1).
-	nv, ne int
+	nv, ne int32
+	// spanSet records whether Span has been initialized by at least one
+	// edge; hashOK is cleared whenever an edge binding changes.
+	spanSet, hashOK bool
 
 	// Span is the closed interval covering the timestamps of all bound data
 	// edges; it is the τ(g) of the paper.
 	Span graph.Interval
-	// spanSet records whether Span has been initialized by at least one edge.
-	spanSet bool
+	// hash caches EdgeSetHash.
+	hash uint64
+}
 
-	// hash caches EdgeSetHash; hashOK is cleared whenever an edge binding
-	// changes.
-	hash   uint64
-	hashOK bool
+// vertices returns the vertex slots, indexed by pattern vertex ID.
+func (m *Match) vertices() []uint64 { return m.slots[:m.nvs] }
+
+// edges returns the edge slots, indexed by pattern edge ID.
+func (m *Match) edges() []uint64 { return m.slots[m.nvs:] }
+
+// inline is a match header with a slot array of type A behind it.
+type inline[A any] struct {
+	Match
+	s A
 }
 
 // New returns an empty match.
 func New() *Match { return &Match{} }
 
 // NewSized returns an empty match with binding storage for nv pattern
-// vertices and ne pattern edges, avoiding any later growth. Both binding
-// slices share one allocation.
+// vertices and ne pattern edges, avoiding any later growth, as one heap
+// object: an inline of the smallest fitting array (steps chosen to land on
+// the allocator's size classes) whose header's slots points into its own
+// array.
 func NewSized(nv, ne int) *Match {
-	m := &Match{}
-	if nv+ne > 0 {
-		buf := make([]uint64, nv+ne)
-		for i := range buf {
-			buf[i] = unbound
-		}
-		m.vertices = buf[:nv:nv]
-		m.edges = buf[nv : nv+ne : nv+ne]
+	n := nv + ne
+	var m *Match
+	switch {
+	case n <= 4:
+		x := new(inline[[4]uint64])
+		m, x.slots = &x.Match, x.s[:n]
+	case n <= 8:
+		x := new(inline[[8]uint64])
+		m, x.slots = &x.Match, x.s[:n]
+	case n <= 12:
+		x := new(inline[[12]uint64])
+		m, x.slots = &x.Match, x.s[:n]
+	case n <= 16:
+		x := new(inline[[16]uint64])
+		m, x.slots = &x.Match, x.s[:n]
+	case n <= 24:
+		x := new(inline[[24]uint64])
+		m, x.slots = &x.Match, x.s[:n]
+	case n <= 32:
+		x := new(inline[[32]uint64])
+		m, x.slots = &x.Match, x.s[:n]
+	default:
+		m = &Match{slots: make([]uint64, n)}
+	}
+	m.nvs = int32(nv)
+	for i := range m.slots {
+		m.slots[i] = unbound
 	}
 	return m
 }
@@ -87,7 +123,7 @@ func NewForQuery(q *query.Graph) *Match {
 // NewFromEdge builds a single-edge match binding pattern edge qe (with
 // pattern endpoints qsrc->qdst) to data edge de.
 func NewFromEdge(qe query.EdgeID, qsrc, qdst query.VertexID, de *graph.Edge, reversed bool) *Match {
-	m := New()
+	m := NewSized(int(max(qsrc, qdst))+1, int(qe)+1)
 	if reversed {
 		m.BindVertex(qsrc, de.Target)
 		m.BindVertex(qdst, de.Source)
@@ -99,25 +135,26 @@ func NewFromEdge(qe query.EdgeID, qsrc, qdst query.VertexID, de *graph.Edge, rev
 	return m
 }
 
-// growVertices extends the vertex slice to hold at least n entries.
+// growVertices extends the vertex slots to hold at least n entries, shifting
+// the edge slots up behind them.
 func (m *Match) growVertices(n int) {
-	for len(m.vertices) < n {
-		m.vertices = append(m.vertices, unbound)
+	for ; int(m.nvs) < n; m.nvs++ {
+		m.slots = slices.Insert(m.slots, int(m.nvs), unbound)
 	}
 }
 
-// growEdges extends the edge slice to hold at least n entries.
+// growEdges extends the edge slots to hold at least n entries.
 func (m *Match) growEdges(n int) {
-	for len(m.edges) < n {
-		m.edges = append(m.edges, unbound)
+	for len(m.slots)-int(m.nvs) < n {
+		m.slots = append(m.slots, unbound)
 	}
 }
 
 // NumVertices returns the number of bound pattern vertices.
-func (m *Match) NumVertices() int { return m.nv }
+func (m *Match) NumVertices() int { return int(m.nv) }
 
 // NumEdges returns the number of bound pattern edges.
-func (m *Match) NumEdges() int { return m.ne }
+func (m *Match) NumEdges() int { return int(m.ne) }
 
 // HasSpan reports whether at least one edge has contributed to the temporal
 // span.
@@ -125,24 +162,26 @@ func (m *Match) HasSpan() bool { return m.spanSet }
 
 // Vertex returns the data vertex bound to the pattern vertex, if any.
 func (m *Match) Vertex(q query.VertexID) (graph.VertexID, bool) {
-	if int(q) < 0 || int(q) >= len(m.vertices) || m.vertices[q] == unbound {
+	vs := m.vertices()
+	if int(q) < 0 || int(q) >= len(vs) || vs[q] == unbound {
 		return 0, false
 	}
-	return graph.VertexID(m.vertices[q]), true
+	return graph.VertexID(vs[q]), true
 }
 
 // Edge returns the data edge bound to the pattern edge, if any.
 func (m *Match) Edge(q query.EdgeID) (graph.EdgeID, bool) {
-	if int(q) < 0 || int(q) >= len(m.edges) || m.edges[q] == unbound {
+	es := m.edges()
+	if int(q) < 0 || int(q) >= len(es) || es[q] == unbound {
 		return 0, false
 	}
-	return graph.EdgeID(m.edges[q]), true
+	return graph.EdgeID(es[q]), true
 }
 
 // ForEachVertex invokes fn for every bound pattern vertex in ascending
 // pattern-ID order, stopping early when fn returns false.
 func (m *Match) ForEachVertex(fn func(qv query.VertexID, dv graph.VertexID) bool) {
-	for qv, dv := range m.vertices {
+	for qv, dv := range m.vertices() {
 		if dv == unbound {
 			continue
 		}
@@ -155,7 +194,7 @@ func (m *Match) ForEachVertex(fn func(qv query.VertexID, dv graph.VertexID) bool
 // ForEachEdge invokes fn for every bound pattern edge in ascending
 // pattern-ID order, stopping early when fn returns false.
 func (m *Match) ForEachEdge(fn func(qe query.EdgeID, de graph.EdgeID) bool) {
-	for qe, de := range m.edges {
+	for qe, de := range m.edges() {
 		if de == unbound {
 			continue
 		}
@@ -169,10 +208,11 @@ func (m *Match) ForEachEdge(fn func(qe query.EdgeID, de graph.EdgeID) bool) {
 // mutating the match: q must be unbound or already bound to d, and d must
 // not be bound to any other pattern vertex (injectivity).
 func (m *Match) CanBindVertex(q query.VertexID, d graph.VertexID) bool {
-	if int(q) < len(m.vertices) && m.vertices[q] != unbound {
-		return m.vertices[q] == uint64(d)
+	vs := m.vertices()
+	if int(q) < len(vs) && vs[q] != unbound {
+		return vs[q] == uint64(d)
 	}
-	for _, bound := range m.vertices {
+	for _, bound := range vs {
 		if bound == uint64(d) {
 			return false
 		}
@@ -187,11 +227,11 @@ func (m *Match) BindVertex(q query.VertexID, d graph.VertexID) bool {
 	if !m.CanBindVertex(q, d) {
 		return false
 	}
-	if int(q) < len(m.vertices) && m.vertices[q] == uint64(d) {
+	if int(q) < int(m.nvs) && m.slots[q] == uint64(d) {
 		return true
 	}
 	m.growVertices(int(q) + 1)
-	m.vertices[q] = uint64(d)
+	m.slots[q] = uint64(d)
 	m.nv++
 	return true
 }
@@ -200,11 +240,11 @@ func (m *Match) BindVertex(q query.VertexID, d graph.VertexID) bool {
 // given timestamp, extending the temporal span. It returns false when q is
 // already bound to a different data edge.
 func (m *Match) BindEdge(q query.EdgeID, d graph.EdgeID, ts graph.Timestamp) bool {
-	if int(q) < len(m.edges) && m.edges[q] != unbound {
-		return m.edges[q] == uint64(d)
+	if es := m.edges(); int(q) < len(es) && es[q] != unbound {
+		return es[q] == uint64(d)
 	}
 	m.growEdges(int(q) + 1)
-	m.edges[q] = uint64(d)
+	m.edges()[q] = uint64(d)
 	m.ne++
 	m.hashOK = false
 	if m.spanSet {
@@ -218,7 +258,7 @@ func (m *Match) BindEdge(q query.EdgeID, d graph.EdgeID, ts graph.Timestamp) boo
 
 // UsesDataVertex reports whether any pattern vertex is bound to d.
 func (m *Match) UsesDataVertex(d graph.VertexID) bool {
-	for _, bound := range m.vertices {
+	for _, bound := range m.vertices() {
 		if bound == uint64(d) {
 			return true
 		}
@@ -228,7 +268,7 @@ func (m *Match) UsesDataVertex(d graph.VertexID) bool {
 
 // UsesDataEdge reports whether any pattern edge is bound to d.
 func (m *Match) UsesDataEdge(d graph.EdgeID) bool {
-	for _, bound := range m.edges {
+	for _, bound := range m.edges() {
 		if bound == uint64(d) {
 			return true
 		}
@@ -236,23 +276,18 @@ func (m *Match) UsesDataEdge(d graph.EdgeID) bool {
 	return false
 }
 
+// copyHeader copies everything but the binding slots from src.
+func (m *Match) copyHeader(src *Match) {
+	m.nv, m.ne = src.nv, src.ne
+	m.Span, m.spanSet = src.Span, src.spanSet
+	m.hash, m.hashOK = src.hash, src.hashOK
+}
+
 // Clone returns a deep copy of the match.
 func (m *Match) Clone() *Match {
-	c := &Match{
-		nv:      m.nv,
-		ne:      m.ne,
-		Span:    m.Span,
-		spanSet: m.spanSet,
-		hash:    m.hash,
-		hashOK:  m.hashOK,
-	}
-	if nv, ne := len(m.vertices), len(m.edges); nv+ne > 0 {
-		buf := make([]uint64, nv+ne)
-		copy(buf, m.vertices)
-		copy(buf[nv:], m.edges)
-		c.vertices = buf[:nv:nv]
-		c.edges = buf[nv : nv+ne : nv+ne]
-	}
+	c := NewSized(int(m.nvs), len(m.slots)-int(m.nvs))
+	copy(c.slots, m.slots)
+	c.copyHeader(m)
 	return c
 }
 
@@ -262,12 +297,9 @@ func (m *Match) Clone() *Match {
 // of the vertex bindings must remain injective (no two distinct pattern
 // vertices sharing a data vertex).
 func (m *Match) Compatible(o *Match) bool {
-	shared := len(m.vertices)
-	if len(o.vertices) < shared {
-		shared = len(o.vertices)
-	}
-	for qv := 0; qv < shared; qv++ {
-		mv, ov := m.vertices[qv], o.vertices[qv]
+	mvs, ovs := m.vertices(), o.vertices()
+	for qv := 0; qv < min(len(mvs), len(ovs)); qv++ {
+		mv, ov := mvs[qv], ovs[qv]
 		if mv != unbound && ov != unbound && mv != ov {
 			return false
 		}
@@ -276,22 +308,19 @@ func (m *Match) Compatible(o *Match) bool {
 	// be bound by m at a different pattern vertex. Pattern graphs are tiny
 	// (a handful of vertices), so the nested scan beats building a reverse
 	// map.
-	for qv, ov := range o.vertices {
+	for qv, ov := range ovs {
 		if ov == unbound {
 			continue
 		}
-		for qv2, mv := range m.vertices {
+		for qv2, mv := range mvs {
 			if mv == ov && qv2 != qv {
 				return false
 			}
 		}
 	}
-	shared = len(m.edges)
-	if len(o.edges) < shared {
-		shared = len(o.edges)
-	}
-	for qe := 0; qe < shared; qe++ {
-		me, oe := m.edges[qe], o.edges[qe]
+	mes, oes := m.edges(), o.edges()
+	for qe := 0; qe < min(len(mes), len(oes)); qe++ {
+		me, oe := mes[qe], oes[qe]
 		if me != unbound && oe != unbound && me != oe {
 			return false
 		}
@@ -307,18 +336,22 @@ func (m *Match) Join(o *Match) *Match {
 	if !m.Compatible(o) {
 		return nil
 	}
-	j := m.Clone()
-	j.growVertices(len(o.vertices))
-	for qv, ov := range o.vertices {
-		if ov != unbound && j.vertices[qv] == unbound {
-			j.vertices[qv] = ov
+	mvs, mes := m.vertices(), m.edges()
+	ovs, oes := o.vertices(), o.edges()
+	j := NewSized(max(len(mvs), len(ovs)), max(len(mes), len(oes)))
+	j.copyHeader(m)
+	jvs, jes := j.vertices(), j.edges()
+	copy(jvs, mvs)
+	copy(jes, mes)
+	for qv, ov := range ovs {
+		if ov != unbound && jvs[qv] == unbound {
+			jvs[qv] = ov
 			j.nv++
 		}
 	}
-	j.growEdges(len(o.edges))
-	for qe, oe := range o.edges {
-		if oe != unbound && j.edges[qe] == unbound {
-			j.edges[qe] = oe
+	for qe, oe := range oes {
+		if oe != unbound && jes[qe] == unbound {
+			jes[qe] = oe
 			j.ne++
 			j.hashOK = false
 		}
@@ -343,27 +376,24 @@ func (m *Match) Join(o *Match) *Match {
 // The shared-plan evaluation DAG (internal/mqo) lives on this operation:
 // matches are computed once in a canonical fragment's ID space and remapped
 // — two array permutes, no graph search — into each parent fragment's or
-// consumer query's space. Both maps must cover every bound source ID; IDs
+// consumer group's space. Both maps must cover every bound source ID; IDs
 // mapped to out-of-range slots panic, as that is a canonicalization bug, not
 // a data condition.
 func (m *Match) Remap(nv, ne int, vmap []query.VertexID, emap []query.EdgeID) *Match {
 	r := NewSized(nv, ne)
-	for qv, dv := range m.vertices {
-		if dv == unbound {
-			continue
+	rvs, res := r.vertices(), r.edges()
+	for qv, dv := range m.vertices() {
+		if dv != unbound {
+			rvs[vmap[qv]] = dv
 		}
-		r.vertices[vmap[qv]] = dv
-		r.nv++
 	}
-	for qe, de := range m.edges {
-		if de == unbound {
-			continue
+	for qe, de := range m.edges() {
+		if de != unbound {
+			res[emap[qe]] = de
 		}
-		r.edges[emap[qe]] = de
-		r.ne++
 	}
-	r.Span = m.Span
-	r.spanSet = m.spanSet
+	r.nv, r.ne = m.nv, m.ne
+	r.Span, r.spanSet = m.Span, m.spanSet
 	return r
 }
 
@@ -384,14 +414,14 @@ const edgeSetSeed = 0x9e3779b97f4a7c15
 // binding, the integer replacement for the legacy Signature string on the
 // hot path. Two matches with equal bindings always hash equally; hash-keyed
 // consumers (the SJ-Tree dedup sets, the shard merge dedup) resolve the
-// astronomically unlikely collisions with SameEdges equality buckets. The
+// astronomically unlikely collisions with SameEdges equality checks. The
 // hash is cached and only recomputed after an edge binding changes.
 func (m *Match) EdgeSetHash() uint64 {
 	if m.hashOK {
 		return m.hash
 	}
 	h := uint64(edgeSetSeed)
-	for qe, de := range m.edges {
+	for qe, de := range m.edges() {
 		if de == unbound {
 			continue
 		}
@@ -407,10 +437,28 @@ func (m *Match) EdgeSetHash() uint64 {
 // the same data edges — the equality behind Signature() identity, without
 // building the string.
 func (m *Match) SameEdges(o *Match) bool {
-	if m.ne != o.ne {
-		return false
+	return m.ne == o.ne && m.SameEdgeSet(o.edges())
+}
+
+// EdgeSet returns the match's dense pattern-edge → data-edge binding with
+// trailing unbound slots trimmed: the identity of the match and nothing
+// else. The slice is a read-only view of the match's own storage; long-lived
+// dedup sets (the SJ-Tree's emitted-match set) copy the words out so they
+// never pin whole Match values — vertex bindings, spans and cache fields —
+// for the lifetime of the stream.
+func (m *Match) EdgeSet() []uint64 {
+	e := m.edges()
+	for len(e) > 0 && e[len(e)-1] == unbound {
+		e = e[:len(e)-1]
 	}
-	long, short := m.edges, o.edges
+	return e
+}
+
+// SameEdgeSet reports whether the match's edge binding equals the dense
+// binding s (as returned by EdgeSet; trailing unbound slots on either side
+// are insignificant).
+func (m *Match) SameEdgeSet(s []uint64) bool {
+	long, short := m.edges(), s
 	if len(long) < len(short) {
 		long, short = short, long
 	}
@@ -420,47 +468,6 @@ func (m *Match) SameEdges(o *Match) bool {
 		}
 	}
 	for _, de := range long[len(short):] {
-		if de != unbound {
-			return false
-		}
-	}
-	return true
-}
-
-// EdgeSet is a compact, immutable copy of a match's pattern-edge →
-// data-edge binding: the identity of the match and nothing else. Long-lived
-// dedup sets (e.g. the SJ-Tree's emitted-match set) store EdgeSets so they
-// never pin whole Match values — vertex bindings, spans and cache fields —
-// for the lifetime of the stream.
-type EdgeSet struct {
-	edges []uint64 // dense binding, trailing unbound slots trimmed
-}
-
-// EdgeSet returns a compact copy of the match's edge binding.
-func (m *Match) EdgeSet() EdgeSet {
-	e := m.edges
-	for len(e) > 0 && e[len(e)-1] == unbound {
-		e = e[:len(e)-1]
-	}
-	out := make([]uint64, len(e))
-	copy(out, e)
-	return EdgeSet{edges: out}
-}
-
-// SameEdgeSet reports whether the match's edge binding equals s — the
-// EdgeSet counterpart of SameEdges.
-func (m *Match) SameEdgeSet(s EdgeSet) bool {
-	if len(m.edges) < len(s.edges) {
-		// s binds a pattern edge beyond m's slice (its last entry is always
-		// bound, trailing unbound slots being trimmed).
-		return false
-	}
-	for qe, de := range s.edges {
-		if m.edges[qe] != de {
-			return false
-		}
-	}
-	for _, de := range m.edges[len(s.edges):] {
 		if de != unbound {
 			return false
 		}
@@ -490,8 +497,8 @@ func (m *Match) Projection(vertices []query.VertexID) ProjectionKey {
 	k := ProjectionKey{n: uint8(len(vertices))}
 	for i, qv := range vertices {
 		dv := uint64(unbound)
-		if int(qv) >= 0 && int(qv) < len(m.vertices) {
-			dv = m.vertices[qv]
+		if int(qv) >= 0 && int(qv) < int(m.nvs) {
+			dv = m.slots[qv]
 		}
 		if i < projectionInline {
 			k.inline[i] = dv
@@ -522,26 +529,48 @@ func (m *Match) ProjectKey(vertices []query.VertexID) string {
 }
 
 // Signature returns a canonical string identifying the exact set of data
-// edges bound by the match. Two matches with the same signature describe the
-// same data subgraph assignment. The engine's hot path deduplicates on
+// edges bound by the match: the "qe:de" pairs in lexicographic order of
+// their text, comma-separated. Two matches with the same signature describe
+// the same data subgraph assignment. The engine's hot path deduplicates on
 // EdgeSetHash/SameEdges instead; the string form survives at the
 // export/report boundary (export.MatchReport, remote match-set comparison)
-// and is byte-identical to the pre-refactor format.
+// and its format is pinned by goldens and the WAL's emission notes.
 func (m *Match) Signature() string {
-	parts := make([]string, 0, m.ne)
-	for qe, de := range m.edges {
-		if de == unbound {
-			continue
-		}
-		parts = append(parts, strconv.Itoa(qe)+":"+strconv.FormatUint(de, 10))
+	// Typical signatures (a handful of edges) fit the stack buffer, so the
+	// only allocation is the returned string.
+	var buf [256]byte
+	dst := buf[:0]
+	for qe := 0; qe < min(10, len(m.edges())); qe++ {
+		dst = m.appendSignature(dst, qe)
 	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
+	return string(dst)
+}
+
+// appendSignature appends the pairs of every bound pattern edge whose
+// decimal ID starts with the digits of qe, in the lexicographic order of
+// "qe:" prefixes. ':' sorts after every digit, so a longer ID precedes its
+// own prefix ("10:" < "1:"): the walk is post-order over the digit trie.
+func (m *Match) appendSignature(dst []byte, qe int) []byte {
+	es := m.edges()
+	if qe > 0 {
+		for c := qe * 10; c < min(qe*10+10, len(es)); c++ {
+			dst = m.appendSignature(dst, c)
+		}
+	}
+	if es[qe] == unbound {
+		return dst
+	}
+	if len(dst) > 0 {
+		dst = append(dst, ',')
+	}
+	dst = strconv.AppendUint(dst, uint64(qe), 10)
+	dst = append(dst, ':')
+	return strconv.AppendUint(dst, es[qe], 10)
 }
 
 // Complete reports whether the match covers every vertex and edge of q.
 func (m *Match) Complete(q *query.Graph) bool {
-	return m.nv == q.NumVertices() && m.ne == q.NumEdges()
+	return int(m.nv) == q.NumVertices() && int(m.ne) == q.NumEdges()
 }
 
 // WithinWindow reports whether the temporal span of the match is strictly

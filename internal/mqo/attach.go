@@ -2,6 +2,7 @@ package mqo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,7 +19,7 @@ import (
 // Attachment is one query's view of the shared DAG: the root node its plan
 // resolved to, the maps translating canonical root matches into the query's
 // own pattern space, and the per-query emission state (exactly-once set,
-// window, callback).
+// window, callbacks).
 type Attachment struct {
 	dag    *DAG
 	name   string
@@ -35,8 +36,9 @@ type Attachment struct {
 	nodes  []*node
 	leaves []*node
 
-	emitted *sjtree.EmittedSet
-	emit    func(*match.Match)
+	emitted    *sjtree.EmittedSet
+	emit       func(*match.Match)
+	emitSigned func(*match.Match, string)
 
 	matches       uint64
 	preAttach     uint64
@@ -92,8 +94,12 @@ func (a *Attachment) PartialMatches() int {
 // AttachOptions configures Attach.
 type AttachOptions struct {
 	// Emit receives every complete match in the query's own pattern space,
-	// exactly once per distinct data-edge binding.
+	// exactly once per distinct data-edge binding. The match is shared with
+	// every other query of the consumer group and must not be mutated.
 	Emit func(*match.Match)
+	// EmitSigned, when set, is called instead of Emit and also receives the
+	// match's canonical Signature, built once per consumer group.
+	EmitSigned func(m *match.Match, signature string)
 	// InheritEmitted seeds the attachment's exactly-once set from a detached
 	// predecessor, preserving emission identity across a plan swap.
 	InheritEmitted *sjtree.EmittedSet
@@ -118,13 +124,14 @@ func (d *DAG) Attach(name string, q *query.Graph, plan *decompose.Plan, opt Atta
 		return nil, fmt.Errorf("mqo: invalid plan for %q: %w", name, err)
 	}
 	att := &Attachment{
-		dag:     d,
-		name:    name,
-		q:       q,
-		plan:    plan,
-		window:  q.Window(),
-		emitted: opt.InheritEmitted,
-		emit:    opt.Emit,
+		dag:        d,
+		name:       name,
+		q:          q,
+		plan:       plan,
+		window:     q.Window(),
+		emitted:    opt.InheritEmitted,
+		emit:       opt.Emit,
+		emitSigned: opt.EmitSigned,
 	}
 	if att.emitted == nil {
 		att.emitted = sjtree.NewEmittedSet()
@@ -133,7 +140,7 @@ func (d *DAG) Attach(name string, q *query.Graph, plan *decompose.Plan, opt Atta
 	att.root = root
 	att.rootVMap = rootFrag.VertToQuery
 	att.rootEMap = rootFrag.EdgeToQuery
-	root.consumers = append(root.consumers, &consumer{att: att})
+	root.addConsumer(att)
 
 	d.atts[name] = att
 	d.attOrder = append(d.attOrder, name)
@@ -143,8 +150,9 @@ func (d *DAG) Attach(name string, q *query.Graph, plan *decompose.Plan, opt Atta
 	// the query and are recorded-but-suppressed; on a replay (plan swap)
 	// they are emitted and the inherited set drops the duplicates, so only
 	// matches the old plan had not surfaced yet reach the callback.
+	self := consumerGroup{att}
 	for _, m := range root.coll.Stored() {
-		d.deliver(att, m, !opt.Replay)
+		self.deliver(m, !opt.Replay)
 	}
 	return att, nil
 }
@@ -346,21 +354,22 @@ func (d *DAG) Detach(name string) error {
 // replay mode so matches the old plan had not yet surfaced are emitted. Only
 // after the new attachment is in place are the old plan's now-unreferenced
 // nodes collected. This is the shared-plan counterpart of the per-query
-// engine's hot plan swap.
-func (d *DAG) Swap(name string, plan *decompose.Plan, emit func(*match.Match)) (*Attachment, error) {
+// engine's hot plan swap. The replacement keeps the emit callbacks.
+func (d *DAG) Swap(name string, plan *decompose.Plan) (*Attachment, error) {
 	old, ok := d.atts[name]
 	if !ok {
 		return nil, fmt.Errorf("mqo: query %q not attached", name)
 	}
 	d.detachConsumer(old)
 	att, err := d.Attach(name, old.q, plan, AttachOptions{
-		Emit:           emit,
+		Emit:           old.emit,
+		EmitSigned:     old.emitSigned,
 		InheritEmitted: old.emitted,
 		Replay:         true,
 	})
 	if err != nil {
 		// Roll the old attachment back in so the DAG stays consistent.
-		old.root.consumers = append(old.root.consumers, &consumer{att: old})
+		old.root.addConsumer(old)
 		d.atts[name] = old
 		d.attOrder = append(d.attOrder, name)
 		return nil, err
@@ -375,9 +384,13 @@ func (d *DAG) Swap(name string, plan *decompose.Plan, emit func(*match.Match)) (
 // stay warm across the swap).
 func (d *DAG) detachConsumer(att *Attachment) {
 	root := att.root
-	for i, c := range root.consumers {
-		if c.att == att {
-			root.consumers = append(root.consumers[:i], root.consumers[i+1:]...)
+	for gi, g := range root.consumers {
+		if i := slices.Index(g, att); i >= 0 {
+			if g = slices.Delete(g, i, i+1); len(g) > 0 {
+				root.consumers[gi] = g
+			} else {
+				root.consumers = slices.Delete(root.consumers, gi, gi+1)
+			}
 			break
 		}
 	}

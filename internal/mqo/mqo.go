@@ -24,11 +24,22 @@
 // (exactly-once per distinct data-edge binding), its own window filter at
 // delivery, and its own callback.
 //
+// Emission costs what the distinct root matches cost, not (queries × pattern
+// edges): the attachments consuming a root node are grouped by how they read
+// it — identical maps out of the root's canonical space into identically
+// shaped queries, which is what rules differing only in name and window
+// have — and a root match is remapped into query space, and its Signature
+// built, once per consumer group. The contract that buys this: an emitted
+// *match.Match and its signature string are shared by every member of the
+// group and immutable from emission on; Emit callbacks and everything
+// downstream (core.MatchEvent, sinks, reports) may retain but not mutate them.
+//
 // Like the core engine, a DAG is single-goroutine state: the engine's driver
 // goroutine calls ProcessEdge/Attach/Detach/Prune, never concurrently.
 package mqo
 
 import (
+	"slices"
 	"time"
 
 	"github.com/streamworks/streamworks/internal/decompose"
@@ -57,8 +68,9 @@ type node struct {
 	// parents are the reverse links: every (parent, link) pair whose join
 	// consumes this node's matches.
 	parents []*parentLink
-	// consumers are the attachments whose plan root this node is.
-	consumers []*consumer
+	// consumers are the attachments whose plan root this node is, grouped
+	// by how they read its matches.
+	consumers []consumerGroup
 
 	// coll is the node's deduplicated canonical match collection
 	// (Property 3 of the SJ-Tree, shared across all referencing queries).
@@ -80,10 +92,16 @@ type node struct {
 	windowDrops  uint64
 }
 
-// refs is the node's reference count: parent links plus consumers. It is
-// derived, never stored, so attach/detach cannot leak or double-free by
-// miscounting.
-func (n *node) refs() int { return len(n.parents) + len(n.consumers) }
+// refs is the node's reference count: parent links plus consuming
+// attachments. It is derived, never stored, so attach/detach cannot leak or
+// double-free by miscounting.
+func (n *node) refs() int {
+	refs := len(n.parents)
+	for _, g := range n.consumers {
+		refs += len(g)
+	}
+	return refs
+}
 
 // childLink wires one join input of a parent node: the maps renaming the
 // child's canonical space into the parent's, the parent-space cut vertices,
@@ -125,9 +143,26 @@ type seedRef struct {
 	order []query.EdgeID
 }
 
-// consumer is one attachment subscribed to a node's complete matches.
-type consumer struct {
-	att *Attachment
+// consumerGroup is the set of attachments, in attach order, that read one
+// root node's matches identically: the same maps from the root's canonical
+// space into query space and the same query shape (the first member's stand
+// for all), so one Remap and one Signature per root match serve them all.
+// Queries differing only in name or window — the near-duplicate rules of a
+// monitoring deployment — share a group; members keep their own window
+// filter, exactly-once set and callbacks.
+type consumerGroup []*Attachment
+
+// addConsumer subscribes att to n's complete matches, through the group
+// reading them with att's maps when there is one.
+func (n *node) addConsumer(att *Attachment) {
+	for i, g := range n.consumers {
+		if lead := g[0]; lead.q.NumVertices() == att.q.NumVertices() && lead.q.NumEdges() == att.q.NumEdges() &&
+			slices.Equal(lead.rootVMap, att.rootVMap) && slices.Equal(lead.rootEMap, att.rootEMap) {
+			n.consumers[i] = append(g, att)
+			return
+		}
+	}
+	n.consumers = append(n.consumers, consumerGroup{att})
 }
 
 // DAG is the shared evaluation DAG. It is not safe for concurrent use.
@@ -307,38 +342,53 @@ func (d *DAG) insert(n *node, m *match.Match) {
 			d.insert(p, joined)
 		}
 	}
-	for _, c := range n.consumers {
-		d.deliver(c.att, m, false)
+	for _, g := range n.consumers {
+		g.deliver(m, false)
 	}
 }
 
-// deliver translates a canonical root match into one attachment's query
-// space and emits it, preserving the private tree's acceptance order
-// exactly: window check, completeness check, emitted-set dedup, then emit.
-// A suppressed delivery (root backfill of a freshly attached query) records
-// the match as emitted without invoking the callback, so state accumulated
-// before the attachment never produces emissions the per-query path would
-// not have produced.
-func (d *DAG) deliver(att *Attachment, m *match.Match, suppress bool) {
-	qm := m.Remap(att.q.NumVertices(), att.q.NumEdges(), att.rootVMap, att.rootEMap)
-	if !qm.WithinWindow(att.window) {
-		return
-	}
-	if !qm.Complete(att.q) {
+// deliver fans a canonical root match out to the group, preserving the
+// private tree's acceptance rules per query — completeness, the query's own
+// window, its exactly-once set, then emit — while translating once: the
+// checks run on the canonical match, the first member to pass its window
+// remaps it into query space, the first to emit builds the signature, and
+// later members are handed the same match and string. A suppressed delivery
+// (root backfill of a freshly attached query) records the match as emitted
+// without emitting it, so state accumulated before the attachment never
+// produces emissions the per-query path would not have produced.
+func (g consumerGroup) deliver(m *match.Match, suppress bool) {
+	lead := g[0]
+	nv, ne := lead.q.NumVertices(), lead.q.NumEdges()
+	if m.NumVertices() != nv || m.NumEdges() != ne {
 		// A root fragment that does not cover the query indicates a plan
 		// bug; drop rather than report a wrong result.
 		return
 	}
-	if !att.emitted.Add(qm) {
-		return
-	}
-	if suppress {
-		att.preAttach++
-		return
-	}
-	att.matches++
-	if att.emit != nil {
-		att.emit(qm)
+	var qm *match.Match
+	var sig string
+	for _, att := range g {
+		if !m.WithinWindow(att.window) {
+			continue
+		}
+		if qm == nil {
+			qm = m.Remap(nv, ne, lead.rootVMap, lead.rootEMap)
+		}
+		if !att.emitted.Add(qm) {
+			continue
+		}
+		if suppress {
+			att.preAttach++
+			continue
+		}
+		att.matches++
+		if att.emitSigned != nil {
+			if sig == "" {
+				sig = qm.Signature()
+			}
+			att.emitSigned(qm, sig)
+		} else if att.emit != nil {
+			att.emit(qm)
+		}
 	}
 }
 

@@ -261,7 +261,7 @@ func TestDAGSwapKeepsEmissionIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	att, err := d.Swap("s", alt, col.emitFn("s"))
+	att, err := d.Swap("s", alt)
 	if err != nil {
 		t.Fatal(err)
 	}

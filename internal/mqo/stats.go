@@ -105,7 +105,7 @@ func (d *DAG) Stats() Stats {
 			Edges:        n.frag.Graph.NumEdges(),
 			IsLeaf:       n.left == nil,
 			Refs:         n.refs(),
-			Consumers:    len(n.consumers),
+			Consumers:    n.refs() - len(n.parents),
 			Window:       n.window,
 			Stored:       n.coll.Len(),
 			Inserted:     n.coll.InsertedTotal(),

@@ -134,8 +134,8 @@ func (p *Partition) PruneWhere(drop func(*match.Match) bool) int {
 // EmittedSet deduplicates one query's emitted complete matches by edge
 // binding — the per-consumer half of acceptComplete, split out so a shared
 // DAG root can fan a complete match out to many queries, each with its own
-// exactly-once emission set. Entries are compact EdgeSet copies, like a
-// tree's complete-signature set.
+// exactly-once emission set. Entries are compact edge-binding copies, like
+// a tree's complete-signature set.
 type EmittedSet struct {
 	set   completeSet
 	total uint64
@@ -143,9 +143,7 @@ type EmittedSet struct {
 }
 
 // NewEmittedSet returns an empty set.
-func NewEmittedSet() *EmittedSet {
-	return &EmittedSet{set: newCompleteSet()}
-}
+func NewEmittedSet() *EmittedSet { return &EmittedSet{} }
 
 // Add records m's edge set, returning false when it was already emitted.
 func (s *EmittedSet) Add(m *match.Match) bool {

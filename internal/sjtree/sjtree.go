@@ -149,10 +149,9 @@ func New(plan *decompose.Plan, opts ...Option) (*Tree, error) {
 		return nil, fmt.Errorf("sjtree: invalid plan: %w", err)
 	}
 	t := &Tree{
-		q:                  plan.Query,
-		plan:               plan,
-		window:             plan.Query.Window(),
-		completeSignatures: newCompleteSet(),
+		q:      plan.Query,
+		plan:   plan,
+		window: plan.Query.Window(),
 	}
 	for _, o := range opts {
 		o(t)

@@ -1,0 +1,45 @@
+// Package allocbudget is the checked-in table of allocation budgets for the
+// emit/dedup layer: a ceiling on heap allocations per call for each named
+// operation, enforced by blocking unit tests next to the code they measure
+// (the first instalment of the ROADMAP's deterministic-counter gate). The
+// counts repeat exactly from run to run, so a test fails on the first
+// allocation over budget; raising a ceiling is a reviewed change to this
+// file, not to the test that tripped.
+package allocbudget
+
+import "testing"
+
+// ceilings maps an operation to its maximum allocations per call.
+var ceilings = map[string]float64{
+	// internal/match: a match is one heap object, a signature one string.
+	"match.Signature": 1,
+	"match.Remap":     1,
+	"match.Clone":     1,
+	"match.Join":      1,
+	// internal/sjtree: the emitted set allocates only when its table
+	// doubles or an arena chunk fills — nothing per add, amortised.
+	"sjtree.EmittedSet.Add": 0,
+	// internal/export: the bindings and the edge-ID list; the signature
+	// arrives on the event. Three when the report has to build it.
+	"export.BuildReport":          2,
+	"export.BuildReport/unsigned": 3,
+	// internal/mqo: one root match fanned out to a group of 25 queries is
+	// one Remap and one Signature, whatever the group's size.
+	"mqo.deliver/25-consumers": 2,
+}
+
+// Runs is how many times Check measures f, after one warm-up call: a test
+// that needs a fresh input per call prepares Runs+1 of them.
+const Runs = 500
+
+// Check fails t when f allocates more per call than op's ceiling.
+func Check(t *testing.T, op string, f func()) {
+	t.Helper()
+	ceiling, ok := ceilings[op]
+	if !ok {
+		t.Fatalf("allocbudget: no ceiling for %q", op)
+	}
+	if got := testing.AllocsPerRun(Runs, f); got > ceiling {
+		t.Errorf("%s: %.0f allocs per call, budget %.0f", op, got, ceiling)
+	}
+}

@@ -2,12 +2,12 @@ package streamworks
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"github.com/streamworks/streamworks/internal/core"
-	"github.com/streamworks/streamworks/internal/export"
 )
 
 // Local is the single-engine backend: one core engine behind a mutex, so
@@ -19,25 +19,25 @@ type Local struct {
 	eng     *core.Engine
 	cfg     config // registration defaults (strategy, adaptive)
 	queries map[string]*Query
-	subs    map[int]*localSub
-	seq     int
+	subs    []*localSub // in subscription order
 	closed  bool
 
-	// deadMu guards the list of subscriptions closed since the last sweep.
-	// Subscription.Close only touches this list and the sub's own flag, so
-	// it is safe from any goroutine — including from inside the
-	// subscription's own sink, which runs while mu is held; the engine-side
-	// sink de-registration is deferred to the next mu-holding call.
-	deadMu sync.Mutex
-	dead   []int
+	// unswept is set when a subscription closes. Subscription.Close only
+	// touches this flag and the sub's own, so it is safe from any goroutine
+	// — including from inside the subscription's own sink, which runs while
+	// mu is held; dropping the sub from the registry is deferred to the next
+	// mu-holding call.
+	unswept atomic.Bool
 
-	// dur is the durability glue (nil without WithDataDir). pendingNotes
-	// accumulates (query, signature, span-start) emissions observed during
-	// the current ProcessBatch/Advance call; they are acknowledged to the
-	// WAL only when the call returns, i.e. strictly after every
-	// (synchronous) subscriber sink has seen them — noted implies
-	// delivered, which is what makes crash-time suppression safe.
+	// dur is the durability glue (nil without WithDataDir); autoAck is set
+	// when emissions are acknowledged to the WAL by the engine itself.
+	// pendingNotes accumulates (query, signature, span-start) emissions
+	// observed during the current ProcessBatch/Advance call; they are
+	// acknowledged to the WAL only when the call returns, i.e. strictly
+	// after every (synchronous) subscriber sink has seen them — noted
+	// implies delivered, which is what makes crash-time suppression safe.
 	dur          *durable
+	autoAck      bool
 	pendingNotes []pendingNote
 }
 
@@ -60,27 +60,46 @@ func New(opts ...Option) *Local {
 		eng:     core.New(&cfg.engine),
 		cfg:     cfg,
 		queries: make(map[string]*Query),
-		subs:    make(map[int]*localSub),
 	}
+	l.eng.Subscribe("", core.MatchSinkFunc(l.fanout))
 	dur, rec := openDurable(&l.cfg)
 	l.dur = dur
+	l.autoAck = dur != nil && dur.man != nil && !dur.manual
 	if rec != nil {
 		dur.replaying.Store(true)
 		replayRecovery(l, dur, rec, func() error { return nil })
 		dur.replaying.Store(false)
 	}
-	if dur != nil && dur.man != nil && !dur.manual {
-		// Auto-ack emissions: collect at dispatch, note at end of the
-		// mutating call once every subscriber sink has returned.
-		l.eng.Subscribe("", core.MatchSinkFunc(func(ev core.MatchEvent) {
-			l.pendingNotes = append(l.pendingNotes, pendingNote{
-				query:     ev.Query,
-				signature: ev.Match.Signature(),
-				spanStart: int64(ev.Match.Span.Start),
-			})
-		}))
-	}
 	return l
+}
+
+// fanout is the engine's one sink. It runs for every match, inside the
+// Process call that emitted it (so with l.mu held): resolve the event into
+// the public Match form once, push it to every subscription whose filter
+// admits it, then queue the auto-ack note, reusing the report's signature.
+func (l *Local) fanout(ev core.MatchEvent) {
+	built := false
+	var rep Match
+	for _, sub := range l.subs {
+		if sub.closed.Load() || (sub.query != "" && sub.query != ev.Query) {
+			continue
+		}
+		if !built {
+			rep, built = l.cfg.report(ev, l.queries[ev.Query]), true
+		}
+		sub.sink.OnMatch(rep)
+	}
+	if l.autoAck && l.dur.live() {
+		sig := rep.Signature
+		if !built {
+			sig = ev.CanonicalSignature()
+		}
+		l.pendingNotes = append(l.pendingNotes, pendingNote{
+			query:     ev.Query,
+			signature: sig,
+			spanStart: int64(ev.Match.Span.Start),
+		})
+	}
 }
 
 // flushNotesLocked acknowledges the emissions collected during the current
@@ -98,8 +117,8 @@ func (l *Local) flushNotesLocked() {
 // localSub is one push subscription on a Local engine.
 type localSub struct {
 	l      *Local
-	id     int
-	cancel func() // de-registers the core sink; called under l.mu (sweep)
+	query  string // "" subscribes to every query
+	sink   MatchSink
 	closed atomic.Bool
 	done   chan struct{}
 	once   sync.Once
@@ -108,33 +127,24 @@ type localSub struct {
 func (s *localSub) Done() <-chan struct{} { return s.done }
 func (s *localSub) Err() error            { return nil }
 
-// Close cancels the subscription: delivery stops immediately (the wrapper
-// sink checks the flag), Done closes, and the engine-side sink is reclaimed
-// on the engine's next call. Idempotent and safe from inside the
+// Close cancels the subscription: delivery stops immediately (fanout checks
+// the flag), Done closes, and the registry entry is reclaimed on the
+// engine's next call. Idempotent and safe from inside the
 // subscription's own sink.
 func (s *localSub) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	s.l.deadMu.Lock()
-	s.l.dead = append(s.l.dead, s.id)
-	s.l.deadMu.Unlock()
+	s.l.unswept.Store(true)
 	s.once.Do(func() { close(s.done) })
 	return nil
 }
 
-// sweepLocked reclaims engine-side sinks of closed subscriptions. Caller
-// holds l.mu.
+// sweepLocked drops closed subscriptions from the registry. Caller holds
+// l.mu.
 func (l *Local) sweepLocked() {
-	l.deadMu.Lock()
-	dead := l.dead
-	l.dead = nil
-	l.deadMu.Unlock()
-	for _, id := range dead {
-		if sub, ok := l.subs[id]; ok {
-			delete(l.subs, id)
-			sub.cancel()
-		}
+	if l.unswept.Swap(false) {
+		l.subs = slices.DeleteFunc(l.subs, func(sub *localSub) bool { return sub.closed.Load() })
 	}
 }
 
@@ -252,21 +262,8 @@ func (l *Local) Subscribe(queryFilter string, sink MatchSink) (Subscription, err
 			return nil, ErrUnknownQuery
 		}
 	}
-	l.seq++
-	sub := &localSub{l: l, id: l.seq, done: make(chan struct{})}
-	// The core sink fires while l.mu is held by Process, so reading the
-	// query map here is race-free.
-	sub.cancel = l.eng.Subscribe(queryFilter, core.MatchSinkFunc(func(ev core.MatchEvent) {
-		if sub.closed.Load() {
-			return
-		}
-		rep := export.BuildReport(ev, l.queries[ev.Query], nil)
-		if l.cfg.engine.Obs.Enabled && l.cfg.engine.Obs.Clock != nil {
-			rep.DeliveredWallNS = l.cfg.engine.Obs.Clock.Now()
-		}
-		sink.OnMatch(rep)
-	}))
-	l.subs[sub.id] = sub
+	sub := &localSub{l: l, query: queryFilter, sink: sink, done: make(chan struct{})}
+	l.subs = append(l.subs, sub)
 	// Recovered matches that were never delivered before the crash replay
 	// to the first matching subscriber, exactly once.
 	for _, m := range l.dur.takeBacklog(queryFilter) {
@@ -335,10 +332,9 @@ func (l *Local) Close() error {
 	l.closed = true
 	l.sweepLocked()
 	subs := l.subs
-	l.subs = map[int]*localSub{}
+	l.subs = nil
 	for _, sub := range subs {
 		sub.closed.Store(true)
-		sub.cancel()
 	}
 	l.mu.Unlock()
 	for _, sub := range subs {

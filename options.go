@@ -6,6 +6,7 @@ import (
 
 	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/decompose"
+	"github.com/streamworks/streamworks/internal/export"
 	"github.com/streamworks/streamworks/internal/obs"
 	"github.com/streamworks/streamworks/internal/shard"
 	"github.com/streamworks/streamworks/internal/wal"
@@ -56,6 +57,17 @@ func (c *config) finishObs() {
 		return
 	}
 	c.engine.Obs.Tracer = obs.NewTracer(c.traceCapacity, c.traceSampleEvery, c.tracePerSecond, c.engine.Obs.Clock)
+}
+
+// report resolves a match event into the public Match form, stamping the
+// dispatch→flush hand-off when observability is on: the serving tier
+// measures its flush segment (subscriber-buffer wait included) from it.
+func (c *config) report(ev core.MatchEvent, q *Query) Match {
+	rep := export.BuildReport(ev, q, nil)
+	if c.engine.Obs.Enabled && c.engine.Obs.Clock != nil {
+		rep.DeliveredWallNS = c.engine.Obs.Clock.Now()
+	}
+	return rep
 }
 
 func defaultConfig() config {

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"github.com/streamworks/streamworks/internal/core"
-	"github.com/streamworks/streamworks/internal/export"
 	"github.com/streamworks/streamworks/internal/shard"
 )
 
@@ -149,14 +148,7 @@ func (s *Sharded) fanout(ev core.MatchEvent) {
 			s.qmu.RLock()
 			q := s.queries[ev.Query]
 			s.qmu.RUnlock()
-			rep = export.BuildReport(ev, q, nil)
-			if s.cfg.engine.Obs.Enabled && s.cfg.engine.Obs.Clock != nil {
-				// Marks the dispatch→flush hand-off: the serving tier
-				// measures its flush segment (subscriber-buffer wait
-				// included) from this stamp.
-				rep.DeliveredWallNS = s.cfg.engine.Obs.Clock.Now()
-			}
-			built = true
+			rep, built = s.cfg.report(ev, q), true
 		}
 		sub.sink.OnMatch(rep)
 	}
@@ -167,7 +159,7 @@ func (s *Sharded) fanout(ev core.MatchEvent) {
 		// signature — reuse it rather than recomputing the string.
 		sig := rep.Signature
 		if !built {
-			sig = ev.Match.Signature()
+			sig = ev.CanonicalSignature()
 		}
 		s.dur.note(ev.Query, sig, int64(ev.Match.Span.Start))
 	}

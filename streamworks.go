@@ -16,7 +16,8 @@
 // it for every complete deduplicated match, and Done on the returned
 // Subscription closes after the final delivery. There is no polling surface
 // and no scratch-buffer aliasing to get wrong: every Match handed to a sink
-// is an independent value, safe to retain.
+// is safe to retain. Subscriptions that admit the same match are handed one
+// report, so a sink must not modify its Bindings or EdgeIDs.
 //
 // Engines are safe for concurrent use. Close is idempotent; Process after
 // Close returns ErrClosed instead of panicking; the context passed to

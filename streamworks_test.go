@@ -220,6 +220,45 @@ func TestSubscriptionCloseStopsDelivery(t *testing.T) {
 	}
 }
 
+// TestLocalBuildsOneReportPerMatch: however many subscriptions admit a
+// match, the local backend resolves it once — every sink is handed the same
+// report (same bindings storage), in subscription order.
+func TestLocalBuildsOneReportPerMatch(t *testing.T) {
+	w := acceptanceWorkload(t)
+	ctx := context.Background()
+	eng := streamworks.New(streamworks.WithEngineConfig(w.Engine))
+	defer eng.Close()
+	for _, q := range w.Queries {
+		if err := eng.RegisterQuery(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var first, second []streamworks.Match
+	var order []int
+	for i, got := range []*[]streamworks.Match{&first, &second} {
+		if _, err := eng.Subscribe("", streamworks.SinkFunc(func(m streamworks.Match) {
+			*got = append(*got, m)
+			order = append(order, i)
+		})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.ProcessBatch(ctx, w.Edges); err != nil {
+		t.Fatal(err)
+	}
+	if len(first) == 0 || len(first) != len(second) {
+		t.Fatalf("subscriptions received %d and %d matches", len(first), len(second))
+	}
+	for i := range first {
+		if &first[i].Bindings[0] != &second[i].Bindings[0] || first[i].Signature != second[i].Signature {
+			t.Fatalf("match %d was resolved once per subscription", i)
+		}
+		if order[2*i] != 0 || order[2*i+1] != 1 {
+			t.Fatalf("match %d delivered out of subscription order: %v", i, order[2*i:2*i+2])
+		}
+	}
+}
+
 // TestCloseSubscriptionFromSink checks the natural "deliver once then
 // unsubscribe" pattern: a sink closing its own subscription must not
 // deadlock or panic on any in-process backend, and delivery to it stops.
