@@ -43,7 +43,6 @@ type report struct {
 	DriftResults []gen.DriftBenchResult  `json:"drift_results,omitempty"`
 	MQOResults   []gen.MQOBenchResult    `json:"mqo_results,omitempty"`
 	ObsOverhead  []gen.ObsOverheadResult `json:"obs_overhead,omitempty"`
-	WALOverhead  []gen.WALOverheadResult `json:"wal_overhead,omitempty"`
 	Baseline     *report                 `json:"baseline,omitempty"`
 	Comparison   []comparison            `json:"comparison,omitempty"`
 }
@@ -64,7 +63,7 @@ type comparison struct {
 
 func main() {
 	var (
-		workload  = flag.String("workload", "all", "workload to replay: netflow, news, drift, obs-overhead, wal-overhead, many-queries or all (many-queries is its own lane, not part of all)")
+		workload  = flag.String("workload", "all", "workload to replay: netflow, news, drift, obs-overhead, many-queries or all (many-queries is its own lane, not part of all)")
 		edges     = flag.Int("edges", 25_000, "approximate edges per workload replay")
 		hosts     = flag.Int("hosts", 1000, "netflow host count")
 		window    = flag.Duration("window", 30*time.Second, "query time window (netflow; news uses 10x)")
@@ -88,7 +87,7 @@ func main() {
 	}
 
 	var workloads []gen.Workload
-	runDrift, runObs, runWAL, runMQO := false, false, false, false
+	runDrift, runObs, runMQO := false, false, false
 	switch *workload {
 	case "many-queries":
 		runMQO = true
@@ -100,8 +99,6 @@ func main() {
 		runDrift = true
 	case "obs-overhead":
 		runObs = true
-	case "wal-overhead":
-		runWAL = true
 	case "all":
 		workloads = []gen.Workload{
 			gen.BenchNetFlowWorkload(*edges, *hosts, *window),
@@ -109,9 +106,8 @@ func main() {
 		}
 		runDrift = true
 		runObs = true
-		runWAL = true
 	default:
-		log.Fatalf("bench: unknown workload %q (want netflow, news, drift, obs-overhead, wal-overhead, many-queries or all)", *workload)
+		log.Fatalf("bench: unknown workload %q (want netflow, news, drift, obs-overhead, many-queries or all)", *workload)
 	}
 	shardCounts, err := parseShards(*shards)
 	if err != nil {
@@ -180,25 +176,6 @@ func main() {
 					res.Workload, res.Engine, res.Mode, res.EdgesPerSec, res.OverheadPct, res.Matches)
 			}
 			rep.ObsOverhead = append(rep.ObsOverhead, results...)
-		}
-	}
-	if runWAL {
-		// The WAL overhead lane replays one workload three ways — no data
-		// dir, group-commit fsync ("interval", the streamworksd default) and
-		// fsync-per-batch ("always") — and reports the edges/s regression of
-		// each durable mode against the first. The acceptance budget is ≤10%
-		// for "interval".
-		ww := gen.BenchNetFlowWorkload(*edges, *hosts, *window)
-		for _, sc := range shardCounts {
-			results, err := gen.BenchWALOverhead(ww, sc)
-			if err != nil {
-				log.Fatalf("bench: wal overhead: %v", err)
-			}
-			for _, res := range results {
-				fmt.Fprintf(os.Stderr, "%-8s %-10s wal=%-9s %10.0f edges/s  %+5.1f%% overhead  %6d frames  %5d fsyncs  %d matches\n",
-					res.Workload, res.Engine, res.Mode, res.EdgesPerSec, res.OverheadPct, res.Frames, res.Fsyncs, res.Matches)
-			}
-			rep.WALOverhead = append(rep.WALOverhead, results...)
 		}
 	}
 	if runMQO {

@@ -47,10 +47,10 @@ func main() {
 		maxBatch  = flag.Int("max-batch", 65536, "maximum edges accepted per ingest request")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables")
 
-		dataDir       = flag.String("data-dir", "", "write-ahead log + snapshot directory; restart with the same dir to recover state (empty disables durability)")
+		dataDir       = flag.String("data-dir", "", "write-ahead log directory (segments only; the retained segments are the window); restart with the same dir to recover state (empty disables durability)")
 		fsync         = flag.String("fsync", "interval", "WAL fsync policy: always (sync every frame), interval (group commit), off (page cache only)")
 		fsyncInterval = flag.Duration("fsync-interval", 0, "group-commit interval for -fsync interval (0 = default 50ms)")
-		snapshotEvery = flag.Int("snapshot-every", 0, "snapshot + compact the WAL every n ingested batches (0 = default 4096; negative disables)")
+		snapshotEvery = flag.Int("snapshot-every", 0, "checkpoint the WAL every n ingested batches: start a new segment with a manifest, delete the segments the window has left behind; bounds replay beyond the window and the segment count (0 = default 4096; negative = by segment size only)")
 		requireDur    = flag.Bool("require-durability", false, "refuse ingest with 503 while durability is degraded instead of continuing in-memory (needs -data-dir)")
 		ingestTimeout = flag.Duration("ingest-timeout", 0, "bound on how long a wait=1 ingest request blocks before answering 503 (0 = unbounded)")
 

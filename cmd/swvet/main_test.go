@@ -32,7 +32,7 @@ func TestList(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("swvet -list exited %d", code)
 	}
-	for _, name := range []string{"scratchalias", "walltime", "maporder", "sinkleak", "errcmp", "copylocks", "lostcancel", "nilcmp"} {
+	for _, name := range []string{"scratchalias", "walltime", "maporder", "sinkleak", "errcmp", "obsescape"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, out)
 		}

@@ -3,12 +3,16 @@ package streamworks_test
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/streamworks/streamworks"
 	"github.com/streamworks/streamworks/internal/gen"
+	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/testutil/faultfs"
 )
 
@@ -70,13 +74,37 @@ func streamBatches(t *testing.T, eng streamworks.Engine, w gen.Workload, from, t
 	}
 }
 
+// lateQuery is a query registered mid-stream: after the first `at` edges
+// of the workload, which must be a multiple of the batch size.
+type lateQuery struct {
+	q  *streamworks.Query
+	at int
+}
+
+// streamWithLate is streamBatches over [from, to) that registers late at its
+// place in the stream when the range covers it.
+func streamWithLate(t *testing.T, eng streamworks.Engine, w gen.Workload, from, to, batch int, late *lateQuery) {
+	t.Helper()
+	if late == nil || late.at < from || late.at >= to {
+		streamBatches(t, eng, w, from, to, batch)
+		return
+	}
+	streamBatches(t, eng, w, from, late.at, batch)
+	if err := eng.RegisterQuery(context.Background(), late.q); err != nil {
+		t.Fatalf("RegisterQuery(%s) after %d edges: %v", late.q.Name(), late.at, err)
+	}
+	streamBatches(t, eng, w, late.at, to, batch)
+}
+
 // runCrashRestart streams w through a durable engine, freezes the
 // filesystem mid-stream (the in-process stand-in for SIGKILL: everything
 // already written stays on disk, nothing further can reach it), restarts
 // from the same data dir with the real filesystem and finishes the stream.
 // It returns the union of both runs' delivered match sets — which
 // exactly-once-under-set-semantics says must equal an uninterrupted run's.
-func runCrashRestart(t *testing.T, w gen.Workload, mk engineMaker) gen.MatchSet {
+// late, if not nil, is registered before the crash, at its place in the
+// stream.
+func runCrashRestart(t *testing.T, w gen.Workload, mk engineMaker, late *lateQuery) gen.MatchSet {
 	t.Helper()
 	dir := t.TempDir()
 	ffs := faultfs.New()
@@ -100,7 +128,7 @@ func runCrashRestart(t *testing.T, w gen.Workload, mk engineMaker) gen.MatchSet 
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
-	streamBatches(t, eng, w, 0, crash, batch)
+	streamWithLate(t, eng, w, 0, crash, batch, late)
 	if d := eng.Durability(); d.Mode != "ok" || d.Frames == 0 {
 		t.Fatalf("pre-crash durability: %+v", d)
 	}
@@ -147,7 +175,7 @@ func TestCrashRecoveryExactlyOnceNetflow(t *testing.T) {
 	}
 	for _, mk := range inProcessBackends() {
 		t.Run(mk.name, func(t *testing.T) {
-			union := runCrashRestart(t, w, mk)
+			union := runCrashRestart(t, w, mk, nil)
 			if !union.Equal(ref) {
 				t.Fatalf("crash-restart union diverged: %d matches, reference %d", len(union), len(ref))
 			}
@@ -169,9 +197,60 @@ func TestCrashRecoveryExactlyOnceDrift(t *testing.T) {
 	}
 	for _, mk := range inProcessBackends() {
 		t.Run(mk.name, func(t *testing.T) {
-			union := runCrashRestart(t, w, mk)
+			union := runCrashRestart(t, w, mk, nil)
 			if !union.Equal(ref) {
 				t.Fatalf("crash-restart union diverged: %d matches, reference %d", len(union), len(ref))
+			}
+		})
+	}
+}
+
+// TestCrashRecoveryMidStreamRegistration crashes a stream several windows
+// long, after a query was registered part-way through it and checkpoints
+// have deleted segments on either side of that registration. Recovery must
+// put the registration back at its place in the stream: a query replayed
+// ahead of the window would match edges it never saw live.
+func TestCrashRecoveryMidStreamRegistration(t *testing.T) {
+	w := gen.NetFlowWorkload(gen.NetFlowConfig{
+		Hosts:       250,
+		Servers:     25,
+		Edges:       6000,
+		Start:       graph.TimestampFromTime(time.Date(2013, 6, 22, 0, 0, 0, 0, time.UTC)),
+		MeanGap:     10 * time.Millisecond,
+		ContactSkew: 1.4,
+		Seed:        42,
+	}, 10*time.Second)
+	// The smurf query (most of the matches) arrives after four checkpoints'
+	// worth of batches and one batch short of the fifth, half a window
+	// before the crash: the newest manifest before the crash lists it, the
+	// oldest retained one does not.
+	late := &lateQuery{q: w.Queries[0], at: 2496}
+	w.Queries = w.Queries[1:]
+	for _, mk := range inProcessBackends() {
+		t.Run(mk.name, func(t *testing.T) {
+			var mu sync.Mutex
+			ref := make(gen.MatchSet)
+			eng := mk.mk(streamworks.WithEngineConfig(w.Engine))
+			registerAll(t, eng, w)
+			sub, err := eng.Subscribe("", collectSet(&mu, ref))
+			if err != nil {
+				t.Fatalf("Subscribe: %v", err)
+			}
+			streamWithLate(t, eng, w, 0, len(w.Edges), 64, late)
+			eng.Close()
+			<-sub.Done()
+			lateMatches := 0
+			for k := range ref {
+				if strings.HasPrefix(k, late.q.Name()+"\x1f") {
+					lateMatches++
+				}
+			}
+			if lateMatches == 0 {
+				t.Fatalf("the uninterrupted run produced no %s match", late.q.Name())
+			}
+			union := runCrashRestart(t, w, mk, late)
+			if !union.Equal(ref) {
+				t.Fatalf("crash-restart union diverged: %d matches, uninterrupted run %d", len(union), len(ref))
 			}
 		})
 	}
@@ -259,7 +338,7 @@ func TestWALDegradationKeepsServing(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		opts func(ffs *faultfs.FS) []streamworks.Option
+		opts func(dir string) []streamworks.Option
 		arm  func(ffs *faultfs.FS)
 	}{
 		{
@@ -268,7 +347,7 @@ func TestWALDegradationKeepsServing(t *testing.T) {
 		},
 		{
 			name: "fsync-error",
-			opts: func(*faultfs.FS) []streamworks.Option {
+			opts: func(string) []streamworks.Option {
 				return []streamworks.Option{streamworks.WithFsyncPolicy("always")}
 			},
 			arm: func(ffs *faultfs.FS) { ffs.FailFsync(errors.New("injected fsync failure")) },
@@ -279,9 +358,22 @@ func TestWALDegradationKeepsServing(t *testing.T) {
 		},
 		{
 			name: "bad-fsync-policy",
-			opts: func(*faultfs.FS) []streamworks.Option {
+			opts: func(string) []streamworks.Option {
 				// Degraded from birth: the WAL never opens at all.
 				return []streamworks.Option{streamworks.WithFsyncPolicy("bogus")}
+			},
+			arm: func(*faultfs.FS) {},
+		},
+		{
+			name: "v1-data-dir",
+			opts: func(dir string) []streamworks.Option {
+				// Degraded from birth too: the log refuses a directory in
+				// another format version (and leaves it alone; internal/wal
+				// checks that) rather than guess at its contents.
+				if err := os.WriteFile(filepath.Join(dir, "seg-00000001.wal"), []byte("SWWAL001"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return nil
 			},
 			arm: func(*faultfs.FS) {},
 		},
@@ -289,13 +381,14 @@ func TestWALDegradationKeepsServing(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ffs := faultfs.New()
+			dir := t.TempDir()
 			opts := []streamworks.Option{
 				streamworks.WithEngineConfig(w.Engine),
-				streamworks.WithDataDir(t.TempDir()),
+				streamworks.WithDataDir(dir),
 				streamworks.WithWALFS(ffs),
 			}
 			if tc.opts != nil {
-				opts = append(opts, tc.opts(ffs)...)
+				opts = append(opts, tc.opts(dir)...)
 			}
 			eng := streamworks.New(opts...)
 			defer eng.Close()

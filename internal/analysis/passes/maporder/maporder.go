@@ -7,7 +7,9 @@
 // iteration order is deliberately randomized, so a bare `for k := range m`
 // that appends to a slice, writes to an encoder or returns early produces
 // run-dependent bytes. In the deterministic packages (match, sjtree,
-// export, query, decompose, api, loader, gen) the analyzer requires one of:
+// export, query, decompose, api, loader, gen, wire, wal — a log record that
+// encoded differently from run to run would break the byte-prefix recovery
+// tests) the analyzer requires one of:
 //
 //   - commutative loop bodies: every statement is an order-independent
 //     accumulation (map/set writes, delete, numeric += / counters, local
@@ -33,8 +35,8 @@ import (
 )
 
 // DeterministicPackages are the import paths (and subpackages) whose
-// results feed match signatures, plan summaries, wire encoding or golden
-// files.
+// results feed match signatures, plan summaries, wire encoding, log records
+// or golden files.
 var DeterministicPackages = []string{
 	"github.com/streamworks/streamworks/internal/match",
 	"github.com/streamworks/streamworks/internal/sjtree",
@@ -44,6 +46,8 @@ var DeterministicPackages = []string{
 	"github.com/streamworks/streamworks/internal/api",
 	"github.com/streamworks/streamworks/internal/loader",
 	"github.com/streamworks/streamworks/internal/gen",
+	"github.com/streamworks/streamworks/internal/wire",
+	"github.com/streamworks/streamworks/internal/wal",
 }
 
 // Analyzer implements the check.
@@ -68,19 +72,16 @@ func run(pass *analysis.Pass) error {
 		if !inScope(pass, f) {
 			continue
 		}
-		CheckFile(pass, f, "map iteration order reaches deterministic output (%s); sort the collected results or annotate //swvet:unordered <why>")
+		checkFile(pass, f)
 	}
 	return nil
 }
 
-// CheckFile reports every order-dependent map iteration in one file: a range
+// checkFile reports every order-dependent map iteration in one file: a range
 // over a map whose body is neither commutative nor followed by a
 // canonicalizing sort in the same function, and that carries no
-// //swvet:unordered allowance. format is the report template; its single %s
-// receives a short description of the offending statement. Shared with the
-// walorder pass, which applies the same determinism obligation to the WAL
-// encoder with its own scope and message.
-func CheckFile(pass *analysis.Pass, f *ast.File, format string) {
+// //swvet:unordered allowance.
+func checkFile(pass *analysis.Pass, f *ast.File) {
 	for _, decl := range f.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
 		if !ok || fd.Body == nil {
@@ -104,7 +105,7 @@ func CheckFile(pass *analysis.Pass, f *ast.File, format string) {
 			c := &checker{pass: pass, locals: map[types.Object]bool{}}
 			c.noteLoopVars(rng)
 			if reason := c.commutative(rng.Body); reason != "" {
-				pass.Reportf(rng.Pos(), format, reason)
+				pass.Reportf(rng.Pos(), "map iteration order reaches deterministic output (%s); sort the collected results or annotate //swvet:unordered <why>", reason)
 				return false // one report per loop; nested ranges are covered by it
 			}
 			return true

@@ -1,37 +1,29 @@
-// Package swvet assembles the repo's analyzer suite. The six
-// StreamWorks-specific passes enforce invariants that ordinary vet cannot
-// know about (scratch-buffer aliasing, stream-time-only hot paths,
-// allocation-free trace events, deterministic output, subscription
-// lifecycles, sentinel wrapping); the remaining passes are in-tree stand-ins
-// for the x/tools checks the CI would otherwise pull from the network.
+// Package swvet assembles the repo's analyzer suite: six passes enforcing
+// StreamWorks invariants that ordinary vet cannot know about (scratch-buffer
+// aliasing, stream-time-only hot paths, allocation-free trace events,
+// deterministic output, subscription lifecycles, sentinel wrapping). What
+// `go vet` and staticcheck already check — both run in CI — has no copy
+// here.
 package swvet
 
 import (
 	"github.com/streamworks/streamworks/internal/analysis"
-	"github.com/streamworks/streamworks/internal/analysis/passes/copylocks"
 	"github.com/streamworks/streamworks/internal/analysis/passes/errcmp"
-	"github.com/streamworks/streamworks/internal/analysis/passes/lostcancel"
 	"github.com/streamworks/streamworks/internal/analysis/passes/maporder"
-	"github.com/streamworks/streamworks/internal/analysis/passes/nilcmp"
 	"github.com/streamworks/streamworks/internal/analysis/passes/obsescape"
 	"github.com/streamworks/streamworks/internal/analysis/passes/scratchalias"
 	"github.com/streamworks/streamworks/internal/analysis/passes/sinkleak"
 	"github.com/streamworks/streamworks/internal/analysis/passes/walltime"
-	"github.com/streamworks/streamworks/internal/analysis/passes/walorder"
 )
 
 // Analyzers returns the full suite in stable (alphabetical) order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		copylocks.Analyzer,
 		errcmp.Analyzer,
-		lostcancel.Analyzer,
 		maporder.Analyzer,
-		nilcmp.Analyzer,
 		obsescape.Analyzer,
 		scratchalias.Analyzer,
 		sinkleak.Analyzer,
 		walltime.Analyzer,
-		walorder.Analyzer,
 	}
 }

@@ -105,8 +105,9 @@ type Config struct {
 	// FsyncInterval is the group-commit interval for the "interval" policy
 	// (default 50ms). Requires DataDir.
 	FsyncInterval time.Duration
-	// SnapshotEvery compacts the WAL every n ingested batches (default
-	// 4096; negative disables periodic snapshots). Requires DataDir.
+	// SnapshotEvery checkpoints the WAL every n ingested batches (default
+	// 4096; negative leaves it to segment size); see
+	// streamworks.WithSnapshotEvery. Requires DataDir.
 	SnapshotEvery int
 	// RequireDurability makes ingest refuse with 503 (plus Retry-After)
 	// while durability is degraded, instead of silently continuing

@@ -1,5 +1,5 @@
 // Package allocbudget is the checked-in table of allocation budgets for the
-// emit/dedup layer: a ceiling on heap allocations per call for each named
+// emit/dedup layer and the edge encoders: a ceiling on heap allocations per call for each named
 // operation, enforced by blocking unit tests next to the code they measure
 // (the first instalment of the ROADMAP's deterministic-counter gate). The
 // counts repeat exactly from run to run, so a test fails on the first
@@ -26,6 +26,13 @@ var ceilings = map[string]float64{
 	// internal/mqo: one root match fanned out to a group of 25 queries is
 	// one Remap and one Signature, whatever the group's size.
 	"mqo.deliver/25-consumers": 2,
+	// internal/wire: attribute keys are sorted on the stack, so an edge with
+	// all three attribute maps populated encodes into a grown buffer for free.
+	"wire.AppendEdge": 0,
+	// internal/wal: a batch goes to the log through two reused buffers. The
+	// five are the hand-off to the worker (channel, goroutine, closures),
+	// paid per batch: per edge the encoder allocates nothing.
+	"wal.AppendEdges/512-edge batch": 5,
 }
 
 // Runs is how many times Check measures f, after one warm-up call: a test

@@ -108,17 +108,6 @@ func (f *FS) Create(path string) (wal.File, error) {
 	return &faultFile{fs: f, f: file}, nil
 }
 
-func (f *FS) OpenAppend(path string) (wal.File, error) {
-	if err := f.check(); err != nil {
-		return nil, err
-	}
-	file, err := f.real.OpenAppend(path)
-	if err != nil {
-		return nil, err
-	}
-	return &faultFile{fs: f, f: file}, nil
-}
-
 func (f *FS) Open(path string) (io.ReadCloser, error) {
 	if err := f.check(); err != nil {
 		return nil, err
@@ -133,13 +122,6 @@ func (f *FS) ReadDir(path string) ([]string, error) {
 	return f.real.ReadDir(path)
 }
 
-func (f *FS) Rename(oldpath, newpath string) error {
-	if err := f.check(); err != nil {
-		return err
-	}
-	return f.real.Rename(oldpath, newpath)
-}
-
 func (f *FS) Remove(path string) error {
 	if err := f.check(); err != nil {
 		return err
@@ -152,13 +134,6 @@ func (f *FS) Truncate(path string, size int64) error {
 		return err
 	}
 	return f.real.Truncate(path, size)
-}
-
-func (f *FS) Size(path string) (int64, error) {
-	if err := f.check(); err != nil {
-		return 0, err
-	}
-	return f.real.Size(path)
 }
 
 type faultFile struct {

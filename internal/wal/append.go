@@ -1,13 +1,12 @@
 package wal
 
 import (
-	"sort"
-
 	"github.com/streamworks/streamworks/internal/graph"
+	"github.com/streamworks/streamworks/internal/wire"
 )
 
 // AppendEdges logs one ingested batch, write-ahead of processing, and
-// takes the periodic snapshot when the batch counter comes due. A write
+// takes the periodic checkpoint when the batch counter comes due. A write
 // error flips the manager into degraded (in-memory) mode and is returned
 // once; once degraded, appends are silent no-ops so ingest keeps flowing.
 func (m *Manager) AppendEdges(edges []graph.StreamEdge) error {
@@ -33,13 +32,13 @@ func (m *Manager) AppendEdgesAsync(edges []graph.StreamEdge) func() error {
 	m.pending = done
 	go func() {
 		// The manager lock is NOT held here: joinLocked gates every other
-		// toucher of log, win, encBuf and batches until done is drained.
-		payload, err := encodeEdgeBatch(&m.encBuf, edges)
+		// toucher of log, encBuf and batches until done is drained.
+		m.encBuf = wire.AppendEdges(m.encBuf[:0], edges)
+		err := m.log.append(RecEdgeBatch, m.encBuf)
 		if err == nil {
-			err = m.log.append(RecEdgeBatch, payload)
-		}
-		if err == nil {
-			m.win.add(edges)
+			for i := range edges {
+				m.log.maxTS = max(m.log.maxTS, int64(edges[i].Edge.Timestamp))
+			}
 			m.batches++
 		}
 		done <- err
@@ -51,62 +50,46 @@ func (m *Manager) AppendEdgesAsync(edges []graph.StreamEdge) func() error {
 	}
 }
 
-// AppendRegister logs a query registration.
-func (m *Manager) AppendRegister(r RegisterRecord) error {
+// appendControl logs one control record and, once it is in the log, folds
+// it into the manager's state through apply — in that order, so a manifest
+// never records an operation the log does not hold.
+func (m *Manager) appendControl(rec byte, payload []byte, apply func()) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.joinLocked()
 	if m.closed || m.degraded {
 		return nil
 	}
+	if err := m.log.append(rec, payload); err != nil {
+		m.degradeLocked(err)
+		return err
+	}
+	apply()
+	return m.checkpointIfDueLocked()
+}
+
+// AppendRegister logs a query registration.
+func (m *Manager) AppendRegister(r RegisterRecord) error {
 	payload, err := encodeRegister(r)
 	if err != nil {
-		m.degradeLocked(err)
 		return err
 	}
-	if err := m.log.append(RecRegister, payload); err != nil {
-		m.degradeLocked(err)
-		return err
-	}
-	m.applyRegister(r)
-	return nil
+	return m.appendControl(RecRegister, payload, func() { m.applyRegister(r) })
 }
 
 // AppendUnregister logs a query unregistration.
 func (m *Manager) AppendUnregister(name string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.joinLocked()
-	if m.closed || m.degraded {
-		return nil
-	}
-	if err := m.log.append(RecUnregister, []byte(name)); err != nil {
-		m.degradeLocked(err)
-		return err
-	}
-	m.regs = removeReg(m.regs, name)
-	return nil
+	return m.appendControl(RecUnregister, []byte(name), func() { m.regs = removeReg(m.regs, name) })
 }
 
 // AppendAdvance logs an explicit watermark advance.
 func (m *Manager) AppendAdvance(ts int64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.joinLocked()
-	if m.closed || m.degraded {
-		return nil
-	}
-	if err := m.log.append(RecAdvance, encodeAdvance(ts)); err != nil {
-		m.degradeLocked(err)
-		return err
-	}
-	m.win.advance(ts)
-	return nil
+	return m.appendControl(RecAdvance, encodeAdvance(ts), func() { m.watermark = max(m.watermark, ts) })
 }
 
-// Snapshot forces a compaction now: serialize the retained window,
-// registrations and emitted-set, rotate the segment, drop the segments the
-// snapshot covers.
+// Snapshot forces a checkpoint now: start a new segment with a manifest of
+// the current state and delete the segments whose edges have all expired.
+// (The name is the API's; nothing is serialized but the manifest.)
 func (m *Manager) Snapshot() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -114,85 +97,16 @@ func (m *Manager) Snapshot() error {
 	if m.closed || m.degraded {
 		return nil
 	}
-	if err := m.snapshotLocked(); err != nil {
+	if err := m.checkpointLocked(); err != nil {
 		m.degradeLocked(err)
 		return err
 	}
 	return nil
 }
 
-func (m *Manager) snapshotLocked() error {
-	m.win.compact()
-	m.evictEmittedLocked()
-	newSeq := m.log.seq + 1
-	if err := m.log.openSegment(newSeq); err != nil {
-		return err
-	}
-	meta := snapshotMeta{
-		Seq:           newSeq,
-		Watermark:     m.win.watermark,
-		Registrations: append([]RegisterRecord(nil), m.regs...),
-		Emitted:       make([]EmittedEntry, 0, len(m.emitted)),
-	}
-	for k, st := range m.emitted {
-		meta.Emitted = append(meta.Emitted, EmittedEntry{Key: k, SpanStart: st.spanStart})
-	}
-	sort.Slice(meta.Emitted, func(i, j int) bool { return meta.Emitted[i].Key < meta.Emitted[j].Key })
-	if err := writeSnapshot(m.fs, m.dir, meta, m.win.live()); err != nil {
-		return err
-	}
-	for _, e := range meta.Emitted {
-		m.emitted[e.Key] = emittedEnt{spanStart: e.SpanStart, logged: true}
-	}
-	m.unlogged = 0
-	m.batches = 0
-	m.snapshots++
-	m.tailMark = m.replayedBytes + m.log.bytes
-	m.snapSeq = newSeq
-	seqs, err := listSegments(m.fs, m.dir)
-	if err != nil {
-		return err
-	}
-	for _, seq := range seqs {
-		if seq < newSeq {
-			m.fs.Remove(join(m.dir, segName(seq)))
-		}
-	}
-	return nil
-}
-
-// tailLocked is how many log bytes a restart would have to replay: the
-// tail Open itself replayed plus everything appended since the last
-// snapshot.
-func (m *Manager) tailLocked() uint64 {
-	return m.replayedBytes + m.log.bytes - m.tailMark
-}
-
-// evictEmittedLocked drops emitted entries whose span start has expired
-// out of the retained window: the match can no longer be re-derived, so
-// suppression state for it is dead weight. With zero retention nothing is
-// ever evicted, mirroring the engine keeping every edge.
-func (m *Manager) evictEmittedLocked() {
-	cut, ok := m.win.cutoff()
-	if !ok {
-		return
-	}
-	for k, st := range m.emitted {
-		if st.spanStart < cut {
-			delete(m.emitted, k)
-		}
-	}
-}
-
 // Close checkpoints the emitted-set one final time, making a graceful
 // restart strictly exactly-once: every match delivered before Close is
 // suppressed on recovery. Call only after the engine has stopped emitting.
-//
-// A closing snapshot is compaction, not correctness, so it is taken only
-// when the un-compacted tail has grown past one segment's worth (or the
-// segment files themselves have piled up): below that, replaying the tail
-// on the next open costs less than serializing the window now, and
-// shutdown stays cheap.
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -200,22 +114,10 @@ func (m *Manager) Close() error {
 	if m.closed {
 		return nil
 	}
-	if m.degraded {
-		m.closed = true
-		return nil
-	}
 	m.checkpointEmittedLocked()
+	m.closed = true
 	if m.degraded {
-		m.closed = true
 		return nil
 	}
-	if m.tailLocked() > uint64(m.opts.SegmentBytes) || m.log.seq-m.snapSeq >= 64 {
-		if err := m.snapshotLocked(); err != nil {
-			m.degradeLocked(err)
-			m.closed = true
-			return err
-		}
-	}
-	m.closed = true
 	return m.log.close()
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/streamworks/streamworks/internal/graph"
+	"github.com/streamworks/streamworks/internal/testutil/allocbudget"
 )
 
 func makeBatch(n int, base uint64) []graph.StreamEdge {
@@ -35,4 +36,21 @@ func BenchmarkAppendEdges512(b *testing.B) {
 			b.SetBytes(int64(m.log.bytes) / int64(b.N))
 		})
 	}
+}
+
+// TestAppendEdgesAllocs: logging a batch costs what the hand-off to the
+// worker costs, whatever the batch's size — nothing per edge, attributes
+// and all.
+func TestAppendEdgesAllocs(t *testing.T) {
+	m, _ := openTest(t, t.TempDir(), nil)
+	defer m.Close()
+	batch := makeBatch(512, 1)
+	if err := m.AppendEdges(batch); err != nil { // grow the two scratch buffers
+		t.Fatal(err)
+	}
+	allocbudget.Check(t, "wal.AppendEdges/512-edge batch", func() {
+		if err := m.AppendEdges(batch); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -15,16 +15,11 @@ type FS interface {
 	MkdirAll(path string) error
 	// Create truncates or creates the file for writing.
 	Create(path string) (File, error)
-	// OpenAppend opens the file for appending, creating it if absent.
-	OpenAppend(path string) (File, error)
 	Open(path string) (io.ReadCloser, error)
 	// ReadDir returns the names (not paths) of the directory's entries.
 	ReadDir(path string) ([]string, error)
-	Rename(oldpath, newpath string) error
 	Remove(path string) error
 	Truncate(path string, size int64) error
-	// Size returns the file's length in bytes.
-	Size(path string) (int64, error)
 }
 
 // File is the writable handle the WAL appends frames through.
@@ -41,10 +36,6 @@ func (OSFS) MkdirAll(path string) error { return os.MkdirAll(path, 0o755) }
 
 func (OSFS) Create(path string) (File, error) { return os.Create(path) }
 
-func (OSFS) OpenAppend(path string) (File, error) {
-	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-}
-
 func (OSFS) Open(path string) (io.ReadCloser, error) { return os.Open(path) }
 
 func (OSFS) ReadDir(path string) ([]string, error) {
@@ -60,19 +51,9 @@ func (OSFS) ReadDir(path string) ([]string, error) {
 	return names, nil
 }
 
-func (OSFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
-
 func (OSFS) Remove(path string) error { return os.Remove(path) }
 
 func (OSFS) Truncate(path string, size int64) error { return os.Truncate(path, size) }
-
-func (OSFS) Size(path string) (int64, error) {
-	st, err := os.Stat(path)
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
-}
 
 // join is filepath.Join, aliased so wal code reads uniformly.
 func join(dir, name string) string { return filepath.Join(dir, name) }

@@ -1,11 +1,19 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
+
+	"github.com/streamworks/streamworks/internal/wire"
 )
+
+// segMagic identifies a StreamWorks WAL segment, version 2: the magic, one
+// manifest frame, then records, all in internal/wire's envelope.
+var segMagic = []byte("SWWAL002")
 
 // segName formats the on-disk name for segment seq.
 func segName(seq uint64) string { return fmt.Sprintf("seg-%08d.wal", seq) }
@@ -22,37 +30,36 @@ func parseSegName(name string) (uint64, bool) {
 	return seq, true
 }
 
-// listSegments returns the segment sequence numbers present in dir,
-// ascending.
-func listSegments(fs FS, dir string) ([]uint64, error) {
-	names, err := fs.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
+// segmentSeqs picks the segment sequence numbers out of a directory
+// listing, ascending.
+func segmentSeqs(names []string) []uint64 {
 	var seqs []uint64
 	for _, n := range names {
 		if seq, ok := parseSegName(n); ok {
 			seqs = append(seqs, seq)
 		}
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs, nil
+	slices.Sort(seqs)
+	return seqs
 }
 
-// segLog is the append side of the segmented log: one open segment file,
-// frame appends with the configured fsync policy, size-based rotation.
-// Not goroutine-safe; the Manager serializes access.
+// segLog is the append side of the segmented log: one open segment file and
+// frame appends with the configured fsync policy. When to rotate is the
+// Manager's decision, because a new segment starts with a manifest of the
+// Manager's state. Not goroutine-safe; the Manager serializes access.
 type segLog struct {
 	fs       FS
 	dir      string
 	policy   FsyncPolicy
 	interval int64 // ns
-	maxBytes int64
 	now      func() int64
 
-	seq      uint64
-	f        File
-	size     int64
+	seq  uint64
+	f    File
+	size int64
+	// maxTS is the newest edge timestamp in the active segment: what decides,
+	// once the segment is sealed, when it may be deleted.
+	maxTS    int64
 	lastSync int64
 	buf      []byte // frame scratch, reused across appends
 
@@ -62,85 +69,58 @@ type segLog struct {
 	segments uint64
 }
 
-// openSegment starts a fresh segment with the given sequence number,
-// closing the previous one (fully synced) first.
-func (l *segLog) openSegment(seq uint64) error {
-	if l.f != nil {
-		if err := l.f.Sync(); err != nil {
-			l.f.Close()
-			l.f = nil
-			return err
-		}
-		if err := l.f.Close(); err != nil {
-			l.f = nil
-			return err
-		}
-		l.f = nil
+// rotate seals the active segment, fully synced, and starts segment seq+1
+// with the given manifest as its first frame. The manifest is synced before
+// rotate returns, whatever the fsync policy: deleting older segments is only
+// safe behind a durable manifest.
+func (l *segLog) rotate(manifest []byte) error {
+	if err := l.close(); err != nil {
+		return err
 	}
-	f, err := l.fs.Create(join(l.dir, segName(seq)))
+	f, err := l.fs.Create(join(l.dir, segName(l.seq+1)))
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(segMagic); err != nil {
+	l.buf = wire.AppendFrame(append(l.buf[:0], segMagic...), RecManifest, manifest)
+	if _, err = f.Write(l.buf); err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
 		f.Close()
 		return err
 	}
 	l.f = f
-	l.seq = seq
-	l.size = int64(len(segMagic))
+	l.seq++
+	l.size = int64(len(l.buf))
+	l.maxTS = math.MinInt64
+	l.lastSync = l.now()
 	l.segments++
+	l.frames++
+	l.bytes += uint64(len(l.buf))
+	l.fsyncs++
 	return nil
 }
 
-// splitWriteMin is the payload size above which append issues the header
-// and the payload as two writes instead of copying the payload into the
-// frame scratch: past this point the memcpy costs more than a syscall.
-const splitWriteMin = 16 << 10
-
-// append writes one frame, applying the fsync policy, and rotates the
-// segment once it exceeds maxBytes.
+// append writes one frame and applies the fsync policy.
 func (l *segLog) append(rec byte, payload []byte) error {
 	if l.f == nil {
-		return fmt.Errorf("wal: log is closed")
+		return errors.New("wal: log is closed")
 	}
-	frame := uint64(frameHeaderLen + len(payload))
-	if len(payload) >= splitWriteMin {
-		var hdr [frameHeaderLen]byte
-		frameHeader(&hdr, rec, payload)
-		n, err := l.f.Write(hdr[:])
-		l.size += int64(n)
-		if err != nil {
-			return err
-		}
-		n, err = l.f.Write(payload)
-		l.size += int64(n)
-		if err != nil {
-			return err
-		}
-	} else {
-		l.buf = appendFrame(l.buf[:0], rec, payload)
-		n, err := l.f.Write(l.buf)
-		l.size += int64(n)
-		if err != nil {
-			return err
-		}
+	l.buf = wire.AppendFrame(l.buf[:0], rec, payload)
+	n, err := l.f.Write(l.buf)
+	l.size += int64(n)
+	if err != nil {
+		return err
 	}
 	l.frames++
-	l.bytes += frame
+	l.bytes += uint64(len(l.buf))
 	switch l.policy {
 	case FsyncAlways:
-		if err := l.sync(); err != nil {
-			return err
-		}
+		return l.sync()
 	case FsyncInterval:
-		if now := l.now(); now-l.lastSync >= l.interval {
-			if err := l.sync(); err != nil {
-				return err
-			}
+		if l.now()-l.lastSync >= l.interval {
+			return l.sync()
 		}
-	}
-	if l.size >= l.maxBytes {
-		return l.openSegment(l.seq + 1)
 	}
 	return nil
 }

@@ -2,17 +2,29 @@ package wal
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
+	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/query"
+	"github.com/streamworks/streamworks/internal/wire"
 )
 
-// Manager owns a data directory: the active segment, the shadow retained
-// window, the emitted-set and the snapshot cycle. All methods are safe for
-// concurrent use.
+// ErrFormatVersion is returned by Open for a data directory some other
+// version of the log wrote. Open leaves such a directory exactly as found.
+var ErrFormatVersion = errors.New("wal: data directory is not in the SWWAL002 format")
+
+// Manager owns a data directory: the segments, the emitted-set and the
+// checkpoint cycle. It keeps no copy of the window — the retained segments
+// are the window — only what a manifest records plus one timestamp per
+// segment. All methods are safe for concurrent use.
 //
 // Emission tracking is ack-based: NoteEmitted must be called only after a
 // match has actually reached its consumer (a synchronous sink returned, or
@@ -23,51 +35,56 @@ import (
 // dies are re-derived and redelivered — the bounded, signature-dedupable
 // redelivery documented in the package comment.
 type Manager struct {
-	mu       sync.Mutex
-	opts     Options
-	fs       FS
-	dir      string
-	log      segLog
-	encBuf   bytes.Buffer // edge-batch payload scratch, reused across appends
-	win      shadowWindow
-	regs     []RegisterRecord
-	emitted  map[string]emittedEnt
-	unlogged int
-	batches  int
-	degraded bool
-	closed   bool
+	mu   sync.Mutex
+	opts Options
+	fs   FS
+	dir  string
+	log  segLog
+	// encBuf is the edge-batch payload scratch, reused across appends.
+	encBuf []byte
+	// sealed lists the retained segments behind the active one, oldest
+	// first, each with its newest edge timestamp.
+	sealed []sealedSeg
+	regs   []RegisterRecord
+	// emitted maps match keys to span starts; unlogged are the entries noted
+	// since the last RecEmitted frame or manifest.
+	emitted  map[string]int64
+	unlogged []EmittedEntry
+	// watermark is the newest stream time seen; retention the effective
+	// window width (0 retains everything) and slack the out-of-order
+	// tolerance, all in stream nanoseconds. cutoff is the newest expiry
+	// bound ever applied and never moves back (cutoffLocked).
+	watermark int64
+	retention int64
+	slack     int64
+	cutoff    int64
+	batches   int
+	degraded  bool
+	closed    bool
 
 	// pending is the completion channel of the one in-flight asynchronous
 	// edge-batch append (AppendEdgesAsync), nil when none. While it is
-	// non-nil a worker goroutine owns log, win, encBuf and batches; every
-	// method that touches those fields calls joinLocked first.
+	// non-nil a worker goroutine owns log, encBuf and batches; every method
+	// that touches those fields calls joinLocked first.
 	pending chan error
-	// replayedBytes is how many segment-tail bytes Open replayed; together
-	// with log.bytes and tailMark it measures the un-compacted tail that a
-	// restart would have to replay (the Close snapshot heuristic). snapSeq
-	// is the last snapshot's covering sequence, bounding how many segment
-	// files accumulate across snapshot-less restarts.
-	replayedBytes uint64
-	tailMark      uint64
-	snapSeq       uint64
 
 	torn         uint64
-	snapshots    uint64
 	appendErrors uint64
 }
 
-type emittedEnt struct {
-	spanStart int64
-	logged    bool
+type sealedSeg struct {
+	seq   uint64
+	maxTS int64
 }
 
 // Recovery is what Open reconstructed from disk: the ordered operations to
 // replay through an engine, plus the recovered emitted-set for backlog
 // suppression.
 type Recovery struct {
-	// Ops are the recovered operations in replay order: the snapshot's
-	// registrations, then its retained window as a single edge batch, then
-	// the decoded log tail.
+	// Ops are the recovered operations in replay order: the registrations
+	// of the oldest retained segment's manifest, then every record after
+	// it in the order it was appended, less the edges older than the
+	// recovered cutoff.
 	Ops []Op
 	// Emitted maps checkpointed match keys (MatchKey) to span starts.
 	Emitted map[string]int64
@@ -83,88 +100,101 @@ type Recovery struct {
 func Open(opts Options) (*Manager, *Recovery, error) {
 	opts = opts.withDefaults()
 	m := &Manager{
-		opts:    opts,
-		fs:      opts.FS,
-		dir:     opts.Dir,
-		win:     newShadowWindow(opts.Retention, opts.Slack),
-		emitted: make(map[string]emittedEnt),
+		opts:      opts,
+		fs:        opts.FS,
+		dir:       opts.Dir,
+		emitted:   make(map[string]int64),
+		retention: int64(opts.Retention),
+		slack:     int64(opts.Slack),
+		cutoff:    math.MinInt64,
 	}
 	m.log = segLog{
 		fs:       m.fs,
 		dir:      m.dir,
 		policy:   opts.Fsync,
 		interval: int64(opts.FsyncInterval),
-		maxBytes: opts.SegmentBytes,
 		now:      opts.Now,
 	}
 	if err := m.fs.MkdirAll(m.dir); err != nil {
 		return nil, nil, fmt.Errorf("wal: creating data dir: %w", err)
 	}
-	// A leftover snapshot.tmp is an interrupted snapshot; the rename never
-	// happened, so it is garbage.
-	m.fs.Remove(join(m.dir, snapshotTmp))
-
-	rec := &Recovery{Emitted: make(map[string]int64)}
-	meta, window, haveSnap, err := readSnapshot(m.fs, m.dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	startSeq := uint64(0)
-	if haveSnap {
-		startSeq = meta.Seq
-		for i := range meta.Registrations {
-			r := meta.Registrations[i]
-			rec.Ops = append(rec.Ops, Op{Type: RecRegister, Register: &r})
-			m.applyRegister(r)
-		}
-		for _, e := range meta.Emitted {
-			m.emitted[e.Key] = emittedEnt{spanStart: e.SpanStart, logged: true}
-			rec.Emitted[e.Key] = e.SpanStart
-		}
-		if len(window) > 0 {
-			rec.Ops = append(rec.Ops, Op{Type: RecEdgeBatch, Edges: window})
-			m.win.add(window)
-		}
-		m.win.advance(meta.Watermark)
-	}
-
-	seqs, err := listSegments(m.fs, m.dir)
+	names, err := m.fs.ReadDir(m.dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: listing segments: %w", err)
 	}
-	lastSeq := startSeq
+	if err := m.checkFormat(names); err != nil {
+		return nil, nil, err
+	}
+
+	rec := &Recovery{}
 	stopped := false
-	for _, seq := range seqs {
-		if seq < startSeq {
-			// Covered by the snapshot; an interrupted compaction left it.
-			m.fs.Remove(join(m.dir, segName(seq)))
-			continue
-		}
-		if seq > lastSeq {
-			lastSeq = seq
-		}
+	for i, seq := range segmentSeqs(names) {
+		m.log.seq = seq
 		if stopped {
 			// Segments after a truncated one cannot be trusted to follow it.
 			opts.Logf("wal: dropping segment %d after truncated predecessor", seq)
 			m.fs.Remove(join(m.dir, segName(seq)))
 			continue
 		}
-		stopped = m.replaySegment(seq, rec)
+		stopped = m.replaySegment(seq, i == 0, rec)
 	}
-	rec.Watermark = m.win.watermark
-	rec.TornTail = m.torn > 0
-	m.snapSeq = startSeq
-
-	if err := m.log.openSegment(lastSeq + 1); err != nil {
+	// The first checkpoint starts the segment this process appends to and
+	// deletes what expired while the log was closed.
+	if err := m.checkpointLocked(); err != nil {
 		return nil, nil, fmt.Errorf("wal: opening segment: %w", err)
 	}
+	ops := rec.Ops[:0]
+	for _, op := range rec.Ops {
+		if op.Type == RecEdgeBatch {
+			op.Edges = slices.DeleteFunc(op.Edges, func(e graph.StreamEdge) bool {
+				return int64(e.Edge.Timestamp) < m.cutoff
+			})
+			if len(op.Edges) == 0 {
+				continue
+			}
+		}
+		ops = append(ops, op)
+	}
+	rec.Ops = ops
+	rec.Emitted = maps.Clone(m.emitted)
+	rec.Watermark = m.watermark
+	rec.TornTail = m.torn > 0
 	return m, rec, nil
 }
 
-// replaySegment decodes one segment into rec and the manager's shadow
-// state. It returns true when replay must stop: a torn or corrupt frame
-// was found and the segment truncated at the last valid boundary.
-func (m *Manager) replaySegment(seq uint64, rec *Recovery) (stop bool) {
+// checkFormat refuses a directory holding anything a v1 log wrote — its
+// snapshot file, or a segment with a complete header that is not segMagic —
+// before Open has modified a byte. A header shorter than the magic is a
+// segment torn at creation, in any version, and passes.
+func (m *Manager) checkFormat(names []string) error {
+	for _, name := range names {
+		if name == "snapshot" {
+			return fmt.Errorf("%w: %s holds a v1 snapshot file", ErrFormatVersion, m.dir)
+		}
+		if _, ok := parseSegName(name); !ok {
+			continue
+		}
+		rc, err := m.fs.Open(join(m.dir, name))
+		if err != nil {
+			return fmt.Errorf("wal: opening %s: %w", name, err)
+		}
+		hdr := make([]byte, len(segMagic))
+		_, err = io.ReadFull(rc, hdr)
+		rc.Close()
+		if err == nil && !bytes.Equal(hdr, segMagic) {
+			return fmt.Errorf("%w: %s starts with %q", ErrFormatVersion, name, hdr)
+		}
+		if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			return fmt.Errorf("wal: reading %s: %w", name, err)
+		}
+	}
+	return nil
+}
+
+// replaySegment decodes one segment into rec and the manager's state. It
+// returns true when replay must stop: a torn or corrupt frame was found
+// and the segment cut back to the last valid boundary.
+func (m *Manager) replaySegment(seq uint64, root bool, rec *Recovery) (stop bool) {
 	path := join(m.dir, segName(seq))
 	rc, err := m.fs.Open(path)
 	if err != nil {
@@ -177,69 +207,103 @@ func (m *Manager) replaySegment(seq uint64, rec *Recovery) (stop bool) {
 		m.opts.Logf("wal: reading segment %d: %v", seq, err)
 		return true
 	}
-	m.replayedBytes += uint64(len(data))
-	if len(data) < len(segMagic) || !bytes.Equal(data[:len(segMagic)], segMagic) {
-		m.truncateAt(path, seq, 0)
+	maxTS := int64(math.MinInt64)
+	off := min(len(segMagic), len(data))
+	for off < len(data) {
+		first := off == len(segMagic)
+		frameRec, payload, n, err := wire.DecodeFrame(data[off:])
+		if err == nil && (frameRec == RecManifest) != first {
+			err = fmt.Errorf("%w: record type %d out of place", wire.ErrCorrupt, frameRec)
+		}
+		var op Op
+		if err == nil {
+			// A valid CRC over a payload that does not decode: nothing
+			// after such a record can be applied consistently either.
+			op, err = decodeOp(frameRec, payload)
+		}
+		if err != nil {
+			m.opts.Logf("wal: segment %d offset %d: %v", seq, off, err)
+			break
+		}
+		switch op.Type {
+		case RecManifest:
+			m.applyManifest(op.manifest)
+			if root {
+				for i := range op.manifest.Registrations {
+					rec.Ops = append(rec.Ops, Op{Type: RecRegister, Register: &op.manifest.Registrations[i]})
+				}
+			}
+		case RecEdgeBatch:
+			for i := range op.Edges {
+				maxTS = max(maxTS, int64(op.Edges[i].Edge.Timestamp))
+			}
+			m.watermark = max(m.watermark, maxTS)
+		case RecRegister:
+			m.applyRegister(*op.Register)
+		case RecUnregister:
+			m.regs = removeReg(m.regs, op.Name)
+		case RecAdvance:
+			m.watermark = max(m.watermark, op.TS)
+		case RecEmitted:
+			for _, e := range op.Emitted {
+				m.emitted[e.Key] = e.SpanStart
+			}
+		}
+		if op.Type != RecManifest {
+			rec.Ops = append(rec.Ops, op)
+		}
+		off += n
+	}
+	if off <= len(segMagic) {
+		// No manifest survives: the segment was torn as it was created and
+		// holds nothing.
+		m.torn++
+		m.opts.Logf("wal: segment %d has no complete manifest; removing it", seq)
+		if err := m.fs.Remove(path); err != nil {
+			m.opts.Logf("wal: removing segment %d: %v", seq, err)
+		}
 		return true
 	}
-	off := len(segMagic)
-	for off < len(data) {
-		frameRec, payload, n, err := DecodeFrame(data[off:])
-		if err != nil {
-			m.truncateAt(path, seq, int64(off))
-			return true
+	m.sealed = append(m.sealed, sealedSeg{seq: seq, maxTS: maxTS})
+	if off < len(data) {
+		m.torn++
+		m.opts.Logf("wal: segment %d has a torn or corrupt tail; truncating at byte %d", seq, off)
+		if err := m.fs.Truncate(path, int64(off)); err != nil {
+			m.opts.Logf("wal: truncating segment %d: %v", seq, err)
 		}
-		op, err := decodeOp(frameRec, payload)
-		if err != nil {
-			// The CRC was valid but the payload does not decode; nothing
-			// after an undecodable record can be applied consistently.
-			m.opts.Logf("wal: segment %d offset %d: %v", seq, off, err)
-			m.truncateAt(path, seq, int64(off))
-			return true
-		}
-		m.applyRecovered(op, rec)
-		rec.Ops = append(rec.Ops, op)
-		off += n
+		return true
 	}
 	return false
 }
 
-// truncateAt cuts the segment back to the last valid frame boundary,
-// counting and logging the data loss boundary.
-func (m *Manager) truncateAt(path string, seq uint64, off int64) {
-	m.torn++
-	m.opts.Logf("wal: segment %d has a torn or corrupt tail; truncating at byte %d", seq, off)
-	if err := m.fs.Truncate(path, off); err != nil {
-		m.opts.Logf("wal: truncating segment %d: %v", seq, err)
+// applyManifest resets the manager to a manifest's state. Replaying a
+// segment's predecessor leaves exactly this state but for the emitted-set,
+// where the manifest is ahead: it holds entries no RecEmitted frame carried
+// and lacks those evicted when it was written.
+func (m *Manager) applyManifest(man *manifest) {
+	m.regs = append(m.regs[:0], man.Registrations...)
+	clear(m.emitted)
+	for _, e := range man.Emitted {
+		m.emitted[e.Key] = e.SpanStart
 	}
-}
-
-// applyRecovered folds one replayed op into the manager's shadow state.
-func (m *Manager) applyRecovered(op Op, rec *Recovery) {
-	switch op.Type {
-	case RecEdgeBatch:
-		m.win.add(op.Edges)
-	case RecRegister:
-		m.applyRegister(*op.Register)
-	case RecUnregister:
-		m.regs = removeReg(m.regs, op.Name)
-	case RecAdvance:
-		m.win.advance(op.TS)
-	case RecEmitted:
-		for _, e := range op.Emitted {
-			m.emitted[e.Key] = emittedEnt{spanStart: e.SpanStart, logged: true}
-			rec.Emitted[e.Key] = e.SpanStart
-		}
-	}
+	m.watermark = max(m.watermark, man.Watermark)
+	m.extendRetention(man.Retention)
+	m.cutoff = max(m.cutoff, man.Cutoff)
 }
 
 // applyRegister records an active registration and mirrors the engine's
-// retention extension for the query's time window so the shadow window
-// never expires an edge the engine still retains.
+// retention extension for the query's time window so the log never deletes
+// an edge the engine still retains.
 func (m *Manager) applyRegister(r RegisterRecord) {
 	m.regs = append(removeReg(m.regs, r.Name), r)
 	if q, err := query.ParseString(r.DSL); err == nil {
-		m.win.extendRetention(q.Window())
+		m.extendRetention(int64(q.Window()))
+	}
+}
+
+func (m *Manager) extendRetention(d int64) {
+	if m.retention != 0 && d > m.retention {
+		m.retention = d
 	}
 }
 
@@ -251,6 +315,85 @@ func removeReg(regs []RegisterRecord, name string) []RegisterRecord {
 		}
 	}
 	return out
+}
+
+// cutoffLocked is the one expiry bound: watermark − retention − slack, as
+// the dynamic graph computes it, except that it never moves back (a wider
+// retention registered later must not resurrect what was already expired).
+// Edges below it are deleted with their segments and skipped by recovery;
+// emitted entries below it are evicted. With zero retention it stays at its
+// floor and nothing ever expires.
+func (m *Manager) cutoffLocked() int64 {
+	if m.retention != 0 {
+		m.cutoff = max(m.cutoff, m.watermark-m.retention-m.slack)
+	}
+	return m.cutoff
+}
+
+// checkpointLocked is the log's only maintenance step: evict what expired
+// from the emitted set, seal the active segment and start the next one
+// with a synced manifest of the current state, then delete the oldest
+// segments whose newest edge has expired. The window is never rewritten;
+// with zero retention nothing is deleted either.
+func (m *Manager) checkpointLocked() error {
+	cut := m.cutoffLocked()
+	man := manifest{
+		Watermark:     m.watermark,
+		Retention:     m.retention,
+		Cutoff:        cut,
+		Registrations: m.regs,
+		Emitted:       make([]EmittedEntry, 0, len(m.emitted)),
+	}
+	for k, spanStart := range m.emitted {
+		if spanStart < cut {
+			// The match can no longer be re-derived: its suppression entry
+			// is dead weight.
+			delete(m.emitted, k)
+			continue
+		}
+		man.Emitted = append(man.Emitted, EmittedEntry{Key: k, SpanStart: spanStart})
+	}
+	sort.Slice(man.Emitted, func(i, j int) bool { return man.Emitted[i].Key < man.Emitted[j].Key })
+	payload, err := json.Marshal(man)
+	if err != nil {
+		return fmt.Errorf("wal: encoding manifest: %w", err)
+	}
+	if m.log.f != nil {
+		m.sealed = append(m.sealed, sealedSeg{seq: m.log.seq, maxTS: m.log.maxTS})
+	}
+	if err := m.log.rotate(payload); err != nil {
+		return err
+	}
+	m.unlogged = m.unlogged[:0]
+	m.batches = 0
+	drop := 0
+	for drop < len(m.sealed) && m.sealed[drop].maxTS < cut {
+		if err := m.fs.Remove(join(m.dir, segName(m.sealed[drop].seq))); err != nil {
+			// Only a prefix may go: what cannot be deleted keeps its successors.
+			m.opts.Logf("wal: removing expired segment %d: %v", m.sealed[drop].seq, err)
+			break
+		}
+		drop++
+	}
+	m.sealed = slices.Delete(m.sealed, 0, drop)
+	return nil
+}
+
+// checkpointIfDueLocked checkpoints once SnapshotEvery batches have been
+// appended since the last one or the active segment has outgrown
+// SegmentBytes. Call after an append has been folded into the manager's
+// state, so the manifest includes it.
+func (m *Manager) checkpointIfDueLocked() error {
+	due := m.log.size >= m.opts.SegmentBytes ||
+		m.opts.SnapshotEvery > 0 && m.batches >= m.opts.SnapshotEvery
+	if !due || m.degraded {
+		return nil
+	}
+	if err := m.checkpointLocked(); err != nil {
+		m.degradeLocked(err)
+		return err
+	}
+	return nil
 }
 
 // Degraded reports whether a write failure has demoted the WAL to
@@ -283,9 +426,9 @@ func (m *Manager) NoteEmitted(query, signature string, spanStart int64) {
 	if _, ok := m.emitted[key]; ok {
 		return
 	}
-	m.emitted[key] = emittedEnt{spanStart: spanStart}
-	m.unlogged++
-	if m.unlogged >= m.opts.EmittedEvery {
+	m.emitted[key] = spanStart
+	m.unlogged = append(m.unlogged, EmittedEntry{Key: key, SpanStart: spanStart})
+	if len(m.unlogged) >= m.opts.EmittedEvery {
 		m.checkpointEmittedLocked()
 	}
 }
@@ -294,40 +437,27 @@ func (m *Manager) NoteEmitted(query, signature string, spanStart int64) {
 // entry not yet persisted.
 func (m *Manager) checkpointEmittedLocked() {
 	m.joinLocked()
-	if m.closed || m.degraded {
+	if m.closed || m.degraded || len(m.unlogged) == 0 {
 		return
 	}
-	entries := make([]EmittedEntry, 0, m.unlogged)
-	for k, st := range m.emitted {
-		if !st.logged {
-			entries = append(entries, EmittedEntry{Key: k, SpanStart: st.spanStart})
-		}
+	payload, err := encodeEmitted(m.unlogged)
+	if err == nil {
+		err = m.log.append(RecEmitted, payload)
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
-	if len(entries) == 0 {
-		m.unlogged = 0
-		return
-	}
-	payload, err := encodeEmitted(entries)
 	if err != nil {
 		m.degradeLocked(err)
 		return
 	}
-	if err := m.log.append(RecEmitted, payload); err != nil {
-		m.degradeLocked(err)
-		return
-	}
-	for _, e := range entries {
-		m.emitted[e.Key] = emittedEnt{spanStart: e.SpanStart, logged: true}
-	}
-	m.unlogged = 0
+	m.unlogged = m.unlogged[:0]
+	m.checkpointIfDueLocked()
 }
 
 // joinLocked waits for the in-flight asynchronous append, if any, and folds
-// its outcome into the manager: a write failure degrades, and a batch that
-// brought the snapshot cycle due triggers the snapshot here (snapshots touch
-// state the worker must not, so they run on the joining side). Every method
-// that reads or writes log, win, encBuf or batches must call this first.
+// its outcome into the manager: a write failure degrades, the watermark
+// follows the batch, and a batch that brought a checkpoint due triggers it
+// here (a checkpoint reads state the worker must not, so it runs on the
+// joining side). Every method that reads or writes log, encBuf or batches
+// must call this first.
 func (m *Manager) joinLocked() error {
 	if m.pending == nil {
 		return nil
@@ -338,13 +468,8 @@ func (m *Manager) joinLocked() error {
 		m.degradeLocked(err)
 		return err
 	}
-	if m.opts.SnapshotEvery > 0 && m.batches >= m.opts.SnapshotEvery {
-		if err := m.snapshotLocked(); err != nil {
-			m.degradeLocked(err)
-			return err
-		}
-	}
-	return nil
+	m.watermark = max(m.watermark, m.log.maxTS)
+	return m.checkpointIfDueLocked()
 }
 
 // degradeLocked flips to in-memory mode after a write failure.
@@ -367,11 +492,12 @@ func (m *Manager) Stats() Stats {
 	defer m.mu.Unlock()
 	m.joinLocked()
 	return Stats{
-		Frames:          m.log.frames,
-		Bytes:           m.log.bytes,
-		Fsyncs:          m.log.fsyncs,
-		Segments:        m.log.segments,
-		Snapshots:       m.snapshots,
+		Frames:   m.log.frames,
+		Bytes:    m.log.bytes,
+		Fsyncs:   m.log.fsyncs,
+		Segments: m.log.segments,
+		// Every segment but the one Open starts is a checkpoint's.
+		Snapshots:       m.log.segments - 1,
 		TornTruncations: m.torn,
 		AppendErrors:    m.appendErrors,
 		EmittedTracked:  uint64(len(m.emitted)),

@@ -1,14 +1,35 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"sort"
 
 	"github.com/streamworks/streamworks/internal/graph"
-	"github.com/streamworks/streamworks/internal/loader"
+	"github.com/streamworks/streamworks/internal/wire"
+)
+
+// Record types: the type byte of a segment's frames.
+const (
+	// RecEdgeBatch carries one ingested edge batch in the binary edge
+	// encoding (wire.AppendEdges).
+	RecEdgeBatch byte = 1
+	// RecRegister carries a query registration: DSL text plus options
+	// (RegisterRecord JSON).
+	RecRegister byte = 2
+	// RecUnregister carries the raw name of an unregistered query.
+	RecUnregister byte = 3
+	// RecAdvance carries an explicit watermark advance as a big-endian
+	// int64 stream timestamp.
+	RecAdvance byte = 4
+	// RecEmitted carries an emitted-set checkpoint: a sorted JSON array of
+	// (match key, span start) entries (EmittedEntry).
+	RecEmitted byte = 5
+	// RecManifest is the first frame of every segment and appears nowhere
+	// else: the manager's whole state at the moment the segment was started
+	// (manifest JSON).
+	RecManifest byte = 6
 )
 
 // RegisterRecord is the durable form of one query registration: the DSL
@@ -32,6 +53,24 @@ type EmittedEntry struct {
 	SpanStart int64  `json:"s"`
 }
 
+// manifest is everything recovery needs that the records after it do not
+// carry: with it, the segments before this one are dispensable as soon as
+// their edges have left the window.
+type manifest struct {
+	Watermark int64 `json:"watermark"`
+	// Retention is the effective window width in stream nanoseconds — the
+	// configured one widened by every query window registered so far; 0
+	// retains everything.
+	Retention int64 `json:"retention"`
+	// Cutoff is the newest expiry bound ever applied: emitted entries below
+	// it have been evicted, so edges below it must never be replayed.
+	Cutoff int64 `json:"cutoff"`
+	// Registrations are the active queries in registration order.
+	Registrations []RegisterRecord `json:"registrations"`
+	// Emitted is the whole emitted set, sorted by key.
+	Emitted []EmittedEntry `json:"emitted"`
+}
+
 // MatchKey builds the canonical emitted-set key for a match. The unit
 // separator cannot appear in query names or signatures, so the mapping is
 // injective — the same key form internal/gen uses for cross-run match-set
@@ -47,18 +86,7 @@ type Op struct {
 	Name     string             // RecUnregister
 	TS       int64              // RecAdvance
 	Emitted  []EmittedEntry     // RecEmitted
-}
-
-// encodeEdgeBatch serializes a batch into buf (reset first). The caller owns
-// buf and reuses it across appends: batch payloads are ~100KB each, and
-// allocating them per batch was measured to trigger GC cycles that taxed the
-// engine's hot path far more than the WAL's own I/O.
-func encodeEdgeBatch(buf *bytes.Buffer, edges []graph.StreamEdge) ([]byte, error) {
-	buf.Reset()
-	if err := loader.WriteJSONL(buf, edges); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	manifest *manifest          // RecManifest; folded into the Manager, never handed out
 }
 
 func encodeRegister(r RegisterRecord) ([]byte, error) { return json.Marshal(r) }
@@ -81,7 +109,7 @@ func decodeOp(rec byte, payload []byte) (Op, error) {
 	op := Op{Type: rec}
 	switch rec {
 	case RecEdgeBatch:
-		edges, err := loader.ReadJSONL(bytes.NewReader(payload))
+		edges, err := wire.DecodeEdges(payload)
 		if err != nil {
 			return op, fmt.Errorf("wal: decoding edge batch: %w", err)
 		}
@@ -102,6 +130,11 @@ func decodeOp(rec byte, payload []byte) (Op, error) {
 	case RecEmitted:
 		if err := json.Unmarshal(payload, &op.Emitted); err != nil {
 			return op, fmt.Errorf("wal: decoding emitted checkpoint: %w", err)
+		}
+	case RecManifest:
+		op.manifest = new(manifest)
+		if err := json.Unmarshal(payload, op.manifest); err != nil {
+			return op, fmt.Errorf("wal: decoding manifest: %w", err)
 		}
 	default:
 		return op, fmt.Errorf("wal: unknown record type %d", rec)

@@ -1,27 +1,51 @@
-// Package wal implements the durability layer for StreamWorks engines: a
-// segmented write-ahead log on the ingest path, periodic snapshots that
-// bound replay time, and the emitted-set checkpointing that makes match
+// Package wal is the durability layer for StreamWorks engines: a segmented
+// write-ahead log on the ingest path that is also the only durable copy of
+// the sliding window, and the emitted-set checkpointing that makes match
 // delivery exactly-once across a crash boundary.
 //
-// The log records the NDJSON wire format the system already speaks. Each
-// record travels in a small framed envelope — length, CRC32, record type —
-// so a torn tail (the partial frame a crash leaves behind) is detected and
-// truncated at the last valid frame instead of poisoning recovery. Record
-// types cover edge batches, query register/unregister (DSL text plus
-// registration options), explicit watermark advances, and periodic
+// The state of the system is a function of the edges inside the window, so
+// its durable form is the suffix of the ingest log that still covers the
+// window — there is no snapshot file and the Manager keeps no copy of the
+// window in memory. A segment is the 8-byte magic SWWAL002 followed by
+// frames in internal/wire's envelope (length, CRC32, record type); a torn
+// tail — the partial frame a crash leaves behind — is detected and truncated
+// at the last valid frame instead of poisoning recovery. The first frame of
+// every segment is a manifest: the active registrations in order, the
+// emitted set, the watermark, the effective retention and the expiry cutoff.
+// After it come edge batches in wire's binary edge encoding, in arrival
+// order, interleaved with query register/unregister records (DSL text plus
+// registration options), explicit watermark advances and incremental
 // emitted-set checkpoints.
 //
-// Recovery replays snapshot + log tail through the ordinary engine paths,
-// reusing the same retained-window replay machinery adaptive re-planning
-// uses for plan swaps: re-register the stored queries, re-apply the
-// retained edges, and suppress every match whose (query, signature) key was
-// already checkpointed as emitted. Matches that were emitted but not yet
+// A checkpoint (Manager.Snapshot, every Options.SnapshotEvery batches, and
+// whenever a segment outgrows Options.SegmentBytes) rotates to a new segment,
+// syncs its manifest, then deletes the oldest segments whose newest edge is
+// older than watermark − retention − slack. Recovery reads the oldest
+// retained segment's manifest and replays every record after it in the order
+// it was appended. Four rules hold throughout:
+//
+//   - Old segments are deleted only after the new segment's manifest has been
+//     synced.
+//   - Only a prefix of the segments is ever deleted.
+//   - Recovery never replays an edge older than the recovered cutoff, and
+//     emitted-set eviction uses the same cutoff, so a match evicted from the
+//     emitted set can never be re-derived into the backlog.
+//   - With retention 0 nothing is ever deleted and nothing is ever rewritten.
+//
+// Recovery replays through the ordinary engine paths: re-register the stored
+// queries at the points of the stream where they were registered, re-apply
+// the retained edges, and suppress every match whose (query, signature) key
+// was already checkpointed as emitted. Matches that were emitted but not yet
 // checkpointed when the process died are redelivered — the emitted-set is
 // checkpointed one epoch behind live emission precisely so a match is never
 // suppressed before it plausibly reached a subscriber. Crash recovery is
 // therefore exactly-once under set semantics (no loss; bounded, dedupable
 // redelivery by canonical signature) and strictly exactly-once across a
 // graceful restart, where Close checkpoints everything.
+//
+// A directory written by another format version (a v1 snapshot file, or a
+// segment whose complete header is not SWWAL002) is refused with
+// ErrFormatVersion and left exactly as found.
 //
 // All file access goes through the FS seam so the fault-injection harness
 // (internal/testutil/faultfs) can exercise short writes, fsync errors,
@@ -88,20 +112,20 @@ type Options struct {
 	// FsyncInterval is the group-commit interval for FsyncInterval.
 	// Zero defaults to 50ms.
 	FsyncInterval time.Duration
-	// SegmentBytes rotates the active segment once it exceeds this size.
+	// SegmentBytes checkpoints once the active segment exceeds this size.
 	// Zero defaults to 8 MiB.
 	SegmentBytes int64
-	// SnapshotEvery takes a snapshot (and drops older segments) every N
-	// appended edge batches. Zero defaults to 4096; negative disables
-	// automatic snapshots (Close still snapshots).
+	// SnapshotEvery checkpoints (new segment, expired segments deleted)
+	// every N appended edge batches, which bounds how far beyond the window
+	// recovery replays. Zero defaults to 4096; negative leaves checkpoints
+	// to SegmentBytes and Snapshot.
 	SnapshotEvery int
 	// EmittedEvery writes an emitted-set checkpoint frame once that many
 	// mature, un-checkpointed emissions have accumulated. Zero defaults
 	// to 256.
 	EmittedEvery int
-	// Retention mirrors the engine's sliding-window width so the shadow
-	// retained window (what snapshots serialize) expires in lockstep.
-	// Zero retains every edge.
+	// Retention mirrors the engine's sliding-window width so segments
+	// expire in lockstep with the window. Zero retains every edge.
 	Retention time.Duration
 	// Slack mirrors the engine's out-of-order tolerance.
 	Slack time.Duration

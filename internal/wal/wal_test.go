@@ -8,12 +8,19 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/streamworks/streamworks/internal/graph"
+	"github.com/streamworks/streamworks/internal/wire"
 )
 
 const testDSL = "query watch\nwindow 10m0s\nvertex a : Host\nvertex b : Host\nedge a -[flow]-> b\n"
+
+// shortDSL is testDSL with a window narrower than any test's retention, so
+// registering it widens nothing.
+var shortDSL = strings.Replace(testDSL, "10m0s", "50ns", 1)
 
 func testEdge(id uint64, ts int64) graph.StreamEdge {
 	return graph.StreamEdge{
@@ -61,12 +68,28 @@ func opsJSON(t *testing.T, ops []Op) []string {
 
 func segPath(dir string, seq uint64) string { return filepath.Join(dir, segName(seq)) }
 
-func TestFrameRoundTrip(t *testing.T) {
-	edges := []graph.StreamEdge{testEdge(1, 100), testEdge(2, 200)}
-	edgePayload, err := encodeEdgeBatch(new(bytes.Buffer), edges)
+// diskSegments lists the segment sequence numbers in dir, ascending.
+func diskSegments(t *testing.T, dir string) []uint64 {
+	t.Helper()
+	names, err := OSFS{}.ReadDir(dir)
 	if err != nil {
-		t.Fatalf("encodeEdgeBatch: %v", err)
+		t.Fatal(err)
 	}
+	return segmentSeqs(names)
+}
+
+// crash abandons a manager the way a SIGKILL would: the file is closed,
+// nothing more is written — no final emitted checkpoint.
+func crash(m *Manager) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.joinLocked()
+	m.log.close()
+	m.closed = true
+}
+
+func TestRecordRoundTrip(t *testing.T) {
+	edges := []graph.StreamEdge{testEdge(1, 100), testEdge(2, 200)}
 	reg := RegisterRecord{Name: "watch", DSL: testDSL, Strategy: "lazy", Adaptive: "on"}
 	regPayload, err := encodeRegister(reg)
 	if err != nil {
@@ -77,23 +100,32 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encodeEmitted: %v", err)
 	}
+	// encodeEmitted sorts by key, so recovery sees sorted entries.
+	sorted := []EmittedEntry{{Key: MatchKey("q", "sigA"), SpanStart: 3}, {Key: MatchKey("q", "sigB"), SpanStart: 7}}
+	man := manifest{Watermark: 200, Retention: 100, Cutoff: 90, Registrations: []RegisterRecord{reg}, Emitted: sorted}
+	manPayload, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		rec     byte
 		payload []byte
+		want    Op
 	}{
-		{RecEdgeBatch, edgePayload},
-		{RecRegister, regPayload},
-		{RecUnregister, []byte("watch")},
-		{RecAdvance, encodeAdvance(-42)},
-		{RecEmitted, emittedPayload},
+		{RecManifest, manPayload, Op{manifest: &man}},
+		{RecEdgeBatch, wire.AppendEdges(nil, edges), Op{Edges: edges}},
+		{RecRegister, regPayload, Op{Register: &reg}},
+		{RecUnregister, []byte("watch"), Op{Name: "watch"}},
+		{RecAdvance, encodeAdvance(-42), Op{TS: -42}},
+		{RecEmitted, emittedPayload, Op{Emitted: sorted}},
 	}
 	var buf []byte
 	for _, c := range cases {
-		buf = appendFrame(buf, c.rec, c.payload)
+		buf = wire.AppendFrame(buf, c.rec, c.payload)
 	}
 	off := 0
 	for i, c := range cases {
-		rec, payload, n, err := DecodeFrame(buf[off:])
+		rec, payload, n, err := wire.DecodeFrame(buf[off:])
 		if err != nil {
 			t.Fatalf("frame %d: DecodeFrame: %v", i, err)
 		}
@@ -104,34 +136,19 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: decodeOp: %v", i, err)
 		}
-		switch c.rec {
-		case RecEdgeBatch:
-			if !reflect.DeepEqual(op.Edges, edges) {
-				t.Fatalf("edge batch did not round-trip:\ngot  %+v\nwant %+v", op.Edges, edges)
-			}
-		case RecRegister:
-			if !reflect.DeepEqual(*op.Register, reg) {
-				t.Fatalf("register did not round-trip: got %+v, want %+v", *op.Register, reg)
-			}
-		case RecUnregister:
-			if op.Name != "watch" {
-				t.Fatalf("unregister name: got %q", op.Name)
-			}
-		case RecAdvance:
-			if op.TS != -42 {
-				t.Fatalf("advance ts: got %d, want -42", op.TS)
-			}
-		case RecEmitted:
-			// encodeEmitted sorts by key, so recovery sees sorted entries.
-			want := []EmittedEntry{{Key: MatchKey("q", "sigA"), SpanStart: 3}, {Key: MatchKey("q", "sigB"), SpanStart: 7}}
-			if !reflect.DeepEqual(op.Emitted, want) {
-				t.Fatalf("emitted did not round-trip sorted: got %+v", op.Emitted)
-			}
+		c.want.Type = c.rec
+		if !reflect.DeepEqual(op, c.want) {
+			t.Fatalf("record type %d did not round-trip:\ngot  %+v\nwant %+v", c.rec, op, c.want)
 		}
 		off += n
 	}
 	if off != len(buf) {
 		t.Fatalf("decoded %d of %d bytes", off, len(buf))
+	}
+	// The envelope carries any type; which ones a segment admits is this
+	// package's business.
+	if _, err := decodeOp(0x7f, []byte("payload")); err == nil {
+		t.Fatal("unknown record type decoded")
 	}
 }
 
@@ -148,50 +165,6 @@ func TestEncodeEmittedDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(pa, pb) {
 		t.Fatalf("same logical checkpoint encoded differently:\n%s\n%s", pa, pb)
-	}
-}
-
-func TestDecodeFrameTornVsCorrupt(t *testing.T) {
-	frame := appendFrame(nil, RecUnregister, []byte("some-query-name"))
-
-	// Truncation anywhere short of the full frame is torn, never corrupt.
-	for cut := 0; cut < len(frame); cut++ {
-		if _, _, _, err := DecodeFrame(frame[:cut]); !errors.Is(err, errFrameTorn) {
-			t.Fatalf("truncated at %d/%d bytes: got %v, want errFrameTorn", cut, len(frame), err)
-		}
-	}
-
-	// Any single flipped bit in a full frame must be rejected, and since the
-	// data is long enough it must read as corruption (CRC mismatch, bad
-	// length, or unknown type) or torn (length grew past the data).
-	for i := range frame {
-		mut := append([]byte(nil), frame...)
-		mut[i] ^= 0x01
-		_, _, _, err := DecodeFrame(mut)
-		if err == nil {
-			t.Fatalf("bit flip at byte %d decoded successfully", i)
-		}
-		if !errors.Is(err, errFrameCorrupt) && !errors.Is(err, errFrameTorn) {
-			t.Fatalf("bit flip at byte %d: unexpected error %v", i, err)
-		}
-	}
-
-	// Zero or absurd declared lengths are corrupt, not torn.
-	zero := append([]byte(nil), frame...)
-	zero[0], zero[1], zero[2], zero[3] = 0, 0, 0, 0
-	if _, _, _, err := DecodeFrame(zero); !errors.Is(err, errFrameCorrupt) {
-		t.Fatalf("zero length: got %v, want errFrameCorrupt", err)
-	}
-	huge := append([]byte(nil), frame...)
-	huge[0] = 0xff
-	if _, _, _, err := DecodeFrame(huge); !errors.Is(err, errFrameCorrupt) {
-		t.Fatalf("oversized length: got %v, want errFrameCorrupt", err)
-	}
-
-	// An unknown record type with a valid CRC is corrupt.
-	unknown := appendFrame(nil, 0x7f, []byte("payload"))
-	if _, _, _, err := DecodeFrame(unknown); !errors.Is(err, errFrameCorrupt) {
-		t.Fatalf("unknown type: got %v, want errFrameCorrupt", err)
 	}
 }
 
@@ -235,9 +208,9 @@ func TestAppendAndRecoverAllRecordTypes(t *testing.T) {
 	if rec2.TornTail {
 		t.Fatal("clean log reported a torn tail")
 	}
-	// The unregister replayed last, so no registration survives in shadow state.
+	// The unregister replayed last, so the next manifest lists no query.
 	if n := len(m2.regs); n != 0 {
-		t.Fatalf("shadow registrations after unregister: %d", n)
+		t.Fatalf("active registrations after unregister: %d", n)
 	}
 }
 
@@ -250,11 +223,7 @@ func TestSegmentRotationAndRecovery(t *testing.T) {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 	}
-	seqs, err := listSegments(OSFS{}, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seqs) < 3 {
+	if seqs := diskSegments(t, dir); len(seqs) < 3 {
 		t.Fatalf("expected rotation to produce several segments, got %v", seqs)
 	}
 	if st := m.Stats(); st.Segments < 3 {
@@ -284,7 +253,7 @@ func TestTornTailTruncation(t *testing.T) {
 	}
 
 	// A crash mid-write leaves a partial frame: append half of a valid frame.
-	full := appendFrame(nil, RecUnregister, []byte("never-finished"))
+	full := wire.AppendFrame(nil, RecUnregister, []byte("never-finished"))
 	path := segPath(dir, 1)
 	prevSize := appendBytes(t, path, full[:len(full)/2])
 
@@ -376,15 +345,13 @@ func TestCRCMismatchTruncates(t *testing.T) {
 func TestDropsSegmentsAfterTruncatedOne(t *testing.T) {
 	dir := t.TempDir()
 	m, _ := openTest(t, dir, func(o *Options) { o.SegmentBytes = 256 })
-	for i := 0; i < 8; i++ {
+	const batches = 20
+	for i := 0; i < batches; i++ {
 		if err := m.AppendEdges([]graph.StreamEdge{testEdge(uint64(i), int64(i)*10)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	seqs, err := listSegments(OSFS{}, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seqs := diskSegments(t, dir)
 	if len(seqs) < 3 {
 		t.Fatalf("need >=3 segments for this test, got %v", seqs)
 	}
@@ -409,65 +376,74 @@ func TestDropsSegmentsAfterTruncatedOne(t *testing.T) {
 			t.Fatalf("op %d: edge ID %d — recovered ops are not a prefix", i, op.Edges[0].Edge.ID)
 		}
 	}
-	if len(rec.Ops) >= 8 {
+	if len(rec.Ops) >= batches {
 		t.Fatalf("recovered %d ops despite mid-log corruption", len(rec.Ops))
 	}
 	// Segments after the truncated one are deleted from disk.
-	after, err := listSegments(OSFS{}, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, seq := range after {
+	for _, seq := range diskSegments(t, dir) {
 		if seq > mid && seq != m2.log.seq {
 			t.Fatalf("segment %d survived past truncated segment %d", seq, mid)
 		}
 	}
 }
 
-func TestSnapshotCompactsAndRecovers(t *testing.T) {
+// TestCheckpointDropsCoveredSegmentsAndRecovers: a checkpoint deletes the
+// segments whose every edge has left the window, and what remains recovers
+// from the oldest retained segment's manifest — registrations, emitted set
+// and watermark included — with no snapshot file anywhere.
+func TestCheckpointDropsCoveredSegmentsAndRecovers(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := openTest(t, dir, nil)
-	if err := m.AppendRegister(RegisterRecord{Name: "watch", DSL: testDSL}); err != nil {
+	bounded := func(o *Options) { o.Retention, o.Slack = 100, 10 }
+	m, _ := openTest(t, dir, bounded)
+	if err := m.AppendRegister(RegisterRecord{Name: "watch", DSL: shortDSL}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AppendRegister(RegisterRecord{Name: "other", DSL: testDSL, Adaptive: "off"}); err != nil {
+	if err := m.AppendRegister(RegisterRecord{Name: "other", DSL: shortDSL, Adaptive: "off"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.AppendUnregister("other"); err != nil {
 		t.Fatal(err)
 	}
-	batch := []graph.StreamEdge{testEdge(1, 100), testEdge(2, 200)}
-	if err := m.AppendEdges(batch); err != nil {
+	if err := m.AppendEdges([]graph.StreamEdge{testEdge(1, 100), testEdge(2, 200)}); err != nil {
 		t.Fatal(err)
 	}
-	m.NoteEmitted("watch", "sig-1", 100)
+	m.NoteEmitted("watch", "sig-1", 950)
+	// First checkpoint: segment 1 still holds the window (cutoff 90), so it
+	// stays; only "watch" goes into segment 2's manifest.
 	if err := m.Snapshot(); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	if st := m.Stats(); st.Snapshots != 1 {
-		t.Fatalf("snapshot counter: %d", st.Snapshots)
+	if seqs := diskSegments(t, dir); !reflect.DeepEqual(seqs, []uint64{1, 2}) {
+		t.Fatalf("segments after a checkpoint inside the window: %v", seqs)
 	}
-	// The snapshot covers segment 1; only the fresh segment remains.
-	seqs, err := listSegments(OSFS{}, dir)
-	if err != nil {
+	live := []graph.StreamEdge{testEdge(3, 1000)}
+	if err := m.AppendEdges(live); err != nil {
 		t.Fatal(err)
 	}
-	if len(seqs) != 1 || seqs[0] != m.log.seq {
-		t.Fatalf("segments after snapshot: %v (active %d)", seqs, m.log.seq)
+	// Second checkpoint: cutoff 1000-100-10 = 890 is past segment 1's
+	// newest edge (200) but not segment 2's.
+	if err := m.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
 	}
-	// More work after the snapshot lands in the log tail.
-	if err := m.AppendAdvance(300); err != nil {
+	if st := m.Stats(); st.Snapshots != 2 {
+		t.Fatalf("checkpoint counter: %d", st.Snapshots)
+	}
+	if seqs := diskSegments(t, dir); !reflect.DeepEqual(seqs, []uint64{2, 3}) {
+		t.Fatalf("segments after the covering checkpoint: %v", seqs)
+	}
+	if err := m.AppendAdvance(1010); err != nil {
 		t.Fatal(err)
 	}
+	crash(m)
 
-	m2, rec := openTest(t, dir, nil)
+	m2, rec := openTest(t, dir, bounded)
 	defer m2.Close()
 	types := make([]byte, len(rec.Ops))
 	for i, op := range rec.Ops {
 		types[i] = op.Type
 	}
-	// Snapshot registrations first (only "watch" survived the unregister),
-	// then the retained window as one batch, then the tail.
+	// Segment 2's manifest registrations first (only "watch" survived the
+	// unregister), then its records and segment 3's in order.
 	want := []byte{RecRegister, RecEdgeBatch, RecAdvance}
 	if !bytes.Equal(types, want) {
 		t.Fatalf("recovered op types: got %v, want %v", types, want)
@@ -475,18 +451,187 @@ func TestSnapshotCompactsAndRecovers(t *testing.T) {
 	if rec.Ops[0].Register.Name != "watch" {
 		t.Fatalf("recovered registration: %+v", rec.Ops[0].Register)
 	}
-	if !reflect.DeepEqual(rec.Ops[1].Edges, batch) {
+	if !reflect.DeepEqual(rec.Ops[1].Edges, live) {
 		t.Fatalf("recovered window mismatch: %+v", rec.Ops[1].Edges)
 	}
-	if rec.Watermark != 300 {
-		t.Fatalf("watermark: got %d, want 300", rec.Watermark)
+	if rec.Watermark != 1010 {
+		t.Fatalf("watermark: got %d, want 1010", rec.Watermark)
 	}
-	if got, ok := rec.Emitted[MatchKey("watch", "sig-1")]; !ok || got != 100 {
-		t.Fatalf("emitted-set not recovered from snapshot: %v", rec.Emitted)
+	if got, ok := rec.Emitted[MatchKey("watch", "sig-1")]; !ok || got != 950 {
+		t.Fatalf("emitted-set not recovered from the manifest: %v", rec.Emitted)
 	}
 	if !m2.WasEmitted("watch", "sig-1") {
-		t.Fatal("WasEmitted lost across snapshot recovery")
+		t.Fatal("WasEmitted lost across manifest recovery")
 	}
+	names, err := OSFS{}.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if _, ok := parseSegName(name); !ok {
+			t.Fatalf("data dir holds %q: the segments are the only durable structure", name)
+		}
+	}
+}
+
+// TestLogIsTheWindow appends several windows' worth of batches under a
+// small SnapshotEvery: segments must fall off the front of the directory,
+// recovery must hand back exactly the edges inside the cutoff in arrival
+// order, and the Manager must hold none of them.
+func TestLogIsTheWindow(t *testing.T) {
+	dir := t.TempDir()
+	const (
+		perBatch  = 32
+		retention = 20 * perBatch // stream ns; edges are 1 ns apart
+		slack     = perBatch
+		total     = 40 * retention
+	)
+	bounded := func(o *Options) { o.Retention, o.Slack, o.SnapshotEvery = retention, slack, 4 }
+	m, _ := openTest(t, dir, bounded)
+	heapAfter := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	batch := make([]graph.StreamEdge, perBatch)
+	var early uint64
+	for id := uint64(1); id <= total; id += perBatch {
+		for i := range batch {
+			batch[i] = testEdge(id+uint64(i), int64(id)+int64(i))
+		}
+		if err := m.AppendEdges(batch); err != nil {
+			t.Fatalf("batch at %d: %v", id, err)
+		}
+		if id == 4*retention+1 {
+			early = heapAfter()
+		}
+	}
+	// A shadow window alone would hold retention+slack edges of some 500
+	// bytes each; anything growing with the stream would hold 36 windows.
+	if late := heapAfter(); late > early+64<<10 {
+		t.Fatalf("heap grew from %d to %d bytes over %d edges: the manager retains what it appends", early, late, total-4*retention)
+	}
+	if len(m.sealed) > 2*(retention+slack)/(4*perBatch) {
+		t.Fatalf("%d sealed segments tracked for a window of %d batches", len(m.sealed), retention/perBatch)
+	}
+	seqs := diskSegments(t, dir)
+	if seqs[0] < 30 {
+		t.Fatalf("lowest segment on disk is %d after 40 windows: the prefix is not being deleted (%v)", seqs[0], seqs)
+	}
+	crash(m)
+
+	m2, rec := openTest(t, dir, bounded)
+	defer m2.Close()
+	cutoff := int64(total) - retention - slack
+	next := uint64(cutoff)
+	for _, op := range rec.Ops {
+		if op.Type != RecEdgeBatch {
+			t.Fatalf("unexpected op type %d", op.Type)
+		}
+		for _, e := range op.Edges {
+			if uint64(e.Edge.ID) != next {
+				t.Fatalf("recovered edge %d, want %d: not exactly the edges inside cutoff %d, in arrival order", e.Edge.ID, next, cutoff)
+			}
+			next++
+		}
+	}
+	if next != total+1 {
+		t.Fatalf("recovery stopped at edge %d of %d", next-1, total)
+	}
+}
+
+// TestCrashBeforeManifestSynced: a crash between creating the next segment
+// and syncing its manifest leaves a segment that holds nothing; recovery
+// discards it and rebuilds from the segments before it, which a checkpoint
+// never deletes ahead of that sync.
+func TestCrashBeforeManifestSynced(t *testing.T) {
+	for _, torn := range []string{"magic-only", "half-manifest", "half-magic"} {
+		t.Run(torn, func(t *testing.T) {
+			dir := t.TempDir()
+			m, _ := openTest(t, dir, nil)
+			if err := m.AppendRegister(RegisterRecord{Name: "watch", DSL: testDSL}); err != nil {
+				t.Fatal(err)
+			}
+			batch := []graph.StreamEdge{testEdge(1, 100), testEdge(2, 200)}
+			if err := m.AppendEdges(batch); err != nil {
+				t.Fatal(err)
+			}
+			crash(m)
+			head, err := os.ReadFile(segPath(dir, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, n, err := wire.DecodeFrame(head[len(segMagic):])
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut := map[string]int{"magic-only": len(segMagic), "half-manifest": len(segMagic) + n/2, "half-magic": len(segMagic) / 2}[torn]
+			if err := os.WriteFile(segPath(dir, 2), head[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			m2, rec := openTest(t, dir, nil)
+			defer m2.Close()
+			if !rec.TornTail {
+				t.Fatal("torn segment not reported")
+			}
+			if len(rec.Ops) != 2 || rec.Ops[0].Type != RecRegister || !reflect.DeepEqual(rec.Ops[1].Edges, batch) {
+				t.Fatalf("recovered ops: %+v", rec.Ops)
+			}
+			// The torn file is gone; the manager appends to a fresh one.
+			if seqs := diskSegments(t, dir); !reflect.DeepEqual(seqs, []uint64{1, 3}) {
+				t.Fatalf("segments after recovery: %v", seqs)
+			}
+		})
+	}
+}
+
+// TestForeignFormatRefusedUntouched: a v1 data directory — a segment with
+// the old magic, or a leftover snapshot file — makes Open fail with
+// ErrFormatVersion and leaves every byte where it was.
+func TestForeignFormatRefusedUntouched(t *testing.T) {
+	v1 := append([]byte("SWWAL001"), wire.AppendFrame(nil, RecUnregister, []byte("watch"))...)
+	for name, file := range map[string]string{"v1-segment": segName(1), "v1-snapshot": "snapshot"} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			// A real v2 segment next to it: nothing may be touched, valid or not.
+			m, _ := openTest(t, dir, nil)
+			crash(m)
+			if err := os.Rename(segPath(dir, 1), segPath(dir, 7)); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, file), v1, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := readDir(t, dir)
+			_, _, err := Open(Options{Dir: dir, Logf: t.Logf})
+			if !errors.Is(err, ErrFormatVersion) {
+				t.Fatalf("Open: %v, want ErrFormatVersion", err)
+			}
+			if after := readDir(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatalf("refused directory was modified:\nbefore %v\nafter  %v", before, after)
+			}
+		})
+	}
+}
+
+// readDir maps every file in dir to its contents.
+func readDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	names, err := OSFS{}.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(names))
+	for _, name := range names {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = string(b)
+	}
+	return out
 }
 
 func TestEmittedCheckpointRecovery(t *testing.T) {
@@ -545,7 +690,7 @@ func TestCloseIsStrictlyExactOnce(t *testing.T) {
 	}
 }
 
-func TestEmittedEvictionAtSnapshot(t *testing.T) {
+func TestEmittedEvictionAtCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	m, _ := openTest(t, dir, func(o *Options) {
 		o.Retention = 100 // nanoseconds of stream time
@@ -562,7 +707,7 @@ func TestEmittedEvictionAtSnapshot(t *testing.T) {
 	// cutoff = 1000 - 100 - 10 = 890: "old" (span 50) can no longer be
 	// re-derived from the retained window, so its suppression entry goes.
 	if m.WasEmitted("q", "old") {
-		t.Fatal("expired emitted entry survived snapshot eviction")
+		t.Fatal("expired emitted entry survived checkpoint eviction")
 	}
 	if !m.WasEmitted("q", "new") {
 		t.Fatal("live emitted entry was evicted")
@@ -632,20 +777,17 @@ func TestPrefixRecovery(t *testing.T) {
 		if err := pm.AppendAdvance(9999); err != nil {
 			t.Fatalf("prefix %d: append after recovery: %v", cut, err)
 		}
-		// Close the segment file directly; a full Close would write a
-		// snapshot per prefix for nothing.
-		pm.mu.Lock()
-		pm.log.close()
-		pm.closed = true
-		pm.mu.Unlock()
+		crash(pm)
 	}
 }
 
+// FuzzWALDecode fuzzes the record payloads: whatever bytes a frame with a
+// valid CRC carries, decodeOp must return an Op or an error, never panic.
+// (The envelope itself has one fuzzer, wire's FuzzFrameDecode.)
 func FuzzWALDecode(f *testing.F) {
-	// Seed with a real segment containing every record type.
+	// Seed with the payloads of a real segment holding every record type.
 	dir := f.TempDir()
-	opts := Options{Dir: dir, Fsync: FsyncOff, SnapshotEvery: -1}
-	m, _, err := Open(opts)
+	m, _, err := Open(Options{Dir: dir, Fsync: FsyncOff, SnapshotEvery: -1})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -658,46 +800,41 @@ func FuzzWALDecode(f *testing.F) {
 	if err := m.AppendAdvance(200); err != nil {
 		f.Fatal(err)
 	}
+	m.NoteEmitted("watch", "sig", 100)
+	// The second segment's manifest lists the registration and the emission.
+	if err := m.Snapshot(); err != nil {
+		f.Fatal(err)
+	}
 	if err := m.AppendUnregister("watch"); err != nil {
 		f.Fatal(err)
 	}
-	m.NoteEmitted("watch", "sig", 100)
-	m.mu.Lock()
-	m.checkpointEmittedLocked()
-	m.log.close()
-	m.closed = true
-	m.mu.Unlock()
-	data, err := os.ReadFile(filepath.Join(dir, segName(1)))
-	if err != nil {
+	m.NoteEmitted("watch", "sig-2", 150)
+	if err := m.Close(); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(data)
-	f.Add(data[:len(data)-3])
-	flipped := append([]byte(nil), data...)
-	flipped[len(flipped)/2] ^= 0x40
-	f.Add(flipped)
-	f.Add([]byte("SWWAL001"))
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		off := 0
-		if len(data) >= len(segMagic) && bytes.Equal(data[:len(segMagic)], segMagic) {
-			off = len(segMagic)
+	for _, seq := range []uint64{1, 2} {
+		data, err := os.ReadFile(filepath.Join(dir, segName(seq)))
+		if err != nil {
+			f.Fatal(err)
 		}
-		for off < len(data) {
-			rec, payload, n, err := DecodeFrame(data[off:])
+		for off := len(segMagic); off < len(data); {
+			rec, payload, n, err := wire.DecodeFrame(data[off:])
 			if err != nil {
-				if !errors.Is(err, errFrameTorn) && !errors.Is(err, errFrameCorrupt) {
-					t.Fatalf("DecodeFrame: unexpected error class %v", err)
-				}
-				return
+				f.Fatal(err)
 			}
-			if n <= frameHeaderLen-1 {
-				t.Fatalf("DecodeFrame returned non-advancing size %d", n)
-			}
-			// decodeOp must never panic, whatever the payload says.
-			decodeOp(rec, payload)
+			f.Add(rec, payload)
+			// Torn: a manifest cut short is the seed that matters most — it
+			// is what a crash during rotation leaves.
+			f.Add(rec, payload[:len(payload)/2])
 			off += n
+		}
+	}
+	f.Add(byte(0), []byte{})
+
+	f.Fuzz(func(t *testing.T, rec byte, payload []byte) {
+		op, err := decodeOp(rec, payload)
+		if err == nil && op.Type != rec {
+			t.Fatalf("decodeOp(%d) returned type %d", rec, op.Type)
 		}
 	})
 }

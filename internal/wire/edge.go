@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/streamworks/streamworks/internal/graph"
 )
@@ -47,10 +47,49 @@ func AppendEdgeFrame(dst, scratch []byte, se graph.StreamEdge) ([]byte, []byte) 
 	return AppendFrame(dst, FrameEdge, scratch), scratch
 }
 
+// AppendEdges appends a batch payload to dst: a uvarint count, then the
+// edges' payloads back to back (the edge layout is self-delimiting). It is
+// how the write-ahead log stores an ingested batch.
+func AppendEdges(dst []byte, edges []graph.StreamEdge) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(edges)))
+	for i := range edges {
+		dst = AppendEdge(dst, edges[i])
+	}
+	return dst
+}
+
 // DecodeEdge decodes an edge payload produced by AppendEdge.
 func DecodeEdge(payload []byte) (graph.StreamEdge, error) {
-	var se graph.StreamEdge
 	d := decoder{buf: payload}
+	se := d.edge()
+	if err := d.finish("edge"); err != nil {
+		return graph.StreamEdge{}, err
+	}
+	return se, nil
+}
+
+// DecodeEdges decodes a batch payload produced by AppendEdges.
+func DecodeEdges(payload []byte) ([]graph.StreamEdge, error) {
+	d := decoder{buf: payload}
+	n := d.uvarint()
+	if n > uint64(len(d.buf)) { // every edge takes ≥1 byte
+		d.fail("edge count %d exceeds %d remaining bytes", n, len(d.buf))
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	edges := make([]graph.StreamEdge, 0, n)
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		edges = append(edges, d.edge())
+	}
+	if err := d.finish("edge batch"); err != nil {
+		return nil, err
+	}
+	return edges, nil
+}
+
+func (d *decoder) edge() graph.StreamEdge {
+	var se graph.StreamEdge
 	se.Edge.ID = graph.EdgeID(d.uvarint())
 	se.Edge.Source = graph.VertexID(d.uvarint())
 	se.Edge.Target = graph.VertexID(d.uvarint())
@@ -61,13 +100,15 @@ func DecodeEdge(payload []byte) (graph.StreamEdge, error) {
 	se.Edge.Attrs = d.attrs()
 	se.SourceAttrs = d.attrs()
 	se.TargetAttrs = d.attrs()
-	if d.err != nil {
-		return graph.StreamEdge{}, d.err
+	return se
+}
+
+// finish reports the latched error, or the bytes left over after what.
+func (d *decoder) finish(what string) error {
+	if d.err == nil && len(d.buf) != 0 {
+		d.fail("%d trailing bytes after %s", len(d.buf), what)
 	}
-	if len(d.buf) != 0 {
-		return graph.StreamEdge{}, fmt.Errorf("%w: %d trailing bytes after edge", ErrCorrupt, len(d.buf))
-	}
-	return se, nil
+	return d.err
 }
 
 func appendString(dst []byte, s string) []byte {
@@ -86,13 +127,16 @@ func appendAttrs(dst []byte, a graph.Attributes) []byte {
 	if n == 0 {
 		return dst
 	}
-	keys := make([]string, 0, len(a))
+	// Sorted in a stack-backed array: an edge carries a handful of
+	// attributes, and a heap slice per map was the encoder's only allocation.
+	var stack [16]string
+	keys := stack[:0]
 	for k, v := range a {
 		if v.IsValid() {
 			keys = append(keys, k)
 		}
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	for _, k := range keys {
 		dst = appendString(dst, k)
 		v := a[k]

@@ -1,17 +1,18 @@
-// Package wire is the binary frame transport shared by ingest and match
-// delivery. It reuses the WAL's framed-envelope style (internal/wal):
-// an 8-byte stream magic followed by frames of
+// Package wire is the framed envelope and the edge and match encodings
+// every byte stream in the system is made of: binary ingest, binary match
+// delivery and the write-ahead log's segments (internal/wal). A stream is an
+// 8-byte magic followed by frames of
 //
 //	uint32 length   — big-endian, covers the type byte + payload
 //	uint32 crc32    — IEEE, over the type byte + payload
-//	byte   type     — one of the Frame* types
+//	byte   type     — the stream's own: Frame* here, wal.Rec* in a segment
 //	bytes  payload
 //
 // A frame is valid iff the declared length fits in the remaining bytes and
-// the CRC matches. Payload encodings (edge.go, match.go) are
-// byte-deterministic — attribute maps are emitted in sorted key order — so
-// encode is a pure function of the value and match sets can be compared
-// byte-for-byte across transports.
+// the CRC matches; which types a stream admits is its reader's business.
+// Payload encodings (edge.go, match.go) are byte-deterministic — attribute
+// maps are emitted in sorted key order — so encode is a pure function of
+// the value and match sets can be compared byte-for-byte across transports.
 package wire
 
 import (
@@ -19,7 +20,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"io"
 )
@@ -32,7 +32,7 @@ var StreamMagic = []byte("SWIRE001")
 // transport, used as Content-Type on ingest and Accept on match delivery.
 const ContentTypeBinary = "application/x-streamworks-frame"
 
-// Frame types.
+// Frame types of the network transports.
 const (
 	// FrameEdge carries one graph.StreamEdge (edge.go).
 	FrameEdge byte = 1
@@ -42,17 +42,19 @@ const (
 
 const (
 	frameHeaderLen = 9 // 4 length + 4 crc + 1 type
-	// maxFramePayload rejects absurd declared lengths before allocating.
-	// Edges and match reports are small; 16 MiB is generous headroom.
-	maxFramePayload = 16 << 20
+	// maxStreamPayload bounds what a Reader allocates for one frame of
+	// network input. Edges and match reports are small; 16 MiB is generous
+	// headroom. DecodeFrame needs no such bound: it allocates nothing, and
+	// a declared length beyond the data is a torn frame.
+	maxStreamPayload = 16 << 20
 )
 
 var (
 	// ErrTorn means the data ends before the frame it declares — a
-	// truncated stream or a partial read.
+	// truncated stream, a partial read, or the tail a crash left in a log.
 	ErrTorn = errors.New("wire: torn frame")
 	// ErrCorrupt means the frame is structurally invalid: CRC mismatch,
-	// oversized length, unknown frame type or malformed payload.
+	// empty or oversized length, or malformed payload.
 	ErrCorrupt = errors.New("wire: corrupt frame")
 	// ErrBadMagic means the stream does not start with StreamMagic.
 	ErrBadMagic = errors.New("wire: bad stream magic")
@@ -72,28 +74,25 @@ func AppendFrame(dst []byte, typ byte, payload []byte) []byte {
 // DecodeFrame decodes the first frame in data, returning the frame type,
 // its payload (aliasing data) and the total encoded size. It distinguishes
 // a torn tail (ErrTorn: data simply ends early) from corruption
-// (ErrCorrupt: CRC mismatch or nonsense header).
+// (ErrCorrupt: CRC mismatch or an empty frame). The type is returned as
+// found; the caller decides which types its stream admits.
 func DecodeFrame(data []byte) (typ byte, payload []byte, n int, err error) {
 	if len(data) < frameHeaderLen {
 		return 0, nil, 0, ErrTorn
 	}
 	length := binary.BigEndian.Uint32(data[0:4])
-	if length == 0 || length > maxFramePayload {
+	if length == 0 {
 		return 0, nil, 0, ErrCorrupt
 	}
-	total := 8 + int(length)
-	if len(data) < total {
+	if uint64(len(data)) < 8+uint64(length) {
 		return 0, nil, 0, ErrTorn
 	}
+	total := 8 + int(length)
 	body := data[8:total]
 	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(data[4:8]) {
 		return 0, nil, 0, ErrCorrupt
 	}
-	typ = body[0]
-	if typ != FrameEdge && typ != FrameMatch {
-		return 0, nil, 0, fmt.Errorf("%w: unknown frame type %d", ErrCorrupt, typ)
-	}
-	return typ, body[1:], total, nil
+	return body[0], body[1:], total, nil
 }
 
 // Reader decodes a frame stream incrementally from r: the 8-byte magic,
@@ -144,7 +143,7 @@ func (r *Reader) Next() (typ byte, payload []byte, err error) {
 		return 0, nil, err
 	}
 	length := binary.BigEndian.Uint32(hdr[0:4])
-	if length == 0 || length > maxFramePayload {
+	if length == 0 || length > maxStreamPayload {
 		return 0, nil, ErrCorrupt
 	}
 	if cap(r.buf) < int(length) {
@@ -160,9 +159,5 @@ func (r *Reader) Next() (typ byte, payload []byte, err error) {
 	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(hdr[4:8]) {
 		return 0, nil, ErrCorrupt
 	}
-	typ = body[0]
-	if typ != FrameEdge && typ != FrameMatch {
-		return 0, nil, fmt.Errorf("%w: unknown frame type %d", ErrCorrupt, typ)
-	}
-	return typ, body[1:], nil
+	return body[0], body[1:], nil
 }

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sort"
 
 	"github.com/streamworks/streamworks/internal/export"
@@ -107,11 +106,8 @@ func DecodeMatch(payload []byte) (export.MatchReport, error) {
 			rep.EdgeIDs = append(rep.EdgeIDs, d.uvarint())
 		}
 	}
-	if d.err != nil {
-		return export.MatchReport{}, d.err
-	}
-	if len(d.buf) != 0 {
-		return export.MatchReport{}, fmt.Errorf("%w: %d trailing bytes after match", ErrCorrupt, len(d.buf))
+	if err := d.finish("match"); err != nil {
+		return export.MatchReport{}, err
 	}
 	return rep, nil
 }

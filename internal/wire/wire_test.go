@@ -12,6 +12,7 @@ import (
 	"github.com/streamworks/streamworks/internal/export"
 	"github.com/streamworks/streamworks/internal/gen"
 	"github.com/streamworks/streamworks/internal/graph"
+	"github.com/streamworks/streamworks/internal/testutil/allocbudget"
 	"github.com/streamworks/streamworks/internal/wire"
 )
 
@@ -266,14 +267,75 @@ func TestReaderErrors(t *testing.T) {
 
 func TestDecodeFrameErrors(t *testing.T) {
 	frame, _ := wire.AppendEdgeFrame(nil, nil, attrHeavyEdge())
+
+	// Truncation anywhere short of the full frame is torn, never corrupt:
+	// it is what a crash mid-write leaves at the end of a log.
 	for cut := 0; cut < len(frame); cut++ {
-		if _, _, _, err := wire.DecodeFrame(frame[:cut]); !errors.Is(err, wire.ErrTorn) && !errors.Is(err, wire.ErrCorrupt) {
-			t.Fatalf("cut=%d: want torn/corrupt, got %v", cut, err)
+		if _, _, _, err := wire.DecodeFrame(frame[:cut]); !errors.Is(err, wire.ErrTorn) {
+			t.Fatalf("cut=%d/%d: want ErrTorn, got %v", cut, len(frame), err)
 		}
 	}
-	damaged := append([]byte(nil), frame...)
-	damaged[4] ^= 0xFF // CRC byte
-	if _, _, _, err := wire.DecodeFrame(damaged); !errors.Is(err, wire.ErrCorrupt) {
-		t.Fatalf("want ErrCorrupt on CRC damage, got %v", err)
+
+	// Any single flipped bit in a full frame is rejected — as corruption
+	// (CRC mismatch, empty length) or as torn (the length grew past the
+	// data); the CRC covers the type byte too.
+	for i := range frame {
+		damaged := append([]byte(nil), frame...)
+		damaged[i] ^= 0x01
+		_, _, _, err := wire.DecodeFrame(damaged)
+		if !errors.Is(err, wire.ErrCorrupt) && !errors.Is(err, wire.ErrTorn) {
+			t.Fatalf("bit flip at byte %d: want torn/corrupt, got %v", i, err)
+		}
 	}
+
+	// A zero length declares a frame without even a type byte: corrupt.
+	zero := append([]byte(nil), frame...)
+	copy(zero, []byte{0, 0, 0, 0})
+	if _, _, _, err := wire.DecodeFrame(zero); !errors.Is(err, wire.ErrCorrupt) {
+		t.Fatalf("zero length: want ErrCorrupt, got %v", err)
+	}
+
+	// The envelope carries any type byte; admitting it is the caller's call.
+	typ, payload, n, err := wire.DecodeFrame(wire.AppendFrame(nil, 0x7f, []byte("payload")))
+	if err != nil || typ != 0x7f || string(payload) != "payload" || n != 9+len("payload") {
+		t.Fatalf("foreign type: got (%d, %q, %d, %v)", typ, payload, n, err)
+	}
+}
+
+// TestEdgeBatchRoundTrip: the batch payload the write-ahead log stores is
+// the edges' own payloads behind a count, and decodes back to the batch.
+func TestEdgeBatchRoundTrip(t *testing.T) {
+	edges := append(testNetflowWorkload().Edges[:64], attrHeavyEdge())
+	payload := wire.AppendEdges(nil, edges)
+	got, err := wire.DecodeEdges(payload)
+	if err != nil {
+		t.Fatalf("DecodeEdges: %v", err)
+	}
+	if len(got) != len(edges) {
+		t.Fatalf("decoded %d edges, want %d", len(got), len(edges))
+	}
+	for i := range edges {
+		if !bytes.Equal(wire.AppendEdge(nil, got[i]), wire.AppendEdge(nil, edges[i])) {
+			t.Fatalf("edge %d did not round-trip", i)
+		}
+	}
+	if empty, err := wire.DecodeEdges(wire.AppendEdges(nil, nil)); err != nil || len(empty) != 0 {
+		t.Fatalf("empty batch: %v, %v", empty, err)
+	}
+	for cut := 0; cut < len(payload); cut += 7 {
+		if _, err := wire.DecodeEdges(payload[:cut]); !errors.Is(err, wire.ErrCorrupt) {
+			t.Fatalf("cut=%d: want ErrCorrupt, got %v", cut, err)
+		}
+	}
+	if _, err := wire.DecodeEdges(append(payload, 0)); !errors.Is(err, wire.ErrCorrupt) {
+		t.Fatalf("trailing byte: want ErrCorrupt, got %v", err)
+	}
+}
+
+// TestAppendEdgeAllocs: encoding an edge whose three attribute maps are all
+// populated allocates nothing once the destination has grown.
+func TestAppendEdgeAllocs(t *testing.T) {
+	se := attrHeavyEdge()
+	buf := wire.AppendEdge(nil, se)
+	allocbudget.Check(t, "wire.AppendEdge", func() { buf = wire.AppendEdge(buf[:0], se) })
 }

@@ -133,12 +133,6 @@ func WithTriadSampling(n int) Option {
 	return func(c *config) { c.engine.TriadSampling = n }
 }
 
-// WithPruneInterval sets the number of processed edges between partial-match
-// pruning sweeps. In-process backends only.
-func WithPruneInterval(n int) Option {
-	return func(c *config) { c.engine.PruneInterval = n }
-}
-
 // WithEngineConfig replaces the whole per-engine configuration at once, for
 // embedders that already manage an EngineConfig. Later fine-grained options
 // still apply on top. In-process backends only.
@@ -170,7 +164,7 @@ func WithAdvanceEvery(d time.Duration) Option {
 // adapt its SJ-Tree decomposition to the live stream statistics: the engine
 // periodically re-costs each running plan against a freshly computed one
 // and hot-swaps when selectivity drift crosses the hysteresis threshold
-// (see WithReplanEvery/WithReplanThreshold/WithReplanCooldown). Swaps are
+// (EngineConfig.Replan: CheckEvery, Threshold, Cooldown). Swaps are
 // invisible in the match stream — no match is lost or duplicated across the
 // boundary — and visible in Metrics (Replans, per-query PlanGeneration).
 // Per-query override: RegisterQueryWith with RegisterOptions.Adaptive.
@@ -187,27 +181,6 @@ func WithAdaptivePlanning(enabled bool) Option {
 // fail at RegisterQuery. Per-query override: RegisterQueryWith.
 func WithPlanStrategy(name string) Option {
 	return func(c *config) { c.strategy = name }
-}
-
-// WithReplanEvery sets the number of processed edges between adaptive
-// re-planning drift checks (default 2048). In-process backends only.
-func WithReplanEvery(n int) Option {
-	return func(c *config) { c.engine.Replan.CheckEvery = n }
-}
-
-// WithReplanThreshold sets the hysteresis ratio for adaptive re-planning:
-// the running plan's estimated cost must exceed a fresh plan's by at least
-// this factor before a hot-swap fires (default 2.0; values <= 1 are
-// rejected in favor of the default). In-process backends only.
-func WithReplanThreshold(ratio float64) Option {
-	return func(c *config) { c.engine.Replan.Threshold = ratio }
-}
-
-// WithReplanCooldown sets the minimum stream time between plan swaps of one
-// query (default 10s; negative disables the cooldown). In-process backends
-// only.
-func WithReplanCooldown(d time.Duration) Option {
-	return func(c *config) { c.engine.Replan.Cooldown = d }
 }
 
 // WithSharedPlans switches in-process backends onto the multi-query
@@ -251,8 +224,9 @@ func WithTraceSampling(capacity, sampleEvery, perSecond int) Option {
 
 // WithDataDir enables durability for in-process backends: every ingested
 // batch, registration and watermark advance is appended to a segmented
-// write-ahead log under dir before processing, periodic snapshots bound
-// replay time, and a restart pointing at the same dir rebuilds the
+// write-ahead log under dir before processing, periodic checkpoints delete
+// the segments the window has left behind, and a restart pointing at the
+// same dir rebuilds the
 // retained window, registrations and partial-match state, suppressing
 // matches already delivered before the crash. Empty (the default)
 // disables durability. If the directory cannot be opened the engine still
@@ -276,10 +250,13 @@ func WithFsyncInterval(d time.Duration) Option {
 	return func(c *config) { c.fsyncInterval = d }
 }
 
-// WithSnapshotEvery snapshots the retained window, registrations and
-// emitted-set every n ingested batches, dropping the log segments the
-// snapshot covers (default 4096; negative disables periodic snapshots —
-// Close still takes a final one). Requires WithDataDir.
+// WithSnapshotEvery checkpoints the write-ahead log every n ingested
+// batches: a new segment starts with a manifest of the registrations and the
+// emitted-set, and the oldest segments whose edges have all left the window
+// are deleted. It bounds how far beyond the window a recovery replays and
+// how many segment files the window is spread over; nothing is serialized
+// but the manifest. Default 4096; negative leaves checkpoints to segment
+// size (8 MiB). Requires WithDataDir.
 func WithSnapshotEvery(n int) Option {
 	return func(c *config) { c.snapshotEvery = n }
 }
