@@ -13,6 +13,7 @@ import (
 	"github.com/streamworks/streamworks"
 	"github.com/streamworks/streamworks/internal/gen"
 	"github.com/streamworks/streamworks/internal/graph"
+	"github.com/streamworks/streamworks/internal/sjtree"
 	"github.com/streamworks/streamworks/internal/testutil/faultfs"
 )
 
@@ -50,6 +51,24 @@ func collectSet(mu *sync.Mutex, set gen.MatchSet) streamworks.MatchSink {
 		mu.Lock()
 		set.AddKey(m.Query, m.Signature)
 		mu.Unlock()
+	})
+}
+
+// oncePerRun wraps sink for one engine's lifetime: redelivery is what a
+// restart may do, never a running engine.
+func oncePerRun(t *testing.T, run string, sink streamworks.MatchSink) streamworks.MatchSink {
+	var mu sync.Mutex
+	seen := make(gen.MatchSet)
+	return streamworks.SinkFunc(func(m streamworks.Match) {
+		mu.Lock()
+		before := len(seen)
+		seen.AddKey(m.Query, m.Signature)
+		dup := len(seen) == before
+		mu.Unlock()
+		if dup {
+			t.Errorf("%s delivered %s %s twice", run, m.Query, m.Signature)
+		}
+		sink.OnMatch(m)
 	})
 }
 
@@ -124,7 +143,7 @@ func runCrashRestart(t *testing.T, w gen.Workload, mk engineMaker, late *lateQue
 
 	eng := mk.mk(append(base, streamworks.WithWALFS(ffs))...)
 	registerAll(t, eng, w)
-	sub, err := eng.Subscribe("", sink)
+	sub, err := eng.Subscribe("", oncePerRun(t, "the run before the crash", sink))
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
@@ -151,7 +170,7 @@ func runCrashRestart(t *testing.T, w gen.Workload, mk engineMaker, late *lateQue
 	}
 	// ...and the first subscriber receives the backlog: matches derived
 	// before the crash whose delivery was never acknowledged.
-	sub2, err := eng2.Subscribe("", sink)
+	sub2, err := eng2.Subscribe("", oncePerRun(t, "the restarted run", sink))
 	if err != nil {
 		t.Fatalf("Subscribe after restart: %v", err)
 	}
@@ -209,7 +228,11 @@ func TestCrashRecoveryExactlyOnceDrift(t *testing.T) {
 // long, after a query was registered part-way through it and checkpoints
 // have deleted segments on either side of that registration. Recovery must
 // put the registration back at its place in the stream: a query replayed
-// ahead of the window would match edges it never saw live.
+// ahead of the window would match edges it never saw live. By the crash,
+// three retentions in, the engine's emitted sets (and the merger's) have
+// forgotten the matches of the first two, so the reference is the run of an
+// engine that forgets nothing: neither the uninterrupted run nor the replay
+// of the retained log may deliver anything else, or anything twice.
 func TestCrashRecoveryMidStreamRegistration(t *testing.T) {
 	w := gen.NetFlowWorkload(gen.NetFlowConfig{
 		Hosts:       250,
@@ -228,17 +251,34 @@ func TestCrashRecoveryMidStreamRegistration(t *testing.T) {
 	w.Queries = w.Queries[1:]
 	for _, mk := range inProcessBackends() {
 		t.Run(mk.name, func(t *testing.T) {
-			var mu sync.Mutex
-			ref := make(gen.MatchSet)
-			eng := mk.mk(streamworks.WithEngineConfig(w.Engine))
-			registerAll(t, eng, w)
-			sub, err := eng.Subscribe("", collectSet(&mu, ref))
-			if err != nil {
-				t.Fatalf("Subscribe: %v", err)
+			uninterrupted := func(run string) (gen.MatchSet, uint64) {
+				var mu sync.Mutex
+				set := make(gen.MatchSet)
+				eng := mk.mk(streamworks.WithEngineConfig(w.Engine))
+				registerAll(t, eng, w)
+				sub, err := eng.Subscribe("", oncePerRun(t, run, collectSet(&mu, set)))
+				if err != nil {
+					t.Fatalf("Subscribe: %v", err)
+				}
+				streamWithLate(t, eng, w, 0, len(w.Edges), 64, late)
+				eng.Close()
+				<-sub.Done()
+				m, err := eng.Metrics(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return set, m.EmittedEvicted
 			}
-			streamWithLate(t, eng, w, 0, len(w.Edges), 64, late)
-			eng.Close()
-			<-sub.Done()
+			sjtree.KeepEmittedForTest(true)
+			ref, kept := uninterrupted("the run that forgets nothing")
+			sjtree.KeepEmittedForTest(false)
+			evicting, evicted := uninterrupted("the uninterrupted run")
+			if kept != 0 || evicted == 0 {
+				t.Fatalf("%d emitted entries evicted with eviction off, %d with it on", kept, evicted)
+			}
+			if !evicting.Equal(ref) {
+				t.Fatalf("uninterrupted run delivered %d matches, %d when emitted sets keep everything", len(evicting), len(ref))
+			}
 			lateMatches := 0
 			for k := range ref {
 				if strings.HasPrefix(k, late.q.Name()+"\x1f") {

@@ -520,24 +520,40 @@ func (e *Engine) Advance(ts graph.Timestamp) {
 // never narrower than the widest window); for window-less queries, matches
 // referencing edges that have expired from the sliding window — without the
 // expiry batch those partials would accumulate forever.
+//
+// After that sweep nothing the engine still holds starts below the graph's
+// expiry cutoff, which is what makes it safe to hand the same cutoff to
+// every emitted set (graph.ExpiryCutoff): matches that start below it can
+// never be derived again, by a join, a plan swap or a backfill.
 func (e *Engine) pruneAll() {
 	e.metrics.PruneRuns++
 	wm := e.dyn.Watermark()
+	evicted := e.metrics.EmittedEvicted
 	if e.dag != nil {
 		e.metrics.PartialsPruned += uint64(e.dag.Prune(wm, e.expiredPending))
-		clear(e.expiredPending)
-		return
-	}
-	for _, name := range e.order {
-		reg := e.registrations[name]
-		if w := reg.query.Window(); w > 0 {
-			cutoff := wm - graph.Timestamp(w)
-			e.metrics.PartialsPruned += uint64(reg.tree.Prune(cutoff))
-		} else {
-			e.metrics.PartialsPruned += uint64(reg.tree.PruneExpiredEdges(e.expiredPending))
+		e.metrics.EmittedEvicted = e.dag.EmittedEvicted()
+	} else {
+		cutoff, retention := e.dyn.Cutoff(), e.dyn.Window()
+		for _, name := range e.order {
+			reg := e.registrations[name]
+			if w := reg.query.Window(); w > 0 {
+				e.metrics.PartialsPruned += uint64(reg.tree.Prune(wm - graph.Timestamp(w)))
+			} else {
+				e.metrics.PartialsPruned += uint64(reg.tree.PruneExpiredEdges(e.expiredPending))
+			}
+			e.metrics.EmittedEvicted += uint64(reg.tree.Emitted().Expire(cutoff, retention))
 		}
 	}
 	clear(e.expiredPending)
+	if e.obs.enabled {
+		e.obs.emittedEvicted.Add(e.metrics.EmittedEvicted - evicted)
+		for _, name := range e.order {
+			reg := e.registrations[name]
+			set := reg.emitted()
+			reg.emittedEntries.Set(int64(set.Len()))
+			reg.emittedBytes.Set(int64(set.Bytes()))
+		}
+	}
 }
 
 // Metrics returns a snapshot of engine counters, including per-query detail.
@@ -564,6 +580,8 @@ func (e *Engine) Metrics() Metrics {
 			Replans:        reg.replans,
 			PlanNodes:      reg.plan.NumNodes(),
 			PlanDepth:      reg.plan.Depth(),
+			EmittedEntries: reg.emitted().Len(),
+			EmittedBytes:   reg.emitted().Bytes(),
 		}
 		if reg.tree != nil {
 			m.PartialMatches += reg.tree.PartialMatchCount()

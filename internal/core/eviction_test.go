@@ -1,0 +1,126 @@
+package core
+
+import (
+	"testing"
+	"time"
+
+	"github.com/streamworks/streamworks/internal/decompose"
+	"github.com/streamworks/streamworks/internal/graph"
+	"github.com/streamworks/streamworks/internal/query"
+	"github.com/streamworks/streamworks/internal/sjtree"
+)
+
+// TestExactlyOnceAcrossEviction: an engine whose emitted sets forget expired
+// matches delivers exactly what one that remembers everything delivers, each
+// match once — across the operations that derive matches a second time from
+// retained state, forced every few retentions of a sixty-retention stream:
+// plan swaps (a rebuilt SJ-Tree replaying the window per query; DAG.Swap
+// under shared plans) and a mid-stream registration (under shared plans its
+// root is an existing node, backfilled with the matches already there).
+func TestExactlyOnceAcrossEviction(t *testing.T) {
+	const retention = 10 * time.Second // 50 edges of randomHostStream
+	edges := randomHostStream(99, 3000)
+	type outcome struct {
+		delivered map[string]int // query + signature -> deliveries
+		evicted   uint64
+	}
+	run := func(t *testing.T, shared, keep bool) outcome {
+		sjtree.KeepEmittedForTest(keep)
+		defer sjtree.KeepEmittedForTest(false)
+		cfg := DefaultConfig()
+		cfg.SharedPlans = shared
+		cfg.Retention = retention
+		cfg.PruneInterval = 16
+		e := New(&cfg)
+		for _, q := range []*query.Graph{smurfQuery(retention), probeQuery(0), exfilQuery(retention)} {
+			if _, err := e.RegisterQuery(q, WithStrategy(decompose.StrategySelective)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out := outcome{delivered: map[string]int{}}
+		e.Subscribe("", MatchSinkFunc(func(ev MatchEvent) {
+			out.delivered[ev.Query+"\x1f"+ev.CanonicalSignature()]++
+		}))
+		strategies := []decompose.Strategy{decompose.StrategyEager, decompose.StrategyLazy, decompose.StrategyBalanced, decompose.StrategySelective}
+		for i, se := range edges {
+			e.ProcessEdge(se)
+			switch n := i + 1; {
+			case n == 400:
+				// Same shape as probe: under shared plans its root node exists
+				// and is full.
+				late := query.NewBuilder("probe-late").
+					Vertex("scanner", "Host").Vertex("target", "Host").Vertex("resolver", "Host").
+					Edge("scanner", "target", "icmp_echo_req").Edge("target", "resolver", "dns").
+					MustBuild()
+				if _, err := e.RegisterQuery(late, WithStrategy(decompose.StrategySelective)); err != nil {
+					t.Fatal(err)
+				}
+			case n >= 150 && n%170 == 0:
+				for _, name := range []string{"smurf", "probe", "exfil"} {
+					if err := e.ReplanNow(name, strategies[n/170%len(strategies)]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		m := e.Metrics()
+		if m.Replans < 30 {
+			t.Fatalf("only %d plan swaps", m.Replans)
+		}
+		out.evicted = m.EmittedEvicted
+		return out
+	}
+	for _, shared := range []bool{false, true} {
+		name := "per-query trees"
+		if shared {
+			name = "shared plans"
+		}
+		t.Run(name, func(t *testing.T) {
+			want, got := run(t, shared, true), run(t, shared, false)
+			if want.evicted != 0 || got.evicted == 0 {
+				t.Fatalf("%d entries evicted with eviction off, %d with it on", want.evicted, got.evicted)
+			}
+			for key, n := range got.delivered {
+				if n != 1 {
+					t.Errorf("%q delivered %d times", key, n)
+				}
+				if want.delivered[key] == 0 {
+					t.Errorf("%q delivered only when emitted sets evict", key)
+				}
+			}
+			if len(got.delivered) != len(want.delivered) || len(got.delivered) < 100 {
+				t.Fatalf("%d distinct matches delivered, %d when emitted sets keep everything", len(got.delivered), len(want.delivered))
+			}
+		})
+	}
+}
+
+// TestEmittedGaugesFollowTheSets: with observability on, the per-query
+// emitted-set gauges and the eviction counter in the registry say what
+// Metrics says.
+func TestEmittedGaugesFollowTheSets(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Retention = 10 * time.Second
+	cfg.PruneInterval = 16
+	cfg.Obs.Enabled = true
+	e := New(&cfg)
+	if _, err := e.RegisterQuery(smurfQuery(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	for _, se := range randomHostStream(7, 1600) {
+		e.ProcessEdge(se)
+	}
+	e.Advance(e.Graph().Watermark() + graph.Timestamp(time.Second)) // one more sweep, so the gauges are current
+	m, snap := e.Metrics(), e.ObsRegistry().Snapshot()
+	entries, _ := snap.FindGauge("emitted_entries", "smurf")
+	bytes, _ := snap.FindGauge("emitted_bytes", "smurf")
+	evicted, _ := snap.FindCounter("emitted_evicted", "")
+	q := m.Queries[0]
+	if q.EmittedEntries == 0 || m.EmittedEvicted == 0 {
+		t.Fatalf("vacuous: %d entries, %d evicted", q.EmittedEntries, m.EmittedEvicted)
+	}
+	if int(entries.Value) != q.EmittedEntries || int(bytes.Value) != q.EmittedBytes || evicted.Value != m.EmittedEvicted {
+		t.Fatalf("registry says %d entries, %d bytes, %d evicted; Metrics says %d, %d, %d",
+			entries.Value, bytes.Value, evicted.Value, q.EmittedEntries, q.EmittedBytes, m.EmittedEvicted)
+	}
+}

@@ -28,6 +28,15 @@ type Metrics struct {
 	PartialsPruned uint64
 	// PruneRuns is the number of pruning sweeps executed.
 	PruneRuns uint64
+	// EmittedEvicted is the cumulative number of entries the queries'
+	// exactly-once sets have forgotten because their matches started below
+	// the expiry cutoff and can never be derived again (summed over shards
+	// on a sharded engine). The sets' current size is per query, below.
+	EmittedEvicted uint64
+	// DedupEntries and DedupBytes size the shard merger's duplicate filter as
+	// it stands; zero on a single engine, which has no merger.
+	DedupEntries int
+	DedupBytes   int
 	// Registrations is the number of currently registered (active) queries;
 	// unregistering a query decreases it, keeping the snapshot truthful for
 	// long-lived multi-tenant servers.
@@ -70,6 +79,12 @@ type QueryMetrics struct {
 	Replans        uint64
 	PlanNodes      int
 	PlanDepth      int
+	// EmittedEntries and EmittedBytes size the query's exactly-once emitted
+	// set as it stands (summed over shards on a sharded engine): little more
+	// than one retention of matches, at 16 bytes per table slot and 8 per
+	// arena word (sjtree.EmittedSet.Bytes).
+	EmittedEntries int
+	EmittedBytes   int
 	// Nodes holds live per-SJ-tree-node statistics in plan (pre-order)
 	// order: the observed side of the selectivity estimates the plan was
 	// built from. Sharded engines report the node detail of the shard with

@@ -25,6 +25,8 @@ type engineObs struct {
 	// detectLag is the stream-time detection lag per emitted match
 	// (DetectedAt − match span end) — pure timestamp arithmetic, no clock.
 	detectLag *obs.Histogram
+	// emittedEvicted counts emitted-set entries dropped by the expiry cutoff.
+	emittedEvicted *obs.Counter
 
 	// curArrival is the serving-tier arrival stamp of the edge currently
 	// inside ProcessEdge (StreamEdge.ArrivedWallNS, zero when the edge never
@@ -51,6 +53,8 @@ func newEngineObs(c obs.Config) engineObs {
 		localSearch: c.Registry.Segment(obs.SegLocalSearch),
 		join:        c.Registry.Segment(obs.SegSJTreeJoin),
 		detectLag:   c.Registry.Histogram(obs.DetectLagHistogramName, "", ""),
+
+		emittedEvicted: c.Registry.Counter(obs.EmittedEvictedCounterName, "", ""),
 	}
 }
 

@@ -110,6 +110,10 @@ type Registration struct {
 	// matches themselves are owned by the SJ-Tree once inserted.
 	prims []*match.Match
 
+	// emittedEntries and emittedBytes are the query's emitted-set gauges,
+	// nil (and inert) unless observability is on.
+	emittedEntries, emittedBytes *obs.Gauge
+
 	// opts is the option list the registration was created with, retained so
 	// front-ends (e.g. the sharded engine) can replicate the registration
 	// onto other engines with identical semantics.
@@ -159,7 +163,18 @@ func newRegistration(e *Engine, name string, q *query.Graph, opts ...Registratio
 	if r.tree != nil {
 		r.rebuildCandidates()
 	}
+	r.emittedEntries = e.obs.registry.Gauge(obs.EmittedEntriesGaugeName, obs.QueryLabelKey, name)
+	r.emittedBytes = e.obs.registry.Gauge(obs.EmittedBytesGaugeName, obs.QueryLabelKey, name)
 	return r, nil
+}
+
+// emitted returns the query's exactly-once emission set, wherever the
+// evaluation path keeps it.
+func (r *Registration) emitted() *sjtree.EmittedSet {
+	if r.tree != nil {
+		return r.tree.Emitted()
+	}
+	return r.att.Emitted()
 }
 
 // rebuildCandidates (re)derives the per-edge-type index of (leaf, seed

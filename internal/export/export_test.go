@@ -3,6 +3,8 @@ package export
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -225,5 +227,60 @@ func TestBuildReportAllocationBudget(t *testing.T) {
 	allocbudget.Check(t, "export.BuildReport/unsigned", func() { r = BuildReport(unsigned, q, nil) })
 	if r.Signature != signed.Signature {
 		t.Fatalf("report signature %q, want %q", r.Signature, signed.Signature)
+	}
+}
+
+// TestReporterSharesAGroupsSlices: the 25 reports of one match handed to 25
+// like-named queries cost one bindings slice and one edge-ID list between
+// them, read exactly like 25 separate reports, and stop sharing as soon as
+// the match or the variable names change.
+func TestReporterSharesAGroupsSlices(t *testing.T) {
+	_, q, events := fixture(t)
+	ev := events[0]
+	ev.Signature = ev.Match.Signature()
+	group := make([]core.MatchEvent, 25)
+	for i := range group {
+		group[i] = ev
+		group[i].Query = fmt.Sprintf("rule-%02d", i)
+	}
+	// A fresh match per call, or the second call would share with the first.
+	clones := make([]*match.Match, allocbudget.Runs+1)
+	for i := range clones {
+		clones[i] = ev.Match.Clone()
+	}
+	var rep Reporter
+	var got []MatchReport
+	next := 0
+	allocbudget.Check(t, "export.Reporter/25-consumer group", func() {
+		got = got[:0]
+		for _, member := range group {
+			member.Match = clones[next]
+			got = append(got, rep.Build(member, q))
+		}
+		next++
+	})
+	for i, r := range got {
+		member := group[i]
+		member.Match = clones[next-1]
+		want := BuildReport(member, q, nil)
+		if !reflect.DeepEqual(r, want) {
+			t.Fatalf("shared report %d = %+v, want %+v", i, r, want)
+		}
+		if &r.EdgeIDs[0] != &got[0].EdgeIDs[0] || &r.Bindings[0] != &got[0].Bindings[0] {
+			t.Fatalf("report %d does not share the group's slices", i)
+		}
+	}
+	renamed := query.NewBuilder("renamed").
+		Vertex("x", "Host").Vertex("y", "Host").Vertex("z", "Host").
+		Edge("x", "y", "icmp_echo_req").Edge("y", "z", "icmp_echo_rep").
+		MustBuild()
+	last := group[24]
+	last.Match = clones[next-1]
+	other := rep.Build(last, renamed)
+	if other.Bindings[0].Variable != "x" || &other.EdgeIDs[0] != &got[0].EdgeIDs[0] {
+		t.Fatalf("report under other variable names: %+v", other)
+	}
+	if fresh := rep.Build(ev, q); &fresh.EdgeIDs[0] == &got[0].EdgeIDs[0] {
+		t.Fatal("a different match reused the previous one's edge IDs")
 	}
 }

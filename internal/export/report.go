@@ -10,6 +10,7 @@ import (
 
 	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/graph"
+	"github.com/streamworks/streamworks/internal/match"
 	"github.com/streamworks/streamworks/internal/query"
 )
 
@@ -22,7 +23,9 @@ type Binding struct {
 }
 
 // MatchReport is the JSON-friendly form of one match event, with query
-// variables resolved against the data graph.
+// variables resolved against the data graph. Like the match it reports, it
+// is immutable once built: the reports of one match (see Reporter) may share
+// their Bindings and EdgeIDs slices, so sinks must not mutate them.
 type MatchReport struct {
 	Query      string    `json:"query"`
 	DetectedAt int64     `json:"detected_at"`
@@ -52,7 +55,64 @@ type MatchReport struct {
 // graph for variable names and (optionally) the data graph for vertex types
 // and attributes. g may be nil, in which case only IDs are reported.
 func BuildReport(ev core.MatchEvent, q *query.Graph, g *graph.Graph) MatchReport {
-	r := MatchReport{
+	r := header(ev)
+	r.Bindings = bindings(ev.Match, q, g)
+	r.EdgeIDs = edgeIDs(ev.Match)
+	return r
+}
+
+// Reporter builds the ID-only reports of a stream of match events, sharing
+// what consecutive events have in common. Under shared plans the queries of
+// one consumer group are handed the very same immutable *match.Match one
+// after the other: their reports then share one sorted EdgeIDs slice and,
+// when the queries name their variables alike, one Bindings slice, so a
+// group's reports cost two allocations whatever its size. Reports of one
+// match may therefore share slices; sinks must not mutate them. The zero
+// value is ready to use; a Reporter is not safe for concurrent use.
+type Reporter struct {
+	match    *match.Match
+	q        *query.Graph
+	bindings []Binding
+	edgeIDs  []uint64
+}
+
+// Build is BuildReport(ev, q, nil), less what the previous report already
+// holds.
+func (b *Reporter) Build(ev core.MatchEvent, q *query.Graph) MatchReport {
+	sameMatch := ev.Match == b.match
+	if !sameMatch {
+		b.edgeIDs = edgeIDs(ev.Match)
+	}
+	if !sameMatch || !sameVariables(q, b.q) {
+		b.bindings = bindings(ev.Match, q, nil)
+	}
+	b.match, b.q = ev.Match, q
+	r := header(ev)
+	r.Bindings, r.EdgeIDs = b.bindings, b.edgeIDs
+	return r
+}
+
+// sameVariables reports whether two queries give every pattern vertex the
+// same name, so that a binding list resolved against one reads the same
+// against the other.
+func sameVariables(a, b *query.Graph) bool {
+	if a == b {
+		return true
+	}
+	if a == nil || b == nil || a.NumVertices() != b.NumVertices() {
+		return false
+	}
+	for i := 0; i < a.NumVertices(); i++ {
+		if a.Vertex(query.VertexID(i)).Name != b.Vertex(query.VertexID(i)).Name {
+			return false
+		}
+	}
+	return true
+}
+
+// header fills the scalar fields of ev's report.
+func header(ev core.MatchEvent) MatchReport {
+	return MatchReport{
 		Query:         ev.Query,
 		DetectedAt:    int64(ev.DetectedAt),
 		SpanStart:     int64(ev.Match.Span.Start),
@@ -60,10 +120,12 @@ func BuildReport(ev core.MatchEvent, q *query.Graph, g *graph.Graph) MatchReport
 		Signature:     ev.CanonicalSignature(),
 		ArrivedWallNS: ev.ArrivedWallNS,
 	}
-	// ForEachVertex iterates in ascending pattern-ID order, matching the
-	// sorted order the map-based representation had to construct.
-	r.Bindings = make([]Binding, 0, ev.Match.NumVertices())
-	ev.Match.ForEachVertex(func(qv query.VertexID, dv graph.VertexID) bool {
+}
+
+// bindings resolves m's vertex bindings, in ascending pattern-ID order.
+func bindings(m *match.Match, q *query.Graph, g *graph.Graph) []Binding {
+	out := make([]Binding, 0, m.NumVertices())
+	m.ForEachVertex(func(qv query.VertexID, dv graph.VertexID) bool {
 		b := Binding{VertexID: uint64(dv)}
 		if q != nil {
 			if v := q.Vertex(qv); v != nil {
@@ -84,17 +146,21 @@ func BuildReport(ev core.MatchEvent, q *query.Graph, g *graph.Graph) MatchReport
 				}
 			}
 		}
-		r.Bindings = append(r.Bindings, b)
+		out = append(out, b)
 		return true
 	})
-	deIDs := make([]uint64, 0, ev.Match.NumEdges())
-	ev.Match.ForEachEdge(func(_ query.EdgeID, de graph.EdgeID) bool {
-		deIDs = append(deIDs, uint64(de))
+	return out
+}
+
+// edgeIDs lists m's data edge IDs in ascending order.
+func edgeIDs(m *match.Match) []uint64 {
+	ids := make([]uint64, 0, m.NumEdges())
+	m.ForEachEdge(func(_ query.EdgeID, de graph.EdgeID) bool {
+		ids = append(ids, uint64(de))
 		return true
 	})
-	slices.Sort(deIDs)
-	r.EdgeIDs = deIDs
-	return r
+	slices.Sort(ids)
+	return ids
 }
 
 // WriteJSONReports writes one JSON object per line for every match event.

@@ -2,8 +2,41 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
+
+// NoCutoff is the expiry cutoff while nothing has expired: before the first
+// edge, and for ever under unbounded retention.
+const NoCutoff Timestamp = math.MinInt64
+
+// ExpiryCutoff is the one definition of the expiry bound: the stream time
+// below which nothing is retained any more. newest is the largest stream
+// time observed so far, NOT trailed by the slack; the bound trails it by the
+// retention plus the slack and never moves back, so a wider retention
+// arriving later cannot resurrect what was already expired. With zero
+// (unbounded) retention it stays where it was: nothing ever expires.
+//
+// Four things obey it. Dynamic expires edges below it. The engine evicts
+// emitted-match entries whose Span.Start is below it once its partial
+// matches have been pruned against the same watermark: everything a later
+// join, plan swap, backfill or recovery can combine — retained edges, stored
+// partials, edges still to arrive — then starts at or above the bound, so a
+// match that starts below it can never be derived again. The WAL deletes
+// segments and emitted notes below it; it feeds the function the same raw
+// newest stream time as Dynamic, so from the first edge on the two agree to
+// the nanosecond. The
+// shard merger only ever sees slack-trailed shard watermarks and passes the
+// smallest of them as newest, so its bound trails the shards' by one more
+// slack — later, never earlier: a late edge can still complete, on a lagging
+// shard, a match reaching back a retention from up to a slack behind that
+// shard's watermark.
+func ExpiryCutoff(prev, newest Timestamp, retention, slack time.Duration) Timestamp {
+	if retention <= 0 {
+		return prev
+	}
+	return max(prev, newest-Timestamp(retention)-Timestamp(slack))
+}
 
 // Dynamic is the temporally evolving data graph of the paper: edges arrive
 // with timestamps and the graph retains only those whose timestamp falls
@@ -17,6 +50,7 @@ type Dynamic struct {
 	window    time.Duration
 	slack     time.Duration
 	watermark Timestamp
+	cutoff    Timestamp
 	seenAny   bool
 
 	// queue orders live edges by timestamp for window expiry. It is kept
@@ -53,6 +87,7 @@ func NewDynamic(window time.Duration, opts ...DynamicOption) *Dynamic {
 	dg := &Dynamic{
 		g:      New(WithAutoVertices()),
 		window: window,
+		cutoff: NoCutoff,
 	}
 	for _, o := range opts {
 		o(dg)
@@ -70,6 +105,10 @@ func (d *Dynamic) Window() time.Duration { return d.window }
 // Watermark returns the current stream watermark: the latest timestamp
 // observed minus the out-of-order slack.
 func (d *Dynamic) Watermark() Timestamp { return d.watermark }
+
+// Cutoff returns the expiry bound (ExpiryCutoff): every edge older than it
+// has already left the graph. It is NoCutoff until something can expire.
+func (d *Dynamic) Cutoff() Timestamp { return d.cutoff }
 
 // NumVertices returns the number of live vertices.
 func (d *Dynamic) NumVertices() int { return d.g.NumVertices() }
@@ -149,7 +188,7 @@ func (q *edgeQueue) pushSorted(e *Edge) {
 }
 
 // advance moves the watermark forward to ts-slack (never backwards) and
-// expires edges older than watermark-window.
+// expires edges older than the cutoff, watermark-window.
 func (d *Dynamic) advance(ts Timestamp) {
 	if !d.seenAny {
 		d.seenAny = true
@@ -157,6 +196,7 @@ func (d *Dynamic) advance(ts Timestamp) {
 	} else if wm := ts - Timestamp(d.slack); wm > d.watermark {
 		d.watermark = wm
 	}
+	d.cutoff = ExpiryCutoff(d.cutoff, ts, d.window, d.slack)
 	d.expire()
 }
 
@@ -190,13 +230,9 @@ func (d *Dynamic) ForEachLiveEdge(fn func(*Edge) bool) {
 }
 
 func (d *Dynamic) expire() {
-	if d.window <= 0 {
-		return
-	}
-	cutoff := d.watermark - Timestamp(d.window)
 	for d.queue.len() > 0 {
 		e := d.queue.front()
-		if e.Timestamp >= cutoff {
+		if e.Timestamp >= d.cutoff {
 			return
 		}
 		d.queue.popFront()

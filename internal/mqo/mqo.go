@@ -181,8 +181,9 @@ type DAG struct {
 	atts     map[string]*Attachment
 	attOrder []string
 
-	localSearches uint64
-	sharedHits    uint64
+	localSearches  uint64
+	sharedHits     uint64
+	emittedEvicted uint64
 
 	// prims is the per-edge scratch buffer for local-search results; only
 	// the backing array is reused, the matches are owned by the DAG once
@@ -250,6 +251,10 @@ func (d *DAG) LocalSearches() uint64 { return d.localSearches }
 // of a node referenced by k parents-or-consumers, k−1 redundant per-query
 // searches were avoided.
 func (d *DAG) SharedHits() uint64 { return d.sharedHits }
+
+// EmittedEvicted returns the cumulative number of entries Prune has expired
+// from the attachments' emitted sets.
+func (d *DAG) EmittedEvicted() uint64 { return d.emittedEvicted }
 
 // ProcessEdge runs the per-edge incremental step for every attached query at
 // once: one local search per distinct leaf primitive the edge can seed, with
@@ -399,6 +404,10 @@ func (g consumerGroup) deliver(m *match.Match, suppress bool) {
 // window. Both the node collection and every parent-link partition are
 // swept with the same predicate, so the remapped views never outlive the
 // canonical match. Returns the number of stored entries removed.
+//
+// With the partial matches pruned, nothing left in the DAG or the graph
+// starts below the graph's expiry cutoff, so every attachment's emitted set
+// forgets the matches that do (EmittedSet.Expire).
 func (d *DAG) Prune(wm graph.Timestamp, expired map[graph.EdgeID]struct{}) int {
 	removed := 0
 	for _, sig := range d.order {
@@ -412,6 +421,10 @@ func (d *DAG) Prune(wm graph.Timestamp, expired map[graph.EdgeID]struct{}) int {
 			removed += n.left.part.PruneWhere(drop)
 			removed += n.right.part.PruneWhere(drop)
 		}
+	}
+	cutoff, retention := d.g.Cutoff(), d.g.Window()
+	for _, name := range d.attOrder {
+		d.emittedEvicted += uint64(d.atts[name].emitted.Expire(cutoff, retention))
 	}
 	return removed
 }

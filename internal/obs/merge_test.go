@@ -114,3 +114,26 @@ func TestMergeSumsSeries(t *testing.T) {
 		t.Fatalf("merge with empty snapshot changed the result")
 	}
 }
+
+// TestMergeSumsGauges: a gauge here is a size owned by one worker, so the
+// workers' gauges add up to the engine's; a nil registry hands out inert
+// gauges like it does counters.
+func TestMergeSumsGauges(t *testing.T) {
+	a, b := NewRegistry(), NewRegistry()
+	a.Gauge(EmittedEntriesGaugeName, QueryLabelKey, "q").Set(40)
+	b.Gauge(EmittedEntriesGaugeName, QueryLabelKey, "q").Set(2)
+	b.Gauge(DedupEntriesGaugeName, "", "").Set(5)
+	merged := Merge(a.Snapshot(), b.Snapshot())
+	if g, ok := merged.FindGauge(EmittedEntriesGaugeName, "q"); !ok || g.Value != 42 {
+		t.Fatalf("merged per-query gauge = %+v", g)
+	}
+	if g, ok := merged.FindGauge(DedupEntriesGaugeName, ""); !ok || g.Value != 5 {
+		t.Fatalf("merged unlabelled gauge = %+v", g)
+	}
+	var none *Registry
+	g := none.Gauge("x", "", "")
+	g.Set(1)
+	if g.Value() != 0 {
+		t.Fatal("a nil gauge kept a value")
+	}
+}

@@ -41,6 +41,29 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
+// Gauge is an atomic value that goes up and down: a size as it stands, set
+// by the goroutine that owns the thing measured. The zero value is ready to
+// use; a nil Gauge ignores Set.
+type Gauge struct {
+	v atomic.Int64
+}
+
+// Set replaces the gauge's value.
+func (g *Gauge) Set(v int64) {
+	if g == nil {
+		return
+	}
+	g.v.Store(v)
+}
+
+// Value returns the current value.
+func (g *Gauge) Value() int64 {
+	if g == nil {
+		return 0
+	}
+	return g.v.Load()
+}
+
 // Histogram is a fixed-bucket latency histogram with atomic cells. Writers
 // call Observe with non-negative nanosecond (or other unit) values; readers
 // snapshot at any time. The zero value is ready to use; a nil Histogram
@@ -98,12 +121,13 @@ type metricKey struct {
 	labelValue string
 }
 
-// Registry is a get-or-create store of named counters and histograms. Handle
-// resolution takes a mutex and is meant for setup time; the handles
-// themselves are lock-free. Snapshots are safe from any goroutine.
+// Registry is a get-or-create store of named counters, gauges and
+// histograms. Handle resolution takes a mutex and is meant for setup time;
+// the handles themselves are lock-free. Snapshots are safe from any goroutine.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[metricKey]*Counter
+	gauges   map[metricKey]*Gauge
 	hists    map[metricKey]*Histogram
 }
 
@@ -111,8 +135,26 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[metricKey]*Counter),
+		gauges:   make(map[metricKey]*Gauge),
 		hists:    make(map[metricKey]*Histogram),
 	}
+}
+
+// Gauge returns the named gauge, creating it on first use; nil from a nil
+// registry, like Counter.
+func (r *Registry) Gauge(name, labelKey, labelValue string) *Gauge {
+	if r == nil {
+		return nil
+	}
+	k := metricKey{name, labelKey, labelValue}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	g := r.gauges[k]
+	if g == nil {
+		g = &Gauge{}
+		r.gauges[k] = g
+	}
+	return g
 }
 
 // Counter returns the named counter, creating it on first use. Label key and
@@ -168,6 +210,14 @@ type CounterSnapshot struct {
 	Value      uint64 `json:"value"`
 }
 
+// GaugeSnapshot is one gauge series at a point in time.
+type GaugeSnapshot struct {
+	Name       string `json:"name"`
+	LabelKey   string `json:"label_key,omitempty"`
+	LabelValue string `json:"label_value,omitempty"`
+	Value      int64  `json:"value"`
+}
+
 // HistogramSnapshot is one histogram series at a point in time, with summary
 // statistics precomputed so JSON consumers (loadgen, dashboards) need not
 // reimplement bucket math. Quantiles are log-linear estimates from the
@@ -190,6 +240,7 @@ type HistogramSnapshot struct {
 // deterministic (name, label) order.
 type Snapshot struct {
 	Counters   []CounterSnapshot   `json:"counters,omitempty"`
+	Gauges     []GaugeSnapshot     `json:"gauges,omitempty"`
 	Histograms []HistogramSnapshot `json:"histograms,omitempty"`
 }
 
@@ -207,9 +258,15 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, h := range r.hists {
 		hists[k] = h
 	}
+	var s Snapshot
+	for k, g := range r.gauges {
+		s.Gauges = append(s.Gauges, GaugeSnapshot{
+			Name: k.name, LabelKey: k.labelKey, LabelValue: k.labelValue,
+			Value: g.Value(),
+		})
+	}
 	r.mu.RUnlock()
 
-	var s Snapshot
 	for k, c := range counters {
 		s.Counters = append(s.Counters, CounterSnapshot{
 			Name: k.name, LabelKey: k.labelKey, LabelValue: k.labelValue,
@@ -236,6 +293,13 @@ func (r *Registry) Snapshot() Snapshot {
 func (s *Snapshot) sort() {
 	sort.Slice(s.Counters, func(i, j int) bool {
 		a, b := s.Counters[i], s.Counters[j]
+		if a.Name != b.Name {
+			return a.Name < b.Name
+		}
+		return a.LabelValue < b.LabelValue
+	})
+	sort.Slice(s.Gauges, func(i, j int) bool {
+		a, b := s.Gauges[i], s.Gauges[j]
 		if a.Name != b.Name {
 			return a.Name < b.Name
 		}
@@ -305,15 +369,27 @@ func BucketUpperBound(i int) int64 {
 	return 1<<i - 1
 }
 
-// Merge folds any number of snapshots into one: counters with the same
-// (name, label) sum, histograms sum cell-wise. Shard front-ends use this to
+// Merge folds any number of snapshots into one: counters and gauges with the
+// same (name, label) sum — a gauge here is a size, and the workers' sizes add
+// up to the engine's — and histograms sum cell-wise. Shard front-ends use this to
 // present per-worker registries as a single logical registry, mirroring how
 // shard.Metrics() sums worker counters.
 func Merge(snaps ...Snapshot) Snapshot {
 	counters := make(map[metricKey]*CounterSnapshot)
+	gauges := make(map[metricKey]int)
 	hists := make(map[metricKey]*HistogramSnapshot)
 	var corder, horder []metricKey
+	var out Snapshot
 	for _, s := range snaps {
+		for _, g := range s.Gauges {
+			k := metricKey{g.Name, g.LabelKey, g.LabelValue}
+			if i, ok := gauges[k]; ok {
+				out.Gauges[i].Value += g.Value
+			} else {
+				gauges[k] = len(out.Gauges)
+				out.Gauges = append(out.Gauges, g)
+			}
+		}
 		for _, c := range s.Counters {
 			k := metricKey{c.Name, c.LabelKey, c.LabelValue}
 			if have, ok := counters[k]; ok {
@@ -342,7 +418,6 @@ func Merge(snaps ...Snapshot) Snapshot {
 			}
 		}
 	}
-	var out Snapshot
 	for _, k := range corder {
 		out.Counters = append(out.Counters, *counters[k])
 	}
@@ -364,6 +439,17 @@ func (s Snapshot) Find(name, labelValue string) (HistogramSnapshot, bool) {
 		}
 	}
 	return HistogramSnapshot{}, false
+}
+
+// FindGauge returns the gauge snapshot with the given name and label value,
+// if present.
+func (s Snapshot) FindGauge(name, labelValue string) (GaugeSnapshot, bool) {
+	for _, g := range s.Gauges {
+		if g.Name == name && g.LabelValue == labelValue {
+			return g, true
+		}
+	}
+	return GaugeSnapshot{}, false
 }
 
 // FindCounter returns the counter snapshot with the given name and label

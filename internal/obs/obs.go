@@ -144,6 +144,19 @@ const (
 	// structurally overlapping queries are attached — sharing is visible,
 	// not assumed.
 	MQOSharedHitsCounterName = "mqo_shared_hits"
+	// EmittedEntriesGaugeName and EmittedBytesGaugeName size one query's
+	// exactly-once emitted set as it stands, labelled by query and refreshed
+	// at every prune sweep; EmittedEvictedCounterName counts the entries the
+	// expiry cutoff has dropped from all of them. DedupEntriesGaugeName and
+	// DedupBytesGaugeName are the same sizes for the shard merger's
+	// duplicate filter. Bytes are sjtree.EmittedSet.Bytes' estimate.
+	EmittedEntriesGaugeName   = "emitted_entries"
+	EmittedBytesGaugeName     = "emitted_bytes"
+	EmittedEvictedCounterName = "emitted_evicted"
+	DedupEntriesGaugeName     = "dedup_entries"
+	DedupBytesGaugeName       = "dedup_bytes"
+	// QueryLabelKey labels a per-query series with the registration name.
+	QueryLabelKey = "query"
 )
 
 // Segment returns the histogram for one latency segment, creating it on

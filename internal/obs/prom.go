@@ -134,10 +134,13 @@ func (p *PromWriter) Histogram(hs HistogramSnapshot) {
 	p.printf("%s_count%s %d\n", family, labelSuffix(hs.LabelKey, hs.LabelValue), hs.Count)
 }
 
-// Snapshot emits every counter and histogram in the snapshot.
+// Snapshot emits every counter, gauge and histogram in the snapshot.
 func (p *PromWriter) Snapshot(s Snapshot) {
 	for _, c := range s.Counters {
 		p.Counter(c.Name, c.LabelKey, c.LabelValue, float64(c.Value))
+	}
+	for _, g := range s.Gauges {
+		p.Gauge(g.Name, g.LabelKey, g.LabelValue, float64(g.Value))
 	}
 	for _, h := range s.Histograms {
 		p.Histogram(h)

@@ -15,6 +15,8 @@ func TestPromRoundTrip(t *testing.T) {
 		seg.Observe(1500)
 	}
 	r.Segment(SegSJTreeJoin).Observe(3_000_000)
+	r.Gauge(EmittedEntriesGaugeName, QueryLabelKey, "smurf").Set(9)
+	r.Gauge(EmittedEntriesGaugeName, QueryLabelKey, "smurf").Set(7) // a gauge is replaced, not added to
 
 	var sb strings.Builder
 	pw := NewPromWriter(&sb)
@@ -34,6 +36,8 @@ func TestPromRoundTrip(t *testing.T) {
 		`streamworks_segment_latency_seconds_count{segment="local_search"} 100`,
 		`streamworks_segment_latency_seconds_count{segment="sjtree_join"} 1`,
 		"streamworks_live_edges 42",
+		"# TYPE streamworks_emitted_entries gauge",
+		`streamworks_emitted_entries{query="smurf"} 7`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)

@@ -126,6 +126,14 @@ func TestEndToEndObservability(t *testing.T) {
 	// /v1/metrics carries the merged histogram snapshot; every wall-time
 	// journey segment must have observations for this workload.
 	m, err := c.Metrics(ctx)
+	// The server observes a match's journey just after the flush that
+	// delivered it, so the last observation can trail the client's receipt.
+	for deadline := time.Now().Add(5 * time.Second); err == nil && m.Obs != nil && time.Now().Before(deadline); m, err = c.Metrics(ctx) {
+		if jh, _ := m.Obs.Find(obs.JourneyHistogramName, ""); jh.Count >= uint64(len(expected)) {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	if err != nil {
 		t.Fatalf("metrics: %v", err)
 	}
@@ -177,6 +185,11 @@ func TestEndToEndObservability(t *testing.T) {
 		"streamworks_segment_latency_seconds_sum",
 		"streamworks_segment_latency_seconds_count",
 		"streamworks_trace_events_recorded_total",
+		"streamworks_emitted_entries",
+		"streamworks_emitted_bytes",
+		"streamworks_emitted_evicted_total",
+		"streamworks_dedup_entries",
+		"streamworks_dedup_bytes",
 	} {
 		if !series[want] {
 			t.Errorf("/metrics missing series %s", want)

@@ -6,59 +6,45 @@ import (
 
 	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/graph"
-	"github.com/streamworks/streamworks/internal/match"
+	"github.com/streamworks/streamworks/internal/sjtree"
 )
 
 // dedup is the merge-side duplicate filter: replicated edges let the same
 // complete match surface on several shards, and each occurrence carries the
 // same canonical identity — the query name plus the exact pattern-edge →
-// data-edge binding. Only the first occurrence passes. The identity is a
-// comparable struct (query name + the match's cached 64-bit edge-set hash)
-// with equality-checked buckets, replacing the old query+"\x1f"+Signature()
-// string concatenation, so admitting a match allocates no strings and a
-// hash collision can never suppress a genuine match.
+// data-edge binding. Only the first occurrence passes. It keeps, per query,
+// the same set of compact edge bindings an engine keeps of its own
+// emissions (sjtree.EmittedSet): admitting a match allocates nothing, pins
+// no *match.Match, and a hash collision can never suppress a genuine match.
 //
-// Seen entries are evicted by maybeSweep against the minimum shard watermark
-// the merger has observed through progress marks. A shard emits a duplicate
-// of match M while its watermark is at most End(M)+retention+slack (M's
-// edges must still be live and admissible there), and the merge channel
-// preserves each shard's send order, so once every shard's observed
-// watermark has passed that bound, all possible duplicates of M have already
-// been received — the entry is safe to drop regardless of how far any
-// mailbox lags. With unbounded retention nothing ever expires and entries
-// are kept forever.
+// Entries expire by the engines' own rule — a match whose Span.Start is
+// below the expiry cutoff is dead — with the cutoff taken from the minimum
+// shard watermark the merger has observed through progress marks
+// (graph.ExpiryCutoff explains the extra slack). A shard first derives a
+// match while it processes the match's last edge, which its watermark then
+// trails by at most the slack, and a match fits the retention; what a plan
+// swap or backfill derives again, the shard's own emitted set — evicted by
+// the same rule, against an older cutoff — still suppresses; and the merge
+// channel preserves each shard's send order. So once every shard's observed
+// watermark has passed Start(M)+retention+slack, every duplicate of M has
+// already been received, however far any mailbox lags. (A window-less query
+// can emit a match wider than the retention, from a partial the next prune
+// sweep would have removed; such a match is outside the guarantee.) With
+// unbounded retention the cutoff never moves and nothing is evicted.
 type dedup struct {
 	mu        sync.Mutex
-	seen      map[matchKey][]dedupEntry // bucketed by (query, edge-set hash)
-	count     int                       // total entries across all buckets
-	perQuery  map[string]uint64         // deduplicated matches per query
-	unique    uint64
-	dups      uint64
+	seen      map[string]*sjtree.EmittedSet // admitted matches per query
+	cutoff    graph.Timestamp
 	retention time.Duration // grows with registered query windows
 	slack     time.Duration
-	sweepAt   int
-}
-
-// matchKey is the comparable bucket key of one match identity.
-type matchKey struct {
-	query string
-	hash  uint64
-}
-
-// dedupEntry pins one admitted match for exact equality checks and records
-// its span end for watermark-based eviction.
-type dedupEntry struct {
-	m   *match.Match
-	end graph.Timestamp
 }
 
 func newDedup(retention, slack time.Duration) *dedup {
 	return &dedup{
-		seen:      make(map[matchKey][]dedupEntry),
-		perQuery:  make(map[string]uint64),
+		seen:      make(map[string]*sjtree.EmittedSet),
+		cutoff:    graph.NoCutoff,
 		retention: retention,
 		slack:     slack,
-		sweepAt:   4096,
 	}
 }
 
@@ -76,61 +62,55 @@ func (d *dedup) noteWindow(w time.Duration) {
 func (d *dedup) admit(ev core.MatchEvent) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	k := matchKey{query: ev.Query, hash: ev.Match.EdgeSetHash()}
-	bucket := d.seen[k]
-	for _, entry := range bucket {
-		if entry.m.SameEdges(ev.Match) {
-			d.dups++
-			return false
-		}
+	set := d.seen[ev.Query]
+	if set == nil {
+		set = sjtree.NewEmittedSet()
+		d.seen[ev.Query] = set
 	}
-	d.seen[k] = append(bucket, dedupEntry{m: ev.Match, end: ev.Match.Span.End})
-	d.count++
-	d.unique++
-	d.perQuery[ev.Query]++
-	return true
+	return set.Add(ev.Match)
 }
 
-// maybeSweep evicts entries whose matches can no longer be rediscovered,
+// expire evicts the entries whose matches can no longer be rediscovered,
 // given the minimum watermark the merger has observed across all shards.
-// Cheap to call often: it only scans once the map has grown past a
-// threshold.
-func (d *dedup) maybeSweep(minShardWM graph.Timestamp) {
+// Cheap to call at every progress mark: a cutoff that has not moved is
+// turned away before any set is touched.
+func (d *dedup) expire(minShardWM graph.Timestamp) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.count < d.sweepAt {
+	cutoff := graph.ExpiryCutoff(d.cutoff, minShardWM, d.retention, d.slack)
+	if cutoff == d.cutoff {
 		return
 	}
-	if d.retention <= 0 {
-		d.sweepAt = d.count * 2
-		return
+	d.cutoff = cutoff
+	//swvet:unordered every query's set takes the same cutoff, independently of the others
+	for _, set := range d.seen {
+		set.Expire(cutoff, d.retention)
 	}
-	horizon := minShardWM - graph.Timestamp(d.retention+d.slack)
-	for k, bucket := range d.seen {
-		kept := bucket[:0]
-		for _, entry := range bucket {
-			if entry.end >= horizon {
-				kept = append(kept, entry)
-			}
-		}
-		d.count -= len(bucket) - len(kept)
-		if len(kept) == 0 {
-			delete(d.seen, k)
-		} else {
-			d.seen[k] = kept
-		}
-	}
-	d.sweepAt = d.count*2 + 4096
 }
 
 // stats returns the deduplication counters: unique matches passed through,
-// duplicates suppressed, and unique matches per query (a copy).
+// duplicates suppressed, and unique matches per query.
 func (d *dedup) stats() (unique, dups uint64, perQuery map[string]uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	perQuery = make(map[string]uint64, len(d.perQuery))
-	for q, n := range d.perQuery {
-		perQuery[q] = n
+	perQuery = make(map[string]uint64, len(d.seen))
+	//swvet:unordered sums and a keyed copy
+	for name, set := range d.seen {
+		perQuery[name] = set.Total()
+		unique += set.Total()
+		dups += set.DuplicateDrops()
 	}
-	return d.unique, d.dups, perQuery
+	return unique, dups, perQuery
+}
+
+// size returns how many entries the filter holds and their estimated bytes.
+func (d *dedup) size() (entries, bytes int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	//swvet:unordered sums
+	for _, set := range d.seen {
+		entries += set.Len()
+		bytes += set.Bytes()
+	}
+	return entries, bytes
 }

@@ -151,43 +151,45 @@ func TestDedupSuppressesReplicatedMatches(t *testing.T) {
 	if perQuery["q"] != 1 || perQuery["other"] != 1 {
 		t.Fatalf("per-query stats = %v", perQuery)
 	}
+	if entries, bytes := d.size(); entries != 2 || bytes == 0 {
+		t.Fatalf("size = %d entries, %d bytes", entries, bytes)
+	}
 }
 
-func TestDedupSweepEvictsExpiredKeys(t *testing.T) {
-	d := newDedup(100*time.Nanosecond, 0)
-	d.sweepAt = 8
-	for i := 0; i < 64; i++ {
-		d.admit(matchEvent("q", graph.EdgeID(i+1), graph.Timestamp(i*100)))
+func TestDedupExpiresWithTheWindow(t *testing.T) {
+	const retention = 1000 * time.Nanosecond
+	// One match every 100 ns for 30 retentions; minWM(i) is the minimum shard
+	// watermark the merger has seen by then.
+	run := func(d *dedup, minWM func(i int) graph.Timestamp) {
+		for i := 0; i < 300; i++ {
+			if !d.admit(matchEvent("q", graph.EdgeID(i+1), graph.Timestamp(i*100))) {
+				t.Fatalf("match %d rejected", i)
+			}
+			d.expire(minWM(i))
+		}
 	}
-	// Every shard is at watermark 5000: matches ending before the horizon
-	// 5000-100=4900 can no longer be rediscovered and are evicted; the 15
-	// matches ending at 4900..6300 survive.
-	d.maybeSweep(5000)
-	if len(d.seen) != 15 {
-		t.Fatalf("sweep left %d keys, want 15", len(d.seen))
+	d := newDedup(retention, 0)
+	run(d, func(i int) graph.Timestamp { return graph.Timestamp(i * 100) })
+	// The cutoff stands at 29900-1000: the 11 newest matches are live, and
+	// the dead ones still held are a fraction of a retention's worth.
+	if entries, _ := d.size(); entries < 11 || entries > 11+4 {
+		t.Fatalf("%d entries left after 30 retentions, want the 11 live ones and at most 4 dead", entries)
 	}
-	recent := matchEvent("q", 64, 6300)
-	if _, ok := d.seen[matchKey{query: recent.Query, hash: recent.Match.EdgeSetHash()}]; !ok {
-		t.Fatalf("recent key evicted")
+	for i := 289; i < 300; i++ {
+		if d.admit(matchEvent("q", graph.EdgeID(i+1), graph.Timestamp(i*100))) {
+			t.Fatalf("live match %d admitted twice", i)
+		}
 	}
 	// A shard watermark far in the past must hold everything back.
-	e := newDedup(100*time.Nanosecond, 0)
-	e.sweepAt = 8
-	for i := 0; i < 64; i++ {
-		e.admit(matchEvent("q", graph.EdgeID(i+1), graph.Timestamp(i*100)))
-	}
-	e.maybeSweep(0)
-	if len(e.seen) != 64 {
-		t.Fatalf("sweep evicted keys still rediscoverable by a lagging shard: %d of 64 left", len(e.seen))
+	e := newDedup(retention, 0)
+	run(e, func(int) graph.Timestamp { return 0 })
+	if entries, _ := e.size(); entries != 300 {
+		t.Fatalf("evicted entries still rediscoverable by a lagging shard: %d of 300 left", entries)
 	}
 	// Unbounded retention must never evict (matches can always recur).
 	u := newDedup(0, 0)
-	u.sweepAt = 8
-	for i := 0; i < 64; i++ {
-		u.admit(matchEvent("q", graph.EdgeID(i+1), graph.Timestamp(i*100)))
-	}
-	u.maybeSweep(1 << 40)
-	if len(u.seen) != 64 {
-		t.Fatalf("unbounded dedup evicted keys: %d of 64 left", len(u.seen))
+	run(u, func(int) graph.Timestamp { return 1 << 40 })
+	if entries, _ := u.size(); entries != 300 {
+		t.Fatalf("unbounded dedup evicted entries: %d of 300 left", entries)
 	}
 }

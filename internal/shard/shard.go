@@ -127,6 +127,9 @@ type ShardedEngine struct {
 	obsReg      *obs.Registry
 	obsClock    obs.Clock
 	obsDispatch *obs.Histogram
+	// obsDedupEntries and obsDedupBytes size the merger's duplicate filter,
+	// refreshed by the merger at every progress mark.
+	obsDedupEntries, obsDedupBytes *obs.Gauge
 }
 
 // Subscription is one per-query push subscription on a ShardedEngine. The
@@ -245,6 +248,8 @@ func New(cfg *Config) *ShardedEngine {
 		s.obsReg = obs.NewRegistry()
 		s.obsClock = obsCfg.Clock
 		s.obsDispatch = s.obsReg.Segment(obs.SegDispatch)
+		s.obsDedupEntries = s.obsReg.Gauge(obs.DedupEntriesGaugeName, "", "")
+		s.obsDedupBytes = s.obsReg.Gauge(obs.DedupBytesGaugeName, "", "")
 	}
 	for i := 0; i < c.Shards; i++ {
 		engCfg := c.Engine
@@ -392,7 +397,7 @@ func (s *ShardedEngine) Start() {
 // merge funnels all shard outputs into the deduplicated push subscriptions
 // (and the Events adapter when materialized). It exits when Close closes the
 // merge channel after all workers have drained, then finishes every
-// subscription. Progress marks from the shards drive dedup-key eviction: the
+// subscription. Progress marks from the shards drive dedup eviction: the
 // minimum observed shard watermark bounds, via channel FIFO order, which
 // duplicates can still be in flight.
 func (s *ShardedEngine) merge() {
@@ -410,7 +415,12 @@ func (s *ShardedEngine) merge() {
 				marks[se.id], marked[se.id] = se.ts, true
 			}
 			if min, ok := minMark(marks, marked); ok {
-				s.dedup.maybeSweep(min)
+				s.dedup.expire(min)
+			}
+			if s.obsReg != nil {
+				entries, bytes := s.dedup.size()
+				s.obsDedupEntries.Set(int64(entries))
+				s.obsDedupBytes.Set(int64(bytes))
 			}
 			continue
 		}
@@ -676,6 +686,7 @@ func (s *ShardedEngine) Metrics() core.Metrics {
 		m.LiveEdges += sm.LiveEdges
 		m.LiveVertices += sm.LiveVertices
 		m.ExpiredEdges += sm.ExpiredEdges
+		m.EmittedEvicted += sm.EmittedEvicted
 		m.Replans += sm.Replans
 		m.ReplanChecks += sm.ReplanChecks
 		m.ReplanEdgesReplayed += sm.ReplanEdgesReplayed
@@ -688,6 +699,8 @@ func (s *ShardedEngine) Metrics() core.Metrics {
 			}
 			m.Queries[idx].PartialMatches += qm.PartialMatches
 			m.Queries[idx].LocalSearches += qm.LocalSearches
+			m.Queries[idx].EmittedEntries += qm.EmittedEntries
+			m.Queries[idx].EmittedBytes += qm.EmittedBytes
 			// Each shard re-plans against its own partition's statistics, so
 			// plan state can legitimately differ per shard: report the
 			// furthest generation (with that shard's tree shape) and the
@@ -728,6 +741,7 @@ func (s *ShardedEngine) Metrics() core.Metrics {
 	}
 	unique, _, perQuery := s.dedup.stats()
 	m.MatchesEmitted = unique
+	m.DedupEntries, m.DedupBytes = s.dedup.size()
 	for i := range m.Queries {
 		m.Queries[i].Matches = perQuery[m.Queries[i].Name]
 	}

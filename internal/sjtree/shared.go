@@ -1,6 +1,9 @@
 package sjtree
 
 import (
+	"time"
+
+	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/match"
 )
 
@@ -134,8 +137,9 @@ func (p *Partition) PruneWhere(drop func(*match.Match) bool) int {
 // EmittedSet deduplicates one query's emitted complete matches by edge
 // binding — the per-consumer half of acceptComplete, split out so a shared
 // DAG root can fan a complete match out to many queries, each with its own
-// exactly-once emission set. Entries are compact edge-binding copies, like
-// a tree's complete-signature set.
+// exactly-once emission set, and so the shard merger can keep one per query.
+// Entries are compact edge-binding copies that expire with the window; see
+// completeSet.
 type EmittedSet struct {
 	set   completeSet
 	total uint64
@@ -155,7 +159,23 @@ func (s *EmittedSet) Add(m *match.Match) bool {
 	return true
 }
 
-// Total returns the number of distinct matches recorded.
+// Expire forgets the matches that can never be derived again: those whose
+// Span.Start is below cutoff, the engine's expiry bound
+// (graph.ExpiryCutoff), a generation at a time — an entry may outlive the
+// cutoff by a fraction of the retention. It returns how many entries went.
+// A cutoff that has not advanced, as under unbounded retention, is a no-op.
+func (s *EmittedSet) Expire(cutoff graph.Timestamp, retention time.Duration) int {
+	return s.set.expire(cutoff, retention)
+}
+
+// Len returns the number of entries held now.
+func (s *EmittedSet) Len() int { return s.set.n }
+
+// Bytes estimates the set's resident size: 16 bytes per table slot plus 8
+// per arena word, at capacity, spare tables and chunks included.
+func (s *EmittedSet) Bytes() int { return s.set.bytes() }
+
+// Total returns the cumulative number of distinct matches recorded.
 func (s *EmittedSet) Total() uint64 { return s.total }
 
 // DuplicateDrops returns how many Add calls were rejected as duplicates.

@@ -3,6 +3,7 @@ package sjtree
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/streamworks/streamworks/internal/decompose"
 	"github.com/streamworks/streamworks/internal/graph"
@@ -11,22 +12,35 @@ import (
 	"github.com/streamworks/streamworks/internal/testutil/allocbudget"
 )
 
-// randomBinding binds a random subset of up to `edges` pattern edges to data
-// edges from a small ID space, so independent draws often repeat a binding.
-func randomBinding(rng *rand.Rand, edges, ids int) *match.Match {
+// Stream time in the set tests: data edge id was stamped id ticks in, so a
+// binding fixes its Span.Start, and the retention is 400 ticks.
+const (
+	tick          = graph.Timestamp(time.Millisecond)
+	testRetention = 400 * time.Millisecond
+)
+
+// bindingAt binds a random subset of up to `edges` pattern edges to data
+// edges stamped within `spread` ticks before now — a small ID space, so
+// independent draws often repeat a binding.
+func bindingAt(rng *rand.Rand, edges, now, spread int) *match.Match {
 	m := match.NewSized(0, edges)
 	for qe := 0; qe < edges; qe++ {
-		if rng.Intn(4) > 0 {
-			m.BindEdge(query.EdgeID(qe), graph.EdgeID(rng.Intn(ids)), 0)
+		if qe == 0 || rng.Intn(4) > 0 {
+			id := max(now-rng.Intn(spread), 0)
+			m.BindEdge(query.EdgeID(qe), graph.EdgeID(id), graph.Timestamp(id)*tick)
 		}
 	}
 	return m
 }
 
-// TestCompleteSetAgainstMapReference: under random adds the table accepts
-// exactly what a map keyed on the canonical signature accepts — with the
-// real hash and with every entry forced onto one 64-bit hash, where only
-// the stored words can tell bindings apart.
+// TestCompleteSetAgainstMapReference: under random interleavings of add and
+// advance-cutoff, the generational set accepts exactly what a map from
+// binding to Span.Start accepts for every binding that starts at or above
+// the cutoff — with the real hash and with entries forced onto one or
+// sixteen 64-bit hashes, where only the stored words can tell bindings
+// apart. Bindings arrive out of order within a slack, a few are wider than
+// an arena chunk, and the cutoff crosses whole retentions with nothing added
+// (generations come due for sealing while empty).
 func TestCompleteSetAgainstMapReference(t *testing.T) {
 	for name, hash := range map[string]func(*match.Match) uint64{
 		"real hash":    (*match.Match).EdgeSetHash,
@@ -35,20 +49,80 @@ func TestCompleteSetAgainstMapReference(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(97))
+			const slack = 30 // ticks
 			var set completeSet
-			ref := map[string]bool{}
-			for i := 0; i < 3000; i++ {
-				m := randomBinding(rng, 1+rng.Intn(12), 3)
-				sig := m.Signature()
-				if got, want := set.addHashed(hash(m), m), !ref[sig]; got != want {
-					t.Fatalf("add #%d of %q = %v, reference says %v", i, sig, got, want)
+			ref := map[string]graph.Timestamp{}
+			cutoff := graph.NoCutoff
+			now, sealed, maxGens, evicted := 0, 0, 0, 0
+			for i := 0; i < 6000; i++ {
+				switch r := rng.Intn(100); {
+				case r < 70:
+					m := bindingAt(rng, 1+rng.Intn(12), now, slack)
+					if r == 0 && i%7 == 0 {
+						m = bindingAt(rng, 1<<arenaChunkBits+5, now, slack)
+					}
+					sig, got := m.Signature(), set.addHashed(hash(m), m)
+					if _, known := ref[sig]; m.Span.Start >= cutoff && got == known {
+						t.Fatalf("op %d: add of %q (start %d, cutoff %d) = %v, reference knows it: %v", i, sig, m.Span.Start, cutoff, got, known)
+					}
+					ref[sig] = m.Span.Start
+				case r < 97:
+					now += rng.Intn(40)
+				default:
+					now += 2 * int(testRetention/time.Millisecond) // a quiet stretch
 				}
-				ref[sig] = true
+				if i%16 == 0 {
+					cutoff = graph.ExpiryCutoff(cutoff, graph.Timestamp(now)*tick, testRetention, slack*time.Millisecond)
+					before := len(set.gens)
+					evicted += set.expire(cutoff, testRetention)
+					if len(set.gens) > before {
+						sealed++
+					}
+					maxGens = max(maxGens, len(set.gens))
+				}
 			}
-			if set.n != len(ref) {
-				t.Fatalf("set holds %d entries, reference %d", set.n, len(ref))
+			live := 0
+			for sig, start := range ref {
+				if start >= cutoff {
+					live++
+				}
+				delete(ref, sig)
+			}
+			if set.n < live {
+				t.Fatalf("set holds %d entries, %d of the reference's are live", set.n, live)
+			}
+			if sealed < 10 || maxGens > 2+sealsPerRetention {
+				t.Fatalf("%d generations sealed, %d alive at once: the ring did not turn as designed", sealed, maxGens)
+			}
+			// Two more steps of the cutoff past everything: one seals the open
+			// generation, the next finds it dead.
+			for _, far := range []int{now + 10_000, now + 20_000} {
+				evicted += set.expire(graph.Timestamp(far)*tick, testRetention)
+			}
+			if set.n != 0 || len(set.gens) != 1 || evicted == 0 {
+				t.Fatalf("after the cutoff passed everything: %d entries in %d generations, %d evicted", set.n, len(set.gens), evicted)
 			}
 		})
+	}
+}
+
+// TestCompleteSetKeepsEverythingWithoutRetention: under unbounded retention
+// the cutoff never leaves its floor, nothing is sealed and nothing evicted.
+func TestCompleteSetKeepsEverythingWithoutRetention(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var set completeSet
+	cutoff, added := graph.NoCutoff, 0
+	for now := 0; now < 5000; now++ {
+		if set.add(bindingAt(rng, 3, now, 50)) {
+			added++
+		}
+		cutoff = graph.ExpiryCutoff(cutoff, graph.Timestamp(now)*tick, 0, 0)
+		if evicted := set.expire(cutoff, 0); evicted != 0 {
+			t.Fatalf("%d entries evicted at %d", evicted, now)
+		}
+	}
+	if cutoff != graph.NoCutoff || set.n != added || len(set.gens) != 1 {
+		t.Fatalf("cutoff %d, %d of %d entries in %d generations", cutoff, set.n, added, len(set.gens))
 	}
 }
 
@@ -77,8 +151,8 @@ func TestCompleteSetGrowsAcrossChunks(t *testing.T) {
 			t.Fatalf("fresh binding %d rejected", i)
 		}
 	}
-	if len(set.chunks) < 10 {
-		t.Fatalf("only %d chunks after %d entries", len(set.chunks), n)
+	if chunks := len(set.gens[0].chunks); chunks < 10 {
+		t.Fatalf("only %d chunks after %d entries", chunks, n)
 	}
 	for i := 0; i < n; i++ {
 		if set.add(bind(i)) {
@@ -140,4 +214,51 @@ func TestEmittedSetAddAllocationBudget(t *testing.T) {
 		}
 		next++
 	})
+}
+
+// TestEmittedSetSteadyStateEvictionAllocatesNothing: once the ring has turned
+// a few times, adding fresh matches and expiring old ones runs on recycled
+// tables and chunks — no allocation per step, and none at all over whole
+// retentions of steps.
+func TestEmittedSetSteadyStateEvictionAllocatesNothing(t *testing.T) {
+	const (
+		perStep = 64
+		warmUp  = 300 // steps; a retention is 40
+		step    = testRetention / 40
+	)
+	steps := warmUp + allocbudget.Runs + 1 + 200
+	fresh := make([]*match.Match, steps*perStep) // built up front
+	for i := range fresh {
+		fresh[i] = match.NewSized(0, 3)
+		ts := graph.Timestamp(i/perStep) * graph.Timestamp(step)
+		for qe := 0; qe < 3; qe++ {
+			fresh[i].BindEdge(query.EdgeID(qe), graph.EdgeID(3*i+qe), ts)
+		}
+	}
+	set := NewEmittedSet()
+	cutoff, next, evicted := graph.NoCutoff, 0, 0
+	advance := func() {
+		for _, m := range fresh[next*perStep : (next+1)*perStep] {
+			if !set.Add(m) {
+				t.Fatal("fresh binding rejected")
+			}
+		}
+		cutoff = graph.ExpiryCutoff(cutoff, graph.Timestamp(next)*graph.Timestamp(step), testRetention, 0)
+		evicted += set.Expire(cutoff, testRetention)
+		next++
+	}
+	for next < warmUp {
+		advance()
+	}
+	allocbudget.Check(t, "sjtree.EmittedSet evict/steady-state", advance)
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 99; i++ { // AllocsPerRun calls it twice
+			advance()
+		}
+	}); allocs != 0 {
+		t.Errorf("%.0f allocations over 2.5 retentions of steady-state turnover, want none", allocs)
+	}
+	if held, bound := set.Len(), perStep*40*(sealsPerRetention+1)/sealsPerRetention+2*perStep; held > bound || evicted == 0 {
+		t.Errorf("set holds %d entries, bound %d; %d evicted", held, bound, evicted)
+	}
 }

@@ -125,11 +125,10 @@ type Tree struct {
 
 	onMatch func(*match.Match)
 
-	completeSignatures completeSet
-	completeTotal      uint64
-	duplicateDrops     uint64
-	windowDrops        uint64
-	prunedTotal        uint64
+	emitted        EmittedSet
+	duplicateDrops uint64
+	windowDrops    uint64
+	prunedTotal    uint64
 }
 
 // Option configures a Tree.
@@ -205,8 +204,7 @@ func (t *Tree) InheritEmitted(old *Tree) {
 	if old == nil {
 		return
 	}
-	t.completeSignatures = old.completeSignatures
-	t.completeTotal = old.completeTotal
+	t.emitted = old.emitted
 	t.duplicateDrops = old.duplicateDrops
 	t.windowDrops = old.windowDrops
 	t.prunedTotal = old.prunedTotal
@@ -260,11 +258,10 @@ func (t *Tree) acceptComplete(m *match.Match) []*match.Match {
 		// bug; drop it rather than report a wrong result.
 		return nil
 	}
-	if !t.completeSignatures.add(m) {
+	if !t.emitted.Add(m) {
 		t.duplicateDrops++
 		return nil
 	}
-	t.completeTotal++
 	if t.onMatch != nil {
 		t.onMatch(m)
 	}
@@ -359,7 +356,11 @@ func (t *Tree) PartialMatchCount() int {
 }
 
 // CompleteCount returns the number of distinct complete matches emitted.
-func (t *Tree) CompleteCount() uint64 { return t.completeTotal }
+func (t *Tree) CompleteCount() uint64 { return t.emitted.Total() }
+
+// Emitted exposes the tree's exactly-once emission set: the engine expires
+// it as the window slides and reports its size.
+func (t *Tree) Emitted() *EmittedSet { return &t.emitted }
 
 // Stats summarizes the tree's runtime counters.
 type Stats struct {
@@ -398,7 +399,7 @@ func (t *Tree) Stats() Stats {
 		NodeCount:      len(t.nodes),
 		LeafCount:      len(t.leaves),
 		PartialMatches: t.PartialMatchCount(),
-		CompleteCount:  t.completeTotal,
+		CompleteCount:  t.emitted.Total(),
 		DuplicateDrops: t.duplicateDrops,
 		WindowDrops:    t.windowDrops,
 		PrunedTotal:    t.prunedTotal,
@@ -423,7 +424,7 @@ func (t *Tree) Stats() Stats {
 func (t *Tree) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "SJ-Tree(%s, strategy=%s, window=%s, partials=%d, complete=%d)\n",
-		t.q.Name(), t.plan.Strategy, t.window, t.PartialMatchCount(), t.completeTotal)
+		t.q.Name(), t.plan.Strategy, t.window, t.PartialMatchCount(), t.emitted.Total())
 	var walk func(n *Node, indent int)
 	walk = func(n *Node, indent int) {
 		if n == nil {

@@ -17,12 +17,18 @@ var ceilings = map[string]float64{
 	"match.Clone":     1,
 	"match.Join":      1,
 	// internal/sjtree: the emitted set allocates only when its table
-	// doubles or an arena chunk fills — nothing per add, amortised.
-	"sjtree.EmittedSet.Add": 0,
+	// doubles or an arena chunk fills — nothing per add, amortised — and
+	// once its ring of generations has turned, adding 64 fresh matches and
+	// expiring as many old ones runs on recycled tables and chunks.
+	"sjtree.EmittedSet.Add":                0,
+	"sjtree.EmittedSet evict/steady-state": 0,
 	// internal/export: the bindings and the edge-ID list; the signature
-	// arrives on the event. Three when the report has to build it.
-	"export.BuildReport":          2,
-	"export.BuildReport/unsigned": 3,
+	// arrives on the event. Three when the report has to build it. The 25
+	// reports of one match fanned out to a consumer group share both slices,
+	// so the whole group costs what one report does.
+	"export.BuildReport":                2,
+	"export.BuildReport/unsigned":       3,
+	"export.Reporter/25-consumer group": 2,
 	// internal/mqo: one root match fanned out to a group of 25 queries is
 	// one Remap and one Signature, whatever the group's size.
 	"mqo.deliver/25-consumers": 2,

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/query"
@@ -106,7 +107,7 @@ func Open(opts Options) (*Manager, *Recovery, error) {
 		emitted:   make(map[string]int64),
 		retention: int64(opts.Retention),
 		slack:     int64(opts.Slack),
-		cutoff:    math.MinInt64,
+		cutoff:    int64(graph.NoCutoff),
 	}
 	m.log = segLog{
 		fs:       m.fs,
@@ -317,16 +318,19 @@ func removeReg(regs []RegisterRecord, name string) []RegisterRecord {
 	return out
 }
 
-// cutoffLocked is the one expiry bound: watermark − retention − slack, as
-// the dynamic graph computes it, except that it never moves back (a wider
-// retention registered later must not resurrect what was already expired).
-// Edges below it are deleted with their segments and skipped by recovery;
-// emitted entries below it are evicted. With zero retention it stays at its
-// floor and nothing ever expires.
+// cutoffLocked advances the log's expiry bound by the engine's own rule,
+// graph.ExpiryCutoff, over the same inputs — the raw newest stream time, the
+// effective retention, the slack — so the log deletes exactly what the
+// dynamic graph has expired, and like the graph's the bound never moves back
+// (it is persisted in every manifest). The one difference is before the
+// first edge, where the log's newest stream time is its zero floor and the
+// bound therefore −retention−slack, not graph.NoCutoff: below any timestamp
+// either way. Edges below the bound are deleted with their segments and
+// skipped by recovery; emitted entries below it are evicted. With zero
+// retention it stays at its floor and nothing ever expires.
 func (m *Manager) cutoffLocked() int64 {
-	if m.retention != 0 {
-		m.cutoff = max(m.cutoff, m.watermark-m.retention-m.slack)
-	}
+	m.cutoff = int64(graph.ExpiryCutoff(graph.Timestamp(m.cutoff), graph.Timestamp(m.watermark),
+		time.Duration(m.retention), time.Duration(m.slack)))
 	return m.cutoff
 }
 

@@ -714,6 +714,46 @@ func TestEmittedEvictionAtCheckpoint(t *testing.T) {
 	}
 }
 
+// TestCutoffIsTheDynamicGraphsCutoff: the log and the engine's dynamic graph
+// compute their expiry bound with one function from the same inputs — the
+// raw newest stream time, not the slack-trailed watermark — so fed the same
+// out-of-order stream and idle-time advances they agree at every step, and a
+// retention widened later moves neither bound back. Only before the first
+// edge do they differ, harmlessly: the log's newest stream time starts at
+// zero, the graph's bound at NoCutoff.
+func TestCutoffIsTheDynamicGraphsCutoff(t *testing.T) {
+	const retention, slack = 100, 10
+	m, _ := openTest(t, t.TempDir(), func(o *Options) { o.Retention, o.Slack = retention, slack })
+	defer m.Close()
+	dyn := graph.NewDynamic(retention, graph.WithSlack(slack))
+	if got := m.cutoffLocked(); got != -retention-slack || dyn.Cutoff() != graph.NoCutoff {
+		t.Fatalf("cutoffs before any edge: log %d, graph %d", got, dyn.Cutoff())
+	}
+	for i, ts := range []int64{500, 495, 640, 633, 1000, 992, 1500} {
+		se := testEdge(uint64(i+1), ts)
+		if _, err := dyn.Apply(se); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.AppendEdges([]graph.StreamEdge{se}); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.cutoffLocked(); got != int64(dyn.Cutoff()) {
+			t.Fatalf("after edge at %d: log cutoff %d, graph cutoff %d", ts, got, dyn.Cutoff())
+		}
+	}
+	dyn.AdvanceTo(2000)
+	if err := m.AppendAdvance(2000); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.cutoffLocked(); got != 2000-retention-slack || got != int64(dyn.Cutoff()) {
+		t.Fatalf("after advancing to 2000: log cutoff %d, graph cutoff %d", got, dyn.Cutoff())
+	}
+	m.extendRetention(10 * retention)
+	if got := m.cutoffLocked(); got != 2000-retention-slack {
+		t.Fatalf("a wider retention moved the cutoff back to %d", got)
+	}
+}
+
 // TestPrefixRecovery is the property test the frame format exists for: ANY
 // byte prefix of a segment — every crash point — must open without error
 // and recover a frame-aligned prefix of the full operation sequence.

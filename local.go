@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"github.com/streamworks/streamworks/internal/core"
+	"github.com/streamworks/streamworks/internal/export"
 )
 
 // Local is the single-engine backend: one core engine behind a mutex, so
@@ -20,6 +21,7 @@ type Local struct {
 	cfg     config // registration defaults (strategy, adaptive)
 	queries map[string]*Query
 	subs    []*localSub // in subscription order
+	reports export.Reporter
 	closed  bool
 
 	// unswept is set when a subscription closes. Subscription.Close only
@@ -85,7 +87,7 @@ func (l *Local) fanout(ev core.MatchEvent) {
 			continue
 		}
 		if !built {
-			rep, built = l.cfg.report(ev, l.queries[ev.Query]), true
+			rep, built = l.cfg.report(&l.reports, ev, l.queries[ev.Query]), true
 		}
 		sub.sink.OnMatch(rep)
 	}

@@ -59,11 +59,12 @@ func (c *config) finishObs() {
 	c.engine.Obs.Tracer = obs.NewTracer(c.traceCapacity, c.traceSampleEvery, c.tracePerSecond, c.engine.Obs.Clock)
 }
 
-// report resolves a match event into the public Match form, stamping the
-// dispatch→flush hand-off when observability is on: the serving tier
-// measures its flush segment (subscriber-buffer wait included) from it.
-func (c *config) report(ev core.MatchEvent, q *Query) Match {
-	rep := export.BuildReport(ev, q, nil)
+// report resolves a match event into the public Match form through the
+// backend's reporter (which shares slices between the reports of one match),
+// stamping the dispatch→flush hand-off when observability is on: the serving
+// tier measures its flush segment (subscriber-buffer wait included) from it.
+func (c *config) report(r *export.Reporter, ev core.MatchEvent, q *Query) Match {
+	rep := r.Build(ev, q)
 	if c.engine.Obs.Enabled && c.engine.Obs.Clock != nil {
 		rep.DeliveredWallNS = c.engine.Obs.Clock.Now()
 	}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"github.com/streamworks/streamworks/internal/core"
+	"github.com/streamworks/streamworks/internal/export"
 	"github.com/streamworks/streamworks/internal/shard"
 )
 
@@ -38,6 +39,8 @@ type Sharded struct {
 	seq     int
 	inner   *shard.Subscription
 	drained bool
+	// reports belongs to the merge goroutine, the only caller of fanout.
+	reports export.Reporter
 
 	// dur is the durability glue (nil without WithDataDir). Emission notes
 	// fire at the end of fanout, on the merge goroutine, once every
@@ -148,7 +151,7 @@ func (s *Sharded) fanout(ev core.MatchEvent) {
 			s.qmu.RLock()
 			q := s.queries[ev.Query]
 			s.qmu.RUnlock()
-			rep, built = s.cfg.report(ev, q), true
+			rep, built = s.cfg.report(&s.reports, ev, q), true
 		}
 		sub.sink.OnMatch(rep)
 	}

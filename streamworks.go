@@ -17,7 +17,9 @@
 // Subscription closes after the final delivery. There is no polling surface
 // and no scratch-buffer aliasing to get wrong: every Match handed to a sink
 // is safe to retain. Subscriptions that admit the same match are handed one
-// report, so a sink must not modify its Bindings or EdgeIDs.
+// report, and the reports of one match — the queries of a shared plan's
+// consumer group all match the same data subgraph — may share their Bindings
+// and EdgeIDs slices, so a sink must not modify either.
 //
 // Engines are safe for concurrent use. Close is idempotent; Process after
 // Close returns ErrClosed instead of panicking; the context passed to
