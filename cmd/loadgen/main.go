@@ -1,36 +1,29 @@
 // Command loadgen replays a generated StreamWorks workload (netflow, news,
-// drift or many-queries) against a live streamworksd over HTTP and reports
-// throughput and
-// end-to-end match latency. It drives the server exactly like a production
-// feeder: the public streamworks.Connect backend for health, query
-// registration, the push match subscription and metrics, plus the raw typed
-// client for asynchronous edge batches with 429 backoff (the public
+// drift or many-queries) against a live streamworksd over HTTP and checks
+// that the daemon delivered its matches. It drives the server exactly like
+// a production feeder: the public streamworks.Connect backend for health,
+// query registration, the push match subscription and metrics, plus the raw
+// typed client for asynchronous edge batches with 429 backoff (the public
 // Engine's ProcessBatch waits for routing, which a load generator must not).
 // The -transport flag selects the ingest encoding: NDJSON batches, binary
 // frame batches, or the persistent binary /v1/stream session.
 //
 //	loadgen -addr http://127.0.0.1:8090 -workload netflow -edges 100000
 //	loadgen -workload many-queries -queries 300   # 300 generated variants (pair with streamworksd -shared-plans)
-//	loadgen -transport stream              # persistent binary ingest session
-//	loadgen -json -out BENCH_server.json   # machine-readable results
-//	loadgen -json -merge -transport binary # fold this run into runs[transport] of -out
-//	loadgen -dump edges.ndjson             # write the stream for curl replay
+//	loadgen -transport stream -wait -sigs out.sigs # persistent session; write the delivered match set
+//	loadgen -dump edges.ndjson                     # write the stream for curl replay
 //
-// Match latency is measured per match as the wall-clock gap between the
-// moment the last edge of the match was handed to the server and the moment
-// the match report arrived on the subscription — the full detect-and-deliver
-// path through queue, shards, dedup and fan-out. Latency percentiles are
-// computed over a bounded reservoir sample (the mean and max stay exact over
-// every match), so arbitrarily long runs hold a fixed memory footprint.
+// It is a load driver, not a measuring tool: it prints one summary line and
+// exits non-zero when the run proves nothing — the match stream ended early
+// or no match was delivered (every workload here has attacks or events woven
+// in). Numbers come from the benchmark harness in benchmark/.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
 	"sort"
 	"strings"
@@ -40,10 +33,8 @@ import (
 
 	"github.com/streamworks/streamworks"
 	"github.com/streamworks/streamworks/internal/client"
-	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/gen"
 	"github.com/streamworks/streamworks/internal/graph"
-	"github.com/streamworks/streamworks/internal/obs"
 )
 
 func main() {
@@ -58,17 +49,13 @@ func main() {
 		window   = flag.Duration("window", time.Minute, "query window")
 		batch    = flag.Int("batch", 1024, "edges per ingest request")
 		seed     = flag.Int64("seed", 1, "workload seed")
-		jsonOut  = flag.Bool("json", false, "write machine-readable results")
-		outPath  = flag.String("out", "BENCH_server.json", "path for -json results")
-		mergeOut = flag.Bool("merge", false, "with -json, merge this run into -out under runs[transport] instead of overwriting the file with a single result")
 		dumpPath = flag.String("dump", "", "write the workload as NDJSON to this file and exit")
 
 		transport = flag.String("transport", "ndjson", "ingest transport: ndjson, binary (framed batches) or stream (persistent binary session)")
-		reservoir = flag.Int("reservoir", 65536, "latency reservoir size: percentiles are exact over up to this many uniformly sampled matches")
 
 		waitIngest  = flag.Bool("wait", false, "ingest with wait=1: each batch is routed (and WAL'd on a durable daemon) before the next is sent — required for exact crash-recovery comparisons")
 		sigsPath    = flag.String("sigs", "", "write the delivered match-signature set (query<TAB>signature, sorted, deduplicated) to this file on exit")
-		resubscribe = flag.Bool("resubscribe", false, "reconnect the match stream when it ends early (daemon restart, slow-consumer eviction) instead of flagging the run truncated")
+		resubscribe = flag.Bool("resubscribe", false, "reconnect the match stream when it ends early (daemon restart, slow-consumer eviction) instead of failing the run")
 	)
 	flag.Parse()
 
@@ -104,15 +91,7 @@ func main() {
 		log.Fatalf("loadgen: unknown transport %q (want ndjson, binary or stream)", *transport)
 	}
 
-	// Transient ingest failures — 429 shed, 503 while draining or degraded,
-	// connection errors across a daemon restart — retry inside the client
-	// with capped exponential backoff; a minute of sustained failure is
-	// fatal.
-	c := client.New(*addr, client.WithTransport(ctr), client.WithRetry(client.RetryPolicy{
-		MaxAttempts: 120,
-		BaseDelay:   5 * time.Millisecond,
-		MaxDelay:    time.Second,
-	}))
+	c := client.New(*addr, client.WithTransport(ctr)) // no internal retry; ingest below owns it
 	ctx := context.Background()
 	rem := connect(ctx, *addr, 10*time.Second)
 	log.Printf("loadgen: connected (api %s, %d shards)", rem.ServerInfo().Version, rem.ServerInfo().Shards)
@@ -127,48 +106,25 @@ func main() {
 		}
 	}
 
-	// Track when each edge was handed to the server so the match sink can
-	// compute per-match detect-and-deliver latency.
-	var (
-		sendMu    sync.Mutex
-		sendTimes = make(map[uint64]time.Time, len(w.Edges))
-	)
-	var (
-		latMu   sync.Mutex
-		lats    = newReservoir(*reservoir, *seed)
-		matches int
-	)
 	// sigs deduplicates delivered matches by identity — redeliveries after a
 	// daemon restart collapse, which is what makes crash and uninterrupted
 	// runs directly comparable as sets.
-	sigs := make(map[string]struct{})
-	// truncated is set when the subscription ends before we close it
-	// ourselves — the server evicted us for falling behind, so match counts
-	// and latency percentiles below are truncated and must be flagged, not
-	// reported as complete. With -resubscribe the stream is reattached
-	// instead.
-	var truncated, closing, attached atomic.Bool
+	var (
+		sinkMu  sync.Mutex
+		matches int
+		sigs    = make(map[string]struct{})
+	)
 	sink := streamworks.SinkFunc(func(rep streamworks.Match) {
-		now := time.Now()
-		var last time.Time
-		sendMu.Lock()
-		for _, id := range rep.EdgeIDs {
-			if t, ok := sendTimes[id]; ok && t.After(last) {
-				last = t
-			}
-		}
-		sendMu.Unlock()
-		latMu.Lock()
+		sinkMu.Lock()
 		matches++
-		if !last.IsZero() {
-			lats.add(float64(now.Sub(last)) / float64(time.Millisecond))
-		}
 		if *sigsPath != "" {
 			sigs[rep.Query+"\t"+rep.Signature] = struct{}{}
 		}
-		latMu.Unlock()
+		sinkMu.Unlock()
 	})
 	var (
+		closing, attached atomic.Bool
+
 		subMu  sync.Mutex
 		curSub streamworks.Subscription
 	)
@@ -180,9 +136,10 @@ func main() {
 			return
 		}
 		if !*resubscribe {
-			truncated.Store(true)
-			log.Printf("loadgen: match stream ended early (evicted as a slow consumer?): err=%v", s.Err())
-			return
+			// The subscription ended before we closed it — the server evicted
+			// us for falling behind, or went away. Whatever is delivered from
+			// here on is a truncated run, and a truncated run must not pass.
+			log.Fatalf("loadgen: match stream ended early (evicted as a slow consumer?) and -resubscribe is off: err=%v", s.Err())
 		}
 		for !closing.Load() {
 			if err := attach(); err == nil {
@@ -208,15 +165,6 @@ func main() {
 		log.Fatalf("loadgen: subscribing: %v", err)
 	}
 
-	// ingest hands one chunk to the daemon. Under -resubscribe retries are
-	// driven here rather than inside the retrying client so that every
-	// (re)send first waits for the match stream to be attached: a batch
-	// accepted by a freshly restarted daemon before the subscriber reattaches
-	// would have its matches delivered to no one, and nothing short of
-	// another restart would redeliver them — a silent hole in the signature
-	// set that crash-recovery comparisons diff against.
-	rawc := client.New(*addr, client.WithTransport(ctr)) // no internal retry; the loop below owns it
-	var localRetries uint64
 	// The persistent binary session: one long-lived POST /v1/stream whose
 	// backpressure is the TCP window, so no 429/retry machinery applies —
 	// Send simply blocks while the daemon's queue is full.
@@ -228,25 +176,19 @@ func main() {
 			log.Fatalf("loadgen: opening edge stream: %v", err)
 		}
 	}
+	// ingest hands one chunk to the daemon. Transient failures — 429 shed,
+	// 503 while draining or degraded, connection errors across a daemon
+	// restart — are retried with capped exponential backoff; two minutes of
+	// sustained failure is fatal. Retries are driven here rather than inside
+	// the client so that every (re)send first waits for the match stream to
+	// be attached: a batch accepted by a freshly restarted daemon before the
+	// subscriber reattaches would have its matches delivered to no one, and
+	// nothing short of another restart would redeliver them — a silent hole
+	// in the signature set that crash-recovery comparisons diff against.
+	var retries uint64
 	ingest := func(chunk []graph.StreamEdge, wait bool) error {
-		if es != nil {
-			if len(chunk) == 0 {
-				return nil // the final flush is EdgeStream.Close below
-			}
-			if *resubscribe {
-				deadline := time.Now().Add(2 * time.Minute)
-				for !attached.Load() {
-					if time.Now().After(deadline) {
-						return fmt.Errorf("match stream detached for too long")
-					}
-					time.Sleep(10 * time.Millisecond)
-				}
-			}
-			return es.Send(chunk)
-		}
-		if !*resubscribe {
-			_, err := c.IngestBatch(ctx, chunk, wait)
-			return err
+		if es != nil && len(chunk) == 0 {
+			return nil // the final flush is EdgeStream.Close below
 		}
 		delay := 5 * time.Millisecond
 		deadline := time.Now().Add(2 * time.Minute)
@@ -257,11 +199,14 @@ func main() {
 				}
 				time.Sleep(10 * time.Millisecond)
 			}
-			_, err := rawc.IngestBatch(ctx, chunk, wait)
+			if es != nil {
+				return es.Send(chunk)
+			}
+			_, err := c.IngestBatch(ctx, chunk, wait)
 			if err == nil || !client.IsRetryable(err) || time.Now().After(deadline) {
 				return err
 			}
-			localRetries++
+			retries++
 			time.Sleep(delay)
 			if delay < time.Second {
 				delay *= 2
@@ -269,20 +214,8 @@ func main() {
 		}
 	}
 
-	start := time.Now()
 	for i := 0; i < len(w.Edges); i += *batch {
-		j := min(i+*batch, len(w.Edges))
-		chunk := w.Edges[i:j]
-		// Stamp before the hand-off (no match can beat its stamp); a batch
-		// the client had to shed-and-retry keeps its original stamp, so its
-		// latency includes the backoff — visible, not hidden.
-		now := time.Now()
-		sendMu.Lock()
-		for _, se := range chunk {
-			sendTimes[uint64(se.Edge.ID)] = now
-		}
-		sendMu.Unlock()
-		if err := ingest(chunk, *waitIngest); err != nil {
+		if err := ingest(w.Edges[i:min(i+*batch, len(w.Edges))], *waitIngest); err != nil {
 			log.Fatalf("loadgen: ingest: %v", err)
 		}
 	}
@@ -300,10 +233,8 @@ func main() {
 	} else if err := ingest(nil, true); err != nil {
 		log.Fatalf("loadgen: flush: %v", err)
 	}
-	ingestDur := time.Since(start)
-	rejected := c.Retries() + localRetries
 
-	metrics := settle(ctx, rem)
+	emitted := settle(ctx, rem)
 	closing.Store(true)
 	subMu.Lock()
 	sub := curSub
@@ -311,81 +242,10 @@ func main() {
 	sub.Close()
 	<-sub.Done()
 
-	latMu.Lock()
-	defer latMu.Unlock()
-	eps := float64(len(w.Edges)) / ingestDur.Seconds()
-	res := benchResult{
-		Workload:     w.Name,
-		Transport:    *transport,
-		Edges:        len(w.Edges),
-		Batch:        *batch,
-		Shards:       len(metrics.Shards),
-		IngestSecs:   ingestDur.Seconds(),
-		EdgesPerSec:  eps,
-		Matches:      matches,
-		Truncated:    truncated.Load(),
-		Rejected429:  rejected,
-		LatencyMS:    lats.summary(),
-		ServerSide:   metrics.Server,
-		EngineTotals: engineCounters(metrics.Engine),
-	}
-	for i, sm := range metrics.Shards {
-		res.PerShard = append(res.PerShard, shardCounters{Shard: i,
-			EdgesProcessed: sm.EdgesProcessed,
-			MatchesEmitted: sm.MatchesEmitted,
-			LocalSearches:  sm.LocalSearches,
-			LiveEdges:      sm.LiveEdges,
-		})
-	}
-
-	fmt.Printf("workload=%s transport=%s edges=%d batch=%d shards=%d\n", res.Workload, res.Transport, res.Edges, res.Batch, res.Shards)
-	fmt.Printf("ingest: %.2fs (%.0f edges/sec, %d attempts retried)\n", res.IngestSecs, res.EdgesPerSec, rejected)
-	note := ""
-	if res.Truncated {
-		note = " [TRUNCATED: subscriber evicted mid-run]"
-	}
-	fmt.Printf("matches: %d delivered%s (latency ms p50=%.1f p90=%.1f p99=%.1f max=%.1f)\n",
-		res.Matches, note, res.LatencyMS.P50, res.LatencyMS.P90, res.LatencyMS.P99, res.LatencyMS.Max)
-	for _, sc := range res.PerShard {
-		fmt.Printf("  shard %d: edges=%d matches(pre-dedup)=%d searches=%d live=%d\n",
-			sc.Shard, sc.EdgesProcessed, sc.MatchesEmitted, sc.LocalSearches, sc.LiveEdges)
-	}
-
-	if metrics.Obs != nil {
-		res.Segments, res.SegmentCoverage = segmentBreakdown(metrics.Obs, res.LatencyMS.Mean)
-		fmt.Printf("latency breakdown (daemon obs, per-segment means):\n")
-		for _, seg := range res.Segments {
-			fmt.Printf("  %-18s n=%-9d mean=%9.1fµs p99=%9.1fµs\n",
-				seg.Segment, seg.Count, seg.MeanNS/1e3, seg.P99NS/1e3)
-		}
-		if lag, ok := metrics.Obs.Find(obs.DetectLagHistogramName, ""); ok {
-			fmt.Printf("  %-18s n=%-9d mean=%9.1fµs (stream time, not wall)\n",
-				"detect_stream_lag", lag.Count, lag.Mean/1e3)
-		}
-		if jh, ok := metrics.Obs.Find(obs.JourneyHistogramName, ""); ok && jh.Count > 0 {
-			fmt.Printf("  %-18s n=%-9d mean=%9.1fµs p99=%9.1fµs (arrival→flush, per match)\n",
-				"wall_journey", jh.Count, jh.Mean/1e3, jh.P99/1e3)
-			res.JourneyMeanMS = jh.Mean / 1e6
-			if res.LatencyMS.Samples > 0 && res.LatencyMS.Mean > 0 {
-				res.JourneyCoverage = 100 * res.JourneyMeanMS / res.LatencyMS.Mean
-			}
-		}
-		if res.LatencyMS.Samples > 0 {
-			if res.JourneyCoverage > 0 {
-				// Both sides of this comparison are match-weighted, so it is
-				// the honest closure check; the per-edge segment sum below it
-				// undercounts whenever queue depth ramps during the run
-				// (matched edges wait longer than the average edge).
-				fmt.Printf("segment accounting: daemon journey (arrival→flush) mean %.2fms accounts for %.0f%% of measured detect-and-deliver mean (%.2fms)\n",
-					res.JourneyMeanMS, res.JourneyCoverage, res.LatencyMS.Mean)
-				fmt.Printf("  (per-edge segment means sum to %.0f%% of the measured mean; the gap is edge-vs-match weighting under queue ramp)\n",
-					res.SegmentCoverage)
-			} else {
-				fmt.Printf("segment accounting: per-edge segment means sum to %.0f%% of measured detect-and-deliver mean (%.2fms)\n",
-					res.SegmentCoverage, res.LatencyMS.Mean)
-			}
-		}
-	}
+	sinkMu.Lock()
+	defer sinkMu.Unlock()
+	fmt.Printf("workload=%s transport=%s edges=%d batch=%d shards=%d retries=%d emitted=%d delivered=%d\n",
+		w.Name, *transport, len(w.Edges), *batch, rem.ServerInfo().Shards, retries, emitted, matches)
 
 	if *sigsPath != "" {
 		lines := make([]string, 0, len(sigs))
@@ -403,50 +263,11 @@ func main() {
 		}
 		log.Printf("loadgen: wrote %d distinct match signatures to %s", len(lines), *sigsPath)
 	}
-
-	if *jsonOut {
-		if err := writeResult(*outPath, *mergeOut, res); err != nil {
-			log.Fatalf("loadgen: %v", err)
-		}
-		log.Printf("loadgen: wrote %s", *outPath)
+	if matches == 0 {
+		// Every workload weaves attacks or events into its stream, so a run
+		// that delivers nothing exercised nothing.
+		log.Fatalf("loadgen: no match delivered for workload %s", w.Name)
 	}
-}
-
-// writeResult writes res to path: as the whole file, or — with merge — as
-// the runs[transport] entry of a per-transport comparison document, keeping
-// the other transports' entries from an existing file intact.
-func writeResult(path string, merge bool, res benchResult) error {
-	var out any = res
-	if merge {
-		doc := struct {
-			Runs map[string]json.RawMessage `json:"runs"`
-		}{Runs: map[string]json.RawMessage{}}
-		if prev, err := os.ReadFile(path); err == nil {
-			// Best-effort: a missing, single-run or corrupt file just starts
-			// a fresh comparison document.
-			_ = json.Unmarshal(prev, &doc)
-			if doc.Runs == nil {
-				doc.Runs = map[string]json.RawMessage{}
-			}
-		}
-		raw, err := json.Marshal(res)
-		if err != nil {
-			return err
-		}
-		doc.Runs[res.Transport] = raw
-		out = doc
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		f.Close()
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	return f.Close()
 }
 
 func buildWorkload(name string, edges, hosts, articles int, window time.Duration, seed int64) gen.Workload {
@@ -492,206 +313,26 @@ func connect(ctx context.Context, addr string, timeout time.Duration) *streamwor
 }
 
 // settle polls metrics until the deduplicated match count stops moving, so
-// in-flight matches still crossing shards and the fan-out are counted.
-func settle(ctx context.Context, rem *streamworks.Remote) *serverMetrics {
+// in-flight matches still crossing shards and the fan-out are delivered
+// before the subscription is closed. It returns that count.
+func settle(ctx context.Context, rem *streamworks.Remote) uint64 {
 	var last uint64
 	stable := 0
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		m, err := rem.ServerMetrics(ctx)
+		m, err := rem.Metrics(ctx)
 		if err != nil {
 			log.Fatalf("loadgen: metrics: %v", err)
 		}
-		if m.Engine.MatchesEmitted == last {
+		if m.MatchesEmitted == last {
 			stable++
 		} else {
 			stable = 0
-			last = m.Engine.MatchesEmitted
+			last = m.MatchesEmitted
 		}
 		if stable >= 3 || time.Now().After(deadline) {
-			return &serverMetrics{Engine: m.Engine, Shards: m.Shards, Server: m.Server, Obs: m.Obs}
+			return last
 		}
 		time.Sleep(150 * time.Millisecond)
 	}
-}
-
-type serverMetrics struct {
-	Engine core.Metrics
-	Shards []core.Metrics
-	Server any
-	Obs    *obs.Snapshot
-}
-
-type latencySummary struct {
-	// Samples is every match observed; Sampled is how many of them are in
-	// the reservoir the percentiles are computed over (equal until the
-	// reservoir fills). Mean and Max are exact over all Samples.
-	Samples int     `json:"samples"`
-	Sampled int     `json:"reservoir_samples"`
-	Mean    float64 `json:"mean"`
-	P50     float64 `json:"p50"`
-	P90     float64 `json:"p90"`
-	P99     float64 `json:"p99"`
-	Max     float64 `json:"max"`
-}
-
-// latencyReservoir is a bounded uniform sample (Vitter's algorithm R) of
-// per-match latencies. The mean and max are tracked exactly over every
-// observation; percentiles are exact order statistics over the reservoir, so
-// memory stays fixed however long the run is.
-type latencyReservoir struct {
-	vals []float64
-	cap  int
-	n    int64
-	sum  float64
-	max  float64
-	rng  *rand.Rand
-}
-
-func newReservoir(size int, seed int64) *latencyReservoir {
-	if size <= 0 {
-		size = 65536
-	}
-	return &latencyReservoir{
-		vals: make([]float64, 0, min(size, 65536)),
-		cap:  size,
-		rng:  rand.New(rand.NewSource(seed)),
-	}
-}
-
-func (r *latencyReservoir) add(v float64) {
-	r.n++
-	r.sum += v
-	if v > r.max {
-		r.max = v
-	}
-	if len(r.vals) < r.cap {
-		r.vals = append(r.vals, v)
-		return
-	}
-	if j := r.rng.Int63n(r.n); j < int64(r.cap) {
-		r.vals[j] = v
-	}
-}
-
-func (r *latencyReservoir) summary() latencySummary {
-	if r.n == 0 {
-		return latencySummary{}
-	}
-	ms := append([]float64(nil), r.vals...)
-	sort.Float64s(ms)
-	pick := func(p float64) float64 {
-		idx := int(p * float64(len(ms)-1))
-		return ms[idx]
-	}
-	return latencySummary{
-		Samples: int(r.n),
-		Sampled: len(ms),
-		Mean:    r.sum / float64(r.n),
-		P50:     pick(0.50),
-		P90:     pick(0.90),
-		P99:     pick(0.99),
-		Max:     r.max,
-	}
-}
-
-// segmentSummary is one latency segment of the daemon's obs snapshot, in
-// the fixed journey order.
-type segmentSummary struct {
-	Segment string  `json:"segment"`
-	Count   uint64  `json:"count"`
-	MeanNS  float64 `json:"mean_ns"`
-	P50NS   float64 `json:"p50_ns"`
-	P99NS   float64 `json:"p99_ns"`
-}
-
-// journeySegments is the wall-clock segment order of an edge's path through
-// the daemon; detect_stream_lag is excluded (stream time, not wall time).
-var journeySegments = []string{
-	obs.SegIngestQueueWait,
-	obs.SegShardMailbox,
-	obs.SegLocalSearch,
-	obs.SegSJTreeJoin,
-	obs.SegDispatch,
-	obs.SegHTTPFlush,
-}
-
-// segmentBreakdown extracts the per-segment summaries from the daemon's obs
-// snapshot and reports which share of the measured mean detect-and-deliver
-// latency (milliseconds) the summed per-segment means account for — the
-// "where did my 4.3 seconds go" closure check.
-func segmentBreakdown(snap *obs.Snapshot, measuredMeanMS float64) ([]segmentSummary, float64) {
-	var segs []segmentSummary
-	sumNS := 0.0
-	for _, name := range journeySegments {
-		hs, ok := snap.Find(obs.SegmentHistogramName, name)
-		if !ok {
-			continue
-		}
-		segs = append(segs, segmentSummary{
-			Segment: name, Count: hs.Count,
-			MeanNS: hs.Mean, P50NS: hs.P50, P99NS: hs.P99,
-		})
-		sumNS += hs.Mean
-	}
-	coverage := 0.0
-	if measuredMeanMS > 0 {
-		coverage = 100 * sumNS / (measuredMeanMS * 1e6)
-	}
-	return segs, coverage
-}
-
-type shardCounters struct {
-	Shard          int    `json:"shard"`
-	EdgesProcessed uint64 `json:"edges_processed"`
-	MatchesEmitted uint64 `json:"matches_pre_dedup"`
-	LocalSearches  uint64 `json:"local_searches"`
-	LiveEdges      int    `json:"live_edges"`
-}
-
-type engineTotals struct {
-	EdgesProcessed uint64 `json:"edges_processed"`
-	MatchesEmitted uint64 `json:"matches_emitted"`
-	LocalSearches  uint64 `json:"local_searches"`
-	PartialsPruned uint64 `json:"partials_pruned"`
-	ExpiredEdges   uint64 `json:"expired_edges"`
-}
-
-func engineCounters(m core.Metrics) engineTotals {
-	return engineTotals{
-		EdgesProcessed: m.EdgesProcessed,
-		MatchesEmitted: m.MatchesEmitted,
-		LocalSearches:  m.LocalSearches,
-		PartialsPruned: m.PartialsPruned,
-		ExpiredEdges:   m.ExpiredEdges,
-	}
-}
-
-type benchResult struct {
-	Workload     string          `json:"workload"`
-	Transport    string          `json:"transport"`
-	Edges        int             `json:"edges"`
-	Batch        int             `json:"batch"`
-	Shards       int             `json:"shards"`
-	IngestSecs   float64         `json:"ingest_seconds"`
-	EdgesPerSec  float64         `json:"edges_per_sec"`
-	Matches      int             `json:"matches_delivered"`
-	Truncated    bool            `json:"subscription_truncated"`
-	Rejected429  uint64          `json:"ingest_retries"`
-	LatencyMS    latencySummary  `json:"match_latency_ms"`
-	EngineTotals engineTotals    `json:"engine"`
-	PerShard     []shardCounters `json:"per_shard"`
-	ServerSide   any             `json:"server"`
-	// Segments is the daemon's per-segment latency breakdown (present when
-	// the daemon runs with -obs); SegmentCoverage is the percentage of the
-	// measured mean detect-and-deliver latency the summed segment means
-	// account for.
-	Segments        []segmentSummary `json:"segments,omitempty"`
-	SegmentCoverage float64          `json:"segment_coverage_pct,omitempty"`
-	// JourneyMeanMS is the daemon's match-weighted arrival→flush journey mean
-	// and JourneyCoverage its share of the measured mean detect-and-deliver
-	// latency — the match-weighted closure check (both sides weight by match,
-	// so queue-depth ramps cancel out instead of skewing the comparison).
-	JourneyMeanMS   float64 `json:"journey_mean_ms,omitempty"`
-	JourneyCoverage float64 `json:"journey_coverage_pct,omitempty"`
 }

@@ -7,23 +7,14 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/streamworks/streamworks/internal/api"
 	"github.com/streamworks/streamworks/internal/wal"
 )
 
 // DurabilityStats is the public view of the engine's durability state,
-// surfaced through /healthz (Mode) and /v1/metrics (the counters).
-type DurabilityStats struct {
-	Mode                string `json:"mode"` // "off", "ok" or "degraded"
-	Frames              uint64 `json:"frames_appended"`
-	Bytes               uint64 `json:"bytes_appended"`
-	Fsyncs              uint64 `json:"fsyncs"`
-	Segments            uint64 `json:"segments_created"`
-	Snapshots           uint64 `json:"snapshots_written"`
-	TornTailTruncations uint64 `json:"torn_tail_truncations"`
-	AppendErrors        uint64 `json:"append_errors"`
-	EmittedTracked      uint64 `json:"emitted_tracked"`
-	Backlog             uint64 `json:"recovery_backlog"`
-}
+// surfaced through /healthz (Mode) and /v1/metrics (the counters). It is the
+// wire type itself, so the serving tier hands it out without a copy.
+type DurabilityStats = api.WALMetrics
 
 // durable is the durability state shared by the in-process backends: the
 // WAL manager, the recovery backlog awaiting its first subscriber, and the
@@ -81,12 +72,6 @@ func openDurable(cfg *config) (*durable, *wal.Recovery) {
 
 func (d *durable) live() bool {
 	return d != nil && d.man != nil && !d.replaying.Load()
-}
-
-func (d *durable) appendEdges(edges []StreamEdge) {
-	if d.live() {
-		d.man.AppendEdges(edges)
-	}
 }
 
 // appendEdgesAsync starts the write-ahead append and returns its join
@@ -186,7 +171,7 @@ func (d *durable) stats() DurabilityStats {
 		TornTailTruncations: st.TornTruncations,
 		AppendErrors:        st.AppendErrors,
 		EmittedTracked:      st.EmittedTracked,
-		Backlog:             backlog,
+		RecoveryBacklog:     backlog,
 	}
 }
 

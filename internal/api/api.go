@@ -105,12 +105,13 @@ type ServerMetrics struct {
 	IngestQueueCap     int    `json:"ingest_queue_cap"`
 }
 
-// WALMetrics is the wire form of the engine's durability counters
-// (streamworks.DurabilityStats), present in MetricsResponse when the daemon
-// runs with a data dir.
+// WALMetrics is the engine's durability state and counters (the public
+// streamworks.DurabilityStats is this type), present in MetricsResponse when
+// the daemon runs with a data dir.
 type WALMetrics struct {
-	// Mode is "ok" while the WAL is live, "degraded" after an open or write
-	// failure (the engine keeps serving, in-memory only).
+	// Mode is "off" without a data dir, "ok" while the WAL is live and
+	// "degraded" after an open or write failure (the engine keeps serving,
+	// in-memory only).
 	Mode                string `json:"mode"`
 	Frames              uint64 `json:"frames_appended"`
 	Bytes               uint64 `json:"bytes_appended"`

@@ -24,8 +24,7 @@ type Workload struct {
 	Queries []*query.Graph
 	Engine  core.Config
 	// SplitAt, when non-zero, is the index of the first edge of the
-	// workload's second regime (the drift point of DriftWorkload). The
-	// drift benchmark times the post-split segment separately.
+	// workload's second regime (the drift point of DriftWorkload).
 	SplitAt int
 }
 
@@ -159,6 +158,63 @@ func DriftWorkload(cfg NetFlowConfig, window time.Duration) Workload {
 		Engine:  engine,
 		SplitAt: split,
 	}
+}
+
+// BenchNetFlowWorkload builds the canonical netflow benchmark workload: the
+// same shape as internal/shard's BenchmarkSingleEngine (all four Fig. 3
+// cyber queries over a skewed background stream with attacks woven in),
+// scaled to the requested edge count.
+func BenchNetFlowWorkload(edges, hosts int, window time.Duration) Workload {
+	cfg := NetFlowConfig{
+		Hosts:       hosts,
+		Servers:     hosts/16 + 4,
+		Edges:       edges,
+		Start:       graph.TimestampFromTime(time.Date(2013, 6, 22, 0, 0, 0, 0, time.UTC)),
+		MeanGap:     time.Millisecond,
+		ContactSkew: 1.4,
+		Seed:        41,
+	}
+	return NetFlowWorkload(cfg, window)
+}
+
+// BenchDriftWorkload builds the canonical selectivity-drift benchmark
+// workload: the netflow query suite over a background stream whose traffic
+// mix rotates from benign to scan-heavy halfway through, scaled to the
+// requested edge count.
+func BenchDriftWorkload(edges, hosts int, window time.Duration) Workload {
+	// Stretch the stream to ~5 query windows so the retention window fully
+	// rotates into the post-drift regime: drift detection reads selectivities
+	// from the retained window, which must outlive the old mix for the new
+	// one to dominate it.
+	gap := 5 * window / time.Duration(max(edges, 1))
+	if gap <= 0 {
+		gap = time.Millisecond
+	}
+	cfg := NetFlowConfig{
+		Hosts:       hosts,
+		Servers:     hosts/16 + 4,
+		Edges:       edges,
+		Start:       graph.TimestampFromTime(time.Date(2013, 6, 22, 0, 0, 0, 0, time.UTC)),
+		MeanGap:     gap,
+		ContactSkew: 1.4,
+		Seed:        43,
+	}
+	return DriftWorkload(cfg, window)
+}
+
+// BenchNewsWorkload builds the canonical news benchmark workload: the Fig. 2
+// co-mention event query over an article/entity stream, scaled to roughly
+// the requested edge count (articles emit several edges each).
+func BenchNewsWorkload(edges int, window time.Duration) Workload {
+	cfg := DefaultNewsConfig()
+	cfg.Articles = edges / 8
+	if cfg.Articles < 50 {
+		cfg.Articles = 50
+	}
+	cfg.Keywords = cfg.Articles/4 + 50
+	cfg.Locations = cfg.Articles/40 + 10
+	cfg.EventClusters = cfg.Articles / 100
+	return NewsWorkload(cfg, window, 2)
 }
 
 // MatchSet is the order-insensitive identity set of a run's complete

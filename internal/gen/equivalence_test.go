@@ -8,6 +8,7 @@ package gen
 // cells double as a concurrency check.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -142,6 +143,121 @@ func TestAdaptiveReplansOnDrift(t *testing.T) {
 	}
 	if gens != m.Replans {
 		t.Fatalf("plan generations (%d swaps) disagree with Replans=%d", gens, m.Replans)
+	}
+}
+
+// storedPartials replays w edge by edge through a single engine and returns
+// its match set and the number of partial matches it stored over the stream:
+// those pruned, those still live at the end, and those a plan swap threw
+// away — a swap drops the old tree without counting its partials as pruned,
+// so each swapped query's live count just before its swap is added back.
+// Leaving that term out would flatter the adaptive run.
+func storedPartials(t *testing.T, w Workload, extra ...streamworks.Option) (MatchSet, int) {
+	t.Helper()
+	eng := streamworks.New(append([]streamworks.Option{streamworks.WithEngineConfig(w.Engine)}, extra...)...)
+	defer eng.Close()
+	ctx := context.Background()
+	for _, q := range w.Queries {
+		if err := eng.RegisterQuery(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set := make(MatchSet)
+	sub, err := eng.Subscribe("", streamworks.SinkFunc(func(m streamworks.Match) {
+		set.AddKey(m.Query, m.Signature)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := eng.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped := 0
+	for _, se := range w.Edges {
+		if err := eng.Process(ctx, se); err != nil {
+			t.Fatal(err)
+		}
+		m, err := eng.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range m.Queries {
+			if q.Replans > prev.Queries[i].Replans {
+				swapped += prev.Queries[i].PartialMatches
+			}
+		}
+		prev = m
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-sub.Done()
+	return set, int(prev.PartialsPruned) + prev.PartialMatches + swapped
+}
+
+// TestAdaptiveStoresFewerPartialsOnDrift is the counter-level reason
+// internal/replan exists: on the drift workload the adaptive run detects
+// the frozen run's exact match set while storing fewer partial matches,
+// because after the traffic mix rotates it re-anchors the SJ-Trees on what
+// is rare now. Wall-clock is the ledger's business, not this test's.
+func TestAdaptiveStoresFewerPartialsOnDrift(t *testing.T) {
+	w := tinyDriftWorkload()
+	frozenSet, frozen := storedPartials(t, w)
+	adaptiveSet, adaptive := storedPartials(t, w, streamworks.WithAdaptivePlanning(true))
+	if len(frozenSet) == 0 {
+		t.Fatalf("frozen run found no matches; the workload proves nothing")
+	}
+	if !adaptiveSet.Equal(frozenSet) {
+		t.Fatalf("adaptive run diverged: %d matches vs %d frozen", len(adaptiveSet), len(frozenSet))
+	}
+	t.Logf("partial matches stored over the stream: frozen %d, adaptive %d", frozen, adaptive)
+	if adaptive >= frozen {
+		t.Fatalf("adaptive run stored %d partial matches, frozen %d: re-planning bought nothing", adaptive, frozen)
+	}
+}
+
+// TestObservabilityParity pins that instrumentation changes how a run is
+// recorded, never which matches it finds: histograms alone and histograms
+// plus the trace ring sampling one edge in 64, on one engine and on two
+// shards, all deliver the uninstrumented match set. (The matrix above covers
+// 1-in-1 tracing across strategies.)
+func TestObservabilityParity(t *testing.T) {
+	w := BenchNetFlowWorkload(4000, 200, 10*time.Second)
+	ref, _, err := RunSingle(w)
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	if len(ref) == 0 {
+		t.Fatalf("reference run found no matches; the workload proves nothing")
+	}
+	modes := []struct {
+		name string
+		opts []streamworks.Option
+	}{
+		{"off", nil},
+		{"histograms", []streamworks.Option{streamworks.WithObservability(true)}},
+		{"histograms+trace", []streamworks.Option{
+			streamworks.WithObservability(true),
+			streamworks.WithTraceSampling(4096, 64, 1_000_000),
+		}},
+	}
+	for _, shards := range []int{0, 2} {
+		for _, m := range modes {
+			var set MatchSet
+			if shards == 0 {
+				set, _, err = RunSingle(w, m.opts...)
+			} else {
+				set, _, err = RunSharded(w, shards, m.opts...)
+			}
+			if err != nil {
+				t.Fatalf("shards=%d %s: %v", shards, m.name, err)
+			}
+			if !set.Equal(ref) {
+				t.Errorf("shards=%d %s: %d matches, uninstrumented single engine found %d",
+					shards, m.name, len(set), len(ref))
+			}
+		}
 	}
 }
 

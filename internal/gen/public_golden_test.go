@@ -12,11 +12,11 @@ import (
 	"github.com/streamworks/streamworks"
 )
 
-// TestPublicAPISingleEngineMatchesGolden is the bench-continuity guard for
-// the public API redesign: replaying the canonical benchmark workloads
-// through streamworks.New — the exact path cmd/bench measures — must
-// reproduce, signature for signature, the golden match sets captured before
-// the redesign. Any silent semantic drift introduced by the sink-based
+// TestPublicAPISingleEngineMatchesGolden is the continuity guard for the
+// public API redesign: replaying the canonical workloads through
+// streamworks.New — the path every embedder and the benchmark harness use —
+// must reproduce, signature for signature, the golden match sets captured
+// before the redesign. Any silent semantic drift introduced by the sink-based
 // emission path, the public wrappers, or future backends that reuse them
 // fails this test byte-for-byte.
 func TestPublicAPISingleEngineMatchesGolden(t *testing.T) {

@@ -96,8 +96,8 @@ func TestManyQueriesWorkloadShape(t *testing.T) {
 // many-queries workload, shared-plan mode must (a) detect the identical
 // match set, (b) actually share (DAG smaller than the sum of per-variant
 // plans, shared hits accumulated) and (c) run materially fewer local
-// searches than per-query mode — the mechanism behind the throughput win
-// BENCH_mqo.json records at full scale.
+// searches than per-query mode — the mechanism behind what the ledger's
+// manyq-shared workload measures at full scale.
 func TestManyQueriesSharedPlansWin(t *testing.T) {
 	w := tinyManyQueriesWorkload()
 	ref, refM, err := RunSingle(w)

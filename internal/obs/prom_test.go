@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"os"
 	"strings"
 	"testing"
 )
@@ -94,38 +93,4 @@ func TestParsePromRejectsGarbage(t *testing.T) {
 	if err != nil || len(samples) != 1 || samples[0].Value != 5 {
 		t.Fatalf("ParseProm(%q) = %v, %v", ok, samples, err)
 	}
-}
-
-// TestPromScrapeFile validates an externally captured /metrics scrape when
-// PROM_SCRAPE_FILE is set; CI's obs-smoke job points it at the live daemon's
-// output so a malformed exposition fails visibly instead of at some future
-// Prometheus deployment.
-func TestPromScrapeFile(t *testing.T) {
-	path := os.Getenv("PROM_SCRAPE_FILE")
-	if path == "" {
-		t.Skip("PROM_SCRAPE_FILE not set")
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("open scrape: %v", err)
-	}
-	defer f.Close()
-	samples, err := ParseProm(f)
-	if err != nil {
-		t.Fatalf("scrape does not parse: %v", err)
-	}
-	if len(samples) == 0 {
-		t.Fatalf("scrape contained no samples")
-	}
-	found := false
-	for _, s := range samples {
-		if strings.HasPrefix(s.Name, PromPrefix) {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatalf("scrape has no %s* series", PromPrefix)
-	}
-	t.Logf("scrape OK: %d samples", len(samples))
 }

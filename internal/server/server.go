@@ -780,18 +780,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	if s.cfg.DataDir != "" {
 		d := s.eng.Durability()
-		resp.WAL = &api.WALMetrics{
-			Mode:                d.Mode,
-			Frames:              d.Frames,
-			Bytes:               d.Bytes,
-			Fsyncs:              d.Fsyncs,
-			Segments:            d.Segments,
-			Snapshots:           d.Snapshots,
-			TornTailTruncations: d.TornTailTruncations,
-			AppendErrors:        d.AppendErrors,
-			EmittedTracked:      d.EmittedTracked,
-			RecoveryBacklog:     d.Backlog,
-		}
+		resp.WAL = &d
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -860,7 +849,7 @@ func (s *Server) handleProm(w http.ResponseWriter, _ *http.Request) {
 		p.Counter("wal_torn_tail_truncations", "", "", float64(d.TornTailTruncations))
 		p.Counter("wal_append_errors", "", "", float64(d.AppendErrors))
 		p.Gauge("wal_emitted_tracked", "", "", float64(d.EmittedTracked))
-		p.Gauge("wal_recovery_backlog", "", "", float64(d.Backlog))
+		p.Gauge("wal_recovery_backlog", "", "", float64(d.RecoveryBacklog))
 	}
 	if s.obsReg != nil {
 		p.Snapshot(s.ObsSnapshot())

@@ -243,13 +243,7 @@ func (s *Sharded) UnregisterQuery(ctx context.Context, name string) error {
 // Process routes one stream edge to the shards that need it. ctx bounds the
 // blocking mailbox hand-off under backpressure.
 func (s *Sharded) Process(ctx context.Context, se StreamEdge) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dur.appendEdges([]StreamEdge{se})
-	return translate(s.eng.ProcessContext(ctx, se))
+	return s.ProcessBatch(ctx, []StreamEdge{se})
 }
 
 // ProcessBatch routes a batch of edges in order.
