@@ -366,6 +366,74 @@ func TestGracefulRestartNoRedelivery(t *testing.T) {
 	}
 }
 
+// TestCancelledBatchThenCloseNoRedelivery: a batch cut short by its context
+// has still delivered matches, and a graceful Close must acknowledge those
+// too. The restart replays the whole logged batch, so the matches past the
+// cancellation point arrive then — each match once, none lost.
+func TestCancelledBatchThenCloseNoRedelivery(t *testing.T) {
+	w := acceptanceWorkload(t)
+	ref, _, err := gen.RunSingle(w)
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	for _, mk := range inProcessBackends() {
+		t.Run(mk.name, func(t *testing.T) {
+			base := []streamworks.Option{
+				streamworks.WithEngineConfig(w.Engine),
+				streamworks.WithDataDir(t.TempDir()),
+				streamworks.WithFsyncPolicy("off"),
+			}
+			var mu sync.Mutex
+			first, second := make(gen.MatchSet), make(gen.MatchSet)
+
+			eng := mk.mk(base...)
+			registerAll(t, eng, w)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			record := collectSet(&mu, first)
+			sub, err := eng.Subscribe("", streamworks.SinkFunc(func(m streamworks.Match) {
+				record.OnMatch(m)
+				cancel() // mid-batch, with a match delivered
+			}))
+			if err != nil {
+				t.Fatalf("Subscribe: %v", err)
+			}
+			half := len(w.Edges) / 2
+			// Local must stop at the cancellation; Sharded routes ahead of
+			// delivery and may have handed the whole batch over by then.
+			err = eng.ProcessBatch(ctx, w.Edges[:half])
+			if !errors.Is(err, context.Canceled) && (err != nil || mk.name == "local") {
+				t.Fatalf("ProcessBatch under a context cancelled by the sink: %v", err)
+			}
+			eng.Close()
+			<-sub.Done()
+			if len(first) == 0 {
+				t.Fatal("nothing was delivered before the cancellation")
+			}
+
+			eng2 := mk.mk(base...)
+			defer eng2.Close()
+			sub2, err := eng2.Subscribe("", collectSet(&mu, second))
+			if err != nil {
+				t.Fatalf("Subscribe after restart: %v", err)
+			}
+			streamBatches(t, eng2, w, half, len(w.Edges), 64)
+			eng2.Close()
+			<-sub2.Done()
+
+			for k := range first {
+				if _, dup := second[k]; dup {
+					t.Errorf("match redelivered after a graceful restart: %q", k)
+				}
+				second[k] = struct{}{}
+			}
+			if !second.Equal(ref) {
+				t.Fatalf("both runs delivered %d matches, reference %d", len(second), len(ref))
+			}
+		})
+	}
+}
+
 // TestWALDegradationKeepsServing drives every injected disk pathology
 // through a full workload: the WAL must flip to degraded mode, stop
 // touching the disk, and the engine must keep detecting exactly the

@@ -3,8 +3,8 @@
 //
 // Every subscription surface in StreamWorks hands back a resource the
 // caller must release: core.Engine.Subscribe returns a cancel func,
-// shard.ShardedEngine.Subscribe and streamworks.Engine.Subscribe return
-// Subscription values with Close. A subscription that is never closed pins
+// streamworks.Engine.Subscribe returns a Subscription value with Close. A
+// subscription that is never closed pins
 // a sink in the dispatch registry for the engine's lifetime — every future
 // match is delivered to it, buffers grow, and in the server the associated
 // goroutine never exits (the goleak TestMains catch that dynamically; this
@@ -32,8 +32,7 @@ import (
 // SinkTypes are fully-qualified type names whose values are subscription
 // handles regardless of how they were obtained.
 var SinkTypes = map[string]bool{
-	"github.com/streamworks/streamworks/internal/shard.Subscription": true,
-	"github.com/streamworks/streamworks.Subscription":                true,
+	"github.com/streamworks/streamworks.Subscription": true,
 }
 
 // releaseMethods are the method names that count as releasing a handle.

@@ -269,8 +269,8 @@ var (
 // RegisterQuery registers a continuous query. The query is decomposed with
 // the configured strategy (selective by default, using whatever summary
 // statistics have been collected so far) and an SJ-Tree is instantiated for
-// it. Matches are reported both from ProcessEdge return values and through
-// the registration's callback, if any.
+// it. Matches are reported both from ProcessEdge return values and to the
+// sinks attached with Subscribe.
 func (e *Engine) RegisterQuery(q *query.Graph, opts ...RegistrationOption) (*Registration, error) {
 	if q == nil {
 		return nil, ErrNilQuery

@@ -58,9 +58,6 @@ func newEngineObs(c obs.Config) engineObs {
 	}
 }
 
-// ObsEnabled reports whether the engine was built with observability on.
-func (e *Engine) ObsEnabled() bool { return e.obs.enabled }
-
 // ObsRegistry returns the engine's metric registry, or nil when
 // observability is disabled. Snapshots are safe from any goroutine.
 func (e *Engine) ObsRegistry() *obs.Registry { return e.obs.registry }

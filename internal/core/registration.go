@@ -20,7 +20,6 @@ type RegistrationOption func(*registrationConfig)
 type registrationConfig struct {
 	strategy decompose.Strategy
 	plan     *decompose.Plan
-	callback func(MatchEvent)
 	adaptive bool
 }
 
@@ -34,12 +33,6 @@ func WithStrategy(s decompose.Strategy) RegistrationOption {
 // Used by the plan-comparison experiments and by callers that persist plans.
 func WithPlan(p *decompose.Plan) RegistrationOption {
 	return func(c *registrationConfig) { c.plan = p }
-}
-
-// WithCallback registers fn to be invoked synchronously for every complete
-// match of this query.
-func WithCallback(fn func(MatchEvent)) RegistrationOption {
-	return func(c *registrationConfig) { c.callback = fn }
 }
 
 // WithAdaptive opts the registration into adaptive re-planning: the engine
@@ -82,7 +75,6 @@ type Registration struct {
 	// edge must be tested against.
 	candidatesByType map[string][]leafCandidate
 
-	callback      func(MatchEvent)
 	matches       uint64
 	localSearches uint64
 
@@ -152,7 +144,6 @@ func newRegistration(e *Engine, name string, q *query.Graph, opts ...Registratio
 		plan:     plan,
 		tree:     tree,
 		matcher:  isomorphism.New(q),
-		callback: cfg.callback,
 		adaptive: cfg.adaptive,
 		strategy: plan.Strategy,
 		det:      replan.NewDetector(e.replanCfg),
@@ -342,16 +333,13 @@ func (r *Registration) emitShared(qm *match.Match, signature string) {
 		}
 	}
 	r.matches++
-	if r.callback != nil {
-		r.callback(ev)
-	}
 	e.dispatch(ev)
 	e.dagEvents = append(e.dagEvents, ev)
 }
 
 // insertPrims pushes the scratch primitive matches into the SJ-Tree and
-// emits every complete match that results: callback, engine sinks, event
-// slice, and — when observability is on — the detection-lag histogram and a
+// emits every complete match that results: engine sinks, event slice,
+// and — when observability is on — the detection-lag histogram and a
 // sampled match trace event.
 func (r *Registration) insertPrims(leaf *sjtree.Node, de *graph.Edge, events []MatchEvent) []MatchEvent {
 	o := &r.engine.obs
@@ -380,9 +368,6 @@ func (r *Registration) insertPrims(leaf *sjtree.Node, de *graph.Edge, events []M
 				}
 			}
 			r.matches++
-			if r.callback != nil {
-				r.callback(ev)
-			}
 			r.engine.dispatch(ev)
 			events = append(events, ev)
 		}

@@ -213,7 +213,7 @@ func (e *Engine) installPlan(reg *Registration, plan *decompose.Plan, est *stats
 // dedup), the per-edge-type candidate index is rebuilt for the new leaves,
 // and the retained window is replayed through the new tree to reconstruct
 // every partial match that could still complete. Matches that emerge during
-// replay flow through the normal emission path (callback, sinks, counters);
+// replay flow through the normal emission path (sinks, counters);
 // in the expected case they are all already-emitted duplicates and the
 // inherited dedup silences them.
 func (e *Engine) swapPlan(reg *Registration, plan *decompose.Plan, est *stats.Estimator) error {

@@ -230,10 +230,8 @@ func TestSharedPlansReplan(t *testing.T) {
 	cfg.SharedPlans = true
 	e := New(&cfg)
 	var got []string
-	if _, err := e.RegisterQuery(smurfQuery(time.Minute),
-		WithStrategy(decompose.StrategySelective),
-		WithCallback(func(ev MatchEvent) { got = append(got, ev.Match.Signature()) }),
-	); err != nil {
+	e.Subscribe("smurf", MatchSinkFunc(func(ev MatchEvent) { got = append(got, ev.Match.Signature()) }))
+	if _, err := e.RegisterQuery(smurfQuery(time.Minute), WithStrategy(decompose.StrategySelective)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.RegisterQuery(probeQuery(time.Minute), WithStrategy(decompose.StrategyEager)); err != nil {

@@ -170,8 +170,7 @@ func (v Value) String() string {
 }
 
 // ParseValue converts a textual representation into the most specific Value
-// kind: bool, int, float, then string. It is used by the CSV/JSON loaders and
-// the query DSL parser.
+// kind: bool, int, float, then string. It is used by the query DSL parser.
 func ParseValue(s string) Value {
 	switch s {
 	case "true", "TRUE", "True":

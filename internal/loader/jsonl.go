@@ -1,3 +1,6 @@
+// Package loader reads and writes edge streams as JSON Lines, so generated
+// datasets (or ones exported from other systems) can be replayed through the
+// engine and the benchmark harness.
 package loader
 
 import (
@@ -12,7 +15,7 @@ import (
 
 // jsonEdge is the JSON Lines wire representation of one stream edge.
 // Attribute values carry an explicit kind so round-trips preserve types
-// exactly (CSV round-trips rely on re-inference instead).
+// exactly.
 type jsonEdge struct {
 	ID          uint64               `json:"id"`
 	Source      uint64               `json:"source"`

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/streamworks/streamworks/internal/graph"
-	"github.com/streamworks/streamworks/internal/stream"
 )
 
 func sampleEdges() []graph.StreamEdge {
@@ -33,101 +32,6 @@ func sampleEdges() []graph.StreamEdge {
 			SourceType: "Server",
 			TargetType: "Host",
 		},
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	edges := sampleEdges()
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, edges); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatalf("ReadCSV: %v", err)
-	}
-	if len(got) != len(edges) {
-		t.Fatalf("round trip lost edges: %d vs %d", len(got), len(edges))
-	}
-	for i := range edges {
-		want, have := edges[i], got[i]
-		if want.Edge.ID != have.Edge.ID || want.Edge.Source != have.Edge.Source ||
-			want.Edge.Target != have.Edge.Target || want.Edge.Type != have.Edge.Type ||
-			want.Edge.Timestamp != have.Edge.Timestamp {
-			t.Fatalf("edge %d core fields differ: %+v vs %+v", i, want.Edge, have.Edge)
-		}
-		if want.SourceType != have.SourceType || want.TargetType != have.TargetType {
-			t.Fatalf("edge %d endpoint types differ", i)
-		}
-		for k, v := range want.Edge.Attrs {
-			gv, ok := have.Edge.Attrs.Get(k)
-			if !ok || !gv.Equal(v) {
-				t.Fatalf("edge %d attr %q lost: %v vs %v", i, k, v, gv)
-			}
-		}
-	}
-}
-
-func TestCSVSourceStreams(t *testing.T) {
-	edges := sampleEdges()
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, edges); err != nil {
-		t.Fatal(err)
-	}
-	src, err := CSVSource(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := stream.Collect(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[2].Edge.ID != 3 {
-		t.Fatalf("CSVSource produced %v", got)
-	}
-}
-
-func TestCSVRejectsBadInput(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("not,a,valid,header\n")); err == nil {
-		t.Fatalf("bad header accepted")
-	}
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Fatalf("empty file accepted")
-	}
-	header := "id,source,target,type,timestamp,source_type,target_type,edge_attrs,source_attrs,target_attrs\n"
-	if _, err := ReadCSV(strings.NewReader(header + "x,1,2,flow,3,Host,Host,,,\n")); err == nil {
-		t.Fatalf("bad edge id accepted")
-	}
-	if _, err := ReadCSV(strings.NewReader(header + "1,x,2,flow,3,Host,Host,,,\n")); err == nil {
-		t.Fatalf("bad source accepted")
-	}
-	if _, err := ReadCSV(strings.NewReader(header + "1,2,3,flow,x,Host,Host,,,\n")); err == nil {
-		t.Fatalf("bad timestamp accepted")
-	}
-	if _, err := CSVSource(strings.NewReader("bogus\n")); err == nil {
-		t.Fatalf("CSVSource accepted bad header")
-	}
-}
-
-func TestAttrEscaping(t *testing.T) {
-	edges := []graph.StreamEdge{{
-		Edge: graph.Edge{
-			ID: 1, Source: 1, Target: 2, Type: "flow", Timestamp: 1,
-			Attrs: graph.Attributes{"note": graph.String("a=b;c%d")},
-		},
-		SourceType: "Host", TargetType: "Host",
-	}}
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, edges); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, ok := got[0].Edge.Attrs.Get("note")
-	if !ok || v.Str() != "a=b;c%d" {
-		t.Fatalf("escaping failed: %q", v.Str())
 	}
 }
 
@@ -173,32 +77,5 @@ func TestJSONLSourceSkipsBlankLinesAndReportsErrors(t *testing.T) {
 	}
 	if _, err := ReadJSONL(strings.NewReader("{broken json\n")); err == nil {
 		t.Fatalf("broken JSON accepted")
-	}
-}
-
-func TestCSVJSONLAgree(t *testing.T) {
-	edges := sampleEdges()
-	var cbuf, jbuf bytes.Buffer
-	if err := WriteCSV(&cbuf, edges); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteJSONL(&jbuf, edges); err != nil {
-		t.Fatal(err)
-	}
-	fromCSV, err := ReadCSV(&cbuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromJSON, err := ReadJSONL(&jbuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fromCSV) != len(fromJSON) {
-		t.Fatalf("codecs disagree on edge count")
-	}
-	for i := range fromCSV {
-		if fromCSV[i].Edge.ID != fromJSON[i].Edge.ID || fromCSV[i].Edge.Type != fromJSON[i].Edge.Type {
-			t.Fatalf("codecs disagree at %d", i)
-		}
 	}
 }

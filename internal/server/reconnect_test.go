@@ -85,7 +85,7 @@ func smurfWave(firstEdge int, firstVictim graph.VertexID, base graph.Timestamp, 
 // subscribers survive a mid-stream connection break. After both transparently
 // resubscribe, a second ingest wave must reach both exactly once — no lost
 // and no duplicate post-reconnect deliveries — and their full match sets must
-// agree. Runs under -race in CI (the transport-equivalence job).
+// agree. Runs under -race in CI.
 func TestRetryStreamReconnectBinary(t *testing.T) {
 	srv := server.New(server.Config{
 		Shard:            shard.Config{Shards: 2},

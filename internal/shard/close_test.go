@@ -3,7 +3,6 @@ package shard_test
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -65,78 +64,43 @@ func TestCloseIdempotentAndLateProcess(t *testing.T) {
 	}
 }
 
-// TestCloseBeforeStartFinishesSubscriptions checks Close on a never-started
-// engine: idempotent, and every subscription's Done closes so waiters are
-// released.
-func TestCloseBeforeStartFinishesSubscriptions(t *testing.T) {
-	s := shard.New(nil)
-	sub := s.Subscribe("", core.MatchSinkFunc(func(core.MatchEvent) {}))
-	s.Close()
-	select {
-	case <-sub.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("subscription not finished by Close on an unstarted engine")
-	}
-	s.Close()
-	// A subscription opened on a closed engine is born finished.
-	late := s.Subscribe("", core.MatchSinkFunc(func(core.MatchEvent) {}))
-	select {
-	case <-late.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("late subscription not born finished")
-	}
-	// The Events adapter on a closed engine is a closed channel.
-	if _, open := <-s.Events(); open {
-		t.Fatal("Events on a closed engine delivered a value")
-	}
-}
-
-// TestSubscriptionFiltersAndCancel checks the shard-level push subscription
-// surface directly: per-query filtering and mid-stream cancellation.
-func TestSubscriptionFiltersAndCancel(t *testing.T) {
+// TestDoneClosesAtClose checks the one drain signal: Done stays open while
+// the engine can still deliver, and closes at Close — on a running engine
+// after the final sink call, on one never started immediately.
+func TestDoneClosesAtClose(t *testing.T) {
 	w := smallNetflow(time.Minute, 37)
-	cfg := shard.DefaultConfig()
-	cfg.Engine = w.Engine
-	s := shard.New(&cfg)
-	for _, q := range w.Queries {
-		if err := s.RegisterQuery(q); err != nil {
-			t.Fatal(err)
+	for _, start := range []bool{true, false} {
+		delivered := 0
+		s := shard.New(&shard.Config{Shards: 2, Engine: w.Engine,
+			Sink: core.MatchSinkFunc(func(core.MatchEvent) { delivered++ })})
+		for _, q := range w.Queries {
+			if err := s.RegisterQuery(q); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	s.Start()
-	smurf := make(gen.MatchSet)
-	smurfSub := s.Subscribe("smurf-ddos", core.MatchSinkFunc(func(ev core.MatchEvent) {
-		if ev.Query != "smurf-ddos" {
-			t.Errorf("filtered subscription delivered %q", ev.Query)
+		if start {
+			s.Start()
+			for _, se := range w.Edges {
+				if err := s.Process(se); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-		smurf.Add(ev)
-	}))
-	all := make(gen.MatchSet)
-	allSub := s.Subscribe("", core.MatchSinkFunc(func(ev core.MatchEvent) { all.Add(ev) }))
-	canceled := s.Subscribe("", core.MatchSinkFunc(func(core.MatchEvent) {}))
-	canceled.Close()
-	<-canceled.Done()
-	canceled.Close() // idempotent
-
-	for _, se := range w.Edges {
-		if err := s.Process(se); err != nil {
-			t.Fatal(err)
+		select {
+		case <-s.Done():
+			t.Fatalf("started=%v: Done closed before Close", start)
+		default:
 		}
-	}
-	s.Close()
-	<-smurfSub.Done()
-	<-allSub.Done()
-
-	if len(all) == 0 || len(smurf) == 0 {
-		t.Fatalf("degenerate workload: %d all / %d smurf matches", len(all), len(smurf))
-	}
-	want := make(gen.MatchSet)
-	for k := range all {
-		if strings.HasPrefix(k, "smurf-ddos\x1f") {
-			want[k] = struct{}{}
+		s.Close()
+		select {
+		case <-s.Done():
+		case <-time.After(5 * time.Second):
+			t.Fatalf("started=%v: Done still open after Close", start)
 		}
-	}
-	if !smurf.Equal(want) {
-		t.Fatalf("filtered subscription saw %d matches, full stream holds %d for the query", len(smurf), len(want))
+		s.Close()
+		// Done orders every sink call before this read.
+		if m := s.Metrics(); start && (delivered == 0 || uint64(delivered) != m.MatchesEmitted) {
+			t.Fatalf("sink saw %d matches by Done, engine emitted %d", delivered, m.MatchesEmitted)
+		}
 	}
 }

@@ -22,11 +22,11 @@
 // more than one shard. All shard outputs are funneled onto one merge channel
 // and deduplicated by canonical match key (query name plus the sorted
 // pattern-edge → data-edge binding), so replication never double-reports.
-// Deduplicated matches are pushed to per-query subscriptions (Subscribe), the
-// primary consumption surface; Events remains as a single-channel adapter for
-// callers that prefer pulling from a channel. Stream time is coordinated by
-// broadcasting watermark advances to shards that did not receive an edge,
-// keeping window expiry and SJ-tree pruning moving on idle partitions.
+// Deduplicated matches are pushed to the one sink the engine was built with
+// (Config.Sink); filtering and fan-out to subscribers belong to the tier
+// above. Stream time is coordinated by broadcasting watermark advances to
+// shards that did not receive an edge, keeping window expiry and SJ-tree
+// pruning moving on idle partitions.
 //
 // Sources feeding a ShardedEngine must populate endpoint metadata
 // (types/attributes) on every stream edge, not only on a vertex's first
@@ -48,7 +48,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/streamworks/streamworks/internal/core"
@@ -56,7 +55,6 @@ import (
 	"github.com/streamworks/streamworks/internal/mqo"
 	"github.com/streamworks/streamworks/internal/obs"
 	"github.com/streamworks/streamworks/internal/query"
-	"github.com/streamworks/streamworks/internal/stream"
 )
 
 // Config controls the sharded front-end.
@@ -77,6 +75,10 @@ type Config struct {
 	// match set is unaffected because match admission checks the temporal
 	// span directly.
 	AdvanceEvery time.Duration
+	// Sink receives every deduplicated match, invoked on the merger
+	// goroutine: it must not block, or it stalls merging and eventually
+	// ingestion. Nil drops matches (counters still advance).
+	Sink core.MatchSink
 }
 
 // DefaultConfig returns a four-way sharding of core.DefaultConfig engines.
@@ -87,9 +89,7 @@ func DefaultConfig() Config {
 // ShardedEngine drives N core.Engine shards behind the same
 // register/process/metrics surface as a single engine. Control methods
 // (RegisterQuery, UnregisterQuery, Process, Advance, Metrics, Start, Close)
-// must be called from one goroutine — the stream driver — while Subscribe,
-// Events consumption and Subscription.Close are safe from any goroutine; Run
-// wires both sides together.
+// must be called from one goroutine — the stream driver.
 type ShardedEngine struct {
 	cfg     Config
 	workers []*worker
@@ -99,16 +99,7 @@ type ShardedEngine struct {
 	running    bool
 	closed     bool            // Close was called; the engine is permanently stopped
 	out        chan shardEvent // workers → merger (events + progress marks)
-	mergerDone chan struct{}
-
-	// subMu guards the push-subscription registry and the lazy Events
-	// channel; it is taken briefly by Subscribe/unsubscribe and by the
-	// merger per delivered event.
-	subMu   sync.Mutex
-	subs    []*Subscription
-	subSeq  int
-	drained bool                 // merger has exited (or the engine closed unstarted)
-	events  chan core.MatchEvent // lazy compatibility adapter, see Events
+	mergerDone chan struct{}   // closed after the final sink call, see Done
 
 	seenTS        bool
 	maxTS         graph.Timestamp
@@ -130,87 +121,6 @@ type ShardedEngine struct {
 	// obsDedupEntries and obsDedupBytes size the merger's duplicate filter,
 	// refreshed by the merger at every progress mark.
 	obsDedupEntries, obsDedupBytes *obs.Gauge
-}
-
-// Subscription is one per-query push subscription on a ShardedEngine. The
-// registered sink receives every deduplicated match admitted for its query
-// (all queries when the filter is empty), invoked on the merger goroutine:
-// sinks must not block, or they stall merging and eventually ingestion.
-// Done is closed when no further matches can arrive — the engine closed and
-// drained, or the subscription was closed.
-type Subscription struct {
-	s     *ShardedEngine
-	id    int
-	query string
-	sink  core.MatchSink
-	done  chan struct{}
-	once  sync.Once
-}
-
-// Done reports delivery end: closed after the final OnMatch call.
-func (sub *Subscription) Done() <-chan struct{} { return sub.done }
-
-// Close cancels the subscription. Matches already being dispatched may still
-// be delivered concurrently with Close; after Done is closed none are. Safe
-// to call from any goroutine, more than once.
-func (sub *Subscription) Close() { sub.s.unsubscribe(sub) }
-
-func (sub *Subscription) finish() {
-	sub.once.Do(func() { close(sub.done) })
-}
-
-// Subscribe registers a push subscription for one query (queryFilter names
-// it) or all queries (queryFilter ""). It may be called from any goroutine, before
-// or after Start; matches emitted before Subscribe returns are not
-// redelivered. Subscribing on a closed (or drained) engine returns a
-// subscription whose Done is already closed.
-func (s *ShardedEngine) Subscribe(queryFilter string, sink core.MatchSink) *Subscription {
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	s.subSeq++
-	sub := &Subscription{s: s, id: s.subSeq, query: queryFilter, sink: sink, done: make(chan struct{})}
-	if s.drained {
-		sub.finish()
-		return sub
-	}
-	subs := make([]*Subscription, 0, len(s.subs)+1)
-	subs = append(subs, s.subs...)
-	s.subs = append(subs, sub)
-	return sub
-}
-
-// unsubscribe removes sub from the registry and marks it finished.
-func (s *ShardedEngine) unsubscribe(sub *Subscription) {
-	s.subMu.Lock()
-	for i, o := range s.subs {
-		if o.id == sub.id {
-			subs := make([]*Subscription, 0, len(s.subs)-1)
-			subs = append(subs, s.subs[:i]...)
-			s.subs = append(subs, s.subs[i+1:]...)
-			break
-		}
-	}
-	s.subMu.Unlock()
-	sub.finish()
-}
-
-// finishSubscriptions marks the subscription registry drained: every live
-// subscription's Done closes and the Events adapter (if materialized) is
-// closed. Called by the merger on exit, and by Close on an engine that was
-// never started.
-func (s *ShardedEngine) finishSubscriptions() {
-	s.subMu.Lock()
-	s.drained = true
-	subs := s.subs
-	s.subs = nil
-	events := s.events
-	s.subMu.Unlock()
-	for _, sub := range subs {
-		sub.finish()
-	}
-	if events != nil {
-		close(events)
-	}
 }
 
 // New constructs a stopped ShardedEngine. cfg may be nil for DefaultConfig.
@@ -237,6 +147,7 @@ func New(cfg *Config) *ShardedEngine {
 		cfg:          c,
 		router:       newRouter(c.Shards),
 		dedup:        newDedup(c.Engine.Retention, c.Engine.Slack),
+		mergerDone:   make(chan struct{}),
 		advanceEvery: adv,
 		retention:    c.Engine.Retention,
 	}
@@ -264,9 +175,6 @@ func New(cfg *Config) *ShardedEngine {
 	}
 	return s
 }
-
-// ObsEnabled reports whether the engine was built with observability on.
-func (s *ShardedEngine) ObsEnabled() bool { return s.obsReg != nil }
 
 // ObsSnapshot folds the front-end registry and every worker's private
 // registry into one logical snapshot — the observability analogue of
@@ -317,9 +225,7 @@ var (
 // semantics), and a mid-stream hub-free query fails with
 // ErrBroadcastRequired since its edge types were not being broadcast while
 // earlier edges were partitioned. Per-shard failures (duplicate name, plan
-// errors) roll back the shards that had accepted. Note that a WithCallback
-// option fires per shard before deduplication; use Events or the Run
-// callback for deduplicated matches.
+// errors) roll back the shards that had accepted.
 func (s *ShardedEngine) RegisterQuery(q *query.Graph, opts ...core.RegistrationOption) error {
 	if q == nil {
 		return core.ErrNilQuery
@@ -386,7 +292,6 @@ func (s *ShardedEngine) Start() {
 		return
 	}
 	s.out = make(chan shardEvent, 64*len(s.workers))
-	s.mergerDone = make(chan struct{})
 	for _, w := range s.workers {
 		w.start(s.cfg.Buffer, s.out)
 	}
@@ -394,15 +299,13 @@ func (s *ShardedEngine) Start() {
 	s.running = true
 }
 
-// merge funnels all shard outputs into the deduplicated push subscriptions
-// (and the Events adapter when materialized). It exits when Close closes the
-// merge channel after all workers have drained, then finishes every
-// subscription. Progress marks from the shards drive dedup eviction: the
-// minimum observed shard watermark bounds, via channel FIFO order, which
-// duplicates can still be in flight.
+// merge funnels all shard outputs through the duplicate filter into the
+// sink. It exits when Close closes the merge channel after all workers have
+// drained. Progress marks from the shards drive dedup eviction: the minimum
+// observed shard watermark bounds, via channel FIFO order, which duplicates
+// can still be in flight.
 func (s *ShardedEngine) merge() {
 	defer close(s.mergerDone)
-	defer s.finishSubscriptions()
 	marks := make([]graph.Timestamp, len(s.workers))
 	marked := make([]bool, len(s.workers))
 	for se := range s.out {
@@ -430,29 +333,15 @@ func (s *ShardedEngine) merge() {
 	}
 }
 
-// deliver pushes one admitted match to every matching subscription and to
-// the Events adapter. The registry is copy-on-write: the snapshot is taken
-// under subMu, the sink calls happen outside it, so Subscribe never blocks
-// behind a slow sink. A subscription closed concurrently with delivery may
-// receive this final event.
+// deliver hands one admitted match to the sink.
 func (s *ShardedEngine) deliver(ev core.MatchEvent) {
 	if s.obsDispatch != nil && ev.EmittedWallNS != 0 {
-		// Dispatch latency: core emission → deduplicated delivery. Covers
-		// the merge channel plus fan-out, the two hops a match takes after
-		// the SJ-tree surfaces it.
+		// Dispatch latency: core emission → deduplicated delivery, i.e. the
+		// merge channel hop a match takes after the SJ-tree surfaces it.
 		s.obsDispatch.Observe(s.obsClock.Now() - ev.EmittedWallNS)
 	}
-	s.subMu.Lock()
-	subs := s.subs
-	events := s.events
-	s.subMu.Unlock()
-	for _, sub := range subs {
-		if sub.query == "" || sub.query == ev.Query {
-			sub.sink.OnMatch(ev)
-		}
-	}
-	if events != nil {
-		events <- ev
+	if s.cfg.Sink != nil {
+		s.cfg.Sink.OnMatch(ev)
 	}
 }
 
@@ -471,24 +360,9 @@ func minMark(marks []graph.Timestamp, marked []bool) (graph.Timestamp, bool) {
 	return min, true
 }
 
-// Events returns the deduplicated match stream as a channel — the
-// compatibility adapter over the push-subscription surface. The channel is
-// materialized on first call and receives matches admitted from then on
-// (subscribe before processing edges to see everything); it is closed once
-// the engine closes and drains. Consumers must drain it or ingestion
-// eventually blocks — push subscriptions (Subscribe) do not have that
-// failure mode and are the preferred surface.
-func (s *ShardedEngine) Events() <-chan core.MatchEvent {
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	if s.events == nil {
-		s.events = make(chan core.MatchEvent, 256)
-		if s.drained {
-			close(s.events)
-		}
-	}
-	return s.events
-}
+// Done is closed once no further match can reach the sink: after the final
+// sink call of a running engine's Close, or at Close of one never started.
+func (s *ShardedEngine) Done() <-chan struct{} { return s.mergerDone }
 
 // Process routes one stream edge to the shards that need it and broadcasts a
 // watermark advance to the others when stream time has moved far enough.
@@ -575,7 +449,7 @@ func (s *ShardedEngine) Advance(ts graph.Timestamp) {
 // Flush is a full-pipeline barrier: it returns only after every edge,
 // advance and control message enqueued before the call has been processed
 // by its shard AND every match those messages produced has been delivered
-// through the merger to subscriptions. Recovery uses it to know that
+// through the merger to the sink. Recovery uses it to know that
 // replaying the log tail has surfaced every re-derivable match before it
 // compares them against the checkpointed emitted-set. Like Process, Flush
 // must not race with Close.
@@ -601,19 +475,17 @@ func (s *ShardedEngine) Flush() error {
 	return nil
 }
 
-// Close flushes the mailboxes, stops the workers and the merger, finishes
-// every subscription (Done closes after the final delivery) and closes the
-// Events adapter. Close is idempotent and permanent: a closed engine cannot
-// be restarted, Process returns ErrClosed, and a second Close returns
-// immediately.
+// Close flushes the mailboxes and stops the workers and the merger; Done
+// closes after the final delivery. Close is idempotent and permanent: a
+// closed engine cannot be restarted, Process returns ErrClosed, and a second
+// Close returns immediately.
 func (s *ShardedEngine) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
 	if !s.running {
-		// Never started: there is no merger to finish the subscriptions.
-		s.finishSubscriptions()
+		close(s.mergerDone) // never started: no merger will
 		return
 	}
 	for _, w := range s.workers {
@@ -625,33 +497,6 @@ func (s *ShardedEngine) Close() {
 	close(s.out)
 	<-s.mergerDone
 	s.running = false
-}
-
-// Run streams src through the sharded engine: it starts the workers, routes
-// every edge, and invokes fn (when non-nil) for each deduplicated match
-// event via a push subscription. It returns the number of deduplicated
-// matches. The engine is closed when the source is exhausted.
-func (s *ShardedEngine) Run(src stream.Source, fn func(core.MatchEvent)) (int, error) {
-	s.Start()
-	total := 0
-	sub := s.Subscribe("", core.MatchSinkFunc(func(ev core.MatchEvent) {
-		total++
-		if fn != nil {
-			fn(ev)
-		}
-	}))
-	defer sub.Close()
-	var procErr error
-	_, err := stream.Replay(src, func(se graph.StreamEdge) bool {
-		procErr = s.Process(se)
-		return procErr == nil
-	})
-	s.Close()
-	<-sub.Done()
-	if procErr != nil {
-		return total, procErr
-	}
-	return total, err
 }
 
 // PerShardMetrics snapshots every shard engine's counters in shard order.
@@ -670,7 +515,7 @@ func (s *ShardedEngine) PerShardMetrics() []core.Metrics {
 // Metrics aggregates per-shard counters into the single-engine Metrics
 // shape. Work counters (EdgesProcessed, LocalSearches, live graph sizes, …)
 // are sums over shards and therefore include replicated edges; MatchesEmitted
-// and per-query Matches are post-deduplication counts as reported on Events.
+// and per-query Matches are post-deduplication counts as delivered to the sink.
 // Registrations reflects the front-end view (each active query counted once).
 func (s *ShardedEngine) Metrics() core.Metrics {
 	snaps := s.PerShardMetrics()

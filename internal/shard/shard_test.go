@@ -137,6 +137,8 @@ func TestShardedMetricsAggregate(t *testing.T) {
 func TestShardedRegisterErrorsRollBack(t *testing.T) {
 	cfg := shard.DefaultConfig()
 	cfg.Engine.Retention = time.Second
+	matched := 0
+	cfg.Sink = core.MatchSinkFunc(func(core.MatchEvent) { matched++ })
 	s := shard.New(&cfg)
 	if err := s.RegisterQuery(nil); !errors.Is(err, core.ErrNilQuery) {
 		t.Fatalf("nil query: %v", err)
@@ -148,30 +150,29 @@ func TestShardedRegisterErrorsRollBack(t *testing.T) {
 		t.Fatalf("duplicate: %v", err)
 	}
 	// After the duplicate failure the engine still runs and matches.
-	w := smallNetflow(time.Second, 23)
-	set := make(gen.MatchSet)
-	if _, err := s.Run(w.Source(), func(ev core.MatchEvent) { set.Add(ev) }); err != nil {
-		t.Fatalf("run after failed registration: %v", err)
+	s.Start()
+	for _, se := range smallNetflow(time.Second, 23).Edges {
+		if err := s.Process(se); err != nil {
+			t.Fatalf("run after failed registration: %v", err)
+		}
+	}
+	s.Close()
+	if matched == 0 {
+		t.Fatal("no match after the failed registrations")
 	}
 }
 
 func TestShardedMidStreamRegistration(t *testing.T) {
 	cfg := shard.DefaultConfig()
 	cfg.Engine.Retention = time.Minute
+	var got []core.MatchEvent // read after Close, which drains the merger
+	cfg.Sink = core.MatchSinkFunc(func(ev core.MatchEvent) { got = append(got, ev) })
 	s := shard.New(&cfg)
 	if err := s.RegisterQuery(gen.SmurfQuery(30 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	w := smallNetflow(30*time.Second, 29)
 	s.Start()
-	var got []core.MatchEvent
-	consumerDone := make(chan struct{})
-	go func() {
-		defer close(consumerDone)
-		for ev := range s.Events() {
-			got = append(got, ev)
-		}
-	}()
 	half := len(w.Edges) / 2
 	for _, se := range w.Edges[:half] {
 		s.Process(se)
@@ -197,7 +198,6 @@ func TestShardedMidStreamRegistration(t *testing.T) {
 		s.Process(se)
 	}
 	s.Close()
-	<-consumerDone
 	m := s.Metrics()
 	if len(m.Queries) != 1 || m.Queries[0].Name != "worm-hop" {
 		t.Fatalf("surviving registrations = %+v, want only worm-hop", m.Queries)
@@ -239,12 +239,6 @@ func TestShardedHubFreeQueryRejectedMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Start()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range s.Events() {
-		}
-	}()
 	for _, se := range w.Edges[:100] {
 		s.Process(se)
 	}
@@ -259,7 +253,6 @@ func TestShardedHubFreeQueryRejectedMidStream(t *testing.T) {
 		t.Fatalf("mid-stream hub registration: %v", err)
 	}
 	s.Close()
-	<-done
 }
 
 func TestShardedExplicitAdvanceExpires(t *testing.T) {
@@ -272,12 +265,6 @@ func TestShardedExplicitAdvanceExpires(t *testing.T) {
 	}
 	base := graph.TimestampFromTime(time.Unix(1000, 0))
 	s.Start()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range s.Events() {
-		}
-	}()
 	for i := 0; i < 64; i++ {
 		s.Process(graph.StreamEdge{
 			Edge: graph.Edge{
@@ -295,7 +282,6 @@ func TestShardedExplicitAdvanceExpires(t *testing.T) {
 	// even on shards that received nothing since.
 	s.Advance(base.Add(time.Hour))
 	s.Close()
-	<-done
 	m := s.Metrics()
 	if m.LiveEdges != 0 {
 		t.Fatalf("explicit advance left %d live edges", m.LiveEdges)
@@ -326,12 +312,6 @@ func TestShardedAdvanceReachesLaggingShards(t *testing.T) {
 		}
 	}
 	s.Start()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range s.Events() {
-		}
-	}()
 	// Phase 1: spread edges across all shards at early timestamps.
 	for i := 0; i < 64; i++ {
 		s.Process(edge(i+1, graph.VertexID(i), graph.VertexID(i+500), base.Add(time.Duration(i)*10*time.Millisecond)))
@@ -353,7 +333,6 @@ func TestShardedAdvanceReachesLaggingShards(t *testing.T) {
 			m1.ExpiredEdges, m2.ExpiredEdges)
 	}
 	s.Close()
-	<-done
 }
 
 // TestShardedRunViaFanOut drives per-shard sub-streams through the stream

@@ -123,27 +123,16 @@ type Tree struct {
 	leaves []*Node
 	window time.Duration
 
-	onMatch func(*match.Match)
-
 	emitted        EmittedSet
 	duplicateDrops uint64
 	windowDrops    uint64
 	prunedTotal    uint64
 }
 
-// Option configures a Tree.
-type Option func(*Tree)
-
-// WithMatchCallback registers fn to be invoked for every complete match the
-// tree produces. The engine uses this to forward results to subscribers.
-func WithMatchCallback(fn func(*match.Match)) Option {
-	return func(t *Tree) { t.onMatch = fn }
-}
-
 // New instantiates a runtime SJ-Tree from a decomposition plan. The query's
 // time window bounds the temporal span of reported matches; partial matches
 // that can no longer satisfy it are dropped during joins and pruning.
-func New(plan *decompose.Plan, opts ...Option) (*Tree, error) {
+func New(plan *decompose.Plan) (*Tree, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, fmt.Errorf("sjtree: invalid plan: %w", err)
 	}
@@ -151,9 +140,6 @@ func New(plan *decompose.Plan, opts ...Option) (*Tree, error) {
 		q:      plan.Query,
 		plan:   plan,
 		window: plan.Query.Window(),
-	}
-	for _, o := range opts {
-		o(t)
 	}
 	t.root = t.build(plan.Root, nil)
 	return t, nil
@@ -190,9 +176,6 @@ func (t *Tree) Root() *Node { return t.root }
 
 // Leaves returns the leaf nodes (search primitives) in plan order.
 func (t *Tree) Leaves() []*Node { return t.leaves }
-
-// SetMatchCallback replaces the complete-match callback.
-func (t *Tree) SetMatchCallback(fn func(*match.Match)) { t.onMatch = fn }
 
 // InheritEmitted transfers old's emitted-match identity across a plan swap:
 // the new tree adopts the old tree's complete-match dedup set (and its
@@ -262,9 +245,6 @@ func (t *Tree) acceptComplete(m *match.Match) []*match.Match {
 		t.duplicateDrops++
 		return nil
 	}
-	if t.onMatch != nil {
-		t.onMatch(m)
-	}
 	return []*match.Match{m}
 }
 
@@ -312,19 +292,10 @@ func (t *Tree) Prune(cutoff graph.Timestamp) int {
 	})
 }
 
-// PruneExpiredEdge removes partial matches that bind the given data edge.
-// The engine wires the dynamic graph's expiry callback (batched through
-// PruneExpiredEdges) so stored state never references edges outside the
-// sliding window.
-func (t *Tree) PruneExpiredEdge(id graph.EdgeID) int {
-	return t.pruneWhere(func(m *match.Match) bool {
-		return m.UsesDataEdge(id)
-	})
-}
-
 // PruneExpiredEdges removes partial matches binding any of the given data
-// edges in a single scan — the batch form the engine uses when draining the
-// expiry callback, so a burst of expiries costs one pass over the stored
+// edges in a single scan. The engine drains the dynamic graph's expiry
+// callback through it, so stored state never references edges outside the
+// sliding window and a burst of expiries costs one pass over the stored
 // matches instead of one per edge.
 func (t *Tree) PruneExpiredEdges(ids map[graph.EdgeID]struct{}) int {
 	if len(ids) == 0 {

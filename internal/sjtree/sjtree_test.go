@@ -32,9 +32,9 @@ func mustPlan(t *testing.T, q *query.Graph, s decompose.Strategy) *decompose.Pla
 	return p
 }
 
-func mustTree(t *testing.T, q *query.Graph, s decompose.Strategy, opts ...Option) *Tree {
+func mustTree(t *testing.T, q *query.Graph, s decompose.Strategy) *Tree {
 	t.Helper()
-	tr, err := New(mustPlan(t, q, s), opts...)
+	tr, err := New(mustPlan(t, q, s))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -83,10 +83,7 @@ func TestTreeStructureMirrorsPlan(t *testing.T) {
 
 func TestInsertJoinProducesCompleteMatch(t *testing.T) {
 	q := smurfQuery(0)
-	var emitted []*match.Match
-	tr := mustTree(t, q, decompose.StrategyEager, WithMatchCallback(func(m *match.Match) {
-		emitted = append(emitted, m)
-	}))
+	tr := mustTree(t, q, decompose.StrategyEager)
 	reqLeaf, replyLeaf := tr.Leaves()[0], tr.Leaves()[1]
 
 	// Insert the request half: no completion yet.
@@ -106,9 +103,6 @@ func TestInsertJoinProducesCompleteMatch(t *testing.T) {
 	out = tr.Insert(replyLeaf, replyMatch(2, 3, 102, 12))
 	if len(out) != 1 {
 		t.Fatalf("expected 1 complete match, got %d", len(out))
-	}
-	if len(emitted) != 1 {
-		t.Fatalf("callback not invoked")
 	}
 	m := out[0]
 	if !m.Complete(q) {
@@ -217,20 +211,20 @@ func TestPruneByCutoff(t *testing.T) {
 	}
 }
 
-func TestPruneExpiredEdge(t *testing.T) {
+func TestPruneExpiredEdges(t *testing.T) {
 	q := smurfQuery(0)
 	tr := mustTree(t, q, decompose.StrategyEager)
 	reqLeaf := tr.Leaves()[0]
 	tr.Insert(reqLeaf, reqMatch(1, 2, 100, 10))
 	tr.Insert(reqLeaf, reqMatch(4, 5, 101, 20))
-	removed := tr.PruneExpiredEdge(100)
+	removed := tr.PruneExpiredEdges(map[graph.EdgeID]struct{}{100: {}})
 	if removed != 1 {
-		t.Fatalf("PruneExpiredEdge removed %d, want 1", removed)
+		t.Fatalf("PruneExpiredEdges removed %d, want 1", removed)
 	}
 	if tr.PartialMatchCount() != 1 {
 		t.Fatalf("PartialMatchCount = %d", tr.PartialMatchCount())
 	}
-	if tr.PruneExpiredEdge(99999) != 0 {
+	if tr.PruneExpiredEdges(map[graph.EdgeID]struct{}{99999: {}}) != 0 {
 		t.Fatalf("pruning an unknown edge should remove nothing")
 	}
 }

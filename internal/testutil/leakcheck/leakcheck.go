@@ -4,7 +4,8 @@
 // worker, merger, hub and delivery goroutines whose lifecycles are part of
 // the public contract ("Close drains and stops everything"); a test that
 // passes while leaking a worker is a test that hides a shutdown bug, so the
-// three goroutine-heavy packages (core, shard, server) gate on this check.
+// goroutine-heavy packages (the public API, core, shard, server) gate on
+// this check.
 //
 // Usage, in one file per test package:
 //

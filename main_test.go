@@ -1,0 +1,14 @@
+package streamworks_test
+
+import (
+	"testing"
+
+	"github.com/streamworks/streamworks/internal/testutil/leakcheck"
+)
+
+// TestMain gates the package on goroutine hygiene: Close on every backend
+// must stop what the backend started — shard workers, the merger, the WAL's
+// group-commit ticker, a Remote's receive loops.
+func TestMain(m *testing.M) {
+	leakcheck.Main(m)
+}

@@ -3,8 +3,10 @@ package streamworks_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -109,6 +111,9 @@ func backendRun(t *testing.T, eng streamworks.Engine, w gen.Workload, filterQuer
 	if err := eng.RegisterQuery(ctx, w.Queries[0]); !errors.Is(err, streamworks.ErrClosed) {
 		t.Fatalf("RegisterQuery after Close: %v, want ErrClosed", err)
 	}
+	if _, err := eng.Subscribe("", streamworks.SinkFunc(func(streamworks.Match) {})); !errors.Is(err, streamworks.ErrClosed) {
+		t.Fatalf("Subscribe after Close: %v, want ErrClosed", err)
+	}
 	if err := eng.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
@@ -171,117 +176,53 @@ func TestAllBackendsIdenticalMatchSets(t *testing.T) {
 	}
 }
 
-// TestSubscriptionCloseStopsDelivery checks that closing one subscription
-// does not disturb the engine or other subscriptions.
-func TestSubscriptionCloseStopsDelivery(t *testing.T) {
+// TestFrontendContract is the one statement of what the in-process backends
+// promise about subscriptions and shutdown, run clause by clause against New
+// and NewSharded. (TestAllBackendsIdenticalMatchSets holds Connect to the
+// clauses that apply to a remote engine: unknown filter, ErrClosed.)
+func TestFrontendContract(t *testing.T) {
 	w := acceptanceWorkload(t)
 	ctx := context.Background()
-	eng := streamworks.NewSharded(streamworks.WithEngineConfig(w.Engine), streamworks.WithShards(2))
-	defer eng.Close()
-	for _, q := range w.Queries {
-		if err := eng.RegisterQuery(ctx, q); err != nil {
-			t.Fatal(err)
+	nop := streamworks.SinkFunc(func(streamworks.Match) {})
+	for _, mk := range inProcessBackends() {
+		// open builds a backend with the workload's queries registered; the
+		// cleanup Close is a no-op for clauses that close it themselves.
+		open := func(t *testing.T, opts ...streamworks.Option) durableEngine {
+			eng := mk.mk(append([]streamworks.Option{streamworks.WithEngineConfig(w.Engine)}, opts...)...)
+			t.Cleanup(func() { eng.Close() })
+			registerAll(t, eng, w)
+			return eng
 		}
-	}
-	kept := make(gen.MatchSet)
-	keptSub, err := eng.Subscribe("", streamworks.SinkFunc(func(m streamworks.Match) {
-		kept.AddKey(m.Query, m.Signature)
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dropped, err := eng.Subscribe("", streamworks.SinkFunc(func(streamworks.Match) {}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dropped.Close(); err != nil {
-		t.Fatalf("Subscription.Close: %v", err)
-	}
-	<-dropped.Done()
-	if err := dropped.Close(); err != nil {
-		t.Fatalf("second Subscription.Close: %v", err)
-	}
-	if err := eng.ProcessBatch(ctx, w.Edges); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	<-keptSub.Done()
-	if len(kept) == 0 {
-		t.Fatal("surviving subscription received nothing")
-	}
-	m, err := eng.Metrics(ctx)
-	if err != nil {
-		t.Fatalf("Metrics after Close: %v", err)
-	}
-	if m.MatchesEmitted != uint64(len(kept)) {
-		t.Fatalf("MatchesEmitted = %d, want %d", m.MatchesEmitted, len(kept))
-	}
-}
-
-// TestLocalBuildsOneReportPerMatch: however many subscriptions admit a
-// match, the local backend resolves it once — every sink is handed the same
-// report (same bindings storage), in subscription order.
-func TestLocalBuildsOneReportPerMatch(t *testing.T) {
-	w := acceptanceWorkload(t)
-	ctx := context.Background()
-	eng := streamworks.New(streamworks.WithEngineConfig(w.Engine))
-	defer eng.Close()
-	for _, q := range w.Queries {
-		if err := eng.RegisterQuery(ctx, q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var first, second []streamworks.Match
-	var order []int
-	for i, got := range []*[]streamworks.Match{&first, &second} {
-		if _, err := eng.Subscribe("", streamworks.SinkFunc(func(m streamworks.Match) {
-			*got = append(*got, m)
-			order = append(order, i)
-		})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := eng.ProcessBatch(ctx, w.Edges); err != nil {
-		t.Fatal(err)
-	}
-	if len(first) == 0 || len(first) != len(second) {
-		t.Fatalf("subscriptions received %d and %d matches", len(first), len(second))
-	}
-	for i := range first {
-		if &first[i].Bindings[0] != &second[i].Bindings[0] || first[i].Signature != second[i].Signature {
-			t.Fatalf("match %d was resolved once per subscription", i)
-		}
-		if order[2*i] != 0 || order[2*i+1] != 1 {
-			t.Fatalf("match %d delivered out of subscription order: %v", i, order[2*i:2*i+2])
-		}
-	}
-}
-
-// TestCloseSubscriptionFromSink checks the natural "deliver once then
-// unsubscribe" pattern: a sink closing its own subscription must not
-// deadlock or panic on any in-process backend, and delivery to it stops.
-func TestCloseSubscriptionFromSink(t *testing.T) {
-	w := acceptanceWorkload(t)
-	ctx := context.Background()
-	backends := map[string]streamworks.Engine{
-		"local":   streamworks.New(streamworks.WithEngineConfig(w.Engine)),
-		"sharded": streamworks.NewSharded(streamworks.WithEngineConfig(w.Engine), streamworks.WithShards(2)),
-	}
-	for name, eng := range backends {
-		t.Run(name, func(t *testing.T) {
-			defer eng.Close()
-			for _, q := range w.Queries {
-				if err := eng.RegisterQuery(ctx, q); err != nil {
-					t.Fatal(err)
-				}
+		emitted := func(t *testing.T, eng streamworks.Engine) int {
+			m, err := eng.Metrics(ctx)
+			if err != nil {
+				t.Fatalf("Metrics: %v", err)
 			}
+			return int(m.MatchesEmitted)
+		}
+
+		t.Run(mk.name+"/unknown-filter", func(t *testing.T) {
+			eng := open(t)
+			if _, err := eng.Subscribe("no-such-query", nop); !errors.Is(err, streamworks.ErrUnknownQuery) {
+				t.Fatalf("Subscribe(unknown): %v, want ErrUnknownQuery", err)
+			}
+			if err := eng.UnregisterQuery(ctx, w.Queries[0].Name()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Subscribe(w.Queries[0].Name(), nop); !errors.Is(err, streamworks.ErrUnknownQuery) {
+				t.Fatalf("Subscribe(unregistered): %v, want ErrUnknownQuery", err)
+			}
+		})
+
+		// A sink closing its own subscription — "deliver once, then
+		// unsubscribe" — must not deadlock, and delivery to it stops.
+		t.Run(mk.name+"/close-from-own-sink", func(t *testing.T) {
+			eng := open(t)
 			var sub streamworks.Subscription
 			var got atomic.Int64
 			sub, err := eng.Subscribe("", streamworks.SinkFunc(func(streamworks.Match) {
 				got.Add(1)
-				sub.Close() // unsubscribe from inside the sink
+				sub.Close()
 			}))
 			if err != nil {
 				t.Fatal(err)
@@ -296,15 +237,202 @@ func TestCloseSubscriptionFromSink(t *testing.T) {
 			case <-time.After(60 * time.Second):
 				t.Fatal("ProcessBatch deadlocked on a sink that closes its own subscription")
 			}
-			if err := eng.Close(); err != nil {
-				t.Fatal(err)
-			}
+			eng.Close()
 			<-sub.Done()
-			// Exactly-once is not promised (a delivery may already be in
-			// flight when Close lands), but delivery must stop almost
-			// immediately rather than continue for the whole stream.
+			// Exactly-once is not promised (on Sharded a delivery may be in
+			// flight when Close lands), but delivery must stop at once.
 			if n := got.Load(); n == 0 || n > 4 {
 				t.Fatalf("sink saw %d matches after closing itself, want 1 (a few tolerated)", n)
+			}
+		})
+
+		// Closing one subscription leaves the engine and its neighbours alone.
+		t.Run(mk.name+"/close-one-subscription", func(t *testing.T) {
+			eng := open(t)
+			var kept atomic.Int64
+			keptSub, err := eng.Subscribe("", streamworks.SinkFunc(func(streamworks.Match) { kept.Add(1) }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dropped, err := eng.Subscribe("", streamworks.SinkFunc(func(streamworks.Match) {
+				t.Error("delivery to a closed subscription")
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ { // idempotent
+				if err := dropped.Close(); err != nil {
+					t.Fatalf("Subscription.Close #%d: %v", i+1, err)
+				}
+				<-dropped.Done()
+			}
+			if err := eng.ProcessBatch(ctx, w.Edges); err != nil {
+				t.Fatal(err)
+			}
+			eng.Close()
+			<-keptSub.Done()
+			if n := int(kept.Load()); n == 0 || n != emitted(t, eng) {
+				t.Fatalf("surviving subscription saw %d matches, engine emitted %d", n, emitted(t, eng))
+			}
+		})
+
+		t.Run(mk.name+"/after-close", func(t *testing.T) {
+			eng := open(t)
+			for i := 0; i < 2; i++ {
+				if err := eng.Close(); err != nil {
+					t.Fatalf("Close #%d: %v", i+1, err)
+				}
+			}
+			if _, err := eng.Subscribe("", nop); !errors.Is(err, streamworks.ErrClosed) {
+				t.Fatalf("Subscribe after Close: %v, want ErrClosed", err)
+			}
+			if err := eng.ProcessBatch(ctx, w.Edges[:1]); !errors.Is(err, streamworks.ErrClosed) {
+				t.Fatalf("ProcessBatch after Close: %v, want ErrClosed", err)
+			}
+			if err := eng.RegisterQuery(ctx, w.Queries[0]); !errors.Is(err, streamworks.ErrClosed) {
+				t.Fatalf("RegisterQuery after Close: %v, want ErrClosed", err)
+			}
+			if _, err := eng.Metrics(ctx); err != nil {
+				t.Fatalf("Metrics after Close: %v", err)
+			}
+		})
+
+		// Done is the promise that nothing more will arrive: it is open while
+		// the engine runs, and by the time it closes every match has been
+		// delivered.
+		t.Run(mk.name+"/done-after-final-delivery", func(t *testing.T) {
+			eng := open(t)
+			var sub streamworks.Subscription
+			var got atomic.Int64
+			sub, err := eng.Subscribe("", streamworks.SinkFunc(func(streamworks.Match) {
+				select {
+				case <-sub.Done():
+					t.Error("delivery after Done closed")
+				default:
+				}
+				got.Add(1)
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.ProcessBatch(ctx, w.Edges); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-sub.Done():
+				t.Fatal("Done closed on a running engine")
+			default:
+			}
+			go eng.Close()
+			<-sub.Done()
+			n := int(got.Load())
+			eng.Close() // returns once the concurrent Close has finished
+			if n == 0 || n != emitted(t, eng) {
+				t.Fatalf("%d matches delivered when Done closed, engine emitted %d", n, emitted(t, eng))
+			}
+		})
+
+		// However many subscriptions admit a match it is resolved once: every
+		// sink is handed the same report (same bindings storage), in
+		// subscription order.
+		for _, subs := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%s/one-report-per-match/%d-subscribers", mk.name, subs), func(t *testing.T) {
+				eng := open(t)
+				got := make([][]streamworks.Match, subs)
+				var order []int // sinks run one at a time, on the delivering goroutine
+				for i := range got {
+					if _, err := eng.Subscribe("", streamworks.SinkFunc(func(m streamworks.Match) {
+						got[i] = append(got[i], m)
+						order = append(order, i)
+					})); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := eng.ProcessBatch(ctx, w.Edges); err != nil {
+					t.Fatal(err)
+				}
+				eng.Close() // the drain: orders every delivery before the reads below
+				if n := len(got[0]); n == 0 || n != emitted(t, eng) {
+					t.Fatalf("first subscription saw %d matches, engine emitted %d", n, emitted(t, eng))
+				}
+				for i, m := range got[0] {
+					for j := range got {
+						if len(got[j]) != len(got[0]) {
+							t.Fatalf("subscription %d saw %d matches, subscription 0 saw %d", j, len(got[j]), len(got[0]))
+						}
+						if &got[j][i].Bindings[0] != &m.Bindings[0] || got[j][i].Signature != m.Signature {
+							t.Fatalf("match %d was resolved again for subscription %d", i, j)
+						}
+						if order[i*subs+j] != j {
+							t.Fatalf("match %d delivered out of subscription order: %v", i, order[i*subs:(i+1)*subs])
+						}
+					}
+				}
+			})
+		}
+
+		// Matches the log re-derives at start-up that were never acknowledged
+		// go to the first subscriber whose filter admits them, once. Manual
+		// acknowledgment with no ack makes every match of the first run one.
+		t.Run(mk.name+"/recovered-backlog-once", func(t *testing.T) {
+			durable := []streamworks.Option{
+				streamworks.WithDataDir(t.TempDir()),
+				streamworks.WithFsyncPolicy("off"),
+				streamworks.WithManualDeliveryAck(true),
+			}
+			var mu sync.Mutex
+			first := make(gen.MatchSet)
+			eng := open(t, durable...)
+			if _, err := eng.Subscribe("", collectSet(&mu, first)); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.ProcessBatch(ctx, w.Edges); err != nil {
+				t.Fatal(err)
+			}
+			eng.Close()
+
+			// The restart has the queries from the log; registerAll would be
+			// a duplicate.
+			eng2 := mk.mk(append([]streamworks.Option{streamworks.WithEngineConfig(w.Engine)}, durable...)...)
+			defer eng2.Close()
+			if n := eng2.Durability().RecoveryBacklog; n != uint64(len(first)) {
+				t.Fatalf("recovery backlog %d, first run delivered %d", n, len(first))
+			}
+			const filter = "smurf-ddos"
+			var filtered, rest, late []streamworks.Match
+			for _, sub := range []struct {
+				filter string
+				got    *[]streamworks.Match
+			}{{filter, &filtered}, {"", &rest}, {"", &late}} {
+				if _, err := eng2.Subscribe(sub.filter, streamworks.SinkFunc(func(m streamworks.Match) {
+					*sub.got = append(*sub.got, m)
+				})); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(late) != 0 || eng2.Durability().RecoveryBacklog != 0 {
+				t.Fatalf("backlog outlived its first subscribers: %d redelivered, %d left",
+					len(late), eng2.Durability().RecoveryBacklog)
+			}
+			if len(filtered) == 0 || len(rest) == 0 {
+				t.Fatalf("degenerate backlog: %d filtered, %d other", len(filtered), len(rest))
+			}
+			union := make(gen.MatchSet)
+			for _, m := range filtered {
+				if m.Query != filter {
+					t.Fatalf("filtered subscription was handed a %s match", m.Query)
+				}
+				union.AddKey(m.Query, m.Signature)
+			}
+			for _, m := range rest {
+				if m.Query == filter {
+					t.Fatalf("a %s match skipped its earlier, filtered subscriber", filter)
+				}
+				union.AddKey(m.Query, m.Signature)
+			}
+			if len(union) != len(filtered)+len(rest) || !union.Equal(first) {
+				t.Fatalf("backlog delivered %d+%d matches (%d distinct), first run %d",
+					len(filtered), len(rest), len(union), len(first))
 			}
 		})
 	}
