@@ -26,7 +26,6 @@ import (
 	"github.com/streamworks/streamworks/internal/api"
 	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/obs"
-	"github.com/streamworks/streamworks/internal/replan"
 	"github.com/streamworks/streamworks/internal/server"
 	"github.com/streamworks/streamworks/internal/shard"
 	"github.com/streamworks/streamworks/internal/wal"
@@ -40,30 +39,21 @@ func main() {
 		slack     = flag.Duration("slack", 0, "tolerated out-of-order arrival lag")
 		summaries = flag.Bool("summaries", true, "collect stream statistics for the selective planner")
 		sharedPln = flag.Bool("shared-plans", false, "fold all registered queries into one shared evaluation DAG: common subpatterns are evaluated once per edge and fanned out (emissions unchanged)")
-		triad     = flag.Int("triad-sampling", 10, "1-in-n triad sampling rate (0 disables)")
-		mailbox   = flag.Int("mailbox", 1024, "per-shard mailbox depth (messages)")
-		queue     = flag.Int("queue", 64, "ingest queue depth (batches); full queue answers 429")
 		subBuffer = flag.Int("sub-buffer", 256, "per-subscriber match buffer; overflow evicts the subscriber")
-		maxBatch  = flag.Int("max-batch", 65536, "maximum edges accepted per ingest request")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables")
 
 		dataDir       = flag.String("data-dir", "", "write-ahead log directory (segments only; the retained segments are the window); restart with the same dir to recover state (empty disables durability)")
-		fsync         = flag.String("fsync", "interval", "WAL fsync policy: always (sync every frame), interval (group commit), off (page cache only)")
-		fsyncInterval = flag.Duration("fsync-interval", 0, "group-commit interval for -fsync interval (0 = default 50ms)")
+		fsync         = flag.String("fsync", "interval", "WAL fsync policy: always (sync every frame), interval (group commit every 50ms), off (page cache only)")
 		snapshotEvery = flag.Int("snapshot-every", 0, "checkpoint the WAL every n ingested batches: start a new segment with a manifest, delete the segments the window has left behind; bounds replay beyond the window and the segment count (0 = default 4096; negative = by segment size only)")
 		requireDur    = flag.Bool("require-durability", false, "refuse ingest with 503 while durability is degraded instead of continuing in-memory (needs -data-dir)")
 		ingestTimeout = flag.Duration("ingest-timeout", 0, "bound on how long a wait=1 ingest request blocks before answering 503 (0 = unbounded)")
 
 		obsOn       = flag.Bool("obs", false, "enable observability: per-segment latency histograms, per-plan-node statistics, Prometheus exposition at GET /metrics")
 		traceBuffer = flag.Int("trace-buffer", 4096, "edge-journey trace ring capacity in events (0 disables tracing; needs -obs)")
-		traceSample = flag.Int("trace-sample", 64, "trace one edge in n, selected by edge ID (0 disables tracing)")
-		traceRate   = flag.Int("trace-rate", 1000, "maximum trace events recorded per second")
+		traceSample = flag.Int("trace-sample", 64, "trace one edge in n, selected by edge ID (0 disables tracing); at most 1000 events are recorded per second")
 
-		strategy     = flag.String("strategy", "", "default decomposition strategy for registrations (selective, lazy, eager, balanced; empty = selective)")
-		adaptive     = flag.Bool("adaptive", false, "adapt query plans to live stream statistics by default (per-query override: POST /v1/queries?adaptive=on|off)")
-		replanEvery  = flag.Int("replan-every", 0, "edges between adaptive re-planning drift checks (0 = default 2048)")
-		replanThresh = flag.Float64("replan-threshold", 0, "cost-ratio hysteresis before a plan hot-swap (0 = default 2.0)")
-		replanCool   = flag.Duration("replan-cooldown", 0, "minimum stream time between plan swaps of one query (0 = default 10s; negative disables)")
+		strategy = flag.String("strategy", "", "default decomposition strategy for registrations (selective, lazy, eager, balanced; empty = selective)")
+		adaptive = flag.Bool("adaptive", false, "adapt query plans to live stream statistics by default (per-query override: POST /v1/queries?adaptive=on|off)")
 	)
 	flag.Parse()
 
@@ -91,35 +81,27 @@ func main() {
 
 	obsCfg := obs.Config{Enabled: *obsOn}
 	if *obsOn {
-		obsCfg.Tracer = obs.NewTracer(*traceBuffer, *traceSample, *traceRate, obs.SystemClock)
+		obsCfg.Tracer = obs.NewTracer(*traceBuffer, *traceSample, 0, obs.SystemClock) // 0: obs's default rate cap
 	}
 
+	// The tuning values the daemon has no flag for — triad sampling, prune
+	// interval, mailbox depth, ingest queue depth, batch cap, group-commit
+	// interval, re-planning cadence, trace rate cap — are the owning
+	// packages' defaults: the only values any ledger run has measured.
+	engine := core.DefaultConfig()
+	engine.Retention = *retention
+	engine.Slack = *slack
+	engine.EnableSummaries = *summaries
+	engine.SharedPlans = *sharedPln
+	engine.Obs = obsCfg
+
 	srv := server.New(server.Config{
-		Shard: shard.Config{
-			Shards: *shards,
-			Buffer: *mailbox,
-			Engine: core.Config{
-				Retention:       *retention,
-				Slack:           *slack,
-				EnableSummaries: *summaries,
-				TriadSampling:   *triad,
-				SharedPlans:     *sharedPln,
-				Obs:             obsCfg,
-				Replan: replan.Config{
-					CheckEvery: *replanEvery,
-					Threshold:  *replanThresh,
-					Cooldown:   *replanCool,
-				},
-			},
-		},
-		QueueDepth:        *queue,
+		Shard:             shard.Config{Shards: *shards, Engine: engine},
 		SubscriberBuffer:  *subBuffer,
-		MaxBatchEdges:     *maxBatch,
 		DefaultStrategy:   *strategy,
 		AdaptivePlanning:  *adaptive,
 		DataDir:           *dataDir,
 		FsyncPolicy:       *fsync,
-		FsyncInterval:     *fsyncInterval,
 		SnapshotEvery:     *snapshotEvery,
 		RequireDurability: *requireDur,
 		IngestTimeout:     *ingestTimeout,

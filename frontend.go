@@ -191,9 +191,8 @@ func (f *frontend) dropQuery(name string) {
 }
 
 // RegisteredQueries returns the currently registered queries, sorted by
-// name — including ones recovered from the WAL at construction, which is
-// how the serving tier re-seeds its HTTP query listing after a durable
-// restart.
+// name — including ones recovered from the WAL at construction. The serving
+// tier keeps no copy: its HTTP query listing reads this.
 func (f *frontend) RegisteredQueries() []*Query {
 	f.rmu.Lock()
 	out := make([]*Query, 0, len(f.queries))

@@ -101,18 +101,6 @@ func (r *Recompute) ProcessBatch(b stream.Batch) []core.MatchEvent {
 	return events
 }
 
-// Run drains a source through the baseline using batches of batchSize edges
-// and returns every match event.
-func (r *Recompute) Run(src stream.Source, batchSize int) ([]core.MatchEvent, error) {
-	var events []core.MatchEvent
-	b := stream.NewCountBatcher(src, batchSize)
-	_, err := stream.ReplayBatches(b, func(batch stream.Batch) bool {
-		events = append(events, r.ProcessBatch(batch)...)
-		return true
-	})
-	return events, err
-}
-
 // NaiveExpand is the no-decomposition incremental baseline.
 type NaiveExpand struct {
 	dyn     *graph.Dynamic
@@ -190,14 +178,4 @@ func (n *NaiveExpand) ProcessEdge(se graph.StreamEdge) []core.MatchEvent {
 		}
 	}
 	return events
-}
-
-// Run drains a source through the baseline and returns every match event.
-func (n *NaiveExpand) Run(src stream.Source) ([]core.MatchEvent, error) {
-	var events []core.MatchEvent
-	_, err := stream.Replay(src, func(se graph.StreamEdge) bool {
-		events = append(events, n.ProcessEdge(se)...)
-		return true
-	})
-	return events, err
 }

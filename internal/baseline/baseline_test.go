@@ -70,9 +70,9 @@ func TestRecomputeFindsSameMatchesAsEngine(t *testing.T) {
 	if err := r.RegisterQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	baselineEvents, err := r.Run(stream.NewSliceSource(edges), 25)
-	if err != nil {
-		t.Fatal(err)
+	var baselineEvents []core.MatchEvent
+	for i := 0; i < len(edges); i += 25 {
+		baselineEvents = append(baselineEvents, r.ProcessBatch(stream.Batch{Edges: edges[i : i+25]})...)
 	}
 
 	es, bs := signatures(engineEvents), signatures(baselineEvents)
@@ -103,11 +103,11 @@ func TestRecomputeDeduplicatesAcrossBatches(t *testing.T) {
 	}
 	// Batch 1 completes a wedge; batch 2 adds an unrelated edge. The wedge
 	// must be reported exactly once.
-	b1 := stream.Batch{Seq: 0, Edges: []graph.StreamEdge{
+	b1 := stream.Batch{Edges: []graph.StreamEdge{
 		hostEdge(1, 1, 2, "flow", 1),
 		hostEdge(2, 2, 3, "dns", 2),
 	}}
-	b2 := stream.Batch{Seq: 1, Edges: []graph.StreamEdge{
+	b2 := stream.Batch{Edges: []graph.StreamEdge{
 		hostEdge(3, 7, 8, "login", 3),
 	}}
 	ev1 := r.ProcessBatch(b1)
@@ -153,9 +153,9 @@ func TestNaiveExpandFindsSameMatchesAsEngine(t *testing.T) {
 	if err := n.RegisterQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	naiveEvents, err := n.Run(stream.NewSliceSource(edges))
-	if err != nil {
-		t.Fatal(err)
+	var naiveEvents []core.MatchEvent
+	for _, se := range edges {
+		naiveEvents = append(naiveEvents, n.ProcessEdge(se)...)
 	}
 	es, ns := signatures(engineEvents), signatures(naiveEvents)
 	if len(es) != len(ns) {

@@ -36,7 +36,7 @@ import (
 type Client struct {
 	base      string
 	hc        *http.Client
-	retry     RetryPolicy
+	policy    RetryPolicy
 	transport Transport
 	retries   atomic.Uint64
 }
@@ -55,7 +55,7 @@ func WithHTTPClient(hc *http.Client) Option {
 // unavailability, transport errors) under the given policy instead of
 // surfacing them. The zero policy disables retry (the default).
 func WithRetry(p RetryPolicy) Option {
-	return func(c *Client) { c.retry = p }
+	return func(c *Client) { c.policy = p }
 }
 
 // RetryPolicy is a capped exponential backoff with jitter for transient
@@ -119,6 +119,37 @@ func (p RetryPolicy) backoff(attempt int, retryAfter time.Duration) (time.Durati
 
 // Retries returns how many ingest attempts this client has retried.
 func (c *Client) Retries() uint64 { return c.retries.Load() }
+
+// retry runs op under the client's RetryPolicy: a transient failure (see
+// IsRetryable) is retried after the policy's backoff, stretched to honor a
+// server-supplied Retry-After, until op succeeds, fails permanently, the
+// attempt budget is spent — the zero policy's budget is the first attempt —
+// or ctx ends.
+func (c *Client) retry(ctx context.Context, op func() error) error {
+	for attempt := 1; ; attempt++ {
+		err := op()
+		if err == nil || !IsRetryable(err) {
+			return err
+		}
+		var retryAfter time.Duration
+		var ae *APIError
+		if errors.As(err, &ae) {
+			retryAfter = ae.RetryAfter
+		}
+		delay, ok := c.policy.backoff(attempt, retryAfter)
+		if !ok {
+			return err
+		}
+		c.retries.Add(1)
+		t := time.NewTimer(delay)
+		select {
+		case <-ctx.Done():
+			t.Stop()
+			return ctx.Err()
+		case <-t.C:
+		}
+	}
+}
 
 // New builds a client for the server at baseURL (e.g. "http://127.0.0.1:8090").
 func New(baseURL string, opts ...Option) *Client {
@@ -315,52 +346,12 @@ func (c *Client) IngestBatch(ctx context.Context, edges []graph.StreamEdge, wait
 	if wait {
 		path += "?wait=1"
 	}
-	if !c.retry.enabled() {
-		var out api.IngestResponse
-		if err := c.roundTrip(ctx, http.MethodPost, path, contentType, bytes.NewReader(payload), &out); err != nil {
-			return nil, err
-		}
-		return &out, nil
-	}
-	for attempt := 1; ; attempt++ {
-		var out api.IngestResponse
-		err := c.roundTrip(ctx, http.MethodPost, path, contentType,
-			bytes.NewReader(payload), &out)
-		if err == nil {
-			return &out, nil
-		}
-		if !IsRetryable(err) {
-			return nil, err
-		}
-		var retryAfter time.Duration
-		var ae *APIError
-		if errors.As(err, &ae) {
-			retryAfter = ae.RetryAfter
-		}
-		delay, ok := c.retry.backoff(attempt, retryAfter)
-		if !ok {
-			return nil, err
-		}
-		c.retries.Add(1)
-		t := time.NewTimer(delay)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return nil, ctx.Err()
-		case <-t.C:
-		}
-	}
-}
-
-// IngestReader posts an NDJSON edge stream (e.g. a Workload.NDJSON dump or
-// a file) without re-encoding.
-func (c *Client) IngestReader(ctx context.Context, r io.Reader, wait bool) (*api.IngestResponse, error) {
-	path := "/v1/edges"
-	if wait {
-		path += "?wait=1"
-	}
 	var out api.IngestResponse
-	if err := c.roundTrip(ctx, http.MethodPost, path, "application/x-ndjson", r, &out); err != nil {
+	err := c.retry(ctx, func() error {
+		out = api.IngestResponse{}
+		return c.roundTrip(ctx, http.MethodPost, path, contentType, bytes.NewReader(payload), &out)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return &out, nil

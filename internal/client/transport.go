@@ -3,10 +3,8 @@ package client
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
-	"time"
 
 	"github.com/streamworks/streamworks/internal/api"
 	"github.com/streamworks/streamworks/internal/export"
@@ -195,33 +193,10 @@ func (rs *RetryStream) Next() (export.MatchReport, error) {
 
 // dial subscribes under the retry policy.
 func (rs *RetryStream) dial() error {
-	for attempt := 1; ; attempt++ {
-		sub, err := rs.c.SubscribeMatches(rs.ctx, rs.query)
-		if err == nil {
-			rs.sub = sub
-			return nil
-		}
-		if !IsRetryable(err) {
-			return err
-		}
-		var retryAfter time.Duration
-		var ae *APIError
-		if errors.As(err, &ae) {
-			retryAfter = ae.RetryAfter
-		}
-		delay, ok := rs.c.retry.backoff(attempt, retryAfter)
-		if !ok {
-			return err
-		}
-		rs.c.retries.Add(1)
-		t := time.NewTimer(delay)
-		select {
-		case <-rs.ctx.Done():
-			t.Stop()
-			return rs.ctx.Err()
-		case <-t.C:
-		}
-	}
+	return rs.c.retry(rs.ctx, func() (err error) {
+		rs.sub, err = rs.c.SubscribeMatches(rs.ctx, rs.query)
+		return err
+	})
 }
 
 // Close releases the live subscription, if any.

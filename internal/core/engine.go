@@ -137,7 +137,6 @@ func DefaultConfig() Config {
 	return Config{
 		EnableSummaries: true,
 		TriadSampling:   10,
-		PruneInterval:   1024,
 	}
 }
 

@@ -239,7 +239,7 @@ func TestEngineProcessBatchAndRun(t *testing.T) {
 	if _, err := e.RegisterQuery(smurfQuery(time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	events := e.ProcessBatch(stream.Batch{Seq: 0, Edges: edges})
+	events := e.ProcessBatch(stream.Batch{Edges: edges})
 	if len(events) != 2 {
 		t.Fatalf("ProcessBatch found %d matches, want 2", len(events))
 	}

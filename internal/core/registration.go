@@ -224,11 +224,9 @@ func (r *Registration) Replans() uint64 { return r.replans }
 // Matches returns the number of complete matches reported so far.
 func (r *Registration) Matches() uint64 { return r.matches }
 
-// NodeMetrics returns live per-SJ-tree-node statistics in plan (pre-order)
+// nodeMetrics returns live per-SJ-tree-node statistics in plan (pre-order)
 // order, pairing each node's observed counters with the cardinality
 // estimate the running plan was installed with.
-func (r *Registration) NodeMetrics() []NodeMetrics { return r.nodeMetrics() }
-
 func (r *Registration) nodeMetrics() []NodeMetrics {
 	if r.tree == nil {
 		return nil

@@ -49,10 +49,9 @@ type ReplanNodeAudit struct {
 // — with the evidence it was made on: the frozen and fresh plan costs under
 // the window estimator, the detector's ratio, and the frozen plan's per-node
 // estimated-vs-observed cardinalities at the moment of the check. The last
-// replanAuditRing records are retained per registration and surfaced through
-// Registration.ReplanAudits and QueryMetrics.LastReplanAudit, giving
-// estimator validation something to chew on even when the detector never
-// fires.
+// replanAuditRing records are retained per registration and the newest is
+// surfaced through QueryMetrics.LastReplanAudit, giving estimator validation
+// something to chew on even when the detector never fires.
 type ReplanAudit struct {
 	Query      string          `json:"query"`
 	CheckedAt  graph.Timestamp `json:"checked_at"`
@@ -73,14 +72,6 @@ func (r *Registration) recordAudit(a ReplanAudit) {
 		r.audits = r.audits[:len(r.audits)-1]
 	}
 	r.audits = append(r.audits, a)
-}
-
-// ReplanAudits returns the retained drift-check audit records, oldest first.
-// The slice is a copy; the per-record Nodes slices are shared snapshots.
-func (r *Registration) ReplanAudits() []ReplanAudit {
-	out := make([]ReplanAudit, len(r.audits))
-	copy(out, r.audits)
-	return out
 }
 
 // nodeAudit captures the frozen plan's per-node estimated-vs-observed state

@@ -1,16 +1,12 @@
 package export
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
 	"github.com/streamworks/streamworks/internal/core"
-	"github.com/streamworks/streamworks/internal/decompose"
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/match"
 	"github.com/streamworks/streamworks/internal/query"
@@ -48,93 +44,6 @@ func fixture(t *testing.T) (*graph.Graph, *query.Graph, []core.MatchEvent) {
 	return e.Graph().Graph(), q, events
 }
 
-func TestWriteGraphDOTHighlights(t *testing.T) {
-	g, _, events := fixture(t)
-	var buf bytes.Buffer
-	highlight := []*match.Match{events[0].Match}
-	if err := WriteGraphDOT(&buf, g, DOTOptions{Name: "snapshot", Highlight: highlight}); err != nil {
-		t.Fatalf("WriteGraphDOT: %v", err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "digraph \"snapshot\"") {
-		t.Fatalf("missing digraph header:\n%s", out)
-	}
-	for _, frag := range []string{"v1 ", "v2 ", "v3 ", "icmp_echo_req", "fillcolor=salmon", "color=red"} {
-		if !strings.Contains(out, frag) {
-			t.Fatalf("DOT output missing %q:\n%s", frag, out)
-		}
-	}
-}
-
-func TestWriteGraphDOTTruncation(t *testing.T) {
-	g := graph.New(graph.WithAutoVertices())
-	for i := 0; i < 20; i++ {
-		if _, err := g.AddEdge(graph.Edge{ID: graph.EdgeID(i + 1), Source: graph.VertexID(i), Target: graph.VertexID(i + 1), Type: "flow"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := WriteGraphDOT(&buf, g, DOTOptions{MaxVertices: 5}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "truncated to 5 vertices") {
-		t.Fatalf("truncation comment missing:\n%s", out)
-	}
-	if strings.Contains(out, "v19 ") {
-		t.Fatalf("truncation did not drop high-ID vertices")
-	}
-	// Default graph name applies when none is supplied.
-	if !strings.Contains(out, "digraph \"streamworks\"") {
-		t.Fatalf("default name missing")
-	}
-}
-
-func TestWriteQueryDOT(t *testing.T) {
-	_, q, _ := fixture(t)
-	var buf bytes.Buffer
-	if err := WriteQueryDOT(&buf, q); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, frag := range []string{"attacker:Host", "amplifier:Host", "icmp_echo_rep"} {
-		if !strings.Contains(out, frag) {
-			t.Fatalf("query DOT missing %q:\n%s", frag, out)
-		}
-	}
-	// Undirected edges render with dir=none.
-	undirected := query.NewBuilder("u").
-		Vertex("a", "").Vertex("b", "").
-		UndirectedEdge("a", "b", "peer").
-		MustBuild()
-	buf.Reset()
-	if err := WriteQueryDOT(&buf, undirected); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "dir=none") {
-		t.Fatalf("undirected edge not marked")
-	}
-}
-
-func TestWritePlanDOT(t *testing.T) {
-	_, q, _ := fixture(t)
-	plan, err := decompose.NewPlanner(nil).Plan(q, decompose.StrategyEager)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WritePlanDOT(&buf, plan); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "peripheries=2") {
-		t.Fatalf("leaves not marked:\n%s", out)
-	}
-	if !strings.Contains(out, "n0 -> n1") {
-		t.Fatalf("tree edges missing:\n%s", out)
-	}
-}
-
 func TestBuildReportResolvesBindings(t *testing.T) {
 	g, q, events := fixture(t)
 	r := BuildReport(events[0], q, g)
@@ -163,48 +72,6 @@ func TestBuildReportResolvesBindings(t *testing.T) {
 	bare := BuildReport(events[0], nil, nil)
 	if bare.Bindings[0].Variable != "q0" || bare.Bindings[0].VertexType != "" {
 		t.Fatalf("bare report wrong: %+v", bare.Bindings[0])
-	}
-}
-
-func TestWriteJSONReports(t *testing.T) {
-	g, q, events := fixture(t)
-	var buf bytes.Buffer
-	if err := WriteJSONReports(&buf, events, q, g); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 1 {
-		t.Fatalf("expected 1 report line, got %d", len(lines))
-	}
-	var r MatchReport
-	if err := json.Unmarshal([]byte(lines[0]), &r); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if r.Query != "smurf" || len(r.Bindings) != 3 {
-		t.Fatalf("decoded report wrong: %+v", r)
-	}
-}
-
-func TestWriteTable(t *testing.T) {
-	g, q, events := fixture(t)
-	var buf bytes.Buffer
-	if err := WriteTable(&buf, events, q, g); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "QUERY") || !strings.Contains(out, "smurf") {
-		t.Fatalf("table missing content:\n%s", out)
-	}
-	if !strings.Contains(out, "attacker=Host#1") {
-		t.Fatalf("table missing binding:\n%s", out)
-	}
-	// Table for a match with no resolvable graph still renders.
-	buf.Reset()
-	if err := WriteTable(&buf, events, q, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "attacker=#1") {
-		t.Fatalf("bare table missing binding:\n%s", buf.String())
 	}
 }
 

@@ -1,12 +1,12 @@
+// Package export resolves match events into the form consumers see: a
+// MatchReport with query variables bound against the data graph and the
+// match's canonical signature, the one shape every backend and transport
+// delivers.
 package export
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"slices"
-	"strings"
-	"text/tabwriter"
 
 	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/graph"
@@ -161,36 +161,4 @@ func edgeIDs(m *match.Match) []uint64 {
 	})
 	slices.Sort(ids)
 	return ids
-}
-
-// WriteJSONReports writes one JSON object per line for every match event.
-func WriteJSONReports(w io.Writer, events []core.MatchEvent, q *query.Graph, g *graph.Graph) error {
-	enc := json.NewEncoder(w)
-	for _, ev := range events {
-		if err := enc.Encode(BuildReport(ev, q, g)); err != nil {
-			return fmt.Errorf("export: encoding report: %w", err)
-		}
-	}
-	return nil
-}
-
-// WriteTable writes match events as a fixed-width table: one row per event
-// with the query name, detection time, span and the resolved bindings. It is
-// the terminal substitute for the demo's tabular event view (Fig. 6).
-func WriteTable(w io.Writer, events []core.MatchEvent, q *query.Graph, g *graph.Graph) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "QUERY\tDETECTED\tSPAN(ns)\tBINDINGS")
-	for _, ev := range events {
-		r := BuildReport(ev, q, g)
-		parts := make([]string, 0, len(r.Bindings))
-		for _, b := range r.Bindings {
-			if b.VertexType != "" {
-				parts = append(parts, fmt.Sprintf("%s=%s#%d", b.Variable, b.VertexType, b.VertexID))
-			} else {
-				parts = append(parts, fmt.Sprintf("%s=#%d", b.Variable, b.VertexID))
-			}
-		}
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\n", r.Query, r.DetectedAt, r.SpanEnd-r.SpanStart, strings.Join(parts, " "))
-	}
-	return tw.Flush()
 }

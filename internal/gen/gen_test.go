@@ -96,8 +96,11 @@ func TestNetFlowSourceMatchesGenerate(t *testing.T) {
 	cfg.Edges = 300
 	fromSlice := NewNetFlow(cfg, nil).Generate()
 	src := NewNetFlow(cfg, nil).Source()
-	fromSource, err := stream.Collect(src)
-	if err != nil {
+	var fromSource []graph.StreamEdge
+	if _, err := stream.Replay(src, func(se graph.StreamEdge) bool {
+		fromSource = append(fromSource, se)
+		return true
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(fromSource) != len(fromSlice) {

@@ -9,17 +9,18 @@ import (
 	"github.com/streamworks/streamworks/internal/graph"
 )
 
-// This file is the hand-rolled fast path behind WriteJSONL. The JSONL wire
-// format is the repo's hottest encode path — every ingest request, WAL frame
-// and snapshot passes through it — and reflection-based encoding/json was
-// measured at ~2.7µs/edge, dominating WAL overhead. The appenders below
-// encode straight from graph.StreamEdge (no intermediate jsonEdge maps) and
+// This file is the hand-rolled fast path behind WriteJSONL. JSONL is the
+// text ingest format — every NDJSON ingest body a client posts and every
+// workload dump is written through it (the WAL and its checkpoints are
+// binary wire frames and never come here) — and reflection-based
+// encoding/json was measured at ~2.7µs/edge. The appenders below encode
+// straight from graph.StreamEdge (no intermediate jsonEdge maps) and
 // produce byte-identical output to encoding/json for the jsonEdge shape:
 // same field order, omitempty behavior, sorted map keys, HTML escaping and
-// float format. That keeps the wire format, golden files and the WAL's
-// byte-determinism invariant unchanged; a differential test pins the
-// equivalence. Anything the fast path cannot reproduce exactly (NaN/Inf
-// floats) falls back to encoding/json for that edge.
+// float format. That keeps the wire format and the golden files unchanged;
+// a differential test pins the equivalence. Anything the fast path cannot
+// reproduce exactly (NaN/Inf floats) falls back to encoding/json for that
+// edge.
 
 // appendJSONString appends s as a JSON string. The fast path covers plain
 // ASCII without characters encoding/json escapes (quotes, backslash,

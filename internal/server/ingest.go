@@ -25,10 +25,10 @@ import (
 const (
 	minIngestChunk = 256
 	maxIngestChunk = 8192
-	// streamFlushProbe is the buffered-byte threshold below which the
-	// persistent stream handler flushes its partial chunk before blocking
-	// on the connection: a trickling feeder gets per-edge dispatch, a
-	// saturating one gets full chunks.
+	// streamFlushProbe is the buffered-byte threshold below which a probing
+	// ingester flushes its partial chunk before blocking on the connection:
+	// a trickling feeder gets per-edge dispatch, a saturating one gets full
+	// chunks.
 	streamFlushProbe = 16
 )
 
@@ -59,7 +59,12 @@ func putChunk(c []graph.StreamEdge) {
 	chunkPool.Put(&c)
 }
 
-var errQueueFull = errors.New("server: ingest queue full")
+// The refusals an ingest can meet besides ErrDraining: before the first chunk
+// is accepted (errQueueFull) or before the body is read at all (errDegraded).
+var (
+	errQueueFull = errors.New("server: ingest queue full")
+	errDegraded  = errors.New("server: durability degraded")
+)
 
 // enqueue hands one chunk to the runner. Blocking sends are safe under the
 // read lock: Close flips draining under the write lock (so no new sends
@@ -83,37 +88,53 @@ func (s *Server) enqueue(b ingestBatch, blocking bool) error {
 	}
 }
 
-// ingester is the per-request streaming decode state shared by the NDJSON
-// and binary paths of POST /v1/edges and by POST /v1/stream.
+// ingester is the per-request streaming decode state: the one way an edge
+// gets from a request body onto the ingest queue. POST /v1/edges and POST
+// /v1/stream are two settings of it (limit and probe) and nothing else.
 type ingester struct {
-	s       *Server
+	s *Server
+	// limit caps the edges one request may enqueue (0 = uncapped): a batch
+	// is bounded by MaxBatchEdges, a session is a stream and is not.
+	limit int
+	// probe flushes the partial chunk whenever the decoder is about to block
+	// on the socket, so a trickling session still gets immediate detection.
+	// While the probe never fires the feeder is saturating, and each full
+	// chunk doubles the next one's target (up to maxIngestChunk) so the
+	// per-chunk routing overhead amortizes; a probe flush falls back to
+	// queue-depth-adaptive sizing.
+	probe bool
+
 	arrived int64      // obs arrival stamp (0 when observability is off)
-	job     *ingestJob // accumulates processed/err across chunks (wait mode)
+	job     *ingestJob // non-nil when the response waits for the runner's result
 	chunk   []graph.StreamEdge
-	target  int // current adaptive chunk size
-	total   int // edges accepted (enqueued) so far
-	chunks  int // chunks enqueued so far
-	capped  bool
-	err     error // first enqueue failure (errQueueFull or ErrDraining)
+	target  int   // size at which the current chunk is enqueued
+	grown   int   // floor for the next target (probe only)
+	total   int   // edges accepted (enqueued) so far
+	chunks  int   // chunks enqueued so far
+	capped  bool  // the body held more than limit edges
+	err     error // what refused the request: ErrDraining, errQueueFull or errDegraded
 }
 
-// push buffers one decoded edge, flushing the chunk when it reaches the
-// adaptive target. Returns false to stop the decode loop.
+// push buffers one decoded edge, flushing the chunk when it reaches its
+// target. Returns false to stop the decode loop.
 func (g *ingester) push(se graph.StreamEdge) bool {
-	if g.total >= g.s.cfg.MaxBatchEdges {
+	if g.limit > 0 && g.total >= g.limit {
 		g.capped = true
 		return false
 	}
 	if g.chunk == nil {
 		g.chunk = getChunk()
-		g.target = g.s.adaptiveChunk()
+		g.target = max(g.s.adaptiveChunk(), g.grown)
 	}
 	g.chunk = append(g.chunk, se)
 	g.total++
-	if len(g.chunk) >= g.target {
-		return g.flush()
+	if len(g.chunk) < g.target {
+		return true
 	}
-	return true
+	if g.probe {
+		g.grown = min(2*g.target, maxIngestChunk)
+	}
+	return g.flush()
 }
 
 // flush enqueues the buffered chunk. The first chunk of a request is
@@ -125,7 +146,7 @@ func (g *ingester) flush() bool {
 	if len(g.chunk) == 0 {
 		return true
 	}
-	b := ingestBatch{edges: g.chunk, job: g.job, enqNS: g.arrived, pooled: true}
+	b := ingestBatch{edges: g.chunk, job: g.job, enqNS: g.arrived}
 	if err := g.s.enqueue(b, g.chunks > 0); err != nil {
 		g.total -= len(g.chunk)
 		putChunk(g.chunk)
@@ -138,21 +159,39 @@ func (g *ingester) flush() bool {
 	return true
 }
 
-// consumeNDJSON streams an NDJSON body through push.
-func (g *ingester) consumeNDJSON(body io.Reader) error {
-	src := loader.JSONLSource(body)
-	_, err := stream.Replay(src, g.push)
-	if errors.Is(err, stream.ErrStopped) {
-		return nil // capped or enqueue failure; both recorded on g
+// consume streams a request body through push — binary frames (magic + edge
+// frames) or NDJSON, by content type — and flushes the trailing partial
+// chunk, even after a decode error or the cap, so Accepted reports exactly
+// what was enqueued. It returns the decode error, if any; a stop asked for
+// by push (cap, enqueue failure) is recorded on g instead.
+func (g *ingester) consume(r *http.Request) error {
+	var err error
+	if strings.Contains(r.Header.Get("Content-Type"), wire.ContentTypeBinary) {
+		err = g.consumeBinary(r.Body)
+	} else {
+		_, err = stream.Replay(loader.JSONLSource(r.Body), g.push)
+		if errors.Is(err, stream.ErrStopped) {
+			err = nil
+		}
+	}
+	if g.err == nil {
+		g.flush()
 	}
 	return err
 }
 
-// consumeBinary streams a binary frame body (magic + edge frames) through
-// push. Match frames in an ingest body are corrupt input.
+// consumeBinary is the one frame loop. Match frames in an ingest body are
+// corrupt input.
 func (g *ingester) consumeBinary(body io.Reader) error {
 	rd := wire.NewReader(body)
 	for {
+		if g.probe && len(g.chunk) > 0 && rd.Buffered() < streamFlushProbe {
+			// About to block on the socket: dispatch what we have.
+			if !g.flush() {
+				return nil
+			}
+			g.grown = 0
+		}
 		typ, payload, err := rd.Next()
 		if errors.Is(err, io.EOF) {
 			return nil
@@ -173,129 +212,120 @@ func (g *ingester) consumeBinary(body io.Reader) error {
 	}
 }
 
-// shedIngest applies the admission checks shared by both ingest endpoints:
-// drain state, durability policy and the fast queue-full probe. It writes
-// the refusal response and reports whether the request was shed.
-func (s *Server) shedIngest(w http.ResponseWriter) bool {
-	s.mu.RLock()
-	draining := s.draining
-	s.mu.RUnlock()
-	if draining {
-		writeError(w, http.StatusServiceUnavailable, "draining")
-		return true
-	}
-	if s.cfg.RequireDurability && s.eng.Durability().Mode == "degraded" {
-		// The operator asked for durable ingest or nothing: refuse rather
-		// than silently accept edges that would not survive a restart.
+// respond is the one mapping from an ingest outcome to its HTTP response.
+// Chunks already enqueued cannot be recalled, so a refusal that comes after
+// the first chunk reports in Accepted how far the body got.
+func (g *ingester) respond(w http.ResponseWriter, decodeErr error) {
+	resp := IngestResponse{Accepted: g.total, Queued: g.total > 0}
+	status := http.StatusAccepted
+	switch {
+	case errors.Is(g.err, ErrDraining):
+		status, resp.Error = http.StatusServiceUnavailable, "draining"
+	case errors.Is(g.err, errDegraded):
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, IngestResponse{Error: "durability degraded"})
-		return true
-	}
-	if len(s.run.batches) == cap(s.run.batches) {
-		// Fast path only — the authoritative check is the first chunk's
-		// non-blocking enqueue.
-		s.batchesRejected.Add(1)
+		status, resp.Error = http.StatusServiceUnavailable, "durability degraded"
+	case errors.Is(g.err, errQueueFull):
+		g.s.batchesRejected.Add(1)
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, IngestResponse{Error: "ingest queue full"})
-		return true
+		status, resp.Error = http.StatusTooManyRequests, "ingest queue full"
+	case decodeErr != nil:
+		status, resp.Error = http.StatusBadRequest, "decoding edges: "+decodeErr.Error()
+	case g.capped:
+		status = http.StatusRequestEntityTooLarge
+		resp.Error = fmt.Sprintf("batch exceeds %d edges; split the upload", g.limit)
+	case g.job != nil && g.chunks > 0:
+		g.s.waitIngest(w, g)
+		return
+	case g.job != nil: // nothing to wait for
+		status = http.StatusOK
 	}
-	return false
+	writeJSON(w, status, resp)
 }
 
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+// ingest runs one request through the ingester g: admission (drain state,
+// durability policy, the fast queue-full probe), then the streaming decode,
+// then the response either one calls for.
+func (s *Server) ingest(w http.ResponseWriter, r *http.Request, g *ingester) {
 	// The ingest segment starts at request arrival, not at enqueue: body
 	// decode is a real part of the edge's journey, and stamping here is what
 	// lets the per-segment means account for detect-and-deliver latency.
-	var arrivedNS int64
 	if s.obsClock != nil {
-		arrivedNS = s.obsClock.Now()
+		g.arrived = s.obsClock.Now()
 	}
-	if s.shedIngest(w) {
-		return
-	}
-	wait := r.URL.Query().Get("wait") != ""
-	g := &ingester{s: s, arrived: arrivedNS}
-	if wait {
-		g.job = &ingestJob{}
+	switch {
+	case s.isDraining():
+		g.err = ErrDraining
+	case s.cfg.RequireDurability && s.eng.Durability().Mode == "degraded":
+		// The operator asked for durable ingest or nothing: refuse rather
+		// than silently accept edges that would not survive a restart.
+		g.err = errDegraded
+	case len(s.run.batches) == cap(s.run.batches):
+		// Fast path only — the authoritative check is the first chunk's
+		// non-blocking enqueue.
+		g.err = errQueueFull
 	}
 	var decodeErr error
-	if strings.Contains(r.Header.Get("Content-Type"), wire.ContentTypeBinary) {
-		decodeErr = g.consumeBinary(r.Body)
-	} else {
-		decodeErr = g.consumeNDJSON(r.Body)
-	}
 	if g.err == nil {
-		// Trailing partial chunk — flushed even after a decode error or the
-		// cap, so Accepted reports exactly what was enqueued.
-		g.flush()
+		decodeErr = g.consume(r)
 	}
-
-	switch {
-	case errors.Is(g.err, ErrDraining):
-		if g.total == 0 {
-			writeError(w, http.StatusServiceUnavailable, "draining")
-		} else {
-			writeJSON(w, http.StatusServiceUnavailable,
-				IngestResponse{Accepted: g.total, Queued: true, Error: "draining"})
-		}
-		return
-	case errors.Is(g.err, errQueueFull):
-		s.batchesRejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, IngestResponse{Error: "ingest queue full"})
-		return
-	case decodeErr != nil:
-		// Chunks already enqueued cannot be recalled; Accepted tells the
-		// client how far the stream got before the damage.
-		writeJSON(w, http.StatusBadRequest,
-			IngestResponse{Accepted: g.total, Queued: g.total > 0, Error: "decoding edges: " + decodeErr.Error()})
-		return
-	case g.capped:
-		// Streaming cannot un-accept the edges that fit under the cap, so —
-		// unlike the old decode-then-reject path — the response reports them.
-		writeJSON(w, http.StatusRequestEntityTooLarge, IngestResponse{
-			Accepted: g.total, Queued: g.total > 0,
-			Error: fmt.Sprintf("batch exceeds %d edges; split the upload", s.cfg.MaxBatchEdges),
-		})
-		return
-	}
-	if !wait || g.chunks == 0 {
-		writeJSON(w, http.StatusAccepted, IngestResponse{Accepted: g.total, Queued: g.chunks > 0})
-		return
-	}
-	s.waitIngest(w, g)
+	g.respond(w, decodeErr)
 }
 
-// waitIngest enqueues the sentinel chunk that carries the wait=1 reply
-// channel (FIFO ordering means it completes only after every data chunk)
-// and answers with the authoritative result.
-func (s *Server) waitIngest(w http.ResponseWriter, g *ingester) {
-	done := make(chan ingestResult, 1)
-	if err := s.enqueue(ingestBatch{job: g.job, done: done}, true); err != nil {
-		writeJSON(w, http.StatusServiceUnavailable,
-			IngestResponse{Accepted: g.total, Queued: true, Error: "draining"})
+// handleIngest is POST /v1/edges: one batch, NDJSON or binary frames, at
+// most MaxBatchEdges edges (413 beyond); ?wait=1 answers once the batch has
+// been routed to the shards.
+func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	g := &ingester{s: s, limit: s.cfg.MaxBatchEdges}
+	if r.URL.Query().Get("wait") != "" {
+		g.job = &ingestJob{}
+	}
+	s.ingest(w, r, g)
+}
+
+// handleStream is POST /v1/stream, the persistent-connection ingest session:
+// one long-lived POST whose body is a binary frame stream, decoded and
+// handed to the shards as frames arrive. Backpressure is the TCP window — a
+// full queue blocks the decoder, which stops reading the socket. A session
+// is a stream, not a batch: no edge cap, and the JSON summary answers at EOF
+// with the routed total.
+func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
+	if !strings.Contains(r.Header.Get("Content-Type"), wire.ContentTypeBinary) {
+		writeError(w, http.StatusUnsupportedMediaType,
+			"stream sessions are binary only; set Content-Type: %s", wire.ContentTypeBinary)
 		return
 	}
-	var res ingestResult
+	s.ingest(w, r, &ingester{s: s, probe: true, job: &ingestJob{}})
+}
+
+// waitIngest enqueues the sentinel chunk that carries the reply channel
+// (FIFO ordering means it completes only after every data chunk) and
+// answers with the authoritative result.
+func (s *Server) waitIngest(w http.ResponseWriter, g *ingester) {
+	done := make(chan ingestJob, 1)
+	if g.err = s.enqueue(ingestBatch{job: g.job, done: done}, true); g.err != nil {
+		g.respond(w, nil) // draining: the data chunks stay queued
+		return
+	}
+	// Bound the wait so a stalled disk (WAL fsync hanging under the runner)
+	// cannot wedge HTTP workers. The chunks are queued and will still be
+	// processed; done is buffered, so the runner's send never blocks on an
+	// abandoned waiter.
+	var timeout <-chan time.Time // nil, so never ready, without an IngestTimeout
 	if s.cfg.IngestTimeout > 0 {
-		// Bound the wait so a stalled disk (WAL fsync hanging under the
-		// runner) cannot wedge HTTP workers. The chunks are queued and will
-		// still be processed; done is buffered, so the runner's send never
-		// blocks on an abandoned waiter.
 		t := time.NewTimer(s.cfg.IngestTimeout)
 		defer t.Stop()
-		select {
-		case res = <-done:
-		case <-t.C:
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, IngestResponse{
-				Accepted: g.total, Queued: true,
-				Error: "ingest wait timed out; batch still queued",
-			})
-			return
-		}
-	} else {
-		res = <-done
+		timeout = t.C
+	}
+	var res ingestJob
+	select {
+	case res = <-done:
+	case <-timeout:
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, http.StatusServiceUnavailable, IngestResponse{
+			Accepted: g.total, Queued: true,
+			Error: "ingest wait timed out; batch still queued",
+		})
+		return
 	}
 	resp := IngestResponse{Accepted: res.processed}
 	if res.err != nil {
@@ -304,95 +334,4 @@ func (s *Server) waitIngest(w http.ResponseWriter, g *ingester) {
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleStream is the persistent-connection ingest session: one long-lived
-// POST whose body is a binary frame stream (magic + edge frames), decoded
-// and handed to the shards as frames arrive. Backpressure is the TCP
-// window — a full queue blocks the decoder, which stops reading the socket.
-// MaxBatchEdges does not apply (a session is a stream, not a batch); the
-// JSON summary answers at EOF.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	var arrivedNS int64
-	if s.obsClock != nil {
-		arrivedNS = s.obsClock.Now()
-	}
-	if !strings.Contains(r.Header.Get("Content-Type"), wire.ContentTypeBinary) {
-		writeError(w, http.StatusUnsupportedMediaType,
-			"stream sessions are binary only; set Content-Type: %s", wire.ContentTypeBinary)
-		return
-	}
-	if s.shedIngest(w) {
-		return
-	}
-	g := &ingester{s: s, arrived: arrivedNS, job: &ingestJob{}}
-	rd := wire.NewReader(r.Body)
-	var decodeErr error
-	// A session that keeps filling chunks to their target is saturating:
-	// double the next target (up to the cap) so the per-chunk routing
-	// overhead amortizes. A drain-triggered partial flush means the feeder
-	// is trickling — fall back to queue-depth-adaptive sizing.
-	grown := 0
-	for {
-		if len(g.chunk) > 0 && rd.Buffered() < streamFlushProbe {
-			// About to block on the socket: dispatch what we have so a
-			// trickling feeder still gets immediate detection.
-			if !g.flush() {
-				break
-			}
-			grown = 0
-		}
-		typ, payload, err := rd.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			decodeErr = err
-			break
-		}
-		if typ != wire.FrameEdge {
-			decodeErr = wire.ErrCorrupt
-			break
-		}
-		se, err := wire.DecodeEdge(payload)
-		if err != nil {
-			decodeErr = err
-			break
-		}
-		g.total++ // sessions are uncapped; bypass push's MaxBatchEdges check
-		if g.chunk == nil {
-			g.chunk = getChunk()
-			g.target = max(s.adaptiveChunk(), grown)
-		}
-		g.chunk = append(g.chunk, se)
-		if len(g.chunk) >= g.target {
-			if !g.flush() {
-				break
-			}
-			grown = min(2*g.target, maxIngestChunk)
-		}
-	}
-	if g.err == nil {
-		g.flush()
-	}
-	switch {
-	case errors.Is(g.err, ErrDraining):
-		writeJSON(w, http.StatusServiceUnavailable,
-			IngestResponse{Accepted: g.total, Queued: true, Error: "draining"})
-		return
-	case g.err != nil: // first-chunk queue full: the session never started
-		s.batchesRejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, IngestResponse{Error: "ingest queue full"})
-		return
-	case decodeErr != nil:
-		writeJSON(w, http.StatusBadRequest,
-			IngestResponse{Accepted: g.total, Queued: g.total > 0, Error: "decoding stream: " + decodeErr.Error()})
-		return
-	}
-	if g.chunks == 0 {
-		writeJSON(w, http.StatusOK, IngestResponse{})
-		return
-	}
-	s.waitIngest(w, g)
 }

@@ -1,0 +1,375 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"github.com/streamworks/streamworks"
+	"github.com/streamworks/streamworks/internal/gen"
+	"github.com/streamworks/streamworks/internal/graph"
+	"github.com/streamworks/streamworks/internal/loader"
+	"github.com/streamworks/streamworks/internal/query"
+	"github.com/streamworks/streamworks/internal/shard"
+	"github.com/streamworks/streamworks/internal/wire"
+)
+
+// ingestLane is one way into the daemon: an endpoint and a body codec. Every
+// lane runs the same ingester, so every outcome row below must read the same
+// on all three.
+type ingestLane struct {
+	name, path, contentType string
+}
+
+var ingestLanes = []ingestLane{
+	{"edges-ndjson", "/v1/edges?wait=1", "application/x-ndjson"},
+	{"edges-binary", "/v1/edges?wait=1", wire.ContentTypeBinary},
+	{"stream", "/v1/stream", wire.ContentTypeBinary},
+}
+
+func (l ingestLane) binary() bool { return l.contentType == wire.ContentTypeBinary }
+
+// head is what a body of this lane starts with.
+func (l ingestLane) head() []byte {
+	if l.binary() {
+		return wire.StreamMagic
+	}
+	return nil
+}
+
+func (l ingestLane) encode(t *testing.T, edges []graph.StreamEdge) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if !l.binary() {
+		if err := loader.WriteJSONL(&buf, edges); err != nil {
+			t.Fatalf("encoding edges: %v", err)
+		}
+		return buf.Bytes()
+	}
+	var out, scratch []byte
+	for _, se := range edges {
+		out, scratch = wire.AppendEdgeFrame(out, scratch, se)
+	}
+	return out
+}
+
+// corrupt is a record no decoder of this lane accepts: an edge frame whose
+// CRC does not match, or a line that is not JSON.
+func (l ingestLane) corrupt(t *testing.T) []byte {
+	if !l.binary() {
+		return []byte("{not an edge\n")
+	}
+	frame := l.encode(t, flowEdges(9000, 1))
+	frame[4] ^= 0xff
+	return frame
+}
+
+// liveIngest is one in-flight ingest request whose body the test writes a
+// piece at a time: the handler runs against a recorder, reading the body
+// from a pipe.
+type liveIngest struct {
+	t    *testing.T
+	body *io.PipeWriter
+	// reading closes when the handler first reads the body: admission has
+	// passed and the decode loop is running.
+	reading chan struct{}
+	done    chan struct{}
+	rec     *httptest.ResponseRecorder
+}
+
+type signalReader struct {
+	io.Reader
+	once    sync.Once
+	reading chan struct{}
+}
+
+func (r *signalReader) Read(p []byte) (int, error) {
+	r.once.Do(func() { close(r.reading) })
+	return r.Reader.Read(p)
+}
+
+func startIngest(t *testing.T, srv *Server, lane ingestLane) *liveIngest {
+	t.Helper()
+	pr, pw := io.Pipe()
+	li := &liveIngest{t: t, body: pw, reading: make(chan struct{}), done: make(chan struct{}), rec: httptest.NewRecorder()}
+	req := httptest.NewRequest(http.MethodPost, lane.path, &signalReader{Reader: pr, reading: li.reading})
+	req.Header.Set("Content-Type", lane.contentType)
+	go func() {
+		defer close(li.done)
+		srv.ServeHTTP(li.rec, req)
+		pr.Close() // a handler that answered early stops reading: unblock the writer
+	}()
+	return li
+}
+
+// write returns once the handler's decoder has taken every byte, or the
+// handler has answered and stopped reading.
+func (li *liveIngest) write(p []byte) {
+	li.t.Helper()
+	if len(p) == 0 {
+		return
+	}
+	if _, err := li.body.Write(p); err != nil && !errors.Is(err, io.ErrClosedPipe) {
+		li.t.Fatalf("writing ingest body: %v", err)
+	}
+}
+
+// finish ends the body and returns the handler's answer.
+func (li *liveIngest) finish() (int, http.Header, IngestResponse) {
+	li.t.Helper()
+	li.body.Close()
+	select {
+	case <-li.done:
+	case <-time.After(10 * time.Second):
+		li.t.Fatal("ingest handler did not answer")
+	}
+	var ir IngestResponse
+	if err := json.Unmarshal(li.rec.Body.Bytes(), &ir); err != nil {
+		li.t.Fatalf("decoding ingest response %q: %v", li.rec.Body.String(), err)
+	}
+	return li.rec.Code, li.rec.Header(), ir
+}
+
+func wantIngest(t *testing.T, code int, ir IngestResponse, wantCode, wantAccepted int) {
+	t.Helper()
+	if code != wantCode || ir.Accepted != wantAccepted {
+		t.Fatalf("HTTP %d %+v, want HTTP %d with %d accepted", code, ir, wantCode, wantAccepted)
+	}
+	if (code >= 300) != (ir.Error != "") {
+		t.Fatalf("HTTP %d with error %q", code, ir.Error)
+	}
+}
+
+// TestIngestOutcomes is the ingest contract as a table: each outcome an
+// ingest request can meet, driven over both /v1/edges codecs and /v1/stream,
+// answers the same status with the same accounting — plus the two rows where
+// a batch and a session differ by design.
+func TestIngestOutcomes(t *testing.T) {
+	for _, lane := range ingestLanes {
+		serve := func(t *testing.T, cfg Config) *Server {
+			cfg.Shard = shard.Config{Shards: 2}
+			srv := New(cfg)
+			t.Cleanup(srv.Close)
+			return srv
+		}
+
+		t.Run(lane.name+"/accepted", func(t *testing.T) {
+			srv := serve(t, Config{})
+			li := startIngest(t, srv, lane)
+			li.write(lane.head())
+			li.write(lane.encode(t, flowEdges(1, 300)))
+			code, _, ir := li.finish()
+			wantIngest(t, code, ir, http.StatusOK, 300)
+			if got := srv.run.edgesIngested.Load(); got != 300 {
+				t.Fatalf("edges ingested = %d, want 300", got)
+			}
+		})
+
+		t.Run(lane.name+"/queue-full-on-first-chunk", func(t *testing.T) {
+			srv := serve(t, Config{QueueDepth: 1})
+			release := pinRunner(t, srv)
+			defer release()
+			li := startIngest(t, srv, lane)
+			li.write(lane.head())
+			<-li.reading // admitted against an empty queue …
+			srv.run.batches <- ingestBatch{}
+			li.write(lane.encode(t, flowEdges(1, 5))) // … which is full when the first chunk arrives
+			code, hdr, ir := li.finish()
+			wantIngest(t, code, ir, http.StatusTooManyRequests, 0)
+			if hdr.Get("Retry-After") == "" {
+				t.Fatal("429 without Retry-After")
+			}
+			if got := srv.batchesRejected.Load(); got != 1 {
+				t.Fatalf("batches rejected = %d, want 1", got)
+			}
+		})
+
+		t.Run(lane.name+"/draining-nothing-accepted", func(t *testing.T) {
+			srv := serve(t, Config{})
+			li := startIngest(t, srv, lane)
+			li.write(lane.head())
+			<-li.reading
+			srv.Close()
+			li.write(lane.encode(t, flowEdges(1, 5)))
+			code, _, ir := li.finish()
+			wantIngest(t, code, ir, http.StatusServiceUnavailable, 0)
+			if ir.Queued {
+				t.Fatal("nothing was queued, yet Queued is set")
+			}
+		})
+
+		t.Run(lane.name+"/draining-after-first-chunk", func(t *testing.T) {
+			srv := serve(t, Config{})
+			li := startIngest(t, srv, lane)
+			li.write(lane.head())
+			li.write(lane.encode(t, flowEdges(1, minIngestChunk))) // a full chunk: enqueued at once
+			waitFor(t, 5*time.Second, func() bool { return srv.run.edgesIngested.Load() == minIngestChunk })
+			srv.Close()
+			li.write(lane.encode(t, flowEdges(1000, 5)))
+			code, _, ir := li.finish()
+			wantIngest(t, code, ir, http.StatusServiceUnavailable, minIngestChunk)
+			if !ir.Queued {
+				t.Fatal("the first chunk was queued, yet Queued is unset")
+			}
+		})
+
+		t.Run(lane.name+"/corrupt-mid-body", func(t *testing.T) {
+			srv := serve(t, Config{})
+			li := startIngest(t, srv, lane)
+			li.write(lane.head())
+			li.write(lane.encode(t, flowEdges(1, 7)))
+			li.write(lane.corrupt(t))
+			li.write(lane.encode(t, flowEdges(100, 3))) // never decoded
+			code, _, ir := li.finish()
+			wantIngest(t, code, ir, http.StatusBadRequest, 7)
+			waitFor(t, 5*time.Second, func() bool { return srv.run.edgesIngested.Load() == 7 })
+		})
+
+		if lane.binary() {
+			t.Run(lane.name+"/match-frame-in-body", func(t *testing.T) {
+				srv := serve(t, Config{})
+				li := startIngest(t, srv, lane)
+				li.write(lane.head())
+				li.write(lane.encode(t, flowEdges(1, 4)))
+				frame, _ := wire.AppendMatchFrame(nil, nil, streamworks.Match{Query: "q", Signature: "s"})
+				li.write(frame)
+				code, _, ir := li.finish()
+				wantIngest(t, code, ir, http.StatusBadRequest, 4)
+			})
+		}
+
+		// By design: a batch is capped, a session is not.
+		t.Run(lane.name+"/cap", func(t *testing.T) {
+			srv := serve(t, Config{MaxBatchEdges: 8})
+			li := startIngest(t, srv, lane)
+			li.write(lane.head())
+			li.write(lane.encode(t, flowEdges(1, 12)))
+			code, _, ir := li.finish()
+			if lane.path == "/v1/stream" {
+				wantIngest(t, code, ir, http.StatusOK, 12)
+			} else {
+				wantIngest(t, code, ir, http.StatusRequestEntityTooLarge, 8)
+			}
+		})
+
+		// By design: a session dispatches what it has before it blocks on the
+		// socket, a batch waits for a full chunk or the end of the body.
+		t.Run(lane.name+"/trickle", func(t *testing.T) {
+			srv := serve(t, Config{})
+			li := startIngest(t, srv, lane)
+			li.write(lane.head())
+			for i := 0; i < 3; i++ {
+				li.write(lane.encode(t, flowEdges(1+i, 1)))
+				if lane.path == "/v1/stream" {
+					// Detected while the body is still open.
+					waitFor(t, 5*time.Second, func() bool { return srv.run.edgesIngested.Load() == uint64(i+1) })
+				}
+			}
+			code, _, ir := li.finish()
+			wantIngest(t, code, ir, http.StatusOK, 3)
+			wantChunks := uint64(1)
+			if lane.path == "/v1/stream" {
+				wantChunks = 3
+			}
+			if got := srv.run.batchesIngested.Load(); got != wantChunks {
+				t.Fatalf("chunks dispatched = %d, want %d", got, wantChunks)
+			}
+		})
+	}
+}
+
+// TestControlRequestsDuringSaturatedIngestAndClose is the contract the
+// runner's control channel used to provide, now that handlers call the
+// engine directly: with the ingest queue saturated (depth 1, feeders
+// hammering it) registrations, unregistrations, advances and metrics reads
+// all complete, every one of them answers 2xx — or 503 once Close has begun —
+// and neither they nor a concurrent Close hang.
+func TestControlRequestsDuringSaturatedIngestAndClose(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Shard: shard.Config{Shards: 2, Buffer: 4}, QueueDepth: 1})
+
+	var (
+		wg       sync.WaitGroup
+		rounds   atomic.Int64 // control round trips completed before Close
+		accepted atomic.Int64 // ingest requests that got in
+	)
+	// do issues one request and reports whether the server has drained.
+	do := func(method, path, body string, want ...int) (drained bool) {
+		req, _ := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Errorf("%s %s: %v", method, path, err)
+			return true
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusServiceUnavailable {
+			return true
+		}
+		for _, w := range want {
+			if resp.StatusCode == w {
+				return false
+			}
+		}
+		t.Errorf("%s %s: HTTP %d, want one of %v or 503", method, path, resp.StatusCode, want)
+		return true
+	}
+
+	for f := 0; f < 3; f++ {
+		wg.Add(1)
+		go func(f int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				body := ndjsonBody(t, flowEdges(1+(f*1_000_000)+i*64, 64)).String()
+				// 429 is the saturated queue shedding: expected, not a failure.
+				if do(http.MethodPost, "/v1/edges", body, http.StatusAccepted, http.StatusTooManyRequests) {
+					return
+				}
+				accepted.Add(1)
+			}
+		}(f)
+	}
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				name := fmt.Sprintf("smurf-%d-%d", c, i)
+				dsl := strings.Replace(query.Format(gen.SmurfQuery(time.Minute)), "smurf-ddos", name, 1)
+				if do(http.MethodPost, "/v1/queries", dsl, http.StatusCreated) ||
+					do(http.MethodGet, "/v1/metrics", "", http.StatusOK) ||
+					do(http.MethodPost, "/v1/advance", fmt.Sprintf(`{"ts":%d}`, int64(testBase)+int64(i)), http.StatusNoContent) ||
+					do(http.MethodGet, "/v1/queries", "", http.StatusOK) ||
+					do(http.MethodDelete, "/v1/queries/"+name, "", http.StatusNoContent) {
+					return
+				}
+				rounds.Add(1)
+			}
+		}(c)
+	}
+
+	// Close lands mid-traffic: after the queue has shed at least one batch
+	// and every kind of request has made it through several times.
+	waitFor(t, 20*time.Second, func() bool {
+		return rounds.Load() >= 12 && accepted.Load() >= 12 && srv.batchesRejected.Load() > 0
+	})
+	finished := make(chan struct{})
+	go func() {
+		srv.Close()
+		wg.Wait()
+		close(finished)
+	}()
+	select {
+	case <-finished:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Close or a request in flight hung")
+	}
+}

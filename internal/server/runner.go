@@ -9,21 +9,21 @@ import (
 	"github.com/streamworks/streamworks/internal/obs"
 )
 
-// runner owns ingestion into the engine. The public engine is safe for
-// concurrent use, but the serving layer still funnels all edge processing
-// through this one goroutine: ingest handlers enqueue edge batches onto a
-// bounded queue (returning 429 upstream when it is full — backpressure by
-// admission control rather than by blocking request goroutines), and control
-// handlers post closures that the runner executes between batches,
-// serialized with edge processing.
+// runner owns edge ingestion into the engine, and only that. The public
+// engine is safe for concurrent use — control requests call it directly from
+// their handlers and Sharded's own mutex orders them against batches and in
+// the WAL — but edges still funnel through this one goroutine, because it is
+// what the serving layer's ingest contract hangs on: a bounded queue whose
+// fullness is the 429 admission signal (backpressure by shedding rather than
+// by blocking request goroutines), FIFO order so a wait=1 sentinel completes
+// after its data chunks, per-request result accounting, and the point where
+// a chunk slice is known to be free for reuse.
 type runner struct {
 	eng *streamworks.Sharded
 
 	// batches is the bounded ingest queue. Closing it (after the draining
 	// flag stops producers) asks the loop to finish the queued work and exit.
 	batches chan ingestBatch
-	// ctrl carries control closures (register, unregister, advance, metrics).
-	ctrl chan func()
 	// stopped is closed when the loop has exited; receiving from it
 	// establishes happens-before for direct engine access during shutdown.
 	stopped chan struct{}
@@ -42,21 +42,17 @@ type runner struct {
 
 // ingestBatch is one chunk of a streaming ingest request (the handler
 // enqueues chunks as the body decodes; a request usually spans several).
-// done is non-nil only on the final sentinel chunk of a wait=true request;
-// the runner sends the accumulated result exactly once. enqNS is the
-// wall-clock arrival time of the ingest request, stamped only when
+// done is non-nil only on the final sentinel chunk of a waiting request; the
+// runner answers it with the request's accumulated job, exactly once. enqNS
+// is the wall-clock arrival time of the ingest request, stamped only when
 // observability is enabled — the ingest segment spans body decode plus
 // queue wait, everything between the daemon seeing the edge and the engine
 // starting on it.
 type ingestBatch struct {
 	edges []graph.StreamEdge
 	job   *ingestJob
-	done  chan ingestResult
+	done  chan ingestJob
 	enqNS int64
-	// pooled marks chunks the runner returns to chunkPool after processing:
-	// ProcessBatch has joined the WAL append and every downstream tier holds
-	// copies by then, so the slice is free to reuse.
-	pooled bool
 }
 
 // ingestJob accumulates the outcome of one multi-chunk ingest request.
@@ -68,11 +64,6 @@ type ingestJob struct {
 	err       error
 }
 
-type ingestResult struct {
-	processed int
-	err       error
-}
-
 func newRunner(eng *streamworks.Sharded, queueDepth int) *runner {
 	if queueDepth <= 0 {
 		queueDepth = 64
@@ -80,28 +71,16 @@ func newRunner(eng *streamworks.Sharded, queueDepth int) *runner {
 	return &runner{
 		eng:     eng,
 		batches: make(chan ingestBatch, queueDepth),
-		ctrl:    make(chan func()),
 		stopped: make(chan struct{}),
 	}
 }
 
-// loop is the engine driver. It exits once the batch queue is closed and
-// drained; control closures that were accepted before the drain began are
-// guaranteed to run because their posters hold the server's read lock until
-// the reply arrives, and the drain only closes the queue under the write
-// lock.
+// loop is the edge driver. It exits once the batch queue is closed and
+// drained.
 func (r *runner) loop() {
 	defer close(r.stopped)
-	for {
-		select {
-		case b, ok := <-r.batches:
-			if !ok {
-				return
-			}
-			r.process(b)
-		case fn := <-r.ctrl:
-			fn()
-		}
+	for b := range r.batches {
+		r.process(b)
 	}
 }
 
@@ -123,8 +102,6 @@ func (r *runner) process(b ingestBatch) {
 			}
 		}
 	}
-	var processed int
-	var err error
 	if len(b.edges) > 0 {
 		// The arrival stamp rides the edge envelope down through routing and
 		// the shard mailbox so the engine can stamp it onto any match this
@@ -134,26 +111,21 @@ func (r *runner) process(b ingestBatch) {
 		}
 		// One ProcessBatch per chunk: one WAL frame and one pass through the
 		// shard router, instead of a per-edge append.
-		if err = r.eng.ProcessBatch(context.Background(), b.edges); err == nil {
-			processed = len(b.edges)
-		}
-		r.edgesIngested.Add(uint64(processed))
+		err := r.eng.ProcessBatch(context.Background(), b.edges)
 		r.batchesIngested.Add(1)
-	}
-	if b.job != nil {
-		b.job.processed += processed
-		if err != nil && b.job.err == nil {
-			b.job.err = err
+		if err == nil {
+			r.edgesIngested.Add(uint64(len(b.edges)))
 		}
+		if b.job != nil {
+			if err == nil {
+				b.job.processed += len(b.edges)
+			} else if b.job.err == nil {
+				b.job.err = err
+			}
+		}
+		putChunk(b.edges) // see chunkPool: nothing downstream holds the slice now
 	}
 	if b.done != nil {
-		res := ingestResult{processed: processed, err: err}
-		if b.job != nil {
-			res = ingestResult{processed: b.job.processed, err: b.job.err}
-		}
-		b.done <- res
-	}
-	if b.pooled {
-		putChunk(b.edges)
+		b.done <- *b.job
 	}
 }

@@ -5,11 +5,15 @@
 // server-sent events.
 //
 // The serving layer fronts the public streamworks engine (a Sharded
-// backend). A single runner goroutine funnels all edge processing; ingest
-// requests stream decoded chunks onto a bounded queue as the body decodes
-// (adaptive chunk sizing; HTTP 429 sheds overload at admission before the
-// first chunk, TCP backpressure paces the rest), and control requests
-// execute as closures on the runner, serialized with edge processing. On
+// backend). Inbound, an edge crosses one path: every ingest request, batch
+// or session, runs the same ingester — one decode loop per codec, adaptive
+// chunk sizing, one bounded queue (HTTP 429 sheds overload at admission
+// before the first chunk, TCP backpressure paces the rest) — and a single
+// runner goroutine hands the queued chunks to the engine. Control requests
+// (register, unregister, advance, metrics) call the engine directly from
+// their handlers: the engine's own mutex orders them against edge batches
+// and in the WAL, and the set of registered queries is the engine's, read
+// back for listings and subscription filters rather than mirrored here. On
 // the output side every match subscriber is its own per-query push
 // subscription on the engine, buffered by the hub; each match is flushed to
 // the subscriber's socket the moment it surfaces (coalescing only what is
@@ -45,7 +49,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -99,12 +102,9 @@ type Config struct {
 	// redelivering only the matches that were never flushed to a subscriber.
 	// Empty disables durability.
 	DataDir string
-	// FsyncPolicy is "always", "interval" (default) or "off"; see
-	// streamworks.WithFsyncPolicy. Requires DataDir.
+	// FsyncPolicy is "always", "interval" (default; group commit every 50ms)
+	// or "off"; see streamworks.WithFsyncPolicy. Requires DataDir.
 	FsyncPolicy string
-	// FsyncInterval is the group-commit interval for the "interval" policy
-	// (default 50ms). Requires DataDir.
-	FsyncInterval time.Duration
 	// SnapshotEvery checkpoints the WAL every n ingested batches (default
 	// 4096; negative leaves it to segment size); see
 	// streamworks.WithSnapshotEvery. Requires DataDir.
@@ -143,16 +143,14 @@ type Server struct {
 	planner *decompose.Planner
 
 	started   time.Time
-	closeOnce sync.Once
-	closed    chan struct{}
+	closeOnce sync.Once // Do also makes concurrent Close calls wait for the drain
 
-	// mu guards draining and queries. Handlers hold the read lock across
-	// their engine hand-off (queue send or control round trip); Close takes
-	// the write lock to flip draining, so once it holds the lock no handler
-	// is mid-hand-off and the queues can be closed safely.
+	// mu guards draining. Handlers hold the read lock across their engine
+	// hand-off (queue send or control call); Close takes the write lock to
+	// flip draining, so once it holds the lock no handler is mid-hand-off
+	// and the queue and the engine can be closed safely.
 	mu       sync.RWMutex
 	draining bool
-	queries  map[string]*query.Graph
 
 	batchesRejected atomic.Uint64
 
@@ -182,12 +180,6 @@ func New(cfg Config) *Server {
 		// slack, summaries) but left Shards zero keeps those settings.
 		cfg.Shard.Shards = shard.DefaultConfig().Shards
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
-	}
-	if cfg.SubscriberBuffer <= 0 {
-		cfg.SubscriberBuffer = 256
-	}
 	if cfg.MaxBatchEdges <= 0 {
 		cfg.MaxBatchEdges = 65536
 	}
@@ -211,7 +203,6 @@ func New(cfg Config) *Server {
 		engOpts = append(engOpts,
 			streamworks.WithDataDir(cfg.DataDir),
 			streamworks.WithFsyncPolicy(cfg.FsyncPolicy),
-			streamworks.WithFsyncInterval(cfg.FsyncInterval),
 			streamworks.WithSnapshotEvery(cfg.SnapshotEvery),
 			// Delivery here is asynchronous (hub buffer, HTTP flush), so a
 			// sink return proves nothing; the match handler acks each match
@@ -225,14 +216,6 @@ func New(cfg Config) *Server {
 		eng:     eng,
 		planner: decompose.NewPlanner(stats.NewEstimator(nil)),
 		started: time.Now(),
-		closed:  make(chan struct{}),
-		queries: make(map[string]*query.Graph),
-	}
-	// Re-seed the HTTP query registry from the engine: after a durable
-	// restart the engine replays registrations from its WAL, and the
-	// listing/filter view must reflect them without a re-POST.
-	for _, q := range eng.RegisteredQueries() {
-		s.queries[q.Name()] = q
 	}
 	s.hub = newHub(cfg.SubscriberBuffer, eng.Subscribe)
 	s.run = newRunner(s.eng, cfg.QueueDepth)
@@ -279,7 +262,6 @@ func (s *Server) Engine() *streamworks.Sharded { return s.eng }
 // drain completes.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
-		defer close(s.closed)
 		s.mu.Lock()
 		s.draining = true
 		s.mu.Unlock()
@@ -293,25 +275,26 @@ func (s *Server) Close() {
 		// handler sees Done after its final delivery and ends its stream.
 		s.eng.Close()
 	})
-	<-s.closed
 }
 
-// do runs fn on the runner goroutine, serialized with edge processing, and
-// waits for it to finish. The read lock is held until the reply so that
-// Close cannot tear the runner down with fn still queued.
-func (s *Server) do(fn func()) error {
+func (s *Server) isDraining() bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.draining
+}
+
+// admit opens a control request: it takes the read lock the caller must
+// release once its engine call has returned — Close cannot close the engine
+// under a call that got in — or, if the drain has begun, answers 503 and
+// reports false.
+func (s *Server) admit(w http.ResponseWriter) bool {
+	s.mu.RLock()
 	if s.draining {
-		return ErrDraining
+		s.mu.RUnlock()
+		writeError(w, http.StatusServiceUnavailable, "%v", ErrDraining)
+		return false
 	}
-	done := make(chan struct{})
-	s.run.ctrl <- func() {
-		fn()
-		close(done)
-	}
-	<-done
-	return nil
+	return true
 }
 
 // ---- HTTP plumbing ----------------------------------------------------
@@ -334,9 +317,6 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 type HealthResponse = api.HealthResponse
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	draining := s.draining
-	s.mu.RUnlock()
 	resp := HealthResponse{
 		Status:        "ok",
 		Version:       api.Version,
@@ -346,7 +326,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		ObsEnabled:    s.obsReg != nil,
 		Durability:    s.eng.Durability().Mode,
 	}
-	if draining {
+	if s.isDraining() {
 		resp.Status = "draining"
 		writeJSON(w, http.StatusServiceUnavailable, resp)
 		return
@@ -387,22 +367,19 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	var regErr error
-	if err := s.do(func() { regErr = s.eng.RegisterQueryWith(context.Background(), q, opts) }); err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+	if !s.admit(w) {
 		return
 	}
-	if regErr != nil {
+	err = s.eng.RegisterQueryWith(r.Context(), q, opts)
+	s.mu.RUnlock()
+	if err != nil {
 		status := http.StatusUnprocessableEntity
-		if errors.Is(regErr, streamworks.ErrDuplicateQuery) {
+		if errors.Is(err, streamworks.ErrDuplicateQuery) {
 			status = http.StatusConflict
 		}
-		writeError(w, status, "registering %q: %v", q.Name(), regErr)
+		writeError(w, status, "registering %q: %v", q.Name(), err)
 		return
 	}
-	s.mu.Lock()
-	s.queries[q.Name()] = q
-	s.mu.Unlock()
 
 	resp := RegisterResponse{
 		Name:     q.Name(),
@@ -476,9 +453,9 @@ func primitiveStrings(p *decompose.Plan) []string {
 type QueryInfo = api.QueryInfo
 
 func (s *Server) handleListQueries(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	infos := make([]QueryInfo, 0, len(s.queries))
-	for _, q := range s.queries {
+	queries := s.eng.RegisteredQueries() // name-sorted
+	infos := make([]QueryInfo, 0, len(queries))
+	for _, q := range queries {
 		infos = append(infos, QueryInfo{
 			Name:     q.Name(),
 			Window:   q.Window().String(),
@@ -486,37 +463,32 @@ func (s *Server) handleListQueries(w http.ResponseWriter, _ *http.Request) {
 			Edges:    q.NumEdges(),
 		})
 	}
-	s.mu.RUnlock()
 	writeJSON(w, http.StatusOK, infos)
 }
 
 func (s *Server) handleGetQuery(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	s.mu.RLock()
-	q, ok := s.queries[name]
-	s.mu.RUnlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown query %q", name)
-		return
+	for _, q := range s.eng.RegisteredQueries() {
+		if q.Name() == name {
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			io.WriteString(w, query.Format(q))
+			return
+		}
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	io.WriteString(w, query.Format(q))
+	writeError(w, http.StatusNotFound, "unknown query %q", name)
 }
 
 func (s *Server) handleUnregister(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	var unregErr error
-	if err := s.do(func() { unregErr = s.eng.UnregisterQuery(context.Background(), name) }); err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+	if !s.admit(w) {
 		return
 	}
-	if unregErr != nil {
-		writeError(w, http.StatusNotFound, "unregistering %q: %v", name, unregErr)
+	err := s.eng.UnregisterQuery(r.Context(), name)
+	s.mu.RUnlock()
+	if err != nil {
+		writeError(w, http.StatusNotFound, "unregistering %q: %v", name, err)
 		return
 	}
-	s.mu.Lock()
-	delete(s.queries, name)
-	s.mu.Unlock()
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -538,10 +510,11 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding advance request: %v", err)
 		return
 	}
-	if err := s.do(func() { _ = s.eng.Advance(context.Background(), graph.Timestamp(req.TS)) }); err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+	if !s.admit(w) {
 		return
 	}
+	_ = s.eng.Advance(r.Context(), graph.Timestamp(req.TS)) // fails only if the caller has gone
+	s.mu.RUnlock()
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -549,15 +522,6 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMatches(w http.ResponseWriter, r *http.Request) {
 	queryName := r.URL.Query().Get("query")
-	if queryName != "" {
-		s.mu.RLock()
-		_, known := s.queries[queryName]
-		s.mu.RUnlock()
-		if !known {
-			writeError(w, http.StatusNotFound, "unknown query %q", queryName)
-			return
-		}
-	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, "response writer does not support streaming")
@@ -565,11 +529,10 @@ func (s *Server) handleMatches(w http.ResponseWriter, r *http.Request) {
 	}
 	// The subscriber is a per-query push subscription on the engine — the
 	// engine filters and delivers, the hub only buffers. Matches arrive
-	// fully resolved (the public Match form), ready to encode.
+	// fully resolved (the public Match form), ready to encode. The engine is
+	// also the one judge of whether queryName is registered.
 	sub, err := s.hub.register(queryName)
 	if errors.Is(err, streamworks.ErrUnknownQuery) {
-		// The s.queries pre-check can race an unregister; report the truth
-		// rather than a bogus "draining".
 		writeError(w, http.StatusNotFound, "unknown query %q", queryName)
 		return
 	}
@@ -754,16 +717,14 @@ type ServerMetrics = api.ServerMetrics
 // MetricsResponse is the GET /v1/metrics payload (see api.MetricsResponse).
 type MetricsResponse = api.MetricsResponse
 
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	var resp MetricsResponse
-	err := s.do(func() {
-		resp.Engine, _ = s.eng.Metrics(context.Background())
-		resp.Shards = s.eng.PerShardMetrics()
-	})
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	if !s.admit(w) {
 		return
 	}
+	var resp MetricsResponse
+	resp.Engine, _ = s.eng.Metrics(r.Context()) // fails only if the caller has gone
+	resp.Shards = s.eng.PerShardMetrics()
+	s.mu.RUnlock()
 	resp.Server = ServerMetrics{
 		Subscribers:        s.hub.count(),
 		SubscribersEvicted: s.hub.evicted.Load(),
@@ -815,8 +776,8 @@ func (s *Server) TraceHandler() http.Handler { return http.HandlerFunc(s.handleT
 // handleProm serves Prometheus text-format exposition: serving-layer
 // counters and gauges always, plus the merged observability snapshot (per-
 // segment latency histograms, detection lag) when observability is on. It
-// deliberately avoids the runner round trip so scrapes keep working while
-// the ingest queue is saturated or draining.
+// reads only atomics — no engine call, no drain check — so scrapes keep
+// working while ingest is saturated or the server is draining.
 func (s *Server) handleProm(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	p := obs.NewPromWriter(w)

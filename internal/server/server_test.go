@@ -234,20 +234,25 @@ func TestIngestWorkloadNDJSON(t *testing.T) {
 	}
 }
 
+// pinRunner parks the runner so nothing drains the ingest queue: a sentinel
+// whose reply channel is unbuffered holds it inside process until release is
+// called. It returns once the runner has dequeued the sentinel, so the queue
+// is empty and stays exactly as full as the test makes it.
+func pinRunner(t *testing.T, srv *Server) (release func()) {
+	t.Helper()
+	pin := make(chan ingestJob)
+	srv.run.batches <- ingestBatch{job: &ingestJob{}, done: pin}
+	waitFor(t, time.Second, func() bool { return len(srv.run.batches) == 0 })
+	return func() { <-pin }
+}
+
 // TestIngestBackpressure429 fills the bounded ingest queue while the runner
 // is pinned and checks overload is shed with 429 instead of blocking the
 // request.
 func TestIngestBackpressure429(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Shard: shard.Config{Shards: 1}, QueueDepth: 1})
 
-	// Pin the runner inside a control closure so nothing drains the queue.
-	pinned := make(chan struct{})
-	release := make(chan struct{})
-	srv.run.ctrl <- func() {
-		close(pinned)
-		<-release
-	}
-	<-pinned
+	release := pinRunner(t, srv)
 
 	edges := smurfPairs(2)
 	resp := postEdges(t, ts.URL, ndjsonBody(t, edges), false)
@@ -263,7 +268,7 @@ func TestIngestBackpressure429(t *testing.T) {
 		t.Fatalf("429 response missing Retry-After")
 	}
 	resp.Body.Close()
-	close(release)
+	release()
 
 	// After the runner resumes, ingest flows again and the shed batch was
 	// counted.

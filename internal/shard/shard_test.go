@@ -9,7 +9,6 @@ import (
 	"github.com/streamworks/streamworks/internal/gen"
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/shard"
-	"github.com/streamworks/streamworks/internal/stream"
 )
 
 // smallNetflow is a laptop-scale netflow workload with all four Fig. 3 cyber
@@ -333,37 +332,4 @@ func TestShardedAdvanceReachesLaggingShards(t *testing.T) {
 			m1.ExpiredEdges, m2.ExpiredEdges)
 	}
 	s.Close()
-}
-
-// TestShardedRunViaFanOut drives per-shard sub-streams through the stream
-// fan-out adapter and checks the pump splits the same way the router does —
-// the adapter is the building block for external partitioned ingest.
-func TestShardedRunViaFanOut(t *testing.T) {
-	w := smallNetflow(30*time.Second, 31)
-	const n = 4
-	counts := make([]int, n)
-	outs, wait := stream.FanOut(w.Source(), n, 64, func(se graph.StreamEdge) []int {
-		return []int{int(se.Edge.ID) % n}
-	})
-	done := make(chan struct{}, n)
-	for i, src := range outs {
-		go func(i int, src stream.Source) {
-			edges, _ := stream.Collect(src)
-			counts[i] = len(edges)
-			done <- struct{}{}
-		}(i, src)
-	}
-	for i := 0; i < n; i++ {
-		<-done
-	}
-	if err := wait(); err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != len(w.Edges) {
-		t.Fatalf("fan-out lost edges: %d of %d", total, len(w.Edges))
-	}
 }

@@ -100,8 +100,13 @@ const (
 	// arenaChunkBits sizes the arena chunks: 8192 words (64 KiB), reached by
 	// doubling from 64 words so the small sets of many standing queries do
 	// not each pin a full chunk. A 32-bit ref addresses 32 GiB of bindings.
-	arenaChunkBits = 13
-	arenaFirstBits = 6
+	// Each size is handed out arenaChunksPerSize times before the next, so a
+	// chunk only just begun is under a quarter of an arena past 8 KiB, not
+	// half of it: capacity follows what is stored in small steps, and two
+	// streams a few matches apart do not pin arenas a doubling apart.
+	arenaChunkBits     = 13
+	arenaFirstBits     = 6
+	arenaChunksPerSize = 4
 	// slotBytes and wordBytes price a table slot and an arena word.
 	slotBytes = 16
 	wordBytes = 8
@@ -182,8 +187,8 @@ func (g *generation) store(m *match.Match) (ref, words uint32) {
 	if g.used == 0 || !chunkFits(g.chunks[g.used-1], len(es)) {
 		if g.used == len(g.chunks) || !chunkFits(g.chunks[g.used], len(es)) {
 			size := 1 << arenaChunkBits
-			if g.used < arenaChunkBits-arenaFirstBits {
-				size = 1 << (arenaFirstBits + g.used)
+			if bits := arenaFirstBits + g.used/arenaChunksPerSize; bits < arenaChunkBits {
+				size = 1 << bits
 			}
 			g.chunks = slices.Insert(g.chunks, g.used, make([]uint64, 0, max(size, len(es))))
 		}

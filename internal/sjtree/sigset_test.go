@@ -167,6 +167,30 @@ func TestCompleteSetGrowsAcrossChunks(t *testing.T) {
 	}
 }
 
+// TestArenaCapacityFollowsWhatIsStored: past its first 8 KiB an arena never
+// holds more than a third again of what it stores, at every fill level — the
+// capacity climbs in small steps, so what a set pins does not jump by half
+// when a stream brings a few more matches.
+func TestArenaCapacityFollowsWhatIsStored(t *testing.T) {
+	var set completeSet
+	for i := 0; i < 30_000; i++ {
+		m := match.NewSized(0, 3)
+		for qe := 0; qe < 3; qe++ {
+			m.BindEdge(query.EdgeID(qe), graph.EdgeID(3*i+qe), 0)
+		}
+		if !set.add(m) {
+			t.Fatalf("fresh binding %d rejected", i)
+		}
+		stored, capacity := 0, 0
+		for _, c := range set.gens[0].chunks {
+			stored, capacity = stored+len(c), capacity+cap(c)
+		}
+		if stored >= 16<<arenaFirstBits && 3*capacity > 4*stored {
+			t.Fatalf("after %d entries the arena holds %d words in %d of capacity", i+1, stored, capacity)
+		}
+	}
+}
+
 // TestInheritEmittedHandsOverTheSet: a replacement tree that inherits its
 // predecessor's emitted set drops the matches the old tree already
 // reported, and still reports new ones.

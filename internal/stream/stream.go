@@ -1,8 +1,8 @@
 // Package stream provides the edge-stream substrate the continuous engine
-// consumes: sources that yield timestamped stream edges, batching by count
-// or by time step, and replay helpers. Workload generators
-// (internal/gen) and file loaders (internal/loader) produce Sources; the
-// engine and the baselines consume them.
+// consumes: sources that yield timestamped stream edges, the batch (one time
+// step of the paper's formulation), replay, and time-ordered merging.
+// Workload generators (internal/gen) and file loaders (internal/loader)
+// produce Sources; the engine and the ingest path consume them.
 package stream
 
 import (
@@ -51,31 +51,19 @@ func (s *SliceSource) Reset() { s.pos = 0 }
 // Len returns the total number of edges in the source.
 func (s *SliceSource) Len() int { return len(s.edges) }
 
-// ChannelSource adapts a channel of stream edges into a Source. The channel
-// being closed signals end of stream.
-type ChannelSource struct {
-	ch <-chan graph.StreamEdge
-}
-
-// NewChannelSource wraps ch as a Source.
-func NewChannelSource(ch <-chan graph.StreamEdge) *ChannelSource {
-	return &ChannelSource{ch: ch}
-}
-
-// Next implements Source.
-func (s *ChannelSource) Next() (graph.StreamEdge, error) {
-	e, ok := <-s.ch
-	if !ok {
-		return graph.StreamEdge{}, io.EOF
-	}
-	return e, nil
-}
-
 // FuncSource adapts a generator function into a Source.
 type FuncSource func() (graph.StreamEdge, error)
 
 // Next implements Source.
 func (f FuncSource) Next() (graph.StreamEdge, error) { return f() }
+
+// Batch is a group of stream edges delivered together, corresponding to one
+// time step E(k+1) in the paper's formulation: the incremental result of a
+// continuous query is defined per batch of newly arrived edges.
+type Batch struct {
+	// Edges are the batch members in arrival order.
+	Edges []graph.StreamEdge
+}
 
 // Replay drains the source, invoking fn for each edge. fn returning false
 // stops the replay with ErrStopped. It returns the number of edges consumed.
@@ -96,16 +84,6 @@ func Replay(src Source, fn func(graph.StreamEdge) bool) (int, error) {
 	}
 }
 
-// Collect drains the source into a slice (for tests and small datasets).
-func Collect(src Source) ([]graph.StreamEdge, error) {
-	var out []graph.StreamEdge
-	_, err := Replay(src, func(e graph.StreamEdge) bool {
-		out = append(out, e)
-		return true
-	})
-	return out, err
-}
-
 // SortByTimestamp orders the edges by timestamp (stable on ties, preserving
 // generation order) so that generators composing several event sources can
 // emit a single time-ordered stream.
@@ -116,25 +94,30 @@ func SortByTimestamp(edges []graph.StreamEdge) {
 }
 
 // Merge combines multiple already-sorted edge slices into one time-ordered
-// slice with a true k-way merge (O(n log k) for n total edges across k
-// streams, instead of re-sorting the concatenation in O(n log n)). Ties keep
+// slice with a k-way merge instead of re-sorting the concatenation. Ties keep
 // the order of the argument list, then generation order within each slice,
-// matching what SortByTimestamp over the concatenation produced.
+// matching what SortByTimestamp over the concatenation produces. Each output
+// edge costs one scan of the k stream heads: k is the handful of event
+// sources a generator composes, where that beats maintaining a heap.
 func Merge(streams ...[]graph.StreamEdge) []graph.StreamEdge {
 	total := 0
-	srcs := make([]Source, len(streams))
-	for i, s := range streams {
+	for _, s := range streams {
 		total += len(s)
-		srcs[i] = NewSliceSource(s)
 	}
 	out := make([]graph.StreamEdge, 0, total)
-	fi := FanIn(srcs...)
-	for {
-		se, err := fi.Next()
-		if err != nil {
-			// SliceSources only ever fail with io.EOF.
-			return out
+	heads := make([]int, len(streams)) // next unmerged index of each stream
+	for len(out) < total {
+		best := -1
+		for i, s := range streams {
+			if heads[i] == len(s) {
+				continue
+			}
+			if best < 0 || s[heads[i]].Edge.Timestamp < streams[best][heads[best]].Edge.Timestamp {
+				best = i
+			}
 		}
-		out = append(out, se)
+		out = append(out, streams[best][heads[best]])
+		heads[best]++
 	}
+	return out
 }

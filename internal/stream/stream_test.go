@@ -3,8 +3,9 @@ package stream
 import (
 	"errors"
 	"io"
+	"math/rand"
+	"sort"
 	"testing"
-	"time"
 
 	"github.com/streamworks/streamworks/internal/graph"
 )
@@ -57,19 +58,6 @@ func TestSliceSource(t *testing.T) {
 	}
 }
 
-func TestChannelSource(t *testing.T) {
-	ch := make(chan graph.StreamEdge, 2)
-	ch <- makeEdges(1, 0, 1)[0]
-	close(ch)
-	src := NewChannelSource(ch)
-	if e, err := src.Next(); err != nil || e.Edge.ID != 1 {
-		t.Fatalf("Next = %v, %v", e, err)
-	}
-	if _, err := src.Next(); !errors.Is(err, io.EOF) {
-		t.Fatalf("closed channel should yield EOF")
-	}
-}
-
 func TestFuncSource(t *testing.T) {
 	n := 0
 	src := FuncSource(func() (graph.StreamEdge, error) {
@@ -79,9 +67,8 @@ func TestFuncSource(t *testing.T) {
 		n++
 		return graph.StreamEdge{Edge: graph.Edge{ID: graph.EdgeID(n)}}, nil
 	})
-	got, err := Collect(src)
-	if err != nil || len(got) != 2 {
-		t.Fatalf("Collect = %v, %v", got, err)
+	if n, err := Replay(src, func(graph.StreamEdge) bool { return true }); err != nil || n != 2 {
+		t.Fatalf("Replay = %d, %v", n, err)
 	}
 }
 
@@ -109,7 +96,7 @@ func TestReplayPropagatesErrors(t *testing.T) {
 func TestSortAndMerge(t *testing.T) {
 	a := makeEdges(3, 100, 10) // ts 100,110,120
 	b := makeEdges(3, 95, 10)  // ts 95,105,115
-	merged := Merge(a, b)
+	merged := Merge(a, nil, b) // an empty stream must be harmless
 	if len(merged) != 6 {
 		t.Fatalf("merged length %d", len(merged))
 	}
@@ -129,93 +116,71 @@ func TestSortAndMerge(t *testing.T) {
 	}
 }
 
-func TestCountBatcher(t *testing.T) {
-	src := NewSliceSource(makeEdges(7, 0, 1))
-	b := NewCountBatcher(src, 3)
-	var sizes []int
-	n, err := ReplayBatches(b, func(batch Batch) bool {
-		sizes = append(sizes, len(batch.Edges))
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
+func TestMergeStableTies(t *testing.T) {
+	a := []graph.StreamEdge{
+		{Edge: graph.Edge{ID: 1, Timestamp: 5}},
+		{Edge: graph.Edge{ID: 2, Timestamp: 5}},
 	}
-	if n != 3 || sizes[0] != 3 || sizes[1] != 3 || sizes[2] != 1 {
-		t.Fatalf("batch sizes = %v", sizes)
+	b := []graph.StreamEdge{
+		{Edge: graph.Edge{ID: 3, Timestamp: 5}},
 	}
-	if _, err := b.Next(); !errors.Is(err, io.EOF) {
-		t.Fatalf("expected EOF after final batch")
-	}
-}
-
-func TestCountBatcherMinimumSize(t *testing.T) {
-	src := NewSliceSource(makeEdges(2, 0, 1))
-	b := NewCountBatcher(src, 0) // clamped to 1
-	n, err := ReplayBatches(b, func(batch Batch) bool { return len(batch.Edges) == 1 })
-	if err != nil || n != 2 {
-		t.Fatalf("clamped batcher misbehaved: %d, %v", n, err)
-	}
-}
-
-func TestTimeBatcher(t *testing.T) {
-	// Edges at t=0,10,20,...,90ns; 25ns batches → [0,10,20], [30,40,50], ...
-	src := NewSliceSource(makeEdges(10, 0, 10))
-	b := NewTimeBatcher(src, 25*time.Nanosecond)
-	var sizes []int
-	var seqs []int
-	_, err := ReplayBatches(b, func(batch Batch) bool {
-		sizes = append(sizes, len(batch.Edges))
-		seqs = append(seqs, batch.Seq)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sizes) != 4 {
-		t.Fatalf("expected 4 time batches, got %v", sizes)
-	}
-	for i, s := range sizes {
-		want := 3
-		if i == len(sizes)-1 {
-			want = 1
-		}
-		if s != want {
-			t.Fatalf("batch %d has %d edges, want %d (%v)", i, s, want, sizes)
-		}
-	}
-	for i, s := range seqs {
-		if s != i {
-			t.Fatalf("batch sequence numbers wrong: %v", seqs)
+	got := Merge(a, b)
+	want := []graph.EdgeID{1, 2, 3}
+	for i, id := range want {
+		if got[i].Edge.ID != id {
+			t.Fatalf("tie order = %v %v %v, want 1 2 3", got[0].Edge.ID, got[1].Edge.ID, got[2].Edge.ID)
 		}
 	}
 }
 
-func TestBatchSpan(t *testing.T) {
-	var empty Batch
-	if empty.Span().Span() != 0 {
-		t.Fatalf("empty batch should have zero span")
+func TestMergeMatchesSortOnRandomStreams(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var streams [][]graph.StreamEdge
+	var all []graph.StreamEdge
+	id := graph.EdgeID(1)
+	for s := 0; s < 5; s++ {
+		n := rng.Intn(50)
+		edges := make([]graph.StreamEdge, n)
+		ts := graph.Timestamp(rng.Intn(100))
+		for i := range edges {
+			ts += graph.Timestamp(rng.Intn(5)) // non-decreasing, with ties
+			edges[i] = graph.StreamEdge{Edge: graph.Edge{ID: id, Timestamp: ts}}
+			id++
+		}
+		streams = append(streams, edges)
+		all = append(all, edges...)
 	}
-	b := Batch{Edges: makeEdges(3, 100, 10)}
-	iv := b.Span()
-	if iv.Start != 100 || iv.End != 120 {
-		t.Fatalf("Span = %v", iv)
+	want := append([]graph.StreamEdge(nil), all...)
+	SortByTimestamp(want)
+	got := Merge(streams...)
+	if len(got) != len(want) {
+		t.Fatalf("merged %d edges, want %d", len(got), len(want))
+	}
+	if !sort.SliceIsSorted(got, func(i, j int) bool {
+		return got[i].Edge.Timestamp < got[j].Edge.Timestamp
+	}) {
+		t.Fatalf("merge output not sorted")
+	}
+	for i := range got {
+		if got[i].Edge.Timestamp != want[i].Edge.Timestamp {
+			t.Fatalf("merge diverges from stable sort at %d", i)
+		}
 	}
 }
 
-func TestReplayBatchesEarlyStop(t *testing.T) {
-	src := NewSliceSource(makeEdges(10, 0, 1))
-	b := NewCountBatcher(src, 2)
-	n, err := ReplayBatches(b, func(batch Batch) bool { return batch.Seq == 0 })
-	if !errors.Is(err, ErrStopped) || n != 2 {
-		t.Fatalf("early stop wrong: %d, %v", n, err)
+func BenchmarkMerge(b *testing.B) {
+	const k = 8
+	const per = 20_000
+	streams := make([][]graph.StreamEdge, k)
+	for s := range streams {
+		streams[s] = makeEdges(per, graph.Timestamp(s), k)
 	}
-}
-
-func TestTimeBatcherInvalidSpan(t *testing.T) {
-	src := NewSliceSource(makeEdges(2, 0, 1))
-	b := NewTimeBatcher(src, 0)
-	n, err := ReplayBatches(b, func(Batch) bool { return true })
-	if err != nil || n == 0 {
-		t.Fatalf("zero-span batcher should still deliver edges: %d %v", n, err)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out := Merge(streams...)
+		if len(out) != k*per {
+			b.Fatalf("merged %d", len(out))
+		}
 	}
 }

@@ -144,20 +144,14 @@ func (r *Remote) Advance(ctx context.Context, ts Timestamp) error {
 	return r.c.Advance(ctx, ts)
 }
 
-// Metrics fetches the daemon's aggregated engine counters. ServerMetrics
-// returns the full per-shard and serving-layer detail.
+// Metrics fetches the daemon's aggregated engine counters (the engine
+// section of GET /v1/metrics).
 func (r *Remote) Metrics(ctx context.Context) (Metrics, error) {
-	m, err := r.ServerMetrics(ctx)
+	m, err := r.c.Metrics(ctx)
 	if err != nil {
 		return Metrics{}, err
 	}
 	return m.Engine, nil
-}
-
-// ServerMetrics fetches the full metrics payload: aggregated engine view,
-// raw per-shard counters and serving-layer counters.
-func (r *Remote) ServerMetrics(ctx context.Context) (*api.MetricsResponse, error) {
-	return r.c.Metrics(ctx)
 }
 
 // remoteSub is one streaming match subscription.
