@@ -548,9 +548,9 @@ func (e *Engine) pruneAll() {
 		e.obs.emittedEvicted.Add(e.metrics.EmittedEvicted - evicted)
 		for _, name := range e.order {
 			reg := e.registrations[name]
-			set := reg.emitted()
-			reg.emittedEntries.Set(int64(set.Len()))
-			reg.emittedBytes.Set(int64(set.Bytes()))
+			entries, bytes := reg.emittedSize()
+			reg.emittedEntries.Set(int64(entries))
+			reg.emittedBytes.Set(int64(bytes))
 		}
 	}
 }
@@ -579,9 +579,8 @@ func (e *Engine) Metrics() Metrics {
 			Replans:        reg.replans,
 			PlanNodes:      reg.plan.NumNodes(),
 			PlanDepth:      reg.plan.Depth(),
-			EmittedEntries: reg.emitted().Len(),
-			EmittedBytes:   reg.emitted().Bytes(),
 		}
+		qm.EmittedEntries, qm.EmittedBytes = reg.emittedSize()
 		if reg.tree != nil {
 			m.PartialMatches += reg.tree.PartialMatchCount()
 			m.LocalSearches += reg.localSearches

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -97,30 +98,53 @@ func TestExactlyOnceAcrossEviction(t *testing.T) {
 
 // TestEmittedGaugesFollowTheSets: with observability on, the per-query
 // emitted-set gauges and the eviction counter in the registry say what
-// Metrics says.
+// Metrics says, and summed over the queries they say what is resident. Under
+// shared plans three queries of one shape read their root through one
+// consumer group with one set: its first member in attach order carries it,
+// the others report nothing, and the sum is what the one private tree holds.
 func TestEmittedGaugesFollowTheSets(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Retention = 10 * time.Second
-	cfg.PruneInterval = 16
-	cfg.Obs.Enabled = true
-	e := New(&cfg)
-	if _, err := e.RegisterQuery(smurfQuery(10 * time.Second)); err != nil {
-		t.Fatal(err)
+	run := func(t *testing.T, shared bool, windows ...time.Duration) (entries, bytes int) {
+		cfg := DefaultConfig()
+		cfg.Retention = 10 * time.Second
+		cfg.PruneInterval = 16
+		cfg.SharedPlans = shared
+		cfg.Obs.Enabled = true
+		e := New(&cfg)
+		for i, w := range windows {
+			q := query.NewBuilder(fmt.Sprintf("smurf-%d", i)).Window(w).
+				Vertex("attacker", "Host").Vertex("amplifier", "Host").Vertex("victim", "Host").
+				Edge("attacker", "amplifier", "icmp_echo_req").Edge("amplifier", "victim", "icmp_echo_reply").
+				MustBuild()
+			if _, err := e.RegisterQuery(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, se := range randomHostStream(7, 1600) {
+			e.ProcessEdge(se)
+		}
+		e.Advance(e.Graph().Watermark() + graph.Timestamp(time.Second)) // one more sweep, so the gauges are current
+		m, snap := e.Metrics(), e.ObsRegistry().Snapshot()
+		evicted, _ := snap.FindCounter("emitted_evicted", "")
+		if m.Queries[0].EmittedEntries == 0 || m.EmittedEvicted == 0 || evicted.Value != m.EmittedEvicted {
+			t.Fatalf("%d entries, %d evicted, the registry says %d", m.Queries[0].EmittedEntries, m.EmittedEvicted, evicted.Value)
+		}
+		for i, q := range m.Queries {
+			gaugeEntries, _ := snap.FindGauge("emitted_entries", q.Name)
+			gaugeBytes, _ := snap.FindGauge("emitted_bytes", q.Name)
+			if int(gaugeEntries.Value) != q.EmittedEntries || int(gaugeBytes.Value) != q.EmittedBytes {
+				t.Fatalf("%s: registry says %d entries, %d bytes; Metrics says %d, %d",
+					q.Name, gaugeEntries.Value, gaugeBytes.Value, q.EmittedEntries, q.EmittedBytes)
+			}
+			if shared && i > 0 && (q.EmittedEntries != 0 || q.EmittedBytes != 0) {
+				t.Fatalf("%s reports %d entries, %d bytes of a set the group's first member carries", q.Name, q.EmittedEntries, q.EmittedBytes)
+			}
+			entries, bytes = entries+q.EmittedEntries, bytes+q.EmittedBytes
+		}
+		return entries, bytes
 	}
-	for _, se := range randomHostStream(7, 1600) {
-		e.ProcessEdge(se)
-	}
-	e.Advance(e.Graph().Watermark() + graph.Timestamp(time.Second)) // one more sweep, so the gauges are current
-	m, snap := e.Metrics(), e.ObsRegistry().Snapshot()
-	entries, _ := snap.FindGauge("emitted_entries", "smurf")
-	bytes, _ := snap.FindGauge("emitted_bytes", "smurf")
-	evicted, _ := snap.FindCounter("emitted_evicted", "")
-	q := m.Queries[0]
-	if q.EmittedEntries == 0 || m.EmittedEvicted == 0 {
-		t.Fatalf("vacuous: %d entries, %d evicted", q.EmittedEntries, m.EmittedEvicted)
-	}
-	if int(entries.Value) != q.EmittedEntries || int(bytes.Value) != q.EmittedBytes || evicted.Value != m.EmittedEvicted {
-		t.Fatalf("registry says %d entries, %d bytes, %d evicted; Metrics says %d, %d, %d",
-			entries.Value, bytes.Value, evicted.Value, q.EmittedEntries, q.EmittedBytes, m.EmittedEvicted)
+	treeEntries, treeBytes := run(t, false, 10*time.Second)
+	groupEntries, groupBytes := run(t, true, 10*time.Second, 5*time.Second, 2*time.Second)
+	if groupEntries != treeEntries || groupBytes != treeBytes {
+		t.Fatalf("a group of three holds %d entries in %d bytes, one private tree %d in %d", groupEntries, groupBytes, treeEntries, treeBytes)
 	}
 }

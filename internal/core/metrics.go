@@ -82,7 +82,9 @@ type QueryMetrics struct {
 	// EmittedEntries and EmittedBytes size the query's exactly-once emitted
 	// set as it stands (summed over shards on a sharded engine): little more
 	// than one retention of matches, at 16 bytes per table slot and 8 per
-	// arena word (sjtree.EmittedSet.Bytes).
+	// arena word (sjtree.EmittedSet.Bytes). Under shared plans a consumer
+	// group has one set: its first query in registration order reports it,
+	// the others zero, so the sum over queries is what is resident.
 	EmittedEntries int
 	EmittedBytes   int
 	// Nodes holds live per-SJ-tree-node statistics in plan (pre-order)

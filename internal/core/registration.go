@@ -159,13 +159,15 @@ func newRegistration(e *Engine, name string, q *query.Graph, opts ...Registratio
 	return r, nil
 }
 
-// emitted returns the query's exactly-once emission set, wherever the
-// evaluation path keeps it.
-func (r *Registration) emitted() *sjtree.EmittedSet {
+// emittedSize returns the entries and resident bytes of the query's
+// exactly-once emission set. Under shared plans the set belongs to the
+// query's consumer group and is reported on one member (mqo.Attachment.
+// EmittedSize), so a sum over queries is what is resident.
+func (r *Registration) emittedSize() (entries, bytes int) {
 	if r.tree != nil {
-		return r.tree.Emitted()
+		return r.tree.Emitted().Len(), r.tree.Emitted().Bytes()
 	}
-	return r.att.Emitted()
+	return r.att.EmittedSize()
 }
 
 // rebuildCandidates (re)derives the per-edge-type index of (leaf, seed

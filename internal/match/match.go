@@ -397,6 +397,64 @@ func (m *Match) Remap(nv, ne int, vmap []query.VertexID, emap []query.EdgeID) *M
 	return r
 }
 
+// JoinMapped is m.Remap(nv, ne, vmap, emap).Join(o.Remap(nv, ne, ovmap,
+// oemap)) without the two intermediate matches: the compatibility rules of
+// Join are checked on the bindings as the maps carry them into the
+// destination space, nil is returned before anything is allocated when they
+// fail, and the joined match is built in its one allocation. The shared DAG
+// stores a partial once, in its own canonical space, and joins it with a
+// sibling through the two parent links' maps.
+func (m *Match) JoinMapped(nv, ne int, vmap []query.VertexID, emap []query.EdgeID,
+	o *Match, ovmap []query.VertexID, oemap []query.EdgeID) *Match {
+	mvs, ovs := m.vertices(), o.vertices()
+	for oq, od := range ovs {
+		if od == unbound {
+			continue
+		}
+		// Same destination vertex, same data vertex — and nowhere else.
+		for mq, md := range mvs {
+			if md != unbound && (vmap[mq] == ovmap[oq]) != (md == od) {
+				return nil
+			}
+		}
+	}
+	mes, oes := m.edges(), o.edges()
+	for oq, od := range oes {
+		if od == unbound {
+			continue
+		}
+		for mq, md := range mes {
+			if md != unbound && md != od && emap[mq] == oemap[oq] {
+				return nil
+			}
+		}
+	}
+	j := NewSized(nv, ne)
+	j.nv = fillMapped(j.vertices(), mvs, vmap) + fillMapped(j.vertices(), ovs, ovmap)
+	j.ne = fillMapped(j.edges(), mes, emap) + fillMapped(j.edges(), oes, oemap)
+	j.Span, j.spanSet = m.Span, m.spanSet
+	if o.spanSet {
+		if j.spanSet {
+			j.Span = j.Span.Union(o.Span)
+		} else {
+			j.Span, j.spanSet = o.Span, true
+		}
+	}
+	return j
+}
+
+// fillMapped copies every bound slot of src into the still unbound dst slot
+// its ID maps to, and returns how many slots it filled.
+func fillMapped[ID ~int](dst, src []uint64, idmap []ID) (filled int32) {
+	for q, d := range src {
+		if d != unbound && dst[idmap[q]] == unbound {
+			dst[idmap[q]] = d
+			filled++
+		}
+	}
+	return filled
+}
+
 // mix64 is the splitmix64 finalizer, a fast 64-bit bijective mixer.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30

@@ -18,8 +18,9 @@ import (
 
 // Attachment is one query's view of the shared DAG: the root node its plan
 // resolved to, the maps translating canonical root matches into the query's
-// own pattern space, and the per-query emission state (exactly-once set,
-// window, callbacks).
+// own pattern space, the consumer group it reads the root through (which
+// holds the exactly-once set), and the per-query emission state (window,
+// callbacks).
 type Attachment struct {
 	dag    *DAG
 	name   string
@@ -28,6 +29,7 @@ type Attachment struct {
 	window time.Duration
 
 	root     *node
+	group    *consumerGroup
 	rootVMap []query.VertexID
 	rootEMap []query.EdgeID
 	// nodes lists the distinct DAG nodes realizing this plan (a plan with
@@ -36,7 +38,6 @@ type Attachment struct {
 	nodes  []*node
 	leaves []*node
 
-	emitted    *sjtree.EmittedSet
 	emit       func(*match.Match)
 	emitSigned func(*match.Match, string)
 
@@ -62,10 +63,15 @@ func (a *Attachment) PreAttachMatches() uint64 { return a.preAttach }
 // backfill leaves this attachment created.
 func (a *Attachment) ReplayedEdges() uint64 { return a.replayedEdges }
 
-// Emitted exposes the attachment's exactly-once emission set so a plan swap
-// can move it onto the replacement attachment (sjtree.Tree.InheritEmitted's
-// shared-plan counterpart).
-func (a *Attachment) Emitted() *sjtree.EmittedSet { return a.emitted }
+// EmittedSize reports the entries and resident bytes of the consumer group's
+// exactly-once set on the group's first member in attach order, and zeros on
+// the others, so a sum over queries counts every set once.
+func (a *Attachment) EmittedSize() (entries, bytes int) {
+	if a.group.members[0] != a {
+		return 0, 0
+	}
+	return a.group.emitted.Len(), a.group.emitted.Bytes()
+}
 
 // LeafSearches sums the local searches of the attachment's leaf nodes. The
 // counters are shared: a search seeded once for five queries counts once in
@@ -100,14 +106,6 @@ type AttachOptions struct {
 	// EmitSigned, when set, is called instead of Emit and also receives the
 	// match's canonical Signature, built once per consumer group.
 	EmitSigned func(m *match.Match, signature string)
-	// InheritEmitted seeds the attachment's exactly-once set from a detached
-	// predecessor, preserving emission identity across a plan swap.
-	InheritEmitted *sjtree.EmittedSet
-	// Replay marks the attachment as replacing a predecessor: complete
-	// matches found during root backfill are emitted (the inherited set
-	// silences the already-reported ones) instead of recorded-but-
-	// suppressed, mirroring the per-query swap's replay semantics.
-	Replay bool
 }
 
 // Attach folds a query's decomposition plan into the DAG. Plan subtrees
@@ -123,38 +121,59 @@ func (d *DAG) Attach(name string, q *query.Graph, plan *decompose.Plan, opt Atta
 	if err := plan.Validate(); err != nil {
 		return nil, fmt.Errorf("mqo: invalid plan for %q: %w", name, err)
 	}
+	return d.attach(name, q, plan, opt, nil), nil
+}
+
+// attach is Attach past its checks. sent is nil for a query new to the DAG;
+// for one that Swap is moving onto another plan it is what the query has been
+// sent so far, handed over to the group it joins.
+func (d *DAG) attach(name string, q *query.Graph, plan *decompose.Plan, opt AttachOptions, sent *sjtree.EmittedSet) *Attachment {
 	att := &Attachment{
 		dag:        d,
 		name:       name,
 		q:          q,
 		plan:       plan,
 		window:     q.Window(),
-		emitted:    opt.InheritEmitted,
 		emit:       opt.Emit,
 		emitSigned: opt.EmitSigned,
-	}
-	if att.emitted == nil {
-		att.emitted = sjtree.NewEmittedSet()
 	}
 	root, rootFrag := d.build(att, plan.Query, plan.Root)
 	att.root = root
 	att.rootVMap = rootFrag.VertToQuery
 	att.rootEMap = rootFrag.EdgeToQuery
 	root.addConsumer(att)
+	g := att.group
 
 	d.atts[name] = att
 	d.attOrder = append(d.attOrder, name)
 
-	// Root backfill: complete matches already in the shared root collection
-	// flow through the normal delivery path. On a fresh attach they predate
-	// the query and are recorded-but-suppressed; on a replay (plan swap)
-	// they are emitted and the inherited set drops the duplicates, so only
-	// matches the old plan had not surfaced yet reach the callback.
-	self := consumerGroup{att}
+	// Root backfill: the complete matches already in the shared root
+	// collection. To a query new to the DAG they predate it: the group's set
+	// records them, nobody is sent them. A query changing plans is sent those
+	// it has not been sent — the matches the old plan had not surfaced yet —
+	// and then leaves what it has been sent with its new group: the group's
+	// memory from here on, merged into what the group already remembers.
 	for _, m := range root.coll.Stored() {
-		self.deliver(m, !opt.Replay)
+		if !m.WithinWindow(att.window) {
+			continue
+		}
+		qm := g.admit(m)
+		if qm == nil {
+			continue
+		}
+		if sent == nil {
+			g.emitted.Add(qm)
+			att.preAttach++
+		} else if sent.Add(qm) {
+			att.send(qm, "")
+		}
 	}
-	return att, nil
+	if sent != nil && len(g.members) == 1 {
+		g.emitted = sent
+	} else if sent != nil {
+		g.emitted.Merge(sent)
+	}
+	return att
 }
 
 // build resolves one plan node to a shared DAG node, creating and
@@ -225,36 +244,28 @@ func (d *DAG) build(att *Attachment, q *query.Graph, pn *decompose.Node) (*node,
 		for ci, qe := range cf.EdgeToQuery {
 			emap[ci] = frag.EdgeFromQuery[qe]
 		}
-		l := &childLink{child: child, vmap: vmap, emap: emap, cuts: cuts, part: sjtree.NewPartition()}
+		// A cut vertex lies in both children's fragments, so vmap reaches it.
+		childCuts := make([]query.VertexID, len(cuts))
+		for i, pv := range cuts {
+			childCuts[i] = query.VertexID(slices.Index(vmap, pv))
+		}
+		l := &childLink{child: child, vmap: vmap, emap: emap, cuts: childCuts, part: sjtree.NewPartition()}
 		child.parents = append(child.parents, &parentLink{parent: n, link: l})
 		return l
 	}
 	n.left = mkLink(ln, lf)
 	n.right = mkLink(rn, rf)
 
-	// Join backfill: populate the left partition silently, then stream the
-	// right child's collection through the normal add-and-probe step so
-	// every (left, right) pair is joined exactly once. Joins insert into n,
-	// which has no parents or consumers yet — results land in n.coll, ready
-	// for the next level up.
-	nv, ne := frag.Graph.NumVertices(), frag.Graph.NumEdges()
+	// Join backfill: index the left child's collection silently, then stream
+	// the right child's through the normal add-and-probe step so every
+	// (left, right) pair is joined exactly once. Joins insert into n, which
+	// has no parents or consumers yet — results land in n.coll, ready for
+	// the next level up.
 	for _, m := range ln.coll.Stored() {
-		mp := m.Remap(nv, ne, n.left.vmap, n.left.emap)
-		n.left.part.Add(mp.Projection(cuts), mp)
+		n.left.part.Add(m.Projection(n.left.cuts), m)
 	}
 	for _, m := range rn.coll.Stored() {
-		mp := m.Remap(nv, ne, n.right.vmap, n.right.emap)
-		key := mp.Projection(cuts)
-		n.right.part.Add(key, mp)
-		for _, sm := range n.left.part.Probe(key) {
-			n.joinAttempts++
-			joined := mp.Join(sm)
-			if joined == nil {
-				continue
-			}
-			n.joinHits++
-			d.insert(n, joined)
-		}
+		d.join(n, n.right, m)
 	}
 	return n, frag
 }
@@ -350,57 +361,47 @@ func (d *DAG) Detach(name string) error {
 // Swap replaces an attachment's plan in place: the replacement is attached
 // while the old plan's nodes are still live — so subtrees common to both
 // plans (and anything shared with other queries) keep their state across the
-// swap — inheriting the exactly-once emission set, with root backfill in
-// replay mode so matches the old plan had not yet surfaced are emitted. Only
-// after the new attachment is in place are the old plan's now-unreferenced
-// nodes collected. This is the shared-plan counterpart of the per-query
-// engine's hot plan swap. The replacement keeps the emit callbacks.
+// swap — and only then are the old plan's now-unreferenced nodes collected.
+// This is the shared-plan counterpart of the per-query engine's hot plan
+// swap. The replacement keeps the emit callbacks.
+//
+// Exactly-once travels with the query. It leaves its consumer group with
+// what the group remembers — the set itself when it was the last member, a
+// copy sharing nothing with the group otherwise — is sent, from the new
+// root's backfill, only what that does not hold, and hands it to the group
+// that reads the new root as it does (see attach), so queries that replan
+// one by one onto the same plan end up behind one set again. An invalid plan
+// is refused before anything is touched.
 func (d *DAG) Swap(name string, plan *decompose.Plan) (*Attachment, error) {
 	old, ok := d.atts[name]
 	if !ok {
 		return nil, fmt.Errorf("mqo: query %q not attached", name)
 	}
-	d.detachConsumer(old)
-	att, err := d.Attach(name, old.q, plan, AttachOptions{
-		Emit:           old.emit,
-		EmitSigned:     old.emitSigned,
-		InheritEmitted: old.emitted,
-		Replay:         true,
-	})
-	if err != nil {
-		// Roll the old attachment back in so the DAG stays consistent.
-		old.root.addConsumer(old)
-		d.atts[name] = old
-		d.attOrder = append(d.attOrder, name)
-		return nil, err
+	if err := plan.Validate(); err != nil {
+		return nil, fmt.Errorf("mqo: invalid plan for %q: %w", name, err)
 	}
+	sent := old.group.emitted
+	if len(old.group.members) > 1 {
+		sent = sjtree.NewEmittedSet()
+		sent.Merge(old.group.emitted)
+	}
+	d.detachConsumer(old)
+	att := d.attach(name, old.q, plan, AttachOptions{Emit: old.emit, EmitSigned: old.emitSigned}, sent)
 	d.gc(old.root)
 	d.recomputeWindows()
 	return att, nil
 }
 
 // detachConsumer unhooks the attachment without collecting nodes; the caller
-// runs gc (and, for a plan swap, a replacement Attach first, so shared nodes
+// runs gc (and, for a plan swap, a replacement attach first, so shared nodes
 // stay warm across the swap).
 func (d *DAG) detachConsumer(att *Attachment) {
-	root := att.root
-	for gi, g := range root.consumers {
-		if i := slices.Index(g, att); i >= 0 {
-			if g = slices.Delete(g, i, i+1); len(g) > 0 {
-				root.consumers[gi] = g
-			} else {
-				root.consumers = slices.Delete(root.consumers, gi, gi+1)
-			}
-			break
-		}
+	root, g := att.root, att.group
+	if g.members = slices.DeleteFunc(g.members, func(a *Attachment) bool { return a == att }); len(g.members) == 0 {
+		root.consumers = slices.DeleteFunc(root.consumers, func(c *consumerGroup) bool { return c == g })
 	}
 	delete(d.atts, att.name)
-	for i, n := range d.attOrder {
-		if n == att.name {
-			d.attOrder = append(d.attOrder[:i], d.attOrder[i+1:]...)
-			break
-		}
-	}
+	d.attOrder = slices.DeleteFunc(d.attOrder, func(n string) bool { return n == att.name })
 }
 
 // gc collects n if its reference count reached zero, cascading to children

@@ -30,9 +30,10 @@ func smurfReversed(name string, window time.Duration) *query.Graph {
 }
 
 // privateTreeSignatures replays edges through one private SJ-Tree for q, the
-// way the per-query engine drives it, and returns the emitted signatures in
-// emission order.
-func privateTreeSignatures(t *testing.T, q *query.Graph, edges []graph.StreamEdge) []string {
+// way the per-query engine drives it, and returns the signatures emitted
+// while edges[from:to] arrived — what a query attached for that stretch of
+// the stream is owed — in emission order.
+func privateTreeSignatures(t *testing.T, q *query.Graph, edges []graph.StreamEdge, from, to int) []string {
 	t.Helper()
 	tree, err := sjtree.New(planFor(t, q))
 	if err != nil {
@@ -41,7 +42,7 @@ func privateTreeSignatures(t *testing.T, q *query.Graph, edges []graph.StreamEdg
 	matcher := isomorphism.New(q)
 	dyn := graph.NewDynamic(0)
 	var sigs []string
-	for _, se := range edges {
+	for i, se := range edges {
 		de, err := dyn.Apply(se)
 		if err != nil {
 			t.Fatalf("apply edge %d: %v", se.Edge.ID, err)
@@ -54,7 +55,9 @@ func privateTreeSignatures(t *testing.T, q *query.Graph, edges []graph.StreamEdg
 				order := matcher.ConnectedOrder(leaf.Edges(), qe)
 				for _, pm := range matcher.LocalSearchInto(nil, dyn.Graph(), order, de) {
 					for _, cm := range tree.Insert(leaf, pm) {
-						sigs = append(sigs, cm.Signature())
+						if from <= i && i < to {
+							sigs = append(sigs, cm.Signature())
+						}
 					}
 				}
 			}
@@ -102,7 +105,7 @@ func TestConsumerGroupsMatchPrivateTrees(t *testing.T) {
 	}
 	var sizes []int
 	for _, g := range root.consumers {
-		sizes = append(sizes, len(g))
+		sizes = append(sizes, len(g.members))
 	}
 	if !slices.Equal(sizes, []int{2, 1}) {
 		t.Fatalf("consumer group sizes = %v, want [2 1]", sizes)
@@ -117,13 +120,216 @@ func TestConsumerGroupsMatchPrivateTrees(t *testing.T) {
 	feed(t, dyn, d, edges[6:])
 
 	for _, q := range queries {
-		want := privateTreeSignatures(t, q, edges)
+		want := privateTreeSignatures(t, q, edges, 0, len(edges))
 		if got := col.sigs[q.Name()]; !slices.Equal(got, want) {
 			t.Errorf("%s emitted %v, its private tree %v", q.Name(), got, want)
 		}
 	}
 	if len(col.sigs["wide"]) != 4 || len(col.sigs["narrow"]) != 2 || len(col.sigs["reversed"]) != 3 {
 		t.Fatalf("windows not applied per query: %v", col.sigs)
+	}
+}
+
+// TestConsumerGroupMembershipMatchesPrivateTrees: a group of 25 queries
+// behind one exactly-once set is joined mid-stream, loses its lead, has one
+// member swapped onto another plan and then all the others, one by one with
+// the stream running — and every query is sent, once and in order, what a
+// private tree of its own emits while it is attached. Along the way the
+// state is where it should be: one set per group, carried by the mover
+// (a copy while others stay behind), and one set again once all have moved.
+func TestConsumerGroupMembershipMatchesPrivateTrees(t *testing.T) {
+	windows := []time.Duration{time.Minute, 5 * time.Second, 2 * time.Second}
+	var queries []*query.Graph
+	for i := 0; i < 25; i++ {
+		queries = append(queries, smurf(fmt.Sprintf("s%02d", i), windows[i%3]))
+	}
+	late := smurf("late", time.Minute)
+	// Pair i is a request and its reply on hosts of its own, the reply after
+	// a gap that puts the match inside one, two or all three windows — or
+	// none.
+	base := graph.TimestampFromTime(time.Unix(7000, 0))
+	gaps := []time.Duration{time.Second, 3 * time.Second, 10 * time.Second, 0, 90 * time.Second, 4 * time.Second}
+	var edges []graph.StreamEdge
+	for i := 0; i < 90; i++ {
+		v, id, at := graph.VertexID(10*i), graph.EdgeID(2*i), base.Add(time.Duration(i)*time.Hour)
+		edges = append(edges,
+			hostEdge(id+1, v+1, v+2, "icmp_echo_req", at),
+			hostEdge(id+2, v+2, v+3, "icmp_echo_reply", at.Add(gaps[i%len(gaps)])))
+	}
+
+	dyn := graph.NewDynamic(0)
+	d := New(dyn)
+	col := newCollector()
+	attached := map[string][2]int{} // query -> the stretch of edges it saw
+	fed := 0
+	feedTo := func(n int) { feed(t, dyn, d, edges[fed:n]); fed = n }
+	attach := func(q *query.Graph) *Attachment {
+		att, err := d.Attach(q.Name(), q, planWith(t, q, decompose.StrategyEager), AttachOptions{Emit: col.emitFn(q.Name())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		attached[q.Name()] = [2]int{fed, len(edges)}
+		return att
+	}
+	var group *consumerGroup
+	for _, q := range queries {
+		group = attach(q).group
+	}
+	oldRoot := group.members[0].root
+	if len(oldRoot.consumers) != 1 || len(group.members) != 25 {
+		t.Fatalf("%d groups, %d members in the first", len(oldRoot.consumers), len(group.members))
+	}
+
+	feedTo(40)
+	// 20 pairs so far, five of every six inside the widest window.
+	if got := group.emitted.Len(); got != 17 {
+		t.Fatalf("the group's set holds %d matches after 20 pairs, want 17", got)
+	}
+	if att := attach(late); att.group != group || att.PreAttachMatches() != 17 || group.emitted.Len() != 17 {
+		t.Fatalf("late attach: own group %v, %d pre-attach matches, set of %d", att.group != group, att.PreAttachMatches(), group.emitted.Len())
+	}
+
+	feedTo(60)
+	if err := d.Detach("s00"); err != nil {
+		t.Fatal(err)
+	}
+	attached["s00"] = [2]int{0, fed}
+	if group.members[0].name != "s01" || len(group.members) != 25 {
+		t.Fatalf("after the lead left: lead %s of %d", group.members[0].name, len(group.members))
+	}
+
+	feedTo(80)
+	// One member moves: it takes a copy of what the group remembers, the
+	// group keeps its own.
+	before := group.emitted.Len()
+	moved, err := d.Swap("s05", planFor(t, queries[5]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moved.group == group || moved.group.emitted == group.emitted || moved.group.emitted.Len() != before || group.emitted.Len() != before {
+		t.Fatalf("after one swap: mover's set %d, group's %d, want two sets of %d", moved.group.emitted.Len(), group.emitted.Len(), before)
+	}
+
+	feedTo(100)
+	// Everybody else follows, with the stream running in between.
+	for _, name := range slices.Clone(d.attOrder[:len(d.attOrder)-1]) { // the mover is last
+		if _, err := d.Swap(name, planFor(t, d.atts[name].q)); err != nil {
+			t.Fatal(err)
+		}
+		feedTo(fed + 2)
+	}
+	if _, gone := d.nodes[oldRoot.sig]; !gone && oldRoot.refs() > 0 {
+		t.Fatalf("the old root still has %d references", oldRoot.refs())
+	}
+	if n := len(moved.root.consumers); n != 1 || len(moved.group.members) != 25 || d.NumNodes() != 1 {
+		t.Fatalf("after all swapped: %d groups, %d members, %d nodes", n, len(moved.group.members), d.NumNodes())
+	}
+	feedTo(len(edges))
+	if got, want := moved.group.emitted.Len(), 90*5/6; got != want {
+		t.Fatalf("the one set left holds %d matches, want %d", got, want)
+	}
+
+	emitted := 0
+	for _, q := range append(queries, late) {
+		span := attached[q.Name()]
+		want := privateTreeSignatures(t, q, edges, span[0], span[1])
+		if got := col.sigs[q.Name()]; !slices.Equal(got, want) {
+			t.Errorf("%s emitted %v, its private tree %v", q.Name(), got, want)
+		}
+		emitted += len(want)
+	}
+	if emitted < 1000 {
+		t.Fatalf("vacuous: %d emissions over 26 queries", emitted)
+	}
+}
+
+// TestSwapLeavesItsMemoryWithTheGroupItJoins: a query that replans into an
+// existing group — whose set never held a match only the newcomer's window
+// admits — and out again onto rebuilt nodes, which derive that match a second
+// time from the retained edges, is not sent it twice: what it had been sent
+// was merged into the group it passed through and copied out again.
+func TestSwapLeavesItsMemoryWithTheGroupItJoins(t *testing.T) {
+	dyn := graph.NewDynamic(0)
+	d := New(dyn)
+	col := newCollector()
+	wide, narrow := smurf("wide", time.Minute), smurf("narrow", 2*time.Second)
+	if _, err := d.Attach("wide", wide, planWith(t, wide, decompose.StrategyEager), AttachOptions{Emit: col.emitFn("wide")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Attach("narrow", narrow, planFor(t, narrow), AttachOptions{Emit: col.emitFn("narrow")}); err != nil {
+		t.Fatal(err)
+	}
+	base := graph.TimestampFromTime(time.Unix(9000, 0))
+	feed(t, dyn, d, []graph.StreamEdge{
+		hostEdge(1, 1, 2, "icmp_echo_req", base),
+		hostEdge(2, 2, 3, "icmp_echo_reply", base.Add(5*time.Second)),
+	})
+	att, err := d.Swap("wide", planFor(t, wide))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(att.group.members) != 2 || att.group.emitted.Len() != 1 {
+		t.Fatalf("wide joined a group of %d remembering %d matches, want narrow's, now remembering 1", len(att.group.members), att.group.emitted.Len())
+	}
+	if _, err := d.Swap("wide", planWith(t, wide, decompose.StrategyEager)); err != nil {
+		t.Fatal(err)
+	}
+	feed(t, dyn, d, []graph.StreamEdge{
+		hostEdge(3, 5, 6, "icmp_echo_req", base.Add(time.Hour)),
+		hostEdge(4, 6, 7, "icmp_echo_reply", base.Add(time.Hour+time.Second)),
+	})
+	if len(col.sigs["wide"]) != 2 || col.sigs["wide"][0] == col.sigs["wide"][1] || len(col.sigs["narrow"]) != 1 {
+		t.Fatalf("wide was sent %v, narrow %v", col.sigs["wide"], col.sigs["narrow"])
+	}
+}
+
+// TestSwapOntoInvalidPlanChangesNothing: a plan that fails validation is
+// refused with the DAG exactly as it was — the query in its place in attach
+// order and in its group, the group's set the same object with the same
+// content — so prune order and the emission order among group members do
+// not depend on a failed replan.
+func TestSwapOntoInvalidPlanChangesNothing(t *testing.T) {
+	dyn := graph.NewDynamic(0)
+	d := New(dyn)
+	col := newCollector()
+	var group *consumerGroup
+	for i := 0; i < 3; i++ {
+		q := smurf(fmt.Sprintf("s%d", i), time.Minute)
+		att, err := d.Attach(q.Name(), q, planWith(t, q, decompose.StrategyEager), AttachOptions{Emit: col.emitFn(q.Name())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		group = att.group
+	}
+	base := graph.TimestampFromTime(time.Unix(8000, 0))
+	feed(t, dyn, d, []graph.StreamEdge{
+		hostEdge(1, 1, 2, "icmp_echo_req", base),
+		hostEdge(2, 2, 3, "icmp_echo_reply", base.Add(time.Second)),
+	})
+	set, members, nodes := group.emitted, slices.Clone(group.members), d.NumNodes()
+
+	bad := *planWith(t, d.atts["s1"].q, decompose.StrategyEager)
+	bad.Root = &decompose.Node{Edges: bad.Root.Edges, Left: bad.Root.Left} // a join with one input
+	if err := bad.Validate(); err == nil {
+		t.Fatal("the broken plan validates")
+	}
+	for _, name := range []string{"s0", "s1"} {
+		if _, err := d.Swap(name, &bad); err == nil {
+			t.Fatalf("swap of %s onto the broken plan succeeded", name)
+		}
+	}
+	if !slices.Equal(d.attOrder, []string{"s0", "s1", "s2"}) || !slices.Equal(group.members, members) ||
+		group.emitted != set || set.Len() != 1 || d.NumNodes() != nodes || d.atts["s1"].group != group {
+		t.Fatalf("a refused swap moved something: order %v, %d members, set of %d, %d nodes", d.attOrder, len(group.members), set.Len(), d.NumNodes())
+	}
+	feed(t, dyn, d, []graph.StreamEdge{
+		hostEdge(3, 5, 6, "icmp_echo_req", base.Add(2*time.Second)),
+		hostEdge(4, 6, 7, "icmp_echo_reply", base.Add(3*time.Second)),
+	})
+	for _, name := range []string{"s0", "s1", "s2"} {
+		if len(col.sigs[name]) != 2 {
+			t.Fatalf("%s emitted %v after the refused swaps", name, col.sigs[name])
+		}
 	}
 }
 
@@ -160,7 +366,7 @@ func TestGroupMembersShareOneMatch(t *testing.T) {
 // of 25 queries costs one Remap and one Signature — not 25 of each.
 func TestRootDeliveryAllocationBudget(t *testing.T) {
 	d := New(graph.NewDynamic(0))
-	var group consumerGroup
+	var group *consumerGroup
 	emitted := 0
 	for i := 0; i < 25; i++ {
 		q := smurf(fmt.Sprintf("s%02d", i), time.Duration(i+1)*time.Minute)
@@ -172,8 +378,8 @@ func TestRootDeliveryAllocationBudget(t *testing.T) {
 		}
 		group = att.root.consumers[0]
 	}
-	if len(group) != 25 {
-		t.Fatalf("group has %d members, want 25", len(group))
+	if len(group.members) != 25 {
+		t.Fatalf("group has %d members, want 25", len(group.members))
 	}
 	roots := make([]*match.Match, allocbudget.Runs+1) // one per call, built up front
 	for i := range roots {
@@ -188,10 +394,49 @@ func TestRootDeliveryAllocationBudget(t *testing.T) {
 	}
 	next := 0
 	allocbudget.Check(t, "mqo.deliver/25-consumers", func() {
-		group.deliver(roots[next], false)
+		group.deliver(roots[next])
 		next++
 	})
 	if emitted != 25*next {
 		t.Fatalf("%d emissions from %d root matches to 25 queries", emitted, next)
+	}
+}
+
+// TestStoredPartialAllocationBudget: a partial stored under a parent whose
+// other input has nothing to join it with is added to its collection and
+// indexed in the link's partition — no copy in parent space, nothing built
+// by the probe. The partials share sixteen cut vertices, as partials on a
+// hub do, so what is left is the amortised growth of the collection and of
+// sixteen buckets.
+func TestStoredPartialAllocationBudget(t *testing.T) {
+	d := New(graph.NewDynamic(0))
+	q := smurf("s", 0)
+	att, err := d.Attach("s", q, planWith(t, q, decompose.StrategyEager), AttachOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := att.leaves[0]
+	if len(leaf.parents) != 1 || leaf.parents[0].parent != att.root {
+		t.Fatalf("leaf has %d parents", len(leaf.parents))
+	}
+	cut := leaf.parents[0].link.cuts[0]
+	partials := make([]*match.Match, allocbudget.Runs+1) // one per call, built up front
+	for i := range partials {
+		m := match.NewSized(2, 1)
+		m.BindVertex(cut, graph.VertexID(i%16))
+		m.BindVertex(1-cut, graph.VertexID(100+i))
+		m.BindEdge(0, graph.EdgeID(i), graph.Timestamp(i))
+		partials[i] = m
+	}
+	next := 0
+	allocbudget.Check(t, "mqo.insert/stored partial, one parent, no sibling hit", func() {
+		d.insert(leaf, partials[next])
+		next++
+	})
+	if leaf.coll.Len() != next || leaf.parents[0].link.part.Partitions() != 16 || att.root.joinAttempts != 0 {
+		t.Fatalf("%d inserts: %d stored, %d cut projections indexed, %d join attempts", next, leaf.coll.Len(), leaf.parents[0].link.part.Partitions(), att.root.joinAttempts)
+	}
+	if st := d.Stats(); st.PartialMatches != next {
+		t.Fatalf("Stats counts %d partials for %d stored once each", st.PartialMatches, next)
 	}
 }

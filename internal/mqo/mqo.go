@@ -20,19 +20,26 @@
 // through any fixed isomorphism into a consumer's pattern space yields the
 // identical set of query-space matches a private tree would have computed,
 // so emissions are byte-identical to per-query mode. Per-query emission
-// semantics are preserved exactly: each attachment keeps its own emitted-set
-// (exactly-once per distinct data-edge binding), its own window filter at
-// delivery, and its own callback.
+// semantics are preserved exactly: each attachment is sent every distinct
+// data-edge binding inside its own window exactly once, through its own
+// callback.
+//
+// Every byte of join state exists once. A partial match is stored in its
+// node's collection, in the node's canonical space; the hash partitions of
+// the parent links index those same matches, keyed on the parent's cut pulled
+// back into child space, and a join reads both inputs through the links' maps
+// (match.JoinMapped) — nothing is remapped to be stored.
 //
 // Emission costs what the distinct root matches cost, not (queries × pattern
 // edges): the attachments consuming a root node are grouped by how they read
 // it — identical maps out of the root's canonical space into identically
 // shaped queries, which is what rules differing only in name and window
-// have — and a root match is remapped into query space, and its Signature
-// built, once per consumer group. The contract that buys this: an emitted
-// *match.Match and its signature string are shared by every member of the
-// group and immutable from emission on; Emit callbacks and everything
-// downstream (core.MatchEvent, sinks, reports) may retain but not mutate them.
+// have — and a root match is remapped into query space, remembered in the
+// group's one exactly-once set, and its Signature built, once per consumer
+// group. The contract that buys this: an emitted *match.Match and its
+// signature string are shared by every member of the group and immutable
+// from emission on; Emit callbacks and everything downstream
+// (core.MatchEvent, sinks, reports) may retain but not mutate them.
 //
 // Like the core engine, a DAG is single-goroutine state: the engine's driver
 // goroutine calls ProcessEdge/Attach/Detach/Prune, never concurrently.
@@ -70,7 +77,7 @@ type node struct {
 	parents []*parentLink
 	// consumers are the attachments whose plan root this node is, grouped
 	// by how they read its matches.
-	consumers []consumerGroup
+	consumers []*consumerGroup
 
 	// coll is the node's deduplicated canonical match collection
 	// (Property 3 of the SJ-Tree, shared across all referencing queries).
@@ -98,25 +105,27 @@ type node struct {
 func (n *node) refs() int {
 	refs := len(n.parents)
 	for _, g := range n.consumers {
-		refs += len(g)
+		refs += len(g.members)
 	}
 	return refs
 }
 
 // childLink wires one join input of a parent node: the maps renaming the
-// child's canonical space into the parent's, the parent-space cut vertices,
-// and the parent-space hash partition of the child's matches (Property 4 —
-// the partition lives on the link because the same child feeds different
-// parents under different renamings).
+// child's canonical space into the parent's, the join's cut vertices, and
+// the hash partition of the child's matches on them (Property 4 — the
+// partition lives on the link because the same child feeds different parents
+// under different cuts). The partition indexes the child's own stored
+// matches; it holds no copies.
 type childLink struct {
 	child *node
 	// vmap/emap rename child canonical vertex/edge IDs to parent canonical
 	// IDs (via the source query both fragments were canonicalized from).
 	vmap []query.VertexID
 	emap []query.EdgeID
-	// cuts are the join's cut vertices in parent canonical space, in a
-	// canonical (sorted) order shared by both of the parent's links so the
-	// two partitions' projection keys are comparable.
+	// cuts are the child's vertices that vmap takes to the join's cut
+	// vertices, listed in the parent-space (sorted) order of those, which
+	// both of the parent's links share — so the two partitions' projection
+	// keys are comparable though each is taken in its own child's space.
 	cuts []query.VertexID
 	part *sjtree.Partition
 }
@@ -146,23 +155,33 @@ type seedRef struct {
 // consumerGroup is the set of attachments, in attach order, that read one
 // root node's matches identically: the same maps from the root's canonical
 // space into query space and the same query shape (the first member's stand
-// for all), so one Remap and one Signature per root match serve them all.
-// Queries differing only in name or window — the near-duplicate rules of a
-// monitoring deployment — share a group; members keep their own window
-// filter, exactly-once set and callbacks.
-type consumerGroup []*Attachment
+// for all), so one Remap, one exactly-once lookup and one Signature per root
+// match serve them all. Queries differing only in name or window — the
+// near-duplicate rules of a monitoring deployment — share a group; members
+// keep their own window filter and callbacks.
+//
+// emitted remembers, in query space, every root match some member admitted.
+// One set serves all because a window is a pure function of the match: the
+// first delivery of a match is the first for every member that admits it,
+// and a member attached later has had recorded, unsent, what predates it.
+type consumerGroup struct {
+	members []*Attachment
+	emitted *sjtree.EmittedSet
+}
 
 // addConsumer subscribes att to n's complete matches, through the group
 // reading them with att's maps when there is one.
 func (n *node) addConsumer(att *Attachment) {
-	for i, g := range n.consumers {
-		if lead := g[0]; lead.q.NumVertices() == att.q.NumVertices() && lead.q.NumEdges() == att.q.NumEdges() &&
+	for _, g := range n.consumers {
+		if lead := g.members[0]; lead.q.NumVertices() == att.q.NumVertices() && lead.q.NumEdges() == att.q.NumEdges() &&
 			slices.Equal(lead.rootVMap, att.rootVMap) && slices.Equal(lead.rootEMap, att.rootEMap) {
-			n.consumers[i] = append(g, att)
+			g.members = append(g.members, att)
+			att.group = g
 			return
 		}
 	}
-	n.consumers = append(n.consumers, consumerGroup{att})
+	att.group = &consumerGroup{members: []*Attachment{att}, emitted: sjtree.NewEmittedSet()}
+	n.consumers = append(n.consumers, att.group)
 }
 
 // DAG is the shared evaluation DAG. It is not safe for concurrent use.
@@ -253,7 +272,7 @@ func (d *DAG) LocalSearches() uint64 { return d.localSearches }
 func (d *DAG) SharedHits() uint64 { return d.sharedHits }
 
 // EmittedEvicted returns the cumulative number of entries Prune has expired
-// from the attachments' emitted sets.
+// from the consumer groups' emitted sets.
 func (d *DAG) EmittedEvicted() uint64 { return d.emittedEvicted }
 
 // ProcessEdge runs the per-edge incremental step for every attached query at
@@ -320,9 +339,10 @@ func (d *DAG) searchNode(n *node, de *graph.Edge) {
 }
 
 // insert adds a canonical match of n's fragment and propagates it: dedup
-// into the node's collection, remap into each parent's space, hash-join with
-// the sibling partition (recursing upward), and deliver to each consumer.
-// This is sjtree.Tree.Insert generalized from one parent to many.
+// into the node's collection, index it in each parent link's partition,
+// hash-join it with the sibling partition through the two links' maps
+// (recursing upward), and deliver to each consumer group. This is
+// sjtree.Tree.Insert generalized from one parent to many.
 func (d *DAG) insert(n *node, m *match.Match) {
 	if !m.WithinWindow(n.window) {
 		n.windowDrops++
@@ -332,82 +352,93 @@ func (d *DAG) insert(n *node, m *match.Match) {
 		return
 	}
 	for _, pl := range n.parents {
-		p, l := pl.parent, pl.link
-		pg := p.frag.Graph
-		mp := m.Remap(pg.NumVertices(), pg.NumEdges(), l.vmap, l.emap)
-		key := mp.Projection(l.cuts)
-		l.part.Add(key, mp)
-		for _, sm := range p.otherLink(l).part.Probe(key) {
-			p.joinAttempts++
-			joined := mp.Join(sm)
-			if joined == nil {
-				continue
-			}
-			p.joinHits++
-			d.insert(p, joined)
-		}
+		d.join(pl.parent, pl.link, m)
 	}
 	for _, g := range n.consumers {
-		g.deliver(m, false)
+		g.deliver(m)
 	}
+}
+
+// join indexes m, a stored match of l's child, under its cut projection and
+// inserts into p its join with every sibling match stored under the same.
+func (d *DAG) join(p *node, l *childLink, m *match.Match) {
+	o := p.otherLink(l)
+	pg := p.frag.Graph
+	key := m.Projection(l.cuts)
+	l.part.Add(key, m)
+	for _, sm := range o.part.Probe(key) {
+		p.joinAttempts++
+		joined := m.JoinMapped(pg.NumVertices(), pg.NumEdges(), l.vmap, l.emap, sm, o.vmap, o.emap)
+		if joined == nil {
+			continue
+		}
+		p.joinHits++
+		d.insert(p, joined)
+	}
+}
+
+// admit translates a canonical root match into the group's query space, once
+// for whoever reads it: nil when it does not cover the query — a plan bug;
+// drop rather than report a wrong result.
+func (g *consumerGroup) admit(m *match.Match) *match.Match {
+	lead := g.members[0]
+	nv, ne := lead.q.NumVertices(), lead.q.NumEdges()
+	if m.NumVertices() != nv || m.NumEdges() != ne {
+		return nil
+	}
+	return m.Remap(nv, ne, lead.rootVMap, lead.rootEMap)
 }
 
 // deliver fans a canonical root match out to the group, preserving the
 // private tree's acceptance rules per query — completeness, the query's own
-// window, its exactly-once set, then emit — while translating once: the
-// checks run on the canonical match, the first member to pass its window
-// remaps it into query space, the first to emit builds the signature, and
-// later members are handed the same match and string. A suppressed delivery
-// (root backfill of a freshly attached query) records the match as emitted
-// without emitting it, so state accumulated before the attachment never
-// produces emissions the per-query path would not have produced.
-func (g consumerGroup) deliver(m *match.Match, suppress bool) {
-	lead := g[0]
-	nv, ne := lead.q.NumVertices(), lead.q.NumEdges()
-	if m.NumVertices() != nv || m.NumEdges() != ne {
-		// A root fragment that does not cover the query indicates a plan
-		// bug; drop rather than report a wrong result.
-		return
-	}
+// window, exactly once, then emit — while doing each once: the checks run on
+// the canonical match, the first member to pass its window has it remapped
+// into query space and looked up in the group's set, the first to emit
+// builds the signature, and later members are handed the same match and
+// string.
+func (g *consumerGroup) deliver(m *match.Match) {
 	var qm *match.Match
 	var sig string
-	for _, att := range g {
+	for _, att := range g.members {
 		if !m.WithinWindow(att.window) {
 			continue
 		}
 		if qm == nil {
-			qm = m.Remap(nv, ne, lead.rootVMap, lead.rootEMap)
-		}
-		if !att.emitted.Add(qm) {
-			continue
-		}
-		if suppress {
-			att.preAttach++
-			continue
-		}
-		att.matches++
-		if att.emitSigned != nil {
-			if sig == "" {
-				sig = qm.Signature()
+			if qm = g.admit(m); qm == nil || !g.emitted.Add(qm) {
+				return
 			}
-			att.emitSigned(qm, sig)
-		} else if att.emit != nil {
-			att.emit(qm)
 		}
+		sig = att.send(qm, sig)
 	}
+}
+
+// send emits qm to the attachment and returns its signature, building it if
+// the caller has not got it yet and the callback wants it.
+func (a *Attachment) send(qm *match.Match, sig string) string {
+	a.matches++
+	if a.emitSigned != nil {
+		if sig == "" {
+			sig = qm.Signature()
+		}
+		a.emitSigned(qm, sig)
+	} else if a.emit != nil {
+		a.emit(qm)
+	}
+	return sig
 }
 
 // Prune drops stored matches that can no longer contribute: per node, either
 // matches whose span start has aged past the node's effective window (the
 // widest window of any attachment reaching it), or — for nodes on unbounded
 // paths — matches binding a data edge that has expired from the retention
-// window. Both the node collection and every parent-link partition are
-// swept with the same predicate, so the remapped views never outlive the
-// canonical match. Returns the number of stored entries removed.
+// window. The node's collection and the partitions indexing its inputs are
+// swept with the same predicate — an input's window is at least the node's,
+// so an index entry never outlives the match it points to. Returns the number
+// of stored matches removed, each counted once.
 //
 // With the partial matches pruned, nothing left in the DAG or the graph
-// starts below the graph's expiry cutoff, so every attachment's emitted set
-// forgets the matches that do (EmittedSet.Expire).
+// starts below the graph's expiry cutoff, so every consumer group's emitted
+// set forgets the matches that do (EmittedSet.Expire).
 func (d *DAG) Prune(wm graph.Timestamp, expired map[graph.EdgeID]struct{}) int {
 	removed := 0
 	for _, sig := range d.order {
@@ -418,13 +449,15 @@ func (d *DAG) Prune(wm graph.Timestamp, expired map[graph.EdgeID]struct{}) int {
 		}
 		removed += n.coll.PruneWhere(drop)
 		if n.left != nil {
-			removed += n.left.part.PruneWhere(drop)
-			removed += n.right.part.PruneWhere(drop)
+			n.left.part.PruneWhere(drop)
+			n.right.part.PruneWhere(drop)
 		}
 	}
 	cutoff, retention := d.g.Cutoff(), d.g.Window()
-	for _, name := range d.attOrder {
-		d.emittedEvicted += uint64(d.atts[name].emitted.Expire(cutoff, retention))
+	for _, sig := range d.order {
+		for _, g := range d.nodes[sig].consumers {
+			d.emittedEvicted += uint64(g.emitted.Expire(cutoff, retention))
+		}
 	}
 	return removed
 }

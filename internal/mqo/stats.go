@@ -31,8 +31,11 @@ type Stats struct {
 	Nodes       int `json:"nodes"`
 	SharedNodes int `json:"shared_nodes"`
 	Attachments int `json:"attachments"`
-	// PartialMatches counts stored entries across all node collections and
-	// link partitions — the shared-mode memory-pressure metric.
+	// PartialMatches counts the matches stored across all node collections,
+	// each once (the link partitions index them) — the shared-mode
+	// memory-pressure metric, comparable with sjtree.Tree.PartialMatchCount
+	// but for the roots, whose complete matches the DAG keeps for late
+	// attachments.
 	PartialMatches int         `json:"partial_matches"`
 	LocalSearches  uint64      `json:"local_searches"`
 	SharedHits     uint64      `json:"shared_hits"`
@@ -118,7 +121,6 @@ func (d *DAG) Stats() Stats {
 		s.PartialMatches += n.coll.Len()
 		if n.left != nil {
 			ns.Partitions = n.left.part.Partitions() + n.right.part.Partitions()
-			s.PartialMatches += n.left.part.Len() + n.right.part.Len()
 		}
 		s.PerNode = append(s.PerNode, ns)
 	}

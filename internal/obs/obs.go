@@ -146,7 +146,8 @@ const (
 	MQOSharedHitsCounterName = "mqo_shared_hits"
 	// EmittedEntriesGaugeName and EmittedBytesGaugeName size one query's
 	// exactly-once emitted set as it stands, labelled by query and refreshed
-	// at every prune sweep; EmittedEvictedCounterName counts the entries the
+	// at every prune sweep (a set shared by a consumer group of the DAG is on
+	// the group's first query, zero on the rest); EmittedEvictedCounterName counts the entries the
 	// expiry cutoff has dropped from all of them. DedupEntriesGaugeName and
 	// DedupBytesGaugeName are the same sizes for the shard merger's
 	// duplicate filter. Bytes are sjtree.EmittedSet.Bytes' estimate.

@@ -11,15 +11,16 @@ import (
 // shared-plan evaluation DAG (internal/mqo) can use for nodes owned by
 // multiple parents. A private Tree wires collection, partition and emitted
 // set to exactly one parent each; a shared DAG node keeps one Collection
-// (its canonical match set) plus one Partition per parent link, and each
-// consuming query keeps its own EmittedSet — so per-query dedup semantics
-// are byte-identical to a private tree while the underlying matches are
-// computed once.
+// (its canonical match set, the one place a partial is stored) plus one
+// Partition per parent link indexing the same matches, and each group of
+// queries reading a root alike keeps one EmittedSet — so every query is
+// sent what a private tree would emit while the matches are computed,
+// stored and remembered once.
 
 // Collection is a deduplicated set of matches of one subpattern: the
 // Property-3 match collection of a DAG node, without a fixed parent. It
-// dedups on the cached 64-bit edge-set hash with equality-checked buckets,
-// the same identity a private tree node uses.
+// dedups on the cached 64-bit edge-set hash with an equality check, the
+// same identity (and the same sigSet) a private tree node uses.
 type Collection struct {
 	stored   []*match.Match
 	sigs     sigSet
@@ -28,9 +29,7 @@ type Collection struct {
 }
 
 // NewCollection returns an empty collection.
-func NewCollection() *Collection {
-	return &Collection{sigs: newSigSet()}
-}
+func NewCollection() *Collection { return &Collection{} }
 
 // Add records m, returning false (set unchanged) when an equal edge set is
 // already stored.
@@ -61,17 +60,20 @@ func (c *Collection) PrunedTotal() uint64 { return c.pruned }
 func (c *Collection) PruneWhere(drop func(*match.Match) bool) int {
 	kept := c.stored[:0]
 	for _, m := range c.stored {
-		if drop(m) {
-			c.sigs.remove(m)
-			continue
+		if !drop(m) {
+			kept = append(kept, m)
 		}
-		kept = append(kept, m)
 	}
 	removed := len(c.stored) - len(kept)
-	for i := len(kept); i < len(c.stored); i++ {
-		c.stored[i] = nil
+	if removed == 0 {
+		return 0
 	}
+	clear(c.stored[len(kept):])
 	c.stored = kept
+	c.sigs.reset(len(kept))
+	for _, m := range kept {
+		c.sigs.add(m)
+	}
 	c.pruned += uint64(removed)
 	return removed
 }
@@ -79,11 +81,10 @@ func (c *Collection) PruneWhere(drop func(*match.Match) bool) int {
 // Partition hash-partitions matches by their projection onto a fixed cut
 // vertex set (Property 4), so a sibling join is a map lookup. A shared DAG
 // node owns one Partition per parent link, each keyed on that parent's cut;
-// unlike a Collection it does not deduplicate — its entries are remapped
-// views of an already-deduplicated collection.
+// unlike a Collection it neither deduplicates nor owns — its entries are
+// the matches of an already-deduplicated collection, by pointer.
 type Partition struct {
 	buckets map[match.ProjectionKey][]*match.Match
-	stored  int
 }
 
 // NewPartition returns an empty partition.
@@ -91,53 +92,45 @@ func NewPartition() *Partition {
 	return &Partition{buckets: make(map[match.ProjectionKey][]*match.Match)}
 }
 
-// Add stores m under key.
+// Add indexes m under key.
 func (p *Partition) Add(key match.ProjectionKey, m *match.Match) {
 	p.buckets[key] = append(p.buckets[key], m)
-	p.stored++
 }
 
-// Probe returns the matches stored under key. The slice is owned by the
+// Probe returns the matches indexed under key. The slice is owned by the
 // partition — iterate, do not retain.
 func (p *Partition) Probe(key match.ProjectionKey) []*match.Match {
 	return p.buckets[key]
 }
 
-// Len returns the number of stored matches.
-func (p *Partition) Len() int { return p.stored }
-
 // Partitions returns the number of live projection buckets — the fan-out of
 // a sibling join probe.
 func (p *Partition) Partitions() int { return len(p.buckets) }
 
-// PruneWhere removes every stored match for which drop returns true and
-// returns how many were removed.
-func (p *Partition) PruneWhere(drop func(*match.Match) bool) int {
-	removed := 0
+// PruneWhere removes every indexed match for which drop returns true. The
+// owning collection counts what it prunes; the index does not.
+func (p *Partition) PruneWhere(drop func(*match.Match) bool) {
 	//swvet:unordered drop is a pure predicate: each match is kept or removed independently of visit order
 	for key, list := range p.buckets {
 		kept := list[:0]
 		for _, m := range list {
-			if drop(m) {
-				removed++
-				continue
+			if !drop(m) {
+				kept = append(kept, m)
 			}
-			kept = append(kept, m)
 		}
+		clear(list[len(kept):]) // do not pin what the collection dropped
 		if len(kept) == 0 {
 			delete(p.buckets, key)
 		} else {
 			p.buckets[key] = kept
 		}
 	}
-	p.stored -= removed
-	return removed
 }
 
-// EmittedSet deduplicates one query's emitted complete matches by edge
-// binding — the per-consumer half of acceptComplete, split out so a shared
-// DAG root can fan a complete match out to many queries, each with its own
-// exactly-once emission set, and so the shard merger can keep one per query.
+// EmittedSet deduplicates emitted complete matches by edge binding — the
+// per-consumer half of acceptComplete, split out so a shared DAG root can
+// fan a complete match out to many queries through one exactly-once set per
+// consumer group, and so the shard merger can keep one per query.
 // Entries are compact edge-binding copies that expire with the window; see
 // completeSet.
 type EmittedSet struct {
@@ -158,6 +151,12 @@ func (s *EmittedSet) Add(m *match.Match) bool {
 	s.total++
 	return true
 }
+
+// Merge adds to s every match o remembers and s does not, leaving o as it
+// was: a query that moves between consumer groups of the shared DAG takes
+// what it has been sent along. Total and DuplicateDrops count Add calls and
+// do not move.
+func (s *EmittedSet) Merge(o *EmittedSet) { s.set.merge(&o.set) }
 
 // Expire forgets the matches that can never be derived again: those whose
 // Span.Start is below cutoff, the engine's expiry bound

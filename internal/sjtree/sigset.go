@@ -1,6 +1,7 @@
 package sjtree
 
 import (
+	"math/bits"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -9,31 +10,71 @@ import (
 	"github.com/streamworks/streamworks/internal/match"
 )
 
-// sigSet deduplicates matches by their exact pattern-edge → data-edge
-// binding. It is keyed on the match's cached 64-bit EdgeSetHash with
-// equality-checked buckets (match.SameEdges), so it never builds the legacy
-// Signature string and a hash collision can never drop a genuine match.
-// Bucket slices are almost always length 1.
+// sigSet deduplicates the matches a node stores by their exact pattern-edge →
+// data-edge binding: a flat open-addressed table of (hash, match) slots,
+// probed linearly on the match's cached 64-bit EdgeSetHash, with equal hashes
+// told apart by match.SameEdges — so it never builds the legacy Signature
+// string, a hash collision can never drop a genuine match, and a stored
+// partial costs a slot, not a bucket of its own. There are no tombstones and
+// no deletes: the owner prunes its matches and rebuilds the table from what
+// it kept. The zero value is an empty set.
 type sigSet struct {
-	buckets map[uint64][]*match.Match
+	table []sigSlot // power-of-two length, or nil; m == nil marks a free slot
+	n     int
 }
 
-func newSigSet() sigSet {
-	return sigSet{buckets: make(map[uint64][]*match.Match)}
+type sigSlot struct {
+	hash uint64
+	m    *match.Match
 }
 
 // add records m's edge set. It returns false (and leaves the set unchanged)
 // when an equal edge set is already present.
-func (s *sigSet) add(m *match.Match) bool {
-	h := m.EdgeSetHash()
-	bucket := s.buckets[h]
-	for _, other := range bucket {
-		if other.SameEdges(m) {
-			return false
+func (s *sigSet) add(m *match.Match) bool { return s.addHashed(m.EdgeSetHash(), m) }
+
+// addHashed is add with the hash supplied by the caller (tests inject
+// colliding hashes).
+func (s *sigSet) addHashed(h uint64, m *match.Match) bool {
+	if 4*(s.n+1) > 3*len(s.table) {
+		old := s.table
+		s.table = make([]sigSlot, max(2*len(old), 8))
+		for _, e := range old {
+			if e.m != nil {
+				s.table[s.free(e.hash, nil)] = e
+			}
 		}
 	}
-	s.buckets[h] = append(bucket, m)
+	i := s.free(h, m)
+	if i < 0 {
+		return false
+	}
+	s.table[i] = sigSlot{hash: h, m: m}
+	s.n++
 	return true
+}
+
+// free returns the free slot a match hashing to h belongs in, or -1 when the
+// table already holds m's edge set. A nil m is not looked for.
+func (s *sigSet) free(h uint64, m *match.Match) int {
+	mask := uint64(len(s.table) - 1)
+	i := h & mask
+	for ; s.table[i].m != nil; i = (i + 1) & mask {
+		if e := s.table[i]; m != nil && e.hash == h && e.m.SameEdges(m) {
+			return -1
+		}
+	}
+	return int(i)
+}
+
+// reset empties the set for its owner to add back the n matches a prune
+// kept, on the table it has unless that would now be mostly empty.
+func (s *sigSet) reset(n int) {
+	if len(s.table) > 8 && 8*n < len(s.table) {
+		s.table = make([]sigSlot, max(8, 1<<bits.Len(uint(2*n))))
+	} else {
+		clear(s.table)
+	}
+	s.n = 0
 }
 
 // completeSet deduplicates emitted complete matches by edge binding. Unlike
@@ -130,42 +171,95 @@ func (s *completeSet) addHashed(h uint64, m *match.Match) bool {
 	if len(s.gens) == 0 {
 		s.open()
 	}
+	es := m.EdgeSet()
 	sealed := s.gens[:len(s.gens)-1]
 	for i := range sealed {
 		g := &sealed[i]
 		if m.Span.Start > g.maxStart || m.Span.End > g.maxEnd {
 			continue
 		}
-		if _, found := g.find(h, m); found {
+		if _, found := g.find(h, es); found {
 			return false
 		}
 	}
-	open := &s.gens[len(sealed)]
-	if 4*(open.n+1) > 3*len(open.table) {
-		open.grow()
-	}
-	i, found := open.find(h, m)
-	if found {
+	if !s.gens[len(sealed)].insert(h, es, m.Span.Start, m.Span.End) {
 		return false
 	}
-	ref, words := open.store(m)
-	open.table[i] = completeSlot{hash: h, ref: ref, words: words}
-	if open.n == 0 {
-		open.maxStart, open.maxEnd = m.Span.Start, m.Span.End
-	}
-	open.maxStart, open.maxEnd = max(open.maxStart, m.Span.Start), max(open.maxEnd, m.Span.End)
-	open.n++
 	s.n++
 	return true
 }
 
-// find probes the table for m's binding: the slot holding it, or the empty
-// slot where it belongs. The table must have a free slot.
-func (g *generation) find(h uint64, m *match.Match) (slot uint64, found bool) {
+// insert records the binding es, hashing to h, of a match with the given
+// span bounds, unless the generation holds it already.
+func (g *generation) insert(h uint64, es []uint64, start, end graph.Timestamp) bool {
+	if 4*(g.n+1) > 3*len(g.table) {
+		g.grow()
+	}
+	i, found := g.find(h, es)
+	if found {
+		return false
+	}
+	ref, words := g.store(es)
+	g.table[i] = completeSlot{hash: h, ref: ref, words: words}
+	if g.n == 0 {
+		g.maxStart, g.maxEnd = start, end
+	}
+	g.maxStart, g.maxEnd = max(g.maxStart, start), max(g.maxEnd, end)
+	g.n++
+	return true
+}
+
+// merge adds every entry of o that s does not hold, a generation of o at a
+// time. The entries carry no span of their own, so they go where they are
+// sure to outlive their window: into the generation of s that is dropped
+// first among those dropped no sooner than o would have dropped them, or a
+// new one when s has none — which is how merging into an empty set copies
+// o's ring. o is left as it was.
+func (s *completeSet) merge(o *completeSet) {
+	for oi := range o.gens {
+		og := &o.gens[oi]
+		if og.n == 0 {
+			continue
+		}
+		at := -1
+		for i := range s.gens {
+			if g := &s.gens[i]; g.n > 0 && g.maxStart >= og.maxStart && (at < 0 || g.maxStart < s.gens[at].maxStart) {
+				at = i
+			}
+		}
+		if at < 0 {
+			if at = len(s.gens) - 1; at < 0 || s.gens[at].n > 0 {
+				s.open()
+				at++
+			}
+		}
+	entries:
+		for _, e := range og.table {
+			if e.ref == 0 {
+				continue
+			}
+			es := og.words(e)
+			for i := range s.gens {
+				if g := &s.gens[i]; i != at && g.n > 0 {
+					if _, found := g.find(e.hash, es); found {
+						continue entries
+					}
+				}
+			}
+			if s.gens[at].insert(e.hash, es, og.maxStart, og.maxEnd) {
+				s.n++
+			}
+		}
+	}
+}
+
+// find probes the table for the binding es: the slot holding it, or the
+// empty slot where it belongs. The table must have a free slot.
+func (g *generation) find(h uint64, es []uint64) (slot uint64, found bool) {
 	mask := uint64(len(g.table) - 1)
 	i := h & mask
 	for ; g.table[i].ref != 0; i = (i + 1) & mask {
-		if e := g.table[i]; e.hash == h && m.SameEdgeSet(g.words(e)) {
+		if e := g.table[i]; e.hash == h && slices.Equal(g.words(e), es) {
 			return i, true
 		}
 	}
@@ -179,11 +273,10 @@ func (g *generation) words(e completeSlot) []uint64 {
 	return g.chunks[at>>arenaChunkBits][off : off+e.words]
 }
 
-// store copies m's edge binding into the arena, moving on to the next chunk
+// store copies the binding es into the arena, moving on to the next chunk
 // — a kept one when it fits, else a new one — when the current one cannot
 // hold it. A binding wider than a whole chunk gets one of its own.
-func (g *generation) store(m *match.Match) (ref, words uint32) {
-	es := m.EdgeSet()
+func (g *generation) store(es []uint64) (ref, words uint32) {
 	if g.used == 0 || !chunkFits(g.chunks[g.used-1], len(es)) {
 		if g.used == len(g.chunks) || !chunkFits(g.chunks[g.used], len(es)) {
 			size := 1 << arenaChunkBits
@@ -304,25 +397,4 @@ func (s *completeSet) bytes() int {
 		}
 	}
 	return slots*slotBytes + words*wordBytes
-}
-
-// remove forgets the previously added match (by pointer identity, falling
-// back to edge-set equality for safety). Removing an absent match is a
-// no-op.
-func (s *sigSet) remove(m *match.Match) {
-	h := m.EdgeSetHash()
-	bucket := s.buckets[h]
-	for i, other := range bucket {
-		if other == m || other.SameEdges(m) {
-			last := len(bucket) - 1
-			bucket[i] = bucket[last]
-			bucket[last] = nil
-			if last == 0 {
-				delete(s.buckets, h)
-			} else {
-				s.buckets[h] = bucket[:last]
-			}
-			return
-		}
-	}
 }

@@ -286,3 +286,196 @@ func TestEmittedSetSteadyStateEvictionAllocatesNothing(t *testing.T) {
 		t.Errorf("set holds %d entries, bound %d; %d evicted", held, bound, evicted)
 	}
 }
+
+// TestSigSetAgainstMapReference: under random interleavings of add, prune
+// and re-add, the flat table accepts exactly what a map from signature to
+// match accepts — with the real hash and with every entry forced onto one or
+// sixteen 64-bit hashes, where only match.SameEdges tells bindings apart and
+// probe chains run through pruned entries' old slots. Pruning goes through a
+// Collection, which rebuilds the table from what it kept, including down to
+// nothing and back up.
+func TestSigSetAgainstMapReference(t *testing.T) {
+	for name, hash := range map[string]func(*match.Match) uint64{
+		"real hash":    (*match.Match).EdgeSetHash,
+		"one hash":     func(*match.Match) uint64 { return 42 },
+		"sixteen hash": func(m *match.Match) uint64 { return m.EdgeSetHash() & 15 << 60 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			var set sigSet
+			ref := map[string]*match.Match{}
+			readded := 0
+			pruned := map[string]bool{}
+			for i := 0; i < 4000; i++ {
+				if r := rng.Intn(100); r < 95 {
+					m := bindingAt(rng, 1+rng.Intn(4), 60, 60)
+					sig := m.Signature()
+					_, known := ref[sig]
+					if got := set.addHashed(hash(m), m); got == known {
+						t.Fatalf("op %d: add of %q = %v, reference knows it: %v", i, sig, got, known)
+					}
+					if !known {
+						ref[sig] = m
+						if pruned[sig] {
+							readded++
+						}
+					}
+				} else {
+					// Prune a random share — now and then everything — and
+					// rebuild from the rest, the way the owners do.
+					share := rng.Intn(4)
+					var kept []*match.Match
+					for sig, m := range ref {
+						if share == 3 || rng.Intn(3) < share {
+							delete(ref, sig)
+							pruned[sig] = true
+						} else {
+							kept = append(kept, m)
+						}
+					}
+					set.reset(len(kept))
+					for _, m := range kept {
+						if !set.addHashed(hash(m), m) {
+							t.Fatalf("op %d: kept match %q rejected on rebuild", i, m.Signature())
+						}
+					}
+				}
+				if set.n != len(ref) {
+					t.Fatalf("op %d: set holds %d, reference %d", i, set.n, len(ref))
+				}
+			}
+			if readded < 50 {
+				t.Fatalf("only %d pruned bindings were added again", readded)
+			}
+			for sig, m := range ref {
+				if set.addHashed(hash(m), m.Clone()) {
+					t.Fatalf("%q lost", sig)
+				}
+			}
+		})
+	}
+}
+
+// TestCollectionPruneRebuildsTheTable: a Collection pruned down to a sliver
+// forgets what it dropped (so it can be stored again), keeps what it kept,
+// and lets go of a table sized for what it used to hold.
+func TestCollectionPruneRebuildsTheTable(t *testing.T) {
+	c := NewCollection()
+	bind := func(i int) *match.Match {
+		m := match.NewSized(0, 2)
+		m.BindEdge(0, graph.EdgeID(i), graph.Timestamp(i))
+		return m
+	}
+	const n = 5000
+	for i := 0; i < n; i++ {
+		if !c.Add(bind(i)) {
+			t.Fatalf("fresh match %d rejected", i)
+		}
+	}
+	big := len(c.sigs.table)
+	if removed := c.PruneWhere(func(m *match.Match) bool { return m.Span.Start < n-100 }); removed != n-100 || c.Len() != 100 {
+		t.Fatalf("pruned %d, %d left", removed, c.Len())
+	}
+	if len(c.sigs.table) >= big/8 || c.sigs.n != 100 {
+		t.Fatalf("table has %d slots for %d entries after the prune, %d before", len(c.sigs.table), c.sigs.n, big)
+	}
+	for i := 0; i < n; i++ {
+		if got, want := c.Add(bind(i)), i < n-100; got != want {
+			t.Fatalf("after the prune Add(%d) = %v, want %v", i, got, want)
+		}
+	}
+	if c.PruneWhere(func(*match.Match) bool { return false }) != 0 || c.Len() != n {
+		t.Fatalf("a prune that drops nothing changed the collection: %d left", c.Len())
+	}
+}
+
+// TestCollectionAddAllocationBudget: storing a fresh partial costs a slot in
+// the dedup table and one in the stored list — no bucket of its own.
+func TestCollectionAddAllocationBudget(t *testing.T) {
+	c := NewCollection()
+	fresh := make([]*match.Match, allocbudget.Runs+1) // one per call, built up front
+	for i := range fresh {
+		fresh[i] = match.NewSized(0, 2)
+		fresh[i].BindEdge(0, graph.EdgeID(i), 0)
+	}
+	next := 0
+	allocbudget.Check(t, "sjtree.Collection.Add", func() {
+		if !c.Add(fresh[next]) {
+			t.Fatal("fresh match rejected")
+		}
+		next++
+	})
+}
+
+// TestEmittedSetMerge: merging adds exactly what the receiver lacks, leaves
+// the source as it was and sharing nothing with the receiver, and keeps
+// entries until their own window has passed: merged into an empty set, a
+// ring of generations expires on the source's schedule; merged into a live
+// one, no entry goes before the source would have dropped it.
+func TestEmittedSetMerge(t *testing.T) {
+	const perStep, steps = 16, 60 // a retention is 40 steps
+	step := testRetention / 40
+	bind := func(i int) *match.Match {
+		m := match.NewSized(0, 2)
+		m.BindEdge(0, graph.EdgeID(i), graph.Timestamp(i/perStep)*graph.Timestamp(step))
+		return m
+	}
+	// src sees every match, dst only every third, both expired in step.
+	src, dst := NewEmittedSet(), NewEmittedSet()
+	cutoff := graph.NoCutoff
+	for s := 0; s < steps; s++ {
+		for i := s * perStep; i < (s+1)*perStep; i++ {
+			src.Add(bind(i))
+			if i%3 == 0 {
+				dst.Add(bind(i))
+			}
+		}
+		cutoff = graph.ExpiryCutoff(cutoff, graph.Timestamp(s)*graph.Timestamp(step), testRetention, 0)
+		src.Expire(cutoff, testRetention)
+		dst.Expire(cutoff, testRetention)
+	}
+	if len(src.set.gens) < 4 {
+		t.Fatalf("source has %d generations: the merge has no ring to carry over", len(src.set.gens))
+	}
+	srcLen, dstLen := src.Len(), dst.Len()
+	clone := NewEmittedSet()
+	clone.Merge(src)
+	dst.Merge(src)
+	if clone.Len() != srcLen || dst.Len() != srcLen || src.Len() != srcLen || dstLen >= srcLen {
+		t.Fatalf("after merging %d entries: clone %d, live receiver %d (had %d), source %d", srcLen, clone.Len(), dst.Len(), dstLen, src.Len())
+	}
+	if len(clone.set.gens) != len(src.set.gens) {
+		t.Fatalf("clone has %d generations, source %d", len(clone.set.gens), len(src.set.gens))
+	}
+	// Everything at or above the cutoff is remembered by all three; a fresh
+	// match added to one does not appear in the others.
+	live := 0
+	for i := 0; i < steps*perStep; i++ {
+		if m := bind(i); m.Span.Start >= cutoff {
+			live++
+			if clone.Add(m) || dst.Add(m) || src.Add(m) {
+				t.Fatalf("live match %d forgotten by a merge", i)
+			}
+		}
+	}
+	if live == 0 || !clone.Add(bind(steps*perStep)) || !dst.Add(bind(steps*perStep)) || !src.Add(bind(steps*perStep)) {
+		t.Fatalf("%d live matches; the sets are not independent", live)
+	}
+	// Another retention and a quarter of stream time with nothing added:
+	// everything merged must be gone from all three, on the same sweep or
+	// within a generation of it.
+	for s := steps; s < steps+50; s++ {
+		cutoff = graph.ExpiryCutoff(cutoff, graph.Timestamp(s)*graph.Timestamp(step), testRetention, 0)
+		for _, set := range []*EmittedSet{src, clone, dst} {
+			set.Expire(cutoff, testRetention)
+		}
+		for i := 0; i < steps*perStep; i += 7 {
+			if m := bind(i); m.Span.Start >= cutoff && (clone.Add(m) || dst.Add(m)) {
+				t.Fatalf("step %d: match %d, still inside the window, was dropped", s, i)
+			}
+		}
+	}
+	if src.Len() > 1 || clone.Len() > 1 || dst.Len() > 1 {
+		t.Fatalf("a retention later: source holds %d, clone %d, receiver %d", src.Len(), clone.Len(), dst.Len())
+	}
+}

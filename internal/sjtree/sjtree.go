@@ -147,10 +147,9 @@ func New(plan *decompose.Plan) (*Tree, error) {
 
 func (t *Tree) build(pn *decompose.Node, parent *Node) *Node {
 	n := &Node{
-		plan:       pn,
-		parent:     parent,
-		matches:    make(map[match.ProjectionKey][]*match.Match),
-		signatures: newSigSet(),
+		plan:    pn,
+		parent:  parent,
+		matches: make(map[match.ProjectionKey][]*match.Match),
 	}
 	t.nodes = append(t.nodes, n)
 	if pn.Left != nil {
@@ -257,17 +256,14 @@ func (t *Tree) pruneWhere(drop func(*match.Match) bool) int {
 		if n.IsRoot() {
 			continue
 		}
+		before := n.stored
 		//swvet:unordered drop is a pure predicate: each match is kept or removed independently of visit order
 		for key, list := range n.matches {
 			kept := list[:0]
 			for _, m := range list {
-				if drop(m) {
-					n.signatures.remove(m)
-					n.pruned++
-					removed++
-					continue
+				if !drop(m) {
+					kept = append(kept, m)
 				}
-				kept = append(kept, m)
 			}
 			if len(kept) == 0 {
 				delete(n.matches, key)
@@ -275,6 +271,18 @@ func (t *Tree) pruneWhere(drop func(*match.Match) bool) int {
 				n.matches[key] = kept
 			}
 			n.stored -= len(list) - len(kept)
+		}
+		if n.stored == before {
+			continue
+		}
+		n.pruned += uint64(before - n.stored)
+		removed += before - n.stored
+		n.signatures.reset(n.stored)
+		//swvet:unordered the kept matches are distinct: the set is the same whatever order they go back in
+		for _, list := range n.matches {
+			for _, m := range list {
+				n.signatures.add(m)
+			}
 		}
 	}
 	t.prunedTotal += uint64(removed)

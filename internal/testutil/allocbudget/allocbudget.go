@@ -16,12 +16,19 @@ var ceilings = map[string]float64{
 	"match.Remap":     1,
 	"match.Clone":     1,
 	"match.Join":      1,
+	// A join through two links' maps is its result and nothing else; a pair
+	// that cannot join costs nothing.
+	"match.JoinMapped":         1,
+	"match.JoinMapped/refused": 0,
 	// internal/sjtree: the emitted set allocates only when its table
 	// doubles or an arena chunk fills — nothing per add, amortised — and
 	// once its ring of generations has turned, adding 64 fresh matches and
 	// expiring as many old ones runs on recycled tables and chunks.
 	"sjtree.EmittedSet.Add":                0,
 	"sjtree.EmittedSet evict/steady-state": 0,
+	// A stored partial is a slot in its collection's flat dedup table and
+	// one in the stored list: nothing per add, amortised over their growth.
+	"sjtree.Collection.Add": 0,
 	// internal/export: the bindings and the edge-ID list; the signature
 	// arrives on the event. Three when the report has to build it. The 25
 	// reports of one match fanned out to a consumer group share both slices,
@@ -30,8 +37,12 @@ var ceilings = map[string]float64{
 	"export.BuildReport/unsigned":       3,
 	"export.Reporter/25-consumer group": 2,
 	// internal/mqo: one root match fanned out to a group of 25 queries is
-	// one Remap and one Signature, whatever the group's size.
-	"mqo.deliver/25-consumers": 2,
+	// one Remap and one Signature, whatever the group's size. A partial
+	// stored under a parent is indexed, not copied, and a probe that finds
+	// no compatible sibling builds nothing: storing it allocates nothing
+	// but the amortised growth of the collection and the partition bucket.
+	"mqo.deliver/25-consumers":                              2,
+	"mqo.insert/stored partial, one parent, no sibling hit": 0,
 	// internal/wire: attribute keys are sorted on the stack, so an edge with
 	// all three attribute maps populated encodes into a grown buffer for free.
 	"wire.AppendEdge": 0,

@@ -88,8 +88,9 @@ func measureEmitted(t *testing.T, eng streamworks.Engine) emittedState {
 // and a 2-shard engine (whose merger remembers matches too): what each
 // remembers of its emissions after 22 retentions must be what it remembered
 // after 4 — entries and heap alike — not five times that, while everything
-// still inside the window is kept. With unbounded retention nothing expires
-// and nothing may be forgotten.
+// still inside the window is kept. The group of 25 remembers a match once,
+// not once per member: it holds what the private tree holds. With unbounded
+// retention nothing expires and nothing may be forgotten.
 func TestEmittedStatePlateaus(t *testing.T) {
 	const (
 		early = 4 * chainPerRetention
@@ -111,21 +112,22 @@ func TestEmittedStatePlateaus(t *testing.T) {
 		name    string
 		open    func() streamworks.Engine
 		queries func(*testing.T) []*streamworks.Query
+		sets    int // exactly-once sets holding each match
 		bounded bool
 	}{
 		{"private tree", func() streamworks.Engine {
 			return streamworks.New(streamworks.WithRetention(chainRetention))
-		}, one, true},
+		}, one, 1, true},
 		{"consumer group of 25", func() streamworks.Engine {
 			return streamworks.New(streamworks.WithRetention(chainRetention), streamworks.WithSharedPlans(true))
-		}, group, true},
+		}, group, 1, true},
 		{"2 shards", func() streamworks.Engine {
 			return streamworks.NewSharded(streamworks.WithRetention(chainRetention), streamworks.WithShards(2))
-		}, one, true},
+		}, one, 3, true},
 		{"2 shards, shared plans", func() streamworks.Engine {
 			return streamworks.NewSharded(streamworks.WithRetention(chainRetention), streamworks.WithShards(2), streamworks.WithSharedPlans(true))
-		}, one, true},
-		{"unbounded retention", func() streamworks.Engine { return streamworks.New() }, one, false},
+		}, one, 3, true},
+		{"unbounded retention", func() streamworks.Engine { return streamworks.New() }, one, 1, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := tc.open()
@@ -168,9 +170,13 @@ func TestEmittedStatePlateaus(t *testing.T) {
 				t.Errorf("heap grows with the stream: %d bytes after 4 retentions, %d after 22", after4.heap, end.heap)
 			}
 			// Every query's window is at least nine tenths of the retention:
-			// the matches still inside it must all be remembered.
-			if live := chainPerRetention * 9 / 10 * len(queries); end.entries < live {
+			// the matches still inside it must all be remembered — once per
+			// set that sees them, however many queries read a set.
+			if live := chainPerRetention * 9 / 10; end.entries < live {
 				t.Errorf("%d entries left, but %d matches are still inside their window", end.entries, live)
+			}
+			if most := 2 * chainPerRetention * tc.sets; end.entries > most {
+				t.Errorf("%d entries for %d queries behind %d sets: more than two retentions' worth each", end.entries, len(queries), tc.sets)
 			}
 		})
 	}
