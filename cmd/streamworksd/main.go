@@ -37,7 +37,6 @@ func main() {
 		shards    = flag.Int("shards", 4, "number of engine shards")
 		retention = flag.Duration("retention", 0, "sliding window width (0 = retain everything; query windows widen it)")
 		slack     = flag.Duration("slack", 0, "tolerated out-of-order arrival lag")
-		summaries = flag.Bool("summaries", true, "collect stream statistics for the selective planner")
 		sharedPln = flag.Bool("shared-plans", false, "fold all registered queries into one shared evaluation DAG: common subpatterns are evaluated once per edge and fanned out (emissions unchanged)")
 		subBuffer = flag.Int("sub-buffer", 256, "per-subscriber match buffer; overflow evicts the subscriber")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables")
@@ -91,7 +90,6 @@ func main() {
 	engine := core.DefaultConfig()
 	engine.Retention = *retention
 	engine.Slack = *slack
-	engine.EnableSummaries = *summaries
 	engine.SharedPlans = *sharedPln
 	engine.Obs = obsCfg
 

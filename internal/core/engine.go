@@ -100,8 +100,10 @@ type Config struct {
 	Retention time.Duration
 	// Slack is the tolerated out-of-order arrival lag.
 	Slack time.Duration
-	// EnableSummaries turns on continuous statistics collection (degree,
-	// type and triad distributions) used by the selective planner.
+	// EnableSummaries turns on the statistics the selective planner and
+	// adaptive re-planning read: type counts of the window graph, and
+	// sampled triads that expire with it. Without them every plan is made
+	// as if the stream were empty.
 	EnableSummaries bool
 	// TriadSampling is the 1-in-n sampling rate for triad statistics
 	// (0 disables triads, 1 counts every edge). Only used when summaries
@@ -113,8 +115,9 @@ type Config struct {
 	// Replan tunes adaptive re-planning for registrations created with
 	// WithAdaptive: how often selectivity drift is checked, the hysteresis
 	// threshold, and the per-query swap cooldown. Zero fields take the
-	// replan package defaults. Adaptive planning needs live statistics, so
-	// it is inert when EnableSummaries is false.
+	// replan package defaults. Drift checks plan and cost through the same
+	// window statistics registration plans with, so they are inert when
+	// EnableSummaries is false.
 	Replan replan.Config
 	// Obs configures hot-path observability: per-segment latency
 	// histograms, the stream-time detection-lag histogram and sampled edge
@@ -148,16 +151,16 @@ type Engine struct {
 	dyn     *graph.Dynamic
 	summary *stats.Summary
 	planner *decompose.Planner
-	// est is the live estimator behind the planner: plans scored through it
-	// reflect whatever the summary has learned so far, which is what lets
-	// the replan tick notice selectivity drift.
+	// est is the one estimator: registration, drift checks and forced
+	// replans all plan and cost through it, and it reads the window as it
+	// is now, which is what lets the replan tick notice selectivity drift.
 	est *stats.Estimator
 
 	// replanCfg is the normalized adaptive-planning policy; adaptiveCount
 	// tracks how many registrations opted in (the tick is free when zero);
 	// sinceReplanCheck counts edges towards the next drift check, and
-	// lastReplanTotal is the summary edge count at the previous check so
-	// idle heartbeats (Advance with no new statistics) skip the planner.
+	// lastReplanTotal is the processed-edge count at the previous check so
+	// idle heartbeats (Advance with no new edges) skip the planner.
 	replanCfg        replan.Config
 	adaptiveCount    int
 	sinceReplanCheck int
@@ -228,10 +231,6 @@ func (e *Engine) SharedPlans() bool { return e.dag != nil }
 
 // Graph exposes the engine's dynamic data graph (read-only use).
 func (e *Engine) Graph() *graph.Dynamic { return e.dyn }
-
-// Summary returns the engine's stream summary, or nil when summaries are
-// disabled.
-func (e *Engine) Summary() *stats.Summary { return e.summary }
 
 // Registrations returns the names of all registered queries in registration
 // order.
@@ -523,16 +522,17 @@ func (e *Engine) Advance(ts graph.Timestamp) {
 // After that sweep nothing the engine still holds starts below the graph's
 // expiry cutoff, which is what makes it safe to hand the same cutoff to
 // every emitted set (graph.ExpiryCutoff): matches that start below it can
-// never be derived again, by a join, a plan swap or a backfill.
+// never be derived again, by a join, a plan swap or a backfill. The summary's
+// triad counts expire by the same cutoff.
 func (e *Engine) pruneAll() {
 	e.metrics.PruneRuns++
 	wm := e.dyn.Watermark()
+	cutoff, retention := e.dyn.Cutoff(), e.dyn.Window()
 	evicted := e.metrics.EmittedEvicted
 	if e.dag != nil {
 		e.metrics.PartialsPruned += uint64(e.dag.Prune(wm, e.expiredPending))
 		e.metrics.EmittedEvicted = e.dag.EmittedEvicted()
 	} else {
-		cutoff, retention := e.dyn.Cutoff(), e.dyn.Window()
 		for _, name := range e.order {
 			reg := e.registrations[name]
 			if w := reg.query.Window(); w > 0 {
@@ -544,6 +544,9 @@ func (e *Engine) pruneAll() {
 		}
 	}
 	clear(e.expiredPending)
+	if e.summary != nil {
+		e.summary.Expire(cutoff, retention)
+	}
 	if e.obs.enabled {
 		e.obs.emittedEvicted.Add(e.metrics.EmittedEvicted - evicted)
 		for _, name := range e.order {

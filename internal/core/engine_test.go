@@ -201,7 +201,7 @@ func TestEngineMetricsAndString(t *testing.T) {
 	if !strings.Contains(m.String(), "smurf") {
 		t.Fatalf("Metrics.String() missing query name")
 	}
-	if e.Summary() == nil {
+	if e.summary == nil {
 		t.Fatalf("summaries enabled by default")
 	}
 	if e.Graph().NumEdges() != 2 {
@@ -213,7 +213,7 @@ func TestEngineSummariesDisabled(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EnableSummaries = false
 	e := New(&cfg)
-	if e.Summary() != nil {
+	if e.summary != nil {
 		t.Fatalf("summary should be nil when disabled")
 	}
 	if _, err := e.RegisterQuery(smurfQuery(0)); err != nil {

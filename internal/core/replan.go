@@ -34,7 +34,7 @@ import (
 const replanAuditRing = 8
 
 // ReplanNodeAudit is the per-SJ-tree-node slice of a drift-check audit: the
-// node's cardinality estimate under the window estimator the check used,
+// node's cardinality estimate under the estimator at the time of the check,
 // next to what the node has actually seen. Nodes appear in the tree's
 // pre-order, matching QueryMetrics.Nodes.
 type ReplanNodeAudit struct {
@@ -47,7 +47,7 @@ type ReplanNodeAudit struct {
 
 // ReplanAudit records one adaptive drift-check decision — fired or declined
 // — with the evidence it was made on: the frozen and fresh plan costs under
-// the window estimator, the detector's ratio, and the frozen plan's per-node
+// the engine's estimator, the detector's ratio, and the frozen plan's per-node
 // estimated-vs-observed cardinalities at the moment of the check. The last
 // replanAuditRing records are retained per registration and the newest is
 // surfaced through QueryMetrics.LastReplanAudit, giving estimator validation
@@ -102,33 +102,30 @@ func nodeAudit(est *stats.Estimator, reg *Registration) []ReplanNodeAudit {
 }
 
 // maybeReplanAll runs one drift check across all adaptive registrations.
-// Both the trial plan and the cost comparison use a *window* estimator over
-// the retained graph rather than the cumulative summary: cumulative counts
-// dampen a mid-stream mix rotation roughly linearly in stream length, while
-// the retention window forgets the old regime as fast as its edges expire —
-// it is the current selectivity landscape the running plan must answer to.
-// Each adaptive registration is swapped when the detector's hysteresis
-// fires. Checks are skipped entirely while the summary has not observed new
-// edges since the previous check (idle-shard watermark heartbeats).
+// The trial plan and the cost comparison go through the engine's one
+// estimator, the one registration planned with: its statistics are the
+// retained window's, which forgets the old regime as fast as its edges
+// expire — it is the current selectivity landscape the running plan must
+// answer to. Each adaptive registration is swapped when the detector's
+// hysteresis fires. Checks are skipped entirely while no edge has been
+// processed since the previous check (idle-shard watermark heartbeats).
 func (e *Engine) maybeReplanAll() {
 	if e.adaptiveCount == 0 || e.summary == nil {
 		return
 	}
-	total := e.summary.TotalEdges()
+	total := e.metrics.EdgesProcessed
 	if total == e.lastReplanTotal {
 		return
 	}
 	e.lastReplanTotal = total
 	now := e.dyn.Watermark()
-	wEst := stats.NewEstimatorFrom(stats.GraphSource{G: e.dyn.Graph()})
-	wPlanner := decompose.NewPlanner(wEst)
 	for _, name := range e.order {
 		reg := e.registrations[name]
 		if !reg.adaptive {
 			continue
 		}
 		e.metrics.ReplanChecks++
-		fresh, err := wPlanner.Plan(reg.query, reg.strategy)
+		fresh, err := e.planner.Plan(reg.query, reg.strategy)
 		if err != nil {
 			// Planning against the current statistics failed; keep the
 			// running plan — it is valid, just possibly stale.
@@ -137,8 +134,8 @@ func (e *Engine) maybeReplanAll() {
 		if fresh.EqualStructure(reg.plan) {
 			continue
 		}
-		frozenCost := replan.PlanCost(wEst, reg.plan)
-		freshCost := replan.PlanCost(wEst, fresh)
+		frozenCost := replan.PlanCost(e.est, reg.plan)
+		freshCost := replan.PlanCost(e.est, fresh)
 		ratio, swap := reg.det.Should(frozenCost, freshCost, total, now)
 		// The audit's per-node evidence must be captured before a swap
 		// replaces the tree it describes.
@@ -150,10 +147,10 @@ func (e *Engine) maybeReplanAll() {
 			Ratio:          ratio,
 			Swapped:        swap,
 			PlanGeneration: reg.planGen,
-			Nodes:          nodeAudit(wEst, reg),
+			Nodes:          nodeAudit(e.est, reg),
 		}
 		if swap {
-			if err := e.installPlan(reg, fresh, wEst); err != nil {
+			if err := e.installPlan(reg, fresh); err != nil {
 				audit.Swapped = false
 			} else {
 				reg.det.NoteSwap(now)
@@ -179,12 +176,11 @@ func (e *Engine) ReplanNow(name string, strategy decompose.Strategy) error {
 	if s == "" {
 		s = reg.strategy
 	}
-	wEst := stats.NewEstimatorFrom(stats.GraphSource{G: e.dyn.Graph()})
-	fresh, err := decompose.NewPlanner(wEst).Plan(reg.query, s)
+	fresh, err := e.planner.Plan(reg.query, s)
 	if err != nil {
 		return fmt.Errorf("core: re-planning %q: %w", name, err)
 	}
-	if err := e.installPlan(reg, fresh, wEst); err != nil {
+	if err := e.installPlan(reg, fresh); err != nil {
 		return err
 	}
 	reg.det.NoteSwap(e.dyn.Watermark())
@@ -192,11 +188,11 @@ func (e *Engine) ReplanNow(name string, strategy decompose.Strategy) error {
 }
 
 // installPlan dispatches a plan swap to the mode-appropriate mechanism.
-func (e *Engine) installPlan(reg *Registration, plan *decompose.Plan, est *stats.Estimator) error {
+func (e *Engine) installPlan(reg *Registration, plan *decompose.Plan) error {
 	if e.dag != nil {
-		return e.swapPlanShared(reg, plan, est)
+		return e.swapPlanShared(reg, plan)
 	}
-	return e.swapPlan(reg, plan, est)
+	return e.swapPlan(reg, plan)
 }
 
 // swapPlan installs plan as reg's live decomposition: a new SJ-Tree is
@@ -207,7 +203,7 @@ func (e *Engine) installPlan(reg *Registration, plan *decompose.Plan, est *stats
 // replay flow through the normal emission path (sinks, counters);
 // in the expected case they are all already-emitted duplicates and the
 // inherited dedup silences them.
-func (e *Engine) swapPlan(reg *Registration, plan *decompose.Plan, est *stats.Estimator) error {
+func (e *Engine) swapPlan(reg *Registration, plan *decompose.Plan) error {
 	tree, err := sjtree.New(plan)
 	if err != nil {
 		return fmt.Errorf("core: building SJ-Tree for %q: %w", reg.name, err)
@@ -215,7 +211,7 @@ func (e *Engine) swapPlan(reg *Registration, plan *decompose.Plan, est *stats.Es
 	tree.InheritEmitted(reg.tree)
 	reg.plan = plan
 	reg.tree = tree
-	reg.nodeEst = nodeEstimates(est, plan)
+	reg.nodeEst = nodeEstimates(e.est, plan)
 	reg.rebuildCandidates()
 	reg.planGen++
 	reg.replans++
@@ -243,7 +239,7 @@ func (e *Engine) swapPlan(reg *Registration, plan *decompose.Plan, est *stats.Es
 // inherited emitted-set keeps the match stream exactly-once across the
 // boundary, and emissions produced during backfill flow through emitShared
 // like any other.
-func (e *Engine) swapPlanShared(reg *Registration, plan *decompose.Plan, est *stats.Estimator) error {
+func (e *Engine) swapPlanShared(reg *Registration, plan *decompose.Plan) error {
 	// emitShared appends to e.dagEvents; stash whatever buffer an enclosing
 	// ProcessEdge call is accumulating into and give the swap its own, so
 	// replay emissions are counted here without leaking into the caller's
@@ -259,7 +255,7 @@ func (e *Engine) swapPlanShared(reg *Registration, plan *decompose.Plan, est *st
 	e.dagEvents = saved
 	reg.att = att
 	reg.plan = plan
-	reg.nodeEst = nodeEstimates(est, plan)
+	reg.nodeEst = nodeEstimates(e.est, plan)
 	reg.planGen++
 	reg.replans++
 	e.metrics.Replans++

@@ -37,19 +37,27 @@ func smurfQuery() *query.Graph {
 // located edges are rare.
 func newsSummary() *stats.Summary {
 	s := stats.NewSummary(stats.WithTriadSampling(0))
+	g := graph.New(graph.WithAutoVertices())
 	id := graph.EdgeID(0)
-	next := func() graph.EdgeID { id++; return id }
+	observe := func(se graph.StreamEdge) {
+		id++
+		se.Edge.ID = id
+		if _, err := g.AddStreamEdge(se); err != nil {
+			panic(err)
+		}
+		s.Observe(se, g)
+	}
 	for i := 0; i < 80; i++ {
-		s.Observe(graph.StreamEdge{
-			Edge:       graph.Edge{ID: next(), Source: graph.VertexID(i), Target: graph.VertexID(1000 + i%20), Type: "mentions"},
+		observe(graph.StreamEdge{
+			Edge:       graph.Edge{Source: graph.VertexID(i), Target: graph.VertexID(1000 + i%20), Type: "mentions"},
 			SourceType: "Article", TargetType: "Keyword",
-		}, nil)
+		})
 	}
 	for i := 0; i < 20; i++ {
-		s.Observe(graph.StreamEdge{
-			Edge:       graph.Edge{ID: next(), Source: graph.VertexID(i), Target: graph.VertexID(2000 + i%3), Type: "located"},
+		observe(graph.StreamEdge{
+			Edge:       graph.Edge{Source: graph.VertexID(i), Target: graph.VertexID(2000 + i%3), Type: "located"},
 			SourceType: "Article", TargetType: "Location",
-		}, nil)
+		})
 	}
 	return s
 }

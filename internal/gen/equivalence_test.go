@@ -14,8 +14,10 @@ import (
 	"time"
 
 	"github.com/streamworks/streamworks"
+	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/decompose"
 	"github.com/streamworks/streamworks/internal/graph"
+	"github.com/streamworks/streamworks/internal/replan"
 )
 
 // tinyDriftWorkload is a laptop-second-scale drift workload: small enough
@@ -214,6 +216,35 @@ func TestAdaptiveStoresFewerPartialsOnDrift(t *testing.T) {
 	t.Logf("partial matches stored over the stream: frozen %d, adaptive %d", frozen, adaptive)
 	if adaptive >= frozen {
 		t.Fatalf("adaptive run stored %d partial matches, frozen %d: re-planning bought nothing", adaptive, frozen)
+	}
+}
+
+// TestLateRegistrationIsJudgedByItsOwnPlanner: a query registered after the
+// mix has rotated is planned from the window as it is, and the drift check
+// that follows at once (CheckEvery 1: the very next edge) plans from the
+// same estimator, so it finds nothing to swap. Registration point: a tenth
+// of the stream past the rotation, where a planner reading the whole
+// stream's history and a checker reading the window disagree by 2.7×.
+func TestLateRegistrationIsJudgedByItsOwnPlanner(t *testing.T) {
+	w := BenchDriftWorkload(16000, 200, 10*time.Second)
+	cfg := w.Engine
+	cfg.Replan.CheckEvery = 1
+	e := core.New(&cfg)
+	at := w.SplitAt + len(w.Edges)/10
+	for _, se := range w.Edges[:at] {
+		e.ProcessEdge(se)
+	}
+	if _, err := e.RegisterQuery(ReconBurstQuery(cfg.Retention), core.WithAdaptive(true)); err != nil {
+		t.Fatal(err)
+	}
+	e.ProcessEdge(w.Edges[at])
+	m := e.Metrics()
+	if m.ReplanChecks != 1 {
+		t.Fatalf("%d drift checks after one edge, want 1", m.ReplanChecks)
+	}
+	audit := m.Queries[0].LastReplanAudit
+	if m.Replans != 0 || audit != nil && audit.Ratio >= replan.DefaultThreshold {
+		t.Fatalf("registered at edge %d and swapped at once (replans %d, audit %+v): planner and checker disagree", at, m.Replans, audit)
 	}
 }
 

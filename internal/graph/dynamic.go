@@ -17,16 +17,17 @@ const NoCutoff Timestamp = math.MinInt64
 // arriving later cannot resurrect what was already expired. With zero
 // (unbounded) retention it stays where it was: nothing ever expires.
 //
-// Four things obey it. Dynamic expires edges below it. The engine evicts
+// Five things obey it. Dynamic expires edges below it. The engine evicts
 // emitted-match entries whose Span.Start is below it once its partial
 // matches have been pruned against the same watermark: everything a later
 // join, plan swap, backfill or recovery can combine — retained edges, stored
 // partials, edges still to arrive — then starts at or above the bound, so a
-// match that starts below it can never be derived again. The WAL deletes
-// segments and emitted notes below it; it feeds the function the same raw
-// newest stream time as Dynamic, so from the first edge on the two agree to
-// the nanosecond. The
-// shard merger only ever sees slack-trailed shard watermarks and passes the
+// match that starts below it can never be derived again. In the same sweep
+// the stream summary drops the triad counts of wedges with an edge below it,
+// a generation at a time. The WAL deletes segments and emitted notes below
+// it; it feeds the function the same raw newest stream time as Dynamic, so
+// from the first edge on the two agree to the nanosecond. The shard merger
+// only ever sees slack-trailed shard watermarks and passes the
 // smallest of them as newest, so its bound trails the shards' by one more
 // slack — later, never earlier: a late edge can still complete, on a lagging
 // shard, a match reaching back a retention from up to a slack behind that

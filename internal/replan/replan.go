@@ -4,8 +4,8 @@
 // would produce that it is worth hot-swapping the plan.
 //
 // StreamWorks freezes each query's decomposition at registration time, but
-// the stream summary (internal/stats) keeps learning: on workloads whose
-// edge-type mix drifts — a netflow stream that turns scan-heavy, a news
+// the window statistics (internal/stats) move with the stream: on workloads
+// whose edge-type mix drifts — a netflow stream that turns scan-heavy, a news
 // stream whose topics rotate — the frozen plan anchors the SJ-Tree on
 // primitives that were rare at registration and are common now, inflating
 // the stored partial-match volume and the per-edge join work. The companion
@@ -43,8 +43,8 @@ const (
 	// DefaultCooldown is the minimum stream time between swaps of one
 	// query, bounding replay churn under oscillating workloads.
 	DefaultCooldown = 10 * time.Second
-	// DefaultMinEdges is the number of edges the summary must have observed
-	// before the first check: plans compared against a cold summary reflect
+	// DefaultMinEdges is the number of edges the engine must have processed
+	// before the first check: plans compared against a cold window reflect
 	// initialization noise, not drift.
 	DefaultMinEdges = 1024
 )
@@ -64,8 +64,8 @@ type Config struct {
 	// (normalized to -1, so re-normalizing an already-normalized config
 	// cannot resurrect the default).
 	Cooldown time.Duration
-	// MinEdges is the minimum number of summary-observed edges before the
-	// first check. <= 0 selects DefaultMinEdges.
+	// MinEdges is the minimum number of processed edges before the first
+	// check. <= 0 selects DefaultMinEdges.
 	MinEdges uint64
 }
 
@@ -138,10 +138,10 @@ func NewDetector(cfg Config) Detector {
 func (d *Detector) Config() Config { return d.cfg }
 
 // Should reports whether the engine should swap the frozen plan for the
-// fresh one: the summary must be warm (seenEdges >= MinEdges), the cooldown
-// since the previous swap must have elapsed at now, and the frozen plan's
-// estimated cost must exceed the fresh plan's by at least the threshold
-// factor. The returned ratio (frozen/fresh; 0 when fresh has no cost) is
+// fresh one: the engine must be warm (seenEdges, the edges it has processed,
+// >= MinEdges), the cooldown since the previous swap must have elapsed at
+// now, and the frozen plan's estimated cost must exceed the fresh plan's by
+// at least the threshold factor. The returned ratio (frozen/fresh; 0 when fresh has no cost) is
 // reported regardless of the verdict so callers can expose it in metrics.
 func (d *Detector) Should(frozenCost, freshCost float64, seenEdges uint64, now graph.Timestamp) (ratio float64, swap bool) {
 	if freshCost > 0 {
@@ -155,7 +155,7 @@ func (d *Detector) Should(frozenCost, freshCost float64, seenEdges uint64, now g
 	}
 	if freshCost <= 0 {
 		// A fresh plan with no estimated cost means the estimator has no
-		// signal (cold or disabled summary); never swap on that.
+		// signal (cold window or disabled statistics); never swap on that.
 		return ratio, false
 	}
 	return ratio, ratio >= d.cfg.Threshold

@@ -94,6 +94,7 @@ func planFor(t *testing.T, s *stats.Summary, strat decompose.Strategy) (*decompo
 
 func TestPlanCostOrdersPlansBySelectivity(t *testing.T) {
 	s := stats.NewSummary()
+	g := graph.New(graph.WithAutoVertices())
 	// Feed a skewed stream: "common" dominates, "rare" is rare.
 	seq := graph.EdgeID(1)
 	ts := graph.Timestamp(0)
@@ -103,7 +104,10 @@ func TestPlanCostOrdersPlansBySelectivity(t *testing.T) {
 				SourceType: "Host", TargetType: "Host",
 				Edge: graph.Edge{ID: seq, Source: graph.VertexID(uint64(seq) % 50), Target: graph.VertexID(uint64(seq)%50 + 50), Type: typ, Timestamp: ts},
 			}
-			s.Observe(se, nil)
+			if _, err := g.AddStreamEdge(se); err != nil {
+				t.Fatal(err)
+			}
+			s.Observe(se, g)
 			seq++
 			ts = ts.Add(time.Millisecond)
 		}

@@ -11,38 +11,20 @@ import (
 const DefaultPredicateSelectivity = 0.25
 
 // Estimator derives cardinality and selectivity estimates for query
-// subgraphs from a statistics Source — a cumulative Summary or a windowed
-// GraphSource. The query planner uses it to pick the most selective search
-// primitives and to order joins so that rare substructures sit lowest in
-// the SJ-Tree (paper §4.1); the adaptive re-planner scores running plans
-// through a window-backed estimator to detect selectivity drift.
+// subgraphs from a Summary. The query planner uses it to pick the most
+// selective search primitives and to order joins so that rare substructures
+// sit lowest in the SJ-Tree (paper §4.1); the adaptive re-planner costs
+// running plans through the same estimator to detect selectivity drift.
 type Estimator struct {
-	src Source
+	src *Summary
 	// predSel overrides DefaultPredicateSelectivity when > 0.
 	predSel float64
-	// triadScale compensates for triad sampling (Summary samples 1-in-n
-	// edges); it is the sampling factor n.
-	triadScale float64
 }
 
 // NewEstimator builds an estimator over the given summary. A nil summary
 // yields an estimator with no statistics (every estimate is 1).
 func NewEstimator(s *Summary) *Estimator {
-	if s == nil {
-		return &Estimator{predSel: DefaultPredicateSelectivity, triadScale: 1}
-	}
-	return NewEstimatorFrom(s)
-}
-
-// NewEstimatorFrom builds an estimator over an arbitrary statistics source
-// (e.g. GraphSource for window-local estimates). A nil source behaves like
-// NewEstimator(nil).
-func NewEstimatorFrom(src Source) *Estimator {
-	e := &Estimator{src: src, predSel: DefaultPredicateSelectivity, triadScale: 1}
-	if src != nil {
-		e.triadScale = src.TriadScale()
-	}
-	return e
+	return &Estimator{src: s, predSel: DefaultPredicateSelectivity}
 }
 
 // SetPredicateSelectivity overrides the per-predicate selectivity constant.
@@ -167,7 +149,7 @@ func (e *Estimator) wedgeFromTriads(q *query.Graph, edges []query.EdgeID) (float
 	if count == 0 {
 		return 0, false
 	}
-	est := float64(count) * e.triadScale
+	est := float64(count) * e.src.TriadScale()
 	est *= e.predicateFactor(len(a.Preds) + len(b.Preds) + len(cv.Preds))
 	return est, true
 }

@@ -12,21 +12,22 @@ import (
 // handful of Locations.
 func newsSummary() *Summary {
 	s := NewSummary(WithTriadSampling(0))
+	g := graph.New(graph.WithAutoVertices())
 	id := graph.EdgeID(0)
 	next := func() graph.EdgeID { id++; return id }
 	// 80 mentions edges: Article -> Keyword
 	for i := 0; i < 80; i++ {
-		s.Observe(graph.StreamEdge{
+		observe(s, g, graph.StreamEdge{
 			Edge:       graph.Edge{ID: next(), Source: graph.VertexID(i), Target: graph.VertexID(1000 + i%20), Type: "mentions"},
 			SourceType: "Article", TargetType: "Keyword",
-		}, nil)
+		})
 	}
 	// 20 located edges: Article -> Location
 	for i := 0; i < 20; i++ {
-		s.Observe(graph.StreamEdge{
+		observe(s, g, graph.StreamEdge{
 			Edge:       graph.Edge{ID: next(), Source: graph.VertexID(i), Target: graph.VertexID(2000 + i%3), Type: "located"},
 			SourceType: "Article", TargetType: "Location",
-		}, nil)
+		})
 	}
 	return s
 }
@@ -173,10 +174,7 @@ func TestWedgeEstimateUsesTriads(t *testing.T) {
 			Edge:       graph.Edge{ID: id, Source: src, Target: dst, Type: typ, Timestamp: graph.Timestamp(id)},
 			SourceType: "Host", TargetType: "Host",
 		}
-		if _, err := g.AddStreamEdge(se); err != nil {
-			t.Fatal(err)
-		}
-		s.Observe(se, g)
+		observe(s, g, se)
 	}
 	// Build 5 request/reply wedges through distinct centres and lots of
 	// unrelated request edges.

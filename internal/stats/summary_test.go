@@ -1,9 +1,9 @@
 package stats
 
 import (
-	"strings"
-	"sync"
+	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/streamworks/streamworks/internal/graph"
 )
@@ -16,11 +16,23 @@ func flowEdge(id graph.EdgeID, src, dst graph.VertexID, typ, srcT, dstT string, 
 	}
 }
 
-func TestSummaryTypeDistributions(t *testing.T) {
+// observe applies se to g and hands it to s, the way the engine does.
+func observe(s *Summary, g *graph.Graph, se graph.StreamEdge) {
+	if _, err := g.AddStreamEdge(se); err != nil {
+		panic(err)
+	}
+	s.Observe(se, g)
+}
+
+func TestSummaryTypeCounts(t *testing.T) {
 	s := NewSummary()
-	s.Observe(flowEdge(1, 1, 2, "flow", "Host", "Host", 1), nil)
-	s.Observe(flowEdge(2, 1, 3, "flow", "Host", "Server", 2), nil)
-	s.Observe(flowEdge(3, 2, 3, "dns", "Host", "Server", 3), nil)
+	if s.TotalEdges() != 0 || s.TotalVertices() != 0 || s.EdgeTypeCount("flow") != 0 {
+		t.Fatalf("a summary that has seen no graph must count nothing")
+	}
+	g := graph.New(graph.WithAutoVertices())
+	observe(s, g, flowEdge(1, 1, 2, "flow", "Host", "Host", 1))
+	observe(s, g, flowEdge(2, 1, 3, "flow", "Host", "Server", 2))
+	observe(s, g, flowEdge(3, 2, 3, "dns", "Host", "Server", 3))
 
 	if s.TotalEdges() != 3 {
 		t.Fatalf("TotalEdges = %d", s.TotalEdges())
@@ -35,21 +47,14 @@ func TestSummaryTypeDistributions(t *testing.T) {
 		t.Fatalf("vertex type counts wrong: Host=%d Server=%d",
 			s.VertexTypeCount("Host"), s.VertexTypeCount("Server"))
 	}
-	dist := s.EdgeTypeDistribution()
-	if len(dist) != 2 || dist[0].Type != "flow" || dist[0].Count != 2 {
-		t.Fatalf("EdgeTypeDistribution = %v", dist)
-	}
-	vdist := s.VertexTypeDistribution()
-	if len(vdist) != 2 || vdist[0].Type != "Host" {
-		t.Fatalf("VertexTypeDistribution = %v", vdist)
-	}
 }
 
 func TestSummaryVertexRetyping(t *testing.T) {
 	s := NewSummary()
+	g := graph.New(graph.WithAutoVertices())
 	// First sighting has no type, second supplies one.
-	s.Observe(flowEdge(1, 1, 2, "flow", "", "Host", 1), nil)
-	s.Observe(flowEdge(2, 1, 3, "flow", "Workstation", "Host", 2), nil)
+	observe(s, g, flowEdge(1, 1, 2, "flow", "", "Host", 1))
+	observe(s, g, flowEdge(2, 1, 3, "flow", "Workstation", "Host", 2))
 	if s.VertexTypeCount("Workstation") != 1 {
 		t.Fatalf("late-arriving vertex type not recorded")
 	}
@@ -58,83 +63,42 @@ func TestSummaryVertexRetyping(t *testing.T) {
 	}
 }
 
-func TestSummaryMeanDegree(t *testing.T) {
+// TestSummaryCountsFollowWindow: the counts are the window's, so the edges
+// and vertices that expire leave them.
+func TestSummaryCountsFollowWindow(t *testing.T) {
+	dyn := graph.NewDynamic(10 * time.Second)
 	s := NewSummary()
-	if s.MeanDegree() != 0 {
-		t.Fatalf("empty summary mean degree should be 0")
-	}
-	s.Observe(flowEdge(1, 1, 2, "flow", "Host", "Host", 1), nil)
-	s.Observe(flowEdge(2, 1, 3, "flow", "Host", "Host", 2), nil)
-	// degrees: v1=2, v2=1, v3=1 → mean 4/3
-	if got := s.MeanDegree(); got < 1.32 || got > 1.34 {
-		t.Fatalf("MeanDegree = %v", got)
-	}
-}
-
-func TestSummaryDegreeHistogram(t *testing.T) {
-	s := NewSummary()
-	// Create a star: vertex 0 gets degree 8, the leaves degree 1.
-	for i := 1; i <= 8; i++ {
-		s.Observe(flowEdge(graph.EdgeID(i), 0, graph.VertexID(i), "flow", "Hub", "Leaf", graph.Timestamp(i)), nil)
-	}
-	snap := s.DegreeHistogramSnapshot()
-	var total uint64
-	for _, b := range snap {
-		total += b.Count
-	}
-	if total != 9 {
-		t.Fatalf("histogram should cover 9 vertices, got %d (%v)", total, snap)
-	}
-	// The hub must be in the bucket whose Low is 8.
-	foundHub := false
-	for _, b := range snap {
-		if b.Low == 8 && b.Count == 1 {
-			foundHub = true
+	for i := 0; i < 40; i++ {
+		typ := "flow"
+		if i >= 30 {
+			typ = "scan"
 		}
+		se := flowEdge(graph.EdgeID(i+1), graph.VertexID(i), graph.VertexID(i+1), typ, "Host", "Host", graph.Timestamp(i)*graph.Timestamp(time.Second))
+		if _, err := dyn.Apply(se); err != nil {
+			t.Fatal(err)
+		}
+		s.Observe(se, dyn.Graph())
 	}
-	if !foundHub {
-		t.Fatalf("hub not in degree-8 bucket: %v", snap)
+	if s.TotalEdges() != uint64(dyn.NumEdges()) || s.TotalVertices() != uint64(dyn.NumVertices()) {
+		t.Fatalf("summary counts %d edges, %d vertices; the window holds %d, %d",
+			s.TotalEdges(), s.TotalVertices(), dyn.NumEdges(), dyn.NumVertices())
 	}
-}
-
-func TestDegreeHistogramMove(t *testing.T) {
-	h := NewDegreeHistogram()
-	h.Move(0, 1)
-	h.Move(1, 2)
-	h.Move(2, 3)
-	snap := h.Snapshot()
-	if len(snap) != 1 || snap[0].Low != 2 || snap[0].Count != 1 {
-		t.Fatalf("Snapshot = %v", snap)
-	}
-	if bucketOf(1) != 0 || bucketOf(2) != 1 || bucketOf(3) != 1 || bucketOf(4) != 2 || bucketOf(1024) != 10 {
-		t.Fatalf("bucketOf boundaries wrong")
-	}
-	if h.String() == "" {
-		t.Fatalf("String() empty")
+	if s.EdgeTypeCount("scan") != 10 || s.EdgeTypeCount("flow") != uint64(dyn.NumEdges()-10) {
+		t.Fatalf("window type counts wrong: scan=%d flow=%d", s.EdgeTypeCount("scan"), s.EdgeTypeCount("flow"))
 	}
 }
 
 func TestSummaryTriadCollection(t *testing.T) {
 	g := graph.New(graph.WithAutoVertices())
 	s := NewSummary(WithTriadSampling(1))
-	apply := func(se graph.StreamEdge) {
-		if _, err := g.AddStreamEdge(se); err != nil {
-			t.Fatal(err)
-		}
-		s.Observe(se, g)
-	}
 	// Build a wedge: a -req-> b, b -reply-> c. The second edge forms one
 	// triad centred at b.
-	apply(flowEdge(1, 1, 2, "req", "Host", "Host", 1))
-	apply(flowEdge(2, 2, 3, "reply", "Host", "Host", 2))
+	observe(s, g, flowEdge(1, 1, 2, "req", "Host", "Host", 1))
+	observe(s, g, flowEdge(2, 2, 3, "reply", "Host", "Host", 2))
 
-	dist := s.TriadDistribution()
-	if len(dist) == 0 {
-		t.Fatalf("no triads recorded")
-	}
 	key := canonicalTriad("Host", "reply", true, "req", false)
-	if s.TriadFrequency(key) == 0 {
-		t.Fatalf("expected req/reply triad centred at Host, have %v", dist)
+	if got := s.TriadFrequency(key); got != 1 {
+		t.Fatalf("req/reply triad centred at Host counted %d times, want 1", got)
 	}
 }
 
@@ -142,59 +106,10 @@ func TestSummaryTriadSamplingDisabled(t *testing.T) {
 	g := graph.New(graph.WithAutoVertices())
 	s := NewSummary(WithTriadSampling(0))
 	for i := 0; i < 10; i++ {
-		se := flowEdge(graph.EdgeID(i), 0, graph.VertexID(i+1), "flow", "Hub", "Leaf", graph.Timestamp(i))
-		if _, err := g.AddStreamEdge(se); err != nil {
-			t.Fatal(err)
-		}
-		s.Observe(se, g)
+		observe(s, g, flowEdge(graph.EdgeID(i), 0, graph.VertexID(i+1), "flow", "Hub", "Leaf", graph.Timestamp(i)))
 	}
-	if len(s.TriadDistribution()) != 0 {
-		t.Fatalf("triads recorded despite sampling disabled")
-	}
-}
-
-func TestSummaryObserveGraph(t *testing.T) {
-	g := graph.New(graph.WithAutoVertices())
-	g.AddVertex(graph.Vertex{ID: 1, Type: "A"})
-	g.AddVertex(graph.Vertex{ID: 2, Type: "B"})
-	g.AddVertex(graph.Vertex{ID: 3, Type: "B"})
-	g.AddEdge(graph.Edge{ID: 1, Source: 1, Target: 2, Type: "x", Timestamp: 1})
-	g.AddEdge(graph.Edge{ID: 2, Source: 1, Target: 3, Type: "y", Timestamp: 2})
-	s := NewSummary()
-	s.ObserveGraph(g)
-	if s.TotalEdges() != 2 || s.TotalVertices() != 3 {
-		t.Fatalf("ObserveGraph sizes wrong: %d edges %d vertices", s.TotalEdges(), s.TotalVertices())
-	}
-	if s.VertexTypeCount("B") != 2 {
-		t.Fatalf("vertex types from graph not observed")
-	}
-}
-
-func TestSummaryConcurrentObserve(t *testing.T) {
-	s := NewSummary(WithTriadSampling(0))
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				id := graph.EdgeID(w*1000 + i)
-				s.Observe(flowEdge(id, graph.VertexID(w), graph.VertexID(1000+i%10), "flow", "Host", "Host", graph.Timestamp(i)), nil)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if s.TotalEdges() != 8000 {
-		t.Fatalf("TotalEdges = %d, want 8000", s.TotalEdges())
-	}
-}
-
-func TestSummaryString(t *testing.T) {
-	s := NewSummary()
-	s.Observe(flowEdge(1, 1, 2, "flow", "Host", "Host", 1), nil)
-	out := s.String()
-	if !strings.Contains(out, "flow") || !strings.Contains(out, "Host") {
-		t.Fatalf("String() missing content:\n%s", out)
+	if n := s.TriadFrequency(canonicalTriad("Hub", "flow", true, "flow", true)); n != 0 {
+		t.Fatalf("%d triads recorded despite sampling disabled", n)
 	}
 }
 
@@ -204,20 +119,122 @@ func TestTriadKeyCanonical(t *testing.T) {
 	if a != b {
 		t.Fatalf("canonical triad keys differ: %v vs %v", a, b)
 	}
-	if a.String() == "" {
-		t.Fatalf("empty triad string")
+}
+
+func TestTriadSelfLoop(t *testing.T) {
+	g := graph.New(graph.WithAutoVertices())
+	s := NewSummary(WithTriadSampling(1))
+	observe(s, g, flowEdge(1, 1, 2, "flow", "Host", "Host", 1))
+	// The self loop should only scan vertex 1 once.
+	observe(s, g, flowEdge(2, 1, 1, "beacon", "Host", "Host", 2))
+	if n := s.TriadFrequency(canonicalTriad("Host", "beacon", true, "flow", true)); n != 1 {
+		t.Fatalf("self-loop wedge counted %d times, want 1", n)
 	}
 }
 
-func TestTriadTableSelfLoop(t *testing.T) {
-	g := graph.New(graph.WithAutoVertices())
-	g.AddEdge(graph.Edge{ID: 1, Source: 1, Target: 2, Type: "flow", Timestamp: 1})
-	loop := &graph.Edge{ID: 2, Source: 1, Target: 1, Type: "beacon", Timestamp: 2}
-	g.AddEdge(*loop)
-	tt := NewTriadTable()
-	tt.ObserveEdge(g, loop, func(graph.VertexID) string { return "Host" })
-	// The self loop should only scan vertex 1 once.
-	if tt.Total() != 1 {
-		t.Fatalf("self-loop wedge counted %d times, want 1", tt.Total())
+// wedgeCounts counts, by signature, the wedges among edges: pairs of
+// distinct edges sharing a vertex, once per shared vertex, among the pairs
+// keep admits (earlier edge first). The streams here have no self loops.
+func wedgeCounts(edges []graph.StreamEdge, typeOf func(graph.VertexID) string, keep func(earlier, later *graph.Edge) bool) map[TriadKey]uint64 {
+	out := make(map[TriadKey]uint64)
+	for j := range edges {
+		l := &edges[j].Edge
+		for i := range j {
+			e := &edges[i].Edge
+			if !keep(e, l) {
+				continue
+			}
+			for _, v := range [2]graph.VertexID{l.Source, l.Target} {
+				if e.Source == v || e.Target == v {
+					out[canonicalTriad(typeOf(v), l.Type, l.Source == v, e.Type, e.Source == v)]++
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestTriadRingExpiresWithWindow streams ~22 retentions of random edges with
+// every wedge counted (sampling 1) and the window's cutoff applied after
+// each edge. Every triad count must stay at or above the wedges the window
+// graph holds — an expiry never loses a live wedge — and at or below the
+// wedges whose later edge arrived in the last 1⅛ retentions (to within one
+// arrival gap, the granularity at which generations are sealed). With
+// retention 0 nothing may be evicted.
+func TestTriadRingExpiresWithWindow(t *testing.T) {
+	const (
+		retention = 200 * time.Millisecond
+		maxGap    = 10 * time.Millisecond
+		vertices  = 15
+	)
+	rng := rand.New(rand.NewSource(7))
+	typeOf := func(v graph.VertexID) string { return []string{"Host", "Server"}[v%2] }
+	edgeTypes := []string{"flow", "dns", "login"}
+	ts := graph.Timestamp(time.Second)
+	var stream []graph.StreamEdge
+	for i := 0; i < 800; i++ {
+		ts += graph.Timestamp(1 + rng.Int63n(int64(maxGap)))
+		src := graph.VertexID(rng.Intn(vertices))
+		dst := (src + 1 + graph.VertexID(rng.Intn(vertices-1))) % vertices
+		stream = append(stream, flowEdge(graph.EdgeID(i+1), src, dst, edgeTypes[rng.Intn(len(edgeTypes))], typeOf(src), typeOf(dst), ts))
+	}
+
+	for _, window := range []time.Duration{retention, 0} {
+		dyn := graph.NewDynamic(window)
+		s := NewSummary(WithTriadSampling(1))
+		for n, se := range stream {
+			if _, err := dyn.Apply(se); err != nil {
+				t.Fatal(err)
+			}
+			s.Observe(se, dyn.Graph())
+			cutoff := dyn.Cutoff()
+			if window == 0 {
+				// A moving bound must not evict anything without a retention.
+				cutoff = se.Edge.Timestamp
+			}
+			s.Expire(cutoff, window)
+			if n%20 != 19 {
+				continue
+			}
+			seen := stream[:n+1]
+			live := wedgeCounts(seen, typeOf, func(e, l *graph.Edge) bool {
+				return window == 0 || e.Timestamp >= cutoff && l.Timestamp >= cutoff
+			})
+			recent := wedgeCounts(seen, typeOf, func(e, l *graph.Edge) bool {
+				// e was still in the window when l arrived, and l arrived
+				// in the last 1⅛ retentions.
+				return window == 0 || e.Timestamp >= l.Timestamp-graph.Timestamp(window) &&
+					l.Timestamp >= cutoff-graph.Timestamp(window/sealsPerRetention+maxGap)
+			})
+			for key, want := range live {
+				if got := s.TriadFrequency(key); got < want {
+					t.Fatalf("window %s, edge %d: %v counted %d times, but the window holds %d", window, n, key, got, want)
+				}
+			}
+			for _, gen := range s.triads.gens {
+				for key := range gen.counts {
+					if got, most := s.TriadFrequency(key), recent[key]; got > most {
+						t.Fatalf("window %s, edge %d: %v counted %d times, more than the %d arrived in the last 1⅛ retentions", window, n, key, got, most)
+					}
+				}
+			}
+		}
+		var total, everAll uint64
+		for _, c := range wedgeCounts(stream, typeOf, func(e, l *graph.Edge) bool {
+			return window == 0 || e.Timestamp >= l.Timestamp-graph.Timestamp(window)
+		}) {
+			everAll += c
+		}
+		for _, gen := range s.triads.gens {
+			for _, c := range gen.counts {
+				total += c
+			}
+		}
+		switch {
+		case window == 0 && total != everAll:
+			t.Errorf("retention 0: %d wedges kept of %d counted", total, everAll)
+		case window > 0 && 4*total > everAll:
+			t.Errorf("retention %s: %d wedges kept of %d counted over ~22 retentions", window, total, everAll)
+		}
 	}
 }

@@ -1,8 +1,7 @@
 package stats
 
 import (
-	"fmt"
-	"sort"
+	"time"
 
 	"github.com/streamworks/streamworks/internal/graph"
 )
@@ -36,48 +35,52 @@ func canonicalTriad(centerType, typeA string, outA bool, typeB string, outB bool
 	return TriadKey{CenterType: centerType, EdgeTypeA: typeA, EdgeTypeB: typeB, OutA: outA, OutB: outB}
 }
 
-// String renders the triad as "(typeA dir) center (typeB dir)".
-func (k TriadKey) String() string {
-	dir := func(out bool) string {
-		if out {
-			return "out"
-		}
-		return "in"
+// triadRing counts wedges and forgets them with the window, by the scheme
+// sjtree's emitted sets use: a short ring of generations, each a table of
+// counts remembering the newest start among its wedges, where a wedge's
+// start is the timestamp of its earlier edge — the wedge is in the window
+// exactly while that edge is. Wedges are counted into the newest
+// generation; expire seals it once the cutoff has moved
+// retention/sealsPerRetention since it opened, and drops a sealed
+// generation whole once its newest start is below the cutoff. So no wedge
+// still in the window is ever dropped, and the ring holds at most
+// 1 + 1/sealsPerRetention retentions of wedges. With unbounded retention
+// the cutoff never moves and there is one generation for ever. The zero
+// value is an empty ring.
+type triadRing struct {
+	gens []triadGen // oldest first; the last is open, the others sealed
+	// cutoff is the newest expiry bound applied, openedAt what it was when
+	// the newest generation opened.
+	cutoff, openedAt graph.Timestamp
+}
+
+// sealsPerRetention is how many generations are sealed while the cutoff
+// crosses one retention (sjtree uses the same eighth).
+const sealsPerRetention = 8
+
+type triadGen struct {
+	counts   map[TriadKey]uint64
+	maxStart graph.Timestamp
+}
+
+// observeEdge counts every wedge the new edge e forms with the edges
+// incident to its endpoints in g.
+func (r *triadRing) observeEdge(g *graph.Graph, e *graph.Edge) {
+	if len(r.gens) == 0 {
+		r.open()
 	}
-	return fmt.Sprintf("%s[%s %s | %s %s]", k.CenterType, k.EdgeTypeA, dir(k.OutA), k.EdgeTypeB, dir(k.OutB))
-}
-
-// TriadCount pairs a triad signature with its observed frequency.
-type TriadCount struct {
-	Key   TriadKey
-	Count uint64
-}
-
-// TriadTable accumulates triad frequencies. It is not safe for concurrent
-// use on its own; Summary guards it with its own lock.
-type TriadTable struct {
-	counts map[TriadKey]uint64
-	total  uint64
-}
-
-// NewTriadTable returns an empty table.
-func NewTriadTable() *TriadTable {
-	return &TriadTable{counts: make(map[TriadKey]uint64)}
-}
-
-// ObserveEdge records every wedge the new edge e forms with edges already
-// incident to its endpoints in g. typeOf resolves vertex types for centre
-// vertices (the summary knows types even for vertices whose metadata arrived
-// on earlier edges).
-func (t *TriadTable) ObserveEdge(g *graph.Graph, e *graph.Edge, typeOf func(graph.VertexID) string) {
-	t.observeAround(g, e, e.Source, typeOf)
+	gen := &r.gens[len(r.gens)-1]
+	gen.observeAround(g, e, e.Source)
 	if e.Target != e.Source {
-		t.observeAround(g, e, e.Target, typeOf)
+		gen.observeAround(g, e, e.Target)
 	}
 }
 
-func (t *TriadTable) observeAround(g *graph.Graph, e *graph.Edge, center graph.VertexID, typeOf func(graph.VertexID) string) {
-	ct := typeOf(center)
+func (gen *triadGen) observeAround(g *graph.Graph, e *graph.Edge, center graph.VertexID) {
+	var ct string
+	if v, ok := g.Vertex(center); ok {
+		ct = v.Type
+	}
 	newOut := e.Source == center
 	// Walk the two incidence lists directly; IncidentEdges would allocate a
 	// combined slice per observed edge.
@@ -85,10 +88,11 @@ func (t *TriadTable) observeAround(g *graph.Graph, e *graph.Edge, center graph.V
 		if other.ID == e.ID {
 			return
 		}
-		otherOut := other.Source == center
-		key := canonicalTriad(ct, e.Type, newOut, other.Type, otherOut)
-		t.counts[key]++
-		t.total++
+		start := min(e.Timestamp, other.Timestamp)
+		if len(gen.counts) == 0 || start > gen.maxStart {
+			gen.maxStart = start
+		}
+		gen.counts[canonicalTriad(ct, e.Type, newOut, other.Type, other.Source == center)]++
 	}
 	for _, other := range g.OutEdges(center) {
 		observe(other)
@@ -98,23 +102,46 @@ func (t *TriadTable) observeAround(g *graph.Graph, e *graph.Edge, center graph.V
 	}
 }
 
-// Count returns the frequency recorded for the triad key.
-func (t *TriadTable) Count(key TriadKey) uint64 { return t.counts[key] }
-
-// Total returns the total number of wedges recorded.
-func (t *TriadTable) Total() uint64 { return t.total }
-
-// Snapshot returns all triads sorted by descending count then key string.
-func (t *TriadTable) Snapshot() []TriadCount {
-	out := make([]TriadCount, 0, len(t.counts))
-	for k, c := range t.counts {
-		out = append(out, TriadCount{Key: k, Count: c})
+// count returns the wedges with the given signature across the ring.
+func (r *triadRing) count(key TriadKey) uint64 {
+	var n uint64
+	for _, gen := range r.gens {
+		n += gen.counts[key]
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
+	return n
+}
+
+// open starts a new generation at the current cutoff.
+func (r *triadRing) open() {
+	r.gens = append(r.gens, triadGen{counts: make(map[TriadKey]uint64)})
+	r.openedAt = r.cutoff
+}
+
+// expire applies a new expiry cutoff: sealed generations whose every wedge
+// has an edge below it are dropped, and the open one is sealed when the
+// cutoff has moved far enough since it opened.
+func (r *triadRing) expire(cutoff graph.Timestamp, retention time.Duration) {
+	if retention <= 0 || cutoff <= r.cutoff {
+		return
+	}
+	r.cutoff = cutoff
+	if len(r.gens) == 0 {
+		return
+	}
+	open := len(r.gens) - 1
+	kept := r.gens[:0]
+	for i, gen := range r.gens {
+		if i == open || gen.maxStart >= cutoff {
+			kept = append(kept, gen)
 		}
-		return out[i].Key.String() < out[j].Key.String()
-	})
-	return out
+	}
+	clear(r.gens[len(kept):])
+	r.gens = kept
+	if cutoff.Sub(r.openedAt) >= retention/sealsPerRetention {
+		if len(r.gens[len(r.gens)-1].counts) > 0 {
+			r.open()
+		} else {
+			r.openedAt = cutoff
+		}
+	}
 }

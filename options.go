@@ -121,8 +121,8 @@ func WithSlack(d time.Duration) Option {
 	return func(c *config) { c.engine.Slack = d }
 }
 
-// WithSummaries toggles continuous stream-statistics collection (degree,
-// type and triad distributions) used by the selective query planner.
+// WithSummaries toggles the window statistics (type counts and sampled
+// triads) the selective query planner and adaptive re-planning read.
 // In-process backends only; default on.
 func WithSummaries(enabled bool) Option {
 	return func(c *config) { c.engine.EnableSummaries = enabled }

@@ -11,11 +11,11 @@ import (
 )
 
 // A match-dense stream for the bounded-state tests: match i is a request
-// edge at i·chainGap and its reply half a gap later, over three hosts that
-// come round again every three retentions, so every chainRetention of stream
-// time holds chainPerRetention matches of a request/reply query and nothing
-// else, and what the engine keeps per vertex (the stream summary) is full
-// well before the first measurement.
+// edge at i·chainGap and its reply half a gap later, over three hosts of its
+// own, so every chainRetention of stream time holds chainPerRetention
+// matches of a request/reply query and nothing else, and every vertex the
+// stream has ever named is one more that anything keeping per-vertex state
+// for ever would remember.
 const (
 	chainGap          = 4 * time.Millisecond
 	chainPerRetention = 1500
@@ -38,7 +38,7 @@ func chainEdges(buf []streamworks.StreamEdge, from, to int) []streamworks.Stream
 	start := streamworks.TimestampFromTime(time.Date(2013, 6, 22, 0, 0, 0, 0, time.UTC))
 	for i := from; i < to; i++ {
 		at := start.Add(time.Duration(i) * chainGap)
-		host := streamworks.VertexID(3 * (i % (3 * chainPerRetention)))
+		host := streamworks.VertexID(3 * i)
 		a, b, c := host+1, host+2, host+3
 		buf = append(buf,
 			streamworks.StreamEdge{
@@ -87,8 +87,9 @@ func measureEmitted(t *testing.T, eng streamworks.Engine) emittedState {
 // through a private SJ-Tree, a 25-member consumer group of the shared DAG
 // and a 2-shard engine (whose merger remembers matches too): what each
 // remembers of its emissions after 22 retentions must be what it remembered
-// after 4 — entries and heap alike — not five times that, while everything
-// still inside the window is kept. The group of 25 remembers a match once,
+// after 4 — entries and heap alike, the heap covering the window statistics
+// too — not five times that, while everything still inside the window is
+// kept. The group of 25 remembers a match once,
 // not once per member: it holds what the private tree holds. With unbounded
 // retention nothing expires and nothing may be forgotten.
 func TestEmittedStatePlateaus(t *testing.T) {
