@@ -200,6 +200,20 @@ func TestWedgeEstimateUsesTriads(t *testing.T) {
 	}
 }
 
+// TestWedgeEstimateScalesSampledTriads: a wedge estimate from sampled triads
+// is the sampled count times the sampling rate.
+func TestWedgeEstimateScalesSampledTriads(t *testing.T) {
+	s := NewSummary(WithTriadSampling(3))
+	hubStar(s) // 15 of the star's 36 hub wedges are sampled
+	q := query.NewBuilder("fan").
+		Vertex("h", "Hub").Vertex("a", "Leaf").Vertex("b", "Leaf").
+		Edge("h", "a", "flow").Edge("h", "b", "flow").
+		MustBuild()
+	if est := NewEstimator(s).SubgraphCardinality(q, q.EdgeIDs()); est != 45 {
+		t.Fatalf("wedge estimate = %v, want 15 sampled * 3", est)
+	}
+}
+
 func TestWedgeFallsBackWithoutTriads(t *testing.T) {
 	s := newsSummary() // triads disabled
 	e := NewEstimator(s)

@@ -88,6 +88,32 @@ func TestSummaryCountsFollowWindow(t *testing.T) {
 	}
 }
 
+// TestSummaryObserveGraph: the counts are the observed graph's, including
+// what it held before the summary saw any of its edges, and they follow the
+// graph last handed to Observe.
+func TestSummaryObserveGraph(t *testing.T) {
+	g := graph.New(graph.WithAutoVertices())
+	g.AddVertex(graph.Vertex{ID: 1, Type: "A"})
+	g.AddVertex(graph.Vertex{ID: 2, Type: "B"})
+	g.AddVertex(graph.Vertex{ID: 3, Type: "B"})
+	g.AddEdge(graph.Edge{ID: 1, Source: 1, Target: 2, Type: "x", Timestamp: 1})
+	s := NewSummary()
+	observe(s, g, flowEdge(2, 1, 3, "y", "A", "B", 2))
+	if s.TotalEdges() != 2 || s.TotalVertices() != 3 {
+		t.Fatalf("summary counts %d edges, %d vertices; the graph holds 2, 3", s.TotalEdges(), s.TotalVertices())
+	}
+	if s.VertexTypeCount("B") != 2 || s.EdgeTypeCount("x") != 1 {
+		t.Fatalf("types the graph held before Observe not counted")
+	}
+
+	other := graph.New(graph.WithAutoVertices())
+	observe(s, other, flowEdge(3, 7, 8, "z", "C", "C", 3))
+	if s.TotalEdges() != 1 || s.EdgeTypeCount("x") != 0 || s.VertexTypeCount("C") != 2 {
+		t.Fatalf("summary still reads the previous graph: %d edges, x=%d, C=%d",
+			s.TotalEdges(), s.EdgeTypeCount("x"), s.VertexTypeCount("C"))
+	}
+}
+
 func TestSummaryTriadCollection(t *testing.T) {
 	g := graph.New(graph.WithAutoVertices())
 	s := NewSummary(WithTriadSampling(1))
@@ -110,6 +136,82 @@ func TestSummaryTriadSamplingDisabled(t *testing.T) {
 	}
 	if n := s.TriadFrequency(canonicalTriad("Hub", "flow", true, "flow", true)); n != 0 {
 		t.Fatalf("%d triads recorded despite sampling disabled", n)
+	}
+}
+
+// hubStar observes a star of nine "flow" edges out of hub 0 into s: edge i
+// forms i-1 wedges at the hub and none at its leaf.
+func hubStar(s *Summary) {
+	g := graph.New(graph.WithAutoVertices())
+	for i := 1; i <= 9; i++ {
+		observe(s, g, flowEdge(graph.EdgeID(i), 0, graph.VertexID(i), "flow", "Hub", "Leaf", graph.Timestamp(i)))
+	}
+}
+
+// TestSummaryTriadSamplingRate: with sampling n only every nth edge scans for
+// wedges, and TriadScale is the factor that compensates.
+func TestSummaryTriadSamplingRate(t *testing.T) {
+	key := canonicalTriad("Hub", "flow", true, "flow", true)
+	for _, tc := range []struct {
+		sampling int
+		want     uint64
+		scale    float64
+	}{
+		{1, 36, 1},        // 0+1+...+8
+		{3, 2 + 5 + 8, 3}, // only edges 3, 6 and 9 scan
+		{0, 0, 1},
+	} {
+		s := NewSummary(WithTriadSampling(tc.sampling))
+		hubStar(s)
+		if got := s.TriadFrequency(key); got != tc.want {
+			t.Errorf("sampling %d: %d hub wedges counted, want %d", tc.sampling, got, tc.want)
+		}
+		if got := s.TriadScale(); got != tc.scale {
+			t.Errorf("sampling %d: TriadScale = %v, want %v", tc.sampling, got, tc.scale)
+		}
+	}
+	if got := NewSummary().TriadScale(); got != 10 {
+		t.Errorf("default TriadScale = %v, want 10", got)
+	}
+}
+
+// TestTriadRingStaysBoundedWhenIdle: a wedge is kept exactly while its
+// earlier edge is in the window; after that a window that keeps moving
+// without new edges leaves one empty generation, not one per seal; and a
+// cutoff that moves backwards changes nothing.
+func TestTriadRingStaysBoundedWhenIdle(t *testing.T) {
+	const retention = 80 * time.Nanosecond // a generation seals every 10ns
+	g := graph.New(graph.WithAutoVertices())
+	var r triadRing
+	for _, se := range []graph.StreamEdge{
+		flowEdge(1, 1, 2, "req", "Host", "Host", 100),
+		flowEdge(2, 2, 3, "reply", "Host", "Host", 101),
+	} {
+		if _, err := g.AddStreamEdge(se); err != nil {
+			t.Fatal(err)
+		}
+		r.observeEdge(g, &se.Edge)
+	}
+	key := canonicalTriad("Host", "reply", true, "req", false)
+	for c := graph.Timestamp(1); c <= 1000; c++ {
+		r.expire(c, retention)
+		want := uint64(0)
+		if c <= 100 {
+			want = 1
+		}
+		if got := r.count(key); got != want {
+			t.Fatalf("cutoff %d: wedge starting at 100 counted %d times, want %d", c, got, want)
+		}
+		if len(r.gens) > 2 {
+			t.Fatalf("cutoff %d: %d generations for one wedge", c, len(r.gens))
+		}
+	}
+	if len(r.gens) != 1 || len(r.gens[0].counts) != 0 {
+		t.Fatalf("idle ring holds %d generations, want one empty one", len(r.gens))
+	}
+	r.expire(500, retention)
+	if r.cutoff != 1000 {
+		t.Fatalf("a cutoff moving backwards was applied: cutoff now %d", r.cutoff)
 	}
 }
 
