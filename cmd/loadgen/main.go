@@ -9,7 +9,7 @@
 // frame batches, or the persistent binary /v1/stream session.
 //
 //	loadgen -addr http://127.0.0.1:8090 -workload netflow -edges 100000
-//	loadgen -workload many-queries -queries 300   # 300 generated variants (pair with streamworksd -shared-plans)
+//	loadgen -workload many-queries -queries 300   # 300 generated variants, folded into the daemon's one DAG
 //	loadgen -transport stream -wait -sigs out.sigs # persistent session; write the delivered match set
 //	loadgen -dump edges.ndjson                     # write the stream for curl replay
 //
@@ -64,7 +64,7 @@ func main() {
 		// Variant registration load: N generated near-duplicate standing
 		// queries (cycled netflow/news patterns with window and predicate
 		// jitter) in place of the workload's own suite — the deployment shape
-		// a daemon running with -shared-plans folds into one evaluation DAG.
+		// the daemon's shared evaluation DAG folds into few nodes.
 		w.Queries = gen.QueryVariants(*queries, *window)
 	}
 	if *dumpPath != "" {

@@ -37,7 +37,6 @@ func main() {
 		shards    = flag.Int("shards", 4, "number of engine shards")
 		retention = flag.Duration("retention", 0, "sliding window width (0 = retain everything; query windows widen it)")
 		slack     = flag.Duration("slack", 0, "tolerated out-of-order arrival lag")
-		sharedPln = flag.Bool("shared-plans", false, "fold all registered queries into one shared evaluation DAG: common subpatterns are evaluated once per edge and fanned out (emissions unchanged)")
 		subBuffer = flag.Int("sub-buffer", 256, "per-subscriber match buffer; overflow evicts the subscriber")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables")
 
@@ -47,7 +46,7 @@ func main() {
 		requireDur    = flag.Bool("require-durability", false, "refuse ingest with 503 while durability is degraded instead of continuing in-memory (needs -data-dir)")
 		ingestTimeout = flag.Duration("ingest-timeout", 0, "bound on how long a wait=1 ingest request blocks before answering 503 (0 = unbounded)")
 
-		obsOn       = flag.Bool("obs", false, "enable observability: per-segment latency histograms, per-plan-node statistics, Prometheus exposition at GET /metrics")
+		obsOn       = flag.Bool("obs", false, "enable observability: per-segment latency histograms, emitted-set gauges, Prometheus exposition at GET /metrics")
 		traceBuffer = flag.Int("trace-buffer", 4096, "edge-journey trace ring capacity in events (0 disables tracing; needs -obs)")
 		traceSample = flag.Int("trace-sample", 64, "trace one edge in n, selected by edge ID (0 disables tracing); at most 1000 events are recorded per second")
 
@@ -90,7 +89,6 @@ func main() {
 	engine := core.DefaultConfig()
 	engine.Retention = *retention
 	engine.Slack = *slack
-	engine.SharedPlans = *sharedPln
 	engine.Obs = obsCfg
 
 	srv := server.New(server.Config{

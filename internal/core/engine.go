@@ -1,12 +1,16 @@
 // Package core implements the StreamWorks continuous query engine: the
 // component that ties the dynamic graph, the summarization layer, the query
-// planner and the per-query SJ-Trees together (paper §4).
+// planner and the SJ-Tree join machinery together (paper §4).
 //
-// Users register graph queries; the engine then consumes a stream of
-// timestamped edges and, for every arriving edge, runs a local search for
-// each registered query's leaf primitives that the edge can participate in,
-// inserts the resulting primitive matches into the query's SJ-Tree and
-// reports every complete match that emerges within the query's time window.
+// Users register graph queries; each query's decomposition plan — the
+// paper's SJ-Tree, a left-deep plan in the sense of arXiv 1407.3745 — is
+// folded into one evaluation DAG shared by every registration
+// (internal/mqo), in which a single query is simply a DAG where nothing
+// happens to be shared. The engine then consumes a stream of timestamped
+// edges and, for every arriving edge, runs one local search per distinct leaf
+// primitive the edge can participate in, joins the resulting primitive
+// matches up the DAG and reports every complete match that emerges within
+// each query's time window.
 package core
 
 import (
@@ -25,18 +29,18 @@ import (
 	"github.com/streamworks/streamworks/internal/stream"
 )
 
-// MatchEvent is one complete match reported by the engine. Under shared
-// plans the queries of one consumer group (internal/mqo) receive the very
-// same *match.Match and Signature string for a data subgraph they all match:
-// both are immutable from emission on, and sinks must treat them so.
+// MatchEvent is one complete match reported by the engine. The queries of
+// one consumer group (internal/mqo) receive the very same *match.Match and
+// Signature string for a data subgraph they all match: both are immutable
+// from emission on, and sinks must treat them so.
 type MatchEvent struct {
 	// Query is the name of the registered query that matched.
 	Query string
 	// Match is the complete binding of the query graph in the data graph.
 	Match *match.Match
 	// Signature is Match.Signature() when the emitter has already built it
-	// (the shared DAG builds it once per consumer group), empty otherwise;
-	// read it through CanonicalSignature.
+	// (the DAG builds it once per consumer group), empty otherwise; read it
+	// through CanonicalSignature.
 	Signature string
 	// DetectedAt is the stream watermark at the moment of detection; the
 	// detection latency of an event is DetectedAt minus the event's last
@@ -125,13 +129,9 @@ type Config struct {
 	// exclusively through the configured obs.Clock (never a concrete clock
 	// — swvet's walltime pass enforces the seam).
 	Obs obs.Config
-	// SharedPlans switches registration onto the multi-query shared-plan
-	// path: instead of one SJ-Tree per query, all registered queries fold
-	// into a single evaluation DAG (internal/mqo) in which structurally
-	// identical subpatterns are computed once per edge and fanned out to
-	// every query containing them. Emission semantics are unchanged —
-	// shared-DAG mode produces byte-identical canonical match sets to the
-	// per-query mode for queries registered before ingestion begins.
+	// SharedPlans is ignored: every engine folds its queries into the one
+	// shared evaluation DAG. The field stays only because the benchmark
+	// harness under benchmark/ still sets it.
 	SharedPlans bool
 }
 
@@ -169,10 +169,10 @@ type Engine struct {
 	registrations map[string]*Registration
 	order         []string // registration order, for deterministic iteration
 
-	// dag is the shared evaluation DAG, non-nil only under
-	// Config.SharedPlans; dagEvents is where Registration.emitShared appends
-	// MatchEvents during a DAG ProcessEdge or plan-swap replay (the DAG
-	// emits through per-attachment callbacks rather than returning slices).
+	// dag is the evaluation DAG every registration is attached to;
+	// dagEvents is where Registration.emit appends MatchEvents during a DAG
+	// ProcessEdge or plan-swap backfill (the DAG emits through per-attachment
+	// callbacks rather than returning slices).
 	dag       *mqo.DAG
 	dagEvents []MatchEvent
 
@@ -180,16 +180,15 @@ type Engine struct {
 	// ProcessEdge calls; see the ProcessEdge doc for the aliasing contract.
 	evScratch []MatchEvent
 	// expiredPending collects the IDs of edges evicted from the sliding
-	// window since the last prune sweep; the sweep drains it through each
-	// registration's SJ-Tree so stored partial matches never outlive the
-	// data edges they bind (the window-less-query leak the expiry callback
-	// exists to plug).
+	// window since the last prune sweep; the sweep drains it through the DAG
+	// so stored partial matches never outlive the data edges they bind (the
+	// window-less-query leak the expiry callback exists to plug).
 	expiredPending map[graph.EdgeID]struct{}
 
 	// sinks are the registered per-query match subscriptions, dispatched at
-	// the emission point (Registration.processCandidates). Like the rest of
-	// the engine they are driver-goroutine state: Subscribe and the returned
-	// cancel functions must be called from the goroutine streaming edges.
+	// the emission point (Registration.emit). Like the rest of the engine
+	// they are driver-goroutine state: Subscribe and the returned cancel
+	// functions must be called from the goroutine streaming edges.
 	sinks      []engineSink
 	nextSinkID int
 
@@ -220,14 +219,9 @@ func New(cfg *Config) *Engine {
 	e.planner = decompose.NewPlanner(e.est)
 	e.replanCfg = c.Replan.WithDefaults()
 	e.obs = newEngineObs(c.Obs)
-	if c.SharedPlans {
-		e.dag = mqo.New(e.dyn, mqo.WithObs(c.Obs))
-	}
+	e.dag = mqo.New(e.dyn, mqo.WithObs(c.Obs))
 	return e
 }
-
-// SharedPlans reports whether the engine runs the shared-plan DAG path.
-func (e *Engine) SharedPlans() bool { return e.dag != nil }
 
 // Graph exposes the engine's dynamic data graph (read-only use).
 func (e *Engine) Graph() *graph.Dynamic { return e.dyn }
@@ -265,10 +259,17 @@ var (
 )
 
 // RegisterQuery registers a continuous query. The query is decomposed with
-// the configured strategy (selective by default, using whatever summary
-// statistics have been collected so far) and an SJ-Tree is instantiated for
-// it. Matches are reported both from ProcessEdge return values and to the
+// the configured strategy (selective by default, using the statistics of the
+// window as it is now) and the plan is attached to the engine's evaluation
+// DAG. Matches are reported both from ProcessEdge return values and to the
 // sinks attached with Subscribe.
+//
+// A query registered mid-stream sees the retained window as if it had been
+// registered before it began: plan nodes new to the DAG are backfilled from
+// the live edges, so a match is reported when its last edge arrives after
+// registration even if some of its edges, or whole primitives, arrived
+// before. Matches already complete at registration are recorded and never
+// reported.
 func (e *Engine) RegisterQuery(q *query.Graph, opts ...RegistrationOption) (*Registration, error) {
 	if q == nil {
 		return nil, ErrNilQuery
@@ -287,16 +288,14 @@ func (e *Engine) RegisterQuery(q *query.Graph, opts ...RegistrationOption) (*Reg
 	if err := e.extendRetention(q.Window()); err != nil {
 		return nil, fmt.Errorf("registering %q: %w", name, err)
 	}
-	if e.dag != nil {
-		// extendRetention may have rebuilt the dynamic graph (pre-ingest
-		// only); point the DAG at the live instance before attaching.
-		e.dag.SetGraph(e.dyn)
-		att, err := e.dag.Attach(name, q, reg.plan, mqo.AttachOptions{EmitSigned: reg.emitShared})
-		if err != nil {
-			return nil, fmt.Errorf("registering %q: %w", name, err)
-		}
-		reg.att = att
+	// extendRetention may have rebuilt the dynamic graph (pre-ingest only);
+	// point the DAG at the live instance before attaching.
+	e.dag.SetGraph(e.dyn)
+	att, err := e.dag.Attach(name, q, reg.plan, mqo.AttachOptions{EmitSigned: reg.emit})
+	if err != nil {
+		return nil, fmt.Errorf("registering %q: %w", name, err)
 	}
+	reg.att = att
 	e.registrations[name] = reg
 	e.order = append(e.order, name)
 	if reg.adaptive {
@@ -314,10 +313,8 @@ func (e *Engine) UnregisterQuery(name string) error {
 	if reg.adaptive {
 		e.adaptiveCount--
 	}
-	if e.dag != nil {
-		if err := e.dag.Detach(name); err != nil {
-			return err
-		}
+	if err := e.dag.Detach(name); err != nil {
+		return err
 	}
 	delete(e.registrations, name)
 	for i, n := range e.order {
@@ -378,9 +375,8 @@ func (e *Engine) dispatch(ev MatchEvent) {
 }
 
 // noteExpired is the dynamic graph's expiry callback: it records the evicted
-// edge for the next prune sweep, which forwards the batch to every
-// registration's tree in one scan (Tree.PruneExpiredEdges) instead of
-// scanning per expired edge.
+// edge for the next prune sweep, which forwards the batch to the DAG in one
+// scan (DAG.Prune) instead of scanning per expired edge.
 func (e *Engine) noteExpired(de *graph.Edge) {
 	e.expiredPending[de.ID] = struct{}{}
 }
@@ -419,24 +415,16 @@ func (e *Engine) ProcessEdge(se graph.StreamEdge) []MatchEvent {
 		procStart = e.obs.clock.Now()
 	}
 
-	events := e.evScratch[:0]
-	if e.dag != nil {
-		if e.obs.enabled {
-			e.obs.curEdge = uint64(stored.ID)
-		}
-		// Shared path: one DAG pass covers every registration; emissions
-		// arrive through Registration.emitShared, which appends to
-		// e.dagEvents (pointed at the scratch slice for this call).
-		e.dagEvents = events
-		e.dag.ProcessEdge(stored)
-		events = e.dagEvents
-		e.dagEvents = nil
-	} else {
-		for _, name := range e.order {
-			reg := e.registrations[name]
-			events = reg.processEdge(stored, events)
-		}
+	if e.obs.enabled {
+		e.obs.curEdge = uint64(stored.ID)
 	}
+	// One DAG pass covers every registration; emissions arrive through
+	// Registration.emit, which appends to e.dagEvents (pointed at the
+	// scratch slice for this call).
+	e.dagEvents = e.evScratch[:0]
+	e.dag.ProcessEdge(stored)
+	events := e.dagEvents
+	e.dagEvents = nil
 	e.evScratch = events
 	e.metrics.MatchesEmitted += uint64(len(events))
 
@@ -529,20 +517,8 @@ func (e *Engine) pruneAll() {
 	wm := e.dyn.Watermark()
 	cutoff, retention := e.dyn.Cutoff(), e.dyn.Window()
 	evicted := e.metrics.EmittedEvicted
-	if e.dag != nil {
-		e.metrics.PartialsPruned += uint64(e.dag.Prune(wm, e.expiredPending))
-		e.metrics.EmittedEvicted = e.dag.EmittedEvicted()
-	} else {
-		for _, name := range e.order {
-			reg := e.registrations[name]
-			if w := reg.query.Window(); w > 0 {
-				e.metrics.PartialsPruned += uint64(reg.tree.Prune(wm - graph.Timestamp(w)))
-			} else {
-				e.metrics.PartialsPruned += uint64(reg.tree.PruneExpiredEdges(e.expiredPending))
-			}
-			e.metrics.EmittedEvicted += uint64(reg.tree.Emitted().Expire(cutoff, retention))
-		}
-	}
+	e.metrics.PartialsPruned += uint64(e.dag.Prune(wm, e.expiredPending))
+	e.metrics.EmittedEvicted = e.dag.EmittedEvicted()
 	clear(e.expiredPending)
 	if e.summary != nil {
 		e.summary.Expire(cutoff, retention)
@@ -551,7 +527,7 @@ func (e *Engine) pruneAll() {
 		e.obs.emittedEvicted.Add(e.metrics.EmittedEvicted - evicted)
 		for _, name := range e.order {
 			reg := e.registrations[name]
-			entries, bytes := reg.emittedSize()
+			entries, bytes := reg.att.EmittedSize()
 			reg.emittedEntries.Set(int64(entries))
 			reg.emittedBytes.Set(int64(bytes))
 		}
@@ -565,12 +541,9 @@ func (e *Engine) Metrics() Metrics {
 	m.LiveEdges = e.dyn.NumEdges()
 	m.LiveVertices = e.dyn.NumVertices()
 	m.ExpiredEdges = e.dyn.ExpiredTotal()
-	if e.dag != nil {
-		ds := e.dag.Stats()
-		m.MQO = &ds
-		m.PartialMatches = ds.PartialMatches
-		m.LocalSearches = ds.LocalSearches
-	}
+	m.MQO = e.dag.Stats()
+	m.PartialMatches = m.MQO.PartialMatches
+	m.LocalSearches = m.MQO.LocalSearches
 	for _, name := range e.order {
 		reg := e.registrations[name]
 		qm := QueryMetrics{
@@ -583,21 +556,13 @@ func (e *Engine) Metrics() Metrics {
 			PlanNodes:      reg.plan.NumNodes(),
 			PlanDepth:      reg.plan.Depth(),
 		}
-		qm.EmittedEntries, qm.EmittedBytes = reg.emittedSize()
-		if reg.tree != nil {
-			m.PartialMatches += reg.tree.PartialMatchCount()
-			m.LocalSearches += reg.localSearches
-			qm.PartialMatches = reg.tree.PartialMatchCount()
-			qm.LocalSearches = reg.localSearches
-			qm.Nodes = reg.nodeMetrics()
-		} else {
-			// Shared mode: the per-query view of the DAG. LocalSearches
-			// reports the query's coverage (a shared leaf's searches count
-			// for every query viewing it); the DAG-level totals above report
-			// actual cost, and the gap between the two is the sharing win.
-			qm.PartialMatches = reg.att.PartialMatches()
-			qm.LocalSearches = reg.att.LeafSearches()
-		}
+		qm.EmittedEntries, qm.EmittedBytes = reg.att.EmittedSize()
+		// The per-query view of the DAG: LocalSearches reports the query's
+		// coverage (a shared leaf's searches count for every query viewing
+		// it); the DAG-level totals above report actual cost, and the gap
+		// between the two is the sharing win.
+		qm.PartialMatches = reg.att.PartialMatches()
+		qm.LocalSearches = reg.att.LeafSearches()
 		if n := len(reg.audits); n > 0 {
 			audit := reg.audits[n-1]
 			qm.LastReplanAudit = &audit

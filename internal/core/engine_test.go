@@ -393,17 +393,104 @@ func TestEngineUnregisterQueryMidStream(t *testing.T) {
 	if m.Queries[0].Matches != 2 {
 		t.Fatalf("surviving registration disturbed: %+v", m.Queries[0])
 	}
-	// The unregistered query's partial state is gone: no lingering partials
-	// beyond the surviving registration's own.
-	reg, _ := e.Registration("fanout")
-	if m.PartialMatches != reg.Tree().PartialMatchCount() {
-		t.Fatalf("dropped registration's partials still counted: %d vs %d",
-			m.PartialMatches, reg.Tree().PartialMatchCount())
+	// The unregistered query's partial state is gone: the DAG stores what
+	// an engine that only ever ran the surviving registration stores.
+	alone := New(nil)
+	if _, err := alone.RegisterQuery(fanout); err != nil {
+		t.Fatal(err)
+	}
+	alone.ProcessEdge(hostEdge(1, 1, 2, "icmp_echo_req", base))
+	alone.ProcessEdge(hostEdge(2, 2, 3, "icmp_echo_reply", base.Add(time.Second)))
+	alone.ProcessEdge(hostEdge(3, 1, 4, "icmp_echo_req", base.Add(2*time.Second)))
+	if want := alone.Metrics(); m.PartialMatches != want.PartialMatches || m.MQO.Nodes != want.MQO.Nodes {
+		t.Fatalf("dropped registration's state still held: %d stored in %d nodes, the survivor alone %d in %d",
+			m.PartialMatches, m.MQO.Nodes, want.PartialMatches, want.MQO.Nodes)
 	}
 	// Pruning sweeps must not trip over the removed registration.
 	for i := 0; i < 2100; i++ {
 		ts := base.Add(time.Duration(i+3) * time.Second)
 		e.ProcessEdge(hostEdge(graph.EdgeID(i+10), graph.VertexID(i+100), graph.VertexID(i+5000), "icmp_echo_req", ts))
+	}
+}
+
+// TestLateRegistrationBackfillsFromWindow: a query registered mid-stream is
+// answered from the retained window as if it had been registered before it.
+// It is sent exactly the matches, by the naive-expansion oracle, whose last
+// edge arrives after registration — including those whose first primitive,
+// or all but their last edge, arrived before — and none completed before.
+// That holds for a plan node the DAG already has, too: the request leaf of a
+// query registered up front with a one-second window has pruned the requests
+// the late one-minute smurf needs.
+func TestLateRegistrationBackfillsFromWindow(t *testing.T) {
+	base := graph.TimestampFromTime(time.Unix(9800, 0))
+	at := func(s int) graph.Timestamp { return base.Add(time.Duration(s) * time.Second) }
+	edges := []graph.StreamEdge{
+		hostEdge(1, 1, 2, "icmp_echo_req", at(1)),
+		hostEdge(2, 2, 3, "icmp_echo_reply", at(2)), // completes smurf before registration
+		hostEdge(3, 4, 5, "icmp_echo_req", at(3)),   // a whole leaf primitive, before
+		hostEdge(4, 7, 8, "scan", at(4)),
+		hostEdge(5, 7, 9, "infect", at(5)), // burst's first primitive, before
+		// Registration happens here.
+		hostEdge(6, 5, 6, "icmp_echo_reply", at(6)),  // completes with edge 3
+		hostEdge(7, 2, 10, "icmp_echo_reply", at(7)), // completes with edge 1
+		hostEdge(8, 7, 9, "flow", at(8)),             // completes burst with edges 4 and 5
+		hostEdge(9, 11, 12, "icmp_echo_req", at(9)),
+		hostEdge(10, 12, 13, "icmp_echo_reply", at(10)), // wholly after
+	}
+	const split = 5
+	late := []*query.Graph{smurfQuery(time.Minute), burstQuery(time.Minute)}
+	var want []naiveMatch
+	for _, nm := range naiveMatches(0, late, edges) {
+		if nm.at >= split {
+			want = append(want, nm)
+		}
+	}
+	if len(want) != 4 {
+		t.Fatalf("fixture: the oracle finds %d matches completing after registration, want 4", len(want))
+	}
+
+	cfg := DefaultConfig()
+	cfg.Retention = time.Minute
+	cfg.PruneInterval = 1
+	e := New(&cfg)
+	early := query.NewBuilder("smurf-1s").Window(time.Second).
+		Vertex("attacker", "Host").Vertex("amplifier", "Host").Vertex("victim", "Host").
+		Edge("attacker", "amplifier", "icmp_echo_req").Edge("amplifier", "victim", "icmp_echo_reply").
+		MustBuild()
+	if _, err := e.RegisterQuery(early, WithStrategy(decompose.StrategyEager)); err != nil {
+		t.Fatal(err)
+	}
+	for _, se := range edges[:split] {
+		e.ProcessEdge(se)
+	}
+	// Eager smurf has two leaves, the request one shared with smurf-1s;
+	// burst's selective plan has two as well. Each late query has a
+	// primitive that predates it.
+	if _, err := e.RegisterQuery(late[0], WithStrategy(decompose.StrategyEager)); err != nil {
+		t.Fatal(err)
+	}
+	reg, err := e.RegisterQuery(late[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reg.Plan().NumNodes() < 3 {
+		t.Fatalf("burst planned as a single primitive; the fixture needs two leaves")
+	}
+	got := map[string]int{}
+	for _, se := range edges[split:] {
+		for _, ev := range e.ProcessEdge(se) {
+			if ev.Query != early.Name() {
+				got[ev.Query+"\x1f"+ev.CanonicalSignature()]++
+			}
+		}
+	}
+	for _, nm := range want {
+		if got[nm.key()] != 1 {
+			t.Errorf("%s completed by edge %d sent %d times, want once", nm.query, nm.at+1, got[nm.key()])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("late registrations were sent %d distinct matches, the oracle finds %d after registration", len(got), len(want))
 	}
 }
 

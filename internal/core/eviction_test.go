@@ -15,9 +15,9 @@ import (
 // matches delivers exactly what one that remembers everything delivers, each
 // match once — across the operations that derive matches a second time from
 // retained state, forced every few retentions of a sixty-retention stream:
-// plan swaps (a rebuilt SJ-Tree replaying the window per query; DAG.Swap
-// under shared plans) and a mid-stream registration (under shared plans its
-// root is an existing node, backfilled with the matches already there).
+// plan swaps (DAG.Swap backfilling the new plan's nodes from the window) and
+// a mid-stream registration (its root is an existing node, backfilled with
+// the matches already there).
 func TestExactlyOnceAcrossEviction(t *testing.T) {
 	const retention = 10 * time.Second // 50 edges of randomHostStream
 	edges := randomHostStream(99, 3000)
@@ -25,11 +25,10 @@ func TestExactlyOnceAcrossEviction(t *testing.T) {
 		delivered map[string]int // query + signature -> deliveries
 		evicted   uint64
 	}
-	run := func(t *testing.T, shared, keep bool) outcome {
+	run := func(t *testing.T, keep bool) outcome {
 		sjtree.KeepEmittedForTest(keep)
 		defer sjtree.KeepEmittedForTest(false)
 		cfg := DefaultConfig()
-		cfg.SharedPlans = shared
 		cfg.Retention = retention
 		cfg.PruneInterval = 16
 		e := New(&cfg)
@@ -47,8 +46,7 @@ func TestExactlyOnceAcrossEviction(t *testing.T) {
 			e.ProcessEdge(se)
 			switch n := i + 1; {
 			case n == 400:
-				// Same shape as probe: under shared plans its root node exists
-				// and is full.
+				// Same shape as probe: its root node exists and is full.
 				late := query.NewBuilder("probe-late").
 					Vertex("scanner", "Host").Vertex("target", "Host").Vertex("resolver", "Host").
 					Edge("scanner", "target", "icmp_echo_req").Edge("target", "resolver", "dns").
@@ -71,43 +69,34 @@ func TestExactlyOnceAcrossEviction(t *testing.T) {
 		out.evicted = m.EmittedEvicted
 		return out
 	}
-	for _, shared := range []bool{false, true} {
-		name := "per-query trees"
-		if shared {
-			name = "shared plans"
+	want, got := run(t, true), run(t, false)
+	if want.evicted != 0 || got.evicted == 0 {
+		t.Fatalf("%d entries evicted with eviction off, %d with it on", want.evicted, got.evicted)
+	}
+	for key, n := range got.delivered {
+		if n != 1 {
+			t.Errorf("%q delivered %d times", key, n)
 		}
-		t.Run(name, func(t *testing.T) {
-			want, got := run(t, shared, true), run(t, shared, false)
-			if want.evicted != 0 || got.evicted == 0 {
-				t.Fatalf("%d entries evicted with eviction off, %d with it on", want.evicted, got.evicted)
-			}
-			for key, n := range got.delivered {
-				if n != 1 {
-					t.Errorf("%q delivered %d times", key, n)
-				}
-				if want.delivered[key] == 0 {
-					t.Errorf("%q delivered only when emitted sets evict", key)
-				}
-			}
-			if len(got.delivered) != len(want.delivered) || len(got.delivered) < 100 {
-				t.Fatalf("%d distinct matches delivered, %d when emitted sets keep everything", len(got.delivered), len(want.delivered))
-			}
-		})
+		if want.delivered[key] == 0 {
+			t.Errorf("%q delivered only when emitted sets evict", key)
+		}
+	}
+	if len(got.delivered) != len(want.delivered) || len(got.delivered) < 100 {
+		t.Fatalf("%d distinct matches delivered, %d when emitted sets keep everything", len(got.delivered), len(want.delivered))
 	}
 }
 
 // TestEmittedGaugesFollowTheSets: with observability on, the per-query
 // emitted-set gauges and the eviction counter in the registry say what
-// Metrics says, and summed over the queries they say what is resident. Under
-// shared plans three queries of one shape read their root through one
-// consumer group with one set: its first member in attach order carries it,
-// the others report nothing, and the sum is what the one private tree holds.
+// Metrics says, and summed over the queries they say what is resident. Three
+// queries of one shape read their root through one consumer group with one
+// set: its first member in attach order carries it, the others report
+// nothing, and the sum is what the set of a query registered alone holds.
 func TestEmittedGaugesFollowTheSets(t *testing.T) {
-	run := func(t *testing.T, shared bool, windows ...time.Duration) (entries, bytes int) {
+	run := func(t *testing.T, windows ...time.Duration) (entries, bytes int) {
 		cfg := DefaultConfig()
 		cfg.Retention = 10 * time.Second
 		cfg.PruneInterval = 16
-		cfg.SharedPlans = shared
 		cfg.Obs.Enabled = true
 		e := New(&cfg)
 		for i, w := range windows {
@@ -135,16 +124,16 @@ func TestEmittedGaugesFollowTheSets(t *testing.T) {
 				t.Fatalf("%s: registry says %d entries, %d bytes; Metrics says %d, %d",
 					q.Name, gaugeEntries.Value, gaugeBytes.Value, q.EmittedEntries, q.EmittedBytes)
 			}
-			if shared && i > 0 && (q.EmittedEntries != 0 || q.EmittedBytes != 0) {
+			if i > 0 && (q.EmittedEntries != 0 || q.EmittedBytes != 0) {
 				t.Fatalf("%s reports %d entries, %d bytes of a set the group's first member carries", q.Name, q.EmittedEntries, q.EmittedBytes)
 			}
 			entries, bytes = entries+q.EmittedEntries, bytes+q.EmittedBytes
 		}
 		return entries, bytes
 	}
-	treeEntries, treeBytes := run(t, false, 10*time.Second)
-	groupEntries, groupBytes := run(t, true, 10*time.Second, 5*time.Second, 2*time.Second)
-	if groupEntries != treeEntries || groupBytes != treeBytes {
-		t.Fatalf("a group of three holds %d entries in %d bytes, one private tree %d in %d", groupEntries, groupBytes, treeEntries, treeBytes)
+	aloneEntries, aloneBytes := run(t, 10*time.Second)
+	groupEntries, groupBytes := run(t, 10*time.Second, 5*time.Second, 2*time.Second)
+	if groupEntries != aloneEntries || groupBytes != aloneBytes {
+		t.Fatalf("a group of three holds %d entries in %d bytes, a query alone %d in %d", groupEntries, groupBytes, aloneEntries, aloneBytes)
 	}
 }

@@ -23,7 +23,7 @@ func pathQuery() *query.Graph {
 }
 
 // TestEngineExpiryPrunesUnwindowedPartials proves the dynamic graph's expiry
-// callback is wired into the SJ-Trees: half-matches of a window-less query
+// callback is wired into the DAG: half-matches of a window-less query
 // are dropped once the edges they bind fall out of the retention window,
 // instead of accumulating forever.
 func TestEngineExpiryPrunesUnwindowedPartials(t *testing.T) {
@@ -43,16 +43,16 @@ func TestEngineExpiryPrunesUnwindowedPartials(t *testing.T) {
 			t.Fatalf("unexpected complete match: %v", got)
 		}
 	}
-	if got := reg.Tree().PartialMatchCount(); got != 8 {
+	if got := reg.Attachment().PartialMatches(); got != 8 {
 		t.Fatalf("PartialMatchCount = %d, want 8", got)
 	}
 	// Jump stream time far past retention: all hop1 edges expire, and the
-	// prune triggered by the watermark move must drain them from the tree.
+	// prune triggered by the watermark move must drain them from the DAG.
 	e.Advance(base.Add(time.Minute))
 	if live := e.Graph().NumEdges(); live != 0 {
 		t.Fatalf("%d edges still live after advance", live)
 	}
-	if got := reg.Tree().PartialMatchCount(); got != 0 {
+	if got := reg.Attachment().PartialMatches(); got != 0 {
 		t.Fatalf("PartialMatchCount = %d after expiry, want 0", got)
 	}
 	if m := e.Metrics(); m.PartialsPruned != 8 {
@@ -88,11 +88,11 @@ func TestEngineExpiryCallbackSurvivesRetentionRebuild(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		e.ProcessEdge(hostEdge(graph.EdgeID(i+1), graph.VertexID(2*i+1), graph.VertexID(2*i+2), "hop1", base))
 	}
-	if got := reg.Tree().PartialMatchCount(); got != 4 {
+	if got := reg.Attachment().PartialMatches(); got != 4 {
 		t.Fatalf("PartialMatchCount = %d, want 4", got)
 	}
 	e.Advance(base.Add(2 * time.Minute))
-	if got := reg.Tree().PartialMatchCount(); got != 0 {
+	if got := reg.Attachment().PartialMatches(); got != 0 {
 		t.Fatalf("PartialMatchCount = %d after expiry on rebuilt graph, want 0 (expiry callback lost in extendRetention?)", got)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"github.com/streamworks/streamworks/internal/decompose"
 	"github.com/streamworks/streamworks/internal/mqo"
-	"github.com/streamworks/streamworks/internal/query"
 )
 
 // Metrics is a snapshot of engine counters. Obtain one with Engine.Metrics.
@@ -18,10 +17,12 @@ type Metrics struct {
 	EdgesDropped uint64
 	// MatchesEmitted is the total number of complete matches across queries.
 	MatchesEmitted uint64
-	// LocalSearches is the total number of primitive local searches run.
+	// LocalSearches is the total number of primitive local searches run,
+	// each shared leaf's once (MQO.LocalSearches).
 	LocalSearches uint64
-	// PartialMatches is the number of partial matches currently stored
-	// across all SJ-Trees (memory pressure proxy).
+	// PartialMatches is the number of matches currently stored across the
+	// DAG's node collections, each once, roots included (MQO.PartialMatches;
+	// a memory-pressure proxy).
 	PartialMatches int
 	// PartialsPruned is the cumulative number of partial matches discarded
 	// because they could no longer complete within their query windows.
@@ -56,24 +57,28 @@ type Metrics struct {
 	ExpiredEdges uint64
 	// Queries holds per-registration detail.
 	Queries []QueryMetrics
-	// MQO is the shared-plan DAG snapshot, nil unless the engine runs with
-	// Config.SharedPlans. Per-node stats are keyed by canonical signature,
-	// so sharded front-ends aggregate them with mqo.MergeStats.
-	MQO *mqo.Stats
+	// MQO is the evaluation DAG's snapshot, the one place per-node
+	// statistics live. Per-node stats are keyed by canonical signature, so
+	// sharded front-ends aggregate them with mqo.MergeStats.
+	MQO mqo.Stats
 }
 
 // QueryMetrics is the per-registration portion of a metrics snapshot.
 type QueryMetrics struct {
-	Name           string
-	Strategy       decompose.Strategy
-	Matches        uint64
+	Name     string
+	Strategy decompose.Strategy
+	Matches  uint64
+	// PartialMatches and LocalSearches are the query's view of the DAG: the
+	// matches stored in its plan's non-root nodes and the searches of its
+	// leaves, shared nodes counted once per query viewing them
+	// (mqo.Attachment.PartialMatches, LeafSearches).
 	PartialMatches int
 	LocalSearches  uint64
 	// Plan detail: Adaptive reports whether the registration opted into
 	// re-planning, PlanGeneration is the running plan's generation (1 = the
 	// registration-time plan; sharded engines report the maximum across
 	// shards), Replans counts completed hot-swaps (summed across shards),
-	// and PlanNodes/PlanDepth describe the current SJ-Tree shape.
+	// and PlanNodes/PlanDepth describe the current plan's shape.
 	Adaptive       bool
 	PlanGeneration uint64
 	Replans        uint64
@@ -82,42 +87,14 @@ type QueryMetrics struct {
 	// EmittedEntries and EmittedBytes size the query's exactly-once emitted
 	// set as it stands (summed over shards on a sharded engine): little more
 	// than one retention of matches, at 16 bytes per table slot and 8 per
-	// arena word (sjtree.EmittedSet.Bytes). Under shared plans a consumer
-	// group has one set: its first query in registration order reports it,
-	// the others zero, so the sum over queries is what is resident.
+	// arena word (sjtree.EmittedSet.Bytes). A consumer group has one set:
+	// its first query in registration order reports it, the others zero, so
+	// the sum over queries is what is resident.
 	EmittedEntries int
 	EmittedBytes   int
-	// Nodes holds live per-SJ-tree-node statistics in plan (pre-order)
-	// order: the observed side of the selectivity estimates the plan was
-	// built from. Sharded engines report the node detail of the shard with
-	// the newest plan generation (summing across shards would mix plans).
-	Nodes []NodeMetrics
 	// LastReplanAudit is the most recent adaptive drift-check record
 	// (fired or declined), nil until the first check runs.
 	LastReplanAudit *ReplanAudit
-}
-
-// NodeMetrics is one SJ-tree node's slice of a metrics snapshot.
-type NodeMetrics struct {
-	// Edges lists the query pattern edges the node's subgraph covers.
-	Edges  []query.EdgeID
-	IsLeaf bool
-	// Stored/Inserted are the live and cumulative match counts;
-	// Partitions is the current number of cut-projection hash partitions.
-	Stored     int
-	Inserted   uint64
-	Partitions int
-	// JoinAttempts/JoinHits count sibling-join probes and successes;
-	// Pruned counts matches discarded from the node.
-	JoinAttempts uint64
-	JoinHits     uint64
-	Pruned       uint64
-	// EstCardinality is the planner's estimate for the node's subgraph at
-	// plan-install time; ObservedRatio is Inserted / EstCardinality (zero
-	// when the estimate is zero) — above 1 the estimator undershot, below
-	// 1 it overshot.
-	EstCardinality float64
-	ObservedRatio  float64
 }
 
 // String renders the snapshot as a small fixed-width report.
@@ -126,10 +103,8 @@ func (m Metrics) String() string {
 	fmt.Fprintf(&sb, "edges=%d dropped=%d matches=%d partials=%d localSearches=%d liveEdges=%d liveVertices=%d expired=%d replans=%d\n",
 		m.EdgesProcessed, m.EdgesDropped, m.MatchesEmitted, m.PartialMatches,
 		m.LocalSearches, m.LiveEdges, m.LiveVertices, m.ExpiredEdges, m.Replans)
-	if m.MQO != nil {
-		fmt.Fprintf(&sb, "  mqo: nodes=%d shared=%d sharedHits=%d attachments=%d\n",
-			m.MQO.Nodes, m.MQO.SharedNodes, m.MQO.SharedHits, m.MQO.Attachments)
-	}
+	fmt.Fprintf(&sb, "  mqo: nodes=%d shared=%d sharedHits=%d attachments=%d\n",
+		m.MQO.Nodes, m.MQO.SharedNodes, m.MQO.SharedHits, m.MQO.Attachments)
 	for _, q := range m.Queries {
 		fmt.Fprintf(&sb, "  %-24s strategy=%-10s matches=%-8d partials=%-8d searches=%-8d plan=gen%d/replans%d\n",
 			q.Name, q.Strategy, q.Matches, q.PartialMatches, q.LocalSearches, q.PlanGeneration, q.Replans)

@@ -1,16 +1,15 @@
 package core
 
 import (
-	"github.com/streamworks/streamworks/internal/decompose"
 	"github.com/streamworks/streamworks/internal/obs"
-	"github.com/streamworks/streamworks/internal/stats"
 )
 
 // engineObs is the engine's resolved observability state. Handles are
 // resolved once at construction so the per-edge cost is one branch when
 // disabled and plain atomic adds when enabled; the wall clock only ever
 // arrives through the obs.Clock seam (swvet's walltime pass keeps concrete
-// clocks out of this package).
+// clocks out of this package). The local-search and join segments are timed
+// by the DAG itself (mqo.WithObs).
 type engineObs struct {
 	enabled  bool
 	clock    obs.Clock
@@ -18,10 +17,6 @@ type engineObs struct {
 	tracer   *obs.Tracer
 	shard    int32
 
-	// Pre-resolved segment histograms: wall time spent in leaf-primitive
-	// local searches and in SJ-tree join propagation, per processed edge.
-	localSearch *obs.Histogram
-	join        *obs.Histogram
 	// detectLag is the stream-time detection lag per emitted match
 	// (DetectedAt − match span end) — pure timestamp arithmetic, no clock.
 	detectLag *obs.Histogram
@@ -31,11 +26,12 @@ type engineObs struct {
 	// curArrival is the serving-tier arrival stamp of the edge currently
 	// inside ProcessEdge (StreamEdge.ArrivedWallNS, zero when the edge never
 	// crossed a serving tier). The engine is single-threaded, so one field
-	// suffices; insertPrims copies it onto every match the edge completes.
+	// suffices; Registration.emit copies it onto every match the edge
+	// completes.
 	curArrival int64
-	// curEdge is the stored ID of that same edge, kept for the shared-DAG
-	// emission path: emitShared has no *graph.Edge in hand (the DAG emits
-	// through callbacks), so trace sampling reads the ID from here.
+	// curEdge is the stored ID of that same edge: emit has no *graph.Edge in
+	// hand (the DAG emits through callbacks), so trace sampling reads the ID
+	// from here.
 	curEdge uint64
 }
 
@@ -45,14 +41,12 @@ func newEngineObs(c obs.Config) engineObs {
 		return engineObs{}
 	}
 	return engineObs{
-		enabled:     true,
-		clock:       c.Clock,
-		registry:    c.Registry,
-		tracer:      c.Tracer,
-		shard:       c.Shard,
-		localSearch: c.Registry.Segment(obs.SegLocalSearch),
-		join:        c.Registry.Segment(obs.SegSJTreeJoin),
-		detectLag:   c.Registry.Histogram(obs.DetectLagHistogramName, "", ""),
+		enabled:   true,
+		clock:     c.Clock,
+		registry:  c.Registry,
+		tracer:    c.Tracer,
+		shard:     c.Shard,
+		detectLag: c.Registry.Histogram(obs.DetectLagHistogramName, "", ""),
 
 		emittedEvicted: c.Registry.Counter(obs.EmittedEvictedCounterName, "", ""),
 	}
@@ -61,23 +55,3 @@ func newEngineObs(c obs.Config) engineObs {
 // ObsRegistry returns the engine's metric registry, or nil when
 // observability is disabled. Snapshots are safe from any goroutine.
 func (e *Engine) ObsRegistry() *obs.Registry { return e.obs.registry }
-
-// nodeEstimates walks a plan in the same pre-order as sjtree.Tree builds its
-// node list and returns the estimator's cardinality estimate for every
-// node's subgraph. The engine freezes these alongside each installed plan so
-// per-node metrics can report observed-vs-estimated ratios against the
-// estimates the plan was actually chosen with.
-func nodeEstimates(est *stats.Estimator, p *decompose.Plan) []float64 {
-	var out []float64
-	var walk func(n *decompose.Node)
-	walk = func(n *decompose.Node) {
-		if n == nil {
-			return
-		}
-		out = append(out, est.SubgraphCardinality(p.Query, n.Edges))
-		walk(n.Left)
-		walk(n.Right)
-	}
-	walk(p.Root)
-	return out
-}

@@ -33,9 +33,9 @@ func burstQuery(window time.Duration) *query.Graph {
 
 // TestReplanBoundaryMatchStraddlingSwapEmitsOnce is the core swap-safety
 // regression: a match whose edges straddle the plan swap — some edges
-// ingested under the old tree, the rest under the new — is emitted exactly
-// once. The swap replays the retained window to rebuild the partial state
-// the new tree needs.
+// ingested under the old plan, the rest under the new — is emitted exactly
+// once. The swap backfills the new plan's DAG nodes from the retained window
+// to rebuild the partial state they need.
 func TestReplanBoundaryMatchStraddlingSwapEmitsOnce(t *testing.T) {
 	e := New(&Config{Retention: time.Minute})
 	reg, err := e.RegisterQuery(burstQuery(time.Minute))
@@ -52,7 +52,7 @@ func TestReplanBoundaryMatchStraddlingSwapEmitsOnce(t *testing.T) {
 	if len(emitted) != 0 {
 		t.Fatalf("no complete match yet, emitted %d", len(emitted))
 	}
-	if reg.Tree().PartialMatchCount() == 0 {
+	if reg.Attachment().PartialMatches() == 0 {
 		t.Fatalf("expected stored partials before the swap")
 	}
 
@@ -67,8 +67,8 @@ func TestReplanBoundaryMatchStraddlingSwapEmitsOnce(t *testing.T) {
 	if reg.Plan().Strategy != decompose.StrategyEager {
 		t.Fatalf("strategy not swapped: %s", reg.Plan().Strategy)
 	}
-	if reg.Tree().PartialMatchCount() == 0 {
-		t.Fatalf("replay did not rebuild partial state on the new tree")
+	if reg.Attachment().PartialMatches() == 0 {
+		t.Fatalf("backfill did not rebuild partial state under the new plan")
 	}
 
 	// The final edge arrives under the new plan: the straddling match must
@@ -83,8 +83,8 @@ func TestReplanBoundaryMatchStraddlingSwapEmitsOnce(t *testing.T) {
 }
 
 // TestReplanAfterEmissionDoesNotDuplicate: a match fully emitted before the
-// swap must not be re-emitted when the replay re-derives it on the new
-// tree (the emitted-set is inherited across the boundary), and it must
+// swap must not be re-emitted when the backfill re-derives it under the new
+// plan (the query carries its emitted set across the boundary), and it must
 // still deduplicate against post-swap re-arrivals.
 func TestReplanAfterEmissionDoesNotDuplicate(t *testing.T) {
 	e := New(&Config{Retention: time.Minute})
@@ -114,8 +114,8 @@ func TestReplanAfterEmissionDoesNotDuplicate(t *testing.T) {
 	if reg.Replans() != 3 {
 		t.Fatalf("replans = %d", reg.Replans())
 	}
-	if got := reg.Tree().CompleteCount(); got != 1 {
-		t.Fatalf("emitted-count continuity lost across swaps: %d", got)
+	if entries, _ := reg.Attachment().EmittedSize(); entries != 1 {
+		t.Fatalf("emitted-set continuity lost across swaps: %d entries", entries)
 	}
 	// Matches() (the registration counter) must not have drifted either.
 	if reg.Matches() != 1 {

@@ -1,14 +1,15 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
 	"github.com/streamworks/streamworks/internal/decompose"
 	"github.com/streamworks/streamworks/internal/graph"
+	"github.com/streamworks/streamworks/internal/isomorphism"
 	"github.com/streamworks/streamworks/internal/query"
 )
 
@@ -76,51 +77,103 @@ func matchSets(t *testing.T, e *Engine, edges []graph.StreamEdge) map[string][]s
 	return sets
 }
 
-// TestSharedPlansParity: the shared-DAG engine must emit byte-identical
-// per-query match sets to the per-query engine, across strategies, on a
-// stream dense enough to exercise joins, windows and pruning.
+// naiveMatch is one match the naive-expansion oracle found: the query, the
+// match's canonical signature, and the index of the edge whose arrival
+// completed it.
+type naiveMatch struct {
+	query, sig string
+	at         int
+}
+
+func (nm naiveMatch) key() string { return nm.query + "\x1f" + nm.sig }
+
+// naiveMatches is the independent reference the engine is held to: the
+// paper's definition evaluated without decomposition or stored state. Every
+// edge is applied to a window of the given retention (0 keeps everything)
+// and each query's whole pattern is expanded around it; a match is recorded
+// the first time it is found, if its span fits the query's window.
+func naiveMatches(retention time.Duration, queries []*query.Graph, edges []graph.StreamEdge) []naiveMatch {
+	dyn := graph.NewDynamic(retention)
+	matchers := make([]*isomorphism.Matcher, len(queries))
+	for i, q := range queries {
+		matchers[i] = isomorphism.New(q)
+	}
+	seen := map[string]bool{}
+	var out []naiveMatch
+	for at, se := range edges {
+		stored, err := dyn.Apply(se)
+		if err != nil {
+			continue
+		}
+		for i, q := range queries {
+			for _, qe := range q.EdgeIDs() {
+				if !q.Edge(qe).MatchesEdge(stored) {
+					continue
+				}
+				for _, m := range matchers[i].LocalSearch(dyn.Graph(), q.EdgeIDs(), qe, stored) {
+					nm := naiveMatch{query: q.Name(), sig: m.Signature(), at: at}
+					if m.WithinWindow(q.Window()) && !seen[nm.key()] {
+						seen[nm.key()] = true
+						out = append(out, nm)
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// naiveMatchSets groups naiveMatches per query into matchSets' shape.
+func naiveMatchSets(retention time.Duration, queries []*query.Graph, edges []graph.StreamEdge) map[string][]string {
+	sets := map[string][]string{}
+	for _, nm := range naiveMatches(retention, queries, edges) {
+		sets[nm.query] = append(sets[nm.query], nm.sig)
+	}
+	for q := range sets {
+		sort.Strings(sets[q])
+	}
+	return sets
+}
+
+// TestSharedPlansParity: the engine, whose queries share one DAG, emits per
+// query exactly the naive-expansion oracle's match set, across strategies,
+// on a stream dense enough to exercise joins, windows and pruning.
 func TestSharedPlansParity(t *testing.T) {
+	queries := []*query.Graph{
+		smurfQuery(30 * time.Second),
+		probeQuery(time.Minute),
+		exfilQuery(2 * time.Minute),
+	}
+	edges := randomHostStream(42, 4000)
+	want := naiveMatchSets(0, queries, edges)
+	total := 0
+	for _, w := range want {
+		total += len(w)
+	}
+	if total == 0 {
+		t.Fatalf("parity check vacuous: no matches at all")
+	}
 	for _, strat := range decompose.Strategies() {
 		t.Run(string(strat), func(t *testing.T) {
-			mk := func(sharedPlans bool) *Engine {
-				cfg := DefaultConfig()
-				cfg.SharedPlans = sharedPlans
-				cfg.PruneInterval = 64
-				e := New(&cfg)
-				for _, q := range []*query.Graph{
-					smurfQuery(30 * time.Second),
-					probeQuery(time.Minute),
-					exfilQuery(2 * time.Minute),
-				} {
-					if _, err := e.RegisterQuery(q, WithStrategy(strat)); err != nil {
-						t.Fatalf("register %s: %v", q.Name(), err)
+			cfg := DefaultConfig()
+			cfg.PruneInterval = 64
+			e := New(&cfg)
+			for _, q := range queries {
+				if _, err := e.RegisterQuery(q, WithStrategy(strat)); err != nil {
+					t.Fatalf("register %s: %v", q.Name(), err)
+				}
+			}
+			got := matchSets(t, e, edges)
+			for _, q := range queries {
+				g, w := got[q.Name()], want[q.Name()]
+				if len(g) != len(w) {
+					t.Fatalf("%s: engine emitted %d matches, the oracle finds %d", q.Name(), len(g), len(w))
+				}
+				for i := range w {
+					if g[i] != w[i] {
+						t.Fatalf("%s: match set diverges at %d:\n  engine %s\n  oracle %s", q.Name(), i, g[i], w[i])
 					}
 				}
-				return e
-			}
-			edges := randomHostStream(42, 4000)
-			perQuery := matchSets(t, mk(false), edges)
-			shared := matchSets(t, mk(true), edges)
-			total := 0
-			for q, want := range perQuery {
-				got := shared[q]
-				if len(got) != len(want) {
-					t.Fatalf("%s: shared emitted %d matches, per-query %d", q, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s: match set diverges at %d:\n  shared    %s\n  per-query %s", q, i, got[i], want[i])
-					}
-				}
-				total += len(want)
-			}
-			for q := range shared {
-				if _, ok := perQuery[q]; !ok {
-					t.Fatalf("shared mode emitted for %s, per-query mode did not", q)
-				}
-			}
-			if total == 0 {
-				t.Fatalf("parity check vacuous: no matches at all")
 			}
 		})
 	}
@@ -130,9 +183,7 @@ func TestSharedPlansParity(t *testing.T) {
 // DAG nodes fewer than the sum of plan nodes, shared hits accumulating, and
 // the mqo_shared_hits metric surfaced through Metrics.
 func TestSharedPlansSharingVisible(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SharedPlans = true
-	e := New(&cfg)
+	e := New(nil)
 	planNodes := 0
 	for _, q := range []*query.Graph{smurfQuery(time.Minute), probeQuery(time.Minute), exfilQuery(time.Minute)} {
 		reg, err := e.RegisterQuery(q, WithStrategy(decompose.StrategyEager))
@@ -142,9 +193,6 @@ func TestSharedPlansSharingVisible(t *testing.T) {
 		planNodes += reg.Plan().NumNodes()
 	}
 	m := e.Metrics()
-	if m.MQO == nil {
-		t.Fatalf("Metrics.MQO nil on a shared-plans engine")
-	}
 	if m.MQO.Nodes >= planNodes {
 		t.Fatalf("no structural sharing: %d DAG nodes for %d plan nodes", m.MQO.Nodes, planNodes)
 	}
@@ -167,7 +215,6 @@ func TestSharedPlansSharingVisible(t *testing.T) {
 // must drop exactly the refcount-zero DAG nodes and leave survivors matching.
 func TestSharedPlansChurn(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.SharedPlans = true
 	cfg.PruneInterval = 32
 	e := New(&cfg)
 	if _, err := e.RegisterQuery(smurfQuery(0), WithStrategy(decompose.StrategyEager)); err != nil {
@@ -202,17 +249,9 @@ func TestSharedPlansChurn(t *testing.T) {
 	if smurfMatches == 0 {
 		t.Fatalf("smurf never matched across churn")
 	}
-	// The surviving query's match stream must equal a churn-free engine's.
-	cfg2 := DefaultConfig()
-	cfg2.SharedPlans = true
-	cfg2.PruneInterval = 32
-	ref := New(&cfg2)
-	if _, err := ref.RegisterQuery(smurfQuery(0), WithStrategy(decompose.StrategyEager)); err != nil {
-		t.Fatal(err)
-	}
-	refSets := matchSets(t, ref, edges)
-	if got := uint64(len(refSets["smurf"])); got != smurfMatches {
-		t.Fatalf("churn changed smurf's match count: %d with churn, %d without", smurfMatches, got)
+	// The surviving query's match stream must be the oracle's.
+	if want := uint64(len(naiveMatchSets(0, []*query.Graph{smurfQuery(0)}, edges)["smurf"])); want != smurfMatches {
+		t.Fatalf("churn changed smurf's match count: %d with churn, the oracle finds %d", smurfMatches, want)
 	}
 	if err := e.UnregisterQuery("smurf"); err != nil {
 		t.Fatal(err)
@@ -222,13 +261,11 @@ func TestSharedPlansChurn(t *testing.T) {
 	}
 }
 
-// TestSharedPlansReplan: ReplanNow on a shared-plans engine swaps the
-// query's attachment without losing or duplicating matches, and keeps
-// sharing intact for the untouched queries.
+// TestSharedPlansReplan: ReplanNow swaps the query's attachment without
+// losing or duplicating matches, and keeps sharing intact for the untouched
+// queries.
 func TestSharedPlansReplan(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SharedPlans = true
-	e := New(&cfg)
+	e := New(nil)
 	var got []string
 	e.Subscribe("smurf", MatchSinkFunc(func(ev MatchEvent) { got = append(got, ev.Match.Signature()) }))
 	if _, err := e.RegisterQuery(smurfQuery(time.Minute), WithStrategy(decompose.StrategySelective)); err != nil {
@@ -254,9 +291,6 @@ func TestSharedPlansReplan(t *testing.T) {
 	if reg.PlanGeneration() != 2 || reg.Replans() != 1 {
 		t.Fatalf("plan generation/replans = %d/%d", reg.PlanGeneration(), reg.Replans())
 	}
-	if reg.Tree() != nil {
-		t.Fatalf("shared-mode registration grew a tree after replan")
-	}
 	if reg.Attachment() == nil || reg.Attachment().Plan().Strategy != decompose.StrategyEager {
 		t.Fatalf("attachment not swapped onto the eager plan")
 	}
@@ -265,7 +299,6 @@ func TestSharedPlansReplan(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("post-swap completion lost: %v", got)
 	}
-	// Replan metrics flow like the per-query path's.
 	m := e.Metrics()
 	if m.Replans != 1 {
 		t.Fatalf("Metrics.Replans = %d", m.Replans)
@@ -276,33 +309,48 @@ func TestSharedPlansReplan(t *testing.T) {
 	}
 }
 
-// TestSharedPlansWindowParityAfterPrune: pruning in shared mode must not
-// change emissions relative to per-query mode (windowed and window-less
-// queries together, with expiry-driven pruning in play).
+// TestSharedPlansWindowParityAfterPrune: pruning never drops a partial match
+// that could still complete, nor lets one complete that the definition rules
+// out (windowed and window-less queries together, with expiry-driven pruning
+// in play). The windowed query must emit exactly the oracle's set. The
+// window-less one is bounded on both sides: it finds every match whose edges
+// were all retained when its last edge arrived — the oracle at the engine's
+// retention — and nothing the oracle with unbounded retention would not; a
+// partial binding an edge that expired since the last sweep may still
+// complete.
 func TestSharedPlansWindowParityAfterPrune(t *testing.T) {
-	mk := func(sharedPlans bool) *Engine {
-		cfg := DefaultConfig()
-		cfg.SharedPlans = sharedPlans
-		cfg.Retention = 90 * time.Second
-		cfg.PruneInterval = 16
-		e := New(&cfg)
-		for _, q := range []*query.Graph{smurfQuery(10 * time.Second), probeQuery(0)} {
-			if _, err := e.RegisterQuery(q, WithStrategy(decompose.StrategyEager)); err != nil {
-				t.Fatal(err)
-			}
+	const retention = 90 * time.Second
+	queries := []*query.Graph{smurfQuery(10 * time.Second), probeQuery(0)}
+	cfg := DefaultConfig()
+	cfg.Retention = retention
+	cfg.PruneInterval = 16
+	e := New(&cfg)
+	for _, q := range queries {
+		if _, err := e.RegisterQuery(q, WithStrategy(decompose.StrategyEager)); err != nil {
+			t.Fatal(err)
 		}
-		return e
 	}
 	edges := randomHostStream(1234, 3000)
-	want := matchSets(t, mk(false), edges)
-	got := matchSets(t, mk(true), edges)
-	for q, w := range want {
-		g := got[q]
-		if fmt.Sprint(g) != fmt.Sprint(w) {
-			t.Fatalf("%s diverged: shared %d matches, per-query %d", q, len(g), len(w))
+	got := matchSets(t, e, edges)
+	retained := naiveMatchSets(retention, queries, edges)
+	unbounded := naiveMatchSets(0, queries, edges)
+	if len(retained["smurf"]) == 0 || len(retained["probe"]) == 0 {
+		t.Fatalf("vacuous: smurf %d, probe %d matches", len(retained["smurf"]), len(retained["probe"]))
+	}
+	if !slices.Equal(got["smurf"], retained["smurf"]) {
+		t.Fatalf("smurf diverged: engine %d matches, the oracle %d", len(got["smurf"]), len(retained["smurf"]))
+	}
+	for _, sig := range retained["probe"] {
+		if _, ok := slices.BinarySearch(got["probe"], sig); !ok {
+			t.Fatalf("probe missed %s, whose edges were all retained", sig)
 		}
 	}
-	if len(want["smurf"]) == 0 && len(want["probe"]) == 0 {
-		t.Fatalf("vacuous: no matches")
+	for _, sig := range got["probe"] {
+		if _, ok := slices.BinarySearch(unbounded["probe"], sig); !ok {
+			t.Fatalf("probe emitted %s, which is no match", sig)
+		}
+	}
+	if m := e.Metrics(); m.PartialsPruned == 0 {
+		t.Fatalf("nothing pruned: the test exercises no pruning")
 	}
 }

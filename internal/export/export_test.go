@@ -76,16 +76,16 @@ func TestBuildReportResolvesBindings(t *testing.T) {
 }
 
 // TestBuildReportAllocationBudget: a report costs its bindings and its
-// edge-ID list; the signature is reused when the event carries one (the
-// shared DAG builds it once per consumer group) and built otherwise.
+// edge-ID list; the signature is reused when the event carries one (the DAG
+// builds it once per consumer group) and built otherwise.
 func TestBuildReportAllocationBudget(t *testing.T) {
 	_, q, events := fixture(t)
-	unsigned := events[0]
-	if unsigned.Signature != "" {
-		t.Fatalf("per-query engine pre-built a signature: %q", unsigned.Signature)
+	signed := events[0]
+	if signed.Signature != signed.Match.Signature() {
+		t.Fatalf("engine signed its match %q, want %q", signed.Signature, signed.Match.Signature())
 	}
-	signed := unsigned
-	signed.Signature = unsigned.Match.Signature()
+	unsigned := signed
+	unsigned.Signature = ""
 	var r MatchReport
 	allocbudget.Check(t, "export.BuildReport", func() { r = BuildReport(signed, q, nil) })
 	if r.Signature != signed.Signature {

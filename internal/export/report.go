@@ -62,8 +62,8 @@ func BuildReport(ev core.MatchEvent, q *query.Graph, g *graph.Graph) MatchReport
 }
 
 // Reporter builds the ID-only reports of a stream of match events, sharing
-// what consecutive events have in common. Under shared plans the queries of
-// one consumer group are handed the very same immutable *match.Match one
+// what consecutive events have in common. The queries of one consumer group
+// (internal/mqo) are handed the very same immutable *match.Match one
 // after the other: their reports then share one sorted EdgeIDs slice and,
 // when the queries name their variables alike, one Bindings slice, so a
 // group's reports cost two allocations whatever its size. Reports of one

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/streamworks/streamworks"
+	"github.com/streamworks/streamworks/internal/baseline"
 	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/loader"
@@ -248,6 +249,37 @@ func (s MatchSet) Equal(o MatchSet) bool {
 		}
 	}
 	return true
+}
+
+// Oracle returns the workload's match set by the paper's definition,
+// computed without the engine: baseline.NaiveExpand expands every query's
+// whole pattern around each arriving edge, with no decomposition and no
+// stored partial matches, and keeps the matches whose span fits the query's
+// window. Under a bounded engine retention the oracle retains twice the
+// engine's effective window (the retention widened to the widest query
+// window), so a match's first edge is still there when its last arrives;
+// under unbounded retention it keeps everything too. It is the reference
+// equivalence tests hold every engine configuration to.
+func Oracle(w Workload) MatchSet {
+	var retention time.Duration
+	if w.Engine.Retention > 0 {
+		retention = w.Engine.Retention
+		for _, q := range w.Queries {
+			retention = max(retention, q.Window())
+		}
+		retention *= 2
+	}
+	ne := baseline.NewNaiveExpand(retention, w.Engine.Slack)
+	for _, q := range w.Queries {
+		_ = ne.RegisterQuery(q) // refuses only a nil query
+	}
+	set := make(MatchSet)
+	for _, se := range w.Edges {
+		for _, ev := range ne.ProcessEdge(se) {
+			set.Add(ev)
+		}
+	}
+	return set
 }
 
 // RunEngine replays the workload through an in-process public

@@ -1,11 +1,12 @@
 package gen
 
 // The cross-strategy equivalence matrix: every decomposition strategy ×
-// every workload regime × every backend mode must detect the identical
-// canonical match set. This is the safety net for all planner work — a
-// decomposition (or a runtime plan swap) is free to change HOW matches are
-// found, never WHICH matches are found. Run under -race in CI, the sharded
-// cells double as a concurrency check.
+// every workload regime × every backend mode must detect the canonical match
+// set of the independent oracle (Oracle: naive expansion of the whole
+// pattern, no decomposition, no stored state). This is the safety net for all
+// planner work — a decomposition (or a runtime plan swap) is free to change
+// HOW matches are found, never WHICH matches are found. Run under -race in
+// CI, the sharded cells double as a concurrency check.
 
 import (
 	"context"
@@ -46,41 +47,28 @@ func TestCrossStrategyEquivalenceMatrix(t *testing.T) {
 	}
 	type mode struct {
 		name     string
-		shards   int // 0 = single engine
-		adaptive bool
+		shards   int  // 0 = single engine
+		adaptive bool // re-plans the DAG in place
 		traced   bool // observability + edge-journey tracing on
-		shared   bool // fold all queries into one shared evaluation DAG
 	}
 	modes := []mode{
-		{"single", 0, false, false, false},
-		{"single-adaptive", 0, true, false, false},
-		{"sharded2", 2, false, false, false},
-		{"sharded2-adaptive", 2, true, false, false},
+		{"single", 0, false, false},
+		{"single-adaptive", 0, true, false},
+		{"sharded2", 2, false, false},
+		{"sharded2-adaptive", 2, true, false},
 		// Observability cells: histograms plus 1-in-1 trace sampling are
 		// free to change HOW the run is recorded, never WHICH matches it
 		// finds.
-		{"single-traced", 0, false, true, false},
-		{"sharded2-adaptive-traced", 2, true, true, false},
-		// Shared-plan cells: the MQO DAG evaluates common subpatterns once
-		// and fans matches out per query — byte-identical match sets are the
-		// whole contract. The adaptive cell re-plans the shared DAG in place.
-		{"single-shared", 0, false, false, true},
-		{"single-shared-adaptive", 0, true, false, true},
-		{"sharded2-shared", 2, false, false, true},
-		{"sharded2-shared-adaptive", 2, true, false, true},
+		{"single-traced", 0, false, true},
+		{"sharded2-adaptive-traced", 2, true, true},
 	}
 	for _, w := range workloads {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			// The reference cell: single engine, default selective plan,
-			// frozen.
-			ref, _, err := RunSingle(w)
-			if err != nil {
-				t.Fatalf("reference run: %v", err)
-			}
+			ref := Oracle(w)
 			if len(ref) == 0 {
-				t.Fatalf("reference run found no matches; the workload proves nothing")
+				t.Fatalf("the oracle found no matches; the workload proves nothing")
 			}
 			for _, strat := range decompose.Strategies() {
 				for _, m := range modes {
@@ -90,7 +78,6 @@ func TestCrossStrategyEquivalenceMatrix(t *testing.T) {
 						opts := []streamworks.Option{
 							streamworks.WithPlanStrategy(string(strat)),
 							streamworks.WithAdaptivePlanning(m.adaptive),
-							streamworks.WithSharedPlans(m.shared),
 						}
 						if m.traced {
 							opts = append(opts,
@@ -110,7 +97,7 @@ func TestCrossStrategyEquivalenceMatrix(t *testing.T) {
 							t.Fatalf("run: %v", err)
 						}
 						if !set.Equal(ref) {
-							t.Fatalf("match set diverges from reference: got %d matches, want %d",
+							t.Fatalf("match set diverges from the oracle's: got %d matches, want %d",
 								len(set), len(ref))
 						}
 					})
@@ -149,11 +136,12 @@ func TestAdaptiveReplansOnDrift(t *testing.T) {
 }
 
 // storedPartials replays w edge by edge through a single engine and returns
-// its match set and the number of partial matches it stored over the stream:
-// those pruned, those still live at the end, and those a plan swap threw
-// away — a swap drops the old tree without counting its partials as pruned,
-// so each swapped query's live count just before its swap is added back.
-// Leaving that term out would flatter the adaptive run.
+// its match set and the number of matches its DAG stored over the stream,
+// read from each node's cumulative Inserted counter after every edge: the
+// per-edge deltas sum to everything stored, pruned or not. A node a plan swap
+// collects keeps the count it reached, and a signature created again starts
+// from zero. (A query's PartialMatches would not do: it counts a shared node
+// once per query viewing it.)
 func storedPartials(t *testing.T, w Workload, extra ...streamworks.Option) (MatchSet, int) {
 	t.Helper()
 	eng := streamworks.New(append([]streamworks.Option{streamworks.WithEngineConfig(w.Engine)}, extra...)...)
@@ -171,11 +159,8 @@ func storedPartials(t *testing.T, w Workload, extra ...streamworks.Option) (Matc
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev, err := eng.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	swapped := 0
+	last := map[string]uint64{} // signature -> Inserted at the previous edge, live nodes only
+	stored := uint64(0)
 	for _, se := range w.Edges {
 		if err := eng.Process(ctx, se); err != nil {
 			t.Fatal(err)
@@ -184,25 +169,29 @@ func storedPartials(t *testing.T, w Workload, extra ...streamworks.Option) (Matc
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, q := range m.Queries {
-			if q.Replans > prev.Queries[i].Replans {
-				swapped += prev.Queries[i].PartialMatches
+		live := make(map[string]uint64, len(m.MQO.PerNode))
+		for _, ns := range m.MQO.PerNode {
+			if prev, ok := last[ns.Sig]; ok && ns.Inserted >= prev {
+				stored += ns.Inserted - prev
+			} else {
+				stored += ns.Inserted
 			}
+			live[ns.Sig] = ns.Inserted
 		}
-		prev = m
+		last = live
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
 	<-sub.Done()
-	return set, int(prev.PartialsPruned) + prev.PartialMatches + swapped
+	return set, int(stored)
 }
 
 // TestAdaptiveStoresFewerPartialsOnDrift is the counter-level reason
 // internal/replan exists: on the drift workload the adaptive run detects
-// the frozen run's exact match set while storing fewer partial matches,
-// because after the traffic mix rotates it re-anchors the SJ-Trees on what
-// is rare now. Wall-clock is the ledger's business, not this test's.
+// the frozen run's exact match set while storing fewer matches in its DAG,
+// because after the traffic mix rotates it re-anchors the plans on what is
+// rare now. Wall-clock is the ledger's business, not this test's.
 func TestAdaptiveStoresFewerPartialsOnDrift(t *testing.T) {
 	w := tinyDriftWorkload()
 	frozenSet, frozen := storedPartials(t, w)
@@ -213,9 +202,9 @@ func TestAdaptiveStoresFewerPartialsOnDrift(t *testing.T) {
 	if !adaptiveSet.Equal(frozenSet) {
 		t.Fatalf("adaptive run diverged: %d matches vs %d frozen", len(adaptiveSet), len(frozenSet))
 	}
-	t.Logf("partial matches stored over the stream: frozen %d, adaptive %d", frozen, adaptive)
+	t.Logf("matches stored over the stream: frozen %d, adaptive %d (%d matches)", frozen, adaptive, len(frozenSet))
 	if adaptive >= frozen {
-		t.Fatalf("adaptive run stored %d partial matches, frozen %d: re-planning bought nothing", adaptive, frozen)
+		t.Fatalf("adaptive run stored %d matches, frozen %d: re-planning bought nothing", adaptive, frozen)
 	}
 }
 

@@ -1,0 +1,176 @@
+package gen
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"github.com/streamworks/streamworks"
+	"github.com/streamworks/streamworks/internal/core"
+	"github.com/streamworks/streamworks/internal/decompose"
+	"github.com/streamworks/streamworks/internal/graph"
+	"github.com/streamworks/streamworks/internal/query"
+)
+
+// randomWorkload is a small typed multigraph stream with the nastiness the
+// generated workloads lack: parallel edges, runs of equal timestamps, edges
+// arriving out of order within the slack, and windows short enough that the
+// retention turns over many times. Its queries are a chain, a fan-out and a
+// cycle (two cut vertices), each with its own window.
+func randomWorkload(seed int64) Workload {
+	rng := rand.New(rand.NewSource(seed))
+	const (
+		vertices = 24
+		edges    = 600
+		gap      = 40 * time.Millisecond
+		slack    = 100 * time.Millisecond
+	)
+	types := []string{"flow", "dns", "login"}
+	start := graph.TimestampFromTime(time.Date(2013, 6, 22, 0, 0, 0, 0, time.UTC))
+	out := make([]graph.StreamEdge, 0, edges)
+	var prev graph.StreamEdge
+	for i := 0; i < edges; i++ {
+		src := graph.VertexID(rng.Intn(vertices) + 1)
+		dst := graph.VertexID(rng.Intn(vertices) + 1)
+		if dst == src {
+			dst = src%vertices + 1
+		}
+		if i > 0 && rng.Intn(8) == 0 {
+			src, dst = prev.Edge.Source, prev.Edge.Target // a parallel edge
+		}
+		at := start.Add(time.Duration(i/2) * 2 * gap) // pairs share a timestamp
+		if rng.Intn(6) == 0 {
+			at = at.Add(-time.Duration(rng.Int63n(int64(slack)))) // late, within the slack
+		}
+		prev = graph.StreamEdge{
+			Edge:       graph.Edge{ID: graph.EdgeID(i + 1), Source: src, Target: dst, Type: types[rng.Intn(len(types))], Timestamp: at},
+			SourceType: "Host",
+			TargetType: "Host",
+		}
+		out = append(out, prev)
+	}
+	chain := query.NewBuilder("chain").Window(time.Second).
+		Vertex("a", "Host").Vertex("b", "Host").Vertex("c", "Host").Vertex("d", "Host").
+		Edge("a", "b", "flow").Edge("b", "c", "dns").Edge("c", "d", "login").
+		MustBuild()
+	fan := query.NewBuilder("fan").Window(1500*time.Millisecond).
+		Vertex("s", "Host").Vertex("x", "Host").Vertex("y", "Host").Vertex("z", "Host").
+		Edge("s", "x", "login").Edge("s", "y", "flow").Edge("s", "z", "flow").
+		MustBuild()
+	cycle := query.NewBuilder("cycle").Window(2*time.Second).
+		Vertex("a", "Host").Vertex("b", "Host").Vertex("c", "Host").
+		Edge("a", "b", "flow").Edge("b", "c", "flow").Edge("c", "a", "dns").
+		MustBuild()
+	return Workload{
+		Name:    fmt.Sprintf("random-%d", seed),
+		Edges:   out,
+		Queries: []*query.Graph{chain, fan, cycle},
+		Engine: core.Config{
+			Retention:       2 * time.Second,
+			Slack:           slack,
+			EnableSummaries: true,
+			TriadSampling:   1,
+		},
+	}
+}
+
+// TestRandomStreamsMatchOracle holds every engine configuration to the
+// oracle on streams the generators never produce: each decomposition
+// strategy on one engine and on two and three shards must deliver exactly
+// the matches naive expansion finds.
+func TestRandomStreamsMatchOracle(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		w := randomWorkload(seed)
+		t.Run(w.Name, func(t *testing.T) {
+			t.Parallel()
+			ref := Oracle(w)
+			if len(ref) == 0 {
+				t.Fatalf("the oracle found no matches; the stream proves nothing")
+			}
+			for _, strat := range decompose.Strategies() {
+				for _, shards := range []int{1, 2, 3} {
+					t.Run(fmt.Sprintf("%s/shards=%d", strat, shards), func(t *testing.T) {
+						opt := streamworks.WithPlanStrategy(string(strat))
+						var (
+							set MatchSet
+							err error
+						)
+						if shards == 1 {
+							set, _, err = RunSingle(w, opt)
+						} else {
+							set, _, err = RunSharded(w, shards, opt)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !set.Equal(ref) {
+							t.Fatalf("%d matches, the oracle finds %d", len(set), len(ref))
+						}
+					})
+				}
+			}
+		})
+	}
+}
+
+// TestLateRegistrationMatchesOracle: the first half of each workload's
+// queries is registered before the stream and the rest a third of the way
+// in. The early queries are sent all the oracle's matches; the late ones
+// exactly those that complete after they registered — the edge that
+// completes them arrives later — and none that completed before, whatever
+// the strategy. Late queries attach to plan nodes early ones built, some of
+// them under narrower windows (the many-queries variants' windows step up
+// with their tier); core's TestLateRegistrationBackfillsFromWindow covers
+// such a node after it has pruned. The retention is set to the widest query
+// window up front, which mid-stream registration requires.
+func TestLateRegistrationMatchesOracle(t *testing.T) {
+	for _, w := range []Workload{tinyNetflowWorkload(), tinyNewsWorkload(), tinyDriftWorkload(), tinyManyQueriesWorkload()} {
+		for _, q := range w.Queries {
+			w.Engine.Retention = max(w.Engine.Retention, q.Window())
+		}
+		split, half := len(w.Edges)/3, len(w.Queries)/2
+		early, late, lateBefore := w, w, w
+		early.Queries = w.Queries[:half]
+		late.Queries = w.Queries[half:]
+		lateBefore.Queries, lateBefore.Edges = late.Queries, w.Edges[:split]
+		ref := Oracle(early)
+		completedBefore := Oracle(lateBefore)
+		for k := range Oracle(late) {
+			if _, ok := completedBefore[k]; !ok {
+				ref[k] = struct{}{}
+			}
+		}
+		t.Run(w.Name, func(t *testing.T) {
+			if len(ref) == 0 {
+				t.Fatalf("the oracle finds nothing to send; the workload proves nothing")
+			}
+			for _, strat := range decompose.Strategies() {
+				t.Run(string(strat), func(t *testing.T) {
+					cfg := w.Engine
+					e := core.New(&cfg)
+					register := func(qs []*query.Graph) {
+						for _, q := range qs {
+							if _, err := e.RegisterQuery(q, core.WithStrategy(strat)); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					got := make(MatchSet)
+					register(early.Queries)
+					for i, se := range w.Edges {
+						if i == split {
+							register(late.Queries)
+						}
+						for _, ev := range e.ProcessEdge(se) {
+							got.Add(ev)
+						}
+					}
+					if !got.Equal(ref) {
+						t.Fatalf("%d matches with %d queries registered at edge %d, the oracle finds %d", len(got), len(late.Queries), split, len(ref))
+					}
+				})
+			}
+		})
+	}
+}

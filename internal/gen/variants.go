@@ -146,10 +146,10 @@ func QueryVariants(n int, window time.Duration) []*query.Graph {
 // ManyQueriesWorkload builds the multi-query-optimization evaluation
 // workload: the netflow background (attacks woven in) merged with a news
 // article stream over one shared ID space, standing under `queries` generated
-// query variants. With hundreds of registered variants the per-query engine
-// re-runs near-identical local searches per edge once per query; the shared
-// evaluation DAG runs each distinct subpattern once — this workload is where
-// that difference is measured.
+// query variants. With hundreds of registered variants one private plan per
+// query would re-run near-identical local searches per edge once per query;
+// the shared evaluation DAG runs each distinct subpattern once — this
+// workload is where that difference is measured.
 func ManyQueriesWorkload(cfg NetFlowConfig, newsCfg NewsConfig, window time.Duration, queries int) Workload {
 	flow := NewNetFlow(cfg, nil)
 	bg := flow.Generate()

@@ -85,8 +85,8 @@ func (a *Attachment) LeafSearches() uint64 {
 }
 
 // PartialMatches sums the stored matches of the attachment's non-root
-// nodes, the shared-mode analogue of Tree.PartialMatchCount (shared nodes
-// count once per query viewing them).
+// nodes, the DAG analogue of Tree.PartialMatchCount (shared nodes count once
+// per query viewing them).
 func (a *Attachment) PartialMatches() int {
 	total := 0
 	for _, n := range a.nodes {
@@ -215,14 +215,7 @@ func (d *DAG) build(att *Attachment, q *query.Graph, pn *decompose.Node) (*node,
 
 	if leaf {
 		d.addSeeds(n)
-		// Backfill: replay the retained window through the new leaf so its
-		// collection holds every primitive match a pre-existing leaf would.
-		// Registration before ingest replays nothing.
-		d.g.ForEachLiveEdge(func(de *graph.Edge) bool {
-			att.replayedEdges++
-			d.searchNode(n, de)
-			return true
-		})
+		att.replayedEdges += d.backfillLeaf(n)
 		return n, frag
 	}
 
@@ -249,25 +242,45 @@ func (d *DAG) build(att *Attachment, q *query.Graph, pn *decompose.Node) (*node,
 		for i, pv := range cuts {
 			childCuts[i] = query.VertexID(slices.Index(vmap, pv))
 		}
-		l := &childLink{child: child, vmap: vmap, emap: emap, cuts: childCuts, part: sjtree.NewPartition()}
+		l := &childLink{child: child, vmap: vmap, emap: emap, cuts: childCuts}
 		child.parents = append(child.parents, &parentLink{parent: n, link: l})
 		return l
 	}
 	n.left = mkLink(ln, lf)
 	n.right = mkLink(rn, rf)
-
-	// Join backfill: index the left child's collection silently, then stream
-	// the right child's through the normal add-and-probe step so every
-	// (left, right) pair is joined exactly once. Joins insert into n, which
-	// has no parents or consumers yet — results land in n.coll, ready for
+	// n has no parents or consumers yet: the joins land in n.coll, ready for
 	// the next level up.
-	for _, m := range ln.coll.Stored() {
+	d.backfillJoin(n)
+	return n, frag
+}
+
+// backfillLeaf replays the retained window through leaf n so its collection
+// holds every primitive match its window admits, and returns how many edges
+// it replayed. Matches it already holds are kept once; new ones propagate
+// like any insertion. Before the first edge it replays nothing.
+func (d *DAG) backfillLeaf(n *node) uint64 {
+	replayed := uint64(0)
+	d.g.ForEachLiveEdge(func(de *graph.Edge) bool {
+		replayed++
+		d.searchNode(n, de)
+		return true
+	})
+	return replayed
+}
+
+// backfillJoin (re)builds join node n's link partitions from its children's
+// collections and joins them: the left child's matches are indexed silently,
+// then the right child's stream through the normal index-and-probe step, so
+// every (left, right) pair is joined exactly once. Matches n already holds
+// are kept once; new ones propagate like any insertion.
+func (d *DAG) backfillJoin(n *node) {
+	n.left.part, n.right.part = sjtree.NewPartition(), sjtree.NewPartition()
+	for _, m := range n.left.child.coll.Stored() {
 		n.left.part.Add(m.Projection(n.left.cuts), m)
 	}
-	for _, m := range rn.coll.Stored() {
+	for _, m := range n.right.child.coll.Stored() {
 		d.join(n, n.right, m)
 	}
-	return n, frag
 }
 
 // joinSig composes an internal node's sharing key: the canonical fragment
@@ -307,8 +320,7 @@ func (a *Attachment) addNode(n *node, leaf bool) {
 }
 
 // addSeeds registers a new leaf's local-search seeds, one per fragment edge,
-// with precomputed connected orders (hot-path work hoisted to attach time,
-// exactly like core's rebuildCandidates).
+// with precomputed connected orders (hot-path work hoisted to attach time).
 func (d *DAG) addSeeds(n *node) {
 	fg := n.frag.Graph
 	edges := fg.EdgeIDs()
@@ -362,8 +374,8 @@ func (d *DAG) Detach(name string) error {
 // while the old plan's nodes are still live — so subtrees common to both
 // plans (and anything shared with other queries) keep their state across the
 // swap — and only then are the old plan's now-unreferenced nodes collected.
-// This is the shared-plan counterpart of the per-query engine's hot plan
-// swap. The replacement keeps the emit callbacks.
+// This is how the engine hot-swaps a query's plan. The replacement keeps the
+// emit callbacks.
 //
 // Exactly-once travels with the query. It leaves its consumer group with
 // what the group remembers — the set itself when it was the last member, a
@@ -436,27 +448,47 @@ func (d *DAG) gc(n *node) {
 // widen relaxes a node's effective window to admit an attachment with
 // requirement w, cascading downward (every node below must retain at least
 // what its ancestors need). Zero means unbounded and absorbs everything.
+//
+// A node whose window grows has dropped, at insertion or in a prune sweep,
+// matches the wider window admits — a query attached mid-stream would miss
+// them — so once its children are widened it re-derives its state from the
+// retained window like a new node: a leaf re-searches the live edges, a join
+// re-joins its children's collections.
 func (d *DAG) widen(n *node, w time.Duration) {
 	nw := combineWindow(n.window, w)
 	if nw == n.window {
 		return
 	}
 	n.window = nw
-	if n.left != nil {
-		d.widen(n.left.child, nw)
-		d.widen(n.right.child, nw)
+	if n.left == nil {
+		d.backfillLeaf(n)
+		return
 	}
+	d.widen(n.left.child, nw)
+	d.widen(n.right.child, nw)
+	d.backfillJoin(n)
 }
 
 // recomputeWindows rebuilds every node's effective window from scratch —
 // required after a detach, which may narrow windows (widen only relaxes).
+// Nothing is re-derived: no window ends up wider than it was.
 func (d *DAG) recomputeWindows() {
 	for _, sig := range d.order {
 		d.nodes[sig].window = -1
 	}
+	var require func(n *node, w time.Duration)
+	require = func(n *node, w time.Duration) {
+		if nw := combineWindow(n.window, w); nw != n.window {
+			n.window = nw
+			if n.left != nil {
+				require(n.left.child, nw)
+				require(n.right.child, nw)
+			}
+		}
+	}
 	for _, name := range d.attOrder {
 		att := d.atts[name]
-		d.widen(att.root, att.window)
+		require(att.root, att.window)
 	}
 }
 

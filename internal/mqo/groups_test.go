@@ -29,8 +29,9 @@ func smurfReversed(name string, window time.Duration) *query.Graph {
 		MustBuild()
 }
 
-// privateTreeSignatures replays edges through one private SJ-Tree for q, the
-// way the per-query engine drives it, and returns the signatures emitted
+// privateTreeSignatures replays edges through one private SJ-Tree for q —
+// the single-query reference: a local search per leaf the edge can seed,
+// every primitive match inserted — and returns the signatures emitted
 // while edges[from:to] arrived — what a query attached for that stretch of
 // the stream is owed — in emission order.
 func privateTreeSignatures(t *testing.T, q *query.Graph, edges []graph.StreamEdge, from, to int) []string {

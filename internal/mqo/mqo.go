@@ -1,6 +1,6 @@
-// Package mqo implements multi-query optimization for the continuous
-// engine: one shared evaluation DAG for all registered queries, in place of
-// one private SJ-Tree per query.
+// Package mqo implements the continuous engine's evaluation: one shared
+// evaluation DAG for all registered queries, in place of one private SJ-Tree
+// per query (sjtree.Tree, which stays as the single-query reference).
 //
 // Every decomposition plan node of every attached query is canonicalized
 // (decompose.Canonicalize) and folded into a DAG node keyed by its canonical
@@ -19,10 +19,10 @@
 // leaf), a set closed under fragment automorphisms. Remapping a closed set
 // through any fixed isomorphism into a consumer's pattern space yields the
 // identical set of query-space matches a private tree would have computed,
-// so emissions are byte-identical to per-query mode. Per-query emission
-// semantics are preserved exactly: each attachment is sent every distinct
-// data-edge binding inside its own window exactly once, through its own
-// callback.
+// so emissions are byte-identical to the single-query reference. Per-query
+// emission semantics are preserved exactly: each attachment is sent every
+// distinct data-edge binding inside its own window exactly once, through its
+// own callback.
 //
 // Every byte of join state exists once. A partial match is stored in its
 // node's collection, in the node's canonical space; the hash partitions of
@@ -145,7 +145,8 @@ func (n *node) otherLink(l *childLink) *childLink {
 }
 
 // seedRef is one (leaf node, fragment edge) local-search seed with its
-// precomputed connected order, mirroring core's leafCandidate.
+// precomputed connected order: orders depend only on the pattern, so
+// computing them per arriving edge would be pure hot-path waste.
 type seedRef struct {
 	n     *node
 	qe    *query.Edge

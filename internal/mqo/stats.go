@@ -32,7 +32,7 @@ type Stats struct {
 	SharedNodes int `json:"shared_nodes"`
 	Attachments int `json:"attachments"`
 	// PartialMatches counts the matches stored across all node collections,
-	// each once (the link partitions index them) — the shared-mode
+	// each once (the link partitions index them) — the engine's
 	// memory-pressure metric, comparable with sjtree.Tree.PartialMatchCount
 	// but for the roots, whose complete matches the DAG keeps for late
 	// attachments.

@@ -17,7 +17,7 @@ import (
 )
 
 // matrixWorkload is the shared workload for the transport-equivalence
-// matrix: small enough that twelve cells stay fast, busy enough that every
+// matrix: small enough that six cells stay fast, busy enough that every
 // query produces matches.
 func matrixWorkload() gen.Workload {
 	cfg := gen.NetFlowConfig{
@@ -36,44 +36,36 @@ func matrixWorkload() gen.Workload {
 // canonical match set — keyed by (query, signature), the identity both
 // transports serialize byte-identically — must be the same for every
 // combination of ingest transport (NDJSON batches, binary batches, the
-// persistent binary stream), shard count, and shared-plan evaluation, and
-// must equal the single-engine reference run.
+// persistent binary stream) and shard count, and must equal the independent
+// oracle's (gen.Oracle).
 func TestTransportEquivalenceMatrix(t *testing.T) {
 	w := matrixWorkload()
-	expected, _, err := gen.RunSingle(w)
-	if err != nil {
-		t.Fatalf("single-engine reference run: %v", err)
-	}
+	expected := gen.Oracle(w)
 	if len(expected) == 0 {
-		t.Fatal("degenerate workload: reference run found no matches")
+		t.Fatal("degenerate workload: the oracle found no matches")
 	}
 
 	for _, transport := range []string{"ndjson", "binary", "stream"} {
 		for _, shards := range []int{1, 2} {
-			for _, sharedPlans := range []bool{false, true} {
-				name := fmt.Sprintf("%s/shards=%d/shared=%v", transport, shards, sharedPlans)
-				t.Run(name, func(t *testing.T) {
-					got := runTransportCell(t, w, transport, shards, sharedPlans)
-					if !got.Equal(expected) {
-						t.Fatalf("match set diverges from reference: got %d matches, want %d",
-							len(got), len(expected))
-					}
-				})
-			}
+			t.Run(fmt.Sprintf("%s/shards=%d", transport, shards), func(t *testing.T) {
+				got := runTransportCell(t, w, transport, shards)
+				if !got.Equal(expected) {
+					t.Fatalf("match set diverges from the oracle's: got %d matches, want %d",
+						len(got), len(expected))
+				}
+			})
 		}
 	}
 }
 
 // runTransportCell runs one matrix cell: a fresh server with the requested
-// shard count and plan sharing, the workload ingested over the requested
-// transport while a subscription (binary frames for the binary transports,
-// NDJSON otherwise) collects the delivered match set.
-func runTransportCell(t *testing.T, w gen.Workload, transport string, shards int, sharedPlans bool) gen.MatchSet {
+// shard count, the workload ingested over the requested transport while a
+// subscription (binary frames for the binary transports, NDJSON otherwise)
+// collects the delivered match set.
+func runTransportCell(t *testing.T, w gen.Workload, transport string, shards int) gen.MatchSet {
 	t.Helper()
-	ecfg := w.Engine
-	ecfg.SharedPlans = sharedPlans
 	srv := server.New(server.Config{
-		Shard:            shard.Config{Shards: shards, Engine: ecfg},
+		Shard:            shard.Config{Shards: shards, Engine: w.Engine},
 		SubscriberBuffer: 8192,
 	})
 	hs := httptest.NewServer(srv)

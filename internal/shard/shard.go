@@ -560,10 +560,8 @@ func (s *ShardedEngine) Metrics() core.Metrics {
 				m.Queries[idx].PlanNodes = qm.PlanNodes
 				m.Queries[idx].PlanDepth = qm.PlanDepth
 				m.Queries[idx].Strategy = qm.Strategy
-				// Per-node statistics and the replan audit describe one
-				// concrete tree; summing across shards would mix plans, so
-				// report the shard with the newest plan generation.
-				m.Queries[idx].Nodes = qm.Nodes
+				// The replan audit describes one concrete plan; report the
+				// shard with the newest plan generation.
 				m.Queries[idx].LastReplanAudit = qm.LastReplanAudit
 			}
 		}
@@ -571,19 +569,14 @@ func (s *ShardedEngine) Metrics() core.Metrics {
 	if len(snaps) > 0 {
 		m.Registrations = snaps[0].Registrations
 	}
-	// Shared-plan DAG snapshots merge by canonical node signature: every
-	// shard builds the same DAG structure for the same registrations, so the
-	// per-node counters sum meaningfully (mqo.MergeStats).
-	var dagSnaps []mqo.Stats
-	for _, sm := range snaps {
-		if sm.MQO != nil {
-			dagSnaps = append(dagSnaps, *sm.MQO)
-		}
+	// DAG snapshots merge by canonical node signature: every shard builds
+	// the same DAG structure for the same registrations, so the per-node
+	// counters sum meaningfully (mqo.MergeStats).
+	dagSnaps := make([]mqo.Stats, len(snaps))
+	for i, sm := range snaps {
+		dagSnaps[i] = sm.MQO
 	}
-	if len(dagSnaps) > 0 {
-		merged := mqo.MergeStats(dagSnaps...)
-		m.MQO = &merged
-	}
+	m.MQO = mqo.MergeStats(dagSnaps...)
 	unique, _, perQuery := s.dedup.stats()
 	m.MatchesEmitted = unique
 	m.DedupEntries, m.DedupBytes = s.dedup.size()

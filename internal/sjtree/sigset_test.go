@@ -191,32 +191,41 @@ func TestArenaCapacityFollowsWhatIsStored(t *testing.T) {
 	}
 }
 
-// TestInheritEmittedHandsOverTheSet: a replacement tree that inherits its
-// predecessor's emitted set drops the matches the old tree already
-// reported, and still reports new ones.
-func TestInheritEmittedHandsOverTheSet(t *testing.T) {
+// TestMergeHandsOverAMultiChunkSet: a fresh set merged from a predecessor
+// holding several arena chunks of entries — what a query carries when a plan
+// swap moves it to another consumer group — rejects every match the
+// predecessor holds and still admits new ones, whose tree is of another
+// plan.
+func TestMergeHandsOverAMultiChunkSet(t *testing.T) {
 	q := smurfQuery(0)
 	old := mustTree(t, q, decompose.StrategyEager)
 	const n = 5000 // several arena chunks
-	complete := func(tr *Tree, i int) int {
+	completeMatch := func(i int) *match.Match {
 		base := graph.VertexID(10 * i)
 		req := reqMatch(base, base+1, graph.EdgeID(2*i), 1)
-		return len(tr.Insert(tr.Root(), req.Join(replyMatch(base+1, base+2, graph.EdgeID(2*i+1), 2))))
+		return req.Join(replyMatch(base+1, base+2, graph.EdgeID(2*i+1), 2))
 	}
+	sent := NewEmittedSet()
 	for i := 0; i < n; i++ {
-		if complete(old, i) != 1 {
+		out := old.Insert(old.Root(), completeMatch(i))
+		if len(out) != 1 || !sent.Add(out[0]) {
 			t.Fatalf("old tree missed match %d", i)
 		}
 	}
+	handed := NewEmittedSet()
+	handed.Merge(sent)
 	repl := mustTree(t, q, decompose.StrategyLazy)
-	repl.InheritEmitted(old)
-	for i := 0; i < n; i++ {
-		if complete(repl, i) != 0 {
-			t.Fatalf("replacement re-emitted match %d", i)
+	for i := 0; i <= n; i++ {
+		out := repl.Insert(repl.Root(), completeMatch(i))
+		if len(out) != 1 {
+			t.Fatalf("replacement tree missed match %d", i)
+		}
+		if fresh := handed.Add(out[0]); fresh != (i == n) {
+			t.Fatalf("match %d: Add = %v after the hand-over", i, fresh)
 		}
 	}
-	if complete(repl, n) != 1 || repl.CompleteCount() != n+1 {
-		t.Fatalf("replacement lost a new match: CompleteCount = %d", repl.CompleteCount())
+	if handed.Len() != n+1 {
+		t.Fatalf("handed-over set holds %d entries, want %d", handed.Len(), n+1)
 	}
 }
 

@@ -18,6 +18,11 @@
 // them into the tree; whenever a match and a sibling match agree on the cut
 // projection they are joined and the larger match is inserted one level up,
 // until complete matches emerge at the root within the query's time window.
+//
+// The engine does not run Trees: it folds every query's plan into the shared
+// evaluation DAG of internal/mqo, built from this package's storage pieces
+// (Collection, Partition, EmittedSet; shared.go). Tree stays as the
+// single-query reference the DAG is checked and measured against.
 package sjtree
 
 import (
@@ -176,22 +181,6 @@ func (t *Tree) Root() *Node { return t.root }
 // Leaves returns the leaf nodes (search primitives) in plan order.
 func (t *Tree) Leaves() []*Node { return t.leaves }
 
-// InheritEmitted transfers old's emitted-match identity across a plan swap:
-// the new tree adopts the old tree's complete-match dedup set (and its
-// cumulative emission counters), so that re-deriving an already-reported
-// match while the engine rebuilds state from the retained window is dropped
-// as a duplicate rather than emitted twice. The old tree is expected to be
-// discarded after the call — the set is moved, not copied.
-func (t *Tree) InheritEmitted(old *Tree) {
-	if old == nil {
-		return
-	}
-	t.emitted = old.emitted
-	t.duplicateDrops = old.duplicateDrops
-	t.windowDrops = old.windowDrops
-	t.prunedTotal = old.prunedTotal
-}
-
 // Insert adds a match of node n's query subgraph to the tree and propagates
 // joins upward. It returns the complete matches (if any) that the insertion
 // produced at the root. Matches whose temporal span already exceeds the
@@ -336,10 +325,6 @@ func (t *Tree) PartialMatchCount() int {
 
 // CompleteCount returns the number of distinct complete matches emitted.
 func (t *Tree) CompleteCount() uint64 { return t.emitted.Total() }
-
-// Emitted exposes the tree's exactly-once emission set: the engine expires
-// it as the window slides and reports its size.
-func (t *Tree) Emitted() *EmittedSet { return &t.emitted }
 
 // Stats summarizes the tree's runtime counters.
 type Stats struct {

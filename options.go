@@ -184,25 +184,20 @@ func WithPlanStrategy(name string) Option {
 	return func(c *config) { c.strategy = name }
 }
 
-// WithSharedPlans switches in-process backends onto the multi-query
-// shared-plan path: instead of one SJ-Tree per registered query, all queries
-// fold into a single evaluation DAG in which structurally identical
-// subpatterns (shared leaf primitives, wedges, larger common subtrees) are
-// computed once per arriving edge and fanned out to every query containing
-// them. Emission semantics are unchanged — each query's match stream is
-// byte-identical to what per-query mode produces for queries registered
-// before ingestion — so the switch is purely a cost optimization for
-// workloads with many overlapping standing queries. Metrics gain a DAG
-// section (node count, shared nodes, shared hits); the daemon exposes the
-// same switch via the -shared-plans flag. Default off.
-func WithSharedPlans(enabled bool) Option {
-	return func(c *config) { c.engine.SharedPlans = enabled }
+// WithSharedPlans is ignored: every in-process backend folds its queries
+// into one shared evaluation DAG, in which structurally identical
+// subpatterns are computed once per arriving edge and fanned out to every
+// query containing them. The option stays only because the benchmark harness
+// under benchmark/ still passes it.
+func WithSharedPlans(bool) Option {
+	return func(*config) {}
 }
 
 // WithObservability turns the observability layer on for in-process
-// backends: per-segment latency histograms (local search, SJ-tree join,
-// shard mailbox wait, dispatch), the stream-time detection-lag histogram,
-// and per-SJ-tree-node statistics in Metrics. Snapshot the collected data
+// backends: per-segment latency histograms (local search, DAG join, shard
+// mailbox wait, dispatch), the stream-time detection-lag histogram and the
+// per-query emitted-set gauges. (Per-node DAG statistics are in
+// Metrics().MQO whether or not it is on.) Snapshot the collected data
 // with Local.ObsSnapshot / Sharded.ObsSnapshot. Default off; when off every
 // instrumentation site reduces to a single branch.
 func WithObservability(enabled bool) Option {

@@ -84,14 +84,13 @@ func measureEmitted(t *testing.T, eng streamworks.Engine) emittedState {
 }
 
 // TestEmittedStatePlateaus streams 22 retentions of a match-dense stream
-// through a private SJ-Tree, a 25-member consumer group of the shared DAG
-// and a 2-shard engine (whose merger remembers matches too): what each
-// remembers of its emissions after 22 retentions must be what it remembered
-// after 4 — entries and heap alike, the heap covering the window statistics
-// too — not five times that, while everything still inside the window is
-// kept. The group of 25 remembers a match once,
-// not once per member: it holds what the private tree holds. With unbounded
-// retention nothing expires and nothing may be forgotten.
+// through a 25-member consumer group of the DAG and a 2-shard engine (whose
+// merger remembers matches too): what each remembers of its emissions after
+// 22 retentions must be what it remembered after 4 — entries and heap alike,
+// the heap covering the window statistics too — not five times that, while
+// everything still inside the window is kept. The group of 25 remembers a
+// match once, not once per member: it holds what one query alone would. With
+// unbounded retention nothing expires and nothing may be forgotten.
 func TestEmittedStatePlateaus(t *testing.T) {
 	const (
 		early = 4 * chainPerRetention
@@ -116,17 +115,11 @@ func TestEmittedStatePlateaus(t *testing.T) {
 		sets    int // exactly-once sets holding each match
 		bounded bool
 	}{
-		{"private tree", func() streamworks.Engine {
-			return streamworks.New(streamworks.WithRetention(chainRetention))
-		}, one, 1, true},
 		{"consumer group of 25", func() streamworks.Engine {
-			return streamworks.New(streamworks.WithRetention(chainRetention), streamworks.WithSharedPlans(true))
+			return streamworks.New(streamworks.WithRetention(chainRetention))
 		}, group, 1, true},
 		{"2 shards", func() streamworks.Engine {
 			return streamworks.NewSharded(streamworks.WithRetention(chainRetention), streamworks.WithShards(2))
-		}, one, 3, true},
-		{"2 shards, shared plans", func() streamworks.Engine {
-			return streamworks.NewSharded(streamworks.WithRetention(chainRetention), streamworks.WithShards(2), streamworks.WithSharedPlans(true))
 		}, one, 3, true},
 		{"unbounded retention", func() streamworks.Engine { return streamworks.New() }, one, 1, false},
 	} {
