@@ -55,7 +55,6 @@ func openDurable(cfg *config) (*durable, *wal.Recovery) {
 		Dir:           cfg.dataDir,
 		FS:            cfg.walFS,
 		Fsync:         policy,
-		FsyncInterval: cfg.fsyncInterval,
 		SnapshotEvery: cfg.snapshotEvery,
 		Retention:     cfg.engine.Retention,
 		Slack:         cfg.engine.Slack,

@@ -127,7 +127,7 @@ type Config struct {
 	// histograms, the stream-time detection-lag histogram and sampled edge
 	// tracing. Disabled by default; when enabled the engine reads wall time
 	// exclusively through the configured obs.Clock (never a concrete clock
-	// — swvet's walltime pass enforces the seam).
+	// — obs.TestHotPathReadsNoWallClock holds the seam).
 	Obs obs.Config
 	// SharedPlans is ignored: every engine folds its queries into the one
 	// shared evaluation DAG. The field stays only because the benchmark
@@ -389,9 +389,6 @@ func (e *Engine) noteExpired(de *graph.Edge) {
 // The returned slice aliases an internal scratch buffer and is only valid
 // until the next ProcessEdge call; callers that retain events across calls
 // must copy the slice (the MatchEvent values themselves are safe to keep).
-// swvet's scratchalias pass enforces that contract at every call site.
-//
-//swvet:scratch
 func (e *Engine) ProcessEdge(se graph.StreamEdge) []MatchEvent {
 	stored, err := e.dyn.Apply(se)
 	if err != nil {

@@ -7,9 +7,9 @@ import (
 // engineObs is the engine's resolved observability state. Handles are
 // resolved once at construction so the per-edge cost is one branch when
 // disabled and plain atomic adds when enabled; the wall clock only ever
-// arrives through the obs.Clock seam (swvet's walltime pass keeps concrete
-// clocks out of this package). The local-search and join segments are timed
-// by the DAG itself (mqo.WithObs).
+// arrives through the obs.Clock seam (obs.TestHotPathReadsNoWallClock keeps
+// concrete clocks out of this package). The local-search and join segments
+// are timed by the DAG itself (mqo.WithObs).
 type engineObs struct {
 	enabled  bool
 	clock    obs.Clock

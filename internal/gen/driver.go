@@ -242,7 +242,6 @@ func (s MatchSet) Equal(o MatchSet) bool {
 	if len(s) != len(o) {
 		return false
 	}
-	//swvet:unordered membership test: the early return is the same constant false whichever missing key is visited first
 	for k := range s {
 		if _, ok := o[k]; !ok {
 			return false

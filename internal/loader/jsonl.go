@@ -83,7 +83,8 @@ func fromJSONAttrs(m map[string]jsonValue) graph.Attributes {
 		return nil
 	}
 	var attrs graph.Attributes
-	//swvet:unordered map-to-map copy: Set inserts by key, so the result is identical in any visit order
+	// Map order is harmless: Set inserts by key, so any visit order builds
+	// the same attributes.
 	for k, v := range m {
 		attrs = attrs.Set(k, fromJSONValue(v))
 	}

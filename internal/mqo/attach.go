@@ -340,7 +340,8 @@ func (d *DAG) addSeeds(n *node) {
 
 // removeSeeds drops a collected leaf's seeds from the per-type index.
 func (d *DAG) removeSeeds(n *node) {
-	//swvet:unordered each type bucket is filtered independently; relative seed order within a bucket is preserved
+	// Map order is harmless: each type bucket is filtered on its own and keeps
+	// its seeds' relative order.
 	for t, seeds := range d.seedsByType {
 		kept := seeds[:0]
 		for _, s := range seeds {

@@ -10,12 +10,12 @@
 // hot path once the metric handles have been resolved, and every handle is
 // nil-safe so disabled observability costs a single branch.
 //
-// Wall time never enters the core engine directly: the swvet walltime pass
-// bans time.Now there. Core instead receives a Clock through its Config and
-// reads nanoseconds through the interface; the only implementation that
-// touches the machine clock lives here, outside the hot-path packages, and
-// walltime additionally flags any hot-path reference to it so the seam cannot
-// be short-circuited.
+// Wall time never enters the core engine directly: TestHotPathReadsNoWallClock
+// fails on a time.Now there. Core instead receives a Clock through its Config
+// and reads nanoseconds through the interface; the only implementation that
+// touches the machine clock lives here, outside the hot-path packages, and the
+// same test fails on any hot-path reference to it so the seam cannot be
+// short-circuited.
 package obs
 
 import "time"
@@ -23,8 +23,8 @@ import "time"
 // Clock supplies wall-clock nanoseconds to serving-tier instrumentation. It
 // exists so hot-path packages can measure wall latency without importing a
 // wall clock: they accept a Clock from their configuration and the concrete
-// implementation stays out of their dependency cone (enforced by swvet's
-// walltime pass).
+// implementation stays out of their dependency cone (held by
+// TestHotPathReadsNoWallClock).
 type Clock interface {
 	// Now returns the current wall time in nanoseconds since the Unix epoch.
 	Now() int64
@@ -35,7 +35,8 @@ type systemClock struct{}
 func (systemClock) Now() int64 { return time.Now().UnixNano() }
 
 // SystemClock is the real wall clock. Hot-path packages must not reference
-// it directly — they receive it via configuration (swvet: walltime).
+// it directly — they receive it via configuration
+// (TestHotPathReadsNoWallClock).
 var SystemClock Clock = systemClock{}
 
 // Config is the observability seam handed to each tier. The zero value is

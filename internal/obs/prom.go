@@ -66,27 +66,28 @@ func sanitize(name string) string {
 	return sb.String()
 }
 
-// escapeLabel escapes a label value per the text-format rules.
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	return v
+// label renders one key="value" pair, the value escaped per the text-format
+// rules (backslash, newline and double quote; nothing else).
+func label(key, value string) string {
+	value = strings.ReplaceAll(value, `\`, `\\`)
+	value = strings.ReplaceAll(value, "\n", `\n`)
+	value = strings.ReplaceAll(value, `"`, `\"`)
+	return sanitize(key) + `="` + value + `"`
 }
 
 func labelSuffix(key, value string) string {
 	if key == "" {
 		return ""
 	}
-	return fmt.Sprintf("{%s=%q}", sanitize(key), escapeLabel(value))
+	return "{" + label(key, value) + "}"
 }
 
 func labelWith(key, value, extraKey, extraValue string) string {
 	parts := make([]string, 0, 2)
 	if key != "" {
-		parts = append(parts, fmt.Sprintf("%s=%q", sanitize(key), escapeLabel(value)))
+		parts = append(parts, label(key, value))
 	}
-	parts = append(parts, fmt.Sprintf("%s=%q", sanitize(extraKey), escapeLabel(extraValue)))
+	parts = append(parts, label(extraKey, extraValue))
 	return "{" + strings.Join(parts, ",") + "}"
 }
 

@@ -74,6 +74,33 @@ func TestPromRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPromLabelValueRoundTrip: a query name is free text, and the name a
+// scrape reads back must be the one registered — escaped once, not twice.
+func TestPromLabelValueRoundTrip(t *testing.T) {
+	const name = "smurf \"v2\" q\\1\nnext"
+	r := NewRegistry()
+	r.Gauge(EmittedEntriesGaugeName, QueryLabelKey, name).Set(3)
+	r.Histogram("match_latency", QueryLabelKey, name).Observe(1500)
+	var sb strings.Builder
+	pw := NewPromWriter(&sb)
+	pw.Snapshot(r.Snapshot())
+	if err := pw.Err(); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	samples, err := ParseProm(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("own exposition did not parse: %v\n%s", err, sb.String())
+	}
+	if len(samples) == 0 {
+		t.Fatal("no samples")
+	}
+	for _, s := range samples {
+		if got := s.Labels[QueryLabelKey]; got != name {
+			t.Fatalf("%s: query label read back as %q, want %q", s.Series(), got, name)
+		}
+	}
+}
+
 func TestParsePromRejectsGarbage(t *testing.T) {
 	for _, bad := range []string{
 		"no_value_here",

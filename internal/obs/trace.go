@@ -25,10 +25,8 @@ const (
 
 // TraceEvent is one sampled edge-journey event. By design it carries only
 // scalar and string fields — never slices, maps or pointers — so recording
-// an event can never retain scratch-backed ProcessEdge state (the swvet
-// obsescape pass enforces this shape).
-//
-//swvet:traceevent
+// an event can never retain scratch-backed ProcessEdge state
+// (TestTraceEventHoldsOnlyScalars holds it to this shape).
 type TraceEvent struct {
 	// Seq is the tracer-assigned global sequence number (1-based).
 	Seq uint64 `json:"seq"`

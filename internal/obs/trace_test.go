@@ -1,6 +1,28 @@
 package obs
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
+
+// TestTraceEventHoldsOnlyScalars: events are recorded inside ProcessEdge,
+// where the slices in sight are scratch-backed and reused on the next call.
+// A slice, map, pointer or interface field could alias that memory or force
+// a copy on the hot path; scalars and strings copy by value.
+func TestTraceEventHoldsOnlyScalars(t *testing.T) {
+	typ := reflect.TypeOf(TraceEvent{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Bool, reflect.String,
+			reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+		default:
+			t.Errorf("TraceEvent.%s has type %s: trace events hold only scalars and strings", f.Name, f.Type)
+		}
+	}
+}
 
 // fakeClock is a deterministic Clock for tests.
 type fakeClock struct{ ns int64 }

@@ -2,6 +2,7 @@ package query
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -127,6 +128,27 @@ func TestGraphTopologyHelpers(t *testing.T) {
 	}
 	if !q.IsConnected() {
 		t.Fatalf("smurf query must be connected")
+	}
+}
+
+// TestEndpointsOfAscending: EndpointsOf collects through a set, and the
+// decomposer's cut vertices — hence plan keys and signatures — inherit its
+// order, so it must come out sorted whatever order the set is read in.
+func TestEndpointsOfAscending(t *testing.T) {
+	b := NewBuilder("path12")
+	names := "abcdefghijkl"
+	for i := range names {
+		b.Vertex(names[i:i+1], "")
+		if i > 0 {
+			b.Edge(names[i-1:i], names[i:i+1], "e")
+		}
+	}
+	q := b.MustBuild()
+	for run := 0; run < 10; run++ {
+		eps := q.EndpointsOf(q.EdgeIDs())
+		if len(eps) != len(names) || !slices.IsSorted(eps) {
+			t.Fatalf("EndpointsOf = %v, want %d vertex IDs ascending", eps, len(names))
+		}
 	}
 }
 

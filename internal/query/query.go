@@ -245,7 +245,7 @@ func (q *Graph) SubsetConnected(edges []EdgeID) bool {
 		verts[e.Target] = struct{}{}
 	}
 	var start VertexID
-	//swvet:unordered connectivity is independent of which vertex the walk starts from
+	// Any start vertex will do: connectivity does not depend on it.
 	for v := range verts {
 		start = v
 		break

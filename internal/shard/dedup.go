@@ -82,7 +82,6 @@ func (d *dedup) expire(minShardWM graph.Timestamp) {
 		return
 	}
 	d.cutoff = cutoff
-	//swvet:unordered every query's set takes the same cutoff, independently of the others
 	for _, set := range d.seen {
 		set.Expire(cutoff, d.retention)
 	}
@@ -94,7 +93,6 @@ func (d *dedup) stats() (unique, dups uint64, perQuery map[string]uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	perQuery = make(map[string]uint64, len(d.seen))
-	//swvet:unordered sums and a keyed copy
 	for name, set := range d.seen {
 		perQuery[name] = set.Total()
 		unique += set.Total()
@@ -107,7 +105,6 @@ func (d *dedup) stats() (unique, dups uint64, perQuery map[string]uint64) {
 func (d *dedup) size() (entries, bytes int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	//swvet:unordered sums
 	for _, set := range d.seen {
 		entries += set.Len()
 		bytes += set.Bytes()

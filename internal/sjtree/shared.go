@@ -110,7 +110,8 @@ func (p *Partition) Partitions() int { return len(p.buckets) }
 // PruneWhere removes every indexed match for which drop returns true. The
 // owning collection counts what it prunes; the index does not.
 func (p *Partition) PruneWhere(drop func(*match.Match) bool) {
-	//swvet:unordered drop is a pure predicate: each match is kept or removed independently of visit order
+	// Map order is harmless: drop is a pure predicate, so each match is kept
+	// or removed on its own.
 	for key, list := range p.buckets {
 		kept := list[:0]
 		for _, m := range list {

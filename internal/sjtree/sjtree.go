@@ -246,7 +246,8 @@ func (t *Tree) pruneWhere(drop func(*match.Match) bool) int {
 			continue
 		}
 		before := n.stored
-		//swvet:unordered drop is a pure predicate: each match is kept or removed independently of visit order
+		// Map order is harmless: drop is a pure predicate, so each match is
+		// kept or removed on its own.
 		for key, list := range n.matches {
 			kept := list[:0]
 			for _, m := range list {
@@ -267,7 +268,8 @@ func (t *Tree) pruneWhere(drop func(*match.Match) bool) int {
 		n.pruned += uint64(before - n.stored)
 		removed += before - n.stored
 		n.signatures.reset(n.stored)
-		//swvet:unordered the kept matches are distinct: the set is the same whatever order they go back in
+		// Map order is harmless: the kept matches are distinct, so the set is
+		// the same whatever order they go back in.
 		for _, list := range n.matches {
 			for _, m := range list {
 				n.signatures.add(m)

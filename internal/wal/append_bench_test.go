@@ -2,7 +2,6 @@ package wal
 
 import (
 	"testing"
-	"time"
 
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/testutil/allocbudget"
@@ -20,7 +19,7 @@ func BenchmarkAppendEdges512(b *testing.B) {
 	for _, policy := range []FsyncPolicy{FsyncOff, FsyncInterval, FsyncAlways} {
 		b.Run(policy.String(), func(b *testing.B) {
 			dir := b.TempDir()
-			m, _, err := Open(Options{Dir: dir, Fsync: policy, FsyncInterval: 50 * time.Millisecond, SnapshotEvery: -1})
+			m, _, err := Open(Options{Dir: dir, Fsync: policy, SnapshotEvery: -1})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -113,7 +113,7 @@ func Open(opts Options) (*Manager, *Recovery, error) {
 		fs:       m.fs,
 		dir:      m.dir,
 		policy:   opts.Fsync,
-		interval: int64(opts.FsyncInterval),
+		interval: int64(groupCommitInterval),
 		now:      opts.Now,
 	}
 	if err := m.fs.MkdirAll(m.dir); err != nil {

@@ -68,7 +68,7 @@ import (
 type FsyncPolicy int
 
 const (
-	// FsyncInterval syncs at most once per Options.FsyncInterval, piggybacked
+	// FsyncInterval syncs at most once per groupCommitInterval, piggybacked
 	// on appends (group commit). The default.
 	FsyncInterval FsyncPolicy = iota
 	// FsyncAlways syncs after every appended frame.
@@ -76,6 +76,10 @@ const (
 	// FsyncOff never syncs; durability rides on the OS page cache alone.
 	FsyncOff
 )
+
+// groupCommitInterval is how long FsyncInterval lets appended frames wait
+// for a sync.
+const groupCommitInterval = 50 * time.Millisecond
 
 // ParseFsyncPolicy parses the operator-facing policy names.
 func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
@@ -109,9 +113,6 @@ type Options struct {
 	FS FS
 	// Fsync is the sync policy for appended frames.
 	Fsync FsyncPolicy
-	// FsyncInterval is the group-commit interval for FsyncInterval.
-	// Zero defaults to 50ms.
-	FsyncInterval time.Duration
 	// SegmentBytes checkpoints once the active segment exceeds this size.
 	// Zero defaults to 8 MiB.
 	SegmentBytes int64
@@ -140,9 +141,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.FS == nil {
 		o.FS = OSFS{}
-	}
-	if o.FsyncInterval <= 0 {
-		o.FsyncInterval = 50 * time.Millisecond
 	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 8 << 20

@@ -168,6 +168,33 @@ func TestEncodeEmittedDeterministic(t *testing.T) {
 	}
 }
 
+// TestManifestDeterministic: the manifest's emitted set is read out of a
+// map, so two checkpoints of the same state only encode the same bytes if
+// the entries are sorted on the way out.
+func TestManifestDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	m, _ := openTest(t, dir, nil)
+	defer m.Close()
+	for i := 0; i < 32; i++ {
+		m.NoteEmitted("q", fmt.Sprintf("sig-%02d", i), int64(i))
+	}
+	var first []byte
+	for seq := uint64(2); seq <= 5; seq++ {
+		if err := m.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		seg, err := os.ReadFile(segPath(dir, seq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = seg
+		} else if !bytes.Equal(seg, first) {
+			t.Fatalf("segment %d's manifest differs from segment 2's for the same state:\n%s\n%s", seq, seg, first)
+		}
+	}
+}
+
 func TestAppendAndRecoverAllRecordTypes(t *testing.T) {
 	dir := t.TempDir()
 	m, rec := openTest(t, dir, nil)

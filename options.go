@@ -35,7 +35,6 @@ type config struct {
 	// seam the fault-injection tests substitute; nil uses the real one.
 	dataDir       string
 	fsyncPolicy   string
-	fsyncInterval time.Duration
 	snapshotEvery int
 	manualAck     bool
 	walFS         wal.FS
@@ -115,23 +114,11 @@ func WithRetention(d time.Duration) Option {
 	return func(c *config) { c.engine.Retention = d }
 }
 
-// WithSlack sets the tolerated out-of-order arrival lag. In-process
-// backends only.
-func WithSlack(d time.Duration) Option {
-	return func(c *config) { c.engine.Slack = d }
-}
-
 // WithSummaries toggles the window statistics (type counts and sampled
 // triads) the selective query planner and adaptive re-planning read.
 // In-process backends only; default on.
 func WithSummaries(enabled bool) Option {
 	return func(c *config) { c.engine.EnableSummaries = enabled }
-}
-
-// WithTriadSampling sets the 1-in-n triad sampling rate (0 disables triads).
-// In-process backends only.
-func WithTriadSampling(n int) Option {
-	return func(c *config) { c.engine.TriadSampling = n }
 }
 
 // WithEngineConfig replaces the whole per-engine configuration at once, for
@@ -238,12 +225,6 @@ func WithDataDir(dir string) Option {
 // WithDataDir.
 func WithFsyncPolicy(policy string) Option {
 	return func(c *config) { c.fsyncPolicy = policy }
-}
-
-// WithFsyncInterval sets the group-commit interval for the "interval"
-// fsync policy (default 50ms). Requires WithDataDir.
-func WithFsyncInterval(d time.Duration) Option {
-	return func(c *config) { c.fsyncInterval = d }
 }
 
 // WithSnapshotEvery checkpoints the write-ahead log every n ingested
