@@ -411,6 +411,7 @@ func (c *Client) SubscribeMatches(ctx context.Context, queryName string) (*Subsc
 	sub := &Subscription{body: resp.Body}
 	if binary {
 		rd := wire.NewReader(resp.Body)
+		in := wire.NewInterner()
 		sub.next = func() (export.MatchReport, error) {
 			typ, payload, err := rd.Next()
 			if err != nil {
@@ -419,7 +420,7 @@ func (c *Client) SubscribeMatches(ctx context.Context, queryName string) (*Subsc
 			if typ != wire.FrameMatch {
 				return export.MatchReport{}, wire.ErrCorrupt
 			}
-			return wire.DecodeMatch(payload)
+			return in.DecodeMatch(payload)
 		}
 	} else {
 		dec := json.NewDecoder(resp.Body)

@@ -40,10 +40,16 @@ func (c *Client) Transport() Transport {
 }
 
 // encodeBinaryBatch renders edges as a complete binary ingest body:
-// stream magic followed by one edge frame per edge.
+// stream magic followed by one edge frame per edge. A first pass measures the
+// frames, so the body is allocated once at its final size.
 func encodeBinaryBatch(edges []graph.StreamEdge) []byte {
-	buf := append([]byte(nil), wire.StreamMagic...)
 	var scratch []byte
+	size := len(wire.StreamMagic)
+	for _, se := range edges {
+		scratch = wire.AppendEdge(scratch[:0], se)
+		size += wire.FrameHeaderLen + len(scratch)
+	}
+	buf := append(make([]byte, 0, size), wire.StreamMagic...)
 	for _, se := range edges {
 		buf, scratch = wire.AppendEdgeFrame(buf, scratch, se)
 	}

@@ -59,6 +59,10 @@ func putChunk(c []graph.StreamEdge) {
 	chunkPool.Put(&c)
 }
 
+// internPool recycles edge-decode interners, so a request's first frames
+// decode against the strings and attribute maps earlier requests left.
+var internPool = sync.Pool{New: func() any { return wire.NewInterner() }}
+
 // The refusals an ingest can meet besides ErrDraining: before the first chunk
 // is accepted (errQueueFull) or before the body is read at all (errDegraded).
 var (
@@ -184,6 +188,8 @@ func (g *ingester) consume(r *http.Request) error {
 // corrupt input.
 func (g *ingester) consumeBinary(body io.Reader) error {
 	rd := wire.NewReader(body)
+	in := internPool.Get().(*wire.Interner)
+	defer internPool.Put(in)
 	for {
 		if g.probe && len(g.chunk) > 0 && rd.Buffered() < streamFlushProbe {
 			// About to block on the socket: dispatch what we have.
@@ -202,7 +208,7 @@ func (g *ingester) consumeBinary(body io.Reader) error {
 		if typ != wire.FrameEdge {
 			return wire.ErrCorrupt
 		}
-		se, err := wire.DecodeEdge(payload)
+		se, err := in.DecodeEdge(payload)
 		if err != nil {
 			return err
 		}

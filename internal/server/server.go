@@ -564,7 +564,7 @@ func (s *Server) handleMatches(w http.ResponseWriter, r *http.Request) {
 
 	// encode writes one match without flushing. The binary path reuses
 	// per-connection frame and payload buffers across matches, so steady
-	// delivery allocates nothing.
+	// delivery allocates nothing (allocbudget's wire.AppendMatchFrame row).
 	enc := json.NewEncoder(w)
 	var frameBuf, scratch []byte
 	encode := func(rep streamworks.Match) bool {

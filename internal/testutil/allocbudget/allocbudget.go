@@ -1,5 +1,5 @@
 // Package allocbudget is the checked-in table of allocation budgets for the
-// emit/dedup layer and the edge encoders: a ceiling on heap allocations per call for each named
+// emit/dedup layer and the wire codec: a ceiling on heap allocations per call for each named
 // operation, enforced by blocking unit tests next to the code they measure
 // (the first instalment of the ROADMAP's deterministic-counter gate). The
 // counts repeat exactly from run to run, so a test fails on the first
@@ -44,12 +44,26 @@ var ceilings = map[string]float64{
 	"mqo.deliver/25-consumers":                              2,
 	"mqo.insert/stored partial, one parent, no sibling hit": 0,
 	// internal/wire: attribute keys are sorted on the stack, so an edge with
-	// all three attribute maps populated encodes into a grown buffer for free.
-	"wire.AppendEdge": 0,
+	// all three attribute maps populated, or a match whose bindings carry
+	// attributes, encodes into a grown buffer for free.
+	"wire.AppendEdge":  0,
+	"wire.AppendMatch": 0,
+	// The envelope's header is written in place and its CRC patched in, and
+	// a Reader keeps its header scratch in itself: framing a payload and
+	// reading a frame back cost nothing once the buffers have grown.
+	"wire.AppendEdgeFrame":  0,
+	"wire.AppendMatchFrame": 0,
+	"wire.Reader.Next":      0,
+	// A warm interner returns a repeated edge's three type names and three
+	// attribute maps without decoding them; a match report still costs its
+	// signature, its bindings and its edge IDs.
+	"wire.Interner.DecodeEdge/warm":  0,
+	"wire.Interner.DecodeMatch/warm": 3,
 	// internal/wal: a batch goes to the log through two reused buffers. The
-	// five are the hand-off to the worker (channel, goroutine, closures),
-	// paid per batch: per edge the encoder allocates nothing.
-	"wal.AppendEdges/512-edge batch": 5,
+	// four are the hand-off to the worker (channel, goroutine, closures),
+	// paid per batch: per edge the encoder allocates nothing, and neither
+	// does the frame around the batch.
+	"wal.AppendEdges/512-edge batch": 4,
 }
 
 // Runs is how many times Check measures f, after one warm-up call: a test

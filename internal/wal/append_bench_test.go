@@ -39,7 +39,7 @@ func BenchmarkAppendEdges512(b *testing.B) {
 
 // TestAppendEdgesAllocs: logging a batch costs what the hand-off to the
 // worker costs, whatever the batch's size — nothing per edge, attributes
-// and all.
+// and all, and nothing for the frame.
 func TestAppendEdgesAllocs(t *testing.T) {
 	m, _ := openTest(t, t.TempDir(), nil)
 	defer m.Close()

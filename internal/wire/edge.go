@@ -60,7 +60,13 @@ func AppendEdges(dst []byte, edges []graph.StreamEdge) []byte {
 
 // DecodeEdge decodes an edge payload produced by AppendEdge.
 func DecodeEdge(payload []byte) (graph.StreamEdge, error) {
-	d := decoder{buf: payload}
+	return (*Interner)(nil).DecodeEdge(payload)
+}
+
+// DecodeEdge is the package-level DecodeEdge, taking the edge's strings and
+// attribute maps from in where it holds them. A nil in caches nothing.
+func (in *Interner) DecodeEdge(payload []byte) (graph.StreamEdge, error) {
+	d := decoder{buf: payload, in: in}
 	se := d.edge()
 	if err := d.finish("edge"); err != nil {
 		return graph.StreamEdge{}, err
@@ -161,10 +167,12 @@ func appendAttrs(dst []byte, a graph.Attributes) []byte {
 
 // decoder is a cursor over a frame payload. The first malformed field
 // latches err (always wrapping ErrCorrupt) and every later read is a no-op,
-// so codecs read straight through and check once.
+// so codecs read straight through and check once. Strings and attribute
+// maps come from in when it holds them (nil caches nothing).
 type decoder struct {
 	buf []byte
 	err error
+	in  *Interner
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -199,19 +207,22 @@ func (d *decoder) varint() int64 {
 	return v
 }
 
-func (d *decoder) string() string {
+// bytes reads a length-prefixed string's bytes, aliasing the payload.
+func (d *decoder) bytes() []byte {
 	n := d.uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(d.buf)) {
 		d.fail("string length %d exceeds %d remaining", n, len(d.buf))
-		return ""
+		return nil
 	}
-	s := string(d.buf[:n])
+	b := d.buf[:n]
 	d.buf = d.buf[n:]
-	return s
+	return b
 }
+
+func (d *decoder) string() string { return d.in.string(d.bytes()) }
 
 func (d *decoder) byte() byte {
 	if d.err != nil {
@@ -226,7 +237,34 @@ func (d *decoder) byte() byte {
 	return b
 }
 
+// attrs reads an attribute block. With an interner, a validating skip pass
+// measures the block first, and a short one is looked up by its exact bytes;
+// a miss is decoded and stored only once it has decoded cleanly.
 func (d *decoder) attrs() graph.Attributes {
+	if d.in == nil || d.err != nil {
+		return d.attrBlock(true)
+	}
+	skip := decoder{buf: d.buf}
+	skip.attrBlock(false)
+	enc := d.buf[:len(d.buf)-len(skip.buf)]
+	if skip.err != nil || len(enc) > internMaxLen {
+		return d.attrBlock(true)
+	}
+	slot := &d.in.attrs[d.in.slot(enc)]
+	if slot.enc == string(enc) {
+		d.buf = skip.buf
+		return slot.attrs
+	}
+	a := d.attrBlock(true)
+	if d.err == nil {
+		*slot = internedAttrs{enc: string(enc), attrs: a}
+	}
+	return a
+}
+
+// attrBlock reads an attribute block, building the map only when build is
+// set: without it the block is validated and skipped.
+func (d *decoder) attrBlock(build bool) graph.Attributes {
 	n := d.uvarint()
 	if d.err != nil || n == 0 {
 		return nil
@@ -235,27 +273,35 @@ func (d *decoder) attrs() graph.Attributes {
 		d.fail("attr count %d exceeds %d remaining bytes", n, len(d.buf))
 		return nil
 	}
-	a := make(graph.Attributes, n)
+	var a graph.Attributes
+	if build {
+		a = make(graph.Attributes, n)
+	}
 	for i := uint64(0); i < n && d.err == nil; i++ {
-		k := d.string()
-		kind := graph.Kind(d.byte())
-		switch kind {
+		k := d.bytes()
+		var v graph.Value
+		switch kind := graph.Kind(d.byte()); kind {
 		case graph.KindString:
-			a[k] = graph.String(d.string())
+			if s := d.bytes(); build {
+				v = graph.String(d.in.string(s))
+			}
 		case graph.KindInt:
-			a[k] = graph.Int(d.varint())
+			v = graph.Int(d.varint())
 		case graph.KindFloat:
 			if len(d.buf) < 8 {
 				d.fail("truncated float value")
 				return nil
 			}
-			a[k] = graph.Float(math.Float64frombits(binary.BigEndian.Uint64(d.buf)))
+			v = graph.Float(math.Float64frombits(binary.BigEndian.Uint64(d.buf)))
 			d.buf = d.buf[8:]
 		case graph.KindBool:
-			a[k] = graph.Bool(d.byte() != 0)
+			v = graph.Bool(d.byte() != 0)
 		default:
 			d.fail("unknown attr kind %d", kind)
 			return nil
+		}
+		if build {
+			a[d.in.string(k)] = v
 		}
 	}
 	if d.err != nil {

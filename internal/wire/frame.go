@@ -40,8 +40,11 @@ const (
 	FrameMatch byte = 2
 )
 
+// FrameHeaderLen is what the envelope adds to a payload: 4 length + 4 crc
+// + 1 type byte.
+const FrameHeaderLen = 9
+
 const (
-	frameHeaderLen = 9 // 4 length + 4 crc + 1 type
 	// maxStreamPayload bounds what a Reader allocates for one frame of
 	// network input. Edges and match reports are small; 16 MiB is generous
 	// headroom. DecodeFrame needs no such bound: it allocates nothing, and
@@ -60,15 +63,16 @@ var (
 	ErrBadMagic = errors.New("wire: bad stream magic")
 )
 
-// AppendFrame appends the framed envelope for (typ, payload) to dst.
+// AppendFrame appends the framed envelope for (typ, payload) to dst. The
+// header is written in place and its CRC patched in afterwards: a header
+// array of its own would escape to the heap through the checksum call.
 func AppendFrame(dst []byte, typ byte, payload []byte) []byte {
-	var hdr [frameHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)+1))
-	hdr[8] = typ
-	crc := crc32.Update(crc32.Update(0, crc32.IEEETable, hdr[8:9]), crc32.IEEETable, payload)
-	binary.BigEndian.PutUint32(hdr[4:8], crc)
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	start := len(dst)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)+1))
+	dst = append(dst, 0, 0, 0, 0, typ) // CRC placeholder, then the type byte
+	dst = append(dst, payload...)
+	binary.BigEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(dst[start+8:]))
+	return dst
 }
 
 // DecodeFrame decodes the first frame in data, returning the frame type,
@@ -77,7 +81,7 @@ func AppendFrame(dst []byte, typ byte, payload []byte) []byte {
 // (ErrCorrupt: CRC mismatch or an empty frame). The type is returned as
 // found; the caller decides which types its stream admits.
 func DecodeFrame(data []byte) (typ byte, payload []byte, n int, err error) {
-	if len(data) < frameHeaderLen {
+	if len(data) < FrameHeaderLen {
 		return 0, nil, 0, ErrTorn
 	}
 	length := binary.BigEndian.Uint32(data[0:4])
@@ -101,6 +105,7 @@ func DecodeFrame(data []byte) (typ byte, payload []byte, n int, err error) {
 type Reader struct {
 	br    *bufio.Reader
 	buf   []byte
+	hdr   [8]byte // the magic, then each frame's length + CRC: a local would escape through io.ReadFull
 	magic bool
 }
 
@@ -120,20 +125,19 @@ func (r *Reader) Buffered() int { return r.br.Buffered() }
 // on structural damage. The magic header is consumed on the first call.
 func (r *Reader) Next() (typ byte, payload []byte, err error) {
 	if !r.magic {
-		var m [8]byte
-		if _, err := io.ReadFull(r.br, m[:]); err != nil {
+		if _, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 				return 0, nil, ErrBadMagic
 			}
 			return 0, nil, err
 		}
-		if !bytes.Equal(m[:], StreamMagic) {
+		if !bytes.Equal(r.hdr[:], StreamMagic) {
 			return 0, nil, ErrBadMagic
 		}
 		r.magic = true
 	}
-	var hdr [frameHeaderLen - 1]byte // length + crc; type is part of body
-	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
+	hdr := r.hdr[:] // length + crc; type is part of body
+	if _, err := io.ReadFull(r.br, hdr); err != nil {
 		if errors.Is(err, io.EOF) {
 			return 0, nil, io.EOF
 		}

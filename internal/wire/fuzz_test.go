@@ -3,15 +3,20 @@ package wire_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
+	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/wire"
 )
 
 // FuzzFrameDecode mirrors FuzzWALDecode: whatever the bytes, the decoder
 // must classify every failure as torn or corrupt (never panic, never
-// mis-advance), and any payload that does decode must survive a re-encode
-// round trip (decode∘encode∘decode = decode).
+// mis-advance), any payload that does decode must survive a re-encode
+// round trip (decode∘encode∘decode = decode), and an interner carried
+// across the frames must decode every payload to exactly what the
+// stateless decoders do, failing with the same error.
 func FuzzFrameDecode(f *testing.F) {
 	// Seed with real streams from the gen workloads: magic + edge frames
 	// from netflow and news, plus a match frame.
@@ -36,8 +41,22 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	one, _ := wire.AppendEdgeFrame(nil, nil, attrHeavyEdge())
 	f.Add(one)
+	// A news edge, the same edge with its last attribute block damaged under
+	// a valid CRC, and the edge again: what the interner saw of the damaged
+	// payload must not leak into the third decode.
+	se := testNewsWorkload().Edges[0]
+	se.TargetAttrs = graph.Attributes{"label": graph.String("topic-3"), "rank": graph.Int(2)}
+	news := wire.AppendEdge(nil, se)
+	damaged := append([]byte(nil), news...)
+	damaged[len(damaged)-2] = 0x7f // the kind byte of "rank", before its one-byte varint
+	seq := wire.AppendFrame(append([]byte(nil), wire.StreamMagic...), wire.FrameEdge, news)
+	seq = wire.AppendFrame(seq, wire.FrameEdge, damaged)
+	f.Add(wire.AppendFrame(seq, wire.FrameEdge, news))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// One interner rides along the whole input, as one does along a
+		// connection; it must never change what a payload decodes to.
+		in := wire.NewInterner()
 		off := 0
 		if len(data) >= len(wire.StreamMagic) && bytes.Equal(data[:len(wire.StreamMagic)], wire.StreamMagic) {
 			off = len(wire.StreamMagic)
@@ -56,6 +75,10 @@ func FuzzFrameDecode(f *testing.F) {
 			switch typ {
 			case wire.FrameEdge:
 				se, err := wire.DecodeEdge(payload)
+				got, gotErr := in.DecodeEdge(payload)
+				if fmt.Sprint(gotErr) != fmt.Sprint(err) || !sameDecode(got, se) {
+					t.Fatalf("interned edge decode diverges: (%#v, %v), want (%#v, %v)", got, gotErr, se, err)
+				}
 				if err != nil {
 					if !errors.Is(err, wire.ErrCorrupt) {
 						t.Fatalf("DecodeEdge: unexpected error class %v", err)
@@ -75,6 +98,10 @@ func FuzzFrameDecode(f *testing.F) {
 				}
 			case wire.FrameMatch:
 				rep, err := wire.DecodeMatch(payload)
+				got, gotErr := in.DecodeMatch(payload)
+				if fmt.Sprint(gotErr) != fmt.Sprint(err) || !reflect.DeepEqual(got, rep) {
+					t.Fatalf("interned match decode diverges: (%+v, %v), want (%+v, %v)", got, gotErr, rep, err)
+				}
 				if err != nil {
 					if !errors.Is(err, wire.ErrCorrupt) {
 						t.Fatalf("DecodeMatch: unexpected error class %v", err)
@@ -93,4 +120,10 @@ func FuzzFrameDecode(f *testing.F) {
 			off += n
 		}
 	})
+}
+
+// sameDecode is reflect.DeepEqual, except that a NaN attribute value equals
+// the NaN it was decoded beside (DeepEqual compares floats with ==).
+func sameDecode(a, b graph.StreamEdge) bool {
+	return reflect.DeepEqual(a, b) || fmt.Sprintf("%#v", a) == fmt.Sprintf("%#v", b)
 }

@@ -1,0 +1,58 @@
+package wire
+
+import (
+	"hash/maphash"
+
+	"github.com/streamworks/streamworks/internal/graph"
+)
+
+const (
+	// internSlots is the number of strings, and separately of attribute
+	// maps, one Interner holds.
+	internSlots = 512
+	// internMaxLen is the longest encoding an Interner caches, so its keys
+	// never exceed internSlots × internMaxLen bytes of each kind.
+	internMaxLen = 64
+)
+
+// Interner is a bounded cache of what a stream's payloads repeat: type,
+// query and variable names, attribute keys and values, and whole attribute
+// maps. It is direct-mapped: an encoding hashes to one slot, a hit compares
+// the bytes exactly and allocates nothing, and a different encoding hashing
+// to the same slot replaces it. Encodings longer than internMaxLen bytes are
+// decoded without it.
+//
+// What it returns is shared by every decode that hits the same slot: an
+// attribute map from an Interner must not be mutated (the graph's contract
+// for attribute maps already forbids it). Create one with NewInterner; it is
+// not safe for concurrent use. A nil *Interner caches nothing.
+type Interner struct {
+	seed  maphash.Seed
+	strs  [internSlots]string
+	attrs [internSlots]internedAttrs
+}
+
+// internedAttrs is an attribute map under the exact bytes it decoded from.
+type internedAttrs struct {
+	enc   string
+	attrs graph.Attributes
+}
+
+// NewInterner returns an empty Interner with a seed of its own.
+func NewInterner() *Interner { return &Interner{seed: maphash.MakeSeed()} }
+
+func (in *Interner) slot(enc []byte) uint64 {
+	return maphash.Bytes(in.seed, enc) % internSlots
+}
+
+// string returns string(b), without allocating when in already holds it.
+func (in *Interner) string(b []byte) string {
+	if in == nil || len(b) == 0 || len(b) > internMaxLen {
+		return string(b)
+	}
+	s := &in.strs[in.slot(b)]
+	if *s != string(b) {
+		*s = string(b)
+	}
+	return *s
+}

@@ -2,7 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"github.com/streamworks/streamworks/internal/export"
 )
@@ -34,16 +34,16 @@ func AppendMatch(dst []byte, rep export.MatchReport) []byte {
 		dst = binary.AppendUvarint(dst, b.VertexID)
 		dst = appendString(dst, b.VertexType)
 		dst = binary.AppendUvarint(dst, uint64(len(b.Attrs)))
-		if len(b.Attrs) > 0 {
-			keys := make([]string, 0, len(b.Attrs))
-			for k := range b.Attrs {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				dst = appendString(dst, k)
-				dst = appendString(dst, b.Attrs[k])
-			}
+		// Sorted in a stack-backed array, as appendAttrs does.
+		var stack [16]string
+		keys := stack[:0]
+		for k := range b.Attrs {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			dst = appendString(dst, k)
+			dst = appendString(dst, b.Attrs[k])
 		}
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(rep.EdgeIDs)))
@@ -63,13 +63,20 @@ func AppendMatchFrame(dst, scratch []byte, rep export.MatchReport) ([]byte, []by
 
 // DecodeMatch decodes a match payload produced by AppendMatch.
 func DecodeMatch(payload []byte) (export.MatchReport, error) {
+	return (*Interner)(nil).DecodeMatch(payload)
+}
+
+// DecodeMatch is the package-level DecodeMatch, taking the report's names,
+// types and binding attribute strings from in where it holds them. The
+// signature is unique per match and never takes a slot.
+func (in *Interner) DecodeMatch(payload []byte) (export.MatchReport, error) {
 	var rep export.MatchReport
-	d := decoder{buf: payload}
+	d := decoder{buf: payload, in: in}
 	rep.Query = d.string()
 	rep.DetectedAt = d.varint()
 	rep.SpanStart = d.varint()
 	rep.SpanEnd = d.varint()
-	rep.Signature = d.string()
+	rep.Signature = string(d.bytes())
 	nb := d.uvarint()
 	if d.err == nil && nb > uint64(len(d.buf)) { // every binding takes ≥1 byte
 		d.fail("binding count %d exceeds %d remaining bytes", nb, len(d.buf))

@@ -339,3 +339,48 @@ func TestAppendEdgeAllocs(t *testing.T) {
 	buf := wire.AppendEdge(nil, se)
 	allocbudget.Check(t, "wire.AppendEdge", func() { buf = wire.AppendEdge(buf[:0], se) })
 }
+
+// TestAppendMatchAllocs: binding attributes are sorted on the stack too.
+func TestAppendMatchAllocs(t *testing.T) {
+	rep := testMatchReport() // its first binding carries two attributes
+	buf := wire.AppendMatch(nil, rep)
+	allocbudget.Check(t, "wire.AppendMatch", func() { buf = wire.AppendMatch(buf[:0], rep) })
+}
+
+// repeatFrames serves a stream's magic once and then its frames forever.
+type repeatFrames struct {
+	data      []byte
+	off, loop int
+}
+
+func (r *repeatFrames) Read(p []byte) (int, error) {
+	n := copy(p, r.data[r.off:])
+	if r.off += n; r.off == len(r.data) {
+		r.off = r.loop
+	}
+	return n, nil
+}
+
+// TestFramedCodecAllocs: the envelope costs nothing on either side once the
+// buffers have grown. Both headers used to escape to the heap (through
+// crc32.Update and io.ReadFull), one allocation per frame written and one
+// per frame read.
+func TestFramedCodecAllocs(t *testing.T) {
+	se, rep := attrHeavyEdge(), testMatchReport()
+	frame, scratch := wire.AppendEdgeFrame(nil, nil, se)
+	allocbudget.Check(t, "wire.AppendEdgeFrame", func() {
+		frame, scratch = wire.AppendEdgeFrame(frame[:0], scratch, se)
+	})
+	frame, scratch = wire.AppendMatchFrame(frame[:0], scratch, rep)
+	allocbudget.Check(t, "wire.AppendMatchFrame", func() {
+		frame, scratch = wire.AppendMatchFrame(frame[:0], scratch, rep)
+	})
+
+	stream := append(append([]byte(nil), wire.StreamMagic...), frame...)
+	r := wire.NewReader(&repeatFrames{data: stream, loop: len(wire.StreamMagic)})
+	allocbudget.Check(t, "wire.Reader.Next", func() {
+		if typ, _, err := r.Next(); err != nil || typ != wire.FrameMatch {
+			t.Fatalf("Next: %d, %v", typ, err)
+		}
+	})
+}
