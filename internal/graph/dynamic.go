@@ -143,6 +143,10 @@ func (d *Dynamic) Apply(se StreamEdge) (*Edge, error) {
 	d.addedTotal++
 	d.queue.pushSorted(e)
 	d.advance(ts)
+	// With a slack wider than the window, a straggler can already be below
+	// the cutoff: advance expired it and RemoveEdge dropped its attributes,
+	// which the caller's search of it still reads.
+	e.Attrs = se.Edge.Attrs
 	return e, nil
 }
 

@@ -210,3 +210,27 @@ func TestDynamicStringContainsCounters(t *testing.T) {
 		t.Fatalf("String() empty")
 	}
 }
+
+// A straggler that is already below the cutoff when it arrives (slack wider
+// than the window) is expired by its own Apply, but the edge Apply returns
+// still carries its attributes for the search it seeds.
+func TestDynamicExpiredStragglerKeepsAttrs(t *testing.T) {
+	var expired []EdgeID
+	d := NewDynamic(2*time.Nanosecond, WithSlack(10*time.Nanosecond),
+		WithExpiryCallback(func(e *Edge) { expired = append(expired, e.ID) }))
+	if _, err := d.Apply(streamEdge(1, 1, 2, "flow", 100)); err != nil {
+		t.Fatal(err)
+	}
+	se := streamEdge(2, 2, 3, "flow", 85)
+	se.Edge.Attrs = Attributes{"bytes": Int(9000)}
+	e, err := d.Apply(se)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(expired) != 1 || expired[0] != 2 || d.Graph().HasEdge(2) {
+		t.Fatalf("straggler below the cutoff not expired on arrival: expired %v", expired)
+	}
+	if e.Attrs["bytes"].Int64() != 9000 {
+		t.Fatalf("returned straggler lost its attributes: %v", e.Attrs)
+	}
+}

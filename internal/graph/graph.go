@@ -2,7 +2,27 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
+	"unsafe"
+)
+
+// The graph recycles what its insert/expire cycle would otherwise allocate
+// per edge, within these bounds:
+//
+//   - edgeChunk: edge records are bump-allocated from chunks that fill one
+//     8 KiB runtime size class exactly (146 records of 56 B; a record on its
+//     own is rounded up to 64 B). Records are never reused, so a chunk is freed
+//     by the GC once none of its edges is referenced.
+//   - spareClasses, sparesPerClass: an incidence list that is grown out of or
+//     emptied is cleared and kept for reuse at its power-of-two capacity
+//     (2…256 pointers), at most 64 per class: ≤ 255 KiB of spares per graph.
+//   - spareVertices: the records of removed vertices, kept for new ones.
+const (
+	edgeChunk      = 8192 / int(unsafe.Sizeof(Edge{}))
+	spareClasses   = 8
+	sparesPerClass = 64
+	spareVertices  = 256
 )
 
 // Graph is an in-memory multi-relational property multigraph. It maintains
@@ -21,6 +41,10 @@ type Graph struct {
 
 	verticesByType map[string]map[VertexID]struct{}
 	edgesByType    map[string]int
+
+	slab         []Edge                  // the chunk new edge records come from
+	spares       [spareClasses][][]*Edge // cleared lists of capacity 2<<class
+	freeVertices []*Vertex               // zeroed records of removed vertices
 
 	// autoVertex controls whether AddEdge creates missing endpoints with an
 	// empty type instead of failing.
@@ -70,7 +94,14 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 func (g *Graph) AddVertex(v Vertex) *Vertex {
 	existing, ok := g.vertices[v.ID]
 	if !ok {
-		nv := &Vertex{ID: v.ID, Type: v.Type, Attrs: v.Attrs}
+		var nv *Vertex
+		if n := len(g.freeVertices); n > 0 {
+			nv = g.freeVertices[n-1]
+			g.freeVertices = g.freeVertices[:n-1]
+		} else {
+			nv = new(Vertex)
+		}
+		*nv = Vertex{ID: v.ID, Type: v.Type, Attrs: v.Attrs}
 		g.vertices[v.ID] = nv
 		g.indexVertexType(nv)
 		return nv
@@ -107,7 +138,8 @@ func (g *Graph) unindexVertexType(v *Vertex) {
 	}
 }
 
-// Vertex returns the vertex with the given ID.
+// Vertex returns the vertex with the given ID. The record is valid until the
+// vertex is removed: the graph then zeroes it and reuses it for a new vertex.
 func (g *Graph) Vertex(id VertexID) (*Vertex, bool) {
 	v, ok := g.vertices[id]
 	return v, ok
@@ -156,13 +188,55 @@ func (g *Graph) AddEdge(e Edge) (*Edge, error) {
 		}
 		g.AddVertex(Vertex{ID: e.Target})
 	}
-	ne := new(Edge)
-	*ne = e
+	if len(g.slab) == cap(g.slab) {
+		g.slab = make([]Edge, 0, edgeChunk)
+	}
+	g.slab = append(g.slab, e)
+	ne := &g.slab[len(g.slab)-1]
 	g.edges[ne.ID] = ne
-	g.out[ne.Source] = append(g.out[ne.Source], ne)
-	g.in[ne.Target] = append(g.in[ne.Target], ne)
+	g.out[ne.Source] = g.push(g.out[ne.Source], ne)
+	g.in[ne.Target] = g.push(g.in[ne.Target], ne)
 	g.edgesByType[ne.Type]++
 	return ne, nil
+}
+
+// push appends e to an incidence list. A full list moves into a spare of
+// twice its capacity (or 2) and is recycled.
+func (g *Graph) push(list []*Edge, e *Edge) []*Edge {
+	if len(list) < cap(list) {
+		return append(list, e)
+	}
+	n := max(2, 2*cap(list))
+	var grown []*Edge
+	if c := spareClass(n); c >= 0 && len(g.spares[c]) > 0 {
+		last := len(g.spares[c]) - 1
+		grown, g.spares[c] = g.spares[c][last], g.spares[c][:last]
+	} else {
+		grown = make([]*Edge, 0, n)
+	}
+	grown = append(append(grown, list...), e)
+	g.recycle(list)
+	return grown
+}
+
+// recycle clears a list nothing refers to any more and keeps it as a spare
+// while its class has room. Cleared, it holds no dead edge alive.
+func (g *Graph) recycle(list []*Edge) {
+	c := spareClass(cap(list))
+	if c < 0 || len(g.spares[c]) == sparesPerClass {
+		return
+	}
+	clear(list[:cap(list)])
+	g.spares[c] = append(g.spares[c], list[:0])
+}
+
+// spareClass is the spare class of a list capacity (a power of two, as push
+// makes them), or -1 when lists of that capacity are not kept.
+func spareClass(capacity int) int {
+	if c := bits.Len(uint(capacity)) - 2; c >= 0 && c < spareClasses {
+		return c
+	}
+	return -1
 }
 
 // AddStreamEdge applies a StreamEdge: endpoint metadata is upserted and the
@@ -176,24 +250,34 @@ func (g *Graph) AddStreamEdge(se StreamEdge) (*Edge, error) {
 // RemoveEdge deletes an edge from the graph and its incidence lists.
 // Endpoint vertices are retained even if they become isolated; callers that
 // want compaction can call RemoveIsolatedVertex explicitly.
+//
+// The removed record keeps its ID, endpoints, type and timestamp, so an
+// expiry callback can still read them, but drops its attributes: it shares a
+// chunk with live edges, and must not hold its attribute map alive for them.
 func (g *Graph) RemoveEdge(id EdgeID) error {
 	e, ok := g.edges[id]
 	if !ok {
 		return &EdgeError{ID: id, Err: ErrEdgeNotFound}
 	}
 	delete(g.edges, id)
-	g.out[e.Source] = removeEdgeFrom(g.out[e.Source], id)
-	if len(g.out[e.Source]) == 0 {
-		delete(g.out, e.Source)
-	}
-	g.in[e.Target] = removeEdgeFrom(g.in[e.Target], id)
-	if len(g.in[e.Target]) == 0 {
-		delete(g.in, e.Target)
-	}
+	g.unlink(g.out, e.Source, id)
+	g.unlink(g.in, e.Target, id)
 	if g.edgesByType[e.Type]--; g.edgesByType[e.Type] <= 0 {
 		delete(g.edgesByType, e.Type)
 	}
+	e.Attrs = nil
 	return nil
+}
+
+// unlink removes edge id from v's list in adj, recycling the list once empty.
+func (g *Graph) unlink(adj map[VertexID][]*Edge, v VertexID, id EdgeID) {
+	list := removeEdgeFrom(adj[v], id)
+	if len(list) > 0 {
+		adj[v] = list
+		return
+	}
+	delete(adj, v)
+	g.recycle(list)
 }
 
 func removeEdgeFrom(list []*Edge, id EdgeID) []*Edge {
@@ -209,7 +293,8 @@ func removeEdgeFrom(list []*Edge, id EdgeID) []*Edge {
 }
 
 // RemoveIsolatedVertex removes v if it has no incident edges. It returns
-// true when the vertex was removed.
+// true when the vertex was removed. The vertex's record is zeroed and kept
+// for reuse.
 func (g *Graph) RemoveIsolatedVertex(id VertexID) bool {
 	v, ok := g.vertices[id]
 	if !ok {
@@ -220,17 +305,21 @@ func (g *Graph) RemoveIsolatedVertex(id VertexID) bool {
 	}
 	g.unindexVertexType(v)
 	delete(g.vertices, id)
-	delete(g.out, id)
-	delete(g.in, id)
+	*v = Vertex{}
+	if len(g.freeVertices) < spareVertices {
+		g.freeVertices = append(g.freeVertices, v)
+	}
 	return true
 }
 
 // OutEdges returns the edges leaving v. The returned slice is owned by the
-// graph and must not be mutated.
+// graph and must not be mutated. It is valid only until the next AddEdge or
+// RemoveEdge (Dynamic.Apply and AdvanceTo call them): the graph recycles
+// incidence lists, so a slice held across a mutation may come to list
+// another vertex's edges.
 func (g *Graph) OutEdges(v VertexID) []*Edge { return g.out[v] }
 
-// InEdges returns the edges entering v. The returned slice is owned by the
-// graph and must not be mutated.
+// InEdges returns the edges entering v, under the same contract as OutEdges.
 func (g *Graph) InEdges(v VertexID) []*Edge { return g.in[v] }
 
 // IncidentEdges returns all edges touching v, outgoing first.
@@ -274,7 +363,8 @@ func (g *Graph) Neighbors(v VertexID) []VertexID {
 	return out
 }
 
-// EdgesBetween returns every edge from src to dst (directed).
+// EdgesBetween returns every edge from src to dst (directed) in a freshly
+// allocated slice. Hot paths filter OutEdges(src) on the target instead.
 func (g *Graph) EdgesBetween(src, dst VertexID) []*Edge {
 	var out []*Edge
 	for _, e := range g.out[src] {

@@ -201,14 +201,16 @@ func (m *Matcher) extend(g *graph.Graph, cur *match.Match, order []query.EdgeID,
 
 	switch {
 	case haveSrc && haveDst:
-		for _, de := range g.EdgesBetween(srcBound, dstBound) {
-			if !consider(de) {
+		// A closing edge: filter the source's list in place, where
+		// EdgesBetween would allocate a slice per candidate.
+		for _, de := range g.OutEdges(srcBound) {
+			if de.Target == dstBound && !consider(de) {
 				return acc
 			}
 		}
 		if qe.AnyDirection {
-			for _, de := range g.EdgesBetween(dstBound, srcBound) {
-				if !consider(de) {
+			for _, de := range g.OutEdges(dstBound) {
+				if de.Target == srcBound && !consider(de) {
 					return acc
 				}
 			}

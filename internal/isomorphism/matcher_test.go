@@ -7,6 +7,7 @@ import (
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/match"
 	"github.com/streamworks/streamworks/internal/query"
+	"github.com/streamworks/streamworks/internal/testutil/allocbudget"
 )
 
 // buildDataGraph constructs a small multi-relational graph:
@@ -414,5 +415,44 @@ func TestMatchWithinWindowIntegration(t *testing.T) {
 	}
 	if m0.WithinWindow(1 * time.Nanosecond) {
 		t.Fatalf("span of 1ns should not fit a 1ns window (strict)")
+	}
+}
+
+// Closing a cycle filters the source's incidence list in place: a triangle
+// closed through an existing edge, beside a parallel edge of another type and
+// an edge to a fourth host, costs its result match and nothing else.
+func TestExtendClosingEdgeAllocs(t *testing.T) {
+	g := graph.New(graph.WithAutoVertices())
+	for _, e := range []graph.Edge{
+		{ID: 1, Source: 1, Target: 2, Type: "flow", Timestamp: 1},
+		{ID: 2, Source: 2, Target: 3, Type: "flow", Timestamp: 2},
+		{ID: 3, Source: 3, Target: 4, Type: "flow", Timestamp: 3},
+		{ID: 4, Source: 3, Target: 1, Type: "dns", Timestamp: 4},
+		{ID: 5, Source: 3, Target: 1, Type: "flow", Timestamp: 5},
+	} {
+		if _, err := g.AddEdge(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := query.NewBuilder("tri").
+		Vertex("a", "").Vertex("b", "").Vertex("c", "").
+		Edge("a", "b", "flow").Edge("b", "c", "flow").Edge("c", "a", "flow").
+		MustBuild()
+	m := New(q)
+	open := match.NewForQuery(q)
+	open.BindVertex(0, 1)
+	open.BindVertex(1, 2)
+	open.BindVertex(2, 3)
+	open.BindEdge(0, 1, 1)
+	open.BindEdge(1, 2, 2)
+	order, acc := q.EdgeIDs(), make([]*match.Match, 0, 1)
+	allocbudget.Check(t, "isomorphism.extend/closing edge", func() {
+		acc = m.extend(g, open, order, 2, acc[:0], 0)
+	})
+	if len(acc) != 1 {
+		t.Fatalf("closing the triangle gave %d matches, want 1", len(acc))
+	}
+	if e, _ := acc[0].Edge(2); e != 5 {
+		t.Fatalf("closed through edge %d, want 5: %v", e, acc[0])
 	}
 }
