@@ -46,7 +46,7 @@ func main() {
 		requireDur    = flag.Bool("require-durability", false, "refuse ingest with 503 while durability is degraded instead of continuing in-memory (needs -data-dir)")
 		ingestTimeout = flag.Duration("ingest-timeout", 0, "bound on how long a wait=1 ingest request blocks before answering 503 (0 = unbounded)")
 
-		obsOn       = flag.Bool("obs", false, "enable observability: per-segment latency histograms, emitted-set gauges, Prometheus exposition at GET /metrics")
+		obsOn       = flag.Bool("obs", false, "enable clock reads and tracing: per-segment, journey and detect-lag histograms and the trace ring (counters and gauges are always kept and exported at GET /metrics)")
 		traceBuffer = flag.Int("trace-buffer", 4096, "edge-journey trace ring capacity in events (0 disables tracing; needs -obs)")
 		traceSample = flag.Int("trace-sample", 64, "trace one edge in n, selected by edge ID (0 disables tracing); at most 1000 events are recorded per second")
 

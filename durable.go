@@ -8,12 +8,13 @@ import (
 	"sync/atomic"
 
 	"github.com/streamworks/streamworks/internal/api"
+	"github.com/streamworks/streamworks/internal/obs"
 	"github.com/streamworks/streamworks/internal/wal"
 )
 
 // DurabilityStats is the public view of the engine's durability state,
 // surfaced through /healthz (Mode) and /v1/metrics (the counters). It is the
-// wire type itself, so the serving tier hands it out without a copy.
+// wire type itself, read from the WAL's registry (api.WALMetricsFrom).
 type DurabilityStats = api.WALMetrics
 
 // durable is the durability state shared by the in-process backends: the
@@ -21,20 +22,22 @@ type DurabilityStats = api.WALMetrics
 // flags gating when appends and emission notes are live.
 type durable struct {
 	man *wal.Manager
+	// reg is the WAL's registry, which also holds the recovery backlog's
+	// size. When durability was requested but could not be established (WAL
+	// open failure) there is no manager: reg is a registry of its own whose
+	// degraded gauge is set from birth, and the engine runs in-memory.
+	reg     *obs.Registry
+	backlog *obs.Gauge
 	// manual defers emission acknowledgment to the embedder
 	// (WithManualDeliveryAck): the serving tier acks a match only once it
 	// has flushed it to the subscriber's socket.
 	manual bool
-	// failed marks durability that was requested but could not be
-	// established (WAL open failure): degraded from birth, engine runs
-	// in-memory.
-	failed bool
 	// replaying gates out WAL appends and emission notes while recovered
 	// operations are being pushed back through the engine.
 	replaying atomic.Bool
 
-	backMu  sync.Mutex
-	backlog []Match
+	backMu    sync.Mutex
+	recovered []Match
 }
 
 // openDurable opens (and recovers) the WAL when a data dir is configured.
@@ -48,8 +51,7 @@ func openDurable(cfg *config) (*durable, *wal.Recovery) {
 	policy, err := wal.ParseFsyncPolicy(cfg.fsyncPolicy)
 	if err != nil {
 		log.Printf("streamworks: %v; durability degraded", err)
-		d.failed = true
-		return d, nil
+		return d.degraded(), nil
 	}
 	man, rec, err := wal.Open(wal.Options{
 		Dir:           cfg.dataDir,
@@ -62,11 +64,18 @@ func openDurable(cfg *config) (*durable, *wal.Recovery) {
 	})
 	if err != nil {
 		log.Printf("streamworks: opening WAL in %s: %v; running without durability (degraded)", cfg.dataDir, err)
-		d.failed = true
-		return d, nil
+		return d.degraded(), nil
 	}
-	d.man = man
+	d.man, d.reg = man, man.Registry()
+	d.backlog = d.reg.Gauge("wal_recovery_backlog", "", "")
 	return d, rec
+}
+
+// degraded is d with durability requested but not established.
+func (d *durable) degraded() *durable {
+	d.reg = obs.NewRegistry()
+	d.reg.Gauge("wal_degraded", "", "").Set(1)
+	return d
 }
 
 func (d *durable) live() bool {
@@ -124,54 +133,43 @@ func (d *durable) takeBacklog(filter string) []Match {
 	}
 	d.backMu.Lock()
 	defer d.backMu.Unlock()
-	if len(d.backlog) == 0 {
+	if len(d.recovered) == 0 {
 		return nil
 	}
-	if filter == "" {
-		out := d.backlog
-		d.backlog = nil
-		return out
-	}
 	var out []Match
-	kept := d.backlog[:0]
-	for _, m := range d.backlog {
-		if m.Query == filter {
+	kept := d.recovered[:0]
+	for _, m := range d.recovered {
+		if filter == "" || m.Query == filter {
 			out = append(out, m)
 		} else {
 			kept = append(kept, m)
 		}
 	}
-	d.backlog = kept
+	d.setRecovered(kept)
 	return out
 }
 
+// setRecovered replaces the backlog and publishes its size; backMu held.
+func (d *durable) setRecovered(ms []Match) {
+	d.recovered = ms
+	d.backlog.Set(int64(len(ms)))
+}
+
+// snapshot reads the WAL tier's registry; empty without durability.
+func (d *durable) snapshot() obs.Snapshot {
+	if d == nil {
+		return obs.Snapshot{}
+	}
+	return d.reg.Snapshot()
+}
+
+// stats is the durability view: "off" without durability, otherwise read
+// from the registry without touching the manager's lock.
 func (d *durable) stats() DurabilityStats {
 	if d == nil {
 		return DurabilityStats{Mode: "off"}
 	}
-	if d.man == nil {
-		return DurabilityStats{Mode: "degraded"}
-	}
-	st := d.man.Stats()
-	mode := "ok"
-	if st.Degraded {
-		mode = "degraded"
-	}
-	d.backMu.Lock()
-	backlog := uint64(len(d.backlog))
-	d.backMu.Unlock()
-	return DurabilityStats{
-		Mode:                mode,
-		Frames:              st.Frames,
-		Bytes:               st.Bytes,
-		Fsyncs:              st.Fsyncs,
-		Segments:            st.Segments,
-		Snapshots:           st.Snapshots,
-		TornTailTruncations: st.TornTruncations,
-		AppendErrors:        st.AppendErrors,
-		EmittedTracked:      st.EmittedTracked,
-		RecoveryBacklog:     backlog,
-	}
+	return api.WALMetricsFrom(d.reg.Snapshot())
 }
 
 // registerRecord resolves one registration's effective strategy and
@@ -270,6 +268,6 @@ func replayRecovery(e Engine, d *durable, rec *wal.Recovery, flush func() error)
 		return backlog[i].Signature < backlog[j].Signature
 	})
 	d.backMu.Lock()
-	d.backlog = backlog
+	d.setRecovered(backlog)
 	d.backMu.Unlock()
 }

@@ -2,7 +2,8 @@
 // the server (internal/server) and the typed client (internal/client) so the
 // two sides can never drift, and by the public streamworks package, whose
 // remote backend surfaces some of them directly. Everything here is a plain
-// data type: no behaviour, no engine imports beyond the metrics snapshot.
+// data type; the metrics views name the registry series they render in
+// `metric` tags (obs.Fill).
 package api
 
 import (
@@ -93,50 +94,53 @@ type AdvanceRequest struct {
 }
 
 // ServerMetrics counts serving-layer activity, complementing the engine
-// counters.
+// counters: a view of the server's registry (obs.Fill).
 type ServerMetrics struct {
-	Subscribers        int    `json:"subscribers"`
-	SubscribersEvicted uint64 `json:"subscribers_evicted"`
-	MatchesDelivered   uint64 `json:"matches_delivered"`
-	EdgesIngested      uint64 `json:"edges_ingested"`
-	BatchesIngested    uint64 `json:"batches_ingested"`
-	BatchesRejected    uint64 `json:"batches_rejected"`
-	IngestQueueLen     int    `json:"ingest_queue_len"`
-	IngestQueueCap     int    `json:"ingest_queue_cap"`
+	Subscribers        int    `json:"subscribers" metric:"server_subscribers"`
+	SubscribersEvicted uint64 `json:"subscribers_evicted" metric:"server_subscribers_evicted"`
+	MatchesDelivered   uint64 `json:"matches_delivered" metric:"server_matches_delivered"`
+	EdgesIngested      uint64 `json:"edges_ingested" metric:"server_edges_ingested"`
+	BatchesIngested    uint64 `json:"batches_ingested" metric:"server_batches_ingested"`
+	BatchesRejected    uint64 `json:"batches_rejected" metric:"server_batches_rejected"`
+	IngestQueueLen     int    `json:"ingest_queue_len" metric:"server_ingest_queue_len"`
+	IngestQueueCap     int    `json:"ingest_queue_cap" metric:"server_ingest_queue_cap"`
 }
 
 // WALMetrics is the engine's durability state and counters (the public
 // streamworks.DurabilityStats is this type), present in MetricsResponse when
-// the daemon runs with a data dir.
+// the daemon runs with a data dir: a view of the WAL's registry
+// (WALMetricsFrom).
 type WALMetrics struct {
 	// Mode is "off" without a data dir, "ok" while the WAL is live and
 	// "degraded" after an open or write failure (the engine keeps serving,
 	// in-memory only).
 	Mode                string `json:"mode"`
-	Frames              uint64 `json:"frames_appended"`
-	Bytes               uint64 `json:"bytes_appended"`
-	Fsyncs              uint64 `json:"fsyncs"`
-	Segments            uint64 `json:"segments_created"`
-	Snapshots           uint64 `json:"snapshots_written"`
-	TornTailTruncations uint64 `json:"torn_tail_truncations"`
-	AppendErrors        uint64 `json:"append_errors"`
-	EmittedTracked      uint64 `json:"emitted_tracked"`
+	Frames              uint64 `json:"frames_appended" metric:"wal_frames_appended"`
+	Bytes               uint64 `json:"bytes_appended" metric:"wal_bytes_appended"`
+	Fsyncs              uint64 `json:"fsyncs" metric:"wal_fsyncs"`
+	Segments            uint64 `json:"segments_created" metric:"wal_segments_created"`
+	Snapshots           uint64 `json:"snapshots_written" metric:"wal_snapshots_written"`
+	TornTailTruncations uint64 `json:"torn_tail_truncations" metric:"wal_torn_tail_truncations"`
+	AppendErrors        uint64 `json:"append_errors" metric:"wal_append_errors"`
+	EmittedTracked      uint64 `json:"emitted_tracked" metric:"wal_emitted_tracked"`
 	// RecoveryBacklog is the number of recovered matches still waiting for a
 	// first subscriber to redeliver them to.
-	RecoveryBacklog uint64 `json:"recovery_backlog"`
+	RecoveryBacklog uint64 `json:"recovery_backlog" metric:"wal_recovery_backlog"`
 }
 
 // MetricsResponse is the GET /v1/metrics payload: the aggregated engine
 // view, each shard's raw counters (replicated edges, pre-dedup matches), and
-// the serving-layer counters.
+// the serving-layer counters. Every section is a rendering of one merged
+// snapshot, taken once, which Obs carries.
 type MetricsResponse struct {
 	Engine core.Metrics   `json:"engine"`
 	Shards []core.Metrics `json:"shards"`
 	Server ServerMetrics  `json:"server"`
-	// Obs carries the merged observability snapshot — per-segment latency
-	// histograms with precomputed summaries, across the server tier and all
-	// shard workers — when the daemon runs with observability on; absent
-	// otherwise.
+	// Obs is the merged registry snapshot of every tier — the server, the
+	// shard front-end and merger, each shard worker and the WAL — that the
+	// other sections were read from: every counter and gauge, plus the
+	// latency histograms (with precomputed summaries) when the daemon runs
+	// with observability on. Always present.
 	Obs *obs.Snapshot `json:"obs,omitempty"`
 	// WAL carries the durability counters when the daemon runs with a data
 	// dir (streamworksd -data-dir); absent otherwise.
@@ -149,4 +153,15 @@ type TraceResponse struct {
 	Events   []obs.TraceEvent `json:"events"`
 	Recorded uint64           `json:"recorded"`
 	Dropped  uint64           `json:"dropped"`
+}
+
+// WALMetricsFrom reads the durability view out of a snapshot holding a WAL
+// tier's series, "degraded" or "ok" by its wal_degraded gauge.
+func WALMetricsFrom(s obs.Snapshot) WALMetrics {
+	w := WALMetrics{Mode: "ok"}
+	if s.Gauge("wal_degraded", "") != 0 {
+		w.Mode = "degraded"
+	}
+	obs.Fill(&w, s, "")
+	return w
 }

@@ -59,8 +59,7 @@ func WithRetry(p RetryPolicy) Option {
 }
 
 // RetryPolicy is a capped exponential backoff with jitter for transient
-// ingest failures. The zero value disables retry; DefaultRetryPolicy suits
-// most feeders.
+// ingest failures. The zero value disables retry.
 type RetryPolicy struct {
 	// MaxAttempts bounds total tries including the first (0 or 1 disables
 	// retry; negative retries until the context is cancelled).
@@ -71,12 +70,6 @@ type RetryPolicy struct {
 	// MaxDelay caps the backoff (default 1s). A server-supplied Retry-After
 	// longer than the computed backoff is honored up to 10×MaxDelay.
 	MaxDelay time.Duration
-}
-
-// DefaultRetryPolicy retries for roughly ten seconds under sustained
-// overload before giving up.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 12, BaseDelay: 5 * time.Millisecond, MaxDelay: time.Second}
 }
 
 // enabled reports whether the policy retries at all.

@@ -123,11 +123,12 @@ type Config struct {
 	// window statistics registration plans with, so they are inert when
 	// EnableSummaries is false.
 	Replan replan.Config
-	// Obs configures hot-path observability: per-segment latency
-	// histograms, the stream-time detection-lag histogram and sampled edge
-	// tracing. Disabled by default; when enabled the engine reads wall time
-	// exclusively through the configured obs.Clock (never a concrete clock
-	// — obs.TestHotPathReadsNoWallClock holds the seam).
+	// Obs holds the registry the engine keeps its counts in (a fresh one
+	// when nil) and configures what reads the clock or samples: per-segment
+	// latency histograms, the stream-time detection-lag histogram and sampled
+	// edge tracing. Those are disabled by default; when enabled the engine
+	// reads wall time exclusively through the configured obs.Clock (never a
+	// concrete clock — obs.TestHotPathReadsNoWallClock holds the seam).
 	Obs obs.Config
 	// SharedPlans is ignored: every engine folds its queries into the one
 	// shared evaluation DAG. The field stays only because the benchmark
@@ -192,8 +193,7 @@ type Engine struct {
 	sinks      []engineSink
 	nextSinkID int
 
-	metrics Metrics
-	obs     engineObs
+	obs engineObs
 }
 
 // New constructs an engine. cfg may be nil to use DefaultConfig.
@@ -205,6 +205,7 @@ func New(cfg *Config) *Engine {
 	if c.PruneInterval <= 0 {
 		c.PruneInterval = 1024
 	}
+	c.Obs = c.Obs.Normalized()
 	e := &Engine{
 		cfg:            c,
 		dyn:            graph.NewDynamic(c.Retention, graph.WithSlack(c.Slack)),
@@ -296,6 +297,7 @@ func (e *Engine) RegisterQuery(q *query.Graph, opts ...RegistrationOption) (*Reg
 		return nil, fmt.Errorf("registering %q: %w", name, err)
 	}
 	reg.att = att
+	reg.bind(e.obs.registry)
 	e.registrations[name] = reg
 	e.order = append(e.order, name)
 	if reg.adaptive {
@@ -316,6 +318,7 @@ func (e *Engine) UnregisterQuery(name string) error {
 	if err := e.dag.Detach(name); err != nil {
 		return err
 	}
+	e.obs.registry.Forget(obs.QueryLabelKey, name)
 	delete(e.registrations, name)
 	for i, n := range e.order {
 		if n == name {
@@ -392,10 +395,10 @@ func (e *Engine) noteExpired(de *graph.Edge) {
 func (e *Engine) ProcessEdge(se graph.StreamEdge) []MatchEvent {
 	stored, err := e.dyn.Apply(se)
 	if err != nil {
-		e.metrics.EdgesDropped++
+		e.obs.edgesDropped.Inc()
 		return nil
 	}
-	e.metrics.EdgesProcessed++
+	e.obs.edgesProcessed.Inc()
 	if e.summary != nil {
 		e.summary.Observe(se, e.dyn.Graph())
 	}
@@ -423,7 +426,9 @@ func (e *Engine) ProcessEdge(se graph.StreamEdge) []MatchEvent {
 	events := e.dagEvents
 	e.dagEvents = nil
 	e.evScratch = events
-	e.metrics.MatchesEmitted += uint64(len(events))
+	if len(events) > 0 {
+		e.obs.matchesDetected.Add(uint64(len(events)))
+	}
 
 	if traced {
 		now := e.obs.clock.Now()
@@ -437,7 +442,7 @@ func (e *Engine) ProcessEdge(se graph.StreamEdge) []MatchEvent {
 		})
 	}
 
-	if e.metrics.EdgesProcessed%uint64(e.cfg.PruneInterval) == 0 {
+	if e.obs.edgesProcessed.Value()%uint64(e.cfg.PruneInterval) == 0 {
 		e.pruneAll()
 	}
 	if e.adaptiveCount > 0 {
@@ -510,61 +515,68 @@ func (e *Engine) Advance(ts graph.Timestamp) {
 // never be derived again, by a join, a plan swap or a backfill. The summary's
 // triad counts expire by the same cutoff.
 func (e *Engine) pruneAll() {
-	e.metrics.PruneRuns++
-	wm := e.dyn.Watermark()
-	cutoff, retention := e.dyn.Cutoff(), e.dyn.Window()
-	evicted := e.metrics.EmittedEvicted
-	e.metrics.PartialsPruned += uint64(e.dag.Prune(wm, e.expiredPending))
-	e.metrics.EmittedEvicted = e.dag.EmittedEvicted()
+	e.obs.pruneRuns.Inc()
+	e.obs.partialsPruned.Add(uint64(e.dag.Prune(e.dyn.Watermark(), e.expiredPending)))
 	clear(e.expiredPending)
 	if e.summary != nil {
-		e.summary.Expire(cutoff, retention)
+		e.summary.Expire(e.dyn.Cutoff(), e.dyn.Window())
 	}
-	if e.obs.enabled {
-		e.obs.emittedEvicted.Add(e.metrics.EmittedEvicted - evicted)
-		for _, name := range e.order {
-			reg := e.registrations[name]
-			entries, bytes := reg.att.EmittedSize()
-			reg.emittedEntries.Set(int64(entries))
-			reg.emittedBytes.Set(int64(bytes))
-		}
+	e.refreshGauges()
+}
+
+// refreshGauges sets the engine's size gauges from what they measure: the
+// window graph, the DAG's stored partials and each query's emitted set. The
+// prune sweep calls it, and Snapshot again just before it reads the registry.
+func (e *Engine) refreshGauges() {
+	o := &e.obs
+	o.liveEdges.Set(int64(e.dyn.NumEdges()))
+	o.liveVertices.Set(int64(e.dyn.NumVertices()))
+	o.expiredEdges.Set(int64(e.dyn.ExpiredTotal()))
+	o.partialsStored.Set(int64(e.dag.PartialMatches()))
+	for _, name := range e.order {
+		reg := e.registrations[name]
+		entries, bytes := reg.att.EmittedSize()
+		reg.emittedEntries.Set(int64(entries))
+		reg.emittedBytes.Set(int64(bytes))
 	}
 }
 
 // Metrics returns a snapshot of engine counters, including per-query detail.
 func (e *Engine) Metrics() Metrics {
-	m := e.metrics
-	m.Registrations = uint64(len(e.registrations))
-	m.LiveEdges = e.dyn.NumEdges()
-	m.LiveVertices = e.dyn.NumVertices()
-	m.ExpiredEdges = e.dyn.ExpiredTotal()
-	m.MQO = e.dag.Stats()
-	m.PartialMatches = m.MQO.PartialMatches
-	m.LocalSearches = m.MQO.LocalSearches
+	m, _ := e.Snapshot()
+	return m
+}
+
+// Snapshot refreshes the engine's gauges, reads its registry once, and
+// returns the reading with the Metrics view built from it: every count from
+// the reading (FillMetrics), plan detail and the per-query coverage views
+// from the registrations and the DAG.
+func (e *Engine) Snapshot() (Metrics, obs.Snapshot) {
+	e.refreshGauges()
+	m := Metrics{Registrations: uint64(len(e.registrations)), MQO: e.dag.Stats()}
 	for _, name := range e.order {
 		reg := e.registrations[name]
 		qm := QueryMetrics{
 			Name:           name,
 			Strategy:       reg.plan.Strategy,
-			Matches:        reg.matches,
 			Adaptive:       reg.adaptive,
 			PlanGeneration: reg.planGen,
-			Replans:        reg.replans,
 			PlanNodes:      reg.plan.NumNodes(),
 			PlanDepth:      reg.plan.Depth(),
+			// The per-query view of the DAG: LocalSearches reports the
+			// query's coverage (a shared leaf's searches count for every
+			// query viewing it); the DAG-level totals report actual cost, and
+			// the gap between the two is the sharing win.
+			PartialMatches: reg.att.PartialMatches(),
+			LocalSearches:  reg.att.LeafSearches(),
 		}
-		qm.EmittedEntries, qm.EmittedBytes = reg.att.EmittedSize()
-		// The per-query view of the DAG: LocalSearches reports the query's
-		// coverage (a shared leaf's searches count for every query viewing
-		// it); the DAG-level totals above report actual cost, and the gap
-		// between the two is the sharing win.
-		qm.PartialMatches = reg.att.PartialMatches()
-		qm.LocalSearches = reg.att.LeafSearches()
 		if n := len(reg.audits); n > 0 {
 			audit := reg.audits[n-1]
 			qm.LastReplanAudit = &audit
 		}
 		m.Queries = append(m.Queries, qm)
 	}
-	return m
+	snap := e.obs.registry.Snapshot()
+	FillMetrics(&m, snap)
+	return m, snap
 }

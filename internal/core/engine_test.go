@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -180,7 +179,7 @@ func TestEngineDropsBadEdges(t *testing.T) {
 	}
 }
 
-func TestEngineMetricsAndString(t *testing.T) {
+func TestEngineMetrics(t *testing.T) {
 	e := New(nil)
 	if _, err := e.RegisterQuery(smurfQuery(time.Minute)); err != nil {
 		t.Fatal(err)
@@ -198,8 +197,19 @@ func TestEngineMetricsAndString(t *testing.T) {
 	if m.LocalSearches == 0 {
 		t.Fatalf("local searches not counted")
 	}
-	if !strings.Contains(m.String(), "smurf") {
-		t.Fatalf("Metrics.String() missing query name")
+	// The view is a rendering of the registry: the counts are its series,
+	// and an unregistered query takes its own series with it.
+	snap := e.ObsRegistry().Snapshot()
+	if snap.Counter("edges_processed", "") != 2 || snap.Counter("query_matches_detected", "smurf") != 1 {
+		t.Fatalf("registry disagrees with the view: %+v", snap.Counters)
+	}
+	if err := e.UnregisterQuery("smurf"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range e.ObsRegistry().Snapshot().Counters {
+		if c.LabelValue == "smurf" {
+			t.Fatalf("unregistered query's series %s survived", c.Name)
+		}
 	}
 	if e.summary == nil {
 		t.Fatalf("summaries enabled by default")

@@ -86,8 +86,8 @@ func TestExactlyOnceAcrossEviction(t *testing.T) {
 	}
 }
 
-// TestEmittedGaugesFollowTheSets: with observability on, the per-query
-// emitted-set gauges and the eviction counter in the registry say what
+// TestEmittedGaugesFollowTheSets: the per-query emitted-set gauges and the
+// eviction counter in the registry, kept with observability off, say what
 // Metrics says, and summed over the queries they say what is resident. Three
 // queries of one shape read their root through one consumer group with one
 // set: its first member in attach order carries it, the others report
@@ -97,7 +97,6 @@ func TestEmittedGaugesFollowTheSets(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Retention = 10 * time.Second
 		cfg.PruneInterval = 16
-		cfg.Obs.Enabled = true
 		e := New(&cfg)
 		for i, w := range windows {
 			q := query.NewBuilder(fmt.Sprintf("smurf-%d", i)).Window(w).
@@ -113,16 +112,15 @@ func TestEmittedGaugesFollowTheSets(t *testing.T) {
 		}
 		e.Advance(e.Graph().Watermark() + graph.Timestamp(time.Second)) // one more sweep, so the gauges are current
 		m, snap := e.Metrics(), e.ObsRegistry().Snapshot()
-		evicted, _ := snap.FindCounter("emitted_evicted", "")
-		if m.Queries[0].EmittedEntries == 0 || m.EmittedEvicted == 0 || evicted.Value != m.EmittedEvicted {
-			t.Fatalf("%d entries, %d evicted, the registry says %d", m.Queries[0].EmittedEntries, m.EmittedEvicted, evicted.Value)
+		evicted := snap.Counter("emitted_evicted", "")
+		if m.Queries[0].EmittedEntries == 0 || m.EmittedEvicted == 0 || evicted != m.EmittedEvicted {
+			t.Fatalf("%d entries, %d evicted, the registry says %d", m.Queries[0].EmittedEntries, m.EmittedEvicted, evicted)
 		}
 		for i, q := range m.Queries {
-			gaugeEntries, _ := snap.FindGauge("emitted_entries", q.Name)
-			gaugeBytes, _ := snap.FindGauge("emitted_bytes", q.Name)
-			if int(gaugeEntries.Value) != q.EmittedEntries || int(gaugeBytes.Value) != q.EmittedBytes {
+			gaugeEntries, gaugeBytes := snap.Gauge("emitted_entries", q.Name), snap.Gauge("emitted_bytes", q.Name)
+			if int(gaugeEntries) != q.EmittedEntries || int(gaugeBytes) != q.EmittedBytes {
 				t.Fatalf("%s: registry says %d entries, %d bytes; Metrics says %d, %d",
-					q.Name, gaugeEntries.Value, gaugeBytes.Value, q.EmittedEntries, q.EmittedBytes)
+					q.Name, gaugeEntries, gaugeBytes, q.EmittedEntries, q.EmittedBytes)
 			}
 			if i > 0 && (q.EmittedEntries != 0 || q.EmittedBytes != 0) {
 				t.Fatalf("%s reports %d entries, %d bytes of a set the group's first member carries", q.Name, q.EmittedEntries, q.EmittedBytes)

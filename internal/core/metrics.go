@@ -1,43 +1,43 @@
 package core
 
 import (
-	"fmt"
-	"strings"
-
 	"github.com/streamworks/streamworks/internal/decompose"
 	"github.com/streamworks/streamworks/internal/mqo"
+	"github.com/streamworks/streamworks/internal/obs"
 )
 
-// Metrics is a snapshot of engine counters. Obtain one with Engine.Metrics.
+// Metrics is a view of engine counters: each field tagged with a metric is
+// that series, read from a registry snapshot by FillMetrics; the rest
+// describes the plans. Obtain one with Engine.Metrics.
 type Metrics struct {
 	// EdgesProcessed is the number of stream edges admitted into the graph.
-	EdgesProcessed uint64
+	EdgesProcessed uint64 `metric:"edges_processed"`
 	// EdgesDropped counts edges rejected for timestamp regression beyond the
 	// slack or duplicate IDs.
-	EdgesDropped uint64
+	EdgesDropped uint64 `metric:"edges_dropped"`
 	// MatchesEmitted is the total number of complete matches across queries.
-	MatchesEmitted uint64
+	MatchesEmitted uint64 `metric:"matches_detected"`
 	// LocalSearches is the total number of primitive local searches run,
 	// each shared leaf's once (MQO.LocalSearches).
-	LocalSearches uint64
+	LocalSearches uint64 `metric:"mqo_local_searches"`
 	// PartialMatches is the number of matches currently stored across the
 	// DAG's node collections, each once, roots included (MQO.PartialMatches;
 	// a memory-pressure proxy).
-	PartialMatches int
+	PartialMatches int `metric:"partials_stored"`
 	// PartialsPruned is the cumulative number of partial matches discarded
 	// because they could no longer complete within their query windows.
-	PartialsPruned uint64
+	PartialsPruned uint64 `metric:"partials_pruned"`
 	// PruneRuns is the number of pruning sweeps executed.
-	PruneRuns uint64
+	PruneRuns uint64 `metric:"prune_runs"`
 	// EmittedEvicted is the cumulative number of entries the queries'
 	// exactly-once sets have forgotten because their matches started below
 	// the expiry cutoff and can never be derived again (summed over shards
 	// on a sharded engine). The sets' current size is per query, below.
-	EmittedEvicted uint64
+	EmittedEvicted uint64 `metric:"emitted_evicted"`
 	// DedupEntries and DedupBytes size the shard merger's duplicate filter as
 	// it stands; zero on a single engine, which has no merger.
-	DedupEntries int
-	DedupBytes   int
+	DedupEntries int `metric:"dedup_entries"`
+	DedupBytes   int `metric:"dedup_bytes"`
 	// Registrations is the number of currently registered (active) queries;
 	// unregistering a query decreases it, keeping the snapshot truthful for
 	// long-lived multi-tenant servers.
@@ -47,14 +47,14 @@ type Metrics struct {
 	// trial decomposition per adaptive query, a replan additionally replays
 	// the retained window), and ReplanEdgesReplayed is the total volume of
 	// that replay work.
-	Replans             uint64
-	ReplanChecks        uint64
-	ReplanEdgesReplayed uint64
+	Replans             uint64 `metric:"replans"`
+	ReplanChecks        uint64 `metric:"replan_checks"`
+	ReplanEdgesReplayed uint64 `metric:"replan_edges_replayed"`
 	// LiveEdges / LiveVertices describe the current dynamic graph size.
-	LiveEdges    int
-	LiveVertices int
+	LiveEdges    int `metric:"live_edges"`
+	LiveVertices int `metric:"live_vertices"`
 	// ExpiredEdges is the number of edges evicted from the sliding window.
-	ExpiredEdges uint64
+	ExpiredEdges uint64 `metric:"expired_edges"`
 	// Queries holds per-registration detail.
 	Queries []QueryMetrics
 	// MQO is the evaluation DAG's snapshot, the one place per-node
@@ -67,7 +67,7 @@ type Metrics struct {
 type QueryMetrics struct {
 	Name     string
 	Strategy decompose.Strategy
-	Matches  uint64
+	Matches  uint64 `metric:"query_matches_detected"`
 	// PartialMatches and LocalSearches are the query's view of the DAG: the
 	// matches stored in its plan's non-root nodes and the searches of its
 	// leaves, shared nodes counted once per query viewing them
@@ -81,7 +81,7 @@ type QueryMetrics struct {
 	// and PlanNodes/PlanDepth describe the current plan's shape.
 	Adaptive       bool
 	PlanGeneration uint64
-	Replans        uint64
+	Replans        uint64 `metric:"query_replans"`
 	PlanNodes      int
 	PlanDepth      int
 	// EmittedEntries and EmittedBytes size the query's exactly-once emitted
@@ -90,24 +90,22 @@ type QueryMetrics struct {
 	// arena word (sjtree.EmittedSet.Bytes). A consumer group has one set:
 	// its first query in registration order reports it, the others zero, so
 	// the sum over queries is what is resident.
-	EmittedEntries int
-	EmittedBytes   int
+	EmittedEntries int `metric:"emitted_entries"`
+	EmittedBytes   int `metric:"emitted_bytes"`
 	// LastReplanAudit is the most recent adaptive drift-check record
 	// (fired or declined), nil until the first check runs.
 	LastReplanAudit *ReplanAudit
 }
 
-// String renders the snapshot as a small fixed-width report.
-func (m Metrics) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "edges=%d dropped=%d matches=%d partials=%d localSearches=%d liveEdges=%d liveVertices=%d expired=%d replans=%d\n",
-		m.EdgesProcessed, m.EdgesDropped, m.MatchesEmitted, m.PartialMatches,
-		m.LocalSearches, m.LiveEdges, m.LiveVertices, m.ExpiredEdges, m.Replans)
-	fmt.Fprintf(&sb, "  mqo: nodes=%d shared=%d sharedHits=%d attachments=%d\n",
-		m.MQO.Nodes, m.MQO.SharedNodes, m.MQO.SharedHits, m.MQO.Attachments)
-	for _, q := range m.Queries {
-		fmt.Fprintf(&sb, "  %-24s strategy=%-10s matches=%-8d partials=%-8d searches=%-8d plan=gen%d/replans%d\n",
-			q.Name, q.Strategy, q.Matches, q.PartialMatches, q.LocalSearches, q.PlanGeneration, q.Replans)
+// FillMetrics sets every count of m — the engine totals, the DAG's, the
+// merger's dedup sizes, and each listed query's own — from a registry
+// snapshot: one engine's, or the merge of a sharded engine's tiers. A
+// sharded engine's view then reads the front-end's series for what must not
+// be summed over workers.
+func FillMetrics(m *Metrics, s obs.Snapshot) {
+	obs.Fill(m, s, "")
+	obs.Fill(&m.MQO, s, "")
+	for i := range m.Queries {
+		obs.Fill(&m.Queries[i], s, m.Queries[i].Name)
 	}
-	return sb.String()
 }

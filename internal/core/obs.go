@@ -4,24 +4,31 @@ import (
 	"github.com/streamworks/streamworks/internal/obs"
 )
 
-// engineObs is the engine's resolved observability state. Handles are
-// resolved once at construction so the per-edge cost is one branch when
-// disabled and plain atomic adds when enabled; the wall clock only ever
-// arrives through the obs.Clock seam (obs.TestHotPathReadsNoWallClock keeps
-// concrete clocks out of this package). The local-search and join segments
-// are timed by the DAG itself (mqo.WithObs).
+// engineObs is the engine's resolved metrics state. Its registry is the one
+// store of the engine's counts and sizes, kept whether or not observability
+// is on; the DAG keeps its own counts in the same registry (mqo.WithObs).
+// Handles are resolved once at construction, per-query ones at registration,
+// so the per-edge cost is a few atomic adds. The clock, the detect-lag
+// histogram and the tracer exist only when observability is enabled, and the
+// wall clock only ever arrives through the obs.Clock seam
+// (obs.TestHotPathReadsNoWallClock keeps concrete clocks out of this
+// package).
 type engineObs struct {
-	enabled  bool
-	clock    obs.Clock
 	registry *obs.Registry
-	tracer   *obs.Tracer
-	shard    int32
 
+	edgesProcessed, edgesDropped, matchesDetected *obs.Counter
+	partialsPruned, pruneRuns                     *obs.Counter
+	replans, replanChecks, replanEdgesReplayed    *obs.Counter
+	// The window graph's and the DAG's sizes, set by refreshGauges.
+	liveEdges, liveVertices, expiredEdges, partialsStored *obs.Gauge
+
+	enabled bool
+	clock   obs.Clock
+	tracer  *obs.Tracer
+	shard   int32
 	// detectLag is the stream-time detection lag per emitted match
 	// (DetectedAt − match span end) — pure timestamp arithmetic, no clock.
 	detectLag *obs.Histogram
-	// emittedEvicted counts emitted-set entries dropped by the expiry cutoff.
-	emittedEvicted *obs.Counter
 
 	// curArrival is the serving-tier arrival stamp of the edge currently
 	// inside ProcessEdge (StreamEdge.ArrivedWallNS, zero when the edge never
@@ -35,23 +42,35 @@ type engineObs struct {
 	curEdge uint64
 }
 
+// newEngineObs resolves the engine's handles in c's registry; c must be
+// normalized.
 func newEngineObs(c obs.Config) engineObs {
-	c = c.Normalized()
-	if !c.Enabled {
-		return engineObs{}
+	r := c.Registry
+	o := engineObs{
+		registry:            r,
+		edgesProcessed:      r.Counter("edges_processed", "", ""),
+		edgesDropped:        r.Counter("edges_dropped", "", ""),
+		matchesDetected:     r.Counter("matches_detected", "", ""),
+		partialsPruned:      r.Counter("partials_pruned", "", ""),
+		pruneRuns:           r.Counter("prune_runs", "", ""),
+		replans:             r.Counter("replans", "", ""),
+		replanChecks:        r.Counter("replan_checks", "", ""),
+		replanEdgesReplayed: r.Counter("replan_edges_replayed", "", ""),
+		liveEdges:           r.Gauge("live_edges", "", ""),
+		liveVertices:        r.Gauge("live_vertices", "", ""),
+		expiredEdges:        r.Gauge("expired_edges", "", ""),
+		partialsStored:      r.Gauge("partials_stored", "", ""),
 	}
-	return engineObs{
-		enabled:   true,
-		clock:     c.Clock,
-		registry:  c.Registry,
-		tracer:    c.Tracer,
-		shard:     c.Shard,
-		detectLag: c.Registry.Histogram(obs.DetectLagHistogramName, "", ""),
-
-		emittedEvicted: c.Registry.Counter(obs.EmittedEvictedCounterName, "", ""),
+	if c.Enabled {
+		o.enabled = true
+		o.clock = c.Clock
+		o.tracer = c.Tracer
+		o.shard = c.Shard
+		o.detectLag = r.Histogram(obs.DetectLagHistogramName, "", "")
 	}
+	return o
 }
 
-// ObsRegistry returns the engine's metric registry, or nil when
-// observability is disabled. Snapshots are safe from any goroutine.
+// ObsRegistry returns the engine's metric registry. Snapshots are safe from
+// any goroutine.
 func (e *Engine) ObsRegistry() *obs.Registry { return e.obs.registry }

@@ -53,25 +53,23 @@ type Registration struct {
 	// att is the query's attachment to the engine's evaluation DAG.
 	att *mqo.Attachment
 
-	matches uint64
-
 	// Adaptive re-planning state: strategy is what the planner re-runs on a
 	// drift check (the strategy the registration was created with, or the
-	// supplied plan's), det applies the hysteresis policy, planGen counts
-	// plan generations (1 = the registration-time plan) and replans counts
-	// completed hot-swaps.
+	// supplied plan's), det applies the hysteresis policy and planGen counts
+	// plan generations (1 = the registration-time plan).
 	adaptive bool
 	strategy decompose.Strategy
 	det      replan.Detector
 	planGen  uint64
-	replans  uint64
 
 	// audits is a ring of the most recent drift-check audit records (fires
 	// and declines alike); see ReplanAudit.
 	audits []ReplanAudit
 
-	// emittedEntries and emittedBytes are the query's emitted-set gauges,
-	// nil (and inert) unless observability is on.
+	// The query's series in the engine's registry, resolved by bind: the
+	// matches it was sent, its completed hot-swaps, and its emitted set's
+	// size.
+	matches, replans             *obs.Counter
 	emittedEntries, emittedBytes *obs.Gauge
 
 	// opts is the option list the registration was created with, retained so
@@ -106,9 +104,16 @@ func newRegistration(e *Engine, name string, q *query.Graph, opts ...Registratio
 		planGen:  1,
 		opts:     opts,
 	}
-	r.emittedEntries = e.obs.registry.Gauge(obs.EmittedEntriesGaugeName, obs.QueryLabelKey, name)
-	r.emittedBytes = e.obs.registry.Gauge(obs.EmittedBytesGaugeName, obs.QueryLabelKey, name)
 	return r, nil
+}
+
+// bind resolves the registration's per-query series once it is attached;
+// UnregisterQuery forgets them.
+func (r *Registration) bind(reg *obs.Registry) {
+	r.matches = reg.Counter("query_matches_detected", obs.QueryLabelKey, r.name)
+	r.replans = reg.Counter("query_replans", obs.QueryLabelKey, r.name)
+	r.emittedEntries = reg.Gauge("emitted_entries", obs.QueryLabelKey, r.name)
+	r.emittedBytes = reg.Gauge("emitted_bytes", obs.QueryLabelKey, r.name)
 }
 
 // Name returns the registration name.
@@ -137,10 +142,10 @@ func (r *Registration) Adaptive() bool { return r.adaptive }
 func (r *Registration) PlanGeneration() uint64 { return r.planGen }
 
 // Replans returns how many plan hot-swaps this registration has undergone.
-func (r *Registration) Replans() uint64 { return r.replans }
+func (r *Registration) Replans() uint64 { return r.replans.Value() }
 
 // Matches returns the number of complete matches reported so far.
-func (r *Registration) Matches() uint64 { return r.matches }
+func (r *Registration) Matches() uint64 { return r.matches.Value() }
 
 // emit is the registration's emission point: the DAG invokes it (via the
 // attachment's EmitSigned callback) for every complete match of this query,
@@ -176,7 +181,7 @@ func (r *Registration) emit(qm *match.Match, signature string) {
 			})
 		}
 	}
-	r.matches++
+	r.matches.Inc()
 	e.dispatch(ev)
 	e.dagEvents = append(e.dagEvents, ev)
 }

@@ -71,7 +71,7 @@ func (e *Engine) maybeReplanAll() {
 	if e.adaptiveCount == 0 || e.summary == nil {
 		return
 	}
-	total := e.metrics.EdgesProcessed
+	total := e.obs.edgesProcessed.Value()
 	if total == e.lastReplanTotal {
 		return
 	}
@@ -82,7 +82,7 @@ func (e *Engine) maybeReplanAll() {
 		if !reg.adaptive {
 			continue
 		}
-		e.metrics.ReplanChecks++
+		e.obs.replanChecks.Inc()
 		fresh, err := e.planner.Plan(reg.query, reg.strategy)
 		if err != nil {
 			// Planning against the current statistics failed; keep the
@@ -161,13 +161,13 @@ func (e *Engine) swap(reg *Registration, plan *decompose.Plan) error {
 		e.dagEvents = saved
 		return fmt.Errorf("core: plan swap for %q: %w", reg.name, err)
 	}
-	e.metrics.MatchesEmitted += uint64(len(e.dagEvents))
+	e.obs.matchesDetected.Add(uint64(len(e.dagEvents)))
 	e.dagEvents = saved
 	reg.att = att
 	reg.plan = plan
 	reg.planGen++
-	reg.replans++
-	e.metrics.Replans++
-	e.metrics.ReplanEdgesReplayed += att.ReplayedEdges()
+	reg.replans.Inc()
+	e.obs.replans.Inc()
+	e.obs.replanEdgesReplayed.Add(att.ReplayedEdges())
 	return nil
 }

@@ -117,7 +117,7 @@ func TestAdaptiveReplansOnDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	if m.Replans == 0 {
-		t.Fatalf("adaptive run never re-planned (checks=%d); drift workload or detector is broken\n%s",
+		t.Fatalf("adaptive run never re-planned (checks=%d); drift workload or detector is broken\n%+v",
 			m.ReplanChecks, m)
 	}
 	if m.ReplanChecks == 0 {

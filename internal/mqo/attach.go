@@ -41,7 +41,6 @@ type Attachment struct {
 	emit       func(*match.Match)
 	emitSigned func(*match.Match, string)
 
-	matches       uint64
 	preAttach     uint64
 	replayedEdges uint64
 }
@@ -51,9 +50,6 @@ func (a *Attachment) Name() string { return a.name }
 
 // Plan returns the decomposition plan the attachment realizes.
 func (a *Attachment) Plan() *decompose.Plan { return a.plan }
-
-// Matches returns the number of complete matches emitted since attach.
-func (a *Attachment) Matches() uint64 { return a.matches }
 
 // PreAttachMatches returns how many complete matches predating the
 // attachment were recorded-but-suppressed during root backfill.

@@ -201,45 +201,44 @@ type DAG struct {
 	atts     map[string]*Attachment
 	attOrder []string
 
-	localSearches  uint64
-	sharedHits     uint64
-	emittedEvicted uint64
+	// The DAG's counts live in its registry (its engine's, under WithObs):
+	// leaf searches, the fan-out saving, and the emitted-set entries Prune
+	// expired.
+	reg                                       *obs.Registry
+	localSearches, sharedHits, emittedEvicted *obs.Counter
 
 	// prims is the per-edge scratch buffer for local-search results; only
 	// the backing array is reused, the matches are owned by the DAG once
 	// inserted.
 	prims []*match.Match
 
-	// Observability, resolved once like core's engineObs: wall time only
-	// ever flows through the obs.Clock seam.
-	obsEnabled bool
-	clock      obs.Clock
-	hLocal     *obs.Histogram
-	hJoin      *obs.Histogram
-	sharedCtr  *obs.Counter
+	// Local-search and join timing, resolved once like core's engineObs and
+	// nil unless observability is enabled: wall time only ever flows through
+	// the obs.Clock seam.
+	clock         obs.Clock
+	hLocal, hJoin *obs.Histogram
 }
 
 // Option configures a DAG.
 type Option func(*DAG)
 
-// WithObs wires hot-path observability: the DAG reuses the engine's
-// local-search and join segment histograms and exposes the fan-out saving as
-// the MQOSharedHitsCounterName counter.
+// WithObs keeps the DAG's counts in c's registry — the engine's — and, when
+// observability is enabled, times local search and joins into the engine's
+// segment histograms.
 func WithObs(c obs.Config) Option {
 	return func(d *DAG) {
 		c = c.Normalized()
-		if !c.Enabled {
-			return
+		d.reg = c.Registry
+		if c.Enabled {
+			d.clock = c.Clock
+			d.hLocal = c.Registry.Segment(obs.SegLocalSearch)
+			d.hJoin = c.Registry.Segment(obs.SegSJTreeJoin)
 		}
-		d.obsEnabled = true
-		d.clock = c.Clock
-		d.hLocal = c.Registry.Segment(obs.SegLocalSearch)
-		d.hJoin = c.Registry.Segment(obs.SegSJTreeJoin)
-		d.sharedCtr = c.Registry.Counter(obs.MQOSharedHitsCounterName, "", "")
 	}
 }
 
-// New constructs an empty DAG over the given dynamic graph.
+// New constructs an empty DAG over the given dynamic graph. Without WithObs
+// its counts go to a registry of its own.
 func New(g *graph.Dynamic, opts ...Option) *DAG {
 	d := &DAG{
 		g:           g,
@@ -250,6 +249,12 @@ func New(g *graph.Dynamic, opts ...Option) *DAG {
 	for _, o := range opts {
 		o(d)
 	}
+	if d.reg == nil {
+		d.reg = obs.NewRegistry()
+	}
+	d.localSearches = d.reg.Counter("mqo_local_searches", "", "")
+	d.sharedHits = d.reg.Counter("mqo_shared_hits", "", "")
+	d.emittedEvicted = d.reg.Counter("emitted_evicted", "", "")
 	return d
 }
 
@@ -265,16 +270,12 @@ func (d *DAG) NumNodes() int { return len(d.nodes) }
 func (d *DAG) NumAttachments() int { return len(d.atts) }
 
 // LocalSearches returns the cumulative number of leaf local searches run.
-func (d *DAG) LocalSearches() uint64 { return d.localSearches }
+func (d *DAG) LocalSearches() uint64 { return d.localSearches.Value() }
 
 // SharedHits returns the cumulative fan-out saving: for every local search
 // of a node referenced by k parents-or-consumers, k−1 redundant per-query
 // searches were avoided.
-func (d *DAG) SharedHits() uint64 { return d.sharedHits }
-
-// EmittedEvicted returns the cumulative number of entries Prune has expired
-// from the consumer groups' emitted sets.
-func (d *DAG) EmittedEvicted() uint64 { return d.emittedEvicted }
+func (d *DAG) SharedHits() uint64 { return d.sharedHits.Value() }
 
 // ProcessEdge runs the per-edge incremental step for every attached query at
 // once: one local search per distinct leaf primitive the edge can seed, with
@@ -298,12 +299,11 @@ func (d *DAG) processSeeds(seeds []seedRef, de *graph.Edge) {
 		}
 		n := s.n
 		n.searches++
-		d.localSearches++
+		d.localSearches.Inc()
 		if fan := n.refs(); fan > 1 {
-			d.sharedHits += uint64(fan - 1)
-			d.sharedCtr.Add(uint64(fan - 1))
+			d.sharedHits.Add(uint64(fan - 1))
 		}
-		if d.obsEnabled {
+		if d.clock != nil {
 			t0 := d.clock.Now()
 			d.prims = n.matcher.LocalSearchInto(d.prims[:0], d.g.Graph(), s.order, de)
 			t1 := d.clock.Now()
@@ -331,7 +331,7 @@ func (d *DAG) searchNode(n *node, de *graph.Edge) {
 			continue
 		}
 		n.searches++
-		d.localSearches++
+		d.localSearches.Inc()
 		d.prims = n.matcher.LocalSearchInto(d.prims[:0], d.g.Graph(), s.order, de)
 		for _, pm := range d.prims {
 			d.insert(n, pm)
@@ -416,7 +416,6 @@ func (g *consumerGroup) deliver(m *match.Match) {
 // send emits qm to the attachment and returns its signature, building it if
 // the caller has not got it yet and the callback wants it.
 func (a *Attachment) send(qm *match.Match, sig string) string {
-	a.matches++
 	if a.emitSigned != nil {
 		if sig == "" {
 			sig = qm.Signature()
@@ -457,7 +456,7 @@ func (d *DAG) Prune(wm graph.Timestamp, expired map[graph.EdgeID]struct{}) int {
 	cutoff, retention := d.g.Cutoff(), d.g.Window()
 	for _, sig := range d.order {
 		for _, g := range d.nodes[sig].consumers {
-			d.emittedEvicted += uint64(g.emitted.Expire(cutoff, retention))
+			d.emittedEvicted.Add(uint64(g.emitted.Expire(cutoff, retention)))
 		}
 	}
 	return removed

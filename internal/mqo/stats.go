@@ -36,18 +36,20 @@ type Stats struct {
 	// memory-pressure metric, comparable with sjtree.Tree.PartialMatchCount
 	// but for the roots, whose complete matches the DAG keeps for late
 	// attachments.
-	PartialMatches int         `json:"partial_matches"`
-	LocalSearches  uint64      `json:"local_searches"`
-	SharedHits     uint64      `json:"shared_hits"`
+	PartialMatches int         `json:"partial_matches" metric:"partials_stored"`
+	LocalSearches  uint64      `json:"local_searches" metric:"mqo_local_searches"`
+	SharedHits     uint64      `json:"shared_hits" metric:"mqo_shared_hits"`
 	PerNode        []NodeStats `json:"per_node,omitempty"`
 }
 
-// MergeStats folds per-shard DAG snapshots into one. Replicated shards build
-// structurally identical DAGs, so per-node entries are merged by canonical
-// signature: counters and stored sizes sum, structural fields (Edges, IsLeaf,
-// Refs, Consumers, Window) come from the first snapshot that carries the
-// signature. Node order follows the first snapshot, with signatures unique to
-// later snapshots appended in their order of appearance.
+// MergeStats folds per-shard DAG snapshots' structure and per-node detail
+// into one; the DAG-wide counts (PartialMatches, LocalSearches, SharedHits)
+// are left to the caller, which reads them from the merged registries.
+// Replicated shards build structurally identical DAGs, so per-node entries are
+// merged by canonical signature: counters and stored sizes sum, structural
+// fields (Edges, IsLeaf, Refs, Consumers, Window) come from the first snapshot
+// that carries the signature. Node order follows the first snapshot, with
+// signatures unique to later snapshots appended in their order of appearance.
 func MergeStats(snaps ...Stats) Stats {
 	var out Stats
 	idx := make(map[string]int)
@@ -57,9 +59,6 @@ func MergeStats(snaps ...Stats) Stats {
 			out.SharedNodes = s.SharedNodes
 			out.Attachments = s.Attachments
 		}
-		out.PartialMatches += s.PartialMatches
-		out.LocalSearches += s.LocalSearches
-		out.SharedHits += s.SharedHits
 		for _, ns := range s.PerNode {
 			j, ok := idx[ns.Sig]
 			if !ok {
@@ -90,13 +89,24 @@ func MergeStats(snaps ...Stats) Stats {
 	return out
 }
 
+// PartialMatches returns the number of matches stored across the node
+// collections, each once.
+func (d *DAG) PartialMatches() int {
+	total := 0
+	for _, n := range d.nodes {
+		total += n.coll.Len()
+	}
+	return total
+}
+
 // Stats returns a snapshot with per-node detail in node creation order.
 func (d *DAG) Stats() Stats {
 	s := Stats{
-		Nodes:         len(d.nodes),
-		Attachments:   len(d.atts),
-		LocalSearches: d.localSearches,
-		SharedHits:    d.sharedHits,
+		Nodes:          len(d.nodes),
+		Attachments:    len(d.atts),
+		PartialMatches: d.PartialMatches(),
+		LocalSearches:  d.localSearches.Value(),
+		SharedHits:     d.sharedHits.Value(),
 	}
 	for _, sig := range d.order {
 		n := d.nodes[sig]
@@ -118,7 +128,6 @@ func (d *DAG) Stats() Stats {
 			JoinHits:     n.joinHits,
 			WindowDrops:  n.windowDrops,
 		}
-		s.PartialMatches += n.coll.Len()
 		if n.left != nil {
 			ns.Partitions = n.left.part.Partitions() + n.right.part.Partitions()
 		}

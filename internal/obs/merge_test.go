@@ -97,9 +97,8 @@ func TestMergeSumsSeries(t *testing.T) {
 	a.Segment(SegLocalSearch).Observe(10)
 	b.Segment(SegLocalSearch).ObserveN(10, 2)
 	m := Merge(a.Snapshot(), b.Snapshot())
-	c, ok := m.FindCounter("edges", "")
-	if !ok || c.Value != 7 {
-		t.Fatalf("merged counter = %+v, ok=%v", c, ok)
+	if c := m.Counter("edges", ""); c != 7 {
+		t.Fatalf("merged counter = %d, want 7", c)
 	}
 	h, ok := m.Find(SegmentHistogramName, SegLocalSearch)
 	if !ok || h.Count != 3 || h.Sum != 30 {
@@ -120,15 +119,18 @@ func TestMergeSumsSeries(t *testing.T) {
 // gauges like it does counters.
 func TestMergeSumsGauges(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
-	a.Gauge(EmittedEntriesGaugeName, QueryLabelKey, "q").Set(40)
-	b.Gauge(EmittedEntriesGaugeName, QueryLabelKey, "q").Set(2)
-	b.Gauge(DedupEntriesGaugeName, "", "").Set(5)
+	a.Gauge("emitted_entries", QueryLabelKey, "q").Set(40)
+	b.Gauge("emitted_entries", QueryLabelKey, "q").Set(2)
+	b.Gauge("dedup_entries", "", "").Set(5)
 	merged := Merge(a.Snapshot(), b.Snapshot())
-	if g, ok := merged.FindGauge(EmittedEntriesGaugeName, "q"); !ok || g.Value != 42 {
-		t.Fatalf("merged per-query gauge = %+v", g)
+	if g := merged.Gauge("emitted_entries", "q"); g != 42 {
+		t.Fatalf("merged per-query gauge = %d, want 42", g)
 	}
-	if g, ok := merged.FindGauge(DedupEntriesGaugeName, ""); !ok || g.Value != 5 {
-		t.Fatalf("merged unlabelled gauge = %+v", g)
+	if g := merged.Gauge("dedup_entries", ""); g != 5 {
+		t.Fatalf("merged unlabelled gauge = %d, want 5", g)
+	}
+	if g := merged.Gauge("dedup_entries", "q"); g != 0 {
+		t.Fatalf("absent series = %d, want 0", g)
 	}
 	var none *Registry
 	g := none.Gauge("x", "", "")

@@ -1,8 +1,12 @@
 package obs
 
 import (
+	"cmp"
+	"maps"
 	"math/bits"
-	"sort"
+	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -124,6 +128,7 @@ type metricKey struct {
 // Registry is a get-or-create store of named counters, gauges and
 // histograms. Handle resolution takes a mutex and is meant for setup time;
 // the handles themselves are lock-free. Snapshots are safe from any goroutine.
+// A nil registry hands out nil handles, which ignore writes.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[metricKey]*Counter
@@ -140,45 +145,33 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Gauge returns the named gauge, creating it on first use; nil from a nil
-// registry, like Counter.
-func (r *Registry) Gauge(name, labelKey, labelValue string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	k := metricKey{name, labelKey, labelValue}
+// handle returns the series k of m, creating it on first use.
+func handle[T any](r *Registry, m map[metricKey]*T, k metricKey) *T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g := r.gauges[k]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[k] = g
+	h := m[k]
+	if h == nil {
+		h = new(T)
+		m[k] = h
 	}
-	return g
+	return h
 }
 
 // Counter returns the named counter, creating it on first use. Label key and
-// value may be empty for unlabelled series. A nil registry returns nil (and
-// nil handles ignore writes), so call sites need no enabled checks beyond
-// the one that decided not to create the registry.
+// value may be empty for unlabelled series.
 func (r *Registry) Counter(name, labelKey, labelValue string) *Counter {
 	if r == nil {
 		return nil
 	}
-	k := metricKey{name, labelKey, labelValue}
-	r.mu.RLock()
-	c := r.counters[k]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
+	return handle(r, r.counters, metricKey{name, labelKey, labelValue})
+}
+
+// Gauge returns the named gauge, creating it on first use.
+func (r *Registry) Gauge(name, labelKey, labelValue string) *Gauge {
+	if r == nil {
+		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[k]; c == nil {
-		c = &Counter{}
-		r.counters[k] = c
-	}
-	return c
+	return handle(r, r.gauges, metricKey{name, labelKey, labelValue})
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -186,20 +179,7 @@ func (r *Registry) Histogram(name, labelKey, labelValue string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	k := metricKey{name, labelKey, labelValue}
-	r.mu.RLock()
-	h := r.hists[k]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.hists[k]; h == nil {
-		h = &Histogram{}
-		r.hists[k] = h
-	}
-	return h
+	return handle(r, r.hists, metricKey{name, labelKey, labelValue})
 }
 
 // CounterSnapshot is one counter series at a point in time.
@@ -246,34 +226,24 @@ type Snapshot struct {
 
 // Snapshot captures the registry's current values.
 func (r *Registry) Snapshot() Snapshot {
+	var s Snapshot
 	if r == nil {
-		return Snapshot{}
+		return s
 	}
 	r.mu.RLock()
-	counters := make(map[metricKey]*Counter, len(r.counters))
 	for k, c := range r.counters {
-		counters[k] = c
+		s.Counters = append(s.Counters, CounterSnapshot{
+			Name: k.name, LabelKey: k.labelKey, LabelValue: k.labelValue,
+			Value: c.Value(),
+		})
 	}
-	hists := make(map[metricKey]*Histogram, len(r.hists))
-	for k, h := range r.hists {
-		hists[k] = h
-	}
-	var s Snapshot
 	for k, g := range r.gauges {
 		s.Gauges = append(s.Gauges, GaugeSnapshot{
 			Name: k.name, LabelKey: k.labelKey, LabelValue: k.labelValue,
 			Value: g.Value(),
 		})
 	}
-	r.mu.RUnlock()
-
-	for k, c := range counters {
-		s.Counters = append(s.Counters, CounterSnapshot{
-			Name: k.name, LabelKey: k.labelKey, LabelValue: k.labelValue,
-			Value: c.Value(),
-		})
-	}
-	for k, h := range hists {
+	for k, h := range r.hists {
 		hs := HistogramSnapshot{
 			Name: k.name, LabelKey: k.labelKey, LabelValue: k.labelValue,
 			Count:   h.count.Load(),
@@ -286,31 +256,33 @@ func (r *Registry) Snapshot() Snapshot {
 		hs.fillSummary()
 		s.Histograms = append(s.Histograms, hs)
 	}
+	r.mu.RUnlock()
 	s.sort()
 	return s
 }
 
+// Forget drops every counter and gauge labelled labelKey=labelValue, so a
+// registration that goes away takes its series with it; handles already
+// resolved keep working but are no longer reported.
+func (r *Registry) Forget(labelKey, labelValue string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	maps.DeleteFunc(r.counters, func(k metricKey, _ *Counter) bool { return k.labelKey == labelKey && k.labelValue == labelValue })
+	maps.DeleteFunc(r.gauges, func(k metricKey, _ *Gauge) bool { return k.labelKey == labelKey && k.labelValue == labelValue })
+}
+
 func (s *Snapshot) sort() {
-	sort.Slice(s.Counters, func(i, j int) bool {
-		a, b := s.Counters[i], s.Counters[j]
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		return a.LabelValue < b.LabelValue
-	})
-	sort.Slice(s.Gauges, func(i, j int) bool {
-		a, b := s.Gauges[i], s.Gauges[j]
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		return a.LabelValue < b.LabelValue
-	})
-	sort.Slice(s.Histograms, func(i, j int) bool {
-		a, b := s.Histograms[i], s.Histograms[j]
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		return a.LabelValue < b.LabelValue
+	sortSeries(s.Counters, func(c CounterSnapshot) (string, string) { return c.Name, c.LabelValue })
+	sortSeries(s.Gauges, func(g GaugeSnapshot) (string, string) { return g.Name, g.LabelValue })
+	sortSeries(s.Histograms, func(h HistogramSnapshot) (string, string) { return h.Name, h.LabelValue })
+}
+
+// sortSeries orders series by (name, label value).
+func sortSeries[T any](xs []T, key func(T) (string, string)) {
+	slices.SortFunc(xs, func(a, b T) int {
+		an, al := key(a)
+		bn, bl := key(b)
+		return cmp.Or(strings.Compare(an, bn), strings.Compare(al, bl))
 	})
 }
 
@@ -371,60 +343,48 @@ func BucketUpperBound(i int) int64 {
 
 // Merge folds any number of snapshots into one: counters and gauges with the
 // same (name, label) sum — a gauge here is a size, and the workers' sizes add
-// up to the engine's — and histograms sum cell-wise. Shard front-ends use this to
-// present per-worker registries as a single logical registry, mirroring how
-// shard.Metrics() sums worker counters.
+// up to the engine's — and histograms sum cell-wise. It is the one place
+// numbers are added across shards or tiers: the sharded engine's Metrics, its
+// snapshot and the daemon's two metrics endpoints are all built from its
+// output. A fact that must not be summed is published once, under its own
+// name, by the tier that owns it.
 func Merge(snaps ...Snapshot) Snapshot {
-	counters := make(map[metricKey]*CounterSnapshot)
-	gauges := make(map[metricKey]int)
-	hists := make(map[metricKey]*HistogramSnapshot)
-	var corder, horder []metricKey
 	var out Snapshot
+	counters, gauges, hists := map[metricKey]int{}, map[metricKey]int{}, map[metricKey]int{}
 	for _, s := range snaps {
+		for _, c := range s.Counters {
+			if i, ok := counters[metricKey{c.Name, c.LabelKey, c.LabelValue}]; ok {
+				out.Counters[i].Value += c.Value
+			} else {
+				counters[metricKey{c.Name, c.LabelKey, c.LabelValue}] = len(out.Counters)
+				out.Counters = append(out.Counters, c)
+			}
+		}
 		for _, g := range s.Gauges {
-			k := metricKey{g.Name, g.LabelKey, g.LabelValue}
-			if i, ok := gauges[k]; ok {
+			if i, ok := gauges[metricKey{g.Name, g.LabelKey, g.LabelValue}]; ok {
 				out.Gauges[i].Value += g.Value
 			} else {
-				gauges[k] = len(out.Gauges)
+				gauges[metricKey{g.Name, g.LabelKey, g.LabelValue}] = len(out.Gauges)
 				out.Gauges = append(out.Gauges, g)
 			}
 		}
-		for _, c := range s.Counters {
-			k := metricKey{c.Name, c.LabelKey, c.LabelValue}
-			if have, ok := counters[k]; ok {
-				have.Value += c.Value
-			} else {
-				cc := c
-				counters[k] = &cc
-				corder = append(corder, k)
-			}
-		}
 		for _, h := range s.Histograms {
-			k := metricKey{h.Name, h.LabelKey, h.LabelValue}
-			if have, ok := hists[k]; ok {
+			if i, ok := hists[metricKey{h.Name, h.LabelKey, h.LabelValue}]; ok {
+				have := &out.Histograms[i]
 				have.Count += h.Count
 				have.Sum += h.Sum
-				for i := range have.Buckets {
-					if i < len(h.Buckets) {
-						have.Buckets[i] += h.Buckets[i]
-					}
+				for j := range min(len(have.Buckets), len(h.Buckets)) {
+					have.Buckets[j] += h.Buckets[j]
 				}
 			} else {
-				hh := h
-				hh.Buckets = append([]uint64(nil), h.Buckets...)
-				hists[k] = &hh
-				horder = append(horder, k)
+				hists[metricKey{h.Name, h.LabelKey, h.LabelValue}] = len(out.Histograms)
+				h.Buckets = slices.Clone(h.Buckets)
+				out.Histograms = append(out.Histograms, h)
 			}
 		}
 	}
-	for _, k := range corder {
-		out.Counters = append(out.Counters, *counters[k])
-	}
-	for _, k := range horder {
-		h := hists[k]
-		h.fillSummary()
-		out.Histograms = append(out.Histograms, *h)
+	for i := range out.Histograms {
+		out.Histograms[i].fillSummary()
 	}
 	out.sort()
 	return out
@@ -441,24 +401,50 @@ func (s Snapshot) Find(name, labelValue string) (HistogramSnapshot, bool) {
 	return HistogramSnapshot{}, false
 }
 
-// FindGauge returns the gauge snapshot with the given name and label value,
-// if present.
-func (s Snapshot) FindGauge(name, labelValue string) (GaugeSnapshot, bool) {
-	for _, g := range s.Gauges {
-		if g.Name == name && g.LabelValue == labelValue {
-			return g, true
-		}
+// Counter returns the value of the named counter series, zero when it is
+// absent. s must be sorted, as Registry.Snapshot and Merge return it.
+func (s Snapshot) Counter(name, labelValue string) uint64 {
+	i, ok := slices.BinarySearchFunc(s.Counters, [2]string{name, labelValue}, func(c CounterSnapshot, k [2]string) int {
+		return cmp.Or(strings.Compare(c.Name, k[0]), strings.Compare(c.LabelValue, k[1]))
+	})
+	if !ok {
+		return 0
 	}
-	return GaugeSnapshot{}, false
+	return s.Counters[i].Value
 }
 
-// FindCounter returns the counter snapshot with the given name and label
-// value, if present.
-func (s Snapshot) FindCounter(name, labelValue string) (CounterSnapshot, bool) {
-	for _, c := range s.Counters {
-		if c.Name == name && c.LabelValue == labelValue {
-			return c, true
+// Gauge returns the value of the named gauge series, zero when it is absent.
+// s must be sorted, as Registry.Snapshot and Merge return it.
+func (s Snapshot) Gauge(name, labelValue string) int64 {
+	i, ok := slices.BinarySearchFunc(s.Gauges, [2]string{name, labelValue}, func(g GaugeSnapshot, k [2]string) int {
+		return cmp.Or(strings.Compare(g.Name, k[0]), strings.Compare(g.LabelValue, k[1]))
+	})
+	if !ok {
+		return 0
+	}
+	return s.Gauges[i].Value
+}
+
+// Fill is how a metrics view reads a snapshot: every field of the struct dst
+// points to that carries a `metric:"<series>"` tag is set to that counter's
+// or gauge's value, labelled labelValue — a bool field to whether it is
+// non-zero. Other fields are left alone.
+func Fill(dst any, s Snapshot, labelValue string) {
+	v := reflect.ValueOf(dst).Elem()
+	for i := range v.NumField() {
+		name := v.Type().Field(i).Tag.Get("metric")
+		if name == "" {
+			continue
+		}
+		// A name is a counter's or a gauge's, so one of the two is zero.
+		n := int64(s.Counter(name, labelValue)) + s.Gauge(name, labelValue)
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Bool:
+			f.SetBool(n != 0)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(n)
+		default:
+			f.SetUint(uint64(n))
 		}
 	}
-	return CounterSnapshot{}, false
 }

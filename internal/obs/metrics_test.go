@@ -118,8 +118,10 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 }
 
 func TestConfigNormalized(t *testing.T) {
-	if c := (Config{}).Normalized(); c.Registry != nil || c.Clock != nil {
-		t.Fatalf("disabled config must stay empty: %+v", c)
+	// Counts are kept whether or not observability is on; only the clock
+	// (and with it every latency histogram) is off.
+	if c := (Config{Clock: SystemClock}).Normalized(); c.Registry == nil || c.Clock != nil {
+		t.Fatalf("disabled config must keep a registry and drop the clock: %+v", c)
 	}
 	c := Config{Enabled: true}.Normalized()
 	if c.Registry == nil || c.Clock == nil {
@@ -128,15 +130,43 @@ func TestConfigNormalized(t *testing.T) {
 	if c.Clock.Now() <= 0 {
 		t.Fatalf("system clock returned non-positive nanos")
 	}
-	w := c.PerWorker(3)
-	if w.Registry == c.Registry {
-		t.Fatalf("PerWorker must allocate a private registry")
+}
+
+// TestFillReadsTaggedSeries: a view names the series it renders; Fill reads
+// counters and gauges alike, by label, and leaves untagged fields alone.
+func TestFillReadsTaggedSeries(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("hits", QueryLabelKey, "q").Add(7)
+	r.Counter("hits", QueryLabelKey, "other").Add(1)
+	r.Gauge("size", QueryLabelKey, "q").Set(-3)
+	r.Gauge("down", QueryLabelKey, "q").Set(1)
+	var v struct {
+		Hits   uint64 `metric:"hits"`
+		Size   int    `metric:"size"`
+		Down   bool   `metric:"down"`
+		Absent uint64 `metric:"absent"`
+		Name   string
 	}
-	if w.Clock != c.Clock || w.Shard != 3 {
-		t.Fatalf("PerWorker must share the clock and set the shard: %+v", w)
+	v.Name, v.Absent = "kept", 9
+	Fill(&v, r.Snapshot(), "q")
+	if v.Hits != 7 || v.Size != -3 || !v.Down || v.Absent != 0 || v.Name != "kept" {
+		t.Fatalf("filled %+v", v)
 	}
-	if d := (Config{}).PerWorker(0); d.Enabled {
-		t.Fatalf("disabled PerWorker flipped on")
+}
+
+// TestForgetDropsALabel: a registration that goes away takes its series with
+// it, and only its own.
+func TestForgetDropsALabel(t *testing.T) {
+	r := NewRegistry()
+	gone := r.Counter("hits", QueryLabelKey, "q")
+	r.Gauge("size", QueryLabelKey, "q").Set(2)
+	r.Counter("hits", QueryLabelKey, "other").Inc()
+	r.Counter("hits", "", "").Inc()
+	r.Forget(QueryLabelKey, "q")
+	gone.Inc() // a resolved handle keeps working, unreported
+	s := r.Snapshot()
+	if len(s.Counters) != 2 || len(s.Gauges) != 0 || s.Counter("hits", "q") != 0 || s.Counter("hits", "other") != 1 {
+		t.Fatalf("after Forget: %+v %+v", s.Counters, s.Gauges)
 	}
 }
 

@@ -1,14 +1,20 @@
-// Package obs is StreamWorks' zero-dependency observability layer: lock-light
-// atomic counters and fixed-bucket latency histograms behind a mergeable
-// registry, a wall-clock seam that keeps the hot path stream-time-pure, and a
-// sampled trace ring buffer for following individual edges through the tiers.
+// Package obs is StreamWorks' zero-dependency metrics and observability
+// layer: lock-light atomic counters and gauges, fixed-bucket latency
+// histograms behind a mergeable registry, a wall-clock seam that keeps the
+// hot path stream-time-pure, and a sampled trace ring buffer for following
+// individual edges through the tiers.
 //
-// The design mirrors how Metrics() already aggregates: each shard worker owns
-// a private Registry written only by its driver goroutine (writes are atomic,
-// so snapshots may be taken from any goroutine), and front-ends fold the
-// per-worker snapshots with Merge. Nothing in this package allocates on the
-// hot path once the metric handles have been resolved, and every handle is
-// nil-safe so disabled observability costs a single branch.
+// The registry is the one store of every number the system counts. Each tier
+// owns one — every core engine (one per shard worker), the shard front-end
+// and merger, the server and the WAL manager — written only by its owner and
+// allocated whether or not observability is on; the series names are the
+// constants below. Every metrics surface is a rendering of a snapshot: the
+// Metrics views fill their structs from one, GET /metrics prints one, and
+// front-ends fold the tiers' snapshots with Merge, the only code that adds
+// numbers across shards or tiers. Config.Enabled gates only what reads the
+// wall clock or samples: the segment, journey and detect-lag histograms and
+// the tracer. Nothing in this package allocates on the hot path once the
+// handles have been resolved, and every handle is nil-safe.
 //
 // Wall time never enters the core engine directly: TestHotPathReadsNoWallClock
 // fails on a time.Now there. Core instead receives a Clock through its Config
@@ -39,14 +45,15 @@ func (systemClock) Now() int64 { return time.Now().UnixNano() }
 // (TestHotPathReadsNoWallClock).
 var SystemClock Clock = systemClock{}
 
-// Config is the observability seam handed to each tier. The zero value is
-// fully disabled and costs one branch per instrumentation site.
+// Config is the observability seam handed to each tier. The zero value has
+// no clock reads and no tracing; counters and gauges are always kept.
 type Config struct {
-	// Enabled turns instrumentation on. When false the other fields are
-	// ignored and every instrumentation site reduces to a single branch.
+	// Enabled turns on what reads the wall clock or samples: the latency
+	// histograms and the tracer. When false Clock and Tracer are ignored and
+	// each of those sites reduces to a single branch.
 	Enabled bool
-	// Registry receives this tier's counters and histograms. Nil with
-	// Enabled set means Normalized allocates a fresh one.
+	// Registry receives this tier's counters, gauges and histograms. Nil
+	// means Normalized allocates a fresh one.
 	Registry *Registry
 	// Clock supplies wall nanoseconds. Nil with Enabled set means
 	// SystemClock. Tests inject a fake to make latency assertions exact.
@@ -55,40 +62,25 @@ type Config struct {
 	// buffer. A nil Tracer is valid and disabled (nil-safe methods).
 	Tracer *Tracer
 	// Shard identifies the engine on trace events: the shard worker index
-	// for sharded engines (set by PerWorker), zero for a standalone engine.
-	// Tier-level events (ingest, deliver) record -1 instead.
+	// for sharded engines, zero for a standalone engine. Tier-level events
+	// (ingest, deliver) record -1 instead.
 	Shard int32
 }
 
-// Normalized fills in defaults: a fresh Registry and the SystemClock when
-// enabled, and a cleared config when disabled (so disabled configs never
-// carry live handles by accident).
+// Normalized fills in defaults: a fresh Registry when there is none, the
+// SystemClock when enabled, and no clock or tracer when disabled (so
+// disabled configs never carry live handles by accident).
 func (c Config) Normalized() Config {
-	if !c.Enabled {
-		return Config{}
-	}
 	if c.Registry == nil {
 		c.Registry = NewRegistry()
+	}
+	if !c.Enabled {
+		return Config{Registry: c.Registry, Shard: c.Shard}
 	}
 	if c.Clock == nil {
 		c.Clock = SystemClock
 	}
 	return c
-}
-
-// PerWorker derives a worker-local copy of the config for shard worker i:
-// same clock and tracer (both safe for concurrent use), but a private
-// Registry so the worker's driver goroutine writes without sharing cache
-// lines with its siblings — the same topology shard.Metrics() uses for its
-// counters.
-func (c Config) PerWorker(i int) Config {
-	if !c.Enabled {
-		return c
-	}
-	w := c
-	w.Registry = NewRegistry()
-	w.Shard = int32(i)
-	return w
 }
 
 // Segment labels for the detect-and-deliver latency histograms. Each names
@@ -120,7 +112,7 @@ const (
 	SegHTTPFlush = "http_flush"
 )
 
-// Metric names shared across tiers.
+// Histogram names, recorded only while observability is enabled.
 const (
 	// SegmentHistogramName is the histogram family holding the per-segment
 	// wall-time latencies, labelled by segment.
@@ -139,27 +131,10 @@ const (
 	// a client's measured detect-and-deliver latency — the closure check for
 	// the segment breakdown.
 	JourneyHistogramName = "detect_wall_journey"
-	// MQOSharedHitsCounterName counts the shared-plan DAG's fan-out saving:
-	// for every leaf local search of a DAG node referenced by k parents or
-	// consumers, k−1 per-query searches were avoided. Zero while no
-	// structurally overlapping queries are attached — sharing is visible,
-	// not assumed.
-	MQOSharedHitsCounterName = "mqo_shared_hits"
-	// EmittedEntriesGaugeName and EmittedBytesGaugeName size one query's
-	// exactly-once emitted set as it stands, labelled by query and refreshed
-	// at every prune sweep (a set shared by a consumer group of the DAG is on
-	// the group's first query, zero on the rest); EmittedEvictedCounterName counts the entries the
-	// expiry cutoff has dropped from all of them. DedupEntriesGaugeName and
-	// DedupBytesGaugeName are the same sizes for the shard merger's
-	// duplicate filter. Bytes are sjtree.EmittedSet.Bytes' estimate.
-	EmittedEntriesGaugeName   = "emitted_entries"
-	EmittedBytesGaugeName     = "emitted_bytes"
-	EmittedEvictedCounterName = "emitted_evicted"
-	DedupEntriesGaugeName     = "dedup_entries"
-	DedupBytesGaugeName       = "dedup_bytes"
-	// QueryLabelKey labels a per-query series with the registration name.
-	QueryLabelKey = "query"
 )
+
+// QueryLabelKey labels a per-query series with the registration name.
+const QueryLabelKey = "query"
 
 // Segment returns the histogram for one latency segment, creating it on
 // first use. Resolve handles at setup time, not per edge.

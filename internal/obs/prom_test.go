@@ -14,8 +14,8 @@ func TestPromRoundTrip(t *testing.T) {
 		seg.Observe(1500)
 	}
 	r.Segment(SegSJTreeJoin).Observe(3_000_000)
-	r.Gauge(EmittedEntriesGaugeName, QueryLabelKey, "smurf").Set(9)
-	r.Gauge(EmittedEntriesGaugeName, QueryLabelKey, "smurf").Set(7) // a gauge is replaced, not added to
+	r.Gauge("emitted_entries", QueryLabelKey, "smurf").Set(9)
+	r.Gauge("emitted_entries", QueryLabelKey, "smurf").Set(7) // a gauge is replaced, not added to
 
 	var sb strings.Builder
 	pw := NewPromWriter(&sb)
@@ -79,7 +79,7 @@ func TestPromRoundTrip(t *testing.T) {
 func TestPromLabelValueRoundTrip(t *testing.T) {
 	const name = "smurf \"v2\" q\\1\nnext"
 	r := NewRegistry()
-	r.Gauge(EmittedEntriesGaugeName, QueryLabelKey, name).Set(3)
+	r.Gauge("emitted_entries", QueryLabelKey, name).Set(3)
 	r.Histogram("match_latency", QueryLabelKey, name).Observe(1500)
 	var sb strings.Builder
 	pw := NewPromWriter(&sb)

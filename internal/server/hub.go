@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"github.com/streamworks/streamworks"
+	"github.com/streamworks/streamworks/internal/obs"
 )
 
 // hub manages the server's HTTP match subscribers. Each subscriber is its
@@ -25,8 +26,10 @@ type hub struct {
 	subs   map[*subscriber]struct{}
 	closed bool
 
-	delivered atomic.Uint64
-	evicted   atomic.Uint64
+	// The hub's counts, in the server's registry; subscribers is set under
+	// mu whenever subs changes.
+	delivered, evicted *obs.Counter
+	subscribers        *obs.Gauge
 }
 
 // subscriber is one live match stream: a bounded buffer fed by an engine
@@ -44,11 +47,16 @@ type subscriber struct {
 // errHubClosed is reported for subscriptions arriving after drain began.
 var errHubClosed = errors.New("server: hub closed")
 
-func newHub(buffer int, subscribe func(string, streamworks.MatchSink) (streamworks.Subscription, error)) *hub {
+func newHub(buffer int, subscribe func(string, streamworks.MatchSink) (streamworks.Subscription, error), reg *obs.Registry) *hub {
 	if buffer <= 0 {
 		buffer = 256
 	}
-	return &hub{buffer: buffer, subscribe: subscribe, subs: make(map[*subscriber]struct{})}
+	return &hub{
+		buffer: buffer, subscribe: subscribe, subs: make(map[*subscriber]struct{}),
+		delivered:   reg.Counter("server_matches_delivered", "", ""),
+		evicted:     reg.Counter("server_subscribers_evicted", "", ""),
+		subscribers: reg.Gauge("server_subscribers", "", ""),
+	}
 }
 
 // register attaches an engine subscription to a new subscriber for query
@@ -61,6 +69,7 @@ func (h *hub) register(query string) (*subscriber, error) {
 	}
 	sub := &subscriber{ch: make(chan streamworks.Match, h.buffer)}
 	h.subs[sub] = struct{}{}
+	h.subscribers.Set(int64(len(h.subs)))
 	h.mu.Unlock()
 
 	engSub, err := h.subscribe(query, streamworks.SinkFunc(func(m streamworks.Match) {
@@ -101,12 +110,13 @@ func (h *hub) deliver(sub *subscriber, m streamworks.Match) {
 	}
 	select {
 	case sub.ch <- m:
-		h.delivered.Add(1)
+		h.delivered.Inc()
 	default:
 		sub.evicted.Store(true)
 		delete(h.subs, sub)
+		h.subscribers.Set(int64(len(h.subs)))
 		close(sub.ch)
-		h.evicted.Add(1)
+		h.evicted.Inc()
 		if sub.sub != nil {
 			// Safe under h.mu: subscription teardown never waits behind
 			// engine ingestion.
@@ -122,6 +132,7 @@ func (h *hub) unsubscribe(sub *subscriber) {
 	_, live := h.subs[sub]
 	if live {
 		delete(h.subs, sub)
+		h.subscribers.Set(int64(len(h.subs)))
 		close(sub.ch)
 	}
 	engSub := sub.sub
@@ -138,11 +149,4 @@ func (h *hub) close() {
 	h.mu.Lock()
 	h.closed = true
 	h.mu.Unlock()
-}
-
-// count returns the number of live subscribers.
-func (h *hub) count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.subs)
 }

@@ -231,7 +231,7 @@ func (g *ingester) respond(w http.ResponseWriter, decodeErr error) {
 		w.Header().Set("Retry-After", "1")
 		status, resp.Error = http.StatusServiceUnavailable, "durability degraded"
 	case errors.Is(g.err, errQueueFull):
-		g.s.batchesRejected.Add(1)
+		g.s.batchesRejected.Inc()
 		w.Header().Set("Retry-After", "1")
 		status, resp.Error = http.StatusTooManyRequests, "ingest queue full"
 	case decodeErr != nil:

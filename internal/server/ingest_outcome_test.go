@@ -169,7 +169,7 @@ func TestIngestOutcomes(t *testing.T) {
 			li.write(lane.encode(t, flowEdges(1, 300)))
 			code, _, ir := li.finish()
 			wantIngest(t, code, ir, http.StatusOK, 300)
-			if got := srv.run.edgesIngested.Load(); got != 300 {
+			if got := srv.run.edgesIngested.Value(); got != 300 {
 				t.Fatalf("edges ingested = %d, want 300", got)
 			}
 		})
@@ -188,7 +188,7 @@ func TestIngestOutcomes(t *testing.T) {
 			if hdr.Get("Retry-After") == "" {
 				t.Fatal("429 without Retry-After")
 			}
-			if got := srv.batchesRejected.Load(); got != 1 {
+			if got := srv.batchesRejected.Value(); got != 1 {
 				t.Fatalf("batches rejected = %d, want 1", got)
 			}
 		})
@@ -212,7 +212,7 @@ func TestIngestOutcomes(t *testing.T) {
 			li := startIngest(t, srv, lane)
 			li.write(lane.head())
 			li.write(lane.encode(t, flowEdges(1, minIngestChunk))) // a full chunk: enqueued at once
-			waitFor(t, 5*time.Second, func() bool { return srv.run.edgesIngested.Load() == minIngestChunk })
+			waitFor(t, 5*time.Second, func() bool { return srv.run.edgesIngested.Value() == minIngestChunk })
 			srv.Close()
 			li.write(lane.encode(t, flowEdges(1000, 5)))
 			code, _, ir := li.finish()
@@ -231,7 +231,7 @@ func TestIngestOutcomes(t *testing.T) {
 			li.write(lane.encode(t, flowEdges(100, 3))) // never decoded
 			code, _, ir := li.finish()
 			wantIngest(t, code, ir, http.StatusBadRequest, 7)
-			waitFor(t, 5*time.Second, func() bool { return srv.run.edgesIngested.Load() == 7 })
+			waitFor(t, 5*time.Second, func() bool { return srv.run.edgesIngested.Value() == 7 })
 		})
 
 		if lane.binary() {
@@ -271,7 +271,7 @@ func TestIngestOutcomes(t *testing.T) {
 				li.write(lane.encode(t, flowEdges(1+i, 1)))
 				if lane.path == "/v1/stream" {
 					// Detected while the body is still open.
-					waitFor(t, 5*time.Second, func() bool { return srv.run.edgesIngested.Load() == uint64(i+1) })
+					waitFor(t, 5*time.Second, func() bool { return srv.run.edgesIngested.Value() == uint64(i+1) })
 				}
 			}
 			code, _, ir := li.finish()
@@ -280,7 +280,7 @@ func TestIngestOutcomes(t *testing.T) {
 			if lane.path == "/v1/stream" {
 				wantChunks = 3
 			}
-			if got := srv.run.batchesIngested.Load(); got != wantChunks {
+			if got := srv.run.batchesIngested.Value(); got != wantChunks {
 				t.Fatalf("chunks dispatched = %d, want %d", got, wantChunks)
 			}
 		})
@@ -294,7 +294,7 @@ func TestIngestOutcomes(t *testing.T) {
 // all complete, every one of them answers 2xx — or 503 once Close has begun —
 // and neither they nor a concurrent Close hang.
 func TestControlRequestsDuringSaturatedIngestAndClose(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Shard: shard.Config{Shards: 2, Buffer: 4}, QueueDepth: 1})
+	srv, ts := newTestServer(t, Config{Shard: shard.Config{Shards: 2}, QueueDepth: 1})
 
 	var (
 		wg       sync.WaitGroup
@@ -359,7 +359,7 @@ func TestControlRequestsDuringSaturatedIngestAndClose(t *testing.T) {
 	// Close lands mid-traffic: after the queue has shed at least one batch
 	// and every kind of request has made it through several times.
 	waitFor(t, 20*time.Second, func() bool {
-		return rounds.Load() >= 12 && accepted.Load() >= 12 && srv.batchesRejected.Load() > 0
+		return rounds.Load() >= 12 && accepted.Load() >= 12 && srv.batchesRejected.Value() > 0
 	})
 	finished := make(chan struct{})
 	go func() {

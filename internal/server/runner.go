@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"sync/atomic"
 
 	"github.com/streamworks/streamworks"
 	"github.com/streamworks/streamworks/internal/graph"
@@ -28,8 +27,8 @@ type runner struct {
 	// establishes happens-before for direct engine access during shutdown.
 	stopped chan struct{}
 
-	edgesIngested   atomic.Uint64
-	batchesIngested atomic.Uint64
+	// The runner's counts, in the server's registry.
+	edgesIngested, batchesIngested *obs.Counter
 
 	// Observability handles (all nil when disabled): the batch's queue wait
 	// is measured once on dequeue and recorded per edge with ObserveN, so
@@ -64,14 +63,16 @@ type ingestJob struct {
 	err       error
 }
 
-func newRunner(eng *streamworks.Sharded, queueDepth int) *runner {
+func newRunner(eng *streamworks.Sharded, queueDepth int, reg *obs.Registry) *runner {
 	if queueDepth <= 0 {
 		queueDepth = 64
 	}
 	return &runner{
-		eng:     eng,
-		batches: make(chan ingestBatch, queueDepth),
-		stopped: make(chan struct{}),
+		eng:             eng,
+		batches:         make(chan ingestBatch, queueDepth),
+		stopped:         make(chan struct{}),
+		edgesIngested:   reg.Counter("server_edges_ingested", "", ""),
+		batchesIngested: reg.Counter("server_batches_ingested", "", ""),
 	}
 }
 
@@ -112,7 +113,7 @@ func (r *runner) process(b ingestBatch) {
 		// One ProcessBatch per chunk: one WAL frame and one pass through the
 		// shard router, instead of a per-edge append.
 		err := r.eng.ProcessBatch(context.Background(), b.edges)
-		r.batchesIngested.Add(1)
+		r.batchesIngested.Inc()
 		if err == nil {
 			r.edgesIngested.Add(uint64(len(b.edges)))
 		}

@@ -1,8 +1,8 @@
 // Package server exposes the sharded StreamWorks engine over HTTP, turning
 // the library into the paper's system: analysts register continuous queries
 // in the text DSL, feeders push timestamped edge batches, and subscribers
-// receive every complete match as it emerges, streamed as NDJSON or
-// server-sent events.
+// receive every complete match as it emerges, streamed as NDJSON or binary
+// frames.
 //
 // The serving layer fronts the public streamworks engine (a Sharded
 // backend). Inbound, an edge crosses one path: every ingest request, batch
@@ -36,10 +36,11 @@
 //	POST   /v1/stream         persistent binary ingest session: the body is a
 //	                          long-lived frame stream, dispatched as it arrives
 //	POST   /v1/advance        advance stream time (body: {"ts": ns})
-//	GET    /v1/matches        stream matches (?query= filters; NDJSON, SSE when
-//	                          Accept: text/event-stream, binary frames when
-//	                          Accept: application/x-streamworks-frame)
-//	GET    /v1/metrics        engine + per-shard + server counters
+//	GET    /v1/matches        stream matches (?query= filters; NDJSON, binary
+//	                          frames when Accept: application/x-streamworks-frame)
+//	GET    /v1/metrics        engine + per-shard + server + WAL views, and the
+//	                          merged registry snapshot they were read from
+//	GET    /metrics           the same registries in Prometheus text format
 //	GET    /healthz           liveness
 //
 // Close drains gracefully: new work is refused with 503, queued batches are
@@ -57,7 +58,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/streamworks/streamworks"
@@ -73,7 +73,9 @@ import (
 
 // Config sizes the serving layer around a sharded engine configuration.
 type Config struct {
-	// Shard configures the underlying ShardedEngine.
+	// Shard configures the underlying ShardedEngine: its Shards and Engine.
+	// The mailbox depth and watermark-broadcast granularity are the shard
+	// package's defaults, and matches leave through the server.
 	Shard shard.Config
 	// QueueDepth is the ingest queue bound in batches (default 64). When the
 	// queue is full POST /v1/edges fails fast with 429.
@@ -152,18 +154,21 @@ type Server struct {
 	mu       sync.RWMutex
 	draining bool
 
-	batchesRejected atomic.Uint64
+	// reg is the serving tier's registry: ingest, rejection and delivery
+	// counts and the subscriber and queue sizes (the runner and the hub
+	// write theirs), plus the segments it owns — ingest-queue wait and HTTP
+	// flush — when observability is on.
+	reg             *obs.Registry
+	batchesRejected *obs.Counter
+	queueLen        *obs.Gauge
 
 	// Observability (all nil when Config.Shard.Engine.Obs.Enabled is off):
-	// the serving tier keeps its own registry for the segments it owns —
-	// ingest-queue wait (recorded by the runner) and HTTP flush — and shares
-	// the clock and tracer with the engine tiers below so segment
-	// measurements and edge-journey samples line up. ObsSnapshot folds this
-	// registry with the engine's.
-	obsReg    *obs.Registry
-	obsClock  obs.Clock
-	obsTracer *obs.Tracer
-	obsFlush  *obs.Histogram
+	// the clock and tracer are shared with the engine tiers below so segment
+	// measurements and edge-journey samples line up.
+	obsEnabled bool
+	obsClock   obs.Clock
+	obsTracer  *obs.Tracer
+	obsFlush   *obs.Histogram
 	// obsJourney is the match-weighted arrival→flush journey histogram,
 	// recorded once per delivered match from the arrival stamp the edge
 	// carried through the tiers. Its mean is directly comparable to a
@@ -194,8 +199,6 @@ func New(cfg Config) *Server {
 	engOpts := []streamworks.Option{
 		streamworks.WithEngineConfig(cfg.Shard.Engine),
 		streamworks.WithShards(cfg.Shard.Shards),
-		streamworks.WithShardBuffer(cfg.Shard.Buffer),
-		streamworks.WithAdvanceEvery(cfg.Shard.AdvanceEvery),
 		streamworks.WithPlanStrategy(cfg.DefaultStrategy),
 		streamworks.WithAdaptivePlanning(cfg.AdaptivePlanning),
 	}
@@ -211,22 +214,27 @@ func New(cfg Config) *Server {
 		)
 	}
 	eng := streamworks.NewSharded(engOpts...)
+	reg := obs.NewRegistry()
 	s := &Server{
-		cfg:     cfg,
-		eng:     eng,
-		planner: decompose.NewPlanner(stats.NewEstimator(nil)),
-		started: time.Now(),
+		cfg:             cfg,
+		eng:             eng,
+		planner:         decompose.NewPlanner(stats.NewEstimator(nil)),
+		started:         time.Now(),
+		reg:             reg,
+		batchesRejected: reg.Counter("server_batches_rejected", "", ""),
+		queueLen:        reg.Gauge("server_ingest_queue_len", "", ""),
+		hub:             newHub(cfg.SubscriberBuffer, eng.Subscribe, reg),
+		run:             newRunner(eng, cfg.QueueDepth, reg),
 	}
-	s.hub = newHub(cfg.SubscriberBuffer, eng.Subscribe)
-	s.run = newRunner(s.eng, cfg.QueueDepth)
+	reg.Gauge("server_ingest_queue_cap", "", "").Set(int64(cap(s.run.batches)))
 	if obsCfg.Enabled {
-		s.obsReg = obs.NewRegistry()
+		s.obsEnabled = true
 		s.obsClock = obsCfg.Clock
 		s.obsTracer = obsCfg.Tracer
-		s.obsFlush = s.obsReg.Segment(obs.SegHTTPFlush)
-		s.obsJourney = s.obsReg.Histogram(obs.JourneyHistogramName, "", "")
+		s.obsFlush = reg.Segment(obs.SegHTTPFlush)
+		s.obsJourney = reg.Histogram(obs.JourneyHistogramName, "", "")
 		s.run.obsClock = obsCfg.Clock
-		s.run.obsWait = s.obsReg.Segment(obs.SegIngestQueueWait)
+		s.run.obsWait = reg.Segment(obs.SegIngestQueueWait)
 		s.run.obsTracer = obsCfg.Tracer
 	}
 	go s.run.loop()
@@ -323,7 +331,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		Shards:        s.eng.Shards(),
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		GoVersion:     runtime.Version(),
-		ObsEnabled:    s.obsReg != nil,
+		ObsEnabled:    s.obsEnabled,
 		Durability:    s.eng.Durability().Mode,
 	}
 	if s.isDraining() {
@@ -542,16 +550,10 @@ func (s *Server) handleMatches(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.hub.unsubscribe(sub)
 
-	accept := r.Header.Get("Accept")
-	binary := strings.Contains(accept, wire.ContentTypeBinary)
-	sse := !binary && strings.Contains(accept, "text/event-stream")
-	switch {
-	case binary:
+	binary := strings.Contains(r.Header.Get("Accept"), wire.ContentTypeBinary)
+	if binary {
 		w.Header().Set("Content-Type", wire.ContentTypeBinary)
-	case sse:
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-	default:
+	} else {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
 	w.WriteHeader(http.StatusOK)
@@ -568,21 +570,12 @@ func (s *Server) handleMatches(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	var frameBuf, scratch []byte
 	encode := func(rep streamworks.Match) bool {
-		switch {
-		case binary:
-			frameBuf, scratch = wire.AppendMatchFrame(frameBuf[:0], scratch, rep)
-			_, err := w.Write(frameBuf)
-			return err == nil
-		case sse:
-			io.WriteString(w, "event: match\ndata: ")
-			if err := enc.Encode(rep); err != nil {
-				return false
-			}
-			io.WriteString(w, "\n")
-			return true
-		default:
+		if !binary {
 			return enc.Encode(rep) == nil
 		}
+		frameBuf, scratch = wire.AppendMatchFrame(frameBuf[:0], scratch, rep)
+		_, err := w.Write(frameBuf)
+		return err == nil
 	}
 
 	// Flush-on-match with coalescing: every group of matches is flushed the
@@ -717,52 +710,28 @@ type ServerMetrics = api.ServerMetrics
 // MetricsResponse is the GET /v1/metrics payload (see api.MetricsResponse).
 type MetricsResponse = api.MetricsResponse
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if !s.admit(w) {
 		return
 	}
-	var resp MetricsResponse
-	resp.Engine, _ = s.eng.Metrics(r.Context()) // fails only if the caller has gone
-	resp.Shards = s.eng.PerShardMetrics()
+	engine, shards, snap := s.eng.MetricsSnapshot()
 	s.mu.RUnlock()
-	resp.Server = ServerMetrics{
-		Subscribers:        s.hub.count(),
-		SubscribersEvicted: s.hub.evicted.Load(),
-		MatchesDelivered:   s.hub.delivered.Load(),
-		EdgesIngested:      s.run.edgesIngested.Load(),
-		BatchesIngested:    s.run.batchesIngested.Load(),
-		BatchesRejected:    s.batchesRejected.Load(),
-		IngestQueueLen:     len(s.run.batches),
-		IngestQueueCap:     cap(s.run.batches),
-	}
-	if s.obsReg != nil {
-		snap := s.ObsSnapshot()
-		resp.Obs = &snap
-	}
+	merged := obs.Merge(s.snapshot(), snap)
+	resp := MetricsResponse{Engine: engine, Shards: shards, Obs: &merged}
+	obs.Fill(&resp.Server, merged, "")
 	if s.cfg.DataDir != "" {
-		d := s.eng.Durability()
-		resp.WAL = &d
+		wal := api.WALMetricsFrom(merged)
+		resp.WAL = &wal
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// ObsEnabled reports whether the server runs with observability on.
-func (s *Server) ObsEnabled() bool { return s.obsReg != nil }
-
-// ObsSnapshot folds the serving tier's registry (ingest-queue wait, HTTP
-// flush) with the engine's merged per-worker registries into one logical
-// snapshot. Empty when observability is off. Registry cells are atomic, so
-// this is safe from any goroutine, including during drain.
-func (s *Server) ObsSnapshot() obs.Snapshot {
-	if s.obsReg == nil {
-		return obs.Snapshot{}
-	}
-	return obs.Merge(s.obsReg.Snapshot(), s.eng.ObsSnapshot())
+// snapshot refreshes the serving tier's queue-depth gauge and reads its
+// registry.
+func (s *Server) snapshot() obs.Snapshot {
+	s.queueLen.Set(int64(len(s.run.batches)))
+	return s.reg.Snapshot()
 }
-
-// TraceDump returns the sampled edge-journey ring, oldest first; nil when
-// tracing is off.
-func (s *Server) TraceDump() []obs.TraceEvent { return s.obsTracer.Dump() }
 
 // PromHandler returns the Prometheus exposition handler (the same one
 // mounted at GET /metrics on the API mux), for embedders that serve it from
@@ -773,56 +742,31 @@ func (s *Server) PromHandler() http.Handler { return http.HandlerFunc(s.handlePr
 // same debug-listener use as PromHandler.
 func (s *Server) TraceHandler() http.Handler { return http.HandlerFunc(s.handleTrace) }
 
-// handleProm serves Prometheus text-format exposition: serving-layer
-// counters and gauges always, plus the merged observability snapshot (per-
-// segment latency histograms, detection lag) when observability is on. It
-// reads only atomics — no engine call, no drain check — so scrapes keep
-// working while ingest is saturated or the server is draining.
+// handleProm serves Prometheus text-format exposition of every tier's
+// registry — the server's, the shard workers', the front-end and merger's,
+// the WAL's — merged: each counter and gauge as streamworks_<name>, plus the
+// latency histograms and the trace accounting when observability is on. It
+// reads only registry cells — no engine round trip, no engine or WAL lock, no
+// drain check — so scrapes keep working while ingest is saturated, a log
+// write is stalled, or the server is draining.
 func (s *Server) handleProm(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	p := obs.NewPromWriter(w)
 	p.Gauge("up", "", "", 1)
 	obsOn := 0.0
-	if s.obsReg != nil {
+	if s.obsEnabled {
 		obsOn = 1
 	}
 	p.Gauge("obs_enabled", "", "", obsOn)
-	p.Counter("server_edges_ingested", "", "", float64(s.run.edgesIngested.Load()))
-	p.Counter("server_batches_ingested", "", "", float64(s.run.batchesIngested.Load()))
-	p.Counter("server_batches_rejected", "", "", float64(s.batchesRejected.Load()))
-	p.Counter("server_matches_delivered", "", "", float64(s.hub.delivered.Load()))
-	p.Counter("server_subscribers_evicted", "", "", float64(s.hub.evicted.Load()))
-	p.Gauge("server_subscribers", "", "", float64(s.hub.count()))
-	p.Gauge("server_ingest_queue_len", "", "", float64(len(s.run.batches)))
-	p.Gauge("server_ingest_queue_cap", "", "", float64(cap(s.run.batches)))
-	if s.cfg.DataDir != "" {
-		d := s.eng.Durability()
-		degraded := 0.0
-		if d.Mode == "degraded" {
-			degraded = 1
-		}
-		p.Gauge("wal_degraded", "", "", degraded)
-		p.Counter("wal_frames_appended", "", "", float64(d.Frames))
-		p.Counter("wal_bytes_appended", "", "", float64(d.Bytes))
-		p.Counter("wal_fsyncs", "", "", float64(d.Fsyncs))
-		p.Counter("wal_segments_created", "", "", float64(d.Segments))
-		p.Counter("wal_snapshots_written", "", "", float64(d.Snapshots))
-		p.Counter("wal_torn_tail_truncations", "", "", float64(d.TornTailTruncations))
-		p.Counter("wal_append_errors", "", "", float64(d.AppendErrors))
-		p.Gauge("wal_emitted_tracked", "", "", float64(d.EmittedTracked))
-		p.Gauge("wal_recovery_backlog", "", "", float64(d.RecoveryBacklog))
-	}
-	if s.obsReg != nil {
-		p.Snapshot(s.ObsSnapshot())
+	p.Snapshot(obs.Merge(s.snapshot(), s.eng.ObsSnapshot()))
+	if s.obsEnabled {
 		recorded, dropped := s.obsTracer.Stats()
 		p.Counter("trace_events_recorded", "", "", float64(recorded))
 		p.Counter("trace_events_dropped", "", "", float64(dropped))
 	}
-	if err := p.Err(); err != nil {
-		// The response is already partially written; nothing to do but log
-		// through the error path the client sees (a truncated scrape).
-		return
-	}
+	// A write error leaves a truncated scrape, which is what the client sees;
+	// the response is already partially written, so there is nothing to add.
+	_ = p.Err()
 }
 
 // handleTrace dumps the sampled edge-journey ring as JSON.

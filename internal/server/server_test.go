@@ -17,6 +17,7 @@ import (
 	"github.com/streamworks/streamworks/internal/gen"
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/loader"
+	"github.com/streamworks/streamworks/internal/obs"
 	"github.com/streamworks/streamworks/internal/query"
 	"github.com/streamworks/streamworks/internal/shard"
 )
@@ -316,7 +317,7 @@ func TestSlowSubscriberEvictedNotBlocking(t *testing.T) {
 		defer close(handlerDone)
 		srv.handleMatches(sw, req)
 	}()
-	waitFor(t, time.Second, func() bool { return srv.hub.count() == 1 })
+	waitFor(t, time.Second, func() bool { return srv.hub.subscribers.Value() == 1 })
 
 	// Ingest enough pairs for dozens of matches; wait=1 proves the whole
 	// batch routed through the shards while the subscriber was stuck.
@@ -333,14 +334,14 @@ func TestSlowSubscriberEvictedNotBlocking(t *testing.T) {
 	}
 
 	// The hub must have dropped the subscriber rather than waiting on it.
-	waitFor(t, 5*time.Second, func() bool { return srv.hub.evicted.Load() >= 1 })
+	waitFor(t, 5*time.Second, func() bool { return srv.hub.evicted.Value() >= 1 })
 	close(sw.release)
 	select {
 	case <-handlerDone:
 	case <-time.After(5 * time.Second):
 		t.Fatal("evicted subscriber's handler did not finish")
 	}
-	if n := srv.hub.count(); n != 0 {
+	if n := srv.hub.subscribers.Value(); n != 0 {
 		t.Fatalf("subscribers after eviction = %d, want 0", n)
 	}
 }
@@ -368,7 +369,7 @@ func TestHubEviction(t *testing.T) {
 		es := &fakeEngineSub{done: make(chan struct{})}
 		sinks[q], engSubs[q] = sink, es
 		return es, nil
-	})
+	}, obs.NewRegistry())
 	sub, err := h.register("")
 	if err != nil {
 		t.Fatalf("register on fresh hub failed: %v", err)
@@ -379,10 +380,10 @@ func TestHubEviction(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		sinks[""].OnMatch(streamworks.Match{Query: "q"})
 	}
-	if got := h.evicted.Load(); got != 1 {
+	if got := h.evicted.Value(); got != 1 {
 		t.Fatalf("evicted = %d, want 1", got)
 	}
-	if got := h.delivered.Load(); got != 2 {
+	if got := h.delivered.Value(); got != 2 {
 		t.Fatalf("delivered = %d, want 2", got)
 	}
 	if !sub.evicted.Load() {
@@ -404,7 +405,7 @@ func TestHubEviction(t *testing.T) {
 	// Deliveries racing an eviction are dropped, not sent on a closed
 	// channel.
 	sinks[""].OnMatch(streamworks.Match{Query: "q"})
-	if got := h.delivered.Load(); got != 2 {
+	if got := h.delivered.Value(); got != 2 {
 		t.Fatalf("delivered after eviction = %d, want 2", got)
 	}
 	// The hub passes the query filter through to the engine, which is the
@@ -422,8 +423,10 @@ func TestHubEviction(t *testing.T) {
 	}
 }
 
-// TestMatchStreamSSE checks the Accept-negotiated server-sent-events form.
-func TestMatchStreamSSE(t *testing.T) {
+// TestEventStreamAcceptGetsNDJSON: there is one text match format. A client
+// asking for server-sent events is streamed NDJSON — one JSON match per line,
+// no event framing.
+func TestEventStreamAcceptGetsNDJSON(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Shard: shard.Config{Shards: 2}})
 
 	resp := postDSL(t, ts.URL, query.Format(gen.SmurfQuery(10*time.Minute)))
@@ -433,11 +436,11 @@ func TestMatchStreamSSE(t *testing.T) {
 	req.Header.Set("Accept", "text/event-stream")
 	sresp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatalf("subscribe SSE: %v", err)
+		t.Fatalf("subscribe: %v", err)
 	}
 	defer sresp.Body.Close()
-	if ct := sresp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q", ct)
+	if ct := sresp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Fatalf("Content-Type = %q, want application/x-ndjson", ct)
 	}
 	var (
 		bodyMu sync.Mutex
@@ -459,14 +462,21 @@ func TestMatchStreamSSE(t *testing.T) {
 	}()
 
 	postEdges(t, ts.URL, ndjsonBody(t, smurfPairs(2)), true).Body.Close()
-	waitFor(t, 5*time.Second, func() bool { return srv.hub.delivered.Load() >= 1 })
+	waitFor(t, 5*time.Second, func() bool { return srv.hub.delivered.Value() >= 1 })
 	srv.Close() // drain ends the stream
 	<-readDone
 	bodyMu.Lock()
 	text := body.String()
 	bodyMu.Unlock()
-	if !strings.Contains(text, "event: match") || !strings.Contains(text, `"query":"smurf-ddos"`) {
-		t.Fatalf("SSE stream missing match events:\n%s", text)
+	lines := strings.Split(strings.TrimSpace(text), "\n")
+	for _, line := range lines {
+		var m streamworks.Match
+		if err := json.Unmarshal([]byte(line), &m); err != nil || m.Query != "smurf-ddos" {
+			t.Fatalf("line %q is not an NDJSON smurf-ddos match (%v):\n%s", line, err, text)
+		}
+	}
+	if len(lines) != 4 {
+		t.Fatalf("%d matches streamed, want the 4 of two smurf pairs:\n%s", len(lines), text)
 	}
 }
 

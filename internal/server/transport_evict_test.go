@@ -65,7 +65,7 @@ func TestSlowSubscriberEvictedBinaryStream(t *testing.T) {
 		defer close(handlerDone)
 		srv.handleMatches(sw, req)
 	}()
-	waitFor(t, time.Second, func() bool { return srv.hub.count() == 1 })
+	waitFor(t, time.Second, func() bool { return srv.hub.subscribers.Value() == 1 })
 
 	// Ingest enough pairs for dozens of matches; wait=1 proves the whole
 	// batch routed through the shards while the subscriber was stuck.
@@ -81,7 +81,7 @@ func TestSlowSubscriberEvictedBinaryStream(t *testing.T) {
 		t.Fatal("ingest stalled behind a stuck binary subscriber")
 	}
 
-	waitFor(t, 5*time.Second, func() bool { return srv.hub.evicted.Load() >= 1 })
+	waitFor(t, 5*time.Second, func() bool { return srv.hub.evicted.Value() >= 1 })
 
 	// Unstick the pipe: the handler finishes flushing what it had collected
 	// and returns, because the hub closed the subscriber's channel.
@@ -94,7 +94,7 @@ func TestSlowSubscriberEvictedBinaryStream(t *testing.T) {
 	if got := sw.Header().Get("Content-Type"); got != wire.ContentTypeBinary {
 		t.Fatalf("Content-Type = %q, want %q", got, wire.ContentTypeBinary)
 	}
-	if n := srv.hub.count(); n != 0 {
+	if n := srv.hub.subscribers.Value(); n != 0 {
 		t.Fatalf("subscribers after eviction = %d, want 0", n)
 	}
 

@@ -6,6 +6,7 @@ import (
 
 	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/graph"
+	"github.com/streamworks/streamworks/internal/obs"
 	"github.com/streamworks/streamworks/internal/sjtree"
 )
 
@@ -31,20 +32,37 @@ import (
 // can emit a match wider than the retention, from a partial the next prune
 // sweep would have removed; such a match is outside the guarantee.) With
 // unbounded retention the cutoff never moves and nothing is evicted.
+//
+// The filter counts what it admits, overall and per query, and sizes itself
+// in the front-end's registry: the sharded engine's post-dedup view.
 type dedup struct {
 	mu        sync.Mutex
-	seen      map[string]*sjtree.EmittedSet // admitted matches per query
+	seen      map[string]*dedupQuery
 	cutoff    graph.Timestamp
 	retention time.Duration // grows with registered query windows
 	slack     time.Duration
+
+	reg            *obs.Registry
+	matches        *obs.Counter
+	entries, bytes *obs.Gauge
 }
 
-func newDedup(retention, slack time.Duration) *dedup {
+// dedupQuery is one query's admitted matches and their count.
+type dedupQuery struct {
+	set     *sjtree.EmittedSet
+	matches *obs.Counter
+}
+
+func newDedup(retention, slack time.Duration, reg *obs.Registry) *dedup {
 	return &dedup{
-		seen:      make(map[string]*sjtree.EmittedSet),
+		seen:      make(map[string]*dedupQuery),
 		cutoff:    graph.NoCutoff,
 		retention: retention,
 		slack:     slack,
+		reg:       reg,
+		matches:   reg.Counter("matches_emitted", "", ""),
+		entries:   reg.Gauge("dedup_entries", "", ""),
+		bytes:     reg.Gauge("dedup_bytes", "", ""),
 	}
 }
 
@@ -62,12 +80,17 @@ func (d *dedup) noteWindow(w time.Duration) {
 func (d *dedup) admit(ev core.MatchEvent) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	set := d.seen[ev.Query]
-	if set == nil {
-		set = sjtree.NewEmittedSet()
-		d.seen[ev.Query] = set
+	q := d.seen[ev.Query]
+	if q == nil {
+		q = &dedupQuery{sjtree.NewEmittedSet(), d.reg.Counter("query_matches_emitted", obs.QueryLabelKey, ev.Query)}
+		d.seen[ev.Query] = q
 	}
-	return set.Add(ev.Match)
+	if !q.set.Add(ev.Match) {
+		return false
+	}
+	q.matches.Inc()
+	d.matches.Inc()
+	return true
 }
 
 // expire evicts the entries whose matches can no longer be rediscovered,
@@ -82,32 +105,21 @@ func (d *dedup) expire(minShardWM graph.Timestamp) {
 		return
 	}
 	d.cutoff = cutoff
-	for _, set := range d.seen {
-		set.Expire(cutoff, d.retention)
+	for _, q := range d.seen {
+		q.set.Expire(cutoff, d.retention)
 	}
 }
 
-// stats returns the deduplication counters: unique matches passed through,
-// duplicates suppressed, and unique matches per query.
-func (d *dedup) stats() (unique, dups uint64, perQuery map[string]uint64) {
+// refresh sets the filter's size gauges: how many entries it holds and their
+// estimated bytes.
+func (d *dedup) refresh() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	perQuery = make(map[string]uint64, len(d.seen))
-	for name, set := range d.seen {
-		perQuery[name] = set.Total()
-		unique += set.Total()
-		dups += set.DuplicateDrops()
+	entries, bytes := 0, 0
+	for _, q := range d.seen {
+		entries += q.set.Len()
+		bytes += q.set.Bytes()
 	}
-	return unique, dups, perQuery
-}
-
-// size returns how many entries the filter holds and their estimated bytes.
-func (d *dedup) size() (entries, bytes int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, set := range d.seen {
-		entries += set.Len()
-		bytes += set.Bytes()
-	}
-	return entries, bytes
+	d.entries.Set(int64(entries))
+	d.bytes.Set(int64(bytes))
 }

@@ -75,8 +75,8 @@ func hasHubVertex(q *query.Graph) bool {
 	return len(edges) == 0
 }
 
-// add records a registered query's routing requirements.
-func (r *router) add(q *query.Graph) {
+// add records the routing requirements of q, registered as name.
+func (r *router) add(name string, q *query.Graph) {
 	qr := queryRouting{hubFree: !hasHubVertex(q)}
 	if qr.hubFree {
 		for _, qe := range q.Edges() {
@@ -88,7 +88,7 @@ func (r *router) add(q *query.Graph) {
 			}
 		}
 	}
-	r.byQuery[q.Name()] = qr
+	r.byQuery[name] = qr
 }
 
 // remove drops a query's routing requirements after unregistration.

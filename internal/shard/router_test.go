@@ -7,6 +7,7 @@ import (
 	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/match"
+	"github.com/streamworks/streamworks/internal/obs"
 	"github.com/streamworks/streamworks/internal/query"
 )
 
@@ -49,7 +50,7 @@ func TestHasHubVertex(t *testing.T) {
 
 func TestRouterEndpointRouting(t *testing.T) {
 	r := newRouter(4)
-	r.add(starQuery())
+	r.add("star", starQuery())
 	se := graph.StreamEdge{Edge: graph.Edge{Source: 10, Target: 20, Type: "flow"}}
 	dests := r.route(se)
 	if len(dests) == 0 || len(dests) > 2 {
@@ -70,8 +71,8 @@ func TestRouterEndpointRouting(t *testing.T) {
 
 func TestRouterBroadcastFallbackForHubFreeQueries(t *testing.T) {
 	r := newRouter(4)
-	r.add(starQuery())
-	r.add(rectangleQuery())
+	r.add("star", starQuery())
+	r.add("rectangle", rectangleQuery())
 	mention := graph.StreamEdge{Edge: graph.Edge{Source: 1, Target: 2, Type: "mentions"}}
 	if got := r.route(mention); len(got) != 4 {
 		t.Fatalf("hub-free query type not broadcast: %v", got)
@@ -98,7 +99,7 @@ func TestRouterWildcardEdgeBroadcastsEverything(t *testing.T) {
 		Edge("b", "c", "flow").
 		Edge("c", "a", ""). // wildcard closes the triangle: hub-free
 		MustBuild()
-	r.add(wild)
+	r.add(wild.Name(), wild)
 	se := graph.StreamEdge{Edge: graph.Edge{Source: 5, Target: 9, Type: "anything"}}
 	if got := r.route(se); len(got) != 3 {
 		t.Fatalf("wildcard hub-free query must broadcast all types: %v", got)
@@ -131,8 +132,14 @@ func matchEvent(q string, de graph.EdgeID, ts graph.Timestamp) core.MatchEvent {
 	return core.MatchEvent{Query: q, Match: m, DetectedAt: ts}
 }
 
+// dedupEntries refreshes d's size gauges and reads its entry count.
+func dedupEntries(d *dedup) int64 {
+	d.refresh()
+	return d.entries.Value()
+}
+
 func TestDedupSuppressesReplicatedMatches(t *testing.T) {
-	d := newDedup(time.Minute, 0)
+	d := newDedup(time.Minute, 0, obs.NewRegistry())
 	ev := matchEvent("q", 1, 100)
 	if !d.admit(ev) {
 		t.Fatalf("first occurrence rejected")
@@ -144,15 +151,15 @@ func TestDedupSuppressesReplicatedMatches(t *testing.T) {
 	if !d.admit(matchEvent("other", 1, 100)) {
 		t.Fatalf("distinct query deduplicated")
 	}
-	unique, dups, perQuery := d.stats()
-	if unique != 2 || dups != 1 {
-		t.Fatalf("stats = %d unique, %d dups", unique, dups)
+	snap := d.reg.Snapshot()
+	if n := snap.Counter("matches_emitted", ""); n != 2 {
+		t.Fatalf("%d matches admitted, want 2", n)
 	}
-	if perQuery["q"] != 1 || perQuery["other"] != 1 {
-		t.Fatalf("per-query stats = %v", perQuery)
+	if snap.Counter("query_matches_emitted", "q") != 1 || snap.Counter("query_matches_emitted", "other") != 1 {
+		t.Fatalf("per-query counts = %+v", snap.Counters)
 	}
-	if entries, bytes := d.size(); entries != 2 || bytes == 0 {
-		t.Fatalf("size = %d entries, %d bytes", entries, bytes)
+	if entries := dedupEntries(d); entries != 2 || d.bytes.Value() == 0 {
+		t.Fatalf("size = %d entries, %d bytes", entries, d.bytes.Value())
 	}
 }
 
@@ -168,11 +175,11 @@ func TestDedupExpiresWithTheWindow(t *testing.T) {
 			d.expire(minWM(i))
 		}
 	}
-	d := newDedup(retention, 0)
+	d := newDedup(retention, 0, obs.NewRegistry())
 	run(d, func(i int) graph.Timestamp { return graph.Timestamp(i * 100) })
 	// The cutoff stands at 29900-1000: the 11 newest matches are live, and
 	// the dead ones still held are a fraction of a retention's worth.
-	if entries, _ := d.size(); entries < 11 || entries > 11+4 {
+	if entries := dedupEntries(d); entries < 11 || entries > 11+4 {
 		t.Fatalf("%d entries left after 30 retentions, want the 11 live ones and at most 4 dead", entries)
 	}
 	for i := 289; i < 300; i++ {
@@ -181,15 +188,15 @@ func TestDedupExpiresWithTheWindow(t *testing.T) {
 		}
 	}
 	// A shard watermark far in the past must hold everything back.
-	e := newDedup(retention, 0)
+	e := newDedup(retention, 0, obs.NewRegistry())
 	run(e, func(int) graph.Timestamp { return 0 })
-	if entries, _ := e.size(); entries != 300 {
+	if entries := dedupEntries(e); entries != 300 {
 		t.Fatalf("evicted entries still rediscoverable by a lagging shard: %d of 300 left", entries)
 	}
 	// Unbounded retention must never evict (matches can always recur).
-	u := newDedup(0, 0)
+	u := newDedup(0, 0, obs.NewRegistry())
 	run(u, func(int) graph.Timestamp { return 1 << 40 })
-	if entries, _ := u.size(); entries != 300 {
+	if entries := dedupEntries(u); entries != 300 {
 		t.Fatalf("unbounded dedup evicted entries: %d of 300 left", entries)
 	}
 }

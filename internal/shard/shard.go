@@ -42,6 +42,11 @@
 // inherits the emitted-set), and the merger deduplicates identical matches
 // across shards exactly as it does for replicated edges. Metrics report the
 // maximum plan generation and the summed replan count across shards.
+//
+// Every count lives in one registry: each worker engine's own (written by its
+// goroutine), and the front-end's for what must not be summed over workers —
+// the registrations and the matches that passed the merger. Metrics and
+// ObsSnapshot fold them with obs.Merge.
 package shard
 
 import (
@@ -111,16 +116,14 @@ type ShardedEngine struct {
 	// widens it on each shard. Zero means unbounded.
 	retention time.Duration
 
-	// Observability: each worker engine carries a private registry (derived
-	// via obs.Config.PerWorker, written only by its goroutine); obsReg is
-	// the front-end's own registry for the merger-side dispatch segment.
-	// ObsSnapshot folds all of them. All nil when disabled.
-	obsReg      *obs.Registry
+	// reg is the front-end's registry: the registrations gauge, the merger's
+	// counts and sizes (dedup), and the dispatch segment.
+	reg           *obs.Registry
+	registrations *obs.Gauge
+	// obsClock and obsDispatch time the merger hop; nil unless observability
+	// is enabled.
 	obsClock    obs.Clock
 	obsDispatch *obs.Histogram
-	// obsDedupEntries and obsDedupBytes size the merger's duplicate filter,
-	// refreshed by the merger at every progress mark.
-	obsDedupEntries, obsDedupBytes *obs.Gauge
 }
 
 // New constructs a stopped ShardedEngine. cfg may be nil for DefaultConfig.
@@ -143,33 +146,35 @@ func New(cfg *Config) *ShardedEngine {
 			adv = time.Second
 		}
 	}
+	reg := obs.NewRegistry()
 	s := &ShardedEngine{
-		cfg:          c,
-		router:       newRouter(c.Shards),
-		dedup:        newDedup(c.Engine.Retention, c.Engine.Slack),
-		mergerDone:   make(chan struct{}),
-		advanceEvery: adv,
-		retention:    c.Engine.Retention,
+		cfg:           c,
+		router:        newRouter(c.Shards),
+		dedup:         newDedup(c.Engine.Retention, c.Engine.Slack, reg),
+		mergerDone:    make(chan struct{}),
+		advanceEvery:  adv,
+		retention:     c.Engine.Retention,
+		reg:           reg,
+		registrations: reg.Gauge("registrations", "", ""),
 	}
-	// Normalize the obs config once so the clock and tracer are shared,
-	// then derive a private registry per worker; the front-end keeps its
-	// own registry for the merger-side dispatch segment.
+	// Normalize the obs config once so the clock and tracer are shared.
 	obsCfg := c.Engine.Obs.Normalized()
 	if obsCfg.Enabled {
-		s.obsReg = obs.NewRegistry()
 		s.obsClock = obsCfg.Clock
-		s.obsDispatch = s.obsReg.Segment(obs.SegDispatch)
-		s.obsDedupEntries = s.obsReg.Gauge(obs.DedupEntriesGaugeName, "", "")
-		s.obsDedupBytes = s.obsReg.Gauge(obs.DedupBytesGaugeName, "", "")
+		s.obsDispatch = reg.Segment(obs.SegDispatch)
 	}
 	for i := 0; i < c.Shards; i++ {
+		// Same clock and tracer (both safe for concurrent use), but a
+		// private registry, which core.New allocates, so each worker's
+		// goroutine writes without sharing cache lines with its siblings.
 		engCfg := c.Engine
-		engCfg.Obs = obsCfg.PerWorker(i)
+		engCfg.Obs = obsCfg
+		engCfg.Obs.Registry, engCfg.Obs.Shard = nil, int32(i)
 		w := &worker{id: i, eng: core.New(&engCfg)}
 		if obsCfg.Enabled {
-			w.obsClock = engCfg.Obs.Clock
-			w.obsMailbox = engCfg.Obs.Registry.Segment(obs.SegShardMailbox)
-			w.obsTracer = engCfg.Obs.Tracer
+			w.obsClock = obsCfg.Clock
+			w.obsMailbox = w.eng.ObsRegistry().Segment(obs.SegShardMailbox)
+			w.obsTracer = obsCfg.Tracer
 		}
 		s.workers = append(s.workers, w)
 	}
@@ -177,19 +182,14 @@ func New(cfg *Config) *ShardedEngine {
 }
 
 // ObsSnapshot folds the front-end registry and every worker's private
-// registry into one logical snapshot — the observability analogue of
-// Metrics' counter aggregation. Registries are written atomically, so unlike
-// the control methods this is safe from any goroutine.
+// registry into one logical snapshot. It reads the registries as they stand —
+// no worker round trip, so sizes are as of each owner's last refresh — and,
+// unlike the control methods, is safe from any goroutine.
 func (s *ShardedEngine) ObsSnapshot() obs.Snapshot {
-	if s.obsReg == nil {
-		return obs.Snapshot{}
-	}
 	snaps := make([]obs.Snapshot, 0, len(s.workers)+1)
-	snaps = append(snaps, s.obsReg.Snapshot())
+	snaps = append(snaps, s.reg.Snapshot())
 	for _, w := range s.workers {
-		if r := w.eng.ObsRegistry(); r != nil {
-			snaps = append(snaps, r.Snapshot())
-		}
+		snaps = append(snaps, w.eng.ObsRegistry().Snapshot())
 	}
 	return obs.Merge(snaps...)
 }
@@ -261,7 +261,8 @@ func (s *ShardedEngine) RegisterQuery(q *query.Graph, opts ...core.RegistrationO
 	if widens {
 		s.retention = q.Window()
 	}
-	s.router.add(q)
+	s.router.add(done[0], q)
+	s.registrations.Set(int64(len(s.router.byQuery)))
 	s.dedup.noteWindow(q.Window())
 	return nil
 }
@@ -281,6 +282,7 @@ func (s *ShardedEngine) UnregisterQuery(name string) error {
 	}
 	if firstErr == nil {
 		s.router.remove(name)
+		s.registrations.Set(int64(len(s.router.byQuery)))
 	}
 	return firstErr
 }
@@ -320,11 +322,7 @@ func (s *ShardedEngine) merge() {
 			if min, ok := minMark(marks, marked); ok {
 				s.dedup.expire(min)
 			}
-			if s.obsReg != nil {
-				entries, bytes := s.dedup.size()
-				s.obsDedupEntries.Set(int64(entries))
-				s.obsDedupBytes.Set(int64(bytes))
-			}
+			s.dedup.refresh()
 			continue
 		}
 		if s.dedup.admit(se.ev) {
@@ -499,89 +497,80 @@ func (s *ShardedEngine) Close() {
 	s.running = false
 }
 
-// PerShardMetrics snapshots every shard engine's counters in shard order.
-// Like all control methods it must be called from the driver goroutine.
-// Per-shard counters include replicated edges, and per-shard match counts are
-// pre-deduplication; serving layers expose them so operators can spot skewed
-// partitions.
+// PerShardMetrics snapshots every shard engine's counters in shard order:
+// see Snapshot. Per-shard counters include replicated edges, and per-shard
+// match counts are pre-deduplication; serving layers expose them so operators
+// can spot skewed partitions.
 func (s *ShardedEngine) PerShardMetrics() []core.Metrics {
-	out := make([]core.Metrics, len(s.workers))
-	for i, w := range s.workers {
-		out[i] = w.metrics(s.running)
-	}
-	return out
+	_, perShard, _ := s.Snapshot()
+	return perShard
 }
 
-// Metrics aggregates per-shard counters into the single-engine Metrics
-// shape. Work counters (EdgesProcessed, LocalSearches, live graph sizes, …)
-// are sums over shards and therefore include replicated edges; MatchesEmitted
-// and per-query Matches are post-deduplication counts as delivered to the sink.
-// Registrations reflects the front-end view (each active query counted once).
+// Metrics is the sharded engine's aggregate view: see Snapshot.
 func (s *ShardedEngine) Metrics() core.Metrics {
-	snaps := s.PerShardMetrics()
+	m, _, _ := s.Snapshot()
+	return m
+}
+
+// Snapshot reads the sharded engine once — the front-end's registry, then
+// every worker's, each refreshing its gauges first (so every match the merger
+// has admitted was counted by its worker) — and returns the merged reading
+// with the aggregate and per-shard views built from it, which always agree.
+// Aggregate work counters are sums over shards and so include replicated
+// edges; MatchesEmitted, per-query Matches and Registrations are the
+// front-end's. Like all control methods it must be called from the driver
+// goroutine.
+func (s *ShardedEngine) Snapshot() (core.Metrics, []core.Metrics, obs.Snapshot) {
+	s.dedup.refresh()
+	snaps := []obs.Snapshot{s.reg.Snapshot()}
+	perShard := make([]core.Metrics, len(s.workers))
+	for i, w := range s.workers {
+		var snap obs.Snapshot
+		perShard[i], snap = w.snapshot(s.running)
+		snaps = append(snaps, snap)
+	}
+	merged := obs.Merge(snaps...)
+	m := foldPlans(perShard)
+	core.FillMetrics(&m, merged)
+	m.MatchesEmitted = merged.Counter("matches_emitted", "")
+	m.Registrations = uint64(merged.Gauge("registrations", ""))
+	for i := range m.Queries {
+		m.Queries[i].Matches = merged.Counter("query_matches_emitted", m.Queries[i].Name)
+	}
+	return m, perShard, merged
+}
+
+// foldPlans merges what the shards describe rather than count: each query's
+// plan detail, its coverage views (mqo.Attachment.PartialMatches and
+// LeafSearches, summed) and the DAG's per-node statistics (mqo.MergeStats).
+// Each shard re-plans against its own partition's statistics, so plan state
+// can legitimately differ per shard: the newest generation wins, with that
+// shard's tree shape and last audit. Match-set canonicality does not depend
+// on the shards agreeing — every shard deduplicates its own emissions across
+// swap boundaries and the merger deduplicates across shards.
+func foldPlans(perShard []core.Metrics) core.Metrics {
 	var m core.Metrics
-	perQueryIdx := map[string]int{}
-	for _, sm := range snaps {
-		m.EdgesProcessed += sm.EdgesProcessed
-		m.EdgesDropped += sm.EdgesDropped
-		m.LocalSearches += sm.LocalSearches
-		m.PartialMatches += sm.PartialMatches
-		m.PartialsPruned += sm.PartialsPruned
-		m.PruneRuns += sm.PruneRuns
-		m.LiveEdges += sm.LiveEdges
-		m.LiveVertices += sm.LiveVertices
-		m.ExpiredEdges += sm.ExpiredEdges
-		m.EmittedEvicted += sm.EmittedEvicted
-		m.Replans += sm.Replans
-		m.ReplanChecks += sm.ReplanChecks
-		m.ReplanEdgesReplayed += sm.ReplanEdgesReplayed
+	idx := map[string]int{}
+	dags := make([]mqo.Stats, len(perShard))
+	for i, sm := range perShard {
+		dags[i] = sm.MQO
 		for _, qm := range sm.Queries {
-			idx, ok := perQueryIdx[qm.Name]
+			j, ok := idx[qm.Name]
 			if !ok {
-				idx = len(m.Queries)
-				perQueryIdx[qm.Name] = idx
+				j = len(m.Queries)
+				idx[qm.Name] = j
 				m.Queries = append(m.Queries, core.QueryMetrics{Name: qm.Name, Strategy: qm.Strategy})
 			}
-			m.Queries[idx].PartialMatches += qm.PartialMatches
-			m.Queries[idx].LocalSearches += qm.LocalSearches
-			m.Queries[idx].EmittedEntries += qm.EmittedEntries
-			m.Queries[idx].EmittedBytes += qm.EmittedBytes
-			// Each shard re-plans against its own partition's statistics, so
-			// plan state can legitimately differ per shard: report the
-			// furthest generation (with that shard's tree shape) and the
-			// total swap count. Match-set canonicality does not depend on
-			// the shards agreeing — every shard deduplicates its own
-			// emissions across swap boundaries and the merger deduplicates
-			// across shards.
-			m.Queries[idx].Adaptive = m.Queries[idx].Adaptive || qm.Adaptive
-			m.Queries[idx].Replans += qm.Replans
-			if qm.PlanGeneration > m.Queries[idx].PlanGeneration {
-				m.Queries[idx].PlanGeneration = qm.PlanGeneration
-				m.Queries[idx].PlanNodes = qm.PlanNodes
-				m.Queries[idx].PlanDepth = qm.PlanDepth
-				m.Queries[idx].Strategy = qm.Strategy
-				// The replan audit describes one concrete plan; report the
-				// shard with the newest plan generation.
-				m.Queries[idx].LastReplanAudit = qm.LastReplanAudit
+			q := &m.Queries[j]
+			q.PartialMatches += qm.PartialMatches
+			q.LocalSearches += qm.LocalSearches
+			q.Adaptive = q.Adaptive || qm.Adaptive
+			if qm.PlanGeneration > q.PlanGeneration {
+				q.PlanGeneration, q.PlanNodes, q.PlanDepth = qm.PlanGeneration, qm.PlanNodes, qm.PlanDepth
+				q.Strategy, q.LastReplanAudit = qm.Strategy, qm.LastReplanAudit
 			}
 		}
 	}
-	if len(snaps) > 0 {
-		m.Registrations = snaps[0].Registrations
-	}
-	// DAG snapshots merge by canonical node signature: every shard builds
-	// the same DAG structure for the same registrations, so the per-node
-	// counters sum meaningfully (mqo.MergeStats).
-	dagSnaps := make([]mqo.Stats, len(snaps))
-	for i, sm := range snaps {
-		dagSnaps[i] = sm.MQO
-	}
-	m.MQO = mqo.MergeStats(dagSnaps...)
-	unique, _, perQuery := s.dedup.stats()
-	m.MatchesEmitted = unique
-	m.DedupEntries, m.DedupBytes = s.dedup.size()
-	for i := range m.Queries {
-		m.Queries[i].Matches = perQuery[m.Queries[i].Name]
-	}
+	m.MQO = mqo.MergeStats(dags...)
 	return m
 }

@@ -59,6 +59,7 @@ type ctrlResp struct {
 	err     error
 	name    string // assigned registration name (register)
 	metrics core.Metrics
+	snap    obs.Snapshot // the reading metrics was built from
 }
 
 // shardEvent is one entry on the shared merge channel: either a match event
@@ -179,7 +180,8 @@ func (w *worker) serveCtrl(req *ctrlReq) ctrlResp {
 	case opUnregister:
 		return ctrlResp{err: w.eng.UnregisterQuery(req.name)}
 	case opMetrics:
-		return ctrlResp{metrics: w.eng.Metrics()}
+		m, snap := w.eng.Snapshot()
+		return ctrlResp{metrics: m, snap: snap}
 	case opFlush:
 		return ctrlResp{}
 	}
@@ -248,11 +250,13 @@ func (w *worker) unregister(running bool, name string) error {
 	return w.eng.UnregisterQuery(name)
 }
 
-// metrics snapshots the shard engine's counters, via the mailbox when
-// running so the read serializes with edge processing.
-func (w *worker) metrics(running bool) core.Metrics {
+// snapshot reads the shard engine's registry and the view built from it, via
+// the mailbox when running so the engine refreshes its gauges on its own
+// goroutine, serialized with edge processing.
+func (w *worker) snapshot(running bool) (core.Metrics, obs.Snapshot) {
 	if running {
-		return w.roundTrip(&ctrlReq{op: opMetrics}).metrics
+		resp := w.roundTrip(&ctrlReq{op: opMetrics})
+		return resp.metrics, resp.snap
 	}
-	return w.eng.Metrics()
+	return w.eng.Snapshot()
 }

@@ -137,7 +137,6 @@ func (p *Partition) PruneWhere(drop func(*match.Match) bool) {
 type EmittedSet struct {
 	set   completeSet
 	total uint64
-	dups  uint64
 }
 
 // NewEmittedSet returns an empty set.
@@ -146,7 +145,6 @@ func NewEmittedSet() *EmittedSet { return &EmittedSet{} }
 // Add records m's edge set, returning false when it was already emitted.
 func (s *EmittedSet) Add(m *match.Match) bool {
 	if !s.set.add(m) {
-		s.dups++
 		return false
 	}
 	s.total++
@@ -155,8 +153,7 @@ func (s *EmittedSet) Add(m *match.Match) bool {
 
 // Merge adds to s every match o remembers and s does not, leaving o as it
 // was: a query that moves between consumer groups of the shared DAG takes
-// what it has been sent along. Total and DuplicateDrops count Add calls and
-// do not move.
+// what it has been sent along. Total counts Add calls and does not move.
 func (s *EmittedSet) Merge(o *EmittedSet) { s.set.merge(&o.set) }
 
 // Expire forgets the matches that can never be derived again: those whose
@@ -177,6 +174,3 @@ func (s *EmittedSet) Bytes() int { return s.set.bytes() }
 
 // Total returns the cumulative number of distinct matches recorded.
 func (s *EmittedSet) Total() uint64 { return s.total }
-
-// DuplicateDrops returns how many Add calls were rejected as duplicates.
-func (s *EmittedSet) DuplicateDrops() uint64 { return s.dups }

@@ -32,7 +32,7 @@ func BenchmarkAppendEdges512(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.SetBytes(int64(m.log.bytes) / int64(b.N))
+			b.SetBytes(int64(m.log.bytes.Value()) / int64(b.N))
 		})
 	}
 }

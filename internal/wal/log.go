@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/streamworks/streamworks/internal/obs"
 	"github.com/streamworks/streamworks/internal/wire"
 )
 
@@ -63,10 +64,9 @@ type segLog struct {
 	lastSync int64
 	buf      []byte // frame scratch, reused across appends
 
-	frames   uint64
-	bytes    uint64
-	fsyncs   uint64
-	segments uint64
+	// The log's counts, in the manager's registry; the append goroutine and
+	// the checkpoint code write them.
+	frames, bytes, fsyncs, segments *obs.Counter
 }
 
 // rotate seals the active segment, fully synced, and starts segment seq+1
@@ -94,10 +94,10 @@ func (l *segLog) rotate(manifest []byte) error {
 	l.size = int64(len(l.buf))
 	l.maxTS = math.MinInt64
 	l.lastSync = l.now()
-	l.segments++
-	l.frames++
-	l.bytes += uint64(len(l.buf))
-	l.fsyncs++
+	l.segments.Inc()
+	l.frames.Inc()
+	l.bytes.Add(uint64(len(l.buf)))
+	l.fsyncs.Inc()
 	return nil
 }
 
@@ -112,8 +112,8 @@ func (l *segLog) append(rec byte, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	l.frames++
-	l.bytes += uint64(len(l.buf))
+	l.frames.Inc()
+	l.bytes.Add(uint64(len(l.buf)))
 	switch l.policy {
 	case FsyncAlways:
 		return l.sync()
@@ -129,7 +129,7 @@ func (l *segLog) sync() error {
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
-	l.fsyncs++
+	l.fsyncs.Inc()
 	l.lastSync = l.now()
 	return nil
 }
@@ -140,7 +140,7 @@ func (l *segLog) close() error {
 	}
 	err := l.f.Sync()
 	if err == nil {
-		l.fsyncs++
+		l.fsyncs.Inc()
 	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/streamworks/streamworks/internal/graph"
+	"github.com/streamworks/streamworks/internal/obs"
 	"github.com/streamworks/streamworks/internal/query"
 	"github.com/streamworks/streamworks/internal/wire"
 )
@@ -69,8 +70,11 @@ type Manager struct {
 	// that touches those fields calls joinLocked first.
 	pending chan error
 
-	torn         uint64
-	appendErrors uint64
+	// reg holds the manager's counts, the log's included: written where they
+	// happen, read by Stats without the manager lock.
+	reg                             *obs.Registry
+	torn, appendErrors, checkpoints *obs.Counter
+	emittedTracked, degradedGauge   *obs.Gauge
 }
 
 type sealedSeg struct {
@@ -100,14 +104,21 @@ type Recovery struct {
 // success; an empty directory yields an empty one.
 func Open(opts Options) (*Manager, *Recovery, error) {
 	opts = opts.withDefaults()
+	reg := obs.NewRegistry()
 	m := &Manager{
-		opts:      opts,
-		fs:        opts.FS,
-		dir:       opts.Dir,
-		emitted:   make(map[string]int64),
-		retention: int64(opts.Retention),
-		slack:     int64(opts.Slack),
-		cutoff:    int64(graph.NoCutoff),
+		opts:           opts,
+		fs:             opts.FS,
+		dir:            opts.Dir,
+		emitted:        make(map[string]int64),
+		retention:      int64(opts.Retention),
+		slack:          int64(opts.Slack),
+		cutoff:         int64(graph.NoCutoff),
+		reg:            reg,
+		torn:           reg.Counter("wal_torn_tail_truncations", "", ""),
+		appendErrors:   reg.Counter("wal_append_errors", "", ""),
+		checkpoints:    reg.Counter("wal_snapshots_written", "", ""),
+		emittedTracked: reg.Gauge("wal_emitted_tracked", "", ""),
+		degradedGauge:  reg.Gauge("wal_degraded", "", ""),
 	}
 	m.log = segLog{
 		fs:       m.fs,
@@ -115,6 +126,10 @@ func Open(opts Options) (*Manager, *Recovery, error) {
 		policy:   opts.Fsync,
 		interval: int64(groupCommitInterval),
 		now:      opts.Now,
+		frames:   reg.Counter("wal_frames_appended", "", ""),
+		bytes:    reg.Counter("wal_bytes_appended", "", ""),
+		fsyncs:   reg.Counter("wal_fsyncs", "", ""),
+		segments: reg.Counter("wal_segments_created", "", ""),
 	}
 	if err := m.fs.MkdirAll(m.dir); err != nil {
 		return nil, nil, fmt.Errorf("wal: creating data dir: %w", err)
@@ -159,7 +174,7 @@ func Open(opts Options) (*Manager, *Recovery, error) {
 	rec.Ops = ops
 	rec.Emitted = maps.Clone(m.emitted)
 	rec.Watermark = m.watermark
-	rec.TornTail = m.torn > 0
+	rec.TornTail = m.torn.Value() > 0
 	return m, rec, nil
 }
 
@@ -258,7 +273,7 @@ func (m *Manager) replaySegment(seq uint64, root bool, rec *Recovery) (stop bool
 	if off <= len(segMagic) {
 		// No manifest survives: the segment was torn as it was created and
 		// holds nothing.
-		m.torn++
+		m.torn.Inc()
 		m.opts.Logf("wal: segment %d has no complete manifest; removing it", seq)
 		if err := m.fs.Remove(path); err != nil {
 			m.opts.Logf("wal: removing segment %d: %v", seq, err)
@@ -267,7 +282,7 @@ func (m *Manager) replaySegment(seq uint64, root bool, rec *Recovery) (stop bool
 	}
 	m.sealed = append(m.sealed, sealedSeg{seq: seq, maxTS: maxTS})
 	if off < len(data) {
-		m.torn++
+		m.torn.Inc()
 		m.opts.Logf("wal: segment %d has a torn or corrupt tail; truncating at byte %d", seq, off)
 		if err := m.fs.Truncate(path, int64(off)); err != nil {
 			m.opts.Logf("wal: truncating segment %d: %v", seq, err)
@@ -357,16 +372,21 @@ func (m *Manager) checkpointLocked() error {
 		}
 		man.Emitted = append(man.Emitted, EmittedEntry{Key: k, SpanStart: spanStart})
 	}
+	m.emittedTracked.Set(int64(len(m.emitted)))
 	sort.Slice(man.Emitted, func(i, j int) bool { return man.Emitted[i].Key < man.Emitted[j].Key })
 	payload, err := json.Marshal(man)
 	if err != nil {
 		return fmt.Errorf("wal: encoding manifest: %w", err)
 	}
-	if m.log.f != nil {
+	sealing := m.log.f != nil // false only for the segment Open starts
+	if sealing {
 		m.sealed = append(m.sealed, sealedSeg{seq: m.log.seq, maxTS: m.log.maxTS})
 	}
 	if err := m.log.rotate(payload); err != nil {
 		return err
+	}
+	if sealing {
+		m.checkpoints.Inc()
 	}
 	m.unlogged = m.unlogged[:0]
 	m.batches = 0
@@ -400,14 +420,6 @@ func (m *Manager) checkpointIfDueLocked() error {
 	return nil
 }
 
-// Degraded reports whether a write failure has demoted the WAL to
-// in-memory mode.
-func (m *Manager) Degraded() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.degraded
-}
-
 // WasEmitted reports whether the match key was recovered or noted as
 // already delivered.
 func (m *Manager) WasEmitted(query, signature string) bool {
@@ -431,6 +443,7 @@ func (m *Manager) NoteEmitted(query, signature string, spanStart int64) {
 		return
 	}
 	m.emitted[key] = spanStart
+	m.emittedTracked.Set(int64(len(m.emitted)))
 	m.unlogged = append(m.unlogged, EmittedEntry{Key: key, SpanStart: spanStart})
 	if len(m.unlogged) >= m.opts.EmittedEvery {
 		m.checkpointEmittedLocked()
@@ -482,7 +495,8 @@ func (m *Manager) degradeLocked(err error) {
 		return
 	}
 	m.degraded = true
-	m.appendErrors++
+	m.degradedGauge.Set(1)
+	m.appendErrors.Inc()
 	m.opts.Logf("wal: write failed, degrading to in-memory mode (durability lost): %v", err)
 	if m.log.f != nil {
 		m.log.f.Close()
@@ -490,21 +504,15 @@ func (m *Manager) degradeLocked(err error) {
 	}
 }
 
-// Stats returns the cumulative durability counters.
+// Registry returns the manager's metric registry. Snapshots are safe from
+// any goroutine.
+func (m *Manager) Registry() *obs.Registry { return m.reg }
+
+// Stats returns the cumulative durability counters: a view of the registry,
+// which the append goroutine and the checkpoint code write as they go. It
+// takes no lock and joins nothing, so it never waits on an append in flight.
 func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.joinLocked()
-	return Stats{
-		Frames:   m.log.frames,
-		Bytes:    m.log.bytes,
-		Fsyncs:   m.log.fsyncs,
-		Segments: m.log.segments,
-		// Every segment but the one Open starts is a checkpoint's.
-		Snapshots:       m.log.segments - 1,
-		TornTruncations: m.torn,
-		AppendErrors:    m.appendErrors,
-		EmittedTracked:  uint64(len(m.emitted)),
-		Degraded:        m.degraded,
-	}
+	var st Stats
+	obs.Fill(&st, m.reg.Snapshot(), "")
+	return st
 }

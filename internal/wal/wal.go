@@ -160,16 +160,17 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats are the manager's cumulative durability counters, exported through
-// /v1/metrics and the Prometheus endpoint.
+// Stats are the manager's cumulative durability counters: a view of its
+// registry (Manager.Stats), which /v1/metrics and the Prometheus endpoint
+// render too.
 type Stats struct {
-	Frames          uint64 `json:"frames_appended"`
-	Bytes           uint64 `json:"bytes_appended"`
-	Fsyncs          uint64 `json:"fsyncs"`
-	Segments        uint64 `json:"segments_created"`
-	Snapshots       uint64 `json:"snapshots_written"`
-	TornTruncations uint64 `json:"torn_tail_truncations"`
-	AppendErrors    uint64 `json:"append_errors"`
-	EmittedTracked  uint64 `json:"emitted_tracked"`
-	Degraded        bool   `json:"degraded"`
+	Frames          uint64 `json:"frames_appended" metric:"wal_frames_appended"`
+	Bytes           uint64 `json:"bytes_appended" metric:"wal_bytes_appended"`
+	Fsyncs          uint64 `json:"fsyncs" metric:"wal_fsyncs"`
+	Segments        uint64 `json:"segments_created" metric:"wal_segments_created"`
+	Snapshots       uint64 `json:"snapshots_written" metric:"wal_snapshots_written"`
+	TornTruncations uint64 `json:"torn_tail_truncations" metric:"wal_torn_tail_truncations"`
+	AppendErrors    uint64 `json:"append_errors" metric:"wal_append_errors"`
+	EmittedTracked  uint64 `json:"emitted_tracked" metric:"wal_emitted_tracked"`
+	Degraded        bool   `json:"degraded" metric:"wal_degraded"`
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"github.com/streamworks/streamworks/internal/core"
+	"github.com/streamworks/streamworks/internal/obs"
 )
 
 // Local is the single-engine backend: one core engine behind a mutex, so
@@ -136,11 +137,14 @@ func (l *Local) Subscribe(queryFilter string, sink MatchSink) (Subscription, err
 	return l.subscribe(queryFilter, sink)
 }
 
-// ObsSnapshot copies the engine's observability registry: counters and
-// per-segment latency histograms. It is empty unless the engine was built
-// WithObservability, and safe from any goroutine (registry cells are
+// ObsSnapshot folds the engine's registry and the WAL's into one snapshot:
+// every counter and gauge, plus the latency histograms when the engine was
+// built WithObservability. Sizes are as of the engine's last prune sweep. It
+// takes no lock, so it is safe from any goroutine (registry cells are
 // atomic).
-func (l *Local) ObsSnapshot() ObsSnapshot { return l.eng.ObsRegistry().Snapshot() }
+func (l *Local) ObsSnapshot() ObsSnapshot {
+	return obs.Merge(l.eng.ObsRegistry().Snapshot(), l.dur.snapshot())
+}
 
 // Metrics snapshots engine counters; it keeps working after Close.
 func (l *Local) Metrics(ctx context.Context) (Metrics, error) {

@@ -15,12 +15,10 @@ import (
 // config collects every backend's tunables; each constructor reads the
 // fields that apply to it and ignores the rest.
 type config struct {
-	engine       core.Config
-	shards       int
-	shardBuffer  int
-	advanceEvery time.Duration
-	httpClient   *http.Client
-	transport    Transport
+	engine     core.Config
+	shards     int
+	httpClient *http.Client
+	transport  Transport
 	// strategy and adaptive are the engine-wide registration defaults; each
 	// RegisterQueryWith call can override them per query.
 	strategy string
@@ -134,20 +132,6 @@ func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
 }
 
-// WithShardBuffer sets the per-shard mailbox depth in messages for
-// NewSharded (default 1024). Ignored by the other backends.
-func WithShardBuffer(n int) Option {
-	return func(c *config) { c.shardBuffer = n }
-}
-
-// WithAdvanceEvery sets the watermark-broadcast granularity for NewSharded:
-// shards that did not receive an edge are sent an explicit time advance
-// whenever observed stream time has moved at least this far. Zero picks a
-// default; negative disables broadcasts. Ignored by the other backends.
-func WithAdvanceEvery(d time.Duration) Option {
-	return func(c *config) { c.advanceEvery = d }
-}
-
 // WithAdaptivePlanning makes every query registered through the engine
 // adapt its SJ-Tree decomposition to the live stream statistics: the engine
 // periodically re-costs each running plan against a freshly computed one
@@ -180,13 +164,14 @@ func WithSharedPlans(bool) Option {
 	return func(*config) {}
 }
 
-// WithObservability turns the observability layer on for in-process
-// backends: per-segment latency histograms (local search, DAG join, shard
-// mailbox wait, dispatch), the stream-time detection-lag histogram and the
-// per-query emitted-set gauges. (Per-node DAG statistics are in
-// Metrics().MQO whether or not it is on.) Snapshot the collected data
-// with Local.ObsSnapshot / Sharded.ObsSnapshot. Default off; when off every
-// instrumentation site reduces to a single branch.
+// WithObservability turns on, for in-process backends, what reads the wall
+// clock or samples: per-segment latency histograms (local search, DAG join,
+// shard mailbox wait, dispatch), the stream-time detection-lag histogram and
+// trace sampling (WithTraceSampling). Counters and gauges are kept either
+// way — Metrics is a view of them, and Local.ObsSnapshot /
+// Sharded.ObsSnapshot return them with the histograms; per-node DAG
+// statistics are in Metrics().MQO. Default off; when off each clock read
+// reduces to a single branch.
 func WithObservability(enabled bool) Option {
 	return func(c *config) { c.engine.Obs.Enabled = enabled }
 }

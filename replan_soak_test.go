@@ -39,10 +39,10 @@ func TestAdaptiveShardedSoakDrift(t *testing.T) {
 		t.Fatalf("soak produced no matches")
 	}
 	if m.Replans == 0 {
-		t.Fatalf("no replans fired across %d drift checks:\n%s", m.ReplanChecks, m)
+		t.Fatalf("no replans fired across %d drift checks:\n%+v", m.ReplanChecks, m)
 	}
 	if m.ReplanEdgesReplayed == 0 {
-		t.Fatalf("replans fired but no window replay recorded:\n%s", m)
+		t.Fatalf("replans fired but no window replay recorded:\n%+v", m)
 	}
 	// Metrics self-consistency: every query is reported, marked adaptive,
 	// with a plan generation matching its replan count; the aggregated

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"github.com/streamworks/streamworks/internal/core"
+	"github.com/streamworks/streamworks/internal/obs"
 	"github.com/streamworks/streamworks/internal/shard"
 )
 
@@ -30,10 +31,8 @@ func NewSharded(opts ...Option) *Sharded {
 	s := &Sharded{}
 	s.init(opts)
 	s.eng = shard.New(&shard.Config{
-		Shards:       s.cfg.shards,
-		Engine:       s.cfg.engine,
-		Buffer:       s.cfg.shardBuffer,
-		AdvanceEvery: s.cfg.advanceEvery,
+		Shards: s.cfg.shards,
+		Engine: s.cfg.engine,
 		// On the merger nothing overlaps a log write, so an emission is
 		// acknowledged as soon as its sinks have returned.
 		Sink: core.MatchSinkFunc(func(ev core.MatchEvent) {
@@ -175,24 +174,37 @@ func (s *Sharded) Metrics(ctx context.Context) (Metrics, error) {
 	if err := ctx.Err(); err != nil {
 		return Metrics{}, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eng.Metrics(), nil
+	m, _, _ := s.MetricsSnapshot()
+	return m, nil
 }
 
-// ObsSnapshot folds every shard worker's observability registry and the
-// sharded engine's own into one snapshot: counters and per-segment latency
-// histograms. It is empty unless the engine was built WithObservability,
-// and — unlike the control surface — safe from any goroutine.
-func (s *Sharded) ObsSnapshot() ObsSnapshot { return s.eng.ObsSnapshot() }
+// ObsSnapshot folds every tier's registry — each shard worker's, the
+// front-end and merger's, and the WAL's — into one snapshot: every counter
+// and gauge, plus the latency histograms when the engine was built
+// WithObservability. It reads the registries as they stand, taking no lock
+// and waiting on nothing (no shard round trip, no log write), so it is safe
+// from any goroutine and answers while ingest is blocked.
+func (s *Sharded) ObsSnapshot() ObsSnapshot {
+	return obs.Merge(s.eng.ObsSnapshot(), s.dur.snapshot())
+}
+
+// MetricsSnapshot reads every tier once — each shard worker refreshing its
+// gauges on its own goroutine, then the WAL — and returns the aggregate and
+// per-shard views with the merged reading they were built from, which always
+// agree. The serving tier renders GET /v1/metrics from it.
+func (s *Sharded) MetricsSnapshot() (Metrics, []Metrics, ObsSnapshot) {
+	s.mu.Lock()
+	m, perShard, snap := s.eng.Snapshot()
+	s.mu.Unlock()
+	return m, perShard, obs.Merge(snap, s.dur.snapshot())
+}
 
 // PerShardMetrics snapshots every shard engine's raw counters in shard
 // order (replicated edges included, match counts pre-deduplication), for
 // operators watching partition skew.
 func (s *Sharded) PerShardMetrics() []Metrics {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eng.PerShardMetrics()
+	_, perShard, _ := s.MetricsSnapshot()
+	return perShard
 }
 
 // Close flushes the shard mailboxes, stops the workers and finishes every

@@ -89,10 +89,10 @@ type (
 	// endpoint.
 	ServerInfo = api.HealthResponse
 
-	// ObsSnapshot is a point-in-time copy of an engine's observability
-	// registry — counters plus per-segment latency histograms with summary
-	// statistics — as returned by Local.ObsSnapshot and Sharded.ObsSnapshot
-	// when the engine was built WithObservability.
+	// ObsSnapshot is a point-in-time copy of an engine's metric registries —
+	// every counter and gauge, plus the per-segment latency histograms with
+	// summary statistics when the engine was built WithObservability — as
+	// returned by Local.ObsSnapshot and Sharded.ObsSnapshot.
 	ObsSnapshot = obs.Snapshot
 
 	// TraceEvent is one sampled edge-journey event from the trace ring
