@@ -14,13 +14,13 @@
 // The matcher is a VF2-style backtracking search over a connected ordering
 // of the pattern edges: each step binds one pattern edge to a data edge
 // incident to the already-matched region, checking vertex/edge type and
-// attribute constraints plus injectivity of the vertex binding. Candidate
-// bindings are validated in place against the current partial match before
-// anything is allocated — the only allocations on the search path are the
-// matches that actually extend, so the per-edge hot path stays off the
-// garbage collector. The matcher itself is stateless apart from the query
-// and can be shared across goroutines that hold read-only access to the
-// data graph.
+// attribute constraints plus injectivity of the vertex binding. The search
+// binds in place: one caller-owned match is extended by a step and unbound
+// again on the way back, so LocalSearchFunc — the engine's per-edge path —
+// allocates nothing, and FindAll/LocalSearch/LocalSearchInto pay one copy
+// per result. The matcher itself is stateless apart from the query and can
+// be shared across goroutines that hold read-only access to the data graph,
+// each with its own match to bind into.
 package isomorphism
 
 import (
@@ -52,10 +52,14 @@ func (m *Matcher) FindAll(g *graph.Graph, edges []query.EdgeID, limit int) []*ma
 	if order == nil {
 		return nil
 	}
-	first := m.q.Edge(order[0])
+	cur := match.NewForQuery(m.q)
 	var results []*match.Match
+	collect := func(found *match.Match) bool {
+		results = append(results, found.Clone())
+		return limit <= 0 || len(results) < limit
+	}
 	g.Edges(func(de *graph.Edge) bool {
-		results = m.seedAndExtend(g, first, de, order, results, limit)
+		m.LocalSearchFunc(g, order, de, cur, collect)
 		return limit <= 0 || len(results) < limit
 	})
 	return results
@@ -76,40 +80,34 @@ func (m *Matcher) LocalSearch(g *graph.Graph, edges []query.EdgeID, seedQE query
 
 // LocalSearchInto is LocalSearch with a precomputed connected order (whose
 // first entry is the seed pattern edge — see ConnectedOrder) and an
-// append-destination, letting per-registration callers hoist the ordering
-// computation out of the per-edge path and reuse one result buffer across
-// calls. The matches appended to dst are freshly allocated; only the dst
-// backing array is reused.
+// append-destination. Each match appended to dst is a fresh copy; only the
+// dst backing array is reused. LocalSearchFunc is the same search without
+// the copies.
 func (m *Matcher) LocalSearchInto(dst []*match.Match, g *graph.Graph, order []query.EdgeID, seedDE *graph.Edge) []*match.Match {
-	if g == nil || seedDE == nil || len(order) == 0 {
-		return dst
-	}
-	qe := m.q.Edge(order[0])
-	if qe == nil {
-		return dst
-	}
-	return m.seedAndExtend(g, qe, seedDE, order, dst, 0)
+	m.LocalSearchFunc(g, order, seedDE, match.NewForQuery(m.q), func(found *match.Match) bool {
+		dst = append(dst, found.Clone())
+		return true
+	})
+	return dst
 }
 
-// seedAndExtend tries both admissible orientations of binding pattern edge
-// qe to data edge de as a fresh single-edge match and extends each seed
-// through the rest of the order.
-func (m *Matcher) seedAndExtend(g *graph.Graph, qe *query.Edge, de *graph.Edge, order []query.EdgeID, acc []*match.Match, limit int) []*match.Match {
-	if !qe.MatchesEdge(de) {
-		return acc
+// LocalSearchFunc runs LocalSearchInto's search binding in place: every match
+// is built in cur — an empty match sized for the matcher's query, owned by
+// the caller — and handed to yield, which must copy what it keeps, since the
+// search unbinds it again as it backtracks. A false return from yield stops
+// the search. It allocates nothing, and leaves cur empty.
+func (m *Matcher) LocalSearchFunc(g *graph.Graph, order []query.EdgeID, seedDE *graph.Edge, cur *match.Match, yield func(*match.Match) bool) {
+	if g == nil || seedDE == nil || len(order) == 0 {
+		return
 	}
-	if seed := m.trySeed(g, qe, de, false); seed != nil {
-		acc = m.extend(g, seed, order, 1, acc, limit)
+	qe := m.q.Edge(order[0])
+	if qe == nil || !qe.MatchesEdge(seedDE) {
+		return
 	}
-	if qe.AnyDirection && de.Source != de.Target {
-		if limit > 0 && len(acc) >= limit {
-			return acc
-		}
-		if seed := m.trySeed(g, qe, de, true); seed != nil {
-			acc = m.extend(g, seed, order, 1, acc, limit)
-		}
+	// The seed in both admissible orientations, each extended in turn.
+	if m.bindAndExtend(g, cur, qe, seedDE, false, order, 0, yield) && qe.AnyDirection && seedDE.Source != seedDE.Target {
+		m.bindAndExtend(g, cur, qe, seedDE, true, order, 0, yield)
 	}
-	return acc
 }
 
 // checkEndpoints validates the vertex-level constraints of binding qe to the
@@ -129,56 +127,47 @@ func (m *Matcher) checkEndpoints(g *graph.Graph, qe *query.Edge, srcID, dstID gr
 	return m.q.Vertex(qe.Source).Matches(dsrc) && m.q.Vertex(qe.Target).Matches(ddst)
 }
 
-// trySeed builds the single-edge match binding qe to de in the given
-// orientation, or returns nil when the endpoint constraints fail. The
-// edge-level constraints (qe.MatchesEdge) are the caller's responsibility.
-func (m *Matcher) trySeed(g *graph.Graph, qe *query.Edge, de *graph.Edge, reversed bool) *match.Match {
-	srcID, dstID := de.Source, de.Target
-	if reversed {
-		srcID, dstID = dstID, srcID
-	}
-	if !m.checkEndpoints(g, qe, srcID, dstID) {
-		return nil
-	}
-	seed := match.NewForQuery(m.q)
-	seed.BindVertex(qe.Source, srcID)
-	seed.BindVertex(qe.Target, dstID)
-	seed.BindEdge(qe.ID, de.ID, de.Timestamp)
-	return seed
-}
-
-// tryExtend returns a copy of cur extended by binding qe to de in the given
-// orientation, or nil when the binding is inconsistent with cur. All checks
-// run against cur before the copy is made, so rejected candidates cost no
-// allocation.
-func (m *Matcher) tryExtend(g *graph.Graph, cur *match.Match, qe *query.Edge, de *graph.Edge, reversed bool) *match.Match {
+// bindAndExtend binds qe (order[idx]) to de in the given orientation when
+// that is consistent with cur, extends through order[idx+1:], and unbinds
+// again, leaving cur as it found it. All checks run before anything is
+// bound. It returns false once yield has.
+func (m *Matcher) bindAndExtend(g *graph.Graph, cur *match.Match, qe *query.Edge, de *graph.Edge, reversed bool, order []query.EdgeID, idx int, yield func(*match.Match) bool) bool {
 	srcID, dstID := de.Source, de.Target
 	if reversed {
 		srcID, dstID = dstID, srcID
 	}
 	if existing, bound := cur.Edge(qe.ID); bound && existing != de.ID {
-		return nil
+		return true
 	}
 	if !cur.CanBindVertex(qe.Source, srcID) || !cur.CanBindVertex(qe.Target, dstID) {
-		return nil
+		return true
 	}
 	if !m.checkEndpoints(g, qe, srcID, dstID) {
-		return nil
+		return true
 	}
-	next := cur.Clone()
-	next.BindVertex(qe.Source, srcID)
-	next.BindVertex(qe.Target, dstID)
-	next.BindEdge(qe.ID, de.ID, de.Timestamp)
-	return next
+	_, srcWas := cur.Vertex(qe.Source)
+	_, dstWas := cur.Vertex(qe.Target)
+	span := cur.Span
+	cur.BindVertex(qe.Source, srcID)
+	cur.BindVertex(qe.Target, dstID)
+	cur.BindEdge(qe.ID, de.ID, de.Timestamp)
+	more := m.extend(g, cur, order, idx+1, yield)
+	cur.UnbindEdge(qe.ID)
+	if !dstWas {
+		cur.UnbindVertex(qe.Target)
+	}
+	if !srcWas {
+		cur.UnbindVertex(qe.Source)
+	}
+	cur.Span = span
+	return more
 }
 
-// extend recursively binds order[idx:] given the partial match so far.
-func (m *Matcher) extend(g *graph.Graph, cur *match.Match, order []query.EdgeID, idx int, acc []*match.Match, limit int) []*match.Match {
-	if limit > 0 && len(acc) >= limit {
-		return acc
-	}
+// extend binds order[idx:] given the partial match so far, handing each
+// complete match to yield. It returns false once yield has.
+func (m *Matcher) extend(g *graph.Graph, cur *match.Match, order []query.EdgeID, idx int, yield func(*match.Match) bool) bool {
 	if idx == len(order) {
-		return append(acc, cur)
+		return yield(cur)
 	}
 	qe := m.q.Edge(order[idx])
 	srcBound, haveSrc := cur.Vertex(qe.Source)
@@ -186,17 +175,15 @@ func (m *Matcher) extend(g *graph.Graph, cur *match.Match, order []query.EdgeID,
 
 	consider := func(de *graph.Edge) bool {
 		if cur.UsesDataEdge(de.ID) || !qe.MatchesEdge(de) {
-			return limit <= 0 || len(acc) < limit
+			return true
 		}
-		if next := m.tryExtend(g, cur, qe, de, false); next != nil {
-			acc = m.extend(g, next, order, idx+1, acc, limit)
+		if !m.bindAndExtend(g, cur, qe, de, false, order, idx, yield) {
+			return false
 		}
 		if qe.AnyDirection && de.Source != de.Target {
-			if next := m.tryExtend(g, cur, qe, de, true); next != nil {
-				acc = m.extend(g, next, order, idx+1, acc, limit)
-			}
+			return m.bindAndExtend(g, cur, qe, de, true, order, idx, yield)
 		}
-		return limit <= 0 || len(acc) < limit
+		return true
 	}
 
 	switch {
@@ -205,50 +192,53 @@ func (m *Matcher) extend(g *graph.Graph, cur *match.Match, order []query.EdgeID,
 		// EdgesBetween would allocate a slice per candidate.
 		for _, de := range g.OutEdges(srcBound) {
 			if de.Target == dstBound && !consider(de) {
-				return acc
+				return false
 			}
 		}
 		if qe.AnyDirection {
 			for _, de := range g.OutEdges(dstBound) {
 				if de.Target == srcBound && !consider(de) {
-					return acc
+					return false
 				}
 			}
 		}
 	case haveSrc:
 		for _, de := range g.OutEdges(srcBound) {
 			if !consider(de) {
-				return acc
+				return false
 			}
 		}
 		if qe.AnyDirection {
 			for _, de := range g.InEdges(srcBound) {
 				if !consider(de) {
-					return acc
+					return false
 				}
 			}
 		}
 	case haveDst:
 		for _, de := range g.InEdges(dstBound) {
 			if !consider(de) {
-				return acc
+				return false
 			}
 		}
 		if qe.AnyDirection {
 			for _, de := range g.OutEdges(dstBound) {
 				if !consider(de) {
-					return acc
+					return false
 				}
 			}
 		}
 	default:
 		// Disconnected ordering; should not happen because ConnectedOrder
 		// rejects such subsets.
+		more := true
 		g.Edges(func(de *graph.Edge) bool {
-			return consider(de)
+			more = consider(de)
+			return more
 		})
+		return more
 	}
-	return acc
+	return true
 }
 
 // ConnectedOrder returns the pattern edges of the subset in an order where

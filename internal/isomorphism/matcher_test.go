@@ -1,6 +1,7 @@
 package isomorphism
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -418,9 +419,10 @@ func TestMatchWithinWindowIntegration(t *testing.T) {
 	}
 }
 
-// Closing a cycle filters the source's incidence list in place: a triangle
-// closed through an existing edge, beside a parallel edge of another type and
-// an edge to a fourth host, costs its result match and nothing else.
+// Closing a cycle filters the source's incidence list in place and binds into
+// the match being extended: a triangle closed through an existing edge,
+// beside a parallel edge of another type and an edge to a fourth host, costs
+// nothing, and the match is left as it was.
 func TestExtendClosingEdgeAllocs(t *testing.T) {
 	g := graph.New(graph.WithAutoVertices())
 	for _, e := range []graph.Edge{
@@ -445,14 +447,84 @@ func TestExtendClosingEdgeAllocs(t *testing.T) {
 	open.BindVertex(2, 3)
 	open.BindEdge(0, 1, 1)
 	open.BindEdge(1, 2, 2)
-	order, acc := q.EdgeIDs(), make([]*match.Match, 0, 1)
-	allocbudget.Check(t, "isomorphism.extend/closing edge", func() {
-		acc = m.extend(g, open, order, 2, acc[:0], 0)
-	})
-	if len(acc) != 1 {
-		t.Fatalf("closing the triangle gave %d matches, want 1", len(acc))
+	before := open.Clone()
+	var found int
+	var closing graph.EdgeID
+	yield := func(c *match.Match) bool {
+		found++
+		closing, _ = c.Edge(2)
+		return true
 	}
-	if e, _ := acc[0].Edge(2); e != 5 {
-		t.Fatalf("closed through edge %d, want 5: %v", e, acc[0])
+	order := q.EdgeIDs()
+	allocbudget.Check(t, "isomorphism.extend/closing edge", func() {
+		found = 0
+		m.extend(g, open, order, 2, yield)
+	})
+	if found != 1 || closing != 5 {
+		t.Fatalf("closing the triangle gave %d matches, the last through edge %d; want 1 through edge 5", found, closing)
+	}
+	if !slices.Equal(open.Slots(), before.Slots()) || open.NumEdges() != 2 || open.Span != before.Span || open.EdgeSetHash() != before.EdgeSetHash() {
+		t.Fatalf("the search left %v, was %v", open, before)
+	}
+}
+
+// TestLocalSearchFuncFindsTheSeededOfflineMatches: seeded by data edge de on
+// pattern edge qe, the in-place search yields exactly the offline matches
+// that bind qe to de — both orientations of an undirected edge, parallel
+// edges, a triangle — and stops when yield says so, leaving the match it
+// bound into empty either way.
+func TestLocalSearchFuncFindsTheSeededOfflineMatches(t *testing.T) {
+	g := graph.New(graph.WithAutoVertices())
+	for i := 1; i <= 4; i++ {
+		g.AddVertex(graph.Vertex{ID: graph.VertexID(i), Type: "Host"})
+	}
+	for i, e := range [][2]graph.VertexID{{1, 2}, {2, 3}, {3, 1}, {1, 2}, {2, 1}, {3, 4}, {4, 2}} {
+		if _, err := g.AddEdge(graph.Edge{ID: graph.EdgeID(i + 1), Source: e[0], Target: e[1], Type: "flow", Timestamp: graph.Timestamp(10 * (i + 1))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := query.NewBuilder("tri").
+		Vertex("a", "Host").Vertex("b", "Host").Vertex("c", "Host").
+		UndirectedEdge("a", "b", "flow").Edge("b", "c", "flow").Edge("c", "a", "flow").
+		MustBuild()
+	m := New(q)
+	id := func(c *match.Match) string { return c.String() + " " + c.Signature() }
+	offline := m.FindAll(g, q.EdgeIDs(), 0)
+	cur := match.NewForQuery(q)
+	searched := 0
+	for eid := graph.EdgeID(1); eid <= 7; eid++ {
+		de, _ := g.Edge(eid)
+		for _, qe := range q.EdgeIDs() {
+			var want, got []string
+			for _, om := range offline {
+				if e, _ := om.Edge(qe); e == eid {
+					want = append(want, id(om))
+				}
+			}
+			order := m.ConnectedOrder(q.EdgeIDs(), qe)
+			m.LocalSearchFunc(g, order, de, cur, func(c *match.Match) bool {
+				got = append(got, id(c))
+				return true
+			})
+			slices.Sort(want)
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("edge %d seeding %d: found %q, offline %q", eid, qe, got, want)
+			}
+			if cur.NumVertices() != 0 || cur.NumEdges() != 0 || cur.HasSpan() {
+				t.Fatalf("edge %d seeding %d: the search left %v bound", eid, qe, cur)
+			}
+			searched += len(want)
+			if len(want) > 1 {
+				stops := 0
+				m.LocalSearchFunc(g, order, de, cur, func(*match.Match) bool { stops++; return false })
+				if stops != 1 || cur.NumEdges() != 0 {
+					t.Fatalf("edge %d seeding %d: %d yields after the first said stop, %v left bound", eid, qe, stops, cur)
+				}
+			}
+		}
+	}
+	if searched < 10 {
+		t.Fatalf("only %d matches found: the graph does not exercise the search", searched)
 	}
 }

@@ -12,9 +12,12 @@
 // bindings are one slot array indexed by pattern ID rather than maps, in the
 // same heap object as the match header. That makes Clone one allocation and
 // a copy, Compatible/Join linear scans and the canonical match identity a
-// cached 64-bit hash — the per-edge hot path allocates no map buckets and
-// builds no strings. String-valued identities (Signature, ProjectKey)
+// cached 64-bit hash. String-valued identities (Signature, ProjectKey)
 // survive only at the export/report boundary.
+//
+// The engine's shared DAG (internal/mqo) stores no Match: its partials are
+// rows of these slot words (Slots, HashEdgeSlots), and a Match is built
+// (RemapSlots) only to deliver a complete match.
 package match
 
 import (
@@ -256,6 +259,32 @@ func (m *Match) BindEdge(q query.EdgeID, d graph.EdgeID, ts graph.Timestamp) boo
 	return true
 }
 
+// UnbindVertex clears the binding of pattern vertex q, if any: a search that
+// binds in place undoes a step with it.
+func (m *Match) UnbindVertex(q query.VertexID) {
+	if vs := m.vertices(); int(q) < len(vs) && vs[q] != unbound {
+		vs[q] = unbound
+		m.nv--
+	}
+}
+
+// UnbindEdge clears the binding of pattern edge q, if any. The caller
+// restores the Span it saved before BindEdge; a match left without edges has
+// none.
+func (m *Match) UnbindEdge(q query.EdgeID) {
+	if es := m.edges(); int(q) < len(es) && es[q] != unbound {
+		es[q] = unbound
+		m.ne--
+		m.hashOK = false
+		m.spanSet = m.ne > 0
+	}
+}
+
+// Slots returns the binding slots, the vertex slots followed by the edge
+// slots, each the bound data ID or ^0 when unbound: a read-only view of the
+// match's own storage, for a caller that copies the bindings out as words.
+func (m *Match) Slots() []uint64 { return m.slots }
+
 // UsesDataVertex reports whether any pattern vertex is bound to d.
 func (m *Match) UsesDataVertex(d graph.VertexID) bool {
 	for _, bound := range m.vertices() {
@@ -367,96 +396,31 @@ func (m *Match) Join(o *Match) *Match {
 	return j
 }
 
-// Remap returns a copy of the match re-expressed in another pattern-ID
-// space: every binding of source pattern vertex qv moves to vmap[qv] and
-// every binding of source pattern edge qe moves to emap[qe]. The temporal
-// span is copied verbatim — the data edges are unchanged, only the pattern
-// side of the binding is renamed. nv and ne size the destination space.
-//
-// The shared-plan evaluation DAG (internal/mqo) lives on this operation:
-// matches are computed once in a canonical fragment's ID space and remapped
-// — two array permutes, no graph search — into each parent fragment's or
-// consumer group's space. Both maps must cover every bound source ID; IDs
-// mapped to out-of-range slots panic, as that is a canonicalization bug, not
-// a data condition.
-func (m *Match) Remap(nv, ne int, vmap []query.VertexID, emap []query.EdgeID) *Match {
+// RemapSlots builds a match of nv vertices and ne edges from another pattern
+// space's slot words vs and es (as Slots lays them out): bound vertex qv moves
+// to vmap[qv], edge qe to emap[qe], and span is its span if it binds an edge.
+// An out-of-range slot panics: a canonicalization bug, not a data condition.
+func RemapSlots(nv, ne int, vs, es []uint64, vmap []query.VertexID, emap []query.EdgeID, span graph.Interval) *Match {
 	r := NewSized(nv, ne)
 	rvs, res := r.vertices(), r.edges()
-	for qv, dv := range m.vertices() {
+	for qv, dv := range vs {
 		if dv != unbound {
 			rvs[vmap[qv]] = dv
+			r.nv++
 		}
 	}
-	for qe, de := range m.edges() {
+	for qe, de := range es {
 		if de != unbound {
 			res[emap[qe]] = de
+			r.ne++
 		}
 	}
-	r.nv, r.ne = m.nv, m.ne
-	r.Span, r.spanSet = m.Span, m.spanSet
+	r.Span, r.spanSet = span, r.ne > 0
 	return r
 }
 
-// JoinMapped is m.Remap(nv, ne, vmap, emap).Join(o.Remap(nv, ne, ovmap,
-// oemap)) without the two intermediate matches: the compatibility rules of
-// Join are checked on the bindings as the maps carry them into the
-// destination space, nil is returned before anything is allocated when they
-// fail, and the joined match is built in its one allocation. The shared DAG
-// stores a partial once, in its own canonical space, and joins it with a
-// sibling through the two parent links' maps.
-func (m *Match) JoinMapped(nv, ne int, vmap []query.VertexID, emap []query.EdgeID,
-	o *Match, ovmap []query.VertexID, oemap []query.EdgeID) *Match {
-	mvs, ovs := m.vertices(), o.vertices()
-	for oq, od := range ovs {
-		if od == unbound {
-			continue
-		}
-		// Same destination vertex, same data vertex — and nowhere else.
-		for mq, md := range mvs {
-			if md != unbound && (vmap[mq] == ovmap[oq]) != (md == od) {
-				return nil
-			}
-		}
-	}
-	mes, oes := m.edges(), o.edges()
-	for oq, od := range oes {
-		if od == unbound {
-			continue
-		}
-		for mq, md := range mes {
-			if md != unbound && md != od && emap[mq] == oemap[oq] {
-				return nil
-			}
-		}
-	}
-	j := NewSized(nv, ne)
-	j.nv = fillMapped(j.vertices(), mvs, vmap) + fillMapped(j.vertices(), ovs, ovmap)
-	j.ne = fillMapped(j.edges(), mes, emap) + fillMapped(j.edges(), oes, oemap)
-	j.Span, j.spanSet = m.Span, m.spanSet
-	if o.spanSet {
-		if j.spanSet {
-			j.Span = j.Span.Union(o.Span)
-		} else {
-			j.Span, j.spanSet = o.Span, true
-		}
-	}
-	return j
-}
-
-// fillMapped copies every bound slot of src into the still unbound dst slot
-// its ID maps to, and returns how many slots it filled.
-func fillMapped[ID ~int](dst, src []uint64, idmap []ID) (filled int32) {
-	for q, d := range src {
-		if d != unbound && dst[idmap[q]] == unbound {
-			dst[idmap[q]] = d
-			filled++
-		}
-	}
-	return filled
-}
-
-// mix64 is the splitmix64 finalizer, a fast 64-bit bijective mixer.
-func mix64(x uint64) uint64 {
+// Mix64 is the splitmix64 finalizer, a fast 64-bit bijective mixer.
+func Mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
@@ -475,19 +439,24 @@ const edgeSetSeed = 0x9e3779b97f4a7c15
 // astronomically unlikely collisions with SameEdges equality checks. The
 // hash is cached and only recomputed after an edge binding changes.
 func (m *Match) EdgeSetHash() uint64 {
-	if m.hashOK {
-		return m.hash
+	if !m.hashOK {
+		m.hash, m.hashOK = HashEdgeSlots(m.edges()), true
 	}
+	return m.hash
+}
+
+// HashEdgeSlots is EdgeSetHash of the edge slots es, as Slots lays them out,
+// for a caller that keeps bindings as words.
+func HashEdgeSlots(es []uint64) uint64 {
 	h := uint64(edgeSetSeed)
-	for qe, de := range m.edges() {
+	for qe, de := range es {
 		if de == unbound {
 			continue
 		}
 		// XOR-accumulating per-pair mixes keeps the hash independent of
 		// iteration details while (qe, de) stay bound together.
-		h ^= mix64(de ^ mix64(uint64(qe)+edgeSetSeed))
+		h ^= Mix64(de ^ Mix64(uint64(qe)+edgeSetSeed))
 	}
-	m.hash, m.hashOK = h, true
 	return h
 }
 
@@ -561,7 +530,7 @@ func (m *Match) Projection(vertices []query.VertexID) ProjectionKey {
 		if i < projectionInline {
 			k.inline[i] = dv
 		} else {
-			k.hash ^= mix64(dv ^ mix64(uint64(i)))
+			k.hash ^= Mix64(dv ^ Mix64(uint64(i)))
 		}
 	}
 	return k

@@ -33,6 +33,33 @@ func TestNewFromEdge(t *testing.T) {
 	}
 }
 
+// TestUnbindUndoesBind: a step bound in place and unbound again, with the
+// span restored, leaves the match as it was — bindings, counts, hash, and no
+// span once its last edge goes — and frees the data vertex for another
+// pattern vertex.
+func TestUnbindUndoesBind(t *testing.T) {
+	m := NewSized(3, 2)
+	m.BindVertex(0, 7)
+	m.BindVertex(1, 9)
+	m.BindEdge(0, 100, 500)
+	before, span, hash := m.Clone(), m.Span, m.EdgeSetHash()
+	m.BindVertex(2, 11)
+	m.BindEdge(1, 101, 900)
+	m.UnbindEdge(1)
+	m.UnbindVertex(2)
+	m.Span = span
+	if m.String() != before.String() || m.EdgeSetHash() != hash || m.Signature() != before.Signature() {
+		t.Fatalf("after the undo %v (hash %x), before %v (hash %x)", m, m.EdgeSetHash(), before, hash)
+	}
+	m.UnbindVertex(2) // unbound already: nothing to undo
+	m.UnbindEdge(0)
+	m.UnbindVertex(1)
+	m.UnbindVertex(0)
+	if m.NumVertices() != 0 || m.NumEdges() != 0 || m.HasSpan() || !m.CanBindVertex(2, 7) {
+		t.Fatalf("unbinding everything left %v", m)
+	}
+}
+
 func TestBindVertexInjectivity(t *testing.T) {
 	m := New()
 	if !m.BindVertex(0, 10) {

@@ -107,7 +107,7 @@ func TestMatchAllocationBudgets(t *testing.T) {
 	var sig string
 	allocbudget.Check(t, "match.Signature", func() { sig = m.Signature() })
 	allocbudget.Check(t, "match.Clone", func() { sink = m.Clone() })
-	allocbudget.Check(t, "match.Remap", func() { sink = m.Remap(4, 3, vmap, emap) })
+	allocbudget.Check(t, "match.RemapSlots", func() { sink = RemapSlots(4, 3, m.vertices(), m.edges(), vmap, emap, m.Span) })
 	allocbudget.Check(t, "match.Join", func() { sink = left.Join(right) })
 	if sink == nil || sig == "" {
 		t.Fatal("measured operations produced nothing")

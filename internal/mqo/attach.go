@@ -87,7 +87,7 @@ func (a *Attachment) PartialMatches() int {
 	total := 0
 	for _, n := range a.nodes {
 		if n != a.root {
-			total += n.coll.Len()
+			total += n.rows.len()
 		}
 	}
 	return total
@@ -149,11 +149,12 @@ func (d *DAG) attach(name string, q *query.Graph, plan *decompose.Plan, opt Atta
 	// it has not been sent — the matches the old plan had not surfaced yet —
 	// and then leaves what it has been sent with its new group: the group's
 	// memory from here on, merged into what the group already remembers.
-	for _, m := range root.coll.Stored() {
-		if !m.WithinWindow(att.window) {
+	for r := 0; r < root.rows.len(); r++ {
+		row := root.rows.row(r)
+		if att.window > 0 && !root.rows.span(row).Within(att.window) {
 			continue
 		}
-		qm := g.admit(m)
+		qm := g.admit(root, row)
 		if qm == nil {
 			continue
 		}
@@ -202,14 +203,16 @@ func (d *DAG) build(att *Attachment, q *query.Graph, pn *decompose.Node) (*node,
 		sig:     sig,
 		frag:    frag,
 		matcher: isomorphism.New(frag.Graph),
-		coll:    sjtree.NewCollection(),
+		rows:    newRows(frag.Graph.NumVertices(), frag.Graph.NumEdges()),
 		window:  att.window,
 	}
+	n.row = make([]uint64, n.rows.width)
 	d.nodes[sig] = n
 	d.order = append(d.order, sig)
 	att.addNode(n, leaf)
 
 	if leaf {
+		n.found, n.yield = match.NewForQuery(frag.Graph), d.leafYield(n)
 		d.addSeeds(n)
 		att.replayedEdges += d.backfillLeaf(n)
 		return n, frag
@@ -225,26 +228,25 @@ func (d *DAG) build(att *Attachment, q *query.Graph, pn *decompose.Node) (*node,
 	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
 
 	mkLink := func(child *node, cf *decompose.Fragment) *childLink {
-		vmap := make([]query.VertexID, len(cf.VertToQuery))
-		for ci, qv := range cf.VertToQuery {
-			vmap[ci] = frag.VertFromQuery[qv]
+		pos := make([]int, 0, len(cf.VertToQuery)+len(cf.EdgeToQuery))
+		for _, qv := range cf.VertToQuery {
+			pos = append(pos, int(frag.VertFromQuery[qv]))
 		}
-		emap := make([]query.EdgeID, len(cf.EdgeToQuery))
-		for ci, qe := range cf.EdgeToQuery {
-			emap[ci] = frag.EdgeFromQuery[qe]
+		for _, qe := range cf.EdgeToQuery {
+			pos = append(pos, n.rows.nv+int(frag.EdgeFromQuery[qe]))
 		}
-		// A cut vertex lies in both children's fragments, so vmap reaches it.
+		// A cut vertex lies in both children's fragments, so pos reaches it.
 		childCuts := make([]query.VertexID, len(cuts))
 		for i, pv := range cuts {
-			childCuts[i] = query.VertexID(slices.Index(vmap, pv))
+			childCuts[i] = query.VertexID(slices.Index(pos[:len(cf.VertToQuery)], int(pv)))
 		}
-		l := &childLink{child: child, vmap: vmap, emap: emap, cuts: childCuts}
+		l := &childLink{child: child, pos: pos, cuts: childCuts}
 		child.parents = append(child.parents, &parentLink{parent: n, link: l})
 		return l
 	}
 	n.left = mkLink(ln, lf)
 	n.right = mkLink(rn, rf)
-	// n has no parents or consumers yet: the joins land in n.coll, ready for
+	// n has no parents or consumers yet: the joins land in n.rows, ready for
 	// the next level up.
 	d.backfillJoin(n)
 	return n, frag
@@ -264,18 +266,19 @@ func (d *DAG) backfillLeaf(n *node) uint64 {
 	return replayed
 }
 
-// backfillJoin (re)builds join node n's link partitions from its children's
-// collections and joins them: the left child's matches are indexed silently,
-// then the right child's stream through the normal index-and-probe step, so
-// every (left, right) pair is joined exactly once. Matches n already holds
-// are kept once; new ones propagate like any insertion.
+// backfillJoin (re)builds join node n's link indexes from its children's
+// rows and joins them: the left child's rows are indexed silently, then the
+// right child's stream through the normal index-and-probe step, so every
+// (left, right) pair is joined exactly once. Rows n already holds are kept
+// once; new ones propagate like any insertion.
 func (d *DAG) backfillJoin(n *node) {
-	n.left.part, n.right.part = sjtree.NewPartition(), sjtree.NewPartition()
-	for _, m := range n.left.child.coll.Stored() {
-		n.left.part.Add(m.Projection(n.left.cuts), m)
+	n.left.idx, n.right.idx = cutIndex{}, cutIndex{}
+	ls := &n.left.child.rows
+	for r := 0; r < ls.len(); r++ {
+		n.left.idx.add(ls, n.left.cuts, r, hashKey(ls.row(r), n.left.cuts))
 	}
-	for _, m := range n.right.child.coll.Stored() {
-		d.join(n, n.right, m)
+	for r := 0; r < n.right.child.rows.len(); r++ {
+		d.join(n, n.right, r)
 	}
 }
 

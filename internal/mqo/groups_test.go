@@ -35,13 +35,23 @@ func smurfReversed(name string, window time.Duration) *query.Graph {
 // while edges[from:to] arrived — what a query attached for that stretch of
 // the stream is owed — in emission order.
 func privateTreeSignatures(t *testing.T, q *query.Graph, edges []graph.StreamEdge, from, to int) []string {
+	return prunedTreeSignatures(t, q, decompose.StrategySelective, edges, from, to, 0, 0)
+}
+
+// prunedTreeSignatures is privateTreeSignatures on a plan of the given
+// strategy over a window graph of the given retention and slack, with the
+// tree swept every sweepEvery edges — by its window, or by expired edge when
+// it has none — as sweepStream sweeps the DAG.
+func prunedTreeSignatures(t *testing.T, q *query.Graph, strategy decompose.Strategy, edges []graph.StreamEdge, from, to int, retention, slack time.Duration) []string {
 	t.Helper()
-	tree, err := sjtree.New(planFor(t, q))
+	tree, err := sjtree.New(planWith(t, q, strategy))
 	if err != nil {
 		t.Fatal(err)
 	}
 	matcher := isomorphism.New(q)
-	dyn := graph.NewDynamic(0)
+	expired := map[graph.EdgeID]struct{}{}
+	dyn := graph.NewDynamic(retention, graph.WithSlack(slack),
+		graph.WithExpiryCallback(func(e *graph.Edge) { expired[e.ID] = struct{}{} }))
 	var sigs []string
 	for i, se := range edges {
 		de, err := dyn.Apply(se)
@@ -62,6 +72,14 @@ func privateTreeSignatures(t *testing.T, q *query.Graph, edges []graph.StreamEdg
 					}
 				}
 			}
+		}
+		if (i+1)%sweepEvery == 0 {
+			if w := q.Window(); w > 0 {
+				tree.Prune(dyn.Watermark() - graph.Timestamp(w))
+			} else {
+				tree.PruneExpiredEdges(expired)
+			}
+			clear(expired)
 		}
 	}
 	return sigs
@@ -363,8 +381,24 @@ func TestGroupMembersShareOneMatch(t *testing.T) {
 	}
 }
 
-// TestRootDeliveryAllocationBudget: fanning one root match out to a group
-// of 25 queries costs one Remap and one Signature — not 25 of each.
+// rowFor builds a row of node n for a data binding given in the query n was
+// created from: query vertex qv bound to vertex(qv), query edge qe to
+// edge(qe), spanning span.
+func rowFor(n *node, vertex func(query.VertexID) uint64, edge func(query.EdgeID) uint64, span graph.Interval) []uint64 {
+	row := make([]uint64, n.rows.width)
+	for cv, qv := range n.frag.VertToQuery {
+		row[cv] = vertex(qv)
+	}
+	for ce, qe := range n.frag.EdgeToQuery {
+		row[n.rows.nv+ce] = edge(qe)
+	}
+	n.rows.setSpan(row, span)
+	return row
+}
+
+// TestRootDeliveryAllocationBudget: fanning one root row out to a group of
+// 25 queries costs one match in query space and one Signature — not 25 of
+// each.
 func TestRootDeliveryAllocationBudget(t *testing.T) {
 	d := New(graph.NewDynamic(0))
 	var group *consumerGroup
@@ -382,20 +416,17 @@ func TestRootDeliveryAllocationBudget(t *testing.T) {
 	if len(group.members) != 25 {
 		t.Fatalf("group has %d members, want 25", len(group.members))
 	}
-	roots := make([]*match.Match, allocbudget.Runs+1) // one per call, built up front
+	root := group.members[0].root
+	roots := make([][]uint64, allocbudget.Runs+1) // one per call, built up front
 	for i := range roots {
-		m := match.NewSized(3, 2)
-		for qv := 0; qv < 3; qv++ {
-			m.BindVertex(query.VertexID(qv), graph.VertexID(10*i+qv))
-		}
-		for qe := 0; qe < 2; qe++ {
-			m.BindEdge(query.EdgeID(qe), graph.EdgeID(10*i+qe), graph.Timestamp(i))
-		}
-		roots[i] = m
+		roots[i] = rowFor(root,
+			func(qv query.VertexID) uint64 { return uint64(10*i) + uint64(qv) },
+			func(qe query.EdgeID) uint64 { return uint64(10*i) + uint64(qe) },
+			graph.NewInterval(graph.Timestamp(i)))
 	}
 	next := 0
 	allocbudget.Check(t, "mqo.deliver/25-consumers", func() {
-		group.deliver(roots[next])
+		group.deliver(root, roots[next])
 		next++
 	})
 	if emitted != 25*next {
@@ -404,11 +435,10 @@ func TestRootDeliveryAllocationBudget(t *testing.T) {
 }
 
 // TestStoredPartialAllocationBudget: a partial stored under a parent whose
-// other input has nothing to join it with is added to its collection and
-// indexed in the link's partition — no copy in parent space, nothing built
-// by the probe. The partials share sixteen cut vertices, as partials on a
-// hub do, so what is left is the amortised growth of the collection and of
-// sixteen buckets.
+// other input has nothing to join it with is a row in its node's arena and a
+// new key of the link's cut index — every partial here has a cut vertex of
+// its own, as most do away from a hub — with no copy in parent space and
+// nothing built by the probe.
 func TestStoredPartialAllocationBudget(t *testing.T) {
 	d := New(graph.NewDynamic(0))
 	q := smurf("s", 0)
@@ -420,24 +450,108 @@ func TestStoredPartialAllocationBudget(t *testing.T) {
 	if len(leaf.parents) != 1 || leaf.parents[0].parent != att.root {
 		t.Fatalf("leaf has %d parents", len(leaf.parents))
 	}
-	cut := leaf.parents[0].link.cuts[0]
-	partials := make([]*match.Match, allocbudget.Runs+1) // one per call, built up front
+	partials := make([][]uint64, allocbudget.Runs+1) // one per call, built up front
 	for i := range partials {
-		m := match.NewSized(2, 1)
-		m.BindVertex(cut, graph.VertexID(i%16))
-		m.BindVertex(1-cut, graph.VertexID(100+i))
-		m.BindEdge(0, graph.EdgeID(i), graph.Timestamp(i))
-		partials[i] = m
+		partials[i] = rowFor(leaf,
+			func(qv query.VertexID) uint64 { return uint64(1000*i) + uint64(qv) },
+			func(query.EdgeID) uint64 { return uint64(i) },
+			graph.NewInterval(graph.Timestamp(i)))
 	}
 	next := 0
 	allocbudget.Check(t, "mqo.insert/stored partial, one parent, no sibling hit", func() {
 		d.insert(leaf, partials[next])
 		next++
 	})
-	if leaf.coll.Len() != next || leaf.parents[0].link.part.Partitions() != 16 || att.root.joinAttempts != 0 {
-		t.Fatalf("%d inserts: %d stored, %d cut projections indexed, %d join attempts", next, leaf.coll.Len(), leaf.parents[0].link.part.Partitions(), att.root.joinAttempts)
+	if idx := &leaf.parents[0].link.idx; leaf.rows.len() != next || idx.keys.n != next || att.root.joinAttempts != 0 {
+		t.Fatalf("%d inserts: %d stored, %d cut keys indexed, %d join attempts", next, leaf.rows.len(), idx.keys.n, att.root.joinAttempts)
 	}
 	if st := d.Stats(); st.PartialMatches != next {
 		t.Fatalf("Stats counts %d partials for %d stored once each", st.PartialMatches, next)
+	}
+}
+
+// chain3 is a three-edge path: its eager plan joins two leaves below the
+// root.
+func chain3(name string) *query.Graph {
+	return query.NewBuilder(name).
+		Vertex("a", "Host").Vertex("b", "Host").Vertex("c", "Host").Vertex("d", "Host").
+		Edge("a", "b", "icmp_echo_req").
+		Edge("b", "c", "icmp_echo_reply").
+		Edge("c", "d", "dns").
+		MustBuild()
+}
+
+// TestJoinedPartialAllocationBudget: a partial that joins a sibling row below
+// the root is stored and indexed, its join written into the parent's scratch
+// and stored there as a row, indexed in turn and probed against a sibling
+// with nothing to offer — all without an allocation.
+func TestJoinedPartialAllocationBudget(t *testing.T) {
+	d := New(graph.NewDynamic(0))
+	q := chain3("c")
+	att, err := d.Attach("c", q, planWith(t, q, decompose.StrategyEager), AttachOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leaf *node
+	var link *childLink
+	for _, n := range att.leaves {
+		if pl := n.parents[0]; pl.parent != att.root {
+			leaf, link = n, pl.link
+		}
+	}
+	if leaf == nil {
+		t.Fatal("no join below the root")
+	}
+	parent := leaf.parents[0].parent
+	sibling := parent.otherLink(link).child
+	vertex := func(i int) func(query.VertexID) uint64 {
+		return func(qv query.VertexID) uint64 { return uint64(1000*i) + uint64(qv) }
+	}
+	edge := func(i int) func(query.EdgeID) uint64 {
+		return func(qe query.EdgeID) uint64 { return uint64(10*i) + uint64(qe) }
+	}
+	partials := make([][]uint64, allocbudget.Runs+1) // one per call, built up front
+	for i := range partials {
+		d.insert(sibling, rowFor(sibling, vertex(i), edge(i), graph.NewInterval(graph.Timestamp(i))))
+		partials[i] = rowFor(leaf, vertex(i), edge(i), graph.NewInterval(graph.Timestamp(i)))
+	}
+	next := 0
+	allocbudget.Check(t, "mqo.insert/joined partial", func() {
+		d.insert(leaf, partials[next])
+		next++
+	})
+	if parent.rows.len() != next || parent.joinHits != uint64(next) || parent.joinAttempts != uint64(next) {
+		t.Fatalf("%d inserts: %d joined rows stored, %d of %d join attempts hit", next, parent.rows.len(), parent.joinHits, parent.joinAttempts)
+	}
+}
+
+// TestLeafSearchAllocationBudget: an arriving edge whose leaf search finds a
+// primitive match, stored and probed against a sibling with nothing to join,
+// costs the DAG nothing: the search binds into the leaf's scratch match and
+// the row is copied out once.
+func TestLeafSearchAllocationBudget(t *testing.T) {
+	dyn := graph.NewDynamic(0)
+	d := New(dyn)
+	q := smurf("s", 0)
+	att, err := d.Attach("s", q, planWith(t, q, decompose.StrategyEager), AttachOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := make([]*graph.Edge, allocbudget.Runs+1) // in the window up front
+	for i := range edges {
+		v := graph.VertexID(10 * i)
+		de, err := dyn.Apply(hostEdge(graph.EdgeID(i+1), v+1, v+2, "icmp_echo_req", graph.Timestamp(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		edges[i] = de
+	}
+	next := 0
+	allocbudget.Check(t, "mqo.ProcessEdge/leaf search, no join", func() {
+		d.ProcessEdge(edges[next])
+		next++
+	})
+	if got := d.Stats().PartialMatches; got != next || att.root.joinAttempts != 0 {
+		t.Fatalf("%d edges: %d partials stored, %d join attempts", next, got, att.root.joinAttempts)
 	}
 }

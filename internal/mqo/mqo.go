@@ -24,17 +24,18 @@
 // distinct data-edge binding inside its own window exactly once, through its
 // own callback.
 //
-// Every byte of join state exists once. A partial match is stored in its
-// node's collection, in the node's canonical space; the hash partitions of
-// the parent links index those same matches, keyed on the parent's cut pulled
-// back into child space, and a join reads both inputs through the links' maps
-// (match.JoinMapped) — nothing is remapped to be stored.
+// Every byte of join state exists once, and none of it is an object: a
+// partial is a row of data-ID words in its node's arena, in the node's
+// canonical space (rows.go), chained by row number in each parent link's cut
+// index, keyed on the parent's cut pulled back into child space. A join reads
+// both input rows through the links' maps into the parent's scratch row, and
+// local search binds in place, so a row is copied only when it is new.
 //
 // Emission costs what the distinct root matches cost, not (queries × pattern
 // edges): the attachments consuming a root node are grouped by how they read
 // it — identical maps out of the root's canonical space into identically
 // shaped queries, which is what rules differing only in name and window
-// have — and a root match is remapped into query space, remembered in the
+// have — and a root row is built into a query-space match, remembered in the
 // group's one exactly-once set, and its Signature built, once per consumer
 // group. The contract that buys this: an emitted *match.Match and its
 // signature string are shared by every member of the group and immutable
@@ -79,13 +80,18 @@ type node struct {
 	// by how they read its matches.
 	consumers []*consumerGroup
 
-	// coll is the node's deduplicated canonical match collection
-	// (Property 3 of the SJ-Tree, shared across all referencing queries).
-	coll *sjtree.Collection
+	// rows is the node's deduplicated canonical match collection
+	// (Property 3 of the SJ-Tree, shared across all referencing queries), and
+	// row the scratch a candidate is built in before it is stored.
+	rows rows
+	row  []uint64
 
 	// seeds are the per-fragment-edge local-search seeds (leaves only); the
-	// same entries are indexed in DAG.seedsByType.
+	// same entries are indexed in DAG.seedsByType. A leaf's local search
+	// binds into found and hands each embedding to yield, which stores it.
 	seeds []seedRef
+	found *match.Match
+	yield func(*match.Match) bool
 
 	// window is the widest window requirement among all attachments whose
 	// DAG reaches this node: 0 means some attachment is unbounded, negative
@@ -112,22 +118,23 @@ func (n *node) refs() int {
 
 // childLink wires one join input of a parent node: the maps renaming the
 // child's canonical space into the parent's, the join's cut vertices, and
-// the hash partition of the child's matches on them (Property 4 — the
-// partition lives on the link because the same child feeds different parents
-// under different cuts). The partition indexes the child's own stored
-// matches; it holds no copies.
+// the hash partition of the child's rows on them (Property 4 — the index
+// lives on the link because the same child feeds different parents under
+// different cuts). The index chains the child's own rows; it holds no
+// copies.
 type childLink struct {
 	child *node
-	// vmap/emap rename child canonical vertex/edge IDs to parent canonical
-	// IDs (via the source query both fragments were canonicalized from).
-	vmap []query.VertexID
-	emap []query.EdgeID
-	// cuts are the child's vertices that vmap takes to the join's cut
+	// pos renames the child's canonical space into the parent's (via the
+	// source query both fragments were canonicalized from), word for word:
+	// child row word i is parent row word pos[i], vertices to vertices and
+	// edges to edges.
+	pos []int
+	// cuts are the child's vertices that pos takes to the join's cut
 	// vertices, listed in the parent-space (sorted) order of those, which
-	// both of the parent's links share — so the two partitions' projection
-	// keys are comparable though each is taken in its own child's space.
+	// both of the parent's links share — so the two indexes' keys are
+	// comparable though each is taken in its own child's space.
 	cuts []query.VertexID
-	part *sjtree.Partition
+	idx  cutIndex
 }
 
 // parentLink is the reverse edge of a childLink.
@@ -156,7 +163,7 @@ type seedRef struct {
 // consumerGroup is the set of attachments, in attach order, that read one
 // root node's matches identically: the same maps from the root's canonical
 // space into query space and the same query shape (the first member's stand
-// for all), so one Remap, one exactly-once lookup and one Signature per root
+// for all), so one match build, one exactly-once lookup and one Signature per root
 // match serve them all. Queries differing only in name or window — the
 // near-duplicate rules of a monitoring deployment — share a group; members
 // keep their own window filter and callbacks.
@@ -207,16 +214,13 @@ type DAG struct {
 	reg                                       *obs.Registry
 	localSearches, sharedHits, emittedEvicted *obs.Counter
 
-	// prims is the per-edge scratch buffer for local-search results; only
-	// the backing array is reused, the matches are owned by the DAG once
-	// inserted.
-	prims []*match.Match
-
 	// Local-search and join timing, resolved once like core's engineObs and
 	// nil unless observability is enabled: wall time only ever flows through
-	// the obs.Clock seam.
+	// the obs.Clock seam. Joins run inside the search, as it yields, so
+	// joinNS accumulates their share of one search.
 	clock         obs.Clock
 	hLocal, hJoin *obs.Histogram
+	joinNS        int64
 }
 
 // Option configures a DAG.
@@ -298,27 +302,33 @@ func (d *DAG) processSeeds(seeds []seedRef, de *graph.Edge) {
 			continue
 		}
 		n := s.n
-		n.searches++
-		d.localSearches.Inc()
 		if fan := n.refs(); fan > 1 {
 			d.sharedHits.Add(uint64(fan - 1))
 		}
+		t0 := d.now()
+		d.joinNS = 0
+		d.search(n, s, de)
 		if d.clock != nil {
-			t0 := d.clock.Now()
-			d.prims = n.matcher.LocalSearchInto(d.prims[:0], d.g.Graph(), s.order, de)
-			t1 := d.clock.Now()
-			d.hLocal.Observe(t1 - t0)
-			for _, pm := range d.prims {
-				d.insert(n, pm)
-			}
-			d.hJoin.Observe(d.clock.Now() - t1)
-		} else {
-			d.prims = n.matcher.LocalSearchInto(d.prims[:0], d.g.Graph(), s.order, de)
-			for _, pm := range d.prims {
-				d.insert(n, pm)
-			}
+			d.hLocal.Observe(d.now() - t0 - d.joinNS)
+			d.hJoin.Observe(d.joinNS)
 		}
 	}
+}
+
+// now reads the obs clock, or returns 0 when observability is off.
+func (d *DAG) now() int64 {
+	if d.clock == nil {
+		return 0
+	}
+	return d.clock.Now()
+}
+
+// search runs one local search of leaf n seeded by de on s, storing and
+// propagating every embedding it finds.
+func (d *DAG) search(n *node, s *seedRef, de *graph.Edge) {
+	n.searches++
+	d.localSearches.Inc()
+	n.matcher.LocalSearchFunc(d.g.Graph(), s.order, de, n.found, n.yield)
 }
 
 // searchNode runs the local searches of one leaf for one edge — the backfill
@@ -326,86 +336,128 @@ func (d *DAG) processSeeds(seeds []seedRef, de *graph.Edge) {
 // shared-hit accounting: the node is new, nothing was saved.
 func (d *DAG) searchNode(n *node, de *graph.Edge) {
 	for i := range n.seeds {
-		s := &n.seeds[i]
-		if !s.qe.MatchesEdge(de) {
-			continue
-		}
-		n.searches++
-		d.localSearches.Inc()
-		d.prims = n.matcher.LocalSearchInto(d.prims[:0], d.g.Graph(), s.order, de)
-		for _, pm := range d.prims {
-			d.insert(n, pm)
+		if s := &n.seeds[i]; s.qe.MatchesEdge(de) {
+			d.search(n, s, de)
 		}
 	}
 }
 
-// insert adds a canonical match of n's fragment and propagates it: dedup
-// into the node's collection, index it in each parent link's partition,
-// hash-join it with the sibling partition through the two links' maps
-// (recursing upward), and deliver to each consumer group. This is
-// sjtree.Tree.Insert generalized from one parent to many.
-func (d *DAG) insert(n *node, m *match.Match) {
-	if !m.WithinWindow(n.window) {
+// leafYield returns leaf n's local-search callback: the embedding in n.found
+// becomes a row in n's scratch and is inserted.
+func (d *DAG) leafYield(n *node) func(*match.Match) bool {
+	return func(m *match.Match) bool {
+		t0 := d.now()
+		copy(n.row, m.Slots())
+		n.rows.setSpan(n.row, m.Span)
+		d.insert(n, n.row)
+		d.joinNS += d.now() - t0
+		return true
+	}
+}
+
+// insert adds a canonical partial of n's fragment, built in row (n's
+// scratch), and propagates it: dedup into the node's rows, index it in each
+// parent link's cut index, hash-join it with the sibling's rows through the
+// two links' maps (recursing upward), and deliver to each consumer group.
+// This is sjtree.Tree.Insert generalized from one parent to many.
+func (d *DAG) insert(n *node, row []uint64) {
+	if n.window > 0 && !n.rows.span(row).Within(n.window) {
 		n.windowDrops++
 		return
 	}
-	if !n.coll.Add(m) {
+	r, added := n.rows.add(match.HashEdgeSlots(n.rows.edges(row)), row)
+	if !added {
 		return
 	}
 	for _, pl := range n.parents {
-		d.join(pl.parent, pl.link, m)
+		d.join(pl.parent, pl.link, r)
 	}
 	for _, g := range n.consumers {
-		g.deliver(m)
+		g.deliver(n, n.rows.row(r))
 	}
 }
 
-// join indexes m, a stored match of l's child, under its cut projection and
-// inserts into p its join with every sibling match stored under the same.
-func (d *DAG) join(p *node, l *childLink, m *match.Match) {
+// join indexes row r of l's child under its cut key and inserts into p its
+// join with every sibling row indexed under the same key.
+func (d *DAG) join(p *node, l *childLink, r int) {
 	o := p.otherLink(l)
-	pg := p.frag.Graph
-	key := m.Projection(l.cuts)
-	l.part.Add(key, m)
-	for _, sm := range o.part.Probe(key) {
+	cs, ss := &l.child.rows, &o.child.rows
+	row := cs.row(r)
+	h := hashKey(row, l.cuts)
+	l.idx.add(cs, l.cuts, r, h)
+	for s := o.idx.probe(ss, o.cuts, row, l.cuts, h); s != chainEnd; s = int(o.idx.next[s]) {
 		p.joinAttempts++
-		joined := m.JoinMapped(pg.NumVertices(), pg.NumEdges(), l.vmap, l.emap, sm, o.vmap, o.emap)
-		if joined == nil {
+		if !joinRows(p, row, l, ss.row(s), o) {
 			continue
 		}
 		p.joinHits++
-		d.insert(p, joined)
+		d.insert(p, p.row)
 	}
 }
 
-// admit translates a canonical root match into the group's query space, once
-// for whoever reads it: nil when it does not cover the query — a plan bug;
-// drop rather than report a wrong result.
-func (g *consumerGroup) admit(m *match.Match) *match.Match {
+// joinRows writes into p's scratch the join of a, a row of l's child, and b,
+// one of o's, both read through their links into p's canonical space, or
+// reports false when they do not join. The rules are match.Join's on the two
+// remapped partials: a parent vertex or edge both bind must hold the same
+// data vertex or edge, and no data vertex may sit under two parent
+// vertices; the span is the union.
+func joinRows(p *node, a []uint64, l *childLink, b []uint64, o *childLink) bool {
+	dst := p.row[:p.rows.nv+p.rows.ne]
+	for i := range dst {
+		dst[i] = unbound
+	}
+	for i, at := range l.pos {
+		dst[at] = a[i]
+	}
+	av := a[:l.child.rows.nv]
+	for j, at := range o.pos {
+		w := b[j]
+		if dst[at] != unbound && dst[at] != w {
+			return false // bound apart
+		}
+		if j < o.child.rows.nv && dst[at] != w && slices.Contains(av, w) {
+			return false // one data vertex under two parent vertices
+		}
+		dst[at] = w
+	}
+	p.rows.setSpan(p.row, l.child.rows.span(a).Union(o.child.rows.span(b)))
+	return true
+}
+
+// unbound is the empty binding word, match.Match's.
+const unbound = ^uint64(0)
+
+// admit builds a canonical root row of n into a match in the group's query
+// space, once for whoever reads it: nil when it does not cover the query — a
+// plan bug; drop rather than report a wrong result.
+func (g *consumerGroup) admit(n *node, row []uint64) *match.Match {
 	lead := g.members[0]
 	nv, ne := lead.q.NumVertices(), lead.q.NumEdges()
+	s := &n.rows
+	m := match.RemapSlots(nv, ne, row[:s.nv], s.edges(row), lead.rootVMap, lead.rootEMap, s.span(row))
 	if m.NumVertices() != nv || m.NumEdges() != ne {
 		return nil
 	}
-	return m.Remap(nv, ne, lead.rootVMap, lead.rootEMap)
+	return m
 }
 
-// deliver fans a canonical root match out to the group, preserving the
+// deliver fans a canonical root row of n out to the group, preserving the
 // private tree's acceptance rules per query — completeness, the query's own
 // window, exactly once, then emit — while doing each once: the checks run on
-// the canonical match, the first member to pass its window has it remapped
-// into query space and looked up in the group's set, the first to emit
-// builds the signature, and later members are handed the same match and
-// string.
-func (g *consumerGroup) deliver(m *match.Match) {
+// the canonical row, the first member to pass its window has it built into
+// a match in query space and looked up in the group's set, the first to
+// emit builds the signature, and later members are handed the same match
+// and string.
+func (g *consumerGroup) deliver(n *node, row []uint64) {
+	span := n.rows.span(row)
 	var qm *match.Match
 	var sig string
 	for _, att := range g.members {
-		if !m.WithinWindow(att.window) {
+		if att.window > 0 && !span.Within(att.window) {
 			continue
 		}
 		if qm == nil {
-			if qm = g.admit(m); qm == nil || !g.emitted.Add(qm) {
+			if qm = g.admit(n, row); qm == nil || !g.emitted.Add(qm) {
 				return
 			}
 		}
@@ -431,10 +483,10 @@ func (a *Attachment) send(qm *match.Match, sig string) string {
 // matches whose span start has aged past the node's effective window (the
 // widest window of any attachment reaching it), or — for nodes on unbounded
 // paths — matches binding a data edge that has expired from the retention
-// window. The node's collection and the partitions indexing its inputs are
-// swept with the same predicate — an input's window is at least the node's,
-// so an index entry never outlives the match it points to. Returns the number
-// of stored matches removed, each counted once.
+// window. The cut indexes of a node's parent links are swept with each
+// parent's predicate in the same pass (sweep) — an input's window is at least
+// the node's, so an index entry never outlives the row it chains. Returns the
+// number of stored matches removed, each counted once.
 //
 // With the partial matches pruned, nothing left in the DAG or the graph
 // starts below the graph's expiry cutoff, so every consumer group's emitted
@@ -442,16 +494,7 @@ func (a *Attachment) send(qm *match.Match, sig string) string {
 func (d *DAG) Prune(wm graph.Timestamp, expired map[graph.EdgeID]struct{}) int {
 	removed := 0
 	for _, sig := range d.order {
-		n := d.nodes[sig]
-		drop := dropPredicate(n.window, wm, expired)
-		if drop == nil {
-			continue
-		}
-		removed += n.coll.PruneWhere(drop)
-		if n.left != nil {
-			n.left.part.PruneWhere(drop)
-			n.right.part.PruneWhere(drop)
-		}
+		removed += sweep(d.nodes[sig], wm, expired, match.HashEdgeSlots, hashKey)
 	}
 	cutoff, retention := d.g.Cutoff(), d.g.Window()
 	for _, sig := range d.order {
@@ -460,29 +503,4 @@ func (d *DAG) Prune(wm graph.Timestamp, expired map[graph.EdgeID]struct{}) int {
 		}
 	}
 	return removed
-}
-
-// dropPredicate builds the prune predicate for one node, or nil when there
-// is nothing to check.
-func dropPredicate(window time.Duration, wm graph.Timestamp, expired map[graph.EdgeID]struct{}) func(*match.Match) bool {
-	if window > 0 {
-		cutoff := wm - graph.Timestamp(window)
-		return func(m *match.Match) bool {
-			return m.HasSpan() && m.Span.Start < cutoff
-		}
-	}
-	if len(expired) == 0 {
-		return nil
-	}
-	return func(m *match.Match) bool {
-		found := false
-		m.ForEachEdge(func(_ query.EdgeID, de graph.EdgeID) bool {
-			if _, ok := expired[de]; ok {
-				found = true
-				return false
-			}
-			return true
-		})
-		return found
-	}
 }

@@ -94,7 +94,7 @@ func MergeStats(snaps ...Stats) Stats {
 func (d *DAG) PartialMatches() int {
 	total := 0
 	for _, n := range d.nodes {
-		total += n.coll.Len()
+		total += n.rows.len()
 	}
 	return total
 }
@@ -120,16 +120,16 @@ func (d *DAG) Stats() Stats {
 			Refs:         n.refs(),
 			Consumers:    n.refs() - len(n.parents),
 			Window:       n.window,
-			Stored:       n.coll.Len(),
-			Inserted:     n.coll.InsertedTotal(),
-			Pruned:       n.coll.PrunedTotal(),
+			Stored:       n.rows.len(),
+			Inserted:     n.rows.inserted,
+			Pruned:       n.rows.pruned,
 			Searches:     n.searches,
 			JoinAttempts: n.joinAttempts,
 			JoinHits:     n.joinHits,
 			WindowDrops:  n.windowDrops,
 		}
 		if n.left != nil {
-			ns.Partitions = n.left.part.Partitions() + n.right.part.Partitions()
+			ns.Partitions = n.left.idx.keys.n + n.right.idx.keys.n
 		}
 		s.PerNode = append(s.PerNode, ns)
 	}

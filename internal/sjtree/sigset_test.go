@@ -300,9 +300,9 @@ func TestEmittedSetSteadyStateEvictionAllocatesNothing(t *testing.T) {
 // and re-add, the flat table accepts exactly what a map from signature to
 // match accepts — with the real hash and with every entry forced onto one or
 // sixteen 64-bit hashes, where only match.SameEdges tells bindings apart and
-// probe chains run through pruned entries' old slots. Pruning goes through a
-// Collection, which rebuilds the table from what it kept, including down to
-// nothing and back up.
+// probe chains run through pruned entries' old slots. Pruning rebuilds the
+// table from what it kept, as an SJ-Tree node does, including down to nothing
+// and back up.
 func TestSigSetAgainstMapReference(t *testing.T) {
 	for name, hash := range map[string]func(*match.Match) uint64{
 		"real hash":    (*match.Match).EdgeSetHash,
@@ -365,11 +365,12 @@ func TestSigSetAgainstMapReference(t *testing.T) {
 	}
 }
 
-// TestCollectionPruneRebuildsTheTable: a Collection pruned down to a sliver
-// forgets what it dropped (so it can be stored again), keeps what it kept,
-// and lets go of a table sized for what it used to hold.
-func TestCollectionPruneRebuildsTheTable(t *testing.T) {
-	c := NewCollection()
+// TestSigSetResetShrinksTheTable: a set reset for a sliver of what it held
+// and given back only that sliver forgets the rest (so it can be added
+// again), keeps the sliver, and lets go of a table sized for what it used to
+// hold — the rebuild a pruned SJ-Tree node does.
+func TestSigSetResetShrinksTheTable(t *testing.T) {
+	var set sigSet
 	bind := func(i int) *match.Match {
 		m := match.NewSized(0, 2)
 		m.BindEdge(0, graph.EdgeID(i), graph.Timestamp(i))
@@ -377,43 +378,23 @@ func TestCollectionPruneRebuildsTheTable(t *testing.T) {
 	}
 	const n = 5000
 	for i := 0; i < n; i++ {
-		if !c.Add(bind(i)) {
+		if !set.add(bind(i)) {
 			t.Fatalf("fresh match %d rejected", i)
 		}
 	}
-	big := len(c.sigs.table)
-	if removed := c.PruneWhere(func(m *match.Match) bool { return m.Span.Start < n-100 }); removed != n-100 || c.Len() != 100 {
-		t.Fatalf("pruned %d, %d left", removed, c.Len())
+	big := len(set.table)
+	set.reset(100)
+	for i := n - 100; i < n; i++ {
+		set.add(bind(i))
 	}
-	if len(c.sigs.table) >= big/8 || c.sigs.n != 100 {
-		t.Fatalf("table has %d slots for %d entries after the prune, %d before", len(c.sigs.table), c.sigs.n, big)
+	if len(set.table) >= big/8 || set.n != 100 {
+		t.Fatalf("table has %d slots for %d entries after the reset, %d before", len(set.table), set.n, big)
 	}
 	for i := 0; i < n; i++ {
-		if got, want := c.Add(bind(i)), i < n-100; got != want {
-			t.Fatalf("after the prune Add(%d) = %v, want %v", i, got, want)
+		if got, want := set.add(bind(i)), i < n-100; got != want {
+			t.Fatalf("after the reset add(%d) = %v, want %v", i, got, want)
 		}
 	}
-	if c.PruneWhere(func(*match.Match) bool { return false }) != 0 || c.Len() != n {
-		t.Fatalf("a prune that drops nothing changed the collection: %d left", c.Len())
-	}
-}
-
-// TestCollectionAddAllocationBudget: storing a fresh partial costs a slot in
-// the dedup table and one in the stored list — no bucket of its own.
-func TestCollectionAddAllocationBudget(t *testing.T) {
-	c := NewCollection()
-	fresh := make([]*match.Match, allocbudget.Runs+1) // one per call, built up front
-	for i := range fresh {
-		fresh[i] = match.NewSized(0, 2)
-		fresh[i].BindEdge(0, graph.EdgeID(i), 0)
-	}
-	next := 0
-	allocbudget.Check(t, "sjtree.Collection.Add", func() {
-		if !c.Add(fresh[next]) {
-			t.Fatal("fresh match rejected")
-		}
-		next++
-	})
 }
 
 // TestEmittedSetMerge: merging adds exactly what the receiver lacks, leaves

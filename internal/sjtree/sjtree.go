@@ -20,9 +20,10 @@
 // until complete matches emerge at the root within the query's time window.
 //
 // The engine does not run Trees: it folds every query's plan into the shared
-// evaluation DAG of internal/mqo, built from this package's storage pieces
-// (Collection, Partition, EmittedSet; shared.go). Tree stays as the
-// single-query reference the DAG is checked and measured against.
+// evaluation DAG of internal/mqo, which stores its partials as rows of its
+// own and remembers what it emitted in this package's EmittedSet
+// (shared.go). Tree stays as the single-query reference the DAG is checked
+// and measured against.
 package sjtree
 
 import (

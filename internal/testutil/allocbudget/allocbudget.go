@@ -1,8 +1,8 @@
 // Package allocbudget is the checked-in table of allocation budgets for the
-// emit/dedup layer, the window graph, local search and the wire codec: a
-// ceiling on heap allocations per call for each named operation, enforced by
-// blocking unit tests next to the code they measure
-// (the first instalment of the ROADMAP's deterministic-counter gate). The
+// emit/dedup layer, the DAG's partial rows and joins, the window graph, local
+// search and the wire codec: a ceiling on heap allocations per call for each
+// named operation, enforced by blocking unit tests next to the code they
+// measure (the first instalment of the ROADMAP's deterministic-counter gate). The
 // counts repeat exactly from run to run, so a test fails on the first
 // allocation over budget; raising a ceiling is a reviewed change to this
 // file, not to the test that tripped.
@@ -13,23 +13,16 @@ import "testing"
 // ceilings maps an operation to its maximum allocations per call.
 var ceilings = map[string]float64{
 	// internal/match: a match is one heap object, a signature one string.
-	"match.Signature": 1,
-	"match.Remap":     1,
-	"match.Clone":     1,
-	"match.Join":      1,
-	// A join through two links' maps is its result and nothing else; a pair
-	// that cannot join costs nothing.
-	"match.JoinMapped":         1,
-	"match.JoinMapped/refused": 0,
+	"match.Signature":  1,
+	"match.RemapSlots": 1,
+	"match.Clone":      1,
+	"match.Join":       1,
 	// internal/sjtree: the emitted set allocates only when its table
 	// doubles or an arena chunk fills — nothing per add, amortised — and
 	// once its ring of generations has turned, adding 64 fresh matches and
 	// expiring as many old ones runs on recycled tables and chunks.
 	"sjtree.EmittedSet.Add":                0,
 	"sjtree.EmittedSet evict/steady-state": 0,
-	// A stored partial is a slot in its collection's flat dedup table and
-	// one in the stored list: nothing per add, amortised over their growth.
-	"sjtree.Collection.Add": 0,
 	// internal/export: the bindings and the edge-ID list; the signature
 	// arrives on the event. Three when the report has to build it. The 25
 	// reports of one match fanned out to a consumer group share both slices,
@@ -37,13 +30,17 @@ var ceilings = map[string]float64{
 	"export.BuildReport":                2,
 	"export.BuildReport/unsigned":       3,
 	"export.Reporter/25-consumer group": 2,
-	// internal/mqo: one root match fanned out to a group of 25 queries is
-	// one Remap and one Signature, whatever the group's size. A partial
-	// stored under a parent is indexed, not copied, and a probe that finds
-	// no compatible sibling builds nothing: storing it allocates nothing
-	// but the amortised growth of the collection and the partition bucket.
+	// internal/mqo: one root row fanned out to a group of 25 queries is one
+	// match built in query space and one Signature, whatever the group's
+	// size. Every partial below a root is a row: stored in its node's arena
+	// behind a dedup slot, chained under its cut key in each parent link's
+	// index, joined into the parent's scratch. Storing one under a new cut
+	// key, storing the row a join produced, and the leaf search that finds
+	// one allocate nothing but the amortised growth of arenas and tables.
 	"mqo.deliver/25-consumers":                              2,
 	"mqo.insert/stored partial, one parent, no sibling hit": 0,
+	"mqo.insert/joined partial":                             0,
+	"mqo.ProcessEdge/leaf search, no join":                  0,
 	// internal/wire: attribute keys are sorted on the stack, so an edge with
 	// all three attribute maps populated, or a match whose bindings carry
 	// attributes, encodes into a grown buffer for free.
@@ -64,9 +61,9 @@ var ceilings = map[string]float64{
 	// expires one and brings back a vertex that went isolated runs on
 	// recycled records and lists; an edge record is a 146th of a slab chunk.
 	"graph.Dynamic.Apply/steady-state window": 0,
-	// internal/isomorphism: closing a cycle through an existing edge costs
-	// the match it completes and nothing else.
-	"isomorphism.extend/closing edge": 1,
+	// internal/isomorphism: the search binds in place, so closing a cycle
+	// through an existing edge costs nothing.
+	"isomorphism.extend/closing edge": 0,
 	// internal/wal: a batch goes to the log through two reused buffers. The
 	// four are the hand-off to the worker (channel, goroutine, closures),
 	// paid per batch: per edge the encoder allocates nothing, and neither
