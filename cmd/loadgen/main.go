@@ -176,42 +176,25 @@ func main() {
 			log.Fatalf("loadgen: opening edge stream: %v", err)
 		}
 	}
-	// ingest hands one chunk to the daemon. Transient failures — 429 shed,
-	// 503 while draining or degraded, connection errors across a daemon
-	// restart — are retried with capped exponential backoff; two minutes of
-	// sustained failure is fatal. Retries are driven here rather than inside
-	// the client so that every (re)send first waits for the match stream to
-	// be attached: a batch accepted by a freshly restarted daemon before the
-	// subscriber reattaches would have its matches delivered to no one, and
-	// nothing short of another restart would redeliver them — a silent hole
-	// in the signature set that crash-recovery comparisons diff against.
+	// ingest hands one chunk to the daemon through sendRetrying; two minutes
+	// of sustained failure is fatal. A persistent session's Send is never
+	// retried: its failure ends the session.
 	var retries uint64
 	ingest := func(chunk []graph.StreamEdge, wait bool) error {
-		if es != nil && len(chunk) == 0 {
-			return nil // the final flush is EdgeStream.Close below
+		if es != nil {
+			if len(chunk) == 0 {
+				return nil // the final flush is EdgeStream.Close below
+			}
+			_, err := sendRetrying(func() error { return es.Send(chunk) },
+				func(error) bool { return false }, attached.Load, 2*time.Minute)
+			return err
 		}
-		delay := 5 * time.Millisecond
-		deadline := time.Now().Add(2 * time.Minute)
-		for {
-			for !attached.Load() {
-				if time.Now().After(deadline) {
-					return fmt.Errorf("match stream detached for too long")
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
-			if es != nil {
-				return es.Send(chunk)
-			}
+		n, err := sendRetrying(func() error {
 			_, err := c.IngestBatch(ctx, chunk, wait)
-			if err == nil || !client.IsRetryable(err) || time.Now().After(deadline) {
-				return err
-			}
-			retries++
-			time.Sleep(delay)
-			if delay < time.Second {
-				delay *= 2
-			}
-		}
+			return err
+		}, client.IsRetryable, attached.Load, 2*time.Minute)
+		retries += n
+		return err
 	}
 
 	for i := 0; i < len(w.Edges); i += *batch {
@@ -267,6 +250,40 @@ func main() {
 		// Every workload weaves attacks or events into its stream, so a run
 		// that delivers nothing exercised nothing.
 		log.Fatalf("loadgen: no match delivered for workload %s", w.Name)
+	}
+}
+
+// sendRetrying makes send's attempts until one succeeds, fails with an error
+// retryable rejects, or budget has passed since the call; it returns that
+// attempt's error and the number of retries made. Transient failures — 429
+// shed, 503 while draining or degraded, connection errors across a daemon
+// restart — are retried with exponential backoff from 5 ms, capped near a
+// second. Retries are driven here rather than inside the client so that every
+// (re)send first waits for attached to report the match stream attached: a
+// batch accepted by a freshly restarted daemon before the subscriber
+// reattaches would have its matches delivered to no one, and nothing short of
+// another restart would redeliver them — a silent hole in the signature set
+// that crash-recovery comparisons diff against.
+func sendRetrying(send func() error, retryable func(error) bool, attached func() bool, budget time.Duration) (uint64, error) {
+	var retries uint64
+	delay := 5 * time.Millisecond
+	deadline := time.Now().Add(budget)
+	for {
+		for !attached() {
+			if time.Now().After(deadline) {
+				return retries, fmt.Errorf("match stream detached for too long")
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		err := send()
+		if err == nil || !retryable(err) || time.Now().After(deadline) {
+			return retries, err
+		}
+		retries++
+		time.Sleep(delay)
+		if delay < time.Second {
+			delay *= 2
+		}
 	}
 }
 

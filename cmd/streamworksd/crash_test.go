@@ -84,11 +84,17 @@ func TestExactlyOnceAcrossSIGKILL(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	cli := client.New("http://"+addr, client.WithRetry(client.RetryPolicy{
-		MaxAttempts: -1, // until ctx cancellation
-		BaseDelay:   10 * time.Millisecond,
-		MaxDelay:    250 * time.Millisecond,
-	}))
+	cli := client.New("http://" + addr)
+	// ingest retries transient failures until ctx ends, as loadgen does.
+	ingest := func(edges []graph.StreamEdge) error {
+		for {
+			_, err := cli.IngestBatch(ctx, edges, true)
+			if err == nil || !client.IsRetryable(err) || ctx.Err() != nil {
+				return err
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
 	waitHealthy(t, ctx, cli)
 	for _, q := range w.Queries {
 		if _, err := cli.RegisterQuery(ctx, q); err != nil {
@@ -166,7 +172,7 @@ func TestExactlyOnceAcrossSIGKILL(t *testing.T) {
 			// from new edges must have someone to reach.
 			waitAttached(t, ctx, &attached)
 		}
-		if _, err := cli.IngestBatch(ctx, w.Edges[i:j], true); err != nil {
+		if err := ingest(w.Edges[i:j]); err != nil {
 			t.Fatalf("IngestBatch at %d: %v", i, err)
 		}
 	}

@@ -46,9 +46,7 @@ func main() {
 		requireDur    = flag.Bool("require-durability", false, "refuse ingest with 503 while durability is degraded instead of continuing in-memory (needs -data-dir)")
 		ingestTimeout = flag.Duration("ingest-timeout", 0, "bound on how long a wait=1 ingest request blocks before answering 503 (0 = unbounded)")
 
-		obsOn       = flag.Bool("obs", false, "enable clock reads and tracing: per-segment, journey and detect-lag histograms and the trace ring (counters and gauges are always kept and exported at GET /metrics)")
-		traceBuffer = flag.Int("trace-buffer", 4096, "edge-journey trace ring capacity in events (0 disables tracing; needs -obs)")
-		traceSample = flag.Int("trace-sample", 64, "trace one edge in n, selected by edge ID (0 disables tracing); at most 1000 events are recorded per second")
+		obsOn = flag.Bool("obs", false, "enable clock reads: the per-segment, journey and detect-lag latency histograms (counters and gauges are always kept; all are exported at GET /metrics)")
 
 		strategy = flag.String("strategy", "", "default decomposition strategy for registrations (selective, lazy, eager, balanced; empty = selective)")
 		adaptive = flag.Bool("adaptive", false, "adapt query plans to live stream statistics by default (per-query override: POST /v1/queries?adaptive=on|off)")
@@ -77,19 +75,14 @@ func main() {
 		log.Fatalf("streamworksd: -require-durability needs -data-dir")
 	}
 
-	obsCfg := obs.Config{Enabled: *obsOn}
-	if *obsOn {
-		obsCfg.Tracer = obs.NewTracer(*traceBuffer, *traceSample, 0, obs.SystemClock) // 0: obs's default rate cap
-	}
-
 	// The tuning values the daemon has no flag for — triad sampling, prune
-	// interval, mailbox depth, ingest queue depth, batch cap, group-commit
-	// interval, re-planning cadence, trace rate cap — are the owning
-	// packages' defaults: the only values any ledger run has measured.
+	// interval, mailbox depth, watermark broadcast step, ingest queue depth,
+	// batch cap, group-commit interval, re-planning cadence — are the owning
+	// packages' constants: the only values any ledger run has measured.
 	engine := core.DefaultConfig()
 	engine.Retention = *retention
 	engine.Slack = *slack
-	engine.Obs = obsCfg
+	engine.Obs = obs.Config{Enabled: *obsOn}
 
 	srv := server.New(server.Config{
 		Shard:             shard.Config{Shards: *shards, Engine: engine},
@@ -106,8 +99,8 @@ func main() {
 	if *pprofAddr != "" {
 		// A dedicated mux on a dedicated listener: profiling and the
 		// observability surface stay off the public API (the API mux also
-		// serves /metrics and /debug/trace, but operators typically bind
-		// this one to loopback and scrape here).
+		// serves /metrics, but operators typically bind this one to loopback
+		// and scrape here).
 		pm := http.NewServeMux()
 		pm.HandleFunc("/debug/pprof/", pprof.Index)
 		pm.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -115,7 +108,6 @@ func main() {
 		pm.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pm.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		pm.Handle("/metrics", srv.PromHandler())
-		pm.Handle("/debug/trace", srv.TraceHandler())
 		go func() {
 			log.Printf("streamworksd: pprof/metrics listening on %s", *pprofAddr)
 			if err := http.ListenAndServe(*pprofAddr, pm); err != nil {

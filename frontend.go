@@ -216,9 +216,3 @@ func (f *frontend) AckDelivered(query, signature string, spanStart int64) {
 
 // ObsEnabled reports whether the engine was built WithObservability.
 func (f *frontend) ObsEnabled() bool { return f.cfg.engine.Obs.Enabled }
-
-// TraceDump returns the buffered edge-journey trace events, oldest first;
-// nil unless the engine was built WithTraceSampling. All shards of a Sharded
-// engine share one ring, so a sampled edge's mailbox, process and match
-// events interleave here in recording order.
-func (f *frontend) TraceDump() []TraceEvent { return f.cfg.engine.Obs.Tracer.Dump() }

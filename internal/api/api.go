@@ -29,8 +29,9 @@ type HealthResponse struct {
 	// the binary answering this probe.
 	GoVersion string `json:"go_version"`
 	// ObsEnabled reports whether the daemon runs with the observability
-	// layer on (streamworksd -obs): /metrics exposition, /debug/trace and
-	// the obs section of /v1/metrics are live when true.
+	// layer on (streamworksd -obs): the segment, journey and detect-lag
+	// latency histograms in /metrics and in the obs section of /v1/metrics
+	// are recorded only when true.
 	ObsEnabled bool `json:"obs_enabled"`
 	// Durability is the engine's durability mode: "off" (no -data-dir),
 	// "ok" (WAL live) or "degraded" (durability requested but the WAL could
@@ -145,14 +146,6 @@ type MetricsResponse struct {
 	// WAL carries the durability counters when the daemon runs with a data
 	// dir (streamworksd -data-dir); absent otherwise.
 	WAL *WALMetrics `json:"wal,omitempty"`
-}
-
-// TraceResponse is the GET /debug/trace payload: the sampled edge-journey
-// ring, oldest first, plus the tracer's cumulative counts.
-type TraceResponse struct {
-	Events   []obs.TraceEvent `json:"events"`
-	Recorded uint64           `json:"recorded"`
-	Dropped  uint64           `json:"dropped"`
 }
 
 // WALMetricsFrom reads the durability view out of a snapshot holding a WAL

@@ -3,10 +3,11 @@
 // back into the text DSL), pushes edge batches — NDJSON or binary frames,
 // selected with WithTransport — with the same wire encoders the server
 // decodes with, holds persistent binary ingest sessions open (EdgeStream),
-// streams match reports with incremental decoding (including self-healing
-// resubscription, SubscribeMatchesRetry), and fetches metrics. The
-// end-to-end tests and cmd/loadgen drive live servers exclusively through
-// it.
+// streams match reports with incremental decoding, and fetches metrics. It
+// does not retry: callers classify failures with IsRetryable and
+// IsOverloaded and own their retry loop (cmd/loadgen's is the one in the
+// repo). The end-to-end tests and cmd/loadgen drive live servers
+// exclusively through it.
 package client
 
 import (
@@ -16,13 +17,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
-	"sync/atomic"
-	"time"
 
 	"github.com/streamworks/streamworks/internal/api"
 	"github.com/streamworks/streamworks/internal/export"
@@ -36,9 +33,7 @@ import (
 type Client struct {
 	base      string
 	hc        *http.Client
-	policy    RetryPolicy
 	transport Transport
-	retries   atomic.Uint64
 }
 
 // Option customizes a Client.
@@ -49,99 +44,6 @@ type Option func(*Client)
 // used (match streams are long-lived); use per-call contexts instead.
 func WithHTTPClient(hc *http.Client) Option {
 	return func(c *Client) { c.hc = hc }
-}
-
-// WithRetry makes IngestBatch retry transient failures (429 overload, 503
-// unavailability, transport errors) under the given policy instead of
-// surfacing them. The zero policy disables retry (the default).
-func WithRetry(p RetryPolicy) Option {
-	return func(c *Client) { c.policy = p }
-}
-
-// RetryPolicy is a capped exponential backoff with jitter for transient
-// ingest failures. The zero value disables retry.
-type RetryPolicy struct {
-	// MaxAttempts bounds total tries including the first (0 or 1 disables
-	// retry; negative retries until the context is cancelled).
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry (default 5ms when
-	// retry is enabled); it doubles every attempt up to MaxDelay.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff (default 1s). A server-supplied Retry-After
-	// longer than the computed backoff is honored up to 10×MaxDelay.
-	MaxDelay time.Duration
-}
-
-// enabled reports whether the policy retries at all.
-func (p RetryPolicy) enabled() bool { return p.MaxAttempts < 0 || p.MaxAttempts > 1 }
-
-// backoff computes the sleep before retry number attempt (1-based), or
-// ok=false when the attempt budget is spent. The delay is the capped
-// exponential with full jitter on its upper half, stretched to honor a
-// server-supplied Retry-After.
-func (p RetryPolicy) backoff(attempt int, retryAfter time.Duration) (time.Duration, bool) {
-	if !p.enabled() || (p.MaxAttempts > 0 && attempt >= p.MaxAttempts) {
-		return 0, false
-	}
-	base := p.BaseDelay
-	if base <= 0 {
-		base = 5 * time.Millisecond
-	}
-	maxd := p.MaxDelay
-	if maxd <= 0 {
-		maxd = time.Second
-	}
-	d := base
-	for i := 1; i < attempt && d < maxd; i++ {
-		d *= 2
-	}
-	if d > maxd {
-		d = maxd
-	}
-	// Full jitter on the upper half de-synchronizes a fleet of feeders that
-	// all saw the same 429.
-	d = d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-	if retryAfter > d {
-		if cap := 10 * maxd; retryAfter > cap {
-			retryAfter = cap
-		}
-		d = retryAfter
-	}
-	return d, true
-}
-
-// Retries returns how many ingest attempts this client has retried.
-func (c *Client) Retries() uint64 { return c.retries.Load() }
-
-// retry runs op under the client's RetryPolicy: a transient failure (see
-// IsRetryable) is retried after the policy's backoff, stretched to honor a
-// server-supplied Retry-After, until op succeeds, fails permanently, the
-// attempt budget is spent — the zero policy's budget is the first attempt —
-// or ctx ends.
-func (c *Client) retry(ctx context.Context, op func() error) error {
-	for attempt := 1; ; attempt++ {
-		err := op()
-		if err == nil || !IsRetryable(err) {
-			return err
-		}
-		var retryAfter time.Duration
-		var ae *APIError
-		if errors.As(err, &ae) {
-			retryAfter = ae.RetryAfter
-		}
-		delay, ok := c.policy.backoff(attempt, retryAfter)
-		if !ok {
-			return err
-		}
-		c.retries.Add(1)
-		t := time.NewTimer(delay)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return ctx.Err()
-		case <-t.C:
-		}
-	}
 }
 
 // New builds a client for the server at baseURL (e.g. "http://127.0.0.1:8090").
@@ -157,8 +59,6 @@ func New(baseURL string, opts ...Option) *Client {
 type APIError struct {
 	Status  int
 	Message string
-	// RetryAfter is the server's Retry-After hint, zero when absent.
-	RetryAfter time.Duration
 }
 
 // Error implements error.
@@ -200,11 +100,7 @@ func apiError(resp *http.Response) error {
 	if json.Unmarshal(body, &er) == nil && er.Error != "" {
 		msg = er.Error
 	}
-	ae := &APIError{Status: resp.StatusCode, Message: msg}
-	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && ra > 0 {
-		ae.RetryAfter = time.Duration(ra) * time.Second
-	}
-	return ae
+	return &APIError{Status: resp.StatusCode, Message: msg}
 }
 
 func (c *Client) roundTrip(ctx context.Context, method, path, contentType string, body io.Reader, out any) error {
@@ -243,23 +139,13 @@ func (c *Client) Health(ctx context.Context) (*api.HealthResponse, error) {
 // RegisterQuery serializes q into the text DSL and registers it with the
 // daemon's default planning options.
 func (c *Client) RegisterQuery(ctx context.Context, q *query.Graph) (*api.RegisterResponse, error) {
-	return c.RegisterQueryDSL(ctx, query.Format(q))
+	return c.RegisterQueryWith(ctx, q, api.RegisterOptions{})
 }
 
 // RegisterQueryWith serializes q into the text DSL and registers it with
-// explicit planning options (decomposition strategy, adaptive re-planning).
+// explicit planning options (decomposition strategy, adaptive re-planning),
+// carried as URL query parameters so the body stays pure DSL text.
 func (c *Client) RegisterQueryWith(ctx context.Context, q *query.Graph, opts api.RegisterOptions) (*api.RegisterResponse, error) {
-	return c.RegisterQueryDSLWith(ctx, query.Format(q), opts)
-}
-
-// RegisterQueryDSL registers a query written in the text DSL.
-func (c *Client) RegisterQueryDSL(ctx context.Context, dsl string) (*api.RegisterResponse, error) {
-	return c.RegisterQueryDSLWith(ctx, dsl, api.RegisterOptions{})
-}
-
-// RegisterQueryDSLWith registers a DSL query with explicit planning
-// options, carried as URL query parameters so the body stays pure DSL text.
-func (c *Client) RegisterQueryDSLWith(ctx context.Context, dsl string, opts api.RegisterOptions) (*api.RegisterResponse, error) {
 	path := "/v1/queries"
 	params := url.Values{}
 	if opts.Strategy != "" {
@@ -273,7 +159,7 @@ func (c *Client) RegisterQueryDSLWith(ctx context.Context, dsl string, opts api.
 	}
 	var out api.RegisterResponse
 	err := c.roundTrip(ctx, http.MethodPost, path, "text/plain; charset=utf-8",
-		strings.NewReader(dsl), &out)
+		strings.NewReader(query.Format(q)), &out)
 	if err != nil {
 		return nil, err
 	}
@@ -294,34 +180,11 @@ func (c *Client) Queries(ctx context.Context) ([]api.QueryInfo, error) {
 	return out, nil
 }
 
-// QueryDSL fetches one registered query rendered back as DSL text.
-func (c *Client) QueryDSL(ctx context.Context, name string) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.base+"/v1/queries/"+url.PathEscape(name), nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", apiError(resp)
-	}
-	body, err := io.ReadAll(resp.Body)
-	return string(body), err
-}
-
 // IngestBatch encodes edges as NDJSON (the loader wire format) and posts
 // them. wait=true blocks until the batch has been routed to the shards;
-// wait=false returns as soon as the batch is queued. Under WithRetry,
-// transient failures (429 overload — honoring the server's Retry-After —
-// 503, transport errors while the daemon restarts) are retried with capped
-// exponential backoff and jitter, re-posting the same encoded body each
-// attempt; retries stop as soon as ctx is cancelled. Without a policy a
-// full ingest queue surfaces as an *APIError with status 429 (check with
-// IsOverloaded).
+// wait=false returns as soon as the batch is queued. A full ingest queue
+// surfaces as an *APIError with status 429 (check with IsOverloaded); any
+// failure IsRetryable accepts may be retried by re-posting the same batch.
 func (c *Client) IngestBatch(ctx context.Context, edges []graph.StreamEdge, wait bool) (*api.IngestResponse, error) {
 	var payload []byte
 	contentType := "application/x-ndjson"
@@ -340,11 +203,7 @@ func (c *Client) IngestBatch(ctx context.Context, edges []graph.StreamEdge, wait
 		path += "?wait=1"
 	}
 	var out api.IngestResponse
-	err := c.retry(ctx, func() error {
-		out = api.IngestResponse{}
-		return c.roundTrip(ctx, http.MethodPost, path, contentType, bytes.NewReader(payload), &out)
-	})
-	if err != nil {
+	if err := c.roundTrip(ctx, http.MethodPost, path, contentType, bytes.NewReader(payload), &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

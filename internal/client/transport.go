@@ -7,7 +7,6 @@ import (
 	"net/http"
 
 	"github.com/streamworks/streamworks/internal/api"
-	"github.com/streamworks/streamworks/internal/export"
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/wire"
 )
@@ -67,7 +66,6 @@ type EdgeStream struct {
 	buf     []byte
 	scratch []byte
 	started bool
-	sent    int
 }
 
 type edgeStreamResult struct {
@@ -125,15 +123,9 @@ func (es *EdgeStream) Send(edges []graph.StreamEdge) error {
 	for _, se := range edges {
 		es.buf, es.scratch = wire.AppendEdgeFrame(es.buf, es.scratch, se)
 	}
-	if _, err := es.pw.Write(es.buf); err != nil {
-		return err
-	}
-	es.sent += len(edges)
-	return nil
+	_, err := es.pw.Write(es.buf)
+	return err
 }
-
-// Sent reports how many edges have been written to the session so far.
-func (es *EdgeStream) Sent() int { return es.sent }
 
 // Close ends the session body and waits for the server's summary. The
 // response's Accepted is the authoritative count of edges routed to the
@@ -142,75 +134,4 @@ func (es *EdgeStream) Close() (*api.IngestResponse, error) {
 	es.pw.Close()
 	r := <-es.done
 	return r.resp, r.err
-}
-
-// RetryStream is a self-healing match subscription: when the server evicts
-// this subscriber for falling behind, or the connection drops mid-stream,
-// it transparently resubscribes under the client's RetryPolicy and keeps
-// delivering. Matches buffered server-side but never flushed before the
-// break are redelivered on durable servers and lost on in-memory ones;
-// duplicates are possible either way — consumers that need exactly-once
-// deduplicate on (Query, Signature), the canonical match identity.
-type RetryStream struct {
-	c     *Client
-	ctx   context.Context
-	query string
-	sub   *Subscription
-
-	reconnects int
-}
-
-// SubscribeMatchesRetry opens a RetryStream for queryName ("" = all
-// queries). The initial subscribe also retries under the policy, so it can
-// be called while the daemon is still coming up.
-func (c *Client) SubscribeMatchesRetry(ctx context.Context, queryName string) *RetryStream {
-	return &RetryStream{c: c, ctx: ctx, query: queryName}
-}
-
-// Reconnects reports how many times the stream re-subscribed.
-func (rs *RetryStream) Reconnects() int { return rs.reconnects }
-
-// Next blocks for the next match report, resubscribing as needed. It
-// returns the context error when ctx ends, or the last subscribe error once
-// the retry budget is exhausted (a drained server answers every resubscribe
-// with 503, so a graceful daemon shutdown surfaces here as that 503).
-func (rs *RetryStream) Next() (export.MatchReport, error) {
-	for {
-		if rs.sub == nil {
-			if err := rs.dial(); err != nil {
-				return export.MatchReport{}, err
-			}
-		}
-		rep, err := rs.sub.Next()
-		if err == nil {
-			return rep, nil
-		}
-		rs.sub.Close()
-		rs.sub = nil
-		if rs.ctx.Err() != nil {
-			return export.MatchReport{}, rs.ctx.Err()
-		}
-		// io.EOF: evicted (or the server is draining — the resubscribe's
-		// 503 settles which). Anything else: a broken connection. Both are
-		// answered by resubscribing.
-		rs.reconnects++
-	}
-}
-
-// dial subscribes under the retry policy.
-func (rs *RetryStream) dial() error {
-	return rs.c.retry(rs.ctx, func() (err error) {
-		rs.sub, err = rs.c.SubscribeMatches(rs.ctx, rs.query)
-		return err
-	})
-}
-
-// Close releases the live subscription, if any.
-func (rs *RetryStream) Close() error {
-	if rs.sub != nil {
-		err := rs.sub.Close()
-		rs.sub = nil
-		return err
-	}
-	return nil
 }

@@ -406,18 +406,6 @@ func (e *Engine) ProcessEdge(se graph.StreamEdge) []MatchEvent {
 		e.obs.curArrival = se.ArrivedWallNS
 	}
 
-	// Sampled edge tracing: the gate is a nil check plus one modulo, and no
-	// event is constructed unless this edge is sampled.
-	var procStart int64
-	traced := false
-	if e.obs.enabled && e.obs.tracer.SampleEdge(uint64(stored.ID)) {
-		traced = true
-		procStart = e.obs.clock.Now()
-	}
-
-	if e.obs.enabled {
-		e.obs.curEdge = uint64(stored.ID)
-	}
 	// One DAG pass covers every registration; emissions arrive through
 	// Registration.emit, which appends to e.dagEvents (pointed at the
 	// scratch slice for this call).
@@ -428,18 +416,6 @@ func (e *Engine) ProcessEdge(se graph.StreamEdge) []MatchEvent {
 	e.evScratch = events
 	if len(events) > 0 {
 		e.obs.matchesDetected.Add(uint64(len(events)))
-	}
-
-	if traced {
-		now := e.obs.clock.Now()
-		e.obs.tracer.Record(obs.TraceEvent{
-			Stage:    obs.StageProcess,
-			Shard:    e.obs.shard,
-			EdgeID:   uint64(stored.ID),
-			StreamTS: int64(stored.Timestamp),
-			WallNS:   now,
-			DurNS:    now - procStart,
-		})
 	}
 
 	if e.obs.edgesProcessed.Value()%uint64(e.cfg.PruneInterval) == 0 {

@@ -8,9 +8,9 @@ import (
 // store of the engine's counts and sizes, kept whether or not observability
 // is on; the DAG keeps its own counts in the same registry (mqo.WithObs).
 // Handles are resolved once at construction, per-query ones at registration,
-// so the per-edge cost is a few atomic adds. The clock, the detect-lag
-// histogram and the tracer exist only when observability is enabled, and the
-// wall clock only ever arrives through the obs.Clock seam
+// so the per-edge cost is a few atomic adds. The clock and the detect-lag
+// histogram exist only when observability is enabled, and the wall clock
+// only ever arrives through the obs.Clock seam
 // (obs.TestHotPathReadsNoWallClock keeps concrete clocks out of this
 // package).
 type engineObs struct {
@@ -24,8 +24,6 @@ type engineObs struct {
 
 	enabled bool
 	clock   obs.Clock
-	tracer  *obs.Tracer
-	shard   int32
 	// detectLag is the stream-time detection lag per emitted match
 	// (DetectedAt − match span end) — pure timestamp arithmetic, no clock.
 	detectLag *obs.Histogram
@@ -36,10 +34,6 @@ type engineObs struct {
 	// suffices; Registration.emit copies it onto every match the edge
 	// completes.
 	curArrival int64
-	// curEdge is the stored ID of that same edge: emit has no *graph.Edge in
-	// hand (the DAG emits through callbacks), so trace sampling reads the ID
-	// from here.
-	curEdge uint64
 }
 
 // newEngineObs resolves the engine's handles in c's registry; c must be
@@ -64,8 +58,6 @@ func newEngineObs(c obs.Config) engineObs {
 	if c.Enabled {
 		o.enabled = true
 		o.clock = c.Clock
-		o.tracer = c.Tracer
-		o.shard = c.Shard
 		o.detectLag = r.Histogram(obs.DetectLagHistogramName, "", "")
 	}
 	return o

@@ -151,10 +151,9 @@ func (r *Registration) Matches() uint64 { return r.matches.Value() }
 // attachment's EmitSigned callback) for every complete match of this query,
 // already remapped into the query's own pattern space and deduplicated, with
 // the signature its consumer group built. It feeds the engine sinks, the
-// event slice and — when observability is on — the detection-lag histogram
-// and a sampled match trace event. Events accumulate on engine.dagEvents,
-// which ProcessEdge (and the plan-swap backfill) points at the appropriate
-// buffer.
+// event slice and — when observability is on — the detection-lag histogram.
+// Events accumulate on engine.dagEvents, which ProcessEdge (and the
+// plan-swap backfill) points at the appropriate buffer.
 func (r *Registration) emit(qm *match.Match, signature string) {
 	e := r.engine
 	o := &e.obs
@@ -169,16 +168,6 @@ func (r *Registration) emit(qm *match.Match, signature string) {
 		ev.ArrivedWallNS = o.curArrival
 		if qm.HasSpan() {
 			o.detectLag.Observe(int64(ev.DetectedAt - qm.Span.End))
-		}
-		if o.tracer.SampleEdge(o.curEdge) {
-			o.tracer.Record(obs.TraceEvent{
-				Stage:    obs.StageMatch,
-				Shard:    o.shard,
-				EdgeID:   o.curEdge,
-				StreamTS: int64(ev.DetectedAt),
-				WallNS:   ev.EmittedWallNS,
-				Query:    r.name,
-			})
 		}
 	}
 	r.matches.Inc()

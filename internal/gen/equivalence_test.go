@@ -49,18 +49,17 @@ func TestCrossStrategyEquivalenceMatrix(t *testing.T) {
 		name     string
 		shards   int  // 0 = single engine
 		adaptive bool // re-plans the DAG in place
-		traced   bool // observability + edge-journey tracing on
+		obs      bool // latency histograms on
 	}
 	modes := []mode{
 		{"single", 0, false, false},
 		{"single-adaptive", 0, true, false},
 		{"sharded2", 2, false, false},
 		{"sharded2-adaptive", 2, true, false},
-		// Observability cells: histograms plus 1-in-1 trace sampling are
-		// free to change HOW the run is recorded, never WHICH matches it
-		// finds.
-		{"single-traced", 0, false, true},
-		{"sharded2-adaptive-traced", 2, true, true},
+		// Observability cells: the latency histograms are free to change
+		// HOW the run is recorded, never WHICH matches it finds.
+		{"single-obs", 0, false, true},
+		{"sharded2-adaptive-obs", 2, true, true},
 	}
 	for _, w := range workloads {
 		w := w
@@ -79,10 +78,8 @@ func TestCrossStrategyEquivalenceMatrix(t *testing.T) {
 							streamworks.WithPlanStrategy(string(strat)),
 							streamworks.WithAdaptivePlanning(m.adaptive),
 						}
-						if m.traced {
-							opts = append(opts,
-								streamworks.WithObservability(true),
-								streamworks.WithTraceSampling(1024, 1, 1<<30))
+						if m.obs {
+							opts = append(opts, streamworks.WithObservability(true))
 						}
 						var (
 							set MatchSet
@@ -238,10 +235,9 @@ func TestLateRegistrationIsJudgedByItsOwnPlanner(t *testing.T) {
 }
 
 // TestObservabilityParity pins that instrumentation changes how a run is
-// recorded, never which matches it finds: histograms alone and histograms
-// plus the trace ring sampling one edge in 64, on one engine and on two
-// shards, all deliver the uninstrumented match set. (The matrix above covers
-// 1-in-1 tracing across strategies.)
+// recorded, never which matches it finds: with the latency histograms on, one
+// engine and two shards deliver the uninstrumented match set. (The matrix
+// above covers observability across strategies.)
 func TestObservabilityParity(t *testing.T) {
 	w := BenchNetFlowWorkload(4000, 200, 10*time.Second)
 	ref, _, err := RunSingle(w)
@@ -257,10 +253,6 @@ func TestObservabilityParity(t *testing.T) {
 	}{
 		{"off", nil},
 		{"histograms", []streamworks.Option{streamworks.WithObservability(true)}},
-		{"histograms+trace", []streamworks.Option{
-			streamworks.WithObservability(true),
-			streamworks.WithTraceSampling(4096, 64, 1_000_000),
-		}},
 	}
 	for _, shards := range []int{0, 2} {
 		for _, m := range modes {

@@ -322,96 +322,11 @@ func (g *Graph) OutEdges(v VertexID) []*Edge { return g.out[v] }
 // InEdges returns the edges entering v, under the same contract as OutEdges.
 func (g *Graph) InEdges(v VertexID) []*Edge { return g.in[v] }
 
-// IncidentEdges returns all edges touching v, outgoing first.
-func (g *Graph) IncidentEdges(v VertexID) []*Edge {
-	out := g.out[v]
-	in := g.in[v]
-	if len(in) == 0 {
-		return out
-	}
-	all := make([]*Edge, 0, len(out)+len(in))
-	all = append(all, out...)
-	all = append(all, in...)
-	return all
-}
-
-// Degree returns the total degree (in + out) of v.
-func (g *Graph) Degree(v VertexID) int { return len(g.out[v]) + len(g.in[v]) }
-
-// OutDegree returns the out-degree of v.
-func (g *Graph) OutDegree(v VertexID) int { return len(g.out[v]) }
-
-// InDegree returns the in-degree of v.
-func (g *Graph) InDegree(v VertexID) int { return len(g.in[v]) }
-
-// Neighbors returns the distinct vertices adjacent to v in either direction.
-func (g *Graph) Neighbors(v VertexID) []VertexID {
-	seen := make(map[VertexID]struct{})
-	var out []VertexID
-	for _, e := range g.out[v] {
-		if _, ok := seen[e.Target]; !ok {
-			seen[e.Target] = struct{}{}
-			out = append(out, e.Target)
-		}
-	}
-	for _, e := range g.in[v] {
-		if _, ok := seen[e.Source]; !ok {
-			seen[e.Source] = struct{}{}
-			out = append(out, e.Source)
-		}
-	}
-	return out
-}
-
-// EdgesBetween returns every edge from src to dst (directed) in a freshly
-// allocated slice. Hot paths filter OutEdges(src) on the target instead.
-func (g *Graph) EdgesBetween(src, dst VertexID) []*Edge {
-	var out []*Edge
-	for _, e := range g.out[src] {
-		if e.Target == dst {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// VerticesOfType returns the IDs of all vertices with the given type label,
-// in ascending order (deterministic for tests and planning).
-func (g *Graph) VerticesOfType(t string) []VertexID {
-	set := g.verticesByType[t]
-	out := make([]VertexID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // CountVerticesOfType returns the number of vertices with the given type.
 func (g *Graph) CountVerticesOfType(t string) int { return len(g.verticesByType[t]) }
 
 // CountEdgesOfType returns the number of edges with the given type.
 func (g *Graph) CountEdgesOfType(t string) int { return g.edgesByType[t] }
-
-// VertexTypes returns the distinct vertex type labels present in the graph.
-func (g *Graph) VertexTypes() []string {
-	out := make([]string, 0, len(g.verticesByType))
-	for t := range g.verticesByType {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// EdgeTypes returns the distinct edge type labels present in the graph.
-func (g *Graph) EdgeTypes() []string {
-	out := make([]string, 0, len(g.edgesByType))
-	for t := range g.edgesByType {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Vertices calls fn for every vertex until fn returns false.
 func (g *Graph) Vertices(fn func(*Vertex) bool) {
@@ -435,16 +350,6 @@ func (g *Graph) Edges(fn func(*Edge) bool) {
 func (g *Graph) EdgeIDs() []EdgeID {
 	out := make([]EdgeID, 0, len(g.edges))
 	for id := range g.edges {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// VertexIDs returns all vertex IDs in ascending order.
-func (g *Graph) VertexIDs() []VertexID {
-	out := make([]VertexID, 0, len(g.vertices))
-	for id := range g.vertices {
 		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

@@ -98,7 +98,7 @@ func (m *model) advance(ts Timestamp) map[EdgeID]Edge {
 
 func (m *model) touched(v VertexID) bool {
 	for _, e := range m.edges {
-		if e.Touches(v) {
+		if e.Source == v || e.Target == v {
 			return true
 		}
 	}

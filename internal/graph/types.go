@@ -88,18 +88,6 @@ func (e *Edge) Clone() *Edge {
 	return &c
 }
 
-// Other returns the endpoint of e that is not v. If v is not an endpoint it
-// returns the target.
-func (e *Edge) Other(v VertexID) VertexID {
-	if e.Source == v {
-		return e.Target
-	}
-	return e.Source
-}
-
-// Touches reports whether v is one of the edge endpoints.
-func (e *Edge) Touches(v VertexID) bool { return e.Source == v || e.Target == v }
-
 // String renders the edge for debugging.
 func (e *Edge) String() string {
 	if e == nil {

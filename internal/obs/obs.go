@@ -1,8 +1,7 @@
 // Package obs is StreamWorks' zero-dependency metrics and observability
 // layer: lock-light atomic counters and gauges, fixed-bucket latency
 // histograms behind a mergeable registry, a wall-clock seam that keeps the
-// hot path stream-time-pure, and a sampled trace ring buffer for following
-// individual edges through the tiers.
+// hot path stream-time-pure.
 //
 // The registry is the one store of every number the system counts. Each tier
 // owns one — every core engine (one per shard worker), the shard front-end
@@ -12,9 +11,9 @@
 // Metrics views fill their structs from one, GET /metrics prints one, and
 // front-ends fold the tiers' snapshots with Merge, the only code that adds
 // numbers across shards or tiers. Config.Enabled gates only what reads the
-// wall clock or samples: the segment, journey and detect-lag histograms and
-// the tracer. Nothing in this package allocates on the hot path once the
-// handles have been resolved, and every handle is nil-safe.
+// wall clock: the segment, journey and detect-lag histograms, the one record
+// of where an edge's time went. Nothing in this package allocates on the hot
+// path once the handles have been resolved, and every handle is nil-safe.
 //
 // Wall time never enters the core engine directly: TestHotPathReadsNoWallClock
 // fails on a time.Now there. Core instead receives a Clock through its Config
@@ -46,11 +45,11 @@ func (systemClock) Now() int64 { return time.Now().UnixNano() }
 var SystemClock Clock = systemClock{}
 
 // Config is the observability seam handed to each tier. The zero value has
-// no clock reads and no tracing; counters and gauges are always kept.
+// no clock reads; counters and gauges are always kept.
 type Config struct {
-	// Enabled turns on what reads the wall clock or samples: the latency
-	// histograms and the tracer. When false Clock and Tracer are ignored and
-	// each of those sites reduces to a single branch.
+	// Enabled turns on what reads the wall clock: the latency histograms.
+	// When false Clock is ignored and each timing site reduces to a single
+	// branch.
 	Enabled bool
 	// Registry receives this tier's counters, gauges and histograms. Nil
 	// means Normalized allocates a fresh one.
@@ -58,24 +57,17 @@ type Config struct {
 	// Clock supplies wall nanoseconds. Nil with Enabled set means
 	// SystemClock. Tests inject a fake to make latency assertions exact.
 	Clock Clock
-	// Tracer, when non-nil, samples per-edge journey events into a ring
-	// buffer. A nil Tracer is valid and disabled (nil-safe methods).
-	Tracer *Tracer
-	// Shard identifies the engine on trace events: the shard worker index
-	// for sharded engines, zero for a standalone engine. Tier-level events
-	// (ingest, deliver) record -1 instead.
-	Shard int32
 }
 
 // Normalized fills in defaults: a fresh Registry when there is none, the
-// SystemClock when enabled, and no clock or tracer when disabled (so
-// disabled configs never carry live handles by accident).
+// SystemClock when enabled, and no clock when disabled (so disabled configs
+// never carry a live clock by accident).
 func (c Config) Normalized() Config {
 	if c.Registry == nil {
 		c.Registry = NewRegistry()
 	}
 	if !c.Enabled {
-		return Config{Registry: c.Registry, Shard: c.Shard}
+		return Config{Registry: c.Registry}
 	}
 	if c.Clock == nil {
 		c.Clock = SystemClock

@@ -8,7 +8,7 @@ import (
 func TestPromRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("edges_processed", "", "").Add(12345)
-	r.Counter("trace_events", "stage", "ingest").Add(7)
+	r.Counter("query_matches_emitted", QueryLabelKey, "smurf").Add(7)
 	seg := r.Segment(SegLocalSearch)
 	for i := 0; i < 100; i++ {
 		seg.Observe(1500)
@@ -29,7 +29,7 @@ func TestPromRoundTrip(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE streamworks_edges_processed_total counter",
 		"streamworks_edges_processed_total 12345",
-		`streamworks_trace_events_total{stage="ingest"} 7`,
+		`streamworks_query_matches_emitted_total{query="smurf"} 7`,
 		"# TYPE streamworks_segment_latency_seconds histogram",
 		`streamworks_segment_latency_seconds_bucket{segment="local_search",le="+Inf"} 100`,
 		`streamworks_segment_latency_seconds_count{segment="local_search"} 100`,

@@ -182,17 +182,6 @@ func (q *Graph) EdgeIDs() []EdgeID {
 	return out
 }
 
-// IncidentEdges returns the IDs of pattern edges touching v.
-func (q *Graph) IncidentEdges(v VertexID) []EdgeID {
-	out := append([]EdgeID(nil), q.out[v]...)
-	out = append(out, q.in[v]...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Degree returns the number of pattern edges incident to v.
-func (q *Graph) Degree(v VertexID) int { return len(q.out[v]) + len(q.in[v]) }
-
 // EndpointsOf returns the endpoint vertex IDs of the given edges (dedup'd,
 // ascending). It is used by the decomposer to compute cut vertices.
 func (q *Graph) EndpointsOf(edges []EdgeID) []VertexID {

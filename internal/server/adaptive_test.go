@@ -10,6 +10,7 @@ import (
 	"github.com/streamworks/streamworks/internal/api"
 	"github.com/streamworks/streamworks/internal/client"
 	"github.com/streamworks/streamworks/internal/gen"
+	"github.com/streamworks/streamworks/internal/query"
 )
 
 // TestRegisterWithStrategyAndAdaptive exercises the planning options on
@@ -58,11 +59,14 @@ func TestRegisterWithStrategyAndAdaptive(t *testing.T) {
 	}
 
 	// Unknown strategy and malformed adaptive values are client errors.
-	if _, err := c.RegisterQueryDSLWith(ctx, "query q3\nvertex a : Host\nvertex b : Host\nedge a -[flow]-> b\n",
+	pair := func(name string) *query.Graph {
+		return query.NewBuilder(name).Vertex("a", "Host").Vertex("b", "Host").Edge("a", "b", "flow").MustBuild()
+	}
+	if _, err := c.RegisterQueryWith(ctx, pair("q3"),
 		api.RegisterOptions{Strategy: "bogus"}); err == nil || !strings.Contains(err.Error(), "422") && !strings.Contains(err.Error(), "strategy") {
 		t.Fatalf("bogus strategy accepted: %v", err)
 	}
-	if _, err := c.RegisterQueryDSLWith(ctx, "query q4\nvertex a : Host\nvertex b : Host\nedge a -[flow]-> b\n",
+	if _, err := c.RegisterQueryWith(ctx, pair("q4"),
 		api.RegisterOptions{Adaptive: "maybe"}); err == nil || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("bogus adaptive value accepted: %v", err)
 	}

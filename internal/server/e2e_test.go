@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -76,11 +77,16 @@ func TestEndToEndNetflow(t *testing.T) {
 		}
 	}
 	// The server can echo each query back as equivalent DSL.
-	dsl, err := c.QueryDSL(ctx, "smurf-ddos")
+	qresp, err := http.Get(hs.URL + "/v1/queries/smurf-ddos")
 	if err != nil {
 		t.Fatalf("fetching query DSL: %v", err)
 	}
-	if _, perr := query.ParseString(dsl); perr != nil {
+	dsl, err := io.ReadAll(qresp.Body)
+	qresp.Body.Close()
+	if err != nil || qresp.StatusCode != http.StatusOK {
+		t.Fatalf("fetching query DSL: HTTP %d, %v", qresp.StatusCode, err)
+	}
+	if _, perr := query.ParseString(string(dsl)); perr != nil {
 		t.Fatalf("echoed DSL does not parse: %v", perr)
 	}
 

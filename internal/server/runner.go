@@ -34,9 +34,8 @@ type runner struct {
 	// is measured once on dequeue and recorded per edge with ObserveN, so
 	// per-edge segment means stay composable with the per-edge measurements
 	// of the tiers below.
-	obsClock  obs.Clock
-	obsWait   *obs.Histogram
-	obsTracer *obs.Tracer
+	obsClock obs.Clock
+	obsWait  *obs.Histogram
 }
 
 // ingestBatch is one chunk of a streaming ingest request (the handler
@@ -87,21 +86,7 @@ func (r *runner) loop() {
 
 func (r *runner) process(b ingestBatch) {
 	if b.enqNS != 0 && r.obsWait != nil {
-		wait := r.obsClock.Now() - b.enqNS
-		r.obsWait.ObserveN(wait, len(b.edges))
-		if r.obsTracer.Enabled() {
-			for _, se := range b.edges {
-				if id := uint64(se.Edge.ID); r.obsTracer.SampleEdge(id) {
-					r.obsTracer.Record(obs.TraceEvent{
-						Stage:    obs.StageIngest,
-						Shard:    -1,
-						EdgeID:   id,
-						StreamTS: int64(se.Edge.Timestamp),
-						DurNS:    wait,
-					})
-				}
-			}
-		}
+		r.obsWait.ObserveN(r.obsClock.Now()-b.enqNS, len(b.edges))
 	}
 	if len(b.edges) > 0 {
 		// The arrival stamp rides the edge envelope down through routing and

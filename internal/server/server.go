@@ -73,9 +73,9 @@ import (
 
 // Config sizes the serving layer around a sharded engine configuration.
 type Config struct {
-	// Shard configures the underlying ShardedEngine: its Shards and Engine.
-	// The mailbox depth and watermark-broadcast granularity are the shard
-	// package's defaults, and matches leave through the server.
+	// Shard configures the underlying ShardedEngine: only its Shards and
+	// Engine are read. Sink is ignored, since matches leave through the
+	// server's subscriptions.
 	Shard shard.Config
 	// QueueDepth is the ingest queue bound in batches (default 64). When the
 	// queue is full POST /v1/edges fails fast with 429.
@@ -163,11 +163,10 @@ type Server struct {
 	queueLen        *obs.Gauge
 
 	// Observability (all nil when Config.Shard.Engine.Obs.Enabled is off):
-	// the clock and tracer are shared with the engine tiers below so segment
-	// measurements and edge-journey samples line up.
+	// the clock is shared with the engine tiers below so segment
+	// measurements line up.
 	obsEnabled bool
 	obsClock   obs.Clock
-	obsTracer  *obs.Tracer
 	obsFlush   *obs.Histogram
 	// obsJourney is the match-weighted arrival→flush journey histogram,
 	// recorded once per delivered match from the arrival stamp the edge
@@ -192,8 +191,8 @@ func New(cfg Config) *Server {
 		cfg.MaxQueryBytes = 1 << 20
 	}
 	// Normalize the obs seam once, up front, so the serving tier and every
-	// engine tier below share one clock and one tracer; the engine config
-	// carries the normalized form down through the shard front-end.
+	// engine tier below share one clock; the engine config carries the
+	// normalized form down through the shard front-end.
 	obsCfg := cfg.Shard.Engine.Obs.Normalized()
 	cfg.Shard.Engine.Obs = obsCfg
 	engOpts := []streamworks.Option{
@@ -230,12 +229,10 @@ func New(cfg Config) *Server {
 	if obsCfg.Enabled {
 		s.obsEnabled = true
 		s.obsClock = obsCfg.Clock
-		s.obsTracer = obsCfg.Tracer
 		s.obsFlush = reg.Segment(obs.SegHTTPFlush)
 		s.obsJourney = reg.Histogram(obs.JourneyHistogramName, "", "")
 		s.run.obsClock = obsCfg.Clock
 		s.run.obsWait = reg.Segment(obs.SegIngestQueueWait)
-		s.run.obsTracer = obsCfg.Tracer
 	}
 	go s.run.loop()
 
@@ -243,7 +240,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /metrics", s.handleProm)
-	s.mux.HandleFunc("GET /debug/trace", s.handleTrace)
 	s.mux.HandleFunc("POST /v1/queries", s.handleRegister)
 	s.mux.HandleFunc("GET /v1/queries", s.handleListQueries)
 	s.mux.HandleFunc("GET /v1/queries/{name}", s.handleGetQuery)
@@ -617,29 +613,12 @@ func (s *Server) handleMatches(w http.ResponseWriter, r *http.Request) {
 				if st == 0 {
 					st = t0
 				}
-				d := now - st
-				s.obsFlush.Observe(d)
+				s.obsFlush.Observe(now - st)
 				if rep.ArrivedWallNS != 0 {
 					// The match-weighted closure check: the whole journey of
 					// this match, from its completing edge reaching the
 					// daemon to the flush that just delivered it.
 					s.obsJourney.Observe(now - rep.ArrivedWallNS)
-				}
-				// A deliver trace event is keyed to whichever of the match's
-				// data edges the sampler selects — the same ID-deterministic
-				// test every lower tier applies, so the journey stitches.
-				for _, id := range rep.EdgeIDs {
-					if s.obsTracer.SampleEdge(id) {
-						s.obsTracer.Record(obs.TraceEvent{
-							Stage:    obs.StageDeliver,
-							Shard:    -1,
-							EdgeID:   id,
-							StreamTS: rep.DetectedAt,
-							DurNS:    d,
-							Query:    rep.Query,
-						})
-						break
-					}
 				}
 			}
 		}
@@ -738,17 +717,13 @@ func (s *Server) snapshot() obs.Snapshot {
 // a separate debug listener — streamworksd mounts it next to pprof.
 func (s *Server) PromHandler() http.Handler { return http.HandlerFunc(s.handleProm) }
 
-// TraceHandler returns the trace-dump handler (GET /debug/trace), for the
-// same debug-listener use as PromHandler.
-func (s *Server) TraceHandler() http.Handler { return http.HandlerFunc(s.handleTrace) }
-
 // handleProm serves Prometheus text-format exposition of every tier's
 // registry — the server's, the shard workers', the front-end and merger's,
 // the WAL's — merged: each counter and gauge as streamworks_<name>, plus the
-// latency histograms and the trace accounting when observability is on. It
-// reads only registry cells — no engine round trip, no engine or WAL lock, no
-// drain check — so scrapes keep working while ingest is saturated, a log
-// write is stalled, or the server is draining.
+// latency histograms when observability is on. It reads only registry cells —
+// no engine round trip, no engine or WAL lock, no drain check — so scrapes
+// keep working while ingest is saturated, a log write is stalled, or the
+// server is draining.
 func (s *Server) handleProm(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	p := obs.NewPromWriter(w)
@@ -759,26 +734,7 @@ func (s *Server) handleProm(w http.ResponseWriter, _ *http.Request) {
 	}
 	p.Gauge("obs_enabled", "", "", obsOn)
 	p.Snapshot(obs.Merge(s.snapshot(), s.eng.ObsSnapshot()))
-	if s.obsEnabled {
-		recorded, dropped := s.obsTracer.Stats()
-		p.Counter("trace_events_recorded", "", "", float64(recorded))
-		p.Counter("trace_events_dropped", "", "", float64(dropped))
-	}
 	// A write error leaves a truncated scrape, which is what the client sees;
 	// the response is already partially written, so there is nothing to add.
 	_ = p.Err()
-}
-
-// handleTrace dumps the sampled edge-journey ring as JSON.
-func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
-	if s.obsTracer == nil {
-		writeError(w, http.StatusNotFound, "tracing disabled (run with observability and trace sampling on)")
-		return
-	}
-	recorded, dropped := s.obsTracer.Stats()
-	resp := api.TraceResponse{Events: s.obsTracer.Dump(), Recorded: recorded, Dropped: dropped}
-	if resp.Events == nil {
-		resp.Events = []obs.TraceEvent{}
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

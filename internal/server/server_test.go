@@ -20,6 +20,7 @@ import (
 	"github.com/streamworks/streamworks/internal/obs"
 	"github.com/streamworks/streamworks/internal/query"
 	"github.com/streamworks/streamworks/internal/shard"
+	"github.com/streamworks/streamworks/internal/wire"
 )
 
 var testBase = graph.TimestampFromTime(time.Date(2013, 6, 22, 0, 0, 0, 0, time.UTC))
@@ -442,32 +443,13 @@ func TestEventStreamAcceptGetsNDJSON(t *testing.T) {
 	if ct := sresp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("Content-Type = %q, want application/x-ndjson", ct)
 	}
-	var (
-		bodyMu sync.Mutex
-		body   bytes.Buffer
-	)
-	readDone := make(chan struct{})
-	go func() {
-		defer close(readDone)
-		buf := make([]byte, 4096)
-		for {
-			n, err := sresp.Body.Read(buf)
-			bodyMu.Lock()
-			body.Write(buf[:n])
-			bodyMu.Unlock()
-			if err != nil {
-				return
-			}
-		}
-	}()
+	readDone, streamed := readAll(sresp.Body)
 
 	postEdges(t, ts.URL, ndjsonBody(t, smurfPairs(2)), true).Body.Close()
 	waitFor(t, 5*time.Second, func() bool { return srv.hub.delivered.Value() >= 1 })
 	srv.Close() // drain ends the stream
 	<-readDone
-	bodyMu.Lock()
-	text := body.String()
-	bodyMu.Unlock()
+	text := streamed()
 	lines := strings.Split(strings.TrimSpace(text), "\n")
 	for _, line := range lines {
 		var m streamworks.Match
@@ -477,6 +459,96 @@ func TestEventStreamAcceptGetsNDJSON(t *testing.T) {
 	}
 	if len(lines) != 4 {
 		t.Fatalf("%d matches streamed, want the 4 of two smurf pairs:\n%s", len(lines), text)
+	}
+}
+
+// TestBrokenSubscriberFreesItsSlot: a binary subscriber whose connection
+// breaks gives its slot back, and the in-memory server redelivers nothing
+// across the break, so the next subscription carries exactly the matches of
+// the edges ingested after it, once each.
+func TestBrokenSubscriberFreesItsSlot(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Shard: shard.Config{Shards: 2}})
+
+	resp := postDSL(t, ts.URL, query.Format(gen.SmurfQuery(10*time.Minute)))
+	resp.Body.Close()
+
+	breq, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/matches", nil)
+	breq.Header.Set("Accept", wire.ContentTypeBinary)
+	bresp, err := http.DefaultClient.Do(breq)
+	if err != nil {
+		t.Fatalf("binary subscribe: %v", err)
+	}
+	defer bresp.Body.Close()
+	waitFor(t, time.Second, func() bool { return srv.hub.subscribers.Value() == 1 })
+	postEdges(t, ts.URL, ndjsonBody(t, smurfPairs(2)), true).Body.Close()
+	waitFor(t, 5*time.Second, func() bool { return srv.hub.delivered.Value() == 4 })
+	ts.CloseClientConnections()
+	waitFor(t, 5*time.Second, func() bool { return srv.hub.subscribers.Value() == 0 })
+
+	sresp, err := http.Get(ts.URL + "/v1/matches?query=smurf-ddos")
+	if err != nil {
+		t.Fatalf("subscribe: %v", err)
+	}
+	defer sresp.Body.Close()
+	readDone, streamed := readAll(sresp.Body)
+
+	// The second wave runs through another amplifier, so its matches are
+	// exactly its own four.
+	wave2 := smurfPairs(2)
+	for i := range wave2 {
+		e := &wave2[i].Edge
+		e.ID += 100
+		e.Timestamp = e.Timestamp.Add(time.Second)
+		if e.Source == 2 {
+			e.Source = 3
+		} else {
+			e.Target = 3
+		}
+	}
+	postEdges(t, ts.URL, ndjsonBody(t, wave2), true).Body.Close()
+	waitFor(t, 5*time.Second, func() bool { return srv.hub.delivered.Value() >= 5 })
+	srv.Close() // drain ends the stream
+	<-readDone
+	text := streamed()
+	lines := strings.Split(strings.TrimSpace(text), "\n")
+	sigs := make(map[string]bool, len(lines))
+	for _, line := range lines {
+		var m streamworks.Match
+		if err := json.Unmarshal([]byte(line), &m); err != nil || m.Query != "smurf-ddos" {
+			t.Fatalf("line %q is not an NDJSON smurf-ddos match (%v):\n%s", line, err, text)
+		}
+		sigs[m.Signature] = true
+	}
+	if len(lines) != 4 || len(sigs) != 4 {
+		t.Fatalf("%d matches streamed (%d distinct), want the 4 of the second wave's two smurf pairs:\n%s", len(lines), len(sigs), text)
+	}
+}
+
+// readAll copies r on its own goroutine until it ends. done closes when it
+// has; text returns what has arrived so far.
+func readAll(r io.Reader) (done <-chan struct{}, text func() string) {
+	var (
+		mu  sync.Mutex
+		buf bytes.Buffer
+	)
+	ch := make(chan struct{})
+	go func() {
+		defer close(ch)
+		p := make([]byte, 4096)
+		for {
+			n, err := r.Read(p)
+			mu.Lock()
+			buf.Write(p[:n])
+			mu.Unlock()
+			if err != nil {
+				return
+			}
+		}
+	}()
+	return ch, func() string {
+		mu.Lock()
+		defer mu.Unlock()
+		return buf.String()
 	}
 }
 

@@ -69,17 +69,6 @@ type Config struct {
 	Shards int
 	// Engine is the configuration applied to every per-shard core.Engine.
 	Engine core.Config
-	// Buffer is the per-shard mailbox depth in messages (default 1024).
-	Buffer int
-	// AdvanceEvery is the granularity of watermark broadcasts: shards that
-	// did not receive an edge are sent an explicit time advance whenever the
-	// maximum observed timestamp has moved at least this far since the last
-	// broadcast. Zero picks a default (an eighth of the retention window, or
-	// one second when retention is unbounded); negative disables broadcasts.
-	// Broadcast latency only delays expiry and pruning on idle shards — the
-	// match set is unaffected because match admission checks the temporal
-	// span directly.
-	AdvanceEvery time.Duration
 	// Sink receives every deduplicated match, invoked on the merger
 	// goroutine: it must not block, or it stalls merging and eventually
 	// ingestion. Nil drops matches (counters still advance).
@@ -88,8 +77,13 @@ type Config struct {
 
 // DefaultConfig returns a four-way sharding of core.DefaultConfig engines.
 func DefaultConfig() Config {
-	return Config{Shards: 4, Engine: core.DefaultConfig(), Buffer: 1024}
+	return Config{Shards: 4, Engine: core.DefaultConfig()}
 }
+
+// mailboxDepth is each shard worker's mailbox capacity in messages; a full
+// mailbox blocks the router, which is the backpressure the stream driver
+// sees.
+const mailboxDepth = 1024
 
 // ShardedEngine drives N core.Engine shards behind the same
 // register/process/metrics surface as a single engine. Control methods
@@ -110,7 +104,14 @@ type ShardedEngine struct {
 	maxTS         graph.Timestamp
 	lastBroadcast graph.Timestamp
 	edgesRouted   uint64
-	advanceEvery  time.Duration
+	// advanceEvery is the watermark broadcast step: shards that did not
+	// receive an edge are sent an explicit time advance whenever the maximum
+	// observed timestamp has moved at least this far since the last
+	// broadcast — an eighth of the retention window, or one second when
+	// retention is unbounded. Broadcast latency only delays expiry and
+	// pruning on idle shards; the match set is unaffected because match
+	// admission checks the temporal span directly.
+	advanceEvery time.Duration
 	// retention is the effective per-shard retention: the configured value,
 	// widened by pre-ingest registrations exactly as core.extendRetention
 	// widens it on each shard. Zero means unbounded.
@@ -135,16 +136,9 @@ func New(cfg *Config) *ShardedEngine {
 	if c.Shards < 1 {
 		c.Shards = 1
 	}
-	if c.Buffer <= 0 {
-		c.Buffer = 1024
-	}
-	adv := c.AdvanceEvery
-	if adv == 0 {
-		if c.Engine.Retention > 0 {
-			adv = c.Engine.Retention / 8
-		} else {
-			adv = time.Second
-		}
+	adv := time.Second
+	if c.Engine.Retention > 0 {
+		adv = c.Engine.Retention / 8
 	}
 	reg := obs.NewRegistry()
 	s := &ShardedEngine{
@@ -157,24 +151,23 @@ func New(cfg *Config) *ShardedEngine {
 		reg:           reg,
 		registrations: reg.Gauge("registrations", "", ""),
 	}
-	// Normalize the obs config once so the clock and tracer are shared.
+	// Normalize the obs config once so the clock is shared.
 	obsCfg := c.Engine.Obs.Normalized()
 	if obsCfg.Enabled {
 		s.obsClock = obsCfg.Clock
 		s.obsDispatch = reg.Segment(obs.SegDispatch)
 	}
 	for i := 0; i < c.Shards; i++ {
-		// Same clock and tracer (both safe for concurrent use), but a
-		// private registry, which core.New allocates, so each worker's
-		// goroutine writes without sharing cache lines with its siblings.
+		// Same clock (safe for concurrent use), but a private registry,
+		// which core.New allocates, so each worker's goroutine writes
+		// without sharing cache lines with its siblings.
 		engCfg := c.Engine
 		engCfg.Obs = obsCfg
-		engCfg.Obs.Registry, engCfg.Obs.Shard = nil, int32(i)
+		engCfg.Obs.Registry = nil
 		w := &worker{id: i, eng: core.New(&engCfg)}
 		if obsCfg.Enabled {
 			w.obsClock = obsCfg.Clock
 			w.obsMailbox = w.eng.ObsRegistry().Segment(obs.SegShardMailbox)
-			w.obsTracer = obsCfg.Tracer
 		}
 		s.workers = append(s.workers, w)
 	}
@@ -295,7 +288,7 @@ func (s *ShardedEngine) Start() {
 	}
 	s.out = make(chan shardEvent, 64*len(s.workers))
 	for _, w := range s.workers {
-		w.start(s.cfg.Buffer, s.out)
+		w.start(s.out)
 	}
 	go s.merge()
 	s.running = true
@@ -408,7 +401,7 @@ func (s *ShardedEngine) ProcessContext(ctx context.Context, se graph.StreamEdge)
 	if len(dests) == len(s.workers) {
 		// A broadcast edge carries stream time to every shard by itself.
 		s.lastBroadcast = s.maxTS
-	} else if s.advanceEvery >= 0 && s.maxTS.Sub(s.lastBroadcast) >= s.advanceEvery {
+	} else if s.maxTS.Sub(s.lastBroadcast) >= s.advanceEvery {
 		for _, w := range s.workers {
 			if w.id != dests[0] && (len(dests) < 2 || w.id != dests[1]) {
 				w.enqueueAdvance(s.maxTS)
@@ -423,8 +416,8 @@ func (s *ShardedEngine) ProcessContext(ctx context.Context, se graph.StreamEdge)
 // like Dynamic.AdvanceTo on a single engine (the watermark trails ts by the
 // configured slack). It always reaches every shard — even when ts does not
 // exceed the maximum routed timestamp — because edge-time broadcasts are
-// throttled by AdvanceEvery and individual shards may lag well behind it;
-// per-shard watermarks are monotone, so a stale signal is harmless.
+// throttled by the broadcast step and individual shards may lag well behind
+// it; per-shard watermarks are monotone, so a stale signal is harmless.
 func (s *ShardedEngine) Advance(ts graph.Timestamp) {
 	if s.closed {
 		return

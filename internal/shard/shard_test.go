@@ -291,45 +291,3 @@ func TestShardedExplicitAdvanceExpires(t *testing.T) {
 		t.Fatalf("ExpiredEdges = %d of %d processed", m.ExpiredEdges, m.EdgesProcessed)
 	}
 }
-
-func TestShardedAdvanceReachesLaggingShards(t *testing.T) {
-	// With edge-time broadcasts disabled, shards that stop receiving edges
-	// keep stale watermarks. An explicit Advance — even to a time not beyond
-	// the newest routed edge — must still reach them so they expire.
-	cfg := shard.DefaultConfig()
-	cfg.Engine.Retention = 10 * time.Second
-	cfg.AdvanceEvery = -1
-	s := shard.New(&cfg)
-	if err := s.RegisterQuery(gen.SmurfQuery(10 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	base := graph.TimestampFromTime(time.Unix(2000, 0))
-	edge := func(id int, src, dst graph.VertexID, ts graph.Timestamp) graph.StreamEdge {
-		return graph.StreamEdge{
-			Edge:       graph.Edge{ID: graph.EdgeID(id), Source: src, Target: dst, Type: gen.EdgeFlow, Timestamp: ts},
-			SourceType: gen.TypeHost, TargetType: gen.TypeHost,
-		}
-	}
-	s.Start()
-	// Phase 1: spread edges across all shards at early timestamps.
-	for i := 0; i < 64; i++ {
-		s.Process(edge(i+1, graph.VertexID(i), graph.VertexID(i+500), base.Add(time.Duration(i)*10*time.Millisecond)))
-	}
-	// Phase 2: only the two shards owning this vertex pair see new edges
-	// (and hence newer watermarks); at least two shards lag behind.
-	last := base
-	for i := 0; i < 16; i++ {
-		last = base.Add(30*time.Second + time.Duration(i)*100*time.Millisecond)
-		s.Process(edge(1000+i, 7, 9, last))
-	}
-	m1 := s.Metrics()
-	// An advance exactly to the newest routed timestamp is not a no-op: it
-	// carries stream time to the shards phase 2 never touched.
-	s.Advance(last)
-	m2 := s.Metrics()
-	if m2.ExpiredEdges <= m1.ExpiredEdges {
-		t.Fatalf("Advance(maxTS) expired nothing on lagging shards: %d -> %d expired",
-			m1.ExpiredEdges, m2.ExpiredEdges)
-	}
-	s.Close()
-}

@@ -96,22 +96,20 @@ type worker struct {
 	// the merge channel has been registered (once, on first start).
 	sinkAttached bool
 
-	// Observability handles, resolved at construction when enabled (all nil
-	// otherwise): the shared clock, the worker-registry mailbox-wait
-	// histogram, and the shared tracer. The histogram lives in the same
-	// per-worker registry as the worker engine's segments, so one fold
-	// covers both.
+	// Observability handles, resolved at construction when enabled (both nil
+	// otherwise): the shared clock and the worker-registry mailbox-wait
+	// histogram. The histogram lives in the same per-worker registry as the
+	// worker engine's segments, so one fold covers both.
 	obsClock   obs.Clock
 	obsMailbox *obs.Histogram
-	obsTracer  *obs.Tracer
 }
 
 // start spawns the worker goroutine with a fresh mailbox. Matches are pushed
 // onto the merge channel by an engine-level sink at the moment of emission —
 // the core MatchSink path threaded up through the merger — rather than by
 // collecting ProcessEdge return slices.
-func (w *worker) start(buffer int, out chan<- shardEvent) {
-	w.in = make(chan message, buffer)
+func (w *worker) start(out chan<- shardEvent) {
+	w.in = make(chan message, mailboxDepth)
 	w.out = out
 	if !w.sinkAttached {
 		w.sinkAttached = true
@@ -136,17 +134,7 @@ func (w *worker) loop() {
 		switch msg.kind {
 		case msgEdge:
 			if msg.enqNS != 0 && w.obsMailbox != nil {
-				wait := w.obsClock.Now() - msg.enqNS
-				w.obsMailbox.Observe(wait)
-				if id := uint64(msg.edge.Edge.ID); w.obsTracer.SampleEdge(id) {
-					w.obsTracer.Record(obs.TraceEvent{
-						Stage:    obs.StageMailbox,
-						Shard:    int32(w.id),
-						EdgeID:   id,
-						StreamTS: int64(msg.edge.Edge.Timestamp),
-						DurNS:    wait,
-					})
-				}
+				w.obsMailbox.Observe(w.obsClock.Now() - msg.enqNS)
 			}
 			// Complete matches reach the merge channel through the engine
 			// sink registered in start; the scratch-backed return slice is

@@ -82,8 +82,8 @@ func (gen *triadGen) observeAround(g *graph.Graph, e *graph.Edge, center graph.V
 		ct = v.Type
 	}
 	newOut := e.Source == center
-	// Walk the two incidence lists directly; IncidentEdges would allocate a
-	// combined slice per observed edge.
+	// Walk the two incidence lists directly, without building a combined
+	// slice per observed edge.
 	observe := func(other *graph.Edge) {
 		if other.ID == e.ID {
 			return

@@ -23,12 +23,6 @@ type config struct {
 	// RegisterQueryWith call can override them per query.
 	strategy string
 	adaptive bool
-	// Trace-ring knobs (WithTraceSampling); the tracer itself is built by
-	// finishObs once all options are applied, so ordering relative to
-	// WithObservability does not matter.
-	traceCapacity    int
-	traceSampleEvery int
-	tracePerSecond   int
 	// Durability knobs (WithDataDir and friends). walFS is the filesystem
 	// seam the fault-injection tests substitute; nil uses the real one.
 	dataDir       string
@@ -39,21 +33,12 @@ type config struct {
 }
 
 // finishObs normalizes the observability config after the option loop: it
-// pins the clock (so the public tier shares the engine tiers' timebase for
-// its own stamps) and materializes the trace ring. Tracing requires
-// observability to be on and a positive capacity, and respects a tracer the
-// embedder already installed through WithEngineConfig.
+// pins the clock, so the public tier shares the engine tiers' timebase for
+// its own stamps.
 func (c *config) finishObs() {
-	if !c.engine.Obs.Enabled {
-		return
-	}
-	if c.engine.Obs.Clock == nil {
+	if c.engine.Obs.Enabled && c.engine.Obs.Clock == nil {
 		c.engine.Obs.Clock = obs.SystemClock
 	}
-	if c.engine.Obs.Tracer != nil || c.traceCapacity <= 0 {
-		return
-	}
-	c.engine.Obs.Tracer = obs.NewTracer(c.traceCapacity, c.traceSampleEvery, c.tracePerSecond, c.engine.Obs.Clock)
 }
 
 // report resolves a match event into the public Match form through the
@@ -165,29 +150,15 @@ func WithSharedPlans(bool) Option {
 }
 
 // WithObservability turns on, for in-process backends, what reads the wall
-// clock or samples: per-segment latency histograms (local search, DAG join,
-// shard mailbox wait, dispatch), the stream-time detection-lag histogram and
-// trace sampling (WithTraceSampling). Counters and gauges are kept either
-// way — Metrics is a view of them, and Local.ObsSnapshot /
+// clock: per-segment latency histograms (local search, DAG join, shard
+// mailbox wait, dispatch) and the stream-time detection-lag histogram, the
+// one record of where an edge's time went. Counters and gauges are kept
+// either way — Metrics is a view of them, and Local.ObsSnapshot /
 // Sharded.ObsSnapshot return them with the histograms; per-node DAG
 // statistics are in Metrics().MQO. Default off; when off each clock read
 // reduces to a single branch.
 func WithObservability(enabled bool) Option {
 	return func(c *config) { c.engine.Obs.Enabled = enabled }
-}
-
-// WithTraceSampling adds a sampled edge-journey trace ring to an
-// observability-enabled engine (WithObservability): events for one edge in
-// sampleEvery (selected deterministically by edge ID, so every tier samples
-// the same edges) are kept in a ring of the last capacity events, recording
-// at most perSecond events per wall second (0 = 1000). capacity or
-// sampleEvery <= 0 disables tracing. Dump the ring with TraceDump.
-func WithTraceSampling(capacity, sampleEvery, perSecond int) Option {
-	return func(c *config) {
-		c.traceCapacity = capacity
-		c.traceSampleEvery = sampleEvery
-		c.tracePerSecond = perSecond
-	}
 }
 
 // WithDataDir enables durability for in-process backends: every ingested

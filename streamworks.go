@@ -94,10 +94,6 @@ type (
 	// summary statistics when the engine was built WithObservability — as
 	// returned by Local.ObsSnapshot and Sharded.ObsSnapshot.
 	ObsSnapshot = obs.Snapshot
-
-	// TraceEvent is one sampled edge-journey event from the trace ring
-	// (WithTraceSampling), as returned by TraceDump.
-	TraceEvent = obs.TraceEvent
 )
 
 // ParseQuery parses a query written in the text DSL:
