@@ -154,6 +154,7 @@ func (f *frontend) flushNotes() {
 	for _, n := range f.pending {
 		f.dur.note(n.query, n.signature, n.spanStart)
 	}
+	clear(f.pending) // a stale signature would pin its slab chunk
 	f.pending = f.pending[:0]
 }
 

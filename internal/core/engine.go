@@ -408,7 +408,10 @@ func (e *Engine) ProcessEdge(se graph.StreamEdge) []MatchEvent {
 
 	// One DAG pass covers every registration; emissions arrive through
 	// Registration.emit, which appends to e.dagEvents (pointed at the
-	// scratch slice for this call).
+	// scratch slice for this call). The previous call's events are cleared
+	// first: a stale event would pin its match, and the slab chunks the
+	// match and its signature were carved from, until overwritten.
+	clear(e.evScratch)
 	e.dagEvents = e.evScratch[:0]
 	e.dag.ProcessEdge(stored)
 	events := e.dagEvents

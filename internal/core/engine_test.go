@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -567,5 +568,32 @@ func TestEngineMatchesOfflineGroundTruth(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEventScratchHoldsNoStaleEvents: after an edge that completes a burst
+// of matches, an edge that completes none leaves no event anywhere in the
+// scratch's capacity — a stale event would keep its match, and the slab
+// chunks it was carved from, alive for as long as the engine.
+func TestEventScratchHoldsNoStaleEvents(t *testing.T) {
+	e := New(nil)
+	if _, err := e.RegisterQuery(smurfQuery(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	base := graph.TimestampFromTime(time.Unix(3000, 0))
+	const burst = 20
+	for i := 0; i < burst; i++ {
+		e.ProcessEdge(hostEdge(graph.EdgeID(i+1), graph.VertexID(100+i), 2, "icmp_echo_req", base))
+	}
+	if got := len(e.ProcessEdge(hostEdge(burst+1, 2, 3, "icmp_echo_reply", base.Add(time.Second)))); got != burst {
+		t.Fatalf("the reply completed %d matches, want %d", got, burst)
+	}
+	if got := len(e.ProcessEdge(hostEdge(burst+2, 5, 6, "dns", base.Add(2*time.Second)))); got != 0 {
+		t.Fatalf("an unrelated edge completed %d matches", got)
+	}
+	for i, ev := range e.evScratch[:cap(e.evScratch)] {
+		if !reflect.ValueOf(ev).IsZero() {
+			t.Fatalf("scratch slot %d of %d still holds %v", i, cap(e.evScratch), ev)
+		}
 	}
 }

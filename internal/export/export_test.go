@@ -2,7 +2,9 @@ package export
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -98,8 +100,8 @@ func TestBuildReportAllocationBudget(t *testing.T) {
 }
 
 // TestReporterSharesAGroupsSlices: the 25 reports of one match handed to 25
-// like-named queries cost one bindings slice and one edge-ID list between
-// them, read exactly like 25 separate reports, and stop sharing as soon as
+// like-named queries carve one bindings slice and one edge-ID list between
+// them from the Reporter's slabs, allocating nothing, read exactly like 25 separate reports, and stop sharing as soon as
 // the match or the variable names change.
 func TestReporterSharesAGroupsSlices(t *testing.T) {
 	_, q, events := fixture(t)
@@ -149,5 +151,46 @@ func TestReporterSharesAGroupsSlices(t *testing.T) {
 	}
 	if fresh := rep.Build(ev, q); &fresh.EdgeIDs[0] == &got[0].EdgeIDs[0] {
 		t.Fatal("a different match reused the previous one's edge IDs")
+	}
+}
+
+// TestReporterEqualsBuildReport: over matches of random width with unbound
+// gaps — enough of them to fill many slab chunks, some wider than one — a
+// report carved through a Reporter reads exactly like BuildReport's, and a
+// sink appending to one report's slices leaves the next report intact.
+func TestReporterEqualsBuildReport(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var rep Reporter
+	var prev MatchReport
+	for i := 0; i < 5000; i++ {
+		nv, ne := 1+rng.Intn(8), 1+rng.Intn(8)
+		if i%500 == 0 {
+			nv, ne = 300, 1100 // wider than a chunk of either slab
+		}
+		m := match.NewSized(nv, ne)
+		for qv := 0; qv < nv; qv++ {
+			if rng.Intn(4) > 0 {
+				m.BindVertex(query.VertexID(qv), graph.VertexID(rng.Uint64()>>1))
+			}
+		}
+		for qe := 0; qe < ne; qe++ {
+			if rng.Intn(4) > 0 {
+				m.BindEdge(query.EdgeID(qe), graph.EdgeID(rng.Uint64()>>1), graph.Timestamp(rng.Intn(1000)))
+			}
+		}
+		ev := core.MatchEvent{Query: "q", Match: m, Signature: m.Signature(), DetectedAt: graph.Timestamp(i)}
+		got := rep.Build(ev, nil)
+		if want := BuildReport(ev, nil, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("match %d: Reporter built %+v, BuildReport %+v", i, got, want)
+		}
+		if i > 0 {
+			ids, vars := slices.Clone(got.EdgeIDs), slices.Clone(got.Bindings)
+			_ = append(prev.EdgeIDs, 1, 2, 3)
+			_ = append(prev.Bindings, Binding{Variable: "x"})
+			if !slices.Equal(got.EdgeIDs, ids) || !reflect.DeepEqual(got.Bindings, vars) {
+				t.Fatalf("match %d: appending to the previous report changed this one", i)
+			}
+		}
+		prev = got
 	}
 }

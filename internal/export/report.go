@@ -1,7 +1,8 @@
 // Package export resolves match events into the form consumers see: a
 // MatchReport with query variables bound against the data graph and the
 // match's canonical signature, the one shape every backend and transport
-// delivers.
+// delivers. A Reporter carves the reports' slices from 8 KiB slab chunks
+// (internal/slab), so the in-process backends allocate nothing per report.
 package export
 
 import (
@@ -12,6 +13,7 @@ import (
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/match"
 	"github.com/streamworks/streamworks/internal/query"
+	"github.com/streamworks/streamworks/internal/slab"
 )
 
 // Binding is the resolved binding of one query variable in a match report.
@@ -25,7 +27,9 @@ type Binding struct {
 // MatchReport is the JSON-friendly form of one match event, with query
 // variables resolved against the data graph. Like the match it reports, it
 // is immutable once built: the reports of one match (see Reporter) may share
-// their Bindings and EdgeIDs slices, so sinks must not mutate them.
+// their Bindings and EdgeIDs slices, so sinks must not mutate them. Those
+// slices may be carved from chunks shared with other reports, which a
+// retained report keeps alive: copy what you keep long-term.
 type MatchReport struct {
 	Query      string    `json:"query"`
 	DetectedAt int64     `json:"detected_at"`
@@ -56,8 +60,8 @@ type MatchReport struct {
 // and attributes. g may be nil, in which case only IDs are reported.
 func BuildReport(ev core.MatchEvent, q *query.Graph, g *graph.Graph) MatchReport {
 	r := header(ev)
-	r.Bindings = bindings(ev.Match, q, g)
-	r.EdgeIDs = edgeIDs(ev.Match)
+	r.Bindings = bindings(make([]Binding, ev.Match.NumVertices()), ev.Match, q, g)
+	r.EdgeIDs = edgeIDs(make([]uint64, ev.Match.NumEdges()), ev.Match)
 	return r
 }
 
@@ -65,26 +69,31 @@ func BuildReport(ev core.MatchEvent, q *query.Graph, g *graph.Graph) MatchReport
 // what consecutive events have in common. The queries of one consumer group
 // (internal/mqo) are handed the very same immutable *match.Match one
 // after the other: their reports then share one sorted EdgeIDs slice and,
-// when the queries name their variables alike, one Bindings slice, so a
-// group's reports cost two allocations whatever its size. Reports of one
-// match may therefore share slices; sinks must not mutate them. The zero
-// value is ready to use; a Reporter is not safe for concurrent use.
+// when the queries name their variables alike, one Bindings slice. Reports
+// of one match may therefore share slices; sinks must not mutate them. The
+// slices are carved from the Reporter's 8 KiB slab chunks, so a report costs
+// no allocation of its own. The zero value is ready to use; a Reporter is
+// not safe for concurrent use.
 type Reporter struct {
 	match    *match.Match
 	q        *query.Graph
 	bindings []Binding
 	edgeIDs  []uint64
+
+	bindingSlab slab.Slab[Binding]
+	edgeIDSlab  slab.Slab[uint64]
 }
 
 // Build is BuildReport(ev, q, nil), less what the previous report already
 // holds.
 func (b *Reporter) Build(ev core.MatchEvent, q *query.Graph) MatchReport {
-	sameMatch := ev.Match == b.match
+	m := ev.Match
+	sameMatch := m == b.match
 	if !sameMatch {
-		b.edgeIDs = edgeIDs(ev.Match)
+		b.edgeIDs = edgeIDs(b.edgeIDSlab.Make(m.NumEdges()), m)
 	}
 	if !sameMatch || !sameVariables(q, b.q) {
-		b.bindings = bindings(ev.Match, q, nil)
+		b.bindings = bindings(b.bindingSlab.Make(m.NumVertices()), m, q, nil)
 	}
 	b.match, b.q = ev.Match, q
 	r := header(ev)
@@ -122,9 +131,10 @@ func header(ev core.MatchEvent) MatchReport {
 	}
 }
 
-// bindings resolves m's vertex bindings, in ascending pattern-ID order.
-func bindings(m *match.Match, q *query.Graph, g *graph.Graph) []Binding {
-	out := make([]Binding, 0, m.NumVertices())
+// bindings resolves m's vertex bindings into dst, which holds one per bound
+// vertex, in ascending pattern-ID order.
+func bindings(dst []Binding, m *match.Match, q *query.Graph, g *graph.Graph) []Binding {
+	out := dst[:0]
 	m.ForEachVertex(func(qv query.VertexID, dv graph.VertexID) bool {
 		b := Binding{VertexID: uint64(dv)}
 		if q != nil {
@@ -152,9 +162,10 @@ func bindings(m *match.Match, q *query.Graph, g *graph.Graph) []Binding {
 	return out
 }
 
-// edgeIDs lists m's data edge IDs in ascending order.
-func edgeIDs(m *match.Match) []uint64 {
-	ids := make([]uint64, 0, m.NumEdges())
+// edgeIDs lists m's data edge IDs in ascending order in dst, which holds
+// one per bound edge.
+func edgeIDs(dst []uint64, m *match.Match) []uint64 {
+	ids := dst[:0]
 	m.ForEachEdge(func(_ query.EdgeID, de graph.EdgeID) bool {
 		ids = append(ids, uint64(de))
 		return true

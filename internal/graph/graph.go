@@ -4,22 +4,22 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"unsafe"
+
+	"github.com/streamworks/streamworks/internal/slab"
 )
 
 // The graph recycles what its insert/expire cycle would otherwise allocate
 // per edge, within these bounds:
 //
-//   - edgeChunk: edge records are bump-allocated from chunks that fill one
-//     8 KiB runtime size class exactly (146 records of 56 B; a record on its
-//     own is rounded up to 64 B). Records are never reused, so a chunk is freed
-//     by the GC once none of its edges is referenced.
+//   - records: edge records are carved from 8 KiB slab chunks (146 records
+//     of 56 B; a record on its own is rounded up to 64 B). Records are never
+//     reused, so a chunk is freed by the GC once none of its edges is
+//     referenced.
 //   - spareClasses, sparesPerClass: an incidence list that is grown out of or
 //     emptied is cleared and kept for reuse at its power-of-two capacity
 //     (2…256 pointers), at most 64 per class: ≤ 255 KiB of spares per graph.
 //   - spareVertices: the records of removed vertices, kept for new ones.
 const (
-	edgeChunk      = 8192 / int(unsafe.Sizeof(Edge{}))
 	spareClasses   = 8
 	sparesPerClass = 64
 	spareVertices  = 256
@@ -42,7 +42,7 @@ type Graph struct {
 	verticesByType map[string]map[VertexID]struct{}
 	edgesByType    map[string]int
 
-	slab         []Edge                  // the chunk new edge records come from
+	records      slab.Slab[Edge]         // where new edge records are carved
 	spares       [spareClasses][][]*Edge // cleared lists of capacity 2<<class
 	freeVertices []*Vertex               // zeroed records of removed vertices
 
@@ -188,11 +188,8 @@ func (g *Graph) AddEdge(e Edge) (*Edge, error) {
 		}
 		g.AddVertex(Vertex{ID: e.Target})
 	}
-	if len(g.slab) == cap(g.slab) {
-		g.slab = make([]Edge, 0, edgeChunk)
-	}
-	g.slab = append(g.slab, e)
-	ne := &g.slab[len(g.slab)-1]
+	ne := &g.records.Make(1)[0]
+	*ne = e
 	g.edges[ne.ID] = ne
 	g.out[ne.Source] = g.push(g.out[ne.Source], ne)
 	g.in[ne.Target] = g.push(g.in[ne.Target], ne)

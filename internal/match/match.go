@@ -17,7 +17,8 @@
 //
 // The engine's shared DAG (internal/mqo) stores no Match: its partials are
 // rows of these slot words (Slots, HashEdgeSlots), and a Match is built
-// (RemapSlots) only to deliver a complete match.
+// (Arena.RemapSlots) only to deliver a complete match: carved, with its
+// signature, from the DAG's Arena, so delivery allocates nothing per match.
 package match
 
 import (
@@ -29,6 +30,7 @@ import (
 
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/query"
+	"github.com/streamworks/streamworks/internal/slab"
 )
 
 // unbound is the "no binding" sentinel of the dense binding slots. The
@@ -42,11 +44,12 @@ const unbound = ^uint64(0)
 // data graph under the one-to-one vertex correspondence required by subgraph
 // isomorphism. The zero value is an empty match ready for extension.
 //
-// A match is a single heap object: the sized constructors (and Clone, Join,
-// Remap) allocate the header and its binding slots together (see NewSized), so
+// A match is a single heap object: the sized constructors (and Clone, Join)
+// allocate the header and its binding slots together (see NewSized), so
 // producing a match costs one allocation. Only a zero-value match grown on
 // demand, or a pattern wider than the largest inline size, spills its slots
-// into a second object.
+// into a second object. A delivered match is carved from an Arena instead
+// and costs none.
 type Match struct {
 	// slots holds the vertex slots followed by the edge slots:
 	// slots[:nvs][qv] is the data vertex bound to pattern vertex qv and
@@ -396,12 +399,28 @@ func (m *Match) Join(o *Match) *Match {
 	return j
 }
 
+// Arena carves delivered matches — header, slot words and signature bytes —
+// from 8 KiB slab chunks (internal/slab), so building one allocates nothing
+// but the occasional chunk. What it returns is immutable and may be kept: a
+// retained match keeps its chunks alive, so holders that outlive a window
+// copy what they keep. The zero value is ready to use; an Arena is
+// single-goroutine state.
+type Arena struct {
+	headers slab.Slab[Match]
+	words   slab.Slab[uint64]
+	sigs    slab.Strings
+}
+
 // RemapSlots builds a match of nv vertices and ne edges from another pattern
 // space's slot words vs and es (as Slots lays them out): bound vertex qv moves
 // to vmap[qv], edge qe to emap[qe], and span is its span if it binds an edge.
 // An out-of-range slot panics: a canonicalization bug, not a data condition.
-func RemapSlots(nv, ne int, vs, es []uint64, vmap []query.VertexID, emap []query.EdgeID, span graph.Interval) *Match {
-	r := NewSized(nv, ne)
+func (a *Arena) RemapSlots(nv, ne int, vs, es []uint64, vmap []query.VertexID, emap []query.EdgeID, span graph.Interval) *Match {
+	r := &a.headers.Make(1)[0]
+	r.slots, r.nvs = a.words.Make(nv+ne), int32(nv)
+	for i := range r.slots {
+		r.slots[i] = unbound
+	}
 	rvs, res := r.vertices(), r.edges()
 	for qv, dv := range vs {
 		if dv != unbound {
@@ -417,6 +436,12 @@ func RemapSlots(nv, ne int, vs, es []uint64, vmap []query.VertexID, emap []query
 	}
 	r.Span, r.spanSet = span, r.ne > 0
 	return r
+}
+
+// Signature is m.Signature(), its bytes carved from the arena.
+func (a *Arena) Signature(m *Match) string {
+	var buf [256]byte
+	return a.sigs.Copy(m.appendSignatures(buf[:0]))
 }
 
 // Mix64 is the splitmix64 finalizer, a fast 64-bit bijective mixer.
@@ -566,11 +591,16 @@ func (m *Match) Signature() string {
 	// Typical signatures (a handful of edges) fit the stack buffer, so the
 	// only allocation is the returned string.
 	var buf [256]byte
-	dst := buf[:0]
+	return string(m.appendSignatures(buf[:0]))
+}
+
+// appendSignatures appends the match's whole signature to dst, walking each
+// first-digit subtree with appendSignature.
+func (m *Match) appendSignatures(dst []byte) []byte {
 	for qe := 0; qe < min(10, len(m.edges())); qe++ {
 		dst = m.appendSignature(dst, qe)
 	}
-	return string(dst)
+	return dst
 }
 
 // appendSignature appends the pairs of every bound pattern edge whose

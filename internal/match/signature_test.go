@@ -47,9 +47,11 @@ func TestSignatureLexicographicOrder(t *testing.T) {
 // TestSignatureMatchesLegacyEncoder: the encoder is byte-identical to the
 // legacy implementation over random matches with unbound gaps, in pattern
 // spaces on both sides of 10 and 100 edges (where text order and numeric
-// order part ways) and past the encoder's stack buffer.
+// order part ways) and past the encoder's stack buffer, and so is the one an
+// Arena carves.
 func TestSignatureMatchesLegacyEncoder(t *testing.T) {
 	rng := rand.New(rand.NewSource(2468))
+	var arena Arena
 	for _, edges := range []int{1, 3, 9, 10, 11, 12, 20, 99, 100, 101, 150, 1234} {
 		for trial := 0; trial < 200; trial++ {
 			m := New() // grown on demand
@@ -70,6 +72,9 @@ func TestSignatureMatchesLegacyEncoder(t *testing.T) {
 			if got, want := m.Signature(), legacySignature(m); got != want {
 				t.Fatalf("%d pattern edges, %d bound:\n got %q\nwant %q", edges, m.NumEdges(), got, want)
 			}
+			if got := arena.Signature(m); got != m.Signature() {
+				t.Fatalf("%d pattern edges: Arena.Signature = %q, Signature = %q", edges, got, m.Signature())
+			}
 		}
 	}
 }
@@ -87,7 +92,8 @@ func completeMatch(base uint64) *Match {
 }
 
 // TestMatchAllocationBudgets holds the one-object Match and the
-// single-allocation signature encoder to their budgets.
+// single-allocation signature encoder to their budgets, and an Arena's match
+// and signature to none.
 func TestMatchAllocationBudgets(t *testing.T) {
 	if size := unsafe.Sizeof(Match{}); size != 64 {
 		t.Errorf("Match header is %d bytes, want 64: every stored partial match pays for it", size)
@@ -107,9 +113,11 @@ func TestMatchAllocationBudgets(t *testing.T) {
 	var sig string
 	allocbudget.Check(t, "match.Signature", func() { sig = m.Signature() })
 	allocbudget.Check(t, "match.Clone", func() { sink = m.Clone() })
-	allocbudget.Check(t, "match.RemapSlots", func() { sink = RemapSlots(4, 3, m.vertices(), m.edges(), vmap, emap, m.Span) })
 	allocbudget.Check(t, "match.Join", func() { sink = left.Join(right) })
-	if sink == nil || sig == "" {
+	var arena Arena
+	allocbudget.Check(t, "match.Arena.RemapSlots", func() { sink = arena.RemapSlots(4, 3, m.vertices(), m.edges(), vmap, emap, m.Span) })
+	allocbudget.Check(t, "match.Arena.Signature", func() { sig = arena.Signature(m) })
+	if sink == nil || sig != m.Signature() {
 		t.Fatal("measured operations produced nothing")
 	}
 }

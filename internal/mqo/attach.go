@@ -154,7 +154,7 @@ func (d *DAG) attach(name string, q *query.Graph, plan *decompose.Plan, opt Atta
 		if att.window > 0 && !root.rows.span(row).Within(att.window) {
 			continue
 		}
-		qm := g.admit(root, row)
+		qm := g.admit(&d.arena, root, row)
 		if qm == nil {
 			continue
 		}
@@ -162,7 +162,7 @@ func (d *DAG) attach(name string, q *query.Graph, plan *decompose.Plan, opt Atta
 			g.emitted.Add(qm)
 			att.preAttach++
 		} else if sent.Add(qm) {
-			att.send(qm, "")
+			att.send(&d.arena, qm, "")
 		}
 	}
 	if sent != nil && len(g.members) == 1 {

@@ -397,8 +397,8 @@ func rowFor(n *node, vertex func(query.VertexID) uint64, edge func(query.EdgeID)
 }
 
 // TestRootDeliveryAllocationBudget: fanning one root row out to a group of
-// 25 queries costs one match in query space and one Signature — not 25 of
-// each.
+// 25 queries builds one match in query space and one Signature — not 25 of
+// each — and carves both from the DAG's arena, so it allocates nothing.
 func TestRootDeliveryAllocationBudget(t *testing.T) {
 	d := New(graph.NewDynamic(0))
 	var group *consumerGroup
@@ -426,7 +426,7 @@ func TestRootDeliveryAllocationBudget(t *testing.T) {
 	}
 	next := 0
 	allocbudget.Check(t, "mqo.deliver/25-consumers", func() {
-		group.deliver(root, roots[next])
+		group.deliver(&d.arena, root, roots[next])
 		next++
 	})
 	if emitted != 25*next {

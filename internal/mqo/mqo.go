@@ -40,7 +40,10 @@
 // group. The contract that buys this: an emitted *match.Match and its
 // signature string are shared by every member of the group and immutable
 // from emission on; Emit callbacks and everything downstream
-// (core.MatchEvent, sinks, reports) may retain but not mutate them.
+// (core.MatchEvent, sinks, reports) may retain but not mutate them. Both are
+// carved from the DAG's match.Arena, so delivery allocates nothing per match;
+// a retained match keeps its 8 KiB chunks alive, so whatever outlives the
+// window (the emitted sets, the WAL's keys) copies what it keeps.
 //
 // Like the core engine, a DAG is single-goroutine state: the engine's driver
 // goroutine calls ProcessEdge/Attach/Detach/Prune, never concurrently.
@@ -214,6 +217,9 @@ type DAG struct {
 	reg                                       *obs.Registry
 	localSearches, sharedHits, emittedEvicted *obs.Counter
 
+	// arena carves the matches and signatures consumer groups deliver.
+	arena match.Arena
+
 	// Local-search and join timing, resolved once like core's engineObs and
 	// nil unless observability is enabled: wall time only ever flows through
 	// the obs.Clock seam. Joins run inside the search, as it yields, so
@@ -373,7 +379,7 @@ func (d *DAG) insert(n *node, row []uint64) {
 		d.join(pl.parent, pl.link, r)
 	}
 	for _, g := range n.consumers {
-		g.deliver(n, n.rows.row(r))
+		g.deliver(&d.arena, n, n.rows.row(r))
 	}
 }
 
@@ -430,11 +436,11 @@ const unbound = ^uint64(0)
 // admit builds a canonical root row of n into a match in the group's query
 // space, once for whoever reads it: nil when it does not cover the query — a
 // plan bug; drop rather than report a wrong result.
-func (g *consumerGroup) admit(n *node, row []uint64) *match.Match {
+func (g *consumerGroup) admit(a *match.Arena, n *node, row []uint64) *match.Match {
 	lead := g.members[0]
 	nv, ne := lead.q.NumVertices(), lead.q.NumEdges()
 	s := &n.rows
-	m := match.RemapSlots(nv, ne, row[:s.nv], s.edges(row), lead.rootVMap, lead.rootEMap, s.span(row))
+	m := a.RemapSlots(nv, ne, row[:s.nv], s.edges(row), lead.rootVMap, lead.rootEMap, s.span(row))
 	if m.NumVertices() != nv || m.NumEdges() != ne {
 		return nil
 	}
@@ -447,8 +453,8 @@ func (g *consumerGroup) admit(n *node, row []uint64) *match.Match {
 // the canonical row, the first member to pass its window has it built into
 // a match in query space and looked up in the group's set, the first to
 // emit builds the signature, and later members are handed the same match
-// and string.
-func (g *consumerGroup) deliver(n *node, row []uint64) {
+// and string — both carved from a.
+func (g *consumerGroup) deliver(a *match.Arena, n *node, row []uint64) {
 	span := n.rows.span(row)
 	var qm *match.Match
 	var sig string
@@ -457,20 +463,20 @@ func (g *consumerGroup) deliver(n *node, row []uint64) {
 			continue
 		}
 		if qm == nil {
-			if qm = g.admit(n, row); qm == nil || !g.emitted.Add(qm) {
+			if qm = g.admit(a, n, row); qm == nil || !g.emitted.Add(qm) {
 				return
 			}
 		}
-		sig = att.send(qm, sig)
+		sig = att.send(a, qm, sig)
 	}
 }
 
-// send emits qm to the attachment and returns its signature, building it if
-// the caller has not got it yet and the callback wants it.
-func (a *Attachment) send(qm *match.Match, sig string) string {
+// send emits qm to the attachment and returns its signature, carving it from
+// arena if the caller has not got it yet and the callback wants it.
+func (a *Attachment) send(arena *match.Arena, qm *match.Match, sig string) string {
 	if a.emitSigned != nil {
 		if sig == "" {
-			sig = qm.Signature()
+			sig = arena.Signature(qm)
 		}
 		a.emitSigned(qm, sig)
 	} else if a.emit != nil {

@@ -274,8 +274,9 @@ func TestRowJoinIsRemapRemapJoin(t *testing.T) {
 		p := &node{rows: newRows(nv, ne)}
 		p.row = make([]uint64, p.rows.width)
 
+		var arena match.Arena
 		remap := func(m *match.Match, rv int, vm []query.VertexID, em []query.EdgeID) *match.Match {
-			return match.RemapSlots(nv, ne, m.Slots()[:rv], m.Slots()[rv:], vm, em, m.Span)
+			return arena.RemapSlots(nv, ne, m.Slots()[:rv], m.Slots()[rv:], vm, em, m.Span)
 		}
 		want := remap(am, av, avm, aem).Join(remap(bm, bv, bvm, bem))
 		if got := joinRows(p, a, l, b, o); got != (want != nil) {

@@ -622,6 +622,9 @@ func (s *Server) handleMatches(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 		}
+		// Cleared so no flushed report stays reachable from the spare
+		// capacity, pinning the slab chunks its slices were carved from.
+		clear(pending)
 		pending = pending[:0]
 		return true
 	}

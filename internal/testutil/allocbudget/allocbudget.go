@@ -1,6 +1,6 @@
 // Package allocbudget is the checked-in table of allocation budgets for the
-// emit/dedup layer, the DAG's partial rows and joins, the window graph, local
-// search and the wire codec: a ceiling on heap allocations per call for each
+// emit/dedup layer, the delivery slabs, the DAG's partial rows and joins, the
+// window graph, local search and the wire codec: a ceiling on heap allocations per call for each
 // named operation, enforced by blocking unit tests next to the code they
 // measure (the first instalment of the ROADMAP's deterministic-counter gate). The
 // counts repeat exactly from run to run, so a test fails on the first
@@ -13,31 +13,37 @@ import "testing"
 // ceilings maps an operation to its maximum allocations per call.
 var ceilings = map[string]float64{
 	// internal/match: a match is one heap object, a signature one string.
-	"match.Signature":  1,
-	"match.RemapSlots": 1,
-	"match.Clone":      1,
-	"match.Join":       1,
+	// A delivered match and its signature are carved from an Arena's 8 KiB
+	// slab chunks: nothing per match but a chunk now and then.
+	"match.Signature":        1,
+	"match.Clone":            1,
+	"match.Join":             1,
+	"match.Arena.RemapSlots": 0,
+	"match.Arena.Signature":  0,
 	// internal/sjtree: the emitted set allocates only when its table
 	// doubles or an arena chunk fills — nothing per add, amortised — and
 	// once its ring of generations has turned, adding 64 fresh matches and
 	// expiring as many old ones runs on recycled tables and chunks.
 	"sjtree.EmittedSet.Add":                0,
 	"sjtree.EmittedSet evict/steady-state": 0,
-	// internal/export: the bindings and the edge-ID list; the signature
-	// arrives on the event. Three when the report has to build it. The 25
+	// internal/export: BuildReport allocates the bindings and the edge-ID
+	// list; the signature arrives on the event. Three when the report has to
+	// build it. The 25
 	// reports of one match fanned out to a consumer group share both slices,
-	// so the whole group costs what one report does.
+	// which a Reporter carves from its 8 KiB slab chunks: the whole group
+	// allocates nothing.
 	"export.BuildReport":                2,
 	"export.BuildReport/unsigned":       3,
-	"export.Reporter/25-consumer group": 2,
+	"export.Reporter/25-consumer group": 0,
 	// internal/mqo: one root row fanned out to a group of 25 queries is one
 	// match built in query space and one Signature, whatever the group's
-	// size. Every partial below a root is a row: stored in its node's arena
-	// behind a dedup slot, chained under its cut key in each parent link's
+	// size, both carved from the DAG's arena: nothing per match. Every
+	// partial below a root is a row: stored in its node's arena behind a
+	// dedup slot, chained under its cut key in each parent link's
 	// index, joined into the parent's scratch. Storing one under a new cut
 	// key, storing the row a join produced, and the leaf search that finds
 	// one allocate nothing but the amortised growth of arenas and tables.
-	"mqo.deliver/25-consumers":                              2,
+	"mqo.deliver/25-consumers":                              0,
 	"mqo.insert/stored partial, one parent, no sibling hit": 0,
 	"mqo.insert/joined partial":                             0,
 	"mqo.ProcessEdge/leaf search, no join":                  0,
@@ -53,10 +59,10 @@ var ceilings = map[string]float64{
 	"wire.AppendMatchFrame": 0,
 	"wire.Reader.Next":      0,
 	// A warm interner returns a repeated edge's three type names and three
-	// attribute maps without decoding them; a match report still costs its
-	// signature, its bindings and its edge IDs.
+	// attribute maps without decoding them, and carves a match report's
+	// signature, bindings and edge IDs from its 8 KiB slab chunks.
 	"wire.Interner.DecodeEdge/warm":  0,
-	"wire.Interner.DecodeMatch/warm": 3,
+	"wire.Interner.DecodeMatch/warm": 0,
 	// internal/graph: once a window has turned over, applying an edge that
 	// expires one and brings back a vertex that went isolated runs on
 	// recycled records and lists; an edge record is a 146th of a slab chunk.

@@ -77,10 +77,7 @@ func (in *Interner) DecodeEdge(payload []byte) (graph.StreamEdge, error) {
 // DecodeEdges decodes a batch payload produced by AppendEdges.
 func DecodeEdges(payload []byte) ([]graph.StreamEdge, error) {
 	d := decoder{buf: payload}
-	n := d.uvarint()
-	if n > uint64(len(d.buf)) { // every edge takes ≥1 byte
-		d.fail("edge count %d exceeds %d remaining bytes", n, len(d.buf))
-	}
+	n := d.count("edge count", minEdgeBytes)
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -194,6 +191,31 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
+// The smallest encodings of what a count counts: each string is at least its
+// one-byte length, each integer and attribute kind one byte, each attribute
+// block its one-byte count.
+const (
+	minEdgeBytes        = 10 // id, source, target, type, timestamp, two type names, three blocks
+	minAttrBytes        = 3  // key, kind, value
+	minBindingBytes     = 4  // variable, vertex ID, vertex type, attribute count
+	minBindingAttrBytes = 2  // key, value
+)
+
+// count reads an element count and refuses one whose elements, at least
+// size bytes each, the rest of the payload cannot hold: no count read off
+// the wire sizes an allocation beyond what its bytes can hold. A refused
+// count, or one read after an error, is 0.
+func (d *decoder) count(what string, size int) uint64 {
+	n := d.uvarint()
+	if d.err == nil && n > uint64(len(d.buf)/size) {
+		d.fail("%s %d exceeds what %d remaining bytes hold at %d bytes each", what, n, len(d.buf), size)
+	}
+	if d.err != nil {
+		return 0
+	}
+	return n
+}
+
 func (d *decoder) varint() int64 {
 	if d.err != nil {
 		return 0
@@ -265,12 +287,8 @@ func (d *decoder) attrs() graph.Attributes {
 // attrBlock reads an attribute block, building the map only when build is
 // set: without it the block is validated and skipped.
 func (d *decoder) attrBlock(build bool) graph.Attributes {
-	n := d.uvarint()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(len(d.buf)) { // every entry takes ≥1 byte
-		d.fail("attr count %d exceeds %d remaining bytes", n, len(d.buf))
+	n := d.count("attr count", minAttrBytes)
+	if n == 0 {
 		return nil
 	}
 	var a graph.Attributes

@@ -13,6 +13,10 @@
 // Payload encodings (edge.go, match.go) are byte-deterministic — attribute
 // maps are emitted in sorted key order — so encode is a pure function of
 // the value and match sets can be compared byte-for-byte across transports.
+// Decoding bounds every count by what the rest of its payload can hold at
+// the element's smallest encoding, so no count sizes an allocation beyond
+// its bytes; a decoded match report's own values are carved from its
+// Interner's slab chunks (internal/slab).
 package wire
 
 import (

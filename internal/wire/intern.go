@@ -3,7 +3,9 @@ package wire
 import (
 	"hash/maphash"
 
+	"github.com/streamworks/streamworks/internal/export"
 	"github.com/streamworks/streamworks/internal/graph"
+	"github.com/streamworks/streamworks/internal/slab"
 )
 
 const (
@@ -24,12 +26,19 @@ const (
 //
 // What it returns is shared by every decode that hits the same slot: an
 // attribute map from an Interner must not be mutated (the graph's contract
-// for attribute maps already forbids it). Create one with NewInterner; it is
-// not safe for concurrent use. A nil *Interner caches nothing.
+// for attribute maps already forbids it). What is unique to a match report —
+// its signature, bindings and edge IDs — is carved from the Interner's 8 KiB
+// slab chunks (internal/slab), which a retained report keeps alive. Create
+// one with NewInterner; it is not safe for concurrent use. A nil *Interner
+// caches nothing and carves nothing.
 type Interner struct {
 	seed  maphash.Seed
 	strs  [internSlots]string
 	attrs [internSlots]internedAttrs
+
+	sigs     slab.Strings
+	bindings slab.Slab[export.Binding]
+	edgeIDs  slab.Slab[uint64]
 }
 
 // internedAttrs is an attribute map under the exact bytes it decoded from.
@@ -40,6 +49,15 @@ type internedAttrs struct {
 
 // NewInterner returns an empty Interner with a seed of its own.
 func NewInterner() *Interner { return &Interner{seed: maphash.MakeSeed()} }
+
+// reportSlabs returns the slabs in carves match reports from: nils, which
+// allocate, for a nil in.
+func (in *Interner) reportSlabs() (*slab.Strings, *slab.Slab[export.Binding], *slab.Slab[uint64]) {
+	if in == nil {
+		return nil, nil, nil
+	}
+	return &in.sigs, &in.bindings, &in.edgeIDs
+}
 
 func (in *Interner) slot(enc []byte) uint64 {
 	return maphash.Bytes(in.seed, enc) % internSlots

@@ -100,6 +100,41 @@ func TestInternerWarmDecodeAllocs(t *testing.T) {
 	})
 }
 
+// TestInternerDecodeMatchEqualsUncached: reports decoded through one
+// interner — enough of them to fill many slab chunks, with payloads of
+// every size reusing one buffer — equal what the uncached decoder returns,
+// and stay so after later decodes.
+func TestInternerDecodeMatchEqualsUncached(t *testing.T) {
+	in := NewInterner()
+	var kept, want []export.MatchReport
+	var payload []byte
+	for i := 0; i < 3000; i++ {
+		rep := servedReport()
+		rep.Signature = strings.Repeat("0:11,", i%40)
+		rep.Bindings = rep.Bindings[:i%4]
+		rep.EdgeIDs = make([]uint64, i%7)
+		for j := range rep.EdgeIDs {
+			rep.EdgeIDs[j] = uint64(i*7 + j)
+		}
+		if i%2 == 0 && len(rep.Bindings) > 0 {
+			rep.Bindings[0].Attrs = map[string]string{"site": "hq"}
+		}
+		payload = AppendMatch(payload[:0], rep)
+		got, err := in.DecodeMatch(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		uncached, err := DecodeMatch(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept, want = append(kept, got), append(want, uncached)
+	}
+	if !reflect.DeepEqual(kept, want) {
+		t.Fatal("reports decoded through the interner differ from the uncached decodes")
+	}
+}
+
 // TestInternerIgnoresFailedBlocks decodes A, then A′ (A with its last
 // attribute block damaged after one good entry), then A again: A′ fails,
 // leaves the interner exactly as A left it, and the second A decodes to the

@@ -67,50 +67,38 @@ func DecodeMatch(payload []byte) (export.MatchReport, error) {
 }
 
 // DecodeMatch is the package-level DecodeMatch, taking the report's names,
-// types and binding attribute strings from in where it holds them. The
+// types and binding attribute strings from in where it holds them and
+// carving its signature, bindings and edge IDs from in's slabs. The
 // signature is unique per match and never takes a slot.
 func (in *Interner) DecodeMatch(payload []byte) (export.MatchReport, error) {
 	var rep export.MatchReport
+	sigs, bindings, edgeIDs := in.reportSlabs()
 	d := decoder{buf: payload, in: in}
 	rep.Query = d.string()
 	rep.DetectedAt = d.varint()
 	rep.SpanStart = d.varint()
 	rep.SpanEnd = d.varint()
-	rep.Signature = string(d.bytes())
-	nb := d.uvarint()
-	if d.err == nil && nb > uint64(len(d.buf)) { // every binding takes ≥1 byte
-		d.fail("binding count %d exceeds %d remaining bytes", nb, len(d.buf))
-	}
-	if d.err == nil && nb > 0 {
-		rep.Bindings = make([]export.Binding, 0, nb)
-		for i := uint64(0); i < nb && d.err == nil; i++ {
-			var b export.Binding
+	rep.Signature = sigs.Copy(d.bytes())
+	if nb := d.count("binding count", minBindingBytes); nb > 0 {
+		rep.Bindings = bindings.Make(int(nb))
+		for i := range rep.Bindings {
+			b := &rep.Bindings[i]
 			b.Variable = d.string()
 			b.VertexID = d.uvarint()
 			b.VertexType = d.string()
-			na := d.uvarint()
-			if d.err == nil && na > uint64(len(d.buf)) {
-				d.fail("attr count %d exceeds %d remaining bytes", na, len(d.buf))
-				break
-			}
-			if d.err == nil && na > 0 {
+			if na := d.count("binding attr count", minBindingAttrBytes); na > 0 {
 				b.Attrs = make(map[string]string, na)
 				for j := uint64(0); j < na && d.err == nil; j++ {
 					k := d.string()
 					b.Attrs[k] = d.string()
 				}
 			}
-			rep.Bindings = append(rep.Bindings, b)
 		}
 	}
-	ne := d.uvarint()
-	if d.err == nil && ne > uint64(len(d.buf)) {
-		d.fail("edge-ID count %d exceeds %d remaining bytes", ne, len(d.buf))
-	}
-	if d.err == nil && ne > 0 {
-		rep.EdgeIDs = make([]uint64, 0, ne)
-		for i := uint64(0); i < ne && d.err == nil; i++ {
-			rep.EdgeIDs = append(rep.EdgeIDs, d.uvarint())
+	if ne := d.count("edge-ID count", 1); ne > 0 {
+		rep.EdgeIDs = edgeIDs.Make(int(ne))
+		for i := range rep.EdgeIDs {
+			rep.EdgeIDs[i] = d.uvarint()
 		}
 	}
 	if err := d.finish("match"); err != nil {

@@ -2,9 +2,11 @@ package wire_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/iotest"
 	"time"
@@ -173,6 +175,50 @@ func TestMatchRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round-trip mismatch:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestCountsBoundedByTheirBytes: every count a payload declares is bounded
+// by what the rest of the payload can hold at its elements' smallest
+// encoding. One element more than fits is refused by name before anything
+// is sized by it; exactly as many as fit gets past the count (the zero
+// filler may still fail later, but not on the count).
+func TestCountsBoundedByTheirBytes(t *testing.T) {
+	uv := func(dst []byte, vs ...uint64) []byte {
+		for _, v := range vs {
+			dst = binary.AppendUvarint(dst, v)
+		}
+		return dst
+	}
+	matchHead := func() []byte { // query "q", three times, empty signature
+		return append(uv(nil, 1), append([]byte{'q'}, uv(nil, 0, 0, 0, 0)...)...)
+	}
+	decodeMatch := func(p []byte) error { _, err := wire.DecodeMatch(p); return err }
+	decodeEdge := func(p []byte) error { _, err := wire.DecodeEdge(p); return err }
+	decodeEdges := func(p []byte) error { _, err := wire.DecodeEdges(p); return err }
+	const filler = 60
+	for _, tc := range []struct {
+		count  string
+		size   int
+		head   []byte
+		decode func([]byte) error
+	}{
+		{"binding count", 4, matchHead(), decodeMatch},
+		{"binding attr count", 2, uv(matchHead(), 1, 0, 0, 0), decodeMatch}, // one binding: "", vertex 0, ""
+		{"edge-ID count", 1, uv(matchHead(), 0), decodeMatch},
+		{"attr count", 3, uv(nil, 1, 2, 3, 0, 0, 0, 0), decodeEdge}, // id, ends, "", ts, "", ""
+		{"edge count", 10, nil, decodeEdges},
+	} {
+		payload := func(n int) []byte {
+			return append(uv(bytes.Clone(tc.head), uint64(n)), make([]byte, filler)...)
+		}
+		err := tc.decode(payload(filler/tc.size + 1))
+		if !errors.Is(err, wire.ErrCorrupt) || !strings.Contains(err.Error(), tc.count) {
+			t.Errorf("%s: %d elements over %d bytes: got %v, want ErrCorrupt naming the count", tc.count, filler/tc.size+1, filler, err)
+		}
+		if err := tc.decode(payload(filler / tc.size)); err != nil && strings.Contains(err.Error(), tc.count+" ") {
+			t.Errorf("%s: %d elements over %d bytes refused: %v", tc.count, filler/tc.size, filler, err)
+		}
 	}
 }
 

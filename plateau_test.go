@@ -87,7 +87,9 @@ func measureEmitted(t *testing.T, eng streamworks.Engine) emittedState {
 // through a 25-member consumer group of the DAG and a 2-shard engine (whose
 // merger remembers matches too): what each remembers of its emissions after
 // 22 retentions must be what it remembered after 4 — entries and heap alike,
-// the heap covering the window statistics too — not five times that, while
+// the heap covering the window statistics, and the slabs delivery carves
+// matches and reports from (a sink discarding every match is subscribed),
+// too — not five times that, while
 // everything still inside the window is kept. The group of 25 remembers a
 // match once, not once per member: it holds what one query alone would. With
 // unbounded retention nothing expires and nothing may be forgotten.
@@ -133,6 +135,11 @@ func TestEmittedStatePlateaus(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			sub, err := eng.Subscribe("", streamworks.SinkFunc(func(streamworks.Match) {}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sub.Close()
 			var after4 emittedState
 			var buf []streamworks.StreamEdge
 			for i := 0; i < total; i += batch {

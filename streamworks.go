@@ -83,6 +83,9 @@ type (
 	// name, detection and span timestamps, the variable bindings, the data
 	// edge IDs, and a canonical Signature that identifies the match across
 	// engines, runs and the wire (equal (Query, Signature) ⇔ same match).
+	// A Match is immutable and may be kept, but its Signature, Bindings and
+	// EdgeIDs are carved from 8 KiB chunks shared with other matches, which a
+	// retained Match keeps alive: copy what you keep long-term.
 	Match = export.MatchReport
 
 	// ServerInfo describes a remote daemon, as reported by its health
