@@ -96,12 +96,8 @@ func main() {
 	rem := connect(ctx, *addr, 10*time.Second)
 	log.Printf("loadgen: connected (api %s, %d shards)", rem.ServerInfo().Version, rem.ServerInfo().Shards)
 
-	regOpts := streamworks.RegisterOptions{}
-	if *adaptive {
-		regOpts.Adaptive = streamworks.AdaptiveOn
-	}
 	for _, q := range w.Queries {
-		if err := rem.RegisterQueryWith(ctx, q, regOpts); err != nil {
+		if err := rem.RegisterQueryWith(ctx, q, streamworks.RegisterOptions{Adaptive: *adaptive}); err != nil {
 			log.Fatalf("loadgen: registering %q: %v", q.Name(), err)
 		}
 	}

@@ -22,7 +22,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/streamworks/streamworks"
 	"github.com/streamworks/streamworks/internal/api"
 	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/obs"
@@ -47,25 +46,8 @@ func main() {
 		ingestTimeout = flag.Duration("ingest-timeout", 0, "bound on how long a wait=1 ingest request blocks before answering 503 (0 = unbounded)")
 
 		obsOn = flag.Bool("obs", false, "enable clock reads: the per-segment, journey and detect-lag latency histograms (counters and gauges are always kept; all are exported at GET /metrics)")
-
-		strategy = flag.String("strategy", "", "default decomposition strategy for registrations (selective, lazy, eager, balanced; empty = selective)")
-		adaptive = flag.Bool("adaptive", false, "adapt query plans to live stream statistics by default (per-query override: POST /v1/queries?adaptive=on|off)")
 	)
 	flag.Parse()
-
-	if *strategy != "" {
-		// Fail at boot, not as a 422 on every later registration.
-		valid := false
-		for _, s := range streamworks.PlanStrategies() {
-			if s == *strategy {
-				valid = true
-				break
-			}
-		}
-		if !valid {
-			log.Fatalf("streamworksd: unknown -strategy %q (want one of %v)", *strategy, streamworks.PlanStrategies())
-		}
-	}
 
 	if _, err := wal.ParseFsyncPolicy(*fsync); err != nil {
 		// Fail at boot, not as silently-degraded durability at first append.
@@ -87,8 +69,6 @@ func main() {
 	srv := server.New(server.Config{
 		Shard:             shard.Config{Shards: *shards, Engine: engine},
 		SubscriberBuffer:  *subBuffer,
-		DefaultStrategy:   *strategy,
-		AdaptivePlanning:  *adaptive,
 		DataDir:           *dataDir,
 		FsyncPolicy:       *fsync,
 		SnapshotEvery:     *snapshotEvery,
@@ -119,8 +99,8 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("streamworksd: listening on %s (api=%s shards=%d retention=%s slack=%s adaptive=%v data-dir=%q fsync=%s)",
-			*addr, api.Version, *shards, *retention, *slack, *adaptive, *dataDir, *fsync)
+		log.Printf("streamworksd: listening on %s (api=%s shards=%d retention=%s slack=%s data-dir=%q fsync=%s obs=%v)",
+			*addr, api.Version, *shards, *retention, *slack, *dataDir, *fsync, *obsOn)
 		errc <- hs.ListenAndServe()
 	}()
 

@@ -172,40 +172,20 @@ func (d *durable) stats() DurabilityStats {
 	return api.WALMetricsFrom(d.reg.Snapshot())
 }
 
-// registerRecord resolves one registration's effective strategy and
-// adaptive mode (call options over engine defaults) into its durable form,
-// so recovery re-registers with identical semantics even if the engine's
-// defaults change across the restart.
-func (c *config) registerRecord(q *Query, o RegisterOptions) wal.RegisterRecord {
-	strat := o.Strategy
-	if strat == "" {
-		strat = c.strategy
+// registerRecord is one registration's durable form: recovery re-registers
+// it with the same plan settings.
+func registerRecord(q *Query, o RegisterOptions) wal.RegisterRecord {
+	r := wal.RegisterRecord{Name: q.Name(), DSL: FormatQuery(q), Strategy: o.Strategy, Adaptive: "off"}
+	if o.Adaptive {
+		r.Adaptive = "on"
 	}
-	adaptive := c.adaptive
-	switch o.Adaptive {
-	case AdaptiveOn:
-		adaptive = true
-	case AdaptiveOff:
-		adaptive = false
-	}
-	mode := "off"
-	if adaptive {
-		mode = "on"
-	}
-	return wal.RegisterRecord{Name: q.Name(), DSL: FormatQuery(q), Strategy: strat, Adaptive: mode}
+	return r
 }
 
-// recordOptions maps a recovered registration record back onto the public
-// registration options.
+// recordOptions maps a recovered registration record back onto its plan
+// settings; any adaptive value but "on" is frozen.
 func recordOptions(r *wal.RegisterRecord) RegisterOptions {
-	o := RegisterOptions{Strategy: r.Strategy}
-	switch r.Adaptive {
-	case "on":
-		o.Adaptive = AdaptiveOn
-	case "off":
-		o.Adaptive = AdaptiveOff
-	}
-	return o
+	return RegisterOptions{Strategy: r.Strategy, Adaptive: r.Adaptive == "on"}
 }
 
 // replayRecovery pushes the recovered operations back through the engine's

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/sjtree"
 	"github.com/streamworks/streamworks/internal/testutil/faultfs"
+	"github.com/streamworks/streamworks/internal/wal"
 )
 
 // durableEngine is the slice of the in-process backends the durability
@@ -595,4 +597,72 @@ func TestShardedFlushBarrier(t *testing.T) {
 	if !set.Equal(ref) {
 		t.Fatalf("after Flush: %d matches delivered, reference %d", len(set), len(ref))
 	}
+}
+
+// planSettings reads each registered query's strategy and adaptive flag
+// from Metrics.
+func planSettings(t *testing.T, eng streamworks.Engine) map[string]streamworks.RegisterOptions {
+	t.Helper()
+	m, err := eng.Metrics(context.Background())
+	if err != nil {
+		t.Fatalf("Metrics: %v", err)
+	}
+	out := make(map[string]streamworks.RegisterOptions, len(m.Queries))
+	for _, q := range m.Queries {
+		out[q.Name] = streamworks.RegisterOptions{Strategy: string(q.Strategy), Adaptive: q.Adaptive}
+	}
+	return out
+}
+
+// TestRecoveryKeepsEachQuerysPlanSettings: a restart re-registers every
+// query with the strategy and adaptive setting it was registered with, and
+// a register frame written the way earlier logs spelled frozen ("off")
+// recovers frozen.
+func TestRecoveryKeepsEachQuerysPlanSettings(t *testing.T) {
+	smurf, worm := gen.SmurfQuery(time.Minute), gen.WormQuery(time.Minute)
+	want := map[string]streamworks.RegisterOptions{
+		smurf.Name(): {Strategy: "lazy", Adaptive: true},
+		worm.Name():  {Strategy: "selective"},
+	}
+	ctx := context.Background()
+	for _, mk := range inProcessBackends() {
+		t.Run(mk.name, func(t *testing.T) {
+			dir := t.TempDir()
+			eng := mk.mk(streamworks.WithDataDir(dir))
+			if err := eng.RegisterQueryWith(ctx, smurf, streamworks.RegisterOptions{Strategy: "lazy", Adaptive: true}); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.RegisterQuery(ctx, worm); err != nil {
+				t.Fatal(err)
+			}
+			if got := planSettings(t, eng); !reflect.DeepEqual(got, want) {
+				t.Fatalf("before the restart: %v, want %v", got, want)
+			}
+			eng.Close()
+			eng = mk.mk(streamworks.WithDataDir(dir))
+			defer eng.Close()
+			if got := planSettings(t, eng); !reflect.DeepEqual(got, want) {
+				t.Fatalf("after the restart: %v, want %v", got, want)
+			}
+		})
+	}
+	t.Run("adaptive-off-frame", func(t *testing.T) {
+		dir := t.TempDir()
+		man, _, err := wal.Open(wal.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := man.AppendRegister(wal.RegisterRecord{Name: worm.Name(), DSL: streamworks.FormatQuery(worm), Strategy: "lazy", Adaptive: "off"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := man.Close(); err != nil {
+			t.Fatal(err)
+		}
+		eng := streamworks.New(streamworks.WithDataDir(dir))
+		defer eng.Close()
+		want := map[string]streamworks.RegisterOptions{worm.Name(): {Strategy: "lazy"}}
+		if got := planSettings(t, eng); !reflect.DeepEqual(got, want) {
+			t.Fatalf("recovered %v, want %v", got, want)
+		}
+	})
 }

@@ -180,7 +180,7 @@ func (f *frontend) addQuery(name string, q *Query, opts RegisterOptions) {
 	f.rmu.Lock()
 	f.queries[name] = q
 	f.rmu.Unlock()
-	f.dur.appendRegister(f.cfg.registerRecord(q, opts))
+	f.dur.appendRegister(registerRecord(q, opts))
 }
 
 // dropQuery is addQuery's inverse, for an unregistration.

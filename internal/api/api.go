@@ -39,31 +39,27 @@ type HealthResponse struct {
 	Durability string `json:"durability,omitempty"`
 }
 
-// RegisterOptions are the optional query parameters of POST /v1/queries
-// (the body stays pure DSL text): ?strategy= selects the decomposition
-// strategy, ?adaptive= opts the query in to ("on"/"1"/"true") or out of
-// ("off"/"0"/"false") adaptive re-planning, overriding the daemon default.
-// Empty fields defer to the daemon's configuration.
+// RegisterOptions are one query's plan settings, sent as the optional query
+// parameters of POST /v1/queries (the body stays pure DSL text): ?strategy=
+// names the decomposition strategy (empty: selective) and adaptive=on opts
+// the query into adaptive re-planning (absent: frozen). The daemon has no
+// defaults of its own. The fields are streamworks.RegisterOptions', which
+// converts to this type.
 type RegisterOptions struct {
 	Strategy string
-	Adaptive string
+	Adaptive bool
 }
 
 // RegisterResponse summarizes a successful query registration: the query
-// shape, the strategy and adaptive-planning mode in force, and an
-// informational decomposition summary (computed without stream statistics;
-// each shard plans against its own evolving summary).
+// shape and the plan settings it was registered with. The plan each shard
+// actually runs is reported per query on GET /v1/metrics.
 type RegisterResponse struct {
-	Name       string   `json:"name"`
-	Window     string   `json:"window"`
-	Vertices   int      `json:"vertices"`
-	Edges      int      `json:"edges"`
-	Strategy   string   `json:"strategy"`
-	Adaptive   bool     `json:"adaptive"`
-	PlanNodes  int      `json:"plan_nodes"`
-	PlanDepth  int      `json:"plan_depth"`
-	Primitives []string `json:"primitives"`
-	Plan       string   `json:"plan"`
+	Name     string `json:"name"`
+	Window   string `json:"window"`
+	Vertices int    `json:"vertices"`
+	Edges    int    `json:"edges"`
+	Strategy string `json:"strategy"`
+	Adaptive bool   `json:"adaptive"`
 }
 
 // QueryInfo is one entry of the GET /v1/queries listing.

@@ -136,25 +136,23 @@ func TestEngineAnonymousQueryGetsName(t *testing.T) {
 	}
 }
 
-func TestEngineWithExplicitPlan(t *testing.T) {
+func TestEngineWithStrategy(t *testing.T) {
 	e := New(nil)
 	q := smurfQuery(0)
-	plan, err := decompose.NewPlanner(nil).Plan(q, decompose.StrategyEager)
+	reg, err := e.RegisterQuery(q, WithStrategy(decompose.StrategyEager))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, err := e.RegisterQuery(q, WithPlan(plan))
+	want, err := decompose.NewPlanner(nil).Plan(q, decompose.StrategyEager)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reg.Plan() != plan {
-		t.Fatalf("explicit plan not used")
+	if got := reg.Plan(); got.Strategy != decompose.StrategyEager || got.String() != want.String() {
+		t.Fatalf("registered plan %v (%s), want eager %v", got, got.Strategy, want)
 	}
-	// A plan for a different query object must be rejected.
-	other := smurfQuery(0)
-	e2 := New(nil)
-	if _, err := e2.RegisterQuery(other, WithPlan(plan)); err == nil {
-		t.Fatalf("foreign plan accepted")
+	// An unknown strategy is refused.
+	if _, err := New(nil).RegisterQuery(smurfQuery(0), WithStrategy("bogus")); !errors.Is(err, decompose.ErrUnknownStrategy) {
+		t.Fatalf("unknown strategy: %v", err)
 	}
 }
 

@@ -16,7 +16,6 @@ type RegistrationOption func(*registrationConfig)
 
 type registrationConfig struct {
 	strategy decompose.Strategy
-	plan     *decompose.Plan
 	adaptive bool
 }
 
@@ -24,12 +23,6 @@ type registrationConfig struct {
 // the paper's selectivity-ordered decomposition).
 func WithStrategy(s decompose.Strategy) RegistrationOption {
 	return func(c *registrationConfig) { c.strategy = s }
-}
-
-// WithPlan supplies a pre-built decomposition plan, bypassing the planner.
-// Used by the plan-comparison experiments and by callers that persist plans.
-func WithPlan(p *decompose.Plan) RegistrationOption {
-	return func(c *registrationConfig) { c.plan = p }
 }
 
 // WithAdaptive opts the registration into adaptive re-planning: the engine
@@ -54,9 +47,9 @@ type Registration struct {
 	att *mqo.Attachment
 
 	// Adaptive re-planning state: strategy is what the planner re-runs on a
-	// drift check (the strategy the registration was created with, or the
-	// supplied plan's), det applies the hysteresis policy and planGen counts
-	// plan generations (1 = the registration-time plan).
+	// drift check (the strategy the registration was created with), det
+	// applies the hysteresis policy and planGen counts plan generations (1 =
+	// the registration-time plan).
 	adaptive bool
 	strategy decompose.Strategy
 	det      replan.Detector
@@ -71,11 +64,6 @@ type Registration struct {
 	// size.
 	matches, replans             *obs.Counter
 	emittedEntries, emittedBytes *obs.Gauge
-
-	// opts is the option list the registration was created with, retained so
-	// front-ends (e.g. the sharded engine) can replicate the registration
-	// onto other engines with identical semantics.
-	opts []RegistrationOption
 }
 
 func newRegistration(e *Engine, name string, q *query.Graph, opts ...RegistrationOption) (*Registration, error) {
@@ -83,15 +71,9 @@ func newRegistration(e *Engine, name string, q *query.Graph, opts ...Registratio
 	for _, o := range opts {
 		o(&cfg)
 	}
-	plan := cfg.plan
-	if plan == nil {
-		var err error
-		plan, err = e.planner.Plan(q, cfg.strategy)
-		if err != nil {
-			return nil, fmt.Errorf("core: planning %q: %w", name, err)
-		}
-	} else if plan.Query != q {
-		return nil, fmt.Errorf("core: supplied plan is for a different query")
+	plan, err := e.planner.Plan(q, cfg.strategy)
+	if err != nil {
+		return nil, fmt.Errorf("core: planning %q: %w", name, err)
 	}
 	r := &Registration{
 		engine:   e,
@@ -102,7 +84,6 @@ func newRegistration(e *Engine, name string, q *query.Graph, opts ...Registratio
 		strategy: plan.Strategy,
 		det:      replan.NewDetector(e.replanCfg),
 		planGen:  1,
-		opts:     opts,
 	}
 	return r, nil
 }
@@ -128,10 +109,6 @@ func (r *Registration) Plan() *decompose.Plan { return r.plan }
 // Attachment returns the query's attachment to the engine's evaluation DAG
 // (read-only use: stats, display). A plan swap replaces it.
 func (r *Registration) Attachment() *mqo.Attachment { return r.att }
-
-// Options returns the option list the registration was created with,
-// allowing a front-end to clone the registration onto another engine.
-func (r *Registration) Options() []RegistrationOption { return r.opts }
 
 // Adaptive reports whether the registration opted into adaptive
 // re-planning.

@@ -308,30 +308,6 @@ func TestPlanStringMentionsStrategyAndCut(t *testing.T) {
 	}
 }
 
-func TestPlannerMaxLeafEdges(t *testing.T) {
-	planner := NewPlanner(nil)
-	planner.SetMaxLeafEdges(1)
-	p, err := planner.Plan(newsQuery(), StrategySelective)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range p.Leaves() {
-		if l.Size() != 1 {
-			t.Fatalf("maxLeafEdges=1 violated: leaf %v", l.Edges)
-		}
-	}
-	planner.SetMaxLeafEdges(0) // ignored
-	p2, err := planner.Plan(newsQuery(), StrategySelective)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range p2.Leaves() {
-		if l.Size() != 1 {
-			t.Fatalf("invalid SetMaxLeafEdges(0) changed the bound")
-		}
-	}
-}
-
 func TestStrategiesList(t *testing.T) {
 	ss := Strategies()
 	if len(ss) != 4 || ss[0] != StrategySelective {

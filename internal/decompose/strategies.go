@@ -42,22 +42,15 @@ func Strategies() []Strategy {
 // primitives with typed, predicated vertices first).
 type Planner struct {
 	est *stats.Estimator
-	// maxLeafEdges bounds the size of a search primitive; the paper keeps
-	// primitives small ("small and selective") so local searches stay local.
-	maxLeafEdges int
 }
+
+// maxLeafEdges bounds the size of a search primitive; the paper keeps
+// primitives small ("small and selective") so local searches stay local.
+const maxLeafEdges = 2
 
 // NewPlanner constructs a planner. est may be nil.
 func NewPlanner(est *stats.Estimator) *Planner {
-	return &Planner{est: est, maxLeafEdges: 2}
-}
-
-// SetMaxLeafEdges overrides the maximum number of pattern edges per
-// primitive (minimum 1).
-func (p *Planner) SetMaxLeafEdges(n int) {
-	if n >= 1 {
-		p.maxLeafEdges = n
-	}
+	return &Planner{est: est}
 }
 
 // ErrUnknownStrategy is returned for unrecognized strategy names.
@@ -71,11 +64,11 @@ func (p *Planner) Plan(q *query.Graph, s Strategy) (*Plan, error) {
 	var root *Node
 	switch s {
 	case StrategySelective:
-		root = p.leftDeep(q, p.primitivesByBenefit(q, p.maxLeafEdges), true)
+		root = p.leftDeep(q, primitives(q, q.EdgeIDs(), p.bestPartnerByBenefit), true)
 	case StrategyLazy:
-		root = p.leftDeep(q, p.primitives(q, 2), false)
+		root = p.leftDeep(q, primitives(q, q.EdgeIDs(), p.bestPartner), false)
 	case StrategyEager:
-		root = p.leftDeep(q, p.primitives(q, 1), false)
+		root = p.leftDeep(q, primitives(q, q.EdgeIDs(), nil), false)
 	case StrategyBalanced:
 		root = p.balanced(q, q.EdgeIDs())
 	default:
@@ -88,26 +81,27 @@ func (p *Planner) Plan(q *query.Graph, s Strategy) (*Plan, error) {
 	return plan, nil
 }
 
-// primitives greedily partitions the query edges into connected primitives
-// of at most maxEdges edges. Pairing prefers adjacent edges (sharing a
-// vertex) so two-edge primitives are always wedges; leftovers become
-// single-edge primitives.
-func (p *Planner) primitives(q *query.Graph, maxEdges int) [][]query.EdgeID {
-	unused := make(map[query.EdgeID]bool)
-	for _, e := range q.EdgeIDs() {
+// primitives greedily partitions edges, in order, into connected primitives
+// of at most maxLeafEdges edges: each edge not yet taken is paired with the
+// unused edge partner picks, or stays a single-edge primitive when partner
+// is nil or picks none. Partners share a vertex with the edge, so two-edge
+// primitives are always wedges.
+func primitives(q *query.Graph, edges []query.EdgeID, partner func(*query.Graph, query.EdgeID, map[query.EdgeID]bool) (query.EdgeID, bool)) [][]query.EdgeID {
+	unused := make(map[query.EdgeID]bool, len(edges))
+	for _, e := range edges {
 		unused[e] = true
 	}
 	var prims [][]query.EdgeID
-	for _, e := range q.EdgeIDs() {
+	for _, e := range edges {
 		if !unused[e] {
 			continue
 		}
 		prim := []query.EdgeID{e}
 		unused[e] = false
-		if maxEdges >= 2 {
-			if partner, ok := p.bestPartner(q, e, unused); ok {
-				prim = append(prim, partner)
-				unused[partner] = false
+		if partner != nil {
+			if pe, ok := partner(q, e, unused); ok {
+				prim = append(prim, pe)
+				unused[pe] = false
 			}
 		}
 		prims = append(prims, prim)
@@ -115,9 +109,9 @@ func (p *Planner) primitives(q *query.Graph, maxEdges int) [][]query.EdgeID {
 	return prims
 }
 
-// primitivesByBenefit partitions the query edges into primitives like
-// primitives, but pairs each edge with the adjacent partner that most
-// reduces the *total* estimated match volume stored at the leaves:
+// bestPartnerByBenefit, the selective strategy's partner, picks the unused
+// adjacent edge that most reduces the *total* estimated match volume stored
+// at the leaves:
 //
 //	benefit(e, p) = card({e}) + card({p}) − card({e, p})
 //
@@ -126,35 +120,10 @@ func (p *Planner) primitives(q *query.Graph, maxEdges int) [][]query.EdgeID {
 // rare edges and strand a flood-frequency edge as its own leaf — every one
 // of those edges then becomes a stored partial match; absorbing the
 // expensive edge into a wedge gated by a rare one is what keeps the SJ-Tree
-// small. Pairs with no positive benefit stay singletons.
-func (p *Planner) primitivesByBenefit(q *query.Graph, maxEdges int) [][]query.EdgeID {
-	unused := make(map[query.EdgeID]bool)
-	for _, e := range q.EdgeIDs() {
-		unused[e] = true
-	}
-	var prims [][]query.EdgeID
-	for _, e := range q.EdgeIDs() {
-		if !unused[e] {
-			continue
-		}
-		prim := []query.EdgeID{e}
-		unused[e] = false
-		if maxEdges >= 2 {
-			if partner, ok := p.bestPartnerByBenefit(q, e, unused); ok {
-				prim = append(prim, partner)
-				unused[partner] = false
-			}
-		}
-		prims = append(prims, prim)
-	}
-	return prims
-}
-
-// bestPartnerByBenefit picks the unused adjacent edge maximizing the
-// pairing benefit. Neutral pairings (benefit 0, e.g. under cold statistics
-// where every estimate is 1) are still taken — small leaves are preferable
-// when nothing distinguishes them — but an actively harmful pairing
-// (negative benefit) leaves e a singleton.
+// small. Neutral pairings (benefit 0, e.g. under cold statistics where every
+// estimate is 1) are still taken — small leaves are preferable when nothing
+// distinguishes them — but an actively harmful pairing (negative benefit)
+// leaves e a singleton.
 func (p *Planner) bestPartnerByBenefit(q *query.Graph, e query.EdgeID, unused map[query.EdgeID]bool) (query.EdgeID, bool) {
 	qe := q.Edge(e)
 	eCost := p.estimate(q, []query.EdgeID{e})
@@ -289,12 +258,12 @@ func touchesCovered(q *query.Graph, covered map[query.VertexID]struct{}, edges [
 // connected split cannot be found the subset is handled by the selective
 // left-deep construction instead.
 func (p *Planner) balanced(q *query.Graph, edges []query.EdgeID) *Node {
-	if len(edges) <= p.maxLeafEdges && q.SubsetConnected(edges) {
+	if len(edges) <= maxLeafEdges && q.SubsetConnected(edges) {
 		return newLeaf(edges)
 	}
 	left, right, ok := p.connectedSplit(q, edges)
 	if !ok {
-		return p.leftDeep(q, p.subsetPrimitives(q, edges), true)
+		return p.leftDeep(q, primitives(q, edges, p.bestPartner), true)
 	}
 	return newJoin(q, p.balanced(q, left), p.balanced(q, right))
 }
@@ -349,30 +318,6 @@ func (p *Planner) connectedSplit(q *query.Graph, edges []query.EdgeID) (left, ri
 		return nil, nil, false
 	}
 	return grown, rest, true
-}
-
-// subsetPrimitives is primitives() restricted to a subset of the query edges.
-func (p *Planner) subsetPrimitives(q *query.Graph, edges []query.EdgeID) [][]query.EdgeID {
-	unused := make(map[query.EdgeID]bool, len(edges))
-	for _, e := range edges {
-		unused[e] = true
-	}
-	var prims [][]query.EdgeID
-	for _, e := range edges {
-		if !unused[e] {
-			continue
-		}
-		prim := []query.EdgeID{e}
-		unused[e] = false
-		if p.maxLeafEdges >= 2 {
-			if partner, ok := p.bestPartner(q, e, unused); ok {
-				prim = append(prim, partner)
-				unused[partner] = false
-			}
-		}
-		prims = append(prims, prim)
-	}
-	return prims
 }
 
 // estimate returns the estimated cardinality of the subgraph, falling back

@@ -24,6 +24,8 @@ type Workload struct {
 	Edges   []graph.StreamEdge
 	Queries []*query.Graph
 	Engine  core.Config
+	// Register is every query's plan settings (strategy, adaptive).
+	Register streamworks.RegisterOptions
 	// SplitAt, when non-zero, is the index of the first edge of the
 	// workload's second regime (the drift point of DriftWorkload).
 	SplitAt int
@@ -283,7 +285,7 @@ func Oracle(w Workload) MatchSet {
 
 // RunEngine replays the workload through an in-process public
 // streamworks.Engine (New or NewSharded): it registers the workload's
-// queries, subscribes to every match, streams the edges and closes the
+// queries with its plan settings, subscribes to every match, streams the edges and closes the
 // engine, returning the canonical match set. Its drain protocol — Close,
 // then wait for the subscription's Done — relies on Close being the drain,
 // which holds for the in-process backends only; a Remote tears its streams
@@ -295,7 +297,7 @@ func RunEngine(eng streamworks.Engine, w Workload) (MatchSet, error) {
 	defer eng.Close()
 	ctx := context.Background()
 	for _, q := range w.Queries {
-		if err := eng.RegisterQuery(ctx, q); err != nil {
+		if err := eng.RegisterQueryWith(ctx, q, w.Register); err != nil {
 			return nil, err
 		}
 	}
@@ -321,9 +323,8 @@ func RunEngine(eng streamworks.Engine, w Workload) (MatchSet, error) {
 
 // RunSingle replays the workload through the public single-engine backend
 // (streamworks.New) and returns the canonical match set and final metrics.
-// Extra options (e.g. streamworks.WithAdaptivePlanning,
-// streamworks.WithPlanStrategy) are applied after the workload's engine
-// config.
+// Extra options (e.g. streamworks.WithObservability) are applied after the
+// workload's engine config.
 func RunSingle(w Workload, extra ...streamworks.Option) (MatchSet, core.Metrics, error) {
 	opts := append([]streamworks.Option{streamworks.WithEngineConfig(w.Engine)}, extra...)
 	eng := streamworks.New(opts...)

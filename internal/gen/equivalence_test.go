@@ -74,10 +74,9 @@ func TestCrossStrategyEquivalenceMatrix(t *testing.T) {
 					strat, m := strat, m
 					t.Run(fmt.Sprintf("%s/%s", strat, m.name), func(t *testing.T) {
 						t.Parallel()
-						opts := []streamworks.Option{
-							streamworks.WithPlanStrategy(string(strat)),
-							streamworks.WithAdaptivePlanning(m.adaptive),
-						}
+						w := w
+						w.Register = streamworks.RegisterOptions{Strategy: string(strat), Adaptive: m.adaptive}
+						var opts []streamworks.Option
 						if m.obs {
 							opts = append(opts, streamworks.WithObservability(true))
 						}
@@ -109,7 +108,8 @@ func TestCrossStrategyEquivalenceMatrix(t *testing.T) {
 // only proves it is safe).
 func TestAdaptiveReplansOnDrift(t *testing.T) {
 	w := tinyDriftWorkload()
-	_, m, err := RunSingle(w, streamworks.WithAdaptivePlanning(true))
+	w.Register.Adaptive = true
+	_, m, err := RunSingle(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +139,13 @@ func TestAdaptiveReplansOnDrift(t *testing.T) {
 // collects keeps the count it reached, and a signature created again starts
 // from zero. (A query's PartialMatches would not do: it counts a shared node
 // once per query viewing it.)
-func storedPartials(t *testing.T, w Workload, extra ...streamworks.Option) (MatchSet, int) {
+func storedPartials(t *testing.T, w Workload) (MatchSet, int) {
 	t.Helper()
-	eng := streamworks.New(append([]streamworks.Option{streamworks.WithEngineConfig(w.Engine)}, extra...)...)
+	eng := streamworks.New(streamworks.WithEngineConfig(w.Engine))
 	defer eng.Close()
 	ctx := context.Background()
 	for _, q := range w.Queries {
-		if err := eng.RegisterQuery(ctx, q); err != nil {
+		if err := eng.RegisterQueryWith(ctx, q, w.Register); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,7 +192,8 @@ func storedPartials(t *testing.T, w Workload, extra ...streamworks.Option) (Matc
 func TestAdaptiveStoresFewerPartialsOnDrift(t *testing.T) {
 	w := tinyDriftWorkload()
 	frozenSet, frozen := storedPartials(t, w)
-	adaptiveSet, adaptive := storedPartials(t, w, streamworks.WithAdaptivePlanning(true))
+	w.Register.Adaptive = true
+	adaptiveSet, adaptive := storedPartials(t, w)
 	if len(frozenSet) == 0 {
 		t.Fatalf("frozen run found no matches; the workload proves nothing")
 	}

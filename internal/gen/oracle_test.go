@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/streamworks/streamworks"
 	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/decompose"
 	"github.com/streamworks/streamworks/internal/graph"
@@ -91,15 +90,16 @@ func TestRandomStreamsMatchOracle(t *testing.T) {
 			for _, strat := range decompose.Strategies() {
 				for _, shards := range []int{1, 2, 3} {
 					t.Run(fmt.Sprintf("%s/shards=%d", strat, shards), func(t *testing.T) {
-						opt := streamworks.WithPlanStrategy(string(strat))
+						w := w
+						w.Register.Strategy = string(strat)
 						var (
 							set MatchSet
 							err error
 						)
 						if shards == 1 {
-							set, _, err = RunSingle(w, opt)
+							set, _, err = RunSingle(w)
 						} else {
-							set, _, err = RunSharded(w, shards, opt)
+							set, _, err = RunSharded(w, shards)
 						}
 						if err != nil {
 							t.Fatal(err)

@@ -26,7 +26,8 @@
 //
 // Endpoints:
 //
-//	POST   /v1/queries        register a query (body: text DSL) → plan summary
+//	POST   /v1/queries        register a query (body: text DSL; ?strategy=,
+//	                          ?adaptive=on|off) → its shape and plan settings
 //	GET    /v1/queries        list registered queries
 //	GET    /v1/queries/{name} fetch one query, rendered back as DSL text
 //	DELETE /v1/queries/{name} unregister
@@ -62,12 +63,10 @@ import (
 
 	"github.com/streamworks/streamworks"
 	"github.com/streamworks/streamworks/internal/api"
-	"github.com/streamworks/streamworks/internal/decompose"
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/obs"
 	"github.com/streamworks/streamworks/internal/query"
 	"github.com/streamworks/streamworks/internal/shard"
-	"github.com/streamworks/streamworks/internal/stats"
 	"github.com/streamworks/streamworks/internal/wire"
 )
 
@@ -88,16 +87,6 @@ type Config struct {
 	MaxBatchEdges int
 	// MaxQueryBytes caps a query registration body (default 1 MiB).
 	MaxQueryBytes int64
-	// DefaultStrategy is the decomposition strategy applied to
-	// registrations that do not pass ?strategy= (empty = selective). An
-	// unknown name is not rejected here — it surfaces as a 422 on every
-	// registration — so embedders should validate against
-	// streamworks.PlanStrategies up front (streamworksd does at boot).
-	DefaultStrategy string
-	// AdaptivePlanning makes registrations adapt their plans to the live
-	// stream statistics by default; individual registrations override with
-	// ?adaptive=on|off.
-	AdaptivePlanning bool
 	// DataDir enables durability: ingested batches, registrations and
 	// watermark advances are write-ahead logged under this directory, and a
 	// restart pointing at the same directory recovers the engine state,
@@ -138,11 +127,6 @@ type Server struct {
 	run *runner
 	hub *hub
 	mux *http.ServeMux
-
-	// planner renders the informational plan summary returned by query
-	// registration. Each shard engine plans against its own statistics; this
-	// planner sees none, so the summary reflects the frequency-blind plan.
-	planner *decompose.Planner
 
 	started   time.Time
 	closeOnce sync.Once // Do also makes concurrent Close calls wait for the drain
@@ -198,8 +182,6 @@ func New(cfg Config) *Server {
 	engOpts := []streamworks.Option{
 		streamworks.WithEngineConfig(cfg.Shard.Engine),
 		streamworks.WithShards(cfg.Shard.Shards),
-		streamworks.WithPlanStrategy(cfg.DefaultStrategy),
-		streamworks.WithAdaptivePlanning(cfg.AdaptivePlanning),
 	}
 	if cfg.DataDir != "" {
 		engOpts = append(engOpts,
@@ -217,7 +199,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:             cfg,
 		eng:             eng,
-		planner:         decompose.NewPlanner(stats.NewEstimator(nil)),
 		started:         time.Now(),
 		reg:             reg,
 		batchesRejected: reg.Counter("server_batches_rejected", "", ""),
@@ -366,7 +347,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "query must be named (add a 'query <name>' line)")
 		return
 	}
-	opts, adaptive, err := s.parseRegisterOptions(r)
+	opts, err := parseRegisterOptions(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -385,72 +366,32 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp := RegisterResponse{
+	strategy := opts.Strategy
+	if strategy == "" {
+		strategy = streamworks.PlanStrategies()[0]
+	}
+	writeJSON(w, http.StatusCreated, RegisterResponse{
 		Name:     q.Name(),
 		Window:   q.Window().String(),
 		Vertices: q.NumVertices(),
 		Edges:    q.NumEdges(),
-		Adaptive: adaptive,
-	}
-	strategy := decompose.StrategySelective
-	if opts.Strategy != "" {
-		strategy = decompose.Strategy(opts.Strategy)
-	}
-	if plan, perr := s.planner.Plan(q, strategy); perr == nil {
-		resp.Strategy = string(plan.Strategy)
-		resp.PlanNodes = plan.NumNodes()
-		resp.PlanDepth = plan.Depth()
-		resp.Primitives = primitiveStrings(plan)
-		resp.Plan = plan.String()
-	}
-	writeJSON(w, http.StatusCreated, resp)
+		Strategy: strategy,
+		Adaptive: opts.Adaptive,
+	})
 }
 
 // parseRegisterOptions maps the optional ?strategy= and ?adaptive= query
-// parameters of POST /v1/queries onto the public registration options,
-// also resolving the effective adaptive mode for the response (the engine
-// default applies when the parameter is absent).
-func (s *Server) parseRegisterOptions(r *http.Request) (streamworks.RegisterOptions, bool, error) {
+// parameters of POST /v1/queries onto the query's plan settings.
+func parseRegisterOptions(r *http.Request) (streamworks.RegisterOptions, error) {
 	opts := streamworks.RegisterOptions{Strategy: r.URL.Query().Get("strategy")}
-	adaptive := s.cfg.AdaptivePlanning
 	switch v := strings.ToLower(r.URL.Query().Get("adaptive")); v {
-	case "":
 	case "on", "1", "true":
-		opts.Adaptive = streamworks.AdaptiveOn
-		adaptive = true
-	case "off", "0", "false":
-		opts.Adaptive = streamworks.AdaptiveOff
-		adaptive = false
+		opts.Adaptive = true
+	case "", "off", "0", "false":
 	default:
-		return opts, false, fmt.Errorf("invalid adaptive value %q (want on or off)", v)
+		return opts, fmt.Errorf("invalid adaptive value %q (want on or off)", v)
 	}
-	if opts.Strategy == "" && s.cfg.DefaultStrategy != "" {
-		opts.Strategy = s.cfg.DefaultStrategy
-	}
-	return opts, adaptive, nil
-}
-
-// primitiveStrings renders each plan leaf's pattern edges compactly.
-func primitiveStrings(p *decompose.Plan) []string {
-	out := make([]string, 0, len(p.Leaves()))
-	for _, leaf := range p.Leaves() {
-		parts := make([]string, 0, len(leaf.Edges))
-		for _, eid := range leaf.Edges {
-			e := p.Query.Edge(eid)
-			label := e.Type
-			if label == "" {
-				label = "*"
-			}
-			arrow := "->"
-			if e.AnyDirection {
-				arrow = "--"
-			}
-			parts = append(parts, fmt.Sprintf("%s-[%s]%s%s",
-				p.Query.Vertex(e.Source).Name, label, arrow, p.Query.Vertex(e.Target).Name))
-		}
-		out = append(out, "{"+strings.Join(parts, ", ")+"}")
-	}
-	return out
+	return opts, nil
 }
 
 // QueryInfo is one entry of the GET /v1/queries listing (see api.QueryInfo).

@@ -34,9 +34,10 @@ const (
 
 // RegisterRecord is the durable form of one query registration: the DSL
 // text (query.Format round-trips name, window and pattern) plus the
-// registration options a front-end needs to reconstruct identical
-// semantics. Adaptive is tri-state ("", "on", "off") mirroring the public
-// AdaptiveMode.
+// query's plan settings, so recovery re-registers it identically. Strategy
+// empty means selective. Adaptive is "on" for an adaptive query and "off"
+// for a frozen one; a reader takes any value but "on", absent included, as
+// frozen.
 type RegisterRecord struct {
 	Name     string `json:"name"`
 	DSL      string `json:"dsl"`

@@ -33,14 +33,13 @@ func New(opts ...Option) *Local {
 	return l
 }
 
-// RegisterQuery installs a continuous query with the engine's registration
-// defaults.
+// RegisterQuery installs a continuous query, selective and frozen.
 func (l *Local) RegisterQuery(ctx context.Context, q *Query) error {
 	return l.RegisterQueryWith(ctx, q, RegisterOptions{})
 }
 
-// RegisterQueryWith installs a continuous query, overriding the engine's
-// plan-strategy and adaptive-planning defaults per RegisterOptions.
+// RegisterQueryWith installs a continuous query with its own plan strategy
+// and adaptive-planning setting.
 func (l *Local) RegisterQueryWith(ctx context.Context, q *Query, opts RegisterOptions) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -50,7 +49,7 @@ func (l *Local) RegisterQueryWith(ctx context.Context, q *Query, opts RegisterOp
 	if l.closed.Load() {
 		return ErrClosed
 	}
-	reg, err := l.eng.RegisterQuery(q, l.cfg.registrationOptions(opts)...)
+	reg, err := l.eng.RegisterQuery(q, opts.coreOptions()...)
 	if err != nil {
 		return err
 	}

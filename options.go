@@ -19,10 +19,6 @@ type config struct {
 	shards     int
 	httpClient *http.Client
 	transport  Transport
-	// strategy and adaptive are the engine-wide registration defaults; each
-	// RegisterQueryWith call can override them per query.
-	strategy string
-	adaptive bool
 	// Durability knobs (WithDataDir and friends). walFS is the filesystem
 	// seam the fault-injection tests substitute; nil uses the real one.
 	dataDir       string
@@ -60,27 +56,12 @@ func defaultConfig() config {
 	}
 }
 
-// registrationOptions resolves the engine defaults plus one call's
-// RegisterOptions into the core option list the in-process backends pass to
-// the engine (and the sharded front-end replicates to every shard).
-func (c *config) registrationOptions(o RegisterOptions) []core.RegistrationOption {
-	var opts []core.RegistrationOption
-	strat := o.Strategy
-	if strat == "" {
-		strat = c.strategy
-	}
-	if strat != "" {
-		opts = append(opts, core.WithStrategy(decompose.Strategy(strat)))
-	}
-	adaptive := c.adaptive
-	switch o.Adaptive {
-	case AdaptiveOn:
-		adaptive = true
-	case AdaptiveOff:
-		adaptive = false
-	}
-	if adaptive {
-		opts = append(opts, core.WithAdaptive(true))
+// coreOptions is the core option list the in-process backends pass to the
+// engine (and the sharded front-end replicates to every shard).
+func (o RegisterOptions) coreOptions() []core.RegistrationOption {
+	opts := []core.RegistrationOption{core.WithAdaptive(o.Adaptive)}
+	if o.Strategy != "" {
+		opts = append(opts, core.WithStrategy(decompose.Strategy(o.Strategy)))
 	}
 	return opts
 }
@@ -115,29 +96,6 @@ func WithEngineConfig(cfg EngineConfig) Option {
 // minimum 1). Ignored by the other backends.
 func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
-}
-
-// WithAdaptivePlanning makes every query registered through the engine
-// adapt its SJ-Tree decomposition to the live stream statistics: the engine
-// periodically re-costs each running plan against a freshly computed one
-// and hot-swaps when selectivity drift crosses the hysteresis threshold
-// (EngineConfig.Replan: CheckEvery, Threshold, Cooldown). Swaps are
-// invisible in the match stream — no match is lost or duplicated across the
-// boundary — and visible in Metrics (Replans, per-query PlanGeneration).
-// Per-query override: RegisterQueryWith with RegisterOptions.Adaptive.
-// On Connect the setting travels with each registration; the daemon's
-// engine does the re-planning. In-process backends need summaries enabled
-// (the default) for drift detection to have statistics to work from.
-func WithAdaptivePlanning(enabled bool) Option {
-	return func(c *config) { c.adaptive = enabled }
-}
-
-// WithPlanStrategy sets the default decomposition strategy for queries
-// registered through the engine: one of PlanStrategies() ("selective",
-// "lazy", "eager", "balanced"; the default is selective). Unknown names
-// fail at RegisterQuery. Per-query override: RegisterQueryWith.
-func WithPlanStrategy(name string) Option {
-	return func(c *config) { c.strategy = name }
 }
 
 // WithSharedPlans is ignored: every in-process backend folds its queries

@@ -19,7 +19,6 @@ import (
 type Remote struct {
 	c    *client.Client
 	info ServerInfo
-	cfg  config // registration defaults (strategy, adaptive)
 
 	mu     sync.Mutex
 	subs   map[*remoteSub]struct{}
@@ -49,7 +48,7 @@ func Connect(ctx context.Context, baseURL string, opts ...Option) (*Remote, erro
 	if err != nil {
 		return nil, fmt.Errorf("streamworks: connecting to %s: %w", baseURL, err)
 	}
-	return &Remote{c: c, info: *h, cfg: cfg, subs: make(map[*remoteSub]struct{})}, nil
+	return &Remote{c: c, info: *h, subs: make(map[*remoteSub]struct{})}, nil
 }
 
 // ServerInfo returns the daemon's health self-description captured at
@@ -69,16 +68,14 @@ func remoteErr(err error, sentinelByStatus map[int]error) error {
 }
 
 // RegisterQuery registers q with the daemon (serialized through the text
-// DSL, so q must be named), applying this engine's WithPlanStrategy /
-// WithAdaptivePlanning defaults.
+// DSL, so q must be named), selective and frozen.
 func (r *Remote) RegisterQuery(ctx context.Context, q *Query) error {
 	return r.RegisterQueryWith(ctx, q, RegisterOptions{})
 }
 
-// RegisterQueryWith registers q with explicit planning options. The options
-// (merged with this engine's defaults) travel as URL parameters on POST
-// /v1/queries; the daemon's engine performs the planning and, when adaptive
-// is on, the runtime re-planning.
+// RegisterQueryWith registers q with its own plan settings, which travel as
+// URL parameters on POST /v1/queries; the daemon's engine performs the
+// planning and, when adaptive is on, the runtime re-planning.
 func (r *Remote) RegisterQueryWith(ctx context.Context, q *Query, opts RegisterOptions) error {
 	if q == nil {
 		return ErrNilQuery
@@ -86,21 +83,7 @@ func (r *Remote) RegisterQueryWith(ctx context.Context, q *Query, opts RegisterO
 	if err := r.checkOpen(); err != nil {
 		return err
 	}
-	wire := api.RegisterOptions{Strategy: opts.Strategy}
-	if wire.Strategy == "" {
-		wire.Strategy = r.cfg.strategy
-	}
-	switch opts.Adaptive {
-	case AdaptiveOn:
-		wire.Adaptive = "on"
-	case AdaptiveOff:
-		wire.Adaptive = "off"
-	default:
-		if r.cfg.adaptive {
-			wire.Adaptive = "on"
-		}
-	}
-	_, err := r.c.RegisterQueryWith(ctx, q, wire)
+	_, err := r.c.RegisterQueryWith(ctx, q, api.RegisterOptions(opts))
 	return remoteErr(err, map[int]error{http.StatusConflict: ErrDuplicateQuery})
 }
 

@@ -27,7 +27,8 @@ func TestAdaptiveShardedSoakDrift(t *testing.T) {
 	if err != nil {
 		t.Fatalf("frozen run: %v", err)
 	}
-	adaptive, m, err := gen.RunSharded(w, 3, streamworks.WithAdaptivePlanning(true))
+	w.Register.Adaptive = true
+	adaptive, m, err := gen.RunSharded(w, 3)
 	if err != nil {
 		t.Fatalf("adaptive run: %v", err)
 	}
@@ -85,11 +86,11 @@ func TestReplanRacesUnregisterAndClose(t *testing.T) {
 	eng := streamworks.NewSharded(
 		streamworks.WithEngineConfig(w.Engine),
 		streamworks.WithShards(3),
-		streamworks.WithAdaptivePlanning(true),
 	)
 	ctx := context.Background()
+	adaptive := streamworks.RegisterOptions{Adaptive: true}
 	for _, q := range w.Queries {
-		if err := eng.RegisterQuery(ctx, q); err != nil {
+		if err := eng.RegisterQueryWith(ctx, q, adaptive); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -122,7 +123,7 @@ func TestReplanRacesUnregisterAndClose(t *testing.T) {
 		q := gen.SmurfQuery(5 * time.Second)
 		for i := 0; i < 20; i++ {
 			_ = eng.UnregisterQuery(ctx, q.Name())
-			_ = eng.RegisterQuery(ctx, q)
+			_ = eng.RegisterQueryWith(ctx, q, adaptive)
 			time.Sleep(time.Millisecond)
 		}
 	}()

@@ -76,11 +76,11 @@ func (s *Sharded) RegisterQuery(ctx context.Context, q *Query) error {
 	return s.RegisterQueryWith(ctx, q, RegisterOptions{})
 }
 
-// RegisterQueryWith replicates a continuous query onto every shard,
-// overriding the engine's plan-strategy and adaptive-planning defaults per
-// RegisterOptions. With adaptive planning on, each shard re-plans against
-// its own partition's statistics; the merged match set stays canonical
-// regardless (dedup spans swap boundaries and shards alike).
+// RegisterQueryWith replicates a continuous query onto every shard with its
+// own plan strategy and adaptive-planning setting. With adaptive planning
+// on, each shard re-plans against its own partition's statistics; the
+// merged match set stays canonical regardless (dedup spans swap boundaries
+// and shards alike).
 func (s *Sharded) RegisterQueryWith(ctx context.Context, q *Query, opts RegisterOptions) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -90,7 +90,7 @@ func (s *Sharded) RegisterQueryWith(ctx context.Context, q *Query, opts Register
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.eng.RegisterQuery(q, s.cfg.registrationOptions(opts)...); err != nil {
+	if err := s.eng.RegisterQuery(q, opts.coreOptions()...); err != nil {
 		return translate(err)
 	}
 	s.addQuery(q.Name(), q, opts)

@@ -133,35 +133,27 @@ var (
 	ErrNilQuery = core.ErrNilQuery
 )
 
-// AdaptiveMode selects per-query adaptive re-planning behaviour in
-// RegisterOptions, three-valued so a registration can defer to the engine's
-// WithAdaptivePlanning default or override it either way.
-type AdaptiveMode int
-
-const (
-	// AdaptiveDefault inherits the engine's WithAdaptivePlanning setting.
-	AdaptiveDefault AdaptiveMode = iota
-	// AdaptiveOn opts this query into adaptive re-planning.
-	AdaptiveOn
-	// AdaptiveOff pins this query to its registration-time plan.
-	AdaptiveOff
-)
-
-// RegisterOptions carries the per-query knobs of RegisterQueryWith. The
-// zero value means "engine defaults" and makes RegisterQueryWith equivalent
-// to RegisterQuery.
+// RegisterOptions carries one query's plan settings for RegisterQueryWith;
+// no engine-wide default sits behind them. The zero value — selective and
+// frozen — makes RegisterQueryWith equivalent to RegisterQuery.
 type RegisterOptions struct {
 	// Strategy names the decomposition strategy for this query (one of
-	// PlanStrategies); empty uses the engine default.
+	// PlanStrategies); empty means "selective".
 	Strategy string
-	// Adaptive overrides the engine's adaptive-planning default.
-	Adaptive AdaptiveMode
+	// Adaptive opts this query into adaptive re-planning: the engine
+	// periodically re-costs the running plan against one computed from the
+	// live stream statistics and hot-swaps when selectivity drift crosses the
+	// hysteresis threshold (EngineConfig.Replan). Swaps are invisible in the
+	// match stream — no match is lost or duplicated across the boundary —
+	// and visible in Metrics (Replans, per-query PlanGeneration). In-process
+	// backends need summaries enabled (the default) for drift detection to
+	// have statistics to work from; on Connect the daemon's engine re-plans.
+	Adaptive bool
 }
 
 // PlanStrategies lists the decomposition strategy names accepted by
-// WithPlanStrategy and RegisterOptions.Strategy, in a stable order. The
-// first entry, "selective" (the paper's selectivity-ordered decomposition),
-// is the default.
+// RegisterOptions.Strategy, in a stable order. The first entry, "selective"
+// (the paper's selectivity-ordered decomposition), is the default.
 func PlanStrategies() []string {
 	ss := decompose.Strategies()
 	out := make([]string, len(ss))
@@ -204,10 +196,9 @@ type Subscription interface {
 //
 //   - RegisterQuery installs a continuous query; matches of that query
 //     begin flowing to matching subscriptions. Duplicate names return
-//     ErrDuplicateQuery. RegisterQueryWith is the same with per-query
-//     overrides of the engine's plan-strategy and adaptive-planning
-//     defaults; RegisterQuery(ctx, q) ≡ RegisterQueryWith(ctx, q,
-//     RegisterOptions{}).
+//     ErrDuplicateQuery. RegisterQueryWith is the same with the query's own
+//     plan strategy and adaptive-planning setting; RegisterQuery(ctx, q) ≡
+//     RegisterQueryWith(ctx, q, RegisterOptions{}), selective and frozen.
 //   - Process/ProcessBatch ingest timestamped edges, which must arrive in
 //     non-decreasing timestamp order up to the engine's slack. ctx bounds
 //     the blocking hand-off.
