@@ -325,7 +325,7 @@ func connect(ctx context.Context, addr string, timeout time.Duration) *streamwor
 	}
 }
 
-// settle polls metrics until the deduplicated match count stops moving, so
+// settle polls metrics until the merger's match count stops moving, so
 // in-flight matches still crossing shards and the fan-out are delivered
 // before the subscription is closed. It returns that count.
 func settle(ctx context.Context, rem *streamworks.Remote) uint64 {

@@ -231,7 +231,7 @@ func TestCrashRecoveryExactlyOnceDrift(t *testing.T) {
 // have deleted segments on either side of that registration. Recovery must
 // put the registration back at its place in the stream: a query replayed
 // ahead of the window would match edges it never saw live. By the crash,
-// three retentions in, the engine's emitted sets (and the merger's) have
+// three retentions in, the engines' emitted sets have
 // forgotten the matches of the first two, so the reference is the run of an
 // engine that forgets nothing: neither the uninterrupted run nor the replay
 // of the retained log may deliver anything else, or anything twice.

@@ -126,9 +126,10 @@ type WALMetrics struct {
 }
 
 // MetricsResponse is the GET /v1/metrics payload: the aggregated engine
-// view, each shard's raw counters (replicated edges, pre-dedup matches), and
-// the serving-layer counters. Every section is a rendering of one merged
-// snapshot, taken once, which Obs carries.
+// view, each shard's raw counters (edges and matches counted on every shard
+// that received or found them), and the serving-layer counters. Every
+// section is a rendering of one merged snapshot, taken once, which Obs
+// carries.
 type MetricsResponse struct {
 	Engine core.Metrics   `json:"engine"`
 	Shards []core.Metrics `json:"shards"`

@@ -273,12 +273,9 @@ func (e *Engine) RegisterQuery(q *query.Graph, opts ...RegistrationOption) (*Reg
 	if err != nil {
 		return nil, err
 	}
-	if err := e.extendRetention(q.Window()); err != nil {
+	if err := e.ExtendRetention(q.Window()); err != nil {
 		return nil, fmt.Errorf("registering %q: %w", name, err)
 	}
-	// extendRetention may have rebuilt the dynamic graph (pre-ingest only);
-	// point the DAG at the live instance before attaching.
-	e.dag.SetGraph(e.dyn)
 	att, err := e.dag.Attach(name, q, reg.plan, mqo.AttachOptions{EmitSigned: reg.emit})
 	if err != nil {
 		return nil, fmt.Errorf("registering %q: %w", name, err)
@@ -316,13 +313,16 @@ func (e *Engine) UnregisterQuery(name string) error {
 	return nil
 }
 
-// extendRetention grows the dynamic graph's window so it is never smaller
+// ExtendRetention grows the dynamic graph's window to w when w is wider,
+// as registering a query of window w does, so the window is never smaller
 // than the largest registered query window. A zero (unbounded) window always
 // suffices. Growth is only possible before the first edge is ingested;
 // afterwards edges outside the old window may already have expired, so a
 // mid-stream registration needing more retention fails with
-// ErrRetentionTooSmall rather than silently risking missed matches.
-func (e *Engine) extendRetention(w time.Duration) error {
+// ErrRetentionTooSmall rather than silently risking missed matches. A
+// sharded front-end calls it on the shards a query does not live on, so
+// every shard keeps the same window.
+func (e *Engine) ExtendRetention(w time.Duration) error {
 	if w <= 0 || e.dyn.Window() == 0 || w <= e.dyn.Window() {
 		return nil
 	}
@@ -331,6 +331,7 @@ func (e *Engine) extendRetention(w time.Duration) error {
 			ErrRetentionTooSmall, w, e.dyn.Window(), e.dyn.AddedTotal())
 	}
 	e.dyn = graph.NewDynamic(w, graph.WithSlack(e.cfg.Slack), graph.WithExpiryCallback(e.noteExpired))
+	e.dag.SetGraph(e.dyn)
 	return nil
 }
 

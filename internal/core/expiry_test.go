@@ -61,7 +61,7 @@ func TestEngineExpiryPrunesUnwindowedPartials(t *testing.T) {
 }
 
 // TestEngineExpiryCallbackSurvivesRetentionRebuild registers a windowed
-// query wide enough to force extendRetention to rebuild the dynamic graph,
+// query wide enough to force ExtendRetention to rebuild the dynamic graph,
 // then checks the rebuilt graph still reports expiries into the engine (the
 // window-less query's partials are pruned as before).
 func TestEngineExpiryCallbackSurvivesRetentionRebuild(t *testing.T) {
@@ -93,6 +93,6 @@ func TestEngineExpiryCallbackSurvivesRetentionRebuild(t *testing.T) {
 	}
 	e.Advance(base.Add(2 * time.Minute))
 	if got := reg.Attachment().PartialMatches(); got != 0 {
-		t.Fatalf("PartialMatchCount = %d after expiry on rebuilt graph, want 0 (expiry callback lost in extendRetention?)", got)
+		t.Fatalf("PartialMatchCount = %d after expiry on rebuilt graph, want 0 (expiry callback lost in ExtendRetention?)", got)
 	}
 }

@@ -34,10 +34,6 @@ type Metrics struct {
 	// the expiry cutoff and can never be derived again (summed over shards
 	// on a sharded engine). The sets' current size is per query, below.
 	EmittedEvicted uint64 `metric:"emitted_evicted"`
-	// DedupEntries and DedupBytes size the shard merger's duplicate filter as
-	// it stands; zero on a single engine, which has no merger.
-	DedupEntries int `metric:"dedup_entries"`
-	DedupBytes   int `metric:"dedup_bytes"`
 	// Registrations is the number of currently registered (active) queries;
 	// unregistering a query decreases it, keeping the snapshot truthful for
 	// long-lived multi-tenant servers.
@@ -97,11 +93,10 @@ type QueryMetrics struct {
 	LastReplanAudit *ReplanAudit
 }
 
-// FillMetrics sets every count of m — the engine totals, the DAG's, the
-// merger's dedup sizes, and each listed query's own — from a registry
-// snapshot: one engine's, or the merge of a sharded engine's tiers. A
-// sharded engine's view then reads the front-end's series for what must not
-// be summed over workers.
+// FillMetrics sets every count of m — the engine totals, the DAG's and each
+// listed query's own — from a registry snapshot: one engine's, or the merge
+// of a sharded engine's tiers. A sharded engine's view then reads the
+// front-end's series for what must not be summed over workers.
 func FillMetrics(m *Metrics, s obs.Snapshot) {
 	obs.Fill(m, s, "")
 	obs.Fill(&m.MQO, s, "")

@@ -73,7 +73,7 @@ func NetFlowWorkload(cfg NetFlowConfig, window time.Duration) Workload {
 // NewsWorkload builds the news-stream evaluation workload: the article/
 // entity stream of cfg queried by the paper's Fig. 2 co-mention event
 // pattern (articles joined through a shared keyword and location — a
-// hub-free query that exercises the sharded engine's broadcast fallback).
+// hub-free query, which a sharded engine runs on shard 0 alone).
 func NewsWorkload(cfg NewsConfig, window time.Duration, articles int) Workload {
 	news := NewNews(cfg, nil)
 	edges, _ := news.Generate()

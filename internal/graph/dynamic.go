@@ -17,21 +17,16 @@ const NoCutoff Timestamp = math.MinInt64
 // arriving later cannot resurrect what was already expired. With zero
 // (unbounded) retention it stays where it was: nothing ever expires.
 //
-// Four things obey it. Dynamic expires edges below it, and with them the
+// Three things obey it. Dynamic expires edges below it, and with them the
 // stream summary's statistics, which are read from the window graph. The
 // engine evicts emitted-match entries whose Span.Start is below it once its
 // partial matches have been pruned against the same watermark: everything a
 // later join, plan swap, backfill or recovery can combine — retained edges,
 // stored partials, edges still to arrive — then starts at or above the bound,
 // so a match that starts below it can never be derived again. The WAL
-// deletes segments and emitted notes below
-// it; it feeds the function the same raw newest stream time as Dynamic, so
-// from the first edge on the two agree to the nanosecond. The shard merger
-// only ever sees slack-trailed shard watermarks and passes the
-// smallest of them as newest, so its bound trails the shards' by one more
-// slack — later, never earlier: a late edge can still complete, on a lagging
-// shard, a match reaching back a retention from up to a slack behind that
-// shard's watermark.
+// deletes segments and emitted notes below it; it feeds the function the
+// same raw newest stream time as Dynamic, so from the first edge on the two
+// agree to the nanosecond.
 func ExpiryCutoff(prev, newest Timestamp, retention, slack time.Duration) Timestamp {
 	if retention <= 0 {
 		return prev

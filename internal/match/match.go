@@ -460,7 +460,7 @@ const edgeSetSeed = 0x9e3779b97f4a7c15
 // EdgeSetHash returns a 64-bit hash of the exact pattern-edge → data-edge
 // binding, the integer replacement for the legacy Signature string on the
 // hot path. Two matches with equal bindings always hash equally; hash-keyed
-// consumers (the SJ-Tree dedup sets, the shard merge dedup) resolve the
+// consumers (the SJ-Tree dedup sets) resolve the
 // astronomically unlikely collisions with SameEdges equality checks. The
 // hash is cached and only recomputed after an edge binding changes.
 func (m *Match) EdgeSetHash() uint64 {

@@ -45,8 +45,8 @@ type Stats struct {
 // MergeStats folds per-shard DAG snapshots' structure and per-node detail
 // into one; the DAG-wide counts (PartialMatches, LocalSearches, SharedHits)
 // are left to the caller, which reads them from the merged registries.
-// Replicated shards build structurally identical DAGs, so per-node entries are
-// merged by canonical signature: counters and stored sizes sum, structural
+// Shards fold the same queries into their DAGs — shard 0 also hub-free ones —
+// so per-node entries are merged by canonical signature: counters and stored sizes sum, structural
 // fields (Edges, IsLeaf, Refs, Consumers, Window) come from the first snapshot
 // that carries the signature. Node order follows the first snapshot, with
 // signatures unique to later snapshots appended in their order of appearance.

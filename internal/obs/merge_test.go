@@ -121,15 +121,15 @@ func TestMergeSumsGauges(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
 	a.Gauge("emitted_entries", QueryLabelKey, "q").Set(40)
 	b.Gauge("emitted_entries", QueryLabelKey, "q").Set(2)
-	b.Gauge("dedup_entries", "", "").Set(5)
+	b.Gauge("live_edges", "", "").Set(5)
 	merged := Merge(a.Snapshot(), b.Snapshot())
 	if g := merged.Gauge("emitted_entries", "q"); g != 42 {
 		t.Fatalf("merged per-query gauge = %d, want 42", g)
 	}
-	if g := merged.Gauge("dedup_entries", ""); g != 5 {
+	if g := merged.Gauge("live_edges", ""); g != 5 {
 		t.Fatalf("merged unlabelled gauge = %d, want 5", g)
 	}
-	if g := merged.Gauge("dedup_entries", "q"); g != 0 {
+	if g := merged.Gauge("live_edges", "q"); g != 0 {
 		t.Fatalf("absent series = %d, want 0", g)
 	}
 	var none *Registry

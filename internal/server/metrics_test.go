@@ -168,8 +168,6 @@ func TestMetricsRenderingsAgree(t *testing.T) {
 		"PartialsPruned":      "streamworks_partials_pruned_total",
 		"PruneRuns":           "streamworks_prune_runs_total",
 		"EmittedEvicted":      "streamworks_emitted_evicted_total",
-		"DedupEntries":        "streamworks_dedup_entries",
-		"DedupBytes":          "streamworks_dedup_bytes",
 		"Registrations":       "streamworks_registrations",
 		"Replans":             "streamworks_replans_total",
 		"ReplanChecks":        "streamworks_replan_checks_total",

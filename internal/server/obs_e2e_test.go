@@ -180,8 +180,6 @@ func TestEndToEndObservability(t *testing.T) {
 		"streamworks_emitted_entries",
 		"streamworks_emitted_bytes",
 		"streamworks_emitted_evicted_total",
-		"streamworks_dedup_entries",
-		"streamworks_dedup_bytes",
 	} {
 		if !series[want] {
 			t.Errorf("/metrics missing series %s", want)

@@ -45,7 +45,7 @@
 //	GET    /healthz           liveness
 //
 // Close drains gracefully: new work is refused with 503, queued batches are
-// flushed through the shards, the deduplicated event stream is run dry, and
+// flushed through the shards, the merged match stream is run dry, and
 // every subscriber's stream ends cleanly.
 package server
 

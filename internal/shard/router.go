@@ -5,60 +5,55 @@ import (
 	"github.com/streamworks/streamworks/internal/query"
 )
 
+// noHub is the hub of a query that has none.
+const noHub query.VertexID = -1
+
 // queryRouting is the routing analysis of one registered query.
 type queryRouting struct {
-	// hubFree is true when no pattern vertex is incident to every pattern
-	// edge. Matches of such queries are not contained in any single vertex
-	// neighborhood, so endpoint partitioning alone could split them across
-	// shards; their constrained edge types must be broadcast instead.
-	hubFree bool
+	// hub is the first pattern vertex, in q.Vertices() order, incident to
+	// every pattern edge, or noHub. A match of a hub query lies in the
+	// neighbourhood of the data vertex bound to the hub, which endpoint
+	// routing keeps whole on that vertex's owner. A match of a hub-free
+	// query can span partitions, so the query lives on shard 0 alone and
+	// shard 0 is sent every edge of its types.
+	hub query.VertexID
 	// types are the pattern edge types of a hub-free query ("" = wildcard).
 	types []string
 }
 
 // router decides which shards receive each stream edge.
 //
-// The base policy is endpoint hashing: an edge goes to the shards owning its
-// source and target vertices, which keeps every vertex's full neighborhood on
-// one shard. Matches of queries with a hub vertex (one incident to every
-// pattern edge — all the paper's Fig. 3 cyber patterns qualify) always lie
-// inside the neighborhood of the data vertex bound to the hub, so endpoint
-// routing finds them. For hub-free queries the router falls back to
-// broadcasting the edge types the query constrains (or everything, if it has
-// a wildcard edge) to all shards.
+// An edge goes to the shards owning its source and target vertices, which
+// keeps every vertex's full neighbourhood on one shard. That is all a query
+// with a hub vertex needs (all the paper's Fig. 3 cyber patterns have one).
+// An edge of a type some hub-free query constrains — any edge, if one has a
+// wildcard edge — also goes to shard 0, the home of every hub-free query.
 type router struct {
 	shards int
 	// wildcard counts registered hub-free queries with an untyped pattern
-	// edge; while positive, every edge is broadcast.
+	// edge; while positive, every edge also goes to shard 0.
 	wildcard int
-	// broadcastTypes refcounts edge types required by hub-free queries.
-	broadcastTypes map[string]int
-	// byQuery remembers each registration's analysis for removal.
+	// homeTypes refcounts edge types required by hub-free queries.
+	homeTypes map[string]int
+	// byQuery remembers each registration's analysis.
 	byQuery map[string]queryRouting
-	// all is the cached [0..shards) destination list used for broadcasts.
-	all []int
-	// pair is scratch space for endpoint-routed destinations, reused across
-	// route calls (the router is driven by a single goroutine); callers must
-	// not retain the returned slice past the next call.
-	pair [2]int
+	// dests is scratch space for the destinations, reused across route
+	// calls (the router is driven by a single goroutine); callers must not
+	// retain the returned slice past the next call.
+	dests [3]int
 }
 
 func newRouter(shards int) *router {
-	r := &router{
-		shards:         shards,
-		broadcastTypes: make(map[string]int),
-		byQuery:        make(map[string]queryRouting),
-		all:            make([]int, shards),
+	return &router{
+		shards:    shards,
+		homeTypes: make(map[string]int),
+		byQuery:   make(map[string]queryRouting),
 	}
-	for i := range r.all {
-		r.all[i] = i
-	}
-	return r
 }
 
-// hasHubVertex reports whether some pattern vertex touches every pattern
-// edge of q.
-func hasHubVertex(q *query.Graph) bool {
+// hubOf returns the first pattern vertex of q, in q.Vertices() order, that
+// touches every pattern edge, or noHub.
+func hubOf(q *query.Graph) query.VertexID {
 	edges := q.Edges()
 	for _, v := range q.Vertices() {
 		hub := true
@@ -69,22 +64,22 @@ func hasHubVertex(q *query.Graph) bool {
 			}
 		}
 		if hub {
-			return true
+			return v.ID
 		}
 	}
-	return len(edges) == 0
+	return noHub
 }
 
 // add records the routing requirements of q, registered as name.
 func (r *router) add(name string, q *query.Graph) {
-	qr := queryRouting{hubFree: !hasHubVertex(q)}
-	if qr.hubFree {
+	qr := queryRouting{hub: hubOf(q)}
+	if qr.hub == noHub {
 		for _, qe := range q.Edges() {
 			qr.types = append(qr.types, qe.Type)
 			if qe.Type == "" {
 				r.wildcard++
 			} else {
-				r.broadcastTypes[qe.Type]++
+				r.homeTypes[qe.Type]++
 			}
 		}
 	}
@@ -103,26 +98,26 @@ func (r *router) remove(name string) {
 			r.wildcard--
 			continue
 		}
-		if r.broadcastTypes[t]--; r.broadcastTypes[t] <= 0 {
-			delete(r.broadcastTypes, t)
+		if r.homeTypes[t]--; r.homeTypes[t] <= 0 {
+			delete(r.homeTypes, t)
 		}
 	}
 }
 
-// route returns the destination shards for a stream edge. The returned
+// route returns the destination shards for a stream edge: its endpoint
+// owners, plus shard 0 when a hub-free query needs the edge. The returned
 // slice is only valid until the next call.
 func (r *router) route(se graph.StreamEdge) []int {
-	if r.wildcard > 0 || r.broadcastTypes[se.Edge.Type] > 0 {
-		return r.all
-	}
 	a := ownerOf(se.Edge.Source, r.shards)
 	b := ownerOf(se.Edge.Target, r.shards)
-	r.pair[0] = a
-	if a == b {
-		return r.pair[:1]
+	d := append(r.dests[:0], a)
+	if b != a {
+		d = append(d, b)
 	}
-	r.pair[1] = b
-	return r.pair[:2]
+	if a != 0 && b != 0 && (r.wildcard > 0 || r.homeTypes[se.Edge.Type] > 0) {
+		d = append(d, 0)
+	}
+	return d
 }
 
 // FNV-1a constants (hash/fnv), inlined so the per-edge hot path avoids the

@@ -1,13 +1,11 @@
 package shard
 
 import (
+	"slices"
 	"testing"
 	"time"
 
-	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/graph"
-	"github.com/streamworks/streamworks/internal/match"
-	"github.com/streamworks/streamworks/internal/obs"
 	"github.com/streamworks/streamworks/internal/query"
 )
 
@@ -39,12 +37,13 @@ func rectangleQuery() *query.Graph {
 		MustBuild()
 }
 
-func TestHasHubVertex(t *testing.T) {
-	if !hasHubVertex(starQuery()) {
-		t.Fatalf("star query should have a hub vertex")
+func TestHubOf(t *testing.T) {
+	star := starQuery()
+	if hub := hubOf(star); hub == noHub || star.Vertex(hub).Name != "center" {
+		t.Fatalf("star query hub = %d, want center", hub)
 	}
-	if hasHubVertex(rectangleQuery()) {
-		t.Fatalf("rectangle query must be hub-free")
+	if hub := hubOf(rectangleQuery()); hub != noHub {
+		t.Fatalf("rectangle query must be hub-free, got hub %d", hub)
 	}
 }
 
@@ -69,27 +68,73 @@ func TestRouterEndpointRouting(t *testing.T) {
 	}
 }
 
-func TestRouterBroadcastFallbackForHubFreeQueries(t *testing.T) {
-	r := newRouter(4)
-	r.add("star", starQuery())
-	r.add("rectangle", rectangleQuery())
-	mention := graph.StreamEdge{Edge: graph.Edge{Source: 1, Target: 2, Type: "mentions"}}
-	if got := r.route(mention); len(got) != 4 {
-		t.Fatalf("hub-free query type not broadcast: %v", got)
-	}
-	// Types the hub-free query does not constrain still use endpoint routing.
-	flow := graph.StreamEdge{Edge: graph.Edge{Source: 1, Target: 2, Type: "flow"}}
-	if got := r.route(flow); len(got) > 2 {
-		t.Fatalf("unrelated type broadcast: %v", got)
-	}
-	// Unregistering the hub-free query reverts to endpoint routing.
-	r.remove("rectangle")
-	if got := r.route(mention); len(got) > 2 {
-		t.Fatalf("broadcast not reverted after unregister: %v", got)
+// requireDests checks that route sent se to exactly the shards in want.
+func requireDests(t *testing.T, r *router, se graph.StreamEdge, want ...int) {
+	t.Helper()
+	got := r.route(se)
+	if !sameSet(got, want) {
+		t.Fatalf("edge %d→%d (%q) routed to %v, want %v", se.Edge.Source, se.Edge.Target, se.Edge.Type, got, want)
 	}
 }
 
-func TestRouterWildcardEdgeBroadcastsEverything(t *testing.T) {
+func sameSet(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for _, x := range a {
+		if !slices.Contains(b, x) {
+			return false
+		}
+	}
+	return true
+}
+
+// ownersOf returns the distinct owners of v among shards, plus shard 0 when
+// home is set: the destinations the router must pick.
+func ownersOf(shards int, home bool, vs ...graph.VertexID) []int {
+	var d []int
+	for _, v := range vs {
+		if o := ownerOf(v, shards); !slices.Contains(d, o) {
+			d = append(d, o)
+		}
+	}
+	if home && !slices.Contains(d, 0) {
+		d = append(d, 0)
+	}
+	return d
+}
+
+// TestRouterSendsHubFreeTypesHome: an edge of a type a hub-free query
+// constrains goes to its endpoint owners and to shard 0, the query's only
+// home, and no further.
+func TestRouterSendsHubFreeTypesHome(t *testing.T) {
+	r := newRouter(4)
+	r.add("star", starQuery())
+	r.add("rectangle", rectangleQuery())
+	sawThree := false
+	for v := graph.VertexID(0); v < 64; v++ {
+		mention := graph.StreamEdge{Edge: graph.Edge{Source: v, Target: v + 1, Type: "mentions"}}
+		requireDests(t, r, mention, ownersOf(4, true, v, v+1)...)
+		sawThree = sawThree || len(r.route(mention)) == 3
+		// Types the hub-free query does not constrain use endpoint routing.
+		flow := graph.StreamEdge{Edge: graph.Edge{Source: v, Target: v + 1, Type: "flow"}}
+		requireDests(t, r, flow, ownersOf(4, false, v, v+1)...)
+	}
+	if !sawThree {
+		t.Fatalf("no mention edge had two endpoint owners besides shard 0")
+	}
+	// Unregistering the hub-free query reverts to endpoint routing.
+	r.remove("rectangle")
+	for v := graph.VertexID(0); v < 64; v++ {
+		mention := graph.StreamEdge{Edge: graph.Edge{Source: v, Target: v + 1, Type: "mentions"}}
+		requireDests(t, r, mention, ownersOf(4, false, v, v+1)...)
+	}
+}
+
+// TestRouterWildcardEdgeSendsEverythingHome: a hub-free query with an
+// untyped pattern edge needs every edge on shard 0, besides the endpoint
+// owners.
+func TestRouterWildcardEdgeSendsEverythingHome(t *testing.T) {
 	r := newRouter(3)
 	wild := query.NewBuilder("wild").
 		Vertex("a", "Host").
@@ -100,13 +145,14 @@ func TestRouterWildcardEdgeBroadcastsEverything(t *testing.T) {
 		Edge("c", "a", ""). // wildcard closes the triangle: hub-free
 		MustBuild()
 	r.add(wild.Name(), wild)
-	se := graph.StreamEdge{Edge: graph.Edge{Source: 5, Target: 9, Type: "anything"}}
-	if got := r.route(se); len(got) != 3 {
-		t.Fatalf("wildcard hub-free query must broadcast all types: %v", got)
+	for v := graph.VertexID(0); v < 32; v++ {
+		se := graph.StreamEdge{Edge: graph.Edge{Source: v, Target: v + 1, Type: "anything"}}
+		requireDests(t, r, se, ownersOf(3, true, v, v+1)...)
 	}
 	r.remove("wild")
-	if got := r.route(se); len(got) > 2 {
-		t.Fatalf("wildcard broadcast not reverted: %v", got)
+	for v := graph.VertexID(0); v < 32; v++ {
+		se := graph.StreamEdge{Edge: graph.Edge{Source: v, Target: v + 1, Type: "anything"}}
+		requireDests(t, r, se, ownersOf(3, false, v, v+1)...)
 	}
 }
 
@@ -123,80 +169,5 @@ func TestOwnerOfIsStableAndBalanced(t *testing.T) {
 		if c < 500 || c > 1500 {
 			t.Fatalf("shard %d owns %d of 4000 sequential IDs: unbalanced %v", i, c, counts)
 		}
-	}
-}
-
-func matchEvent(q string, de graph.EdgeID, ts graph.Timestamp) core.MatchEvent {
-	m := match.New()
-	m.BindEdge(0, de, ts)
-	return core.MatchEvent{Query: q, Match: m, DetectedAt: ts}
-}
-
-// dedupEntries refreshes d's size gauges and reads its entry count.
-func dedupEntries(d *dedup) int64 {
-	d.refresh()
-	return d.entries.Value()
-}
-
-func TestDedupSuppressesReplicatedMatches(t *testing.T) {
-	d := newDedup(time.Minute, 0, obs.NewRegistry())
-	ev := matchEvent("q", 1, 100)
-	if !d.admit(ev) {
-		t.Fatalf("first occurrence rejected")
-	}
-	if d.admit(ev) {
-		t.Fatalf("duplicate admitted")
-	}
-	// Same edge binding under a different query is a different match.
-	if !d.admit(matchEvent("other", 1, 100)) {
-		t.Fatalf("distinct query deduplicated")
-	}
-	snap := d.reg.Snapshot()
-	if n := snap.Counter("matches_emitted", ""); n != 2 {
-		t.Fatalf("%d matches admitted, want 2", n)
-	}
-	if snap.Counter("query_matches_emitted", "q") != 1 || snap.Counter("query_matches_emitted", "other") != 1 {
-		t.Fatalf("per-query counts = %+v", snap.Counters)
-	}
-	if entries := dedupEntries(d); entries != 2 || d.bytes.Value() == 0 {
-		t.Fatalf("size = %d entries, %d bytes", entries, d.bytes.Value())
-	}
-}
-
-func TestDedupExpiresWithTheWindow(t *testing.T) {
-	const retention = 1000 * time.Nanosecond
-	// One match every 100 ns for 30 retentions; minWM(i) is the minimum shard
-	// watermark the merger has seen by then.
-	run := func(d *dedup, minWM func(i int) graph.Timestamp) {
-		for i := 0; i < 300; i++ {
-			if !d.admit(matchEvent("q", graph.EdgeID(i+1), graph.Timestamp(i*100))) {
-				t.Fatalf("match %d rejected", i)
-			}
-			d.expire(minWM(i))
-		}
-	}
-	d := newDedup(retention, 0, obs.NewRegistry())
-	run(d, func(i int) graph.Timestamp { return graph.Timestamp(i * 100) })
-	// The cutoff stands at 29900-1000: the 11 newest matches are live, and
-	// the dead ones still held are a fraction of a retention's worth.
-	if entries := dedupEntries(d); entries < 11 || entries > 11+4 {
-		t.Fatalf("%d entries left after 30 retentions, want the 11 live ones and at most 4 dead", entries)
-	}
-	for i := 289; i < 300; i++ {
-		if d.admit(matchEvent("q", graph.EdgeID(i+1), graph.Timestamp(i*100))) {
-			t.Fatalf("live match %d admitted twice", i)
-		}
-	}
-	// A shard watermark far in the past must hold everything back.
-	e := newDedup(retention, 0, obs.NewRegistry())
-	run(e, func(int) graph.Timestamp { return 0 })
-	if entries := dedupEntries(e); entries != 300 {
-		t.Fatalf("evicted entries still rediscoverable by a lagging shard: %d of 300 left", entries)
-	}
-	// Unbounded retention must never evict (matches can always recur).
-	u := newDedup(0, 0, obs.NewRegistry())
-	run(u, func(int) graph.Timestamp { return 1 << 40 })
-	if entries := dedupEntries(u); entries != 300 {
-		t.Fatalf("unbounded dedup evicted entries: %d of 300 left", entries)
 	}
 }

@@ -7,41 +7,46 @@
 // goroutine and input mailbox. Incoming stream edges are hash-partitioned by
 // endpoint vertex: an edge is delivered to the shard owning its source and the
 // shard owning its target (one delivery when both endpoints hash to the same
-// shard), so every shard holds the complete neighborhood of each vertex it
-// owns. Query registrations are replicated to every shard; for a query with a
-// hub vertex — a pattern vertex incident to every pattern edge — each match is
-// fully contained in the neighborhood of the data vertex bound to the hub, so
-// endpoint routing alone guarantees the shard owning that vertex discovers it.
-// Queries without a hub vertex (e.g. the paper's Fig. 2 article/keyword/
-// location pattern) are handled by broadcasting edges of the types they
-// constrain to every shard, trading redundant work for correctness; since
-// that only helps from registration onwards, hub-free queries must be
-// registered before streaming begins (ErrBroadcastRequired otherwise).
+// shard), so every shard holds the complete neighbourhood of each vertex it
+// owns.
 //
-// Because routing replicates edges, the same complete match can surface on
-// more than one shard. All shard outputs are funneled onto one merge channel
-// and deduplicated by canonical match key (query name plus the sorted
-// pattern-edge → data-edge binding), so replication never double-reports.
-// Deduplicated matches are pushed to the one sink the engine was built with
+// Every complete match has exactly one owner shard, the only one that sends
+// it on, so no match reaches the merger twice:
+//
+//   - A query with a hub vertex — a pattern vertex incident to every pattern
+//     edge, as in all the paper's Fig. 3 cyber patterns — is registered on
+//     every shard. Each match lies in the neighbourhood of the data vertex
+//     bound to the hub (the first such pattern vertex), so that vertex's
+//     owner always finds it; the owner forwards it and every other shard
+//     that happens to find it too drops it.
+//   - A hub-free query (e.g. the paper's Fig. 2 article/keyword/location
+//     pattern) is registered on shard 0 only, and the router sends shard 0
+//     every edge of the types it constrains besides the edge's endpoint
+//     owners. Since that only helps from registration onwards, hub-free
+//     queries must be registered before streaming begins
+//     (ErrBroadcastRequired otherwise).
+//
+// All shard outputs are funneled onto one merge channel, whose goroutine
+// counts them and pushes them to the one sink the engine was built with
 // (Config.Sink); filtering and fan-out to subscribers belong to the tier
-// above. Stream time is coordinated by broadcasting watermark advances to
-// shards that did not receive an edge, keeping window expiry and SJ-tree
-// pruning moving on idle partitions.
+// above. Stream time is coordinated by sending watermark advances to shards
+// that did not receive an edge, keeping window expiry and pruning moving on
+// idle partitions. Every shard keeps the same retention: a pre-stream
+// registration that widens it widens it on every shard, wherever the query
+// lives.
 //
 // Sources feeding a ShardedEngine must populate endpoint metadata
 // (types/attributes) on every stream edge, not only on a vertex's first
 // appearance: shards see disjoint subsets of the stream, so "first
 // appearance" is a per-shard notion. All generators in internal/gen do this.
 //
-// Adaptive re-planning (core.WithAdaptive, replicated like every other
+// Adaptive re-planning (core.WithAdaptive, passed on like every other
 // registration option) runs independently on each shard: a shard re-plans
 // against its own partition's statistics on its own worker goroutine, so no
-// cross-shard coordination or stop-the-world pause is needed. The merged
-// match set stays canonical through two dedup layers — each shard's engine
-// deduplicates its own emissions across swap boundaries (the new tree
-// inherits the emitted-set), and the merger deduplicates identical matches
-// across shards exactly as it does for replicated edges. Metrics report the
-// maximum plan generation and the summed replan count across shards.
+// cross-shard coordination or stop-the-world pause is needed. Each shard's
+// engine deduplicates its own emissions across swap boundaries, and the
+// owner rule does not depend on the plan. Metrics report the maximum plan
+// generation and the summed replan count across shards.
 //
 // Every count lives in one registry: each worker engine's own (written by its
 // goroutine), and the front-end's for what must not be summed over workers —
@@ -53,6 +58,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/streamworks/streamworks/internal/core"
@@ -69,7 +75,7 @@ type Config struct {
 	Shards int
 	// Engine is the configuration applied to every per-shard core.Engine.
 	Engine core.Config
-	// Sink receives every deduplicated match, invoked on the merger
+	// Sink receives every complete match, invoked on the merger
 	// goroutine: it must not block, or it stalls merging and eventually
 	// ingestion. Nil drops matches (counters still advance).
 	Sink core.MatchSink
@@ -93,11 +99,10 @@ type ShardedEngine struct {
 	cfg     Config
 	workers []*worker
 	router  *router
-	dedup   *dedup
 
 	running    bool
 	closed     bool            // Close was called; the engine is permanently stopped
-	out        chan shardEvent // workers → merger (events + progress marks)
+	out        chan shardEvent // workers → merger
 	mergerDone chan struct{}   // closed after the final sink call, see Done
 
 	seenTS        bool
@@ -118,9 +123,10 @@ type ShardedEngine struct {
 	retention time.Duration
 
 	// reg is the front-end's registry: the registrations gauge, the merger's
-	// counts and sizes (dedup), and the dispatch segment.
+	// counts and the dispatch segment.
 	reg           *obs.Registry
 	registrations *obs.Gauge
+	matches       *obs.Counter
 	// obsClock and obsDispatch time the merger hop; nil unless observability
 	// is enabled.
 	obsClock    obs.Clock
@@ -144,12 +150,12 @@ func New(cfg *Config) *ShardedEngine {
 	s := &ShardedEngine{
 		cfg:           c,
 		router:        newRouter(c.Shards),
-		dedup:         newDedup(c.Engine.Retention, c.Engine.Slack, reg),
 		mergerDone:    make(chan struct{}),
 		advanceEvery:  adv,
 		retention:     c.Engine.Retention,
 		reg:           reg,
 		registrations: reg.Gauge("registrations", "", ""),
+		matches:       reg.Counter("matches_emitted", "", ""),
 	}
 	// Normalize the obs config once so the clock is shared.
 	obsCfg := c.Engine.Obs.Normalized()
@@ -164,7 +170,7 @@ func New(cfg *Config) *ShardedEngine {
 		engCfg := c.Engine
 		engCfg.Obs = obsCfg
 		engCfg.Obs.Registry = nil
-		w := &worker{id: i, eng: core.New(&engCfg)}
+		w := &worker{id: i, shards: c.Shards, eng: core.New(&engCfg), hubs: make(map[string]query.VertexID)}
 		if obsCfg.Enabled {
 			w.obsClock = obsCfg.Clock
 			w.obsMailbox = w.eng.ObsRegistry().Segment(obs.SegShardMailbox)
@@ -201,24 +207,27 @@ var (
 	ErrClosed = errors.New("shard: engine closed")
 	// ErrBroadcastRequired is returned when a query without a hub vertex is
 	// registered after edges have been routed: its edge types were
-	// endpoint-partitioned rather than broadcast up to that point, so shards
-	// lack the history the query needs and matches spanning pre-registration
-	// edges would be silently missed. Register hub-free queries before
-	// streaming.
+	// endpoint-partitioned rather than also sent to shard 0 up to that
+	// point, so shard 0 lacks the history the query needs and matches
+	// spanning pre-registration edges would be silently missed. Register
+	// hub-free queries before streaming.
 	ErrBroadcastRequired = errors.New("shard: hub-free query must be registered before edges are streamed")
 )
 
-// RegisterQuery replicates a continuous query registration onto every shard.
-// It can be called before Start or mid-stream; mid-stream the registration
+// RegisterQuery registers a continuous query on its home shards: every
+// shard for a query with a hub vertex, shard 0 alone for a hub-free one. It
+// can be called before Start or mid-stream; mid-stream the registration
 // takes effect on each shard after the edges already queued in its mailbox,
-// so matches completing exactly at the registration instant may differ from a
-// single-engine run. Cross-shard consistency is checked up front: a
+// so matches completing exactly at the registration instant may differ from
+// a single-engine run. Cross-shard consistency is checked up front: a
 // mid-stream query needing more retention than is in force fails with
 // ErrRetentionTooSmall before touching any shard (matching core.Engine
 // semantics), and a mid-stream hub-free query fails with
-// ErrBroadcastRequired since its edge types were not being broadcast while
-// earlier edges were partitioned. Per-shard failures (duplicate name, plan
-// errors) roll back the shards that had accepted.
+// ErrBroadcastRequired since its edge types were not being sent to shard 0
+// while earlier edges were partitioned. A pre-stream query that widens the
+// retention widens it on every shard, so a later hub query sees the same
+// window on each. Per-shard failures (duplicate name, plan errors) roll back
+// the shards that had accepted.
 func (s *ShardedEngine) RegisterQuery(q *query.Graph, opts ...core.RegistrationOption) error {
 	if q == nil {
 		return core.ErrNilQuery
@@ -226,7 +235,8 @@ func (s *ShardedEngine) RegisterQuery(q *query.Graph, opts ...core.RegistrationO
 	if s.closed {
 		return ErrClosed
 	}
-	if s.edgesRouted > 0 && len(s.workers) > 1 && !hasHubVertex(q) {
+	hub := hubOf(q)
+	if s.edgesRouted > 0 && len(s.workers) > 1 && hub == noHub {
 		return fmt.Errorf("%w: %q", ErrBroadcastRequired, q.Name())
 	}
 	widens := q.Window() > 0 && s.retention != 0 && q.Window() > s.retention
@@ -234,41 +244,60 @@ func (s *ShardedEngine) RegisterQuery(q *query.Graph, opts ...core.RegistrationO
 		return fmt.Errorf("shard: registering %q: %w: query window %s exceeds retention %s mid-stream",
 			q.Name(), core.ErrRetentionTooSmall, q.Window(), s.retention)
 	}
-	done := make([]string, 0, len(s.workers))
-	var regErr error
-	for _, w := range s.workers {
-		name, err := w.register(s.running, q, opts)
+	home := s.home(hub)
+	var name string
+	for i, w := range home {
+		n, err := w.register(s.running, q, opts, hub)
+		if err == nil && i > 0 && n != name {
+			// An unnamed query is named after its shard's registration
+			// count, which differs between shards once shard 0 holds a
+			// hub-free query.
+			_ = w.unregister(s.running, n)
+			err = fmt.Errorf("shard: unnamed query named %q here but %q on shard 0: name it", n, name)
+		}
 		if err != nil {
-			regErr = fmt.Errorf("shard %d: %w", w.id, err)
-			break
+			for _, r := range home[:i] {
+				// Roll back the shards that accepted the registration.
+				_ = r.unregister(s.running, name)
+			}
+			return fmt.Errorf("shard %d: %w", w.id, err)
 		}
-		done = append(done, name)
-	}
-	if regErr != nil {
-		for i, name := range done {
-			// Roll back the shards that accepted the registration.
-			_ = s.workers[i].unregister(s.running, name)
-		}
-		return regErr
+		name = n
 	}
 	if widens {
 		s.retention = q.Window()
+		for _, w := range s.workers[len(home):] {
+			// Cannot fail: no shard has seen an edge (checked above).
+			_ = w.extendRetention(s.running, q.Window())
+		}
 	}
-	s.router.add(done[0], q)
+	s.router.add(name, q)
 	s.registrations.Set(int64(len(s.router.byQuery)))
-	s.dedup.noteWindow(q.Window())
 	return nil
 }
 
-// UnregisterQuery removes a registration from every shard. Partial matches
-// held for the query are dropped with it; in-flight duplicates already queued
-// on the merge channel remain deduplicated.
+// home returns the shards a query with the given hub is registered on: a
+// prefix of s.workers.
+func (s *ShardedEngine) home(hub query.VertexID) []*worker {
+	if hub == noHub {
+		return s.workers[:1]
+	}
+	return s.workers
+}
+
+// UnregisterQuery removes a registration from the shards it lives on.
+// Partial matches held for the query are dropped with it; matches already
+// queued on the merge channel are still delivered.
 func (s *ShardedEngine) UnregisterQuery(name string) error {
 	if s.closed {
 		return ErrClosed
 	}
+	qr, ok := s.router.byQuery[name]
+	if !ok {
+		return fmt.Errorf("shard: %w: %q", core.ErrUnknownQuery, name)
+	}
 	var firstErr error
-	for _, w := range s.workers {
+	for _, w := range s.home(qr.hub) {
 		if err := w.unregister(s.running, name); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("shard %d: %w", w.id, err)
 		}
@@ -280,8 +309,8 @@ func (s *ShardedEngine) UnregisterQuery(name string) error {
 	return firstErr
 }
 
-// Start spawns the shard workers and the deduplicating merger. It is a no-op
-// when already running or after Close.
+// Start spawns the shard workers and the merger. It is a no-op when already
+// running or after Close.
 func (s *ShardedEngine) Start() {
 	if s.running || s.closed {
 		return
@@ -294,61 +323,34 @@ func (s *ShardedEngine) Start() {
 	s.running = true
 }
 
-// merge funnels all shard outputs through the duplicate filter into the
-// sink. It exits when Close closes the merge channel after all workers have
-// drained. Progress marks from the shards drive dedup eviction: the minimum
-// observed shard watermark bounds, via channel FIFO order, which duplicates
-// can still be in flight.
+// merge funnels all shard outputs into the sink, counting them overall and
+// per query. It exits when Close closes the merge channel after all workers
+// have drained.
 func (s *ShardedEngine) merge() {
 	defer close(s.mergerDone)
-	marks := make([]graph.Timestamp, len(s.workers))
-	marked := make([]bool, len(s.workers))
+	perQuery := make(map[string]*obs.Counter)
 	for se := range s.out {
 		if se.flush != nil {
 			close(se.flush)
 			continue
 		}
-		if se.mark {
-			if se.ts > marks[se.id] || !marked[se.id] {
-				marks[se.id], marked[se.id] = se.ts, true
-			}
-			if min, ok := minMark(marks, marked); ok {
-				s.dedup.expire(min)
-			}
-			s.dedup.refresh()
-			continue
+		ev := se.ev
+		c := perQuery[ev.Query]
+		if c == nil {
+			c = s.reg.Counter("query_matches_emitted", obs.QueryLabelKey, ev.Query)
+			perQuery[ev.Query] = c
 		}
-		if s.dedup.admit(se.ev) {
-			s.deliver(se.ev)
+		c.Inc()
+		s.matches.Inc()
+		if s.obsDispatch != nil && ev.EmittedWallNS != 0 {
+			// Dispatch latency: core emission → delivery, i.e. the merge
+			// channel hop a match takes after the DAG surfaces it.
+			s.obsDispatch.Observe(s.obsClock.Now() - ev.EmittedWallNS)
 		}
-	}
-}
-
-// deliver hands one admitted match to the sink.
-func (s *ShardedEngine) deliver(ev core.MatchEvent) {
-	if s.obsDispatch != nil && ev.EmittedWallNS != 0 {
-		// Dispatch latency: core emission → deduplicated delivery, i.e. the
-		// merge channel hop a match takes after the SJ-tree surfaces it.
-		s.obsDispatch.Observe(s.obsClock.Now() - ev.EmittedWallNS)
-	}
-	if s.cfg.Sink != nil {
-		s.cfg.Sink.OnMatch(ev)
-	}
-}
-
-// minMark returns the minimum shard watermark once every shard has reported
-// at least one progress mark.
-func minMark(marks []graph.Timestamp, marked []bool) (graph.Timestamp, bool) {
-	min := graph.Timestamp(0)
-	for i, ts := range marks {
-		if !marked[i] {
-			return 0, false
-		}
-		if i == 0 || ts < min {
-			min = ts
+		if s.cfg.Sink != nil {
+			s.cfg.Sink.OnMatch(ev)
 		}
 	}
-	return min, true
 }
 
 // Done is closed once no further match can reach the sink: after the final
@@ -399,11 +401,11 @@ func (s *ShardedEngine) ProcessContext(ctx context.Context, se graph.StreamEdge)
 		}
 	}
 	if len(dests) == len(s.workers) {
-		// A broadcast edge carries stream time to every shard by itself.
+		// An edge every shard receives carries stream time by itself.
 		s.lastBroadcast = s.maxTS
 	} else if s.maxTS.Sub(s.lastBroadcast) >= s.advanceEvery {
 		for _, w := range s.workers {
-			if w.id != dests[0] && (len(dests) < 2 || w.id != dests[1]) {
+			if !slices.Contains(dests, w.id) {
 				w.enqueueAdvance(s.maxTS)
 			}
 		}
@@ -491,9 +493,10 @@ func (s *ShardedEngine) Close() {
 }
 
 // PerShardMetrics snapshots every shard engine's counters in shard order:
-// see Snapshot. Per-shard counters include replicated edges, and per-shard
-// match counts are pre-deduplication; serving layers expose them so operators
-// can spot skewed partitions.
+// see Snapshot. Per-shard counters include edges sent to two or three
+// shards, and per-shard match counts include the matches a shard found but
+// did not own; serving layers expose them so operators can spot skewed
+// partitions.
 func (s *ShardedEngine) PerShardMetrics() []core.Metrics {
 	_, perShard, _ := s.Snapshot()
 	return perShard
@@ -507,14 +510,13 @@ func (s *ShardedEngine) Metrics() core.Metrics {
 
 // Snapshot reads the sharded engine once — the front-end's registry, then
 // every worker's, each refreshing its gauges first (so every match the merger
-// has admitted was counted by its worker) — and returns the merged reading
+// has counted was counted by its worker) — and returns the merged reading
 // with the aggregate and per-shard views built from it, which always agree.
-// Aggregate work counters are sums over shards and so include replicated
-// edges; MatchesEmitted, per-query Matches and Registrations are the
-// front-end's. Like all control methods it must be called from the driver
-// goroutine.
+// Aggregate work counters are sums over shards and so include edges sent to
+// more than one shard; MatchesEmitted, per-query Matches and Registrations
+// are the front-end's. Like all control methods it must be called from the
+// driver goroutine.
 func (s *ShardedEngine) Snapshot() (core.Metrics, []core.Metrics, obs.Snapshot) {
-	s.dedup.refresh()
 	snaps := []obs.Snapshot{s.reg.Snapshot()}
 	perShard := make([]core.Metrics, len(s.workers))
 	for i, w := range s.workers {
@@ -535,12 +537,14 @@ func (s *ShardedEngine) Snapshot() (core.Metrics, []core.Metrics, obs.Snapshot) 
 
 // foldPlans merges what the shards describe rather than count: each query's
 // plan detail, its coverage views (mqo.Attachment.PartialMatches and
-// LeafSearches, summed) and the DAG's per-node statistics (mqo.MergeStats).
-// Each shard re-plans against its own partition's statistics, so plan state
-// can legitimately differ per shard: the newest generation wins, with that
-// shard's tree shape and last audit. Match-set canonicality does not depend
-// on the shards agreeing — every shard deduplicates its own emissions across
-// swap boundaries and the merger deduplicates across shards.
+// LeafSearches, summed over the shards it lives on) and the DAG's per-node
+// statistics (mqo.MergeStats). Shard 0 holds every query, so the queries
+// come out in its registration order. Each shard re-plans against its own
+// partition's statistics, so plan state can legitimately differ per shard:
+// the newest generation wins, with that shard's plan shape and last audit.
+// The match set does not depend on the shards agreeing — every shard
+// deduplicates its own emissions across swap boundaries, and only a match's
+// owner forwards it.
 func foldPlans(perShard []core.Metrics) core.Metrics {
 	var m core.Metrics
 	idx := map[string]int{}

@@ -8,6 +8,7 @@ import (
 	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/gen"
 	"github.com/streamworks/streamworks/internal/graph"
+	"github.com/streamworks/streamworks/internal/query"
 	"github.com/streamworks/streamworks/internal/shard"
 )
 
@@ -27,7 +28,7 @@ func smallNetflow(window time.Duration, seed int64) gen.Workload {
 }
 
 // smallNews is a laptop-scale news workload; its Fig. 2 co-mention query has
-// no hub vertex, so it exercises the broadcast fallback.
+// no hub vertex, so it lives on shard 0 alone.
 func smallNews(window time.Duration) gen.Workload {
 	cfg := gen.NewsConfig{
 		Articles:           800,
@@ -254,6 +255,34 @@ func TestShardedHubFreeQueryRejectedMidStream(t *testing.T) {
 	s.Close()
 }
 
+// TestUnnamedQueryNeedsOneNameOnEveryShard: an unnamed query is named after
+// its shard's registration count. Once shard 0 also holds a hub-free query
+// the counts differ, and a hub query registered unnamed would surface under
+// two names, so the registration is refused and rolled back instead.
+func TestUnnamedQueryNeedsOneNameOnEveryShard(t *testing.T) {
+	unnamed := func() *query.Graph {
+		return query.NewBuilder("").
+			Vertex("a", gen.TypeHost).
+			Vertex("b", gen.TypeHost).
+			Edge("a", "b", gen.EdgeFlow).
+			MustBuild()
+	}
+	s := shard.New(&shard.Config{Shards: 2})
+	if err := s.RegisterQuery(unnamed()); err != nil {
+		t.Fatalf("unnamed hub query alone: %v", err)
+	}
+	s = shard.New(&shard.Config{Shards: 2, Engine: smallNews(time.Minute).Engine})
+	if err := s.RegisterQuery(smallNews(time.Minute).Queries[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RegisterQuery(unnamed()); err == nil {
+		t.Fatal("unnamed hub query registered under two names")
+	}
+	if m := s.Metrics(); m.Registrations != 1 || len(m.Queries) != 1 {
+		t.Fatalf("refused registration left %d registrations, %d query views behind", m.Registrations, len(m.Queries))
+	}
+}
+
 func TestShardedExplicitAdvanceExpires(t *testing.T) {
 	cfg := shard.DefaultConfig()
 	cfg.Shards = 2
@@ -289,5 +318,56 @@ func TestShardedExplicitAdvanceExpires(t *testing.T) {
 	// have expired.
 	if m.ExpiredEdges < 64 || m.ExpiredEdges != m.EdgesProcessed {
 		t.Fatalf("ExpiredEdges = %d of %d processed", m.ExpiredEdges, m.EdgesProcessed)
+	}
+}
+
+// TestEachMatchReachesTheMergerOnce reads the merge channel in the merger's
+// place: on hub queries (netflow), a hub-free query (news) and hub queries
+// re-planning under drift, at 2, 3 and 4 shards, every match the shards send
+// on is a distinct one — no shard forwards a match another shard owns — and
+// together they are exactly the oracle's set.
+func TestEachMatchReachesTheMergerOnce(t *testing.T) {
+	drift := gen.BenchDriftWorkload(12_000, 400, 10*time.Second)
+	for _, tc := range []struct {
+		name string
+		w    gen.Workload
+		opts []core.RegistrationOption
+	}{
+		{"netflow", smallNetflow(30*time.Second, 31), nil},
+		{"news", smallNews(5 * time.Minute), nil},
+		{"drift adaptive", drift, []core.RegistrationOption{core.WithAdaptive(true)}},
+	} {
+		oracle := gen.Oracle(tc.w)
+		if len(oracle) == 0 {
+			t.Fatalf("%s: degenerate workload, no matches", tc.name)
+		}
+		for _, shards := range []int{2, 3, 4} {
+			s := shard.New(&shard.Config{Shards: shards, Engine: tc.w.Engine})
+			for _, q := range tc.w.Queries {
+				if err := s.RegisterQuery(q, tc.opts...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			received, set := 0, make(gen.MatchSet)
+			stop := shard.StartTapped(s, func(ev core.MatchEvent) {
+				received++
+				set.Add(ev)
+			})
+			for _, se := range tc.w.Edges {
+				if err := s.Process(se); err != nil {
+					t.Fatal(err)
+				}
+			}
+			stop()
+			if received != len(set) {
+				t.Errorf("%s, %d shards: %d events reached the merger for %d distinct matches", tc.name, shards, received, len(set))
+			}
+			if !set.Equal(oracle) {
+				t.Errorf("%s, %d shards: %d matches, oracle %d", tc.name, shards, len(set), len(oracle))
+			}
+			if m := s.Metrics(); tc.opts != nil && m.Replans == 0 {
+				t.Errorf("%s, %d shards: no shard re-planned", tc.name, shards)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"sync"
+	"time"
 
 	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/graph"
@@ -19,74 +20,40 @@ const (
 	msgCtrl
 )
 
-// ctrlOp discriminates control requests served in-band by the worker loop so
-// they serialize with edge processing.
-type ctrlOp uint8
-
-const (
-	opRegister ctrlOp = iota
-	opUnregister
-	opMetrics
-	// opFlush is a pure barrier: by the time the worker answers, every
-	// message enqueued before it has been processed and every match those
-	// messages produced has been sent to the merge channel.
-	opFlush
-)
-
 // message is one mailbox entry: an edge, a watermark advance, or a control
-// request.
+// call.
 type message struct {
 	kind msgKind
 	edge graph.StreamEdge
 	ts   graph.Timestamp
-	ctrl *ctrlReq
+	// ctrl runs on the worker goroutine, serialized with edge processing.
+	ctrl func()
 	// enqNS is the wall-clock enqueue time, stamped by the router only when
 	// observability is enabled (zero otherwise); the worker subtracts it on
 	// dequeue to measure mailbox wait.
 	enqNS int64
 }
 
-// ctrlReq is a synchronous control request; the worker answers on reply.
-type ctrlReq struct {
-	op    ctrlOp
-	query *query.Graph
-	opts  []core.RegistrationOption
-	name  string
-	reply chan ctrlResp
-}
-
-type ctrlResp struct {
-	err     error
-	name    string // assigned registration name (register)
-	metrics core.Metrics
-	snap    obs.Snapshot // the reading metrics was built from
-}
-
-// shardEvent is one entry on the shared merge channel: either a match event
-// or a progress mark announcing how far the shard's watermark has advanced.
-// Because a channel preserves each sender's order, a mark guarantees the
-// merger has already received every event this shard emitted before reaching
-// that watermark — the property the deduplicator's eviction relies on.
+// shardEvent is one entry on the shared merge channel: a match event, or —
+// when flush is non-nil — a barrier sentinel injected by Flush after every
+// worker acknowledged its mailbox was drained: the merger closes it, proving
+// every event sent before the sentinel has been delivered.
 type shardEvent struct {
-	ev   core.MatchEvent
-	mark bool
-	id   int             // sending shard (marks only)
-	ts   graph.Timestamp // shard watermark (marks only)
-	// flush, when non-nil, is a barrier sentinel injected by Flush after
-	// every worker acknowledged its mailbox was drained: the merger closes
-	// it, proving every event sent before the sentinel has been delivered.
+	ev    core.MatchEvent
 	flush chan struct{}
 }
-
-// markEvery is the number of processed edges between progress marks.
-const markEvery = 256
 
 // worker owns one shard: a core.Engine, the goroutine that drives it, and
 // the mailbox feeding it. The engine is only touched by the worker goroutine
 // while running; when stopped, the front-end calls it directly.
 type worker struct {
-	id  int
-	eng *core.Engine
+	id, shards int
+	eng        *core.Engine
+	// hubs is the hub of every query registered on this shard (noHub for a
+	// hub-free one), read by the engine sink to forward only the matches
+	// this shard owns. Written and read on the worker goroutine, or by the
+	// front-end while stopped.
+	hubs map[string]query.VertexID
 
 	in   chan message
 	out  chan<- shardEvent
@@ -114,11 +81,27 @@ func (w *worker) start(out chan<- shardEvent) {
 	if !w.sinkAttached {
 		w.sinkAttached = true
 		w.eng.Subscribe("", core.MatchSinkFunc(func(ev core.MatchEvent) {
-			w.out <- shardEvent{ev: ev}
+			if w.owns(ev) {
+				w.out <- shardEvent{ev: ev}
+			}
 		}))
 	}
 	w.done.Add(1)
 	go w.loop()
+}
+
+// owns reports whether this shard is the one that forwards ev to the merger:
+// the owner of the data vertex bound to its query's hub. Other shards may
+// find the same match — a shard is sent every edge of the vertices it owns,
+// so it also holds edges at their far ends — but only the owner is certain
+// to. A hub-free query lives on one shard, which forwards all it finds.
+func (w *worker) owns(ev core.MatchEvent) bool {
+	hub := w.hubs[ev.Query]
+	if hub == noHub {
+		return true
+	}
+	v, _ := ev.Match.Vertex(hub)
+	return ownerOf(v, w.shards) == w.id
 }
 
 // stop closes the mailbox; the worker drains it and exits.
@@ -129,7 +112,6 @@ func (w *worker) wait() { w.done.Wait() }
 
 func (w *worker) loop() {
 	defer w.done.Done()
-	edges := 0
 	for msg := range w.in {
 		switch msg.kind {
 		case msgEdge:
@@ -140,57 +122,33 @@ func (w *worker) loop() {
 			// sink registered in start; the scratch-backed return slice is
 			// deliberately unused.
 			w.eng.ProcessEdge(msg.edge)
-			if edges++; edges%markEvery == 0 {
-				w.sendMark()
-			}
 		case msgAdvance:
 			w.eng.Advance(msg.ts)
-			w.sendMark()
 		case msgCtrl:
-			msg.ctrl.reply <- w.serveCtrl(msg.ctrl)
+			msg.ctrl()
 		}
 	}
-	w.sendMark()
 }
 
-func (w *worker) sendMark() {
-	w.out <- shardEvent{mark: true, id: w.id, ts: w.eng.Graph().Watermark()}
-}
-
-func (w *worker) serveCtrl(req *ctrlReq) ctrlResp {
-	switch req.op {
-	case opRegister:
-		reg, err := w.eng.RegisterQuery(req.query, req.opts...)
-		if err != nil {
-			return ctrlResp{err: err}
-		}
-		return ctrlResp{name: reg.Name()}
-	case opUnregister:
-		return ctrlResp{err: w.eng.UnregisterQuery(req.name)}
-	case opMetrics:
-		m, snap := w.eng.Snapshot()
-		return ctrlResp{metrics: m, snap: snap}
-	case opFlush:
-		return ctrlResp{}
+// do runs fn against the shard's engine: on the worker goroutine, behind the
+// messages already in its mailbox, when running — returning once fn has —
+// and directly otherwise. Every match the earlier messages produced has
+// been sent to the merge channel before fn runs.
+func (w *worker) do(running bool, fn func()) {
+	if !running {
+		fn()
+		return
 	}
-	return ctrlResp{}
+	done := make(chan struct{})
+	w.in <- message{kind: msgCtrl, ctrl: func() { fn(); close(done) }}
+	<-done
 }
 
 // flush blocks until the worker has processed every message enqueued
 // before the call. Matches produced by those messages were pushed onto the
 // merge channel by the worker goroutine before it answered, so they are
 // ordered before anything the caller subsequently sends on that channel.
-func (w *worker) flush() {
-	w.roundTrip(&ctrlReq{op: opFlush})
-}
-
-// roundTrip enqueues a control request and waits for the worker's answer,
-// serializing it behind the edges already in the mailbox.
-func (w *worker) roundTrip(req *ctrlReq) ctrlResp {
-	req.reply = make(chan ctrlResp, 1)
-	w.in <- message{kind: msgCtrl, ctrl: req}
-	return <-req.reply
-}
+func (w *worker) flush() { w.do(true, func() {}) }
 
 // enqueueEdge delivers an edge to the shard (blocking when the mailbox is
 // full — backpressure to the stream driver). A context with cancellation
@@ -217,34 +175,39 @@ func (w *worker) enqueueAdvance(ts graph.Timestamp) {
 	w.in <- message{kind: msgAdvance, ts: ts}
 }
 
-// register adds a query on this shard, via the mailbox when running.
-func (w *worker) register(running bool, q *query.Graph, opts []core.RegistrationOption) (string, error) {
-	if running {
-		resp := w.roundTrip(&ctrlReq{op: opRegister, query: q, opts: opts})
-		return resp.name, resp.err
-	}
-	reg, err := w.eng.RegisterQuery(q, opts...)
-	if err != nil {
-		return "", err
-	}
-	return reg.Name(), nil
+// register adds a query with the given hub on this shard.
+func (w *worker) register(running bool, q *query.Graph, opts []core.RegistrationOption, hub query.VertexID) (name string, err error) {
+	w.do(running, func() {
+		var reg *core.Registration
+		if reg, err = w.eng.RegisterQuery(q, opts...); err == nil {
+			name = reg.Name()
+			w.hubs[name] = hub
+		}
+	})
+	return name, err
 }
 
-// unregister removes a query on this shard, via the mailbox when running.
-func (w *worker) unregister(running bool, name string) error {
-	if running {
-		return w.roundTrip(&ctrlReq{op: opUnregister, name: name}).err
-	}
-	return w.eng.UnregisterQuery(name)
+// unregister removes a query from this shard.
+func (w *worker) unregister(running bool, name string) (err error) {
+	w.do(running, func() {
+		if err = w.eng.UnregisterQuery(name); err == nil {
+			delete(w.hubs, name)
+		}
+	})
+	return err
 }
 
-// snapshot reads the shard engine's registry and the view built from it, via
-// the mailbox when running so the engine refreshes its gauges on its own
-// goroutine, serialized with edge processing.
-func (w *worker) snapshot(running bool) (core.Metrics, obs.Snapshot) {
-	if running {
-		resp := w.roundTrip(&ctrlReq{op: opMetrics})
-		return resp.metrics, resp.snap
-	}
-	return w.eng.Snapshot()
+// extendRetention widens this shard's window to that of a query living on
+// other shards.
+func (w *worker) extendRetention(running bool, window time.Duration) (err error) {
+	w.do(running, func() { err = w.eng.ExtendRetention(window) })
+	return err
+}
+
+// snapshot reads the shard engine's registry and the view built from it, on
+// the worker goroutine when running so the engine refreshes its gauges
+// serialized with edge processing.
+func (w *worker) snapshot(running bool) (m core.Metrics, snap obs.Snapshot) {
+	w.do(running, func() { m, snap = w.eng.Snapshot() })
+	return m, snap
 }

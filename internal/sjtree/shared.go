@@ -10,12 +10,12 @@ import (
 // This file exports the exactly-once half of the SJ-Tree's match storage. The
 // shared-plan evaluation DAG (internal/mqo) keeps its partial matches as rows
 // of its own; each group of queries reading a DAG root alike keeps one
-// EmittedSet, and the shard merger one per query.
+// EmittedSet.
 
 // EmittedSet deduplicates emitted complete matches by edge binding — the
 // per-consumer half of acceptComplete, split out so a shared DAG root can
 // fan a complete match out to many queries through one exactly-once set per
-// consumer group, and so the shard merger can keep one per query.
+// consumer group.
 // Entries are compact edge-binding copies that expire with the window; see
 // completeSet.
 type EmittedSet struct {

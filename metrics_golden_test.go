@@ -19,8 +19,7 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite the metrics golden file from the current engine")
 
 // metricsView renders a Metrics snapshot for comparison: every field but the
-// DAG's per-node detail, which describes the plan rather than counting, and
-// the two the run does not fix.
+// DAG's per-node detail, which describes the plan rather than counting.
 func metricsView(t *testing.T, m streamworks.Metrics) any {
 	t.Helper()
 	raw, err := json.Marshal(m)
@@ -32,10 +31,6 @@ func metricsView(t *testing.T, m streamworks.Metrics) any {
 		t.Fatalf("decoding metrics: %v", err)
 	}
 	delete(v["MQO"].(map[string]any), "per_node")
-	// What the merger's dedup filter holds depends on how the shards' matches
-	// and progress marks interleaved on the way in.
-	delete(v, "DedupEntries")
-	delete(v, "DedupBytes")
 	return v
 }
 

@@ -54,7 +54,7 @@ func defaultConfig() config {
 }
 
 // coreOptions is the core option list the in-process backends pass to the
-// engine (and the sharded front-end replicates to every shard).
+// engine (and the sharded front-end passes to each shard it registers on).
 func (o RegisterOptions) coreOptions() []core.RegistrationOption {
 	opts := []core.RegistrationOption{core.WithAdaptive(o.Adaptive)}
 	if o.Strategy != "" {

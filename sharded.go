@@ -11,8 +11,8 @@ import (
 )
 
 // Sharded is the scale-out in-process backend: N core engines over hash
-// partitions of the vertex space, with deduplicated matches delivered to
-// subscriptions from the merge goroutine. Subscribe and subscription
+// partitions of the vertex space, each match sent on by the one shard that
+// owns it and delivered to subscriptions from the merge goroutine. Subscribe and subscription
 // teardown never wait behind ingestion.
 type Sharded struct {
 	frontend
@@ -69,18 +69,21 @@ func translate(err error) error {
 	return err
 }
 
-// RegisterQuery replicates a continuous query onto every shard. Queries
-// without a hub vertex must be registered before streaming begins (the
-// sharded engine's broadcast-routing requirement).
+// RegisterQuery registers a continuous query on its home shards: every
+// shard for a query with a hub vertex (a pattern vertex touching every
+// pattern edge), shard 0 alone for a hub-free one. A hub-free query must be
+// registered before streaming begins, since shard 0 is sent the edges of
+// its types only from registration on (ErrBroadcastRequired from the shard
+// package otherwise).
 func (s *Sharded) RegisterQuery(ctx context.Context, q *Query) error {
 	return s.RegisterQueryWith(ctx, q, RegisterOptions{})
 }
 
-// RegisterQueryWith replicates a continuous query onto every shard with its
-// own plan strategy and adaptive-planning setting. With adaptive planning
-// on, each shard re-plans against its own partition's statistics; the
-// merged match set stays canonical regardless (dedup spans swap boundaries
-// and shards alike).
+// RegisterQueryWith is RegisterQuery with the query's own plan strategy
+// and adaptive-planning setting. With adaptive planning on, each shard
+// re-plans against its own partition's statistics; the merged match set
+// stays canonical regardless (each shard's emitted sets span swap
+// boundaries, and only a match's owner shard sends it on).
 func (s *Sharded) RegisterQueryWith(ctx context.Context, q *Query, opts RegisterOptions) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -97,7 +100,7 @@ func (s *Sharded) RegisterQueryWith(ctx context.Context, q *Query, opts Register
 	return nil
 }
 
-// UnregisterQuery removes a registration from every shard.
+// UnregisterQuery removes a registration from the shards it lives on.
 func (s *Sharded) UnregisterQuery(ctx context.Context, name string) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -169,7 +172,8 @@ func (s *Sharded) Subscribe(queryFilter string, sink MatchSink) (Subscription, e
 }
 
 // Metrics aggregates per-shard counters into the single-engine Metrics
-// shape (matches post-deduplication); it keeps working after Close.
+// shape (matches as the merger delivered them); it keeps working after
+// Close.
 func (s *Sharded) Metrics(ctx context.Context) (Metrics, error) {
 	if err := ctx.Err(); err != nil {
 		return Metrics{}, err
@@ -200,8 +204,9 @@ func (s *Sharded) MetricsSnapshot() (Metrics, []Metrics, ObsSnapshot) {
 }
 
 // PerShardMetrics snapshots every shard engine's raw counters in shard
-// order (replicated edges included, match counts pre-deduplication), for
-// operators watching partition skew.
+// order (an edge counts on each shard it was sent to, and a match on each
+// shard that found it, owner or not), for operators watching partition
+// skew.
 func (s *Sharded) PerShardMetrics() []Metrics {
 	_, perShard, _ := s.MetricsSnapshot()
 	return perShard

@@ -25,9 +25,11 @@ func TestSharedPlansChurnUnderIngest(t *testing.T) {
 	w := gen.BenchManyQueriesWorkload(16, 2500, 120, 10*time.Second)
 	// The stable set keeps matching throughout; the churn set is registered
 	// and unregistered continuously while edges stream. News variants are
-	// hub-free — the sharded router only broadcasts their edge types for
-	// queries known before streaming (ErrBroadcastRequired otherwise) — so
-	// they all stay stable. The first family cycle also stays stable so every
+	// hub-free — they live on shard 0 alone, and the router sends shard 0
+	// their edge types only if they were registered before streaming
+	// (ErrBroadcastRequired otherwise) — so they all stay stable. The
+	// widest of them widens the retention before streaming, on every shard,
+	// so a churned hub query of that window registers on every shard. The first family cycle also stays stable so every
 	// churned variant shares DAG structure with a co-resident stable query.
 	stable, churn := w.Queries[:0:0], w.Queries[:0:0]
 	for i, q := range w.Queries {

@@ -13,7 +13,7 @@
 //
 // All three deliver matches the same way: per-query push subscriptions.
 // Subscribe registers a MatchSink for one query (or all), the engine invokes
-// it for every complete deduplicated match, and Done on the returned
+// it once for every complete match, and Done on the returned
 // Subscription closes after the final delivery. There is no polling surface
 // and no scratch-buffer aliasing to get wrong: every Match handed to a sink
 // is safe to retain. Subscriptions that admit the same match are handed one
@@ -71,7 +71,8 @@ type (
 
 	// Metrics is a snapshot of engine counters, including per-query detail.
 	// For a sharded engine, work counters are summed over shards (and so
-	// include replicated edges) while match counts are post-deduplication.
+	// count an edge on each shard it was sent to) while match counts are
+	// the merger's, each match once.
 	Metrics = core.Metrics
 
 	// EngineConfig is the low-level per-engine configuration. Most callers
