@@ -161,8 +161,8 @@ type Engine struct {
 
 	// dag is the evaluation DAG every registration is attached to;
 	// dagEvents is where Registration.emit appends MatchEvents during a DAG
-	// ProcessEdge or plan-swap backfill (the DAG emits through per-attachment
-	// callbacks rather than returning slices).
+	// ProcessEdge (the DAG emits through per-attachment callbacks rather than
+	// returning slices).
 	dag       *mqo.DAG
 	dagEvents []MatchEvent
 
@@ -474,11 +474,6 @@ func (e *Engine) Advance(ts graph.Timestamp) {
 // never narrower than the widest window); for window-less queries, matches
 // referencing edges that have expired from the sliding window — without the
 // expiry batch those partials would accumulate forever.
-//
-// After that sweep nothing the engine still holds starts below the graph's
-// expiry cutoff, which is what makes it safe to hand the same cutoff to
-// every emitted set (graph.ExpiryCutoff): matches that start below it can
-// never be derived again, by a join, a plan swap or a backfill.
 func (e *Engine) pruneAll() {
 	e.obs.pruneRuns.Inc()
 	e.obs.partialsPruned.Add(uint64(e.dag.Prune(e.dyn.Watermark(), e.expiredPending)))
@@ -487,20 +482,14 @@ func (e *Engine) pruneAll() {
 }
 
 // refreshGauges sets the engine's size gauges from what they measure: the
-// window graph, the DAG's stored partials and each query's emitted set. The
-// prune sweep calls it, and Snapshot again just before it reads the registry.
+// window graph and the DAG's stored partials. The prune sweep calls it, and
+// Snapshot again just before it reads the registry.
 func (e *Engine) refreshGauges() {
 	o := &e.obs
 	o.liveEdges.Set(int64(e.dyn.NumEdges()))
 	o.liveVertices.Set(int64(e.dyn.NumVertices()))
 	o.expiredEdges.Set(int64(e.dyn.ExpiredTotal()))
 	o.partialsStored.Set(int64(e.dag.PartialMatches()))
-	for _, name := range e.order {
-		reg := e.registrations[name]
-		entries, bytes := reg.att.EmittedSize()
-		reg.emittedEntries.Set(int64(entries))
-		reg.emittedBytes.Set(int64(bytes))
-	}
 }
 
 // Metrics returns a snapshot of engine counters, including per-query detail.

@@ -1,33 +1,33 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"github.com/streamworks/streamworks/internal/decompose"
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/query"
-	"github.com/streamworks/streamworks/internal/sjtree"
 )
 
-// TestExactlyOnceAcrossEviction: an engine whose emitted sets forget expired
-// matches delivers exactly what one that remembers everything delivers, each
-// match once — across the operations that derive matches a second time from
-// retained state, forced every few retentions of a sixty-retention stream:
-// plan swaps (DAG.Swap backfilling the new plan's nodes from the window) and
-// a mid-stream registration (its root is an existing node, backfilled with
-// the matches already there).
+// TestExactlyOnceAcrossEviction: an engine that swaps every query's plan
+// every few retentions of a sixty-retention stream, long after the first
+// matches have left the window, delivers what the same run without swaps
+// delivers, each match once — though a swap derives matches a second time
+// from retained state (DAG.Swap backfilling the new plan's nodes from the
+// window), as does the mid-stream registration both runs make (its root is
+// an existing node, full of matches already delivered). The one difference a
+// plan may make is to a window-less query, which is sent what its partials
+// hold between sweeps: a match binding an edge the window has expired and
+// the next sweep had not yet dropped, one spanning more than the retention.
 func TestExactlyOnceAcrossEviction(t *testing.T) {
 	const retention = 10 * time.Second // 50 edges of randomHostStream
 	edges := randomHostStream(99, 3000)
-	type outcome struct {
-		delivered map[string]int // query + signature -> deliveries
-		evicted   uint64
+	type delivery struct {
+		n    int
+		span graph.Interval
 	}
-	run := func(t *testing.T, keep bool) outcome {
-		sjtree.KeepEmittedForTest(keep)
-		defer sjtree.KeepEmittedForTest(false)
+	// query + signature -> deliveries
+	run := func(t *testing.T, replan bool) map[string]delivery {
 		var cfg Config
 		cfg.Retention = retention
 		cfg.PruneInterval = 16
@@ -37,9 +37,10 @@ func TestExactlyOnceAcrossEviction(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		out := outcome{delivered: map[string]int{}}
+		delivered := map[string]delivery{}
 		e.Subscribe("", MatchSinkFunc(func(ev MatchEvent) {
-			out.delivered[ev.Query+"\x1f"+ev.CanonicalSignature()]++
+			key := ev.Query + "\x1f" + ev.CanonicalSignature()
+			delivered[key] = delivery{n: delivered[key].n + 1, span: ev.Match.Span}
 		}))
 		strategies := []decompose.Strategy{decompose.StrategyEager, decompose.StrategyLazy, decompose.StrategyBalanced, decompose.StrategySelective}
 		for i, se := range edges {
@@ -54,7 +55,7 @@ func TestExactlyOnceAcrossEviction(t *testing.T) {
 				if _, err := e.RegisterQuery(late, WithStrategy(decompose.StrategySelective)); err != nil {
 					t.Fatal(err)
 				}
-			case n >= 150 && n%170 == 0:
+			case replan && n >= 150 && n%170 == 0:
 				for _, name := range []string{"smurf", "probe", "exfil"} {
 					if err := e.ReplanNow(name, strategies[n/170%len(strategies)]); err != nil {
 						t.Fatal(err)
@@ -62,76 +63,25 @@ func TestExactlyOnceAcrossEviction(t *testing.T) {
 				}
 			}
 		}
-		m := e.Metrics()
-		if m.Replans < 30 {
+		if m := e.Metrics(); replan && m.Replans < 30 {
 			t.Fatalf("only %d plan swaps", m.Replans)
 		}
-		out.evicted = m.EmittedEvicted
-		return out
+		return delivered
 	}
-	want, got := run(t, true), run(t, false)
-	if want.evicted != 0 || got.evicted == 0 {
-		t.Fatalf("%d entries evicted with eviction off, %d with it on", want.evicted, got.evicted)
-	}
-	for key, n := range got.delivered {
-		if n != 1 {
-			t.Errorf("%q delivered %d times", key, n)
-		}
-		if want.delivered[key] == 0 {
-			t.Errorf("%q delivered only when emitted sets evict", key)
-		}
-	}
-	if len(got.delivered) != len(want.delivered) || len(got.delivered) < 100 {
-		t.Fatalf("%d distinct matches delivered, %d when emitted sets keep everything", len(got.delivered), len(want.delivered))
-	}
-}
-
-// TestEmittedGaugesFollowTheSets: the per-query emitted-set gauges and the
-// eviction counter in the registry, kept with observability off, say what
-// Metrics says, and summed over the queries they say what is resident. Three
-// queries of one shape read their root through one consumer group with one
-// set: its first member in attach order carries it, the others report
-// nothing, and the sum is what the set of a query registered alone holds.
-func TestEmittedGaugesFollowTheSets(t *testing.T) {
-	run := func(t *testing.T, windows ...time.Duration) (entries, bytes int) {
-		var cfg Config
-		cfg.Retention = 10 * time.Second
-		cfg.PruneInterval = 16
-		e := New(&cfg)
-		for i, w := range windows {
-			q := query.NewBuilder(fmt.Sprintf("smurf-%d", i)).Window(w).
-				Vertex("attacker", "Host").Vertex("amplifier", "Host").Vertex("victim", "Host").
-				Edge("attacker", "amplifier", "icmp_echo_req").Edge("amplifier", "victim", "icmp_echo_reply").
-				MustBuild()
-			if _, err := e.RegisterQuery(q); err != nil {
-				t.Fatal(err)
+	runs := map[string]map[string]delivery{"without swaps": run(t, false), "with swaps": run(t, true)}
+	for name, delivered := range runs {
+		for key, d := range delivered {
+			if d.n != 1 {
+				t.Errorf("%q delivered %d times %s", key, d.n, name)
+			}
+			for other, od := range runs {
+				if od[key].n == 0 && d.span.Within(retention) {
+					t.Errorf("%q, spanning %v, delivered %s but not %s", key, d.span.End.Sub(d.span.Start), name, other)
+				}
 			}
 		}
-		for _, se := range randomHostStream(7, 1600) {
-			e.ProcessEdge(se)
+		if len(delivered) < 100 {
+			t.Fatalf("vacuous: %d distinct matches delivered %s", len(delivered), name)
 		}
-		e.Advance(e.Graph().Watermark() + graph.Timestamp(time.Second)) // one more sweep, so the gauges are current
-		m, snap := e.Metrics(), e.ObsRegistry().Snapshot()
-		evicted := snap.Counter("emitted_evicted", "")
-		if m.Queries[0].EmittedEntries == 0 || m.EmittedEvicted == 0 || evicted != m.EmittedEvicted {
-			t.Fatalf("%d entries, %d evicted, the registry says %d", m.Queries[0].EmittedEntries, m.EmittedEvicted, evicted)
-		}
-		for i, q := range m.Queries {
-			gaugeEntries, gaugeBytes := snap.Gauge("emitted_entries", q.Name), snap.Gauge("emitted_bytes", q.Name)
-			if int(gaugeEntries) != q.EmittedEntries || int(gaugeBytes) != q.EmittedBytes {
-				t.Fatalf("%s: registry says %d entries, %d bytes; Metrics says %d, %d",
-					q.Name, gaugeEntries, gaugeBytes, q.EmittedEntries, q.EmittedBytes)
-			}
-			if i > 0 && (q.EmittedEntries != 0 || q.EmittedBytes != 0) {
-				t.Fatalf("%s reports %d entries, %d bytes of a set the group's first member carries", q.Name, q.EmittedEntries, q.EmittedBytes)
-			}
-			entries, bytes = entries+q.EmittedEntries, bytes+q.EmittedBytes
-		}
-		return entries, bytes
-	}
-	aloneEntries, aloneBytes := run(t, 10*time.Second)
-	groupEntries, groupBytes := run(t, 10*time.Second, 5*time.Second, 2*time.Second)
-	if groupEntries != aloneEntries || groupBytes != aloneBytes {
-		t.Fatalf("a group of three holds %d entries in %d bytes, a query alone %d in %d", groupEntries, groupBytes, aloneEntries, aloneBytes)
 	}
 }

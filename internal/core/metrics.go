@@ -29,11 +29,6 @@ type Metrics struct {
 	PartialsPruned uint64 `metric:"partials_pruned"`
 	// PruneRuns is the number of pruning sweeps executed.
 	PruneRuns uint64 `metric:"prune_runs"`
-	// EmittedEvicted is the cumulative number of entries the queries'
-	// exactly-once sets have forgotten because their matches started below
-	// the expiry cutoff and can never be derived again (summed over shards
-	// on a sharded engine). The sets' current size is per query, below.
-	EmittedEvicted uint64 `metric:"emitted_evicted"`
 	// Registrations is the number of currently registered (active) queries;
 	// unregistering a query decreases it, keeping the snapshot truthful for
 	// long-lived multi-tenant servers.
@@ -80,14 +75,6 @@ type QueryMetrics struct {
 	Replans        uint64 `metric:"query_replans"`
 	PlanNodes      int
 	PlanDepth      int
-	// EmittedEntries and EmittedBytes size the query's exactly-once emitted
-	// set as it stands (summed over shards on a sharded engine): little more
-	// than one retention of matches, at 16 bytes per table slot and 8 per
-	// arena word (sjtree.EmittedSet.Bytes). A consumer group has one set:
-	// its first query in registration order reports it, the others zero, so
-	// the sum over queries is what is resident.
-	EmittedEntries int `metric:"emitted_entries"`
-	EmittedBytes   int `metric:"emitted_bytes"`
 	// LastReplanAudit is the most recent adaptive drift-check record
 	// (fired or declined), nil until the first check runs.
 	LastReplanAudit *ReplanAudit

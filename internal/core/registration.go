@@ -30,8 +30,8 @@ func WithStrategy(s decompose.Strategy) RegistrationOption {
 // statistics (Config.Replan tunes the cadence and hysteresis) and hot-swaps
 // the plan when the frozen one has drifted far enough from what current
 // selectivities would produce. The swap preserves the match stream exactly:
-// plan nodes new to the DAG are rebuilt from the retained window and
-// emissions are deduplicated across the boundary.
+// plan nodes new to the DAG are rebuilt from the retained window, and the
+// rebuild sends nothing.
 func WithAdaptive(enabled bool) RegistrationOption {
 	return func(c *registrationConfig) { c.adaptive = enabled }
 }
@@ -59,10 +59,8 @@ type Registration struct {
 	audits []ReplanAudit
 
 	// The query's series in the engine's registry, resolved by bind: the
-	// matches it was sent, its completed hot-swaps, and its emitted set's
-	// size.
-	matches, replans             *obs.Counter
-	emittedEntries, emittedBytes *obs.Gauge
+	// matches it was sent and its completed hot-swaps.
+	matches, replans *obs.Counter
 }
 
 func newRegistration(e *Engine, name string, q *query.Graph, opts ...RegistrationOption) (*Registration, error) {
@@ -92,8 +90,6 @@ func newRegistration(e *Engine, name string, q *query.Graph, opts ...Registratio
 func (r *Registration) bind(reg *obs.Registry) {
 	r.matches = reg.Counter("query_matches_detected", obs.QueryLabelKey, r.name)
 	r.replans = reg.Counter("query_replans", obs.QueryLabelKey, r.name)
-	r.emittedEntries = reg.Gauge("emitted_entries", obs.QueryLabelKey, r.name)
-	r.emittedBytes = reg.Gauge("emitted_bytes", obs.QueryLabelKey, r.name)
 }
 
 // Name returns the registration name.
@@ -128,8 +124,8 @@ func (r *Registration) Matches() uint64 { return r.matches.Value() }
 // already remapped into the query's own pattern space and deduplicated, with
 // the signature its consumer group built. It feeds the engine sinks, the
 // event slice and — when observability is on — the detection-lag histogram.
-// Events accumulate on engine.dagEvents, which ProcessEdge (and the
-// plan-swap backfill) points at the appropriate buffer.
+// Events accumulate on engine.dagEvents, which ProcessEdge points at its
+// scratch buffer.
 func (r *Registration) emit(qm *match.Match, signature string) {
 	e := r.engine
 	o := &e.obs

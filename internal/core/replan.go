@@ -21,11 +21,11 @@ import (
 //     backfilling the plan's new DAG nodes from the retained window rebuilds
 //     exactly the partial-match state the new plan needs; nodes the new plan
 //     shares with the old one, or with other queries, keep theirs.
-//  2. Complete-match identity is the bound data-edge set (EdgeSetHash), and
-//     the query carries what it has been sent across the swap, so a match
-//     re-derived during backfill is recognized and suppressed as a duplicate
-//     while a match that only completes across the swap boundary is emitted
-//     exactly once.
+//  2. A backfill delivers nothing. Every match it derives reads only edges
+//     already in the window, so the old plan, which was exact, sent it when
+//     its last edge arrived (or it predates the query); a match is delivered
+//     only from the edge that completes it, so one that completes after the
+//     swap is emitted exactly once, by the new plan.
 
 // replanAuditRing bounds how many drift-check audit records a registration
 // retains.
@@ -146,23 +146,13 @@ func (e *Engine) ReplanNow(name string, strategy decompose.Strategy) error {
 // the new plan while the old plan's nodes are still live, so subtrees common
 // to both plans — and anything shared with other queries — keep their state
 // instead of being rebuilt. Only genuinely new DAG nodes are backfilled from
-// the retained window (mqo.DAG.Swap); the emitted set the query carries keeps
-// the match stream exactly-once across the boundary, and matches surfaced by
-// the backfill flow through Registration.emit like any other.
+// the retained window (mqo.DAG.Swap), and the backfill sends nothing: the
+// match stream goes on from the next edge, exactly once across the boundary.
 func (e *Engine) swap(reg *Registration, plan *decompose.Plan) error {
-	// emit appends to e.dagEvents; stash whatever buffer an enclosing
-	// ProcessEdge call is accumulating into and give the swap its own, so
-	// backfill emissions are counted here without leaking into the caller's
-	// per-edge slice.
-	saved := e.dagEvents
-	e.dagEvents = nil
 	att, err := e.dag.Swap(reg.name, plan)
 	if err != nil {
-		e.dagEvents = saved
 		return fmt.Errorf("core: plan swap for %q: %w", reg.name, err)
 	}
-	e.obs.matchesDetected.Add(uint64(len(e.dagEvents)))
-	e.dagEvents = saved
 	reg.att = att
 	reg.plan = plan
 	reg.planGen++

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"time"
 
@@ -216,17 +217,23 @@ func BenchNewsWorkload(edges int, window time.Duration) Workload {
 // when their MatchSets are equal.
 type MatchSet map[string]struct{}
 
-// Add records an event's canonical key.
-func (s MatchSet) Add(ev core.MatchEvent) {
-	s.AddKey(ev.Query, ev.CanonicalSignature())
+// Add records an event's canonical key and reports whether it is new.
+func (s MatchSet) Add(ev core.MatchEvent) bool {
+	return s.AddKey(ev.Query, ev.CanonicalSignature())
 }
 
 // AddKey records a match identified by (query, signature) — the form a
 // remote consumer sees in an export.MatchReport — under the same canonical
 // key Add derives from an engine event, so HTTP-delivered match streams can
-// be compared against in-process runs.
-func (s MatchSet) AddKey(query, signature string) {
-	s[query+"\x1f"+signature] = struct{}{}
+// be compared against in-process runs. It reports whether the key is new:
+// a run that sends a query one binding twice breaks exactly-once delivery.
+func (s MatchSet) AddKey(query, signature string) bool {
+	k := query + "\x1f" + signature
+	if _, dup := s[k]; dup {
+		return false
+	}
+	s[k] = struct{}{}
+	return true
 }
 
 // Equal reports set equality.
@@ -276,7 +283,8 @@ func Oracle(w Workload) MatchSet {
 // RunEngine replays the workload through an in-process public
 // streamworks.Engine (New or NewSharded): it registers the workload's
 // queries with its plan settings, subscribes to every match, streams the edges and closes the
-// engine, returning the canonical match set. Its drain protocol — Close,
+// engine, returning the canonical match set, or an error when a match was
+// sent to its query twice. Its drain protocol — Close,
 // then wait for the subscription's Done — relies on Close being the drain,
 // which holds for the in-process backends only; a Remote tears its streams
 // down abortively on Close, so remote runs must instead drain the daemon
@@ -294,8 +302,11 @@ func RunEngine(eng streamworks.Engine, w Workload) (MatchSet, error) {
 	// The sink runs on the engine's delivery goroutine; the Done wait below
 	// (after Close) orders every AddKey before the return.
 	set := make(MatchSet)
+	var dup string
 	sub, err := eng.Subscribe("", streamworks.SinkFunc(func(m streamworks.Match) {
-		set.AddKey(m.Query, m.Signature)
+		if !set.AddKey(m.Query, m.Signature) && dup == "" {
+			dup = m.Query + " " + m.Signature
+		}
 	}))
 	if err != nil {
 		return nil, err
@@ -308,6 +319,9 @@ func RunEngine(eng streamworks.Engine, w Workload) (MatchSet, error) {
 		return nil, err
 	}
 	<-sub.Done()
+	if dup != "" {
+		return nil, fmt.Errorf("gen: %s: %s sent twice", w.Name, dup)
+	}
 	return set, nil
 }
 

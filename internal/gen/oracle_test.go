@@ -3,6 +3,7 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -117,11 +118,14 @@ func TestRandomStreamsMatchOracle(t *testing.T) {
 // in. The early queries are sent all the oracle's matches; the late ones
 // exactly those that complete after they registered — the edge that
 // completes them arrives later — and none that completed before, whatever
-// the strategy. Late queries attach to plan nodes early ones built, some of
-// them under narrower windows (the many-queries variants' windows step up
-// with their tier); core's TestLateRegistrationBackfillsFromWindow covers
-// such a node after it has pruned. The retention is set to the widest query
-// window up front, which mid-stream registration requires.
+// the strategy, each once. Late queries attach to plan nodes early ones
+// built, some of them under narrower windows (the many-queries variants'
+// windows step up with their tier); core's
+// TestLateRegistrationBackfillsFromWindow covers such a node after it has
+// pruned. Every query is then forced onto another strategy twice, at half and
+// at five sixths of the stream, which changes nothing the queries are sent.
+// The retention is set to the widest query window up front, which mid-stream
+// registration requires.
 func TestLateRegistrationMatchesOracle(t *testing.T) {
 	for _, w := range []Workload{tinyNetflowWorkload(), tinyNewsWorkload(), tinyDriftWorkload(), tinyManyQueriesWorkload()} {
 		for _, q := range w.Queries {
@@ -154,15 +158,37 @@ func TestLateRegistrationMatchesOracle(t *testing.T) {
 							}
 						}
 					}
+					// Each replan point moves every query one strategy further
+					// from the one it registered with.
+					strategies := decompose.Strategies()
+					replanAt := map[int]decompose.Strategy{
+						len(w.Edges) / 2:     strategies[(slices.Index(strategies, strat)+1)%len(strategies)],
+						len(w.Edges) * 5 / 6: strategies[(slices.Index(strategies, strat)+2)%len(strategies)],
+					}
+					// A sink sees every delivery, registrations' and swaps'
+					// included, not only what ProcessEdge returns.
 					got := make(MatchSet)
+					e.Subscribe("", core.MatchSinkFunc(func(ev core.MatchEvent) {
+						if !got.Add(ev) {
+							t.Fatalf("%s sent %s twice", ev.Query, ev.CanonicalSignature())
+						}
+					}))
 					register(early.Queries)
 					for i, se := range w.Edges {
 						if i == split {
 							register(late.Queries)
 						}
-						for _, ev := range e.ProcessEdge(se) {
-							got.Add(ev)
+						if to, ok := replanAt[i]; ok {
+							for _, q := range w.Queries {
+								if err := e.ReplanNow(q.Name(), to); err != nil {
+									t.Fatal(err)
+								}
+							}
 						}
+						e.ProcessEdge(se)
+					}
+					if m := e.Metrics(); m.Replans != uint64(2*len(w.Queries)) {
+						t.Fatalf("%d plan swaps, want %d", m.Replans, 2*len(w.Queries))
 					}
 					if !got.Equal(ref) {
 						t.Fatalf("%d matches with %d queries registered at edge %d, the oracle finds %d", len(got), len(late.Queries), split, len(ref))

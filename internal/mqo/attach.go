@@ -13,14 +13,12 @@ import (
 	"github.com/streamworks/streamworks/internal/isomorphism"
 	"github.com/streamworks/streamworks/internal/match"
 	"github.com/streamworks/streamworks/internal/query"
-	"github.com/streamworks/streamworks/internal/sjtree"
 )
 
 // Attachment is one query's view of the shared DAG: the root node its plan
 // resolved to, the maps translating canonical root matches into the query's
-// own pattern space, the consumer group it reads the root through (which
-// holds the exactly-once set), and the per-query emission state (window,
-// callbacks).
+// own pattern space, the consumer group it reads the root through, and the
+// per-query emission state (window, callbacks).
 type Attachment struct {
 	dag    *DAG
 	name   string
@@ -41,7 +39,6 @@ type Attachment struct {
 	emit       func(*match.Match)
 	emitSigned func(*match.Match, string)
 
-	preAttach     uint64
 	replayedEdges uint64
 }
 
@@ -51,23 +48,9 @@ func (a *Attachment) Name() string { return a.name }
 // Plan returns the decomposition plan the attachment realizes.
 func (a *Attachment) Plan() *decompose.Plan { return a.plan }
 
-// PreAttachMatches returns how many complete matches predating the
-// attachment were recorded-but-suppressed during root backfill.
-func (a *Attachment) PreAttachMatches() uint64 { return a.preAttach }
-
 // ReplayedEdges returns how many retained-window edges were replayed to
 // backfill leaves this attachment created.
 func (a *Attachment) ReplayedEdges() uint64 { return a.replayedEdges }
-
-// EmittedSize reports the entries and resident bytes of the consumer group's
-// exactly-once set on the group's first member in attach order, and zeros on
-// the others, so a sum over queries counts every set once.
-func (a *Attachment) EmittedSize() (entries, bytes int) {
-	if a.group.members[0] != a {
-		return 0, 0
-	}
-	return a.group.emitted.Len(), a.group.emitted.Bytes()
-}
 
 // LeafSearches sums the local searches of the attachment's leaf nodes. The
 // counters are shared: a search seeded once for five queries counts once in
@@ -110,6 +93,13 @@ type AttachOptions struct {
 // (leaves by replaying live edges, joins by cross-joining their children's
 // existing collections), so an attachment mid-stream starts from the same
 // state it would have had if attached before the retained window began.
+//
+// The query is sent every match whose last edge arrives after it attaches
+// and none before. Nothing a backfill derives is delivered, to it or to
+// anyone: every edge a backfill reads is already in the window, so every row
+// it derives either was sent when its last edge arrived, to each member
+// attached then (their plans were exact all along), or predates whoever was
+// not.
 func (d *DAG) Attach(name string, q *query.Graph, plan *decompose.Plan, opt AttachOptions) (*Attachment, error) {
 	if _, dup := d.atts[name]; dup {
 		return nil, fmt.Errorf("mqo: query %q already attached", name)
@@ -117,13 +107,12 @@ func (d *DAG) Attach(name string, q *query.Graph, plan *decompose.Plan, opt Atta
 	if err := plan.Validate(); err != nil {
 		return nil, fmt.Errorf("mqo: invalid plan for %q: %w", name, err)
 	}
-	return d.attach(name, q, plan, opt, nil), nil
+	return d.attach(name, q, plan, opt), nil
 }
 
-// attach is Attach past its checks. sent is nil for a query new to the DAG;
-// for one that Swap is moving onto another plan it is what the query has been
-// sent so far, handed over to the group it joins.
-func (d *DAG) attach(name string, q *query.Graph, plan *decompose.Plan, opt AttachOptions, sent *sjtree.EmittedSet) *Attachment {
+// attach is Attach past its checks. It builds the plan with delivery off
+// (DAG.building), then subscribes the query to its root.
+func (d *DAG) attach(name string, q *query.Graph, plan *decompose.Plan, opt AttachOptions) *Attachment {
 	att := &Attachment{
 		dag:        d,
 		name:       name,
@@ -133,43 +122,16 @@ func (d *DAG) attach(name string, q *query.Graph, plan *decompose.Plan, opt Atta
 		emit:       opt.Emit,
 		emitSigned: opt.EmitSigned,
 	}
+	d.building = true
 	root, rootFrag := d.build(att, plan.Query, plan.Root)
+	d.building = false
 	att.root = root
 	att.rootVMap = rootFrag.VertToQuery
 	att.rootEMap = rootFrag.EdgeToQuery
 	root.addConsumer(att)
-	g := att.group
 
 	d.atts[name] = att
 	d.attOrder = append(d.attOrder, name)
-
-	// Root backfill: the complete matches already in the shared root
-	// collection. To a query new to the DAG they predate it: the group's set
-	// records them, nobody is sent them. A query changing plans is sent those
-	// it has not been sent — the matches the old plan had not surfaced yet —
-	// and then leaves what it has been sent with its new group: the group's
-	// memory from here on, merged into what the group already remembers.
-	for r := 0; r < root.rows.len(); r++ {
-		row := root.rows.row(r)
-		if att.window > 0 && !root.rows.span(row).Within(att.window) {
-			continue
-		}
-		qm := g.admit(&d.arena, root, row)
-		if qm == nil {
-			continue
-		}
-		if sent == nil {
-			g.emitted.Add(qm)
-			att.preAttach++
-		} else if sent.Add(qm) {
-			att.send(&d.arena, qm, "")
-		}
-	}
-	if sent != nil && len(g.members) == 1 {
-		g.emitted = sent
-	} else if sent != nil {
-		g.emitted.Merge(sent)
-	}
 	return att
 }
 
@@ -255,7 +217,8 @@ func (d *DAG) build(att *Attachment, q *query.Graph, pn *decompose.Node) (*node,
 // backfillLeaf replays the retained window through leaf n so its collection
 // holds every primitive match its window admits, and returns how many edges
 // it replayed. Matches it already holds are kept once; new ones propagate
-// like any insertion. Before the first edge it replays nothing.
+// like any insertion but are not delivered. Before the first edge it replays
+// nothing.
 func (d *DAG) backfillLeaf(n *node) uint64 {
 	replayed := uint64(0)
 	d.g.ForEachLiveEdge(func(de *graph.Edge) bool {
@@ -270,7 +233,7 @@ func (d *DAG) backfillLeaf(n *node) uint64 {
 // rows and joins them: the left child's rows are indexed silently, then the
 // right child's stream through the normal index-and-probe step, so every
 // (left, right) pair is joined exactly once. Rows n already holds are kept
-// once; new ones propagate like any insertion.
+// once; new ones propagate like any insertion but are not delivered.
 func (d *DAG) backfillJoin(n *node) {
 	n.left.idx, n.right.idx = cutIndex{}, cutIndex{}
 	ls := &n.left.child.rows
@@ -375,15 +338,11 @@ func (d *DAG) Detach(name string) error {
 // plans (and anything shared with other queries) keep their state across the
 // swap — and only then are the old plan's now-unreferenced nodes collected.
 // This is how the engine hot-swaps a query's plan. The replacement keeps the
-// emit callbacks.
+// emit callbacks and joins the consumer group that reads the new root as it
+// does.
 //
-// Exactly-once travels with the query. It leaves its consumer group with
-// what the group remembers — the set itself when it was the last member, a
-// copy sharing nothing with the group otherwise — is sent, from the new
-// root's backfill, only what that does not hold, and hands it to the group
-// that reads the new root as it does (see attach), so queries that replan
-// one by one onto the same plan end up behind one set again. An invalid plan
-// is refused before anything is touched.
+// The swap sends nothing (see Attach): the match stream goes on from the
+// next edge. An invalid plan is refused before anything is touched.
 func (d *DAG) Swap(name string, plan *decompose.Plan) (*Attachment, error) {
 	old, ok := d.atts[name]
 	if !ok {
@@ -392,13 +351,8 @@ func (d *DAG) Swap(name string, plan *decompose.Plan) (*Attachment, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, fmt.Errorf("mqo: invalid plan for %q: %w", name, err)
 	}
-	sent := old.group.emitted
-	if len(old.group.members) > 1 {
-		sent = sjtree.NewEmittedSet()
-		sent.Merge(old.group.emitted)
-	}
 	d.detachConsumer(old)
-	att := d.attach(name, old.q, plan, AttachOptions{Emit: old.emit, EmitSigned: old.emitSigned}, sent)
+	att := d.attach(name, old.q, plan, AttachOptions{Emit: old.emit, EmitSigned: old.emitSigned})
 	d.gc(old.root)
 	d.recomputeWindows()
 	return att, nil
@@ -453,7 +407,8 @@ func (d *DAG) gc(n *node) {
 // matches the wider window admits — a query attached mid-stream would miss
 // them — so once its children are widened it re-derives its state from the
 // retained window like a new node: a leaf re-searches the live edges, a join
-// re-joins its children's collections.
+// re-joins its children's collections. Like any backfill it delivers nothing
+// (see Attach).
 func (d *DAG) widen(n *node, w time.Duration) {
 	nw := combineWindow(n.window, w)
 	if nw == n.window {

@@ -131,8 +131,8 @@ func TestConsumerGroupsMatchPrivateTrees(t *testing.T) {
 	}
 
 	feed(t, dyn, d, edges[:6])
-	// Swapping one member onto another plan must carry its emitted set along
-	// and leave the rest of its group alone.
+	// Swapping one member onto another plan must send it nothing twice and
+	// leave the rest of its group alone.
 	if _, err := d.Swap("wide", planFor(t, queries[0])); err != nil {
 		t.Fatal(err)
 	}
@@ -149,13 +149,13 @@ func TestConsumerGroupsMatchPrivateTrees(t *testing.T) {
 	}
 }
 
-// TestConsumerGroupMembershipMatchesPrivateTrees: a group of 25 queries
-// behind one exactly-once set is joined mid-stream, loses its lead, has one
-// member swapped onto another plan and then all the others, one by one with
-// the stream running — and every query is sent, once and in order, what a
-// private tree of its own emits while it is attached. Along the way the
-// state is where it should be: one set per group, carried by the mover
-// (a copy while others stay behind), and one set again once all have moved.
+// TestConsumerGroupMembershipMatchesPrivateTrees: a group of 25 queries is
+// joined mid-stream, loses its lead, has one member swapped onto another
+// plan and then all the others, one by one with the stream running — and
+// every query is sent, once and in order, what a private tree of its own
+// emits while it is attached. Along the way the groups are where they
+// should be: the late query joins the group, the mover leaves it for a group
+// of its own, and the others join the mover's once all have moved.
 func TestConsumerGroupMembershipMatchesPrivateTrees(t *testing.T) {
 	windows := []time.Duration{time.Minute, 5 * time.Second, 2 * time.Second}
 	var queries []*query.Graph
@@ -200,12 +200,8 @@ func TestConsumerGroupMembershipMatchesPrivateTrees(t *testing.T) {
 	}
 
 	feedTo(40)
-	// 20 pairs so far, five of every six inside the widest window.
-	if got := group.emitted.Len(); got != 17 {
-		t.Fatalf("the group's set holds %d matches after 20 pairs, want 17", got)
-	}
-	if att := attach(late); att.group != group || att.PreAttachMatches() != 17 || group.emitted.Len() != 17 {
-		t.Fatalf("late attach: own group %v, %d pre-attach matches, set of %d", att.group != group, att.PreAttachMatches(), group.emitted.Len())
+	if att := attach(late); att.group != group {
+		t.Fatal("the late query did not join the group")
 	}
 
 	feedTo(60)
@@ -218,15 +214,13 @@ func TestConsumerGroupMembershipMatchesPrivateTrees(t *testing.T) {
 	}
 
 	feedTo(80)
-	// One member moves: it takes a copy of what the group remembers, the
-	// group keeps its own.
-	before := group.emitted.Len()
+	// One member moves to a group of its own; the others stay behind.
 	moved, err := d.Swap("s05", planFor(t, queries[5]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if moved.group == group || moved.group.emitted == group.emitted || moved.group.emitted.Len() != before || group.emitted.Len() != before {
-		t.Fatalf("after one swap: mover's set %d, group's %d, want two sets of %d", moved.group.emitted.Len(), group.emitted.Len(), before)
+	if moved.group == group || len(moved.group.members) != 1 || len(group.members) != 24 {
+		t.Fatalf("after one swap: mover's group of %d, the old one of %d", len(moved.group.members), len(group.members))
 	}
 
 	feedTo(100)
@@ -244,9 +238,6 @@ func TestConsumerGroupMembershipMatchesPrivateTrees(t *testing.T) {
 		t.Fatalf("after all swapped: %d groups, %d members, %d nodes", n, len(moved.group.members), d.NumNodes())
 	}
 	feedTo(len(edges))
-	if got, want := moved.group.emitted.Len(), 90*5/6; got != want {
-		t.Fatalf("the one set left holds %d matches, want %d", got, want)
-	}
 
 	emitted := 0
 	for _, q := range append(queries, late) {
@@ -262,12 +253,12 @@ func TestConsumerGroupMembershipMatchesPrivateTrees(t *testing.T) {
 	}
 }
 
-// TestSwapLeavesItsMemoryWithTheGroupItJoins: a query that replans into an
-// existing group — whose set never held a match only the newcomer's window
+// TestSwapThroughAGroupSendsNothingTwice: a query that replans into an
+// existing group — which was never sent a match only the newcomer's window
 // admits — and out again onto rebuilt nodes, which derive that match a second
-// time from the retained edges, is not sent it twice: what it had been sent
-// was merged into the group it passed through and copied out again.
-func TestSwapLeavesItsMemoryWithTheGroupItJoins(t *testing.T) {
+// time from the retained edges, is not sent it twice: a swap delivers
+// nothing its backfills derive.
+func TestSwapThroughAGroupSendsNothingTwice(t *testing.T) {
 	dyn := graph.NewDynamic(0)
 	d := New(dyn)
 	col := newCollector()
@@ -287,8 +278,8 @@ func TestSwapLeavesItsMemoryWithTheGroupItJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(att.group.members) != 2 || att.group.emitted.Len() != 1 {
-		t.Fatalf("wide joined a group of %d remembering %d matches, want narrow's, now remembering 1", len(att.group.members), att.group.emitted.Len())
+	if len(att.group.members) != 2 || len(col.sigs["wide"]) != 1 {
+		t.Fatalf("wide joined a group of %d, was sent %v; want narrow's, and the one match", len(att.group.members), col.sigs["wide"])
 	}
 	if _, err := d.Swap("wide", planWith(t, wide, decompose.StrategyEager)); err != nil {
 		t.Fatal(err)
@@ -304,9 +295,8 @@ func TestSwapLeavesItsMemoryWithTheGroupItJoins(t *testing.T) {
 
 // TestSwapOntoInvalidPlanChangesNothing: a plan that fails validation is
 // refused with the DAG exactly as it was — the query in its place in attach
-// order and in its group, the group's set the same object with the same
-// content — so prune order and the emission order among group members do
-// not depend on a failed replan.
+// order and in its group — so prune order and the emission order among group
+// members do not depend on a failed replan.
 func TestSwapOntoInvalidPlanChangesNothing(t *testing.T) {
 	dyn := graph.NewDynamic(0)
 	d := New(dyn)
@@ -325,7 +315,7 @@ func TestSwapOntoInvalidPlanChangesNothing(t *testing.T) {
 		hostEdge(1, 1, 2, "icmp_echo_req", base),
 		hostEdge(2, 2, 3, "icmp_echo_reply", base.Add(time.Second)),
 	})
-	set, members, nodes := group.emitted, slices.Clone(group.members), d.NumNodes()
+	members, nodes := slices.Clone(group.members), d.NumNodes()
 
 	bad := *planWith(t, d.atts["s1"].q, decompose.StrategyEager)
 	bad.Root = &decompose.Node{Edges: bad.Root.Edges, Left: bad.Root.Left} // a join with one input
@@ -338,8 +328,8 @@ func TestSwapOntoInvalidPlanChangesNothing(t *testing.T) {
 		}
 	}
 	if !slices.Equal(d.attOrder, []string{"s0", "s1", "s2"}) || !slices.Equal(group.members, members) ||
-		group.emitted != set || set.Len() != 1 || d.NumNodes() != nodes || d.atts["s1"].group != group {
-		t.Fatalf("a refused swap moved something: order %v, %d members, set of %d, %d nodes", d.attOrder, len(group.members), set.Len(), d.NumNodes())
+		d.NumNodes() != nodes || d.atts["s1"].group != group {
+		t.Fatalf("a refused swap moved something: order %v, %d members, %d nodes", d.attOrder, len(group.members), d.NumNodes())
 	}
 	feed(t, dyn, d, []graph.StreamEdge{
 		hostEdge(3, 5, 6, "icmp_echo_req", base.Add(2*time.Second)),

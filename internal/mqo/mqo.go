@@ -31,19 +31,26 @@
 // both input rows through the links' maps into the parent's scratch row, and
 // local search binds in place, so a row is copied only when it is new.
 //
+// A match is derived once, so it is delivered once, with nothing remembered
+// to make it so: a root row is delivered only when it is new to the root's
+// deduplicated rows, and only while an edge is being processed — the last
+// edge of the match, which arrives once. Backfills (Attach, Swap and the
+// re-derivation of a widened node) deliver nothing, since every row they
+// derive reads edges already in the window: it was sent when its last edge
+// arrived, or predates the query that was not sent it.
+//
 // Emission costs what the distinct root matches cost, not (queries × pattern
 // edges): the attachments consuming a root node are grouped by how they read
 // it — identical maps out of the root's canonical space into identically
 // shaped queries, which is what rules differing only in name and window
-// have — and a root row is built into a query-space match, remembered in the
-// group's one exactly-once set, and its Signature built, once per consumer
-// group. The contract that buys this: an emitted *match.Match and its
-// signature string are shared by every member of the group and immutable
-// from emission on; Emit callbacks and everything downstream
-// (core.MatchEvent, sinks, reports) may retain but not mutate them. Both are
-// carved from the DAG's match.Arena, so delivery allocates nothing per match;
-// a retained match keeps its 8 KiB chunks alive, so whatever outlives the
-// window (the emitted sets, the WAL's keys) copies what it keeps.
+// have — and a root row is built into a query-space match and its Signature
+// built once per consumer group. The contract that buys this: an emitted
+// *match.Match and its signature string are shared by every member of the
+// group and immutable from emission on; Emit callbacks and everything
+// downstream (core.MatchEvent, sinks, reports) may retain but not mutate
+// them. Both are carved from the DAG's match.Arena, so delivery allocates
+// nothing per match; a retained match keeps its 8 KiB chunks alive, so
+// whatever outlives the window (the WAL's keys) copies what it keeps.
 //
 // Like the core engine, a DAG is single-goroutine state: the engine's driver
 // goroutine calls ProcessEdge/Attach/Detach/Prune, never concurrently.
@@ -59,7 +66,6 @@ import (
 	"github.com/streamworks/streamworks/internal/match"
 	"github.com/streamworks/streamworks/internal/obs"
 	"github.com/streamworks/streamworks/internal/query"
-	"github.com/streamworks/streamworks/internal/sjtree"
 )
 
 // node is one shared DAG node: the match collection of one canonical
@@ -166,18 +172,12 @@ type seedRef struct {
 // consumerGroup is the set of attachments, in attach order, that read one
 // root node's matches identically: the same maps from the root's canonical
 // space into query space and the same query shape (the first member's stand
-// for all), so one match build, one exactly-once lookup and one Signature per root
-// match serve them all. Queries differing only in name or window — the
-// near-duplicate rules of a monitoring deployment — share a group; members
-// keep their own window filter and callbacks.
-//
-// emitted remembers, in query space, every root match some member admitted.
-// One set serves all because a window is a pure function of the match: the
-// first delivery of a match is the first for every member that admits it,
-// and a member attached later has had recorded, unsent, what predates it.
+// for all), so one match build and one Signature per root match serve them
+// all. Queries differing only in name or window — the near-duplicate rules
+// of a monitoring deployment — share a group; members keep their own window
+// filter and callbacks.
 type consumerGroup struct {
 	members []*Attachment
-	emitted *sjtree.EmittedSet
 }
 
 // addConsumer subscribes att to n's complete matches, through the group
@@ -191,7 +191,7 @@ func (n *node) addConsumer(att *Attachment) {
 			return
 		}
 	}
-	att.group = &consumerGroup{members: []*Attachment{att}, emitted: sjtree.NewEmittedSet()}
+	att.group = &consumerGroup{members: []*Attachment{att}}
 	n.consumers = append(n.consumers, att.group)
 }
 
@@ -212,10 +212,13 @@ type DAG struct {
 	attOrder []string
 
 	// The DAG's counts live in its registry (its engine's, under WithObs):
-	// leaf searches, the fan-out saving, and the emitted-set entries Prune
-	// expired.
-	reg                                       *obs.Registry
-	localSearches, sharedHits, emittedEvicted *obs.Counter
+	// leaf searches and the fan-out saving.
+	reg                       *obs.Registry
+	localSearches, sharedHits *obs.Counter
+
+	// building is set while attach builds a plan into the DAG: the rows its
+	// backfills derive are stored and joined but not delivered.
+	building bool
 
 	// arena carves the matches and signatures consumer groups deliver.
 	arena match.Arena
@@ -264,7 +267,6 @@ func New(g *graph.Dynamic, opts ...Option) *DAG {
 	}
 	d.localSearches = d.reg.Counter("mqo_local_searches", "", "")
 	d.sharedHits = d.reg.Counter("mqo_shared_hits", "", "")
-	d.emittedEvicted = d.reg.Counter("emitted_evicted", "", "")
 	return d
 }
 
@@ -364,8 +366,9 @@ func (d *DAG) leafYield(n *node) func(*match.Match) bool {
 // insert adds a canonical partial of n's fragment, built in row (n's
 // scratch), and propagates it: dedup into the node's rows, index it in each
 // parent link's cut index, hash-join it with the sibling's rows through the
-// two links' maps (recursing upward), and deliver to each consumer group.
-// This is sjtree.Tree.Insert generalized from one parent to many.
+// two links' maps (recursing upward), and deliver to each consumer group —
+// unless a backfill derived it. This is sjtree.Tree.Insert generalized from
+// one parent to many.
 func (d *DAG) insert(n *node, row []uint64) {
 	if n.window > 0 && !n.rows.span(row).Within(n.window) {
 		n.windowDrops++
@@ -377,6 +380,9 @@ func (d *DAG) insert(n *node, row []uint64) {
 	}
 	for _, pl := range n.parents {
 		d.join(pl.parent, pl.link, r)
+	}
+	if d.building {
+		return
 	}
 	for _, g := range n.consumers {
 		g.deliver(&d.arena, n, n.rows.row(r))
@@ -447,13 +453,12 @@ func (g *consumerGroup) admit(a *match.Arena, n *node, row []uint64) *match.Matc
 	return m
 }
 
-// deliver fans a canonical root row of n out to the group, preserving the
-// private tree's acceptance rules per query — completeness, the query's own
-// window, exactly once, then emit — while doing each once: the checks run on
+// deliver fans a new canonical root row of n out to the group, preserving
+// the private tree's acceptance rules per query — completeness, the query's
+// own window, then emit — while doing each once: the window checks run on
 // the canonical row, the first member to pass its window has it built into
-// a match in query space and looked up in the group's set, the first to
-// emit builds the signature, and later members are handed the same match
-// and string — both carved from a.
+// a match in query space, the first to emit builds the signature, and later
+// members are handed the same match and string — both carved from a.
 func (g *consumerGroup) deliver(a *match.Arena, n *node, row []uint64) {
 	span := n.rows.span(row)
 	var qm *match.Match
@@ -463,7 +468,7 @@ func (g *consumerGroup) deliver(a *match.Arena, n *node, row []uint64) {
 			continue
 		}
 		if qm == nil {
-			if qm = g.admit(a, n, row); qm == nil || !g.emitted.Add(qm) {
+			if qm = g.admit(a, n, row); qm == nil {
 				return
 			}
 		}
@@ -493,20 +498,10 @@ func (a *Attachment) send(arena *match.Arena, qm *match.Match, sig string) strin
 // parent's predicate in the same pass (sweep) — an input's window is at least
 // the node's, so an index entry never outlives the row it chains. Returns the
 // number of stored matches removed, each counted once.
-//
-// With the partial matches pruned, nothing left in the DAG or the graph
-// starts below the graph's expiry cutoff, so every consumer group's emitted
-// set forgets the matches that do (EmittedSet.Expire).
 func (d *DAG) Prune(wm graph.Timestamp, expired map[graph.EdgeID]struct{}) int {
 	removed := 0
 	for _, sig := range d.order {
 		removed += sweep(d.nodes[sig], wm, expired, match.HashEdgeSlots, hashKey)
-	}
-	cutoff, retention := d.g.Cutoff(), d.g.Window()
-	for _, sig := range d.order {
-		for _, g := range d.nodes[sig].consumers {
-			d.emittedEvicted.Add(uint64(g.emitted.Expire(cutoff, retention)))
-		}
 	}
 	return removed
 }

@@ -195,8 +195,8 @@ func TestDAGPartialOverlapAndDetach(t *testing.T) {
 
 // TestDAGMidStreamAttachBackfill: attaching after ingest backfills the new
 // query's nodes from the retained window. Complete matches that predate the
-// attachment are recorded-but-suppressed; partial state is live, so a
-// completion arriving after the attach is emitted.
+// attachment are derived into the root's rows but not sent; partial state is
+// live, so a completion arriving after the attach is emitted.
 func TestDAGMidStreamAttachBackfill(t *testing.T) {
 	dyn := graph.NewDynamic(0)
 	d := New(dyn)
@@ -220,8 +220,8 @@ func TestDAGMidStreamAttachBackfill(t *testing.T) {
 	if att.ReplayedEdges() == 0 {
 		t.Fatalf("no backfill replay happened")
 	}
-	if att.PreAttachMatches() != 1 {
-		t.Fatalf("pre-attach completions = %d, want 1", att.PreAttachMatches())
+	if n := att.root.rows.len(); n != 1 {
+		t.Fatalf("root holds %d pre-attach completions, want 1", n)
 	}
 	if len(col.sigs["late"]) != 0 {
 		t.Fatalf("pre-attach match was emitted: %v", col.sigs["late"])

@@ -119,11 +119,11 @@ func TestMergeSumsSeries(t *testing.T) {
 // gauges like it does counters.
 func TestMergeSumsGauges(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
-	a.Gauge("emitted_entries", QueryLabelKey, "q").Set(40)
-	b.Gauge("emitted_entries", QueryLabelKey, "q").Set(2)
+	a.Gauge("query_rows", QueryLabelKey, "q").Set(40)
+	b.Gauge("query_rows", QueryLabelKey, "q").Set(2)
 	b.Gauge("live_edges", "", "").Set(5)
 	merged := Merge(a.Snapshot(), b.Snapshot())
-	if g := merged.Gauge("emitted_entries", "q"); g != 42 {
+	if g := merged.Gauge("query_rows", "q"); g != 42 {
 		t.Fatalf("merged per-query gauge = %d, want 42", g)
 	}
 	if g := merged.Gauge("live_edges", ""); g != 5 {

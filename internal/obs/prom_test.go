@@ -14,8 +14,8 @@ func TestPromRoundTrip(t *testing.T) {
 		seg.Observe(1500)
 	}
 	r.Segment(SegSJTreeJoin).Observe(3_000_000)
-	r.Gauge("emitted_entries", QueryLabelKey, "smurf").Set(9)
-	r.Gauge("emitted_entries", QueryLabelKey, "smurf").Set(7) // a gauge is replaced, not added to
+	r.Gauge("query_rows", QueryLabelKey, "smurf").Set(9)
+	r.Gauge("query_rows", QueryLabelKey, "smurf").Set(7) // a gauge is replaced, not added to
 
 	var sb strings.Builder
 	pw := NewPromWriter(&sb)
@@ -35,8 +35,8 @@ func TestPromRoundTrip(t *testing.T) {
 		`streamworks_segment_latency_seconds_count{segment="local_search"} 100`,
 		`streamworks_segment_latency_seconds_count{segment="sjtree_join"} 1`,
 		"streamworks_live_edges 42",
-		"# TYPE streamworks_emitted_entries gauge",
-		`streamworks_emitted_entries{query="smurf"} 7`,
+		"# TYPE streamworks_query_rows gauge",
+		`streamworks_query_rows{query="smurf"} 7`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
@@ -79,7 +79,7 @@ func TestPromRoundTrip(t *testing.T) {
 func TestPromLabelValueRoundTrip(t *testing.T) {
 	const name = "smurf \"v2\" q\\1\nnext"
 	r := NewRegistry()
-	r.Gauge("emitted_entries", QueryLabelKey, name).Set(3)
+	r.Gauge("query_rows", QueryLabelKey, name).Set(3)
 	r.Histogram("match_latency", QueryLabelKey, name).Observe(1500)
 	var sb strings.Builder
 	pw := NewPromWriter(&sb)

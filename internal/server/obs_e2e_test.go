@@ -177,9 +177,6 @@ func TestEndToEndObservability(t *testing.T) {
 		"streamworks_segment_latency_seconds_sum",
 		"streamworks_segment_latency_seconds_count",
 		"streamworks_detect_wall_journey_seconds_count",
-		"streamworks_emitted_entries",
-		"streamworks_emitted_bytes",
-		"streamworks_emitted_evicted_total",
 	} {
 		if !series[want] {
 			t.Errorf("/metrics missing series %s", want)

@@ -21,9 +21,8 @@
 //
 // The engine does not run Trees: it folds every query's plan into the shared
 // evaluation DAG of internal/mqo, which stores its partials as rows of its
-// own and remembers what it emitted in this package's EmittedSet
-// (shared.go). Tree stays as the single-query reference the DAG is checked
-// and measured against.
+// own. Tree stays as the single-query reference the DAG is checked and
+// measured against.
 package sjtree
 
 import (

@@ -39,8 +39,8 @@ func metricsView(t *testing.T, m streamworks.Metrics) any {
 // a write-ahead log: the aggregate view, every shard's, and the durability
 // counters, read once the pipeline has drained.
 func TestMetricsViewsMatchGolden(t *testing.T) {
-	// A one-second window over three seconds of stream: expiry, pruning and
-	// emitted-set eviction all run.
+	// A one-second window over three seconds of stream: expiry and pruning
+	// run.
 	w := gen.NetFlowWorkload(gen.NetFlowConfig{
 		Hosts: 250, Servers: 25, Edges: 3000, Start: graph.TimestampFromTime(time.Date(2013, 6, 22, 0, 0, 0, 0, time.UTC)),
 		MeanGap: time.Millisecond, ContactSkew: 1.4, Seed: 42,

@@ -82,8 +82,9 @@ func (s *Sharded) RegisterQuery(ctx context.Context, q *Query) error {
 // RegisterQueryWith is RegisterQuery with the query's own plan strategy
 // and adaptive-planning setting. With adaptive planning on, each shard
 // re-plans against its own partition's statistics; the merged match set
-// stays canonical regardless (each shard's emitted sets span swap
-// boundaries, and only a match's owner shard sends it on).
+// stays canonical regardless (a swap sends nothing, so each shard sends a
+// match once, from the edge that completes it, and only a match's owner
+// shard sends it on).
 func (s *Sharded) RegisterQueryWith(ctx context.Context, q *Query, opts RegisterOptions) error {
 	if err := ctx.Err(); err != nil {
 		return err
