@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -83,5 +84,63 @@ func TestExactlyOnceAcrossEviction(t *testing.T) {
 		if len(delivered) < 100 {
 			t.Fatalf("vacuous: %d distinct matches delivered %s", len(delivered), name)
 		}
+	}
+}
+
+// TestGroupMembersReceiveWhatTheyWouldAlone: three queries of one shape and
+// three windows read one root through one consumer group, with nothing
+// remembering what the group delivered. Each is sent exactly what it is sent
+// registered alone, each match once, across prune sweeps under a retention
+// the widest window fills.
+func TestGroupMembersReceiveWhatTheyWouldAlone(t *testing.T) {
+	windows := []time.Duration{10 * time.Second, 5 * time.Second, 2 * time.Second}
+	// query + signature -> deliveries
+	run := func(t *testing.T, windows ...time.Duration) map[string]int {
+		var cfg Config
+		cfg.Retention = 10 * time.Second
+		cfg.PruneInterval = 16
+		e := New(&cfg)
+		for _, w := range windows {
+			q := query.NewBuilder(fmt.Sprintf("smurf-%v", w)).Window(w).
+				Vertex("attacker", "Host").Vertex("amplifier", "Host").Vertex("victim", "Host").
+				Edge("attacker", "amplifier", "icmp_echo_req").Edge("amplifier", "victim", "icmp_echo_reply").
+				MustBuild()
+			if _, err := e.RegisterQuery(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		delivered := map[string]int{}
+		e.Subscribe("", MatchSinkFunc(func(ev MatchEvent) {
+			delivered[ev.Query+"\x1f"+ev.CanonicalSignature()]++
+		}))
+		for _, se := range randomHostStream(7, 1600) {
+			e.ProcessEdge(se)
+		}
+		if m := e.Metrics(); m.MQO.Nodes != m.Queries[0].PlanNodes {
+			t.Fatalf("%d DAG nodes for %d queries of a %d-node plan", m.MQO.Nodes, len(windows), m.Queries[0].PlanNodes)
+		}
+		return delivered
+	}
+	group := run(t, windows...)
+	for key, n := range group {
+		if n != 1 {
+			t.Errorf("%q delivered %d times", key, n)
+		}
+	}
+	sizes := map[time.Duration]int{}
+	for _, w := range windows {
+		alone := run(t, w)
+		for key := range alone {
+			if group[key] == 0 {
+				t.Errorf("%q delivered alone but not in the group", key)
+			}
+		}
+		sizes[w] = len(alone)
+	}
+	if len(group) != sizes[windows[0]]+sizes[windows[1]]+sizes[windows[2]] {
+		t.Fatalf("the group was sent %d matches, its members alone %v", len(group), sizes)
+	}
+	if sizes[windows[2]] == 0 || sizes[windows[2]] >= sizes[windows[0]] {
+		t.Fatalf("vacuous: windows %v admit %v matches", windows, sizes)
 	}
 }

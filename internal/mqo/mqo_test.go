@@ -317,3 +317,57 @@ func TestDAGWindowNarrowsAfterDetach(t *testing.T) {
 		}
 	}
 }
+
+// TestWidenDeliversNothing: a narrow query's root, pruned by age while the
+// leaves below it are kept by wider queries, is widened when a wide query
+// attaches onto it, and re-derives from the kept leaves a match it pruned —
+// one the narrow query was sent and whose span its window still admits. The
+// re-derivation reaches the shared root but no one: not the narrow query,
+// which had the match, nor the wide one, which attached after its last edge.
+// Matches completed later go to each query whose window admits them, once.
+func TestWidenDeliversNothing(t *testing.T) {
+	dyn := graph.NewDynamic(0)
+	d := New(dyn)
+	col := newCollector()
+	// replyDNS shares smurf's icmp_echo_reply leaf, probe its icmp_echo_req leaf.
+	replyDNS := query.NewBuilder("replydns").Window(time.Minute).
+		Vertex("a", "Host").Vertex("b", "Host").Vertex("c", "Host").
+		Edge("a", "b", "icmp_echo_reply").Edge("b", "c", "dns").
+		MustBuild()
+	narrow, wide := smurf("narrow", 2*time.Second), smurf("wide", time.Minute)
+	for _, q := range []*query.Graph{narrow, probe("probe", time.Minute), replyDNS} {
+		if _, err := d.Attach(q.Name(), q, planFor(t, q), AttachOptions{Emit: col.emitFn(q.Name())}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := graph.TimestampFromTime(time.Unix(6000, 0))
+	feed(t, dyn, d, []graph.StreamEdge{
+		hostEdge(1, 1, 2, "icmp_echo_req", base),
+		hostEdge(2, 2, 3, "icmp_echo_reply", base.Add(time.Second)),
+		hostEdge(3, 20, 21, "http", base.Add(10*time.Second)),
+	})
+	natt := d.atts["narrow"]
+	d.Prune(dyn.Watermark(), nil)
+	if len(col.sigs["narrow"]) != 1 || natt.root.rows.len() != 0 {
+		t.Fatalf("narrow was sent %v, its root holds %d rows after the sweep; want the match, and none", col.sigs["narrow"], natt.root.rows.len())
+	}
+	watt, err := d.Attach("wide", wide, planFor(t, wide), AttachOptions{Emit: col.emitFn("wide")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if watt.root != natt.root || natt.root.window != time.Minute || natt.root.rows.len() != 1 {
+		t.Fatalf("wide does not share narrow's root widened to a minute and re-derived")
+	}
+	if len(col.sigs["narrow"]) != 1 || len(col.sigs["wide"]) != 0 {
+		t.Fatalf("attaching wide sent narrow %v, wide %v", col.sigs["narrow"], col.sigs["wide"])
+	}
+	feed(t, dyn, d, []graph.StreamEdge{
+		hostEdge(4, 2, 7, "icmp_echo_reply", base.Add(11*time.Second)), // joins edge 1: spans 11s
+		hostEdge(5, 8, 9, "icmp_echo_req", base.Add(12*time.Second)),
+		hostEdge(6, 9, 10, "icmp_echo_reply", base.Add(12500*time.Millisecond)),
+	})
+	if len(col.sigs["narrow"]) != 2 || len(col.sigs["wide"]) != 2 || col.sigs["wide"][0] == col.sigs["wide"][1] ||
+		col.sigs["narrow"][1] != col.sigs["wide"][1] {
+		t.Fatalf("after the attach narrow was sent %v, wide %v", col.sigs["narrow"], col.sigs["wide"])
+	}
+}

@@ -64,6 +64,40 @@ func TestCompleteSetAgainstMapReference(t *testing.T) {
 	}
 }
 
+// TestCompleteSetKeepsEverythingWithoutRetention: the set has no retention
+// and no expiry — it only grows. Over a long stream of bindings, most of them
+// repeats, every binding it ever admitted, the earliest included, is still
+// refused at the end, and it holds exactly what it admitted.
+func TestCompleteSetKeepsEverythingWithoutRetention(t *testing.T) {
+	const steps = 5000
+	draws := func() []*match.Match {
+		rng := rand.New(rand.NewSource(5))
+		out := make([]*match.Match, steps)
+		for now := range out {
+			out[now] = bindingAt(rng, 3, now, 50)
+		}
+		return out
+	}
+	var set completeSet
+	added := 0
+	for _, m := range draws() {
+		if set.add(m) {
+			added++
+		}
+	}
+	if set.n != added || added == steps || added < steps/2 {
+		t.Fatalf("%d entries held, %d admitted of %d bindings", set.n, added, steps)
+	}
+	for now, m := range draws() {
+		if set.add(m) {
+			t.Fatalf("binding drawn at %d admitted twice", now)
+		}
+	}
+	if set.n != added {
+		t.Fatalf("set holds %d entries after the replay, want %d", set.n, added)
+	}
+}
+
 // TestCompleteSetGrowsAcrossChunks fills the arena well past its first
 // chunks — including one binding wider than a whole chunk — and checks every
 // entry is still found, and nothing else is.
@@ -147,6 +181,31 @@ func TestEmittedSetAddAllocationBudget(t *testing.T) {
 		}
 		next++
 	})
+}
+
+// TestEmittedSetDuplicateAddAllocationBudget: refusing a match already
+// emitted — what the set does for every repeat completion — allocates
+// nothing.
+func TestEmittedSetDuplicateAddAllocationBudget(t *testing.T) {
+	var set EmittedSet
+	known := make([]*match.Match, 4096)
+	for i := range known {
+		known[i] = match.NewSized(0, 3)
+		for qe := 0; qe < 3; qe++ {
+			known[i].BindEdge(query.EdgeID(qe), graph.EdgeID(3*i+qe), 0)
+		}
+		set.Add(known[i])
+	}
+	next := 0
+	allocbudget.Check(t, "sjtree.EmittedSet.Add/duplicate", func() {
+		if set.Add(known[next%len(known)]) {
+			t.Fatal("emitted binding admitted again")
+		}
+		next++
+	})
+	if set.Total() != uint64(len(known)) {
+		t.Fatalf("set counts %d emissions, want %d", set.Total(), len(known))
+	}
 }
 
 // TestSigSetAgainstMapReference: under random interleavings of add, prune

@@ -173,6 +173,39 @@ func TestCompleteMatchDeduplicated(t *testing.T) {
 	}
 }
 
+// TestTreeEmitsEachCompleteMatchOnceAcrossChunks: a tree whose emitted set
+// holds several arena chunks of matches emits none of them again when they
+// reach the root a second time — however long after, since the set never
+// forgets — and still emits a new one.
+func TestTreeEmitsEachCompleteMatchOnceAcrossChunks(t *testing.T) {
+	tr := mustTree(t, smurfQuery(0), decompose.StrategyEager)
+	const n = 5000 // several arena chunks
+	completeMatch := func(i int) *match.Match {
+		base := graph.VertexID(10 * i)
+		req := reqMatch(base, base+1, graph.EdgeID(2*i), graph.Timestamp(i))
+		return req.Join(replyMatch(base+1, base+2, graph.EdgeID(2*i+1), graph.Timestamp(i+1)))
+	}
+	for i := 0; i < n; i++ {
+		if out := tr.Insert(tr.Root(), completeMatch(i)); len(out) != 1 {
+			t.Fatalf("match %d emitted %d times", i, len(out))
+		}
+	}
+	if chunks := len(tr.emitted.set.chunks); chunks < 4 {
+		t.Fatalf("%d matches fill only %d arena chunks", n, chunks)
+	}
+	for i := 0; i < n; i++ {
+		if out := tr.Insert(tr.Root(), completeMatch(i)); len(out) != 0 {
+			t.Fatalf("match %d emitted again", i)
+		}
+	}
+	if out := tr.Insert(tr.Root(), completeMatch(n)); len(out) != 1 {
+		t.Fatal("a new match was not emitted")
+	}
+	if tr.CompleteCount() != n+1 {
+		t.Fatalf("CompleteCount = %d, want %d", tr.CompleteCount(), n+1)
+	}
+}
+
 func TestInsertNilArguments(t *testing.T) {
 	q := smurfQuery(0)
 	tr := mustTree(t, q, decompose.StrategyEager)

@@ -21,8 +21,10 @@ var ceilings = map[string]float64{
 	"match.Arena.RemapSlots": 0,
 	"match.Arena.Signature":  0,
 	// internal/sjtree: the emitted set allocates only when its table
-	// doubles or an arena chunk fills — nothing per add, amortised.
-	"sjtree.EmittedSet.Add": 0,
+	// doubles or an arena chunk fills — nothing per add, amortised — and
+	// refusing a match it already holds allocates nothing at all.
+	"sjtree.EmittedSet.Add":           0,
+	"sjtree.EmittedSet.Add/duplicate": 0,
 	// internal/export: BuildReport allocates the bindings and the edge-ID
 	// list; the signature arrives on the event. Three when the report has to
 	// build it. The 25
