@@ -46,8 +46,10 @@ type Dynamic struct {
 
 	// queue orders live edges by timestamp for window expiry. It is kept
 	// sorted up to the allowed slack, which is sufficient because we only
-	// expire edges strictly older than watermark-window.
-	queue edgeQueue
+	// expire edges strictly older than watermark-window. It also holds the
+	// records of edges removed explicitly until they reach its head; those
+	// are no longer the edge their ID names in the graph.
+	queue fifo
 
 	// onExpire, when set, is invoked for every edge evicted from the window.
 	onExpire func(*Edge)
@@ -131,7 +133,7 @@ func (d *Dynamic) Apply(se StreamEdge) (*Edge, error) {
 		return nil, err
 	}
 	d.addedTotal++
-	d.queue.pushSorted(e)
+	d.pushSorted(e)
 	d.advance(ts)
 	// With a slack wider than the window, a straggler can already be below
 	// the cutoff: advance expired it and RemoveEdge dropped its attributes,
@@ -140,42 +142,12 @@ func (d *Dynamic) Apply(se StreamEdge) (*Edge, error) {
 	return e, nil
 }
 
-// edgeQueue is a slice-backed FIFO of live edges ordered by timestamp: the
-// replacement for the previous container/list expiry queue, which allocated
-// one list element per edge and chased pointers on every expiry sweep. The
-// backing array is reused for the lifetime of the dynamic graph; in steady
-// state the queue performs zero allocations per edge.
-type edgeQueue struct {
-	buf  []*Edge
-	head int
-}
-
-func (q *edgeQueue) len() int { return len(q.buf) - q.head }
-
-func (q *edgeQueue) front() *Edge { return q.buf[q.head] }
-
-// popFront removes the oldest edge. The vacated slot is cleared for the
-// garbage collector, and the buffer is compacted once the dead prefix
-// dominates, keeping total copying amortized O(1) per edge.
-func (q *edgeQueue) popFront() {
-	q.buf[q.head] = nil
-	q.head++
-	if q.head > 64 && q.head*2 >= len(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		tail := q.buf[n:len(q.buf)]
-		for i := range tail {
-			tail[i] = nil
-		}
-		q.buf = q.buf[:n]
-		q.head = 0
-	}
-}
-
-// pushSorted appends e and rotates it back past any later-timestamped
-// entries. Arrivals are near-ordered (bounded slack), so the rotation is
-// O(1) amortized — in-order arrivals never enter the loop at all.
-func (q *edgeQueue) pushSorted(e *Edge) {
-	q.buf = append(q.buf, e)
+// pushSorted appends e to the expiry queue and rotates it back past any
+// later-timestamped entries. Arrivals are near-ordered (bounded slack), so
+// the rotation is O(1) amortized: in-order arrivals never enter the loop.
+func (d *Dynamic) pushSorted(e *Edge) {
+	q := &d.queue
+	q.push(e, &d.g.spares)
 	for i := len(q.buf) - 1; i > q.head && q.buf[i-1].Timestamp > e.Timestamp; i-- {
 		q.buf[i] = q.buf[i-1]
 		q.buf[i-1] = e
@@ -213,9 +185,8 @@ func (d *Dynamic) AdvanceTo(ts Timestamp) {
 // skipped. The adaptive re-planner replays the retained window through a
 // freshly built SJ-Tree with this; fn must not mutate the graph.
 func (d *Dynamic) ForEachLiveEdge(fn func(*Edge) bool) {
-	for i := d.queue.head; i < len(d.queue.buf); i++ {
-		e := d.queue.buf[i]
-		if !d.g.HasEdge(e.ID) {
+	for _, e := range d.queue.live() {
+		if d.g.edges[e.ID] != e {
 			continue
 		}
 		if !fn(e) {
@@ -226,19 +197,24 @@ func (d *Dynamic) ForEachLiveEdge(fn func(*Edge) bool) {
 
 func (d *Dynamic) expire() {
 	for d.queue.len() > 0 {
-		e := d.queue.front()
+		e := d.queue.buf[d.queue.head]
 		if e.Timestamp >= d.cutoff {
 			return
 		}
 		d.queue.popFront()
-		// The edge may already have been removed explicitly; ignore that.
-		if err := d.g.RemoveEdge(e.ID); err == nil {
-			d.expiredTotal++
-			d.g.RemoveIsolatedVertex(e.Source)
-			d.g.RemoveIsolatedVertex(e.Target)
-			if d.onExpire != nil {
-				d.onExpire(e)
-			}
+		// An edge removed explicitly is skipped, even when a newer edge has
+		// taken its ID since.
+		if d.g.edges[e.ID] != e {
+			continue
+		}
+		src, dst := d.g.remove(e)
+		d.expiredTotal++
+		d.g.removeIfIsolated(src)
+		if dst != src {
+			d.g.removeIfIsolated(dst)
+		}
+		if d.onExpire != nil {
+			d.onExpire(e)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
@@ -258,4 +259,83 @@ func TestMutationsCount(t *testing.T) {
 	step("advance, edge 1 expires", true, func() { d.AdvanceTo(200) })
 	step("remove a missing edge", false, func() { g.RemoveEdge(1) })
 	step("remove an isolated vertex that is gone", false, func() { g.RemoveIsolatedVertex(1) })
+}
+
+// Incidence lists are in arrival order: an edge that arrives out of
+// timestamp order within the slack keeps its arrival position, and explicit
+// removal and expiry, also of an edge a few slots in, leave the rest in
+// order. Odd edges leave the hub and even edges enter it.
+func TestIncidenceListsKeepArrivalOrder(t *testing.T) {
+	const hub = VertexID(1)
+	d := NewDynamic(10, WithSlack(3))
+	g := d.Graph()
+	apply := func(id EdgeID, ts Timestamp) {
+		t.Helper()
+		src, dst := hub, VertexID(100+id)
+		if id%2 == 0 {
+			src, dst = dst, hub
+		}
+		if _, err := d.Apply(streamEdge(id, src, dst, "flow", ts)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(when string, out, in []EdgeID) {
+		t.Helper()
+		ids := func(list []*Edge) []EdgeID {
+			var ids []EdgeID
+			for _, e := range list {
+				ids = append(ids, e.ID)
+			}
+			return ids
+		}
+		if got := ids(g.OutEdges(hub)); !slices.Equal(got, out) {
+			t.Fatalf("%s: out-edges %v, want %v", when, got, out)
+		}
+		if got := ids(g.InEdges(hub)); !slices.Equal(got, in) {
+			t.Fatalf("%s: in-edges %v, want %v", when, got, in)
+		}
+	}
+	for i, ts := range []Timestamp{10, 11, 12, 9, 13, 14, 15, 16, 17, 18} {
+		apply(EdgeID(i+1), ts)
+	}
+	check("arrival, edge 4 out of order", []EdgeID{1, 3, 5, 7, 9}, []EdgeID{2, 4, 6, 8, 10})
+	if err := g.RemoveEdge(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.RemoveEdge(8); err != nil {
+		t.Fatal(err)
+	}
+	check("edges 3 and 8 removed", []EdgeID{1, 5, 7, 9}, []EdgeID{2, 4, 6, 10})
+	apply(11, 19)
+	apply(12, 20)
+	d.AdvanceTo(23) // cutoff 10: edge 4 (ts 9), behind edge 2 in the list
+	check("edge 4 expired", []EdgeID{1, 5, 7, 9, 11}, []EdgeID{2, 6, 10, 12})
+	d.AdvanceTo(28) // cutoff 15: edges 1, 2, 5, 6 (ts 10…14)
+	check("edges 1 to 6 expired", []EdgeID{7, 9, 11}, []EdgeID{10, 12})
+}
+
+// BenchmarkDynamicHubWindow applies edges into one hub that holds 16384
+// live in-edges: every Apply expires the hub's oldest in-edge.
+func BenchmarkDynamicHubWindow(b *testing.B) {
+	const window, hub = 1 << 14, VertexID(1)
+	d := NewDynamic(window)
+	next := 0
+	apply := func() {
+		src := VertexID(2 + next%4096)
+		if _, err := d.Apply(streamEdge(EdgeID(next), src, hub, "flow", Timestamp(next))); err != nil {
+			b.Fatal(err)
+		}
+		next++
+	}
+	for next < 2*window {
+		apply()
+	}
+	if n := len(d.Graph().InEdges(hub)); n < 10000 {
+		b.Fatalf("the hub holds %d in-edges", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		apply()
+	}
 }

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"github.com/streamworks/streamworks/internal/slab"
@@ -25,26 +24,23 @@ const (
 	spareVertices  = 256
 )
 
-// Graph is an in-memory multi-relational property multigraph. It maintains
-// per-vertex incidence lists split by direction, plus type indexes used by
-// the query planner and the local-search primitive.
+// Graph is an in-memory multi-relational property multigraph. Each vertex
+// has one record that holds its incidence lists, split by direction and in
+// arrival order; per-type counts serve the query planner.
 //
 // Graph is not safe for concurrent mutation; the continuous engine serializes
 // updates per stream partition. Read-only concurrent access after loading is
 // safe.
 type Graph struct {
-	vertices map[VertexID]*Vertex
+	vertices map[VertexID]*vertexRecord
 	edges    map[EdgeID]*Edge
 
-	out map[VertexID][]*Edge
-	in  map[VertexID][]*Edge
-
-	verticesByType map[string]map[VertexID]struct{}
+	verticesByType map[string]int
 	edgesByType    map[string]int
 
-	records      slab.Slab[Edge]         // where new edge records are carved
-	spares       [spareClasses][][]*Edge // cleared lists of capacity 2<<class
-	freeVertices []*Vertex               // zeroed records of removed vertices
+	records      slab.Slab[Edge] // where new edge records are carved
+	spares       spares
+	freeVertices []*vertexRecord // zeroed records of removed vertices
 
 	// autoVertex controls whether AddEdge creates missing endpoints with an
 	// empty type instead of failing.
@@ -53,6 +49,12 @@ type Graph struct {
 	// mutations counts the changes to the graph's vertices, edges and vertex
 	// types (see Mutations).
 	mutations uint64
+}
+
+// vertexRecord is a vertex together with its incidence lists.
+type vertexRecord struct {
+	Vertex
+	out, in fifo
 }
 
 // Option configures a Graph at construction time.
@@ -68,11 +70,9 @@ func WithAutoVertices() Option {
 // New constructs an empty graph.
 func New(opts ...Option) *Graph {
 	g := &Graph{
-		vertices:       make(map[VertexID]*Vertex),
+		vertices:       make(map[VertexID]*vertexRecord),
 		edges:          make(map[EdgeID]*Edge),
-		out:            make(map[VertexID][]*Edge),
-		in:             make(map[VertexID][]*Edge),
-		verticesByType: make(map[string]map[VertexID]struct{}),
+		verticesByType: make(map[string]int),
 		edgesByType:    make(map[string]int),
 	}
 	for _, o := range opts {
@@ -100,60 +100,51 @@ func (g *Graph) Mutations() uint64 { return g.mutations }
 // v.Attrs after insertion. Updates never mutate a stored map in place
 // (Attributes.Merge is copy-on-write), so sources are free to share one
 // attribute map across many inserted vertices and edges.
-func (g *Graph) AddVertex(v Vertex) *Vertex {
-	existing, ok := g.vertices[v.ID]
+func (g *Graph) AddVertex(v Vertex) *Vertex { return &g.upsert(v).Vertex }
+
+func (g *Graph) upsert(v Vertex) *vertexRecord {
+	r, ok := g.vertices[v.ID]
 	if !ok {
-		var nv *Vertex
 		if n := len(g.freeVertices); n > 0 {
-			nv = g.freeVertices[n-1]
+			r = g.freeVertices[n-1]
 			g.freeVertices = g.freeVertices[:n-1]
 		} else {
-			nv = new(Vertex)
+			r = new(vertexRecord)
 		}
-		*nv = Vertex{ID: v.ID, Type: v.Type, Attrs: v.Attrs}
-		g.vertices[v.ID] = nv
-		g.indexVertexType(nv)
+		r.Vertex = v
+		g.vertices[v.ID] = r
+		g.verticesByType[v.Type]++
 		g.mutations++
-		return nv
+		return r
 	}
-	if v.Type != "" && v.Type != existing.Type {
+	if v.Type != "" && v.Type != r.Type {
 		g.mutations++
-		g.unindexVertexType(existing)
-		existing.Type = v.Type
-		g.indexVertexType(existing)
+		g.uncountVertexType(r.Type)
+		r.Type = v.Type
+		g.verticesByType[v.Type]++
 	}
 	// Streams repeat endpoint metadata on every edge (sharded routing
 	// requires it); skip the copy-on-write merge entirely when it would
 	// change nothing, which is the overwhelmingly common case.
-	if len(v.Attrs) > 0 && !existing.Attrs.Covers(v.Attrs) {
-		existing.Attrs = existing.Attrs.Merge(v.Attrs)
+	if len(v.Attrs) > 0 && !r.Attrs.Covers(v.Attrs) {
+		r.Attrs = r.Attrs.Merge(v.Attrs)
 	}
-	return existing
+	return r
 }
 
-func (g *Graph) indexVertexType(v *Vertex) {
-	set, ok := g.verticesByType[v.Type]
-	if !ok {
-		set = make(map[VertexID]struct{})
-		g.verticesByType[v.Type] = set
-	}
-	set[v.ID] = struct{}{}
-}
-
-func (g *Graph) unindexVertexType(v *Vertex) {
-	if set, ok := g.verticesByType[v.Type]; ok {
-		delete(set, v.ID)
-		if len(set) == 0 {
-			delete(g.verticesByType, v.Type)
-		}
+func (g *Graph) uncountVertexType(t string) {
+	if g.verticesByType[t]--; g.verticesByType[t] <= 0 {
+		delete(g.verticesByType, t)
 	}
 }
 
 // Vertex returns the vertex with the given ID. The record is valid until the
 // vertex is removed: the graph then zeroes it and reuses it for a new vertex.
 func (g *Graph) Vertex(id VertexID) (*Vertex, bool) {
-	v, ok := g.vertices[id]
-	return v, ok
+	if r, ok := g.vertices[id]; ok {
+		return &r.Vertex, true
+	}
+	return nil, false
 }
 
 // HasVertex reports whether the vertex exists.
@@ -181,79 +172,67 @@ func (g *Graph) HasEdge(id EdgeID) bool {
 // mutated by the caller after insertion; the graph itself never modifies
 // edge attributes.
 func (g *Graph) AddEdge(e Edge) (*Edge, error) {
+	if err := g.admissible(e); err != nil {
+		return nil, err
+	}
+	src, err := g.endpoint(e.Source)
+	if err != nil {
+		return nil, err
+	}
+	dst, err := g.endpoint(e.Target)
+	if err != nil {
+		return nil, err
+	}
+	return g.insert(e, src, dst), nil
+}
+
+// admissible rejects an edge with a reserved or duplicate ID before anything
+// about it is stored.
+func (g *Graph) admissible(e Edge) error {
 	if e.ID == ReservedEdgeID || e.Source == ReservedVertexID || e.Target == ReservedVertexID {
-		return nil, &EdgeError{ID: e.ID, Err: ErrReservedID}
+		return &EdgeError{ID: e.ID, Err: ErrReservedID}
 	}
 	if _, dup := g.edges[e.ID]; dup {
-		return nil, &EdgeError{ID: e.ID, Err: ErrDuplicateEdge}
+		return &EdgeError{ID: e.ID, Err: ErrDuplicateEdge}
 	}
-	if !g.HasVertex(e.Source) {
-		if !g.autoVertex {
-			return nil, &VertexError{ID: e.Source, Err: ErrDanglingEdge}
-		}
-		g.AddVertex(Vertex{ID: e.Source})
+	return nil
+}
+
+// endpoint returns the record of vertex id, creating an untyped one if the
+// graph was built WithAutoVertices.
+func (g *Graph) endpoint(id VertexID) (*vertexRecord, error) {
+	if r, ok := g.vertices[id]; ok {
+		return r, nil
 	}
-	if !g.HasVertex(e.Target) {
-		if !g.autoVertex {
-			return nil, &VertexError{ID: e.Target, Err: ErrDanglingEdge}
-		}
-		g.AddVertex(Vertex{ID: e.Target})
+	if !g.autoVertex {
+		return nil, &VertexError{ID: id, Err: ErrDanglingEdge}
 	}
+	return g.upsert(Vertex{ID: id}), nil
+}
+
+// insert stores an admissible edge between the records of its endpoints.
+func (g *Graph) insert(e Edge, src, dst *vertexRecord) *Edge {
 	ne := &g.records.Make(1)[0]
 	*ne = e
 	g.edges[ne.ID] = ne
-	g.out[ne.Source] = g.push(g.out[ne.Source], ne)
-	g.in[ne.Target] = g.push(g.in[ne.Target], ne)
+	src.out.push(ne, &g.spares)
+	dst.in.push(ne, &g.spares)
 	g.edgesByType[ne.Type]++
 	g.mutations++
-	return ne, nil
-}
-
-// push appends e to an incidence list. A full list moves into a spare of
-// twice its capacity (or 2) and is recycled.
-func (g *Graph) push(list []*Edge, e *Edge) []*Edge {
-	if len(list) < cap(list) {
-		return append(list, e)
-	}
-	n := max(2, 2*cap(list))
-	var grown []*Edge
-	if c := spareClass(n); c >= 0 && len(g.spares[c]) > 0 {
-		last := len(g.spares[c]) - 1
-		grown, g.spares[c] = g.spares[c][last], g.spares[c][:last]
-	} else {
-		grown = make([]*Edge, 0, n)
-	}
-	grown = append(append(grown, list...), e)
-	g.recycle(list)
-	return grown
-}
-
-// recycle clears a list nothing refers to any more and keeps it as a spare
-// while its class has room. Cleared, it holds no dead edge alive.
-func (g *Graph) recycle(list []*Edge) {
-	c := spareClass(cap(list))
-	if c < 0 || len(g.spares[c]) == sparesPerClass {
-		return
-	}
-	clear(list[:cap(list)])
-	g.spares[c] = append(g.spares[c], list[:0])
-}
-
-// spareClass is the spare class of a list capacity (a power of two, as push
-// makes them), or -1 when lists of that capacity are not kept.
-func spareClass(capacity int) int {
-	if c := bits.Len(uint(capacity)) - 2; c >= 0 && c < spareClasses {
-		return c
-	}
-	return -1
+	return ne
 }
 
 // AddStreamEdge applies a StreamEdge: endpoint metadata is upserted and the
-// edge added. It is the ingestion path used by the dynamic graph.
+// edge added. It is the ingestion path used by the dynamic graph. An edge
+// that is rejected changes nothing: its endpoints are neither added nor
+// updated.
 func (g *Graph) AddStreamEdge(se StreamEdge) (*Edge, error) {
-	g.AddVertex(Vertex{ID: se.Edge.Source, Type: se.SourceType, Attrs: se.SourceAttrs})
-	g.AddVertex(Vertex{ID: se.Edge.Target, Type: se.TargetType, Attrs: se.TargetAttrs})
-	return g.AddEdge(se.Edge)
+	if err := g.admissible(se.Edge); err != nil {
+		return nil, err
+	}
+	src := g.upsert(Vertex{ID: se.Edge.Source, Type: se.SourceType, Attrs: se.SourceAttrs})
+	dst := g.upsert(Vertex{ID: se.Edge.Target, Type: se.TargetType, Attrs: se.TargetAttrs})
+	return g.insert(se.Edge, src, dst), nil
 }
 
 // RemoveEdge deletes an edge from the graph and its incidence lists.
@@ -268,81 +247,88 @@ func (g *Graph) RemoveEdge(id EdgeID) error {
 	if !ok {
 		return &EdgeError{ID: id, Err: ErrEdgeNotFound}
 	}
-	delete(g.edges, id)
-	g.unlink(g.out, e.Source, id)
-	g.unlink(g.in, e.Target, id)
+	g.remove(e)
+	return nil
+}
+
+// remove deletes the live edge e and returns the records of its endpoints.
+func (g *Graph) remove(e *Edge) (src, dst *vertexRecord) {
+	src, dst = g.vertices[e.Source], g.vertices[e.Target]
+	delete(g.edges, e.ID)
+	g.unlink(&src.out, e)
+	g.unlink(&dst.in, e)
 	if g.edgesByType[e.Type]--; g.edgesByType[e.Type] <= 0 {
 		delete(g.edgesByType, e.Type)
 	}
 	e.Attrs = nil
 	g.mutations++
-	return nil
+	return src, dst
 }
 
-// unlink removes edge id from v's list in adj, recycling the list once empty.
-func (g *Graph) unlink(adj map[VertexID][]*Edge, v VertexID, id EdgeID) {
-	list := removeEdgeFrom(adj[v], id)
-	if len(list) > 0 {
-		adj[v] = list
-		return
+// unlink removes e from list, recycling the list once empty.
+func (g *Graph) unlink(list *fifo, e *Edge) {
+	list.remove(e)
+	if list.len() == 0 {
+		g.spares.recycle(list.buf)
+		*list = fifo{}
 	}
-	delete(adj, v)
-	g.recycle(list)
-}
-
-func removeEdgeFrom(list []*Edge, id EdgeID) []*Edge {
-	for i, e := range list {
-		if e.ID == id {
-			last := len(list) - 1
-			list[i] = list[last]
-			list[last] = nil
-			return list[:last]
-		}
-	}
-	return list
 }
 
 // RemoveIsolatedVertex removes v if it has no incident edges. It returns
 // true when the vertex was removed. The vertex's record is zeroed and kept
 // for reuse.
 func (g *Graph) RemoveIsolatedVertex(id VertexID) bool {
-	v, ok := g.vertices[id]
-	if !ok {
+	r, ok := g.vertices[id]
+	return ok && g.removeIfIsolated(r)
+}
+
+func (g *Graph) removeIfIsolated(r *vertexRecord) bool {
+	if r.out.len() > 0 || r.in.len() > 0 {
 		return false
 	}
-	if len(g.out[id]) > 0 || len(g.in[id]) > 0 {
-		return false
-	}
-	g.unindexVertexType(v)
-	delete(g.vertices, id)
+	g.uncountVertexType(r.Type)
+	delete(g.vertices, r.ID)
 	g.mutations++
-	*v = Vertex{}
+	*r = vertexRecord{}
 	if len(g.freeVertices) < spareVertices {
-		g.freeVertices = append(g.freeVertices, v)
+		g.freeVertices = append(g.freeVertices, r)
 	}
 	return true
 }
 
-// OutEdges returns the edges leaving v. The returned slice is owned by the
-// graph and must not be mutated. It is valid only until the next AddEdge or
-// RemoveEdge (Dynamic.Apply and AdvanceTo call them): the graph recycles
-// incidence lists, so a slice held across a mutation may come to list
-// another vertex's edges.
-func (g *Graph) OutEdges(v VertexID) []*Edge { return g.out[v] }
+// OutEdges returns the edges leaving v in the order they were added: an
+// edge that arrived out of timestamp order keeps its arrival position, and
+// removing an edge, explicitly or by expiry, leaves the others in order. The
+// returned slice is owned by the graph and must not be mutated. It is valid
+// only until the next AddEdge or RemoveEdge (Dynamic.Apply and AdvanceTo
+// call them): the graph recycles incidence lists, so a slice held across a
+// mutation may come to list another vertex's edges.
+func (g *Graph) OutEdges(v VertexID) []*Edge {
+	if r, ok := g.vertices[v]; ok {
+		return r.out.live()
+	}
+	return nil
+}
 
-// InEdges returns the edges entering v, under the same contract as OutEdges.
-func (g *Graph) InEdges(v VertexID) []*Edge { return g.in[v] }
+// InEdges returns the edges entering v in the order they were added, under
+// the same contract as OutEdges.
+func (g *Graph) InEdges(v VertexID) []*Edge {
+	if r, ok := g.vertices[v]; ok {
+		return r.in.live()
+	}
+	return nil
+}
 
 // CountVerticesOfType returns the number of vertices with the given type.
-func (g *Graph) CountVerticesOfType(t string) int { return len(g.verticesByType[t]) }
+func (g *Graph) CountVerticesOfType(t string) int { return g.verticesByType[t] }
 
 // CountEdgesOfType returns the number of edges with the given type.
 func (g *Graph) CountEdgesOfType(t string) int { return g.edgesByType[t] }
 
 // Vertices calls fn for every vertex until fn returns false.
 func (g *Graph) Vertices(fn func(*Vertex) bool) {
-	for _, v := range g.vertices {
-		if !fn(v) {
+	for _, r := range g.vertices {
+		if !fn(&r.Vertex) {
 			return
 		}
 	}
@@ -367,15 +353,16 @@ func (g *Graph) EdgeIDs() []EdgeID {
 	return out
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph. The copy adds the edges in
+// ascending ID order, so its incidence lists are in that order.
 func (g *Graph) Clone() *Graph {
 	c := New()
 	c.autoVertex = g.autoVertex
-	for _, v := range g.vertices {
-		c.AddVertex(*v)
+	for _, r := range g.vertices {
+		c.AddVertex(r.Vertex)
 	}
-	for _, e := range g.edges {
-		if _, err := c.AddEdge(*e); err != nil {
+	for _, id := range g.EdgeIDs() {
+		if _, err := c.AddEdge(*g.edges[id]); err != nil {
 			// Cannot happen: the source graph is consistent by construction.
 			panic(fmt.Sprintf("graph: clone failed: %v", err))
 		}

@@ -313,3 +313,35 @@ func TestAddEdgeRejectsReservedIDs(t *testing.T) {
 		}
 	}
 }
+
+// A rejected edge changes nothing: its endpoints are neither added nor
+// retyped, so nothing is left behind that no expiry would ever remove.
+func TestRejectedStreamEdgeLeavesNoVertex(t *testing.T) {
+	d := NewDynamic(10)
+	if _, err := d.Apply(streamEdge(1, 1, 2, "flow", 100)); err != nil {
+		t.Fatal(err)
+	}
+	g := d.Graph()
+	before := g.Mutations()
+	rejected := []struct {
+		se   StreamEdge
+		want error
+	}{
+		{streamEdge(1, 3, 4, "flow", 101), ErrDuplicateEdge},
+		{streamEdge(2, 5, ReservedVertexID, "flow", 101), ErrReservedID},
+		{StreamEdge{Edge: Edge{ID: 1, Source: 1, Target: 2, Timestamp: 101}, SourceType: "Server"}, ErrDuplicateEdge},
+	}
+	for _, r := range rejected {
+		if _, err := d.Apply(r.se); !errors.Is(err, r.want) {
+			t.Fatalf("Apply(%v) = %v, want %v", r.se, err, r.want)
+		}
+	}
+	if g.Mutations() != before || g.NumVertices() != 2 || g.CountVerticesOfType("Server") != 0 {
+		t.Fatalf("rejected edges changed the graph: %v, %d mutations, %d Server vertices",
+			g, g.Mutations()-before, g.CountVerticesOfType("Server"))
+	}
+	d.AdvanceTo(1000)
+	if g.NumVertices() != 0 || g.NumEdges() != 0 {
+		t.Fatalf("after the window passed, %v is left", g)
+	}
+}

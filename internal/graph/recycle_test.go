@@ -34,13 +34,16 @@ func TestDynamicApplySteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// model is the naive reference for Dynamic: live edges in a map, vertices
-// with their merged metadata, expiry by scanning every live edge.
+// model is the naive reference for Dynamic: live edges in a map with their
+// arrival numbers, vertices with their merged metadata, expiry by scanning
+// every live edge.
 type model struct {
 	window, slack  Timestamp
 	newest, cutoff Timestamp
 	seen           bool
 	edges          map[EdgeID]Edge
+	arrival        map[EdgeID]int
+	arrivals       int
 	vertices       map[VertexID]Vertex
 }
 
@@ -69,6 +72,8 @@ func (m *model) apply(se StreamEdge) map[EdgeID]Edge {
 	m.upsert(se.Edge.Source, se.SourceType, se.SourceAttrs)
 	m.upsert(se.Edge.Target, se.TargetType, se.TargetAttrs)
 	m.edges[se.Edge.ID] = se.Edge
+	m.arrival[se.Edge.ID] = m.arrivals
+	m.arrivals++
 	return m.advance(se.Edge.Timestamp)
 }
 
@@ -122,9 +127,11 @@ func sameEdge(a, b Edge) bool {
 		a.Type == b.Type && a.Timestamp == b.Timestamp && sameAttrs(a.Attrs, b.Attrs)
 }
 
-// compare fails t unless g holds exactly what m does.
-func (m *model) compare(t *testing.T, step int, g *Graph) {
+// compare fails t unless d holds exactly what m does, each incidence list
+// in arrival order and the live window once each in ForEachLiveEdge.
+func (m *model) compare(t *testing.T, step int, d *Dynamic) {
 	t.Helper()
+	g := d.Graph()
 	if g.NumEdges() != len(m.edges) || g.NumVertices() != len(m.vertices) {
 		t.Fatalf("step %d: graph has %d edges and %d vertices, model %d and %d",
 			step, g.NumEdges(), g.NumVertices(), len(m.edges), len(m.vertices))
@@ -144,10 +151,9 @@ func (m *model) compare(t *testing.T, step int, g *Graph) {
 			}
 			ids[i] = e.ID
 		}
-		slices.Sort(ids)
-		slices.Sort(want)
+		slices.SortFunc(want, func(a, b EdgeID) int { return m.arrival[a] - m.arrival[b] })
 		if !slices.Equal(ids, want) {
-			t.Fatalf("step %d: %s edges of v%d are %v, model has %v", step, dir, v, ids, want)
+			t.Fatalf("step %d: %s edges of v%d are %v, model has %v in arrival order", step, dir, v, ids, want)
 		}
 	}
 	vertexTypes := make(map[string]int)
@@ -170,12 +176,24 @@ func (m *model) compare(t *testing.T, step int, g *Graph) {
 			t.Fatalf("step %d: %d vertices of type %q, model has %d", step, got, typ, vertexTypes[typ])
 		}
 	}
-	checkRecycling(t, step, g)
+	visited := make(map[EdgeID]bool)
+	d.ForEachLiveEdge(func(e *Edge) bool {
+		if got, _ := g.Edge(e.ID); got != e || visited[e.ID] {
+			t.Fatalf("step %d: ForEachLiveEdge visits %v, which is not the live edge %d or was visited before", step, e, e.ID)
+		}
+		visited[e.ID] = true
+		return true
+	})
+	if len(visited) != len(m.edges) {
+		t.Fatalf("step %d: ForEachLiveEdge visits %d edges, model has %d", step, len(visited), len(m.edges))
+	}
+	checkRecycling(t, step, d)
 }
 
-// checkRecycling fails t when a spare list holds an edge or when two lists,
+// checkRecycling fails t when a spare holds an edge, when a list or the
+// expiry queue holds one outside its live entries, or when two of them,
 // live or spare, share a backing array.
-func checkRecycling(t *testing.T, step int, g *Graph) {
+func checkRecycling(t *testing.T, step int, d *Dynamic) {
 	t.Helper()
 	type list struct {
 		kind string
@@ -189,7 +207,7 @@ func checkRecycling(t *testing.T, step int, g *Graph) {
 		}
 		owner[base] = who
 	}
-	for c, spares := range g.spares {
+	for c, spares := range d.g.spares {
 		for _, l := range spares {
 			if len(l) != 0 || cap(l) < 2<<c {
 				t.Fatalf("step %d: spare of class %d has len %d cap %d", step, c, len(l), cap(l))
@@ -202,12 +220,29 @@ func checkRecycling(t *testing.T, step int, g *Graph) {
 			claim(l, list{kind: "spare"})
 		}
 	}
-	for v, l := range g.out {
-		claim(l, list{"out", v})
+	live := func(f fifo, who list) {
+		if f.buf == nil {
+			return
+		}
+		for i, e := range f.buf[:cap(f.buf)] {
+			if (i < f.head || i >= len(f.buf)) && e != nil {
+				t.Fatalf("step %d: %+v holds %v in slot %d outside its live entries [%d, %d)",
+					step, who, e, i, f.head, len(f.buf))
+			}
+		}
+		claim(f.buf, who)
 	}
-	for v, l := range g.in {
-		claim(l, list{"in", v})
+	for v, r := range d.g.vertices {
+		if r.ID != v {
+			t.Fatalf("step %d: vertex %d is filed under %d", step, r.ID, v)
+		}
+		if r.out.buf != nil && r.out.len() == 0 || r.in.buf != nil && r.in.len() == 0 {
+			t.Fatalf("step %d: vertex %d keeps an empty list", step, v)
+		}
+		live(r.out, list{"out", v})
+		live(r.in, list{"in", v})
 	}
+	live(d.queue, list{kind: "queue"})
 }
 
 func heapInUse() uint64 {
@@ -221,9 +256,10 @@ func heapInUse() uint64 {
 // of the window: a hub whose lists grow through every spare class, warm and
 // cold vertices that go isolated and come back, parallel edges, self-loops,
 // arrivals out of order within the slack, equal timestamps, time signals
-// without an edge and explicit RemoveEdge. After every step the two must
-// agree, the expiry callback must have read exactly the model's expired
-// edges, and no recycled list may hold an edge or share its array. The heap
+// without an edge, explicit RemoveEdge and the ID of an edge removed that way
+// arriving again on a later edge. After every step the two must agree, the
+// expiry callback must have read exactly the model's expired edges, and no
+// recycled list may hold an edge or share its array. The heap
 // after 40 windows must be that after 2: slab chunks are freed as the window
 // leaves them.
 func TestDynamicMatchesNaiveModel(t *testing.T) {
@@ -235,7 +271,7 @@ func TestDynamicMatchesNaiveModel(t *testing.T) {
 	)
 	rng := rand.New(rand.NewSource(25))
 	m := &model{window: window, slack: slack, cutoff: math.MinInt64,
-		edges: make(map[EdgeID]Edge), vertices: make(map[VertexID]Vertex)}
+		edges: make(map[EdgeID]Edge), arrival: make(map[EdgeID]int), vertices: make(map[VertexID]Vertex)}
 	expired := make(map[EdgeID]Edge)
 	d := NewDynamic(window, WithSlack(slack), WithExpiryCallback(func(e *Edge) {
 		expired[e.ID] = *e
@@ -255,6 +291,8 @@ func TestDynamicMatchesNaiveModel(t *testing.T) {
 	var (
 		clock           Timestamp
 		ids             []EdgeID
+		removed         []EdgeID // removed explicitly, not yet added again
+		reused          int
 		last            Edge
 		early           uint64
 		returned, added int
@@ -276,6 +314,9 @@ func TestDynamicMatchesNaiveModel(t *testing.T) {
 				t.Fatalf("step %d: RemoveEdge(%d) = %v, model has it: %v", step, id, err, live)
 			}
 			delete(m.edges, id)
+			if live {
+				removed = append(removed, id)
+			}
 		default:
 			e := Edge{ID: EdgeID(step + 1), Source: pick(), Target: pick(),
 				Type: types[rng.Intn(len(types))], Timestamp: clock}
@@ -287,6 +328,12 @@ func TestDynamicMatchesNaiveModel(t *testing.T) {
 			}
 			if rng.Intn(3) == 0 {
 				e.Timestamp -= Timestamp(rng.Intn(slack + 1))
+			}
+			// The removed edge's record is still in the expiry queue, at an
+			// older timestamp than the edge that now has its ID.
+			if n := len(removed); n > 0 && rng.Intn(4) == 0 {
+				e.ID, removed = removed[n-1], removed[:n-1]
+				reused++
 			}
 			if rng.Intn(4) == 0 {
 				e.Attrs = Attributes{"bytes": Int(int64(step))}
@@ -324,18 +371,18 @@ func TestDynamicMatchesNaiveModel(t *testing.T) {
 			}
 		}
 		clear(expired)
-		m.compare(t, step, d.Graph())
+		m.compare(t, step, d)
 		hubCap = max(hubCap, cap(d.Graph().OutEdges(hub)))
 		if early == 0 && clock >= 2*window {
 			early = heapInUse()
 		}
 	}
 	late := heapInUse()
-	t.Logf("%d edges, %d vertex returns, hub list capacity up to %d; heap %d KiB after 2 windows, %d KiB after %d",
-		added, returned, hubCap, early>>10, late>>10, windows)
-	if d.ExpiredTotal() < uint64(added/2) || returned < added/4 || hubCap < 256 {
-		t.Fatalf("the stream did not churn: %d of %d edges expired, %d vertex returns, hub capacity %d",
-			d.ExpiredTotal(), added, returned, hubCap)
+	t.Logf("%d edges (%d reusing a removed ID), %d vertex returns, hub list capacity up to %d; heap %d KiB after 2 windows, %d KiB after %d",
+		added, reused, returned, hubCap, early>>10, late>>10, windows)
+	if d.ExpiredTotal() < uint64(added/2) || returned < added/4 || hubCap < 256 || reused < 50 {
+		t.Fatalf("the stream did not churn: %d of %d edges expired, %d vertex returns, hub capacity %d, %d IDs reused",
+			d.ExpiredTotal(), added, returned, hubCap, reused)
 	}
 	if late > early+256<<10 {
 		t.Errorf("heap grew from %d KiB after 2 windows to %d KiB after %d", early>>10, late>>10, windows)
