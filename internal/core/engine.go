@@ -381,6 +381,10 @@ func (e *Engine) noteExpired(de *graph.Edge) {
 // until the next ProcessEdge call; callers that retain events across calls
 // must copy the slice (the MatchEvent values themselves are safe to keep).
 func (e *Engine) ProcessEdge(se graph.StreamEdge) []MatchEvent {
+	var t0 int64
+	if e.obs.enabled {
+		t0 = e.obs.clock.Now()
+	}
 	stored, err := e.dyn.Apply(se)
 	if err != nil {
 		e.obs.edgesDropped.Inc()
@@ -389,6 +393,7 @@ func (e *Engine) ProcessEdge(se graph.StreamEdge) []MatchEvent {
 	e.obs.edgesProcessed.Inc()
 	e.summary.Observe(se, e.dyn.Graph())
 	if e.obs.enabled {
+		e.obs.windowApply.Observe(e.obs.clock.Now() - t0)
 		e.obs.curArrival = se.ArrivedWallNS
 	}
 

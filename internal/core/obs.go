@@ -27,6 +27,8 @@ type engineObs struct {
 	// detectLag is the stream-time detection lag per emitted match
 	// (DetectedAt − match span end) — pure timestamp arithmetic, no clock.
 	detectLag *obs.Histogram
+	// windowApply is the wall time of each applied edge's dyn.Apply.
+	windowApply *obs.Histogram
 
 	// curArrival is the serving-tier arrival stamp of the edge currently
 	// inside ProcessEdge (StreamEdge.ArrivedWallNS, zero when the edge never
@@ -59,6 +61,7 @@ func newEngineObs(c obs.Config) engineObs {
 		o.enabled = true
 		o.clock = c.Clock
 		o.detectLag = r.Histogram(obs.DetectLagHistogramName, "", "")
+		o.windowApply = r.Segment(obs.SegWindowApply)
 	}
 	return o
 }

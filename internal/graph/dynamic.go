@@ -44,11 +44,12 @@ type Dynamic struct {
 	cutoff    Timestamp
 	seenAny   bool
 
-	// queue orders live edges by timestamp for window expiry. It is kept
-	// sorted up to the allowed slack, which is sufficient because we only
-	// expire edges strictly older than watermark-window. It also holds the
-	// records of edges removed explicitly until they reach its head; those
-	// are no longer the edge their ID names in the graph.
+	// queue orders the handles of live edges by timestamp for window
+	// expiry. It is kept sorted up to the allowed slack, which is sufficient
+	// because we only expire edges strictly older than watermark-window. It
+	// also holds the handles of edges removed explicitly until they reach its
+	// head, where they are released: a queued handle is never reused, so it
+	// names the edge it was pushed for, live or removed.
 	queue fifo
 
 	// onExpire, when set, is invoked for every edge evicted from the window.
@@ -82,6 +83,7 @@ func NewDynamic(window time.Duration, opts ...DynamicOption) *Dynamic {
 		window: window,
 		cutoff: NoCutoff,
 	}
+	dg.g.queued = true
 	for _, o := range opts {
 		o(dg)
 	}
@@ -122,35 +124,37 @@ func (d *Dynamic) SetExpiryCallback(fn func(*Edge)) { d.onExpire = fn }
 // Apply ingests a stream edge: the edge is validated against the watermark,
 // endpoint metadata is upserted, the edge is added to the live graph and the
 // window is advanced, expiring edges that fall out of it. It returns the
-// stored edge.
+// stored edge, whose record is reused once expiry passes it.
 func (d *Dynamic) Apply(se StreamEdge) (*Edge, error) {
 	ts := se.Edge.Timestamp
 	if d.seenAny && ts < d.watermark-Timestamp(d.slack) && d.window > 0 {
 		return nil, &EdgeError{ID: se.Edge.ID, Err: ErrTimestampRegression}
 	}
-	e, err := d.g.AddStreamEdge(se)
+	h, err := d.g.addStreamEdge(se)
 	if err != nil {
 		return nil, err
 	}
 	d.addedTotal++
-	d.pushSorted(e)
+	d.pushSorted(h, ts)
 	d.advance(ts)
+	e := d.g.records.at(h)
 	// With a slack wider than the window, a straggler can already be below
-	// the cutoff: advance expired it and RemoveEdge dropped its attributes,
-	// which the caller's search of it still reads.
+	// the cutoff: advance expired it, which dropped its attributes, and
+	// released its record. The caller's search of it still reads them; the
+	// record is not reused before the next edge is added.
 	e.Attrs = se.Edge.Attrs
 	return e, nil
 }
 
-// pushSorted appends e to the expiry queue and rotates it back past any
-// later-timestamped entries. Arrivals are near-ordered (bounded slack), so
-// the rotation is O(1) amortized: in-order arrivals never enter the loop.
-func (d *Dynamic) pushSorted(e *Edge) {
+// pushSorted appends handle h, of an edge at ts, to the expiry queue and
+// rotates it back past any later-timestamped entries. Arrivals are
+// near-ordered (bounded slack), so the rotation is O(1) amortized: in-order
+// arrivals never enter the loop.
+func (d *Dynamic) pushSorted(h int32, ts Timestamp) {
 	q := &d.queue
-	q.push(e, &d.g.spares)
-	for i := len(q.buf) - 1; i > q.head && q.buf[i-1].Timestamp > e.Timestamp; i-- {
-		q.buf[i] = q.buf[i-1]
-		q.buf[i-1] = e
+	q.push(h, &d.g.spares)
+	for i := len(q.buf) - 1; i > q.head && d.g.records.at(q.buf[i-1]).Timestamp > ts; i-- {
+		q.buf[i], q.buf[i-1] = q.buf[i-1], h
 	}
 }
 
@@ -182,32 +186,33 @@ func (d *Dynamic) AdvanceTo(ts Timestamp) {
 // ForEachLiveEdge visits every edge currently retained in the sliding
 // window, in timestamp order (up to the ingest slack), until fn returns
 // false. Edges removed from the graph explicitly (rather than by expiry) are
-// skipped. The adaptive re-planner replays the retained window through a
-// freshly built SJ-Tree with this; fn must not mutate the graph.
+// skipped. The DAG backfills a new or widened node from the window with this
+// (mqo's attach); fn must not mutate the graph.
 func (d *Dynamic) ForEachLiveEdge(fn func(*Edge) bool) {
-	for _, e := range d.queue.live() {
-		if d.g.edges[e.ID] != e {
-			continue
-		}
-		if !fn(e) {
+	for _, h := range d.queue.live() {
+		if d.g.records.isLive(h) && !fn(d.g.records.at(h)) {
 			return
 		}
 	}
 }
 
+// expire pops the queue's handles below the cutoff, removing the edges that
+// are still live, and releases each handle for reuse.
 func (d *Dynamic) expire() {
 	for d.queue.len() > 0 {
-		e := d.queue.buf[d.queue.head]
+		h := d.queue.buf[d.queue.head]
+		e := d.g.records.at(h)
 		if e.Timestamp >= d.cutoff {
 			return
 		}
 		d.queue.popFront()
-		// An edge removed explicitly is skipped, even when a newer edge has
-		// taken its ID since.
-		if d.g.edges[e.ID] != e {
+		// An edge removed explicitly only gives its handle back, even when
+		// a newer edge has taken its ID since.
+		if !d.g.records.isLive(h) {
+			d.g.records.release(h)
 			continue
 		}
-		src, dst := d.g.remove(e)
+		src, dst := d.g.remove(h)
 		d.expiredTotal++
 		d.g.removeIfIsolated(src)
 		if dst != src {
@@ -216,6 +221,7 @@ func (d *Dynamic) expire() {
 		if d.onExpire != nil {
 			d.onExpire(e)
 		}
+		d.g.records.release(h)
 	}
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -13,6 +14,15 @@ func streamEdge(id EdgeID, src, dst VertexID, typ string, ts Timestamp) StreamEd
 		SourceType: "Host",
 		TargetType: "Host",
 	}
+}
+
+// edgeIDs returns the IDs of the edges of l, in order.
+func edgeIDs(l EdgeList) []EdgeID {
+	var ids []EdgeID
+	for i := range l.Len() {
+		ids = append(ids, l.At(i).ID)
+	}
+	return ids
 }
 
 func TestDynamicApplyAndWindowExpiry(t *testing.T) {
@@ -281,17 +291,10 @@ func TestIncidenceListsKeepArrivalOrder(t *testing.T) {
 	}
 	check := func(when string, out, in []EdgeID) {
 		t.Helper()
-		ids := func(list []*Edge) []EdgeID {
-			var ids []EdgeID
-			for _, e := range list {
-				ids = append(ids, e.ID)
-			}
-			return ids
-		}
-		if got := ids(g.OutEdges(hub)); !slices.Equal(got, out) {
+		if got := edgeIDs(g.OutEdges(hub)); !slices.Equal(got, out) {
 			t.Fatalf("%s: out-edges %v, want %v", when, got, out)
 		}
-		if got := ids(g.InEdges(hub)); !slices.Equal(got, in) {
+		if got := edgeIDs(g.InEdges(hub)); !slices.Equal(got, in) {
 			t.Fatalf("%s: in-edges %v, want %v", when, got, in)
 		}
 	}
@@ -330,8 +333,37 @@ func BenchmarkDynamicHubWindow(b *testing.B) {
 	for next < 2*window {
 		apply()
 	}
-	if n := len(d.Graph().InEdges(hub)); n < 10000 {
+	if n := d.Graph().InEdges(hub).Len(); n < 10000 {
 		b.Fatalf("the hub holds %d in-edges", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		apply()
+	}
+}
+
+// BenchmarkDynamicNetflowWindow applies edges in the netflow shape: a window
+// of 30000 edges between 2000 hosts, three flow types, one edge per tick, so
+// every Apply expires one edge.
+func BenchmarkDynamicNetflowWindow(b *testing.B) {
+	const window, hosts = 30000, 2000
+	rng := rand.New(rand.NewSource(1))
+	types := []string{"tcp", "udp", "icmp"}
+	d := NewDynamic(window)
+	next := 0
+	apply := func() {
+		src, dst := VertexID(rng.Intn(hosts)), VertexID(rng.Intn(hosts))
+		if _, err := d.Apply(streamEdge(EdgeID(next), src, dst, types[next%3], Timestamp(next))); err != nil {
+			b.Fatal(err)
+		}
+		next++
+	}
+	for next < 2*window {
+		apply()
+	}
+	if n := d.NumEdges(); n != window+1 {
+		b.Fatalf("the window holds %d edges", n)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -3,20 +3,18 @@ package graph
 import (
 	"fmt"
 	"sort"
-
-	"github.com/streamworks/streamworks/internal/slab"
 )
 
 // The graph recycles what its insert/expire cycle would otherwise allocate
 // per edge, within these bounds:
 //
-//   - records: edge records are carved from 8 KiB slab chunks (146 records
-//     of 56 B; a record on its own is rounded up to 64 B). Records are never
-//     reused, so a chunk is freed by the GC once none of its edges is
-//     referenced.
+//   - records: edge records live in 14 KiB chunks of 256, addressed by int32
+//     handle (edges.go); the handle of a removed edge is reused for a new one,
+//     so the chunks are kept up to the peak number of records held at once.
+//     The ID table (ID → handle) is at most half full and only grows.
 //   - spareClasses, sparesPerClass: an incidence list that is grown out of or
-//     emptied is cleared and kept for reuse at its power-of-two capacity
-//     (2…256 pointers), at most 64 per class: ≤ 255 KiB of spares per graph.
+//     emptied is kept for reuse at its power-of-two capacity (2…256
+//     handles), at most 64 per class: ≤ 128 KiB of spares per graph.
 //   - spareVertices: the records of removed vertices, kept for new ones.
 const (
 	spareClasses   = 8
@@ -25,22 +23,27 @@ const (
 )
 
 // Graph is an in-memory multi-relational property multigraph. Each vertex
-// has one record that holds its incidence lists, split by direction and in
-// arrival order; per-type counts serve the query planner.
+// has one record that holds its incidence lists of edge handles, split by
+// direction and in arrival order; per-type counts serve the query planner.
 //
 // Graph is not safe for concurrent mutation; the continuous engine serializes
 // updates per stream partition. Read-only concurrent access after loading is
 // safe.
 type Graph struct {
 	vertices map[VertexID]*vertexRecord
-	edges    map[EdgeID]*Edge
+	records  records
+	edges    idTable // the handles of the live edges, by ID
 
 	verticesByType map[string]int
 	edgesByType    map[string]int
 
-	records      slab.Slab[Edge] // where new edge records are carved
 	spares       spares
 	freeVertices []*vertexRecord // zeroed records of removed vertices
+
+	// queued is set by the dynamic graph, whose expiry queue holds every
+	// handle until it passes it: RemoveEdge then leaves the release to the
+	// queue.
+	queued bool
 
 	// autoVertex controls whether AddEdge creates missing endpoints with an
 	// empty type instead of failing.
@@ -71,7 +74,6 @@ func WithAutoVertices() Option {
 func New(opts ...Option) *Graph {
 	g := &Graph{
 		vertices:       make(map[VertexID]*vertexRecord),
-		edges:          make(map[EdgeID]*Edge),
 		verticesByType: make(map[string]int),
 		edgesByType:    make(map[string]int),
 	}
@@ -85,7 +87,7 @@ func New(opts ...Option) *Graph {
 func (g *Graph) NumVertices() int { return len(g.vertices) }
 
 // NumEdges returns the number of edges currently in the graph.
-func (g *Graph) NumEdges() int { return len(g.edges) }
+func (g *Graph) NumEdges() int { return g.edges.n }
 
 // Mutations returns how many times a vertex or edge has been added or
 // removed, or a vertex retyped. A reader that derives something from the
@@ -153,17 +155,17 @@ func (g *Graph) HasVertex(id VertexID) bool {
 	return ok
 }
 
-// Edge returns the edge with the given ID.
+// Edge returns the edge with the given ID. The record is valid until the
+// edge is removed; in a Dynamic graph, until expiry passes it.
 func (g *Graph) Edge(id EdgeID) (*Edge, bool) {
-	e, ok := g.edges[id]
-	return e, ok
+	if h := g.edges.find(&g.records, id); h >= 0 {
+		return g.records.at(h), true
+	}
+	return nil, false
 }
 
 // HasEdge reports whether the edge exists.
-func (g *Graph) HasEdge(id EdgeID) bool {
-	_, ok := g.edges[id]
-	return ok
-}
+func (g *Graph) HasEdge(id EdgeID) bool { return g.edges.find(&g.records, id) >= 0 }
 
 // AddEdge inserts a directed edge. Both endpoints must already exist unless
 // the graph was built WithAutoVertices. Duplicate edge IDs are rejected.
@@ -183,7 +185,7 @@ func (g *Graph) AddEdge(e Edge) (*Edge, error) {
 	if err != nil {
 		return nil, err
 	}
-	return g.insert(e, src, dst), nil
+	return g.records.at(g.insert(e, src, dst)), nil
 }
 
 // admissible rejects an edge with a reserved or duplicate ID before anything
@@ -192,7 +194,7 @@ func (g *Graph) admissible(e Edge) error {
 	if e.ID == ReservedEdgeID || e.Source == ReservedVertexID || e.Target == ReservedVertexID {
 		return &EdgeError{ID: e.ID, Err: ErrReservedID}
 	}
-	if _, dup := g.edges[e.ID]; dup {
+	if g.edges.find(&g.records, e.ID) >= 0 {
 		return &EdgeError{ID: e.ID, Err: ErrDuplicateEdge}
 	}
 	return nil
@@ -210,16 +212,16 @@ func (g *Graph) endpoint(id VertexID) (*vertexRecord, error) {
 	return g.upsert(Vertex{ID: id}), nil
 }
 
-// insert stores an admissible edge between the records of its endpoints.
-func (g *Graph) insert(e Edge, src, dst *vertexRecord) *Edge {
-	ne := &g.records.Make(1)[0]
-	*ne = e
-	g.edges[ne.ID] = ne
-	src.out.push(ne, &g.spares)
-	dst.in.push(ne, &g.spares)
-	g.edgesByType[ne.Type]++
+// insert stores an admissible edge between the records of its endpoints
+// and returns its handle.
+func (g *Graph) insert(e Edge, src, dst *vertexRecord) int32 {
+	h := g.records.alloc(e)
+	g.edges.insert(&g.records, h)
+	src.out.push(h, &g.spares)
+	dst.in.push(h, &g.spares)
+	g.edgesByType[e.Type]++
 	g.mutations++
-	return ne
+	return h
 }
 
 // AddStreamEdge applies a StreamEdge: endpoint metadata is upserted and the
@@ -227,8 +229,16 @@ func (g *Graph) insert(e Edge, src, dst *vertexRecord) *Edge {
 // that is rejected changes nothing: its endpoints are neither added nor
 // updated.
 func (g *Graph) AddStreamEdge(se StreamEdge) (*Edge, error) {
-	if err := g.admissible(se.Edge); err != nil {
+	h, err := g.addStreamEdge(se)
+	if err != nil {
 		return nil, err
+	}
+	return g.records.at(h), nil
+}
+
+func (g *Graph) addStreamEdge(se StreamEdge) (int32, error) {
+	if err := g.admissible(se.Edge); err != nil {
+		return -1, err
 	}
 	src := g.upsert(Vertex{ID: se.Edge.Source, Type: se.SourceType, Attrs: se.SourceAttrs})
 	dst := g.upsert(Vertex{ID: se.Edge.Target, Type: se.TargetType, Attrs: se.TargetAttrs})
@@ -239,35 +249,40 @@ func (g *Graph) AddStreamEdge(se StreamEdge) (*Edge, error) {
 // Endpoint vertices are retained even if they become isolated; callers that
 // want compaction can call RemoveIsolatedVertex explicitly.
 //
-// The removed record keeps its ID, endpoints, type and timestamp, so an
-// expiry callback can still read them, but drops its attributes: it shares a
-// chunk with live edges, and must not hold its attribute map alive for them.
+// The record is reused for a later edge; in a Dynamic graph only once expiry
+// passes it, and until then it keeps its ID, endpoints, type and timestamp
+// but not its attributes.
 func (g *Graph) RemoveEdge(id EdgeID) error {
-	e, ok := g.edges[id]
-	if !ok {
+	h := g.edges.find(&g.records, id)
+	if h < 0 {
 		return &EdgeError{ID: id, Err: ErrEdgeNotFound}
 	}
-	g.remove(e)
+	g.remove(h)
+	if !g.queued {
+		g.records.release(h)
+	}
 	return nil
 }
 
-// remove deletes the live edge e and returns the records of its endpoints.
-func (g *Graph) remove(e *Edge) (src, dst *vertexRecord) {
+// remove deletes the live edge of handle h and returns the records of its
+// endpoints. The handle is not released.
+func (g *Graph) remove(h int32) (src, dst *vertexRecord) {
+	e := g.records.at(h)
 	src, dst = g.vertices[e.Source], g.vertices[e.Target]
-	delete(g.edges, e.ID)
-	g.unlink(&src.out, e)
-	g.unlink(&dst.in, e)
+	g.edges.delete(&g.records, e.ID)
+	g.unlink(&src.out, h)
+	g.unlink(&dst.in, h)
 	if g.edgesByType[e.Type]--; g.edgesByType[e.Type] <= 0 {
 		delete(g.edgesByType, e.Type)
 	}
-	e.Attrs = nil
+	g.records.kill(h)
 	g.mutations++
 	return src, dst
 }
 
-// unlink removes e from list, recycling the list once empty.
-func (g *Graph) unlink(list *fifo, e *Edge) {
-	list.remove(e)
+// unlink removes h from list, recycling the list once empty.
+func (g *Graph) unlink(list *fifo, h int32) {
+	list.remove(h)
 	if list.len() == 0 {
 		g.spares.recycle(list.buf)
 		*list = fifo{}
@@ -296,27 +311,38 @@ func (g *Graph) removeIfIsolated(r *vertexRecord) bool {
 	return true
 }
 
-// OutEdges returns the edges leaving v in the order they were added: an
-// edge that arrived out of timestamp order keeps its arrival position, and
-// removing an edge, explicitly or by expiry, leaves the others in order. The
-// returned slice is owned by the graph and must not be mutated. It is valid
-// only until the next AddEdge or RemoveEdge (Dynamic.Apply and AdvanceTo
-// call them): the graph recycles incidence lists, so a slice held across a
-// mutation may come to list another vertex's edges.
-func (g *Graph) OutEdges(v VertexID) []*Edge {
-	if r, ok := g.vertices[v]; ok {
-		return r.out.live()
-	}
-	return nil
+// EdgeList is a read-only view of a vertex's out- or in-edges, in the order
+// they were added: an edge that arrived out of timestamp order keeps its
+// arrival position, and removing an edge, explicitly or by expiry, leaves
+// the others in order. A view is valid only until the next AddEdge or
+// RemoveEdge (Dynamic.Apply and AdvanceTo call them): the graph recycles
+// incidence lists, so a view held across a mutation may come to list
+// another vertex's edges.
+type EdgeList struct {
+	recs    *records
+	handles []int32
 }
 
-// InEdges returns the edges entering v in the order they were added, under
-// the same contract as OutEdges.
-func (g *Graph) InEdges(v VertexID) []*Edge {
+// Len returns the number of edges in the list.
+func (l EdgeList) Len() int { return len(l.handles) }
+
+// At returns the i-th edge, in arrival order.
+func (l EdgeList) At(i int) *Edge { return l.recs.at(l.handles[i]) }
+
+// OutEdges returns the edges leaving v in the order they were added.
+func (g *Graph) OutEdges(v VertexID) EdgeList {
 	if r, ok := g.vertices[v]; ok {
-		return r.in.live()
+		return EdgeList{&g.records, r.out.live()}
 	}
-	return nil
+	return EdgeList{}
+}
+
+// InEdges returns the edges entering v in the order they were added.
+func (g *Graph) InEdges(v VertexID) EdgeList {
+	if r, ok := g.vertices[v]; ok {
+		return EdgeList{&g.records, r.in.live()}
+	}
+	return EdgeList{}
 }
 
 // CountVerticesOfType returns the number of vertices with the given type.
@@ -334,10 +360,11 @@ func (g *Graph) Vertices(fn func(*Vertex) bool) {
 	}
 }
 
-// Edges calls fn for every edge until fn returns false.
+// Edges calls fn for every edge until fn returns false. fn must not add or
+// remove edges.
 func (g *Graph) Edges(fn func(*Edge) bool) {
-	for _, e := range g.edges {
-		if !fn(e) {
+	for _, s := range g.edges.slots {
+		if s != 0 && !fn(g.records.at(s-1)) {
 			return
 		}
 	}
@@ -345,10 +372,11 @@ func (g *Graph) Edges(fn func(*Edge) bool) {
 
 // EdgeIDs returns all edge IDs in ascending order.
 func (g *Graph) EdgeIDs() []EdgeID {
-	out := make([]EdgeID, 0, len(g.edges))
-	for id := range g.edges {
-		out = append(out, id)
-	}
+	out := make([]EdgeID, 0, g.edges.n)
+	g.Edges(func(e *Edge) bool {
+		out = append(out, e.ID)
+		return true
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
@@ -362,7 +390,8 @@ func (g *Graph) Clone() *Graph {
 		c.AddVertex(r.Vertex)
 	}
 	for _, id := range g.EdgeIDs() {
-		if _, err := c.AddEdge(*g.edges[id]); err != nil {
+		e, _ := g.Edge(id)
+		if _, err := c.AddEdge(*e); err != nil {
 			// Cannot happen: the source graph is consistent by construction.
 			panic(fmt.Sprintf("graph: clone failed: %v", err))
 		}
@@ -373,5 +402,5 @@ func (g *Graph) Clone() *Graph {
 // String summarizes the graph size.
 func (g *Graph) String() string {
 	return fmt.Sprintf("Graph(|V|=%d, |E|=%d, vertexTypes=%d, edgeTypes=%d)",
-		len(g.vertices), len(g.edges), len(g.verticesByType), len(g.edgesByType))
+		len(g.vertices), g.edges.n, len(g.verticesByType), len(g.edgesByType))
 }

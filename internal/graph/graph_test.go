@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -93,10 +94,10 @@ func TestGraphDuplicateEdgeRejected(t *testing.T) {
 
 func TestGraphAdjacency(t *testing.T) {
 	g := buildTriangle(t)
-	if out := g.OutEdges(1); len(out) != 1 || out[0].ID != 10 {
+	if out := edgeIDs(g.OutEdges(1)); !slices.Equal(out, []EdgeID{10}) {
 		t.Fatalf("OutEdges(1) = %v", out)
 	}
-	if in := g.InEdges(1); len(in) != 1 || in[0].ID != 12 {
+	if in := edgeIDs(g.InEdges(1)); !slices.Equal(in, []EdgeID{12}) {
 		t.Fatalf("InEdges(1) = %v", in)
 	}
 }
@@ -122,7 +123,7 @@ func TestGraphRemoveEdge(t *testing.T) {
 	if g.HasEdge(11) {
 		t.Fatalf("edge still present after removal")
 	}
-	if len(g.OutEdges(2)) != 0 {
+	if g.OutEdges(2).Len() != 0 {
 		t.Fatalf("adjacency not updated after removal")
 	}
 	if g.CountEdgesOfType("connects") != 1 {
@@ -183,7 +184,7 @@ func TestGraphMultigraphEdges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(g.OutEdges(1)) != 5 || len(g.InEdges(2)) != 5 {
+	if g.OutEdges(1).Len() != 5 || g.InEdges(2).Len() != 5 {
 		t.Fatalf("multigraph edges collapsed")
 	}
 }
@@ -246,8 +247,8 @@ func TestGraphDegreeSumProperty(t *testing.T) {
 		}
 		var outSum, inSum int
 		g.Vertices(func(v *Vertex) bool {
-			outSum += len(g.OutEdges(v.ID))
-			inSum += len(g.InEdges(v.ID))
+			outSum += g.OutEdges(v.ID).Len()
+			inSum += g.InEdges(v.ID).Len()
 			return true
 		})
 		return outSum == g.NumEdges() && inSum == g.NumEdges()

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -11,8 +12,8 @@ import (
 )
 
 // Once the window has turned over, every Apply expires one edge and brings
-// back two vertices that went isolated: the edge record comes from a slab
-// chunk, the vertex records and the incidence lists from what expiry freed.
+// back two vertices that went isolated: the edge record, the vertex records
+// and the incidence lists all come from what expiry freed.
 func TestDynamicApplySteadyStateAllocs(t *testing.T) {
 	const window, hosts = 64, 80 // a host pair's last edge expired 15 edges ago
 	d := NewDynamic(window)
@@ -143,9 +144,10 @@ func (m *model) compare(t *testing.T, step int, d *Dynamic) {
 		in[e.Target] = append(in[e.Target], id)
 		types[e.Type]++
 	}
-	list := func(v VertexID, dir string, got []*Edge, want []EdgeID) {
-		ids := make([]EdgeID, len(got))
-		for i, e := range got {
+	list := func(v VertexID, dir string, got EdgeList, want []EdgeID) {
+		ids := make([]EdgeID, got.Len())
+		for i := range ids {
+			e := got.At(i)
 			if !sameEdge(*e, m.edges[e.ID]) {
 				t.Fatalf("step %d: %s edges of v%d hold %v, model has %v", step, dir, v, e, m.edges[e.ID])
 			}
@@ -190,8 +192,9 @@ func (m *model) compare(t *testing.T, step int, d *Dynamic) {
 	checkRecycling(t, step, d)
 }
 
-// checkRecycling fails t when a spare holds an edge, when a list or the
-// expiry queue holds one outside its live entries, or when two of them,
+// checkRecycling fails t when a spare is not empty, when an incidence list
+// holds a handle that is not a live edge of its vertex, when a handle handed
+// out is neither in the expiry queue nor free or is both, or when two lists,
 // live or spare, share a backing array.
 func checkRecycling(t *testing.T, step int, d *Dynamic) {
 	t.Helper()
@@ -199,8 +202,8 @@ func checkRecycling(t *testing.T, step int, d *Dynamic) {
 		kind string
 		v    VertexID
 	}
-	owner := make(map[**Edge]list)
-	claim := func(l []*Edge, who list) {
+	owner := make(map[*int32]list)
+	claim := func(l []int32, who list) {
 		base := &l[:cap(l)][0]
 		if prev, dup := owner[base]; dup {
 			t.Fatalf("step %d: %+v and %+v share a backing array", step, prev, who)
@@ -212,22 +215,17 @@ func checkRecycling(t *testing.T, step int, d *Dynamic) {
 			if len(l) != 0 || cap(l) < 2<<c {
 				t.Fatalf("step %d: spare of class %d has len %d cap %d", step, c, len(l), cap(l))
 			}
-			for _, e := range l[:cap(l)] {
-				if e != nil {
-					t.Fatalf("step %d: a spare list of class %d still holds %v", step, c, e)
-				}
-			}
 			claim(l, list{kind: "spare"})
 		}
 	}
-	live := func(f fifo, who list) {
+	recs := &d.g.records
+	live := func(f fifo, who list, valid func(h int32) bool) {
 		if f.buf == nil {
 			return
 		}
-		for i, e := range f.buf[:cap(f.buf)] {
-			if (i < f.head || i >= len(f.buf)) && e != nil {
-				t.Fatalf("step %d: %+v holds %v in slot %d outside its live entries [%d, %d)",
-					step, who, e, i, f.head, len(f.buf))
+		for i, h := range f.live() {
+			if h < 0 || h >= recs.n || !valid(h) {
+				t.Fatalf("step %d: %+v holds handle %d in slot %d, which it must not", step, who, h, f.head+i)
 			}
 		}
 		claim(f.buf, who)
@@ -239,10 +237,33 @@ func checkRecycling(t *testing.T, step int, d *Dynamic) {
 		if r.out.buf != nil && r.out.len() == 0 || r.in.buf != nil && r.in.len() == 0 {
 			t.Fatalf("step %d: vertex %d keeps an empty list", step, v)
 		}
-		live(r.out, list{"out", v})
-		live(r.in, list{"in", v})
+		live(r.out, list{"out", v}, func(h int32) bool { return recs.isLive(h) && recs.at(h).Source == v })
+		live(r.in, list{"in", v}, func(h int32) bool { return recs.isLive(h) && recs.at(h).Target == v })
 	}
-	live(d.queue, list{kind: "queue"})
+	// A handle is released only when the queue passes it, so every handle
+	// handed out is queued or free, once.
+	held := make(map[int32]bool)
+	hold := func(h int32) bool {
+		dup := held[h]
+		held[h] = true
+		return !dup
+	}
+	live(d.queue, list{kind: "queue"}, hold)
+	for _, h := range recs.free {
+		if recs.isLive(h) || !hold(h) {
+			t.Fatalf("step %d: free handle %d is live or also queued or free", step, h)
+		}
+	}
+	if len(held) != int(recs.n) {
+		t.Fatalf("step %d: %d handles handed out, %d queued or free", step, recs.n, len(held))
+	}
+	nlive := 0
+	for _, w := range recs.live {
+		nlive += bits.OnesCount64(w)
+	}
+	if nlive != d.g.NumEdges() {
+		t.Fatalf("step %d: %d handles marked live, %d edges", step, nlive, d.g.NumEdges())
+	}
 }
 
 func heapInUse() uint64 {
@@ -259,9 +280,9 @@ func heapInUse() uint64 {
 // without an edge, explicit RemoveEdge and the ID of an edge removed that way
 // arriving again on a later edge. After every step the two must agree, the
 // expiry callback must have read exactly the model's expired edges, and no
-// recycled list may hold an edge or share its array. The heap
-// after 40 windows must be that after 2: slab chunks are freed as the window
-// leaves them.
+// recycled list may share its array, and every handle must be queued or
+// free. The heap after 40 windows must be that after 2: the records of
+// expired edges are reused.
 func TestDynamicMatchesNaiveModel(t *testing.T) {
 	const (
 		window  = 200
@@ -372,7 +393,9 @@ func TestDynamicMatchesNaiveModel(t *testing.T) {
 		}
 		clear(expired)
 		m.compare(t, step, d)
-		hubCap = max(hubCap, cap(d.Graph().OutEdges(hub)))
+		if r := d.g.vertices[hub]; r != nil {
+			hubCap = max(hubCap, cap(r.out.live()))
+		}
 		if early == 0 && clock >= 2*window {
 			early = heapInUse()
 		}

@@ -186,48 +186,28 @@ func (m *Matcher) extend(g *graph.Graph, cur *match.Match, order []query.EdgeID,
 		return true
 	}
 
+	// scan considers the edges of l; for a closing edge, only those that
+	// end at to: the source's list is filtered in place, where
+	// EdgesBetween would allocate a slice per candidate.
+	scan := func(l graph.EdgeList, to graph.VertexID, closing bool) bool {
+		for i := range l.Len() {
+			if de := l.At(i); (!closing || de.Target == to) && !consider(de) {
+				return false
+			}
+		}
+		return true
+	}
+
 	switch {
 	case haveSrc && haveDst:
-		// A closing edge: filter the source's list in place, where
-		// EdgesBetween would allocate a slice per candidate.
-		for _, de := range g.OutEdges(srcBound) {
-			if de.Target == dstBound && !consider(de) {
-				return false
-			}
-		}
-		if qe.AnyDirection {
-			for _, de := range g.OutEdges(dstBound) {
-				if de.Target == srcBound && !consider(de) {
-					return false
-				}
-			}
-		}
+		return scan(g.OutEdges(srcBound), dstBound, true) &&
+			(!qe.AnyDirection || scan(g.OutEdges(dstBound), srcBound, true))
 	case haveSrc:
-		for _, de := range g.OutEdges(srcBound) {
-			if !consider(de) {
-				return false
-			}
-		}
-		if qe.AnyDirection {
-			for _, de := range g.InEdges(srcBound) {
-				if !consider(de) {
-					return false
-				}
-			}
-		}
+		return scan(g.OutEdges(srcBound), 0, false) &&
+			(!qe.AnyDirection || scan(g.InEdges(srcBound), 0, false))
 	case haveDst:
-		for _, de := range g.InEdges(dstBound) {
-			if !consider(de) {
-				return false
-			}
-		}
-		if qe.AnyDirection {
-			for _, de := range g.OutEdges(dstBound) {
-				if !consider(de) {
-					return false
-				}
-			}
-		}
+		return scan(g.InEdges(dstBound), 0, false) &&
+			(!qe.AnyDirection || scan(g.OutEdges(dstBound), 0, false))
 	default:
 		// Disconnected ordering; should not happen because ConnectedOrder
 		// rejects such subsets.
@@ -238,7 +218,6 @@ func (m *Matcher) extend(g *graph.Graph, cur *match.Match, order []query.EdgeID,
 		})
 		return more
 	}
-	return true
 }
 
 // ConnectedOrder returns the pattern edges of the subset in an order where

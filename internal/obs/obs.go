@@ -87,6 +87,10 @@ const (
 	// SegShardMailbox is the time an edge waits in a shard worker's mailbox
 	// between routing and processing.
 	SegShardMailbox = "shard_mailbox_wait"
+	// SegWindowApply is the per-edge time spent applying the edge to the
+	// sliding-window graph, its insert and the expiry it triggers, measured
+	// in the core engine.
+	SegWindowApply = "window_apply"
 	// SegLocalSearch is the per-edge time spent in leaf-primitive local
 	// searches (isomorphism matching), measured in the core engine.
 	SegLocalSearch = "local_search"

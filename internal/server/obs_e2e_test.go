@@ -133,7 +133,7 @@ func TestEndToEndObservability(t *testing.T) {
 		t.Fatal("metrics response has no obs snapshot with observability on")
 	}
 	for _, seg := range []string{
-		obs.SegIngestQueueWait, obs.SegShardMailbox, obs.SegLocalSearch,
+		obs.SegIngestQueueWait, obs.SegShardMailbox, obs.SegWindowApply, obs.SegLocalSearch,
 		obs.SegSJTreeJoin, obs.SegDispatch, obs.SegHTTPFlush,
 	} {
 		hsnap, ok := m.Obs.Find(obs.SegmentHistogramName, seg)

@@ -69,15 +69,18 @@ func (t *triadTable) fill(g *graph.Graph) {
 	t.g, t.mutations = g, g.Mutations()
 	g.Vertices(func(v *graph.Vertex) bool {
 		t.classes = t.classes[:0]
-		for _, e := range g.OutEdges(v.ID) {
+		out := g.OutEdges(v.ID)
+		for i := range out.Len() {
+			e := out.At(i)
 			c := t.class(e.Type, true)
 			c.n++
 			if e.Target == v.ID {
 				c.loops++
 			}
 		}
-		for _, e := range g.InEdges(v.ID) {
-			t.class(e.Type, false).n++
+		in := g.InEdges(v.ID)
+		for i := range in.Len() {
+			t.class(in.At(i).Type, false).n++
 		}
 		for i, a := range t.classes {
 			if a.n > 1 {
