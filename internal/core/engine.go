@@ -101,8 +101,11 @@ type Config struct {
 	// Retention is the width of the dynamic graph's sliding window. Zero
 	// retains every edge; registrations with time windows extend it
 	// automatically so no query can miss a match because data expired early.
+	// It is also the window of every query registered without one.
 	Retention time.Duration
-	// Slack is the tolerated out-of-order arrival lag.
+	// Slack is the out-of-order arrival lag: the watermark trails the newest
+	// edge by it, and an edge more than Slack behind the watermark is
+	// dropped, so an edge up to 2×Slack behind the newest is admitted.
 	Slack time.Duration
 	// EnableSummaries is ignored: the statistics the selective planner and
 	// adaptive re-planning read cost nothing per edge, so they are always
@@ -169,11 +172,6 @@ type Engine struct {
 	// evScratch is the per-edge match-event buffer reused across
 	// ProcessEdge calls; see the ProcessEdge doc for the aliasing contract.
 	evScratch []MatchEvent
-	// expiredPending collects the IDs of edges evicted from the sliding
-	// window since the last prune sweep; the sweep drains it through the DAG
-	// so stored partial matches never outlive the data edges they bind (the
-	// window-less-query leak the expiry callback exists to plug).
-	expiredPending map[graph.EdgeID]struct{}
 
 	// sinks are the registered per-query match subscriptions, dispatched at
 	// the emission point (Registration.emit). Like the rest of the engine
@@ -196,12 +194,10 @@ func New(cfg *Config) *Engine {
 	}
 	c.Obs = c.Obs.Normalized()
 	e := &Engine{
-		cfg:            c,
-		dyn:            graph.NewDynamic(c.Retention, graph.WithSlack(c.Slack)),
-		registrations:  make(map[string]*Registration),
-		expiredPending: make(map[graph.EdgeID]struct{}),
+		cfg:           c,
+		dyn:           graph.NewDynamic(c.Retention, graph.WithSlack(c.Slack)),
+		registrations: make(map[string]*Registration),
 	}
-	e.dyn.SetExpiryCallback(e.noteExpired)
 	e.summary = stats.NewSummary()
 	e.est = stats.NewEstimator(e.summary)
 	e.planner = decompose.NewPlanner(e.est)
@@ -315,13 +311,15 @@ func (e *Engine) UnregisterQuery(name string) error {
 
 // ExtendRetention grows the dynamic graph's window to w when w is wider,
 // as registering a query of window w does, so the window is never smaller
-// than the largest registered query window. A zero (unbounded) window always
-// suffices. Growth is only possible before the first edge is ingested;
+// than the largest registered query window. A zero (unbounded) retention
+// always suffices. Growth is only possible before the first edge is ingested;
 // afterwards edges outside the old window may already have expired, so a
 // mid-stream registration needing more retention fails with
-// ErrRetentionTooSmall rather than silently risking missed matches. A
-// sharded front-end calls it on the shards a query does not live on, so
-// every shard keeps the same window.
+// ErrRetentionTooSmall rather than silently risking missed matches. The
+// graph is widened in place (graph.Dynamic.Widen): a watermark an Advance
+// set stays, and window-less queries, whose window is the retention, widen
+// with it. A sharded front-end calls it on the shards a query does not live
+// on, so every shard keeps the same window.
 func (e *Engine) ExtendRetention(w time.Duration) error {
 	if w <= 0 || e.dyn.Window() == 0 || w <= e.dyn.Window() {
 		return nil
@@ -330,8 +328,7 @@ func (e *Engine) ExtendRetention(w time.Duration) error {
 		return fmt.Errorf("%w: query window %s exceeds retention %s after %d edges",
 			ErrRetentionTooSmall, w, e.dyn.Window(), e.dyn.AddedTotal())
 	}
-	e.dyn = graph.NewDynamic(w, graph.WithSlack(e.cfg.Slack), graph.WithExpiryCallback(e.noteExpired))
-	e.dag.SetGraph(e.dyn)
+	e.dyn.Widen(w)
 	return nil
 }
 
@@ -365,17 +362,11 @@ func (e *Engine) dispatch(ev MatchEvent) {
 	}
 }
 
-// noteExpired is the dynamic graph's expiry callback: it records the evicted
-// edge for the next prune sweep, which forwards the batch to the DAG in one
-// scan (DAG.Prune) instead of scanning per expired edge.
-func (e *Engine) noteExpired(de *graph.Edge) {
-	e.expiredPending[de.ID] = struct{}{}
-}
-
 // ProcessEdge ingests one stream edge and returns the complete matches it
-// produced across all registered queries. Out-of-order edges beyond the
-// configured slack and duplicate edge IDs are counted and skipped rather
-// than aborting the stream.
+// produced across all registered queries. An edge more than the configured
+// slack behind the watermark (so more than twice the slack behind the newest
+// edge) and a duplicate edge ID are counted and skipped rather than aborting
+// the stream.
 //
 // The returned slice aliases an internal scratch buffer and is only valid
 // until the next ProcessEdge call; callers that retain events across calls
@@ -473,16 +464,13 @@ func (e *Engine) Advance(ts graph.Timestamp) {
 	}
 }
 
-// pruneAll removes partial matches that can no longer complete: for
-// windowed queries, matches whose span start has aged past the window (this
-// also covers every match referencing an expired edge, since retention is
-// never narrower than the widest window); for window-less queries, matches
-// referencing edges that have expired from the sliding window — without the
-// expiry batch those partials would accumulate forever.
+// pruneAll removes partial matches that can no longer complete: those whose
+// span start has aged past their query's window, the retention for a
+// window-less query. That covers every match referencing an expired edge,
+// since retention is never narrower than the widest window.
 func (e *Engine) pruneAll() {
 	e.obs.pruneRuns.Inc()
-	e.obs.partialsPruned.Add(uint64(e.dag.Prune(e.dyn.Watermark(), e.expiredPending)))
-	clear(e.expiredPending)
+	e.obs.partialsPruned.Add(uint64(e.dag.Prune(e.dyn.Watermark(), nil)))
 	e.refreshGauges()
 }
 

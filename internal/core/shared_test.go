@@ -311,44 +311,39 @@ func TestSharedPlansReplan(t *testing.T) {
 
 // TestSharedPlansWindowParityAfterPrune: pruning never drops a partial match
 // that could still complete, nor lets one complete that the definition rules
-// out (windowed and window-less queries together, with expiry-driven pruning
-// in play). The windowed query must emit exactly the oracle's set. The
-// window-less one is bounded on both sides: it finds every match whose edges
-// were all retained when its last edge arrived — the oracle at the engine's
-// retention — and nothing the oracle with unbounded retention would not; a
-// partial binding an edge that expired since the last sweep may still
-// complete.
+// out (windowed and window-less queries together, with pruning by the
+// retention in play). Each query must emit exactly the oracle's set: the
+// window-less one's window is the retention, so its oracle is the same query
+// with the retention as its window. The boundary is strict as for any
+// window: a probe match spanning exactly the retention is not sent.
 func TestSharedPlansWindowParityAfterPrune(t *testing.T) {
 	const retention = 90 * time.Second
-	queries := []*query.Graph{smurfQuery(10 * time.Second), probeQuery(0)}
 	var cfg Config
 	cfg.Retention = retention
 	cfg.PruneInterval = 16
 	e := New(&cfg)
-	for _, q := range queries {
+	for _, q := range []*query.Graph{smurfQuery(10 * time.Second), probeQuery(0)} {
 		if _, err := e.RegisterQuery(q, WithStrategy(decompose.StrategyEager)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	edges := randomHostStream(1234, 3000)
 	got := matchSets(t, e, edges)
-	retained := naiveMatchSets(retention, queries, edges)
-	unbounded := naiveMatchSets(0, queries, edges)
-	if len(retained["smurf"]) == 0 || len(retained["probe"]) == 0 {
-		t.Fatalf("vacuous: smurf %d, probe %d matches", len(retained["smurf"]), len(retained["probe"]))
-	}
-	if !slices.Equal(got["smurf"], retained["smurf"]) {
-		t.Fatalf("smurf diverged: engine %d matches, the oracle %d", len(got["smurf"]), len(retained["smurf"]))
-	}
-	for _, sig := range retained["probe"] {
-		if _, ok := slices.BinarySearch(got["probe"], sig); !ok {
-			t.Fatalf("probe missed %s, whose edges were all retained", sig)
+	want := naiveMatchSets(0, []*query.Graph{smurfQuery(10 * time.Second), probeQuery(retention)}, edges)
+	for _, name := range []string{"smurf", "probe"} {
+		if len(want[name]) == 0 {
+			t.Fatalf("vacuous: the oracle finds no %s match", name)
+		}
+		if !slices.Equal(got[name], want[name]) {
+			t.Errorf("%s diverged: engine %d matches, the oracle %d", name, len(got[name]), len(want[name]))
 		}
 	}
-	for _, sig := range got["probe"] {
-		if _, ok := slices.BinarySearch(unbounded["probe"], sig); !ok {
-			t.Fatalf("probe emitted %s, which is no match", sig)
-		}
+	const boundary = "0:2750,1:2300"
+	if _, ok := slices.BinarySearch(naiveMatchSets(0, []*query.Graph{probeQuery(0)}, edges)["probe"], boundary); !ok {
+		t.Fatalf("probe %s is no match at all", boundary)
+	}
+	if _, ok := slices.BinarySearch(got["probe"], boundary); ok {
+		t.Errorf("probe was sent %s, which spans the retention", boundary)
 	}
 	if m := e.Metrics(); m.PartialsPruned == 0 {
 		t.Fatalf("nothing pruned: the test exercises no pruning")

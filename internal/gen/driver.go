@@ -253,11 +253,12 @@ func (s MatchSet) Equal(o MatchSet) bool {
 // computed without the engine: baseline.NaiveExpand expands every query's
 // whole pattern around each arriving edge, with no decomposition and no
 // stored partial matches, and keeps the matches whose span fits the query's
-// window. Under a bounded engine retention the oracle retains twice the
-// engine's effective window (the retention widened to the widest query
-// window), so a match's first edge is still there when its last arrives;
-// under unbounded retention it keeps everything too. It is the reference
-// equivalence tests hold every engine configuration to.
+// window. A query without a window has the engine's effective retention as
+// its window (the retention widened to the widest query window), unbounded
+// only when the retention is. Under a bounded retention the oracle retains
+// twice the effective retention, so a match's first edge is still there
+// when its last arrives. It is the reference equivalence tests hold every
+// engine configuration to.
 func Oracle(w Workload) MatchSet {
 	var retention time.Duration
 	if w.Engine.Retention > 0 {
@@ -265,16 +266,19 @@ func Oracle(w Workload) MatchSet {
 		for _, q := range w.Queries {
 			retention = max(retention, q.Window())
 		}
-		retention *= 2
 	}
-	ne := baseline.NewNaiveExpand(retention, w.Engine.Slack)
+	ne := baseline.NewNaiveExpand(2*retention, w.Engine.Slack)
 	for _, q := range w.Queries {
 		_ = ne.RegisterQuery(q) // refuses only a nil query
 	}
 	set := make(MatchSet)
 	for _, se := range w.Edges {
 		for _, ev := range ne.ProcessEdge(se) {
-			set.Add(ev)
+			// A windowed query's matches already fit its window, which the
+			// retention is never narrower than.
+			if ev.Match.WithinWindow(retention) {
+				set.Add(ev)
+			}
 		}
 	}
 	return set

@@ -17,7 +17,9 @@ import (
 // generated workloads lack: parallel edges, runs of equal timestamps, edges
 // arriving out of order within the slack, and windows short enough that the
 // retention turns over many times. Its queries are a chain, a fan-out and a
-// cycle (two cut vertices), each with its own window.
+// cycle (two cut vertices), each with its own window, and a window-less
+// wedge, whose window is the retention. The engine sweeps every four edges,
+// so a partial the sweep should have dropped shows.
 func randomWorkload(seed int64) Workload {
 	rng := rand.New(rand.NewSource(seed))
 	const (
@@ -62,13 +64,18 @@ func randomWorkload(seed int64) Workload {
 		Vertex("a", "Host").Vertex("b", "Host").Vertex("c", "Host").
 		Edge("a", "b", "flow").Edge("b", "c", "flow").Edge("c", "a", "dns").
 		MustBuild()
+	wedge := query.NewBuilder("wedge").
+		Vertex("a", "Host").Vertex("b", "Host").Vertex("c", "Host").
+		Edge("a", "b", "login").Edge("b", "c", "dns").
+		MustBuild()
 	return Workload{
 		Name:    fmt.Sprintf("random-%d", seed),
 		Edges:   out,
-		Queries: []*query.Graph{chain, fan, cycle},
+		Queries: []*query.Graph{chain, fan, cycle, wedge},
 		Engine: core.Config{
-			Retention: 2 * time.Second,
-			Slack:     slack,
+			Retention:     2 * time.Second,
+			Slack:         slack,
+			PruneInterval: 4,
 		},
 	}
 }
@@ -125,7 +132,7 @@ func TestRandomStreamsMatchOracle(t *testing.T) {
 // pruned. Every query is then forced onto another strategy twice, at half and
 // at five sixths of the stream, which changes nothing the queries are sent.
 // The retention is set to the widest query window up front, which mid-stream
-// registration requires.
+// registration requires, and the engine sweeps every eight edges.
 func TestLateRegistrationMatchesOracle(t *testing.T) {
 	for _, w := range []Workload{tinyNetflowWorkload(), tinyNewsWorkload(), tinyDriftWorkload(), tinyManyQueriesWorkload()} {
 		for _, q := range w.Queries {
@@ -150,6 +157,7 @@ func TestLateRegistrationMatchesOracle(t *testing.T) {
 			for _, strat := range decompose.Strategies() {
 				t.Run(string(strat), func(t *testing.T) {
 					cfg := w.Engine
+					cfg.PruneInterval = 8
 					e := core.New(&cfg)
 					register := func(qs []*query.Graph) {
 						for _, q := range qs {

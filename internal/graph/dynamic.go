@@ -46,10 +46,8 @@ type Dynamic struct {
 
 	// queue orders the handles of live edges by timestamp for window
 	// expiry. It is kept sorted up to the allowed slack, which is sufficient
-	// because we only expire edges strictly older than watermark-window. It
-	// also holds the handles of edges removed explicitly until they reach its
-	// head, where they are released: a queued handle is never reused, so it
-	// names the edge it was pushed for, live or removed.
+	// because we only expire edges strictly older than watermark-window. An
+	// edge leaves the graph only at its head, where its handle is released.
 	queue fifo
 
 	// onExpire, when set, is invoked for every edge evicted from the window.
@@ -62,15 +60,16 @@ type Dynamic struct {
 // DynamicOption configures a Dynamic graph.
 type DynamicOption func(*Dynamic)
 
-// WithSlack allows edges to arrive up to d out of timestamp order without
-// being rejected. The watermark trails the maximum observed timestamp by d.
+// WithSlack sets the out-of-order slack d. The watermark trails the maximum
+// observed timestamp by d, and an edge is rejected only when it is more than
+// d behind the watermark: up to 2·d behind the newest edge is admitted.
 func WithSlack(d time.Duration) DynamicOption {
 	return func(dg *Dynamic) { dg.slack = d }
 }
 
 // WithExpiryCallback registers fn to be called for every edge that leaves
-// the sliding window. The continuous engine uses this to prune partial
-// matches that can no longer complete.
+// the sliding window. The engine needs none: its partial matches leave the
+// window by their span, as the edges do by their timestamp.
 func WithExpiryCallback(fn func(*Edge)) DynamicOption {
 	return func(dg *Dynamic) { dg.onExpire = fn }
 }
@@ -83,7 +82,6 @@ func NewDynamic(window time.Duration, opts ...DynamicOption) *Dynamic {
 		window: window,
 		cutoff: NoCutoff,
 	}
-	dg.g.queued = true
 	for _, o := range opts {
 		o(dg)
 	}
@@ -117,9 +115,14 @@ func (d *Dynamic) AddedTotal() uint64 { return d.addedTotal }
 // ExpiredTotal returns the cumulative number of edges expired from the window.
 func (d *Dynamic) ExpiredTotal() uint64 { return d.expiredTotal }
 
-// SetExpiryCallback replaces the expiry callback after construction. The
-// engine installs its pruning hook once queries are registered.
-func (d *Dynamic) SetExpiryCallback(fn func(*Edge)) { d.onExpire = fn }
+// Widen grows a bounded window to w when w is wider. The watermark and the
+// cutoff stay: the cutoff never moves back, so what has expired stays
+// expired, and a late edge is judged against the same watermark.
+func (d *Dynamic) Widen(w time.Duration) {
+	if d.window > 0 && w > d.window {
+		d.window = w
+	}
+}
 
 // Apply ingests a stream edge: the edge is validated against the watermark,
 // endpoint metadata is upserted, the edge is added to the live graph and the
@@ -185,19 +188,18 @@ func (d *Dynamic) AdvanceTo(ts Timestamp) {
 
 // ForEachLiveEdge visits every edge currently retained in the sliding
 // window, in timestamp order (up to the ingest slack), until fn returns
-// false. Edges removed from the graph explicitly (rather than by expiry) are
-// skipped. The DAG backfills a new or widened node from the window with this
+// false. The DAG backfills a new or widened node from the window with this
 // (mqo's attach); fn must not mutate the graph.
 func (d *Dynamic) ForEachLiveEdge(fn func(*Edge) bool) {
 	for _, h := range d.queue.live() {
-		if d.g.records.isLive(h) && !fn(d.g.records.at(h)) {
+		if !fn(d.g.records.at(h)) {
 			return
 		}
 	}
 }
 
-// expire pops the queue's handles below the cutoff, removing the edges that
-// are still live, and releases each handle for reuse.
+// expire pops the queue's handles below the cutoff, removing their edges,
+// and releases each handle for reuse.
 func (d *Dynamic) expire() {
 	for d.queue.len() > 0 {
 		h := d.queue.buf[d.queue.head]
@@ -206,12 +208,6 @@ func (d *Dynamic) expire() {
 			return
 		}
 		d.queue.popFront()
-		// An edge removed explicitly only gives its handle back, even when
-		// a newer edge has taken its ID since.
-		if !d.g.records.isLive(h) {
-			d.g.records.release(h)
-			continue
-		}
 		src, dst := d.g.remove(h)
 		d.expiredTotal++
 		d.g.removeIfIsolated(src)

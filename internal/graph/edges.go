@@ -12,25 +12,20 @@ const (
 )
 
 // records stores edge records in fixed chunks that never move, so a *Edge
-// stays valid while its handle is held. A handle is live from alloc until
-// its edge is removed, and is reused only after release: the graph releases
-// a removed edge's handle at once, the dynamic graph only when its expiry
-// queue passes the handle. The chunks are kept up to the peak number of
-// handles held at once.
+// stays valid while its handle is held. A handle names its edge from alloc
+// until the dynamic graph's expiry queue passes it, which removes the edge
+// and releases the handle for reuse. The chunks are kept up to the peak
+// number of handles held at once.
 type records struct {
 	chunks []*[chunkSize]Edge
-	live   []uint64 // bit h is set while handle h names an edge in the graph
-	free   []int32  // released handles, reused last in, first out
-	n      int32    // handles ever handed out: the next fresh one
+	free   []int32 // released handles, reused last in, first out
+	n      int32   // handles ever handed out: the next fresh one
 }
 
 // at returns the record of handle h.
 func (r *records) at(h int32) *Edge { return &r.chunks[h>>chunkBits][h&chunkMask] }
 
-// isLive reports whether h names an edge in the graph.
-func (r *records) isLive(h int32) bool { return r.live[h>>6]&(1<<(h&63)) != 0 }
-
-// alloc returns a live handle whose record holds e.
+// alloc returns a handle whose record holds e.
 func (r *records) alloc(e Edge) int32 {
 	var h int32
 	if n := len(r.free); n > 0 {
@@ -41,20 +36,9 @@ func (r *records) alloc(e Edge) int32 {
 		if int(h>>chunkBits) == len(r.chunks) {
 			r.chunks = append(r.chunks, new([chunkSize]Edge))
 		}
-		if int(h>>6) == len(r.live) {
-			r.live = append(r.live, 0)
-		}
 	}
 	*r.at(h) = e
-	r.live[h>>6] |= 1 << (h & 63)
 	return h
-}
-
-// kill marks h's edge removed. Its record keeps the ID, endpoints, type and
-// timestamp but drops the attribute map, which the graph no longer holds.
-func (r *records) kill(h int32) {
-	r.live[h>>6] &^= 1 << (h & 63)
-	r.at(h).Attrs = nil
 }
 
 // release makes the handle of a removed edge available for a new one.

@@ -111,7 +111,6 @@ func TestIDTableMatchesMap(t *testing.T) {
 			if got := tab.delete(&r, id); got != h {
 				t.Fatalf("step %d: delete(%d) = %d, want %d", step, id, got, h)
 			}
-			r.kill(h)
 			r.release(h)
 			delete(want, id)
 			gone = append(gone, id)
@@ -128,45 +127,4 @@ func TestIDTableMatchesMap(t *testing.T) {
 		}
 	}
 	checkTable(t, "end", &tab, &r, want, nil)
-}
-
-// A removed edge's handle stays queued until expiry passes it: the edge that
-// takes its ID, and one with another ID, get records of their own, and once
-// all three have expired each handle is free exactly once and is reused.
-func TestRemovedHandleWaitsForTheQueue(t *testing.T) {
-	var expired []EdgeID
-	d := NewDynamic(10, WithExpiryCallback(func(e *Edge) { expired = append(expired, e.ID) }))
-	apply := func(step int, id EdgeID, ts Timestamp) *Edge {
-		t.Helper()
-		e, err := d.Apply(streamEdge(id, 1, 2, "flow", ts))
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkRecycling(t, step, d)
-		return e
-	}
-	removed := apply(0, 1, 0)
-	if err := d.Graph().RemoveEdge(1); err != nil {
-		t.Fatal(err)
-	}
-	checkRecycling(t, 1, d)
-	again := apply(2, 1, 1)
-	other := apply(3, 2, 2)
-	if again == removed || other == removed || other == again {
-		t.Fatal("a handle was reused while the expiry queue held it")
-	}
-	if removed.ID != 1 || removed.Timestamp != 0 || removed.Attrs != nil {
-		t.Fatalf("the removed record holds %v", removed)
-	}
-	d.AdvanceTo(100)
-	checkRecycling(t, 4, d)
-	if len(expired) != 2 || expired[0] != 1 || expired[1] != 2 {
-		t.Fatalf("expired %v, want [1 2]", expired)
-	}
-	if n := len(d.g.records.free); n != 3 || d.queue.len() != 0 {
-		t.Fatalf("%d handles free and %d queued after expiry, want 3 and 0", n, d.queue.len())
-	}
-	if next := apply(5, 3, 101); next != removed && next != again && next != other {
-		t.Fatal("a new edge took a fresh record while three were free")
-	}
 }

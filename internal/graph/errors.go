@@ -10,15 +10,14 @@ import (
 var (
 	// ErrVertexNotFound is returned when a lookup references an unknown vertex.
 	ErrVertexNotFound = errors.New("graph: vertex not found")
-	// ErrEdgeNotFound is returned when a lookup references an unknown edge.
-	ErrEdgeNotFound = errors.New("graph: edge not found")
 	// ErrDuplicateEdge is returned when an edge with an existing ID is added.
 	ErrDuplicateEdge = errors.New("graph: duplicate edge id")
 	// ErrDanglingEdge is returned when an edge references a vertex that does
 	// not exist and auto-creation is disabled.
 	ErrDanglingEdge = errors.New("graph: edge references unknown vertex")
-	// ErrTimestampRegression is returned by the dynamic graph when an edge
-	// arrives with a timestamp older than the allowed out-of-order slack.
+	// ErrTimestampRegression is returned by the dynamic graph when an edge's
+	// timestamp is more than the slack behind the watermark, itself the
+	// slack behind the newest edge.
 	ErrTimestampRegression = errors.New("graph: edge timestamp regresses beyond slack")
 	// ErrReservedID is returned when an edge uses the all-ones vertex or
 	// edge ID, which the match representation reserves as its "unbound"

@@ -9,8 +9,9 @@ import (
 // per edge, within these bounds:
 //
 //   - records: edge records live in 14 KiB chunks of 256, addressed by int32
-//     handle (edges.go); the handle of a removed edge is reused for a new one,
-//     so the chunks are kept up to the peak number of records held at once.
+//     handle (edges.go); the handle of an expired edge is reused for a new
+//     one, so the chunks are kept up to the peak number of records held at
+//     once.
 //     The ID table (ID → handle) is at most half full and only grows.
 //   - spareClasses, sparesPerClass: an incidence list that is grown out of or
 //     emptied is kept for reuse at its power-of-two capacity (2…256
@@ -39,11 +40,6 @@ type Graph struct {
 
 	spares       spares
 	freeVertices []*vertexRecord // zeroed records of removed vertices
-
-	// queued is set by the dynamic graph, whose expiry queue holds every
-	// handle until it passes it: RemoveEdge then leaves the release to the
-	// queue.
-	queued bool
 
 	// autoVertex controls whether AddEdge creates missing endpoints with an
 	// empty type instead of failing.
@@ -155,8 +151,8 @@ func (g *Graph) HasVertex(id VertexID) bool {
 	return ok
 }
 
-// Edge returns the edge with the given ID. The record is valid until the
-// edge is removed; in a Dynamic graph, until expiry passes it.
+// Edge returns the edge with the given ID. The record is valid until expiry
+// passes it.
 func (g *Graph) Edge(id EdgeID) (*Edge, bool) {
 	if h := g.edges.find(&g.records, id); h >= 0 {
 		return g.records.at(h), true
@@ -245,27 +241,9 @@ func (g *Graph) addStreamEdge(se StreamEdge) (int32, error) {
 	return g.insert(se.Edge, src, dst), nil
 }
 
-// RemoveEdge deletes an edge from the graph and its incidence lists.
-// Endpoint vertices are retained even if they become isolated; callers that
-// want compaction can call RemoveIsolatedVertex explicitly.
-//
-// The record is reused for a later edge; in a Dynamic graph only once expiry
-// passes it, and until then it keeps its ID, endpoints, type and timestamp
-// but not its attributes.
-func (g *Graph) RemoveEdge(id EdgeID) error {
-	h := g.edges.find(&g.records, id)
-	if h < 0 {
-		return &EdgeError{ID: id, Err: ErrEdgeNotFound}
-	}
-	g.remove(h)
-	if !g.queued {
-		g.records.release(h)
-	}
-	return nil
-}
-
-// remove deletes the live edge of handle h and returns the records of its
-// endpoints. The handle is not released.
+// remove deletes the edge of handle h and returns the records of its
+// endpoints. The record keeps the edge's ID, endpoints, type and timestamp
+// but drops its attribute map; the handle is not released.
 func (g *Graph) remove(h int32) (src, dst *vertexRecord) {
 	e := g.records.at(h)
 	src, dst = g.vertices[e.Source], g.vertices[e.Target]
@@ -275,7 +253,7 @@ func (g *Graph) remove(h int32) (src, dst *vertexRecord) {
 	if g.edgesByType[e.Type]--; g.edgesByType[e.Type] <= 0 {
 		delete(g.edgesByType, e.Type)
 	}
-	g.records.kill(h)
+	e.Attrs = nil
 	g.mutations++
 	return src, dst
 }
@@ -289,17 +267,11 @@ func (g *Graph) unlink(list *fifo, h int32) {
 	}
 }
 
-// RemoveIsolatedVertex removes v if it has no incident edges. It returns
-// true when the vertex was removed. The vertex's record is zeroed and kept
-// for reuse.
-func (g *Graph) RemoveIsolatedVertex(id VertexID) bool {
-	r, ok := g.vertices[id]
-	return ok && g.removeIfIsolated(r)
-}
-
-func (g *Graph) removeIfIsolated(r *vertexRecord) bool {
+// removeIfIsolated removes r's vertex if it has no incident edges. The
+// record is zeroed and kept for reuse.
+func (g *Graph) removeIfIsolated(r *vertexRecord) {
 	if r.out.len() > 0 || r.in.len() > 0 {
-		return false
+		return
 	}
 	g.uncountVertexType(r.Type)
 	delete(g.vertices, r.ID)
@@ -308,16 +280,14 @@ func (g *Graph) removeIfIsolated(r *vertexRecord) bool {
 	if len(g.freeVertices) < spareVertices {
 		g.freeVertices = append(g.freeVertices, r)
 	}
-	return true
 }
 
 // EdgeList is a read-only view of a vertex's out- or in-edges, in the order
 // they were added: an edge that arrived out of timestamp order keeps its
-// arrival position, and removing an edge, explicitly or by expiry, leaves
-// the others in order. A view is valid only until the next AddEdge or
-// RemoveEdge (Dynamic.Apply and AdvanceTo call them): the graph recycles
-// incidence lists, so a view held across a mutation may come to list
-// another vertex's edges.
+// arrival position, and expiry leaves the others in order. A view is valid
+// only until the next AddEdge, Dynamic.Apply or Dynamic.AdvanceTo: the graph
+// recycles incidence lists, so a view held across a mutation may come to
+// list another vertex's edges.
 type EdgeList struct {
 	recs    *records
 	handles []int32

@@ -112,50 +112,6 @@ func TestGraphTypeIndexes(t *testing.T) {
 	}
 }
 
-func TestGraphRemoveEdge(t *testing.T) {
-	g := buildTriangle(t)
-	if err := g.RemoveEdge(11); err != nil {
-		t.Fatalf("RemoveEdge: %v", err)
-	}
-	if g.NumEdges() != 2 {
-		t.Fatalf("NumEdges = %d after removal", g.NumEdges())
-	}
-	if g.HasEdge(11) {
-		t.Fatalf("edge still present after removal")
-	}
-	if g.OutEdges(2).Len() != 0 {
-		t.Fatalf("adjacency not updated after removal")
-	}
-	if g.CountEdgesOfType("connects") != 1 {
-		t.Fatalf("type count not updated after removal")
-	}
-	if err := g.RemoveEdge(999); !errors.Is(err, ErrEdgeNotFound) {
-		t.Fatalf("expected ErrEdgeNotFound, got %v", err)
-	}
-}
-
-func TestGraphRemoveIsolatedVertex(t *testing.T) {
-	g := buildTriangle(t)
-	if g.RemoveIsolatedVertex(1) {
-		t.Fatalf("vertex 1 has edges and must not be removed")
-	}
-	if err := g.RemoveEdge(10); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.RemoveEdge(12); err != nil {
-		t.Fatal(err)
-	}
-	if !g.RemoveIsolatedVertex(1) {
-		t.Fatalf("vertex 1 is isolated and should be removed")
-	}
-	if g.HasVertex(1) {
-		t.Fatalf("vertex 1 still present")
-	}
-	if g.RemoveIsolatedVertex(999) {
-		t.Fatalf("unknown vertex reported as removed")
-	}
-}
-
 func TestGraphAddStreamEdge(t *testing.T) {
 	g := New(WithAutoVertices())
 	se := StreamEdge{

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math"
-	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -193,9 +192,9 @@ func (m *model) compare(t *testing.T, step int, d *Dynamic) {
 }
 
 // checkRecycling fails t when a spare is not empty, when an incidence list
-// holds a handle that is not a live edge of its vertex, when a handle handed
-// out is neither in the expiry queue nor free or is both, or when two lists,
-// live or spare, share a backing array.
+// or the expiry queue holds a handle that is not a live edge (of its vertex),
+// when a handle handed out is neither in the expiry queue nor free or is
+// both, or when two lists, live or spare, share a backing array.
 func checkRecycling(t *testing.T, step int, d *Dynamic) {
 	t.Helper()
 	type list struct {
@@ -219,6 +218,9 @@ func checkRecycling(t *testing.T, step int, d *Dynamic) {
 		}
 	}
 	recs := &d.g.records
+	// isEdge reports whether h is the handle the ID table files its record's
+	// ID under: the live edge of that ID.
+	isEdge := func(h int32) bool { return d.g.edges.find(recs, recs.at(h).ID) == h }
 	live := func(f fifo, who list, valid func(h int32) bool) {
 		if f.buf == nil {
 			return
@@ -237,32 +239,29 @@ func checkRecycling(t *testing.T, step int, d *Dynamic) {
 		if r.out.buf != nil && r.out.len() == 0 || r.in.buf != nil && r.in.len() == 0 {
 			t.Fatalf("step %d: vertex %d keeps an empty list", step, v)
 		}
-		live(r.out, list{"out", v}, func(h int32) bool { return recs.isLive(h) && recs.at(h).Source == v })
-		live(r.in, list{"in", v}, func(h int32) bool { return recs.isLive(h) && recs.at(h).Target == v })
+		live(r.out, list{"out", v}, func(h int32) bool { return isEdge(h) && recs.at(h).Source == v })
+		live(r.in, list{"in", v}, func(h int32) bool { return isEdge(h) && recs.at(h).Target == v })
 	}
-	// A handle is released only when the queue passes it, so every handle
-	// handed out is queued or free, once.
+	// An edge leaves the graph only when the queue passes its handle, which
+	// is then released: every handle handed out is a live edge in the queue
+	// or free, once, and the queue holds every live edge.
 	held := make(map[int32]bool)
 	hold := func(h int32) bool {
 		dup := held[h]
 		held[h] = true
 		return !dup
 	}
-	live(d.queue, list{kind: "queue"}, hold)
+	live(d.queue, list{kind: "queue"}, func(h int32) bool { return isEdge(h) && hold(h) })
 	for _, h := range recs.free {
-		if recs.isLive(h) || !hold(h) {
+		if isEdge(h) || !hold(h) {
 			t.Fatalf("step %d: free handle %d is live or also queued or free", step, h)
 		}
 	}
 	if len(held) != int(recs.n) {
 		t.Fatalf("step %d: %d handles handed out, %d queued or free", step, recs.n, len(held))
 	}
-	nlive := 0
-	for _, w := range recs.live {
-		nlive += bits.OnesCount64(w)
-	}
-	if nlive != d.g.NumEdges() {
-		t.Fatalf("step %d: %d handles marked live, %d edges", step, nlive, d.g.NumEdges())
+	if d.queue.len() != d.g.NumEdges() {
+		t.Fatalf("step %d: %d handles queued, %d edges", step, d.queue.len(), d.g.NumEdges())
 	}
 }
 
@@ -277,12 +276,11 @@ func heapInUse() uint64 {
 // of the window: a hub whose lists grow through every spare class, warm and
 // cold vertices that go isolated and come back, parallel edges, self-loops,
 // arrivals out of order within the slack, equal timestamps, time signals
-// without an edge, explicit RemoveEdge and the ID of an edge removed that way
-// arriving again on a later edge. After every step the two must agree, the
-// expiry callback must have read exactly the model's expired edges, and no
-// recycled list may share its array, and every handle must be queued or
-// free. The heap after 40 windows must be that after 2: the records of
-// expired edges are reused.
+// without an edge, and the ID of an expired edge arriving again on a later
+// edge. After every step the two must agree, the expiry callback must have
+// read exactly the model's expired edges, and no recycled list may share its
+// array, and every handle must be queued or free. The heap after 40 windows
+// must be that after 2: the records of expired edges are reused.
 func TestDynamicMatchesNaiveModel(t *testing.T) {
 	const (
 		window  = 200
@@ -311,14 +309,13 @@ func TestDynamicMatchesNaiveModel(t *testing.T) {
 	vtypes := []string{"Host", "Server", ""}
 	var (
 		clock           Timestamp
-		ids             []EdgeID
-		removed         []EdgeID // removed explicitly, not yet added again
+		gone            []EdgeID // expired, not yet added again
 		reused          int
 		last            Edge
 		early           uint64
 		returned, added int
 		hubCap          int
-		gone            = make(map[VertexID]bool)
+		isolated        = make(map[VertexID]bool)
 	)
 	for step := 0; clock < windows*window; step++ {
 		clock += Timestamp(rng.Intn(2))
@@ -328,16 +325,6 @@ func TestDynamicMatchesNaiveModel(t *testing.T) {
 			clock += 2 * slack
 			d.AdvanceTo(clock)
 			want = m.advance(clock)
-		case r < 6 && len(ids) > 0: // explicit removal of a recent edge
-			id := ids[rng.Intn(len(ids))]
-			_, live := m.edges[id]
-			if err := d.Graph().RemoveEdge(id); (err == nil) != live {
-				t.Fatalf("step %d: RemoveEdge(%d) = %v, model has it: %v", step, id, err, live)
-			}
-			delete(m.edges, id)
-			if live {
-				removed = append(removed, id)
-			}
 		default:
 			e := Edge{ID: EdgeID(step + 1), Source: pick(), Target: pick(),
 				Type: types[rng.Intn(len(types))], Timestamp: clock}
@@ -350,10 +337,10 @@ func TestDynamicMatchesNaiveModel(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				e.Timestamp -= Timestamp(rng.Intn(slack + 1))
 			}
-			// The removed edge's record is still in the expiry queue, at an
-			// older timestamp than the edge that now has its ID.
-			if n := len(removed); n > 0 && rng.Intn(4) == 0 {
-				e.ID, removed = removed[n-1], removed[:n-1]
+			// The expired edge's handle was released: the ID table finds the
+			// edge that now has its ID, in that handle or another.
+			if n := len(gone); n > 0 && rng.Intn(20) == 0 {
+				e.ID, gone = gone[n-1], gone[:n-1]
 				reused++
 			}
 			if rng.Intn(4) == 0 {
@@ -364,18 +351,16 @@ func TestDynamicMatchesNaiveModel(t *testing.T) {
 				se.SourceAttrs = Attributes{"os": Int(int64(rng.Intn(3)))}
 			}
 			for _, v := range []VertexID{e.Source, e.Target} {
-				if gone[v] {
+				if isolated[v] {
 					returned++
-					delete(gone, v)
+					delete(isolated, v)
 				}
 			}
 			if _, err := d.Apply(se); err != nil {
 				t.Fatalf("step %d: Apply(%v): %v", step, e, err)
 			}
 			want = m.apply(se)
-			if ids, last = append(ids, e.ID), e; len(ids) > 100 {
-				ids = ids[1:]
-			}
+			last = e
 			added++
 		}
 		if len(expired) != len(want) {
@@ -387,9 +372,19 @@ func TestDynamicMatchesNaiveModel(t *testing.T) {
 			}
 			for _, v := range []VertexID{e.Source, e.Target} {
 				if _, live := m.vertices[v]; !live {
-					gone[v] = true
+					isolated[v] = true
 				}
 			}
+		}
+		// Map order is random: the IDs that expired this step are queued for
+		// reuse in ID order, so the run is the same every time.
+		first := len(gone)
+		for id := range want {
+			gone = append(gone, id)
+		}
+		slices.Sort(gone[first:])
+		if n := len(gone); n > 64 {
+			gone = append(gone[:0], gone[n-64:]...)
 		}
 		clear(expired)
 		m.compare(t, step, d)
@@ -401,7 +396,7 @@ func TestDynamicMatchesNaiveModel(t *testing.T) {
 		}
 	}
 	late := heapInUse()
-	t.Logf("%d edges (%d reusing a removed ID), %d vertex returns, hub list capacity up to %d; heap %d KiB after 2 windows, %d KiB after %d",
+	t.Logf("%d edges (%d reusing an expired ID), %d vertex returns, hub list capacity up to %d; heap %d KiB after 2 windows, %d KiB after %d",
 		added, reused, returned, hubCap, early>>10, late>>10, windows)
 	if d.ExpiredTotal() < uint64(added/2) || returned < added/4 || hubCap < 256 || reused < 50 {
 		t.Fatalf("the stream did not churn: %d of %d edges expired, %d vertex returns, hub capacity %d, %d IDs reused",

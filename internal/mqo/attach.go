@@ -401,7 +401,7 @@ func (d *DAG) gc(n *node) {
 
 // widen relaxes a node's effective window to admit an attachment with
 // requirement w, cascading downward (every node below must retain at least
-// what its ancestors need). Zero means unbounded and absorbs everything.
+// what its ancestors need). Zero, the retention, absorbs everything.
 //
 // A node whose window grows has dropped, at insertion or in a prune sweep,
 // matches the wider window admits — a query attached mid-stream would miss
@@ -447,8 +447,8 @@ func (d *DAG) recomputeWindows() {
 	}
 }
 
-// combineWindow merges two window requirements: -1 is "none yet", 0 is
-// unbounded, otherwise the wider one wins.
+// combineWindow merges two window requirements: -1 is "none yet", 0 is the
+// retention, which is at least any other, otherwise the wider one wins.
 func combineWindow(cur, w time.Duration) time.Duration {
 	if cur < 0 {
 		return w
@@ -460,4 +460,14 @@ func combineWindow(cur, w time.Duration) time.Duration {
 		return w
 	}
 	return cur
+}
+
+// orRetention resolves a window requirement: 0, a window-less query's, is
+// the retention, which is itself 0 (unbounded) or at least every query's
+// window.
+func orRetention(w, retention time.Duration) time.Duration {
+	if w == 0 {
+		return retention
+	}
+	return w
 }

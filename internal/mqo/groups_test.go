@@ -40,8 +40,9 @@ func privateTreeSignatures(t *testing.T, q *query.Graph, edges []graph.StreamEdg
 
 // prunedTreeSignatures is privateTreeSignatures on a plan of the given
 // strategy over a window graph of the given retention and slack, with the
-// tree swept every sweepEvery edges — by its window, or by expired edge when
-// it has none — as sweepStream sweeps the DAG.
+// tree swept by its window every sweepEvery edges, as sweepStream sweeps the
+// DAG. A window-less q is never swept: under a bounded retention, pass it
+// with the retention as its window, which is what the DAG gives it.
 func prunedTreeSignatures(t *testing.T, q *query.Graph, strategy decompose.Strategy, edges []graph.StreamEdge, from, to int, retention, slack time.Duration) []string {
 	t.Helper()
 	tree, err := sjtree.New(planWith(t, q, strategy))
@@ -49,9 +50,7 @@ func prunedTreeSignatures(t *testing.T, q *query.Graph, strategy decompose.Strat
 		t.Fatal(err)
 	}
 	matcher := isomorphism.New(q)
-	expired := map[graph.EdgeID]struct{}{}
-	dyn := graph.NewDynamic(retention, graph.WithSlack(slack),
-		graph.WithExpiryCallback(func(e *graph.Edge) { expired[e.ID] = struct{}{} }))
+	dyn := graph.NewDynamic(retention, graph.WithSlack(slack))
 	var sigs []string
 	for i, se := range edges {
 		de, err := dyn.Apply(se)
@@ -73,13 +72,8 @@ func prunedTreeSignatures(t *testing.T, q *query.Graph, strategy decompose.Strat
 				}
 			}
 		}
-		if (i+1)%sweepEvery == 0 {
-			if w := q.Window(); w > 0 {
-				tree.Prune(dyn.Watermark() - graph.Timestamp(w))
-			} else {
-				tree.PruneExpiredEdges(expired)
-			}
-			clear(expired)
+		if w := q.Window(); w > 0 && (i+1)%sweepEvery == 0 {
+			tree.Prune(dyn.Watermark() - graph.Timestamp(w))
 		}
 	}
 	return sigs
@@ -416,7 +410,7 @@ func TestRootDeliveryAllocationBudget(t *testing.T) {
 	}
 	next := 0
 	allocbudget.Check(t, "mqo.deliver/25-consumers", func() {
-		group.deliver(&d.arena, root, roots[next])
+		group.deliver(&d.arena, root, roots[next], 0)
 		next++
 	})
 	if emitted != 25*next {

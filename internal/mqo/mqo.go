@@ -103,9 +103,10 @@ type node struct {
 	yield func(*match.Match) bool
 
 	// window is the widest window requirement among all attachments whose
-	// DAG reaches this node: 0 means some attachment is unbounded, negative
-	// means not yet computed. Matches outside it can never be delivered and
-	// are dropped at insertion, like a private tree's per-node window check.
+	// DAG reaches this node: 0 means some attachment is window-less, whose
+	// window is the retention (orRetention); negative means not yet
+	// computed. Matches outside it can never be delivered and are dropped at
+	// insertion, like a private tree's per-node window check.
 	window time.Duration
 
 	searches     uint64
@@ -270,11 +271,6 @@ func New(g *graph.Dynamic, opts ...Option) *DAG {
 	return d
 }
 
-// SetGraph repoints the DAG at a rebuilt dynamic graph. The engine rebuilds
-// its graph when a pre-ingest registration widens retention; the DAG holds no
-// per-edge state of its own at that point, so repointing suffices.
-func (d *DAG) SetGraph(g *graph.Dynamic) { d.g = g }
-
 // NumNodes returns the number of live DAG nodes.
 func (d *DAG) NumNodes() int { return len(d.nodes) }
 
@@ -370,7 +366,7 @@ func (d *DAG) leafYield(n *node) func(*match.Match) bool {
 // unless a backfill derived it. This is sjtree.Tree.Insert generalized from
 // one parent to many.
 func (d *DAG) insert(n *node, row []uint64) {
-	if n.window > 0 && !n.rows.span(row).Within(n.window) {
+	if w := orRetention(n.window, d.g.Window()); w > 0 && !n.rows.span(row).Within(w) {
 		n.windowDrops++
 		return
 	}
@@ -385,7 +381,7 @@ func (d *DAG) insert(n *node, row []uint64) {
 		return
 	}
 	for _, g := range n.consumers {
-		g.deliver(&d.arena, n, n.rows.row(r))
+		g.deliver(&d.arena, n, n.rows.row(r), d.g.Window())
 	}
 }
 
@@ -455,16 +451,17 @@ func (g *consumerGroup) admit(a *match.Arena, n *node, row []uint64) *match.Matc
 
 // deliver fans a new canonical root row of n out to the group, preserving
 // the private tree's acceptance rules per query — completeness, the query's
-// own window, then emit — while doing each once: the window checks run on
-// the canonical row, the first member to pass its window has it built into
-// a match in query space, the first to emit builds the signature, and later
-// members are handed the same match and string — both carved from a.
-func (g *consumerGroup) deliver(a *match.Arena, n *node, row []uint64) {
+// own window (the retention for a window-less one), then emit — while doing
+// each once: the window checks run on the canonical row, the first member to
+// pass its window has it built into a match in query space, the first to
+// emit builds the signature, and later members are handed the same match and
+// string — both carved from a.
+func (g *consumerGroup) deliver(a *match.Arena, n *node, row []uint64, retention time.Duration) {
 	span := n.rows.span(row)
 	var qm *match.Match
 	var sig string
 	for _, att := range g.members {
-		if att.window > 0 && !span.Within(att.window) {
+		if w := orRetention(att.window, retention); w > 0 && !span.Within(w) {
 			continue
 		}
 		if qm == nil {
@@ -490,18 +487,23 @@ func (a *Attachment) send(arena *match.Arena, qm *match.Match, sig string) strin
 	return sig
 }
 
-// Prune drops stored matches that can no longer contribute: per node, either
+// Prune drops stored matches that can no longer contribute: per node, the
 // matches whose span start has aged past the node's effective window (the
-// widest window of any attachment reaching it), or — for nodes on unbounded
-// paths — matches binding a data edge that has expired from the retention
-// window. The cut indexes of a node's parent links are swept with each
-// parent's predicate in the same pass (sweep) — an input's window is at least
-// the node's, so an index entry never outlives the row it chains. Returns the
-// number of stored matches removed, each counted once.
-func (d *DAG) Prune(wm graph.Timestamp, expired map[graph.EdgeID]struct{}) int {
+// widest window of any attachment reaching it, the retention for a
+// window-less one), so every match binding an edge the window graph has
+// expired. It only reclaims memory: insertion and delivery check the same
+// windows, so what is sent does not depend on when Prune runs. The cut
+// indexes of a node's parent links are swept with each parent's predicate in
+// the same pass (sweep) — an input's window is at least the node's, so an
+// index entry never outlives the row it chains. Returns the number of stored
+// matches removed, each counted once.
+//
+// The second parameter is unused; it stays only because the benchmark
+// harness still passes the edges its window graph expired.
+func (d *DAG) Prune(wm graph.Timestamp, _ map[graph.EdgeID]struct{}) int {
 	removed := 0
 	for _, sig := range d.order {
-		removed += sweep(d.nodes[sig], wm, expired, match.HashEdgeSlots, hashKey)
+		removed += sweep(d.nodes[sig], wm, d.g.Window(), match.HashEdgeSlots, hashKey)
 	}
 	return removed
 }

@@ -189,19 +189,12 @@ func hashKey(row []uint64, cuts []query.VertexID) uint64 {
 	return h
 }
 
-// drops is the prune predicate of a node with the given window: a row whose
-// span starts a window below wm or, on an unbounded path, that binds an
-// expired edge.
-func drops(window time.Duration, wm graph.Timestamp, expired map[graph.EdgeID]struct{}, s *rows, row []uint64) bool {
-	if window > 0 {
-		return s.span(row).Start < wm-graph.Timestamp(window)
-	}
-	for _, e := range s.edges(row) {
-		if _, ok := expired[graph.EdgeID(e)]; ok {
-			return true
-		}
-	}
-	return false
+// drops is the prune predicate of a node with the given window (0 for the
+// retention): a row whose span starts a window below wm. Under the retention
+// that is a row binding an edge the window graph has expired.
+func drops(window, retention time.Duration, wm graph.Timestamp, s *rows, row []uint64) bool {
+	w := orRetention(window, retention)
+	return w > 0 && s.span(row).Start < wm-graph.Timestamp(w)
 }
 
 // keepRows is the capacity, in rows, that an arena or chain array keeps
@@ -217,7 +210,7 @@ const keepRows = 16
 // follows the rows down: an arena or chain array past keepRows rows and more
 // than four times what it holds is reallocated at twice that, and so is a
 // table past 8 slots and more than eight times (table.reset).
-func sweep(n *node, wm graph.Timestamp, expired map[graph.EdgeID]struct{},
+func sweep(n *node, wm graph.Timestamp, retention time.Duration,
 	edgeHash func([]uint64) uint64, keyHash func([]uint64, []query.VertexID) uint64) int {
 	s := &n.rows
 	// Until the first drop every row stays where it is, chains included; from
@@ -225,14 +218,14 @@ func sweep(n *node, wm graph.Timestamp, expired map[graph.EdgeID]struct{},
 	total, kept, dirty := s.len(), 0, false
 	for r := 0; r < total; r++ {
 		row := s.row(r)
-		if drops(n.window, wm, expired, s, row) {
+		if drops(n.window, retention, wm, s, row) {
 			dirty = true
 			continue
 		}
 		for _, pl := range n.parents {
 			x := &pl.link.idx
 			in := x.next[r] != unindexed
-			if in && drops(pl.parent.window, wm, expired, s, row) {
+			if in && drops(pl.parent.window, retention, wm, s, row) {
 				in, dirty = false, true
 			}
 			if dirty {

@@ -53,19 +53,19 @@ func keyOf(row []uint64, cuts []query.VertexID) string {
 // sweeps, a node's rows and its two parent links' cut indexes hold exactly
 // what the reference holds: the same partials in insertion order, the same
 // partials under every cut key in insertion order, across prunes by window
-// and by expired edge, with the parents' narrower windows dropping index
-// entries the child keeps, and pruned partials stored again. Spans arrive out
-// of order within a slack. It runs with the real hashes and with every row
+// and, where a window is 0, by the retention, with the parents' narrower
+// windows dropping index entries the child keeps, and pruned partials stored
+// again. Spans arrive out of order within a slack. It runs with the real hashes and with every row
 // and key hash forced onto one value or sixteen, where only the word
 // comparisons tell rows and keys apart.
 func TestRowStoreAgainstMapReference(t *testing.T) {
 	const slack = 40
 	for _, tc := range []struct {
-		name               string
-		child, left, right time.Duration
+		name                          string
+		child, left, right, retention time.Duration
 	}{
-		{name: "by window", child: 300, left: 120, right: 300},
-		{name: "by expired edge", child: 0, left: 0, right: 150},
+		{name: "by window", child: 300, left: 120, right: 300, retention: 300},
+		{name: "by retention", child: 0, left: 0, right: 150, retention: 200},
 	} {
 		for _, mask := range []uint64{^uint64(0), 0, 15} {
 			t.Run(fmt.Sprintf("%s/mask %#x", tc.name, mask), func(t *testing.T) {
@@ -76,7 +76,6 @@ func TestRowStoreAgainstMapReference(t *testing.T) {
 				s := &n.rows
 				ref := refStore{byEdges: map[string]bool{}, buckets: []map[string][]*[]uint64{{}, {}}}
 				pruned := map[string]bool{}
-				expired := map[graph.EdgeID]struct{}{}
 				now, dups, readded, dropped := graph.Timestamp(1000), 0, 0, 0
 				for op := 0; op < 6000; op++ {
 					if rng.Intn(40) > 0 {
@@ -114,21 +113,12 @@ func TestRowStoreAgainstMapReference(t *testing.T) {
 							continue
 						}
 					} else {
-						// A sweep: the expired edges are a random few of the
-						// edge IDs, as if they had left the retention.
-						clear(expired)
-						for e := rng.Intn(3); e > 0; e-- {
-							expired[graph.EdgeID(rng.Intn(12))] = struct{}{}
-						}
-						removed := sweep(n, now, expired, edgeHash, keyHash)
+						removed := sweep(n, now, tc.retention, edgeHash, keyHash)
 						drops := func(window time.Duration, row []uint64) bool {
-							if window > 0 {
-								return s.span(row).Start < now-graph.Timestamp(window)
+							if window == 0 {
+								window = tc.retention
 							}
-							return slices.ContainsFunc(s.edges(row), func(e uint64) bool {
-								_, gone := expired[graph.EdgeID(e)]
-								return gone
-							})
+							return s.span(row).Start < now-graph.Timestamp(window)
 						}
 						kept := ref.stored[:0]
 						for _, p := range ref.stored {
@@ -307,9 +297,7 @@ const sweepEvery = 16
 // every query's emissions. No callback runs inside an Attach or a Swap.
 func sweepStream(t *testing.T, edges []graph.StreamEdge, retention, slack time.Duration, queries []*query.Graph, at []int, detach, swap map[int]string) map[string][]string {
 	t.Helper()
-	expired := map[graph.EdgeID]struct{}{}
-	dyn := graph.NewDynamic(retention, graph.WithSlack(slack),
-		graph.WithExpiryCallback(func(e *graph.Edge) { expired[e.ID] = struct{}{} }))
+	dyn := graph.NewDynamic(retention, graph.WithSlack(slack))
 	d := New(dyn)
 	col := newCollector()
 	sent := func() int {
@@ -351,8 +339,7 @@ func sweepStream(t *testing.T, edges []graph.StreamEdge, retention, slack time.D
 		}
 		feed(t, dyn, d, []graph.StreamEdge{se})
 		if (i+1)%sweepEvery == 0 {
-			d.Prune(dyn.Watermark(), expired)
-			clear(expired)
+			d.Prune(dyn.Watermark(), nil)
 		}
 	}
 	return col.sigs
@@ -360,7 +347,7 @@ func sweepStream(t *testing.T, edges []graph.StreamEdge, retention, slack time.D
 
 // TestRowsMatchPrivateTreesAcrossSweeps: a stream with edges out of order
 // within the slack, swept every sweepEvery edges, through a DAG whose shared
-// leaf is pruned by expired edge (a window-less query reads it) while the
+// leaf is pruned by the retention (a window-less query reads it) while the
 // join above it drops index entries by a 2 s window; then a 10 s query of
 // the narrow one's shape attaches mid-stream, widening and re-deriving the
 // shared nodes from rows the narrow window had pruned; the two windowed
@@ -368,11 +355,8 @@ func sweepStream(t *testing.T, edges []graph.StreamEdge, retention, slack time.D
 // callback runs inside an attach or a swap, and every query is sent what a
 // private SJ-Tree of its own — its first plan, swept at the same edges by
 // its own window — emits while it is attached: in the same order, or for a
-// query that swapped, the same matches. The trees are on the DAG's plans: a
-// window-less query is sent what its partials hold between sweeps, edges the
-// window graph has expired included, which a search of the whole pattern
-// over the live graph would not find; a windowed query's matches do not
-// depend on its plan.
+// query that swapped, the same matches. The window-less query's tree has the
+// retention as its window.
 func TestRowsMatchPrivateTreesAcrossSweeps(t *testing.T) {
 	const retention, slack = 20 * time.Second, time.Second
 	rng := rand.New(rand.NewSource(3))
@@ -396,7 +380,11 @@ func TestRowsMatchPrivateTreesAcrossSweeps(t *testing.T) {
 	until := []int{len(edges), len(edges), leave}
 	total := 0
 	for qi, q := range queries {
-		want := prunedTreeSignatures(t, q, decompose.StrategyEager, edges, at[qi], until[qi], retention, slack)
+		ref := q
+		if q.Window() == 0 {
+			ref = probe(q.Name(), retention)
+		}
+		want := prunedTreeSignatures(t, ref, decompose.StrategyEager, edges, at[qi], until[qi], retention, slack)
 		if q.Name() != "probe" {
 			// Another plan finds one edge's matches in another order.
 			slices.Sort(want)
@@ -442,7 +430,7 @@ func TestRowStoreShrinksAfterABurst(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			add(100_000+int(w)*10+i, w*10)
 		}
-		sweep(n, w*10+5, nil, match.HashEdgeSlots, hashKey)
+		sweep(n, w*10+5, 0, match.HashEdgeSlots, hashKey)
 	}
 	live := s.len()
 	if live != 5 || burst < 20_000*s.width {

@@ -46,7 +46,9 @@ func NewBuilder(name string) *Builder {
 	return &Builder{name: name, byName: make(map[string]VertexID)}
 }
 
-// Window sets the query time window tW. Zero (the default) means unbounded.
+// Window sets the query time window tW. Zero (the default) means none: the
+// engine's retention is then the window, unbounded only when the retention
+// is.
 func (b *Builder) Window(w time.Duration) *Builder {
 	if b.err != nil {
 		return b

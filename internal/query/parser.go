@@ -33,10 +33,10 @@ func (e *ParseError) Error() string { return fmt.Sprintf("query: line %d: %s", e
 //	edge amplifier -[icmp_echo_reply]-> victim where bytes > 500
 //
 // Lines starting with '#' and blank lines are ignored. The `query` line is
-// optional (an empty name is used when absent); `window` is optional and
-// defaults to unbounded. Vertex type is optional (`vertex x` matches any
-// type). An edge written with `-[type]-` (no arrow head) matches either
-// direction; `-[]->` or `-->` matches any edge type.
+// optional (an empty name is used when absent); `window` is optional, and
+// without it the engine's retention is the window. Vertex type is optional
+// (`vertex x` matches any type). An edge written with `-[type]-` (no arrow
+// head) matches either direction; `-[]->` or `-->` matches any edge type.
 func Parse(r io.Reader) (*Graph, error) {
 	p := &parser{b: NewBuilder("")}
 	sc := bufio.NewScanner(r)

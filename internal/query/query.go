@@ -124,7 +124,8 @@ type Graph struct {
 // Name returns the query name (may be empty for ad-hoc queries).
 func (q *Graph) Name() string { return q.name }
 
-// Window returns the query time window tW. Zero means unbounded.
+// Window returns the query time window tW. Zero means none: the engine's
+// retention is then the window, unbounded only when the retention is.
 func (q *Graph) Window() time.Duration { return q.window }
 
 // NumVertices returns the number of pattern vertices.

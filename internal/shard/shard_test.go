@@ -321,6 +321,42 @@ func TestShardedExplicitAdvanceExpires(t *testing.T) {
 	}
 }
 
+// TestShardedWideningAfterAdvanceKeepsTheWatermark: an Advance broadcast
+// reaches every shard's window graph before a registration widens the
+// retention, and the widening keeps each shard's watermark, so an edge far
+// behind it is dropped on whichever shard it is routed to.
+func TestShardedWideningAfterAdvanceKeepsTheWatermark(t *testing.T) {
+	cfg := shard.DefaultConfig()
+	cfg.Shards = 2
+	cfg.Engine.Retention = 5 * time.Second
+	s := shard.New(&cfg)
+	base := graph.TimestampFromTime(time.Unix(1000, 0))
+	s.Start()
+	s.Advance(base.Add(100 * time.Second))
+	if err := s.RegisterQuery(gen.SmurfQuery(30 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		s.Process(graph.StreamEdge{
+			Edge: graph.Edge{
+				ID:        graph.EdgeID(i + 1),
+				Source:    graph.VertexID(i),
+				Target:    graph.VertexID(i + 1000),
+				Type:      gen.EdgeFlow,
+				Timestamp: base.Add(time.Second),
+			},
+			SourceType: gen.TypeHost,
+			TargetType: gen.TypeHost,
+		})
+	}
+	s.Close()
+	for i, m := range s.PerShardMetrics() {
+		if m.EdgesDropped == 0 || m.EdgesProcessed != 0 {
+			t.Errorf("shard %d: %d edges 99s behind the watermark dropped, %d admitted", i, m.EdgesDropped, m.EdgesProcessed)
+		}
+	}
+}
+
 // TestEachMatchReachesTheMergerOnce reads the merge channel in the merger's
 // place: on hub queries (netflow), a hub-free query (news) and hub queries
 // re-planning under drift, at 2, 3 and 4 shards, every match the shards send

@@ -292,10 +292,10 @@ func (t *Tree) Prune(cutoff graph.Timestamp) int {
 }
 
 // PruneExpiredEdges removes partial matches binding any of the given data
-// edges in a single scan. The engine drains the dynamic graph's expiry
-// callback through it, so stored state never references edges outside the
-// sliding window and a burst of expiries costs one pass over the stored
-// matches instead of one per edge.
+// edges in a single scan, so a burst of expiries costs one pass over the
+// stored matches instead of one per edge. Only the benchmark harness's
+// private trees still use it, draining their window graph's expiry callback
+// through it; the engine's partials leave the window by span.
 func (t *Tree) PruneExpiredEdges(ids map[graph.EdgeID]struct{}) int {
 	if len(ids) == 0 {
 		return 0

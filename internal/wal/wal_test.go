@@ -776,8 +776,16 @@ func TestCutoffIsTheDynamicGraphsCutoff(t *testing.T) {
 		t.Fatalf("after advancing to 2000: log cutoff %d, graph cutoff %d", got, dyn.Cutoff())
 	}
 	m.extendRetention(10 * retention)
-	if got := m.cutoffLocked(); got != 2000-retention-slack {
-		t.Fatalf("a wider retention moved the cutoff back to %d", got)
+	dyn.Widen(10 * retention)
+	if got := m.cutoffLocked(); got != 2000-retention-slack || got != int64(dyn.Cutoff()) {
+		t.Fatalf("a wider retention moved the cutoffs back: log %d, graph %d", got, dyn.Cutoff())
+	}
+	dyn.AdvanceTo(2500)
+	if err := m.AppendAdvance(2500); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.cutoffLocked(); got != 2000-retention-slack || got != int64(dyn.Cutoff()) {
+		t.Fatalf("after advancing to 2500 under the wider retention: log cutoff %d, graph cutoff %d", got, dyn.Cutoff())
 	}
 }
 

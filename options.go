@@ -70,7 +70,8 @@ type Option func(*config)
 
 // WithRetention sets the sliding window width of the dynamic graph. Zero
 // (the default) retains every edge; registrations with time windows widen
-// retention automatically before streaming begins. In-process backends only.
+// retention automatically before streaming begins. It is also the window of
+// every query registered without one. In-process backends only.
 func WithRetention(d time.Duration) Option {
 	return func(c *config) { c.engine.Retention = d }
 }
