@@ -209,6 +209,61 @@ func TestDynamicStringContainsCounters(t *testing.T) {
 	}
 }
 
+// TestDynamicWidenKeepsWatermarkAndCutoff: widening a bounded window keeps
+// the watermark, so an edge behind it is still rejected, and the cutoff,
+// so an expired edge stays expired, while the edges still live are kept by
+// the wider window from then on.
+func TestDynamicWidenKeepsWatermarkAndCutoff(t *testing.T) {
+	d := NewDynamic(10 * time.Nanosecond)
+	for i, ts := range []Timestamp{0, 35, 45} {
+		if _, err := d.Apply(streamEdge(EdgeID(i+1), VertexID(i), VertexID(i+1), "flow", ts)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.AdvanceTo(50)
+	if d.NumEdges() != 1 || d.Cutoff() != 40 {
+		t.Fatalf("before widening: %d edges, cutoff %d, want 1 and 40", d.NumEdges(), d.Cutoff())
+	}
+	d.Widen(100 * time.Nanosecond)
+	if d.Window() != 100*time.Nanosecond || d.Watermark() != 50 || d.Cutoff() != 40 {
+		t.Fatalf("after widening: window %s, watermark %d, cutoff %d, want 100ns, 50 and 40",
+			d.Window(), d.Watermark(), d.Cutoff())
+	}
+	if d.Graph().HasEdge(2) || d.ExpiredTotal() != 2 {
+		t.Fatalf("widening brought back an expired edge: %d expired", d.ExpiredTotal())
+	}
+	if _, err := d.Apply(streamEdge(4, 7, 8, "flow", 41)); !errors.Is(err, ErrTimestampRegression) {
+		t.Fatalf("an edge behind the kept watermark: got %v, want ErrTimestampRegression", err)
+	}
+	d.AdvanceTo(60)
+	if !d.Graph().HasEdge(3) || d.Cutoff() != 40 {
+		t.Fatalf("at 60 under a 100ns window: edge 3 live %v, cutoff %d, want true and 40",
+			d.Graph().HasEdge(3), d.Cutoff())
+	}
+}
+
+// TestDynamicWidenOnlyWidensABoundedWindow: a narrower width leaves a
+// bounded window as it is, and an unbounded window stays unbounded.
+func TestDynamicWidenOnlyWidensABoundedWindow(t *testing.T) {
+	d := NewDynamic(10 * time.Nanosecond)
+	d.Widen(5 * time.Nanosecond)
+	if d.Window() != 10*time.Nanosecond {
+		t.Fatalf("a narrower width changed the window to %s", d.Window())
+	}
+	u := NewDynamic(0)
+	u.Widen(time.Second)
+	if u.Window() != 0 {
+		t.Fatalf("an unbounded window was bounded to %s", u.Window())
+	}
+	if _, err := u.Apply(streamEdge(1, 1, 2, "flow", 0)); err != nil {
+		t.Fatal(err)
+	}
+	u.AdvanceTo(Timestamp(time.Hour))
+	if u.NumEdges() != 1 || u.Cutoff() != NoCutoff {
+		t.Fatalf("the unbounded window expired: %d edges, cutoff %d", u.NumEdges(), u.Cutoff())
+	}
+}
+
 // A straggler that is already below the cutoff when it arrives (slack wider
 // than the window) is expired by its own Apply, but the edge Apply returns
 // still carries its attributes for the search it seeds.

@@ -128,3 +128,37 @@ func TestIDTableMatchesMap(t *testing.T) {
 	}
 	checkTable(t, "end", &tab, &r, want, nil)
 }
+
+// TestExpiredHandleWaitsForTheQueue: an edge's record is released only when
+// the expiry queue passes its handle. The edge whose arrival expires it gets
+// a fresh record, since the handle is still queued when that edge is added;
+// the next edge, which carries the expired edge's ID again, reuses it.
+func TestExpiredHandleWaitsForTheQueue(t *testing.T) {
+	var expired []EdgeID
+	d := NewDynamic(10, WithExpiryCallback(func(e *Edge) { expired = append(expired, e.ID) }))
+	apply := func(step int, id EdgeID, ts Timestamp) *Edge {
+		t.Helper()
+		e, err := d.Apply(streamEdge(id, 1, 2, "flow", ts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRecycling(t, step, d)
+		return e
+	}
+	first := apply(0, 1, 0)
+	second := apply(1, 2, 5)
+	third := apply(2, 3, 12)
+	if third == first || third == second {
+		t.Fatal("a handle was reused while the expiry queue held it")
+	}
+	if len(expired) != 1 || expired[0] != 1 || len(d.g.records.free) != 1 {
+		t.Fatalf("expired %v with %d handles free, want [1] and 1", expired, len(d.g.records.free))
+	}
+	again := apply(3, 1, 13)
+	if again != first || again.ID != 1 || again.Timestamp != 13 {
+		t.Fatalf("the expired edge's ID arriving again got record %p holding %v, want %p", again, again, first)
+	}
+	if len(d.g.records.free) != 0 || d.queue.len() != 3 {
+		t.Fatalf("%d handles free and %d queued, want 0 and 3", len(d.g.records.free), d.queue.len())
+	}
+}
