@@ -42,7 +42,6 @@ func main() {
 		addr     = flag.String("addr", "http://127.0.0.1:8090", "server base URL")
 		workload = flag.String("workload", "netflow", "workload to replay: netflow, news, drift or many-queries")
 		queries  = flag.Int("queries", 0, "register this many generated query variants instead of the workload's own suite (0 keeps the suite; many-queries defaults to 200)")
-		adaptive = flag.Bool("adaptive", false, "register queries with adaptive re-planning (daemon plans hot-swap on selectivity drift)")
 		edges    = flag.Int("edges", 100_000, "background edges (netflow)")
 		hosts    = flag.Int("hosts", 2000, "hosts (netflow)")
 		articles = flag.Int("articles", 2000, "articles (news)")
@@ -97,7 +96,7 @@ func main() {
 	log.Printf("loadgen: connected (api %s, %d shards)", rem.ServerInfo().Version, rem.ServerInfo().Shards)
 
 	for _, q := range w.Queries {
-		if err := rem.RegisterQueryWith(ctx, q, streamworks.RegisterOptions{Adaptive: *adaptive}); err != nil {
+		if err := rem.RegisterQuery(ctx, q); err != nil {
 			log.Fatalf("loadgen: registering %q: %v", q.Name(), err)
 		}
 	}

@@ -59,7 +59,7 @@ func main() {
 
 	// The tuning values the daemon has no flag for — prune interval, mailbox
 	// depth, watermark broadcast step, ingest queue depth, batch cap,
-	// group-commit interval, re-planning cadence — are the owning packages'
+	// group-commit interval — are the owning packages'
 	// constants: the only values any ledger run has measured.
 	engine := core.Config{Retention: *retention, Slack: *slack, Obs: obs.Config{Enabled: *obsOn}}
 

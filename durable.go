@@ -175,17 +175,13 @@ func (d *durable) stats() DurabilityStats {
 // registerRecord is one registration's durable form: recovery re-registers
 // it with the same plan settings.
 func registerRecord(q *Query, o RegisterOptions) wal.RegisterRecord {
-	r := wal.RegisterRecord{Name: q.Name(), DSL: FormatQuery(q), Strategy: o.Strategy, Adaptive: "off"}
-	if o.Adaptive {
-		r.Adaptive = "on"
-	}
-	return r
+	return wal.RegisterRecord{Name: q.Name(), DSL: FormatQuery(q), Strategy: o.Strategy}
 }
 
 // recordOptions maps a recovered registration record back onto its plan
-// settings; any adaptive value but "on" is frozen.
+// settings.
 func recordOptions(r *wal.RegisterRecord) RegisterOptions {
-	return RegisterOptions{Strategy: r.Strategy, Adaptive: r.Adaptive == "on"}
+	return RegisterOptions{Strategy: r.Strategy}
 }
 
 // replayRecovery pushes the recovered operations back through the engine's

@@ -2,7 +2,9 @@ package streamworks_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,6 +18,7 @@ import (
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/testutil/faultfs"
 	"github.com/streamworks/streamworks/internal/wal"
+	"github.com/streamworks/streamworks/internal/wire"
 )
 
 // durableEngine is the slice of the in-process backends the durability
@@ -581,8 +584,7 @@ func TestShardedFlushBarrier(t *testing.T) {
 	}
 }
 
-// planSettings reads each registered query's strategy and adaptive flag
-// from Metrics.
+// planSettings reads each registered query's strategy from Metrics.
 func planSettings(t *testing.T, eng streamworks.Engine) map[string]streamworks.RegisterOptions {
 	t.Helper()
 	m, err := eng.Metrics(context.Background())
@@ -591,19 +593,20 @@ func planSettings(t *testing.T, eng streamworks.Engine) map[string]streamworks.R
 	}
 	out := make(map[string]streamworks.RegisterOptions, len(m.Queries))
 	for _, q := range m.Queries {
-		out[q.Name] = streamworks.RegisterOptions{Strategy: string(q.Strategy), Adaptive: q.Adaptive}
+		out[q.Name] = streamworks.RegisterOptions{Strategy: string(q.Strategy)}
 	}
 	return out
 }
 
 // TestRecoveryKeepsEachQuerysPlanSettings: a restart re-registers every
-// query with the strategy and adaptive setting it was registered with, and
-// a register frame written the way earlier logs spelled frozen ("off")
-// recovers frozen.
+// query with the strategy it was registered with. A log written while a
+// query could opt into runtime re-planning carries "adaptive":"on" in its
+// register frames and manifests; such a query recovers with its strategy's
+// plan, like every query now, with no change to the log format.
 func TestRecoveryKeepsEachQuerysPlanSettings(t *testing.T) {
 	smurf, worm := gen.SmurfQuery(time.Minute), gen.WormQuery(time.Minute)
 	want := map[string]streamworks.RegisterOptions{
-		smurf.Name(): {Strategy: "lazy", Adaptive: true},
+		smurf.Name(): {Strategy: "lazy"},
 		worm.Name():  {Strategy: "selective"},
 	}
 	ctx := context.Background()
@@ -611,7 +614,7 @@ func TestRecoveryKeepsEachQuerysPlanSettings(t *testing.T) {
 		t.Run(mk.name, func(t *testing.T) {
 			dir := t.TempDir()
 			eng := mk.mk(streamworks.WithDataDir(dir))
-			if err := eng.RegisterQueryWith(ctx, smurf, streamworks.RegisterOptions{Strategy: "lazy", Adaptive: true}); err != nil {
+			if err := eng.RegisterQueryWith(ctx, smurf, streamworks.RegisterOptions{Strategy: "lazy"}); err != nil {
 				t.Fatal(err)
 			}
 			if err := eng.RegisterQuery(ctx, worm); err != nil {
@@ -628,23 +631,43 @@ func TestRecoveryKeepsEachQuerysPlanSettings(t *testing.T) {
 			}
 		})
 	}
-	t.Run("adaptive-off-frame", func(t *testing.T) {
-		dir := t.TempDir()
-		man, _, err := wal.Open(wal.Options{Dir: dir})
+
+	// The payloads such a log wrote for a fresh engine's first segment and,
+	// after a restart, its second, byte for byte.
+	record := func(q *streamworks.Query, strategy string) string {
+		dsl, err := json.Marshal(streamworks.FormatQuery(q))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := man.AppendRegister(wal.RegisterRecord{Name: worm.Name(), DSL: streamworks.FormatQuery(worm), Strategy: "lazy", Adaptive: "off"}); err != nil {
-			t.Fatal(err)
-		}
-		if err := man.Close(); err != nil {
-			t.Fatal(err)
-		}
-		eng := streamworks.New(streamworks.WithDataDir(dir))
-		defer eng.Close()
-		want := map[string]streamworks.RegisterOptions{worm.Name(): {Strategy: "lazy"}}
-		if got := planSettings(t, eng); !reflect.DeepEqual(got, want) {
-			t.Fatalf("recovered %v, want %v", got, want)
-		}
-	})
+		return fmt.Sprintf(`{"name":%q,"dsl":%s,"strategy":%q,"adaptive":"on"}`, q.Name(), dsl, strategy)
+	}
+	manifest := func(registrations string) string {
+		return `{"watermark":0,"retention":0,"cutoff":-9223372036854775808,"registrations":` + registrations + `,"emitted":[]}`
+	}
+	for _, tc := range []struct {
+		name, segment, manifest, frame string
+		want                           map[string]streamworks.RegisterOptions
+	}{
+		{"adaptive-on-frame", "seg-00000001.wal", manifest("null"), record(smurf, "lazy"),
+			map[string]streamworks.RegisterOptions{smurf.Name(): {Strategy: "lazy"}}},
+		{"adaptive-on-manifest", "seg-00000002.wal", manifest("[" + record(smurf, "lazy") + "]"), record(worm, "balanced"),
+			map[string]streamworks.RegisterOptions{smurf.Name(): {Strategy: "lazy"}, worm.Name(): {Strategy: "balanced"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			seg := wire.AppendFrame([]byte("SWWAL002"), wal.RecManifest, []byte(tc.manifest))
+			seg = wire.AppendFrame(seg, wal.RecRegister, []byte(tc.frame))
+			if err := os.WriteFile(filepath.Join(dir, tc.segment), seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			eng := streamworks.New(streamworks.WithDataDir(dir))
+			defer eng.Close()
+			if d := eng.Durability(); d.Mode != "ok" {
+				t.Fatalf("durability %q after recovering the log", d.Mode)
+			}
+			if got := planSettings(t, eng); !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("recovered %v, want %v", got, tc.want)
+			}
+		})
+	}
 }

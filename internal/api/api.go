@@ -41,13 +41,11 @@ type HealthResponse struct {
 
 // RegisterOptions are one query's plan settings, sent as the optional query
 // parameters of POST /v1/queries (the body stays pure DSL text): ?strategy=
-// names the decomposition strategy (empty: selective) and adaptive=on opts
-// the query into adaptive re-planning (absent: frozen). The daemon has no
+// names the decomposition strategy (empty: selective). The daemon has no
 // defaults of its own. The fields are streamworks.RegisterOptions', which
 // converts to this type.
 type RegisterOptions struct {
 	Strategy string
-	Adaptive bool
 }
 
 // RegisterResponse summarizes a successful query registration: the query
@@ -59,7 +57,6 @@ type RegisterResponse struct {
 	Vertices int    `json:"vertices"`
 	Edges    int    `json:"edges"`
 	Strategy string `json:"strategy"`
-	Adaptive bool   `json:"adaptive"`
 }
 
 // QueryInfo is one entry of the GET /v1/queries listing.

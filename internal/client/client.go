@@ -136,23 +136,19 @@ func (c *Client) Health(ctx context.Context) (*api.HealthResponse, error) {
 	return &out, nil
 }
 
-// RegisterQuery serializes q into the text DSL and registers it, selective
-// and frozen.
+// RegisterQuery serializes q into the text DSL and registers it, selective.
 func (c *Client) RegisterQuery(ctx context.Context, q *query.Graph) (*api.RegisterResponse, error) {
 	return c.RegisterQueryWith(ctx, q, api.RegisterOptions{})
 }
 
 // RegisterQueryWith serializes q into the text DSL and registers it with
-// its plan settings (decomposition strategy, adaptive re-planning), carried
-// as URL query parameters so the body stays pure DSL text.
+// its plan settings (decomposition strategy), carried as URL query
+// parameters so the body stays pure DSL text.
 func (c *Client) RegisterQueryWith(ctx context.Context, q *query.Graph, opts api.RegisterOptions) (*api.RegisterResponse, error) {
 	path := "/v1/queries"
 	params := url.Values{}
 	if opts.Strategy != "" {
 		params.Set("strategy", opts.Strategy)
-	}
-	if opts.Adaptive {
-		params.Set("adaptive", "on")
 	}
 	if len(params) > 0 {
 		path += "?" + params.Encode()

@@ -24,7 +24,6 @@ import (
 	"github.com/streamworks/streamworks/internal/mqo"
 	"github.com/streamworks/streamworks/internal/obs"
 	"github.com/streamworks/streamworks/internal/query"
-	"github.com/streamworks/streamworks/internal/replan"
 	"github.com/streamworks/streamworks/internal/stats"
 	"github.com/streamworks/streamworks/internal/stream"
 )
@@ -107,9 +106,9 @@ type Config struct {
 	// edge by it, and an edge more than Slack behind the watermark is
 	// dropped, so an edge up to 2×Slack behind the newest is admitted.
 	Slack time.Duration
-	// EnableSummaries is ignored: the statistics the selective planner and
-	// adaptive re-planning read cost nothing per edge, so they are always
-	// on. The field is kept only because benchmark/ still sets it.
+	// EnableSummaries is ignored: the statistics the selective planner reads
+	// cost nothing per edge, so they are always on. The field is kept only
+	// because benchmark/ still sets it.
 	EnableSummaries bool
 	// TriadSampling is ignored: triad counts are exact, read from the window
 	// graph. The field is kept only because benchmark/ still sets it.
@@ -117,12 +116,6 @@ type Config struct {
 	// PruneInterval is the number of processed edges between partial-match
 	// pruning sweeps. Zero uses the default of 1024.
 	PruneInterval int
-	// Replan tunes adaptive re-planning for registrations created with
-	// WithAdaptive: how often selectivity drift is checked, the hysteresis
-	// threshold, and the per-query swap cooldown. Zero fields take the
-	// replan package defaults. Drift checks plan and cost through the same
-	// window statistics registration plans with.
-	Replan replan.Config
 	// Obs holds the registry the engine keeps its counts in (a fresh one
 	// when nil) and configures what reads the clock or samples: per-segment
 	// latency histograms, the stream-time detection-lag histogram and sampled
@@ -143,21 +136,9 @@ type Engine struct {
 	cfg     Config
 	dyn     *graph.Dynamic
 	summary *stats.Summary
+	// planner plans every registration from the summary's statistics of
+	// the window as it is now.
 	planner *decompose.Planner
-	// est is the one estimator: registration, drift checks and forced
-	// replans all plan and cost through it, and it reads the window as it
-	// is now, which is what lets the replan tick notice selectivity drift.
-	est *stats.Estimator
-
-	// replanCfg is the normalized adaptive-planning policy; adaptiveCount
-	// tracks how many registrations opted in (the tick is free when zero);
-	// sinceReplanCheck counts edges towards the next drift check, and
-	// lastReplanTotal is the processed-edge count at the previous check so
-	// idle heartbeats (Advance with no new edges) skip the planner.
-	replanCfg        replan.Config
-	adaptiveCount    int
-	sinceReplanCheck int
-	lastReplanTotal  uint64
 
 	registrations map[string]*Registration
 	order         []string // registration order, for deterministic iteration
@@ -199,9 +180,7 @@ func New(cfg *Config) *Engine {
 		registrations: make(map[string]*Registration),
 	}
 	e.summary = stats.NewSummary()
-	e.est = stats.NewEstimator(e.summary)
-	e.planner = decompose.NewPlanner(e.est)
-	e.replanCfg = c.Replan.WithDefaults()
+	e.planner = decompose.NewPlanner(stats.NewEstimator(e.summary))
 	e.obs = newEngineObs(c.Obs)
 	e.dag = mqo.New(e.dyn, mqo.WithObs(c.Obs))
 	return e
@@ -280,20 +259,13 @@ func (e *Engine) RegisterQuery(q *query.Graph, opts ...RegistrationOption) (*Reg
 	reg.bind(e.obs.registry)
 	e.registrations[name] = reg
 	e.order = append(e.order, name)
-	if reg.adaptive {
-		e.adaptiveCount++
-	}
 	return reg, nil
 }
 
 // UnregisterQuery removes a registered query and discards its partial state.
 func (e *Engine) UnregisterQuery(name string) error {
-	reg, ok := e.registrations[name]
-	if !ok {
+	if _, ok := e.registrations[name]; !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownQuery, name)
-	}
-	if reg.adaptive {
-		e.adaptiveCount--
 	}
 	if err := e.dag.Detach(name); err != nil {
 		return err
@@ -406,12 +378,6 @@ func (e *Engine) ProcessEdge(se graph.StreamEdge) []MatchEvent {
 	if e.obs.edgesProcessed.Value()%uint64(e.cfg.PruneInterval) == 0 {
 		e.pruneAll()
 	}
-	if e.adaptiveCount > 0 {
-		if e.sinceReplanCheck++; e.sinceReplanCheck >= e.replanCfg.CheckEvery {
-			e.sinceReplanCheck = 0
-			e.maybeReplanAll()
-		}
-	}
 	return events
 }
 
@@ -454,13 +420,6 @@ func (e *Engine) Advance(ts graph.Timestamp) {
 	e.dyn.AdvanceTo(ts)
 	if e.dyn.Watermark() != before {
 		e.pruneAll()
-		if e.adaptiveCount > 0 {
-			// Stream time moved without edges: give drift detection a
-			// chance too. maybeReplanAll short-circuits when no edge has
-			// arrived since the previous check, so idle-shard heartbeats
-			// stay cheap.
-			e.maybeReplanAll()
-		}
 	}
 }
 
@@ -501,22 +460,16 @@ func (e *Engine) Snapshot() (Metrics, obs.Snapshot) {
 	for _, name := range e.order {
 		reg := e.registrations[name]
 		qm := QueryMetrics{
-			Name:           name,
-			Strategy:       reg.plan.Strategy,
-			Adaptive:       reg.adaptive,
-			PlanGeneration: reg.planGen,
-			PlanNodes:      reg.plan.NumNodes(),
-			PlanDepth:      reg.plan.Depth(),
+			Name:      name,
+			Strategy:  reg.plan.Strategy,
+			PlanNodes: reg.plan.NumNodes(),
+			PlanDepth: reg.plan.Depth(),
 			// The per-query view of the DAG: LocalSearches reports the
 			// query's coverage (a shared leaf's searches count for every
 			// query viewing it); the DAG-level totals report actual cost, and
 			// the gap between the two is the sharing win.
 			PartialMatches: reg.att.PartialMatches(),
 			LocalSearches:  reg.att.LeafSearches(),
-		}
-		if n := len(reg.audits); n > 0 {
-			audit := reg.audits[n-1]
-			qm.LastReplanAudit = &audit
 		}
 		m.Queries = append(m.Queries, qm)
 	}

@@ -9,20 +9,20 @@ import (
 	"github.com/streamworks/streamworks/internal/query"
 )
 
-// TestExactlyOnceAcrossEviction: an engine that swaps every query's plan
-// every few retentions of a sixty-retention stream, long after the first
-// matches have left the window, delivers what the same run without swaps
-// delivers, each match once — though a swap derives matches a second time
-// from retained state (DAG.Swap backfilling the new plan's nodes from the
-// window), as does the mid-stream registration both runs make (its root is
-// an existing node, full of matches already delivered). The window-less
-// query's window is the retention, so a plan makes no difference to it
-// either.
+// TestExactlyOnceAcrossEviction: an engine that re-registers every query
+// under another strategy every few retentions of a sixty-retention stream,
+// long after the first matches have left the window, delivers what the same
+// run without re-registrations delivers, each match once — though a
+// re-registration derives matches a second time from retained state (the
+// new plan's nodes backfilled from the window), as does the mid-stream
+// registration both runs make (its root is an existing node, full of
+// matches already delivered). The window-less query's window is the
+// retention, so a plan makes no difference to it either.
 func TestExactlyOnceAcrossEviction(t *testing.T) {
 	const retention = 10 * time.Second // 50 edges of randomHostStream
 	edges := randomHostStream(99, 3000)
 	// query + signature -> deliveries
-	run := func(t *testing.T, replan bool) map[string]int {
+	run := func(t *testing.T, move bool) map[string]int {
 		var cfg Config
 		cfg.Retention = retention
 		cfg.PruneInterval = 16
@@ -37,6 +37,7 @@ func TestExactlyOnceAcrossEviction(t *testing.T) {
 			delivered[ev.Query+"\x1f"+ev.CanonicalSignature()]++
 		}))
 		strategies := []decompose.Strategy{decompose.StrategyEager, decompose.StrategyLazy, decompose.StrategyBalanced, decompose.StrategySelective}
+		moves := 0
 		for i, se := range edges {
 			e.ProcessEdge(se)
 			switch n := i + 1; {
@@ -49,20 +50,19 @@ func TestExactlyOnceAcrossEviction(t *testing.T) {
 				if _, err := e.RegisterQuery(late, WithStrategy(decompose.StrategySelective)); err != nil {
 					t.Fatal(err)
 				}
-			case replan && n >= 150 && n%170 == 0:
+			case move && n >= 150 && n%170 == 0:
 				for _, name := range []string{"smurf", "probe", "exfil"} {
-					if err := e.ReplanNow(name, strategies[n/170%len(strategies)]); err != nil {
-						t.Fatal(err)
-					}
+					reregister(t, e, name, strategies[n/170%len(strategies)])
+					moves++
 				}
 			}
 		}
-		if m := e.Metrics(); replan && m.Replans < 30 {
-			t.Fatalf("only %d plan swaps", m.Replans)
+		if move && moves < 30 {
+			t.Fatalf("only %d re-registrations", moves)
 		}
 		return delivered
 	}
-	runs := map[string]map[string]int{"without swaps": run(t, false), "with swaps": run(t, true)}
+	runs := map[string]map[string]int{"without re-registrations": run(t, false), "with re-registrations": run(t, true)}
 	for name, delivered := range runs {
 		for key, n := range delivered {
 			if n != 1 {

@@ -33,14 +33,6 @@ type Metrics struct {
 	// unregistering a query decreases it, keeping the snapshot truthful for
 	// long-lived multi-tenant servers.
 	Registrations uint64
-	// Replans is the cumulative number of adaptive plan hot-swaps across all
-	// registrations; ReplanChecks counts drift evaluations (a check costs a
-	// trial decomposition per adaptive query, a replan additionally replays
-	// the retained window), and ReplanEdgesReplayed is the total volume of
-	// that replay work.
-	Replans             uint64 `metric:"replans"`
-	ReplanChecks        uint64 `metric:"replan_checks"`
-	ReplanEdgesReplayed uint64 `metric:"replan_edges_replayed"`
 	// LiveEdges / LiveVertices describe the current dynamic graph size.
 	LiveEdges    int `metric:"live_edges"`
 	LiveVertices int `metric:"live_vertices"`
@@ -65,19 +57,10 @@ type QueryMetrics struct {
 	// (mqo.Attachment.PartialMatches, LeafSearches).
 	PartialMatches int
 	LocalSearches  uint64
-	// Plan detail: Adaptive reports whether the registration opted into
-	// re-planning, PlanGeneration is the running plan's generation (1 = the
-	// registration-time plan; sharded engines report the maximum across
-	// shards), Replans counts completed hot-swaps (summed across shards),
-	// and PlanNodes/PlanDepth describe the current plan's shape.
-	Adaptive       bool
-	PlanGeneration uint64
-	Replans        uint64 `metric:"query_replans"`
-	PlanNodes      int
-	PlanDepth      int
-	// LastReplanAudit is the most recent adaptive drift-check record
-	// (fired or declined), nil until the first check runs.
-	LastReplanAudit *ReplanAudit
+	// PlanNodes/PlanDepth describe the shape of the plan the query was
+	// registered with, which it keeps.
+	PlanNodes int
+	PlanDepth int
 }
 
 // FillMetrics sets every count of m — the engine totals, the DAG's and each

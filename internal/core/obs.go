@@ -18,7 +18,6 @@ type engineObs struct {
 
 	edgesProcessed, edgesDropped, matchesDetected *obs.Counter
 	partialsPruned, pruneRuns                     *obs.Counter
-	replans, replanChecks, replanEdgesReplayed    *obs.Counter
 	// The window graph's and the DAG's sizes, set by refreshGauges.
 	liveEdges, liveVertices, expiredEdges, partialsStored *obs.Gauge
 
@@ -43,19 +42,16 @@ type engineObs struct {
 func newEngineObs(c obs.Config) engineObs {
 	r := c.Registry
 	o := engineObs{
-		registry:            r,
-		edgesProcessed:      r.Counter("edges_processed", "", ""),
-		edgesDropped:        r.Counter("edges_dropped", "", ""),
-		matchesDetected:     r.Counter("matches_detected", "", ""),
-		partialsPruned:      r.Counter("partials_pruned", "", ""),
-		pruneRuns:           r.Counter("prune_runs", "", ""),
-		replans:             r.Counter("replans", "", ""),
-		replanChecks:        r.Counter("replan_checks", "", ""),
-		replanEdgesReplayed: r.Counter("replan_edges_replayed", "", ""),
-		liveEdges:           r.Gauge("live_edges", "", ""),
-		liveVertices:        r.Gauge("live_vertices", "", ""),
-		expiredEdges:        r.Gauge("expired_edges", "", ""),
-		partialsStored:      r.Gauge("partials_stored", "", ""),
+		registry:        r,
+		edgesProcessed:  r.Counter("edges_processed", "", ""),
+		edgesDropped:    r.Counter("edges_dropped", "", ""),
+		matchesDetected: r.Counter("matches_detected", "", ""),
+		partialsPruned:  r.Counter("partials_pruned", "", ""),
+		pruneRuns:       r.Counter("prune_runs", "", ""),
+		liveEdges:       r.Gauge("live_edges", "", ""),
+		liveVertices:    r.Gauge("live_vertices", "", ""),
+		expiredEdges:    r.Gauge("expired_edges", "", ""),
+		partialsStored:  r.Gauge("partials_stored", "", ""),
 	}
 	if c.Enabled {
 		o.enabled = true

@@ -261,10 +261,10 @@ func TestSharedPlansChurn(t *testing.T) {
 	}
 }
 
-// TestSharedPlansReplan: ReplanNow swaps the query's attachment without
-// losing or duplicating matches, and keeps sharing intact for the untouched
-// queries.
-func TestSharedPlansReplan(t *testing.T) {
+// TestSharedPlansReregister: re-registering a query under another strategy
+// moves it onto that plan without losing or duplicating matches, and keeps
+// sharing intact for the untouched queries.
+func TestSharedPlansReregister(t *testing.T) {
 	e := New(nil)
 	var got []string
 	e.Subscribe("smurf", MatchSinkFunc(func(ev MatchEvent) { got = append(got, ev.Match.Signature()) }))
@@ -279,33 +279,27 @@ func TestSharedPlansReplan(t *testing.T) {
 	e.ProcessEdge(hostEdge(2, 2, 3, "icmp_echo_reply", base.Add(time.Second)))
 	e.ProcessEdge(hostEdge(3, 5, 6, "icmp_echo_req", base.Add(2*time.Second)))
 	if len(got) != 1 {
-		t.Fatalf("pre-replan matches: %v", got)
+		t.Fatalf("matches before the re-registration: %v", got)
 	}
-	if err := e.ReplanNow("smurf", decompose.StrategyEager); err != nil {
-		t.Fatalf("ReplanNow: %v", err)
-	}
+	reg := reregister(t, e, "smurf", decompose.StrategyEager)
 	if len(got) != 1 {
-		t.Fatalf("replan replay duplicated emissions: %d", len(got))
-	}
-	reg, _ := e.Registration("smurf")
-	if reg.PlanGeneration() != 2 || reg.Replans() != 1 {
-		t.Fatalf("plan generation/replans = %d/%d", reg.PlanGeneration(), reg.Replans())
+		t.Fatalf("the re-registration's backfill duplicated emissions: %d", len(got))
 	}
 	if reg.Attachment() == nil || reg.Attachment().Plan().Strategy != decompose.StrategyEager {
-		t.Fatalf("attachment not swapped onto the eager plan")
+		t.Fatalf("attachment not on the eager plan")
 	}
-	// The dangling request must complete post-swap (state carried over).
+	// The dangling request must complete afterwards (state rebuilt).
 	e.ProcessEdge(hostEdge(4, 6, 7, "icmp_echo_reply", base.Add(3*time.Second)))
 	if len(got) != 2 {
-		t.Fatalf("post-swap completion lost: %v", got)
+		t.Fatalf("completion after the re-registration lost: %v", got)
 	}
 	m := e.Metrics()
-	if m.Replans != 1 {
-		t.Fatalf("Metrics.Replans = %d", m.Replans)
+	if m.MatchesEmitted != 2 || m.Registrations != 2 {
+		t.Fatalf("Metrics: %d matches, %d registrations", m.MatchesEmitted, m.Registrations)
 	}
 	// smurf (eager) and probe (eager) now share the echo_req leaf.
 	if m.MQO.SharedNodes == 0 {
-		t.Fatalf("no sharing between smurf and probe after swap onto eager")
+		t.Fatalf("no sharing between smurf and probe after the move onto eager")
 	}
 }
 

@@ -114,37 +114,6 @@ func (p *Plan) validateNode(n *Node) error {
 	return p.validateNode(n.Right)
 }
 
-// EqualStructure reports whether p and o decompose the same query into the
-// same tree: identical edge sets at every node, recursively. Strategy labels
-// and cut-vertex annotations are ignored — cuts are derived from the edge
-// partition, so equal partitions imply equal cuts. The adaptive re-planner
-// uses this to skip no-op swaps when fresh statistics reproduce the plan
-// already running.
-func (p *Plan) EqualStructure(o *Plan) bool {
-	if p == nil || o == nil {
-		return p == o
-	}
-	if p.Query != o.Query {
-		return false
-	}
-	var eq func(a, b *Node) bool
-	eq = func(a, b *Node) bool {
-		if a == nil || b == nil {
-			return a == b
-		}
-		if len(a.Edges) != len(b.Edges) {
-			return false
-		}
-		for i := range a.Edges {
-			if a.Edges[i] != b.Edges[i] {
-				return false
-			}
-		}
-		return eq(a.Left, b.Left) && eq(a.Right, b.Right)
-	}
-	return eq(p.Root, o.Root)
-}
-
 // Leaves returns the leaf nodes in left-to-right order; these are the search
 // primitives whose local searches the engine runs for every arriving edge.
 func (p *Plan) Leaves() []*Node {

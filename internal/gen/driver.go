@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"github.com/streamworks/streamworks"
@@ -12,7 +13,7 @@ import (
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/loader"
 	"github.com/streamworks/streamworks/internal/query"
-	"github.com/streamworks/streamworks/internal/replan"
+	"github.com/streamworks/streamworks/internal/shard"
 	"github.com/streamworks/streamworks/internal/stream"
 )
 
@@ -25,7 +26,7 @@ type Workload struct {
 	Edges   []graph.StreamEdge
 	Queries []*query.Graph
 	Engine  core.Config
-	// Register is every query's plan settings (strategy, adaptive).
+	// Register is every query's plan settings (its strategy).
 	Register streamworks.RegisterOptions
 	// SplitAt, when non-zero, is the index of the first edge of the
 	// workload's second regime (the drift point of DriftWorkload).
@@ -92,11 +93,10 @@ func NewsWorkload(cfg NewsConfig, window time.Duration, articles int) Workload {
 // infection traffic, rare enough at plan time that the selective planner
 // anchors SJ-Trees on them, floods the second half and inverts every
 // selectivity ranking. The usual attacks are woven through both halves so
-// the Fig. 3 queries have real matches throughout. A plan frozen at
-// registration degrades after the rotation; adaptive re-planning is
-// expected to swap plans at least once. SplitAt marks the first post-drift
-// edge. The engine config uses a tighter replan cadence than the defaults
-// so that laptop-scale replays of the workload still exercise drift checks.
+// the Fig. 3 queries have real matches throughout. A plan made at
+// registration from the first regime's statistics is kept after the
+// rotation, so the workload shows what each strategy's plan costs under a
+// mix it was not made for. SplitAt marks the first post-drift edge.
 func DriftWorkload(cfg NetFlowConfig, window time.Duration) Workload {
 	if len(cfg.Phases) == 0 {
 		cfg.Phases = []MixPhase{
@@ -131,14 +131,6 @@ func DriftWorkload(cfg NetFlowConfig, window time.Duration) Workload {
 			break
 		}
 	}
-	engine := core.Config{
-		Retention: window,
-		Replan: replan.Config{
-			CheckEvery: 512,
-			MinEdges:   256,
-			Cooldown:   2 * time.Second,
-		},
-	}
 	return Workload{
 		Name:  "drift",
 		Edges: edges,
@@ -149,7 +141,7 @@ func DriftWorkload(cfg NetFlowConfig, window time.Duration) Workload {
 			ExfiltrationQuery(window),
 			ReconBurstQuery(window),
 		},
-		Engine:  engine,
+		Engine:  core.Config{Retention: window},
 		SplitAt: split,
 	}
 }
@@ -296,6 +288,22 @@ func Oracle(w Workload) MatchSet {
 // cross-backend acceptance test does. The engine is always closed on
 // return.
 func RunEngine(eng streamworks.Engine, w Workload) (MatchSet, error) {
+	return runEngine(eng, w, nil)
+}
+
+// RunReregistering is RunEngine with two changes of plan mid-stream: at
+// half and at five sixths of the stream it unregisters each query and
+// registers it again under the next strategy of streamworks.PlanStrategies
+// after the one it ran. A sharded engine refuses a hub-free query once edges
+// have streamed (by design: shard 0 lacks its history), so there only the
+// queries with a hub vertex move.
+func RunReregistering(eng streamworks.Engine, w Workload) (MatchSet, error) {
+	return runEngine(eng, w, []int{len(w.Edges) / 2, len(w.Edges) * 5 / 6})
+}
+
+// runEngine is RunEngine re-registering the queries at each edge index of
+// moves, in increasing order.
+func runEngine(eng streamworks.Engine, w Workload, moves []int) (MatchSet, error) {
 	defer eng.Close()
 	ctx := context.Background()
 	for _, q := range w.Queries {
@@ -316,8 +324,30 @@ func RunEngine(eng streamworks.Engine, w Workload) (MatchSet, error) {
 		return nil, err
 	}
 	defer sub.Close()
-	if err := eng.ProcessBatch(ctx, w.Edges); err != nil {
-		return nil, err
+	_, sharded := eng.(*streamworks.Sharded)
+	strategies := streamworks.PlanStrategies()
+	at := max(slices.Index(strategies, w.Register.Strategy), 0)
+	from := 0
+	for k, to := range append(moves, len(w.Edges)) {
+		if err := eng.ProcessBatch(ctx, w.Edges[from:to]); err != nil {
+			return nil, err
+		}
+		from = to
+		if k == len(moves) {
+			break
+		}
+		next := streamworks.RegisterOptions{Strategy: strategies[(at+k+1)%len(strategies)]}
+		for _, q := range w.Queries {
+			if sharded && !shard.HasHub(q) {
+				continue
+			}
+			if err := eng.UnregisterQuery(ctx, q.Name()); err != nil {
+				return nil, err
+			}
+			if err := eng.RegisterQueryWith(ctx, q, next); err != nil {
+				return nil, err
+			}
+		}
 	}
 	if err := eng.Close(); err != nil {
 		return nil, err

@@ -4,9 +4,10 @@ package gen
 // every workload regime × every backend mode must detect the canonical match
 // set of the independent oracle (Oracle: naive expansion of the whole
 // pattern, no decomposition, no stored state). This is the safety net for all
-// planner work — a decomposition (or a runtime plan swap) is free to change
-// HOW matches are found, never WHICH matches are found. Run under -race in
-// CI, the sharded cells double as a concurrency check.
+// planner work — a decomposition (or moving a query to another plan
+// mid-stream by re-registering it) is free to change HOW matches are found,
+// never WHICH matches are found. Run under -race in CI, the sharded cells
+// double as a concurrency check.
 
 import (
 	"context"
@@ -18,13 +19,11 @@ import (
 	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/decompose"
 	"github.com/streamworks/streamworks/internal/graph"
-	"github.com/streamworks/streamworks/internal/replan"
 )
 
 // tinyDriftWorkload is a laptop-second-scale drift workload: small enough
 // for the matrix, long enough (in stream time) that the retention window
-// rotates fully into the post-drift regime and adaptive cells actually
-// re-plan.
+// rotates fully into the post-drift regime.
 func tinyDriftWorkload() Workload {
 	return BenchDriftWorkload(4000, 200, 10*time.Second)
 }
@@ -46,20 +45,20 @@ func TestCrossStrategyEquivalenceMatrix(t *testing.T) {
 		tinyManyQueriesWorkload(),
 	}
 	type mode struct {
-		name     string
-		shards   int  // 0 = single engine
-		adaptive bool // re-plans the DAG in place
-		obs      bool // latency histograms on
+		name       string
+		shards     int  // 0 = single engine
+		reregister bool // queries move to other strategies mid-stream
+		obs        bool // latency histograms on
 	}
 	modes := []mode{
 		{"single", 0, false, false},
-		{"single-adaptive", 0, true, false},
+		{"single-reregister", 0, true, false},
 		{"sharded2", 2, false, false},
-		{"sharded2-adaptive", 2, true, false},
+		{"sharded2-reregister", 2, true, false},
 		// Observability cells: the latency histograms are free to change
 		// HOW the run is recorded, never WHICH matches it finds.
 		{"single-obs", 0, false, true},
-		{"sharded2-adaptive-obs", 2, true, true},
+		{"sharded2-reregister-obs", 2, true, true},
 	}
 	for _, w := range workloads {
 		w := w
@@ -75,20 +74,19 @@ func TestCrossStrategyEquivalenceMatrix(t *testing.T) {
 					t.Run(fmt.Sprintf("%s/%s", strat, m.name), func(t *testing.T) {
 						t.Parallel()
 						w := w
-						w.Register = streamworks.RegisterOptions{Strategy: string(strat), Adaptive: m.adaptive}
-						var opts []streamworks.Option
-						if m.obs {
-							opts = append(opts, streamworks.WithObservability(true))
-						}
-						var (
-							set MatchSet
-							err error
-						)
+						w.Register = streamworks.RegisterOptions{Strategy: string(strat)}
+						opts := []streamworks.Option{streamworks.WithEngineConfig(w.Engine), streamworks.WithObservability(m.obs)}
+						var eng streamworks.Engine
 						if m.shards == 0 {
-							set, _, err = RunSingle(w, opts...)
+							eng = streamworks.New(opts...)
 						} else {
-							set, _, err = RunSharded(w, m.shards, opts...)
+							eng = streamworks.NewSharded(append(opts, streamworks.WithShards(m.shards))...)
 						}
+						run := RunEngine
+						if m.reregister {
+							run = RunReregistering
+						}
+						set, err := run(eng, w)
 						if err != nil {
 							t.Fatalf("run: %v", err)
 						}
@@ -103,42 +101,12 @@ func TestCrossStrategyEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// TestAdaptiveReplansOnDrift pins the drift workload's reason to exist:
-// with adaptive planning on, the engine actually re-plans (the matrix above
-// only proves it is safe).
-func TestAdaptiveReplansOnDrift(t *testing.T) {
-	w := tinyDriftWorkload()
-	w.Register.Adaptive = true
-	_, m, err := RunSingle(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Replans == 0 {
-		t.Fatalf("adaptive run never re-planned (checks=%d); drift workload or detector is broken\n%+v",
-			m.ReplanChecks, m)
-	}
-	if m.ReplanChecks == 0 {
-		t.Fatalf("adaptive run never checked for drift")
-	}
-	var gens uint64
-	for _, q := range m.Queries {
-		if !q.Adaptive {
-			t.Fatalf("query %s not marked adaptive", q.Name)
-		}
-		gens += q.PlanGeneration - 1
-	}
-	if gens != m.Replans {
-		t.Fatalf("plan generations (%d swaps) disagree with Replans=%d", gens, m.Replans)
-	}
-}
-
 // storedPartials replays w edge by edge through a single engine and returns
 // its match set and the number of matches its DAG stored over the stream,
 // read from each node's cumulative Inserted counter after every edge: the
-// per-edge deltas sum to everything stored, pruned or not. A node a plan swap
-// collects keeps the count it reached, and a signature created again starts
-// from zero. (A query's PartialMatches would not do: it counts a shared node
-// once per query viewing it.)
+// per-edge deltas sum to everything stored, pruned or not. (A query's
+// PartialMatches would not do: it counts a shared node once per query
+// viewing it.)
 func storedPartials(t *testing.T, w Workload) (MatchSet, int) {
 	t.Helper()
 	eng := streamworks.New(streamworks.WithEngineConfig(w.Engine))
@@ -184,54 +152,57 @@ func storedPartials(t *testing.T, w Workload) (MatchSet, int) {
 	return set, int(stored)
 }
 
-// TestAdaptiveStoresFewerPartialsOnDrift is the counter-level reason
-// internal/replan exists: on the drift workload the adaptive run detects
-// the frozen run's exact match set while storing fewer matches in its DAG,
-// because after the traffic mix rotates it re-anchors the plans on what is
-// rare now. Wall-clock is the ledger's business, not this test's.
-func TestAdaptiveStoresFewerPartialsOnDrift(t *testing.T) {
+// TestBalancedStoresFewerPartialsOnDrift pins why a query keeps the plan it
+// was registered with: on the drift workload a frozen balanced plan detects
+// the selective plan's exact match set while storing fewer matches in its
+// DAG (1,660 against 2,802). Moving the selective plans at run time as the
+// traffic mix rotated stored 1,667, no fewer than the frozen balanced plan,
+// so the engine re-plans nothing. Wall-clock is the ledger's business, not
+// this test's.
+func TestBalancedStoresFewerPartialsOnDrift(t *testing.T) {
 	w := tinyDriftWorkload()
-	frozenSet, frozen := storedPartials(t, w)
-	w.Register.Adaptive = true
-	adaptiveSet, adaptive := storedPartials(t, w)
-	if len(frozenSet) == 0 {
-		t.Fatalf("frozen run found no matches; the workload proves nothing")
+	selectiveSet, selective := storedPartials(t, w)
+	w.Register.Strategy = string(decompose.StrategyBalanced)
+	balancedSet, balanced := storedPartials(t, w)
+	if len(selectiveSet) == 0 {
+		t.Fatalf("selective run found no matches; the workload proves nothing")
 	}
-	if !adaptiveSet.Equal(frozenSet) {
-		t.Fatalf("adaptive run diverged: %d matches vs %d frozen", len(adaptiveSet), len(frozenSet))
+	if !balancedSet.Equal(selectiveSet) {
+		t.Fatalf("balanced run diverged: %d matches vs %d selective", len(balancedSet), len(selectiveSet))
 	}
-	t.Logf("matches stored over the stream: frozen %d, adaptive %d (%d matches)", frozen, adaptive, len(frozenSet))
-	if adaptive >= frozen {
-		t.Fatalf("adaptive run stored %d matches, frozen %d: re-planning bought nothing", adaptive, frozen)
+	t.Logf("matches stored over the stream: selective %d, balanced %d (%d matches)", selective, balanced, len(selectiveSet))
+	if balanced >= selective {
+		t.Fatalf("balanced run stored %d matches, selective %d", balanced, selective)
 	}
 }
 
-// TestLateRegistrationIsJudgedByItsOwnPlanner: a query registered after the
-// mix has rotated is planned from the window as it is, and the drift check
-// that follows at once (CheckEvery 1: the very next edge) plans from the
-// same estimator, so it finds nothing to swap. Registration point: a tenth
-// of the stream past the rotation, where a planner reading the whole
-// stream's history and a checker reading the window disagree by 2.7×.
-func TestLateRegistrationIsJudgedByItsOwnPlanner(t *testing.T) {
+// TestLateRegistrationPlansFromTheWindow: a query is planned once, from the
+// statistics of the window at its registration. Registered before the mix
+// rotates and a tenth of the stream after it, the same query gets different
+// selective plans, and each engine keeps the plan it made.
+func TestLateRegistrationPlansFromTheWindow(t *testing.T) {
 	w := BenchDriftWorkload(16000, 200, 10*time.Second)
-	cfg := w.Engine
-	cfg.Replan.CheckEvery = 1
-	e := core.New(&cfg)
-	at := w.SplitAt + len(w.Edges)/10
-	for _, se := range w.Edges[:at] {
-		e.ProcessEdge(se)
+	plan := func(at int) string {
+		e := core.New(&w.Engine)
+		for _, se := range w.Edges[:at] {
+			e.ProcessEdge(se)
+		}
+		reg, err := e.RegisterQuery(ReconBurstQuery(w.Engine.Retention))
+		if err != nil {
+			t.Fatal(err)
+		}
+		made := reg.Plan().String()
+		for _, se := range w.Edges[at:] {
+			e.ProcessEdge(se)
+		}
+		if kept := reg.Plan().String(); kept != made {
+			t.Fatalf("registered at edge %d with\n%s\nended with\n%s", at, made, kept)
+		}
+		return made
 	}
-	if _, err := e.RegisterQuery(ReconBurstQuery(cfg.Retention), core.WithAdaptive(true)); err != nil {
-		t.Fatal(err)
-	}
-	e.ProcessEdge(w.Edges[at])
-	m := e.Metrics()
-	if m.ReplanChecks != 1 {
-		t.Fatalf("%d drift checks after one edge, want 1", m.ReplanChecks)
-	}
-	audit := m.Queries[0].LastReplanAudit
-	if m.Replans != 0 || audit != nil && audit.Ratio >= replan.DefaultThreshold {
-		t.Fatalf("registered at edge %d and swapped at once (replans %d, audit %+v): planner and checker disagree", at, m.Replans, audit)
+	before, after := plan(w.SplitAt/2), plan(w.SplitAt+len(w.Edges)/10)
+	if before == after {
+		t.Fatalf("the same plan before and after the rotation:\n%s", before)
 	}
 }
 

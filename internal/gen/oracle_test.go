@@ -129,8 +129,9 @@ func TestRandomStreamsMatchOracle(t *testing.T) {
 // built, some of them under narrower windows (the many-queries variants'
 // windows step up with their tier); core's
 // TestLateRegistrationBackfillsFromWindow covers such a node after it has
-// pruned. Every query is then forced onto another strategy twice, at half and
-// at five sixths of the stream, which changes nothing the queries are sent.
+// pruned. Every query is then unregistered and registered again under
+// another strategy twice, at half and at five sixths of the stream, which
+// changes nothing the queries are sent.
 // The retention is set to the widest query window up front, which mid-stream
 // registration requires, and the engine sweeps every eight edges.
 func TestLateRegistrationMatchesOracle(t *testing.T) {
@@ -159,44 +160,48 @@ func TestLateRegistrationMatchesOracle(t *testing.T) {
 					cfg := w.Engine
 					cfg.PruneInterval = 8
 					e := core.New(&cfg)
-					register := func(qs []*query.Graph) {
+					register := func(qs []*query.Graph, s decompose.Strategy) {
 						for _, q := range qs {
-							if _, err := e.RegisterQuery(q, core.WithStrategy(strat)); err != nil {
+							if _, err := e.RegisterQuery(q, core.WithStrategy(s)); err != nil {
 								t.Fatal(err)
 							}
 						}
 					}
-					// Each replan point moves every query one strategy further
-					// from the one it registered with.
+					// Each re-registration point moves every query one
+					// strategy further from the one it registered with.
 					strategies := decompose.Strategies()
-					replanAt := map[int]decompose.Strategy{
+					last := strategies[(slices.Index(strategies, strat)+2)%len(strategies)]
+					moveAt := map[int]decompose.Strategy{
 						len(w.Edges) / 2:     strategies[(slices.Index(strategies, strat)+1)%len(strategies)],
-						len(w.Edges) * 5 / 6: strategies[(slices.Index(strategies, strat)+2)%len(strategies)],
+						len(w.Edges) * 5 / 6: last,
 					}
-					// A sink sees every delivery, registrations' and swaps'
-					// included, not only what ProcessEdge returns.
+					// A sink sees every delivery, registrations' included,
+					// not only what ProcessEdge returns.
 					got := make(MatchSet)
 					e.Subscribe("", core.MatchSinkFunc(func(ev core.MatchEvent) {
 						if !got.Add(ev) {
 							t.Fatalf("%s sent %s twice", ev.Query, ev.CanonicalSignature())
 						}
 					}))
-					register(early.Queries)
+					register(early.Queries, strat)
 					for i, se := range w.Edges {
 						if i == split {
-							register(late.Queries)
+							register(late.Queries, strat)
 						}
-						if to, ok := replanAt[i]; ok {
+						if to, ok := moveAt[i]; ok {
 							for _, q := range w.Queries {
-								if err := e.ReplanNow(q.Name(), to); err != nil {
+								if err := e.UnregisterQuery(q.Name()); err != nil {
 									t.Fatal(err)
 								}
+								register([]*query.Graph{q}, to)
 							}
 						}
 						e.ProcessEdge(se)
 					}
-					if m := e.Metrics(); m.Replans != uint64(2*len(w.Queries)) {
-						t.Fatalf("%d plan swaps, want %d", m.Replans, 2*len(w.Queries))
+					for _, q := range w.Queries {
+						if reg, _ := e.Registration(q.Name()); reg.Plan().Strategy != last {
+							t.Fatalf("%s runs a %s plan, last registered %s", q.Name(), reg.Plan().Strategy, last)
+						}
 					}
 					if !got.Equal(ref) {
 						t.Fatalf("%d matches with %d queries registered at edge %d, the oracle finds %d", len(got), len(late.Queries), split, len(ref))

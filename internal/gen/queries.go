@@ -74,8 +74,9 @@ func ExfiltrationQuery(window time.Duration) *query.Graph {
 // is vanishingly rare under benign traffic — so a plan frozen then happily
 // anchors on it — but floods once the mix turns scan-heavy (uniform scan and
 // infect sources make the wedge count the product of the two rates), while
-// the {scan, flow} pairing collapses after the drift. The right
-// decomposition is different in each regime; only re-planning gets both.
+// the {scan, flow} pairing collapses after the drift. The selective
+// decomposition is different in each regime; a plan made in one runs
+// through both.
 func ReconBurstQuery(window time.Duration) *query.Graph {
 	// probed and staging are deliberately untyped: reconnaissance hits
 	// workstations and servers alike, and an untyped endpoint keeps every

@@ -38,8 +38,6 @@ type Attachment struct {
 
 	emit       func(*match.Match)
 	emitSigned func(*match.Match, string)
-
-	replayedEdges uint64
 }
 
 // Name returns the attachment's registration name.
@@ -47,10 +45,6 @@ func (a *Attachment) Name() string { return a.name }
 
 // Plan returns the decomposition plan the attachment realizes.
 func (a *Attachment) Plan() *decompose.Plan { return a.plan }
-
-// ReplayedEdges returns how many retained-window edges were replayed to
-// backfill leaves this attachment created.
-func (a *Attachment) ReplayedEdges() uint64 { return a.replayedEdges }
 
 // LeafSearches sums the local searches of the attachment's leaf nodes. The
 // counters are shared: a search seeded once for five queries counts once in
@@ -107,12 +101,8 @@ func (d *DAG) Attach(name string, q *query.Graph, plan *decompose.Plan, opt Atta
 	if err := plan.Validate(); err != nil {
 		return nil, fmt.Errorf("mqo: invalid plan for %q: %w", name, err)
 	}
-	return d.attach(name, q, plan, opt), nil
-}
-
-// attach is Attach past its checks. It builds the plan with delivery off
-// (DAG.building), then subscribes the query to its root.
-func (d *DAG) attach(name string, q *query.Graph, plan *decompose.Plan, opt AttachOptions) *Attachment {
+	// The plan is built with delivery off (DAG.building), then the query
+	// subscribes to its root.
 	att := &Attachment{
 		dag:        d,
 		name:       name,
@@ -132,7 +122,7 @@ func (d *DAG) attach(name string, q *query.Graph, plan *decompose.Plan, opt Atta
 
 	d.atts[name] = att
 	d.attOrder = append(d.attOrder, name)
-	return att
+	return att, nil
 }
 
 // build resolves one plan node to a shared DAG node, creating and
@@ -176,7 +166,7 @@ func (d *DAG) build(att *Attachment, q *query.Graph, pn *decompose.Node) (*node,
 	if leaf {
 		n.found, n.yield = match.NewForQuery(frag.Graph), d.leafYield(n)
 		d.addSeeds(n)
-		att.replayedEdges += d.backfillLeaf(n)
+		d.backfillLeaf(n)
 		return n, frag
 	}
 
@@ -215,18 +205,14 @@ func (d *DAG) build(att *Attachment, q *query.Graph, pn *decompose.Node) (*node,
 }
 
 // backfillLeaf replays the retained window through leaf n so its collection
-// holds every primitive match its window admits, and returns how many edges
-// it replayed. Matches it already holds are kept once; new ones propagate
-// like any insertion but are not delivered. Before the first edge it replays
-// nothing.
-func (d *DAG) backfillLeaf(n *node) uint64 {
-	replayed := uint64(0)
+// holds every primitive match its window admits. Matches it already holds
+// are kept once; new ones propagate like any insertion but are not
+// delivered. Before the first edge it replays nothing.
+func (d *DAG) backfillLeaf(n *node) {
 	d.g.ForEachLiveEdge(func(de *graph.Edge) bool {
-		replayed++
 		d.searchNode(n, de)
 		return true
 	})
-	return replayed
 }
 
 // backfillJoin (re)builds join node n's link indexes from its children's
@@ -319,55 +305,24 @@ func (d *DAG) removeSeeds(n *node) {
 	}
 }
 
-// Detach removes a query from the DAG. Only nodes whose reference count
-// drops to zero are collected — anything still referenced by another query's
-// plan (or as a subtree of one) survives with its state intact.
+// Detach removes a query from the DAG: it leaves its consumer group (the
+// group goes when it has no member left), and only nodes whose reference
+// count drops to zero are collected — anything still referenced by another
+// query's plan (or as a subtree of one) survives with its state intact.
 func (d *DAG) Detach(name string) error {
 	att, ok := d.atts[name]
 	if !ok {
 		return fmt.Errorf("mqo: query %q not attached", name)
 	}
-	d.detachConsumer(att)
-	d.gc(att.root)
-	d.recomputeWindows()
-	return nil
-}
-
-// Swap replaces an attachment's plan in place: the replacement is attached
-// while the old plan's nodes are still live — so subtrees common to both
-// plans (and anything shared with other queries) keep their state across the
-// swap — and only then are the old plan's now-unreferenced nodes collected.
-// This is how the engine hot-swaps a query's plan. The replacement keeps the
-// emit callbacks and joins the consumer group that reads the new root as it
-// does.
-//
-// The swap sends nothing (see Attach): the match stream goes on from the
-// next edge. An invalid plan is refused before anything is touched.
-func (d *DAG) Swap(name string, plan *decompose.Plan) (*Attachment, error) {
-	old, ok := d.atts[name]
-	if !ok {
-		return nil, fmt.Errorf("mqo: query %q not attached", name)
-	}
-	if err := plan.Validate(); err != nil {
-		return nil, fmt.Errorf("mqo: invalid plan for %q: %w", name, err)
-	}
-	d.detachConsumer(old)
-	att := d.attach(name, old.q, plan, AttachOptions{Emit: old.emit, EmitSigned: old.emitSigned})
-	d.gc(old.root)
-	d.recomputeWindows()
-	return att, nil
-}
-
-// detachConsumer unhooks the attachment without collecting nodes; the caller
-// runs gc (and, for a plan swap, a replacement attach first, so shared nodes
-// stay warm across the swap).
-func (d *DAG) detachConsumer(att *Attachment) {
 	root, g := att.root, att.group
 	if g.members = slices.DeleteFunc(g.members, func(a *Attachment) bool { return a == att }); len(g.members) == 0 {
 		root.consumers = slices.DeleteFunc(root.consumers, func(c *consumerGroup) bool { return c == g })
 	}
-	delete(d.atts, att.name)
-	d.attOrder = slices.DeleteFunc(d.attOrder, func(n string) bool { return n == att.name })
+	delete(d.atts, name)
+	d.attOrder = slices.DeleteFunc(d.attOrder, func(n string) bool { return n == name })
+	d.gc(root)
+	d.recomputeWindows()
+	return nil
 }
 
 // gc collects n if its reference count reached zero, cascading to children

@@ -83,7 +83,8 @@ func prunedTreeSignatures(t *testing.T, q *query.Graph, strategy decompose.Strat
 // root node — two declared alike but with different windows (one consumer
 // group), one with its variables declared in the opposite order (a second
 // group) — and each emits exactly what a private tree of its own emits, in
-// its own pattern space and under its own window, across a plan swap too.
+// its own pattern space and under its own window, across a re-attach under
+// another plan too.
 func TestConsumerGroupsMatchPrivateTrees(t *testing.T) {
 	queries := []*query.Graph{
 		smurf("wide", time.Minute),
@@ -125,11 +126,9 @@ func TestConsumerGroupsMatchPrivateTrees(t *testing.T) {
 	}
 
 	feed(t, dyn, d, edges[:6])
-	// Swapping one member onto another plan must send it nothing twice and
-	// leave the rest of its group alone.
-	if _, err := d.Swap("wide", planFor(t, queries[0])); err != nil {
-		t.Fatal(err)
-	}
+	// Re-attaching one member under another plan must send it nothing twice
+	// and leave the rest of its group alone.
+	reattach(t, d, "wide", planFor(t, queries[0]))
 	feed(t, dyn, d, edges[6:])
 
 	for _, q := range queries {
@@ -144,8 +143,8 @@ func TestConsumerGroupsMatchPrivateTrees(t *testing.T) {
 }
 
 // TestConsumerGroupMembershipMatchesPrivateTrees: a group of 25 queries is
-// joined mid-stream, loses its lead, has one member swapped onto another
-// plan and then all the others, one by one with the stream running — and
+// joined mid-stream, loses its lead, has one member re-attached under
+// another plan and then all the others, one by one with the stream running — and
 // every query is sent, once and in order, what a private tree of its own
 // emits while it is attached. Along the way the groups are where they
 // should be: the late query joins the group, the mover leaves it for a group
@@ -209,27 +208,22 @@ func TestConsumerGroupMembershipMatchesPrivateTrees(t *testing.T) {
 
 	feedTo(80)
 	// One member moves to a group of its own; the others stay behind.
-	moved, err := d.Swap("s05", planFor(t, queries[5]))
-	if err != nil {
-		t.Fatal(err)
-	}
+	moved := reattach(t, d, "s05", planFor(t, queries[5]))
 	if moved.group == group || len(moved.group.members) != 1 || len(group.members) != 24 {
-		t.Fatalf("after one swap: mover's group of %d, the old one of %d", len(moved.group.members), len(group.members))
+		t.Fatalf("after one move: mover's group of %d, the old one of %d", len(moved.group.members), len(group.members))
 	}
 
 	feedTo(100)
 	// Everybody else follows, with the stream running in between.
 	for _, name := range slices.Clone(d.attOrder[:len(d.attOrder)-1]) { // the mover is last
-		if _, err := d.Swap(name, planFor(t, d.atts[name].q)); err != nil {
-			t.Fatal(err)
-		}
+		reattach(t, d, name, planFor(t, d.atts[name].q))
 		feedTo(fed + 2)
 	}
 	if _, gone := d.nodes[oldRoot.sig]; !gone && oldRoot.refs() > 0 {
 		t.Fatalf("the old root still has %d references", oldRoot.refs())
 	}
 	if n := len(moved.root.consumers); n != 1 || len(moved.group.members) != 25 || d.NumNodes() != 1 {
-		t.Fatalf("after all swapped: %d groups, %d members, %d nodes", n, len(moved.group.members), d.NumNodes())
+		t.Fatalf("after all moved: %d groups, %d members, %d nodes", n, len(moved.group.members), d.NumNodes())
 	}
 	feedTo(len(edges))
 
@@ -247,12 +241,12 @@ func TestConsumerGroupMembershipMatchesPrivateTrees(t *testing.T) {
 	}
 }
 
-// TestSwapThroughAGroupSendsNothingTwice: a query that replans into an
-// existing group — which was never sent a match only the newcomer's window
-// admits — and out again onto rebuilt nodes, which derive that match a second
-// time from the retained edges, is not sent it twice: a swap delivers
-// nothing its backfills derive.
-func TestSwapThroughAGroupSendsNothingTwice(t *testing.T) {
+// TestReattachThroughAGroupSendsNothingTwice: a query re-attached under a
+// plan that puts it into an existing group — which was never sent a match
+// only the newcomer's window admits — and out again onto rebuilt nodes,
+// which derive that match a second time from the retained edges, is not sent
+// it twice: an attach delivers nothing its backfills derive.
+func TestReattachThroughAGroupSendsNothingTwice(t *testing.T) {
 	dyn := graph.NewDynamic(0)
 	d := New(dyn)
 	col := newCollector()
@@ -268,16 +262,11 @@ func TestSwapThroughAGroupSendsNothingTwice(t *testing.T) {
 		hostEdge(1, 1, 2, "icmp_echo_req", base),
 		hostEdge(2, 2, 3, "icmp_echo_reply", base.Add(5*time.Second)),
 	})
-	att, err := d.Swap("wide", planFor(t, wide))
-	if err != nil {
-		t.Fatal(err)
-	}
+	att := reattach(t, d, "wide", planFor(t, wide))
 	if len(att.group.members) != 2 || len(col.sigs["wide"]) != 1 {
 		t.Fatalf("wide joined a group of %d, was sent %v; want narrow's, and the one match", len(att.group.members), col.sigs["wide"])
 	}
-	if _, err := d.Swap("wide", planWith(t, wide, decompose.StrategyEager)); err != nil {
-		t.Fatal(err)
-	}
+	reattach(t, d, "wide", planWith(t, wide, decompose.StrategyEager))
 	feed(t, dyn, d, []graph.StreamEdge{
 		hostEdge(3, 5, 6, "icmp_echo_req", base.Add(time.Hour)),
 		hostEdge(4, 6, 7, "icmp_echo_reply", base.Add(time.Hour+time.Second)),
@@ -287,11 +276,68 @@ func TestSwapThroughAGroupSendsNothingTwice(t *testing.T) {
 	}
 }
 
-// TestSwapOntoInvalidPlanChangesNothing: a plan that fails validation is
-// refused with the DAG exactly as it was — the query in its place in attach
-// order and in its group — so prune order and the emission order among group
-// members do not depend on a failed replan.
-func TestSwapOntoInvalidPlanChangesNothing(t *testing.T) {
+// TestDetachEmptiesOnlyItsGroup: two consumer groups read one root. A
+// detach takes its query out of its group, and the group off the root only
+// once its last member has left; the root and the other group stay and go
+// on delivering, and a query attached afterwards in the emptied group's
+// shape gets a group of its own.
+func TestDetachEmptiesOnlyItsGroup(t *testing.T) {
+	dyn := graph.NewDynamic(0)
+	d := New(dyn)
+	col := newCollector()
+	for _, q := range []*query.Graph{smurf("wide", time.Minute), smurf("narrow", time.Minute), smurfReversed("reversed", time.Minute)} {
+		if _, err := d.Attach(q.Name(), q, planWith(t, q, decompose.StrategyEager), AttachOptions{Emit: col.emitFn(q.Name())}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root, group := d.atts["wide"].root, d.atts["wide"].group
+	if len(root.consumers) != 2 {
+		t.Fatalf("%d groups on the root, want 2", len(root.consumers))
+	}
+	base := graph.TimestampFromTime(time.Unix(9500, 0))
+	pair := func(i int) []graph.StreamEdge {
+		v, id, at := graph.VertexID(10*i), graph.EdgeID(2*i), base.Add(time.Duration(i)*time.Hour)
+		return []graph.StreamEdge{
+			hostEdge(id+1, v+1, v+2, "icmp_echo_req", at),
+			hostEdge(id+2, v+2, v+3, "icmp_echo_reply", at.Add(time.Second)),
+		}
+	}
+	feed(t, dyn, d, pair(0))
+
+	if err := d.Detach("reversed"); err != nil {
+		t.Fatal(err)
+	}
+	if len(root.consumers) != 1 || root.consumers[0] != group || d.nodes[root.sig] != root {
+		t.Fatalf("after the reversed group emptied: %d groups, root kept %v", len(root.consumers), d.nodes[root.sig] == root)
+	}
+	if err := d.Detach("narrow"); err != nil {
+		t.Fatal(err)
+	}
+	if len(root.consumers) != 1 || len(group.members) != 1 || group.members[0].name != "wide" {
+		t.Fatalf("after narrow left: %d groups, %d members", len(root.consumers), len(group.members))
+	}
+	feed(t, dyn, d, pair(1))
+
+	back := smurfReversed("reversed-again", time.Minute)
+	att, err := d.Attach(back.Name(), back, planWith(t, back, decompose.StrategyEager), AttachOptions{Emit: col.emitFn(back.Name())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if att.root != root || att.group == group || len(root.consumers) != 2 {
+		t.Fatalf("the returning shape: same root %v, own group %v, %d groups", att.root == root, att.group != group, len(root.consumers))
+	}
+	feed(t, dyn, d, pair(2))
+	if len(col.sigs["wide"]) != 3 || len(col.sigs["narrow"]) != 1 || len(col.sigs["reversed"]) != 1 || len(col.sigs["reversed-again"]) != 1 {
+		t.Fatalf("sent %v", col.sigs)
+	}
+}
+
+// TestAttachRefusalChangesNothing: an attach refused — a plan that fails
+// validation, or a name already attached — leaves the DAG exactly as it was:
+// every query in its place in attach order and in its group, no node added,
+// so prune order and the emission order among group members do not depend
+// on a failed registration.
+func TestAttachRefusalChangesNothing(t *testing.T) {
 	dyn := graph.NewDynamic(0)
 	d := New(dyn)
 	col := newCollector()
@@ -311,19 +357,22 @@ func TestSwapOntoInvalidPlanChangesNothing(t *testing.T) {
 	})
 	members, nodes := slices.Clone(group.members), d.NumNodes()
 
-	bad := *planWith(t, d.atts["s1"].q, decompose.StrategyEager)
+	late := smurf("late", time.Hour)
+	bad := *planWith(t, late, decompose.StrategyEager)
 	bad.Root = &decompose.Node{Edges: bad.Root.Edges, Left: bad.Root.Left} // a join with one input
 	if err := bad.Validate(); err == nil {
 		t.Fatal("the broken plan validates")
 	}
-	for _, name := range []string{"s0", "s1"} {
-		if _, err := d.Swap(name, &bad); err == nil {
-			t.Fatalf("swap of %s onto the broken plan succeeded", name)
-		}
+	if _, err := d.Attach("late", late, &bad, AttachOptions{Emit: col.emitFn("late")}); err == nil {
+		t.Fatal("attach of the broken plan succeeded")
+	}
+	dup := smurf("s1", time.Hour)
+	if _, err := d.Attach("s1", dup, planFor(t, dup), AttachOptions{Emit: col.emitFn("dup")}); err == nil {
+		t.Fatal("a second attach of s1 succeeded")
 	}
 	if !slices.Equal(d.attOrder, []string{"s0", "s1", "s2"}) || !slices.Equal(group.members, members) ||
-		d.NumNodes() != nodes || d.atts["s1"].group != group {
-		t.Fatalf("a refused swap moved something: order %v, %d members, %d nodes", d.attOrder, len(group.members), d.NumNodes())
+		d.NumNodes() != nodes || d.atts["s1"].group != group || d.atts["s1"].window != time.Minute {
+		t.Fatalf("a refused attach moved something: order %v, %d members, %d nodes", d.attOrder, len(group.members), d.NumNodes())
 	}
 	feed(t, dyn, d, []graph.StreamEdge{
 		hostEdge(3, 5, 6, "icmp_echo_req", base.Add(2*time.Second)),
@@ -331,8 +380,11 @@ func TestSwapOntoInvalidPlanChangesNothing(t *testing.T) {
 	})
 	for _, name := range []string{"s0", "s1", "s2"} {
 		if len(col.sigs[name]) != 2 {
-			t.Fatalf("%s emitted %v after the refused swaps", name, col.sigs[name])
+			t.Fatalf("%s emitted %v after the refused attaches", name, col.sigs[name])
 		}
+	}
+	if len(col.sigs["late"])+len(col.sigs["dup"]) != 0 {
+		t.Fatalf("a refused attach was sent %v and %v", col.sigs["late"], col.sigs["dup"])
 	}
 }
 

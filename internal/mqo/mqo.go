@@ -34,7 +34,7 @@
 // A match is derived once, so it is delivered once, with nothing remembered
 // to make it so: a root row is delivered only when it is new to the root's
 // deduplicated rows, and only while an edge is being processed — the last
-// edge of the match, which arrives once. Backfills (Attach, Swap and the
+// edge of the match, which arrives once. Backfills (Attach and the
 // re-derivation of a widened node) deliver nothing, since every row they
 // derive reads edges already in the window: it was sent when its last edge
 // arrived, or predates the query that was not sent it.

@@ -292,10 +292,11 @@ const sweepEvery = 16
 
 // sweepStream feeds edges to a DAG over a window graph with the given
 // retention and slack, sweeping every sweepEvery edges, attaching each query
-// just before the edge at its index (the first at 0), and detaching or
-// swapping onto the selective plan the query named at an index, and returns
-// every query's emissions. No callback runs inside an Attach or a Swap.
-func sweepStream(t *testing.T, edges []graph.StreamEdge, retention, slack time.Duration, queries []*query.Graph, at []int, detach, swap map[int]string) map[string][]string {
+// just before the edge at its index (the first at 0), and detaching, or
+// re-attaching under the selective plan, the query named at an index, and
+// returns every query's emissions. No callback runs inside an Attach or a
+// Detach.
+func sweepStream(t *testing.T, edges []graph.StreamEdge, retention, slack time.Duration, queries []*query.Graph, at []int, detach, reattachAt map[int]string) map[string][]string {
 	t.Helper()
 	dyn := graph.NewDynamic(retention, graph.WithSlack(slack))
 	d := New(dyn)
@@ -326,10 +327,10 @@ func sweepStream(t *testing.T, edges []graph.StreamEdge, retention, slack time.D
 				})
 			}
 		}
-		if name, ok := swap[i]; ok {
-			silently("swapping "+name, func() error {
-				_, err := d.Swap(name, planFor(t, d.atts[name].q))
-				return err
+		if name, ok := reattachAt[i]; ok {
+			silently("re-attaching "+name, func() error {
+				reattach(t, d, name, planFor(t, d.atts[name].q))
+				return nil
 			})
 		}
 		if name, ok := detach[i]; ok {
@@ -351,11 +352,11 @@ func sweepStream(t *testing.T, edges []graph.StreamEdge, retention, slack time.D
 // join above it drops index entries by a 2 s window; then a 10 s query of
 // the narrow one's shape attaches mid-stream, widening and re-deriving the
 // shared nodes from rows the narrow window had pruned; the two windowed
-// queries then swap onto another plan, and the late one detaches again. No
-// callback runs inside an attach or a swap, and every query is sent what a
-// private SJ-Tree of its own — its first plan, swept at the same edges by
-// its own window — emits while it is attached: in the same order, or for a
-// query that swapped, the same matches. The window-less query's tree has the
+// queries are then re-attached under another plan, and the late one
+// detaches again. No callback runs inside an attach or a detach, and every
+// query is sent what a private SJ-Tree of its own — its first plan, swept at
+// the same edges by its own window — emits while it is attached: in the same
+// order, or for a query that moved, the same matches. The window-less query's tree has the
 // retention as its window.
 func TestRowsMatchPrivateTreesAcrossSweeps(t *testing.T) {
 	const retention, slack = 20 * time.Second, time.Second
@@ -374,8 +375,8 @@ func TestRowsMatchPrivateTreesAcrossSweeps(t *testing.T) {
 	queries := []*query.Graph{smurf("narrow", 2*time.Second), probe("probe", 0), smurf("wide", 10*time.Second)}
 	at := []int{0, 0, len(edges) / 2 / sweepEvery * sweepEvery} // right after a sweep
 	leave := len(edges) * 5 / 6
-	swaps := map[int]string{len(edges) * 2 / 3: "narrow", len(edges) * 3 / 4: "wide"}
-	got := sweepStream(t, edges, retention, slack, queries, at, map[int]string{leave: "wide"}, swaps)
+	moves := map[int]string{len(edges) * 2 / 3: "narrow", len(edges) * 3 / 4: "wide"}
+	got := sweepStream(t, edges, retention, slack, queries, at, map[int]string{leave: "wide"}, moves)
 
 	until := []int{len(edges), len(edges), leave}
 	total := 0

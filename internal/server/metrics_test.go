@@ -160,20 +160,17 @@ func TestPromScrapeNeverWaits(t *testing.T) {
 // the same value, with observability off and on, on one shard and on two.
 func TestMetricsRenderingsAgree(t *testing.T) {
 	engineSeries := map[string]string{
-		"EdgesProcessed":      "streamworks_edges_processed_total",
-		"EdgesDropped":        "streamworks_edges_dropped_total",
-		"MatchesEmitted":      "streamworks_matches_emitted_total",
-		"LocalSearches":       "streamworks_mqo_local_searches_total",
-		"PartialMatches":      "streamworks_partials_stored",
-		"PartialsPruned":      "streamworks_partials_pruned_total",
-		"PruneRuns":           "streamworks_prune_runs_total",
-		"Registrations":       "streamworks_registrations",
-		"Replans":             "streamworks_replans_total",
-		"ReplanChecks":        "streamworks_replan_checks_total",
-		"ReplanEdgesReplayed": "streamworks_replan_edges_replayed_total",
-		"LiveEdges":           "streamworks_live_edges",
-		"LiveVertices":        "streamworks_live_vertices",
-		"ExpiredEdges":        "streamworks_expired_edges",
+		"EdgesProcessed": "streamworks_edges_processed_total",
+		"EdgesDropped":   "streamworks_edges_dropped_total",
+		"MatchesEmitted": "streamworks_matches_emitted_total",
+		"LocalSearches":  "streamworks_mqo_local_searches_total",
+		"PartialMatches": "streamworks_partials_stored",
+		"PartialsPruned": "streamworks_partials_pruned_total",
+		"PruneRuns":      "streamworks_prune_runs_total",
+		"Registrations":  "streamworks_registrations",
+		"LiveEdges":      "streamworks_live_edges",
+		"LiveVertices":   "streamworks_live_vertices",
+		"ExpiredEdges":   "streamworks_expired_edges",
 	}
 	dagSeries := map[string]string{
 		"partial_matches": "streamworks_partials_stored",
@@ -182,7 +179,6 @@ func TestMetricsRenderingsAgree(t *testing.T) {
 	}
 	querySeries := map[string]string{
 		"Matches": "streamworks_query_matches_emitted_total",
-		"Replans": "streamworks_query_replans_total",
 	}
 	// The server's and the WAL's series are their JSON names under the
 	// tier's prefix, counters with Prometheus' _total suffix.
@@ -263,7 +259,7 @@ func TestMetricsRenderingsAgree(t *testing.T) {
 				for field, v := range doc.WAL {
 					agree("wal."+field, tierSeries("wal_", field), v)
 				}
-				if doc.WAL["mode"] != "ok" || checked < 42 || prom["streamworks_matches_emitted_total"] == 0 || prom["streamworks_server_matches_delivered_total"] == 0 {
+				if doc.WAL["mode"] != "ok" || checked < 35 || prom["streamworks_matches_emitted_total"] == 0 || prom["streamworks_server_matches_delivered_total"] == 0 {
 					t.Fatalf("%d fields compared; wal mode %v, %v matches, %v delivered", checked, doc.WAL["mode"],
 						prom["streamworks_matches_emitted_total"], prom["streamworks_server_matches_delivered_total"])
 				}

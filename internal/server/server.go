@@ -26,8 +26,8 @@
 //
 // Endpoints:
 //
-//	POST   /v1/queries        register a query (body: text DSL; ?strategy=,
-//	                          ?adaptive=on|off) → its shape and plan settings
+//	POST   /v1/queries        register a query (body: text DSL; ?strategy=)
+//	                          → its shape and plan settings
 //	GET    /v1/queries        list registered queries
 //	GET    /v1/queries/{name} fetch one query, rendered back as DSL text
 //	DELETE /v1/queries/{name} unregister
@@ -347,11 +347,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "query must be named (add a 'query <name>' line)")
 		return
 	}
-	opts, err := parseRegisterOptions(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	opts := streamworks.RegisterOptions{Strategy: r.URL.Query().Get("strategy")}
 	if !s.admit(w) {
 		return
 	}
@@ -376,22 +372,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		Vertices: q.NumVertices(),
 		Edges:    q.NumEdges(),
 		Strategy: strategy,
-		Adaptive: opts.Adaptive,
 	})
-}
-
-// parseRegisterOptions maps the optional ?strategy= and ?adaptive= query
-// parameters of POST /v1/queries onto the query's plan settings.
-func parseRegisterOptions(r *http.Request) (streamworks.RegisterOptions, error) {
-	opts := streamworks.RegisterOptions{Strategy: r.URL.Query().Get("strategy")}
-	switch v := strings.ToLower(r.URL.Query().Get("adaptive")); v {
-	case "on", "1", "true":
-		opts.Adaptive = true
-	case "", "off", "0", "false":
-	default:
-		return opts, fmt.Errorf("invalid adaptive value %q (want on or off)", v)
-	}
-	return opts, nil
 }
 
 // QueryInfo is one entry of the GET /v1/queries listing (see api.QueryInfo).

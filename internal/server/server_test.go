@@ -131,7 +131,7 @@ func TestRegisterLifecycle(t *testing.T) {
 		t.Fatalf("decoding register response: %v", err)
 	}
 	resp.Body.Close()
-	if reg.Name != "smurf-ddos" || reg.Vertices != 3 || reg.Edges != 2 || reg.Strategy != "selective" || reg.Adaptive {
+	if reg.Name != "smurf-ddos" || reg.Vertices != 3 || reg.Edges != 2 || reg.Strategy != "selective" {
 		t.Fatalf("register response = %+v", reg)
 	}
 

@@ -51,6 +51,11 @@ func newRouter(shards int) *router {
 	}
 }
 
+// HasHub reports whether some vertex of q touches every edge of q: only
+// such a query can register once the engine has routed edges
+// (ErrBroadcastRequired).
+func HasHub(q *query.Graph) bool { return hubOf(q) != noHub }
+
 // hubOf returns the first pattern vertex of q, in q.Vertices() order, that
 // touches every pattern edge, or noHub.
 func hubOf(q *query.Graph) query.VertexID {

@@ -40,13 +40,9 @@
 // appearance: shards see disjoint subsets of the stream, so "first
 // appearance" is a per-shard notion. All generators in internal/gen do this.
 //
-// Adaptive re-planning (core.WithAdaptive, passed on like every other
-// registration option) runs independently on each shard: a shard re-plans
-// against its own partition's statistics on its own worker goroutine, so no
-// cross-shard coordination or stop-the-world pause is needed. Each shard's
-// engine deduplicates its own emissions across swap boundaries, and the
-// owner rule does not depend on the plan. Metrics report the maximum plan
-// generation and the summed replan count across shards.
+// Each shard plans a query it holds once, at registration, against its own
+// partition's statistics, so two shards may run different plans of one
+// query; the owner rule does not depend on the plan.
 //
 // Every count lives in one registry: each worker engine's own (written by its
 // goroutine), and the front-end's for what must not be summed over workers —
@@ -539,12 +535,11 @@ func (s *ShardedEngine) Snapshot() (core.Metrics, []core.Metrics, obs.Snapshot) 
 // plan detail, its coverage views (mqo.Attachment.PartialMatches and
 // LeafSearches, summed over the shards it lives on) and the DAG's per-node
 // statistics (mqo.MergeStats). Shard 0 holds every query, so the queries
-// come out in its registration order. Each shard re-plans against its own
-// partition's statistics, so plan state can legitimately differ per shard:
-// the newest generation wins, with that shard's plan shape and last audit.
-// The match set does not depend on the shards agreeing — every shard
-// deduplicates its own emissions across swap boundaries, and only a match's
-// owner forwards it.
+// come out in its registration order. Each shard plans against its own
+// partition's statistics, so the plans of one query can differ per shard:
+// the plan detail is that of the first shard listing the query. The match
+// set does not depend on the shards agreeing — only a match's owner
+// forwards it.
 func foldPlans(perShard []core.Metrics) core.Metrics {
 	var m core.Metrics
 	idx := map[string]int{}
@@ -556,16 +551,13 @@ func foldPlans(perShard []core.Metrics) core.Metrics {
 			if !ok {
 				j = len(m.Queries)
 				idx[qm.Name] = j
-				m.Queries = append(m.Queries, core.QueryMetrics{Name: qm.Name, Strategy: qm.Strategy})
+				m.Queries = append(m.Queries, core.QueryMetrics{
+					Name: qm.Name, Strategy: qm.Strategy, PlanNodes: qm.PlanNodes, PlanDepth: qm.PlanDepth,
+				})
 			}
 			q := &m.Queries[j]
 			q.PartialMatches += qm.PartialMatches
 			q.LocalSearches += qm.LocalSearches
-			q.Adaptive = q.Adaptive || qm.Adaptive
-			if qm.PlanGeneration > q.PlanGeneration {
-				q.PlanGeneration, q.PlanNodes, q.PlanDepth = qm.PlanGeneration, qm.PlanNodes, qm.PlanDepth
-				q.Strategy, q.LastReplanAudit = qm.Strategy, qm.LastReplanAudit
-			}
 		}
 	}
 	m.MQO = mqo.MergeStats(dags...)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/streamworks/streamworks/internal/core"
+	"github.com/streamworks/streamworks/internal/decompose"
 	"github.com/streamworks/streamworks/internal/gen"
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/query"
@@ -359,7 +360,7 @@ func TestShardedWideningAfterAdvanceKeepsTheWatermark(t *testing.T) {
 
 // TestEachMatchReachesTheMergerOnce reads the merge channel in the merger's
 // place: on hub queries (netflow), a hub-free query (news) and hub queries
-// re-planning under drift, at 2, 3 and 4 shards, every match the shards send
+// on balanced plans under drift, at 2, 3 and 4 shards, every match the shards send
 // on is a distinct one — no shard forwards a match another shard owns — and
 // together they are exactly the oracle's set.
 func TestEachMatchReachesTheMergerOnce(t *testing.T) {
@@ -371,7 +372,7 @@ func TestEachMatchReachesTheMergerOnce(t *testing.T) {
 	}{
 		{"netflow", smallNetflow(30*time.Second, 31), nil},
 		{"news", smallNews(5 * time.Minute), nil},
-		{"drift adaptive", drift, []core.RegistrationOption{core.WithAdaptive(true)}},
+		{"drift balanced", drift, []core.RegistrationOption{core.WithStrategy(decompose.StrategyBalanced)}},
 	} {
 		oracle := gen.Oracle(tc.w)
 		if len(oracle) == 0 {
@@ -400,9 +401,6 @@ func TestEachMatchReachesTheMergerOnce(t *testing.T) {
 			}
 			if !set.Equal(oracle) {
 				t.Errorf("%s, %d shards: %d matches, oracle %d", tc.name, shards, len(set), len(oracle))
-			}
-			if m := s.Metrics(); tc.opts != nil && m.Replans == 0 {
-				t.Errorf("%s, %d shards: no shard re-planned", tc.name, shards)
 			}
 		}
 	}

@@ -13,8 +13,7 @@ const DefaultPredicateSelectivity = 0.25
 // Estimator derives cardinality and selectivity estimates for query
 // subgraphs from a Summary. The query planner uses it to pick the most
 // selective search primitives and to order joins so that rare substructures
-// sit lowest in the SJ-Tree (paper §4.1); the adaptive re-planner costs
-// running plans through the same estimator to detect selectivity drift.
+// sit lowest in the SJ-Tree (paper §4.1).
 type Estimator struct {
 	src *Summary
 	// predSel overrides DefaultPredicateSelectivity when > 0.

@@ -35,14 +35,12 @@ const (
 // RegisterRecord is the durable form of one query registration: the DSL
 // text (query.Format round-trips name, window and pattern) plus the
 // query's plan settings, so recovery re-registers it identically. Strategy
-// empty means selective. Adaptive is "on" for an adaptive query and "off"
-// for a frozen one; a reader takes any value but "on", absent included, as
-// frozen.
+// empty means selective. Records written by earlier versions may also carry
+// an "adaptive" key, which the reader ignores.
 type RegisterRecord struct {
 	Name     string `json:"name"`
 	DSL      string `json:"dsl"`
 	Strategy string `json:"strategy,omitempty"`
-	Adaptive string `json:"adaptive,omitempty"`
 }
 
 // EmittedEntry is one checkpointed emission: Key is the canonical

@@ -90,10 +90,19 @@ func crash(m *Manager) {
 
 func TestRecordRoundTrip(t *testing.T) {
 	edges := []graph.StreamEdge{testEdge(1, 100), testEdge(2, 200)}
-	reg := RegisterRecord{Name: "watch", DSL: testDSL, Strategy: "lazy", Adaptive: "on"}
+	reg := RegisterRecord{Name: "watch", DSL: testDSL, Strategy: "lazy"}
 	regPayload, err := encodeRegister(reg)
 	if err != nil {
 		t.Fatalf("encodeRegister: %v", err)
+	}
+	// Logs written while a query could opt into runtime re-planning carry an
+	// "adaptive" key in each register record; it decodes away.
+	adaptivePayload, err := json.Marshal(struct {
+		RegisterRecord
+		Adaptive string `json:"adaptive"`
+	}{reg, "on"})
+	if err != nil {
+		t.Fatal(err)
 	}
 	emitted := []EmittedEntry{{Key: MatchKey("q", "sigB"), SpanStart: 7}, {Key: MatchKey("q", "sigA"), SpanStart: 3}}
 	emittedPayload, err := encodeEmitted(emitted)
@@ -115,6 +124,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		{RecManifest, manPayload, Op{manifest: &man}},
 		{RecEdgeBatch, wire.AppendEdges(nil, edges), Op{Edges: edges}},
 		{RecRegister, regPayload, Op{Register: &reg}},
+		{RecRegister, adaptivePayload, Op{Register: &reg}},
 		{RecUnregister, []byte("watch"), Op{Name: "watch"}},
 		{RecAdvance, encodeAdvance(-42), Op{TS: -42}},
 		{RecEmitted, emittedPayload, Op{Emitted: sorted}},
@@ -425,7 +435,7 @@ func TestCheckpointDropsCoveredSegmentsAndRecovers(t *testing.T) {
 	if err := m.AppendRegister(RegisterRecord{Name: "watch", DSL: shortDSL}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AppendRegister(RegisterRecord{Name: "other", DSL: shortDSL, Adaptive: "off"}); err != nil {
+	if err := m.AppendRegister(RegisterRecord{Name: "other", DSL: shortDSL}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.AppendUnregister("other"); err != nil {

@@ -33,13 +33,12 @@ func New(opts ...Option) *Local {
 	return l
 }
 
-// RegisterQuery installs a continuous query, selective and frozen.
+// RegisterQuery installs a continuous query, selective.
 func (l *Local) RegisterQuery(ctx context.Context, q *Query) error {
 	return l.RegisterQueryWith(ctx, q, RegisterOptions{})
 }
 
-// RegisterQueryWith installs a continuous query with its own plan strategy
-// and adaptive-planning setting.
+// RegisterQueryWith installs a continuous query with its own plan strategy.
 func (l *Local) RegisterQueryWith(ctx context.Context, q *Query, opts RegisterOptions) error {
 	if err := ctx.Err(); err != nil {
 		return err

@@ -56,11 +56,10 @@ func defaultConfig() config {
 // coreOptions is the core option list the in-process backends pass to the
 // engine (and the sharded front-end passes to each shard it registers on).
 func (o RegisterOptions) coreOptions() []core.RegistrationOption {
-	opts := []core.RegistrationOption{core.WithAdaptive(o.Adaptive)}
-	if o.Strategy != "" {
-		opts = append(opts, core.WithStrategy(decompose.Strategy(o.Strategy)))
+	if o.Strategy == "" {
+		return nil
 	}
-	return opts
+	return []core.RegistrationOption{core.WithStrategy(decompose.Strategy(o.Strategy))}
 }
 
 // Option customizes an engine constructor. Options that do not apply to the
@@ -77,8 +76,8 @@ func WithRetention(d time.Duration) Option {
 }
 
 // WithSummaries is ignored: the window statistics the selective query
-// planner and adaptive re-planning read cost nothing per edge and are always
-// on. The option is kept only because benchmark/ still passes it.
+// planner reads cost nothing per edge and are always on. The option is kept
+// only because benchmark/ still passes it.
 func WithSummaries(bool) Option {
 	return func(*config) {}
 }

@@ -68,14 +68,14 @@ func remoteErr(err error, sentinelByStatus map[int]error) error {
 }
 
 // RegisterQuery registers q with the daemon (serialized through the text
-// DSL, so q must be named), selective and frozen.
+// DSL, so q must be named), selective.
 func (r *Remote) RegisterQuery(ctx context.Context, q *Query) error {
 	return r.RegisterQueryWith(ctx, q, RegisterOptions{})
 }
 
 // RegisterQueryWith registers q with its own plan settings, which travel as
 // URL parameters on POST /v1/queries; the daemon's engine performs the
-// planning and, when adaptive is on, the runtime re-planning.
+// planning.
 func (r *Remote) RegisterQueryWith(ctx context.Context, q *Query, opts RegisterOptions) error {
 	if q == nil {
 		return ErrNilQuery

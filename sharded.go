@@ -79,12 +79,10 @@ func (s *Sharded) RegisterQuery(ctx context.Context, q *Query) error {
 	return s.RegisterQueryWith(ctx, q, RegisterOptions{})
 }
 
-// RegisterQueryWith is RegisterQuery with the query's own plan strategy
-// and adaptive-planning setting. With adaptive planning on, each shard
-// re-plans against its own partition's statistics; the merged match set
-// stays canonical regardless (a swap sends nothing, so each shard sends a
-// match once, from the edge that completes it, and only a match's owner
-// shard sends it on).
+// RegisterQueryWith is RegisterQuery with the query's own plan strategy.
+// Each shard plans against its own partition's statistics; the merged
+// match set stays canonical regardless (only a match's owner shard sends it
+// on).
 func (s *Sharded) RegisterQueryWith(ctx context.Context, q *Query, opts RegisterOptions) error {
 	if err := ctx.Err(); err != nil {
 		return err

@@ -135,21 +135,14 @@ var (
 )
 
 // RegisterOptions carries one query's plan settings for RegisterQueryWith;
-// no engine-wide default sits behind them. The zero value — selective and
-// frozen — makes RegisterQueryWith equivalent to RegisterQuery.
+// no engine-wide default sits behind them. The zero value — selective —
+// makes RegisterQueryWith equivalent to RegisterQuery. A query is planned
+// once, at registration, from the statistics of the window as it is then,
+// and keeps that plan; to change it, unregister and register it again.
 type RegisterOptions struct {
 	// Strategy names the decomposition strategy for this query (one of
 	// PlanStrategies); empty means "selective".
 	Strategy string
-	// Adaptive opts this query into adaptive re-planning: the engine
-	// periodically re-costs the running plan against one computed from the
-	// live stream statistics and hot-swaps when selectivity drift crosses the
-	// hysteresis threshold (EngineConfig.Replan). Swaps are invisible in the
-	// match stream — no match is lost or duplicated across the boundary —
-	// and visible in Metrics (Replans, per-query PlanGeneration). In-process
-	// backends need summaries enabled (the default) for drift detection to
-	// have statistics to work from; on Connect the daemon's engine re-plans.
-	Adaptive bool
 }
 
 // PlanStrategies lists the decomposition strategy names accepted by
@@ -198,8 +191,8 @@ type Subscription interface {
 //   - RegisterQuery installs a continuous query; matches of that query
 //     begin flowing to matching subscriptions. Duplicate names return
 //     ErrDuplicateQuery. RegisterQueryWith is the same with the query's own
-//     plan strategy and adaptive-planning setting; RegisterQuery(ctx, q) ≡
-//     RegisterQueryWith(ctx, q, RegisterOptions{}), selective and frozen.
+//     plan strategy; RegisterQuery(ctx, q) ≡
+//     RegisterQueryWith(ctx, q, RegisterOptions{}), selective.
 //   - Process/ProcessBatch ingest timestamped edges, which must arrive in
 //     non-decreasing timestamp order up to the engine's slack. ctx bounds
 //     the blocking hand-off.
