@@ -324,9 +324,9 @@ func connect(ctx context.Context, addr string, timeout time.Duration) *streamwor
 	}
 }
 
-// settle polls metrics until the merger's match count stops moving, so
-// in-flight matches still crossing shards and the fan-out are delivered
-// before the subscription is closed. It returns that count.
+// settle polls metrics until the emitted match count stops moving, so the
+// matches of edges still queued in the shard mailboxes, and the fan-out, are
+// delivered before the subscription is closed. It returns that count.
 func settle(ctx context.Context, rem *streamworks.Remote) uint64 {
 	var last uint64
 	stable := 0

@@ -48,8 +48,8 @@ func inProcessBackends() []engineMaker {
 }
 
 // collectSet returns a sink recording every delivered (query, signature)
-// into set under mu; the sharded backend delivers from its merge goroutine,
-// so collection must be locked.
+// into set under mu; the sharded backend delivers from its shard
+// goroutines, so collection must be locked.
 func collectSet(mu *sync.Mutex, set gen.MatchSet) streamworks.MatchSink {
 	return streamworks.SinkFunc(func(m streamworks.Match) {
 		mu.Lock()

@@ -66,8 +66,8 @@ func ExampleNew() {
 }
 
 // ExampleNewSharded runs the same workload on the sharded in-process
-// backend: identical API, matches deduplicated across shards and pushed
-// from the merge goroutine.
+// backend: identical API, each match pushed once, by the shard that owns
+// it.
 func ExampleNewSharded() {
 	ctx := context.Background()
 	q, err := streamworks.ParseQuery(echoQuery)

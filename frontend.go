@@ -31,7 +31,7 @@ type frontend struct {
 	subs    []*subscription // in subscription order
 
 	// reports and pending belong to the delivering goroutine (the caller
-	// holding Local.mu, or Sharded's merger). pending holds the emissions
+	// holding Local.mu, or the Sharded shard holding the delivery lock). pending holds the emissions
 	// fanout has delivered but not yet acknowledged to the WAL.
 	reports export.Reporter
 	pending []pendingNote

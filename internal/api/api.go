@@ -132,7 +132,7 @@ type MetricsResponse struct {
 	Shards []core.Metrics `json:"shards"`
 	Server ServerMetrics  `json:"server"`
 	// Obs is the merged registry snapshot of every tier — the server, the
-	// shard front-end and merger, each shard worker and the WAL — that the
+	// shard front-end, each shard worker and the WAL — that the
 	// other sections were read from: every counter and gauge, plus the
 	// latency histograms (with precomputed summaries) when the daemon runs
 	// with observability on. Always present.

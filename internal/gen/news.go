@@ -18,11 +18,10 @@ const (
 	TypePerson       = "Person"
 	TypeOrganization = "Organization"
 
-	EdgeMentions  = "mentions"
-	EdgeLocated   = "located_in"
-	EdgeQuotes    = "quotes"
-	EdgeAbout     = "about_org"
-	EdgePublished = "published_by"
+	EdgeMentions = "mentions"
+	EdgeLocated  = "located_in"
+	EdgeQuotes   = "quotes"
+	EdgeAbout    = "about_org"
 )
 
 // NewsConfig parameterizes the news-stream generator.

@@ -8,8 +8,6 @@ import (
 // Sentinel errors returned by graph mutations and lookups. Callers should
 // test with errors.Is.
 var (
-	// ErrVertexNotFound is returned when a lookup references an unknown vertex.
-	ErrVertexNotFound = errors.New("graph: vertex not found")
 	// ErrDuplicateEdge is returned when an edge with an existing ID is added.
 	ErrDuplicateEdge = errors.New("graph: duplicate edge id")
 	// ErrDanglingEdge is returned when an edge references a vertex that does

@@ -4,8 +4,8 @@
 // hot path stream-time-pure.
 //
 // The registry is the one store of every number the system counts. Each tier
-// owns one — every core engine (one per shard worker), the shard front-end
-// and merger, the server and the WAL manager — written only by its owner and
+// owns one — every core engine (one per shard worker), the shard front-end,
+// the server and the WAL manager — written only by its owner and
 // allocated whether or not observability is on; the series names are the
 // constants below. Every metrics surface is a rendering of a snapshot: the
 // Metrics views fill their structs from one, GET /metrics prints one, and
@@ -97,9 +97,9 @@ const (
 	// SegSJTreeJoin is the per-edge time spent inserting primitive matches
 	// into the SJ-Tree and propagating hash joins upward.
 	SegSJTreeJoin = "sjtree_join"
-	// SegDispatch is the time from core emission of a complete match to the
-	// subscription hub handing it to a subscriber buffer (covers the shard
-	// merge channel and fan-out).
+	// SegDispatch is the time from core emission of a complete match to its
+	// owner shard taking the delivery lock, behind the other shards'
+	// deliveries; measured in the shard worker.
 	SegDispatch = "dispatch"
 	// SegHTTPFlush is the time from the engine handing a match to subscriber
 	// sinks to the streaming HTTP response flush completing: the wait in the

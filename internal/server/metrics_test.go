@@ -100,8 +100,8 @@ func scrape(t *testing.T, client *http.Client, base string) map[string]float64 {
 	return out
 }
 
-// TestPromScrapeNeverWaits: with the runner pinned, the merger parked in a
-// subscriber and every shard stalled behind it — a saturated daemon whose
+// TestPromScrapeNeverWaits: with the runner pinned, one shard parked in a
+// subscriber and every other shard stalled behind its delivery lock — a saturated daemon whose
 // engine cannot answer a round trip — GET /metrics still answers at once,
 // and carries the engine's counts.
 func TestPromScrapeNeverWaits(t *testing.T) {
@@ -129,9 +129,9 @@ func TestPromScrapeNeverWaits(t *testing.T) {
 			t.Errorf("ProcessBatch: %v", err)
 		}
 	}()
-	// Every edge is a match: the merger parks on the first, the merge
-	// channel fills, the workers block on it, and their mailboxes fill with
-	// the rest until routing blocks.
+	// Every edge is a match: the first delivery parks, the other shard
+	// blocks on the delivery lock, and the mailboxes fill with the rest
+	// until routing blocks.
 	go func() { ingested <- srv.Engine().ProcessBatch(context.Background(), flowEdges(1, 8000)) }()
 	<-parked
 	// Stalled: no edge processed for a while, and routing still blocked.

@@ -643,7 +643,7 @@ func (s *Server) snapshot() obs.Snapshot {
 func (s *Server) PromHandler() http.Handler { return http.HandlerFunc(s.handleProm) }
 
 // handleProm serves Prometheus text-format exposition of every tier's
-// registry — the server's, the shard workers', the front-end and merger's,
+// registry — the server's, the shard workers', the front-end's,
 // the WAL's — merged: each counter and gauge as streamworks_<name>, plus the
 // latency histograms when observability is on. It reads only registry cells —
 // no engine round trip, no engine or WAL lock, no drain check — so scrapes

@@ -64,10 +64,10 @@ func TestCloseIdempotentAndLateProcess(t *testing.T) {
 	}
 }
 
-// TestDoneClosesAtClose checks the one drain signal: Done stays open while
-// the engine can still deliver, and closes at Close — on a running engine
-// after the final sink call, on one never started immediately.
-func TestDoneClosesAtClose(t *testing.T) {
+// TestCloseReturnsAfterTheFinalDelivery: right after Close returns, the sink
+// has seen every match the engine emitted — all of them on a running
+// engine, none on one never started.
+func TestCloseReturnsAfterTheFinalDelivery(t *testing.T) {
 	w := smallNetflow(time.Minute, 37)
 	for _, start := range []bool{true, false} {
 		delivered := 0
@@ -86,21 +86,9 @@ func TestDoneClosesAtClose(t *testing.T) {
 				}
 			}
 		}
-		select {
-		case <-s.Done():
-			t.Fatalf("started=%v: Done closed before Close", start)
-		default:
-		}
 		s.Close()
-		select {
-		case <-s.Done():
-		case <-time.After(5 * time.Second):
-			t.Fatalf("started=%v: Done still open after Close", start)
-		}
-		s.Close()
-		// Done orders every sink call before this read.
-		if m := s.Metrics(); start && (delivered == 0 || uint64(delivered) != m.MatchesEmitted) {
-			t.Fatalf("sink saw %d matches by Done, engine emitted %d", delivered, m.MatchesEmitted)
+		if m := s.Metrics(); uint64(delivered) != m.MatchesEmitted || start && delivered == 0 {
+			t.Fatalf("started=%v: sink saw %d matches by Close, engine emitted %d", start, delivered, m.MatchesEmitted)
 		}
 	}
 }

@@ -10,14 +10,14 @@
 // shard), so every shard holds the complete neighbourhood of each vertex it
 // owns.
 //
-// Every complete match has exactly one owner shard, the only one that sends
-// it on, so no match reaches the merger twice:
+// Every complete match has exactly one owner shard, the only one that
+// delivers it, so no match reaches the sink twice:
 //
 //   - A query with a hub vertex — a pattern vertex incident to every pattern
 //     edge, as in all the paper's Fig. 3 cyber patterns — is registered on
 //     every shard. Each match lies in the neighbourhood of the data vertex
 //     bound to the hub (the first such pattern vertex), so that vertex's
-//     owner always finds it; the owner forwards it and every other shard
+//     owner always finds it; the owner delivers it and every other shard
 //     that happens to find it too drops it.
 //   - A hub-free query (e.g. the paper's Fig. 2 article/keyword/location
 //     pattern) is registered on shard 0 only, and the router sends shard 0
@@ -26,9 +26,9 @@
 //     queries must be registered before streaming begins
 //     (ErrBroadcastRequired otherwise).
 //
-// All shard outputs are funneled onto one merge channel, whose goroutine
-// counts them and pushes them to the one sink the engine was built with
-// (Config.Sink); filtering and fan-out to subscribers belong to the tier
+// The owner counts the match and hands it to the one sink the engine was
+// built with (Config.Sink), on its own goroutine, under a lock every shard
+// delivers under; filtering and fan-out to subscribers belong to the tier
 // above. Stream time is coordinated by sending watermark advances to shards
 // that did not receive an edge, keeping window expiry and pruning moving on
 // idle partitions. Every shard keeps the same retention: a pre-stream
@@ -45,9 +45,9 @@
 // query; the owner rule does not depend on the plan.
 //
 // Every count lives in one registry: each worker engine's own (written by its
-// goroutine), and the front-end's for what must not be summed over workers —
-// the registrations and the matches that passed the merger. Metrics and
-// ObsSnapshot fold them with obs.Merge.
+// goroutine), which also counts the matches the shard delivered, and the
+// front-end's for the one count that must not be summed over workers, the
+// registrations. Metrics and ObsSnapshot fold them with obs.Merge.
 package shard
 
 import (
@@ -55,6 +55,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"github.com/streamworks/streamworks/internal/core"
@@ -71,9 +72,10 @@ type Config struct {
 	Shards int
 	// Engine is the configuration applied to every per-shard core.Engine.
 	Engine core.Config
-	// Sink receives every complete match, invoked on the merger
-	// goroutine: it must not block, or it stalls merging and eventually
-	// ingestion. Nil drops matches (counters still advance).
+	// Sink receives every complete match, invoked on the owner shard's
+	// goroutine and never twice at once: it must not block, or it stalls
+	// every shard and eventually ingestion. Nil drops matches (counters
+	// still advance).
 	Sink core.MatchSink
 }
 
@@ -96,10 +98,10 @@ type ShardedEngine struct {
 	workers []*worker
 	router  *router
 
-	running    bool
-	closed     bool            // Close was called; the engine is permanently stopped
-	out        chan shardEvent // workers → merger
-	mergerDone chan struct{}   // closed after the final sink call, see Done
+	running bool
+	closed  bool // Close was called; the engine is permanently stopped
+	// deliver serializes the shards' calls into cfg.Sink.
+	deliver sync.Mutex
 
 	seenTS        bool
 	maxTS         graph.Timestamp
@@ -118,15 +120,9 @@ type ShardedEngine struct {
 	// widens it on each shard. Zero means unbounded.
 	retention time.Duration
 
-	// reg is the front-end's registry: the registrations gauge, the merger's
-	// counts and the dispatch segment.
+	// reg is the front-end's registry: the registrations gauge.
 	reg           *obs.Registry
 	registrations *obs.Gauge
-	matches       *obs.Counter
-	// obsClock and obsDispatch time the merger hop; nil unless observability
-	// is enabled.
-	obsClock    obs.Clock
-	obsDispatch *obs.Histogram
 }
 
 // New constructs a stopped ShardedEngine. cfg may be nil for DefaultConfig.
@@ -146,19 +142,13 @@ func New(cfg *Config) *ShardedEngine {
 	s := &ShardedEngine{
 		cfg:           c,
 		router:        newRouter(c.Shards),
-		mergerDone:    make(chan struct{}),
 		advanceEvery:  adv,
 		retention:     c.Engine.Retention,
 		reg:           reg,
 		registrations: reg.Gauge("registrations", "", ""),
-		matches:       reg.Counter("matches_emitted", "", ""),
 	}
 	// Normalize the obs config once so the clock is shared.
 	obsCfg := c.Engine.Obs.Normalized()
-	if obsCfg.Enabled {
-		s.obsClock = obsCfg.Clock
-		s.obsDispatch = reg.Segment(obs.SegDispatch)
-	}
 	for i := 0; i < c.Shards; i++ {
 		// Same clock (safe for concurrent use), but a private registry,
 		// which core.New allocates, so each worker's goroutine writes
@@ -166,10 +156,13 @@ func New(cfg *Config) *ShardedEngine {
 		engCfg := c.Engine
 		engCfg.Obs = obsCfg
 		engCfg.Obs.Registry = nil
-		w := &worker{id: i, shards: c.Shards, eng: core.New(&engCfg), hubs: make(map[string]query.VertexID)}
+		eng := core.New(&engCfg)
+		w := &worker{id: i, shards: c.Shards, eng: eng, queries: make(map[string]homed),
+			emitted: eng.ObsRegistry().Counter("matches_emitted", "", "")}
 		if obsCfg.Enabled {
 			w.obsClock = obsCfg.Clock
-			w.obsMailbox = w.eng.ObsRegistry().Segment(obs.SegShardMailbox)
+			w.obsMailbox = eng.ObsRegistry().Segment(obs.SegShardMailbox)
+			w.obsDispatch = eng.ObsRegistry().Segment(obs.SegDispatch)
 		}
 		s.workers = append(s.workers, w)
 	}
@@ -282,8 +275,8 @@ func (s *ShardedEngine) home(hub query.VertexID) []*worker {
 }
 
 // UnregisterQuery removes a registration from the shards it lives on.
-// Partial matches held for the query are dropped with it; matches already
-// queued on the merge channel are still delivered.
+// Partial matches held for the query are dropped with it, and so are its
+// series: a later registration under the same name counts from zero.
 func (s *ShardedEngine) UnregisterQuery(name string) error {
 	if s.closed {
 		return ErrClosed
@@ -305,53 +298,17 @@ func (s *ShardedEngine) UnregisterQuery(name string) error {
 	return firstErr
 }
 
-// Start spawns the shard workers and the merger. It is a no-op when already
-// running or after Close.
+// Start spawns the shard workers. It is a no-op when already running or
+// after Close.
 func (s *ShardedEngine) Start() {
 	if s.running || s.closed {
 		return
 	}
-	s.out = make(chan shardEvent, 64*len(s.workers))
 	for _, w := range s.workers {
-		w.start(s.out)
+		w.start(&s.deliver, s.cfg.Sink)
 	}
-	go s.merge()
 	s.running = true
 }
-
-// merge funnels all shard outputs into the sink, counting them overall and
-// per query. It exits when Close closes the merge channel after all workers
-// have drained.
-func (s *ShardedEngine) merge() {
-	defer close(s.mergerDone)
-	perQuery := make(map[string]*obs.Counter)
-	for se := range s.out {
-		if se.flush != nil {
-			close(se.flush)
-			continue
-		}
-		ev := se.ev
-		c := perQuery[ev.Query]
-		if c == nil {
-			c = s.reg.Counter("query_matches_emitted", obs.QueryLabelKey, ev.Query)
-			perQuery[ev.Query] = c
-		}
-		c.Inc()
-		s.matches.Inc()
-		if s.obsDispatch != nil && ev.EmittedWallNS != 0 {
-			// Dispatch latency: core emission → delivery, i.e. the merge
-			// channel hop a match takes after the DAG surfaces it.
-			s.obsDispatch.Observe(s.obsClock.Now() - ev.EmittedWallNS)
-		}
-		if s.cfg.Sink != nil {
-			s.cfg.Sink.OnMatch(ev)
-		}
-	}
-}
-
-// Done is closed once no further match can reach the sink: after the final
-// sink call of a running engine's Close, or at Close of one never started.
-func (s *ShardedEngine) Done() <-chan struct{} { return s.mergerDone }
 
 // Process routes one stream edge to the shards that need it and broadcasts a
 // watermark advance to the others when stream time has moved far enough.
@@ -438,16 +395,10 @@ func (s *ShardedEngine) Advance(ts graph.Timestamp) {
 // Flush is a full-pipeline barrier: it returns only after every edge,
 // advance and control message enqueued before the call has been processed
 // by its shard AND every match those messages produced has been delivered
-// through the merger to the sink. Recovery uses it to know that
-// replaying the log tail has surfaced every re-derivable match before it
-// compares them against the checkpointed emitted-set. Like Process, Flush
-// must not race with Close.
-//
-// Ordering argument: each worker's flush acknowledgment happens after its
-// earlier merge-channel sends completed (same goroutine), and this
-// goroutine's sentinel send happens after every acknowledgment was
-// received, so channel FIFO delivers the sentinel to the merger after all
-// of those events; the merger closes the sentinel only when it reaches it.
+// to the sink — a worker delivers a match before it takes its next message.
+// Recovery uses it to know that replaying the log tail has surfaced every
+// re-derivable match before it compares them against the checkpointed
+// emitted-set. Like Process, Flush must not race with Close.
 func (s *ShardedEngine) Flush() error {
 	if s.closed {
 		return ErrClosed
@@ -458,23 +409,19 @@ func (s *ShardedEngine) Flush() error {
 	for _, w := range s.workers {
 		w.flush()
 	}
-	done := make(chan struct{})
-	s.out <- shardEvent{flush: done}
-	<-done
 	return nil
 }
 
-// Close flushes the mailboxes and stops the workers and the merger; Done
-// closes after the final delivery. Close is idempotent and permanent: a
-// closed engine cannot be restarted, Process returns ErrClosed, and a second
-// Close returns immediately.
+// Close drains the mailboxes and stops the workers, returning after the
+// final sink call. Close is idempotent and permanent: a closed engine
+// cannot be restarted, Process returns ErrClosed, and a second Close returns
+// immediately.
 func (s *ShardedEngine) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
 	if !s.running {
-		close(s.mergerDone) // never started: no merger will
 		return
 	}
 	for _, w := range s.workers {
@@ -483,8 +430,6 @@ func (s *ShardedEngine) Close() {
 	for _, w := range s.workers {
 		w.wait()
 	}
-	close(s.out)
-	<-s.mergerDone
 	s.running = false
 }
 
@@ -505,12 +450,12 @@ func (s *ShardedEngine) Metrics() core.Metrics {
 }
 
 // Snapshot reads the sharded engine once — the front-end's registry, then
-// every worker's, each refreshing its gauges first (so every match the merger
-// has counted was counted by its worker) — and returns the merged reading
-// with the aggregate and per-shard views built from it, which always agree.
-// Aggregate work counters are sums over shards and so include edges sent to
-// more than one shard; MatchesEmitted, per-query Matches and Registrations
-// are the front-end's. Like all control methods it must be called from the
+// every worker's, each refreshing its gauges first — and returns the merged
+// reading with the aggregate and per-shard views built from it, which always
+// agree. Aggregate work counters are sums over shards and so include edges
+// sent to more than one shard; MatchesEmitted and per-query Matches sum what
+// each shard delivered, which counts each match once, and Registrations is
+// the front-end's. Like all control methods it must be called from the
 // driver goroutine.
 func (s *ShardedEngine) Snapshot() (core.Metrics, []core.Metrics, obs.Snapshot) {
 	snaps := []obs.Snapshot{s.reg.Snapshot()}
@@ -539,7 +484,7 @@ func (s *ShardedEngine) Snapshot() (core.Metrics, []core.Metrics, obs.Snapshot) 
 // partition's statistics, so the plans of one query can differ per shard:
 // the plan detail is that of the first shard listing the query. The match
 // set does not depend on the shards agreeing — only a match's owner
-// forwards it.
+// delivers it.
 func foldPlans(perShard []core.Metrics) core.Metrics {
 	var m core.Metrics
 	idx := map[string]int{}

@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -166,7 +167,7 @@ func TestShardedRegisterErrorsRollBack(t *testing.T) {
 func TestShardedMidStreamRegistration(t *testing.T) {
 	cfg := shard.DefaultConfig()
 	cfg.Engine.Retention = time.Minute
-	var got []core.MatchEvent // read after Close, which drains the merger
+	var got []core.MatchEvent // read after Close, which returns after the final sink call
 	cfg.Sink = core.MatchSinkFunc(func(ev core.MatchEvent) { got = append(got, ev) })
 	s := shard.New(&cfg)
 	if err := s.RegisterQuery(gen.SmurfQuery(30 * time.Second)); err != nil {
@@ -358,12 +359,12 @@ func TestShardedWideningAfterAdvanceKeepsTheWatermark(t *testing.T) {
 	}
 }
 
-// TestEachMatchReachesTheMergerOnce reads the merge channel in the merger's
-// place: on hub queries (netflow), a hub-free query (news) and hub queries
-// on balanced plans under drift, at 2, 3 and 4 shards, every match the shards send
-// on is a distinct one — no shard forwards a match another shard owns — and
-// together they are exactly the oracle's set.
-func TestEachMatchReachesTheMergerOnce(t *testing.T) {
+// TestEachMatchReachesTheSinkOnce: on hub queries (netflow), a hub-free
+// query (news) and hub queries on balanced plans under drift, at 2, 3 and 4
+// shards, every match the sink is handed is a distinct one — no shard
+// delivers a match another shard owns — and together they are exactly the
+// oracle's set.
+func TestEachMatchReachesTheSinkOnce(t *testing.T) {
 	drift := gen.BenchDriftWorkload(12_000, 400, 10*time.Second)
 	for _, tc := range []struct {
 		name string
@@ -379,29 +380,105 @@ func TestEachMatchReachesTheMergerOnce(t *testing.T) {
 			t.Fatalf("%s: degenerate workload, no matches", tc.name)
 		}
 		for _, shards := range []int{2, 3, 4} {
-			s := shard.New(&shard.Config{Shards: shards, Engine: tc.w.Engine})
+			received, set := 0, make(gen.MatchSet)
+			s := shard.New(&shard.Config{Shards: shards, Engine: tc.w.Engine,
+				Sink: core.MatchSinkFunc(func(ev core.MatchEvent) {
+					received++
+					set.Add(ev)
+				})})
 			for _, q := range tc.w.Queries {
 				if err := s.RegisterQuery(q, tc.opts...); err != nil {
 					t.Fatal(err)
 				}
 			}
-			received, set := 0, make(gen.MatchSet)
-			stop := shard.StartTapped(s, func(ev core.MatchEvent) {
-				received++
-				set.Add(ev)
-			})
+			s.Start()
 			for _, se := range tc.w.Edges {
 				if err := s.Process(se); err != nil {
 					t.Fatal(err)
 				}
 			}
-			stop()
+			s.Close()
 			if received != len(set) {
-				t.Errorf("%s, %d shards: %d events reached the merger for %d distinct matches", tc.name, shards, received, len(set))
+				t.Errorf("%s, %d shards: %d events reached the sink for %d distinct matches", tc.name, shards, received, len(set))
 			}
 			if !set.Equal(oracle) {
 				t.Errorf("%s, %d shards: %d matches, oracle %d", tc.name, shards, len(set), len(oracle))
 			}
 		}
+	}
+}
+
+// TestSinkNeverEnteredConcurrently: four shards find and deliver the hub
+// queries' matches on their own goroutines, yet the sink is never entered
+// while another call is still inside it.
+func TestSinkNeverEnteredConcurrently(t *testing.T) {
+	w := smallNetflow(30*time.Second, 41)
+	var inFlight atomic.Int32
+	var delivered int
+	s := shard.New(&shard.Config{Shards: 4, Engine: w.Engine,
+		Sink: core.MatchSinkFunc(func(core.MatchEvent) {
+			if n := inFlight.Add(1); n > 1 {
+				t.Errorf("sink entered with %d calls in flight", n)
+			}
+			delivered++ // unsynchronized: -race flags overlapping calls too
+			time.Sleep(10 * time.Microsecond)
+			inFlight.Add(-1)
+		})})
+	for _, q := range w.Queries {
+		if err := s.RegisterQuery(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Start()
+	for _, se := range w.Edges {
+		if err := s.Process(se); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	if m := s.Metrics(); delivered == 0 || uint64(delivered) != m.MatchesEmitted {
+		t.Fatalf("sink saw %d matches, engine emitted %d", delivered, m.MatchesEmitted)
+	}
+}
+
+// TestReregistrationCountsFromZero: UnregisterQuery forgets the query's
+// query_matches_emitted series on every shard, so it leaves the snapshot and
+// a registration under the same name counts from zero, as on one engine.
+func TestReregistrationCountsFromZero(t *testing.T) {
+	w := smallNetflow(2*time.Second, 1)
+	s := shard.New(&shard.Config{Shards: 2, Engine: w.Engine})
+	defer s.Close()
+	smurf := gen.SmurfQuery(2 * time.Second)
+	if err := s.RegisterQuery(smurf); err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	for _, se := range w.Edges {
+		if err := s.Process(se); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if m := s.Metrics(); m.Queries[0].Matches == 0 {
+		t.Fatalf("degenerate workload: %s matched nothing", smurf.Name())
+	}
+	if err := s.UnregisterQuery(smurf.Name()); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range s.ObsSnapshot().Counters {
+		if c.LabelValue == smurf.Name() {
+			t.Errorf("%s{%s} = %d survives UnregisterQuery", c.Name, c.LabelValue, c.Value)
+		}
+	}
+	if err := s.RegisterQuery(smurf); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Metrics().Queries[0].Matches; got != 0 {
+		t.Errorf("re-registered %s starts from %d matches, want 0", smurf.Name(), got)
 	}
 }

@@ -34,69 +34,76 @@ type message struct {
 	enqNS int64
 }
 
-// shardEvent is one entry on the shared merge channel: a match event, or —
-// when flush is non-nil — a barrier sentinel injected by Flush after every
-// worker acknowledged its mailbox was drained: the merger closes it, proving
-// every event sent before the sentinel has been delivered.
-type shardEvent struct {
-	ev    core.MatchEvent
-	flush chan struct{}
-}
-
 // worker owns one shard: a core.Engine, the goroutine that drives it, and
 // the mailbox feeding it. The engine is only touched by the worker goroutine
 // while running; when stopped, the front-end calls it directly.
 type worker struct {
 	id, shards int
 	eng        *core.Engine
-	// hubs is the hub of every query registered on this shard (noHub for a
-	// hub-free one), read by the engine sink to forward only the matches
-	// this shard owns. Written and read on the worker goroutine, or by the
-	// front-end while stopped.
-	hubs map[string]query.VertexID
+	// queries holds every query registered on this shard, read by the
+	// engine sink to deliver only the matches this shard owns. Written and
+	// read on the worker goroutine, or by the front-end while stopped.
+	queries map[string]homed
+	// emitted counts the matches this shard delivered, in its engine's
+	// registry.
+	emitted *obs.Counter
 
 	in   chan message
-	out  chan<- shardEvent
 	done sync.WaitGroup
 
-	// sinkAttached records that the engine-level match sink forwarding to
-	// the merge channel has been registered (once, on first start).
-	sinkAttached bool
-
-	// Observability handles, resolved at construction when enabled (both nil
-	// otherwise): the shared clock and the worker-registry mailbox-wait
-	// histogram. The histogram lives in the same per-worker registry as the
-	// worker engine's segments, so one fold covers both.
-	obsClock   obs.Clock
-	obsMailbox *obs.Histogram
+	// Observability handles, resolved at construction when enabled (all nil
+	// otherwise): the shared clock and the worker-registry mailbox-wait and
+	// dispatch histograms. They live in the same per-worker registry as the
+	// worker engine's segments, so one fold covers all.
+	obsClock    obs.Clock
+	obsMailbox  *obs.Histogram
+	obsDispatch *obs.Histogram
 }
 
-// start spawns the worker goroutine with a fresh mailbox. Matches are pushed
-// onto the merge channel by an engine-level sink at the moment of emission —
-// the core MatchSink path threaded up through the merger — rather than by
-// collecting ProcessEdge return slices.
-func (w *worker) start(out chan<- shardEvent) {
+// homed is one query registered on a shard: its hub (noHub for a hub-free
+// query) and its count of the matches this shard delivered, resolved in the
+// shard engine's registry, so UnregisterQuery forgets it with the query's
+// other series.
+type homed struct {
+	hub     query.VertexID
+	emitted *obs.Counter
+}
+
+// start spawns the worker goroutine with a fresh mailbox. Matches are
+// delivered by an engine-level sink at the moment of emission: a match this
+// shard owns is counted and handed to sink under mu, the lock every shard
+// delivers under, so sink is never entered twice at once.
+func (w *worker) start(mu *sync.Mutex, sink core.MatchSink) {
 	w.in = make(chan message, mailboxDepth)
-	w.out = out
-	if !w.sinkAttached {
-		w.sinkAttached = true
-		w.eng.Subscribe("", core.MatchSinkFunc(func(ev core.MatchEvent) {
-			if w.owns(ev) {
-				w.out <- shardEvent{ev: ev}
-			}
-		}))
-	}
+	w.eng.Subscribe("", core.MatchSinkFunc(func(ev core.MatchEvent) {
+		q := w.queries[ev.Query]
+		if !w.owns(q.hub, ev) {
+			return
+		}
+		q.emitted.Inc()
+		w.emitted.Inc()
+		mu.Lock()
+		defer mu.Unlock()
+		if w.obsDispatch != nil && ev.EmittedWallNS != 0 {
+			// Dispatch latency: core emission → delivery, including the
+			// wait for the other shards' deliveries.
+			w.obsDispatch.Observe(w.obsClock.Now() - ev.EmittedWallNS)
+		}
+		if sink != nil {
+			sink.OnMatch(ev)
+		}
+	}))
 	w.done.Add(1)
 	go w.loop()
 }
 
-// owns reports whether this shard is the one that forwards ev to the merger:
-// the owner of the data vertex bound to its query's hub. Other shards may
-// find the same match — a shard is sent every edge of the vertices it owns,
-// so it also holds edges at their far ends — but only the owner is certain
-// to. A hub-free query lives on one shard, which forwards all it finds.
-func (w *worker) owns(ev core.MatchEvent) bool {
-	hub := w.hubs[ev.Query]
+// owns reports whether this shard is the one that delivers ev, a match of a
+// query with the given hub: the owner of the data vertex bound to the hub.
+// Other shards may find the same match — a shard is sent every edge of the
+// vertices it owns, so it also holds edges at their far ends — but only the
+// owner is certain to. A hub-free query lives on one shard, which delivers
+// all it finds.
+func (w *worker) owns(hub query.VertexID, ev core.MatchEvent) bool {
 	if hub == noHub {
 		return true
 	}
@@ -118,8 +125,8 @@ func (w *worker) loop() {
 			if msg.enqNS != 0 && w.obsMailbox != nil {
 				w.obsMailbox.Observe(w.obsClock.Now() - msg.enqNS)
 			}
-			// Complete matches reach the merge channel through the engine
-			// sink registered in start; the scratch-backed return slice is
+			// Complete matches reach the sink through the engine sink
+			// registered in start; the scratch-backed return slice is
 			// deliberately unused.
 			w.eng.ProcessEdge(msg.edge)
 		case msgAdvance:
@@ -133,7 +140,7 @@ func (w *worker) loop() {
 // do runs fn against the shard's engine: on the worker goroutine, behind the
 // messages already in its mailbox, when running — returning once fn has —
 // and directly otherwise. Every match the earlier messages produced has
-// been sent to the merge channel before fn runs.
+// been delivered before fn runs.
 func (w *worker) do(running bool, fn func()) {
 	if !running {
 		fn()
@@ -145,9 +152,7 @@ func (w *worker) do(running bool, fn func()) {
 }
 
 // flush blocks until the worker has processed every message enqueued
-// before the call. Matches produced by those messages were pushed onto the
-// merge channel by the worker goroutine before it answered, so they are
-// ordered before anything the caller subsequently sends on that channel.
+// before the call and delivered every match they produced.
 func (w *worker) flush() { w.do(true, func() {}) }
 
 // enqueueEdge delivers an edge to the shard (blocking when the mailbox is
@@ -181,7 +186,7 @@ func (w *worker) register(running bool, q *query.Graph, opts []core.Registration
 		var reg *core.Registration
 		if reg, err = w.eng.RegisterQuery(q, opts...); err == nil {
 			name = reg.Name()
-			w.hubs[name] = hub
+			w.queries[name] = homed{hub: hub, emitted: w.eng.ObsRegistry().Counter("query_matches_emitted", obs.QueryLabelKey, name)}
 		}
 	})
 	return name, err
@@ -191,7 +196,7 @@ func (w *worker) register(running bool, q *query.Graph, opts []core.Registration
 func (w *worker) unregister(running bool, name string) (err error) {
 	w.do(running, func() {
 		if err = w.eng.UnregisterQuery(name); err == nil {
-			delete(w.hubs, name)
+			delete(w.queries, name)
 		}
 	})
 	return err

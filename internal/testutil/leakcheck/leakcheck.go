@@ -1,8 +1,8 @@
 // Package leakcheck is an offline stand-in for go.uber.org/goleak (this
 // build environment cannot fetch modules): a TestMain hook that fails the
 // package when goroutines outlive the tests. StreamWorks is a system of
-// worker, merger, hub and delivery goroutines whose lifecycles are part of
-// the public contract ("Close drains and stops everything"); a test that
+// shard worker, server, WAL and client goroutines whose lifecycles are part
+// of the public contract ("Close drains and stops everything"); a test that
 // passes while leaking a worker is a test that hides a shutdown bug, so the
 // goroutine-heavy packages (the public API, core, shard, server) gate on
 // this check.
@@ -13,9 +13,7 @@
 //
 // Known-benign runtime, testing and os/signal goroutines are filtered; the
 // checker retries for a grace period so goroutines that are mid-exit when
-// the last test returns do not flake the build. Extra expected stacks (for
-// a package that intentionally parks a daemon) can be allowed by substring
-// with Ignore.
+// the last test returns do not flake the build.
 package leakcheck
 
 import (
@@ -48,41 +46,21 @@ var benign = []string{
 	// connection already unwinding when the test ends is indistinguishable
 	// from one mid-read, so both readLoop and writeLoop get the grace
 	// treatment below and are only reported if they survive the full
-	// retry window AND the caller did not opt out.
+	// retry window.
 }
 
-// Option adjusts the checker.
-type Option func(*config)
-
-type config struct {
-	ignores []string
-	grace   time.Duration
-}
-
-// Ignore allows goroutines whose stack contains sub (use for daemons a
-// package parks on purpose; say why at the call site).
-func Ignore(sub string) Option {
-	return func(c *config) { c.ignores = append(c.ignores, sub) }
-}
-
-// Grace overrides the retry window (default 5s) the checker gives
-// goroutines to finish unwinding.
-func Grace(d time.Duration) Option {
-	return func(c *config) { c.grace = d }
-}
+// grace is the retry window the checker gives goroutines to finish
+// unwinding.
+const grace = 5 * time.Second
 
 // Main runs the package's tests and then fails the binary (exit 1) if
 // non-benign goroutines are still alive after the grace window.
-func Main(m *testing.M, opts ...Option) {
+func Main(m *testing.M) {
 	code := m.Run()
 	if code != 0 {
 		os.Exit(code)
 	}
-	cfg := config{grace: 5 * time.Second}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if leaked := check(cfg); len(leaked) > 0 {
+	if leaked := check(); len(leaked) > 0 {
 		fmt.Fprintf(os.Stderr, "leakcheck: %d goroutine(s) leaked by this test package:\n\n%s\n",
 			len(leaked), strings.Join(leaked, "\n\n"))
 		os.Exit(1)
@@ -90,30 +68,16 @@ func Main(m *testing.M, opts ...Option) {
 	os.Exit(0)
 }
 
-// Check is the non-TestMain form: it fails t if goroutines leak. Intended
-// for use as t.Cleanup(func() { leakcheck.Check(t) }) around an individual
-// leak-prone test.
-func Check(t *testing.T, opts ...Option) {
-	t.Helper()
-	cfg := config{grace: 5 * time.Second}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if leaked := check(cfg); len(leaked) > 0 {
-		t.Errorf("leakcheck: %d goroutine(s) leaked:\n\n%s", len(leaked), strings.Join(leaked, "\n\n"))
-	}
-}
-
 // check snapshots the stacks repeatedly until the leak set is empty or the
 // grace window ends, backing off between snapshots: goroutines that are
 // merely slow to unwind (deferred closes, channel teardown, HTTP transport
 // loops noticing a closed connection) disappear across retries, real leaks
 // do not.
-func check(cfg config) []string {
-	deadline := time.Now().Add(cfg.grace)
+func check() []string {
+	deadline := time.Now().Add(grace)
 	wait := time.Millisecond
 	for {
-		leaked := snapshot(cfg.ignores)
+		leaked := snapshot()
 		if len(leaked) == 0 || time.Now().After(deadline) {
 			return leaked
 		}
@@ -125,7 +89,7 @@ func check(cfg config) []string {
 }
 
 // snapshot returns the stacks of currently-live non-benign goroutines.
-func snapshot(ignores []string) []string {
+func snapshot() []string {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
@@ -137,7 +101,7 @@ func snapshot(ignores []string) []string {
 	}
 	var leaked []string
 	for _, g := range strings.Split(string(buf), "\n\n") {
-		if g == "" || isBenign(g, ignores) {
+		if g == "" || isBenign(g) {
 			continue
 		}
 		leaked = append(leaked, strings.TrimSpace(g))
@@ -145,18 +109,13 @@ func snapshot(ignores []string) []string {
 	return leaked
 }
 
-func isBenign(stack string, ignores []string) bool {
+func isBenign(stack string) bool {
 	// The snapshotting goroutine itself.
 	if strings.Contains(stack, "runtime.Stack(") {
 		return true
 	}
 	for _, b := range benign {
 		if strings.Contains(stack, b) {
-			return true
-		}
-	}
-	for _, ig := range ignores {
-		if strings.Contains(stack, ig) {
 			return true
 		}
 	}

@@ -14,7 +14,7 @@ func TestSnapshotSeesLeak(t *testing.T) {
 	go parkForLeakTest(block)
 	time.Sleep(10 * time.Millisecond)
 
-	leaked := snapshot(nil)
+	leaked := snapshot()
 	found := false
 	for _, g := range leaked {
 		if strings.Contains(g, "parkForLeakTest") {
@@ -27,22 +27,10 @@ func TestSnapshotSeesLeak(t *testing.T) {
 	}
 
 	close(block)
-	if got := check(config{grace: 5 * time.Second}); len(got) != 0 {
+	if got := check(); len(got) != 0 {
 		t.Fatalf("leak persisted after release: %v", got)
 	}
 }
 
 //go:noinline
 func parkForLeakTest(block chan struct{}) { <-block }
-
-// TestIgnore verifies the caller-supplied allowlist.
-func TestIgnore(t *testing.T) {
-	block := make(chan struct{})
-	defer close(block)
-	go parkForLeakTest(block)
-	time.Sleep(10 * time.Millisecond)
-
-	if got := snapshot([]string{"parkForLeakTest"}); len(got) != 0 {
-		t.Fatalf("ignored goroutine still reported:\n%s", strings.Join(got, "\n\n"))
-	}
-}

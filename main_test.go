@@ -7,7 +7,7 @@ import (
 )
 
 // TestMain gates the package on goroutine hygiene: Close on every backend
-// must stop what the backend started — shard workers, the merger, the WAL's
+// must stop what the backend started — shard workers, the WAL's
 // group-commit ticker, a Remote's receive loops.
 func TestMain(m *testing.M) {
 	leakcheck.Main(m)

@@ -11,14 +11,14 @@ import (
 )
 
 // Sharded is the scale-out in-process backend: N core engines over hash
-// partitions of the vertex space, each match sent on by the one shard that
-// owns it and delivered to subscriptions from the merge goroutine. Subscribe and subscription
-// teardown never wait behind ingestion.
+// partitions of the vertex space, each match delivered to subscriptions by
+// the one shard that owns it, on that shard's goroutine. Subscribe and
+// subscription teardown never wait behind ingestion.
 type Sharded struct {
 	frontend
 	// mu serializes the sharded engine's single-driver control surface, so
-	// the public concurrency contract holds. The merger never takes it, or a
-	// blocked ingest could deadlock delivery.
+	// the public concurrency contract holds. Delivery never takes it, or a
+	// blocked ingest could deadlock it.
 	mu  sync.Mutex
 	eng *shard.ShardedEngine
 }
@@ -33,8 +33,8 @@ func NewSharded(opts ...Option) *Sharded {
 	s.eng = shard.New(&shard.Config{
 		Shards: s.cfg.shards,
 		Engine: s.cfg.engine,
-		// On the merger nothing overlaps a log write, so an emission is
-		// acknowledged as soon as its sinks have returned.
+		// Shards deliver one at a time and nothing overlaps a log write, so
+		// an emission is acknowledged as soon as its sinks have returned.
 		Sink: core.MatchSinkFunc(func(ev core.MatchEvent) {
 			s.fanout(ev)
 			s.flushNotes()
@@ -160,8 +160,10 @@ func (s *Sharded) Advance(ctx context.Context, ts Timestamp) error {
 }
 
 // Subscribe attaches sink to the query named by queryFilter ("" for all
-// queries). Sinks run on the merge goroutine: a sink that blocks stalls
-// match delivery and eventually ingestion, so hand work off quickly.
+// queries). Sinks run on the owning shard's goroutine, one at a time, and
+// must not call back into the engine except to close their own
+// subscription: a sink that blocks stalls every shard's delivery and
+// eventually ingestion, so hand work off quickly.
 // Subscribe never waits behind ingestion and is safe while Process runs; a
 // recovered backlog may therefore interleave with live deliveries, which is
 // fine — match identity is (query, signature), and the engine never
@@ -171,8 +173,8 @@ func (s *Sharded) Subscribe(queryFilter string, sink MatchSink) (Subscription, e
 }
 
 // Metrics aggregates per-shard counters into the single-engine Metrics
-// shape (matches as the merger delivered them); it keeps working after
-// Close.
+// shape (matches as their owner shards delivered them, each once); it keeps
+// working after Close.
 func (s *Sharded) Metrics(ctx context.Context) (Metrics, error) {
 	if err := ctx.Err(); err != nil {
 		return Metrics{}, err
@@ -182,7 +184,7 @@ func (s *Sharded) Metrics(ctx context.Context) (Metrics, error) {
 }
 
 // ObsSnapshot folds every tier's registry — each shard worker's, the
-// front-end and merger's, and the WAL's — into one snapshot: every counter
+// front-end's, and the WAL's — into one snapshot: every counter
 // and gauge, plus the latency histograms when the engine was built
 // WithObservability. It reads the registries as they stand, taking no lock
 // and waiting on nothing (no shard round trip, no log write), so it is safe
@@ -219,7 +221,7 @@ func (s *Sharded) Close() error {
 		return nil
 	}
 	s.mu.Lock()
-	s.eng.Close() // returns once the merger has drained
+	s.eng.Close() // returns after the final delivery
 	s.mu.Unlock()
 	s.finish()
 	return nil

@@ -43,7 +43,7 @@ func TestShardedSoakDriftReregister(t *testing.T) {
 	}
 
 	// Metrics self-consistency: every query is reported with its plan
-	// shape, and the per-query match counts add up to the merger's total.
+	// shape, and the per-query match counts add up to the emitted total.
 	if int(m.Registrations) != len(w.Queries) || len(m.Queries) != len(w.Queries) {
 		t.Fatalf("registrations inconsistent: %d/%d of %d", m.Registrations, len(m.Queries), len(w.Queries))
 	}

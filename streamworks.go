@@ -72,7 +72,7 @@ type (
 	// Metrics is a snapshot of engine counters, including per-query detail.
 	// For a sharded engine, work counters are summed over shards (and so
 	// count an edge on each shard it was sent to) while match counts are
-	// the merger's, each match once.
+	// those of each match's owner shard, each match once.
 	Metrics = core.Metrics
 
 	// EngineConfig is the low-level per-engine configuration. Most callers
