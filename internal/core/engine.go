@@ -25,7 +25,6 @@ import (
 	"github.com/streamworks/streamworks/internal/obs"
 	"github.com/streamworks/streamworks/internal/query"
 	"github.com/streamworks/streamworks/internal/stats"
-	"github.com/streamworks/streamworks/internal/stream"
 )
 
 // MatchEvent is one complete match reported by the engine. The queries of
@@ -379,34 +378,6 @@ func (e *Engine) ProcessEdge(se graph.StreamEdge) []MatchEvent {
 		e.pruneAll()
 	}
 	return events
-}
-
-// ProcessBatch ingests a batch of edges (one time step) and returns the
-// incremental matches produced by the batch, i.e. the paper's
-// f(Gd, Gq, E(k+1)).
-func (e *Engine) ProcessBatch(b stream.Batch) []MatchEvent {
-	var events []MatchEvent
-	for _, se := range b.Edges {
-		events = append(events, e.ProcessEdge(se)...)
-	}
-	return events
-}
-
-// Run drains a stream source through the engine. fn, when non-nil, is
-// invoked for every match event as it is produced. Run returns the total
-// number of match events.
-func (e *Engine) Run(src stream.Source, fn func(MatchEvent)) (int, error) {
-	total := 0
-	_, err := stream.Replay(src, func(se graph.StreamEdge) bool {
-		for _, ev := range e.ProcessEdge(se) {
-			total++
-			if fn != nil {
-				fn(ev)
-			}
-		}
-		return true
-	})
-	return total, err
 }
 
 // Advance signals the passage of stream time to ts in the absence of edges:

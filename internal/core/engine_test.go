@@ -11,7 +11,6 @@ import (
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/isomorphism"
 	"github.com/streamworks/streamworks/internal/query"
-	"github.com/streamworks/streamworks/internal/stream"
 )
 
 func smurfQuery(window time.Duration) *query.Graph {
@@ -273,34 +272,6 @@ func checkRareWedgeAnchor(t *testing.T, e *Engine) {
 	}
 	if bottom := reg.Plan().Leaves()[0]; !reflect.DeepEqual(bottom.Edges, []query.EdgeID{0, 1}) {
 		t.Fatalf("plan %v anchors on edges %v, want the request→reply wedge [0 1]", reg.Plan(), bottom.Edges)
-	}
-}
-
-func TestEngineProcessBatchAndRun(t *testing.T) {
-	base := graph.TimestampFromTime(time.Unix(6000, 0))
-	edges := []graph.StreamEdge{
-		hostEdge(1, 1, 2, "icmp_echo_req", base),
-		hostEdge(2, 2, 3, "icmp_echo_reply", base.Add(time.Second)),
-		hostEdge(3, 10, 11, "icmp_echo_req", base.Add(2*time.Second)),
-		hostEdge(4, 11, 12, "icmp_echo_reply", base.Add(3*time.Second)),
-	}
-	e := New(nil)
-	if _, err := e.RegisterQuery(smurfQuery(time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	events := e.ProcessBatch(stream.Batch{Edges: edges})
-	if len(events) != 2 {
-		t.Fatalf("ProcessBatch found %d matches, want 2", len(events))
-	}
-
-	e2 := New(nil)
-	if _, err := e2.RegisterQuery(smurfQuery(time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	var streamed int
-	total, err := e2.Run(stream.NewSliceSource(edges), func(MatchEvent) { streamed++ })
-	if err != nil || total != 2 || streamed != 2 {
-		t.Fatalf("Run = %d, %d, %v", total, streamed, err)
 	}
 }
 
@@ -570,13 +541,13 @@ func TestEngineMatchesOfflineGroundTruth(t *testing.T) {
 		MustBuild()
 
 	// Offline ground truth.
-	g := graph.New(graph.WithAutoVertices())
+	dyn := graph.NewDynamic(0)
 	for _, se := range edges {
-		if _, err := g.AddStreamEdge(se); err != nil {
+		if _, err := dyn.Apply(se); err != nil {
 			t.Fatal(err)
 		}
 	}
-	offline := isomorphism.New(q).FindAll(g, q.EdgeIDs(), 0)
+	offline := isomorphism.New(q).FindAll(dyn.Graph(), q.EdgeIDs(), 0)
 	truth := make(map[string]bool, len(offline))
 	for _, m := range offline {
 		truth[m.Signature()] = true

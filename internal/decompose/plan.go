@@ -40,9 +40,6 @@ type Node struct {
 // IsLeaf reports whether the node has no children.
 func (n *Node) IsLeaf() bool { return n.Left == nil && n.Right == nil }
 
-// Size returns the number of pattern edges covered by the node.
-func (n *Node) Size() int { return len(n.Edges) }
-
 // Plan is a complete decomposition of a query graph.
 type Plan struct {
 	Query    *query.Graph

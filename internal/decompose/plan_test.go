@@ -37,15 +37,15 @@ func smurfQuery() *query.Graph {
 // located edges are rare.
 func newsSummary() *stats.Summary {
 	s := stats.NewSummary()
-	g := graph.New(graph.WithAutoVertices())
+	d := graph.NewDynamic(0)
 	id := graph.EdgeID(0)
 	observe := func(se graph.StreamEdge) {
 		id++
 		se.Edge.ID = id
-		if _, err := g.AddStreamEdge(se); err != nil {
+		if _, err := d.Apply(se); err != nil {
 			panic(err)
 		}
-		s.Observe(se, g)
+		s.Observe(se, d.Graph())
 	}
 	for i := 0; i < 80; i++ {
 		observe(graph.StreamEdge{
@@ -96,8 +96,8 @@ func TestPlanEagerLeavesAreSingleEdges(t *testing.T) {
 		t.Fatalf("eager plan should have 4 leaves, got %d", len(leaves))
 	}
 	for _, l := range leaves {
-		if l.Size() != 1 {
-			t.Fatalf("eager leaf has %d edges", l.Size())
+		if len(l.Edges) != 1 {
+			t.Fatalf("eager leaf has %d edges", len(l.Edges))
 		}
 	}
 	// Left-deep over 4 leaves: 7 nodes, depth 4.
@@ -120,8 +120,8 @@ func TestPlanLazyLeavesAreWedges(t *testing.T) {
 		t.Fatalf("lazy plan should pair the 4 edges into 2 leaves, got %d", len(leaves))
 	}
 	for _, l := range leaves {
-		if l.Size() != 2 {
-			t.Fatalf("lazy leaf has %d edges", l.Size())
+		if len(l.Edges) != 2 {
+			t.Fatalf("lazy leaf has %d edges", len(l.Edges))
 		}
 	}
 }

@@ -33,9 +33,6 @@ type Workload struct {
 	SplitAt int
 }
 
-// Source returns a replayable source over the workload's edges.
-func (w Workload) Source() stream.Source { return stream.NewSliceSource(w.Edges) }
-
 // NDJSON writes the workload's edge stream in the JSON Lines wire format
 // shared by the loader and the HTTP ingest endpoint (POST /v1/edges): one
 // edge object per line, attribute kinds preserved. The load driver, server

@@ -29,12 +29,6 @@ type Sequence struct {
 	nextEdge   graph.EdgeID
 }
 
-// NewSequence returns a sequence starting at the given offsets (useful when
-// composing independently generated streams).
-func NewSequence(vertexStart graph.VertexID, edgeStart graph.EdgeID) *Sequence {
-	return &Sequence{nextVertex: vertexStart, nextEdge: edgeStart}
-}
-
 // NextVertex returns a fresh vertex ID.
 func (s *Sequence) NextVertex() graph.VertexID {
 	s.nextVertex++
@@ -46,12 +40,6 @@ func (s *Sequence) NextEdge() graph.EdgeID {
 	s.nextEdge++
 	return s.nextEdge
 }
-
-// VertexHigh returns the highest vertex ID handed out so far.
-func (s *Sequence) VertexHigh() graph.VertexID { return s.nextVertex }
-
-// EdgeHigh returns the highest edge ID handed out so far.
-func (s *Sequence) EdgeHigh() graph.EdgeID { return s.nextEdge }
 
 // zipf draws ranks from a Zipf distribution over [0, n) with exponent s,
 // used for keyword popularity and host contact skew.

@@ -2,12 +2,10 @@ package gen
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
 	"github.com/streamworks/streamworks/internal/graph"
-	"github.com/streamworks/streamworks/internal/stream"
 )
 
 // Vertex and edge type labels used by the netflow workload. The cyber
@@ -212,19 +210,6 @@ func (g *NetFlow) Generate() []graph.StreamEdge {
 		out = append(out, g.nextEdge())
 	}
 	return out
-}
-
-// Source returns a streaming source that lazily generates the configured
-// number of edges, avoiding large intermediate slices in benchmarks.
-func (g *NetFlow) Source() stream.Source {
-	remaining := g.cfg.Edges
-	return stream.FuncSource(func() (graph.StreamEdge, error) {
-		if remaining <= 0 {
-			return graph.StreamEdge{}, io.EOF
-		}
-		remaining--
-		return g.nextEdge(), nil
-	})
 }
 
 // currentMix returns the scheduled mix for the next emitted edge, or

@@ -43,11 +43,11 @@ func TestMatchReportSignaturesGolden(t *testing.T) {
 				queries[q.Name()] = q
 			}
 			var lines []string
-			if _, err := eng.Run(tc.w.Source(), func(ev core.MatchEvent) {
-				r := export.BuildReport(ev, queries[ev.Query], eng.Graph().Graph())
-				lines = append(lines, ev.Query+"\t"+r.Signature)
-			}); err != nil {
-				t.Fatalf("Run: %v", err)
+			for _, se := range tc.w.Edges {
+				for _, ev := range eng.ProcessEdge(se) {
+					r := export.BuildReport(ev, queries[ev.Query], eng.Graph().Graph())
+					lines = append(lines, ev.Query+"\t"+r.Signature)
+				}
 			}
 			if len(lines) == 0 {
 				t.Fatalf("workload %s produced no matches; golden comparison would be vacuous", tc.name)

@@ -78,7 +78,7 @@ func WithExpiryCallback(fn func(*Edge)) DynamicOption {
 // A window of zero means "unbounded": edges are never expired.
 func NewDynamic(window time.Duration, opts ...DynamicOption) *Dynamic {
 	dg := &Dynamic{
-		g:      New(WithAutoVertices()),
+		g:      New(),
 		window: window,
 		cutoff: NoCutoff,
 	}
@@ -88,8 +88,8 @@ func NewDynamic(window time.Duration, opts ...DynamicOption) *Dynamic {
 	return dg
 }
 
-// Graph exposes the underlying static graph for read-only use by matchers
-// and statistics collectors.
+// Graph exposes the window graph for read-only use by matchers and
+// statistics collectors.
 func (d *Dynamic) Graph() *Graph { return d.g }
 
 // Window returns the configured window width.
@@ -128,6 +128,11 @@ func (d *Dynamic) Widen(w time.Duration) {
 // endpoint metadata is upserted, the edge is added to the live graph and the
 // window is advanced, expiring edges that fall out of it. It returns the
 // stored edge, whose record is reused once expiry passes it.
+//
+// The graph takes the attribute maps of se by reference: callers must not
+// mutate them after Apply. Updates never mutate a stored map in place
+// (Attributes.Merge is copy-on-write), so sources are free to share one
+// attribute map across many edges and endpoints.
 func (d *Dynamic) Apply(se StreamEdge) (*Edge, error) {
 	ts := se.Edge.Timestamp
 	if d.seenAny && ts < d.watermark-Timestamp(d.slack) && d.window > 0 {

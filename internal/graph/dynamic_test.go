@@ -91,10 +91,10 @@ func TestDynamicIsolatedVerticesRemovedOnExpiry(t *testing.T) {
 	if _, err := d.Apply(streamEdge(2, 200, 201, "flow", 10)); err != nil {
 		t.Fatal(err)
 	}
-	if d.Graph().HasVertex(100) || d.Graph().HasVertex(101) {
+	if hasVertex(d.Graph(), 100) || hasVertex(d.Graph(), 101) {
 		t.Fatalf("expired edge endpoints should be garbage collected")
 	}
-	if !d.Graph().HasVertex(200) {
+	if !hasVertex(d.Graph(), 200) {
 		t.Fatalf("live endpoints must be retained")
 	}
 }
@@ -229,16 +229,16 @@ func TestDynamicWidenKeepsWatermarkAndCutoff(t *testing.T) {
 		t.Fatalf("after widening: window %s, watermark %d, cutoff %d, want 100ns, 50 and 40",
 			d.Window(), d.Watermark(), d.Cutoff())
 	}
-	if d.Graph().HasEdge(2) || d.ExpiredTotal() != 2 {
+	if hasEdge(d.Graph(), 2) || d.ExpiredTotal() != 2 {
 		t.Fatalf("widening brought back an expired edge: %d expired", d.ExpiredTotal())
 	}
 	if _, err := d.Apply(streamEdge(4, 7, 8, "flow", 41)); !errors.Is(err, ErrTimestampRegression) {
 		t.Fatalf("an edge behind the kept watermark: got %v, want ErrTimestampRegression", err)
 	}
 	d.AdvanceTo(60)
-	if !d.Graph().HasEdge(3) || d.Cutoff() != 40 {
+	if !hasEdge(d.Graph(), 3) || d.Cutoff() != 40 {
 		t.Fatalf("at 60 under a 100ns window: edge 3 live %v, cutoff %d, want true and 40",
-			d.Graph().HasEdge(3), d.Cutoff())
+			hasEdge(d.Graph(), 3), d.Cutoff())
 	}
 }
 
@@ -280,7 +280,7 @@ func TestDynamicExpiredStragglerKeepsAttrs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(expired) != 1 || expired[0] != 2 || d.Graph().HasEdge(2) {
+	if len(expired) != 1 || expired[0] != 2 || hasEdge(d.Graph(), 2) {
 		t.Fatalf("straggler below the cutoff not expired on arrival: expired %v", expired)
 	}
 	if e.Attrs["bytes"].Int64() != 9000 {
@@ -288,28 +288,34 @@ func TestDynamicExpiredStragglerKeepsAttrs(t *testing.T) {
 	}
 }
 
-// TestMutationsCount: the mutation count moves on every added or removed
-// vertex or edge and every retyped vertex, expiry by AdvanceTo alone
+// TestMutationsCount: the mutation count moves by one for every added or
+// removed vertex or edge and every retyped vertex, expiry by AdvanceTo alone
 // included, and on nothing else.
 func TestMutationsCount(t *testing.T) {
 	d := NewDynamic(10)
 	g := d.Graph()
-	step := func(what string, moves bool, f func()) {
+	step := func(what string, want uint64, f func()) {
 		t.Helper()
 		before := g.Mutations()
 		f()
-		if moved := g.Mutations() != before; moved != moves {
-			t.Fatalf("%s: mutation count moved %v, want %v", what, moved, moves)
+		if moved := g.Mutations() - before; moved != want {
+			t.Fatalf("%s: mutation count moved by %d, want %d", what, moved, want)
 		}
 	}
-	step("apply", true, func() { d.Apply(streamEdge(1, 1, 2, "flow", 100)) })
-	step("same vertex, merged attributes", false, func() {
-		g.AddVertex(Vertex{ID: 1, Type: "Host", Attrs: Attributes{"os": Int(1)}})
+	step("apply, two new endpoints", 3, func() { apply(t, d, streamEdge(1, 1, 2, "flow", 100)) })
+	step("apply, merged attributes", 1, func() {
+		se := streamEdge(2, 1, 2, "flow", 101)
+		se.SourceAttrs = Attributes{"os": Int(1)}
+		apply(t, d, se)
 	})
-	step("retype", true, func() { g.AddVertex(Vertex{ID: 1, Type: "Server"}) })
-	step("advance, nothing expires", false, func() { d.AdvanceTo(105) })
-	step("advance, edge 1 expires", true, func() { d.AdvanceTo(200) })
-	step("advance, nothing left to expire", false, func() { d.AdvanceTo(300) })
+	step("apply, retyped endpoint", 2, func() {
+		se := streamEdge(3, 1, 2, "flow", 102)
+		se.SourceType = "Server"
+		apply(t, d, se)
+	})
+	step("advance, nothing expires", 0, func() { d.AdvanceTo(105) })
+	step("advance, three edges and two vertices expire", 5, func() { d.AdvanceTo(200) })
+	step("advance, nothing left to expire", 0, func() { d.AdvanceTo(300) })
 }
 
 // Incidence lists are in arrival order: an edge that arrives out of

@@ -10,9 +10,6 @@ import (
 var (
 	// ErrDuplicateEdge is returned when an edge with an existing ID is added.
 	ErrDuplicateEdge = errors.New("graph: duplicate edge id")
-	// ErrDanglingEdge is returned when an edge references a vertex that does
-	// not exist and auto-creation is disabled.
-	ErrDanglingEdge = errors.New("graph: edge references unknown vertex")
 	// ErrTimestampRegression is returned by the dynamic graph when an edge's
 	// timestamp is more than the slack behind the watermark, itself the
 	// slack behind the newest edge.
@@ -26,23 +23,11 @@ var (
 )
 
 // ReservedVertexID and ReservedEdgeID are the all-ones IDs rejected by
-// AddEdge; internal/match uses them as unbound-binding sentinels.
+// Dynamic.Apply; internal/match uses them as unbound-binding sentinels.
 const (
 	ReservedVertexID = ^VertexID(0)
 	ReservedEdgeID   = ^EdgeID(0)
 )
-
-// VertexError decorates a vertex-related error with the offending ID.
-type VertexError struct {
-	ID  VertexID
-	Err error
-}
-
-// Error implements error.
-func (e *VertexError) Error() string { return fmt.Sprintf("%v (vertex %d)", e.Err, e.ID) }
-
-// Unwrap exposes the wrapped sentinel.
-func (e *VertexError) Unwrap() error { return e.Err }
 
 // EdgeError decorates an edge-related error with the offending ID.
 type EdgeError struct {

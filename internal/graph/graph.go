@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // The graph recycles what its insert/expire cycle would otherwise allocate
 // per edge, within these bounds:
@@ -26,6 +23,8 @@ const (
 // Graph is an in-memory multi-relational property multigraph. Each vertex
 // has one record that holds its incidence lists of edge handles, split by
 // direction and in arrival order; per-type counts serve the query planner.
+// A Dynamic is its only writer, so a vertex is in the graph exactly while an
+// edge in it touches the vertex.
 //
 // Graph is not safe for concurrent mutation; the continuous engine serializes
 // updates per stream partition. Read-only concurrent access after loading is
@@ -41,10 +40,6 @@ type Graph struct {
 	spares       spares
 	freeVertices []*vertexRecord // zeroed records of removed vertices
 
-	// autoVertex controls whether AddEdge creates missing endpoints with an
-	// empty type instead of failing.
-	autoVertex bool
-
 	// mutations counts the changes to the graph's vertices, edges and vertex
 	// types (see Mutations).
 	mutations uint64
@@ -56,27 +51,14 @@ type vertexRecord struct {
 	out, in fifo
 }
 
-// Option configures a Graph at construction time.
-type Option func(*Graph)
-
-// WithAutoVertices makes AddEdge silently create endpoints that have not
-// been added explicitly. Stream ingestion uses this because vertex metadata
-// often arrives embedded in the first edge that touches the vertex.
-func WithAutoVertices() Option {
-	return func(g *Graph) { g.autoVertex = true }
-}
-
-// New constructs an empty graph.
-func New(opts ...Option) *Graph {
-	g := &Graph{
+// New constructs an empty graph. Only a Dynamic adds to a graph (NewDynamic
+// builds its own); an empty one serves a reader that has seen no edge yet.
+func New() *Graph {
+	return &Graph{
 		vertices:       make(map[VertexID]*vertexRecord),
 		verticesByType: make(map[string]int),
 		edgesByType:    make(map[string]int),
 	}
-	for _, o := range opts {
-		o(g)
-	}
-	return g
 }
 
 // NumVertices returns the number of vertices currently in the graph.
@@ -90,16 +72,9 @@ func (g *Graph) NumEdges() int { return g.edges.n }
 // graph can keep it until the count moves; attribute merges do not count.
 func (g *Graph) Mutations() uint64 { return g.mutations }
 
-// AddVertex inserts or updates a vertex. If a vertex with the same ID exists
-// its type is overwritten when the new type is non-empty and its attributes
-// are merged.
-//
-// The graph takes the attribute map by reference: callers must not mutate
-// v.Attrs after insertion. Updates never mutate a stored map in place
-// (Attributes.Merge is copy-on-write), so sources are free to share one
-// attribute map across many inserted vertices and edges.
-func (g *Graph) AddVertex(v Vertex) *Vertex { return &g.upsert(v).Vertex }
-
+// upsert inserts vertex v or updates the record of its ID: a non-empty type
+// overwrites the stored one and the attributes are merged. It returns the
+// record.
 func (g *Graph) upsert(v Vertex) *vertexRecord {
 	r, ok := g.vertices[v.ID]
 	if !ok {
@@ -145,12 +120,6 @@ func (g *Graph) Vertex(id VertexID) (*Vertex, bool) {
 	return nil, false
 }
 
-// HasVertex reports whether the vertex exists.
-func (g *Graph) HasVertex(id VertexID) bool {
-	_, ok := g.vertices[id]
-	return ok
-}
-
 // Edge returns the edge with the given ID. The record is valid until expiry
 // passes it.
 func (g *Graph) Edge(id EdgeID) (*Edge, bool) {
@@ -158,30 +127,6 @@ func (g *Graph) Edge(id EdgeID) (*Edge, bool) {
 		return g.records.at(h), true
 	}
 	return nil, false
-}
-
-// HasEdge reports whether the edge exists.
-func (g *Graph) HasEdge(id EdgeID) bool { return g.edges.find(&g.records, id) >= 0 }
-
-// AddEdge inserts a directed edge. Both endpoints must already exist unless
-// the graph was built WithAutoVertices. Duplicate edge IDs are rejected.
-//
-// As with AddVertex, the attribute map is taken by reference and must not be
-// mutated by the caller after insertion; the graph itself never modifies
-// edge attributes.
-func (g *Graph) AddEdge(e Edge) (*Edge, error) {
-	if err := g.admissible(e); err != nil {
-		return nil, err
-	}
-	src, err := g.endpoint(e.Source)
-	if err != nil {
-		return nil, err
-	}
-	dst, err := g.endpoint(e.Target)
-	if err != nil {
-		return nil, err
-	}
-	return g.records.at(g.insert(e, src, dst)), nil
 }
 
 // admissible rejects an edge with a reserved or duplicate ID before anything
@@ -196,18 +141,6 @@ func (g *Graph) admissible(e Edge) error {
 	return nil
 }
 
-// endpoint returns the record of vertex id, creating an untyped one if the
-// graph was built WithAutoVertices.
-func (g *Graph) endpoint(id VertexID) (*vertexRecord, error) {
-	if r, ok := g.vertices[id]; ok {
-		return r, nil
-	}
-	if !g.autoVertex {
-		return nil, &VertexError{ID: id, Err: ErrDanglingEdge}
-	}
-	return g.upsert(Vertex{ID: id}), nil
-}
-
 // insert stores an admissible edge between the records of its endpoints
 // and returns its handle.
 func (g *Graph) insert(e Edge, src, dst *vertexRecord) int32 {
@@ -220,18 +153,9 @@ func (g *Graph) insert(e Edge, src, dst *vertexRecord) int32 {
 	return h
 }
 
-// AddStreamEdge applies a StreamEdge: endpoint metadata is upserted and the
-// edge added. It is the ingestion path used by the dynamic graph. An edge
-// that is rejected changes nothing: its endpoints are neither added nor
-// updated.
-func (g *Graph) AddStreamEdge(se StreamEdge) (*Edge, error) {
-	h, err := g.addStreamEdge(se)
-	if err != nil {
-		return nil, err
-	}
-	return g.records.at(h), nil
-}
-
+// addStreamEdge upserts the endpoints of se and adds its edge, returning
+// the edge's handle. An edge that is rejected changes nothing: its endpoints
+// are neither added nor updated.
 func (g *Graph) addStreamEdge(se StreamEdge) (int32, error) {
 	if err := g.admissible(se.Edge); err != nil {
 		return -1, err
@@ -285,7 +209,7 @@ func (g *Graph) removeIfIsolated(r *vertexRecord) {
 // EdgeList is a read-only view of a vertex's out- or in-edges, in the order
 // they were added: an edge that arrived out of timestamp order keeps its
 // arrival position, and expiry leaves the others in order. A view is valid
-// only until the next AddEdge, Dynamic.Apply or Dynamic.AdvanceTo: the graph
+// only until the next Dynamic.Apply or Dynamic.AdvanceTo: the graph
 // recycles incidence lists, so a view held across a mutation may come to
 // list another vertex's edges.
 type EdgeList struct {
@@ -338,35 +262,6 @@ func (g *Graph) Edges(fn func(*Edge) bool) {
 			return
 		}
 	}
-}
-
-// EdgeIDs returns all edge IDs in ascending order.
-func (g *Graph) EdgeIDs() []EdgeID {
-	out := make([]EdgeID, 0, g.edges.n)
-	g.Edges(func(e *Edge) bool {
-		out = append(out, e.ID)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Clone returns a deep copy of the graph. The copy adds the edges in
-// ascending ID order, so its incidence lists are in that order.
-func (g *Graph) Clone() *Graph {
-	c := New()
-	c.autoVertex = g.autoVertex
-	for _, r := range g.vertices {
-		c.AddVertex(r.Vertex)
-	}
-	for _, id := range g.EdgeIDs() {
-		e, _ := g.Edge(id)
-		if _, err := c.AddEdge(*e); err != nil {
-			// Cannot happen: the source graph is consistent by construction.
-			panic(fmt.Sprintf("graph: clone failed: %v", err))
-		}
-	}
-	return c
 }
 
 // String summarizes the graph size.

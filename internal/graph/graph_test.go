@@ -7,48 +7,71 @@ import (
 	"testing/quick"
 )
 
-func buildTriangle(t *testing.T) *Graph {
+// buildTriangle applies three edges among Host 1, Host 2 and Server 3 to an
+// unbounded window.
+func buildTriangle(t *testing.T) *Dynamic {
 	t.Helper()
-	g := New()
-	g.AddVertex(Vertex{ID: 1, Type: "Host"})
-	g.AddVertex(Vertex{ID: 2, Type: "Host"})
-	g.AddVertex(Vertex{ID: 3, Type: "Server"})
-	edges := []Edge{
-		{ID: 10, Source: 1, Target: 2, Type: "connects", Timestamp: 100},
-		{ID: 11, Source: 2, Target: 3, Type: "connects", Timestamp: 200},
-		{ID: 12, Source: 3, Target: 1, Type: "serves", Timestamp: 300},
+	d := NewDynamic(0)
+	edges := []StreamEdge{
+		{Edge: Edge{ID: 10, Source: 1, Target: 2, Type: "connects", Timestamp: 100}, SourceType: "Host", TargetType: "Host"},
+		{Edge: Edge{ID: 11, Source: 2, Target: 3, Type: "connects", Timestamp: 200}, SourceType: "Host", TargetType: "Server"},
+		{Edge: Edge{ID: 12, Source: 3, Target: 1, Type: "serves", Timestamp: 300}, SourceType: "Server", TargetType: "Host"},
 	}
-	for _, e := range edges {
-		if _, err := g.AddEdge(e); err != nil {
-			t.Fatalf("AddEdge(%v): %v", e, err)
+	for _, se := range edges {
+		if _, err := d.Apply(se); err != nil {
+			t.Fatalf("Apply(%v): %v", se, err)
 		}
 	}
-	return g
+	return d
 }
 
-func TestGraphAddVertexAndLookup(t *testing.T) {
-	g := New()
-	v := g.AddVertex(Vertex{ID: 7, Type: "IP", Attrs: Attributes{"addr": String("10.0.0.1")}})
-	if v.ID != 7 || v.Type != "IP" {
-		t.Fatalf("unexpected vertex %v", v)
+// apply applies se to d, failing t on an error.
+func apply(t *testing.T, d *Dynamic, se StreamEdge) {
+	t.Helper()
+	if _, err := d.Apply(se); err != nil {
+		t.Fatalf("Apply(%v): %v", se, err)
 	}
+}
+
+func hasVertex(g *Graph, id VertexID) bool {
+	_, ok := g.Vertex(id)
+	return ok
+}
+
+func hasEdge(g *Graph, id EdgeID) bool {
+	_, ok := g.Edge(id)
+	return ok
+}
+
+func TestGraphVertexLookup(t *testing.T) {
+	d := NewDynamic(0)
+	apply(t, d, StreamEdge{
+		Edge:        Edge{ID: 1, Source: 7, Target: 8, Type: "resolves", Timestamp: 1},
+		SourceType:  "IP",
+		SourceAttrs: Attributes{"addr": String("10.0.0.1")},
+	})
+	g := d.Graph()
 	got, ok := g.Vertex(7)
-	if !ok || got.Type != "IP" {
+	if !ok || got.ID != 7 || got.Type != "IP" || got.Attrs["addr"].Str() != "10.0.0.1" {
 		t.Fatalf("Vertex(7) = %v, %v", got, ok)
 	}
-	if !g.HasVertex(7) || g.HasVertex(8) {
-		t.Fatalf("HasVertex misbehaved")
+	if got, ok := g.Vertex(8); !ok || got.Type != "" {
+		t.Fatalf("untyped endpoint: Vertex(8) = %v, %v", got, ok)
 	}
-	if g.NumVertices() != 1 {
-		t.Fatalf("NumVertices = %d", g.NumVertices())
+	if hasVertex(g, 9) || g.NumVertices() != 2 {
+		t.Fatalf("vertex 9 present %v, NumVertices = %d", hasVertex(g, 9), g.NumVertices())
 	}
 }
 
-func TestGraphAddVertexMergesAttributes(t *testing.T) {
-	g := New()
-	g.AddVertex(Vertex{ID: 1, Type: "Host", Attrs: Attributes{"os": String("linux")}})
-	g.AddVertex(Vertex{ID: 1, Attrs: Attributes{"ram": Int(64)}})
-	v, _ := g.Vertex(1)
+// An endpoint that arrives again without a type keeps its type, and its
+// attributes are merged.
+func TestApplyMergesEndpointAttributes(t *testing.T) {
+	d := NewDynamic(0)
+	apply(t, d, StreamEdge{Edge: Edge{ID: 1, Source: 1, Target: 2, Type: "x", Timestamp: 1},
+		SourceType: "Host", SourceAttrs: Attributes{"os": String("linux")}})
+	apply(t, d, StreamEdge{Edge: Edge{ID: 2, Source: 1, Target: 2, Type: "x", Timestamp: 2},
+		SourceAttrs: Attributes{"ram": Int(64)}})
+	v, _ := d.Graph().Vertex(1)
 	if v.Type != "Host" {
 		t.Fatalf("empty type overwrote existing type: %v", v)
 	}
@@ -57,10 +80,11 @@ func TestGraphAddVertexMergesAttributes(t *testing.T) {
 	}
 }
 
-func TestGraphAddVertexRetype(t *testing.T) {
-	g := New()
-	g.AddVertex(Vertex{ID: 1, Type: "Host"})
-	g.AddVertex(Vertex{ID: 1, Type: "Server"})
+func TestApplyRetypesEndpoint(t *testing.T) {
+	d := NewDynamic(0)
+	apply(t, d, StreamEdge{Edge: Edge{ID: 1, Source: 1, Target: 2, Type: "x", Timestamp: 1}, SourceType: "Host"})
+	apply(t, d, StreamEdge{Edge: Edge{ID: 2, Source: 2, Target: 1, Type: "x", Timestamp: 2}, TargetType: "Server"})
+	g := d.Graph()
 	if n := g.CountVerticesOfType("Host"); n != 0 {
 		t.Fatalf("stale type index entry: %d", n)
 	}
@@ -69,31 +93,60 @@ func TestGraphAddVertexRetype(t *testing.T) {
 	}
 }
 
-func TestGraphAddEdgeRequiresEndpoints(t *testing.T) {
-	g := New()
-	_, err := g.AddEdge(Edge{ID: 1, Source: 1, Target: 2, Type: "x"})
-	if !errors.Is(err, ErrDanglingEdge) {
-		t.Fatalf("expected ErrDanglingEdge, got %v", err)
+// The graph keeps an endpoint's attribute map by reference and never writes
+// into it: a later edge that adds to the vertex's attributes gives it a new
+// map, so a source may share one map across many edges.
+func TestApplyNeverWritesAnAttributeMap(t *testing.T) {
+	shared := Attributes{"os": String("linux")}
+	d := NewDynamic(0)
+	apply(t, d, StreamEdge{Edge: Edge{ID: 1, Source: 1, Target: 2, Type: "x", Timestamp: 1},
+		SourceAttrs: shared, TargetAttrs: shared})
+	apply(t, d, StreamEdge{Edge: Edge{ID: 2, Source: 1, Target: 2, Type: "x", Timestamp: 2},
+		SourceAttrs: Attributes{"ram": Int(64)}, TargetAttrs: Attributes{"os": String("bsd")}})
+	if len(shared) != 1 || shared["os"].Str() != "linux" {
+		t.Fatalf("the shared map was written: %v", shared)
 	}
-	auto := New(WithAutoVertices())
-	if _, err := auto.AddEdge(Edge{ID: 1, Source: 1, Target: 2, Type: "x"}); err != nil {
-		t.Fatalf("auto-vertex graph rejected edge: %v", err)
+	src, _ := d.Graph().Vertex(1)
+	dst, _ := d.Graph().Vertex(2)
+	if src.Attrs["os"].Str() != "linux" || src.Attrs["ram"].Int64() != 64 || dst.Attrs["os"].Str() != "bsd" {
+		t.Fatalf("merged attributes: source %v, target %v", src.Attrs, dst.Attrs)
 	}
-	if auto.NumVertices() != 2 {
-		t.Fatalf("endpoints not auto-created")
+}
+
+// A vertex leaves with the last edge touching it, type and attributes
+// included: arriving again, it is built from the new edge alone, though the
+// graph reuses its record.
+func TestReturningVertexStartsClean(t *testing.T) {
+	d := NewDynamic(10)
+	se := streamEdge(1, 1, 2, "flow", 0)
+	se.SourceType, se.SourceAttrs = "Server", Attributes{"os": String("linux")}
+	apply(t, d, se)
+	apply(t, d, streamEdge(2, 2, 3, "flow", 5))
+	d.AdvanceTo(12) // cutoff 2: edge 1 expires, and vertex 1 with it
+	g := d.Graph()
+	if hasVertex(g, 1) || !hasVertex(g, 2) || g.CountVerticesOfType("Server") != 0 {
+		t.Fatalf("after edge 1 expired: vertex 1 present %v, vertex 2 present %v, %d Server vertices",
+			hasVertex(g, 1), hasVertex(g, 2), g.CountVerticesOfType("Server"))
+	}
+	apply(t, d, StreamEdge{Edge: Edge{ID: 3, Source: 1, Target: 3, Type: "flow", Timestamp: 13}})
+	if v, _ := g.Vertex(1); v.Type != "" || len(v.Attrs) != 0 || g.CountVerticesOfType("Server") != 0 {
+		t.Fatalf("returning vertex 1 is %v, with %d Server vertices", v, g.CountVerticesOfType("Server"))
 	}
 }
 
 func TestGraphDuplicateEdgeRejected(t *testing.T) {
-	g := buildTriangle(t)
-	_, err := g.AddEdge(Edge{ID: 10, Source: 1, Target: 2, Type: "connects"})
+	d := buildTriangle(t)
+	_, err := d.Apply(StreamEdge{Edge: Edge{ID: 10, Source: 1, Target: 2, Type: "connects", Timestamp: 400}})
 	if !errors.Is(err, ErrDuplicateEdge) {
 		t.Fatalf("expected ErrDuplicateEdge, got %v", err)
+	}
+	if e, _ := d.Graph().Edge(10); e.Timestamp != 100 || d.NumEdges() != 3 {
+		t.Fatalf("the duplicate replaced or joined the stored edge: %v, %d edges", e, d.NumEdges())
 	}
 }
 
 func TestGraphAdjacency(t *testing.T) {
-	g := buildTriangle(t)
+	g := buildTriangle(t).Graph()
 	if out := edgeIDs(g.OutEdges(1)); !slices.Equal(out, []EdgeID{10}) {
 		t.Fatalf("OutEdges(1) = %v", out)
 	}
@@ -103,7 +156,7 @@ func TestGraphAdjacency(t *testing.T) {
 }
 
 func TestGraphTypeIndexes(t *testing.T) {
-	g := buildTriangle(t)
+	g := buildTriangle(t).Graph()
 	if g.CountVerticesOfType("Host") != 2 || g.CountVerticesOfType("Server") != 1 {
 		t.Fatalf("vertex type counts wrong")
 	}
@@ -112,19 +165,16 @@ func TestGraphTypeIndexes(t *testing.T) {
 	}
 }
 
-func TestGraphAddStreamEdge(t *testing.T) {
-	g := New(WithAutoVertices())
-	se := StreamEdge{
+func TestApplyUpsertsEndpoints(t *testing.T) {
+	d := NewDynamic(0)
+	apply(t, d, StreamEdge{
 		Edge:        Edge{ID: 1, Source: 5, Target: 6, Type: "login", Timestamp: 50},
 		SourceType:  "User",
 		TargetType:  "Machine",
 		SourceAttrs: Attributes{"name": String("alice")},
-	}
-	if _, err := g.AddStreamEdge(se); err != nil {
-		t.Fatalf("AddStreamEdge: %v", err)
-	}
-	src, _ := g.Vertex(5)
-	dst, _ := g.Vertex(6)
+	})
+	src, _ := d.Graph().Vertex(5)
+	dst, _ := d.Graph().Vertex(6)
 	if src.Type != "User" || dst.Type != "Machine" {
 		t.Fatalf("endpoint types not applied: %v %v", src, dst)
 	}
@@ -134,33 +184,17 @@ func TestGraphAddStreamEdge(t *testing.T) {
 }
 
 func TestGraphMultigraphEdges(t *testing.T) {
-	g := New(WithAutoVertices())
+	d := NewDynamic(0)
 	for i := 0; i < 5; i++ {
-		if _, err := g.AddEdge(Edge{ID: EdgeID(i), Source: 1, Target: 2, Type: "flow", Timestamp: Timestamp(i)}); err != nil {
-			t.Fatal(err)
-		}
+		apply(t, d, StreamEdge{Edge: Edge{ID: EdgeID(i), Source: 1, Target: 2, Type: "flow", Timestamp: Timestamp(i)}})
 	}
-	if g.OutEdges(1).Len() != 5 || g.InEdges(2).Len() != 5 {
+	if g := d.Graph(); g.OutEdges(1).Len() != 5 || g.InEdges(2).Len() != 5 {
 		t.Fatalf("multigraph edges collapsed")
 	}
 }
 
-func TestGraphCloneIndependence(t *testing.T) {
-	g := buildTriangle(t)
-	c := g.Clone()
-	if c.NumVertices() != g.NumVertices() || c.NumEdges() != g.NumEdges() {
-		t.Fatalf("clone sizes differ")
-	}
-	if _, err := c.AddEdge(Edge{ID: 99, Source: 1, Target: 3, Type: "new"}); err != nil {
-		t.Fatal(err)
-	}
-	if g.HasEdge(99) {
-		t.Fatalf("mutating the clone affected the original")
-	}
-}
-
 func TestGraphIterationEarlyStop(t *testing.T) {
-	g := buildTriangle(t)
+	g := buildTriangle(t).Graph()
 	count := 0
 	g.Vertices(func(*Vertex) bool {
 		count++
@@ -179,28 +213,18 @@ func TestGraphIterationEarlyStop(t *testing.T) {
 	}
 }
 
-func TestGraphIDOrdering(t *testing.T) {
-	g := buildTriangle(t)
-	eids := g.EdgeIDs()
-	for i := 1; i < len(eids); i++ {
-		if eids[i-1] >= eids[i] {
-			t.Fatalf("EdgeIDs not sorted: %v", eids)
-		}
-	}
-}
-
-// Property: after inserting any set of edges over an auto-vertex graph, the
-// sum of all out-degrees and the sum of all in-degrees both equal the number
-// of edges.
+// Property: after applying any set of edges, the sum of all out-degrees and
+// the sum of all in-degrees both equal the number of edges.
 func TestGraphDegreeSumProperty(t *testing.T) {
 	type pair struct{ S, T uint8 }
 	f := func(pairs []pair) bool {
-		g := New(WithAutoVertices())
+		d := NewDynamic(0)
 		for i, p := range pairs {
-			if _, err := g.AddEdge(Edge{ID: EdgeID(i), Source: VertexID(p.S), Target: VertexID(p.T), Type: "e"}); err != nil {
+			if _, err := d.Apply(StreamEdge{Edge: Edge{ID: EdgeID(i), Source: VertexID(p.S), Target: VertexID(p.T), Type: "e"}}); err != nil {
 				return false
 			}
 		}
+		g := d.Graph()
 		var outSum, inSum int
 		g.Vertices(func(v *Vertex) bool {
 			outSum += g.OutEdges(v.ID).Len()
@@ -254,18 +278,18 @@ func TestIntervalUnionProperty(t *testing.T) {
 	}
 }
 
-func TestAddEdgeRejectsReservedIDs(t *testing.T) {
+func TestApplyRejectsReservedIDs(t *testing.T) {
 	cases := []Edge{
 		{ID: ReservedEdgeID, Source: 1, Target: 2, Type: "x", Timestamp: 1},
 		{ID: 1, Source: ReservedVertexID, Target: 2, Type: "x", Timestamp: 1},
 		{ID: 1, Source: 1, Target: ReservedVertexID, Type: "x", Timestamp: 1},
 	}
 	for _, e := range cases {
-		g := New(WithAutoVertices())
-		if _, err := g.AddEdge(e); !errors.Is(err, ErrReservedID) {
-			t.Fatalf("AddEdge(%+v) err = %v, want ErrReservedID", e, err)
+		d := NewDynamic(0)
+		if _, err := d.Apply(StreamEdge{Edge: e}); !errors.Is(err, ErrReservedID) {
+			t.Fatalf("Apply(%+v) err = %v, want ErrReservedID", e, err)
 		}
-		if g.NumEdges() != 0 {
+		if d.NumEdges() != 0 || d.NumVertices() != 0 {
 			t.Fatalf("reserved-ID edge was stored")
 		}
 	}

@@ -191,10 +191,11 @@ func (m *model) compare(t *testing.T, step int, d *Dynamic) {
 	checkRecycling(t, step, d)
 }
 
-// checkRecycling fails t when a spare is not empty, when an incidence list
-// or the expiry queue holds a handle that is not a live edge (of its vertex),
-// when a handle handed out is neither in the expiry queue nor free or is
-// both, or when two lists, live or spare, share a backing array.
+// checkRecycling fails t when a spare is not empty, when a live vertex has no
+// incident edge, when an incidence list or the expiry queue holds a handle
+// that is not a live edge (of its vertex), when a handle handed out is
+// neither in the expiry queue nor free or is both, or when two lists, live
+// or spare, share a backing array.
 func checkRecycling(t *testing.T, step int, d *Dynamic) {
 	t.Helper()
 	type list struct {
@@ -238,6 +239,9 @@ func checkRecycling(t *testing.T, step int, d *Dynamic) {
 		}
 		if r.out.buf != nil && r.out.len() == 0 || r.in.buf != nil && r.in.len() == 0 {
 			t.Fatalf("step %d: vertex %d keeps an empty list", step, v)
+		}
+		if r.out.len()+r.in.len() == 0 {
+			t.Fatalf("step %d: vertex %d has no incident edge", step, v)
 		}
 		live(r.out, list{"out", v}, func(h int32) bool { return isEdge(h) && recs.at(h).Source == v })
 		live(r.in, list{"in", v}, func(h int32) bool { return isEdge(h) && recs.at(h).Target == v })

@@ -2,10 +2,11 @@
 // StreamWorks continuously searches. Vertices and edges carry a type label
 // and a set of attributes; every edge additionally carries a timestamp.
 //
-// The package provides a static Graph (used for query-time local search and
-// offline ground-truth search) and a Dynamic graph that maintains a sliding
-// time window over an edge stream, expiring edges that fall outside the
-// window as required by the paper's temporal query semantics (τ(g) < tW).
+// A Dynamic graph maintains a sliding time window over an edge stream,
+// expiring edges that fall outside the window as required by the paper's
+// temporal query semantics (τ(g) < tW). It is the only writer of its Graph,
+// which local search, offline ground-truth search and the planner's
+// statistics read.
 package graph
 
 import (
@@ -47,14 +48,6 @@ type Vertex struct {
 	Attrs Attributes
 }
 
-// Clone returns a deep copy of the vertex.
-func (v *Vertex) Clone() *Vertex {
-	if v == nil {
-		return nil
-	}
-	return &Vertex{ID: v.ID, Type: v.Type, Attrs: v.Attrs.Clone()}
-}
-
 // String renders the vertex for debugging.
 func (v *Vertex) String() string {
 	if v == nil {
@@ -76,16 +69,6 @@ type Edge struct {
 	Type      string
 	Timestamp Timestamp
 	Attrs     Attributes
-}
-
-// Clone returns a deep copy of the edge.
-func (e *Edge) Clone() *Edge {
-	if e == nil {
-		return nil
-	}
-	c := *e
-	c.Attrs = e.Attrs.Clone()
-	return &c
 }
 
 // String renders the edge for debugging.

@@ -21,32 +21,52 @@ import (
 //	host1 -icmp_echo_req-> host2, host2 -icmp_echo_reply-> host3
 func buildDataGraph(t *testing.T) *graph.Graph {
 	t.Helper()
-	g := graph.New(graph.WithAutoVertices())
-	add := func(v graph.Vertex) { g.AddVertex(v) }
-	add(graph.Vertex{ID: 1, Type: "Article"})
-	add(graph.Vertex{ID: 2, Type: "Article"})
-	add(graph.Vertex{ID: 3, Type: "Article"})
-	add(graph.Vertex{ID: 10, Type: "Keyword", Attrs: graph.Attributes{"label": graph.String("politics")}})
-	add(graph.Vertex{ID: 11, Type: "Keyword", Attrs: graph.Attributes{"label": graph.String("sports")}})
-	add(graph.Vertex{ID: 20, Type: "Location", Attrs: graph.Attributes{"name": graph.String("NYC")}})
-	add(graph.Vertex{ID: 30, Type: "Host"})
-	add(graph.Vertex{ID: 31, Type: "Host"})
-	add(graph.Vertex{ID: 32, Type: "Host"})
-	edges := []graph.Edge{
-		{ID: 100, Source: 1, Target: 10, Type: "mentions", Timestamp: 10},
-		{ID: 101, Source: 1, Target: 20, Type: "located", Timestamp: 11},
-		{ID: 102, Source: 2, Target: 10, Type: "mentions", Timestamp: 12},
-		{ID: 103, Source: 2, Target: 20, Type: "located", Timestamp: 13},
-		{ID: 104, Source: 3, Target: 11, Type: "mentions", Timestamp: 14},
-		{ID: 200, Source: 30, Target: 31, Type: "icmp_echo_req", Timestamp: 20},
-		{ID: 201, Source: 31, Target: 32, Type: "icmp_echo_reply", Timestamp: 21},
+	vertices := append([]graph.Vertex{
+		{ID: 1, Type: "Article"},
+		{ID: 2, Type: "Article"},
+		{ID: 3, Type: "Article"},
+		{ID: 10, Type: "Keyword", Attrs: graph.Attributes{"label": graph.String("politics")}},
+		{ID: 11, Type: "Keyword", Attrs: graph.Attributes{"label": graph.String("sports")}},
+		{ID: 20, Type: "Location", Attrs: graph.Attributes{"name": graph.String("NYC")}},
+	}, hosts(30, 31, 32)...)
+	return windowOf(t, vertices,
+		graph.Edge{ID: 100, Source: 1, Target: 10, Type: "mentions", Timestamp: 10},
+		graph.Edge{ID: 101, Source: 1, Target: 20, Type: "located", Timestamp: 11},
+		graph.Edge{ID: 102, Source: 2, Target: 10, Type: "mentions", Timestamp: 12},
+		graph.Edge{ID: 103, Source: 2, Target: 20, Type: "located", Timestamp: 13},
+		graph.Edge{ID: 104, Source: 3, Target: 11, Type: "mentions", Timestamp: 14},
+		graph.Edge{ID: 200, Source: 30, Target: 31, Type: "icmp_echo_req", Timestamp: 20},
+		graph.Edge{ID: 201, Source: 31, Target: 32, Type: "icmp_echo_reply", Timestamp: 21},
+	)
+}
+
+// windowOf applies edges, in order, to an unbounded window and returns its
+// graph. Each endpoint takes the type and attributes of its entry in
+// vertices; an endpoint not listed there is untyped.
+func windowOf(t *testing.T, vertices []graph.Vertex, edges ...graph.Edge) *graph.Graph {
+	t.Helper()
+	byID := make(map[graph.VertexID]graph.Vertex, len(vertices))
+	for _, v := range vertices {
+		byID[v.ID] = v
 	}
+	d := graph.NewDynamic(0)
 	for _, e := range edges {
-		if _, err := g.AddEdge(e); err != nil {
+		src, dst := byID[e.Source], byID[e.Target]
+		se := graph.StreamEdge{Edge: e, SourceType: src.Type, TargetType: dst.Type, SourceAttrs: src.Attrs, TargetAttrs: dst.Attrs}
+		if _, err := d.Apply(se); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return g
+	return d.Graph()
+}
+
+// hosts returns vertices of type Host with the given IDs.
+func hosts(ids ...graph.VertexID) []graph.Vertex {
+	vs := make([]graph.Vertex, len(ids))
+	for i, id := range ids {
+		vs[i] = graph.Vertex{ID: id, Type: "Host"}
+	}
+	return vs
 }
 
 func articlePairQuery(t *testing.T) *query.Graph {
@@ -257,12 +277,7 @@ func TestLocalSearchSeedMismatch(t *testing.T) {
 }
 
 func TestLocalSearchUndirectedSeedBothOrientations(t *testing.T) {
-	g := graph.New(graph.WithAutoVertices())
-	g.AddVertex(graph.Vertex{ID: 1, Type: "Host"})
-	g.AddVertex(graph.Vertex{ID: 2, Type: "Host"})
-	if _, err := g.AddEdge(graph.Edge{ID: 1, Source: 1, Target: 2, Type: "peer", Timestamp: 1}); err != nil {
-		t.Fatal(err)
-	}
+	g := windowOf(t, hosts(1, 2), graph.Edge{ID: 1, Source: 1, Target: 2, Type: "peer", Timestamp: 1})
 	q := query.NewBuilder("p").
 		Vertex("x", "Host").Vertex("y", "Host").
 		UndirectedEdge("x", "y", "peer").
@@ -275,15 +290,9 @@ func TestLocalSearchUndirectedSeedBothOrientations(t *testing.T) {
 }
 
 func TestSelfLoopHandling(t *testing.T) {
-	g := graph.New(graph.WithAutoVertices())
-	g.AddVertex(graph.Vertex{ID: 1, Type: "Host"})
-	g.AddVertex(graph.Vertex{ID: 2, Type: "Host"})
-	if _, err := g.AddEdge(graph.Edge{ID: 1, Source: 1, Target: 1, Type: "beacon", Timestamp: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.AddEdge(graph.Edge{ID: 2, Source: 1, Target: 2, Type: "beacon", Timestamp: 2}); err != nil {
-		t.Fatal(err)
-	}
+	g := windowOf(t, hosts(1, 2),
+		graph.Edge{ID: 1, Source: 1, Target: 1, Type: "beacon", Timestamp: 1},
+		graph.Edge{ID: 2, Source: 1, Target: 2, Type: "beacon", Timestamp: 2})
 	// Self-loop pattern: only the self-loop data edge matches.
 	loop := query.NewBuilder("loop").
 		Vertex("x", "Host").
@@ -305,14 +314,11 @@ func TestSelfLoopHandling(t *testing.T) {
 }
 
 func TestMultigraphParallelEdges(t *testing.T) {
-	g := graph.New(graph.WithAutoVertices())
-	g.AddVertex(graph.Vertex{ID: 1, Type: "Host"})
-	g.AddVertex(graph.Vertex{ID: 2, Type: "Host"})
+	var parallel []graph.Edge
 	for i := 0; i < 3; i++ {
-		if _, err := g.AddEdge(graph.Edge{ID: graph.EdgeID(i), Source: 1, Target: 2, Type: "flow", Timestamp: graph.Timestamp(i)}); err != nil {
-			t.Fatal(err)
-		}
+		parallel = append(parallel, graph.Edge{ID: graph.EdgeID(i), Source: 1, Target: 2, Type: "flow", Timestamp: graph.Timestamp(i)})
 	}
+	g := windowOf(t, hosts(1, 2), parallel...)
 	// Pattern with two parallel flow edges between the same pair: each match
 	// must use two distinct data edges (ordered pairs of distinct edges: 3*2).
 	q := query.NewBuilder("double").
@@ -334,13 +340,11 @@ func TestMultigraphParallelEdges(t *testing.T) {
 }
 
 func TestFindAllEdgePredicates(t *testing.T) {
-	g := graph.New(graph.WithAutoVertices())
-	g.AddVertex(graph.Vertex{ID: 1, Type: "Host"})
-	g.AddVertex(graph.Vertex{ID: 2, Type: "Host"})
-	g.AddEdge(graph.Edge{ID: 1, Source: 1, Target: 2, Type: "flow", Timestamp: 1,
-		Attrs: graph.Attributes{"bytes": graph.Int(100)}})
-	g.AddEdge(graph.Edge{ID: 2, Source: 1, Target: 2, Type: "flow", Timestamp: 2,
-		Attrs: graph.Attributes{"bytes": graph.Int(9000)}})
+	g := windowOf(t, hosts(1, 2),
+		graph.Edge{ID: 1, Source: 1, Target: 2, Type: "flow", Timestamp: 1,
+			Attrs: graph.Attributes{"bytes": graph.Int(100)}},
+		graph.Edge{ID: 2, Source: 1, Target: 2, Type: "flow", Timestamp: 2,
+			Attrs: graph.Attributes{"bytes": graph.Int(9000)}})
 	q := query.NewBuilder("big").
 		Vertex("x", "Host").Vertex("y", "Host").
 		Edge("x", "y", "flow", query.Gt("bytes", graph.Int(1000))).
@@ -359,10 +363,6 @@ func TestFindAllEdgePredicates(t *testing.T) {
 // local searches seeded by each edge (restricted to matches whose latest
 // edge is the seed) equals the offline result set.
 func TestLocalSearchCoversOfflineResults(t *testing.T) {
-	g := graph.New(graph.WithAutoVertices())
-	for i := 1; i <= 5; i++ {
-		g.AddVertex(graph.Vertex{ID: graph.VertexID(i), Type: "Host"})
-	}
 	edges := []graph.Edge{
 		{ID: 1, Source: 1, Target: 2, Type: "flow", Timestamp: 1},
 		{ID: 2, Source: 2, Target: 3, Type: "flow", Timestamp: 2},
@@ -371,11 +371,7 @@ func TestLocalSearchCoversOfflineResults(t *testing.T) {
 		{ID: 5, Source: 4, Target: 2, Type: "flow", Timestamp: 5},
 		{ID: 6, Source: 2, Target: 5, Type: "flow", Timestamp: 6},
 	}
-	for _, e := range edges {
-		if _, err := g.AddEdge(e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	g := windowOf(t, hosts(1, 2, 3, 4, 5), edges...)
 	q := query.NewBuilder("tri").
 		Vertex("a", "Host").Vertex("b", "Host").Vertex("c", "Host").
 		Edge("a", "b", "flow").Edge("b", "c", "flow").Edge("c", "a", "flow").
@@ -424,18 +420,12 @@ func TestMatchWithinWindowIntegration(t *testing.T) {
 // beside a parallel edge of another type and an edge to a fourth host, costs
 // nothing, and the match is left as it was.
 func TestExtendClosingEdgeAllocs(t *testing.T) {
-	g := graph.New(graph.WithAutoVertices())
-	for _, e := range []graph.Edge{
-		{ID: 1, Source: 1, Target: 2, Type: "flow", Timestamp: 1},
-		{ID: 2, Source: 2, Target: 3, Type: "flow", Timestamp: 2},
-		{ID: 3, Source: 3, Target: 4, Type: "flow", Timestamp: 3},
-		{ID: 4, Source: 3, Target: 1, Type: "dns", Timestamp: 4},
-		{ID: 5, Source: 3, Target: 1, Type: "flow", Timestamp: 5},
-	} {
-		if _, err := g.AddEdge(e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	g := windowOf(t, nil,
+		graph.Edge{ID: 1, Source: 1, Target: 2, Type: "flow", Timestamp: 1},
+		graph.Edge{ID: 2, Source: 2, Target: 3, Type: "flow", Timestamp: 2},
+		graph.Edge{ID: 3, Source: 3, Target: 4, Type: "flow", Timestamp: 3},
+		graph.Edge{ID: 4, Source: 3, Target: 1, Type: "dns", Timestamp: 4},
+		graph.Edge{ID: 5, Source: 3, Target: 1, Type: "flow", Timestamp: 5})
 	q := query.NewBuilder("tri").
 		Vertex("a", "").Vertex("b", "").Vertex("c", "").
 		Edge("a", "b", "flow").Edge("b", "c", "flow").Edge("c", "a", "flow").
@@ -474,15 +464,11 @@ func TestExtendClosingEdgeAllocs(t *testing.T) {
 // edges, a triangle — and stops when yield says so, leaving the match it
 // bound into empty either way.
 func TestLocalSearchFuncFindsTheSeededOfflineMatches(t *testing.T) {
-	g := graph.New(graph.WithAutoVertices())
-	for i := 1; i <= 4; i++ {
-		g.AddVertex(graph.Vertex{ID: graph.VertexID(i), Type: "Host"})
-	}
+	var edges []graph.Edge
 	for i, e := range [][2]graph.VertexID{{1, 2}, {2, 3}, {3, 1}, {1, 2}, {2, 1}, {3, 4}, {4, 2}} {
-		if _, err := g.AddEdge(graph.Edge{ID: graph.EdgeID(i + 1), Source: e[0], Target: e[1], Type: "flow", Timestamp: graph.Timestamp(10 * (i + 1))}); err != nil {
-			t.Fatal(err)
-		}
+		edges = append(edges, graph.Edge{ID: graph.EdgeID(i + 1), Source: e[0], Target: e[1], Type: "flow", Timestamp: graph.Timestamp(10 * (i + 1))})
 	}
+	g := windowOf(t, hosts(1, 2, 3, 4), edges...)
 	q := query.NewBuilder("tri").
 		Vertex("a", "Host").Vertex("b", "Host").Vertex("c", "Host").
 		UndirectedEdge("a", "b", "flow").Edge("b", "c", "flow").Edge("c", "a", "flow").

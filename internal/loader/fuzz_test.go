@@ -8,6 +8,7 @@ import (
 
 	"github.com/streamworks/streamworks/internal/gen"
 	"github.com/streamworks/streamworks/internal/loader"
+	"github.com/streamworks/streamworks/internal/wire"
 )
 
 // FuzzNDJSONDecode fuzzes the NDJSON wire decoder with generator-produced
@@ -39,13 +40,18 @@ func FuzzNDJSONDecode(f *testing.F) {
 	f.Add(news.Bytes())
 
 	// Hand-written edge cases: empty input, blank lines, truncated JSON,
-	// unknown fields, every attribute kind, extreme numbers, and a
-	// negative timestamp.
+	// unknown fields, every attribute kind, an unknown kind, extreme
+	// numbers, and a negative timestamp.
 	f.Add([]byte(""))
 	f.Add([]byte("\n\n\n"))
 	f.Add([]byte(`{"id":1,"source":2,"target":3,"type":"flow","ts":10}`))
 	f.Add([]byte(`{"id":1,"source":2,"target":3,"type":"flow","ts":10,"bogus":[1,2]}`))
-	f.Add([]byte(`{"id":1,"source":2,"target":3,"type":"x","ts":-5,"attrs":{"s":{"s":"v"},"i":{"i":-9},"f":{"f":0.5},"b":{"b":true}}}`))
+	f.Add([]byte(`{"id":1,"source":2,"target":3,"type":"x","ts":-5,"attrs":{"s":{"kind":"string","s":"v"},"i":{"kind":"int","i":-9},"f":{"kind":"float","f":0.5},"b":{"kind":"bool","b":true}}}`))
+	f.Add([]byte(`{"id":1,"source":2,"target":3,"type":"flow","ts":5,"attrs":{"x":{"kind":"integer","i":7}}}`))
+	f.Add([]byte(`{"id":1,"source":2,"target":3,"type":"flow","ts":5,"source_attrs":{"os":{"kind":"invalid"}}}`))
+	f.Add([]byte(`{"id":1,"source":2,"target":3,"type":"flow","ts":5,"target_attrs":{"os":{"s":"linux"}}}`))
+	f.Add([]byte("{\"id\":1,\"source\":2,\"target\":3,\"type\":\"flow\",\"ts\":5}\n" +
+		`{"id":2,"source":2,"target":3,"type":"flow","ts":6,"attrs":{"x":{"kind":"uint","i":7}}}`))
 	f.Add([]byte(`{"id":18446744073709551615,"source":0,"target":0,"type":"","ts":9223372036854775807}`))
 	f.Add([]byte(`{"id":1,"source":2,`))
 	f.Add([]byte(`[]`))
@@ -54,6 +60,17 @@ func FuzzNDJSONDecode(f *testing.F) {
 		edges, err := loader.ReadJSONL(bytes.NewReader(data))
 		if err != nil {
 			return // rejecting malformed input cleanly is a pass
+		}
+
+		// Every edge accepted survives the write-ahead log's encoding.
+		if len(edges) > 0 {
+			logged, err := wire.DecodeEdges(wire.AppendEdges(nil, edges))
+			if err != nil {
+				t.Fatalf("decoded edges failed the binary round trip: %v", err)
+			}
+			if !reflect.DeepEqual(edges, logged) {
+				t.Fatalf("the binary round trip changed the edges:\nfirst:  %#v\nsecond: %#v", edges, logged)
+			}
 		}
 
 		var enc1 bytes.Buffer

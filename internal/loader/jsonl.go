@@ -10,7 +10,6 @@ import (
 	"io"
 
 	"github.com/streamworks/streamworks/internal/graph"
-	"github.com/streamworks/streamworks/internal/stream"
 )
 
 // jsonEdge is the JSON Lines wire representation of one stream edge.
@@ -52,18 +51,21 @@ func toJSONValue(v graph.Value) jsonValue {
 	}
 }
 
-func fromJSONValue(v jsonValue) graph.Value {
+// fromJSONValue decodes v, refusing a kind that is none of the four: the
+// binary encoding has no representation for it, so an edge carrying one
+// would lose the attribute in the write-ahead log.
+func fromJSONValue(v jsonValue) (graph.Value, error) {
 	switch v.Kind {
 	case "string":
-		return graph.String(v.Str)
+		return graph.String(v.Str), nil
 	case "int":
-		return graph.Int(v.Int)
+		return graph.Int(v.Int), nil
 	case "float":
-		return graph.Float(v.Float)
+		return graph.Float(v.Float), nil
 	case "bool":
-		return graph.Bool(v.Bool)
+		return graph.Bool(v.Bool), nil
 	default:
-		return graph.Value{}
+		return graph.Value{}, fmt.Errorf("unknown kind %q", v.Kind)
 	}
 }
 
@@ -78,17 +80,23 @@ func toJSONAttrs(a graph.Attributes) map[string]jsonValue {
 	return out
 }
 
-func fromJSONAttrs(m map[string]jsonValue) graph.Attributes {
+// fromJSONAttrs decodes the attribute map of the given field.
+func fromJSONAttrs(field string, m map[string]jsonValue) (graph.Attributes, error) {
 	if len(m) == 0 {
-		return nil
+		return nil, nil
 	}
 	var attrs graph.Attributes
 	// Map order is harmless: Set inserts by key, so any visit order builds
-	// the same attributes.
-	for k, v := range m {
-		attrs = attrs.Set(k, fromJSONValue(v))
+	// the same attributes, and which bad key of several is named does not
+	// matter.
+	for k, jv := range m {
+		v, err := fromJSONValue(jv)
+		if err != nil {
+			return nil, fmt.Errorf("%s key %q: %w", field, k, err)
+		}
+		attrs = attrs.Set(k, v)
 	}
-	return attrs
+	return attrs, nil
 }
 
 func toJSONEdge(se graph.StreamEdge) jsonEdge {
@@ -106,7 +114,19 @@ func toJSONEdge(se graph.StreamEdge) jsonEdge {
 	}
 }
 
-func fromJSONEdge(je jsonEdge) graph.StreamEdge {
+func fromJSONEdge(je jsonEdge) (graph.StreamEdge, error) {
+	attrs, err := fromJSONAttrs("attrs", je.Attrs)
+	if err != nil {
+		return graph.StreamEdge{}, err
+	}
+	srcAttrs, err := fromJSONAttrs("source_attrs", je.SourceAttrs)
+	if err != nil {
+		return graph.StreamEdge{}, err
+	}
+	dstAttrs, err := fromJSONAttrs("target_attrs", je.TargetAttrs)
+	if err != nil {
+		return graph.StreamEdge{}, err
+	}
 	return graph.StreamEdge{
 		Edge: graph.Edge{
 			ID:        graph.EdgeID(je.ID),
@@ -114,13 +134,13 @@ func fromJSONEdge(je jsonEdge) graph.StreamEdge {
 			Target:    graph.VertexID(je.Target),
 			Type:      je.Type,
 			Timestamp: graph.Timestamp(je.Timestamp),
-			Attrs:     fromJSONAttrs(je.Attrs),
+			Attrs:     attrs,
 		},
 		SourceType:  je.SourceType,
 		TargetType:  je.TargetType,
-		SourceAttrs: fromJSONAttrs(je.SourceAttrs),
-		TargetAttrs: fromJSONAttrs(je.TargetAttrs),
-	}
+		SourceAttrs: srcAttrs,
+		TargetAttrs: dstAttrs,
+	}, nil
 }
 
 // WriteJSONL writes one JSON object per line for every edge. Encoding goes
@@ -155,35 +175,37 @@ func WriteJSONL(w io.Writer, edges []graph.StreamEdge) error {
 // ReadJSONL reads every edge from a JSON Lines document.
 func ReadJSONL(r io.Reader) ([]graph.StreamEdge, error) {
 	var out []graph.StreamEdge
-	src := JSONLSource(r)
-	_, err := stream.Replay(src, func(se graph.StreamEdge) bool {
+	err := DecodeJSONL(r, func(se graph.StreamEdge) bool {
 		out = append(out, se)
 		return true
 	})
 	return out, err
 }
 
-// JSONLSource returns a streaming source over a JSON Lines document.
-func JSONLSource(r io.Reader) stream.Source {
+// DecodeJSONL decodes a JSON Lines document one line at a time, calling fn
+// with each edge in order, and stops as soon as fn returns false. Blank
+// lines are skipped. A line that is not an edge, or that holds an attribute
+// value of unknown kind, ends the decode with an error naming its 1-based
+// line number; fn has seen every edge before it.
+func DecodeJSONL(r io.Reader, fn func(graph.StreamEdge) bool) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
-	line := 0
-	return stream.FuncSource(func() (graph.StreamEdge, error) {
-		for sc.Scan() {
-			line++
-			text := sc.Bytes()
-			if len(text) == 0 {
-				continue
-			}
-			var je jsonEdge
-			if err := json.Unmarshal(text, &je); err != nil {
-				return graph.StreamEdge{}, fmt.Errorf("loader: line %d: %w", line, err)
-			}
-			return fromJSONEdge(je), nil
+	for line := 1; sc.Scan(); line++ {
+		text := sc.Bytes()
+		if len(text) == 0 {
+			continue
 		}
-		if err := sc.Err(); err != nil {
-			return graph.StreamEdge{}, err
+		var je jsonEdge
+		if err := json.Unmarshal(text, &je); err != nil {
+			return fmt.Errorf("loader: line %d: %w", line, err)
 		}
-		return graph.StreamEdge{}, io.EOF
-	})
+		se, err := fromJSONEdge(je)
+		if err != nil {
+			return fmt.Errorf("loader: line %d: %w", line, err)
+		}
+		if !fn(se) {
+			return nil
+		}
+	}
+	return sc.Err()
 }

@@ -34,8 +34,8 @@ import (
 )
 
 // unbound is the "no binding" sentinel of the dense binding slots. The
-// all-ones data IDs are reserved — graph.AddEdge rejects them at the ingest
-// boundary (graph.ErrReservedID) — so the sentinel can never collide with a
+// all-ones data IDs are reserved — graph.Dynamic.Apply rejects them at the
+// ingest boundary (graph.ErrReservedID) — so the sentinel can never collide with a
 // real binding. Vertex and edge slots both store raw uint64 IDs (vertex and
 // edge IDs are uint64 underneath) so one slot array serves both.
 const unbound = ^uint64(0)
@@ -124,21 +124,6 @@ func NewSized(nv, ne int) *Match {
 // NewForQuery returns an empty match sized for the query graph q.
 func NewForQuery(q *query.Graph) *Match {
 	return NewSized(q.NumVertices(), q.NumEdges())
-}
-
-// NewFromEdge builds a single-edge match binding pattern edge qe (with
-// pattern endpoints qsrc->qdst) to data edge de.
-func NewFromEdge(qe query.EdgeID, qsrc, qdst query.VertexID, de *graph.Edge, reversed bool) *Match {
-	m := NewSized(int(max(qsrc, qdst))+1, int(qe)+1)
-	if reversed {
-		m.BindVertex(qsrc, de.Target)
-		m.BindVertex(qdst, de.Source)
-	} else {
-		m.BindVertex(qsrc, de.Source)
-		m.BindVertex(qdst, de.Target)
-	}
-	m.BindEdge(qe, de.ID, de.Timestamp)
-	return m
 }
 
 // growVertices extends the vertex slots to hold at least n entries, shifting
@@ -287,16 +272,6 @@ func (m *Match) UnbindEdge(q query.EdgeID) {
 // slots, each the bound data ID or ^0 when unbound: a read-only view of the
 // match's own storage, for a caller that copies the bindings out as words.
 func (m *Match) Slots() []uint64 { return m.slots }
-
-// UsesDataVertex reports whether any pattern vertex is bound to d.
-func (m *Match) UsesDataVertex(d graph.VertexID) bool {
-	for _, bound := range m.vertices() {
-		if bound == uint64(d) {
-			return true
-		}
-	}
-	return false
-}
 
 // UsesDataEdge reports whether any pattern edge is bound to d.
 func (m *Match) UsesDataEdge(d graph.EdgeID) bool {

@@ -9,30 +9,6 @@ import (
 	"github.com/streamworks/streamworks/internal/query"
 )
 
-func TestNewFromEdge(t *testing.T) {
-	de := &graph.Edge{ID: 100, Source: 7, Target: 9, Type: "flow", Timestamp: 500}
-	m := NewFromEdge(3, 0, 1, de, false)
-	if v, _ := m.Vertex(0); v != 7 {
-		t.Fatalf("source binding wrong: %v", m)
-	}
-	if v, _ := m.Vertex(1); v != 9 {
-		t.Fatalf("target binding wrong: %v", m)
-	}
-	if e, _ := m.Edge(3); e != 100 {
-		t.Fatalf("edge binding wrong: %v", m)
-	}
-	if m.Span.Start != 500 || m.Span.End != 500 {
-		t.Fatalf("span wrong: %v", m.Span)
-	}
-	rev := NewFromEdge(3, 0, 1, de, true)
-	if v, _ := rev.Vertex(0); v != 9 {
-		t.Fatalf("reversed source binding wrong: %v", rev)
-	}
-	if v, _ := rev.Vertex(1); v != 7 {
-		t.Fatalf("reversed target binding wrong: %v", rev)
-	}
-}
-
 // TestUnbindUndoesBind: a step bound in place and unbound again, with the
 // span restored, leaves the match as it was — bindings, counts, hash, and no
 // span once its last edge goes — and frees the data vertex for another
@@ -104,14 +80,6 @@ func TestBindEdgeAndSpan(t *testing.T) {
 	}
 	if !m.UsesDataEdge(100) || m.UsesDataEdge(12345) {
 		t.Fatalf("UsesDataEdge wrong")
-	}
-}
-
-func TestUsesDataVertex(t *testing.T) {
-	m := New()
-	m.BindVertex(0, 10)
-	if !m.UsesDataVertex(10) || m.UsesDataVertex(11) {
-		t.Fatalf("UsesDataVertex wrong")
 	}
 }
 

@@ -274,9 +274,6 @@ func New(g *graph.Dynamic, opts ...Option) *DAG {
 // NumNodes returns the number of live DAG nodes.
 func (d *DAG) NumNodes() int { return len(d.nodes) }
 
-// NumAttachments returns the number of attached queries.
-func (d *DAG) NumAttachments() int { return len(d.atts) }
-
 // LocalSearches returns the cumulative number of leaf local searches run.
 func (d *DAG) LocalSearches() uint64 { return d.localSearches.Value() }
 

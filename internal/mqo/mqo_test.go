@@ -204,8 +204,11 @@ func TestDAGPartialOverlapAndDetach(t *testing.T) {
 	if err := d.Detach("probe"); err != nil {
 		t.Fatal(err)
 	}
-	if d.NumNodes() != 0 || d.NumAttachments() != 0 {
-		t.Fatalf("DAG not empty after last detach: %d nodes, %d attachments", d.NumNodes(), d.NumAttachments())
+	if d.NumNodes() != 0 {
+		t.Fatalf("DAG not empty after last detach: %d nodes", d.NumNodes())
+	}
+	if err := d.Detach("probe"); err == nil {
+		t.Fatal("a detached query was detached again")
 	}
 }
 

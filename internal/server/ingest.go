@@ -11,7 +11,6 @@ import (
 
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/loader"
-	"github.com/streamworks/streamworks/internal/stream"
 	"github.com/streamworks/streamworks/internal/wire"
 )
 
@@ -173,10 +172,7 @@ func (g *ingester) consume(r *http.Request) error {
 	if strings.Contains(r.Header.Get("Content-Type"), wire.ContentTypeBinary) {
 		err = g.consumeBinary(r.Body)
 	} else {
-		_, err = stream.Replay(loader.JSONLSource(r.Body), g.push)
-		if errors.Is(err, stream.ErrStopped) {
-			err = nil
-		}
+		err = loader.DecodeJSONL(r.Body, g.push)
 	}
 	if g.err == nil {
 		g.flush()

@@ -287,6 +287,32 @@ func TestIngestOutcomes(t *testing.T) {
 	}
 }
 
+// TestNDJSONUnknownAttrKindRejected: an NDJSON attribute value of a kind the
+// binary encoding has no form for is refused, naming its key, and nothing
+// of the body is accepted; taken, it would be dropped by the write-ahead
+// log, so a predicate on it would match before a restart and not after.
+func TestNDJSONUnknownAttrKindRejected(t *testing.T) {
+	const bad = `{"id":1,"source":1,"target":2,"type":"flow","ts":5,"attrs":{"x":{"kind":"integer","i":7}}}` + "\n"
+	for _, before := range []int{0, 3} {
+		t.Run(fmt.Sprintf("after-%d-edges", before), func(t *testing.T) {
+			srv, ts := newTestServer(t, Config{})
+			body := ndjsonBody(t, flowEdges(100, before))
+			body.WriteString(bad)
+			resp := postEdges(t, ts.URL, body, true)
+			defer resp.Body.Close()
+			var ir IngestResponse
+			if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
+				t.Fatalf("decoding ingest response: %v", err)
+			}
+			wantIngest(t, resp.StatusCode, ir, http.StatusBadRequest, before)
+			if want := fmt.Sprintf(`line %d: attrs key "x"`, before+1); !strings.Contains(ir.Error, want) {
+				t.Fatalf("error %q does not name the line and the key (%s)", ir.Error, want)
+			}
+			waitFor(t, 5*time.Second, func() bool { return srv.run.edgesIngested.Value() == uint64(before) })
+		})
+	}
+}
+
 // TestControlRequestsDuringSaturatedIngestAndClose is the contract the
 // runner's control channel used to provide, now that handlers call the
 // engine directly: with the ingest queue saturated (depth 1, feeders

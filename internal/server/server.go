@@ -45,8 +45,8 @@
 //	GET    /healthz           liveness
 //
 // Close drains gracefully: new work is refused with 503, queued batches are
-// flushed through the shards, the merged match stream is run dry, and
-// every subscriber's stream ends cleanly.
+// flushed through the shards, each of which delivers the matches it owns,
+// and every subscriber's stream ends cleanly after its final delivery.
 package server
 
 import (

@@ -78,10 +78,6 @@ func (n *Node) IsRoot() bool { return n.parent == nil }
 // Stored returns the number of matches currently held by the node.
 func (n *Node) Stored() int { return n.stored }
 
-// InsertedTotal returns the cumulative number of matches ever inserted into
-// the node (including ones that have since been pruned).
-func (n *Node) InsertedTotal() uint64 { return n.inserted }
-
 // Partitions returns the number of live cut-projection hash partitions of
 // the node's match collection — the fan-out of a sibling join probe.
 func (n *Node) Partitions() int { return len(n.matches) }

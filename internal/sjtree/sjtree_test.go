@@ -44,13 +44,21 @@ func mustTree(t *testing.T, q *query.Graph, s decompose.Strategy) *Tree {
 // reqMatch and replyMatch build primitive matches for the smurf query's two
 // pattern edges using the given data vertex ids and timestamp.
 func reqMatch(attacker, amp graph.VertexID, edge graph.EdgeID, ts graph.Timestamp) *match.Match {
-	de := &graph.Edge{ID: edge, Source: attacker, Target: amp, Type: "icmp_echo_req", Timestamp: ts}
-	return match.NewFromEdge(0, 0, 1, de, false)
+	return smurfPrimitive(0, attacker, amp, edge, ts)
 }
 
 func replyMatch(amp, victim graph.VertexID, edge graph.EdgeID, ts graph.Timestamp) *match.Match {
-	de := &graph.Edge{ID: edge, Source: amp, Target: victim, Type: "icmp_echo_reply", Timestamp: ts}
-	return match.NewFromEdge(1, 1, 2, de, false)
+	return smurfPrimitive(1, amp, victim, edge, ts)
+}
+
+// smurfPrimitive binds the smurf query's pattern edge qe, which runs from
+// pattern vertex qe to qe+1, to a data edge from src to dst.
+func smurfPrimitive(qe query.EdgeID, src, dst graph.VertexID, edge graph.EdgeID, ts graph.Timestamp) *match.Match {
+	m := match.NewForQuery(smurfQuery(0))
+	m.BindVertex(query.VertexID(qe), src)
+	m.BindVertex(query.VertexID(qe)+1, dst)
+	m.BindEdge(qe, edge, ts)
+	return m
 }
 
 func TestTreeStructureMirrorsPlan(t *testing.T) {
@@ -335,9 +343,9 @@ func TestIncrementalMatchesOfflineGroundTruth(t *testing.T) {
 
 	// Data: 3 articles sharing keyword 100; articles 1,2 share location 200,
 	// article 3 uses location 201.
-	vertices := []graph.Vertex{
-		{ID: 1, Type: "Article"}, {ID: 2, Type: "Article"}, {ID: 3, Type: "Article"},
-		{ID: 100, Type: "Keyword"}, {ID: 200, Type: "Location"}, {ID: 201, Type: "Location"},
+	typeOf := map[graph.VertexID]string{
+		1: "Article", 2: "Article", 3: "Article",
+		100: "Keyword", 200: "Location", 201: "Location",
 	}
 	edges := []graph.Edge{
 		{ID: 1, Source: 1, Target: 100, Type: "mentions", Timestamp: 1},
@@ -350,16 +358,14 @@ func TestIncrementalMatchesOfflineGroundTruth(t *testing.T) {
 
 	for _, strategy := range decompose.Strategies() {
 		t.Run(string(strategy), func(t *testing.T) {
-			g := graph.New(graph.WithAutoVertices())
-			for _, v := range vertices {
-				g.AddVertex(v)
-			}
+			d := graph.NewDynamic(0)
+			g := d.Graph()
 			tr := mustTree(t, q, strategy)
 			matcher := isomorphism.New(q)
 
 			incremental := make(map[string]bool)
 			for _, e := range edges {
-				de, err := g.AddEdge(e)
+				de, err := d.Apply(graph.StreamEdge{Edge: e, SourceType: typeOf[e.Source], TargetType: typeOf[e.Target]})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -16,21 +16,12 @@ const DefaultPredicateSelectivity = 0.25
 // sit lowest in the SJ-Tree (paper §4.1).
 type Estimator struct {
 	src *Summary
-	// predSel overrides DefaultPredicateSelectivity when > 0.
-	predSel float64
 }
 
 // NewEstimator builds an estimator over the given summary. A nil summary
 // yields an estimator with no statistics (every estimate is 1).
 func NewEstimator(s *Summary) *Estimator {
-	return &Estimator{src: s, predSel: DefaultPredicateSelectivity}
-}
-
-// SetPredicateSelectivity overrides the per-predicate selectivity constant.
-func (e *Estimator) SetPredicateSelectivity(v float64) {
-	if v > 0 && v <= 1 {
-		e.predSel = v
-	}
+	return &Estimator{src: s}
 }
 
 // VertexCardinality estimates how many data vertices can match the pattern
@@ -198,7 +189,7 @@ func (e *Estimator) Selectivity(q *query.Graph, edges []query.EdgeID) float64 {
 func (e *Estimator) predicateFactor(n int) float64 {
 	f := 1.0
 	for i := 0; i < n; i++ {
-		f *= e.predSel
+		f *= DefaultPredicateSelectivity
 	}
 	return f
 }

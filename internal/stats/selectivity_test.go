@@ -12,19 +12,19 @@ import (
 // handful of Locations.
 func newsSummary() *Summary {
 	s := NewSummary()
-	g := graph.New(graph.WithAutoVertices())
+	d := graph.NewDynamic(0)
 	id := graph.EdgeID(0)
 	next := func() graph.EdgeID { id++; return id }
 	// 80 mentions edges: Article -> Keyword
 	for i := 0; i < 80; i++ {
-		observe(s, g, graph.StreamEdge{
+		observe(s, d, graph.StreamEdge{
 			Edge:       graph.Edge{ID: next(), Source: graph.VertexID(i), Target: graph.VertexID(1000 + i%20), Type: "mentions"},
 			SourceType: "Article", TargetType: "Keyword",
 		})
 	}
 	// 20 located edges: Article -> Location
 	for i := 0; i < 20; i++ {
-		observe(s, g, graph.StreamEdge{
+		observe(s, d, graph.StreamEdge{
 			Edge:       graph.Edge{ID: next(), Source: graph.VertexID(i), Target: graph.VertexID(2000 + i%3), Type: "located"},
 			SourceType: "Article", TargetType: "Location",
 		})
@@ -86,15 +86,6 @@ func TestEdgeCardinalityPredicateDiscount(t *testing.T) {
 	want := 80 * DefaultPredicateSelectivity
 	if got != want {
 		t.Fatalf("predicate discount wrong: %v want %v", got, want)
-	}
-	e.SetPredicateSelectivity(0.5)
-	if got := e.EdgeCardinality(q.Edge(0)); got != 40 {
-		t.Fatalf("overridden selectivity wrong: %v", got)
-	}
-	// Out-of-range overrides are ignored.
-	e.SetPredicateSelectivity(0)
-	if got := e.EdgeCardinality(q.Edge(0)); got != 40 {
-		t.Fatalf("invalid selectivity override applied: %v", got)
 	}
 }
 
@@ -167,14 +158,14 @@ func TestSelectivityNormalization(t *testing.T) {
 }
 
 func TestWedgeEstimateUsesTriads(t *testing.T) {
-	g := graph.New(graph.WithAutoVertices())
+	d := graph.NewDynamic(0)
 	s := NewSummary()
 	apply := func(id graph.EdgeID, src, dst graph.VertexID, typ string) {
 		se := graph.StreamEdge{
 			Edge:       graph.Edge{ID: id, Source: src, Target: dst, Type: typ, Timestamp: graph.Timestamp(id)},
 			SourceType: "Host", TargetType: "Host",
 		}
-		observe(s, g, se)
+		observe(s, d, se)
 	}
 	// Build 5 request/reply wedges through distinct centres and lots of
 	// unrelated request edges.
@@ -202,14 +193,14 @@ func TestWedgeEstimateUsesTriads(t *testing.T) {
 // TestWedgeEstimateSumsUndirectedLegs: an undirected leg matches data edges
 // leaving the centre and entering it, so its wedge estimate counts both.
 func TestWedgeEstimateSumsUndirectedLegs(t *testing.T) {
-	g := graph.New(graph.WithAutoVertices())
+	d := graph.NewDynamic(0)
 	s := NewSummary()
 	for i, e := range [][2]graph.VertexID{{1, 2}, {3, 1}, {4, 1}, {1, 5}} {
 		typ := "flow"
 		if i == 3 {
 			typ = "dns"
 		}
-		observe(s, g, flowEdge(graph.EdgeID(i+1), e[0], e[1], typ, "Host", "Host", graph.Timestamp(i)))
+		observe(s, d, flowEdge(graph.EdgeID(i+1), e[0], e[1], typ, "Host", "Host", graph.Timestamp(i)))
 	}
 	// At host 1: flow out (to 2), flow in (from 3 and 4), dns out (to 5).
 	q := query.NewBuilder("undirected").

@@ -18,12 +18,12 @@ func flowEdge(id graph.EdgeID, src, dst graph.VertexID, typ, srcT, dstT string, 
 	}
 }
 
-// observe applies se to g and hands it to s, the way the engine does.
-func observe(s *Summary, g *graph.Graph, se graph.StreamEdge) {
-	if _, err := g.AddStreamEdge(se); err != nil {
+// observe applies se to d and hands it to s, the way the engine does.
+func observe(s *Summary, d *graph.Dynamic, se graph.StreamEdge) {
+	if _, err := d.Apply(se); err != nil {
 		panic(err)
 	}
-	s.Observe(se, g)
+	s.Observe(se, d.Graph())
 }
 
 func TestSummaryTypeCounts(t *testing.T) {
@@ -31,10 +31,10 @@ func TestSummaryTypeCounts(t *testing.T) {
 	if s.TotalEdges() != 0 || s.TotalVertices() != 0 || s.EdgeTypeCount("flow") != 0 {
 		t.Fatalf("a summary that has seen no graph must count nothing")
 	}
-	g := graph.New(graph.WithAutoVertices())
-	observe(s, g, flowEdge(1, 1, 2, "flow", "Host", "Host", 1))
-	observe(s, g, flowEdge(2, 1, 3, "flow", "Host", "Server", 2))
-	observe(s, g, flowEdge(3, 2, 3, "dns", "Host", "Server", 3))
+	d := graph.NewDynamic(0)
+	observe(s, d, flowEdge(1, 1, 2, "flow", "Host", "Host", 1))
+	observe(s, d, flowEdge(2, 1, 3, "flow", "Host", "Server", 2))
+	observe(s, d, flowEdge(3, 2, 3, "dns", "Host", "Server", 3))
 
 	if s.TotalEdges() != 3 {
 		t.Fatalf("TotalEdges = %d", s.TotalEdges())
@@ -53,10 +53,10 @@ func TestSummaryTypeCounts(t *testing.T) {
 
 func TestSummaryVertexRetyping(t *testing.T) {
 	s := NewSummary()
-	g := graph.New(graph.WithAutoVertices())
+	d := graph.NewDynamic(0)
 	// First sighting has no type, second supplies one.
-	observe(s, g, flowEdge(1, 1, 2, "flow", "", "Host", 1))
-	observe(s, g, flowEdge(2, 1, 3, "flow", "Workstation", "Host", 2))
+	observe(s, d, flowEdge(1, 1, 2, "flow", "", "Host", 1))
+	observe(s, d, flowEdge(2, 1, 3, "flow", "Workstation", "Host", 2))
 	if s.VertexTypeCount("Workstation") != 1 {
 		t.Fatalf("late-arriving vertex type not recorded")
 	}
@@ -94,13 +94,12 @@ func TestSummaryCountsFollowWindow(t *testing.T) {
 // what it held before the summary saw any of its edges, and they follow the
 // graph last handed to Observe.
 func TestSummaryObserveGraph(t *testing.T) {
-	g := graph.New(graph.WithAutoVertices())
-	g.AddVertex(graph.Vertex{ID: 1, Type: "A"})
-	g.AddVertex(graph.Vertex{ID: 2, Type: "B"})
-	g.AddVertex(graph.Vertex{ID: 3, Type: "B"})
-	g.AddEdge(graph.Edge{ID: 1, Source: 1, Target: 2, Type: "x", Timestamp: 1})
+	d := graph.NewDynamic(0)
+	if _, err := d.Apply(flowEdge(1, 1, 2, "x", "A", "B", 1)); err != nil {
+		t.Fatal(err)
+	}
 	s := NewSummary()
-	observe(s, g, flowEdge(2, 1, 3, "y", "A", "B", 2))
+	observe(s, d, flowEdge(2, 1, 3, "y", "A", "B", 2))
 	if s.TotalEdges() != 2 || s.TotalVertices() != 3 {
 		t.Fatalf("summary counts %d edges, %d vertices; the graph holds 2, 3", s.TotalEdges(), s.TotalVertices())
 	}
@@ -108,7 +107,7 @@ func TestSummaryObserveGraph(t *testing.T) {
 		t.Fatalf("types the graph held before Observe not counted")
 	}
 
-	other := graph.New(graph.WithAutoVertices())
+	other := graph.NewDynamic(0)
 	observe(s, other, flowEdge(3, 7, 8, "z", "C", "C", 3))
 	if s.TotalEdges() != 1 || s.EdgeTypeCount("x") != 0 || s.VertexTypeCount("C") != 2 {
 		t.Fatalf("summary still reads the previous graph: %d edges, x=%d, C=%d",
@@ -117,12 +116,12 @@ func TestSummaryObserveGraph(t *testing.T) {
 }
 
 func TestSummaryTriadCollection(t *testing.T) {
-	g := graph.New(graph.WithAutoVertices())
+	d := graph.NewDynamic(0)
 	s := NewSummary()
 	// Build a wedge: a -req-> b, b -reply-> c. The second edge forms one
 	// triad centred at b.
-	observe(s, g, flowEdge(1, 1, 2, "req", "Host", "Host", 1))
-	observe(s, g, flowEdge(2, 2, 3, "reply", "Host", "Host", 2))
+	observe(s, d, flowEdge(1, 1, 2, "req", "Host", "Host", 1))
+	observe(s, d, flowEdge(2, 2, 3, "reply", "Host", "Host", 2))
 
 	key := canonicalTriad("Host", "reply", true, "req", false)
 	if got := s.TriadFrequency(key); got != 1 {
@@ -137,9 +136,9 @@ func TestWithTriadSamplingIsIgnored(t *testing.T) {
 	key := canonicalTriad("Hub", "flow", true, "flow", true)
 	for _, sampling := range []int{0, 1, 3, 10} {
 		s := NewSummary(WithTriadSampling(sampling))
-		g := graph.New(graph.WithAutoVertices())
+		d := graph.NewDynamic(0)
 		for i := 1; i <= 9; i++ {
-			observe(s, g, flowEdge(graph.EdgeID(i), 0, graph.VertexID(i), "flow", "Hub", "Leaf", graph.Timestamp(i)))
+			observe(s, d, flowEdge(graph.EdgeID(i), 0, graph.VertexID(i), "flow", "Hub", "Leaf", graph.Timestamp(i)))
 		}
 		if got := s.TriadFrequency(key); got != 36 {
 			t.Errorf("sampling %d: %d hub wedges counted, want 36", sampling, got)
@@ -159,10 +158,10 @@ func TestTriadKeyCanonical(t *testing.T) {
 // vertex, each pairing with every other edge's ends there, never with each
 // other; two self-loops pair all four ways.
 func TestTriadSelfLoop(t *testing.T) {
-	g := graph.New(graph.WithAutoVertices())
+	d := graph.NewDynamic(0)
 	s := NewSummary()
-	observe(s, g, flowEdge(1, 1, 2, "flow", "Host", "Host", 1))
-	observe(s, g, flowEdge(2, 1, 1, "beacon", "Host", "Host", 2))
+	observe(s, d, flowEdge(1, 1, 2, "flow", "Host", "Host", 1))
+	observe(s, d, flowEdge(2, 1, 1, "beacon", "Host", "Host", 2))
 	for _, tc := range []struct {
 		key  TriadKey
 		want uint64
@@ -175,7 +174,7 @@ func TestTriadSelfLoop(t *testing.T) {
 			t.Errorf("one loop: %v counted %d times, want %d", tc.key, got, tc.want)
 		}
 	}
-	observe(s, g, flowEdge(3, 1, 1, "beacon", "Host", "Host", 3))
+	observe(s, d, flowEdge(3, 1, 1, "beacon", "Host", "Host", 3))
 	for _, tc := range []struct {
 		key  TriadKey
 		want uint64
@@ -287,12 +286,12 @@ func TestTriadFrequencyIsExact(t *testing.T) {
 // TestSummaryAllocs: observing an edge and reading a triad count of an
 // unchanged window allocate nothing.
 func TestSummaryAllocs(t *testing.T) {
-	g := graph.New(graph.WithAutoVertices())
+	d := graph.NewDynamic(0)
 	s := NewSummary()
 	se := flowEdge(1, 1, 2, "req", "Host", "Host", 1)
-	observe(s, g, se)
-	observe(s, g, flowEdge(2, 2, 3, "reply", "Host", "Host", 2))
-	allocbudget.Check(t, "stats.Summary.Observe", func() { s.Observe(se, g) })
+	observe(s, d, se)
+	observe(s, d, flowEdge(2, 2, 3, "reply", "Host", "Host", 2))
+	allocbudget.Check(t, "stats.Summary.Observe", func() { s.Observe(se, d.Graph()) })
 	key := canonicalTriad("Host", "reply", true, "req", false)
 	allocbudget.Check(t, "stats.Summary.TriadFrequency/unchanged window", func() {
 		if s.TriadFrequency(key) != 1 {

@@ -1,8 +1,6 @@
 package stream
 
 import (
-	"errors"
-	"io"
 	"math/rand"
 	"sort"
 	"testing"
@@ -26,71 +24,6 @@ func makeEdges(n int, startTS graph.Timestamp, step graph.Timestamp) []graph.Str
 		}
 	}
 	return out
-}
-
-func TestSliceSource(t *testing.T) {
-	edges := makeEdges(3, 0, 10)
-	src := NewSliceSource(edges)
-	if src.Len() != 3 {
-		t.Fatalf("Len = %d", src.Len())
-	}
-	var got []graph.EdgeID
-	for {
-		e, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, e.Edge.ID)
-	}
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Fatalf("got %v", got)
-	}
-	// Exhausted source keeps returning EOF.
-	if _, err := src.Next(); !errors.Is(err, io.EOF) {
-		t.Fatalf("expected EOF after exhaustion")
-	}
-	src.Reset()
-	if e, err := src.Next(); err != nil || e.Edge.ID != 1 {
-		t.Fatalf("Reset did not rewind")
-	}
-}
-
-func TestFuncSource(t *testing.T) {
-	n := 0
-	src := FuncSource(func() (graph.StreamEdge, error) {
-		if n >= 2 {
-			return graph.StreamEdge{}, io.EOF
-		}
-		n++
-		return graph.StreamEdge{Edge: graph.Edge{ID: graph.EdgeID(n)}}, nil
-	})
-	if n, err := Replay(src, func(graph.StreamEdge) bool { return true }); err != nil || n != 2 {
-		t.Fatalf("Replay = %d, %v", n, err)
-	}
-}
-
-func TestReplayEarlyStop(t *testing.T) {
-	src := NewSliceSource(makeEdges(10, 0, 1))
-	n, err := Replay(src, func(e graph.StreamEdge) bool {
-		return e.Edge.ID < 3
-	})
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("expected ErrStopped, got %v", err)
-	}
-	if n != 3 {
-		t.Fatalf("consumed %d edges, want 3", n)
-	}
-}
-
-func TestReplayPropagatesErrors(t *testing.T) {
-	boom := errors.New("boom")
-	src := FuncSource(func() (graph.StreamEdge, error) { return graph.StreamEdge{}, boom })
-	if _, err := Replay(src, func(graph.StreamEdge) bool { return true }); !errors.Is(err, boom) {
-		t.Fatalf("source error not propagated: %v", err)
-	}
 }
 
 func TestSortAndMerge(t *testing.T) {

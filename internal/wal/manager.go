@@ -420,15 +420,6 @@ func (m *Manager) checkpointIfDueLocked() error {
 	return nil
 }
 
-// WasEmitted reports whether the match key was recovered or noted as
-// already delivered.
-func (m *Manager) WasEmitted(query, signature string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.emitted[MatchKey(query, signature)]
-	return ok
-}
-
 // NoteEmitted records that a match reached its consumer. Call only after
 // delivery completed (sink returned / socket flushed); see the type
 // comment for why that timing is what makes suppression safe.

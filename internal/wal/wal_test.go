@@ -497,9 +497,6 @@ func TestCheckpointDropsCoveredSegmentsAndRecovers(t *testing.T) {
 	if got, ok := rec.Emitted[MatchKey("watch", "sig-1")]; !ok || got != 950 {
 		t.Fatalf("emitted-set not recovered from the manifest: %v", rec.Emitted)
 	}
-	if !m2.WasEmitted("watch", "sig-1") {
-		t.Fatal("WasEmitted lost across manifest recovery")
-	}
 	names, err := OSFS{}.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -686,11 +683,11 @@ func TestEmittedCheckpointRecovery(t *testing.T) {
 		t.Fatalf("recovered emitted-set: %v", rec.Emitted)
 	}
 	for _, sig := range []string{"a", "b"} {
-		if !m2.WasEmitted("q", sig) {
+		if _, ok := rec.Emitted[MatchKey("q", sig)]; !ok {
 			t.Fatalf("checkpointed match %q not recovered", sig)
 		}
 	}
-	if m2.WasEmitted("q", "c") {
+	if _, ok := rec.Emitted[MatchKey("q", "c")]; ok {
 		t.Fatal("un-checkpointed match survived the crash — would suppress delivery")
 	}
 }
@@ -716,7 +713,7 @@ func TestCloseIsStrictlyExactOnce(t *testing.T) {
 
 	m2, rec := openTest(t, dir, nil)
 	defer m2.Close()
-	if !m2.WasEmitted("watch", "sig-1") {
+	if _, ok := rec.Emitted[MatchKey("watch", "sig-1")]; !ok {
 		t.Fatal("graceful close lost the emitted-set: restart would redeliver")
 	}
 	if rec.Watermark != 100 {
@@ -729,10 +726,11 @@ func TestCloseIsStrictlyExactOnce(t *testing.T) {
 
 func TestEmittedEvictionAtCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := openTest(t, dir, func(o *Options) {
+	bounded := func(o *Options) {
 		o.Retention = 100 // nanoseconds of stream time
 		o.Slack = 10
-	})
+	}
+	m, _ := openTest(t, dir, bounded)
 	m.NoteEmitted("q", "old", 50)
 	m.NoteEmitted("q", "new", 900)
 	if err := m.AppendEdges([]graph.StreamEdge{testEdge(1, 1000)}); err != nil {
@@ -741,12 +739,15 @@ func TestEmittedEvictionAtCheckpoint(t *testing.T) {
 	if err := m.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
+	crash(m)
 	// cutoff = 1000 - 100 - 10 = 890: "old" (span 50) can no longer be
 	// re-derived from the retained window, so its suppression entry goes.
-	if m.WasEmitted("q", "old") {
+	m2, rec := openTest(t, dir, bounded)
+	defer m2.Close()
+	if _, ok := rec.Emitted[MatchKey("q", "old")]; ok {
 		t.Fatal("expired emitted entry survived checkpoint eviction")
 	}
-	if !m.WasEmitted("q", "new") {
+	if _, ok := rec.Emitted[MatchKey("q", "new")]; !ok {
 		t.Fatal("live emitted entry was evicted")
 	}
 }

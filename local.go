@@ -23,7 +23,7 @@ type Local struct {
 var _ Engine = (*Local)(nil)
 
 // New builds a single-engine backend. With no options it uses the default
-// engine configuration (unbounded retention, window statistics on).
+// engine configuration (unbounded retention).
 func New(opts ...Option) *Local {
 	l := &Local{}
 	l.init(opts)
