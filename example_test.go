@@ -44,7 +44,7 @@ func ExampleNew() {
 		panic(err)
 	}
 
-	eng := streamworks.New(streamworks.WithRetention(time.Minute))
+	eng := streamworks.New(streamworks.WithEngineConfig(streamworks.EngineConfig{Retention: time.Minute}))
 	defer eng.Close()
 	if err := eng.RegisterQuery(ctx, q); err != nil {
 		panic(err)
@@ -75,7 +75,8 @@ func ExampleNewSharded() {
 		panic(err)
 	}
 
-	eng := streamworks.NewSharded(streamworks.WithShards(2), streamworks.WithRetention(time.Minute))
+	eng := streamworks.NewSharded(streamworks.WithShards(2),
+		streamworks.WithEngineConfig(streamworks.EngineConfig{Retention: time.Minute}))
 	defer eng.Close()
 	if err := eng.RegisterQuery(ctx, q); err != nil {
 		panic(err)

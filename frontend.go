@@ -214,6 +214,3 @@ func (f *frontend) Durability() DurabilityStats { return f.dur.stats() }
 func (f *frontend) AckDelivered(query, signature string, spanStart int64) {
 	f.dur.note(query, signature, spanStart)
 }
-
-// ObsEnabled reports whether the engine was built WithObservability.
-func (f *frontend) ObsEnabled() bool { return f.cfg.engine.Obs.Enabled }

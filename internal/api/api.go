@@ -42,8 +42,7 @@ type HealthResponse struct {
 // RegisterOptions are one query's plan settings, sent as the optional query
 // parameters of POST /v1/queries (the body stays pure DSL text): ?strategy=
 // names the decomposition strategy (empty: selective). The daemon has no
-// defaults of its own. The fields are streamworks.RegisterOptions', which
-// converts to this type.
+// defaults of its own. streamworks.RegisterOptions is this type.
 type RegisterOptions struct {
 	Strategy string
 }

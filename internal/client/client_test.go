@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/streamworks/streamworks/internal/export"
 	"github.com/streamworks/streamworks/internal/graph"
+	"github.com/streamworks/streamworks/internal/wire"
 )
 
 func TestIsRetryable(t *testing.T) {
@@ -119,5 +121,28 @@ func TestIngestBatchStopsOnContextCancel(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("IngestBatch ignored cancellation for %v", elapsed)
+	}
+}
+
+// TestSubscribeRefusesRetiredMatchFrame: a peer still sending the retired
+// type-2 match frame, whose bindings also carried a vertex type and an
+// attribute count, is refused as corrupt. The report sent here binds no
+// vertex, so its payload reads the same in both layouts: the frame type
+// alone refuses it.
+func TestSubscribeRefusesRetiredMatchFrame(t *testing.T) {
+	payload := wire.AppendMatch(nil, export.MatchReport{Query: "q", Signature: "0:1", EdgeIDs: []uint64{1}})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", wire.ContentTypeBinary)
+		w.Write(wire.AppendFrame(append([]byte(nil), wire.StreamMagic...), 2, payload))
+	}))
+	defer srv.Close()
+
+	sub, err := New(srv.URL, WithTransport(TransportBinary)).SubscribeMatches(context.Background(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if rep, err := sub.Next(); !errors.Is(err, wire.ErrCorrupt) {
+		t.Fatalf("Next = (%+v, %v), want wire.ErrCorrupt", rep, err)
 	}
 }

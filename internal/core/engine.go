@@ -103,7 +103,9 @@ type Config struct {
 	Retention time.Duration
 	// Slack is the out-of-order arrival lag: the watermark trails the newest
 	// edge by it, and an edge more than Slack behind the watermark is
-	// dropped, so an edge up to 2×Slack behind the newest is admitted.
+	// dropped, so an edge up to 2×Slack behind the newest is admitted. The
+	// exception is a zero Retention: an unbounded window drops no edge for
+	// lateness, however far behind it is.
 	Slack time.Duration
 	// EnableSummaries is ignored: the statistics the selective planner reads
 	// cost nothing per edge, so they are always on. The field is kept only
@@ -211,6 +213,9 @@ var (
 	ErrUnknownQuery = errors.New("core: unknown query")
 	// ErrNilQuery is returned when RegisterQuery is called with nil.
 	ErrNilQuery = errors.New("core: nil query")
+	// ErrUnnamedQuery is returned when RegisterQuery is called with a query
+	// that has no name: a registration is addressed by its name.
+	ErrUnnamedQuery = errors.New("core: query must be named (add a 'query <name>' line)")
 	// ErrRetentionTooSmall is returned when a query is registered mid-stream
 	// with a time window wider than the retention already in force. Widening
 	// retention after edges have been ingested cannot recover the edges that
@@ -220,7 +225,8 @@ var (
 	ErrRetentionTooSmall = errors.New("core: retention window too small for query window")
 )
 
-// RegisterQuery registers a continuous query. The query is decomposed with
+// RegisterQuery registers a continuous query under its name, which it must
+// have (ErrUnnamedQuery otherwise). The query is decomposed with
 // the configured strategy (selective by default, using the statistics of the
 // window as it is now) and the plan is attached to the engine's evaluation
 // DAG. Matches are reported both from ProcessEdge return values and to the
@@ -238,7 +244,7 @@ func (e *Engine) RegisterQuery(q *query.Graph, opts ...RegistrationOption) (*Reg
 	}
 	name := q.Name()
 	if name == "" {
-		name = fmt.Sprintf("query-%d", len(e.registrations)+1)
+		return nil, ErrUnnamedQuery
 	}
 	if _, dup := e.registrations[name]; dup {
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateQuery, name)

@@ -114,24 +114,19 @@ func TestEngineRegistrationErrors(t *testing.T) {
 	}
 }
 
-func TestEngineAnonymousQueryGetsName(t *testing.T) {
+// TestEngineRefusesUnnamedQuery: a registration is addressed by its query's
+// name, so a query without one is refused and leaves nothing behind.
+func TestEngineRefusesUnnamedQuery(t *testing.T) {
 	e := New(nil)
 	q := query.NewBuilder("").
 		Vertex("a", "Host").Vertex("b", "Host").
 		Edge("a", "b", "flow").
 		MustBuild()
-	reg, err := e.RegisterQuery(q)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := e.RegisterQuery(q); !errors.Is(err, ErrUnnamedQuery) {
+		t.Fatalf("RegisterQuery(unnamed) = %v, want ErrUnnamedQuery", err)
 	}
-	if reg.Name() == "" {
-		t.Fatalf("anonymous query not assigned a name")
-	}
-	if got := e.Registrations(); len(got) != 1 || got[0] != reg.Name() {
-		t.Fatalf("Registrations() = %v", got)
-	}
-	if _, ok := e.Registration(reg.Name()); !ok {
-		t.Fatalf("Registration lookup failed")
+	if got := e.Registrations(); len(got) != 0 {
+		t.Fatalf("Registrations() = %v after a refused registration", got)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 	"github.com/streamworks/streamworks/internal/testutil/allocbudget"
 )
 
-func fixture(t *testing.T) (*graph.Graph, *query.Graph, []core.MatchEvent) {
+func fixture(t *testing.T) (*query.Graph, []core.MatchEvent) {
 	t.Helper()
 	q := query.NewBuilder("smurf").
 		Window(time.Minute).
@@ -31,10 +31,9 @@ func fixture(t *testing.T) (*graph.Graph, *query.Graph, []core.MatchEvent) {
 	}
 	mk := func(id graph.EdgeID, src, dst graph.VertexID, typ string, ts graph.Timestamp) graph.StreamEdge {
 		return graph.StreamEdge{
-			Edge:        graph.Edge{ID: id, Source: src, Target: dst, Type: typ, Timestamp: ts},
-			SourceType:  "Host",
-			TargetType:  "Host",
-			SourceAttrs: graph.Attributes{"site": graph.String("hq")},
+			Edge:       graph.Edge{ID: id, Source: src, Target: dst, Type: typ, Timestamp: ts},
+			SourceType: "Host",
+			TargetType: "Host",
 		}
 	}
 	var events []core.MatchEvent
@@ -43,12 +42,12 @@ func fixture(t *testing.T) (*graph.Graph, *query.Graph, []core.MatchEvent) {
 	if len(events) != 1 {
 		t.Fatalf("fixture expected one match, got %d", len(events))
 	}
-	return e.Graph().Graph(), q, events
+	return q, events
 }
 
 func TestBuildReportResolvesBindings(t *testing.T) {
-	g, q, events := fixture(t)
-	r := BuildReport(events[0], q, g)
+	q, events := fixture(t)
+	r := BuildReport(events[0], q, nil)
 	if r.Query != "smurf" {
 		t.Fatalf("query name missing")
 	}
@@ -58,21 +57,15 @@ func TestBuildReportResolvesBindings(t *testing.T) {
 	if r.Bindings[0].Variable != "attacker" || r.Bindings[0].VertexID != 1 {
 		t.Fatalf("attacker binding wrong: %+v", r.Bindings[0])
 	}
-	if r.Bindings[0].VertexType != "Host" {
-		t.Fatalf("vertex type not resolved")
-	}
-	if r.Bindings[0].Attrs["site"] != "hq" {
-		t.Fatalf("vertex attrs not resolved: %+v", r.Bindings[0].Attrs)
-	}
 	if r.SpanStart != 100 || r.SpanEnd != 200 {
 		t.Fatalf("span wrong: %+v", r)
 	}
 	if len(r.EdgeIDs) != 2 || r.EdgeIDs[0] != 1 || r.EdgeIDs[1] != 2 {
 		t.Fatalf("edge ids wrong: %v", r.EdgeIDs)
 	}
-	// Without a data graph, only IDs are reported.
+	// Without a query graph, variables are named by pattern vertex ID.
 	bare := BuildReport(events[0], nil, nil)
-	if bare.Bindings[0].Variable != "q0" || bare.Bindings[0].VertexType != "" {
+	if bare.Bindings[0].Variable != "q0" || bare.Bindings[0].VertexID != 1 {
 		t.Fatalf("bare report wrong: %+v", bare.Bindings[0])
 	}
 }
@@ -81,7 +74,7 @@ func TestBuildReportResolvesBindings(t *testing.T) {
 // edge-ID list; the signature is reused when the event carries one (the DAG
 // builds it once per consumer group) and built otherwise.
 func TestBuildReportAllocationBudget(t *testing.T) {
-	_, q, events := fixture(t)
+	q, events := fixture(t)
 	signed := events[0]
 	if signed.Signature != signed.Match.Signature() {
 		t.Fatalf("engine signed its match %q, want %q", signed.Signature, signed.Match.Signature())
@@ -104,7 +97,7 @@ func TestBuildReportAllocationBudget(t *testing.T) {
 // them from the Reporter's slabs, allocating nothing, read exactly like 25 separate reports, and stop sharing as soon as
 // the match or the variable names change.
 func TestReporterSharesAGroupsSlices(t *testing.T) {
-	_, q, events := fixture(t)
+	q, events := fixture(t)
 	ev := events[0]
 	ev.Signature = ev.Match.Signature()
 	group := make([]core.MatchEvent, 25)

@@ -1,5 +1,5 @@
 // Package export resolves match events into the form consumers see: a
-// MatchReport with query variables bound against the data graph and the
+// MatchReport with query variables bound to data vertex IDs and the
 // match's canonical signature, the one shape every backend and transport
 // delivers. A Reporter carves the reports' slices from 8 KiB slab chunks
 // (internal/slab), so the in-process backends allocate nothing per report.
@@ -18,14 +18,12 @@ import (
 
 // Binding is the resolved binding of one query variable in a match report.
 type Binding struct {
-	Variable   string            `json:"variable"`
-	VertexID   uint64            `json:"vertex_id"`
-	VertexType string            `json:"vertex_type,omitempty"`
-	Attrs      map[string]string `json:"attrs,omitempty"`
+	Variable string `json:"variable"`
+	VertexID uint64 `json:"vertex_id"`
 }
 
 // MatchReport is the JSON-friendly form of one match event, with query
-// variables resolved against the data graph. Like the match it reports, it
+// variables resolved to data vertex IDs. Like the match it reports, it
 // is immutable once built: the reports of one match (see Reporter) may share
 // their Bindings and EdgeIDs slices, so sinks must not mutate them. Those
 // slices may be carved from chunks shared with other reports, which a
@@ -56,16 +54,18 @@ type MatchReport struct {
 }
 
 // BuildReport resolves a match event into a MatchReport using the query
-// graph for variable names and (optionally) the data graph for vertex types
-// and attributes. g may be nil, in which case only IDs are reported.
-func BuildReport(ev core.MatchEvent, q *query.Graph, g *graph.Graph) MatchReport {
+// graph for variable names.
+//
+// The third parameter is unused: a report carries vertex IDs only. It stays
+// only because the benchmark harness still passes a data graph.
+func BuildReport(ev core.MatchEvent, q *query.Graph, _ *graph.Graph) MatchReport {
 	r := header(ev)
-	r.Bindings = bindings(make([]Binding, ev.Match.NumVertices()), ev.Match, q, g)
+	r.Bindings = bindings(make([]Binding, ev.Match.NumVertices()), ev.Match, q)
 	r.EdgeIDs = edgeIDs(make([]uint64, ev.Match.NumEdges()), ev.Match)
 	return r
 }
 
-// Reporter builds the ID-only reports of a stream of match events, sharing
+// Reporter builds the reports of a stream of match events, sharing
 // what consecutive events have in common. The queries of one consumer group
 // (internal/mqo) are handed the very same immutable *match.Match one
 // after the other: their reports then share one sorted EdgeIDs slice and,
@@ -84,8 +84,7 @@ type Reporter struct {
 	edgeIDSlab  slab.Slab[uint64]
 }
 
-// Build is BuildReport(ev, q, nil), less what the previous report already
-// holds.
+// Build is BuildReport, less what the previous report already holds.
 func (b *Reporter) Build(ev core.MatchEvent, q *query.Graph) MatchReport {
 	m := ev.Match
 	sameMatch := m == b.match
@@ -93,7 +92,7 @@ func (b *Reporter) Build(ev core.MatchEvent, q *query.Graph) MatchReport {
 		b.edgeIDs = edgeIDs(b.edgeIDSlab.Make(m.NumEdges()), m)
 	}
 	if !sameMatch || !sameVariables(q, b.q) {
-		b.bindings = bindings(b.bindingSlab.Make(m.NumVertices()), m, q, nil)
+		b.bindings = bindings(b.bindingSlab.Make(m.NumVertices()), m, q)
 	}
 	b.match, b.q = ev.Match, q
 	r := header(ev)
@@ -133,7 +132,7 @@ func header(ev core.MatchEvent) MatchReport {
 
 // bindings resolves m's vertex bindings into dst, which holds one per bound
 // vertex, in ascending pattern-ID order.
-func bindings(dst []Binding, m *match.Match, q *query.Graph, g *graph.Graph) []Binding {
+func bindings(dst []Binding, m *match.Match, q *query.Graph) []Binding {
 	out := dst[:0]
 	m.ForEachVertex(func(qv query.VertexID, dv graph.VertexID) bool {
 		b := Binding{VertexID: uint64(dv)}
@@ -144,17 +143,6 @@ func bindings(dst []Binding, m *match.Match, q *query.Graph, g *graph.Graph) []B
 		}
 		if b.Variable == "" {
 			b.Variable = fmt.Sprintf("q%d", qv)
-		}
-		if g != nil {
-			if v, ok := g.Vertex(dv); ok {
-				b.VertexType = v.Type
-				if len(v.Attrs) > 0 {
-					b.Attrs = make(map[string]string, len(v.Attrs))
-					for k, val := range v.Attrs {
-						b.Attrs[k] = val.String()
-					}
-				}
-			}
 		}
 		out = append(out, b)
 		return true

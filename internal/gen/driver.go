@@ -358,11 +358,8 @@ func runEngine(eng streamworks.Engine, w Workload, moves []int) (MatchSet, error
 
 // RunSingle replays the workload through the public single-engine backend
 // (streamworks.New) and returns the canonical match set and final metrics.
-// Extra options (e.g. streamworks.WithObservability) are applied after the
-// workload's engine config.
-func RunSingle(w Workload, extra ...streamworks.Option) (MatchSet, core.Metrics, error) {
-	opts := append([]streamworks.Option{streamworks.WithEngineConfig(w.Engine)}, extra...)
-	eng := streamworks.New(opts...)
+func RunSingle(w Workload) (MatchSet, core.Metrics, error) {
+	eng := streamworks.New(streamworks.WithEngineConfig(w.Engine))
 	set, err := RunEngine(eng, w)
 	if err != nil {
 		return nil, core.Metrics{}, err
@@ -376,14 +373,9 @@ func RunSingle(w Workload, extra ...streamworks.Option) (MatchSet, core.Metrics,
 
 // RunSharded replays the workload through the public sharded backend
 // (streamworks.NewSharded) with the given shard count and returns the
-// deduplicated canonical match set and the aggregated metrics. Extra
-// options are applied after the workload's engine config and shard count.
-func RunSharded(w Workload, shards int, extra ...streamworks.Option) (MatchSet, core.Metrics, error) {
-	opts := append([]streamworks.Option{
-		streamworks.WithEngineConfig(w.Engine),
-		streamworks.WithShards(shards),
-	}, extra...)
-	eng := streamworks.NewSharded(opts...)
+// deduplicated canonical match set and the aggregated metrics.
+func RunSharded(w Workload, shards int) (MatchSet, core.Metrics, error) {
+	eng := streamworks.NewSharded(streamworks.WithEngineConfig(w.Engine), streamworks.WithShards(shards))
 	set, err := RunEngine(eng, w)
 	if err != nil {
 		return nil, core.Metrics{}, err

@@ -75,7 +75,8 @@ func TestCrossStrategyEquivalenceMatrix(t *testing.T) {
 						t.Parallel()
 						w := w
 						w.Register = streamworks.RegisterOptions{Strategy: string(strat)}
-						opts := []streamworks.Option{streamworks.WithEngineConfig(w.Engine), streamworks.WithObservability(m.obs)}
+						w.Engine.Obs.Enabled = m.obs
+						opts := []streamworks.Option{streamworks.WithEngineConfig(w.Engine)}
 						var eng streamworks.Engine
 						if m.shards == 0 {
 							eng = streamworks.New(opts...)
@@ -127,7 +128,7 @@ func storedPartials(t *testing.T, w Workload) (MatchSet, int) {
 	last := map[string]uint64{} // signature -> Inserted at the previous edge, live nodes only
 	stored := uint64(0)
 	for _, se := range w.Edges {
-		if err := eng.Process(ctx, se); err != nil {
+		if err := eng.ProcessBatch(ctx, []streamworks.StreamEdge{se}); err != nil {
 			t.Fatal(err)
 		}
 		m, err := eng.Metrics(ctx)
@@ -219,27 +220,22 @@ func TestObservabilityParity(t *testing.T) {
 	if len(ref) == 0 {
 		t.Fatalf("reference run found no matches; the workload proves nothing")
 	}
-	modes := []struct {
-		name string
-		opts []streamworks.Option
-	}{
-		{"off", nil},
-		{"histograms", []streamworks.Option{streamworks.WithObservability(true)}},
-	}
 	for _, shards := range []int{0, 2} {
-		for _, m := range modes {
+		for _, histograms := range []bool{false, true} {
+			w := w
+			w.Engine.Obs.Enabled = histograms
 			var set MatchSet
 			if shards == 0 {
-				set, _, err = RunSingle(w, m.opts...)
+				set, _, err = RunSingle(w)
 			} else {
-				set, _, err = RunSharded(w, shards, m.opts...)
+				set, _, err = RunSharded(w, shards)
 			}
 			if err != nil {
-				t.Fatalf("shards=%d %s: %v", shards, m.name, err)
+				t.Fatalf("shards=%d histograms=%t: %v", shards, histograms, err)
 			}
 			if !set.Equal(ref) {
-				t.Errorf("shards=%d %s: %d matches, uninstrumented single engine found %d",
-					shards, m.name, len(set), len(ref))
+				t.Errorf("shards=%d histograms=%t: %d matches, uninstrumented single engine found %d",
+					shards, histograms, len(set), len(ref))
 			}
 		}
 	}

@@ -62,7 +62,9 @@ type DynamicOption func(*Dynamic)
 
 // WithSlack sets the out-of-order slack d. The watermark trails the maximum
 // observed timestamp by d, and an edge is rejected only when it is more than
-// d behind the watermark: up to 2·d behind the newest edge is admitted.
+// d behind the watermark: up to 2·d behind the newest edge is admitted. A
+// graph with an unbounded window (NewDynamic(0)) rejects no edge for
+// lateness, however far behind it is.
 func WithSlack(d time.Duration) DynamicOption {
 	return func(dg *Dynamic) { dg.slack = d }
 }

@@ -99,19 +99,35 @@ func TestDynamicIsolatedVerticesRemovedOnExpiry(t *testing.T) {
 	}
 }
 
+// TestDynamicOutOfOrderWithinSlack: with a slack of 5 after an edge at
+// 1000, an edge at 997 is within the slack of the watermark (995) and
+// admitted. One further behind is refused by a bounded window, but an
+// unbounded window judges no edge late: it admits one 90× the slack behind.
 func TestDynamicOutOfOrderWithinSlack(t *testing.T) {
-	d := NewDynamic(time.Minute, WithSlack(5*time.Nanosecond))
-	if _, err := d.Apply(streamEdge(1, 1, 2, "flow", 100)); err != nil {
-		t.Fatal(err)
-	}
-	// 97 is within the slack of 5 behind the watermark (100-5=95).
-	if _, err := d.Apply(streamEdge(2, 2, 3, "flow", 97)); err != nil {
-		t.Fatalf("in-slack edge rejected: %v", err)
-	}
-	// 80 is beyond the slack.
-	_, err := d.Apply(streamEdge(3, 3, 4, "flow", 80))
-	if !errors.Is(err, ErrTimestampRegression) {
-		t.Fatalf("expected ErrTimestampRegression, got %v", err)
+	for _, tc := range []struct {
+		name   string
+		window time.Duration
+		late   Timestamp
+		admit  bool
+	}{
+		{"bounded window, beyond the slack", time.Hour, 980, false},
+		{"bounded window, 90× the slack", time.Hour, 1000 - 90*5, false},
+		{"unbounded window, 90× the slack", 0, 1000 - 90*5, true},
+	} {
+		d := NewDynamic(tc.window, WithSlack(5*time.Nanosecond))
+		if _, err := d.Apply(streamEdge(1, 1, 2, "flow", 1000)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Apply(streamEdge(2, 2, 3, "flow", 997)); err != nil {
+			t.Fatalf("%s: in-slack edge rejected: %v", tc.name, err)
+		}
+		_, err := d.Apply(streamEdge(3, 3, 4, "flow", tc.late))
+		if tc.admit && err != nil {
+			t.Fatalf("%s: edge at %d rejected: %v", tc.name, tc.late, err)
+		}
+		if !tc.admit && !errors.Is(err, ErrTimestampRegression) {
+			t.Fatalf("%s: edge at %d: got %v, want ErrTimestampRegression", tc.name, tc.late, err)
+		}
 	}
 }
 

@@ -9,20 +9,21 @@ import (
 	"testing"
 	"time"
 
+	"github.com/streamworks/streamworks/internal/api"
 	"github.com/streamworks/streamworks/internal/gen"
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/query"
 	"github.com/streamworks/streamworks/internal/shard"
 )
 
-func fetchHealth(t *testing.T, base string) HealthResponse {
+func fetchHealth(t *testing.T, base string) api.HealthResponse {
 	t.Helper()
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {
 		t.Fatalf("GET /healthz: %v", err)
 	}
 	defer resp.Body.Close()
-	var h HealthResponse
+	var h api.HealthResponse
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatalf("decoding health: %v", err)
 	}
@@ -78,7 +79,7 @@ func TestRequireDurabilityRefusesDegradedIngest(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("503 without a Retry-After hint")
 	}
-	var ir IngestResponse
+	var ir api.IngestResponse
 	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 		t.Fatalf("decoding 503 body: %v", err)
 	}
@@ -128,7 +129,7 @@ func TestIngestTimeoutLeavesBatchQueued(t *testing.T) {
 		switch resp.StatusCode {
 		case http.StatusOK:
 		case http.StatusServiceUnavailable:
-			var ir IngestResponse
+			var ir api.IngestResponse
 			if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 				t.Fatalf("decoding timeout body: %v", err)
 			}
@@ -233,7 +234,7 @@ func TestRestartRecoversQueryRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GET /v1/queries: %v", err)
 	}
-	var qs []QueryInfo
+	var qs []api.QueryInfo
 	if err := json.NewDecoder(resp.Body).Decode(&qs); err != nil {
 		t.Fatalf("decoding listing: %v", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/streamworks/streamworks/internal/api"
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/loader"
 	"github.com/streamworks/streamworks/internal/wire"
@@ -218,7 +219,7 @@ func (g *ingester) consumeBinary(body io.Reader) error {
 // Chunks already enqueued cannot be recalled, so a refusal that comes after
 // the first chunk reports in Accepted how far the body got.
 func (g *ingester) respond(w http.ResponseWriter, decodeErr error) {
-	resp := IngestResponse{Accepted: g.total, Queued: g.total > 0}
+	resp := api.IngestResponse{Accepted: g.total, Queued: g.total > 0}
 	status := http.StatusAccepted
 	switch {
 	case errors.Is(g.err, ErrDraining):
@@ -323,13 +324,13 @@ func (s *Server) waitIngest(w http.ResponseWriter, g *ingester) {
 	case res = <-done:
 	case <-timeout:
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, IngestResponse{
+		writeJSON(w, http.StatusServiceUnavailable, api.IngestResponse{
 			Accepted: g.total, Queued: true,
 			Error: "ingest wait timed out; batch still queued",
 		})
 		return
 	}
-	resp := IngestResponse{Accepted: res.processed}
+	resp := api.IngestResponse{Accepted: res.processed}
 	if res.err != nil {
 		resp.Error = res.err.Error()
 		writeJSON(w, http.StatusInternalServerError, resp)

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/streamworks/streamworks"
+	"github.com/streamworks/streamworks/internal/api"
 	"github.com/streamworks/streamworks/internal/gen"
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/loader"
@@ -124,7 +125,7 @@ func (li *liveIngest) write(p []byte) {
 }
 
 // finish ends the body and returns the handler's answer.
-func (li *liveIngest) finish() (int, http.Header, IngestResponse) {
+func (li *liveIngest) finish() (int, http.Header, api.IngestResponse) {
 	li.t.Helper()
 	li.body.Close()
 	select {
@@ -132,14 +133,14 @@ func (li *liveIngest) finish() (int, http.Header, IngestResponse) {
 	case <-time.After(10 * time.Second):
 		li.t.Fatal("ingest handler did not answer")
 	}
-	var ir IngestResponse
+	var ir api.IngestResponse
 	if err := json.Unmarshal(li.rec.Body.Bytes(), &ir); err != nil {
 		li.t.Fatalf("decoding ingest response %q: %v", li.rec.Body.String(), err)
 	}
 	return li.rec.Code, li.rec.Header(), ir
 }
 
-func wantIngest(t *testing.T, code int, ir IngestResponse, wantCode, wantAccepted int) {
+func wantIngest(t *testing.T, code int, ir api.IngestResponse, wantCode, wantAccepted int) {
 	t.Helper()
 	if code != wantCode || ir.Accepted != wantAccepted {
 		t.Fatalf("HTTP %d %+v, want HTTP %d with %d accepted", code, ir, wantCode, wantAccepted)
@@ -300,7 +301,7 @@ func TestNDJSONUnknownAttrKindRejected(t *testing.T) {
 			body.WriteString(bad)
 			resp := postEdges(t, ts.URL, body, true)
 			defer resp.Body.Close()
-			var ir IngestResponse
+			var ir api.IngestResponse
 			if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 				t.Fatalf("decoding ingest response: %v", err)
 			}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/streamworks/streamworks/internal/api"
 	"github.com/streamworks/streamworks/internal/gen"
 	"github.com/streamworks/streamworks/internal/query"
 	"github.com/streamworks/streamworks/internal/shard"
@@ -32,7 +33,7 @@ func TestQueryRegistryIsTheEngines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GET /v1/queries: %v", err)
 		}
-		var infos []QueryInfo
+		var infos []api.QueryInfo
 		err = json.NewDecoder(resp.Body).Decode(&infos)
 		resp.Body.Close()
 		if err != nil {

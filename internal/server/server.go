@@ -85,8 +85,6 @@ type Config struct {
 	// MaxBatchEdges caps the number of edges decoded from one ingest request
 	// (default 65536); larger bodies get 413.
 	MaxBatchEdges int
-	// MaxQueryBytes caps a query registration body (default 1 MiB).
-	MaxQueryBytes int64
 	// DataDir enables durability: ingested batches, registrations and
 	// watermark advances are write-ahead logged under this directory, and a
 	// restart pointing at the same directory recovers the engine state,
@@ -118,6 +116,9 @@ func DefaultConfig() Config {
 
 // ErrDraining is reported (as HTTP 503) for work arriving after Close began.
 var ErrDraining = errors.New("server: draining")
+
+// maxQueryBytes caps a query registration body; a larger one gets 413.
+const maxQueryBytes = 1 << 20
 
 // Server is the HTTP front-end. It implements http.Handler; mount it on any
 // listener (net/http, httptest). Create with New, stop with Close.
@@ -170,9 +171,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxBatchEdges <= 0 {
 		cfg.MaxBatchEdges = 65536
-	}
-	if cfg.MaxQueryBytes <= 0 {
-		cfg.MaxQueryBytes = 1 << 20
 	}
 	// Normalize the obs seam once, up front, so the serving tier and every
 	// engine tier below share one clock; the engine config carries the
@@ -298,11 +296,8 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// HealthResponse is the GET /healthz payload (see api.HealthResponse).
-type HealthResponse = api.HealthResponse
-
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	resp := HealthResponse{
+	resp := api.HealthResponse{
 		Status:        "ok",
 		Version:       api.Version,
 		Shards:        s.eng.Shards(),
@@ -321,30 +316,22 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 
 // ---- queries ----------------------------------------------------------
 
-// RegisterResponse summarizes a successful registration (see
-// api.RegisterResponse).
-type RegisterResponse = api.RegisterResponse
-
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxQueryBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxQueryBytes+1))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading query body: %v", err)
 		return
 	}
-	if int64(len(body)) > s.cfg.MaxQueryBytes {
+	if len(body) > maxQueryBytes {
 		// Reject rather than truncate: a prefix of a line-oriented DSL body
 		// can parse cleanly as a different (smaller) query.
 		writeError(w, http.StatusRequestEntityTooLarge,
-			"query body exceeds %d bytes", s.cfg.MaxQueryBytes)
+			"query body exceeds %d bytes", maxQueryBytes)
 		return
 	}
 	q, err := query.Parse(bytes.NewReader(body))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "parsing query: %v", err)
-		return
-	}
-	if q.Name() == "" {
-		writeError(w, http.StatusBadRequest, "query must be named (add a 'query <name>' line)")
 		return
 	}
 	opts := streamworks.RegisterOptions{Strategy: r.URL.Query().Get("strategy")}
@@ -355,7 +342,10 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	s.mu.RUnlock()
 	if err != nil {
 		status := http.StatusUnprocessableEntity
-		if errors.Is(err, streamworks.ErrDuplicateQuery) {
+		switch {
+		case errors.Is(err, streamworks.ErrUnnamedQuery):
+			status = http.StatusBadRequest
+		case errors.Is(err, streamworks.ErrDuplicateQuery):
 			status = http.StatusConflict
 		}
 		writeError(w, status, "registering %q: %v", q.Name(), err)
@@ -366,7 +356,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if strategy == "" {
 		strategy = streamworks.PlanStrategies()[0]
 	}
-	writeJSON(w, http.StatusCreated, RegisterResponse{
+	writeJSON(w, http.StatusCreated, api.RegisterResponse{
 		Name:     q.Name(),
 		Window:   q.Window().String(),
 		Vertices: q.NumVertices(),
@@ -375,14 +365,11 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// QueryInfo is one entry of the GET /v1/queries listing (see api.QueryInfo).
-type QueryInfo = api.QueryInfo
-
 func (s *Server) handleListQueries(w http.ResponseWriter, _ *http.Request) {
 	queries := s.eng.RegisteredQueries() // name-sorted
-	infos := make([]QueryInfo, 0, len(queries))
+	infos := make([]api.QueryInfo, 0, len(queries))
 	for _, q := range queries {
-		infos = append(infos, QueryInfo{
+		infos = append(infos, api.QueryInfo{
 			Name:     q.Name(),
 			Window:   q.Window().String(),
 			Vertices: q.NumVertices(),
@@ -420,18 +407,11 @@ func (s *Server) handleUnregister(w http.ResponseWriter, r *http.Request) {
 
 // ---- ingest -----------------------------------------------------------
 
-// IngestResponse reports how an edge batch was handled (see
-// api.IngestResponse).
-type IngestResponse = api.IngestResponse
-
 // handleIngest and handleStream live in ingest.go: streaming decode with
 // adaptive chunking, NDJSON or binary frames by content negotiation.
 
-// AdvanceRequest is the body of POST /v1/advance (see api.AdvanceRequest).
-type AdvanceRequest = api.AdvanceRequest
-
 func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
-	var req AdvanceRequest
+	var req api.AdvanceRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 4096)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding advance request: %v", err)
 		return
@@ -607,13 +587,6 @@ func (s *Server) handleMatches(w http.ResponseWriter, r *http.Request) {
 
 // ---- metrics ----------------------------------------------------------
 
-// ServerMetrics counts serving-layer activity, complementing the engine
-// counters (see api.ServerMetrics).
-type ServerMetrics = api.ServerMetrics
-
-// MetricsResponse is the GET /v1/metrics payload (see api.MetricsResponse).
-type MetricsResponse = api.MetricsResponse
-
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if !s.admit(w) {
 		return
@@ -621,7 +594,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	engine, shards, snap := s.eng.MetricsSnapshot()
 	s.mu.RUnlock()
 	merged := obs.Merge(s.snapshot(), snap)
-	resp := MetricsResponse{Engine: engine, Shards: shards, Obs: &merged}
+	resp := api.MetricsResponse{Engine: engine, Shards: shards, Obs: &merged}
 	obs.Fill(&resp.Server, merged, "")
 	if s.cfg.DataDir != "" {
 		wal := api.WALMetricsFrom(merged)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/streamworks/streamworks"
+	"github.com/streamworks/streamworks/internal/api"
 	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/gen"
 	"github.com/streamworks/streamworks/internal/graph"
@@ -100,7 +101,7 @@ func postEdges(t *testing.T, base string, body io.Reader, wait bool) *http.Respo
 	return resp
 }
 
-func fetchMetrics(t *testing.T, base string) MetricsResponse {
+func fetchMetrics(t *testing.T, base string) api.MetricsResponse {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/metrics")
 	if err != nil {
@@ -110,7 +111,7 @@ func fetchMetrics(t *testing.T, base string) MetricsResponse {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /v1/metrics: HTTP %d", resp.StatusCode)
 	}
-	var m MetricsResponse
+	var m api.MetricsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatalf("decoding metrics: %v", err)
 	}
@@ -126,7 +127,7 @@ func TestRegisterLifecycle(t *testing.T) {
 		body, _ := io.ReadAll(resp.Body)
 		t.Fatalf("register: HTTP %d: %s", resp.StatusCode, body)
 	}
-	var reg RegisterResponse
+	var reg api.RegisterResponse
 	if err := json.NewDecoder(resp.Body).Decode(&reg); err != nil {
 		t.Fatalf("decoding register response: %v", err)
 	}
@@ -156,7 +157,7 @@ func TestRegisterLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GET /v1/queries: %v", err)
 	}
-	var infos []QueryInfo
+	var infos []api.QueryInfo
 	if err := json.NewDecoder(lresp.Body).Decode(&infos); err != nil {
 		t.Fatalf("decoding listing: %v", err)
 	}
@@ -221,7 +222,7 @@ func TestIngestWorkloadNDJSON(t *testing.T) {
 		body, _ := io.ReadAll(resp.Body)
 		t.Fatalf("ingest: HTTP %d: %s", resp.StatusCode, body)
 	}
-	var ir IngestResponse
+	var ir api.IngestResponse
 	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 		t.Fatalf("decoding ingest response: %v", err)
 	}
@@ -562,7 +563,7 @@ func TestAdvanceExpiresWindows(t *testing.T) {
 	if m := fetchMetrics(t, ts.URL); m.Engine.LiveEdges == 0 {
 		t.Fatal("no live edges after ingest")
 	}
-	body, _ := json.Marshal(AdvanceRequest{TS: int64(testBase.Add(10 * time.Minute))})
+	body, _ := json.Marshal(api.AdvanceRequest{TS: int64(testBase.Add(10 * time.Minute))})
 	aresp, err := http.Post(ts.URL+"/v1/advance", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST /v1/advance: %v", err)

@@ -234,24 +234,14 @@ func (s *ShardedEngine) RegisterQuery(q *query.Graph, opts ...core.RegistrationO
 			q.Name(), core.ErrRetentionTooSmall, q.Window(), s.retention)
 	}
 	home := s.home(hub)
-	var name string
 	for i, w := range home {
-		n, err := w.register(s.running, q, opts, hub)
-		if err == nil && i > 0 && n != name {
-			// An unnamed query is named after its shard's registration
-			// count, which differs between shards once shard 0 holds a
-			// hub-free query.
-			_ = w.unregister(s.running, n)
-			err = fmt.Errorf("shard: unnamed query named %q here but %q on shard 0: name it", n, name)
-		}
-		if err != nil {
+		if err := w.register(s.running, q, opts, hub); err != nil {
 			for _, r := range home[:i] {
 				// Roll back the shards that accepted the registration.
-				_ = r.unregister(s.running, name)
+				_ = r.unregister(s.running, q.Name())
 			}
 			return fmt.Errorf("shard %d: %w", w.id, err)
 		}
-		name = n
 	}
 	if widens {
 		s.retention = q.Window()
@@ -260,7 +250,7 @@ func (s *ShardedEngine) RegisterQuery(q *query.Graph, opts ...core.RegistrationO
 			_ = w.extendRetention(s.running, q.Window())
 		}
 	}
-	s.router.add(name, q)
+	s.router.add(q.Name(), q)
 	s.registrations.Set(int64(len(s.router.byQuery)))
 	return nil
 }

@@ -257,11 +257,10 @@ func TestShardedHubFreeQueryRejectedMidStream(t *testing.T) {
 	s.Close()
 }
 
-// TestUnnamedQueryNeedsOneNameOnEveryShard: an unnamed query is named after
-// its shard's registration count. Once shard 0 also holds a hub-free query
-// the counts differ, and a hub query registered unnamed would surface under
-// two names, so the registration is refused and rolled back instead.
-func TestUnnamedQueryNeedsOneNameOnEveryShard(t *testing.T) {
+// TestShardedRefusesUnnamedQuery: every shard's engine refuses a query
+// without a name, alone or beside a hub-free query on shard 0, and the
+// refusal leaves no registration behind on any shard.
+func TestShardedRefusesUnnamedQuery(t *testing.T) {
 	unnamed := func() *query.Graph {
 		return query.NewBuilder("").
 			Vertex("a", gen.TypeHost).
@@ -270,15 +269,18 @@ func TestUnnamedQueryNeedsOneNameOnEveryShard(t *testing.T) {
 			MustBuild()
 	}
 	s := shard.New(&shard.Config{Shards: 2})
-	if err := s.RegisterQuery(unnamed()); err != nil {
-		t.Fatalf("unnamed hub query alone: %v", err)
+	if err := s.RegisterQuery(unnamed()); !errors.Is(err, core.ErrUnnamedQuery) {
+		t.Fatalf("unnamed hub query alone: %v, want ErrUnnamedQuery", err)
+	}
+	if m := s.Metrics(); m.Registrations != 0 || len(m.Queries) != 0 {
+		t.Fatalf("refused registration left %d registrations, %d query views behind", m.Registrations, len(m.Queries))
 	}
 	s = shard.New(&shard.Config{Shards: 2, Engine: smallNews(time.Minute).Engine})
 	if err := s.RegisterQuery(smallNews(time.Minute).Queries[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RegisterQuery(unnamed()); err == nil {
-		t.Fatal("unnamed hub query registered under two names")
+	if err := s.RegisterQuery(unnamed()); !errors.Is(err, core.ErrUnnamedQuery) {
+		t.Fatalf("unnamed hub query beside a hub-free one: %v, want ErrUnnamedQuery", err)
 	}
 	if m := s.Metrics(); m.Registrations != 1 || len(m.Queries) != 1 {
 		t.Fatalf("refused registration left %d registrations, %d query views behind", m.Registrations, len(m.Queries))

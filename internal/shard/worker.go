@@ -181,15 +181,14 @@ func (w *worker) enqueueAdvance(ts graph.Timestamp) {
 }
 
 // register adds a query with the given hub on this shard.
-func (w *worker) register(running bool, q *query.Graph, opts []core.RegistrationOption, hub query.VertexID) (name string, err error) {
+func (w *worker) register(running bool, q *query.Graph, opts []core.RegistrationOption, hub query.VertexID) (err error) {
 	w.do(running, func() {
-		var reg *core.Registration
-		if reg, err = w.eng.RegisterQuery(q, opts...); err == nil {
-			name = reg.Name()
+		if _, err = w.eng.RegisterQuery(q, opts...); err == nil {
+			name := q.Name()
 			w.queries[name] = homed{hub: hub, emitted: w.eng.ObsRegistry().Counter("query_matches_emitted", obs.QueryLabelKey, name)}
 		}
 	})
-	return name, err
+	return err
 }
 
 // unregister removes a query from this shard.

@@ -47,8 +47,8 @@ var ceilings = map[string]float64{
 	"mqo.insert/joined partial":                             0,
 	"mqo.ProcessEdge/leaf search, no join":                  0,
 	// internal/wire: attribute keys are sorted on the stack, so an edge with
-	// all three attribute maps populated, or a match whose bindings carry
-	// attributes, encodes into a grown buffer for free.
+	// all three attribute maps populated encodes into a grown buffer for
+	// free, and so does a match.
 	"wire.AppendEdge":  0,
 	"wire.AppendMatch": 0,
 	// The envelope's header is written in place and its CRC patched in, and

@@ -195,10 +195,9 @@ func (d *decoder) uvarint() uint64 {
 // one-byte length, each integer and attribute kind one byte, each attribute
 // block its one-byte count.
 const (
-	minEdgeBytes        = 10 // id, source, target, type, timestamp, two type names, three blocks
-	minAttrBytes        = 3  // key, kind, value
-	minBindingBytes     = 4  // variable, vertex ID, vertex type, attribute count
-	minBindingAttrBytes = 2  // key, value
+	minEdgeBytes    = 10 // id, source, target, type, timestamp, two type names, three blocks
+	minAttrBytes    = 3  // key, kind, value
+	minBindingBytes = 2  // variable, vertex ID
 )
 
 // count reads an element count and refuses one whose elements, at least

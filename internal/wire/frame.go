@@ -40,8 +40,10 @@ const ContentTypeBinary = "application/x-streamworks-frame"
 const (
 	// FrameEdge carries one graph.StreamEdge (edge.go).
 	FrameEdge byte = 1
-	// FrameMatch carries one export.MatchReport (match.go).
-	FrameMatch byte = 2
+	// FrameMatch carries one export.MatchReport (match.go). Type 2 carried
+	// an older match layout with a vertex type and attributes per binding;
+	// it is retired, so a peer still speaking it is refused as corrupt.
+	FrameMatch byte = 3
 )
 
 // FrameHeaderLen is what the envelope adds to a payload: 4 length + 4 crc

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/streamworks/streamworks/internal/export"
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/wire"
 )
@@ -52,6 +53,11 @@ func FuzzFrameDecode(f *testing.F) {
 	seq := wire.AppendFrame(append([]byte(nil), wire.StreamMagic...), wire.FrameEdge, news)
 	seq = wire.AppendFrame(seq, wire.FrameEdge, damaged)
 	f.Add(wire.AppendFrame(seq, wire.FrameEdge, news))
+	// A match payload in the retired layout — a vertex type and an
+	// attribute count after each binding — framed as a current match.
+	retired := wire.AppendMatch(nil, export.MatchReport{Query: "q", Signature: "0:1"})
+	retired = append(retired[:len(retired)-2], 1, 1, 'a', 7, 0, 0, 1, 1)
+	f.Add(wire.AppendFrame(append([]byte(nil), wire.StreamMagic...), wire.FrameMatch, retired))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// One interner rides along the whole input, as one does along a

@@ -28,7 +28,7 @@ func newsEdge() graph.StreamEdge {
 }
 
 // servedReport is shaped like the reports the daemon delivers: every
-// binding named and typed, no binding attributes.
+// binding named.
 func servedReport() export.MatchReport {
 	return export.MatchReport{
 		Query:      "news-event",
@@ -37,9 +37,9 @@ func servedReport() export.MatchReport {
 		SpanEnd:    1371859200000000000,
 		Signature:  "0:11|1:12|2:13",
 		Bindings: []export.Binding{
-			{Variable: "a", VertexID: 100, VertexType: "article"},
-			{Variable: "k", VertexID: 3, VertexType: "keyword"},
-			{Variable: "l", VertexID: 9, VertexType: "location"},
+			{Variable: "a", VertexID: 100},
+			{Variable: "k", VertexID: 3},
+			{Variable: "l", VertexID: 9},
 		},
 		EdgeIDs: []uint64{11, 12, 13},
 	}
@@ -90,7 +90,7 @@ func TestInternerWarmDecodeAllocs(t *testing.T) {
 	report := AppendMatch(nil, rep)
 	names := []string{rep.Query}
 	for _, b := range rep.Bindings {
-		names = append(names, b.Variable, b.VertexType)
+		names = append(names, b.Variable)
 	}
 	in = quietInterner(t, names, nil)
 	allocbudget.Check(t, "wire.Interner.DecodeMatch/warm", func() {
@@ -115,9 +115,6 @@ func TestInternerDecodeMatchEqualsUncached(t *testing.T) {
 		rep.EdgeIDs = make([]uint64, i%7)
 		for j := range rep.EdgeIDs {
 			rep.EdgeIDs[j] = uint64(i*7 + j)
-		}
-		if i%2 == 0 && len(rep.Bindings) > 0 {
-			rep.Bindings[0].Attrs = map[string]string{"site": "hq"}
 		}
 		payload = AppendMatch(payload[:0], rep)
 		got, err := in.DecodeMatch(payload)

@@ -2,26 +2,23 @@ package wire
 
 import (
 	"encoding/binary"
-	"slices"
 
 	"github.com/streamworks/streamworks/internal/export"
 )
 
-// Match payload layout:
+// Match payload layout (frame type FrameMatch):
 //
 //	string  query
 //	varint  detected_at, span_start, span_end
 //	string  signature
 //	uvarint binding count, then per binding:
-//	        string variable, uvarint vertex_id, string vertex_type,
-//	        uvarint attr count, per attr (sorted): string key, string value
+//	        string variable, uvarint vertex_id
 //	uvarint edge-ID count, then uvarint per edge ID
 //
 // DeliveredWallNS / ArrivedWallNS are process-local and never serialized,
 // matching the JSON transport (`json:"-"`).
 
-// AppendMatch appends the binary payload for rep to dst. The encoding is
-// byte-deterministic: binding attrs are emitted in sorted key order.
+// AppendMatch appends the binary payload for rep to dst.
 func AppendMatch(dst []byte, rep export.MatchReport) []byte {
 	dst = appendString(dst, rep.Query)
 	dst = binary.AppendVarint(dst, rep.DetectedAt)
@@ -32,19 +29,6 @@ func AppendMatch(dst []byte, rep export.MatchReport) []byte {
 	for _, b := range rep.Bindings {
 		dst = appendString(dst, b.Variable)
 		dst = binary.AppendUvarint(dst, b.VertexID)
-		dst = appendString(dst, b.VertexType)
-		dst = binary.AppendUvarint(dst, uint64(len(b.Attrs)))
-		// Sorted in a stack-backed array, as appendAttrs does.
-		var stack [16]string
-		keys := stack[:0]
-		for k := range b.Attrs {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		for _, k := range keys {
-			dst = appendString(dst, k)
-			dst = appendString(dst, b.Attrs[k])
-		}
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(rep.EdgeIDs)))
 	for _, id := range rep.EdgeIDs {
@@ -66,8 +50,8 @@ func DecodeMatch(payload []byte) (export.MatchReport, error) {
 	return (*Interner)(nil).DecodeMatch(payload)
 }
 
-// DecodeMatch is the package-level DecodeMatch, taking the report's names,
-// types and binding attribute strings from in where it holds them and
+// DecodeMatch is the package-level DecodeMatch, taking the report's query
+// and variable names from in where it holds them and
 // carving its signature, bindings and edge IDs from in's slabs. The
 // signature is unique per match and never takes a slot.
 func (in *Interner) DecodeMatch(payload []byte) (export.MatchReport, error) {
@@ -85,14 +69,6 @@ func (in *Interner) DecodeMatch(payload []byte) (export.MatchReport, error) {
 			b := &rep.Bindings[i]
 			b.Variable = d.string()
 			b.VertexID = d.uvarint()
-			b.VertexType = d.string()
-			if na := d.count("binding attr count", minBindingAttrBytes); na > 0 {
-				b.Attrs = make(map[string]string, na)
-				for j := uint64(0); j < na && d.err == nil; j++ {
-					k := d.string()
-					b.Attrs[k] = d.string()
-				}
-			}
 		}
 	}
 	if ne := d.count("edge-ID count", 1); ne > 0 {

@@ -72,8 +72,8 @@ func testMatchReport() export.MatchReport {
 		SpanEnd:    1371859200000000000,
 		Signature:  "0:17|1:42|2:99",
 		Bindings: []export.Binding{
-			{Variable: "a", VertexID: 17, VertexType: "host", Attrs: map[string]string{"os": "linux", "dc": "east"}},
-			{Variable: "b", VertexID: 42, VertexType: "server"},
+			{Variable: "a", VertexID: 17},
+			{Variable: "b", VertexID: 42},
 		},
 		EdgeIDs: []uint64{17, 42, 99},
 	}
@@ -139,13 +139,6 @@ func TestEncodeByteDeterministic(t *testing.T) {
 			t.Fatalf("encode not deterministic on rebuild %d", i)
 		}
 	}
-	rep := testMatchReport()
-	refM := wire.AppendMatch(nil, rep)
-	for i := 0; i < 32; i++ {
-		if got := wire.AppendMatch(nil, testMatchReport()); !bytes.Equal(got, refM) {
-			t.Fatalf("match encode not deterministic on rebuild %d", i)
-		}
-	}
 }
 
 func TestMatchRoundTrip(t *testing.T) {
@@ -178,6 +171,18 @@ func TestMatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMatchBindingCostsItsNameAndID: a binding is encoded as its variable
+// name and its vertex ID and nothing else, so one more binding named "v"
+// with a one-byte vertex ID grows the payload by exactly three bytes.
+func TestMatchBindingCostsItsNameAndID(t *testing.T) {
+	rep := testMatchReport()
+	before := len(wire.AppendMatch(nil, rep))
+	rep.Bindings = append(rep.Bindings, export.Binding{Variable: "v", VertexID: 5})
+	if grew := len(wire.AppendMatch(nil, rep)) - before; grew != 3 {
+		t.Fatalf("one binding costs %d bytes, want 3 (name length, name, vertex ID)", grew)
+	}
+}
+
 // TestCountsBoundedByTheirBytes: every count a payload declares is bounded
 // by what the rest of the payload can hold at its elements' smallest
 // encoding. One element more than fits is refused by name before anything
@@ -203,8 +208,7 @@ func TestCountsBoundedByTheirBytes(t *testing.T) {
 		head   []byte
 		decode func([]byte) error
 	}{
-		{"binding count", 4, matchHead(), decodeMatch},
-		{"binding attr count", 2, uv(matchHead(), 1, 0, 0, 0), decodeMatch}, // one binding: "", vertex 0, ""
+		{"binding count", 2, matchHead(), decodeMatch},
 		{"edge-ID count", 1, uv(matchHead(), 0), decodeMatch},
 		{"attr count", 3, uv(nil, 1, 2, 3, 0, 0, 0, 0), decodeEdge}, // id, ends, "", ts, "", ""
 		{"edge count", 10, nil, decodeEdges},
@@ -386,9 +390,9 @@ func TestAppendEdgeAllocs(t *testing.T) {
 	allocbudget.Check(t, "wire.AppendEdge", func() { buf = wire.AppendEdge(buf[:0], se) })
 }
 
-// TestAppendMatchAllocs: binding attributes are sorted on the stack too.
+// TestAppendMatchAllocs: a match encodes into a grown buffer for free.
 func TestAppendMatchAllocs(t *testing.T) {
-	rep := testMatchReport() // its first binding carries two attributes
+	rep := testMatchReport()
 	buf := wire.AppendMatch(nil, rep)
 	allocbudget.Check(t, "wire.AppendMatch", func() { buf = wire.AppendMatch(buf[:0], rep) })
 }

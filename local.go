@@ -11,7 +11,7 @@ import (
 // Local is the single-engine backend: one core engine behind a mutex, so
 // the public concurrency contract holds even though the underlying engine is
 // single-threaded. Matches are pushed to subscriptions synchronously, on the
-// goroutine whose Process call emitted them.
+// goroutine whose ProcessBatch call emitted them.
 type Local struct {
 	frontend
 	// mu serializes every engine call; fanout runs with it held, inside
@@ -48,7 +48,7 @@ func (l *Local) RegisterQueryWith(ctx context.Context, q *Query, opts RegisterOp
 	if l.closed.Load() {
 		return ErrClosed
 	}
-	reg, err := l.eng.RegisterQuery(q, opts.coreOptions()...)
+	reg, err := l.eng.RegisterQuery(q, coreOptions(opts)...)
 	if err != nil {
 		return err
 	}
@@ -73,14 +73,9 @@ func (l *Local) UnregisterQuery(ctx context.Context, name string) error {
 	return nil
 }
 
-// Process ingests one stream edge; matches it completes are pushed to
-// subscriptions before Process returns.
-func (l *Local) Process(ctx context.Context, se StreamEdge) error {
-	return l.ProcessBatch(ctx, []StreamEdge{se})
-}
-
 // ProcessBatch ingests a batch of edges in order, checking ctx between
-// edges.
+// edges; matches they complete are pushed to subscriptions before it
+// returns.
 func (l *Local) ProcessBatch(ctx context.Context, edges []StreamEdge) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -126,7 +121,7 @@ func (l *Local) Advance(ctx context.Context, ts Timestamp) error {
 }
 
 // Subscribe attaches sink to the query named by queryFilter ("" for all
-// queries). The sink runs synchronously inside Process; it may close its
+// queries). The sink runs synchronously inside ProcessBatch; it may close its
 // own subscription, but must not otherwise call back into this engine.
 func (l *Local) Subscribe(queryFilter string, sink MatchSink) (Subscription, error) {
 	// Under mu, so a recovered backlog never interleaves with a live batch.
@@ -136,8 +131,8 @@ func (l *Local) Subscribe(queryFilter string, sink MatchSink) (Subscription, err
 }
 
 // ObsSnapshot folds the engine's registry and the WAL's into one snapshot:
-// every counter and gauge, plus the latency histograms when the engine was
-// built WithObservability. Sizes are as of the engine's last prune sweep. It
+// every counter and gauge, plus the latency histograms when the engine's
+// EngineConfig.Obs is enabled. Sizes are as of the engine's last prune sweep. It
 // takes no lock, so it is safe from any goroutine (registry cells are
 // atomic).
 func (l *Local) ObsSnapshot() ObsSnapshot {

@@ -61,7 +61,8 @@ func TestMetricsViewsMatchGolden(t *testing.T) {
 			if err := s.Flush(); err != nil {
 				t.Fatalf("Flush: %v", err)
 			}
-			for _, m := range s.PerShardMetrics() {
+			_, perShard, _ := s.MetricsSnapshot()
+			for _, m := range perShard {
 				r.PerShard = append(r.PerShard, metricsView(t, m))
 			}
 		}

@@ -2,8 +2,8 @@ package streamworks
 
 import (
 	"net/http"
-	"time"
 
+	"github.com/streamworks/streamworks/internal/client"
 	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/decompose"
 	"github.com/streamworks/streamworks/internal/export"
@@ -55,7 +55,7 @@ func defaultConfig() config {
 
 // coreOptions is the core option list the in-process backends pass to the
 // engine (and the sharded front-end passes to each shard it registers on).
-func (o RegisterOptions) coreOptions() []core.RegistrationOption {
+func coreOptions(o RegisterOptions) []core.RegistrationOption {
 	if o.Strategy == "" {
 		return nil
 	}
@@ -63,17 +63,9 @@ func (o RegisterOptions) coreOptions() []core.RegistrationOption {
 }
 
 // Option customizes an engine constructor. Options that do not apply to the
-// chosen backend are ignored (e.g. WithShards on New, WithRetention on
+// chosen backend are ignored (e.g. WithShards on New, WithEngineConfig on
 // Connect — a remote engine's window is fixed by the daemon).
 type Option func(*config)
-
-// WithRetention sets the sliding window width of the dynamic graph. Zero
-// (the default) retains every edge; registrations with time windows widen
-// retention automatically before streaming begins. It is also the window of
-// every query registered without one. In-process backends only.
-func WithRetention(d time.Duration) Option {
-	return func(c *config) { c.engine.Retention = d }
-}
 
 // WithSummaries is ignored: the window statistics the selective query
 // planner reads cost nothing per edge and are always on. The option is kept
@@ -82,9 +74,13 @@ func WithSummaries(bool) Option {
 	return func(*config) {}
 }
 
-// WithEngineConfig replaces the whole per-engine configuration at once, for
-// embedders that already manage an EngineConfig. Later fine-grained options
-// still apply on top. In-process backends only.
+// WithEngineConfig sets the per-engine configuration, the only option for
+// any of its fields: the window (Retention; zero, the default, retains
+// every edge), the lateness Slack, and Obs.Enabled, which turns on what
+// reads the wall clock — the per-segment latency histograms and the
+// detection-lag histogram that Local.ObsSnapshot and Sharded.ObsSnapshot
+// return beside the counters and gauges kept either way. In-process
+// backends only.
 func WithEngineConfig(cfg EngineConfig) Option {
 	return func(c *config) { c.engine = cfg }
 }
@@ -102,18 +98,6 @@ func WithShards(n int) Option {
 // under benchmark/ still passes it.
 func WithSharedPlans(bool) Option {
 	return func(*config) {}
-}
-
-// WithObservability turns on, for in-process backends, what reads the wall
-// clock: per-segment latency histograms (local search, DAG join, shard
-// mailbox wait, dispatch) and the stream-time detection-lag histogram, the
-// one record of where an edge's time went. Counters and gauges are kept
-// either way — Metrics is a view of them, and Local.ObsSnapshot /
-// Sharded.ObsSnapshot return them with the histograms; per-node DAG
-// statistics are in Metrics().MQO. Default off; when off each clock read
-// reduces to a single branch.
-func WithObservability(enabled bool) Option {
-	return func(c *config) { c.engine.Obs.Enabled = enabled }
 }
 
 // WithDataDir enables durability for in-process backends: every ingested
@@ -173,18 +157,16 @@ func WithHTTPClient(hc *http.Client) Option {
 }
 
 // Transport selects the wire encoding a Remote engine uses for ingest and
-// match subscriptions. Connect only.
-type Transport string
+// match subscriptions: TransportNDJSON (the default; one JSON object per
+// line, curl-able) or TransportBinary (length-prefixed frames: smaller
+// bodies, no per-edge JSON encode/decode). Match sets are byte-identical
+// across transports. Connect only.
+type Transport = client.Transport
 
+// The Remote wire encodings.
 const (
-	// TransportNDJSON is the default text transport: one JSON object per
-	// line, human-readable, curl-able.
-	TransportNDJSON Transport = "ndjson"
-	// TransportBinary is the length-prefixed binary frame transport:
-	// smaller bodies, no per-edge JSON encode/decode, measurably higher
-	// daemon throughput. Match sets are byte-identical across transports
-	// (enforced by the transport-equivalence matrix).
-	TransportBinary Transport = "binary"
+	TransportNDJSON = client.TransportNDJSON
+	TransportBinary = client.TransportBinary
 )
 
 // WithTransport selects the Remote wire encoding (default TransportNDJSON).

@@ -107,10 +107,10 @@ func TestEmittedStatePlateaus(t *testing.T) {
 		bounded bool
 	}{
 		{"consumer group of 25", func() streamworks.Engine {
-			return streamworks.New(streamworks.WithRetention(chainRetention))
+			return streamworks.New(streamworks.WithEngineConfig(streamworks.EngineConfig{Retention: chainRetention}))
 		}, group, true},
 		{"2 shards", func() streamworks.Engine {
-			return streamworks.NewSharded(streamworks.WithRetention(chainRetention), streamworks.WithShards(2))
+			return streamworks.NewSharded(streamworks.WithEngineConfig(streamworks.EngineConfig{Retention: chainRetention}), streamworks.WithShards(2))
 		}, one, true},
 		{"unbounded retention", func() streamworks.Engine { return streamworks.New() }, one, false},
 	} {

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"sync"
 
-	"github.com/streamworks/streamworks/internal/api"
 	"github.com/streamworks/streamworks/internal/client"
 )
 
@@ -41,7 +40,7 @@ func Connect(ctx context.Context, baseURL string, opts ...Option) (*Remote, erro
 		copts = append(copts, client.WithHTTPClient(cfg.httpClient))
 	}
 	if cfg.transport != "" {
-		copts = append(copts, client.WithTransport(client.Transport(cfg.transport)))
+		copts = append(copts, client.WithTransport(cfg.transport))
 	}
 	c := client.New(baseURL, copts...)
 	h, err := c.Health(ctx)
@@ -68,7 +67,7 @@ func remoteErr(err error, sentinelByStatus map[int]error) error {
 }
 
 // RegisterQuery registers q with the daemon (serialized through the text
-// DSL, so q must be named), selective.
+// DSL), selective.
 func (r *Remote) RegisterQuery(ctx context.Context, q *Query) error {
 	return r.RegisterQueryWith(ctx, q, RegisterOptions{})
 }
@@ -80,10 +79,13 @@ func (r *Remote) RegisterQueryWith(ctx context.Context, q *Query, opts RegisterO
 	if q == nil {
 		return ErrNilQuery
 	}
+	if q.Name() == "" {
+		return ErrUnnamedQuery
+	}
 	if err := r.checkOpen(); err != nil {
 		return err
 	}
-	_, err := r.c.RegisterQueryWith(ctx, q, api.RegisterOptions(opts))
+	_, err := r.c.RegisterQueryWith(ctx, q, opts)
 	return remoteErr(err, map[int]error{http.StatusConflict: ErrDuplicateQuery})
 }
 
@@ -94,12 +96,6 @@ func (r *Remote) UnregisterQuery(ctx context.Context, name string) error {
 	}
 	err := r.c.UnregisterQuery(ctx, name)
 	return remoteErr(err, map[int]error{http.StatusNotFound: ErrUnknownQuery})
-}
-
-// Process ships one edge to the daemon and waits until it has been routed
-// to the shards.
-func (r *Remote) Process(ctx context.Context, se StreamEdge) error {
-	return r.ProcessBatch(ctx, []StreamEdge{se})
 }
 
 // ProcessBatch ships a batch of edges and waits until the batch has been

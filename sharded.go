@@ -92,7 +92,7 @@ func (s *Sharded) RegisterQueryWith(ctx context.Context, q *Query, opts Register
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.eng.RegisterQuery(q, opts.coreOptions()...); err != nil {
+	if err := s.eng.RegisterQuery(q, coreOptions(opts)...); err != nil {
 		return translate(err)
 	}
 	s.addQuery(q.Name(), q, opts)
@@ -116,13 +116,8 @@ func (s *Sharded) UnregisterQuery(ctx context.Context, name string) error {
 	return nil
 }
 
-// Process routes one stream edge to the shards that need it. ctx bounds the
-// blocking mailbox hand-off under backpressure.
-func (s *Sharded) Process(ctx context.Context, se StreamEdge) error {
-	return s.ProcessBatch(ctx, []StreamEdge{se})
-}
-
-// ProcessBatch routes a batch of edges in order.
+// ProcessBatch routes a batch of edges in order, each to the shards that
+// need it. ctx bounds the blocking mailbox hand-off under backpressure.
 func (s *Sharded) ProcessBatch(ctx context.Context, edges []StreamEdge) error {
 	if s.closed.Load() {
 		return ErrClosed
@@ -164,9 +159,9 @@ func (s *Sharded) Advance(ctx context.Context, ts Timestamp) error {
 // must not call back into the engine except to close their own
 // subscription: a sink that blocks stalls every shard's delivery and
 // eventually ingestion, so hand work off quickly.
-// Subscribe never waits behind ingestion and is safe while Process runs; a
-// recovered backlog may therefore interleave with live deliveries, which is
-// fine — match identity is (query, signature), and the engine never
+// Subscribe never waits behind ingestion and is safe while ProcessBatch
+// runs; a recovered backlog may therefore interleave with live deliveries,
+// which is fine — match identity is (query, signature), and the engine never
 // re-derives a match the replay already produced.
 func (s *Sharded) Subscribe(queryFilter string, sink MatchSink) (Subscription, error) {
 	return s.subscribe(queryFilter, sink)
@@ -185,8 +180,8 @@ func (s *Sharded) Metrics(ctx context.Context) (Metrics, error) {
 
 // ObsSnapshot folds every tier's registry — each shard worker's, the
 // front-end's, and the WAL's — into one snapshot: every counter
-// and gauge, plus the latency histograms when the engine was built
-// WithObservability. It reads the registries as they stand, taking no lock
+// and gauge, plus the latency histograms when the engine's EngineConfig.Obs
+// is enabled. It reads the registries as they stand, taking no lock
 // and waiting on nothing (no shard round trip, no log write), so it is safe
 // from any goroutine and answers while ingest is blocked.
 func (s *Sharded) ObsSnapshot() ObsSnapshot {
@@ -196,21 +191,15 @@ func (s *Sharded) ObsSnapshot() ObsSnapshot {
 // MetricsSnapshot reads every tier once — each shard worker refreshing its
 // gauges on its own goroutine, then the WAL — and returns the aggregate and
 // per-shard views with the merged reading they were built from, which always
-// agree. The serving tier renders GET /v1/metrics from it.
+// agree. The per-shard views are each shard engine's raw counters in shard
+// order — an edge counts on each shard it was sent to, a match on each shard
+// that found it, owner or not — for operators watching partition skew. The
+// serving tier renders GET /v1/metrics from it.
 func (s *Sharded) MetricsSnapshot() (Metrics, []Metrics, ObsSnapshot) {
 	s.mu.Lock()
 	m, perShard, snap := s.eng.Snapshot()
 	s.mu.Unlock()
 	return m, perShard, obs.Merge(snap, s.dur.snapshot())
-}
-
-// PerShardMetrics snapshots every shard engine's raw counters in shard
-// order (an edge counts on each shard it was sent to, and a match on each
-// shard that found it, owner or not), for operators watching partition
-// skew.
-func (s *Sharded) PerShardMetrics() []Metrics {
-	_, perShard, _ := s.MetricsSnapshot()
-	return perShard
 }
 
 // Close flushes the shard mailboxes, stops the workers and finishes every

@@ -21,8 +21,8 @@
 // consumer group all match the same data subgraph — may share their Bindings
 // and EdgeIDs slices, so a sink must not modify either.
 //
-// Engines are safe for concurrent use. Close is idempotent; Process after
-// Close returns ErrClosed instead of panicking; the context passed to
+// Engines are safe for concurrent use. Close is idempotent; ProcessBatch
+// after Close returns ErrClosed instead of panicking; the context passed to
 // blocking calls bounds them.
 package streamworks
 
@@ -95,7 +95,7 @@ type (
 
 	// ObsSnapshot is a point-in-time copy of an engine's metric registries —
 	// every counter and gauge, plus the per-segment latency histograms with
-	// summary statistics when the engine was built WithObservability — as
+	// summary statistics when the engine's EngineConfig.Obs is enabled — as
 	// returned by Local.ObsSnapshot and Sharded.ObsSnapshot.
 	ObsSnapshot = obs.Snapshot
 )
@@ -132,18 +132,20 @@ var (
 	ErrUnknownQuery = core.ErrUnknownQuery
 	// ErrNilQuery is returned by RegisterQuery(nil).
 	ErrNilQuery = core.ErrNilQuery
+	// ErrUnnamedQuery is returned when the query has no name (no
+	// "query <name>" line): a query is addressed by its name everywhere —
+	// Subscribe, UnregisterQuery, match reports, the write-ahead log.
+	ErrUnnamedQuery = core.ErrUnnamedQuery
 )
 
 // RegisterOptions carries one query's plan settings for RegisterQueryWith;
-// no engine-wide default sits behind them. The zero value — selective —
-// makes RegisterQueryWith equivalent to RegisterQuery. A query is planned
-// once, at registration, from the statistics of the window as it is then,
-// and keeps that plan; to change it, unregister and register it again.
-type RegisterOptions struct {
-	// Strategy names the decomposition strategy for this query (one of
-	// PlanStrategies); empty means "selective".
-	Strategy string
-}
+// no engine-wide default sits behind them. Strategy names the decomposition
+// strategy (one of PlanStrategies); empty — the zero value — means
+// "selective" and makes RegisterQueryWith equivalent to RegisterQuery. A
+// query is planned once, at registration, from the statistics of the window
+// as it is then, and keeps that plan; to change it, unregister and register
+// it again. A Remote sends the settings as POST /v1/queries parameters.
+type RegisterOptions = api.RegisterOptions
 
 // PlanStrategies lists the decomposition strategy names accepted by
 // RegisterOptions.Strategy, in a stable order. The first entry, "selective"
@@ -189,13 +191,14 @@ type Subscription interface {
 // (New, NewSharded, Connect — and every future one). The contract:
 //
 //   - RegisterQuery installs a continuous query; matches of that query
-//     begin flowing to matching subscriptions. Duplicate names return
-//     ErrDuplicateQuery. RegisterQueryWith is the same with the query's own
-//     plan strategy; RegisterQuery(ctx, q) ≡
-//     RegisterQueryWith(ctx, q, RegisterOptions{}), selective.
-//   - Process/ProcessBatch ingest timestamped edges, which must arrive in
-//     non-decreasing timestamp order up to the engine's slack. ctx bounds
-//     the blocking hand-off.
+//     begin flowing to matching subscriptions. An unnamed query returns
+//     ErrUnnamedQuery, a duplicate name ErrDuplicateQuery.
+//     RegisterQueryWith is the same with the query's own plan strategy;
+//     RegisterQuery(ctx, q) ≡ RegisterQueryWith(ctx, q, RegisterOptions{}),
+//     selective.
+//   - ProcessBatch ingests timestamped edges — one edge is a batch of one —
+//     which must arrive in non-decreasing timestamp order up to the
+//     engine's slack. ctx bounds the blocking hand-off.
 //   - Advance signals the passage of stream time in the absence of edges,
 //     driving window expiry and pruning.
 //   - Subscribe attaches a MatchSink for one query ("" for all).
@@ -207,7 +210,6 @@ type Engine interface {
 	RegisterQuery(ctx context.Context, q *Query) error
 	RegisterQueryWith(ctx context.Context, q *Query, opts RegisterOptions) error
 	UnregisterQuery(ctx context.Context, name string) error
-	Process(ctx context.Context, se StreamEdge) error
 	ProcessBatch(ctx context.Context, edges []StreamEdge) error
 	Advance(ctx context.Context, ts Timestamp) error
 	Subscribe(queryFilter string, sink MatchSink) (Subscription, error)

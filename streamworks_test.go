@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -105,8 +106,8 @@ func backendRun(t *testing.T, eng streamworks.Engine, w gen.Workload, filterQuer
 	}
 
 	// Misuse after Close is an error, not a panic, on every backend.
-	if err := eng.Process(ctx, w.Edges[0]); !errors.Is(err, streamworks.ErrClosed) {
-		t.Fatalf("Process after Close: %v, want ErrClosed", err)
+	if err := eng.ProcessBatch(ctx, w.Edges[:1]); !errors.Is(err, streamworks.ErrClosed) {
+		t.Fatalf("ProcessBatch after Close: %v, want ErrClosed", err)
 	}
 	if err := eng.RegisterQuery(ctx, w.Queries[0]); !errors.Is(err, streamworks.ErrClosed) {
 		t.Fatalf("RegisterQuery after Close: %v, want ErrClosed", err)
@@ -173,6 +174,41 @@ func TestAllBackendsIdenticalMatchSets(t *testing.T) {
 	}
 	if !gotFiltered.Equal(wantFiltered) {
 		t.Fatalf("remote filtered: %d matches, local %d", len(gotFiltered), len(wantFiltered))
+	}
+}
+
+// TestUnnamedQueryRefusedOnEveryBackend: a query is addressed by its name
+// — by Subscribe, UnregisterQuery, match reports and the log — so every
+// backend refuses one without a name, the same way, and registers nothing.
+func TestUnnamedQueryRefusedOnEveryBackend(t *testing.T) {
+	ctx := context.Background()
+	unnamed, err := streamworks.ParseQuery(strings.TrimPrefix(echoQuery, "query icmp-echo\n"))
+	if err != nil || unnamed.Name() != "" {
+		t.Fatalf("ParseQuery: %v, name %q", err, unnamed.Name())
+	}
+	srv := server.New(server.Config{})
+	defer srv.Close()
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	remote, err := streamworks.Connect(ctx, hs.URL)
+	if err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	for _, b := range []struct {
+		name string
+		eng  streamworks.Engine
+	}{
+		{"New", streamworks.New()},
+		{"NewSharded", streamworks.NewSharded(streamworks.WithShards(2))},
+		{"Connect", remote},
+	} {
+		if err := b.eng.RegisterQuery(ctx, unnamed); !errors.Is(err, streamworks.ErrUnnamedQuery) {
+			t.Errorf("%s: RegisterQuery(unnamed) = %v, want ErrUnnamedQuery", b.name, err)
+		}
+		if m, err := b.eng.Metrics(ctx); err != nil || m.Registrations != 0 {
+			t.Errorf("%s: %d registrations after the refusal (Metrics: %v)", b.name, m.Registrations, err)
+		}
+		b.eng.Close()
 	}
 }
 
