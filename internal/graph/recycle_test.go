@@ -34,6 +34,27 @@ func TestDynamicApplySteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// A source vertex that repeats a NaN attribute on every edge already holds
+// it: the merge is skipped, as for any repeated value, so nothing is cloned.
+func TestDynamicApplyRepeatedNaNAttrAllocs(t *testing.T) {
+	const window, hosts = 64, 80
+	d := NewDynamic(window)
+	attrs := Attributes{"score": Float(math.NaN())}
+	next := 0
+	apply := func() {
+		se := streamEdge(EdgeID(next), 1, VertexID(2+next%hosts), "flow", Timestamp(next))
+		se.SourceAttrs = attrs
+		if _, err := d.Apply(se); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for next < 4*hosts {
+		apply()
+	}
+	allocbudget.Check(t, "graph.Dynamic.Apply/repeated NaN attribute", apply)
+}
+
 // model is the naive reference for Dynamic: live edges in a map with their
 // arrival numbers, vertices with their merged metadata, expiry by scanning
 // every live edge.

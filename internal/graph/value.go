@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -41,25 +42,33 @@ func (k Kind) String() string {
 // Value is a dynamically typed attribute value attached to vertices and
 // edges of the multi-relational graph. Values are small immutable structs
 // and are passed by value throughout the library.
+//
+// A Value is 32 bytes: a string payload, and one word that holds an int, a
+// float's IEEE bits or a bool as 0/1. So == compares kind and payload bits:
+// a NaN equals the same NaN, and −0 differs from +0. Equal compares numbers
+// numerically instead.
 type Value struct {
-	kind Kind
 	str  string
-	num  int64
-	flt  float64
-	b    bool
+	bits uint64
+	kind Kind
 }
 
 // String constructs a string Value.
 func String(s string) Value { return Value{kind: KindString, str: s} }
 
 // Int constructs an integer Value.
-func Int(v int64) Value { return Value{kind: KindInt, num: v} }
+func Int(v int64) Value { return Value{kind: KindInt, bits: uint64(v)} }
 
 // Float constructs a floating point Value.
-func Float(v float64) Value { return Value{kind: KindFloat, flt: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, bits: math.Float64bits(v)} }
 
 // Bool constructs a boolean Value.
-func Bool(v bool) Value { return Value{kind: KindBool, b: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{kind: KindBool, bits: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Kind reports the dynamic kind of the value.
 func (v Value) Kind() Kind { return v.kind }
@@ -72,23 +81,31 @@ func (v Value) Str() string { return v.str }
 
 // Int64 returns the integer payload, converting from float if necessary.
 func (v Value) Int64() int64 {
-	if v.kind == KindFloat {
-		return int64(v.flt)
+	switch v.kind {
+	case KindInt:
+		return int64(v.bits)
+	case KindFloat:
+		return int64(math.Float64frombits(v.bits))
+	default:
+		return 0
 	}
-	return v.num
 }
 
 // Float64 returns the numeric payload as a float64, converting from int
 // if necessary.
 func (v Value) Float64() float64 {
-	if v.kind == KindInt {
-		return float64(v.num)
+	switch v.kind {
+	case KindInt:
+		return float64(int64(v.bits))
+	case KindFloat:
+		return math.Float64frombits(v.bits)
+	default:
+		return 0
 	}
-	return v.flt
 }
 
 // BoolVal returns the boolean payload.
-func (v Value) BoolVal() bool { return v.b }
+func (v Value) BoolVal() bool { return v.kind == KindBool && v.bits != 0 }
 
 // IsNumeric reports whether the value holds an int or float.
 func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
@@ -100,12 +117,10 @@ func (v Value) Equal(o Value) bool {
 		switch v.kind {
 		case KindString:
 			return v.str == o.str
-		case KindInt:
-			return v.num == o.num
+		case KindInt, KindBool:
+			return v.bits == o.bits
 		case KindFloat:
-			return v.flt == o.flt
-		case KindBool:
-			return v.b == o.b
+			return v.Float64() == o.Float64()
 		default:
 			return true
 		}
@@ -141,9 +156,9 @@ func (v Value) Compare(o Value) int {
 		return strings.Compare(v.str, o.str)
 	case KindBool:
 		switch {
-		case v.b == o.b:
+		case v.bits == o.bits:
 			return 0
-		case !v.b:
+		case v.bits == 0:
 			return -1
 		default:
 			return 1
@@ -159,11 +174,11 @@ func (v Value) String() string {
 	case KindString:
 		return v.str
 	case KindInt:
-		return strconv.FormatInt(v.num, 10)
+		return strconv.FormatInt(v.Int64(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.flt, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float64(), 'g', -1, 64)
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.BoolVal())
 	default:
 		return "<invalid>"
 	}
@@ -225,8 +240,9 @@ func (a Attributes) Clone() Attributes {
 }
 
 // Covers reports whether every entry of b is already present in a with an
-// equal value — the "merge would be a no-op" test that lets the stream
-// ingestion path skip per-edge attribute copies.
+// identical value (==: the same kind and payload bits, so a NaN covers
+// itself and −0 does not cover +0) — the "merge would be a no-op" test that
+// lets the stream ingestion path skip per-edge attribute copies.
 func (a Attributes) Covers(b Attributes) bool {
 	if len(b) > len(a) {
 		return false

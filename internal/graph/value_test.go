@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -69,6 +70,14 @@ func TestValueEqual(t *testing.T) {
 	}
 	if !Bool(false).Equal(Bool(false)) {
 		t.Fatalf("identical bools should be equal")
+	}
+	// Equal is numeric, while == compares payload bits.
+	negZero := Float(math.Copysign(0, -1))
+	if !negZero.Equal(Float(0)) || negZero == Float(0) {
+		t.Fatalf("−0 must Equal +0 and differ from it under ==")
+	}
+	if nan := Float(math.NaN()); nan.Equal(nan) || nan != nan {
+		t.Fatalf("NaN must not Equal itself and must == itself")
 	}
 }
 
@@ -170,6 +179,31 @@ func TestAttributesMerge(t *testing.T) {
 	var empty Attributes
 	if got := empty.Merge(b); got["z"].Int64() != 30 {
 		t.Fatalf("merge into empty produced %v", got)
+	}
+}
+
+func TestAttributesCovers(t *testing.T) {
+	nan, negZero := Float(math.NaN()), Float(math.Copysign(0, -1))
+	cases := []struct {
+		name string
+		a, b Attributes
+		want bool
+	}{
+		{"empty b", Attributes{"x": Int(1)}, nil, true},
+		{"subset", Attributes{"x": Int(1), "y": String("s")}, Attributes{"y": String("s")}, true},
+		{"missing key", Attributes{"x": Int(1)}, Attributes{"y": Int(1)}, false},
+		{"different value", Attributes{"x": Int(1)}, Attributes{"x": Int(2)}, false},
+		{"int vs float", Attributes{"x": Int(1)}, Attributes{"x": Float(1)}, false},
+		{"larger b", Attributes{"x": Int(1)}, Attributes{"x": Int(1), "y": Int(2)}, false},
+		{"NaN covers itself", Attributes{"x": nan}, Attributes{"x": nan}, true},
+		{"+0 covers +0", Attributes{"x": Float(0)}, Attributes{"x": Float(0)}, true},
+		{"−0 does not cover +0", Attributes{"x": negZero}, Attributes{"x": Float(0)}, false},
+		{"+0 does not cover −0", Attributes{"x": Float(0)}, Attributes{"x": negZero}, false},
+	}
+	for _, tc := range cases {
+		if got := tc.a.Covers(tc.b); got != tc.want {
+			t.Errorf("%s: %v.Covers(%v) = %v, want %v", tc.name, tc.a, tc.b, got, tc.want)
+		}
 	}
 }
 

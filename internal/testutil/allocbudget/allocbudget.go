@@ -62,10 +62,18 @@ var ceilings = map[string]float64{
 	// signature, bindings and edge IDs from its 8 KiB slab chunks.
 	"wire.Interner.DecodeEdge/warm":  0,
 	"wire.Interner.DecodeMatch/warm": 0,
+	// A block the interner has not seen costs its map (two allocations for
+	// one entry) and nothing more: a slot keeps the map and the block's
+	// hash, and a hit is checked against the map's entries, so no copy of
+	// the block's bytes is stored.
+	"wire.Interner.DecodeEdge/new attribute block": 2,
 	// internal/graph: once a window has turned over, applying an edge that
 	// expires one and brings back a vertex that went isolated runs on
 	// recycled records and lists; an edge record is a 146th of a slab chunk.
 	"graph.Dynamic.Apply/steady-state window": 0,
+	// A vertex attribute that repeats is found covered and not merged, a NaN
+	// too: values compare by their payload bits.
+	"graph.Dynamic.Apply/repeated NaN attribute": 0,
 	// internal/stats: the statistics are the window graph's, so observing an
 	// edge records the graph, and reading a triad count from a window that
 	// has not changed since the last read looks it up.

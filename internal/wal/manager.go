@@ -209,7 +209,10 @@ func (m *Manager) checkFormat(names []string) error {
 
 // replaySegment decodes one segment into rec and the manager's state. It
 // returns true when replay must stop: a torn or corrupt frame was found
-// and the segment cut back to the last valid boundary.
+// and the segment cut back to the last valid boundary. The segment's edge
+// batches decode through one interner, so the attribute maps and strings
+// they repeat are recovered once and shared (never mutated, as on the
+// serving path).
 func (m *Manager) replaySegment(seq uint64, root bool, rec *Recovery) (stop bool) {
 	path := join(m.dir, segName(seq))
 	rc, err := m.fs.Open(path)
@@ -223,6 +226,7 @@ func (m *Manager) replaySegment(seq uint64, root bool, rec *Recovery) (stop bool
 		m.opts.Logf("wal: reading segment %d: %v", seq, err)
 		return true
 	}
+	in := wire.NewInterner()
 	maxTS := int64(math.MinInt64)
 	off := min(len(segMagic), len(data))
 	for off < len(data) {
@@ -235,7 +239,7 @@ func (m *Manager) replaySegment(seq uint64, root bool, rec *Recovery) (stop bool
 		if err == nil {
 			// A valid CRC over a payload that does not decode: nothing
 			// after such a record can be applied consistently either.
-			op, err = decodeOp(frameRec, payload)
+			op, err = decodeOp(frameRec, payload, in)
 		}
 		if err != nil {
 			m.opts.Logf("wal: segment %d offset %d: %v", seq, off, err)

@@ -103,12 +103,14 @@ func encodeEmitted(entries []EmittedEntry) ([]byte, error) {
 	return json.Marshal(entries)
 }
 
-// decodeOp decodes one frame's payload into an Op.
-func decodeOp(rec byte, payload []byte) (Op, error) {
+// decodeOp decodes one frame's payload into an Op, taking an edge batch's
+// strings and attribute maps from in where it holds them (nil caches
+// nothing).
+func decodeOp(rec byte, payload []byte, in *wire.Interner) (Op, error) {
 	op := Op{Type: rec}
 	switch rec {
 	case RecEdgeBatch:
-		edges, err := wire.DecodeEdges(payload)
+		edges, err := in.DecodeEdges(payload)
 		if err != nil {
 			return op, fmt.Errorf("wal: decoding edge batch: %w", err)
 		}

@@ -142,7 +142,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		if rec != c.rec || !bytes.Equal(payload, c.payload) {
 			t.Fatalf("frame %d: got (type %d, %d bytes), want (type %d, %d bytes)", i, rec, len(payload), c.rec, len(c.payload))
 		}
-		op, err := decodeOp(rec, payload)
+		op, err := decodeOp(rec, payload, nil)
 		if err != nil {
 			t.Fatalf("frame %d: decodeOp: %v", i, err)
 		}
@@ -157,7 +157,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 	// The envelope carries any type; which ones a segment admits is this
 	// package's business.
-	if _, err := decodeOp(0x7f, []byte("payload")); err == nil {
+	if _, err := decodeOp(0x7f, []byte("payload"), nil); err == nil {
 		t.Fatal("unknown record type decoded")
 	}
 }
@@ -248,6 +248,49 @@ func TestAppendAndRecoverAllRecordTypes(t *testing.T) {
 	// The unregister replayed last, so the next manifest lists no query.
 	if n := len(m2.regs); n != 0 {
 		t.Fatalf("active registrations after unregister: %d", n)
+	}
+}
+
+// TestRecoveredBatchesShareRepeatedMaps: a segment's batches replay through
+// one interner, so each recovered batch equals its uncached decode while an
+// attribute map every edge repeats is recovered once and shared.
+func TestRecoveredBatchesShareRepeatedMaps(t *testing.T) {
+	dir := t.TempDir()
+	m, _ := openTest(t, dir, nil)
+	var batches [][]graph.StreamEdge
+	for b := 0; b < 4; b++ {
+		var batch []graph.StreamEdge
+		for i := 0; i < 3; i++ {
+			se := testEdge(uint64(3*b+i), int64(3*b+i)*10)
+			se.SourceAttrs = graph.Attributes{"site": graph.String("eu-1")}
+			batch = append(batch, se)
+		}
+		if err := m.AppendEdges(batch); err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+		batches = append(batches, batch)
+	}
+	crash(m)
+
+	m2, rec := openTest(t, dir, nil)
+	defer m2.Close()
+	if len(rec.Ops) != len(batches) {
+		t.Fatalf("recovered %d ops, want %d", len(rec.Ops), len(batches))
+	}
+	shared := reflect.ValueOf(rec.Ops[0].Edges[0].SourceAttrs).UnsafePointer()
+	for b, op := range rec.Ops {
+		uncached, err := wire.DecodeEdges(wire.AppendEdges(nil, batches[b]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(op.Edges, uncached) {
+			t.Fatalf("batch %d: recovered %+v, want %+v", b, op.Edges, uncached)
+		}
+		for i, se := range op.Edges {
+			if reflect.ValueOf(se.SourceAttrs).UnsafePointer() != shared {
+				t.Fatalf("batch %d edge %d: the repeated source map was recovered afresh", b, i)
+			}
+		}
 	}
 }
 
@@ -918,7 +961,7 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(byte(0), []byte{})
 
 	f.Fuzz(func(t *testing.T, rec byte, payload []byte) {
-		op, err := decodeOp(rec, payload)
+		op, err := decodeOp(rec, payload, nil)
 		if err == nil && op.Type != rec {
 			t.Fatalf("decodeOp(%d) returned type %d", rec, op.Type)
 		}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -76,7 +77,13 @@ func (in *Interner) DecodeEdge(payload []byte) (graph.StreamEdge, error) {
 
 // DecodeEdges decodes a batch payload produced by AppendEdges.
 func DecodeEdges(payload []byte) ([]graph.StreamEdge, error) {
-	d := decoder{buf: payload}
+	return (*Interner)(nil).DecodeEdges(payload)
+}
+
+// DecodeEdges is the package-level DecodeEdges, taking the edges' strings
+// and attribute maps from in where it holds them. A nil in caches nothing.
+func (in *Interner) DecodeEdges(payload []byte) ([]graph.StreamEdge, error) {
+	d := decoder{buf: payload, in: in}
 	n := d.count("edge count", minEdgeBytes)
 	if d.err != nil {
 		return nil, d.err
@@ -259,8 +266,9 @@ func (d *decoder) byte() byte {
 }
 
 // attrs reads an attribute block. With an interner, a validating skip pass
-// measures the block first, and a short one is looked up by its exact bytes;
-// a miss is decoded and stored only once it has decoded cleanly.
+// measures the block first, and a short one is looked up by its hash; the
+// slot's map is returned only if the block holds exactly its entries. A
+// miss is decoded and stored only once it has decoded cleanly.
 func (d *decoder) attrs() graph.Attributes {
 	if d.in == nil || d.err != nil {
 		return d.attrBlock(true)
@@ -271,16 +279,57 @@ func (d *decoder) attrs() graph.Attributes {
 	if skip.err != nil || len(enc) > internMaxLen {
 		return d.attrBlock(true)
 	}
-	slot := &d.in.attrs[d.in.slot(enc)]
-	if slot.enc == string(enc) {
+	h := d.in.hash(enc)
+	slot := &d.in.attrs[h%internSlots]
+	if slot.hash == h && holds(enc, slot.attrs) {
 		d.buf = skip.buf
 		return slot.attrs
 	}
 	a := d.attrBlock(true)
 	if d.err == nil {
-		*slot = internedAttrs{enc: string(enc), attrs: a}
+		*slot = internedAttrs{hash: h, attrs: a}
 	}
 	return a
+}
+
+// holds reports whether enc, an attribute block the skip pass has
+// validated, decodes to exactly a. Its keys must be strictly increasing, as
+// AppendEdge writes them, so they are distinct; there must be len(a) of
+// them, each in a with the same kind and value: strings byte for byte, ints
+// equal, floats by their IEEE bits (−0 is not +0, and NaN payloads differ),
+// bools by the value they decode to.
+func holds(enc []byte, a graph.Attributes) bool {
+	d := decoder{buf: enc}
+	if d.uvarint() != uint64(len(a)) {
+		return false
+	}
+	var prev []byte
+	for i := range len(a) {
+		k := d.bytes()
+		if i > 0 && bytes.Compare(prev, k) >= 0 {
+			return false
+		}
+		prev = k
+		v, ok := a[string(k)]
+		if kind := graph.Kind(d.byte()); !ok || v.Kind() != kind {
+			return false
+		}
+		switch v.Kind() {
+		case graph.KindString:
+			ok = v.Str() == string(d.bytes())
+		case graph.KindInt:
+			ok = v.Int64() == d.varint()
+		case graph.KindFloat:
+			ok = math.Float64bits(v.Float64()) == binary.BigEndian.Uint64(d.buf)
+			d.buf = d.buf[8:]
+		case graph.KindBool:
+			ok = v.BoolVal() == (d.byte() != 0)
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // attrBlock reads an attribute block, building the map only when build is

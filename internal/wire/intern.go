@@ -12,17 +12,21 @@ const (
 	// internSlots is the number of strings, and separately of attribute
 	// maps, one Interner holds.
 	internSlots = 512
-	// internMaxLen is the longest encoding an Interner caches, so its keys
-	// never exceed internSlots × internMaxLen bytes of each kind.
+	// internMaxLen is the longest encoding an Interner caches, so what its
+	// slots retain stays bounded: internSlots strings of at most
+	// internMaxLen bytes, and internSlots maps decoded from blocks of at most
+	// internMaxLen bytes.
 	internMaxLen = 64
 )
 
 // Interner is a bounded cache of what a stream's payloads repeat: type,
 // query and variable names, attribute keys and values, and whole attribute
-// maps. It is direct-mapped: an encoding hashes to one slot, a hit compares
-// the bytes exactly and allocates nothing, and a different encoding hashing
-// to the same slot replaces it. Encodings longer than internMaxLen bytes are
-// decoded without it.
+// maps. It is direct-mapped: an encoding hashes to one slot, and a different
+// encoding hashing to the same slot replaces it. A string hit compares the
+// bytes with the cached string. An attribute slot keeps the block's hash and
+// its map, no copy of its bytes: a hit is confirmed by walking the block
+// against the cached map's entries, and allocates nothing. Encodings longer
+// than internMaxLen bytes are decoded without it.
 //
 // What it returns is shared by every decode that hits the same slot: an
 // attribute map from an Interner must not be mutated (the graph's contract
@@ -41,9 +45,10 @@ type Interner struct {
 	edgeIDs  slab.Slab[uint64]
 }
 
-// internedAttrs is an attribute map under the exact bytes it decoded from.
+// internedAttrs is an attribute map under the hash of the block it decoded
+// from.
 type internedAttrs struct {
-	enc   string
+	hash  uint64
 	attrs graph.Attributes
 }
 
@@ -59,9 +64,9 @@ func (in *Interner) reportSlabs() (*slab.Strings, *slab.Slab[export.Binding], *s
 	return &in.sigs, &in.bindings, &in.edgeIDs
 }
 
-func (in *Interner) slot(enc []byte) uint64 {
-	return maphash.Bytes(in.seed, enc) % internSlots
-}
+func (in *Interner) hash(enc []byte) uint64 { return maphash.Bytes(in.seed, enc) }
+
+func (in *Interner) slot(enc []byte) uint64 { return in.hash(enc) % internSlots }
 
 // string returns string(b), without allocating when in already holds it.
 func (in *Interner) string(b []byte) string {

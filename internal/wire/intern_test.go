@@ -2,6 +2,7 @@ package wire
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -51,27 +52,40 @@ func servedReport() export.MatchReport {
 // encodings happened to collide.
 func quietInterner(t *testing.T, strs []string, blocks [][]byte) *Interner {
 	t.Helper()
-	distinct := func(in *Interner, encs [][]byte) bool {
-		seen := map[uint64]bool{}
-		for _, e := range encs {
-			s := in.slot(e)
-			if seen[s] {
-				return false
-			}
-			seen[s] = true
-		}
-		return true
-	}
 	var strEncs [][]byte
 	for _, s := range strs {
 		strEncs = append(strEncs, []byte(s))
 	}
-	for try := 0; try < 100; try++ {
-		if in := NewInterner(); distinct(in, strEncs) && distinct(in, blocks) {
+	return internerWhere(t, func(in *Interner) bool { return distinct(in, strEncs) && distinct(in, blocks) })
+}
+
+// distinct reports whether in puts each of encs in a slot of its own.
+func distinct(in *Interner, encs [][]byte) bool {
+	seen := map[uint64]bool{}
+	for _, e := range encs {
+		s := in.slot(e)
+		if seen[s] {
+			return false
+		}
+		seen[s] = true
+	}
+	return true
+}
+
+// sameMap reports whether a and b are one map, not merely equal ones.
+func sameMap(a, b graph.Attributes) bool {
+	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
+}
+
+// internerWhere returns an interner whose seed satisfies ok.
+func internerWhere(t *testing.T, ok func(*Interner) bool) *Interner {
+	t.Helper()
+	for try := 0; try < 1000; try++ {
+		if in := NewInterner(); ok(in) {
 			return in
 		}
 	}
-	t.Fatal("no seed in 100 keeps the encodings apart")
+	t.Fatal("no seed in 1000 keeps the encodings apart")
 	return nil
 }
 
@@ -98,6 +112,120 @@ func TestInternerWarmDecodeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestInternerNewBlockAllocs: a repeated edge whose target block is new
+// each time pays for that block's one-entry map and nothing else: a slot
+// keeps the map and the block's hash, no copy of the block's bytes.
+func TestInternerNewBlockAllocs(t *testing.T) {
+	se := newsEdge()
+	payloads := make([][]byte, allocbudget.Runs+1)
+	targets := make([][]byte, len(payloads))
+	for i := range payloads {
+		se.TargetAttrs = graph.Attributes{"rank": graph.Int(int64(i))}
+		payloads[i], targets[i] = AppendEdge(nil, se), appendAttrs(nil, se.TargetAttrs)
+	}
+	// The edge's two repeated blocks keep their slots: no new block lands
+	// on one.
+	repeated := [][]byte{appendAttrs(nil, se.Edge.Attrs), appendAttrs(nil, se.SourceAttrs)}
+	strs := [][]byte{[]byte(se.Edge.Type), []byte(se.SourceType), []byte(se.TargetType), []byte("published"), []byte("rank")}
+	in := internerWhere(t, func(in *Interner) bool {
+		if !distinct(in, strs) || !distinct(in, repeated) {
+			return false
+		}
+		for _, b := range targets {
+			if s := in.slot(b); s == in.slot(repeated[0]) || s == in.slot(repeated[1]) {
+				return false
+			}
+		}
+		return true
+	})
+	next := 0
+	allocbudget.Check(t, "wire.Interner.DecodeEdge/new attribute block", func() {
+		if _, err := in.DecodeEdge(payloads[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+}
+
+// foreignSlotCase pairs an attribute block with a map to plant in the slot
+// of the block's hash: one that differs from the block's decode in one way
+// the content check must see, or, where hit is set, in none.
+type foreignSlotCase struct {
+	name    string
+	block   []byte
+	planted graph.Attributes
+	hit     bool
+}
+
+func foreignSlotCases() []foreignSlotCase {
+	negZero := graph.Float(math.Copysign(0, -1))
+	nan1, nan2 := graph.Float(math.Float64frombits(0x7ff8000000000001)), graph.Float(math.Float64frombits(0x7ff8000000000002))
+	block := func(a graph.Attributes) []byte { return appendAttrs(nil, a) }
+	boolByte2 := block(graph.Attributes{"x": graph.Bool(true)})
+	boolByte2[len(boolByte2)-1] = 2
+	// Two entries under one key: it decodes to {"x": 1}.
+	duplicate := []byte{2, 1, 'x', byte(graph.KindInt), 2, 1, 'x', byte(graph.KindInt), 2}
+	return []foreignSlotCase{
+		{"−0 vs +0", block(graph.Attributes{"x": negZero}), graph.Attributes{"x": graph.Float(0)}, false},
+		{"+0 vs −0", block(graph.Attributes{"x": graph.Float(0)}), graph.Attributes{"x": negZero}, false},
+		{"NaN payloads", block(graph.Attributes{"x": nan1}), graph.Attributes{"x": nan2}, false},
+		{"int vs float", block(graph.Attributes{"x": graph.Int(1)}), graph.Attributes{"x": graph.Float(1)}, false},
+		{"float vs int", block(graph.Attributes{"x": graph.Float(1)}), graph.Attributes{"x": graph.Int(1)}, false},
+		{"int vs bool", block(graph.Attributes{"x": graph.Int(1)}), graph.Attributes{"x": graph.Bool(true)}, false},
+		{"bool vs int", block(graph.Attributes{"x": graph.Bool(true)}), graph.Attributes{"x": graph.Int(1)}, false},
+		{"string", block(graph.Attributes{"x": graph.String("a")}), graph.Attributes{"x": graph.String("b")}, false},
+		{"key", block(graph.Attributes{"x": graph.Int(1)}), graph.Attributes{"y": graph.Int(1)}, false},
+		{"extra key", block(graph.Attributes{"x": graph.Int(1), "y": graph.Int(2)}), graph.Attributes{"x": graph.Int(1)}, false},
+		{"missing key", block(graph.Attributes{"x": graph.Int(1)}), graph.Attributes{"x": graph.Int(1), "y": graph.Int(2)}, false},
+		{"duplicate key vs its decode", duplicate, graph.Attributes{"x": graph.Int(1)}, false},
+		{"duplicate key vs two keys", duplicate, graph.Attributes{"x": graph.Int(1), "y": graph.Int(1)}, false},
+		{"same entries", block(graph.Attributes{"x": graph.Int(1), "y": nan1}), graph.Attributes{"x": graph.Int(1), "y": nan1}, true},
+		{"bool byte 2 vs true", boolByte2, graph.Attributes{"x": graph.Bool(true)}, true},
+	}
+}
+
+// ForeignSlotPayloads returns the edge payloads of
+// TestInternerRefusesAForeignSlot, for FuzzFrameDecode's seeds.
+func ForeignSlotPayloads() [][]byte {
+	var payloads [][]byte
+	for _, c := range foreignSlotCases() {
+		payloads = append(payloads, withTargetBlock(c.block))
+	}
+	return payloads
+}
+
+// withTargetBlock returns an edge payload whose target attribute block is
+// block and whose other two blocks are empty.
+func withTargetBlock(block []byte) []byte {
+	p := AppendEdge(nil, graph.StreamEdge{Edge: graph.Edge{ID: 1, Type: "t"}})
+	return append(p[:len(p)-1], block...) // the empty target block is its one count byte
+}
+
+// TestInternerRefusesAForeignSlot plants, under a block's hash, a map that
+// differs from the block's decode, as a hash collision would: the seeded
+// hash keeps a fuzzer from ever reaching one. Each decode must equal the
+// uncached one and serve the planted map only when it holds exactly the
+// block's entries.
+func TestInternerRefusesAForeignSlot(t *testing.T) {
+	for _, c := range foreignSlotCases() {
+		payload := withTargetBlock(c.block)
+		want, err := DecodeEdge(payload)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		in := quietInterner(t, nil, [][]byte{{0}, c.block})
+		h := in.hash(c.block)
+		in.attrs[h%internSlots] = internedAttrs{hash: h, attrs: c.planted}
+		got, err := in.DecodeEdge(payload)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: decoded (%v, %v), want (%v, nil)", c.name, got.TargetAttrs, err, want.TargetAttrs)
+		}
+		if served := sameMap(got.TargetAttrs, c.planted); served != c.hit {
+			t.Errorf("%s: served the planted map %v: %v, want %v", c.name, c.planted, served, c.hit)
+		}
+	}
 }
 
 // TestInternerDecodeMatchEqualsUncached: reports decoded through one
@@ -169,8 +297,9 @@ func TestInternerIgnoresFailedBlocks(t *testing.T) {
 }
 
 // TestInternerSkipsLongEncodings: a string or attribute block over 64 bytes
-// never takes a slot, so one interner's keys stay within 512 × 64 bytes of
-// each kind; one of exactly 64 bytes does.
+// never takes a slot, so what one interner retains stays within 512 strings
+// of at most 64 bytes and 512 maps of blocks that short; one of exactly 64
+// bytes does.
 func TestInternerSkipsLongEncodings(t *testing.T) {
 	long, edge := strings.Repeat("x", internMaxLen+1), strings.Repeat("y", internMaxLen)
 	se := graph.StreamEdge{
@@ -193,10 +322,17 @@ func TestInternerSkipsLongEncodings(t *testing.T) {
 	if held[long] || !held[edge] {
 		t.Fatalf("held %d-byte string %v, %d-byte string %v; want false, true", len(long), held[long], len(edge), held[edge])
 	}
-	for _, s := range in.attrs {
-		if len(s.enc) > internMaxLen {
-			t.Fatalf("cached a %d-byte attribute block", len(s.enc))
+	heldMap := func(m graph.Attributes) bool {
+		for _, s := range in.attrs {
+			if sameMap(s.attrs, m) {
+				return true
+			}
 		}
+		return false
+	}
+	if heldMap(a.TargetAttrs) || heldMap(b.TargetAttrs) || !heldMap(a.SourceAttrs) {
+		t.Fatalf("held the long block's map %v, %v, the short one's %v; want false, false, true",
+			heldMap(a.TargetAttrs), heldMap(b.TargetAttrs), heldMap(a.SourceAttrs))
 	}
 	if reflect.ValueOf(a.TargetAttrs).UnsafePointer() == reflect.ValueOf(b.TargetAttrs).UnsafePointer() {
 		t.Fatal("a long attribute block was shared between decodes")
