@@ -50,8 +50,13 @@ type Dynamic struct {
 	// edge leaves the graph only at its head, where its handle is released.
 	queue fifo
 
-	// onExpire, when set, is invoked for every edge evicted from the window.
+	// onExpire, when set, is invoked for every edge evicted from the window,
+	// with expiring holding it.
 	onExpire func(*Edge)
+	expiring Edge
+
+	// applied holds the edge Apply returns, until the next Apply.
+	applied Edge
 
 	expiredTotal uint64
 	addedTotal   uint64
@@ -70,7 +75,8 @@ func WithSlack(d time.Duration) DynamicOption {
 }
 
 // WithExpiryCallback registers fn to be called for every edge that leaves
-// the sliding window. The engine needs none: its partial matches leave the
+// the sliding window. The edge fn is passed is valid only during the call:
+// copy it to keep it. The engine needs none: its partial matches leave the
 // window by their span, as the edges do by their timestamp.
 func WithExpiryCallback(fn func(*Edge)) DynamicOption {
 	return func(dg *Dynamic) { dg.onExpire = fn }
@@ -128,8 +134,8 @@ func (d *Dynamic) Widen(w time.Duration) {
 
 // Apply ingests a stream edge: the edge is validated against the watermark,
 // endpoint metadata is upserted, the edge is added to the live graph and the
-// window is advanced, expiring edges that fall out of it. It returns the
-// stored edge, whose record is reused once expiry passes it.
+// window is advanced, expiring edges that fall out of it. It returns se's
+// edge, held by d and valid only until the next Apply: copy it to keep it.
 //
 // The graph takes the attribute maps of se by reference: callers must not
 // mutate them after Apply. Updates never mutate a stored map in place
@@ -140,20 +146,15 @@ func (d *Dynamic) Apply(se StreamEdge) (*Edge, error) {
 	if d.seenAny && ts < d.watermark-Timestamp(d.slack) && d.window > 0 {
 		return nil, &EdgeError{ID: se.Edge.ID, Err: ErrTimestampRegression}
 	}
-	h, err := d.g.addStreamEdge(se)
+	h, err := d.g.addStreamEdge(&se)
 	if err != nil {
 		return nil, err
 	}
 	d.addedTotal++
 	d.pushSorted(h, ts)
 	d.advance(ts)
-	e := d.g.records.at(h)
-	// With a slack wider than the window, a straggler can already be below
-	// the cutoff: advance expired it, which dropped its attributes, and
-	// released its record. The caller's search of it still reads them; the
-	// record is not reused before the next edge is added.
-	e.Attrs = se.Edge.Attrs
-	return e, nil
+	d.applied = se.Edge
+	return &d.applied, nil
 }
 
 // pushSorted appends handle h, of an edge at ts, to the expiry queue and
@@ -163,7 +164,7 @@ func (d *Dynamic) Apply(se StreamEdge) (*Edge, error) {
 func (d *Dynamic) pushSorted(h int32, ts Timestamp) {
 	q := &d.queue
 	q.push(h, &d.g.spares)
-	for i := len(q.buf) - 1; i > q.head && d.g.records.at(q.buf[i-1]).Timestamp > ts; i-- {
+	for i := len(q.buf) - 1; i > q.head && d.g.edges.at(q.buf[i-1]).ts > ts; i-- {
 		q.buf[i], q.buf[i-1] = q.buf[i-1], h
 	}
 }
@@ -196,10 +197,12 @@ func (d *Dynamic) AdvanceTo(ts Timestamp) {
 // ForEachLiveEdge visits every edge currently retained in the sliding
 // window, in timestamp order (up to the ingest slack), until fn returns
 // false. The DAG backfills a new or widened node from the window with this
-// (mqo's attach); fn must not mutate the graph.
+// (mqo's attach); fn must not mutate the graph. The edge fn is passed is
+// valid only during the call: copy it to keep it.
 func (d *Dynamic) ForEachLiveEdge(fn func(*Edge) bool) {
+	var e Edge
 	for _, h := range d.queue.live() {
-		if !fn(d.g.records.at(h)) {
+		if e = d.g.edge(h); !fn(&e) {
 			return
 		}
 	}
@@ -210,9 +213,11 @@ func (d *Dynamic) ForEachLiveEdge(fn func(*Edge) bool) {
 func (d *Dynamic) expire() {
 	for d.queue.len() > 0 {
 		h := d.queue.buf[d.queue.head]
-		e := d.g.records.at(h)
-		if e.Timestamp >= d.cutoff {
+		if d.g.edges.at(h).ts >= d.cutoff {
 			return
+		}
+		if d.onExpire != nil {
+			d.expiring = d.g.edge(h)
 		}
 		d.queue.popFront()
 		src, dst := d.g.remove(h)
@@ -222,9 +227,9 @@ func (d *Dynamic) expire() {
 			d.g.removeIfIsolated(dst)
 		}
 		if d.onExpire != nil {
-			d.onExpire(e)
+			d.onExpire(&d.expiring)
 		}
-		d.g.records.release(h)
+		d.g.edges.release(h)
 	}
 }
 

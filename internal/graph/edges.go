@@ -2,53 +2,83 @@ package graph
 
 import "math/bits"
 
-// Edge records are addressed by dense int32 handles: handle h is slot
-// h&chunkMask of chunk h>>chunkBits. A chunk holds 256 records of 56 B,
-// 14 KiB, one runtime size class.
+// Records are addressed by dense int32 handles: handle h is slot
+// h&chunkMask of chunk h>>chunkBits. A chunk of 256 40-B edge records is
+// 10 KiB, one runtime size class.
 const (
 	chunkBits = 8
 	chunkSize = 1 << chunkBits
 	chunkMask = chunkSize - 1
 )
 
-// records stores edge records in fixed chunks that never move, so a *Edge
-// stays valid while its handle is held. A handle names its edge from alloc
-// until the dynamic graph's expiry queue passes it, which removes the edge
-// and releases the handle for reuse. The chunks are kept up to the peak
-// number of handles held at once.
-type records struct {
-	chunks []*[chunkSize]Edge
+// chunks stores records in fixed chunks of 256 that never move, so a pointer
+// to a record stays valid while its handle is held. A handle names its
+// record from alloc until release, which makes it available for reuse; the
+// chunks are kept up to the peak number of handles held at once.
+type chunks[R any] struct {
+	chunks []*[chunkSize]R
 	free   []int32 // released handles, reused last in, first out
 	n      int32   // handles ever handed out: the next fresh one
 }
 
 // at returns the record of handle h.
-func (r *records) at(h int32) *Edge { return &r.chunks[h>>chunkBits][h&chunkMask] }
+func (c *chunks[R]) at(h int32) *R { return &c.chunks[h>>chunkBits][h&chunkMask] }
 
-// alloc returns a handle whose record holds e.
-func (r *records) alloc(e Edge) int32 {
-	var h int32
-	if n := len(r.free); n > 0 {
-		h, r.free = r.free[n-1], r.free[:n-1]
-	} else {
-		h = r.n
-		r.n++
-		if int(h>>chunkBits) == len(r.chunks) {
-			r.chunks = append(r.chunks, new([chunkSize]Edge))
-		}
+// alloc returns a handle for the caller to fill in: a released one when
+// there is one, a fresh one, and so a zero record, otherwise.
+func (c *chunks[R]) alloc() int32 {
+	if n := len(c.free); n > 0 {
+		h := c.free[n-1]
+		c.free = c.free[:n-1]
+		return h
 	}
-	*r.at(h) = e
+	h := c.n
+	c.n++
+	if int(h>>chunkBits) == len(c.chunks) {
+		c.chunks = append(c.chunks, new([chunkSize]R))
+	}
 	return h
 }
 
-// release makes the handle of a removed edge available for a new one.
-func (r *records) release(h int32) { r.free = append(r.free, h) }
+// release makes handle h available for a new record.
+func (c *chunks[R]) release(h int32) { c.free = append(c.free, h) }
 
-// idTable maps each live edge ID to its handle: open addressing with linear
-// probing, at most half full. A slot holds handle+1, zero when empty; the key
-// is read from the record, so the table holds no pointer and no ID. Deletion
-// shifts the rest of the probe chain back, so there are no tombstones. The
-// table only grows, doubling: it is kept at the peak window.
+// edgeRecord is an edge as the window stores it, 40 B: its endpoints are
+// vertex handles and its type an index into the graph's type table.
+type edgeRecord struct {
+	id       EdgeID
+	ts       Timestamp
+	attrs    Attributes
+	src, dst int32
+	typ      int32
+}
+
+// vertexRecord is a vertex together with its incidence lists of edge
+// handles and the type table index of its type.
+type vertexRecord struct {
+	Vertex
+	out, in fifo
+	typ     int32
+}
+
+type edgeRecords struct{ chunks[edgeRecord] }
+
+func (r *edgeRecords) key(h int32) uint64 { return uint64(r.at(h).id) }
+
+type vertexRecords struct{ chunks[vertexRecord] }
+
+func (r *vertexRecords) key(h int32) uint64 { return uint64(r.at(h).ID) }
+
+// keyer reads the ID of the record of a handle: the key an idTable files
+// the handle under.
+type keyer interface{ key(h int32) uint64 }
+
+// idTable maps each live edge or vertex ID to its record's handle: open
+// addressing with linear probing, at most half full. A slot holds handle+1,
+// zero when empty; the key is read from the record, so the table holds no
+// pointer and no ID. Deletion shifts the rest of the probe chain back, so
+// there are no tombstones. The table only grows, doubling: it is kept at the
+// peak window.
 type idTable struct {
 	slots []int32
 	n     int
@@ -58,12 +88,12 @@ type idTable struct {
 const minTableSlots = 16
 
 // home is the slot where the probe for id starts (Fibonacci hashing).
-func (t *idTable) home(id EdgeID) int {
-	return int(uint64(id) * 0x9E3779B97F4A7C15 >> t.shift)
+func (t *idTable) home(id uint64) int {
+	return int(id * 0x9E3779B97F4A7C15 >> t.shift)
 }
 
 // find returns the handle of id, or -1.
-func (t *idTable) find(r *records, id EdgeID) int32 {
+func (t *idTable) find(k keyer, id uint64) int32 {
 	if t.n == 0 {
 		return -1
 	}
@@ -73,7 +103,7 @@ func (t *idTable) find(r *records, id EdgeID) int32 {
 		if s == 0 {
 			return -1
 		}
-		if r.at(s-1).ID == id {
+		if k.key(s-1) == id {
 			return s - 1
 		}
 	}
@@ -81,15 +111,15 @@ func (t *idTable) find(r *records, id EdgeID) int32 {
 
 // insert files handle h under its record's ID, which must not be in the
 // table.
-func (t *idTable) insert(r *records, h int32) {
+func (t *idTable) insert(k keyer, h int32) {
 	if 2*(t.n+1) > len(t.slots) {
-		t.grow(r)
+		t.grow(k)
 	}
-	t.place(r.at(h).ID, h+1)
+	t.place(k.key(h), h+1)
 	t.n++
 }
 
-func (t *idTable) place(id EdgeID, s int32) {
+func (t *idTable) place(id uint64, s int32) {
 	mask := len(t.slots) - 1
 	i := t.home(id)
 	for t.slots[i] != 0 {
@@ -98,14 +128,14 @@ func (t *idTable) place(id EdgeID, s int32) {
 	t.slots[i] = s
 }
 
-func (t *idTable) grow(r *records) {
+func (t *idTable) grow(k keyer) {
 	old := t.slots
 	size := max(minTableSlots, 2*len(old))
 	t.slots = make([]int32, size)
 	t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
 	for _, s := range old {
 		if s != 0 {
-			t.place(r.at(s-1).ID, s)
+			t.place(k.key(s-1), s)
 		}
 	}
 }
@@ -113,15 +143,15 @@ func (t *idTable) grow(r *records) {
 // delete removes id, which must be in the table, and returns its handle.
 // Each later entry of the probe chain whose home is not cyclically in
 // (hole, entry] moves back into the hole, which then moves to it.
-func (t *idTable) delete(r *records, id EdgeID) int32 {
+func (t *idTable) delete(k keyer, id uint64) int32 {
 	mask := len(t.slots) - 1
 	hole := t.home(id)
-	for r.at(t.slots[hole]-1).ID != id {
+	for k.key(t.slots[hole]-1) != id {
 		hole = (hole + 1) & mask
 	}
 	h := t.slots[hole] - 1
 	for j := (hole + 1) & mask; t.slots[j] != 0; j = (j + 1) & mask {
-		if k := t.home(r.at(t.slots[j] - 1).ID); (j-k)&mask >= (j-hole)&mask {
+		if i := t.home(k.key(t.slots[j] - 1)); (j-i)&mask >= (j-hole)&mask {
 			t.slots[hole] = t.slots[j]
 			hole = j
 		}
@@ -129,4 +159,56 @@ func (t *idTable) delete(r *records, id EdgeID) int32 {
 	t.slots[hole] = 0
 	t.n--
 	return h
+}
+
+// typeTable interns the edge and vertex types of the window: index i names
+// names[i], and vertices[i] and edges[i] count the window's vertices and
+// edges of that type. An index whose two counts are both 0 is freed and
+// reused, so the table is bounded by the types live in the window.
+type typeTable struct {
+	names    []string
+	index    map[string]int32
+	vertices []int
+	edges    []int
+	free     []int32 // freed indexes, reused last in, first out
+}
+
+// intern returns the index of name, adding it with zero counts if absent.
+func (t *typeTable) intern(name string) int32 {
+	if i, ok := t.index[name]; ok {
+		return i
+	}
+	var i int32
+	if n := len(t.free); n > 0 {
+		i = t.free[n-1]
+		t.free = t.free[:n-1]
+		t.names[i] = name
+	} else {
+		i = int32(len(t.names))
+		t.names = append(t.names, name)
+		t.vertices = append(t.vertices, 0)
+		t.edges = append(t.edges, 0)
+	}
+	if t.index == nil {
+		t.index = make(map[string]int32)
+	}
+	t.index[name] = i
+	return i
+}
+
+// drop frees index i once nothing in the window has its type.
+func (t *typeTable) drop(i int32) {
+	if t.vertices[i] == 0 && t.edges[i] == 0 {
+		delete(t.index, t.names[i])
+		t.names[i] = ""
+		t.free = append(t.free, i)
+	}
+}
+
+// count returns counts' entry for type name, 0 when the type is not live.
+func (t *typeTable) count(counts []int, name string) int {
+	if i, ok := t.index[name]; ok {
+		return counts[i]
+	}
+	return 0
 }

@@ -2,12 +2,44 @@ package graph
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
+// keyedStore is a record store an idTable can be keyed by, with a way to
+// file a fresh record under an ID.
+type keyedStore interface {
+	keyer
+	add(id uint64) int32
+	release(h int32)
+}
+
+type testEdges struct{ edgeRecords }
+
+func (r *testEdges) add(id uint64) int32 {
+	h := r.alloc()
+	*r.at(h) = edgeRecord{id: EdgeID(id)}
+	return h
+}
+
+type testVertices struct{ vertexRecords }
+
+func (r *testVertices) add(id uint64) int32 {
+	h := r.alloc()
+	*r.at(h) = vertexRecord{Vertex: Vertex{ID: VertexID(id)}}
+	return h
+}
+
+// eachStore runs fn once with edge records and once with vertex records:
+// one idTable serves both.
+func eachStore(t *testing.T, fn func(t *testing.T, r keyedStore)) {
+	t.Run("edges", func(t *testing.T) { fn(t, new(testEdges)) })
+	t.Run("vertices", func(t *testing.T) { fn(t, new(testVertices)) })
+}
+
 // homedAt returns n IDs from start up whose probe starts at slot home of t.
-func homedAt(t *idTable, home, n int, start EdgeID) []EdgeID {
-	var ids []EdgeID
+func homedAt(t *idTable, home, n int, start uint64) []uint64 {
+	var ids []uint64
 	for id := start; len(ids) < n; id++ {
 		if t.home(id) == home {
 			ids = append(ids, id)
@@ -18,7 +50,7 @@ func homedAt(t *idTable, home, n int, start EdgeID) []EdgeID {
 
 // checkTable fails t unless tab holds exactly the handles of want, each
 // found from its ID, and finds none of gone.
-func checkTable(t *testing.T, when string, tab *idTable, r *records, want map[EdgeID]int32, gone []EdgeID) {
+func checkTable(t *testing.T, when string, tab *idTable, r keyer, want map[uint64]int32, gone []uint64) {
 	t.Helper()
 	if tab.n != len(want) {
 		t.Fatalf("%s: table holds %d entries, want %d", when, tab.n, len(want))
@@ -40,93 +72,95 @@ func checkTable(t *testing.T, when string, tab *idTable, r *records, want map[Ed
 // entry in the middle and one past the wrap: the backward shift must leave
 // every other entry reachable from its home.
 func TestIDTableProbeChains(t *testing.T) {
-	var r records
-	var tab idTable
-	tab.grow(&r)
-	if len(tab.slots) != minTableSlots {
-		t.Fatalf("a new table has %d slots", len(tab.slots))
-	}
-	at14 := homedAt(&tab, 14, 3, 1)
-	at15 := homedAt(&tab, 15, 1, 1)
-	at0 := homedAt(&tab, 0, 2, 1)
-	// Inserted in this order they fill slots 14, 15, 0, 1, 2, 3, 4: two
-	// 14s, the 15, the third 14, both 0s, then one more 14.
-	order := []EdgeID{at14[0], at14[1], at15[0], at14[2], at0[0], at0[1]}
-	order = append(order, homedAt(&tab, 14, 4, 1)[3])
-	want := make(map[EdgeID]int32)
-	for _, id := range order {
-		h := r.alloc(Edge{ID: id})
-		tab.insert(&r, h)
-		want[id] = h
-	}
-	if len(tab.slots) != minTableSlots {
-		t.Fatalf("the table grew to %d slots with %d entries", len(tab.slots), tab.n)
-	}
-	for i, id := range order {
-		if slot := (14 + i) % minTableSlots; tab.slots[slot]-1 != want[id] {
-			t.Fatalf("ID %d (homed at %d) is not in slot %d: %v", id, tab.home(id), slot, tab.slots)
+	eachStore(t, func(t *testing.T, r keyedStore) {
+		var tab idTable
+		tab.grow(r)
+		if len(tab.slots) != minTableSlots {
+			t.Fatalf("a new table has %d slots", len(tab.slots))
 		}
-	}
-	checkTable(t, "built", &tab, &r, want, nil)
+		at14 := homedAt(&tab, 14, 3, 1)
+		at15 := homedAt(&tab, 15, 1, 1)
+		at0 := homedAt(&tab, 0, 2, 1)
+		// Inserted in this order they fill slots 14, 15, 0, 1, 2, 3, 4: two
+		// 14s, the 15, the third 14, both 0s, then one more 14.
+		order := []uint64{at14[0], at14[1], at15[0], at14[2], at0[0], at0[1]}
+		order = append(order, homedAt(&tab, 14, 4, 1)[3])
+		want := make(map[uint64]int32)
+		for _, id := range order {
+			h := r.add(id)
+			tab.insert(r, h)
+			want[id] = h
+		}
+		if len(tab.slots) != minTableSlots {
+			t.Fatalf("the table grew to %d slots with %d entries", len(tab.slots), tab.n)
+		}
+		for i, id := range order {
+			if slot := (14 + i) % minTableSlots; tab.slots[slot]-1 != want[id] {
+				t.Fatalf("ID %d (homed at %d) is not in slot %d: %v", id, tab.home(id), slot, tab.slots)
+			}
+		}
+		checkTable(t, "built", &tab, r, want, nil)
 
-	var gone []EdgeID
-	del := func(when string, id EdgeID) {
-		t.Helper()
-		if h := tab.delete(&r, id); h != want[id] {
-			t.Fatalf("%s: delete(%d) = handle %d, want %d", when, id, h, want[id])
+		var gone []uint64
+		del := func(when string, id uint64) {
+			t.Helper()
+			if h := tab.delete(r, id); h != want[id] {
+				t.Fatalf("%s: delete(%d) = handle %d, want %d", when, id, h, want[id])
+			}
+			delete(want, id)
+			gone = append(gone, id)
+			checkTable(t, when, &tab, r, want, gone)
 		}
-		delete(want, id)
-		gone = append(gone, id)
-		checkTable(t, when, &tab, &r, want, gone)
-	}
-	del("chain head (slot 14)", order[0])
-	del("chain middle (the 15)", at15[0])
-	del("wrapped entry (a 0)", at0[0])
-	del("last 14, past the wrap", order[6])
-	for _, id := range order {
-		if _, ok := want[id]; ok {
-			del("the rest", id)
+		del("chain head (slot 14)", order[0])
+		del("chain middle (the 15)", at15[0])
+		del("wrapped entry (a 0)", at0[0])
+		del("last 14, past the wrap", order[6])
+		for _, id := range order {
+			if _, ok := want[id]; ok {
+				del("the rest", id)
+			}
 		}
-	}
-	for i, s := range tab.slots {
-		if s != 0 {
-			t.Fatalf("slot %d holds %d after every delete", i, s)
+		for i, s := range tab.slots {
+			if s != 0 {
+				t.Fatalf("slot %d holds %d after every delete", i, s)
+			}
 		}
-	}
+	})
 }
 
 // TestIDTableMatchesMap inserts and deletes random IDs from a small range,
 // growing the table: it must stay at most half full, and find what a map
 // holds and not the ID just deleted.
 func TestIDTableMatchesMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(36))
-	var r records
-	var tab idTable
-	want := make(map[EdgeID]int32)
-	var gone []EdgeID
-	for step := range 20000 {
-		id := EdgeID(rng.Intn(600))
-		gone = gone[:0]
-		if h, ok := want[id]; ok {
-			if got := tab.delete(&r, id); got != h {
-				t.Fatalf("step %d: delete(%d) = %d, want %d", step, id, got, h)
+	eachStore(t, func(t *testing.T, r keyedStore) {
+		rng := rand.New(rand.NewSource(36))
+		var tab idTable
+		want := make(map[uint64]int32)
+		var gone []uint64
+		for step := range 20000 {
+			id := uint64(rng.Intn(600))
+			gone = gone[:0]
+			if h, ok := want[id]; ok {
+				if got := tab.delete(r, id); got != h {
+					t.Fatalf("step %d: delete(%d) = %d, want %d", step, id, got, h)
+				}
+				r.release(h)
+				delete(want, id)
+				gone = append(gone, id)
+			} else {
+				h := r.add(id)
+				tab.insert(r, h)
+				want[id] = h
 			}
-			r.release(h)
-			delete(want, id)
-			gone = append(gone, id)
-		} else {
-			h := r.alloc(Edge{ID: id})
-			tab.insert(&r, h)
-			want[id] = h
+			if 2*tab.n > len(tab.slots) {
+				t.Fatalf("step %d: %d entries in %d slots", step, tab.n, len(tab.slots))
+			}
+			if step%97 == 0 {
+				checkTable(t, "random", &tab, r, want, gone)
+			}
 		}
-		if 2*tab.n > len(tab.slots) {
-			t.Fatalf("step %d: %d entries in %d slots", step, tab.n, len(tab.slots))
-		}
-		if step%97 == 0 {
-			checkTable(t, "random", &tab, &r, want, gone)
-		}
-	}
-	checkTable(t, "end", &tab, &r, want, nil)
+		checkTable(t, "end", &tab, r, want, nil)
+	})
 }
 
 // TestExpiredHandleWaitsForTheQueue: an edge's record is released only when
@@ -136,14 +170,13 @@ func TestIDTableMatchesMap(t *testing.T) {
 func TestExpiredHandleWaitsForTheQueue(t *testing.T) {
 	var expired []EdgeID
 	d := NewDynamic(10, WithExpiryCallback(func(e *Edge) { expired = append(expired, e.ID) }))
-	apply := func(step int, id EdgeID, ts Timestamp) *Edge {
+	apply := func(step int, id EdgeID, ts Timestamp) int32 {
 		t.Helper()
-		e, err := d.Apply(streamEdge(id, 1, 2, "flow", ts))
-		if err != nil {
+		if _, err := d.Apply(streamEdge(id, 1, 2, "flow", ts)); err != nil {
 			t.Fatal(err)
 		}
 		checkRecycling(t, step, d)
-		return e
+		return d.g.edgeIDs.find(&d.g.edges, uint64(id))
 	}
 	first := apply(0, 1, 0)
 	second := apply(1, 2, 5)
@@ -151,14 +184,55 @@ func TestExpiredHandleWaitsForTheQueue(t *testing.T) {
 	if third == first || third == second {
 		t.Fatal("a handle was reused while the expiry queue held it")
 	}
-	if len(expired) != 1 || expired[0] != 1 || len(d.g.records.free) != 1 {
-		t.Fatalf("expired %v with %d handles free, want [1] and 1", expired, len(d.g.records.free))
+	if len(expired) != 1 || expired[0] != 1 || len(d.g.edges.free) != 1 {
+		t.Fatalf("expired %v with %d handles free, want [1] and 1", expired, len(d.g.edges.free))
 	}
 	again := apply(3, 1, 13)
-	if again != first || again.ID != 1 || again.Timestamp != 13 {
-		t.Fatalf("the expired edge's ID arriving again got record %p holding %v, want %p", again, again, first)
+	if e, _ := d.g.Edge(1); again != first || e.Timestamp != 13 {
+		t.Fatalf("the expired edge's ID arriving again got handle %d holding %v, want %d", again, e, first)
 	}
-	if len(d.g.records.free) != 0 || d.queue.len() != 3 {
-		t.Fatalf("%d handles free and %d queued, want 0 and 3", len(d.g.records.free), d.queue.len())
+	if len(d.g.edges.free) != 0 || d.queue.len() != 3 {
+		t.Fatalf("%d handles free and %d queued, want 0 and 3", len(d.g.edges.free), d.queue.len())
+	}
+}
+
+// TestTypeTableIsBoundedByTheWindow pushes 10,000 edge types and 10,000
+// vertex types through a 1-s window, a second apart: a type is dropped once
+// no vertex or edge of the window has it, and its index reused, so the table
+// never holds more than the few types in the window. Once the window drains
+// it holds none, and a gone type counts 0.
+func TestTypeTableIsBoundedByTheWindow(t *testing.T) {
+	const n, second = 10000, Timestamp(1e9)
+	d := NewDynamic(1e9)
+	g := d.Graph()
+	name := func(kind string, i int) string { return kind + "-" + strconv.Itoa(i) }
+	for i := range n {
+		se := streamEdge(EdgeID(i+1), VertexID(2*i+1), VertexID(2*i+2), name("edge", i), Timestamp(i)*second)
+		se.SourceType, se.TargetType = name("vertex", i), name("vertex", i)
+		if _, err := d.Apply(se); err != nil {
+			t.Fatal(err)
+		}
+		if got := g.CountEdgesOfType(name("edge", i)); got != 1 {
+			t.Fatalf("edge %d: %d edges of its type, want 1", i, got)
+		}
+		if got := g.CountVerticesOfType(name("vertex", i)); got != 2 {
+			t.Fatalf("edge %d: %d vertices of its type, want 2", i, got)
+		}
+		if len(g.types.names) > 8 {
+			t.Fatalf("edge %d: the type table has %d indexes for %d live edges", i, len(g.types.names), d.NumEdges())
+		}
+	}
+	d.AdvanceTo(Timestamp(n+2) * second)
+	if d.NumEdges() != 0 || d.NumVertices() != 0 {
+		t.Fatalf("the window holds %d edges and %d vertices after draining", d.NumEdges(), d.NumVertices())
+	}
+	if len(g.types.index) != 0 || len(g.types.free) != len(g.types.names) {
+		t.Fatalf("a drained table indexes %d types and frees %d of its %d indexes",
+			len(g.types.index), len(g.types.free), len(g.types.names))
+	}
+	for _, i := range []int{0, n / 2, n - 1} {
+		if e, v := g.CountEdgesOfType(name("edge", i)), g.CountVerticesOfType(name("vertex", i)); e != 0 || v != 0 {
+			t.Fatalf("gone types of edge %d count %d edges and %d vertices", i, e, v)
+		}
 	}
 }

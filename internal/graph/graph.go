@@ -5,19 +5,22 @@ import "fmt"
 // The graph recycles what its insert/expire cycle would otherwise allocate
 // per edge, within these bounds:
 //
-//   - records: edge records live in 14 KiB chunks of 256, addressed by int32
-//     handle (edges.go); the handle of an expired edge is reused for a new
-//     one, so the chunks are kept up to the peak number of records held at
-//     once.
-//     The ID table (ID → handle) is at most half full and only grows.
+//   - records: edge records (40 B) and vertex records live in chunks of 256,
+//     addressed by int32 handle (edges.go). An edge record names its
+//     endpoints by vertex handle and its type by type table index. The
+//     handle of an expired edge, or of a vertex left with no edge, is reused
+//     for a new one, so the chunks are kept up to the peak number of records
+//     held at once. One ID table per kind (ID → handle) is at most half full
+//     and only grows.
+//   - types: one table interns the edge and vertex types and counts each;
+//     a type that no vertex and no edge of the window has any more is
+//     dropped and its index reused.
 //   - spareClasses, sparesPerClass: an incidence list that is grown out of or
 //     emptied is kept for reuse at its power-of-two capacity (2…256
 //     handles), at most 64 per class: ≤ 128 KiB of spares per graph.
-//   - spareVertices: the records of removed vertices, kept for new ones.
 const (
 	spareClasses   = 8
 	sparesPerClass = 64
-	spareVertices  = 256
 )
 
 // Graph is an in-memory multi-relational property multigraph. Each vertex
@@ -30,125 +33,122 @@ const (
 // updates per stream partition. Read-only concurrent access after loading is
 // safe.
 type Graph struct {
-	vertices map[VertexID]*vertexRecord
-	records  records
-	edges    idTable // the handles of the live edges, by ID
-
-	verticesByType map[string]int
-	edgesByType    map[string]int
-
-	spares       spares
-	freeVertices []*vertexRecord // zeroed records of removed vertices
+	vertices  vertexRecords
+	vertexIDs idTable // the handles of the live vertices, by ID
+	edges     edgeRecords
+	edgeIDs   idTable // the handles of the live edges, by ID
+	types     typeTable
+	spares    spares
 
 	// mutations counts the changes to the graph's vertices, edges and vertex
 	// types (see Mutations).
 	mutations uint64
 }
 
-// vertexRecord is a vertex together with its incidence lists.
-type vertexRecord struct {
-	Vertex
-	out, in fifo
-}
-
 // New constructs an empty graph. Only a Dynamic adds to a graph (NewDynamic
 // builds its own); an empty one serves a reader that has seen no edge yet.
-func New() *Graph {
-	return &Graph{
-		vertices:       make(map[VertexID]*vertexRecord),
-		verticesByType: make(map[string]int),
-		edgesByType:    make(map[string]int),
-	}
-}
+func New() *Graph { return &Graph{} }
 
 // NumVertices returns the number of vertices currently in the graph.
-func (g *Graph) NumVertices() int { return len(g.vertices) }
+func (g *Graph) NumVertices() int { return g.vertexIDs.n }
 
 // NumEdges returns the number of edges currently in the graph.
-func (g *Graph) NumEdges() int { return g.edges.n }
+func (g *Graph) NumEdges() int { return g.edgeIDs.n }
 
 // Mutations returns how many times a vertex or edge has been added or
 // removed, or a vertex retyped. A reader that derives something from the
 // graph can keep it until the count moves; attribute merges do not count.
 func (g *Graph) Mutations() uint64 { return g.mutations }
 
-// upsert inserts vertex v or updates the record of its ID: a non-empty type
+// findVertex returns the handle of vertex id, or -1.
+func (g *Graph) findVertex(id VertexID) int32 { return g.vertexIDs.find(&g.vertices, uint64(id)) }
+
+// upsert inserts vertex id or updates its record: a non-empty type
 // overwrites the stored one and the attributes are merged. It returns the
-// record.
-func (g *Graph) upsert(v Vertex) *vertexRecord {
-	r, ok := g.vertices[v.ID]
-	if !ok {
-		if n := len(g.freeVertices); n > 0 {
-			r = g.freeVertices[n-1]
-			g.freeVertices = g.freeVertices[:n-1]
-		} else {
-			r = new(vertexRecord)
-		}
-		r.Vertex = v
-		g.vertices[v.ID] = r
-		g.verticesByType[v.Type]++
+// record's handle.
+func (g *Graph) upsert(id VertexID, typ string, attrs Attributes) int32 {
+	h := g.findVertex(id)
+	if h < 0 {
+		h = g.vertices.alloc()
+		r := g.vertices.at(h)
+		r.typ = g.types.intern(typ)
+		r.Vertex = Vertex{ID: id, Type: g.types.names[r.typ], Attrs: attrs}
+		g.types.vertices[r.typ]++
+		g.vertexIDs.insert(&g.vertices, h)
 		g.mutations++
-		return r
+		return h
 	}
-	if v.Type != "" && v.Type != r.Type {
+	r := g.vertices.at(h)
+	if typ != "" && typ != r.Type {
 		g.mutations++
-		g.uncountVertexType(r.Type)
-		r.Type = v.Type
-		g.verticesByType[v.Type]++
+		old := r.typ
+		r.typ = g.types.intern(typ)
+		r.Type = g.types.names[r.typ]
+		g.types.vertices[r.typ]++
+		g.types.vertices[old]--
+		g.types.drop(old)
 	}
 	// Streams repeat endpoint metadata on every edge (sharded routing
 	// requires it); skip the copy-on-write merge entirely when it would
 	// change nothing, which is the overwhelmingly common case.
-	if len(v.Attrs) > 0 && !r.Attrs.Covers(v.Attrs) {
-		r.Attrs = r.Attrs.Merge(v.Attrs)
+	if len(attrs) > 0 && !r.Attrs.Covers(attrs) {
+		r.Attrs = r.Attrs.Merge(attrs)
 	}
-	return r
-}
-
-func (g *Graph) uncountVertexType(t string) {
-	if g.verticesByType[t]--; g.verticesByType[t] <= 0 {
-		delete(g.verticesByType, t)
-	}
+	return h
 }
 
 // Vertex returns the vertex with the given ID. The record is valid until the
 // vertex is removed: the graph then zeroes it and reuses it for a new vertex.
 func (g *Graph) Vertex(id VertexID) (*Vertex, bool) {
-	if r, ok := g.vertices[id]; ok {
-		return &r.Vertex, true
+	if h := g.findVertex(id); h >= 0 {
+		return &g.vertices.at(h).Vertex, true
 	}
 	return nil, false
 }
 
-// Edge returns the edge with the given ID. The record is valid until expiry
-// passes it.
-func (g *Graph) Edge(id EdgeID) (*Edge, bool) {
-	if h := g.edges.find(&g.records, id); h >= 0 {
-		return g.records.at(h), true
+// edge builds the edge of handle h from its record.
+func (g *Graph) edge(h int32) Edge {
+	r := g.edges.at(h)
+	return Edge{
+		ID:        r.id,
+		Source:    g.vertices.at(r.src).ID,
+		Target:    g.vertices.at(r.dst).ID,
+		Type:      g.types.names[r.typ],
+		Timestamp: r.ts,
+		Attrs:     r.attrs,
 	}
-	return nil, false
+}
+
+// Edge returns the edge with the given ID.
+func (g *Graph) Edge(id EdgeID) (Edge, bool) {
+	if h := g.edgeIDs.find(&g.edges, uint64(id)); h >= 0 {
+		return g.edge(h), true
+	}
+	return Edge{}, false
 }
 
 // admissible rejects an edge with a reserved or duplicate ID before anything
 // about it is stored.
-func (g *Graph) admissible(e Edge) error {
+func (g *Graph) admissible(e *Edge) error {
 	if e.ID == ReservedEdgeID || e.Source == ReservedVertexID || e.Target == ReservedVertexID {
 		return &EdgeError{ID: e.ID, Err: ErrReservedID}
 	}
-	if g.edges.find(&g.records, e.ID) >= 0 {
+	if g.edgeIDs.find(&g.edges, uint64(e.ID)) >= 0 {
 		return &EdgeError{ID: e.ID, Err: ErrDuplicateEdge}
 	}
 	return nil
 }
 
-// insert stores an admissible edge between the records of its endpoints
-// and returns its handle.
-func (g *Graph) insert(e Edge, src, dst *vertexRecord) int32 {
-	h := g.records.alloc(e)
-	g.edges.insert(&g.records, h)
-	src.out.push(h, &g.spares)
-	dst.in.push(h, &g.spares)
-	g.edgesByType[e.Type]++
+// insert stores an admissible edge between the vertex records of handles
+// src and dst and returns its handle.
+func (g *Graph) insert(e *Edge, src, dst int32) int32 {
+	typ := g.types.intern(e.Type)
+	g.types.edges[typ]++
+	h := g.edges.alloc()
+	*g.edges.at(h) = edgeRecord{id: e.ID, ts: e.Timestamp, attrs: e.Attrs, src: src, dst: dst, typ: typ}
+	g.edgeIDs.insert(&g.edges, h)
+	g.vertices.at(src).out.push(h, &g.spares)
+	g.vertices.at(dst).in.push(h, &g.spares)
 	g.mutations++
 	return h
 }
@@ -156,30 +156,28 @@ func (g *Graph) insert(e Edge, src, dst *vertexRecord) int32 {
 // addStreamEdge upserts the endpoints of se and adds its edge, returning
 // the edge's handle. An edge that is rejected changes nothing: its endpoints
 // are neither added nor updated.
-func (g *Graph) addStreamEdge(se StreamEdge) (int32, error) {
-	if err := g.admissible(se.Edge); err != nil {
+func (g *Graph) addStreamEdge(se *StreamEdge) (int32, error) {
+	if err := g.admissible(&se.Edge); err != nil {
 		return -1, err
 	}
-	src := g.upsert(Vertex{ID: se.Edge.Source, Type: se.SourceType, Attrs: se.SourceAttrs})
-	dst := g.upsert(Vertex{ID: se.Edge.Target, Type: se.TargetType, Attrs: se.TargetAttrs})
-	return g.insert(se.Edge, src, dst), nil
+	src := g.upsert(se.Edge.Source, se.SourceType, se.SourceAttrs)
+	dst := g.upsert(se.Edge.Target, se.TargetType, se.TargetAttrs)
+	return g.insert(&se.Edge, src, dst), nil
 }
 
-// remove deletes the edge of handle h and returns the records of its
+// remove deletes the edge of handle h and returns the handles of its
 // endpoints. The record keeps the edge's ID, endpoints, type and timestamp
 // but drops its attribute map; the handle is not released.
-func (g *Graph) remove(h int32) (src, dst *vertexRecord) {
-	e := g.records.at(h)
-	src, dst = g.vertices[e.Source], g.vertices[e.Target]
-	g.edges.delete(&g.records, e.ID)
-	g.unlink(&src.out, h)
-	g.unlink(&dst.in, h)
-	if g.edgesByType[e.Type]--; g.edgesByType[e.Type] <= 0 {
-		delete(g.edgesByType, e.Type)
-	}
-	e.Attrs = nil
+func (g *Graph) remove(h int32) (src, dst int32) {
+	r := g.edges.at(h)
+	g.edgeIDs.delete(&g.edges, uint64(r.id))
+	g.unlink(&g.vertices.at(r.src).out, h)
+	g.unlink(&g.vertices.at(r.dst).in, h)
+	g.types.edges[r.typ]--
+	g.types.drop(r.typ)
+	r.attrs = nil
 	g.mutations++
-	return src, dst
+	return r.src, r.dst
 }
 
 // unlink removes h from list, recycling the list once empty.
@@ -191,19 +189,19 @@ func (g *Graph) unlink(list *fifo, h int32) {
 	}
 }
 
-// removeIfIsolated removes r's vertex if it has no incident edges. The
-// record is zeroed and kept for reuse.
-func (g *Graph) removeIfIsolated(r *vertexRecord) {
+// removeIfIsolated removes the vertex of handle h if it has no incident
+// edges. The record is zeroed and its handle released for reuse.
+func (g *Graph) removeIfIsolated(h int32) {
+	r := g.vertices.at(h)
 	if r.out.len() > 0 || r.in.len() > 0 {
 		return
 	}
-	g.uncountVertexType(r.Type)
-	delete(g.vertices, r.ID)
+	g.vertexIDs.delete(&g.vertices, uint64(r.ID))
+	g.types.vertices[r.typ]--
+	g.types.drop(r.typ)
 	g.mutations++
 	*r = vertexRecord{}
-	if len(g.freeVertices) < spareVertices {
-		g.freeVertices = append(g.freeVertices, r)
-	}
+	g.vertices.release(h)
 }
 
 // EdgeList is a read-only view of a vertex's out- or in-edges, in the order
@@ -211,9 +209,10 @@ func (g *Graph) removeIfIsolated(r *vertexRecord) {
 // arrival position, and expiry leaves the others in order. A view is valid
 // only until the next Dynamic.Apply or Dynamic.AdvanceTo: the graph
 // recycles incidence lists, so a view held across a mutation may come to
-// list another vertex's edges.
+// list another vertex's edges. The edges it returns are values, built from
+// the records, and stay valid.
 type EdgeList struct {
-	recs    *records
+	g       *Graph
 	handles []int32
 }
 
@@ -221,44 +220,49 @@ type EdgeList struct {
 func (l EdgeList) Len() int { return len(l.handles) }
 
 // At returns the i-th edge, in arrival order.
-func (l EdgeList) At(i int) *Edge { return l.recs.at(l.handles[i]) }
+func (l EdgeList) At(i int) Edge { return l.g.edge(l.handles[i]) }
 
 // OutEdges returns the edges leaving v in the order they were added.
 func (g *Graph) OutEdges(v VertexID) EdgeList {
-	if r, ok := g.vertices[v]; ok {
-		return EdgeList{&g.records, r.out.live()}
+	if h := g.findVertex(v); h >= 0 {
+		return EdgeList{g, g.vertices.at(h).out.live()}
 	}
 	return EdgeList{}
 }
 
 // InEdges returns the edges entering v in the order they were added.
 func (g *Graph) InEdges(v VertexID) EdgeList {
-	if r, ok := g.vertices[v]; ok {
-		return EdgeList{&g.records, r.in.live()}
+	if h := g.findVertex(v); h >= 0 {
+		return EdgeList{g, g.vertices.at(h).in.live()}
 	}
 	return EdgeList{}
 }
 
 // CountVerticesOfType returns the number of vertices with the given type.
-func (g *Graph) CountVerticesOfType(t string) int { return g.verticesByType[t] }
+func (g *Graph) CountVerticesOfType(t string) int { return g.types.count(g.types.vertices, t) }
 
 // CountEdgesOfType returns the number of edges with the given type.
-func (g *Graph) CountEdgesOfType(t string) int { return g.edgesByType[t] }
+func (g *Graph) CountEdgesOfType(t string) int { return g.types.count(g.types.edges, t) }
 
 // Vertices calls fn for every vertex until fn returns false.
 func (g *Graph) Vertices(fn func(*Vertex) bool) {
-	for _, r := range g.vertices {
-		if !fn(&r.Vertex) {
+	for _, s := range g.vertexIDs.slots {
+		if s != 0 && !fn(&g.vertices.at(s-1).Vertex) {
 			return
 		}
 	}
 }
 
 // Edges calls fn for every edge until fn returns false. fn must not add or
-// remove edges.
+// remove edges. The edge it is passed is valid only during the call: copy
+// it to keep it.
 func (g *Graph) Edges(fn func(*Edge) bool) {
-	for _, s := range g.edges.slots {
-		if s != 0 && !fn(g.records.at(s-1)) {
+	var e Edge
+	for _, s := range g.edgeIDs.slots {
+		if s == 0 {
+			continue
+		}
+		if e = g.edge(s - 1); !fn(&e) {
 			return
 		}
 	}
@@ -266,6 +270,15 @@ func (g *Graph) Edges(fn func(*Edge) bool) {
 
 // String summarizes the graph size.
 func (g *Graph) String() string {
+	var vertexTypes, edgeTypes int
+	for i := range g.types.names {
+		if g.types.vertices[i] > 0 {
+			vertexTypes++
+		}
+		if g.types.edges[i] > 0 {
+			edgeTypes++
+		}
+	}
 	return fmt.Sprintf("Graph(|V|=%d, |E|=%d, vertexTypes=%d, edgeTypes=%d)",
-		len(g.vertices), g.edges.n, len(g.verticesByType), len(g.edgesByType))
+		g.vertexIDs.n, g.edgeIDs.n, vertexTypes, edgeTypes)
 }

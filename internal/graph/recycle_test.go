@@ -168,7 +168,7 @@ func (m *model) compare(t *testing.T, step int, d *Dynamic) {
 		ids := make([]EdgeID, got.Len())
 		for i := range ids {
 			e := got.At(i)
-			if !sameEdge(*e, m.edges[e.ID]) {
+			if !sameEdge(e, m.edges[e.ID]) {
 				t.Fatalf("step %d: %s edges of v%d hold %v, model has %v", step, dir, v, e, m.edges[e.ID])
 			}
 			ids[i] = e.ID
@@ -200,7 +200,7 @@ func (m *model) compare(t *testing.T, step int, d *Dynamic) {
 	}
 	visited := make(map[EdgeID]bool)
 	d.ForEachLiveEdge(func(e *Edge) bool {
-		if got, _ := g.Edge(e.ID); got != e || visited[e.ID] {
+		if got, ok := g.Edge(e.ID); !ok || !sameEdge(got, *e) || !sameEdge(*e, m.edges[e.ID]) || visited[e.ID] {
 			t.Fatalf("step %d: ForEachLiveEdge visits %v, which is not the live edge %d or was visited before", step, e, e.ID)
 		}
 		visited[e.ID] = true
@@ -214,9 +214,11 @@ func (m *model) compare(t *testing.T, step int, d *Dynamic) {
 
 // checkRecycling fails t when a spare is not empty, when a live vertex has no
 // incident edge, when an incidence list or the expiry queue holds a handle
-// that is not a live edge (of its vertex), when a handle handed out is
-// neither in the expiry queue nor free or is both, or when two lists, live
-// or spare, share a backing array.
+// that is not a live edge (of its vertex), when an edge's endpoint handles do
+// not name live vertices of its endpoint IDs, when an edge handle handed out
+// is neither in the expiry queue nor free or is both, when a vertex handle
+// handed out is neither live and filed under its ID nor free, or when two
+// lists, live or spare, share a backing array.
 func checkRecycling(t *testing.T, step int, d *Dynamic) {
 	t.Helper()
 	type list struct {
@@ -239,10 +241,23 @@ func checkRecycling(t *testing.T, step int, d *Dynamic) {
 			claim(l, list{kind: "spare"})
 		}
 	}
-	recs := &d.g.records
+	recs, verts := &d.g.edges, &d.g.vertices
 	// isEdge reports whether h is the handle the ID table files its record's
 	// ID under: the live edge of that ID.
-	isEdge := func(h int32) bool { return d.g.edges.find(recs, recs.at(h).ID) == h }
+	isEdge := func(h int32) bool { return d.g.edgeIDs.find(recs, recs.key(h)) == h }
+	// endsAt reports whether the edge of h names, by handle, the live
+	// vertices of its endpoint IDs, and v is its source (out) or target.
+	endsAt := func(h int32, v VertexID, out bool) bool {
+		r := recs.at(h)
+		src, dst := verts.at(r.src).ID, verts.at(r.dst).ID
+		if d.g.findVertex(src) != r.src || d.g.findVertex(dst) != r.dst {
+			return false
+		}
+		if out {
+			return src == v
+		}
+		return dst == v
+	}
 	live := func(f fifo, who list, valid func(h int32) bool) {
 		if f.buf == nil {
 			return
@@ -254,18 +269,40 @@ func checkRecycling(t *testing.T, step int, d *Dynamic) {
 		}
 		claim(f.buf, who)
 	}
-	for v, r := range d.g.vertices {
-		if r.ID != v {
-			t.Fatalf("step %d: vertex %d is filed under %d", step, r.ID, v)
+	// Every vertex handle handed out is live, and filed under its ID, or
+	// free, once.
+	liveVertex := make(map[int32]bool)
+	for _, s := range d.g.vertexIDs.slots {
+		if s == 0 {
+			continue
 		}
+		h := s - 1
+		if h >= verts.n || liveVertex[h] || d.g.findVertex(verts.at(h).ID) != h {
+			t.Fatalf("step %d: vertex handle %d is not filed once under its ID", step, h)
+		}
+		liveVertex[h] = true
+		r := verts.at(h)
+		v := r.ID
 		if r.out.buf != nil && r.out.len() == 0 || r.in.buf != nil && r.in.len() == 0 {
 			t.Fatalf("step %d: vertex %d keeps an empty list", step, v)
 		}
 		if r.out.len()+r.in.len() == 0 {
 			t.Fatalf("step %d: vertex %d has no incident edge", step, v)
 		}
-		live(r.out, list{"out", v}, func(h int32) bool { return isEdge(h) && recs.at(h).Source == v })
-		live(r.in, list{"in", v}, func(h int32) bool { return isEdge(h) && recs.at(h).Target == v })
+		live(r.out, list{"out", v}, func(h int32) bool { return isEdge(h) && endsAt(h, v, true) })
+		live(r.in, list{"in", v}, func(h int32) bool { return isEdge(h) && endsAt(h, v, false) })
+	}
+	if len(liveVertex) != d.g.NumVertices() {
+		t.Fatalf("step %d: %d vertex handles filed, %d vertices", step, len(liveVertex), d.g.NumVertices())
+	}
+	for _, h := range verts.free {
+		if r := verts.at(h); liveVertex[h] || r.ID != 0 || r.out.buf != nil || r.in.buf != nil {
+			t.Fatalf("step %d: free vertex handle %d is live, filed or not zeroed", step, h)
+		}
+		liveVertex[h] = true
+	}
+	if len(liveVertex) != int(verts.n) {
+		t.Fatalf("step %d: %d vertex handles handed out, %d live or free", step, verts.n, len(liveVertex))
 	}
 	// An edge leaves the graph only when the queue passes its handle, which
 	// is then released: every handle handed out is a live edge in the queue
@@ -413,8 +450,8 @@ func TestDynamicMatchesNaiveModel(t *testing.T) {
 		}
 		clear(expired)
 		m.compare(t, step, d)
-		if r := d.g.vertices[hub]; r != nil {
-			hubCap = max(hubCap, cap(r.out.live()))
+		if h := d.g.findVertex(hub); h >= 0 {
+			hubCap = max(hubCap, cap(d.g.vertices.at(h).out.live()))
 		}
 		if early == 0 && clock >= 2*window {
 			early = heapInUse()

@@ -188,10 +188,11 @@ func (m *Matcher) extend(g *graph.Graph, cur *match.Match, order []query.EdgeID,
 
 	// scan considers the edges of l; for a closing edge, only those that
 	// end at to: the source's list is filtered in place, where
-	// EdgesBetween would allocate a slice per candidate.
+	// EdgesBetween would allocate a slice per candidate. Each edge is a
+	// value on the stack.
 	scan := func(l graph.EdgeList, to graph.VertexID, closing bool) bool {
 		for i := range l.Len() {
-			if de := l.At(i); (!closing || de.Target == to) && !consider(de) {
+			if de := l.At(i); (!closing || de.Target == to) && !consider(&de) {
 				return false
 			}
 		}

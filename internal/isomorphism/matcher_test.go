@@ -220,7 +220,7 @@ func TestLocalSearchSeededByNewEdge(t *testing.T) {
 	// Seed with the data edge article2-mentions->politics matched to pattern
 	// edge 0 (a1 -mentions-> k): expect exactly one completion with a2=1.
 	seed, _ := g.Edge(102)
-	ms := m.LocalSearch(g, q.EdgeIDs(), 0, seed)
+	ms := m.LocalSearch(g, q.EdgeIDs(), 0, &seed)
 	if len(ms) != 1 {
 		t.Fatalf("expected 1 local match, got %d: %v", len(ms), ms)
 	}
@@ -249,7 +249,7 @@ func TestLocalSearchSubsetOnly(t *testing.T) {
 	m := New(q)
 	// Search only the primitive {edge0} seeded by data edge 100.
 	seed, _ := g.Edge(100)
-	ms := m.LocalSearch(g, []query.EdgeID{0}, 0, seed)
+	ms := m.LocalSearch(g, []query.EdgeID{0}, 0, &seed)
 	if len(ms) != 1 {
 		t.Fatalf("expected 1 primitive match, got %d", len(ms))
 	}
@@ -264,11 +264,11 @@ func TestLocalSearchSeedMismatch(t *testing.T) {
 	m := New(q)
 	// Seeding pattern edge 0 (mentions) with a "located" data edge must fail.
 	seed, _ := g.Edge(101)
-	if ms := m.LocalSearch(g, q.EdgeIDs(), 0, seed); len(ms) != 0 {
+	if ms := m.LocalSearch(g, q.EdgeIDs(), 0, &seed); len(ms) != 0 {
 		t.Fatalf("mismatched seed should produce no matches, got %d", len(ms))
 	}
 	// Seeding an edge outside the requested subset must fail.
-	if ms := m.LocalSearch(g, []query.EdgeID{1}, 0, seed); ms != nil {
+	if ms := m.LocalSearch(g, []query.EdgeID{1}, 0, &seed); ms != nil {
 		t.Fatalf("seed edge outside subset should return nil")
 	}
 	if ms := m.LocalSearch(g, q.EdgeIDs(), 0, nil); ms != nil {
@@ -283,7 +283,7 @@ func TestLocalSearchUndirectedSeedBothOrientations(t *testing.T) {
 		UndirectedEdge("x", "y", "peer").
 		MustBuild()
 	seed, _ := g.Edge(1)
-	ms := New(q).LocalSearch(g, q.EdgeIDs(), 0, seed)
+	ms := New(q).LocalSearch(g, q.EdgeIDs(), 0, &seed)
 	if len(ms) != 2 {
 		t.Fatalf("undirected seed should match in both orientations, got %d", len(ms))
 	}
@@ -383,7 +383,7 @@ func TestLocalSearchCoversOfflineResults(t *testing.T) {
 	for _, e := range edges {
 		de, _ := g.Edge(e.ID)
 		for qe := 0; qe < q.NumEdges(); qe++ {
-			for _, lm := range m.LocalSearch(g, q.EdgeIDs(), query.EdgeID(qe), de) {
+			for _, lm := range m.LocalSearch(g, q.EdgeIDs(), query.EdgeID(qe), &de) {
 				found[lm.Signature()] = true
 			}
 		}
@@ -488,7 +488,7 @@ func TestLocalSearchFuncFindsTheSeededOfflineMatches(t *testing.T) {
 				}
 			}
 			order := m.ConnectedOrder(q.EdgeIDs(), qe)
-			m.LocalSearchFunc(g, order, de, cur, func(c *match.Match) bool {
+			m.LocalSearchFunc(g, order, &de, cur, func(c *match.Match) bool {
 				got = append(got, id(c))
 				return true
 			})
@@ -503,7 +503,7 @@ func TestLocalSearchFuncFindsTheSeededOfflineMatches(t *testing.T) {
 			searched += len(want)
 			if len(want) > 1 {
 				stops := 0
-				m.LocalSearchFunc(g, order, de, cur, func(*match.Match) bool { stops++; return false })
+				m.LocalSearchFunc(g, order, &de, cur, func(*match.Match) bool { stops++; return false })
 				if stops != 1 || cur.NumEdges() != 0 {
 					t.Fatalf("edge %d seeding %d: %d yields after the first said stop, %v left bound", eid, qe, stops, cur)
 				}

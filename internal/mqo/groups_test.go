@@ -573,18 +573,18 @@ func TestLeafSearchAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := make([]*graph.Edge, allocbudget.Runs+1) // in the window up front
+	edges := make([]graph.Edge, allocbudget.Runs+1) // in the window up front
 	for i := range edges {
 		v := graph.VertexID(10 * i)
 		de, err := dyn.Apply(hostEdge(graph.EdgeID(i+1), v+1, v+2, "icmp_echo_req", graph.Timestamp(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		edges[i] = de
+		edges[i] = *de // Apply's edge is valid only until the next Apply
 	}
 	next := 0
 	allocbudget.Check(t, "mqo.ProcessEdge/leaf search, no join", func() {
-		d.ProcessEdge(edges[next])
+		d.ProcessEdge(&edges[next])
 		next++
 	})
 	if got := d.Stats().PartialMatches; got != next || att.root.joinAttempts != 0 {

@@ -244,7 +244,7 @@ func TestTriadFrequencyIsExact(t *testing.T) {
 		check := func(step string) {
 			t.Helper()
 			var live []*graph.Edge
-			dyn.Graph().Edges(func(e *graph.Edge) bool { live = append(live, e); return true })
+			dyn.Graph().Edges(func(e *graph.Edge) bool { c := *e; live = append(live, &c); return true })
 			want := wedgeCounts(live, func(v graph.VertexID) string {
 				vx, _ := dyn.Graph().Vertex(v)
 				return vx.Type

@@ -67,9 +67,13 @@ var ceilings = map[string]float64{
 	// hash, and a hit is checked against the map's entries, so no copy of
 	// the block's bytes is stored.
 	"wire.Interner.DecodeEdge/new attribute block": 2,
+	// Two hot names that hash to one slot share its set of two, so a stream
+	// alternating between them misses on neither.
+	"wire.Interner.DecodeEdge/two types sharing a slot": 0,
 	// internal/graph: once a window has turned over, applying an edge that
 	// expires one and brings back a vertex that went isolated runs on
-	// recycled records and lists; an edge record is a 146th of a slab chunk.
+	// recycled records and lists, and the returned edge is held by the
+	// Dynamic.
 	"graph.Dynamic.Apply/steady-state window": 0,
 	// A vertex attribute that repeats is found covered and not merged, a NaN
 	// too: values compare by their payload bits.

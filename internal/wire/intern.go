@@ -9,8 +9,8 @@ import (
 )
 
 const (
-	// internSlots is the number of strings, and separately of attribute
-	// maps, one Interner holds.
+	// internSlots is the number of strings, in sets of two, and separately
+	// of attribute maps, one Interner holds.
 	internSlots = 512
 	// internMaxLen is the longest encoding an Interner caches, so what its
 	// slots retain stays bounded: internSlots strings of at most
@@ -21,9 +21,12 @@ const (
 
 // Interner is a bounded cache of what a stream's payloads repeat: type,
 // query and variable names, attribute keys and values, and whole attribute
-// maps. It is direct-mapped: an encoding hashes to one slot, and a different
-// encoding hashing to the same slot replaces it. A string hit compares the
-// bytes with the cached string. An attribute slot keeps the block's hash and
+// maps. A string hashes to a set of two slots, the most recently used first:
+// a hit in the second slot swaps it forward, and a miss replaces the second
+// slot and swaps it forward, so two hot names that share a set both stay.
+// A string hit compares the bytes with the cached string. Attribute maps are
+// direct-mapped: a block hashes to one slot, and a different block hashing
+// to the same slot replaces it. An attribute slot keeps the block's hash and
 // its map, no copy of its bytes: a hit is confirmed by walking the block
 // against the cached map's entries, and allocates nothing. Encodings longer
 // than internMaxLen bytes are decoded without it.
@@ -37,7 +40,7 @@ const (
 // caches nothing and carves nothing.
 type Interner struct {
 	seed  maphash.Seed
-	strs  [internSlots]string
+	strs  [internSlots / 2][2]string
 	attrs [internSlots]internedAttrs
 
 	sigs     slab.Strings
@@ -66,16 +69,18 @@ func (in *Interner) reportSlabs() (*slab.Strings, *slab.Slab[export.Binding], *s
 
 func (in *Interner) hash(enc []byte) uint64 { return maphash.Bytes(in.seed, enc) }
 
-func (in *Interner) slot(enc []byte) uint64 { return in.hash(enc) % internSlots }
-
 // string returns string(b), without allocating when in already holds it.
 func (in *Interner) string(b []byte) string {
 	if in == nil || len(b) == 0 || len(b) > internMaxLen {
 		return string(b)
 	}
-	s := &in.strs[in.slot(b)]
-	if *s != string(b) {
-		*s = string(b)
+	set := &in.strs[in.hash(b)%(internSlots/2)]
+	switch {
+	case set[0] == string(b):
+	case set[1] == string(b):
+		set[0], set[1] = set[1], set[0]
+	default:
+		set[0], set[1] = string(b), set[0]
 	}
-	return *s
+	return set[0]
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -46,24 +47,32 @@ func servedReport() export.MatchReport {
 	}
 }
 
-// quietInterner returns an interner whose seed puts each of strs, and each
-// of blocks, in a slot of its own. The cache is direct-mapped under a
-// random seed, so without this a warm decode would miss whenever two of its
-// encodings happened to collide.
+// slot is the attribute slot of block enc under in's seed.
+func slot(in *Interner, enc []byte) uint64 { return in.hash(enc) % internSlots }
+
+// set is the string set of enc under in's seed.
+func set(in *Interner, enc []byte) uint64 { return in.hash(enc) % (internSlots / 2) }
+
+// quietInterner returns an interner whose seed puts each of strs in a set of
+// its own, and each of blocks in a slot of its own. The cache is
+// direct-mapped for blocks, and two-way for strings, under a random seed,
+// so without this a warm decode could miss because its encodings happened
+// to collide.
 func quietInterner(t *testing.T, strs []string, blocks [][]byte) *Interner {
 	t.Helper()
 	var strEncs [][]byte
 	for _, s := range strs {
 		strEncs = append(strEncs, []byte(s))
 	}
-	return internerWhere(t, func(in *Interner) bool { return distinct(in, strEncs) && distinct(in, blocks) })
+	return internerWhere(t, func(in *Interner) bool { return distinct(in, set, strEncs) && distinct(in, slot, blocks) })
 }
 
-// distinct reports whether in puts each of encs in a slot of its own.
-func distinct(in *Interner, encs [][]byte) bool {
+// distinct reports whether in puts each of encs in a set or slot, as where
+// names it, of its own.
+func distinct(in *Interner, where func(*Interner, []byte) uint64, encs [][]byte) bool {
 	seen := map[uint64]bool{}
 	for _, e := range encs {
-		s := in.slot(e)
+		s := where(in, e)
 		if seen[s] {
 			return false
 		}
@@ -130,11 +139,11 @@ func TestInternerNewBlockAllocs(t *testing.T) {
 	repeated := [][]byte{appendAttrs(nil, se.Edge.Attrs), appendAttrs(nil, se.SourceAttrs)}
 	strs := [][]byte{[]byte(se.Edge.Type), []byte(se.SourceType), []byte(se.TargetType), []byte("published"), []byte("rank")}
 	in := internerWhere(t, func(in *Interner) bool {
-		if !distinct(in, strs) || !distinct(in, repeated) {
+		if !distinct(in, set, strs) || !distinct(in, slot, repeated) {
 			return false
 		}
 		for _, b := range targets {
-			if s := in.slot(b); s == in.slot(repeated[0]) || s == in.slot(repeated[1]) {
+			if s := slot(in, b); s == slot(in, repeated[0]) || s == slot(in, repeated[1]) {
 				return false
 			}
 		}
@@ -144,6 +153,45 @@ func TestInternerNewBlockAllocs(t *testing.T) {
 	allocbudget.Check(t, "wire.Interner.DecodeEdge/new attribute block", func() {
 		if _, err := in.DecodeEdge(payloads[next]); err != nil {
 			t.Fatal(err)
+		}
+		next++
+	})
+}
+
+// TestInternerKeepsTwoTypesSharingASlot alternates edges of two types whose
+// names share a slot under the interner's own seed: the names share a set of
+// two, where each stays, so neither decode allocates. A direct-mapped cache
+// would evict one for the other on every edge.
+func TestInternerKeepsTwoTypesSharingASlot(t *testing.T) {
+	in := NewInterner()
+	se := newsEdge()
+	se.SourceAttrs, se.TargetAttrs = nil, nil
+	taken := map[uint64]bool{set(in, []byte(se.SourceType)): true, set(in, []byte(se.TargetType)): true}
+	bySlot := map[uint64]string{}
+	var types []string
+	for i := 0; types == nil; i++ {
+		name := []byte("type-" + strconv.Itoa(i))
+		if taken[set(in, name)] {
+			continue
+		}
+		if other, ok := bySlot[slot(in, name)]; ok {
+			types = []string{other, string(name)}
+		}
+		bySlot[slot(in, name)] = string(name)
+	}
+	var payloads [2][]byte
+	for i, typ := range types {
+		se.Edge.Type = typ
+		payloads[i] = AppendEdge(nil, se)
+		if _, err := in.DecodeEdge(payloads[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	allocbudget.Check(t, "wire.Interner.DecodeEdge/two types sharing a slot", func() {
+		got, err := in.DecodeEdge(payloads[next%2])
+		if err != nil || got.Edge.Type != types[next%2] {
+			t.Fatalf("edge %d decodes as %q (%v), want type %q", next, got.Edge.Type, err, types[next%2])
 		}
 		next++
 	})
@@ -316,8 +364,8 @@ func TestInternerSkipsLongEncodings(t *testing.T) {
 		t.Fatalf("decodes differ: %v, %v", errA, errB)
 	}
 	held := map[string]bool{}
-	for _, s := range in.strs {
-		held[s] = true
+	for _, pair := range in.strs {
+		held[pair[0]], held[pair[1]] = true, true
 	}
 	if held[long] || !held[edge] {
 		t.Fatalf("held %d-byte string %v, %d-byte string %v; want false, true", len(long), held[long], len(edge), held[edge])
