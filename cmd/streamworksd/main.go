@@ -35,7 +35,7 @@ func main() {
 		addr      = flag.String("addr", ":8090", "HTTP listen address")
 		shards    = flag.Int("shards", 4, "number of engine shards")
 		retention = flag.Duration("retention", 0, "sliding window width (0 = retain everything; query windows widen it)")
-		slack     = flag.Duration("slack", 0, "out-of-order lag: the watermark trails the newest edge by it, and an edge more than it behind the watermark is dropped (none is with -retention 0)")
+		slack     = flag.Duration("slack", 0, "out-of-order slack: an edge more than 2× it behind the newest is dropped as late, never with -retention 0")
 		subBuffer = flag.Int("sub-buffer", 256, "per-subscriber match buffer; overflow evicts the subscriber")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables")
 

@@ -101,11 +101,8 @@ type Config struct {
 	// automatically so no query can miss a match because data expired early.
 	// It is also the window of every query registered without one.
 	Retention time.Duration
-	// Slack is the out-of-order arrival lag: the watermark trails the newest
-	// edge by it, and an edge more than Slack behind the watermark is
-	// dropped, so an edge up to 2×Slack behind the newest is admitted. The
-	// exception is a zero Retention: an unbounded window drops no edge for
-	// lateness, however far behind it is.
+	// Slack is the out-of-order slack: an edge more than 2×Slack behind the
+	// newest is dropped as late, never under a zero Retention (graph.Clock).
 	Slack time.Duration
 	// EnableSummaries is ignored: the statistics the selective planner reads
 	// cost nothing per edge, so they are always on. The field is kept only
@@ -286,26 +283,17 @@ func (e *Engine) UnregisterQuery(name string) error {
 	return nil
 }
 
-// ExtendRetention grows the dynamic graph's window to w when w is wider,
-// as registering a query of window w does, so the window is never smaller
-// than the largest registered query window. A zero (unbounded) retention
-// always suffices. Growth is only possible before the first edge is ingested;
-// afterwards edges outside the old window may already have expired, so a
-// mid-stream registration needing more retention fails with
-// ErrRetentionTooSmall rather than silently risking missed matches. The
-// graph is widened in place (graph.Dynamic.Widen): a watermark an Advance
-// set stays, and window-less queries, whose window is the retention, widen
+// ExtendRetention widens the graph's window for a query of window w
+// (graph.Clock.Extend), as registering the query does, and fails with
+// ErrRetentionTooSmall once an edge has been admitted rather than risk
+// missed matches. Window-less queries, whose window is the retention, widen
 // with it. A sharded front-end calls it on the shards a query does not live
 // on, so every shard keeps the same window.
 func (e *Engine) ExtendRetention(w time.Duration) error {
-	if w <= 0 || e.dyn.Window() == 0 || w <= e.dyn.Window() {
-		return nil
-	}
-	if e.dyn.AddedTotal() > 0 {
+	if !e.dyn.Extend(w) {
 		return fmt.Errorf("%w: query window %s exceeds retention %s after %d edges",
 			ErrRetentionTooSmall, w, e.dyn.Window(), e.dyn.AddedTotal())
 	}
-	e.dyn.Widen(w)
 	return nil
 }
 
@@ -340,10 +328,8 @@ func (e *Engine) dispatch(ev MatchEvent) {
 }
 
 // ProcessEdge ingests one stream edge and returns the complete matches it
-// produced across all registered queries. An edge more than the configured
-// slack behind the watermark (so more than twice the slack behind the newest
-// edge) and a duplicate edge ID are counted and skipped rather than aborting
-// the stream.
+// produced across all registered queries. A late edge (graph.Clock) and a
+// duplicate edge ID are counted and skipped rather than aborting the stream.
 //
 // The returned slice aliases an internal scratch buffer and is only valid
 // until the next ProcessEdge call; callers that retain events across calls

@@ -12,9 +12,8 @@ import (
 type Metrics struct {
 	// EdgesProcessed is the number of stream edges admitted into the graph.
 	EdgesProcessed uint64 `metric:"edges_processed"`
-	// EdgesDropped counts edges rejected for timestamp regression (more than
-	// the slack behind the watermark; never with a zero Retention, whose
-	// unbounded window admits every late edge) or duplicate IDs.
+	// EdgesDropped counts edges dropped as late (more than 2×Slack behind the
+	// newest, never under a zero Retention; graph.Clock) or for a duplicate ID.
 	EdgesDropped uint64 `metric:"edges_dropped"`
 	// MatchesEmitted is the total number of complete matches across queries.
 	MatchesEmitted uint64 `metric:"matches_detected"`

@@ -10,9 +10,8 @@ import (
 var (
 	// ErrDuplicateEdge is returned when an edge with an existing ID is added.
 	ErrDuplicateEdge = errors.New("graph: duplicate edge id")
-	// ErrTimestampRegression is returned by the dynamic graph when an edge's
-	// timestamp is more than the slack behind the watermark, itself the
-	// slack behind the newest edge.
+	// ErrTimestampRegression is returned by the dynamic graph for a late
+	// edge (Clock.Late).
 	ErrTimestampRegression = errors.New("graph: edge timestamp regresses beyond slack")
 	// ErrReservedID is returned when an edge uses the all-ones vertex or
 	// edge ID, which the match representation reserves as its "unbound"

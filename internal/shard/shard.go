@@ -103,10 +103,10 @@ type ShardedEngine struct {
 	// deliver serializes the shards' calls into cfg.Sink.
 	deliver sync.Mutex
 
-	seenTS        bool
-	maxTS         graph.Timestamp
+	// clock follows the stream time routed (edges and Advance) and the
+	// retention every shard keeps; it admits an edge routed to any shard.
+	clock         graph.Clock
 	lastBroadcast graph.Timestamp
-	edgesRouted   uint64
 	// advanceEvery is the watermark broadcast step: shards that did not
 	// receive an edge are sent an explicit time advance whenever the maximum
 	// observed timestamp has moved at least this far since the last
@@ -115,10 +115,6 @@ type ShardedEngine struct {
 	// pruning on idle shards; the match set is unaffected because match
 	// admission checks the temporal span directly.
 	advanceEvery time.Duration
-	// retention is the effective per-shard retention: the configured value,
-	// widened by pre-ingest registrations exactly as core.extendRetention
-	// widens it on each shard. Zero means unbounded.
-	retention time.Duration
 
 	// reg is the front-end's registry: the registrations gauge.
 	reg           *obs.Registry
@@ -143,7 +139,7 @@ func New(cfg *Config) *ShardedEngine {
 		cfg:           c,
 		router:        newRouter(c.Shards),
 		advanceEvery:  adv,
-		retention:     c.Engine.Retention,
+		clock:         graph.NewClock(c.Engine.Retention, c.Engine.Slack),
 		reg:           reg,
 		registrations: reg.Gauge("registrations", "", ""),
 	}
@@ -225,13 +221,14 @@ func (s *ShardedEngine) RegisterQuery(q *query.Graph, opts ...core.RegistrationO
 		return ErrClosed
 	}
 	hub := hubOf(q)
-	if s.edgesRouted > 0 && len(s.workers) > 1 && hub == noHub {
+	if s.clock.Admitted() && len(s.workers) > 1 && hub == noHub {
 		return fmt.Errorf("%w: %q", ErrBroadcastRequired, q.Name())
 	}
-	widens := q.Window() > 0 && s.retention != 0 && q.Window() > s.retention
-	if widens && s.edgesRouted > 0 {
+	// The clock widens on a copy, kept once every home shard has accepted.
+	clock := s.clock
+	if !clock.Extend(q.Window()) {
 		return fmt.Errorf("shard: registering %q: %w: query window %s exceeds retention %s mid-stream",
-			q.Name(), core.ErrRetentionTooSmall, q.Window(), s.retention)
+			q.Name(), core.ErrRetentionTooSmall, q.Window(), s.clock.Window())
 	}
 	home := s.home(hub)
 	for i, w := range home {
@@ -243,13 +240,13 @@ func (s *ShardedEngine) RegisterQuery(q *query.Graph, opts ...core.RegistrationO
 			return fmt.Errorf("shard %d: %w", w.id, err)
 		}
 	}
-	if widens {
-		s.retention = q.Window()
+	if clock.Window() != s.clock.Window() {
 		for _, w := range s.workers[len(home):] {
 			// Cannot fail: no shard has seen an edge (checked above).
-			_ = w.extendRetention(s.running, q.Window())
+			w.do(s.running, func() { _ = w.eng.ExtendRetention(q.Window()) })
 		}
 	}
+	s.clock = clock
 	s.router.add(q.Name(), q)
 	s.registrations.Set(int64(len(s.router.byQuery)))
 	return nil
@@ -327,32 +324,29 @@ func (s *ShardedEngine) ProcessContext(ctx context.Context, se graph.StreamEdge)
 			if i > 0 {
 				// At least one shard already consumed the edge under
 				// endpoint-partition routing: the stream is no longer
-				// pristine, so the hub-free registration guard
-				// (edgesRouted > 0) must still engage.
-				s.edgesRouted++
+				// pristine, so the registration guards must still engage.
+				s.clock.Admit()
 			}
 			return err
 		}
 	}
-	s.edgesRouted++
+	s.clock.Admit()
 	ts := se.Edge.Timestamp
-	if !s.seenTS || ts > s.maxTS {
-		s.maxTS = ts
-		if !s.seenTS {
-			s.seenTS = true
-			s.lastBroadcast = ts
-		}
+	if _, seen := s.clock.Newest(); !seen {
+		s.lastBroadcast = ts
 	}
+	s.clock.AdvanceTo(ts)
+	newest, _ := s.clock.Newest()
 	if len(dests) == len(s.workers) {
 		// An edge every shard receives carries stream time by itself.
-		s.lastBroadcast = s.maxTS
-	} else if s.maxTS.Sub(s.lastBroadcast) >= s.advanceEvery {
+		s.lastBroadcast = newest
+	} else if newest.Sub(s.lastBroadcast) >= s.advanceEvery {
 		for _, w := range s.workers {
 			if !slices.Contains(dests, w.id) {
-				w.enqueueAdvance(s.maxTS)
+				w.enqueueAdvance(newest)
 			}
 		}
-		s.lastBroadcast = s.maxTS
+		s.lastBroadcast = newest
 	}
 	return nil
 }
@@ -367,9 +361,7 @@ func (s *ShardedEngine) Advance(ts graph.Timestamp) {
 	if s.closed {
 		return
 	}
-	if !s.seenTS || ts > s.maxTS {
-		s.maxTS, s.seenTS = ts, true
-	}
+	s.clock.AdvanceTo(ts)
 	if ts > s.lastBroadcast {
 		s.lastBroadcast = ts
 	}

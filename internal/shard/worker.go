@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"sync"
-	"time"
 
 	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/graph"
@@ -198,13 +197,6 @@ func (w *worker) unregister(running bool, name string) (err error) {
 			delete(w.queries, name)
 		}
 	})
-	return err
-}
-
-// extendRetention widens this shard's window to that of a query living on
-// other shards.
-func (w *worker) extendRetention(running bool, window time.Duration) (err error) {
-	w.do(running, func() { err = w.eng.ExtendRetention(window) })
 	return err
 }
 

@@ -82,9 +82,9 @@ func (m *Manager) AppendUnregister(name string) error {
 	return m.appendControl(RecUnregister, []byte(name), func() { m.regs = removeReg(m.regs, name) })
 }
 
-// AppendAdvance logs an explicit watermark advance.
+// AppendAdvance logs an explicit advance of stream time.
 func (m *Manager) AppendAdvance(ts int64) error {
-	return m.appendControl(RecAdvance, encodeAdvance(ts), func() { m.watermark = max(m.watermark, ts) })
+	return m.appendControl(RecAdvance, encodeAdvance(ts), func() { m.clock.AdvanceTo(graph.Timestamp(ts)) })
 }
 
 // Snapshot forces a checkpoint now: start a new segment with a manifest of

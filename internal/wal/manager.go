@@ -52,17 +52,13 @@ type Manager struct {
 	// since the last RecEmitted frame or manifest.
 	emitted  map[string]int64
 	unlogged []EmittedEntry
-	// watermark is the newest stream time seen; retention the effective
-	// window width (0 retains everything) and slack the out-of-order
-	// tolerance, all in stream nanoseconds. cutoff is the newest expiry
-	// bound ever applied and never moves back (cutoffLocked).
-	watermark int64
-	retention int64
-	slack     int64
-	cutoff    int64
-	batches   int
-	degraded  bool
-	closed    bool
+	// clock follows stream time as the engine's graph does — the edges and
+	// advances logged, the effective retention — so the log deletes exactly
+	// what the graph has expired: its cutoff.
+	clock    graph.Clock
+	batches  int
+	degraded bool
+	closed   bool
 
 	// pending is the completion channel of the one in-flight asynchronous
 	// edge-batch append (AppendEdgesAsync), nil when none. While it is
@@ -93,8 +89,6 @@ type Recovery struct {
 	Ops []Op
 	// Emitted maps checkpointed match keys (MatchKey) to span starts.
 	Emitted map[string]int64
-	// Watermark is the recovered stream watermark.
-	Watermark int64
 	// TornTail reports that a torn or corrupt tail was truncated.
 	TornTail bool
 }
@@ -110,9 +104,7 @@ func Open(opts Options) (*Manager, *Recovery, error) {
 		fs:             opts.FS,
 		dir:            opts.Dir,
 		emitted:        make(map[string]int64),
-		retention:      int64(opts.Retention),
-		slack:          int64(opts.Slack),
-		cutoff:         int64(graph.NoCutoff),
+		clock:          graph.NewClock(opts.Retention, opts.Slack),
 		reg:            reg,
 		torn:           reg.Counter("wal_torn_tail_truncations", "", ""),
 		appendErrors:   reg.Counter("wal_append_errors", "", ""),
@@ -163,7 +155,7 @@ func Open(opts Options) (*Manager, *Recovery, error) {
 	for _, op := range rec.Ops {
 		if op.Type == RecEdgeBatch {
 			op.Edges = slices.DeleteFunc(op.Edges, func(e graph.StreamEdge) bool {
-				return int64(e.Edge.Timestamp) < m.cutoff
+				return e.Edge.Timestamp < m.clock.Cutoff()
 			})
 			if len(op.Edges) == 0 {
 				continue
@@ -173,7 +165,6 @@ func Open(opts Options) (*Manager, *Recovery, error) {
 	}
 	rec.Ops = ops
 	rec.Emitted = maps.Clone(m.emitted)
-	rec.Watermark = m.watermark
 	rec.TornTail = m.torn.Value() > 0
 	return m, rec, nil
 }
@@ -255,15 +246,16 @@ func (m *Manager) replaySegment(seq uint64, root bool, rec *Recovery) (stop bool
 			}
 		case RecEdgeBatch:
 			for i := range op.Edges {
-				maxTS = max(maxTS, int64(op.Edges[i].Edge.Timestamp))
+				ts := op.Edges[i].Edge.Timestamp
+				maxTS = max(maxTS, int64(ts))
+				m.clock.AdvanceTo(ts)
 			}
-			m.watermark = max(m.watermark, maxTS)
 		case RecRegister:
 			m.applyRegister(*op.Register)
 		case RecUnregister:
 			m.regs = removeReg(m.regs, op.Name)
 		case RecAdvance:
-			m.watermark = max(m.watermark, op.TS)
+			m.clock.AdvanceTo(graph.Timestamp(op.TS))
 		case RecEmitted:
 			for _, e := range op.Emitted {
 				m.emitted[e.Key] = e.SpanStart
@@ -306,9 +298,8 @@ func (m *Manager) applyManifest(man *manifest) {
 	for _, e := range man.Emitted {
 		m.emitted[e.Key] = e.SpanStart
 	}
-	m.watermark = max(m.watermark, man.Watermark)
-	m.extendRetention(man.Retention)
-	m.cutoff = max(m.cutoff, man.Cutoff)
+	m.clock.Resume(time.Duration(man.Retention), graph.Timestamp(man.Newest), man.Newest != math.MinInt64,
+		graph.Timestamp(man.Cutoff))
 }
 
 // applyRegister records an active registration and mirrors the engine's
@@ -317,13 +308,7 @@ func (m *Manager) applyManifest(man *manifest) {
 func (m *Manager) applyRegister(r RegisterRecord) {
 	m.regs = append(removeReg(m.regs, r.Name), r)
 	if q, err := query.ParseString(r.DSL); err == nil {
-		m.extendRetention(int64(q.Window()))
-	}
-}
-
-func (m *Manager) extendRetention(d int64) {
-	if m.retention != 0 && d > m.retention {
-		m.retention = d
+		m.clock.Widen(q.Window())
 	}
 }
 
@@ -337,32 +322,20 @@ func removeReg(regs []RegisterRecord, name string) []RegisterRecord {
 	return out
 }
 
-// cutoffLocked advances the log's expiry bound by the engine's own rule,
-// graph.ExpiryCutoff, over the same inputs — the raw newest stream time, the
-// effective retention, the slack — so the log deletes exactly what the
-// dynamic graph has expired, and like the graph's the bound never moves back
-// (it is persisted in every manifest). The one difference is before the
-// first edge, where the log's newest stream time is its zero floor and the
-// bound therefore −retention−slack, not graph.NoCutoff: below any timestamp
-// either way. Edges below the bound are deleted with their segments and
-// skipped by recovery; emitted entries below it are evicted. With zero
-// retention it stays at its floor and nothing ever expires.
-func (m *Manager) cutoffLocked() int64 {
-	m.cutoff = int64(graph.ExpiryCutoff(graph.Timestamp(m.cutoff), graph.Timestamp(m.watermark),
-		time.Duration(m.retention), time.Duration(m.slack)))
-	return m.cutoff
-}
-
 // checkpointLocked is the log's only maintenance step: evict what expired
 // from the emitted set, seal the active segment and start the next one
 // with a synced manifest of the current state, then delete the oldest
-// segments whose newest edge has expired. The window is never rewritten;
-// with zero retention nothing is deleted either.
+// segments whose newest edge has expired. What is below the clock's cutoff
+// has expired: its edges are deleted with their segments and skipped by
+// recovery, its emitted entries evicted. The cutoff never moves back (it is
+// persisted in every manifest). The window is never rewritten; with zero
+// retention nothing is deleted either.
 func (m *Manager) checkpointLocked() error {
-	cut := m.cutoffLocked()
+	cut := int64(m.clock.Cutoff())
+	newest, _ := m.clock.Newest() // math.MinInt64 before any time
 	man := manifest{
-		Watermark:     m.watermark,
-		Retention:     m.retention,
+		Newest:        int64(newest),
+		Retention:     int64(m.clock.Window()),
 		Cutoff:        cut,
 		Registrations: m.regs,
 		Emitted:       make([]EmittedEntry, 0, len(m.emitted)),
@@ -465,7 +438,7 @@ func (m *Manager) checkpointEmittedLocked() {
 }
 
 // joinLocked waits for the in-flight asynchronous append, if any, and folds
-// its outcome into the manager: a write failure degrades, the watermark
+// its outcome into the manager: a write failure degrades, the clock
 // follows the batch, and a batch that brought a checkpoint due triggers it
 // here (a checkpoint reads state the worker must not, so it runs on the
 // joining side). Every method that reads or writes log, encBuf or batches
@@ -480,7 +453,7 @@ func (m *Manager) joinLocked() error {
 		m.degradeLocked(err)
 		return err
 	}
-	m.watermark = max(m.watermark, m.log.maxTS)
+	m.clock.AdvanceTo(graph.Timestamp(m.log.maxTS))
 	return m.checkpointIfDueLocked()
 }
 

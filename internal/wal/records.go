@@ -20,7 +20,7 @@ const (
 	RecRegister byte = 2
 	// RecUnregister carries the raw name of an unregistered query.
 	RecUnregister byte = 3
-	// RecAdvance carries an explicit watermark advance as a big-endian
+	// RecAdvance carries an explicit advance of stream time as a big-endian
 	// int64 stream timestamp.
 	RecAdvance byte = 4
 	// RecEmitted carries an emitted-set checkpoint: a sorted JSON array of
@@ -56,7 +56,10 @@ type EmittedEntry struct {
 // carry: with it, the segments before this one are dispensable as soon as
 // their edges have left the window.
 type manifest struct {
-	Watermark int64 `json:"watermark"`
+	// Newest is the newest stream time the log has seen, math.MinInt64
+	// before any (older versions wrote 0, read as a time), under the key
+	// they wrote.
+	Newest int64 `json:"watermark"`
 	// Retention is the effective window width in stream nanoseconds — the
 	// configured one widened by every query window registered so far; 0
 	// retains everything.

@@ -11,18 +11,20 @@
 // tail — the partial frame a crash leaves behind — is detected and truncated
 // at the last valid frame instead of poisoning recovery. The first frame of
 // every segment is a manifest: the active registrations in order, the
-// emitted set, the watermark, the effective retention and the expiry cutoff.
-// After it come edge batches in wire's binary edge encoding, in arrival
-// order, interleaved with query register/unregister records (DSL text plus
-// registration options), explicit watermark advances and incremental
-// emitted-set checkpoints.
+// emitted set, the newest stream time, the effective retention and the
+// expiry cutoff. After it come edge batches in wire's binary edge encoding,
+// in arrival order, interleaved with query register/unregister records (DSL
+// text plus registration options), explicit advances of stream time and
+// incremental emitted-set checkpoints.
 //
-// A checkpoint (Manager.Snapshot, every Options.SnapshotEvery batches, and
-// whenever a segment outgrows Options.SegmentBytes) rotates to a new segment,
-// syncs its manifest, then deletes the oldest segments whose newest edge is
-// older than watermark − retention − slack. Recovery reads the oldest
-// retained segment's manifest and replays every record after it in the order
-// it was appended. Four rules hold throughout:
+// The log follows stream time on a graph.Clock, as the engine's window
+// does, so its expiry cutoff is the window's. A checkpoint
+// (Manager.Snapshot, every Options.SnapshotEvery batches, and whenever a
+// segment outgrows Options.SegmentBytes) rotates to a new segment, syncs its
+// manifest, then deletes the oldest segments whose newest edge is below the
+// cutoff. Recovery reads the oldest retained segment's manifest and replays
+// every record after it in the order it was appended. Four rules hold
+// throughout:
 //
 //   - Old segments are deleted only after the new segment's manifest has been
 //     synced.

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/wire"
@@ -111,7 +112,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 	// encodeEmitted sorts by key, so recovery sees sorted entries.
 	sorted := []EmittedEntry{{Key: MatchKey("q", "sigA"), SpanStart: 3}, {Key: MatchKey("q", "sigB"), SpanStart: 7}}
-	man := manifest{Watermark: 200, Retention: 100, Cutoff: 90, Registrations: []RegisterRecord{reg}, Emitted: sorted}
+	man := manifest{Newest: 200, Retention: 100, Cutoff: 90, Registrations: []RegisterRecord{reg}, Emitted: sorted}
 	manPayload, err := json.Marshal(man)
 	if err != nil {
 		t.Fatal(err)
@@ -208,8 +209,11 @@ func TestManifestDeterministic(t *testing.T) {
 func TestAppendAndRecoverAllRecordTypes(t *testing.T) {
 	dir := t.TempDir()
 	m, rec := openTest(t, dir, nil)
-	if len(rec.Ops) != 0 || rec.TornTail || rec.Watermark != 0 {
+	if len(rec.Ops) != 0 || rec.TornTail {
 		t.Fatalf("fresh dir recovered state: %+v", rec)
+	}
+	if ts, seen := m.clock.Newest(); seen {
+		t.Fatalf("fresh dir recovered stream time %d", ts)
 	}
 	if err := m.AppendRegister(RegisterRecord{Name: "watch", DSL: testDSL, Strategy: "lazy"}); err != nil {
 		t.Fatalf("AppendRegister: %v", err)
@@ -239,8 +243,8 @@ func TestAppendAndRecoverAllRecordTypes(t *testing.T) {
 	if !reflect.DeepEqual(rec2.Ops[1].Edges, batch) {
 		t.Fatalf("recovered batch mismatch: %+v", rec2.Ops[1].Edges)
 	}
-	if rec2.Watermark != 500 {
-		t.Fatalf("recovered watermark: got %d, want 500", rec2.Watermark)
+	if ts, _ := m2.clock.Newest(); ts != 500 {
+		t.Fatalf("recovered newest time: got %d, want 500", ts)
 	}
 	if rec2.TornTail {
 		t.Fatal("clean log reported a torn tail")
@@ -262,6 +266,10 @@ func TestRecoveredBatchesShareRepeatedMaps(t *testing.T) {
 		var batch []graph.StreamEdge
 		for i := 0; i < 3; i++ {
 			se := testEdge(uint64(3*b+i), int64(3*b+i)*10)
+			// Only the repeated block: each edge's own "bytes" map could
+			// hash to its slot under the interner's random seed and evict
+			// it, which the direct-mapped cache allows.
+			se.Edge.Attrs = nil
 			se.SourceAttrs = graph.Attributes{"site": graph.String("eu-1")}
 			batch = append(batch, se)
 		}
@@ -534,8 +542,8 @@ func TestCheckpointDropsCoveredSegmentsAndRecovers(t *testing.T) {
 	if !reflect.DeepEqual(rec.Ops[1].Edges, live) {
 		t.Fatalf("recovered window mismatch: %+v", rec.Ops[1].Edges)
 	}
-	if rec.Watermark != 1010 {
-		t.Fatalf("watermark: got %d, want 1010", rec.Watermark)
+	if ts, _ := m2.clock.Newest(); ts != 1010 {
+		t.Fatalf("newest time: got %d, want 1010", ts)
 	}
 	if got, ok := rec.Emitted[MatchKey("watch", "sig-1")]; !ok || got != 950 {
 		t.Fatalf("emitted-set not recovered from the manifest: %v", rec.Emitted)
@@ -759,8 +767,8 @@ func TestCloseIsStrictlyExactOnce(t *testing.T) {
 	if _, ok := rec.Emitted[MatchKey("watch", "sig-1")]; !ok {
 		t.Fatal("graceful close lost the emitted-set: restart would redeliver")
 	}
-	if rec.Watermark != 100 {
-		t.Fatalf("watermark: got %d, want 100", rec.Watermark)
+	if ts, _ := m2.clock.Newest(); ts != 100 {
+		t.Fatalf("newest time: got %d, want 100", ts)
 	}
 	if rec.TornTail {
 		t.Fatal("graceful close left a torn tail")
@@ -795,19 +803,40 @@ func TestEmittedEvictionAtCheckpoint(t *testing.T) {
 	}
 }
 
+// TestRecoveryKeepsAWindowBeforeTimeZero: stream time starts unseen, not at
+// zero, so a window of negative timestamps is not below the log's cutoff
+// and every edge of it is recovered after a crash.
+func TestRecoveryKeepsAWindowBeforeTimeZero(t *testing.T) {
+	bounded := func(o *Options) { o.Retention = time.Second }
+	m, _ := openTest(t, t.TempDir(), bounded)
+	base := -10 * int64(time.Second)
+	batch := []graph.StreamEdge{testEdge(1, base), testEdge(2, base+1000), testEdge(3, base+2000)}
+	if err := m.AppendEdges(batch); err != nil {
+		t.Fatal(err)
+	}
+	crash(m)
+	m2, rec := openTest(t, m.dir, bounded)
+	defer m2.Close()
+	var got []graph.StreamEdge
+	for _, op := range rec.Ops {
+		got = append(got, op.Edges...)
+	}
+	if !reflect.DeepEqual(got, batch) {
+		t.Fatalf("recovered %d of %d edges at ts ≈ −10 s: %+v", len(got), len(batch), got)
+	}
+}
+
 // TestCutoffIsTheDynamicGraphsCutoff: the log and the engine's dynamic graph
-// compute their expiry bound with one function from the same inputs — the
-// raw newest stream time, not the slack-trailed watermark — so fed the same
-// out-of-order stream and idle-time advances they agree at every step, and a
-// retention widened later moves neither bound back. Only before the first
-// edge do they differ, harmlessly: the log's newest stream time starts at
-// zero, the graph's bound at NoCutoff.
+// each follow stream time on a graph.Clock, so fed the same out-of-order
+// stream and idle-time advances their expiry bounds agree at every step,
+// before the first edge included (both NoCutoff), and a retention widened
+// later moves neither bound back.
 func TestCutoffIsTheDynamicGraphsCutoff(t *testing.T) {
 	const retention, slack = 100, 10
 	m, _ := openTest(t, t.TempDir(), func(o *Options) { o.Retention, o.Slack = retention, slack })
 	defer m.Close()
 	dyn := graph.NewDynamic(retention, graph.WithSlack(slack))
-	if got := m.cutoffLocked(); got != -retention-slack || dyn.Cutoff() != graph.NoCutoff {
+	if got := m.clock.Cutoff(); got != graph.NoCutoff || dyn.Cutoff() != graph.NoCutoff {
 		t.Fatalf("cutoffs before any edge: log %d, graph %d", got, dyn.Cutoff())
 	}
 	for i, ts := range []int64{500, 495, 640, 633, 1000, 992, 1500} {
@@ -818,7 +847,7 @@ func TestCutoffIsTheDynamicGraphsCutoff(t *testing.T) {
 		if err := m.AppendEdges([]graph.StreamEdge{se}); err != nil {
 			t.Fatal(err)
 		}
-		if got := m.cutoffLocked(); got != int64(dyn.Cutoff()) {
+		if got := m.clock.Cutoff(); got != dyn.Cutoff() {
 			t.Fatalf("after edge at %d: log cutoff %d, graph cutoff %d", ts, got, dyn.Cutoff())
 		}
 	}
@@ -826,19 +855,19 @@ func TestCutoffIsTheDynamicGraphsCutoff(t *testing.T) {
 	if err := m.AppendAdvance(2000); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.cutoffLocked(); got != 2000-retention-slack || got != int64(dyn.Cutoff()) {
+	if got := m.clock.Cutoff(); got != 2000-retention-slack || got != dyn.Cutoff() {
 		t.Fatalf("after advancing to 2000: log cutoff %d, graph cutoff %d", got, dyn.Cutoff())
 	}
-	m.extendRetention(10 * retention)
+	m.clock.Widen(10 * retention)
 	dyn.Widen(10 * retention)
-	if got := m.cutoffLocked(); got != 2000-retention-slack || got != int64(dyn.Cutoff()) {
+	if got := m.clock.Cutoff(); got != 2000-retention-slack || got != dyn.Cutoff() {
 		t.Fatalf("a wider retention moved the cutoffs back: log %d, graph %d", got, dyn.Cutoff())
 	}
 	dyn.AdvanceTo(2500)
 	if err := m.AppendAdvance(2500); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.cutoffLocked(); got != 2000-retention-slack || got != int64(dyn.Cutoff()) {
+	if got := m.clock.Cutoff(); got != 2000-retention-slack || got != dyn.Cutoff() {
 		t.Fatalf("after advancing to 2500 under the wider retention: log cutoff %d, graph cutoff %d", got, dyn.Cutoff())
 	}
 }

@@ -268,7 +268,9 @@ func (d *decoder) byte() byte {
 // attrs reads an attribute block. With an interner, a validating skip pass
 // measures the block first, and a short one is looked up by its hash; the
 // slot's map is returned only if the block holds exactly its entries. A
-// miss is decoded and stored only once it has decoded cleanly.
+// miss is decoded and stored only once it has decoded cleanly. The empty
+// block, its one count byte, costs nothing to decode and is never stored,
+// so it cannot evict a map.
 func (d *decoder) attrs() graph.Attributes {
 	if d.in == nil || d.err != nil {
 		return d.attrBlock(true)
@@ -276,7 +278,7 @@ func (d *decoder) attrs() graph.Attributes {
 	skip := decoder{buf: d.buf}
 	skip.attrBlock(false)
 	enc := d.buf[:len(d.buf)-len(skip.buf)]
-	if skip.err != nil || len(enc) > internMaxLen {
+	if skip.err != nil || len(enc) == 1 || len(enc) > internMaxLen {
 		return d.attrBlock(true)
 	}
 	h := d.in.hash(enc)

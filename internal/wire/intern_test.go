@@ -386,3 +386,21 @@ func TestInternerSkipsLongEncodings(t *testing.T) {
 		t.Fatal("a long attribute block was shared between decodes")
 	}
 }
+
+// TestInternerSkipsEmptyBlocks: the empty attribute block never takes a
+// slot, where it would evict a map that costs something to decode.
+func TestInternerSkipsEmptyBlocks(t *testing.T) {
+	var batch []graph.StreamEdge
+	for i := range 4 {
+		batch = append(batch, graph.StreamEdge{Edge: graph.Edge{ID: graph.EdgeID(i), Type: "flow"}})
+	}
+	in := NewInterner()
+	if _, err := in.DecodeEdges(AppendEdges(nil, batch)); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range in.attrs {
+		if s.hash != 0 || s.attrs != nil {
+			t.Fatalf("slot %d holds %+v after decoding only empty blocks", i, s)
+		}
+	}
+}
