@@ -1,8 +1,9 @@
 // Command streamworksd is the StreamWorks daemon: the continuous graph
-// query engine, sharded across cores, served over HTTP. Register queries in
-// the text DSL, stream NDJSON edges at it, and subscribe to matches:
+// query engine, optionally sharded across cores, served over HTTP. Register
+// queries in the text DSL, stream NDJSON edges at it, and subscribe to
+// matches:
 //
-//	streamworksd -addr :8090 -shards 4 -retention 10m
+//	streamworksd -addr :8090 -retention 10m
 //	curl -X POST --data-binary @query.swq  localhost:8090/v1/queries
 //	curl -X POST --data-binary @edges.ndjson localhost:8090/v1/edges
 //	curl -N 'localhost:8090/v1/matches?query=smurf-ddos'
@@ -33,7 +34,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":8090", "HTTP listen address")
-		shards    = flag.Int("shards", 4, "number of engine shards")
+		shards    = flag.Int("shards", 1, "number of engine shards; 1 runs the engine on the ingest goroutine with no mailbox hop (two shards measured slower than one on 2 CPUs; the default moves only if a shards benchmark lane shows a gain)")
 		retention = flag.Duration("retention", 0, "sliding window width (0 = retain everything; query windows widen it)")
 		slack     = flag.Duration("slack", 0, "out-of-order slack: an edge more than 2× it behind the newest is dropped as late, never with -retention 0")
 		subBuffer = flag.Int("sub-buffer", 256, "per-subscriber match buffer; overflow evicts the subscriber")

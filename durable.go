@@ -17,9 +17,9 @@ import (
 // wire type itself, read from the WAL's registry (api.WALMetricsFrom).
 type DurabilityStats = api.WALMetrics
 
-// durable is the durability state shared by the in-process backends: the
-// WAL manager, the recovery backlog awaiting its first subscriber, and the
-// flags gating when appends and emission notes are live.
+// durable is the in-process backend's durability state: the WAL manager,
+// the recovery backlog awaiting its first subscriber, and the flags gating
+// when appends and emission notes are live.
 type durable struct {
 	man *wal.Manager
 	// reg is the WAL's registry, which also holds the recovery backlog's
@@ -178,21 +178,17 @@ func registerRecord(q *Query, o RegisterOptions) wal.RegisterRecord {
 	return wal.RegisterRecord{Name: q.Name(), DSL: FormatQuery(q), Strategy: o.Strategy}
 }
 
-// recordOptions maps a recovered registration record back onto its plan
-// settings.
-func recordOptions(r *wal.RegisterRecord) RegisterOptions {
-	return RegisterOptions{Strategy: r.Strategy}
-}
-
 // replayRecovery pushes the recovered operations back through the engine's
-// ordinary paths (d.replaying suppresses re-appending them to the log),
+// ordinary paths (replaying suppresses re-appending them to the log),
 // collecting every match the replay re-derives via a temporary
-// subscription. flush is the backend's delivery barrier — after it
-// returns, every re-derived match has reached the collector. Matches whose
-// keys are not in the recovered emitted-set were derived but never
-// delivered before the crash; they become the backlog, delivered once to
-// the first matching subscriber that attaches.
-func replayRecovery(e Engine, d *durable, rec *wal.Recovery, flush func() error) {
+// subscription. After e.Flush returns, every re-derived match has reached
+// the collector. Matches whose keys are not in the recovered emitted-set
+// were derived but never delivered before the crash; they become the
+// backlog, delivered once to the first matching subscriber that attaches.
+func replayRecovery(e *Sharded, rec *wal.Recovery) {
+	d := e.dur
+	d.replaying.Store(true)
+	defer d.replaying.Store(false)
 	ctx := context.Background()
 	collected := make(map[string]Match)
 	sub, err := e.Subscribe("", SinkFunc(func(m Match) {
@@ -214,7 +210,7 @@ func replayRecovery(e Engine, d *durable, rec *wal.Recovery, flush func() error)
 				log.Printf("streamworks: recovery: parsing query %q: %v", op.Register.Name, err)
 				continue
 			}
-			if err := e.RegisterQueryWith(ctx, q, recordOptions(op.Register)); err != nil {
+			if err := e.RegisterQueryWith(ctx, q, RegisterOptions{Strategy: op.Register.Strategy}); err != nil {
 				log.Printf("streamworks: recovery: re-registering %q: %v", op.Register.Name, err)
 			}
 		case wal.RecUnregister:
@@ -227,7 +223,7 @@ func replayRecovery(e Engine, d *durable, rec *wal.Recovery, flush func() error)
 			}
 		}
 	}
-	if err := flush(); err != nil {
+	if err := e.Flush(); err != nil {
 		log.Printf("streamworks: recovery: flush barrier: %v", err)
 	}
 	sub.Close()

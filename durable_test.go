@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,16 +22,18 @@ import (
 	"github.com/streamworks/streamworks/internal/wire"
 )
 
-// durableEngine is the slice of the in-process backends the durability
+// durableEngine is the slice of the in-process backend the durability
 // suite needs: the public Engine contract plus the durability introspection
-// both Local and Sharded expose.
+// Sharded exposes.
 type durableEngine interface {
 	streamworks.Engine
 	Durability() streamworks.DurabilityStats
 }
 
-// engineMaker builds one in-process backend from options; the crash and
-// degradation suites run once per backend through this seam.
+// engineMaker builds the in-process backend from options; the crash and
+// degradation suites run once per constructor through this seam: New (one
+// shard, on the caller's goroutine) and NewSharded (three shards, one
+// goroutine each). The cells keep the names the metrics golden records.
 type engineMaker struct {
 	name string
 	mk   func(opts ...streamworks.Option) durableEngine
@@ -386,7 +389,7 @@ func TestCancelledBatchThenCloseNoRedelivery(t *testing.T) {
 				t.Fatalf("Subscribe: %v", err)
 			}
 			half := len(w.Edges) / 2
-			// Local must stop at the cancellation; Sharded routes ahead of
+			// One shard must stop at the cancellation; more route ahead of
 			// delivery and may have handed the whole batch over by then.
 			err = eng.ProcessBatch(ctx, w.Edges[:half])
 			if !errors.Is(err, context.Canceled) && (err != nil || mk.name == "local") {
@@ -551,6 +554,76 @@ func TestShortWriteLeavesRecoverableTornTail(t *testing.T) {
 	// The registrations landed within budget, so recovery rebuilt them.
 	if err := eng2.RegisterQuery(context.Background(), w.Queries[0]); !errors.Is(err, streamworks.ErrDuplicateQuery) {
 		t.Fatalf("re-registering after torn-tail recovery: %v, want ErrDuplicateQuery", err)
+	}
+}
+
+// TestBacklogNeverOverlapsLiveDelivery: a recovered backlog is handed to
+// its subscriber under the lock live deliveries take, so a sink is never
+// entered twice at once even when a batch ingested meanwhile completes a
+// match for it. The first backlog delivery starts that batch and then
+// holds the sink for a while, which a live delivery that does not wait for
+// it enters.
+func TestBacklogNeverOverlapsLiveDelivery(t *testing.T) {
+	w := acceptanceWorkload(t)
+	for _, mk := range inProcessBackends() {
+		t.Run(mk.name, func(t *testing.T) {
+			base := []streamworks.Option{
+				streamworks.WithEngineConfig(w.Engine),
+				streamworks.WithDataDir(t.TempDir()),
+				streamworks.WithFsyncPolicy("off"),
+			}
+			half := len(w.Edges) / 2
+			ffs := faultfs.New()
+			eng := mk.mk(append(base, streamworks.WithWALFS(ffs))...)
+			registerAll(t, eng, w)
+			streamBatches(t, eng, w, 0, half, 64)
+			ffs.CrashNow() // no checkpoint: every match so far is recovered undelivered
+			eng.Close()
+
+			eng2 := mk.mk(base...)
+			defer eng2.Close()
+			var (
+				inside     atomic.Int32
+				overlapped = make(chan struct{})
+				first      sync.Once
+				started    atomic.Bool
+				ingested   = make(chan error, 1)
+			)
+			sub, err := eng2.Subscribe("", streamworks.SinkFunc(func(streamworks.Match) {
+				if inside.Add(1) > 1 {
+					select {
+					case <-overlapped:
+					default:
+						close(overlapped)
+					}
+				}
+				first.Do(func() {
+					started.Store(true)
+					go func() { ingested <- eng2.ProcessBatch(context.Background(), w.Edges[half:]) }()
+					select {
+					case <-overlapped:
+					case <-time.After(500 * time.Millisecond):
+					}
+				})
+				inside.Add(-1)
+			}))
+			if err != nil {
+				t.Fatalf("Subscribe after restart: %v", err)
+			}
+			if !started.Load() {
+				t.Fatal("no recovered backlog was delivered on Subscribe")
+			}
+			if err := <-ingested; err != nil {
+				t.Fatalf("ProcessBatch: %v", err)
+			}
+			eng2.Close()
+			<-sub.Done()
+			select {
+			case <-overlapped:
+				t.Fatal("a live delivery entered the sink while it held a backlog match")
+			default:
+			}
+		})
 	}
 }
 

@@ -10,10 +10,10 @@ import (
 	"github.com/streamworks/streamworks/internal/export"
 )
 
-// frontend is everything the in-process backends share: the configuration,
-// the registered queries, the one subscription registry every match leaves
-// through, and the durability glue. Local and Sharded embed it and add only
-// how edges reach an engine and which goroutine calls fanout.
+// frontend is the in-process backend's public tier: the configuration, the
+// registered queries, the one subscription registry every match leaves
+// through, and the durability glue. Sharded embeds it and adds how edges
+// reach the shard engines, whose delivery calls fanout.
 type frontend struct {
 	cfg config
 	dur *durable // nil without WithDataDir
@@ -30,9 +30,10 @@ type frontend struct {
 	queries map[string]*Query
 	subs    []*subscription // in subscription order
 
-	// reports and pending belong to the delivering goroutine (the caller
-	// holding Local.mu, or the Sharded shard holding the delivery lock). pending holds the emissions
-	// fanout has delivered but not yet acknowledged to the WAL.
+	// reports and pending belong to the delivering goroutine, which holds
+	// the shards' delivery lock (and, on a single shard, is the caller
+	// holding Sharded.mu). pending holds the emissions fanout has delivered
+	// but not yet acknowledged to the WAL.
 	reports export.Reporter
 	pending []pendingNote
 }
@@ -40,28 +41,6 @@ type frontend struct {
 type pendingNote struct {
 	query, signature string
 	spanStart        int64
-}
-
-// init applies the options; the zero frontend is not usable before it.
-func (f *frontend) init(opts []Option) {
-	f.cfg = defaultConfig()
-	for _, o := range opts {
-		o(&f.cfg)
-	}
-	f.cfg.finishObs()
-	f.queries = make(map[string]*Query)
-}
-
-// recoverFrom opens the WAL, if one is configured, and replays what it holds
-// through e, the backend under construction; flush is its delivery barrier.
-func (f *frontend) recoverFrom(e Engine, flush func() error) {
-	dur, rec := openDurable(&f.cfg)
-	f.dur = dur
-	if rec != nil {
-		dur.replaying.Store(true)
-		replayRecovery(e, dur, rec, flush)
-		dur.replaying.Store(false)
-	}
 }
 
 // subscription is one push subscription on an in-process backend.
@@ -96,8 +75,10 @@ func (s *subscription) Close() error {
 // subscribe attaches sink to the query named by queryFilter ("" for all),
 // then hands it the recovered matches never delivered before the crash:
 // each goes to the first matching subscriber, exactly once. They are
-// delivered outside rmu, since the sink may close its own subscription.
-func (f *frontend) subscribe(queryFilter string, sink MatchSink) (Subscription, error) {
+// delivered inside exclusive, which runs its argument under the lock live
+// deliveries take, so the sink is never entered twice at once, and outside
+// rmu, since the sink may close its own subscription.
+func (f *frontend) subscribe(queryFilter string, sink MatchSink, exclusive func(func())) (Subscription, error) {
 	sub := &subscription{f: f, query: queryFilter, sink: sink, done: make(chan struct{})}
 	f.rmu.Lock()
 	if f.closed.Load() {
@@ -110,11 +91,15 @@ func (f *frontend) subscribe(queryFilter string, sink MatchSink) (Subscription, 
 	}
 	f.subs = append(f.subs[:len(f.subs):len(f.subs)], sub) // copy on write
 	f.rmu.Unlock()
-	for _, m := range f.dur.takeBacklog(queryFilter) {
-		sink.OnMatch(m)
-		if !f.dur.manual {
-			f.dur.note(m.Query, m.Signature, m.SpanStart)
-		}
+	if backlog := f.dur.takeBacklog(queryFilter); len(backlog) > 0 {
+		exclusive(func() {
+			for _, m := range backlog {
+				sink.OnMatch(m)
+				if !f.dur.manual {
+					f.dur.note(m.Query, m.Signature, m.SpanStart)
+				}
+			}
+		})
 	}
 	return sub, nil
 }

@@ -72,8 +72,8 @@ func (e MatchEvent) String() string {
 }
 
 // MatchSink receives complete matches at the moment of emission, the push
-// half of the engine API: front-ends register sinks once and the engine
-// drives them, instead of every caller polling ProcessEdge's scratch-backed
+// half of the engine API: a front-end sets its sink once and the engine
+// drives it, instead of every caller polling ProcessEdge's scratch-backed
 // return slice. OnMatch is invoked synchronously on the goroutine driving
 // the engine, so implementations must be fast and must not call back into
 // the engine. The MatchEvent value is safe to retain.
@@ -86,13 +86,6 @@ type MatchSinkFunc func(MatchEvent)
 
 // OnMatch implements MatchSink.
 func (f MatchSinkFunc) OnMatch(ev MatchEvent) { f(ev) }
-
-// engineSink is one registered sink with its query filter.
-type engineSink struct {
-	id    int
-	query string // "" subscribes to every query
-	sink  MatchSink
-}
 
 // Config controls engine-wide behaviour.
 type Config struct {
@@ -152,12 +145,11 @@ type Engine struct {
 	// ProcessEdge calls; see the ProcessEdge doc for the aliasing contract.
 	evScratch []MatchEvent
 
-	// sinks are the registered per-query match subscriptions, dispatched at
-	// the emission point (Registration.emit). Like the rest of the engine
-	// they are driver-goroutine state: Subscribe and the returned cancel
-	// functions must be called from the goroutine streaming edges.
-	sinks      []engineSink
-	nextSinkID int
+	// sink receives the matches of the query named sinkQuery ("" for every
+	// query) at the emission point (Registration.emit); nil drops them. Like
+	// the rest of the engine it is driver-goroutine state.
+	sink      MatchSink
+	sinkQuery string
 
 	obs engineObs
 }
@@ -227,7 +219,7 @@ var (
 // the configured strategy (selective by default, using the statistics of the
 // window as it is now) and the plan is attached to the engine's evaluation
 // DAG. Matches are reported both from ProcessEdge return values and to the
-// sinks attached with Subscribe.
+// sink set with Subscribe.
 //
 // A query registered mid-stream sees the retained window as if it had been
 // registered before it began: plan nodes new to the DAG are backfilled from
@@ -297,34 +289,13 @@ func (e *Engine) ExtendRetention(w time.Duration) error {
 	return nil
 }
 
-// Subscribe registers a push subscription: sink receives every complete
-// match of the query named by queryFilter ("" subscribes to all queries) as
-// it is emitted, before ProcessEdge returns it. The filter may name a query
-// that is not registered yet; matches flow once it is. The returned cancel
-// function removes the subscription; both Subscribe and cancel must be
-// called from the goroutine driving the engine.
-func (e *Engine) Subscribe(queryFilter string, sink MatchSink) (cancel func()) {
-	id := e.nextSinkID
-	e.nextSinkID++
-	e.sinks = append(e.sinks, engineSink{id: id, query: queryFilter, sink: sink})
-	return func() {
-		for i, s := range e.sinks {
-			if s.id == id {
-				e.sinks = append(e.sinks[:i], e.sinks[i+1:]...)
-				return
-			}
-		}
-	}
-}
-
-// dispatch pushes one emitted match to every subscribed sink whose filter
-// admits it.
-func (e *Engine) dispatch(ev MatchEvent) {
-	for _, s := range e.sinks {
-		if s.query == "" || s.query == ev.Query {
-			s.sink.OnMatch(ev)
-		}
-	}
+// Subscribe sets the engine's one sink: it receives every complete match of
+// the query named by queryFilter ("" for every query) as it is emitted,
+// before ProcessEdge returns it, in place of any sink set before (nil sets
+// none). The filter may name a query that is not registered yet. Call it
+// from the goroutine driving the engine.
+func (e *Engine) Subscribe(queryFilter string, sink MatchSink) {
+	e.sink, e.sinkQuery = sink, queryFilter
 }
 
 // ProcessEdge ingests one stream edge and returns the complete matches it

@@ -74,7 +74,7 @@ func (r *Registration) Matches() uint64 { return r.matches.Value() }
 // emit is the registration's emission point: the DAG invokes it (via the
 // attachment's EmitSigned callback) for every complete match of this query,
 // already remapped into the query's own pattern space and deduplicated, with
-// the signature its consumer group built. It feeds the engine sinks, the
+// the signature its consumer group built. It feeds the engine's sink, the
 // event slice and — when observability is on — the detection-lag histogram.
 // Events accumulate on engine.dagEvents, which ProcessEdge points at its
 // scratch buffer.
@@ -95,6 +95,8 @@ func (r *Registration) emit(qm *match.Match, signature string) {
 		}
 	}
 	r.matches.Inc()
-	e.dispatch(ev)
+	if e.sink != nil && (e.sinkQuery == "" || e.sinkQuery == r.name) {
+		e.sink.OnMatch(ev)
+	}
 	e.dagEvents = append(e.dagEvents, ev)
 }

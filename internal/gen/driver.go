@@ -291,9 +291,9 @@ func RunEngine(eng streamworks.Engine, w Workload) (MatchSet, error) {
 // RunReregistering is RunEngine with two changes of plan mid-stream: at
 // half and at five sixths of the stream it unregisters each query and
 // registers it again under the next strategy of streamworks.PlanStrategies
-// after the one it ran. A sharded engine refuses a hub-free query once edges
-// have streamed (by design: shard 0 lacks its history), so there only the
-// queries with a hub vertex move.
+// after the one it ran. An engine of more than one shard refuses a hub-free
+// query once edges have streamed (by design: shard 0 lacks its history), so
+// there only the queries with a hub vertex move.
 func RunReregistering(eng streamworks.Engine, w Workload) (MatchSet, error) {
 	return runEngine(eng, w, []int{len(w.Edges) / 2, len(w.Edges) * 5 / 6})
 }
@@ -321,7 +321,8 @@ func runEngine(eng streamworks.Engine, w Workload, moves []int) (MatchSet, error
 		return nil, err
 	}
 	defer sub.Close()
-	_, sharded := eng.(*streamworks.Sharded)
+	sh, ok := eng.(interface{ Shards() int })
+	sharded := ok && sh.Shards() > 1
 	strategies := streamworks.PlanStrategies()
 	at := max(slices.Index(strategies, w.Register.Strategy), 0)
 	from := 0
@@ -356,20 +357,9 @@ func runEngine(eng streamworks.Engine, w Workload, moves []int) (MatchSet, error
 	return set, nil
 }
 
-// RunSingle replays the workload through the public single-engine backend
+// RunSingle replays the workload through the public single-shard backend
 // (streamworks.New) and returns the canonical match set and final metrics.
-func RunSingle(w Workload) (MatchSet, core.Metrics, error) {
-	eng := streamworks.New(streamworks.WithEngineConfig(w.Engine))
-	set, err := RunEngine(eng, w)
-	if err != nil {
-		return nil, core.Metrics{}, err
-	}
-	m, err := eng.Metrics(context.Background())
-	if err != nil {
-		return nil, core.Metrics{}, err
-	}
-	return set, m, nil
-}
+func RunSingle(w Workload) (MatchSet, core.Metrics, error) { return RunSharded(w, 1) }
 
 // RunSharded replays the workload through the public sharded backend
 // (streamworks.NewSharded) with the given shard count and returns the

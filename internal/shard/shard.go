@@ -3,12 +3,13 @@
 // core.Engine explicitly defers to ("shard streams across engines for
 // parallelism").
 //
-// A ShardedEngine owns N independent core.Engine workers, each with its own
-// goroutine and input mailbox. Incoming stream edges are hash-partitioned by
-// endpoint vertex: an edge is delivered to the shard owning its source and the
-// shard owning its target (one delivery when both endpoints hash to the same
-// shard), so every shard holds the complete neighbourhood of each vertex it
-// owns.
+// A ShardedEngine owns N independent core.Engine workers. Until Start,
+// every call runs on the caller's goroutine, edges included; Start gives each
+// worker its own goroutine and input mailbox. Incoming stream edges are
+// hash-partitioned by endpoint vertex: an edge is delivered to the shard
+// owning its source and the shard owning its target (one delivery when both
+// endpoints hash to the same shard), so every shard holds the complete
+// neighbourhood of each vertex it owns.
 //
 // Every complete match has exactly one owner shard, the only one that
 // delivers it, so no match reaches the sink twice:
@@ -27,13 +28,14 @@
 //     (ErrBroadcastRequired otherwise).
 //
 // The owner counts the match and hands it to the one sink the engine was
-// built with (Config.Sink), on its own goroutine, under a lock every shard
-// delivers under; filtering and fan-out to subscribers belong to the tier
-// above. Stream time is coordinated by sending watermark advances to shards
-// that did not receive an edge, keeping window expiry and pruning moving on
-// idle partitions. Every shard keeps the same retention: a pre-stream
-// registration that widens it widens it on every shard, wherever the query
-// lives.
+// built with (Config.Sink), on the goroutine driving it, under a lock every
+// shard delivers under; filtering and fan-out to subscribers belong to the
+// tier above. A lone shard owns every match, so its engine's own counts are
+// the delivered counts. Stream time is coordinated by sending watermark
+// advances to shards that did not receive an edge, keeping window expiry and
+// pruning moving on idle partitions. Every shard keeps the same retention: a
+// pre-stream registration that widens it widens it on every shard, wherever
+// the query lives.
 //
 // Sources feeding a ShardedEngine must populate endpoint metadata
 // (types/attributes) on every stream edge, not only on a vertex's first
@@ -44,10 +46,11 @@
 // partition's statistics, so two shards may run different plans of one
 // query; the owner rule does not depend on the plan.
 //
-// Every count lives in one registry: each worker engine's own (written by its
-// goroutine), which also counts the matches the shard delivered, and the
-// front-end's for the one count that must not be summed over workers, the
-// registrations. Metrics and ObsSnapshot fold them with obs.Merge.
+// Every count lives in one registry: each worker engine's own (written by
+// the goroutine driving it), which also counts the matches the shard
+// delivered, and the front-end's for the one count that must not be summed
+// over workers, the registrations. Metrics and ObsSnapshot fold them with
+// obs.Merge.
 package shard
 
 import (
@@ -72,10 +75,10 @@ type Config struct {
 	Shards int
 	// Engine is the configuration applied to every per-shard core.Engine.
 	Engine core.Config
-	// Sink receives every complete match, invoked on the owner shard's
-	// goroutine and never twice at once: it must not block, or it stalls
-	// every shard and eventually ingestion. Nil drops matches (counters
-	// still advance).
+	// Sink receives every complete match, invoked on the goroutine driving
+	// the owner shard and never twice at once: it must not block, or it
+	// stalls every shard and eventually ingestion. Nil drops matches
+	// (counters still advance).
 	Sink core.MatchSink
 }
 
@@ -94,7 +97,6 @@ const mailboxDepth = 1024
 // (RegisterQuery, UnregisterQuery, Process, Advance, Metrics, Start, Close)
 // must be called from one goroutine — the stream driver.
 type ShardedEngine struct {
-	cfg     Config
 	workers []*worker
 	router  *router
 
@@ -136,7 +138,6 @@ func New(cfg *Config) *ShardedEngine {
 	}
 	reg := obs.NewRegistry()
 	s := &ShardedEngine{
-		cfg:           c,
 		router:        newRouter(c.Shards),
 		advanceEvery:  adv,
 		clock:         graph.NewClock(c.Engine.Retention, c.Engine.Slack),
@@ -153,8 +154,7 @@ func New(cfg *Config) *ShardedEngine {
 		engCfg.Obs = obsCfg
 		engCfg.Obs.Registry = nil
 		eng := core.New(&engCfg)
-		w := &worker{id: i, shards: c.Shards, eng: eng, queries: make(map[string]homed),
-			emitted: eng.ObsRegistry().Counter("matches_emitted", "", "")}
+		w := newWorker(i, c.Shards, eng, &s.deliver, c.Sink)
 		if obsCfg.Enabled {
 			w.obsClock = obsCfg.Clock
 			w.obsMailbox = eng.ObsRegistry().Segment(obs.SegShardMailbox)
@@ -170,12 +170,44 @@ func New(cfg *Config) *ShardedEngine {
 // no worker round trip, so sizes are as of each owner's last refresh — and,
 // unlike the control methods, is safe from any goroutine.
 func (s *ShardedEngine) ObsSnapshot() obs.Snapshot {
-	snaps := make([]obs.Snapshot, 0, len(s.workers)+1)
+	snaps := make([]obs.Snapshot, 0, len(s.workers)+2)
 	snaps = append(snaps, s.reg.Snapshot())
 	for _, w := range s.workers {
 		snaps = append(snaps, w.eng.ObsRegistry().Snapshot())
 	}
+	if len(s.workers) == 1 {
+		snaps = append(snaps, delivered(snaps[1]))
+	}
 	return obs.Merge(snaps...)
+}
+
+// delivered is a lone shard's delivered-match series: it owns and delivers
+// every match its engine finds, so they are the engine's matches_detected
+// and query_matches_detected under the names an owner shard counts its
+// deliveries by.
+func delivered(engine obs.Snapshot) obs.Snapshot {
+	var out obs.Snapshot
+	for _, c := range engine.Counters {
+		switch c.Name {
+		case "matches_detected":
+			c.Name = "matches_emitted"
+		case "query_matches_detected":
+			c.Name = "query_matches_emitted"
+		default:
+			continue
+		}
+		out.Counters = append(out.Counters, c)
+	}
+	return out
+}
+
+// Exclusive runs fn under the lock every shard delivers under, so fn never
+// overlaps a call into Config.Sink. It is safe from any goroutine but a
+// sink's own.
+func (s *ShardedEngine) Exclusive(fn func()) {
+	s.deliver.Lock()
+	defer s.deliver.Unlock()
+	fn()
 }
 
 // Shards returns the number of shard workers.
@@ -183,8 +215,6 @@ func (s *ShardedEngine) Shards() int { return len(s.workers) }
 
 // Registration errors specific to the sharded front-end.
 var (
-	// ErrNotRunning is returned by Process when Start has not been called.
-	ErrNotRunning = errors.New("shard: engine not running (call Start)")
 	// ErrClosed is returned by Process, RegisterQuery and UnregisterQuery
 	// after Close: the mailboxes are gone, so accepting the call would mean
 	// either silently dropping work or sending on a stopped mailbox. Close
@@ -285,14 +315,17 @@ func (s *ShardedEngine) UnregisterQuery(name string) error {
 	return firstErr
 }
 
-// Start spawns the shard workers. It is a no-op when already running or
-// after Close.
+// Start spawns the shard workers, each with its own goroutine and mailbox.
+// Until then every call runs on the caller's goroutine, edges included:
+// Process hands each edge straight to its shards' engines, and their
+// matches reach the sink before it returns. It is a no-op when already
+// running or after Close.
 func (s *ShardedEngine) Start() {
 	if s.running || s.closed {
 		return
 	}
 	for _, w := range s.workers {
-		w.start(&s.deliver, s.cfg.Sink)
+		w.start()
 	}
 	s.running = true
 }
@@ -300,27 +333,30 @@ func (s *ShardedEngine) Start() {
 // Process routes one stream edge to the shards that need it and broadcasts a
 // watermark advance to the others when stream time has moved far enough.
 // Edges must be supplied in non-decreasing timestamp order up to the
-// configured slack, as with a single engine. It returns ErrNotRunning when
-// called before Start and ErrClosed after Close.
+// configured slack, as with a single engine. It returns ErrClosed after
+// Close.
 func (s *ShardedEngine) Process(se graph.StreamEdge) error {
 	return s.ProcessContext(context.Background(), se)
 }
 
-// ProcessContext is Process with a cancellation bound on the blocking
-// mailbox hand-off: when the shards cannot accept the edge before ctx is
-// done, it returns the context error. Cancellation can interrupt a
-// multi-shard delivery part-way; the edge may then have reached a subset of
-// its shards, exactly as if the stream had been cut at that point.
+// ProcessContext is Process with a cancellation bound: before Start, a
+// done ctx refuses the edge; once running, ctx bounds the blocking mailbox
+// hand-off, and when the shards cannot accept the edge before ctx is done,
+// it returns the context error. Cancellation can interrupt a multi-shard
+// delivery part-way; the edge may then have reached a subset of its shards,
+// exactly as if the stream had been cut at that point.
 func (s *ShardedEngine) ProcessContext(ctx context.Context, se graph.StreamEdge) error {
 	if s.closed {
 		return ErrClosed
 	}
 	if !s.running {
-		return ErrNotRunning
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 	}
 	dests := s.router.route(se)
 	for i, d := range dests {
-		if err := s.workers[d].enqueueEdge(ctx, se); err != nil {
+		if err := s.workers[d].edge(ctx, s.running, se); err != nil {
 			if i > 0 {
 				// At least one shard already consumed the edge under
 				// endpoint-partition routing: the stream is no longer
@@ -343,7 +379,7 @@ func (s *ShardedEngine) ProcessContext(ctx context.Context, se graph.StreamEdge)
 	} else if newest.Sub(s.lastBroadcast) >= s.advanceEvery {
 		for _, w := range s.workers {
 			if !slices.Contains(dests, w.id) {
-				w.enqueueAdvance(newest)
+				w.advance(s.running, newest)
 			}
 		}
 		s.lastBroadcast = newest
@@ -366,11 +402,7 @@ func (s *ShardedEngine) Advance(ts graph.Timestamp) {
 		s.lastBroadcast = ts
 	}
 	for _, w := range s.workers {
-		if s.running {
-			w.enqueueAdvance(ts)
-		} else {
-			w.eng.Advance(ts)
-		}
+		w.advance(s.running, ts)
 	}
 }
 
@@ -378,18 +410,17 @@ func (s *ShardedEngine) Advance(ts graph.Timestamp) {
 // advance and control message enqueued before the call has been processed
 // by its shard AND every match those messages produced has been delivered
 // to the sink — a worker delivers a match before it takes its next message.
-// Recovery uses it to know that replaying the log tail has surfaced every
-// re-derivable match before it compares them against the checkpointed
-// emitted-set. Like Process, Flush must not race with Close.
+// Before Start it has nothing to wait for: every call has delivered its
+// matches by the time it returns. Recovery uses it to know that replaying
+// the log tail has surfaced every re-derivable match before it compares them
+// against the checkpointed emitted-set. Like Process, Flush must not race
+// with Close.
 func (s *ShardedEngine) Flush() error {
 	if s.closed {
 		return ErrClosed
 	}
-	if !s.running {
-		return ErrNotRunning
-	}
 	for _, w := range s.workers {
-		w.flush()
+		w.do(s.running, func() {})
 	}
 	return nil
 }
@@ -425,8 +456,12 @@ func (s *ShardedEngine) PerShardMetrics() []core.Metrics {
 	return perShard
 }
 
-// Metrics is the sharded engine's aggregate view: see Snapshot.
+// Metrics is the sharded engine's aggregate view: see Snapshot. A lone
+// stopped shard's view is its engine's own.
 func (s *ShardedEngine) Metrics() core.Metrics {
+	if len(s.workers) == 1 && !s.running {
+		return s.workers[0].eng.Metrics()
+	}
 	m, _, _ := s.Snapshot()
 	return m
 }
@@ -437,9 +472,14 @@ func (s *ShardedEngine) Metrics() core.Metrics {
 // agree. Aggregate work counters are sums over shards and so include edges
 // sent to more than one shard; MatchesEmitted and per-query Matches sum what
 // each shard delivered, which counts each match once, and Registrations is
-// the front-end's. Like all control methods it must be called from the
+// the front-end's. A lone shard's view is its engine's own, whose counts are
+// the delivered counts. Like all control methods it must be called from the
 // driver goroutine.
 func (s *ShardedEngine) Snapshot() (core.Metrics, []core.Metrics, obs.Snapshot) {
+	if len(s.workers) == 1 {
+		m, snap := s.workers[0].snapshot(s.running)
+		return m, []core.Metrics{m}, obs.Merge(s.reg.Snapshot(), snap, delivered(snap))
+	}
 	snaps := []obs.Snapshot{s.reg.Snapshot()}
 	perShard := make([]core.Metrics, len(s.workers))
 	for i, w := range s.workers {

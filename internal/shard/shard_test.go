@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -214,17 +215,43 @@ func TestShardedMidStreamRegistration(t *testing.T) {
 	}
 }
 
-func TestShardedProcessBeforeStartErrors(t *testing.T) {
-	s := shard.New(nil)
-	if err := s.RegisterQuery(gen.SmurfQuery(time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	se := graph.StreamEdge{
-		Edge:       graph.Edge{ID: 1, Source: 1, Target: 2, Type: gen.EdgeICMPReq, Timestamp: 100},
-		SourceType: gen.TypeHost, TargetType: gen.TypeHost,
-	}
-	if err := s.Process(se); !errors.Is(err, shard.ErrNotRunning) {
-		t.Fatalf("Process before Start: %v, want ErrNotRunning", err)
+// TestShardedProcessBeforeStartRunsOnCaller: until Start, an edge is
+// processed on the caller's goroutine, so the sink has seen the match it
+// completes before Process returns, and Flush has nothing to wait for. The
+// sink reads inCall without synchronization: under the race detector a
+// delivery from any other goroutine fails the test.
+func TestShardedProcessBeforeStartRunsOnCaller(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			inCall, matched := false, 0
+			s := shard.New(&shard.Config{Shards: shards, Sink: core.MatchSinkFunc(func(core.MatchEvent) {
+				if !inCall {
+					t.Error("match delivered outside the Process call")
+				}
+				matched++
+			})})
+			defer s.Close()
+			if err := s.RegisterQuery(gen.SmurfQuery(time.Minute)); err != nil {
+				t.Fatal(err)
+			}
+			for i, typ := range []string{gen.EdgeICMPReq, gen.EdgeICMPReply} {
+				se := graph.StreamEdge{
+					Edge:       graph.Edge{ID: graph.EdgeID(i + 1), Source: graph.VertexID(i + 1), Target: graph.VertexID(i + 2), Type: typ, Timestamp: graph.Timestamp(100 + i)},
+					SourceType: gen.TypeHost, TargetType: gen.TypeHost,
+				}
+				inCall = true
+				if err := s.Process(se); err != nil {
+					t.Fatalf("Process before Start: %v", err)
+				}
+				inCall = false
+			}
+			if matched != 1 {
+				t.Fatalf("%d matches delivered by the time Process returned, want 1", matched)
+			}
+			if err := s.Flush(); err != nil {
+				t.Fatalf("Flush before Start: %v", err)
+			}
+		})
 	}
 }
 

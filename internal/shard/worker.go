@@ -33,19 +33,25 @@ type message struct {
 	enqNS int64
 }
 
-// worker owns one shard: a core.Engine, the goroutine that drives it, and
-// the mailbox feeding it. The engine is only touched by the worker goroutine
-// while running; when stopped, the front-end calls it directly.
+// worker owns one shard: a core.Engine, the goroutine that drives it once
+// started, and the mailbox feeding it. The engine is only touched by the
+// worker goroutine while running; before Start, the front-end calls it
+// directly, on the caller's goroutine.
 type worker struct {
 	id, shards int
 	eng        *core.Engine
 	// queries holds every query registered on this shard, read by the
 	// engine sink to deliver only the matches this shard owns. Written and
-	// read on the worker goroutine, or by the front-end while stopped.
+	// read on the worker goroutine, or by the front-end while stopped. A
+	// lone shard owns every match and keeps none.
 	queries map[string]homed
 	// emitted counts the matches this shard delivered, in its engine's
-	// registry.
+	// registry; nil on a lone shard, whose engine's own count is the
+	// delivered count.
 	emitted *obs.Counter
+	// mu is the lock every shard delivers under; sink is where matches go.
+	mu   *sync.Mutex
+	sink core.MatchSink
 
 	in   chan message
 	done sync.WaitGroup
@@ -59,6 +65,24 @@ type worker struct {
 	obsDispatch *obs.Histogram
 }
 
+// newWorker builds shard id of shards around eng. Matches are delivered by
+// an engine-level sink at the moment of emission, on whichever goroutine
+// drives the engine: a match this shard owns is handed to sink under mu,
+// the lock every shard delivers under, so sink is never entered twice at
+// once. A lone shard owns every match, so it skips the owner filter and the
+// counts of what it delivered.
+func newWorker(id, shards int, eng *core.Engine, mu *sync.Mutex, sink core.MatchSink) *worker {
+	w := &worker{id: id, shards: shards, eng: eng, mu: mu, sink: sink}
+	deliver := w.deliver
+	if shards > 1 {
+		w.queries = make(map[string]homed)
+		w.emitted = eng.ObsRegistry().Counter("matches_emitted", "", "")
+		deliver = w.deliverOwned
+	}
+	eng.Subscribe("", core.MatchSinkFunc(deliver))
+	return w
+}
+
 // homed is one query registered on a shard: its hub (noHub for a hub-free
 // query) and its count of the matches this shard delivered, resolved in the
 // shard engine's registry, so UnregisterQuery forgets it with the query's
@@ -68,30 +92,35 @@ type homed struct {
 	emitted *obs.Counter
 }
 
-// start spawns the worker goroutine with a fresh mailbox. Matches are
-// delivered by an engine-level sink at the moment of emission: a match this
-// shard owns is counted and handed to sink under mu, the lock every shard
-// delivers under, so sink is never entered twice at once.
-func (w *worker) start(mu *sync.Mutex, sink core.MatchSink) {
+// deliverOwned counts and delivers a match this shard owns, and drops the
+// rest.
+func (w *worker) deliverOwned(ev core.MatchEvent) {
+	q := w.queries[ev.Query]
+	if !w.owns(q.hub, ev) {
+		return
+	}
+	q.emitted.Inc()
+	w.emitted.Inc()
+	w.deliver(ev)
+}
+
+// deliver hands ev to the sink under the delivery lock.
+func (w *worker) deliver(ev core.MatchEvent) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.obsDispatch != nil && ev.EmittedWallNS != 0 {
+		// Dispatch latency: core emission → delivery, including the wait
+		// for the other shards' deliveries.
+		w.obsDispatch.Observe(w.obsClock.Now() - ev.EmittedWallNS)
+	}
+	if w.sink != nil {
+		w.sink.OnMatch(ev)
+	}
+}
+
+// start spawns the worker goroutine with a fresh mailbox.
+func (w *worker) start() {
 	w.in = make(chan message, mailboxDepth)
-	w.eng.Subscribe("", core.MatchSinkFunc(func(ev core.MatchEvent) {
-		q := w.queries[ev.Query]
-		if !w.owns(q.hub, ev) {
-			return
-		}
-		q.emitted.Inc()
-		w.emitted.Inc()
-		mu.Lock()
-		defer mu.Unlock()
-		if w.obsDispatch != nil && ev.EmittedWallNS != 0 {
-			// Dispatch latency: core emission → delivery, including the
-			// wait for the other shards' deliveries.
-			w.obsDispatch.Observe(w.obsClock.Now() - ev.EmittedWallNS)
-		}
-		if sink != nil {
-			sink.OnMatch(ev)
-		}
-	}))
 	w.done.Add(1)
 	go w.loop()
 }
@@ -124,10 +153,7 @@ func (w *worker) loop() {
 			if msg.enqNS != 0 && w.obsMailbox != nil {
 				w.obsMailbox.Observe(w.obsClock.Now() - msg.enqNS)
 			}
-			// Complete matches reach the sink through the engine sink
-			// registered in start; the scratch-backed return slice is
-			// deliberately unused.
-			w.eng.ProcessEdge(msg.edge)
+			w.eng.ProcessEdge(msg.edge) // see edge
 		case msgAdvance:
 			w.eng.Advance(msg.ts)
 		case msgCtrl:
@@ -150,14 +176,17 @@ func (w *worker) do(running bool, fn func()) {
 	<-done
 }
 
-// flush blocks until the worker has processed every message enqueued
-// before the call and delivered every match they produced.
-func (w *worker) flush() { w.do(true, func() {}) }
-
-// enqueueEdge delivers an edge to the shard (blocking when the mailbox is
-// full — backpressure to the stream driver). A context with cancellation
-// bounds the wait; context.Background() takes the uninstrumented fast path.
-func (w *worker) enqueueEdge(ctx context.Context, se graph.StreamEdge) error {
+// edge hands an edge to the shard: when running, through its mailbox
+// (blocking when the mailbox is full — backpressure to the stream driver;
+// a context with cancellation bounds the wait, context.Background() takes
+// the uninstrumented fast path), and otherwise straight to its engine.
+func (w *worker) edge(ctx context.Context, running bool, se graph.StreamEdge) error {
+	if !running {
+		// Complete matches reach the sink through the engine sink; the
+		// scratch-backed return slice is deliberately unused.
+		w.eng.ProcessEdge(se)
+		return nil
+	}
 	msg := message{kind: msgEdge, edge: se}
 	if w.obsClock != nil {
 		msg.enqNS = w.obsClock.Now()
@@ -174,15 +203,20 @@ func (w *worker) enqueueEdge(ctx context.Context, se graph.StreamEdge) error {
 	return nil
 }
 
-// enqueueAdvance delivers a watermark broadcast.
-func (w *worker) enqueueAdvance(ts graph.Timestamp) {
+// advance hands the shard a watermark: through its mailbox when running,
+// straight to its engine otherwise.
+func (w *worker) advance(running bool, ts graph.Timestamp) {
+	if !running {
+		w.eng.Advance(ts)
+		return
+	}
 	w.in <- message{kind: msgAdvance, ts: ts}
 }
 
 // register adds a query with the given hub on this shard.
 func (w *worker) register(running bool, q *query.Graph, opts []core.RegistrationOption, hub query.VertexID) (err error) {
 	w.do(running, func() {
-		if _, err = w.eng.RegisterQuery(q, opts...); err == nil {
+		if _, err = w.eng.RegisterQuery(q, opts...); err == nil && w.queries != nil {
 			name := q.Name()
 			w.queries[name] = homed{hub: hub, emitted: w.eng.ObsRegistry().Counter("query_matches_emitted", obs.QueryLabelKey, name)}
 		}

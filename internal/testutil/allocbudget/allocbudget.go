@@ -1,6 +1,7 @@
 // Package allocbudget is the checked-in table of allocation budgets for the
 // emit/dedup layer, the delivery slabs, the DAG's partial rows and joins, the
-// window graph, the planner statistics, local search and the wire codec: a ceiling on heap allocations per call for each
+// window graph, the planner statistics, local search, the wire codec and a
+// one-shard engine's delivery and metrics: a ceiling on heap allocations per call for each
 // named operation, enforced by blocking unit tests next to the code they
 // measure (the first instalment of the ROADMAP's deterministic-counter gate). The
 // counts repeat exactly from run to run, so a test fails on the first
@@ -91,6 +92,14 @@ var ceilings = map[string]float64{
 	// paid per batch: per edge the encoder allocates nothing, and neither
 	// does the frame around the batch.
 	"wal.AppendEdges/512-edge batch": 4,
+	// internal/shard: a lone shard owns every match, so delivering one is
+	// the delivery lock and the sink call, with nothing looked up or
+	// counted on the way.
+	"shard.worker.deliver/one shard": 0,
+	// The root package: a one-shard engine's Metrics is its engine's own
+	// view — one registry snapshot filled into it, no per-shard fold or
+	// merge — on the four netflow queries of the metrics golden.
+	"streamworks.Sharded.Metrics/one shard": 16,
 }
 
 // Runs is how many times Check measures f, after one warm-up call: a test

@@ -14,6 +14,7 @@ import (
 	"github.com/streamworks/streamworks"
 	"github.com/streamworks/streamworks/internal/gen"
 	"github.com/streamworks/streamworks/internal/graph"
+	"github.com/streamworks/streamworks/internal/testutil/allocbudget"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the metrics golden file from the current engine")
@@ -34,17 +35,33 @@ func metricsView(t *testing.T, m streamworks.Metrics) any {
 	return v
 }
 
+// goldenNetflow is the metrics golden's run: the four netflow queries at a
+// one-second window over three seconds of stream, so expiry and pruning run.
+func goldenNetflow() gen.Workload {
+	return gen.NetFlowWorkload(gen.NetFlowConfig{
+		Hosts: 250, Servers: 25, Edges: 3000, Start: graph.TimestampFromTime(time.Date(2013, 6, 22, 0, 0, 0, 0, time.UTC)),
+		MeanGap: time.Millisecond, ContactSkew: 1.4, Seed: 42,
+	}, time.Second)
+}
+
+// TestOneShardMetricsAllocationBudget: a one-shard engine's Metrics is its
+// engine's own view, with no per-shard fold or merge behind it.
+func TestOneShardMetricsAllocationBudget(t *testing.T) {
+	w := goldenNetflow()
+	eng := streamworks.New(streamworks.WithEngineConfig(w.Engine))
+	defer eng.Close()
+	registerAll(t, eng, w)
+	streamBatches(t, eng, w, 0, len(w.Edges), 250)
+	ctx := context.Background()
+	allocbudget.Check(t, "streamworks.Sharded.Metrics/one shard", func() { eng.Metrics(ctx) })
+}
+
 // TestMetricsViewsMatchGolden pins what the metrics views report for a small
 // deterministic netflow run on the single engine and on two shards, each with
 // a write-ahead log: the aggregate view, every shard's, and the durability
 // counters, read once the pipeline has drained.
 func TestMetricsViewsMatchGolden(t *testing.T) {
-	// A one-second window over three seconds of stream: expiry and pruning
-	// run.
-	w := gen.NetFlowWorkload(gen.NetFlowConfig{
-		Hosts: 250, Servers: 25, Edges: 3000, Start: graph.TimestampFromTime(time.Date(2013, 6, 22, 0, 0, 0, 0, time.UTC)),
-		MeanGap: time.Millisecond, ContactSkew: 1.4, Seed: 42,
-	}, time.Second)
+	w := goldenNetflow()
 	type reading struct {
 		Metrics    any   `json:"metrics"`
 		PerShard   []any `json:"per_shard,omitempty"`
@@ -57,11 +74,11 @@ func TestMetricsViewsMatchGolden(t *testing.T) {
 		registerAll(t, eng, w)
 		streamBatches(t, eng, w, 0, len(w.Edges), 250)
 		var r reading
-		if s, ok := eng.(*streamworks.Sharded); ok {
-			if err := s.Flush(); err != nil {
-				t.Fatalf("Flush: %v", err)
-			}
-			_, perShard, _ := s.MetricsSnapshot()
+		s := eng.(*streamworks.Sharded)
+		if err := s.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		if _, perShard, _ := s.MetricsSnapshot(); len(perShard) > 1 {
 			for _, m := range perShard {
 				r.PerShard = append(r.PerShard, metricsView(t, m))
 			}

@@ -7,7 +7,6 @@ import (
 	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/decompose"
 	"github.com/streamworks/streamworks/internal/export"
-	"github.com/streamworks/streamworks/internal/obs"
 	"github.com/streamworks/streamworks/internal/shard"
 	"github.com/streamworks/streamworks/internal/wal"
 )
@@ -28,15 +27,6 @@ type config struct {
 	walFS         wal.FS
 }
 
-// finishObs normalizes the observability config after the option loop: it
-// pins the clock, so the public tier shares the engine tiers' timebase for
-// its own stamps.
-func (c *config) finishObs() {
-	if c.engine.Obs.Enabled && c.engine.Obs.Clock == nil {
-		c.engine.Obs.Clock = obs.SystemClock
-	}
-}
-
 // report resolves a match event into the public Match form through the
 // backend's reporter (which shares slices between the reports of one match),
 // stamping the dispatch→flush hand-off when observability is on: the serving
@@ -53,8 +43,8 @@ func defaultConfig() config {
 	return config{shards: shard.DefaultConfig().Shards}
 }
 
-// coreOptions is the core option list the in-process backends pass to the
-// engine (and the sharded front-end passes to each shard it registers on).
+// coreOptions is the core option list the in-process backend passes to the
+// sharded front-end, which passes it to each shard it registers on.
 func coreOptions(o RegisterOptions) []core.RegistrationOption {
 	if o.Strategy == "" {
 		return nil
@@ -63,7 +53,7 @@ func coreOptions(o RegisterOptions) []core.RegistrationOption {
 }
 
 // Option customizes an engine constructor. Options that do not apply to the
-// chosen backend are ignored (e.g. WithShards on New, WithEngineConfig on
+// chosen constructor are ignored (e.g. WithShards on New, WithEngineConfig on
 // Connect — a remote engine's window is fixed by the daemon).
 type Option func(*config)
 
@@ -78,15 +68,14 @@ func WithSummaries(bool) Option {
 // any of its fields: the window (Retention; zero, the default, retains
 // every edge), the lateness Slack, and Obs.Enabled, which turns on what
 // reads the wall clock — the per-segment latency histograms and the
-// detection-lag histogram that Local.ObsSnapshot and Sharded.ObsSnapshot
-// return beside the counters and gauges kept either way. In-process
-// backends only.
+// detection-lag histogram that Sharded.ObsSnapshot returns beside the
+// counters and gauges kept either way. In-process engines only.
 func WithEngineConfig(cfg EngineConfig) Option {
 	return func(c *config) { c.engine = cfg }
 }
 
 // WithShards sets the number of engine shards for NewSharded (default 4,
-// minimum 1). Ignored by the other backends.
+// minimum 1). Ignored by New, which builds one, and by Connect.
 func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
 }
@@ -100,7 +89,7 @@ func WithSharedPlans(bool) Option {
 	return func(*config) {}
 }
 
-// WithDataDir enables durability for in-process backends: every ingested
+// WithDataDir enables durability for the in-process engine: every ingested
 // batch, registration and watermark advance is appended to a segmented
 // write-ahead log under dir before processing, periodic checkpoints delete
 // the segments the window has left behind, and a restart pointing at the

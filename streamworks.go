@@ -3,11 +3,12 @@
 // stream timestamped edges in, and have complete matches pushed to you as
 // the stream evolves.
 //
-// One Engine interface fronts three backends:
+// One Engine interface fronts two backends, reached by three constructors:
 //
-//   - New: a single-threaded in-process engine (wraps the core engine).
-//   - NewSharded: an in-process engine parallelized across hash partitions
-//     of the vertex space (wraps the sharded front-end).
+//   - New: the in-process engine on one shard, driven on the caller's
+//     goroutine, so matches reach their sinks before ProcessBatch returns.
+//   - NewSharded: the same in-process engine parallelized across hash
+//     partitions of the vertex space, one goroutine per shard.
 //   - Connect: a remote engine served by a streamworksd daemon over HTTP
 //     (wraps the typed client).
 //
@@ -96,7 +97,7 @@ type (
 	// ObsSnapshot is a point-in-time copy of an engine's metric registries —
 	// every counter and gauge, plus the per-segment latency histograms with
 	// summary statistics when the engine's EngineConfig.Obs is enabled — as
-	// returned by Local.ObsSnapshot and Sharded.ObsSnapshot.
+	// returned by Sharded.ObsSnapshot.
 	ObsSnapshot = obs.Snapshot
 )
 
@@ -120,7 +121,7 @@ func TimestampFromTime(t time.Time) Timestamp { return graph.TimestampFromTime(t
 
 // API errors. Backend-specific failures (plan errors, transport errors) are
 // returned as-is; these sentinels cover the conditions every backend shares,
-// and errors.Is matches them across all three.
+// and errors.Is matches them across both.
 var (
 	// ErrClosed is returned by every mutating call after Close.
 	ErrClosed = errors.New("streamworks: engine closed")
@@ -160,8 +161,8 @@ func PlanStrategies() []string {
 }
 
 // MatchSink consumes pushed matches. OnMatch is invoked sequentially per
-// subscription, on an engine-owned goroutine (or the caller's, for the
-// single-threaded backend): implementations must be fast and must not call
+// subscription, on an engine-owned goroutine (or the caller's, for a
+// one-shard engine): implementations must be fast and must not call
 // back into the engine, or they stall match delivery — and eventually
 // ingestion — behind themselves.
 type MatchSink interface {
@@ -187,8 +188,9 @@ type Subscription interface {
 	Close() error
 }
 
-// Engine is the StreamWorks system surface, implemented by all backends
-// (New, NewSharded, Connect — and every future one). The contract:
+// Engine is the StreamWorks system surface, implemented by every backend
+// (Sharded, built by New and NewSharded, and Remote, built by Connect — and
+// every future one). The contract:
 //
 //   - RegisterQuery installs a continuous query; matches of that query
 //     begin flowing to matching subscriptions. An unnamed query returns
@@ -198,7 +200,9 @@ type Subscription interface {
 //     selective.
 //   - ProcessBatch ingests timestamped edges — one edge is a batch of one —
 //     which must arrive in non-decreasing timestamp order up to the
-//     engine's slack. ctx bounds the blocking hand-off.
+//     engine's slack. ctx bounds the blocking hand-off; a one-shard engine
+//     checks it between edges and has delivered every match the batch
+//     completed by the time it returns.
 //   - Advance signals the passage of stream time in the absence of edges,
 //     driving window expiry and pruning.
 //   - Subscribe attaches a MatchSink for one query ("" for all).

@@ -488,3 +488,29 @@ func TestLocalContextCancellation(t *testing.T) {
 		t.Fatalf("RegisterQuery with canceled ctx: %v", err)
 	}
 }
+
+// TestNewStartsNoGoroutine: New's one shard runs on its caller's goroutine,
+// so building it, registering and streaming start none, and every match has
+// reached its sink by the time ProcessBatch returns.
+func TestNewStartsNoGoroutine(t *testing.T) {
+	w := acceptanceWorkload(t)
+	ref, _, err := gen.RunSingle(w)
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	before := runtime.NumGoroutine()
+	eng := streamworks.New(streamworks.WithEngineConfig(w.Engine))
+	defer eng.Close()
+	registerAll(t, eng, w)
+	got := make(gen.MatchSet)
+	if _, err := eng.Subscribe("", streamworks.SinkFunc(func(m streamworks.Match) { got.AddKey(m.Query, m.Signature) })); err != nil {
+		t.Fatalf("Subscribe: %v", err)
+	}
+	streamBatches(t, eng, w, 0, len(w.Edges), 64)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after New, registration and a stream; %d before", after, before)
+	}
+	if !got.Equal(ref) {
+		t.Fatalf("%d matches delivered by the last ProcessBatch return, reference %d", len(got), len(ref))
+	}
+}
