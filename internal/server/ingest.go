@@ -59,9 +59,27 @@ func putChunk(c []graph.StreamEdge) {
 	chunkPool.Put(&c)
 }
 
-// internPool recycles edge-decode interners, so a request's first frames
-// decode against the strings and attribute maps earlier requests left.
-var internPool = sync.Pool{New: func() any { return wire.NewInterner() }}
+// takeInterner returns a warm edge-decode interner from the server's free
+// list, or a new one when every listed one is in use, so a request's first
+// frames decode against the strings and attribute maps earlier requests
+// left.
+func (s *Server) takeInterner() *wire.Interner {
+	select {
+	case in := <-s.interners:
+		return in
+	default:
+		return wire.NewInterner()
+	}
+}
+
+// putInterner lists in for the next request, or drops it when the list is
+// full: at most GOMAXPROCS interners stay warm.
+func (s *Server) putInterner(in *wire.Interner) {
+	select {
+	case s.interners <- in:
+	default:
+	}
+}
 
 // The refusals an ingest can meet besides ErrDraining: before the first chunk
 // is accepted (errQueueFull) or before the body is read at all (errDegraded).
@@ -185,8 +203,8 @@ func (g *ingester) consume(r *http.Request) error {
 // corrupt input.
 func (g *ingester) consumeBinary(body io.Reader) error {
 	rd := wire.NewReader(body)
-	in := internPool.Get().(*wire.Interner)
-	defer internPool.Put(in)
+	in := g.s.takeInterner()
+	defer g.s.putInterner(in)
 	for {
 		if g.probe && len(g.chunk) > 0 && rd.Buffered() < streamFlushProbe {
 			// About to block on the socket: dispatch what we have.

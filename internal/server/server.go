@@ -139,6 +139,14 @@ type Server struct {
 	mu       sync.RWMutex
 	draining bool
 
+	// interners is the free list of binary-ingest decode interners: a
+	// request takes one, or makes one when the list is empty, and lists it
+	// again when it is done, or drops it when the list is full. It holds
+	// GOMAXPROCS, as many as can decode at once. A listed interner stays
+	// warm until used (the GC drops a sync.Pool's entries), and a
+	// sequential client decodes against one table.
+	interners chan *wire.Interner
+
 	// reg is the serving tier's registry: ingest, rejection and delivery
 	// counts and the subscriber and queue sizes (the runner and the hub
 	// write theirs), plus the segments it owns — ingest-queue wait and HTTP
@@ -203,6 +211,7 @@ func New(cfg Config) *Server {
 		queueLen:        reg.Gauge("server_ingest_queue_len", "", ""),
 		hub:             newHub(cfg.SubscriberBuffer, eng.Subscribe, reg),
 		run:             newRunner(eng, cfg.QueueDepth, reg),
+		interners:       make(chan *wire.Interner, runtime.GOMAXPROCS(0)),
 	}
 	reg.Gauge("server_ingest_queue_cap", "", "").Set(int64(cap(s.run.batches)))
 	if obsCfg.Enabled {

@@ -64,13 +64,19 @@ var ceilings = map[string]float64{
 	"wire.Interner.DecodeEdge/warm":  0,
 	"wire.Interner.DecodeMatch/warm": 0,
 	// A block the interner has not seen costs its map (two allocations for
-	// one entry) and nothing more: a slot keeps the map and the block's
+	// one entry) and nothing more: an entry keeps the map and the block's
 	// hash, and a hit is checked against the map's entries, so no copy of
 	// the block's bytes is stored.
 	"wire.Interner.DecodeEdge/new attribute block": 2,
 	// Two hot names that hash to one slot share its set of two, so a stream
 	// alternating between them misses on neither.
 	"wire.Interner.DecodeEdge/two types sharing a slot": 0,
+	// A block repeated on consecutive edges (an article's publication time)
+	// is served from the recent front after its first decode, and a scan of
+	// such blocks leaves the hot ones in their sets: a block enters a set
+	// only on its second miss.
+	"wire.Interner.DecodeEdge/one-shot block repeated": 0,
+	"wire.Interner.DecodeEdge/hot block after a scan":  0,
 	// internal/graph: once a window has turned over, applying an edge that
 	// expires one and brings back a vertex that went isolated runs on
 	// recycled records and lists, and the returned edge is held by the

@@ -266,10 +266,10 @@ func (d *decoder) byte() byte {
 }
 
 // attrs reads an attribute block. With an interner, a validating skip pass
-// measures the block first, and a short one is looked up by its hash; the
-// slot's map is returned only if the block holds exactly its entries. A
-// miss is decoded and stored only once it has decoded cleanly. The empty
-// block, its one count byte, costs nothing to decode and is never stored,
+// measures the block first, and a short one is looked up by its hash; a
+// cached map is returned only if the block holds exactly its entries. A
+// miss is decoded and recorded only once it has decoded cleanly. The empty
+// block, its one count byte, costs nothing to decode and is never cached,
 // so it cannot evict a map.
 func (d *decoder) attrs() graph.Attributes {
 	if d.in == nil || d.err != nil {
@@ -282,14 +282,13 @@ func (d *decoder) attrs() graph.Attributes {
 		return d.attrBlock(true)
 	}
 	h := d.in.hash(enc)
-	slot := &d.in.attrs[h%internSlots]
-	if slot.hash == h && holds(enc, slot.attrs) {
+	if a := d.in.cachedAttrs(enc, h); a != nil {
 		d.buf = skip.buf
-		return slot.attrs
+		return a
 	}
 	a := d.attrBlock(true)
 	if d.err == nil {
-		*slot = internedAttrs{hash: h, attrs: a}
+		d.in.missedAttrs(h, a)
 	}
 	return a
 }

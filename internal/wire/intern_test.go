@@ -2,8 +2,11 @@ package wire
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -47,38 +50,73 @@ func servedReport() export.MatchReport {
 	}
 }
 
-// slot is the attribute slot of block enc under in's seed.
-func slot(in *Interner, enc []byte) uint64 { return in.hash(enc) % internSlots }
-
 // set is the string set of enc under in's seed.
 func set(in *Interner, enc []byte) uint64 { return in.hash(enc) % (internSlots / 2) }
 
 // quietInterner returns an interner whose seed puts each of strs in a set of
-// its own, and each of blocks in a slot of its own. The cache is
-// direct-mapped for blocks, and two-way for strings, under a random seed,
-// so without this a warm decode could miss because its encodings happened
-// to collide.
-func quietInterner(t *testing.T, strs []string, blocks [][]byte) *Interner {
+// its own. The string cache is two-way under a random seed, so without this
+// a warm decode could miss because three of its names happened to collide.
+func quietInterner(t *testing.T, strs []string) *Interner {
 	t.Helper()
-	var strEncs [][]byte
+	var encs [][]byte
 	for _, s := range strs {
-		strEncs = append(strEncs, []byte(s))
+		encs = append(encs, []byte(s))
 	}
-	return internerWhere(t, func(in *Interner) bool { return distinct(in, set, strEncs) && distinct(in, slot, blocks) })
+	return internerWhere(t, func(in *Interner) bool { return distinct(in, encs) })
 }
 
-// distinct reports whether in puts each of encs in a set or slot, as where
-// names it, of its own.
-func distinct(in *Interner, where func(*Interner, []byte) uint64, encs [][]byte) bool {
+// distinct reports whether in puts each of encs in a string set of its own.
+func distinct(in *Interner, encs [][]byte) bool {
 	seen := map[uint64]bool{}
 	for _, e := range encs {
-		s := where(in, e)
+		s := set(in, e)
 		if seen[s] {
 			return false
 		}
 		seen[s] = true
 	}
 	return true
+}
+
+// cachedIn names the places that hold a map under the hash h: "recent" for
+// the recent front, "set" for a way of h's set, "missed" when the table of
+// first misses remembers h.
+func cachedIn(in *Interner, h uint64) []string {
+	var places []string
+	for _, e := range in.recent {
+		if e.hash == h {
+			places = append(places, "recent")
+			break
+		}
+	}
+	for _, e := range in.attrs[h%attrSets] {
+		if e.hash == h {
+			places = append(places, "set")
+			break
+		}
+	}
+	if in.missed[h%internSlots] == h {
+		places = append(places, "missed")
+	}
+	return places
+}
+
+// heldMap reports whether in holds m anywhere, in its recent front or a
+// set.
+func heldMap(in *Interner, m graph.Attributes) bool {
+	for _, e := range in.recent {
+		if sameMap(e.attrs, m) {
+			return true
+		}
+	}
+	for _, set := range in.attrs {
+		for _, e := range set {
+			if sameMap(e.attrs, m) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // sameMap reports whether a and b are one map, not merely equal ones.
@@ -101,8 +139,7 @@ func internerWhere(t *testing.T, ok func(*Interner) bool) *Interner {
 func TestInternerWarmDecodeAllocs(t *testing.T) {
 	se := newsEdge()
 	edge := AppendEdge(nil, se)
-	in := quietInterner(t, []string{se.Edge.Type, se.SourceType, se.TargetType},
-		[][]byte{appendAttrs(nil, se.Edge.Attrs), appendAttrs(nil, se.SourceAttrs), appendAttrs(nil, se.TargetAttrs)})
+	in := quietInterner(t, []string{se.Edge.Type, se.SourceType, se.TargetType})
 	allocbudget.Check(t, "wire.Interner.DecodeEdge/warm", func() {
 		if _, err := in.DecodeEdge(edge); err != nil {
 			t.Fatal(err)
@@ -115,7 +152,7 @@ func TestInternerWarmDecodeAllocs(t *testing.T) {
 	for _, b := range rep.Bindings {
 		names = append(names, b.Variable)
 	}
-	in = quietInterner(t, names, nil)
+	in = quietInterner(t, names)
 	allocbudget.Check(t, "wire.Interner.DecodeMatch/warm", func() {
 		if _, err := in.DecodeMatch(report); err != nil {
 			t.Fatal(err)
@@ -124,31 +161,18 @@ func TestInternerWarmDecodeAllocs(t *testing.T) {
 }
 
 // TestInternerNewBlockAllocs: a repeated edge whose target block is new
-// each time pays for that block's one-entry map and nothing else: a slot
-// keeps the map and the block's hash, no copy of the block's bytes.
+// each time pays for that block's one-entry map and nothing else: an entry
+// keeps the map and the block's hash, no copy of the block's bytes, and
+// the repeated source block, evicted from the recent front by the new ones,
+// enters its set on its second miss and stays there.
 func TestInternerNewBlockAllocs(t *testing.T) {
 	se := newsEdge()
 	payloads := make([][]byte, allocbudget.Runs+1)
-	targets := make([][]byte, len(payloads))
 	for i := range payloads {
 		se.TargetAttrs = graph.Attributes{"rank": graph.Int(int64(i))}
-		payloads[i], targets[i] = AppendEdge(nil, se), appendAttrs(nil, se.TargetAttrs)
+		payloads[i] = AppendEdge(nil, se)
 	}
-	// The edge's two repeated blocks keep their slots: no new block lands
-	// on one.
-	repeated := [][]byte{appendAttrs(nil, se.Edge.Attrs), appendAttrs(nil, se.SourceAttrs)}
-	strs := [][]byte{[]byte(se.Edge.Type), []byte(se.SourceType), []byte(se.TargetType), []byte("published"), []byte("rank")}
-	in := internerWhere(t, func(in *Interner) bool {
-		if !distinct(in, set, strs) || !distinct(in, slot, repeated) {
-			return false
-		}
-		for _, b := range targets {
-			if s := slot(in, b); s == slot(in, repeated[0]) || s == slot(in, repeated[1]) {
-				return false
-			}
-		}
-		return true
-	})
+	in := quietInterner(t, []string{se.Edge.Type, se.SourceType, se.TargetType, "published", "rank"})
 	next := 0
 	allocbudget.Check(t, "wire.Interner.DecodeEdge/new attribute block", func() {
 		if _, err := in.DecodeEdge(payloads[next]); err != nil {
@@ -159,25 +183,25 @@ func TestInternerNewBlockAllocs(t *testing.T) {
 }
 
 // TestInternerKeepsTwoTypesSharingASlot alternates edges of two types whose
-// names share a slot under the interner's own seed: the names share a set of
-// two, where each stays, so neither decode allocates. A direct-mapped cache
-// would evict one for the other on every edge.
+// names hash to one set of two under the interner's own seed, where each
+// stays, so neither decode allocates. A direct-mapped cache would evict one
+// for the other on every edge.
 func TestInternerKeepsTwoTypesSharingASlot(t *testing.T) {
 	in := NewInterner()
 	se := newsEdge()
 	se.SourceAttrs, se.TargetAttrs = nil, nil
 	taken := map[uint64]bool{set(in, []byte(se.SourceType)): true, set(in, []byte(se.TargetType)): true}
-	bySlot := map[uint64]string{}
+	bySet := map[uint64]string{}
 	var types []string
 	for i := 0; types == nil; i++ {
 		name := []byte("type-" + strconv.Itoa(i))
 		if taken[set(in, name)] {
 			continue
 		}
-		if other, ok := bySlot[slot(in, name)]; ok {
+		if other, ok := bySet[set(in, name)]; ok {
 			types = []string{other, string(name)}
 		}
-		bySlot[slot(in, name)] = string(name)
+		bySet[set(in, name)] = string(name)
 	}
 	var payloads [2][]byte
 	for i, typ := range types {
@@ -197,8 +221,180 @@ func TestInternerKeepsTwoTypesSharingASlot(t *testing.T) {
 	})
 }
 
-// foreignSlotCase pairs an attribute block with a map to plant in the slot
-// of the block's hash: one that differs from the block's decode in one way
+// TestInternerKeepsHotBlocksThroughOneShotBlocks decodes a news-shaped
+// stream through one interner: 300 hot keyword blocks, warmed, then
+// articles whose one-shot publication block repeats on 6 consecutive edges,
+// each naming a random hot keyword. Through the whole scan every hot block
+// is served the map it was warmed with, and an article's repeats share the
+// map its first edge built, so the scan builds one map per article and
+// nothing else. A direct-mapped cache would let each article's block evict
+// a hot one.
+func TestInternerKeepsHotBlocksThroughOneShotBlocks(t *testing.T) {
+	const hot, articles, repeats = 300, 2000, 6
+	se := newsEdge()
+	hotBlocks := make([][]byte, hot)
+	hotEdges := make([][]byte, hot) // a hot block and an empty source block
+	for i := range hotBlocks {
+		se.SourceAttrs, se.TargetAttrs = nil, graph.Attributes{"label": graph.String("topic-" + strconv.Itoa(i))}
+		hotBlocks[i], hotEdges[i] = appendAttrs(nil, se.TargetAttrs), AppendEdge(nil, se)
+	}
+	// No set is asked to hold more hot blocks than its ways, which would
+	// evict one another under any policy.
+	in := internerWhere(t, func(in *Interner) bool {
+		perSet := map[uint64]int{}
+		for _, b := range hotBlocks {
+			if perSet[in.hash(b)%attrSets]++; perSet[in.hash(b)%attrSets] > attrWays {
+				return false
+			}
+		}
+		return distinct(in, [][]byte{[]byte(se.Edge.Type), []byte(se.SourceType), []byte(se.TargetType)})
+	})
+	decode := func(payload []byte) graph.StreamEdge {
+		t.Helper()
+		got, err := in.DecodeEdge(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
+	// Warm up in shuffled passes until every hot block is in its set. A
+	// block enters its set on its second miss, so each pass ends with as
+	// many one-shot blocks as the recent front holds, which push out a hot
+	// block the front would otherwise keep serving. Two hot blocks that
+	// share an entry of the table of first misses take turns there until
+	// one misses twice in a row.
+	rng := rand.New(rand.NewSource(1))
+	hotMaps := make([]graph.Attributes, hot)
+	for pass := 0; ; pass++ {
+		for _, i := range rng.Perm(hot) {
+			hotMaps[i] = decode(hotEdges[i]).TargetAttrs
+		}
+		for i := range attrRecent {
+			decode(withTargetBlock(appendAttrs(nil, graph.Attributes{"filler": graph.Int(int64(pass*attrRecent + i))})))
+		}
+		out := 0
+		for _, b := range hotBlocks {
+			if !slices.Contains(cachedIn(in, in.hash(b)), "set") {
+				out++
+			}
+		}
+		if out == 0 {
+			break
+		}
+		if pass == 50 {
+			t.Fatalf("%d hot blocks still outside their sets after %d warm-up passes", out, pass)
+		}
+	}
+
+	for a := range articles {
+		var published graph.Attributes
+		for r := range repeats {
+			k := rng.Intn(hot)
+			se.SourceAttrs = graph.Attributes{"published": graph.Int(int64(a))}
+			se.TargetAttrs = graph.Attributes{"label": graph.String("topic-" + strconv.Itoa(k))}
+			got := decode(AppendEdge(nil, se))
+			if r == 0 {
+				published = got.SourceAttrs
+			} else if !sameMap(got.SourceAttrs, published) {
+				t.Fatalf("article %d, edge %d: its publication block was decoded again", a, r)
+			}
+			if !sameMap(got.TargetAttrs, hotMaps[k]) {
+				t.Fatalf("article %d, edge %d: hot block %d was evicted by the scan", a, r, k)
+			}
+		}
+	}
+
+	next := 0
+	allocbudget.Check(t, "wire.Interner.DecodeEdge/hot block after a scan", func() {
+		k := next % hot
+		if got := decode(hotEdges[k]).TargetAttrs; !sameMap(got, hotMaps[k]) {
+			t.Fatalf("hot block %d was decoded again", k)
+		}
+		next++
+	})
+
+	// One more article's block, on edge after edge: the first decode is
+	// AllocsPerRun's warm-up call, and every later one is served from the
+	// recent front, while the block never enters its set.
+	se.SourceAttrs = graph.Attributes{"published": graph.Int(articles)}
+	oneShot := make([][]byte, hot)
+	for k := range oneShot {
+		se.TargetAttrs = graph.Attributes{"label": graph.String("topic-" + strconv.Itoa(k))}
+		oneShot[k] = AppendEdge(nil, se)
+	}
+	var published graph.Attributes
+	next = 0
+	allocbudget.Check(t, "wire.Interner.DecodeEdge/one-shot block repeated", func() {
+		got := decode(oneShot[next%hot])
+		if published == nil {
+			published = got.SourceAttrs
+		} else if !sameMap(got.SourceAttrs, published) {
+			t.Fatalf("edge %d: the one-shot block was decoded again", next)
+		}
+		next++
+	})
+	if got := cachedIn(in, in.hash(appendAttrs(nil, se.SourceAttrs))); !reflect.DeepEqual(got, []string{"recent", "missed"}) {
+		t.Fatalf("a block that missed once is in %v, want only the recent front and the table of first misses", got)
+	}
+}
+
+// TestInternerSetEvictsTheLeastRecentlyUsed fills one set with eight
+// blocks, the last of them the least recently used, then hits that one and
+// admits a ninth block to the set: the ninth takes the way of the block
+// that is now least recently used, and the hit one stays.
+func TestInternerSetEvictsTheLeastRecentlyUsed(t *testing.T) {
+	in := quietInterner(t, []string{"t", "k"})
+	var blocks [][]byte // attrWays+1 blocks that hash to one set
+	bySet := map[uint64][][]byte{}
+	for i := 0; blocks == nil; i++ {
+		b := appendAttrs(nil, graph.Attributes{"k": graph.Int(int64(i))})
+		set := in.hash(b) % attrSets
+		if bySet[set] = append(bySet[set], b); len(bySet[set]) == attrWays+1 {
+			blocks = bySet[set]
+		}
+	}
+	maps := make([]graph.Attributes, len(blocks))
+	for i, b := range blocks {
+		got, err := DecodeEdge(withTargetBlock(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		maps[i] = got.TargetAttrs
+	}
+	set := &in.attrs[in.hash(blocks[0])%attrSets]
+	for i := range attrWays {
+		set[i] = internedAttrs{hash: in.hash(blocks[i]), attrs: maps[i]}
+	}
+	decode := func(b []byte) graph.Attributes {
+		t.Helper()
+		got, err := in.DecodeEdge(withTargetBlock(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got.TargetAttrs
+	}
+
+	last, newest := attrWays-1, attrWays
+	if !sameMap(decode(blocks[last]), maps[last]) {
+		t.Fatal("a block in its set was not served from there")
+	}
+	h := in.hash(blocks[newest])
+	in.missed[h%internSlots] = h // it missed once before: this miss admits it
+	decode(blocks[newest])
+	for i, b := range blocks {
+		inSet := slices.Contains(cachedIn(in, in.hash(b)), "set")
+		if want := i != last-1; inSet != want {
+			t.Errorf("block %d in the set: %v, want %v", i, inSet, want)
+		}
+	}
+	if !sameMap(decode(blocks[last]), maps[last]) {
+		t.Fatal("the block hit just before the admission was evicted")
+	}
+}
+
+// foreignSlotCase pairs an attribute block with a map to plant under the
+// block's hash: one that differs from the block's decode in one way
 // the content check must see, or, where hit is set, in none.
 type foreignSlotCase struct {
 	name    string
@@ -253,9 +449,11 @@ func withTargetBlock(block []byte) []byte {
 
 // TestInternerRefusesAForeignSlot plants, under a block's hash, a map that
 // differs from the block's decode, as a hash collision would: the seeded
-// hash keeps a fuzzer from ever reaching one. Each decode must equal the
-// uncached one and serve the planted map only when it holds exactly the
-// block's entries.
+// hash keeps a fuzzer from ever reaching one. It plants it in each place a
+// map can be served from, each way of the block's set and each entry of the
+// recent front, on an interner that holds nothing else. Each decode must
+// equal the uncached one and serve the planted map only when it holds
+// exactly the block's entries.
 func TestInternerRefusesAForeignSlot(t *testing.T) {
 	for _, c := range foreignSlotCases() {
 		payload := withTargetBlock(c.block)
@@ -263,15 +461,24 @@ func TestInternerRefusesAForeignSlot(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		in := quietInterner(t, nil, [][]byte{{0}, c.block})
-		h := in.hash(c.block)
-		in.attrs[h%internSlots] = internedAttrs{hash: h, attrs: c.planted}
-		got, err := in.DecodeEdge(payload)
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: decoded (%v, %v), want (%v, nil)", c.name, got.TargetAttrs, err, want.TargetAttrs)
-		}
-		if served := sameMap(got.TargetAttrs, c.planted); served != c.hit {
-			t.Errorf("%s: served the planted map %v: %v, want %v", c.name, c.planted, served, c.hit)
+		for place := range attrWays + attrRecent {
+			in := quietInterner(t, []string{"t"})
+			h := in.hash(c.block)
+			planted := internedAttrs{hash: h, attrs: c.planted}
+			where := fmt.Sprintf("way %d", place)
+			if place < attrWays {
+				in.attrs[h%attrSets][place] = planted
+			} else {
+				in.recent[place-attrWays] = planted
+				where = fmt.Sprintf("recent %d", place-attrWays)
+			}
+			got, err := in.DecodeEdge(payload)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, %s: decoded (%v, %v), want (%v, nil)", c.name, where, got.TargetAttrs, err, want.TargetAttrs)
+			}
+			if served := sameMap(got.TargetAttrs, c.planted); served != c.hit {
+				t.Errorf("%s, %s: served the planted map %v: %v, want %v", c.name, where, c.planted, served, c.hit)
+			}
 		}
 	}
 }
@@ -310,24 +517,32 @@ func TestInternerDecodeMatchEqualsUncached(t *testing.T) {
 
 // TestInternerIgnoresFailedBlocks decodes A, then A′ (A with its last
 // attribute block damaged after one good entry), then A again: A′ fails,
-// leaves the interner exactly as A left it, and the second A decodes to the
-// first, sharing its cached maps.
+// its damaged block enters none of the recent front, the table of first
+// misses or the sets, the interner is exactly as A left it, and the second
+// A decodes to the first, sharing its cached maps.
 func TestInternerIgnoresFailedBlocks(t *testing.T) {
 	se := newsEdge()
 	se.TargetAttrs = graph.Attributes{"label": graph.String("topic-3"), "rank": graph.Int(2)}
 	a := AppendEdge(nil, se)
 	damaged := append([]byte(nil), a...)
 	damaged[len(damaged)-2] = 0x7f // the kind byte of "rank", before its one-byte varint
-	in := quietInterner(t, []string{"mentions", "article", "keyword", "published", "label", "topic-3", "rank"},
-		[][]byte{appendAttrs(nil, nil), appendAttrs(nil, se.SourceAttrs), appendAttrs(nil, se.TargetAttrs)})
+	target := appendAttrs(nil, se.TargetAttrs)
+	damagedTarget := damaged[len(damaged)-len(target):]
+	in := quietInterner(t, []string{"mentions", "article", "keyword", "published", "label", "topic-3", "rank"})
 
 	first, err := in.DecodeEdge(a)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := cachedIn(in, in.hash(target)); !reflect.DeepEqual(got, []string{"recent", "missed"}) {
+		t.Fatalf("a block that missed once is in %v, want the recent front and the table of first misses", got)
+	}
 	before := *in
 	if _, err := in.DecodeEdge(damaged); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("damaged block: want ErrCorrupt, got %v", err)
+	}
+	if got := cachedIn(in, in.hash(damagedTarget)); got != nil {
+		t.Fatalf("the damaged block entered %v", got)
 	}
 	if !reflect.DeepEqual(*in, before) {
 		t.Fatal("a failed decode changed the interner")
@@ -339,14 +554,14 @@ func TestInternerIgnoresFailedBlocks(t *testing.T) {
 	if !reflect.DeepEqual(third, first) {
 		t.Fatalf("third decode diverges:\n got %+v\nwant %+v", third, first)
 	}
-	if reflect.ValueOf(third.TargetAttrs).UnsafePointer() != reflect.ValueOf(first.TargetAttrs).UnsafePointer() {
+	if !sameMap(third.TargetAttrs, first.TargetAttrs) {
 		t.Fatal("the valid block was not served from the cache")
 	}
 }
 
 // TestInternerSkipsLongEncodings: a string or attribute block over 64 bytes
 // never takes a slot, so what one interner retains stays within 512 strings
-// of at most 64 bytes and 512 maps of blocks that short; one of exactly 64
+// of at most 64 bytes and 512+4 maps of blocks that short; one of exactly 64
 // bytes does.
 func TestInternerSkipsLongEncodings(t *testing.T) {
 	long, edge := strings.Repeat("x", internMaxLen+1), strings.Repeat("y", internMaxLen)
@@ -357,7 +572,7 @@ func TestInternerSkipsLongEncodings(t *testing.T) {
 		TargetAttrs: graph.Attributes{"note": graph.String(long)},
 	}
 	payload := AppendEdge(nil, se)
-	in := quietInterner(t, []string{edge, "note", "short"}, nil)
+	in := quietInterner(t, []string{edge, "note", "short"})
 	a, errA := in.DecodeEdge(payload)
 	b, errB := in.DecodeEdge(payload)
 	if errA != nil || errB != nil || !reflect.DeepEqual(a, b) {
@@ -370,25 +585,17 @@ func TestInternerSkipsLongEncodings(t *testing.T) {
 	if held[long] || !held[edge] {
 		t.Fatalf("held %d-byte string %v, %d-byte string %v; want false, true", len(long), held[long], len(edge), held[edge])
 	}
-	heldMap := func(m graph.Attributes) bool {
-		for _, s := range in.attrs {
-			if sameMap(s.attrs, m) {
-				return true
-			}
-		}
-		return false
-	}
-	if heldMap(a.TargetAttrs) || heldMap(b.TargetAttrs) || !heldMap(a.SourceAttrs) {
+	if heldMap(in, a.TargetAttrs) || heldMap(in, b.TargetAttrs) || !heldMap(in, a.SourceAttrs) {
 		t.Fatalf("held the long block's map %v, %v, the short one's %v; want false, false, true",
-			heldMap(a.TargetAttrs), heldMap(b.TargetAttrs), heldMap(a.SourceAttrs))
+			heldMap(in, a.TargetAttrs), heldMap(in, b.TargetAttrs), heldMap(in, a.SourceAttrs))
 	}
-	if reflect.ValueOf(a.TargetAttrs).UnsafePointer() == reflect.ValueOf(b.TargetAttrs).UnsafePointer() {
+	if sameMap(a.TargetAttrs, b.TargetAttrs) {
 		t.Fatal("a long attribute block was shared between decodes")
 	}
 }
 
-// TestInternerSkipsEmptyBlocks: the empty attribute block never takes a
-// slot, where it would evict a map that costs something to decode.
+// TestInternerSkipsEmptyBlocks: the empty attribute block never takes an
+// entry, where it would evict a map that costs something to decode.
 func TestInternerSkipsEmptyBlocks(t *testing.T) {
 	var batch []graph.StreamEdge
 	for i := range 4 {
@@ -398,9 +605,17 @@ func TestInternerSkipsEmptyBlocks(t *testing.T) {
 	if _, err := in.DecodeEdges(AppendEdges(nil, batch)); err != nil {
 		t.Fatal(err)
 	}
-	for i, s := range in.attrs {
-		if s.hash != 0 || s.attrs != nil {
-			t.Fatalf("slot %d holds %+v after decoding only empty blocks", i, s)
+	var entries []internedAttrs
+	entries = append(entries, in.recent[:]...)
+	for i := range in.attrs {
+		entries = append(entries, in.attrs[i][:]...)
+	}
+	for i, e := range entries {
+		if e.hash != 0 || e.attrs != nil {
+			t.Fatalf("entry %d holds %+v after decoding only empty blocks", i, e)
 		}
+	}
+	if in.missed != [internSlots]uint64{} {
+		t.Fatal("the table of first misses holds a hash after decoding only empty blocks")
 	}
 }
