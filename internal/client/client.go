@@ -2,7 +2,8 @@
 // (internal/server). It registers queries (serializing query.Graph values
 // back into the text DSL), pushes edge batches — NDJSON or binary frames,
 // selected with WithTransport — with the same wire encoders the server
-// decodes with, holds persistent binary ingest sessions open (EdgeStream),
+// decodes with, holds persistent binary ingest sessions open (EdgeStream,
+// whose SendBatch answers a batch with one frame instead of one request),
 // streams match reports with incremental decoding, and fetches metrics. It
 // does not retry: callers classify failures with IsRetryable and
 // IsOverloaded and own their retry loop (cmd/loadgen's is the one in the

@@ -80,9 +80,9 @@ func (c Config) Normalized() Config {
 // summed segment means should account for (nearly all of) the end-to-end
 // latency loadgen measures.
 const (
-	// SegIngestQueueWait is the time from an ingest request reaching the
-	// server to the runner goroutine picking its batch up: body decode plus
-	// the wait in the bounded ingest queue.
+	// SegIngestQueueWait is the time from the server decoding the first
+	// edge of an ingest chunk to the runner goroutine picking the chunk up:
+	// the chunk's decode plus its wait in the bounded ingest queue.
 	SegIngestQueueWait = "ingest_queue_wait"
 	// SegShardMailbox is the time an edge waits in a shard worker's mailbox
 	// between routing and processing.

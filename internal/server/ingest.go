@@ -1,10 +1,12 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -112,11 +114,12 @@ func (s *Server) enqueue(b ingestBatch, blocking bool) error {
 
 // ingester is the per-request streaming decode state: the one way an edge
 // gets from a request body onto the ingest queue. POST /v1/edges and POST
-// /v1/stream are two settings of it (limit and probe) and nothing else.
+// /v1/stream are settings of it (limit, probe and sess) and nothing else.
 type ingester struct {
 	s *Server
-	// limit caps the edges one request may enqueue (0 = uncapped): a batch
-	// is bounded by MaxBatchEdges, a session is a stream and is not.
+	// limit caps the edges one batch may enqueue (0 = uncapped): a
+	// /v1/edges body, or each batch of a session of batches, is bounded by
+	// MaxBatchEdges; a plain session is a stream and is not.
 	limit int
 	// probe flushes the partial chunk whenever the decoder is about to block
 	// on the socket, so a trickling session still gets immediate detection.
@@ -125,20 +128,66 @@ type ingester struct {
 	// per-chunk routing overhead amortizes; a probe flush falls back to
 	// queue-depth-adaptive sizing.
 	probe bool
+	// sess is the answer stream of a /v1/stream session (nil on /v1/edges).
+	sess *session
 
-	arrived int64      // obs arrival stamp (0 when observability is off)
-	job     *ingestJob // non-nil when the response waits for the runner's result
+	arrived int64          // obs stamp of the current chunk's first decoded edge (0 when observability is off)
+	job     *ingestJob     // non-nil when the answer waits for the runner's result
+	done    chan ingestJob // the wait sentinel's reply channel, reused by each sync of a session
 	chunk   []graph.StreamEdge
 	target  int   // size at which the current chunk is enqueued
 	grown   int   // floor for the next target (probe only)
-	total   int   // edges accepted (enqueued) so far
-	chunks  int   // chunks enqueued so far
-	capped  bool  // the body held more than limit edges
+	total   int   // edges of this batch accepted (enqueued) so far
+	chunks  int   // chunks of this batch enqueued so far
+	capped  bool  // the batch held more than limit edges
 	err     error // what refused the request: ErrDraining, errQueueFull or errDegraded
 }
 
+// session is the response side of a /v1/stream ingest once admitted: a
+// frame stream, the stream magic and then one wire.FrameAck per sync frame
+// of the body and a final one at its end. The header goes out with the
+// first ack. A refusal's ack is the last: it ends the session.
+type session struct {
+	w            http.ResponseWriter
+	rc           *http.ResponseController
+	buf, scratch []byte
+	answered     int  // edges accepted by the batches earlier syncs answered
+	ended        bool // a refusal was acked
+}
+
+// open admits the session: from here on its response is frames only. Full
+// duplex lets an HTTP/1.1 handler keep reading the body after it has
+// written an ack (a server without the mode refuses, and needs none). Once
+// closing is done the body's reads fail at once, so a session idle on its
+// socket ends with the drain; stop undoes that.
+func (ss *session) open(w http.ResponseWriter, closing context.Context) (stop func() bool) {
+	ss.w, ss.rc = w, http.NewResponseController(w)
+	_ = ss.rc.EnableFullDuplex()
+	return context.AfterFunc(closing, func() { _ = ss.rc.SetReadDeadline(time.Now()) })
+}
+
+// live reports whether the ingest is an admitted session.
+func (ss *session) live() bool { return ss != nil && ss.w != nil }
+
+// ack writes one answer frame and pushes it to the client.
+func (ss *session) ack(status int, resp api.IngestResponse) {
+	ss.buf = ss.buf[:0]
+	if ss.scratch == nil { // the first ack: the response starts here
+		ss.w.Header().Set("Content-Type", wire.ContentTypeBinary)
+		ss.buf = append(ss.buf, wire.StreamMagic...)
+	}
+	ss.buf, ss.scratch = wire.AppendAckFrame(ss.buf, ss.scratch, wire.Ack{
+		Status: status, Accepted: resp.Accepted, Queued: resp.Queued, Error: resp.Error,
+	})
+	// A write error is a client gone: the next read of the body fails too.
+	_, _ = ss.w.Write(ss.buf)
+	_ = ss.rc.Flush()
+}
+
 // push buffers one decoded edge, flushing the chunk when it reaches its
-// target. Returns false to stop the decode loop.
+// target. Returns false to stop the decode loop. A chunk is stamped when its
+// first edge is decoded, so a session's queue wait starts at each chunk, not
+// at the request.
 func (g *ingester) push(se graph.StreamEdge) bool {
 	if g.limit > 0 && g.total >= g.limit {
 		g.capped = true
@@ -147,6 +196,9 @@ func (g *ingester) push(se graph.StreamEdge) bool {
 	if g.chunk == nil {
 		g.chunk = getChunk()
 		g.target = max(g.s.adaptiveChunk(), g.grown)
+		if g.s.obsClock != nil {
+			g.arrived = g.s.obsClock.Now()
+		}
 	}
 	g.chunk = append(g.chunk, se)
 	g.total++
@@ -159,11 +211,11 @@ func (g *ingester) push(se graph.StreamEdge) bool {
 	return g.flush()
 }
 
-// flush enqueues the buffered chunk. The first chunk of a request is
+// flush enqueues the buffered chunk. The first chunk of a batch is
 // non-blocking — admission control stays a fast 429 — while later chunks
-// block: the request is already partially accepted, so backpressure
-// switches from shedding to pacing the decoder (and, transitively, the
-// client's TCP stream) against the runner.
+// block: the batch is already partially accepted, so backpressure switches
+// from shedding to pacing the decoder (and, transitively, the client's TCP
+// stream) against the runner.
 func (g *ingester) flush() bool {
 	if len(g.chunk) == 0 {
 		return true
@@ -185,7 +237,8 @@ func (g *ingester) flush() bool {
 // frames) or NDJSON, by content type — and flushes the trailing partial
 // chunk, even after a decode error or the cap, so Accepted reports exactly
 // what was enqueued. It returns the decode error, if any; a stop asked for
-// by push (cap, enqueue failure) is recorded on g instead.
+// by push (cap, enqueue failure) or by a refused sync is recorded on g
+// instead.
 func (g *ingester) consume(r *http.Request) error {
 	var err error
 	if strings.Contains(r.Header.Get("Content-Type"), wire.ContentTypeBinary) {
@@ -200,7 +253,7 @@ func (g *ingester) consume(r *http.Request) error {
 }
 
 // consumeBinary is the one frame loop. Match frames in an ingest body are
-// corrupt input.
+// corrupt input, and so are sync frames outside a session.
 func (g *ingester) consumeBinary(body io.Reader) error {
 	rd := wire.NewReader(body)
 	in := g.s.takeInterner()
@@ -220,34 +273,60 @@ func (g *ingester) consumeBinary(body io.Reader) error {
 		if err != nil {
 			return err
 		}
-		if typ != wire.FrameEdge {
+		switch {
+		case typ == wire.FrameEdge:
+			se, err := in.DecodeEdge(payload)
+			if err != nil {
+				return err
+			}
+			if !g.push(se) {
+				return nil
+			}
+		case typ == wire.FrameSync && g.sess.live() && len(payload) == 0:
+			if !g.sync() {
+				return nil
+			}
+		default:
 			return wire.ErrCorrupt
-		}
-		se, err := in.DecodeEdge(payload)
-		if err != nil {
-			return err
-		}
-		if !g.push(se) {
-			return nil
 		}
 	}
 }
 
-// respond is the one mapping from an ingest outcome to its HTTP response.
-// Chunks already enqueued cannot be recalled, so a refusal that comes after
-// the first chunk reports in Accepted how far the body got.
-func (g *ingester) respond(w http.ResponseWriter, decodeErr error) {
+// sync answers a session's sync frame: the batch since the previous sync is
+// flushed and answered exactly as a POST /v1/edges?wait=1 of the same bytes
+// would be, and the next batch starts empty. It reports false when the
+// answer is a refusal, which ends the session.
+func (g *ingester) sync() bool {
+	g.flush()
+	status, resp := g.outcome(g.sess.w.Header(), nil)
+	g.sess.ack(status, resp)
+	if status >= http.StatusMultipleChoices {
+		g.sess.ended = true
+		return false
+	}
+	g.sess.answered += resp.Accepted
+	g.total, g.chunks = 0, 0
+	*g.job = ingestJob{} // the runner is done with it: the sentinel came back
+	return true
+}
+
+// outcome is the one mapping from an ingest's state to its answer — the
+// status and body of a /v1/edges response, or the fields of a session's
+// ack — waiting for the runner when the answer calls for it. Chunks already
+// enqueued cannot be recalled, so a refusal that comes after the first chunk
+// reports in Accepted how far the batch got. Headers go to h.
+func (g *ingester) outcome(h http.Header, decodeErr error) (int, api.IngestResponse) {
 	resp := api.IngestResponse{Accepted: g.total, Queued: g.total > 0}
 	status := http.StatusAccepted
 	switch {
 	case errors.Is(g.err, ErrDraining):
 		status, resp.Error = http.StatusServiceUnavailable, "draining"
 	case errors.Is(g.err, errDegraded):
-		w.Header().Set("Retry-After", "1")
+		h.Set("Retry-After", "1")
 		status, resp.Error = http.StatusServiceUnavailable, "durability degraded"
 	case errors.Is(g.err, errQueueFull):
 		g.s.batchesRejected.Inc()
-		w.Header().Set("Retry-After", "1")
+		h.Set("Retry-After", "1")
 		status, resp.Error = http.StatusTooManyRequests, "ingest queue full"
 	case decodeErr != nil:
 		status, resp.Error = http.StatusBadRequest, "decoding edges: "+decodeErr.Error()
@@ -255,24 +334,72 @@ func (g *ingester) respond(w http.ResponseWriter, decodeErr error) {
 		status = http.StatusRequestEntityTooLarge
 		resp.Error = fmt.Sprintf("batch exceeds %d edges; split the upload", g.limit)
 	case g.job != nil && g.chunks > 0:
-		g.s.waitIngest(w, g)
-		return
+		return g.wait(h)
 	case g.job != nil: // nothing to wait for
 		status = http.StatusOK
 	}
-	writeJSON(w, status, resp)
+	return status, resp
+}
+
+// wait enqueues the sentinel chunk that carries the reply channel (FIFO
+// ordering means it completes only after every data chunk) and returns the
+// authoritative result.
+func (g *ingester) wait(h http.Header) (int, api.IngestResponse) {
+	if g.done == nil {
+		g.done = make(chan ingestJob, 1)
+	}
+	if g.err = g.s.enqueue(ingestBatch{job: g.job, done: g.done}, true); g.err != nil {
+		return g.outcome(h, nil) // draining: the data chunks stay queued
+	}
+	// Bound the wait so a stalled disk (WAL fsync hanging under the runner)
+	// cannot wedge HTTP workers. The chunks are queued and will still be
+	// processed; done is buffered, so the runner's send never blocks on an
+	// abandoned waiter, and a timeout ends a session, so nothing waits on
+	// done again.
+	var timeout <-chan time.Time // nil, so never ready, without an IngestTimeout
+	if g.s.cfg.IngestTimeout > 0 {
+		t := time.NewTimer(g.s.cfg.IngestTimeout)
+		defer t.Stop()
+		timeout = t.C
+	}
+	var res ingestJob
+	select {
+	case res = <-g.done:
+	case <-timeout:
+		h.Set("Retry-After", "1")
+		return http.StatusServiceUnavailable, api.IngestResponse{
+			Accepted: g.total, Queued: true,
+			Error: "ingest wait timed out; batch still queued",
+		}
+	}
+	resp := api.IngestResponse{Accepted: res.processed}
+	if res.err != nil {
+		resp.Error = res.err.Error()
+		return http.StatusInternalServerError, resp
+	}
+	return http.StatusOK, resp
+}
+
+// respond answers the end of the body: a batch, and any request refused at
+// admission, with JSON; a session with its final ack, which counts every
+// edge the session got accepted — unless a refused sync already ended it.
+func (g *ingester) respond(w http.ResponseWriter, decodeErr error) {
+	if g.sess.live() && g.sess.ended {
+		return
+	}
+	status, resp := g.outcome(w.Header(), decodeErr)
+	if !g.sess.live() {
+		writeJSON(w, status, resp)
+		return
+	}
+	resp.Accepted += g.sess.answered
+	g.sess.ack(status, resp)
 }
 
 // ingest runs one request through the ingester g: admission (drain state,
 // durability policy, the fast queue-full probe), then the streaming decode,
-// then the response either one calls for.
+// then the answer either one calls for.
 func (s *Server) ingest(w http.ResponseWriter, r *http.Request, g *ingester) {
-	// The ingest segment starts at request arrival, not at enqueue: body
-	// decode is a real part of the edge's journey, and stamping here is what
-	// lets the per-segment means account for detect-and-deliver latency.
-	if s.obsClock != nil {
-		g.arrived = s.obsClock.Now()
-	}
 	switch {
 	case s.isDraining():
 		g.err = ErrDraining
@@ -287,7 +414,14 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, g *ingester) {
 	}
 	var decodeErr error
 	if g.err == nil {
+		if g.sess != nil {
+			stop := g.sess.open(w, s.closing)
+			defer stop()
+		}
 		decodeErr = g.consume(r)
+		if errors.Is(decodeErr, os.ErrDeadlineExceeded) && s.isDraining() {
+			g.err = ErrDraining // the drain cut the session's read short
+		}
 	}
 	g.respond(w, decodeErr)
 }
@@ -306,53 +440,23 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // handleStream is POST /v1/stream, the persistent-connection ingest session:
 // one long-lived POST whose body is a binary frame stream, decoded and
 // handed to the shards as frames arrive. Backpressure is the TCP window — a
-// full queue blocks the decoder, which stops reading the socket. A session
-// is a stream, not a batch: no edge cap, and the JSON summary answers at EOF
-// with the routed total.
+// full queue blocks the decoder, which stops reading the socket. A plain
+// session is a stream, not a batch: no edge cap, and a partial chunk is
+// dispatched whenever the decoder would block. With ?batch=1 it is a session
+// of batches: each sync frame closes one, which is capped and chunked like a
+// /v1/edges body. Either way a sync frame is answered, in the response's
+// frame stream, as a /v1/edges?wait=1 of the edges since the previous sync
+// would be, and the end of the body with the session's total; a refusal
+// ends the session. A session refused at admission gets a JSON status.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !strings.Contains(r.Header.Get("Content-Type"), wire.ContentTypeBinary) {
 		writeError(w, http.StatusUnsupportedMediaType,
 			"stream sessions are binary only; set Content-Type: %s", wire.ContentTypeBinary)
 		return
 	}
-	s.ingest(w, r, &ingester{s: s, probe: true, job: &ingestJob{}})
-}
-
-// waitIngest enqueues the sentinel chunk that carries the reply channel
-// (FIFO ordering means it completes only after every data chunk) and
-// answers with the authoritative result.
-func (s *Server) waitIngest(w http.ResponseWriter, g *ingester) {
-	done := make(chan ingestJob, 1)
-	if g.err = s.enqueue(ingestBatch{job: g.job, done: done}, true); g.err != nil {
-		g.respond(w, nil) // draining: the data chunks stay queued
-		return
+	g := &ingester{s: s, probe: true, job: &ingestJob{}, sess: &session{}}
+	if r.URL.Query().Get("batch") != "" {
+		g.limit, g.probe = s.cfg.MaxBatchEdges, false
 	}
-	// Bound the wait so a stalled disk (WAL fsync hanging under the runner)
-	// cannot wedge HTTP workers. The chunks are queued and will still be
-	// processed; done is buffered, so the runner's send never blocks on an
-	// abandoned waiter.
-	var timeout <-chan time.Time // nil, so never ready, without an IngestTimeout
-	if s.cfg.IngestTimeout > 0 {
-		t := time.NewTimer(s.cfg.IngestTimeout)
-		defer t.Stop()
-		timeout = t.C
-	}
-	var res ingestJob
-	select {
-	case res = <-done:
-	case <-timeout:
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, api.IngestResponse{
-			Accepted: g.total, Queued: true,
-			Error: "ingest wait timed out; batch still queued",
-		})
-		return
-	}
-	resp := api.IngestResponse{Accepted: res.processed}
-	if res.err != nil {
-		resp.Error = res.err.Error()
-		writeJSON(w, http.StatusInternalServerError, resp)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.ingest(w, r, g)
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,25 +17,31 @@ import (
 
 	"github.com/streamworks/streamworks"
 	"github.com/streamworks/streamworks/internal/api"
+	"github.com/streamworks/streamworks/internal/client"
+	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/gen"
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/loader"
+	"github.com/streamworks/streamworks/internal/obs"
 	"github.com/streamworks/streamworks/internal/query"
 	"github.com/streamworks/streamworks/internal/shard"
 	"github.com/streamworks/streamworks/internal/wire"
 )
 
-// ingestLane is one way into the daemon: an endpoint and a body codec. Every
+// ingestLane is one way into the daemon: an endpoint and a body codec, and
+// for a session of batches the sync frame that ends the body's batch. Every
 // lane runs the same ingester, so every outcome row below must read the same
-// on all three.
+// on all four.
 type ingestLane struct {
 	name, path, contentType string
+	synced                  bool
 }
 
 var ingestLanes = []ingestLane{
-	{"edges-ndjson", "/v1/edges?wait=1", "application/x-ndjson"},
-	{"edges-binary", "/v1/edges?wait=1", wire.ContentTypeBinary},
-	{"stream", "/v1/stream", wire.ContentTypeBinary},
+	{"edges-ndjson", "/v1/edges?wait=1", "application/x-ndjson", false},
+	{"edges-binary", "/v1/edges?wait=1", wire.ContentTypeBinary, false},
+	{"stream", "/v1/stream", wire.ContentTypeBinary, false},
+	{"stream-batches", "/v1/stream?batch=1", wire.ContentTypeBinary, true},
 }
 
 func (l ingestLane) binary() bool { return l.contentType == wire.ContentTypeBinary }
@@ -79,6 +86,7 @@ func (l ingestLane) corrupt(t *testing.T) []byte {
 // from a pipe.
 type liveIngest struct {
 	t    *testing.T
+	lane ingestLane
 	body *io.PipeWriter
 	// reading closes when the handler first reads the body: admission has
 	// passed and the decode loop is running.
@@ -101,7 +109,7 @@ func (r *signalReader) Read(p []byte) (int, error) {
 func startIngest(t *testing.T, srv *Server, lane ingestLane) *liveIngest {
 	t.Helper()
 	pr, pw := io.Pipe()
-	li := &liveIngest{t: t, body: pw, reading: make(chan struct{}), done: make(chan struct{}), rec: httptest.NewRecorder()}
+	li := &liveIngest{t: t, lane: lane, body: pw, reading: make(chan struct{}), done: make(chan struct{}), rec: httptest.NewRecorder()}
 	req := httptest.NewRequest(http.MethodPost, lane.path, &signalReader{Reader: pr, reading: li.reading})
 	req.Header.Set("Content-Type", lane.contentType)
 	go func() {
@@ -124,20 +132,65 @@ func (li *liveIngest) write(p []byte) {
 	}
 }
 
-// finish ends the body and returns the handler's answer.
+// finish ends the body — on a session of batches with a sync frame first,
+// and a second sync after it, of an empty batch — and returns the handler's
+// answer: a JSON response, or a session's first ack, the one to the sync or
+// to the end of the body.
 func (li *liveIngest) finish() (int, http.Header, api.IngestResponse) {
 	li.t.Helper()
+	if li.lane.synced {
+		sync := wire.AppendFrame(nil, wire.FrameSync, nil)
+		li.write(append(sync, sync...))
+	}
 	li.body.Close()
 	select {
 	case <-li.done:
 	case <-time.After(10 * time.Second):
 		li.t.Fatal("ingest handler did not answer")
 	}
-	var ir api.IngestResponse
-	if err := json.Unmarshal(li.rec.Body.Bytes(), &ir); err != nil {
-		li.t.Fatalf("decoding ingest response %q: %v", li.rec.Body.String(), err)
+	if li.rec.Header().Get("Content-Type") != wire.ContentTypeBinary {
+		var ir api.IngestResponse
+		if err := json.Unmarshal(li.rec.Body.Bytes(), &ir); err != nil {
+			li.t.Fatalf("decoding ingest response %q: %v", li.rec.Body.String(), err)
+		}
+		return li.rec.Code, li.rec.Header(), ir
 	}
-	return li.rec.Code, li.rec.Header(), ir
+	acks := readAcks(li.t, li.rec.Body.Bytes())
+	first := acks[0]
+	empty := wire.Ack{Status: http.StatusOK}
+	switch {
+	case first.Status >= 300 && len(acks) != 1:
+		li.t.Fatalf("the session went on after a refusal: %+v", acks)
+	case first.Status < 300 && li.lane.synced && (len(acks) != 3 || acks[1] != empty || acks[2] != first):
+		// The first sync answered the whole body, so the final ack's total
+		// reads the same.
+		li.t.Fatalf("acks %+v, want the sync's answer, the empty batch's and a final one with the same total", acks)
+	}
+	return first.Status, li.rec.Header(), api.IngestResponse{
+		Accepted: first.Accepted, Queued: first.Queued, Error: first.Error,
+	}
+}
+
+// readAcks decodes a session's response: the stream magic, then at least
+// one ack frame and nothing else.
+func readAcks(t *testing.T, body []byte) []wire.Ack {
+	t.Helper()
+	rd := wire.NewReader(bytes.NewReader(body))
+	var acks []wire.Ack
+	for {
+		typ, payload, err := rd.Next()
+		if errors.Is(err, io.EOF) && len(acks) > 0 {
+			return acks
+		}
+		if err != nil || typ != wire.FrameAck {
+			t.Fatalf("session response %q: frame type %d, %v", body, typ, err)
+		}
+		ack, err := wire.DecodeAck(payload)
+		if err != nil {
+			t.Fatalf("decoding ack: %v", err)
+		}
+		acks = append(acks, ack)
+	}
 }
 
 func wantIngest(t *testing.T, code int, ir api.IngestResponse, wantCode, wantAccepted int) {
@@ -151,9 +204,10 @@ func wantIngest(t *testing.T, code int, ir api.IngestResponse, wantCode, wantAcc
 }
 
 // TestIngestOutcomes is the ingest contract as a table: each outcome an
-// ingest request can meet, driven over both /v1/edges codecs and /v1/stream,
+// ingest request can meet, driven over both /v1/edges codecs, a /v1/stream
+// session and a session of batches whose sync closes the body's batch,
 // answers the same status with the same accounting — plus the two rows where
-// a batch and a session differ by design.
+// a batch and a stream differ by design.
 func TestIngestOutcomes(t *testing.T) {
 	for _, lane := range ingestLanes {
 		serve := func(t *testing.T, cfg Config) *Server {
@@ -398,5 +452,93 @@ func TestControlRequestsDuringSaturatedIngestAndClose(t *testing.T) {
 	case <-finished:
 	case <-time.After(30 * time.Second):
 		t.Fatal("Close or a request in flight hung")
+	}
+}
+
+// stepClock is an obs.Clock that moves only when the test steps it.
+type stepClock struct{ ns atomic.Int64 }
+
+func (c *stepClock) Now() int64 { return c.ns.Load() }
+
+// TestSessionChunksCarryTheirOwnArrival: a session's queue wait starts at
+// each chunk's first decoded edge, not when the session opened. Batch 1 goes
+// out, the clock steps 10 s, batch 2 goes out: batch 2's observed waits are
+// what its own decode and queueing took (nothing, on a clock that stands
+// still), not the 10 s the session has been open.
+func TestSessionChunksCarryTheirOwnArrival(t *testing.T) {
+	clock := &stepClock{}
+	clock.ns.Store(int64(time.Hour))
+	srv, ts := newTestServer(t, Config{Shard: shard.Config{Shards: 1, Engine: core.Config{
+		Obs: obs.Config{Enabled: true, Clock: clock},
+	}}})
+	es, err := client.New(ts.URL).OpenEdgeStream(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { es.Close() }) // before the server's: it waits for open requests
+	waits := func() obs.HistogramSnapshot {
+		h, _ := srv.reg.Snapshot().Find(obs.SegmentHistogramName, obs.SegIngestQueueWait)
+		return h
+	}
+	sent := 0
+	send := func(n int) {
+		t.Helper()
+		if err := es.Send(flowEdges(1+sent, n)); err != nil {
+			t.Fatal(err)
+		}
+		sent += n
+		waitFor(t, 5*time.Second, func() bool { return srv.run.edgesIngested.Value() == uint64(sent) })
+	}
+
+	send(10)
+	before := waits()
+	clock.ns.Add(int64(10 * time.Second))
+	send(10)
+	after := waits()
+	if n := after.Count - before.Count; n != 10 {
+		t.Fatalf("%d waits observed for batch 2, want 10", n)
+	}
+	if mean := time.Duration((after.Sum - before.Sum) / 10); mean >= 10*time.Second {
+		t.Fatalf("batch 2 waited %v per edge: it carries the session's start", mean)
+	}
+	if res, err := es.Close(); err != nil || res.Accepted != sent {
+		t.Fatalf("Close = %+v, %v; want %d accepted", res, err, sent)
+	}
+}
+
+// TestDrainEndsAnIdleSession: Close ends a session that is waiting on its
+// socket between batches: the connection is freed at once, so the test
+// server's Close, which waits for open requests, returns, and the next batch
+// gets the drain's 503, retryable, as a POST would.
+func TestDrainEndsAnIdleSession(t *testing.T) {
+	srv := New(Config{Shard: shard.Config{Shards: 2}})
+	ts := httptest.NewServer(srv)
+	ctx := context.Background()
+	es, err := client.New(ts.URL).OpenBatchStream(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := es.SendBatch(ctx, flowEdges(1, 10)); err != nil || res.Accepted != 10 {
+		t.Fatalf("SendBatch = %+v, %v; want 10 accepted", res, err)
+	}
+	srv.Close()
+	closed := make(chan struct{})
+	go func() {
+		ts.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		es.Close() // unblocks ts.Close
+		t.Fatal("the idle session's request outlived the drain")
+	}
+	_, err = es.SendBatch(ctx, flowEdges(100, 10))
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusServiceUnavailable || ae.Message != "draining" || !client.IsRetryable(err) {
+		t.Fatalf("SendBatch after the drain: %v, want the drain's 503", err)
+	}
+	if _, err := es.Close(); !errors.As(err, &ae) || ae.Status != http.StatusServiceUnavailable {
+		t.Fatalf("Close after the drain: %v, want the drain's 503", err)
 	}
 }

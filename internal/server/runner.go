@@ -42,10 +42,11 @@ type runner struct {
 // enqueues chunks as the body decodes; a request usually spans several).
 // done is non-nil only on the final sentinel chunk of a waiting request; the
 // runner answers it with the request's accumulated job, exactly once. enqNS
-// is the wall-clock arrival time of the ingest request, stamped only when
-// observability is enabled — the ingest segment spans body decode plus
-// queue wait, everything between the daemon seeing the edge and the engine
-// starting on it.
+// is the wall-clock time the chunk's first edge was decoded, stamped only
+// when observability is enabled — the ingest segment spans the chunk's
+// decode plus its queue wait, everything between the daemon seeing the edge
+// and the engine starting on it, and no more: a session's later chunks do
+// not carry the time since it opened.
 type ingestBatch struct {
 	edges []graph.StreamEdge
 	job   *ingestJob

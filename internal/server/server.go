@@ -35,7 +35,9 @@
 //	                          with Content-Type: application/x-streamworks-frame;
 //	                          ?wait=1 to block until routed; 429 on overload)
 //	POST   /v1/stream         persistent binary ingest session: the body is a
-//	                          long-lived frame stream, dispatched as it arrives
+//	                          long-lived frame stream, dispatched as it arrives;
+//	                          each sync frame is answered by an ack frame, in
+//	                          full duplex (?batch=1: each batch capped as above)
 //	POST   /v1/advance        advance stream time (body: {"ts": ns})
 //	GET    /v1/matches        stream matches (?query= filters; NDJSON, binary
 //	                          frames when Accept: application/x-streamworks-frame)
@@ -51,6 +53,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -147,6 +150,11 @@ type Server struct {
 	// sequential client decodes against one table.
 	interners chan *wire.Interner
 
+	// closing is cancelled when Close begins: an ingest session idle on its
+	// socket stops reading then, and answers its end with a 503.
+	closing     context.Context
+	endSessions context.CancelFunc
+
 	// reg is the serving tier's registry: ingest, rejection and delivery
 	// counts and the subscriber and queue sizes (the runner and the hub
 	// write theirs), plus the segments it owns — ingest-queue wait and HTTP
@@ -213,6 +221,7 @@ func New(cfg Config) *Server {
 		run:             newRunner(eng, cfg.QueueDepth, reg),
 		interners:       make(chan *wire.Interner, runtime.GOMAXPROCS(0)),
 	}
+	s.closing, s.endSessions = context.WithCancel(context.Background())
 	reg.Gauge("server_ingest_queue_cap", "", "").Set(int64(cap(s.run.batches)))
 	if obsCfg.Enabled {
 		s.obsEnabled = true
@@ -257,6 +266,7 @@ func (s *Server) Close() {
 		s.mu.Lock()
 		s.draining = true
 		s.mu.Unlock()
+		s.endSessions()
 		// No handler is past its draining check now, so the queue can close:
 		// the runner finishes everything already accepted and exits.
 		close(s.run.batches)

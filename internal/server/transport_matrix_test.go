@@ -36,8 +36,8 @@ func matrixWorkload() gen.Workload {
 // canonical match set — keyed by (query, signature), the identity both
 // transports serialize byte-identically — must be the same for every
 // combination of ingest transport (NDJSON batches, binary batches, the
-// persistent binary stream) and shard count, and must equal the independent
-// oracle's (gen.Oracle).
+// persistent binary stream, binary batches synced on one session) and shard
+// count, and must equal the independent oracle's (gen.Oracle).
 func TestTransportEquivalenceMatrix(t *testing.T) {
 	w := matrixWorkload()
 	expected := gen.Oracle(w)
@@ -45,7 +45,7 @@ func TestTransportEquivalenceMatrix(t *testing.T) {
 		t.Fatal("degenerate workload: the oracle found no matches")
 	}
 
-	for _, transport := range []string{"ndjson", "binary", "stream"} {
+	for _, transport := range []string{"ndjson", "binary", "stream", "batches"} {
 		for _, shards := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/shards=%d", transport, shards), func(t *testing.T) {
 				got := runTransportCell(t, w, transport, shards)
@@ -135,6 +135,28 @@ func runTransportCell(t *testing.T, w gen.Workload, transport string, shards int
 		}
 		if res.Accepted != len(w.Edges) {
 			t.Fatalf("stream accepted %d of %d edges", res.Accepted, len(w.Edges))
+		}
+	case "batches":
+		es, err := c.OpenBatchStream(ctx)
+		if err != nil {
+			t.Fatalf("opening batch stream: %v", err)
+		}
+		for i := 0; i < len(w.Edges); i += chunk {
+			j := min(i+chunk, len(w.Edges))
+			res, err := es.SendBatch(ctx, w.Edges[i:j])
+			if err != nil {
+				t.Fatalf("batch at %d: %v", i, err)
+			}
+			if res.Accepted != j-i {
+				t.Fatalf("batch at %d: accepted %d of %d", i, res.Accepted, j-i)
+			}
+		}
+		res, err := es.Close()
+		if err != nil {
+			t.Fatalf("closing batch stream: %v", err)
+		}
+		if res.Accepted != len(w.Edges) {
+			t.Fatalf("session accepted %d of %d edges", res.Accepted, len(w.Edges))
 		}
 	default:
 		t.Fatalf("unknown transport %q", transport)

@@ -58,6 +58,10 @@ var ceilings = map[string]float64{
 	"wire.AppendEdgeFrame":  0,
 	"wire.AppendMatchFrame": 0,
 	"wire.Reader.Next":      0,
+	// An ingest session answers each sync with an ack frame: encoding one
+	// into grown buffers, and decoding one without an error string, is free.
+	"wire.AppendAckFrame": 0,
+	"wire.DecodeAck":      0,
 	// A warm interner returns a repeated edge's three type names and three
 	// attribute maps without decoding them, and carves a match report's
 	// signature, bindings and edge IDs from its 8 KiB slab chunks.

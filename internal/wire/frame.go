@@ -1,4 +1,4 @@
-// Package wire is the framed envelope and the edge and match encodings
+// Package wire is the framed envelope and the edge, match and ack encodings
 // every byte stream in the system is made of: binary ingest, binary match
 // delivery and the write-ahead log's segments (internal/wal). A stream is an
 // 8-byte magic followed by frames of
@@ -10,6 +10,10 @@
 //
 // A frame is valid iff the declared length fits in the remaining bytes and
 // the CRC matches; which types a stream admits is its reader's business.
+// The network frames are FrameEdge (an ingest body), FrameMatch (a match
+// subscription), and on an ingest session FrameSync, sent by the client
+// after a batch, and FrameAck, the server's answer to each sync and to the
+// end of the body, in a response stream of its own.
 // Payload encodings (edge.go, match.go) are byte-deterministic — attribute
 // maps are emitted in sorted key order — so encode is a pure function of
 // the value and match sets can be compared byte-for-byte across transports.
@@ -44,6 +48,12 @@ const (
 	// an older match layout with a vertex type and attributes per binding;
 	// it is retired, so a peer still speaking it is refused as corrupt.
 	FrameMatch byte = 3
+	// FrameSync, client to server on an ingest session, asks for an answer
+	// for every edge sent since the previous sync. Its payload is empty.
+	FrameSync byte = 4
+	// FrameAck, server to client on an ingest session, carries an Ack
+	// (ack.go): the answer to a sync, or to the end of the session's body.
+	FrameAck byte = 5
 )
 
 // FrameHeaderLen is what the envelope adds to a payload: 4 length + 4 crc
@@ -115,9 +125,14 @@ type Reader struct {
 	magic bool
 }
 
-// NewReader wraps r in a streaming frame decoder.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, 64<<10)}
+// NewReader wraps r in a streaming frame decoder with a 64 KiB read buffer.
+func NewReader(r io.Reader) *Reader { return NewReaderSize(r, 64<<10) }
+
+// NewReaderSize wraps r in a streaming frame decoder that buffers size
+// bytes: a stream of small frames that arrive one at a time, such as an
+// ingest session's acks, needs no more than a frame's worth.
+func NewReaderSize(r io.Reader, size int) *Reader {
+	return &Reader{br: bufio.NewReaderSize(r, size)}
 }
 
 // Buffered reports how many decoded-but-unread bytes sit in the reader's

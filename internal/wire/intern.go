@@ -39,8 +39,9 @@ const (
 // 4-entry recent front, checked before the sets, so a block repeated on a
 // few consecutive edges (an article's publication time) is served from
 // there. It enters its set, in place of the set's least recently used map,
-// only on its second miss: a 512-entry table of block hashes, no maps,
-// remembers the first. An entry keeps the block's hash and its map, no
+// only on its second miss: a table of block hashes, no maps, remembers the
+// first, 512 hashes in 256 sets of two, the most recent first, so two
+// blocks that share a set and miss in turn both keep their record. An entry keeps the block's hash and its map, no
 // copy of its bytes: whether in the front or a set, a hit is confirmed by
 // walking the block against the cached map's entries, so a hash collision
 // costs a miss, never a wrong map, and a hit allocates nothing. Encodings
@@ -61,9 +62,10 @@ type Interner struct {
 	// miss replaces.
 	recent [attrRecent]internedAttrs
 	next   int
-	// missed holds, by hash, the hashes of blocks that have missed: a block
-	// found here on a miss has missed before and enters its set.
-	missed [internSlots]uint64
+	// missed holds, by hash, the hashes of blocks that have missed, each
+	// set most recent first: a block found here on a miss has missed before
+	// and enters its set.
+	missed [internSlots / 2][2]uint64
 
 	sigs     slab.Strings
 	bindings slab.Slab[export.Binding]
@@ -134,9 +136,12 @@ func (in *Interner) missedAttrs(h uint64, a graph.Attributes) {
 	e := internedAttrs{hash: h, attrs: a}
 	in.recent[in.next] = e
 	in.next = (in.next + 1) % attrRecent
-	if seen := &in.missed[h%internSlots]; *seen != h {
-		*seen = h
-		return
+	if seen := &in.missed[h%(internSlots/2)]; seen[0] != h {
+		first := seen[1] != h
+		seen[0], seen[1] = h, seen[0]
+		if first {
+			return
+		}
 	}
 	set := &in.attrs[h%attrSets]
 	copy(set[1:], set[:attrWays-1])

@@ -95,7 +95,7 @@ func cachedIn(in *Interner, h uint64) []string {
 			break
 		}
 	}
-	if in.missed[h%internSlots] == h {
+	if slices.Contains(in.missed[h%(internSlots/2)][:], h) {
 		places = append(places, "missed")
 	}
 	return places
@@ -380,7 +380,7 @@ func TestInternerSetEvictsTheLeastRecentlyUsed(t *testing.T) {
 		t.Fatal("a block in its set was not served from there")
 	}
 	h := in.hash(blocks[newest])
-	in.missed[h%internSlots] = h // it missed once before: this miss admits it
+	in.missed[h%(internSlots/2)][0] = h // it missed once before: this miss admits it
 	decode(blocks[newest])
 	for i, b := range blocks {
 		inSet := slices.Contains(cachedIn(in, in.hash(b)), "set")
@@ -390,6 +390,52 @@ func TestInternerSetEvictsTheLeastRecentlyUsed(t *testing.T) {
 	}
 	if !sameMap(decode(blocks[last]), maps[last]) {
 		t.Fatal("the block hit just before the admission was evicted")
+	}
+}
+
+// TestInternerAdmitsBlocksThatMissInTurn: two blocks whose hashes share an
+// entry of a direct-mapped table of first misses, decoded in alternation
+// with enough one-shot blocks between them to push each out of the recent
+// front, both enter their sets on their second miss: neither overwrites the
+// other's record of its first.
+func TestInternerAdmitsBlocksThatMissInTurn(t *testing.T) {
+	in := quietInterner(t, []string{"t", "k", "filler"})
+	block := func(key string, i int) []byte { return appendAttrs(nil, graph.Attributes{key: graph.Int(int64(i))}) }
+	var a, b []byte
+	byEntry := map[uint64][]byte{}
+	for i := 0; b == nil; i++ {
+		blk := block("k", i)
+		entry := in.hash(blk) % internSlots
+		if first, ok := byEntry[entry]; ok {
+			a, b = first, blk
+		}
+		byEntry[entry] = blk
+	}
+	nextFiller := 0
+	fill := func() {
+		t.Helper()
+		for n := 0; n < attrRecent; nextFiller++ {
+			f := block("filler", nextFiller)
+			if in.hash(f)%(internSlots/2) == in.hash(a)%(internSlots/2) {
+				continue // keep the fillers out of the pair's table entries
+			}
+			if _, err := in.DecodeEdge(withTargetBlock(f)); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+	}
+	inSet := func(blk []byte) bool { return slices.Contains(cachedIn(in, in.hash(blk)), "set") }
+	for miss := 1; miss <= 2; miss++ {
+		for _, blk := range [][]byte{a, b} {
+			if _, err := in.DecodeEdge(withTargetBlock(blk)); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := inSet(blk), miss == 2; got != want {
+				t.Fatalf("block %x after miss %d: in its set %v, want %v", blk, miss, got, want)
+			}
+			fill()
+		}
 	}
 }
 
@@ -615,7 +661,7 @@ func TestInternerSkipsEmptyBlocks(t *testing.T) {
 			t.Fatalf("entry %d holds %+v after decoding only empty blocks", i, e)
 		}
 	}
-	if in.missed != [internSlots]uint64{} {
+	if in.missed != [internSlots / 2][2]uint64{} {
 		t.Fatal("the table of first misses holds a hash after decoding only empty blocks")
 	}
 }

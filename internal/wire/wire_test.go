@@ -434,3 +434,44 @@ func TestFramedCodecAllocs(t *testing.T) {
 		}
 	})
 }
+
+// TestAckRoundTrip: an ack frame decodes to what was encoded, a damaged
+// payload is ErrCorrupt, and the success path costs nothing once the
+// buffers have grown.
+func TestAckRoundTrip(t *testing.T) {
+	for _, a := range []wire.Ack{
+		{Status: 200, Accepted: 256},
+		{Status: 429, Queued: false, Error: "ingest queue full"},
+		{Status: 503, Accepted: 70000, Queued: true, Error: "draining"},
+	} {
+		frame, _ := wire.AppendAckFrame(nil, nil, a)
+		typ, payload, n, err := wire.DecodeFrame(frame)
+		if err != nil || typ != wire.FrameAck || n != len(frame) {
+			t.Fatalf("frame of %+v: type %d, %d of %d bytes, %v", a, typ, n, len(frame), err)
+		}
+		got, err := wire.DecodeAck(payload)
+		if err != nil || got != a {
+			t.Fatalf("DecodeAck = %+v, %v; want %+v", got, err, a)
+		}
+		for _, bad := range [][]byte{payload[:len(payload)-1], append(append([]byte(nil), payload...), 0)} {
+			if _, err := wire.DecodeAck(bad); !errors.Is(err, wire.ErrCorrupt) {
+				t.Fatalf("damaged ack %x: want ErrCorrupt, got %v", bad, err)
+			}
+		}
+	}
+	if _, err := wire.DecodeAck([]byte{200, 1, 0, 2, 0}); !errors.Is(err, wire.ErrCorrupt) {
+		t.Fatalf("queued byte 2: want ErrCorrupt, got %v", err)
+	}
+
+	ok := wire.Ack{Status: 200, Accepted: 256}
+	frame, scratch := wire.AppendAckFrame(nil, nil, ok)
+	allocbudget.Check(t, "wire.AppendAckFrame", func() {
+		frame, scratch = wire.AppendAckFrame(frame[:0], scratch, ok)
+	})
+	_, payload, _, _ := wire.DecodeFrame(frame)
+	allocbudget.Check(t, "wire.DecodeAck", func() {
+		if got, err := wire.DecodeAck(payload); err != nil || got != ok {
+			t.Fatalf("DecodeAck = %+v, %v", got, err)
+		}
+	})
+}

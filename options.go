@@ -159,7 +159,10 @@ const (
 )
 
 // WithTransport selects the Remote wire encoding (default TransportNDJSON).
-// Connect only.
+// Over TransportNDJSON each ProcessBatch is one POST /v1/edges?wait=1; over
+// TransportBinary every ProcessBatch travels on one long-lived ingest
+// session (POST /v1/stream?batch=1), a batch and a sync frame answered by
+// an ack frame, with the answer the same batch gets as a POST. Connect only.
 func WithTransport(t Transport) Option {
 	return func(c *config) { c.transport = t }
 }

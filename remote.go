@@ -8,16 +8,29 @@ import (
 	"net/http"
 	"sync"
 
+	"github.com/streamworks/streamworks/internal/api"
 	"github.com/streamworks/streamworks/internal/client"
 )
 
 // Remote is the HTTP backend: the same Engine surface served by a remote
-// streamworksd daemon. Queries travel as the text DSL, edges as NDJSON or
-// binary-frame batches (WithTransport), matches as a streaming subscription
-// per Subscribe call.
+// streamworksd daemon. Queries travel as the text DSL, edges as NDJSON
+// batches or, over TransportBinary, binary-frame batches on one ingest
+// session (WithTransport), matches as a streaming subscription per
+// Subscribe call.
 type Remote struct {
 	c    *client.Client
 	info ServerInfo
+
+	// ctx lives as long as the Remote: Close cancels it, which tears down
+	// an ingest session in the middle of a call.
+	ctx    context.Context
+	cancel context.CancelFunc
+
+	// ingest serialises ProcessBatch on the binary ingest session, which is
+	// opened on first use and dropped on any error (nil until then).
+	ingest     sync.Mutex
+	session    *client.EdgeStream
+	endSession context.CancelFunc
 
 	mu     sync.Mutex
 	subs   map[*remoteSub]struct{}
@@ -47,7 +60,8 @@ func Connect(ctx context.Context, baseURL string, opts ...Option) (*Remote, erro
 	if err != nil {
 		return nil, fmt.Errorf("streamworks: connecting to %s: %w", baseURL, err)
 	}
-	return &Remote{c: c, info: *h, subs: make(map[*remoteSub]struct{})}, nil
+	rctx, cancel := context.WithCancel(context.Background())
+	return &Remote{c: c, info: *h, ctx: rctx, cancel: cancel, subs: make(map[*remoteSub]struct{})}, nil
 }
 
 // ServerInfo returns the daemon's health self-description captured at
@@ -99,13 +113,25 @@ func (r *Remote) UnregisterQuery(ctx context.Context, name string) error {
 }
 
 // ProcessBatch ships a batch of edges and waits until the batch has been
-// routed to the shards. An overloaded daemon (HTTP 429) surfaces as an
-// error the caller can test with client.IsOverloaded and retry.
+// routed to the shards. Over NDJSON each batch is one POST
+// /v1/edges?wait=1. Over TransportBinary every batch travels on one
+// long-lived ingest session (POST /v1/stream?batch=1) as its edge frames
+// and a sync frame, answered by an ack frame; the answer is the one the
+// same batch would get as a POST. Either way an overloaded daemon (HTTP
+// 429) surfaces as a *client.APIError the caller can test with
+// client.IsOverloaded and retry. A failed or cancelled call drops the
+// session, and the next call opens another.
 func (r *Remote) ProcessBatch(ctx context.Context, edges []StreamEdge) error {
 	if err := r.checkOpen(); err != nil {
 		return err
 	}
-	res, err := r.c.IngestBatch(ctx, edges, true)
+	var res *api.IngestResponse
+	var err error
+	if r.c.Transport() == client.TransportBinary {
+		res, err = r.sendOnSession(ctx, edges)
+	} else {
+		res, err = r.c.IngestBatch(ctx, edges, true)
+	}
 	if err != nil {
 		return err
 	}
@@ -113,6 +139,42 @@ func (r *Remote) ProcessBatch(ctx context.Context, edges []StreamEdge) error {
 		return fmt.Errorf("streamworks: remote ingest: %s", res.Error)
 	}
 	return nil
+}
+
+// sendOnSession sends one batch on the ingest session, opening the session
+// when there is none, and drops it when the batch fails.
+func (r *Remote) sendOnSession(ctx context.Context, edges []StreamEdge) (*api.IngestResponse, error) {
+	r.ingest.Lock()
+	defer r.ingest.Unlock()
+	if r.ctx.Err() != nil {
+		return nil, ErrClosed
+	}
+	if r.session == nil {
+		sctx, end := context.WithCancel(r.ctx)
+		es, err := r.c.OpenBatchStream(sctx)
+		if err != nil {
+			end()
+			return nil, err
+		}
+		r.session, r.endSession = es, end
+	}
+	res, err := r.session.SendBatch(ctx, edges)
+	if err != nil {
+		r.dropSession()
+	}
+	return res, err
+}
+
+// dropSession tears the ingest session down without waiting for the
+// daemon, and returns once its receive goroutine has ended. The caller
+// holds r.ingest.
+func (r *Remote) dropSession() {
+	if r.session == nil {
+		return
+	}
+	r.endSession()
+	r.session.Close()
+	r.session, r.endSession = nil, nil
 }
 
 // Advance broadcasts an explicit stream-time signal to every daemon shard.
@@ -220,9 +282,9 @@ func (r *Remote) checkOpen() error {
 	return nil
 }
 
-// Close tears down every subscription (their Done closes once the receive
-// goroutines finish) and marks the engine closed. The remote daemon keeps
-// serving other clients. Idempotent.
+// Close ends the ingest session, tears down every subscription (their Done
+// closes once the receive goroutines finish) and marks the engine closed.
+// The remote daemon keeps serving other clients. Idempotent.
 func (r *Remote) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -236,6 +298,10 @@ func (r *Remote) Close() error {
 	}
 	r.subs = make(map[*remoteSub]struct{})
 	r.mu.Unlock()
+	r.cancel() // a ProcessBatch waiting on the session returns now
+	r.ingest.Lock()
+	r.dropSession()
+	r.ingest.Unlock()
 	for _, sub := range subs {
 		sub.cancel()
 		sub.stream.Close()

@@ -151,29 +151,34 @@ func TestAllBackendsIdenticalMatchSets(t *testing.T) {
 		t.Fatalf("sharded filtered: %d matches, local %d", len(gotFiltered), len(wantFiltered))
 	}
 
-	srv := server.New(server.Config{
-		Shard:            shard.Config{Shards: 3, Engine: w.Engine},
-		SubscriberBuffer: 16384,
-	})
-	hs := httptest.NewServer(srv)
-	defer hs.Close()
-	remote, err := streamworks.Connect(context.Background(), hs.URL)
-	if err != nil {
-		t.Fatalf("Connect: %v", err)
-	}
-	if info := remote.ServerInfo(); info.Shards != 3 || info.Version == "" ||
-		info.GoVersion != runtime.Version() || info.ObsEnabled {
-		t.Fatalf("ServerInfo = %+v, want shards=3 go_version=%s obs_enabled=false",
-			info, runtime.Version())
-	}
-	// The daemon drain is what ends remote subscriptions; trigger it after
-	// the last batch has been routed.
-	gotAll, gotFiltered = backendRun(t, remote, w, filterQuery, srv.Close)
-	if !gotAll.Equal(wantAll) {
-		t.Fatalf("remote: %d matches, local %d", len(gotAll), len(wantAll))
-	}
-	if !gotFiltered.Equal(wantFiltered) {
-		t.Fatalf("remote filtered: %d matches, local %d", len(gotFiltered), len(wantFiltered))
+	// Remote runs once per transport, each against a daemon of its own:
+	// NDJSON posts a request per batch, binary sends every batch on one
+	// ingest session.
+	for _, transport := range []streamworks.Transport{streamworks.TransportNDJSON, streamworks.TransportBinary} {
+		srv := server.New(server.Config{
+			Shard:            shard.Config{Shards: 3, Engine: w.Engine},
+			SubscriberBuffer: 16384,
+		})
+		hs := httptest.NewServer(srv)
+		defer hs.Close()
+		remote, err := streamworks.Connect(context.Background(), hs.URL, streamworks.WithTransport(transport))
+		if err != nil {
+			t.Fatalf("Connect: %v", err)
+		}
+		if info := remote.ServerInfo(); info.Shards != 3 || info.Version == "" ||
+			info.GoVersion != runtime.Version() || info.ObsEnabled {
+			t.Fatalf("ServerInfo = %+v, want shards=3 go_version=%s obs_enabled=false",
+				info, runtime.Version())
+		}
+		// The daemon drain is what ends remote subscriptions; trigger it after
+		// the last batch has been routed.
+		gotAll, gotFiltered = backendRun(t, remote, w, filterQuery, srv.Close)
+		if !gotAll.Equal(wantAll) {
+			t.Fatalf("remote %s: %d matches, local %d", transport, len(gotAll), len(wantAll))
+		}
+		if !gotFiltered.Equal(wantFiltered) {
+			t.Fatalf("remote %s filtered: %d matches, local %d", transport, len(gotFiltered), len(wantFiltered))
+		}
 	}
 }
 
