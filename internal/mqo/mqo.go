@@ -246,7 +246,7 @@ func WithObs(c obs.Config) Option {
 		if c.Enabled {
 			d.clock = c.Clock
 			d.hLocal = c.Registry.Segment(obs.SegLocalSearch)
-			d.hJoin = c.Registry.Segment(obs.SegSJTreeJoin)
+			d.hJoin = c.Registry.Segment(obs.SegDAGJoin)
 		}
 	}
 }

@@ -23,7 +23,7 @@ func TestMergeEqualsSingleRegistry(t *testing.T) {
 		value   int64
 		counter bool
 	}
-	segments := []string{SegIngestQueueWait, SegShardMailbox, SegLocalSearch, SegSJTreeJoin, SegDispatch, SegHTTPFlush}
+	segments := []string{SegIngestQueueWait, SegShardMailbox, SegLocalSearch, SegDAGJoin, SegDispatch, SegHTTPFlush}
 	records := make([]obsRecord, observations)
 	for i := range records {
 		records[i] = obsRecord{

@@ -89,8 +89,8 @@ func TestQuantileEstimates(t *testing.T) {
 
 func TestSnapshotDeterministicOrder(t *testing.T) {
 	r := NewRegistry()
-	r.Segment(SegSJTreeJoin).Observe(5)
 	r.Segment(SegLocalSearch).Observe(5)
+	r.Segment(SegDAGJoin).Observe(5)
 	r.Histogram(DetectLagHistogramName, "", "").Observe(1)
 	r.Counter("b_counter", "", "").Inc()
 	r.Counter("a_counter", "", "").Inc()
@@ -104,7 +104,7 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 			t.Fatalf("histogram %d = %s, want %s", i, h.Name, wantH[i])
 		}
 	}
-	if s.Histograms[1].LabelValue != SegLocalSearch || s.Histograms[2].LabelValue != SegSJTreeJoin {
+	if s.Histograms[1].LabelValue != SegDAGJoin || s.Histograms[2].LabelValue != SegLocalSearch {
 		t.Fatalf("segment labels unsorted: %+v", s.Histograms)
 	}
 }

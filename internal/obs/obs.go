@@ -94,9 +94,10 @@ const (
 	// SegLocalSearch is the per-edge time spent in leaf-primitive local
 	// searches (isomorphism matching), measured in the core engine.
 	SegLocalSearch = "local_search"
-	// SegSJTreeJoin is the per-edge time spent inserting primitive matches
-	// into the SJ-Tree and propagating hash joins upward.
-	SegSJTreeJoin = "sjtree_join"
+	// SegDAGJoin is the per-edge time spent inserting primitive matches
+	// into the shared DAG's partial stores and propagating its hash joins
+	// upward.
+	SegDAGJoin = "dag_join"
 	// SegDispatch is the time from core emission of a complete match to its
 	// owner shard taking the delivery lock, behind the other shards'
 	// deliveries; measured in the shard worker.

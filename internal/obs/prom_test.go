@@ -13,7 +13,7 @@ func TestPromRoundTrip(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		seg.Observe(1500)
 	}
-	r.Segment(SegSJTreeJoin).Observe(3_000_000)
+	r.Segment(SegDAGJoin).Observe(3_000_000)
 	r.Gauge("query_rows", QueryLabelKey, "smurf").Set(9)
 	r.Gauge("query_rows", QueryLabelKey, "smurf").Set(7) // a gauge is replaced, not added to
 
@@ -33,7 +33,7 @@ func TestPromRoundTrip(t *testing.T) {
 		"# TYPE streamworks_segment_latency_seconds histogram",
 		`streamworks_segment_latency_seconds_bucket{segment="local_search",le="+Inf"} 100`,
 		`streamworks_segment_latency_seconds_count{segment="local_search"} 100`,
-		`streamworks_segment_latency_seconds_count{segment="sjtree_join"} 1`,
+		`streamworks_segment_latency_seconds_count{segment="dag_join"} 1`,
 		"streamworks_live_edges 42",
 		"# TYPE streamworks_query_rows gauge",
 		`streamworks_query_rows{query="smurf"} 7`,

@@ -134,7 +134,7 @@ func TestEndToEndObservability(t *testing.T) {
 	}
 	for _, seg := range []string{
 		obs.SegIngestQueueWait, obs.SegShardMailbox, obs.SegWindowApply, obs.SegLocalSearch,
-		obs.SegSJTreeJoin, obs.SegDispatch, obs.SegHTTPFlush,
+		obs.SegDAGJoin, obs.SegDispatch, obs.SegHTTPFlush,
 	} {
 		hsnap, ok := m.Obs.Find(obs.SegmentHistogramName, seg)
 		if !ok || hsnap.Count == 0 {

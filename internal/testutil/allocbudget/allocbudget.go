@@ -1,8 +1,9 @@
 // Package allocbudget is the checked-in table of allocation budgets for the
 // emit/dedup layer, the delivery slabs, the DAG's partial rows and joins, the
-// window graph, the planner statistics, local search, the wire codec and a
-// one-shard engine's delivery and metrics: a ceiling on heap allocations per call for each
-// named operation, enforced by blocking unit tests next to the code they
+// window graph, the planner statistics, local search, the wire codec, the
+// WAL's batch appends and emission notes, and a one-shard engine's delivery
+// and metrics: a ceiling on heap allocations per call for each named
+// operation, enforced by blocking unit tests next to the code they
 // measure (the first instalment of the ROADMAP's deterministic-counter gate). The
 // counts repeat exactly from run to run, so a test fails on the first
 // allocation over budget; raising a ceiling is a reviewed change to this
@@ -97,11 +98,18 @@ var ceilings = map[string]float64{
 	// internal/isomorphism: the search binds in place, so closing a cycle
 	// through an existing edge costs nothing.
 	"isomorphism.extend/closing edge": 0,
-	// internal/wal: a batch goes to the log through two reused buffers. The
-	// four are the hand-off to the worker (channel, goroutine, closures),
-	// paid per batch: per edge the encoder allocates nothing, and neither
-	// does the frame around the batch.
-	"wal.AppendEdges/512-edge batch": 4,
+	// internal/wal: a batch goes to the manager's one long-lived appender
+	// on a channel, its outcome comes back on another and the barrier is a
+	// func value built once, so the hand-off allocates nothing; the batch
+	// goes to the log through two reused buffers, so neither does any edge
+	// nor the frame around the batch.
+	"wal.AppendEdges/512-edge batch": 0,
+	// A noted match's key is built in reused scratch and looked up without
+	// a copy: a duplicate allocates nothing, and a new key is carved from
+	// the manager's 8 KiB slab chunks — nothing per key but a chunk and the
+	// emitted set's growth now and then.
+	"wal.Manager.NoteEmitted/new key":   0,
+	"wal.Manager.NoteEmitted/duplicate": 0,
 	// internal/shard: a lone shard owns every match, so delivering one is
 	// the delivery lock and the sink call, with nothing looked up or
 	// counted on the way.

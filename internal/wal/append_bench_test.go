@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/streamworks/streamworks/internal/graph"
@@ -37,19 +38,38 @@ func BenchmarkAppendEdges512(b *testing.B) {
 	}
 }
 
-// TestAppendEdgesAllocs: logging a batch costs what the hand-off to the
-// worker costs, whatever the batch's size — nothing per edge, attributes
-// and all, and nothing for the frame.
+// TestAppendEdgesAllocs: logging a batch allocates nothing, whatever the
+// batch's size — not the hand-off to the appender, nothing per edge,
+// attributes and all, and nothing for the frame.
 func TestAppendEdgesAllocs(t *testing.T) {
 	m, _ := openTest(t, t.TempDir(), nil)
 	defer m.Close()
 	batch := makeBatch(512, 1)
-	if err := m.AppendEdges(batch); err != nil { // grow the two scratch buffers
+	if err := m.AppendEdges(batch); err != nil { // start the appender, grow the two scratch buffers
 		t.Fatal(err)
 	}
 	allocbudget.Check(t, "wal.AppendEdges/512-edge batch", func() {
 		if err := m.AppendEdges(batch); err != nil {
 			t.Fatal(err)
 		}
+	})
+}
+
+// TestNoteEmittedAllocs: noting a match builds its key in scratch; only a
+// new key is kept, carved from the manager's slab chunks.
+func TestNoteEmittedAllocs(t *testing.T) {
+	m, _ := openTest(t, t.TempDir(), nil)
+	defer m.Close()
+	sigs := make([]string, allocbudget.Runs+1)
+	for i := range sigs {
+		sigs[i] = fmt.Sprintf("e:%d,%d,%d", 3*i, 3*i+1, 3*i+2)
+	}
+	i := 0
+	allocbudget.Check(t, "wal.Manager.NoteEmitted/new key", func() {
+		m.NoteEmitted("watch", sigs[i], int64(i))
+		i++
+	})
+	allocbudget.Check(t, "wal.Manager.NoteEmitted/duplicate", func() {
+		m.NoteEmitted("watch", sigs[0], 0)
 	})
 }

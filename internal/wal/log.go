@@ -62,9 +62,12 @@ type segLog struct {
 	// once the segment is sealed, when it may be deleted.
 	maxTS    int64
 	lastSync int64
-	buf      []byte // frame scratch, reused across appends
+	// owed is set while FsyncInterval holds frames written since the last
+	// sync: what the group-commit timer syncs once appends go quiet.
+	owed bool
+	buf  []byte // frame scratch, reused across appends
 
-	// The log's counts, in the manager's registry; the append goroutine and
+	// The log's counts, in the manager's registry; the appender and
 	// the checkpoint code write them.
 	frames, bytes, fsyncs, segments *obs.Counter
 }
@@ -94,6 +97,7 @@ func (l *segLog) rotate(manifest []byte) error {
 	l.size = int64(len(l.buf))
 	l.maxTS = math.MinInt64
 	l.lastSync = l.now()
+	l.owed = false
 	l.segments.Inc()
 	l.frames.Inc()
 	l.bytes.Add(uint64(len(l.buf)))
@@ -121,6 +125,7 @@ func (l *segLog) append(rec byte, payload []byte) error {
 		if l.now()-l.lastSync >= l.interval {
 			return l.sync()
 		}
+		l.owed = true
 	}
 	return nil
 }
@@ -131,6 +136,7 @@ func (l *segLog) sync() error {
 	}
 	l.fsyncs.Inc()
 	l.lastSync = l.now()
+	l.owed = false
 	return nil
 }
 
@@ -146,5 +152,6 @@ func (l *segLog) close() error {
 		err = cerr
 	}
 	l.f = nil
+	l.owed = false
 	return err
 }

@@ -9,13 +9,13 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/obs"
 	"github.com/streamworks/streamworks/internal/query"
+	"github.com/streamworks/streamworks/internal/slab"
 	"github.com/streamworks/streamworks/internal/wire"
 )
 
@@ -49,9 +49,14 @@ type Manager struct {
 	sealed []sealedSeg
 	regs   []RegisterRecord
 	// emitted maps match keys to span starts; unlogged are the entries noted
-	// since the last RecEmitted frame or manifest.
+	// since the last RecEmitted frame or manifest. A key NoteEmitted adds is
+	// built in keyBuf and, only when new, copied into keys' chunks: a chunk
+	// lives until the last of its keys is evicted at a checkpoint, and
+	// pins no slab of the delivery path the signature came from.
 	emitted  map[string]int64
 	unlogged []EmittedEntry
+	keyBuf   []byte
+	keys     slab.Strings
 	// clock follows stream time as the engine's graph does — the edges and
 	// advances logged, the effective retention — so the log deletes exactly
 	// what the graph has expired: its cutoff.
@@ -60,11 +65,19 @@ type Manager struct {
 	degraded bool
 	closed   bool
 
-	// pending is the completion channel of the one in-flight asynchronous
-	// edge-batch append (AppendEdgesAsync), nil when none. While it is
-	// non-nil a worker goroutine owns log, encBuf and batches; every method
-	// that touches those fields calls joinLocked first.
-	pending chan error
+	// pending is set while an edge-batch append (AppendEdgesAsync) is in
+	// flight: handed to the appender on batch, its outcome not yet received
+	// from done. While it is set the appender owns log, encBuf and batches;
+	// every method that touches those fields calls joinLocked first. The
+	// appender runs from the first append to Close (stopped closes once it
+	// has exited; wake arms its group-commit timer), and barrier is the
+	// join every AppendEdgesAsync returns.
+	pending bool
+	batch   chan []graph.StreamEdge
+	done    chan error
+	wake    chan struct{}
+	stopped chan struct{}
+	barrier func() error
 
 	// reg holds the manager's counts, the log's included: written where they
 	// happen, read by Stats without the manager lock.
@@ -112,6 +125,7 @@ func Open(opts Options) (*Manager, *Recovery, error) {
 		emittedTracked: reg.Gauge("wal_emitted_tracked", "", ""),
 		degradedGauge:  reg.Gauge("wal_degraded", "", ""),
 	}
+	m.barrier = m.join
 	m.log = segLog{
 		fs:       m.fs,
 		dir:      m.dir,
@@ -350,7 +364,7 @@ func (m *Manager) checkpointLocked() error {
 		man.Emitted = append(man.Emitted, EmittedEntry{Key: k, SpanStart: spanStart})
 	}
 	m.emittedTracked.Set(int64(len(m.emitted)))
-	sort.Slice(man.Emitted, func(i, j int) bool { return man.Emitted[i].Key < man.Emitted[j].Key })
+	sortEntries(man.Emitted)
 	payload, err := json.Marshal(man)
 	if err != nil {
 		return fmt.Errorf("wal: encoding manifest: %w", err)
@@ -365,6 +379,7 @@ func (m *Manager) checkpointLocked() error {
 	if sealing {
 		m.checkpoints.Inc()
 	}
+	clear(m.unlogged)
 	m.unlogged = m.unlogged[:0]
 	m.batches = 0
 	drop := 0
@@ -399,17 +414,20 @@ func (m *Manager) checkpointIfDueLocked() error {
 
 // NoteEmitted records that a match reached its consumer. Call only after
 // delivery completed (sink returned / socket flushed); see the type
-// comment for why that timing is what makes suppression safe.
+// comment for why that timing is what makes suppression safe. A match
+// already noted costs a lookup and nothing more; a new one costs its key's
+// bytes in the manager's slab chunks.
 func (m *Manager) NoteEmitted(query, signature string, spanStart int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed || m.degraded {
 		return
 	}
-	key := MatchKey(query, signature)
-	if _, ok := m.emitted[key]; ok {
+	m.keyBuf = appendMatchKey(m.keyBuf[:0], query, signature)
+	if _, ok := m.emitted[string(m.keyBuf)]; ok {
 		return
 	}
+	key := m.keys.Copy(m.keyBuf)
 	m.emitted[key] = spanStart
 	m.emittedTracked.Set(int64(len(m.emitted)))
 	m.unlogged = append(m.unlogged, EmittedEntry{Key: key, SpanStart: spanStart})
@@ -419,10 +437,10 @@ func (m *Manager) NoteEmitted(query, signature string, spanStart int64) {
 }
 
 // checkpointEmittedLocked appends a RecEmitted frame holding every noted
-// entry not yet persisted.
+// entry not yet persisted. Close calls it last, once closed is set.
 func (m *Manager) checkpointEmittedLocked() {
 	m.joinLocked()
-	if m.closed || m.degraded || len(m.unlogged) == 0 {
+	if m.degraded || len(m.unlogged) == 0 {
 		return
 	}
 	payload, err := encodeEmitted(m.unlogged)
@@ -433,6 +451,8 @@ func (m *Manager) checkpointEmittedLocked() {
 		m.degradeLocked(err)
 		return
 	}
+	m.wakeLocked()
+	clear(m.unlogged) // a stale key would pin its slab chunk
 	m.unlogged = m.unlogged[:0]
 	m.checkpointIfDueLocked()
 }
@@ -440,15 +460,15 @@ func (m *Manager) checkpointEmittedLocked() {
 // joinLocked waits for the in-flight asynchronous append, if any, and folds
 // its outcome into the manager: a write failure degrades, the clock
 // follows the batch, and a batch that brought a checkpoint due triggers it
-// here (a checkpoint reads state the worker must not, so it runs on the
+// here (a checkpoint reads state the appender must not, so it runs on the
 // joining side). Every method that reads or writes log, encBuf or batches
 // must call this first.
 func (m *Manager) joinLocked() error {
-	if m.pending == nil {
+	if !m.pending {
 		return nil
 	}
-	err := <-m.pending
-	m.pending = nil
+	err := <-m.done
+	m.pending = false
 	if err != nil {
 		m.degradeLocked(err)
 		return err
@@ -477,7 +497,7 @@ func (m *Manager) degradeLocked(err error) {
 func (m *Manager) Registry() *obs.Registry { return m.reg }
 
 // Stats returns the cumulative durability counters: a view of the registry,
-// which the append goroutine and the checkpoint code write as they go. It
+// which the appender and the checkpoint code write as they go. It
 // takes no lock and joins nothing, so it never waits on an append in flight.
 func (m *Manager) Stats() Stats {
 	var st Stats

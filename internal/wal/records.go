@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/wire"
@@ -79,6 +80,11 @@ type manifest struct {
 // equality.
 func MatchKey(query, signature string) string { return query + "\x1f" + signature }
 
+// appendMatchKey appends the bytes of MatchKey(query, signature) to dst.
+func appendMatchKey(dst []byte, query, signature string) []byte {
+	return append(append(append(dst, query...), '\x1f'), signature...)
+}
+
 // Op is one decoded WAL operation, in replay order. Exactly one field
 // group is populated, keyed by Type (the Rec* constants).
 type Op struct {
@@ -102,8 +108,13 @@ func encodeAdvance(ts int64) []byte {
 // encodeEmitted serializes checkpoint entries sorted by key so the frame
 // bytes are deterministic regardless of how the emitted set is stored.
 func encodeEmitted(entries []EmittedEntry) ([]byte, error) {
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
+	sortEntries(entries)
 	return json.Marshal(entries)
+}
+
+// sortEntries sorts emitted entries by key.
+func sortEntries(entries []EmittedEntry) {
+	slices.SortFunc(entries, func(a, b EmittedEntry) int { return strings.Compare(a.Key, b.Key) })
 }
 
 // decodeOp decodes one frame's payload into an Op, taking an edge batch's

@@ -70,8 +70,8 @@ import (
 type FsyncPolicy int
 
 const (
-	// FsyncInterval syncs at most once per groupCommitInterval, piggybacked
-	// on appends (group commit). The default.
+	// FsyncInterval group-commits: appended frames wait at most
+	// groupCommitInterval for a sync. The default.
 	FsyncInterval FsyncPolicy = iota
 	// FsyncAlways syncs after every appended frame.
 	FsyncAlways
@@ -80,7 +80,9 @@ const (
 )
 
 // groupCommitInterval is how long FsyncInterval lets appended frames wait
-// for a sync.
+// for a sync. An append syncs once the last sync is this old; frames an
+// append leaves unsynced arm the appender's timer, which syncs them this
+// long after if no later append has.
 const groupCommitInterval = 50 * time.Millisecond
 
 // ParseFsyncPolicy parses the operator-facing policy names.

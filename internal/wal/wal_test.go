@@ -87,6 +87,7 @@ func crash(m *Manager) {
 	m.joinLocked()
 	m.log.close()
 	m.closed = true
+	m.stopAppenderLocked()
 }
 
 func TestRecordRoundTrip(t *testing.T) {
@@ -230,6 +231,7 @@ func TestAppendAndRecoverAllRecordTypes(t *testing.T) {
 	}
 
 	// Crash (no Close): reopen and replay the log tail.
+	crash(m)
 	m2, rec2 := openTest(t, dir, nil)
 	defer m2.Close()
 	types := make([]byte, len(rec2.Ops))
@@ -317,6 +319,7 @@ func TestSegmentRotationAndRecovery(t *testing.T) {
 	if st := m.Stats(); st.Segments < 3 {
 		t.Fatalf("stats segments: %d", st.Segments)
 	}
+	crash(m)
 
 	m2, rec := openTest(t, dir, func(o *Options) { o.SegmentBytes = 256 })
 	defer m2.Close()
@@ -341,6 +344,7 @@ func TestTornTailTruncation(t *testing.T) {
 	}
 
 	// A crash mid-write leaves a partial frame: append half of a valid frame.
+	crash(m)
 	full := wire.AppendFrame(nil, RecUnregister, []byte("never-finished"))
 	path := segPath(dir, 1)
 	prevSize := appendBytes(t, path, full[:len(full)/2])
@@ -409,6 +413,7 @@ func TestCRCMismatchTruncates(t *testing.T) {
 	if err := m.AppendUnregister("ghost"); err != nil {
 		t.Fatal(err)
 	}
+	crash(m)
 	path := segPath(dir, 1)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -444,6 +449,7 @@ func TestDropsSegmentsAfterTruncatedOne(t *testing.T) {
 		t.Fatalf("need >=3 segments for this test, got %v", seqs)
 	}
 	// Corrupt the tail of a MIDDLE segment: everything after it is untrusted.
+	crash(m)
 	mid := seqs[len(seqs)/2]
 	appendBytes(t, segPath(dir, mid), []byte{0x01, 0x02, 0x03})
 
@@ -899,6 +905,7 @@ func TestPrefixRecovery(t *testing.T) {
 	if err := m.AppendEdges([]graph.StreamEdge{testEdge(3, 500)}); err != nil {
 		t.Fatal(err)
 	}
+	crash(m)
 
 	data, err := os.ReadFile(segPath(full, 1))
 	if err != nil {

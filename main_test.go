@@ -8,7 +8,7 @@ import (
 
 // TestMain gates the package on goroutine hygiene: Close on every backend
 // must stop what the backend started — shard workers, the WAL's
-// group-commit ticker, a Remote's receive loops.
+// appender, a Remote's receive loops.
 func TestMain(m *testing.M) {
 	leakcheck.Main(m)
 }
