@@ -158,26 +158,6 @@ func TestAppendAfterCloseIsANoOp(t *testing.T) {
 	}
 }
 
-// TestNoteEmittedKeyIsMatchKey: the key NoteEmitted builds in place is the
-// one MatchKey defines, so recovery's lookups find it.
-func TestNoteEmittedKeyIsMatchKey(t *testing.T) {
-	dir := t.TempDir()
-	m, _ := openTest(t, dir, nil)
-	m.NoteEmitted("watch", "e:1,2", 100)
-	m.NoteEmitted("watch", "e:1,2", 100)
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	m2, rec := openTest(t, dir, nil)
-	defer m2.Close()
-	if len(rec.Emitted) != 1 {
-		t.Fatalf("recovered emitted set %v, want one key", rec.Emitted)
-	}
-	if _, ok := rec.Emitted[MatchKey("watch", "e:1,2")]; !ok {
-		t.Fatalf("recovered emitted set %v lacks MatchKey's key", rec.Emitted)
-	}
-}
-
 // TestConcurrentAppendsUnderGroupCommit drives batches, control records and
 // emission notes from several goroutines while the group-commit timer
 // fires between them; every batch must recover. Run it with -race.
