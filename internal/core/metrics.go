@@ -21,11 +21,13 @@ type Metrics struct {
 	// each shared leaf's once (MQO.LocalSearches).
 	LocalSearches uint64 `metric:"mqo_local_searches"`
 	// PartialMatches is the number of matches currently stored across the
-	// DAG's node collections, each once, roots included (MQO.PartialMatches;
-	// a memory-pressure proxy).
+	// DAG's node collections, each once (MQO.PartialMatches; a
+	// memory-pressure proxy). A root no join reads stores none, so its
+	// complete matches are not counted.
 	PartialMatches int `metric:"partials_stored"`
-	// PartialsPruned is the cumulative number of partial matches discarded
-	// because they could no longer complete within their query windows.
+	// PartialsPruned is the cumulative number of stored partial matches
+	// discarded because they could no longer complete within their query
+	// windows.
 	PartialsPruned uint64 `metric:"partials_pruned"`
 	// PruneRuns is the number of pruning sweeps executed.
 	PruneRuns uint64 `metric:"prune_runs"`

@@ -156,10 +156,11 @@ func storedPartials(t *testing.T, w Workload) (MatchSet, int) {
 // TestBalancedStoresFewerPartialsOnDrift pins why a query keeps the plan it
 // was registered with: on the drift workload a frozen balanced plan detects
 // the selective plan's exact match set while storing fewer matches in its
-// DAG (1,660 against 2,802). Moving the selective plans at run time as the
-// traffic mix rotated stored 1,667, no fewer than the frozen balanced plan,
-// so the engine re-plans nothing. Wall-clock is the ledger's business, not
-// this test's.
+// DAG (1,540 against 2,682; while roots stored their 120 complete matches
+// too, 1,660 against 2,802). Moving the selective plans at run time as the
+// traffic mix rotated stored 1,667 by that count, no fewer than the frozen
+// balanced plan, so the engine re-plans nothing. Wall-clock is the ledger's
+// business, not this test's.
 func TestBalancedStoresFewerPartialsOnDrift(t *testing.T) {
 	w := tinyDriftWorkload()
 	selectiveSet, selective := storedPartials(t, w)

@@ -10,6 +10,7 @@ import (
 	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/decompose"
 	"github.com/streamworks/streamworks/internal/graph"
+	"github.com/streamworks/streamworks/internal/mqo"
 	"github.com/streamworks/streamworks/internal/query"
 )
 
@@ -17,9 +18,12 @@ import (
 // generated workloads lack: parallel edges, runs of equal timestamps, edges
 // arriving out of order within the slack, and windows short enough that the
 // retention turns over many times. Its queries are a chain, a fan-out and a
-// cycle (two cut vertices), each with its own window, and a window-less
-// wedge, whose window is the retention. The engine sweeps every four edges,
-// so a partial the sweep should have dropped shows.
+// cycle (two cut vertices), each with its own window, a window-less wedge,
+// whose window is the retention, and two that read a flow in either
+// direction: peers, that one undirected edge, which local search finds once
+// per orientation and must be sent once, and relay, which joins it to a
+// login on either of its hosts. The engine sweeps every four edges, so a
+// partial the sweep should have dropped shows.
 func randomWorkload(seed int64) Workload {
 	rng := rand.New(rand.NewSource(seed))
 	const (
@@ -68,10 +72,18 @@ func randomWorkload(seed int64) Workload {
 		Vertex("a", "Host").Vertex("b", "Host").Vertex("c", "Host").
 		Edge("a", "b", "login").Edge("b", "c", "dns").
 		MustBuild()
+	peers := query.NewBuilder("peers").Window(time.Second).
+		Vertex("a", "Host").Vertex("b", "Host").
+		UndirectedEdge("a", "b", "flow").
+		MustBuild()
+	relay := query.NewBuilder("relay").Window(time.Second).
+		Vertex("a", "Host").Vertex("b", "Host").Vertex("c", "Host").
+		UndirectedEdge("a", "b", "flow").Edge("b", "c", "login").
+		MustBuild()
 	return Workload{
 		Name:    fmt.Sprintf("random-%d", seed),
 		Edges:   out,
-		Queries: []*query.Graph{chain, fan, cycle, wedge},
+		Queries: []*query.Graph{chain, fan, cycle, wedge, peers, relay},
 		Engine: core.Config{
 			Retention:     2 * time.Second,
 			Slack:         slack,
@@ -134,8 +146,11 @@ func TestRandomStreamsMatchOracle(t *testing.T) {
 // changes nothing the queries are sent.
 // The retention is set to the widest query window up front, which mid-stream
 // registration requires, and the engine sweeps every eight edges.
+// randomWorkload's late half holds its undirected queries, so a backfill
+// derives both rows of the mirrored leaf that relay's eager plan joins on
+// either host.
 func TestLateRegistrationMatchesOracle(t *testing.T) {
-	for _, w := range []Workload{tinyNetflowWorkload(), tinyNewsWorkload(), tinyDriftWorkload(), tinyManyQueriesWorkload()} {
+	for _, w := range []Workload{tinyNetflowWorkload(), tinyNewsWorkload(), tinyDriftWorkload(), tinyManyQueriesWorkload(), randomWorkload(1)} {
 		for _, q := range w.Queries {
 			w.Engine.Retention = max(w.Engine.Retention, q.Window())
 		}
@@ -207,6 +222,96 @@ func TestLateRegistrationMatchesOracle(t *testing.T) {
 						t.Fatalf("%d matches with %d queries registered at edge %d, the oracle finds %d", len(got), len(late.Queries), split, len(ref))
 					}
 				})
+			}
+		})
+	}
+}
+
+// TestRootStorageFollowsParentLinks: a root keeps rows only while another
+// node's join reads them. Query A, the chain's first two edges, runs alone
+// on an eager plan whose root keeps nothing; a third of the way in the chain
+// registers, and its eager plan reads A's root as a child, which derives its
+// rows from the window then. The chain is sent exactly the oracle's matches
+// completed while it was registered; once it unregisters, at two thirds,
+// A's root holds no row again, and A is sent exactly the oracle's matches
+// over the whole stream, as if the chain had never come.
+func TestRootStorageFollowsParentLinks(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		w := randomWorkload(seed)
+		chain := w.Queries[0]
+		a := query.NewBuilder("flowdns").Window(chain.Window()).
+			Vertex("a", "Host").Vertex("b", "Host").Vertex("c", "Host").
+			Edge("a", "b", "flow").Edge("b", "c", "dns").
+			MustBuild()
+		from, to := len(w.Edges)/3, len(w.Edges)*2/3
+		alone, chainTo, chainFrom := w, w, w
+		alone.Queries = []*query.Graph{a}
+		chainTo.Queries, chainTo.Edges = []*query.Graph{chain}, w.Edges[:to]
+		chainFrom.Queries, chainFrom.Edges = []*query.Graph{chain}, w.Edges[:from]
+		ref := Oracle(alone)
+		owedA := len(ref)
+		completedBefore := Oracle(chainFrom)
+		for k := range Oracle(chainTo) {
+			if _, ok := completedBefore[k]; !ok {
+				ref[k] = struct{}{}
+			}
+		}
+		t.Run(w.Name, func(t *testing.T) {
+			if owedA == 0 || len(ref) == owedA {
+				t.Fatalf("vacuous: the oracle owes A %d matches and the chain %d", owedA, len(ref)-owedA)
+			}
+			e := core.New(&w.Engine)
+			got := make(MatchSet)
+			e.Subscribe("", core.MatchSinkFunc(func(ev core.MatchEvent) {
+				if !got.Add(ev) {
+					t.Fatalf("%s sent %s twice", ev.Query, ev.CanonicalSignature())
+				}
+			}))
+			if _, err := e.RegisterQuery(a, core.WithStrategy(decompose.StrategyEager)); err != nil {
+				t.Fatal(err)
+			}
+			var root string
+			for _, ns := range e.Metrics().MQO.PerNode {
+				if ns.Consumers == 1 {
+					root = ns.Sig
+				}
+			}
+			rootNode := func() mqo.NodeStats {
+				for _, ns := range e.Metrics().MQO.PerNode {
+					if ns.Sig == root {
+						return ns
+					}
+				}
+				t.Fatalf("A's root %s is gone", root)
+				return mqo.NodeStats{}
+			}
+			read := 0
+			for i, se := range w.Edges {
+				switch i {
+				case from:
+					if _, err := e.RegisterQuery(chain, core.WithStrategy(decompose.StrategyEager)); err != nil {
+						t.Fatal(err)
+					}
+					if ns := rootNode(); ns.Refs != 2 {
+						t.Fatalf("the chain's plan does not read A's root: %d refs", ns.Refs)
+					}
+				case to:
+					if err := e.UnregisterQuery(chain.Name()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if ns := rootNode(); from <= i && i < to {
+					read = max(read, ns.Stored)
+				} else if ns.Stored != 0 {
+					t.Fatalf("edge %d: A's root holds %d rows with no parent", i, ns.Stored)
+				}
+				e.ProcessEdge(se)
+			}
+			if read == 0 {
+				t.Fatal("vacuous: A's root never held a row while the chain read it")
+			}
+			if !got.Equal(ref) {
+				t.Fatalf("%d matches, the oracle finds %d", len(got), len(ref))
 			}
 		})
 	}

@@ -59,7 +59,8 @@ func (a *Attachment) LeafSearches() uint64 {
 
 // PartialMatches sums the stored matches of the attachment's non-root
 // nodes, the DAG analogue of Tree.PartialMatchCount (shared nodes count once
-// per query viewing them).
+// per query viewing them). The root is left out even where another query's
+// join reads it.
 func (a *Attachment) PartialMatches() int {
 	total := 0
 	for _, n := range a.nodes {
@@ -82,11 +83,12 @@ type AttachOptions struct {
 }
 
 // Attach folds a query's decomposition plan into the DAG. Plan subtrees
-// whose canonical signature matches an existing node are shared as-is; new
-// nodes are created with their state backfilled from the retained window
-// (leaves by replaying live edges, joins by cross-joining their children's
-// existing collections), so an attachment mid-stream starts from the same
-// state it would have had if attached before the retained window began.
+// whose canonical signature matches an existing node are shared as-is; a
+// node that gains its first parent, new or a root until now, has its rows
+// backfilled from the retained window (a leaf by replaying live edges, a join
+// by cross-joining its children's existing collections), so an attachment
+// mid-stream starts from the same state it would have had if attached before
+// the retained window began. The new root keeps no rows: nothing reads them.
 //
 // The query is sent every match whose last edge arrives after it attaches
 // and none before. Nothing a backfill derives is delivered, to it or to
@@ -115,6 +117,10 @@ func (d *DAG) Attach(name string, q *query.Graph, plan *decompose.Plan, opt Atta
 	d.building = true
 	root, rootFrag := d.build(att, plan.Query, plan.Root)
 	d.building = false
+	for _, n := range d.indexed {
+		n.rows.unindex()
+	}
+	d.indexed = d.indexed[:0]
 	att.root = root
 	att.rootVMap = rootFrag.VertToQuery
 	att.rootEMap = rootFrag.EdgeToQuery
@@ -158,15 +164,16 @@ func (d *DAG) build(att *Attachment, q *query.Graph, pn *decompose.Node) (*node,
 		rows:    newRows(frag.Graph.NumVertices(), frag.Graph.NumEdges()),
 		window:  att.window,
 	}
+	n.mirrored = mirrored(frag.Graph)
 	n.row = make([]uint64, n.rows.width)
 	d.nodes[sig] = n
 	d.order = append(d.order, sig)
 	att.addNode(n, leaf)
 
 	if leaf {
+		// Parentless, n keeps no rows yet: its first parent derives them.
 		n.found, n.yield = match.NewForQuery(frag.Graph), d.leafYield(n)
 		d.addSeeds(n)
-		d.backfillLeaf(n)
 		return n, frag
 	}
 
@@ -196,12 +203,31 @@ func (d *DAG) build(att *Attachment, q *query.Graph, pn *decompose.Node) (*node,
 		child.parents = append(child.parents, &parentLink{parent: n, link: l})
 		return l
 	}
+	// A child with no parent until now kept no rows: it derives them once
+	// linked, indexing them in n's links on the way. n has no parent yet, so
+	// its backfill only indexes its children's rows; its own are derived when
+	// a parent links it.
+	lfresh, rfresh := len(ln.parents) == 0, len(rn.parents) == 0 && rn != ln
 	n.left = mkLink(ln, lf)
 	n.right = mkLink(rn, rf)
-	// n has no parents or consumers yet: the joins land in n.rows, ready for
-	// the next level up.
+	if lfresh {
+		d.backfill(ln)
+	}
+	if rfresh {
+		d.backfill(rn)
+	}
 	d.backfillJoin(n)
 	return n, frag
+}
+
+// backfill re-derives n's rows from the retained window, if it has a parent
+// to keep them for; a join without one has its link indexes rebuilt.
+func (d *DAG) backfill(n *node) {
+	if n.left != nil {
+		d.backfillJoin(n)
+	} else if len(n.parents) > 0 {
+		d.backfillLeaf(n)
+	}
 }
 
 // backfillLeaf replays the retained window through leaf n so its collection
@@ -218,8 +244,9 @@ func (d *DAG) backfillLeaf(n *node) {
 // backfillJoin (re)builds join node n's link indexes from its children's
 // rows and joins them: the left child's rows are indexed silently, then the
 // right child's stream through the normal index-and-probe step, so every
-// (left, right) pair is joined exactly once. Rows n already holds are kept
-// once; new ones propagate like any insertion but are not delivered.
+// (left, right) pair is joined exactly once — or none when n has no parent
+// (join). Rows n already holds are kept once; new ones propagate like any
+// insertion but are not delivered.
 func (d *DAG) backfillJoin(n *node) {
 	n.left.idx, n.right.idx = cutIndex{}, cutIndex{}
 	ls := &n.left.child.rows
@@ -265,6 +292,20 @@ func (a *Attachment) addNode(n *node, leaf bool) {
 	if leaf {
 		a.leaves = append(a.leaves, n)
 	}
+}
+
+// mirrored reports whether fg is two vertices joined only by undirected
+// edges (node.mirrored).
+func mirrored(fg *query.Graph) bool {
+	if fg.NumVertices() != 2 {
+		return false
+	}
+	for _, id := range fg.EdgeIDs() {
+		if e := fg.Edge(id); !e.AnyDirection || e.Source == e.Target {
+			return false
+		}
+	}
+	return true
 }
 
 // addSeeds registers a new leaf's local-search seeds, one per fragment edge,
@@ -326,7 +367,8 @@ func (d *DAG) Detach(name string) error {
 }
 
 // gc collects n if its reference count reached zero, cascading to children
-// whose last parent link it held.
+// whose last parent link it held. A child that another query still reads as
+// its root keeps no rows once its last parent is gone.
 func (d *DAG) gc(n *node) {
 	if n.refs() > 0 {
 		return
@@ -350,6 +392,9 @@ func (d *DAG) gc(n *node) {
 				break
 			}
 		}
+		if len(child.parents) == 0 {
+			child.rows.words = nil // no join reads them any more
+		}
 		d.gc(child)
 	}
 }
@@ -362,21 +407,20 @@ func (d *DAG) gc(n *node) {
 // matches the wider window admits — a query attached mid-stream would miss
 // them — so once its children are widened it re-derives its state from the
 // retained window like a new node: a leaf re-searches the live edges, a join
-// re-joins its children's collections. Like any backfill it delivers nothing
-// (see Attach).
+// re-joins its children's collections. A node without a parent keeps no
+// rows, so it re-derives none: a join only re-indexes its widened children.
+// Like any backfill it delivers nothing (see Attach).
 func (d *DAG) widen(n *node, w time.Duration) {
 	nw := combineWindow(n.window, w)
 	if nw == n.window {
 		return
 	}
 	n.window = nw
-	if n.left == nil {
-		d.backfillLeaf(n)
-		return
+	if n.left != nil {
+		d.widen(n.left.child, nw)
+		d.widen(n.right.child, nw)
 	}
-	d.widen(n.left.child, nw)
-	d.widen(n.right.child, nw)
-	d.backfillJoin(n)
+	d.backfill(n)
 }
 
 // recomputeWindows rebuilds every node's effective window from scratch —

@@ -5,16 +5,16 @@
 // Every decomposition plan node of every attached query is canonicalized
 // (decompose.Canonicalize) and folded into a DAG node keyed by its canonical
 // signature — structurally identical subpatterns across queries (shared
-// leaves, wedges, whole common subtrees) become one node. Each node owns a
-// single deduplicated collection of matches of its canonical fragment, so
-// per arriving edge the leaf local search runs once per distinct primitive,
+// leaves, wedges, whole common subtrees) become one node. Each node derives
+// the matches of its canonical fragment once, for all of them, so per
+// arriving edge the leaf local search runs once per distinct primitive,
 // not once per query, and every partial-match join is computed once and
 // fanned out to all parents. This is the shared-decomposition design of
 // "Query Optimization for Dynamic Graphs" (arXiv 1407.3745) grafted onto the
 // paper's SJ-Tree machinery.
 //
-// The correctness argument is automorphism closure: a DAG node's collection
-// holds ALL embeddings of its canonical fragment (local search is seeded on
+// The correctness argument is automorphism closure: a DAG node derives ALL
+// embeddings of its canonical fragment (local search is seeded on
 // every fragment edge for every arriving data edge, exactly like a private
 // leaf), a set closed under fragment automorphisms. Remapping a closed set
 // through any fixed isomorphism into a consumer's pattern space yields the
@@ -29,15 +29,23 @@
 // canonical space (rows.go), chained by row number in each parent link's cut
 // index, keyed on the parent's cut pulled back into child space. A join reads
 // both input rows through the links' maps into the parent's scratch row, and
-// local search binds in place, so a row is copied only when it is new.
+// local search binds in place, so a row is copied only when it is stored. A
+// node stores rows only while it has a parent, whose joins read them: a root
+// that is no other node's child delivers its rows and keeps none, and
+// derives them from the window when a later plan makes it a child.
 //
 // A match is derived once, so it is delivered once, with nothing remembered
-// to make it so: a root row is delivered only when it is new to the root's
-// deduplicated rows, and only while an edge is being processed — the last
-// edge of the match, which arrives once. Backfills (Attach and the
-// re-derivation of a widened node) deliver nothing, since every row they
-// derive reads edges already in the window: it was sent when its last edge
-// arrived, or predates the query that was not sent it.
+// to make it so: a root row is delivered as it is derived while an edge is
+// being processed, and its last edge arrives once. Live derivation repeats no
+// row (rows.go says why), so nothing is looked up to refuse one. Backfills
+// (Attach and the re-derivation of a widened node) deliver nothing, since
+// every row they derive reads edges already in the window: it was sent when
+// its last edge arrived, or predates the query that was not sent it. They
+// alone repeat rows, and refuse them through a table that lives only while
+// they run. A fragment of two vertices joined only by undirected edges has
+// two rows per match, an embedding and its mirror, binding the same edges
+// to swapped vertices: both are stored, since a join on either vertex reads
+// them, and one is delivered (node.mirrored).
 //
 // Emission costs what the distinct root matches cost, not (queries × pattern
 // edges): the attachments consuming a root node are grouped by how they read
@@ -89,9 +97,10 @@ type node struct {
 	// by how they read its matches.
 	consumers []*consumerGroup
 
-	// rows is the node's deduplicated canonical match collection
-	// (Property 3 of the SJ-Tree, shared across all referencing queries), and
-	// row the scratch a candidate is built in before it is stored.
+	// rows is the node's canonical match collection (Property 3 of the
+	// SJ-Tree, shared across all referencing queries), kept while the node
+	// has a parent, and row the scratch a candidate is built in before it is
+	// stored or delivered.
 	rows rows
 	row  []uint64
 
@@ -101,6 +110,13 @@ type node struct {
 	seeds []seedRef
 	found *match.Match
 	yield func(*match.Match) bool
+
+	// mirrored marks a fragment of two vertices joined only by undirected
+	// edges: swapping the vertices of an embedding, its mirror, binds the
+	// same edges, and is an embedding too when each data vertex passes the
+	// other pattern vertex's test. Both are derived and stored, since a join
+	// on either vertex reads both, but they are one match, delivered once.
+	mirrored bool
 
 	// window is the widest window requirement among all attachments whose
 	// DAG reaches this node: 0 means some attachment is window-less, whose
@@ -218,8 +234,10 @@ type DAG struct {
 	localSearches, sharedHits *obs.Counter
 
 	// building is set while attach builds a plan into the DAG: the rows its
-	// backfills derive are stored and joined but not delivered.
+	// backfills derive are stored and joined but not delivered. indexed lists
+	// the nodes whose rows a backfill indexed, unindexed when it ends.
 	building bool
+	indexed  []*node
 
 	// arena carves the matches and signatures consumer groups deliver.
 	arena match.Arena
@@ -356,40 +374,67 @@ func (d *DAG) leafYield(n *node) func(*match.Match) bool {
 	}
 }
 
-// insert adds a canonical partial of n's fragment, built in row (n's
-// scratch), and propagates it: dedup into the node's rows, index it in each
-// parent link's cut index, hash-join it with the sibling's rows through the
-// two links' maps (recursing upward), and deliver to each consumer group —
-// unless a backfill derived it. This is sjtree.Tree.Insert generalized from
-// one parent to many.
+// insert takes a canonical partial of n's fragment, built in row (n's
+// scratch), and propagates it: store it in the node's rows when the node has
+// a parent, index it in each parent link's cut index, hash-join it with the
+// sibling's rows through the two links' maps (recursing upward), and deliver
+// it to each consumer group — unless a backfill derived it, or it is the
+// mirror of the row sent (node.mirrored). A backfill stores
+// a row only once, through the rows' dedup table, built on its first insert
+// into the node. This is sjtree.Tree.Insert generalized from one parent to
+// many.
 func (d *DAG) insert(n *node, row []uint64) {
 	if w := orRetention(n.window, d.g.Window()); w > 0 && !n.rows.span(row).Within(w) {
 		n.windowDrops++
 		return
 	}
-	r, added := n.rows.add(match.HashEdgeSlots(n.rows.edges(row)), row)
-	if !added {
-		return
+	if len(n.parents) > 0 {
+		if d.building && !n.rows.indexed() {
+			n.rows.index(match.HashEdgeSlots)
+			d.indexed = append(d.indexed, n)
+		}
+		r, added := n.rows.add(row, match.HashEdgeSlots)
+		if !added {
+			return
+		}
+		for _, pl := range n.parents {
+			d.join(pl.parent, pl.link, r)
+		}
 	}
-	for _, pl := range n.parents {
-		d.join(pl.parent, pl.link, r)
-	}
-	if d.building {
+	if d.building || n.mirrored && d.mirrorSent(n, row) {
 		return
 	}
 	for _, g := range n.consumers {
-		g.deliver(&d.arena, n, n.rows.row(r), d.g.Window())
+		g.deliver(&d.arena, n, row, d.g.Window())
 	}
 }
 
+// mirrorSent reports whether the consumers of mirrored node n are sent
+// row's mirror instead of row: of a row and its mirror, both embeddings, the
+// one binding the lower vertex first is sent.
+func (d *DAG) mirrorSent(n *node, row []uint64) bool {
+	if row[0] < row[1] {
+		return false
+	}
+	g, fg := d.g.Graph(), n.frag.Graph
+	first, _ := g.Vertex(graph.VertexID(row[0]))
+	second, _ := g.Vertex(graph.VertexID(row[1]))
+	return fg.Vertex(0).Matches(second) && fg.Vertex(1).Matches(first)
+}
+
 // join indexes row r of l's child under its cut key and inserts into p its
-// join with every sibling row indexed under the same key.
+// join with every sibling row indexed under the same key — none while a
+// backfill runs and p has no parent, since p would neither keep nor send
+// what the join derives.
 func (d *DAG) join(p *node, l *childLink, r int) {
 	o := p.otherLink(l)
 	cs, ss := &l.child.rows, &o.child.rows
 	row := cs.row(r)
 	h := hashKey(row, l.cuts)
 	l.idx.add(cs, l.cuts, r, h)
+	if d.building && len(p.parents) == 0 {
+		return
+	}
 	for s := o.idx.probe(ss, o.cuts, row, l.cuts, h); s != chainEnd; s = int(o.idx.next[s]) {
 		p.joinAttempts++
 		if !joinRows(p, row, l, ss.row(s), o) {
@@ -500,7 +545,7 @@ func (a *Attachment) send(arena *match.Arena, qm *match.Match, sig string) strin
 func (d *DAG) Prune(wm graph.Timestamp, _ map[graph.EdgeID]struct{}) int {
 	removed := 0
 	for _, sig := range d.order {
-		removed += sweep(d.nodes[sig], wm, d.g.Window(), match.HashEdgeSlots, hashKey)
+		removed += sweep(d.nodes[sig], wm, d.g.Window(), hashKey)
 	}
 	return removed
 }

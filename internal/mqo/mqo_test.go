@@ -1,6 +1,7 @@
 package mqo
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -16,7 +17,7 @@ func planFor(t *testing.T, q *query.Graph) *decompose.Plan {
 	return planWith(t, q, decompose.StrategySelective)
 }
 
-func planWith(t *testing.T, q *query.Graph, s decompose.Strategy) *decompose.Plan {
+func planWith(t testing.TB, q *query.Graph, s decompose.Strategy) *decompose.Plan {
 	t.Helper()
 	p, err := decompose.NewPlanner(stats.NewEstimator(nil)).Plan(q, s)
 	if err != nil {
@@ -214,39 +215,46 @@ func TestDAGPartialOverlapAndDetach(t *testing.T) {
 
 // TestDAGMidStreamAttachBackfill: attaching after ingest backfills the new
 // query's nodes from the retained window. Complete matches that predate the
-// attachment are derived into the root's rows but not sent; partial state is
-// live, so a completion arriving after the attach is emitted.
+// attachment are not sent, and the root keeps none of them; partial state is
+// live, so completions arriving after the attach are sent — exactly those a
+// query attached before the stream is sent after that point.
 func TestDAGMidStreamAttachBackfill(t *testing.T) {
 	dyn := graph.NewDynamic(0)
 	d := New(dyn)
 	col := newCollector()
+	// The early query's selective plan is one two-edge leaf; the late one's
+	// eager plan joins two new leaves, so none of its nodes is shared.
+	early := smurf("early", time.Minute)
+	if _, err := d.Attach("early", early, planFor(t, early), AttachOptions{Emit: col.emitFn("early")}); err != nil {
+		t.Fatal(err)
+	}
 	base := graph.TimestampFromTime(time.Unix(3000, 0))
 	// Full pre-attach match on hosts 1-2-3, dangling request on 7-8.
-	for _, se := range []graph.StreamEdge{
+	feed(t, dyn, d, []graph.StreamEdge{
 		hostEdge(1, 1, 2, "icmp_echo_req", base),
 		hostEdge(2, 2, 3, "icmp_echo_reply", base.Add(time.Second)),
 		hostEdge(3, 7, 8, "icmp_echo_req", base.Add(2*time.Second)),
-	} {
-		if _, err := dyn.Apply(se); err != nil {
-			t.Fatal(err)
-		}
-	}
+	})
 	q := smurf("late", time.Minute)
-	att, err := d.Attach("late", q, planFor(t, q), AttachOptions{Emit: col.emitFn("late")})
+	att, err := d.Attach("late", q, planWith(t, q, decompose.StrategyEager), AttachOptions{Emit: col.emitFn("late")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := att.root.rows.len(); n != 1 {
-		t.Fatalf("root holds %d pre-attach completions, want 1", n)
+	if att.root == d.atts["early"].root || att.root.left == nil {
+		t.Fatal("the late query's plan is not a join of its own")
 	}
-	if len(col.sigs["late"]) != 0 {
-		t.Fatalf("pre-attach match was emitted: %v", col.sigs["late"])
+	if len(col.sigs["early"]) != 1 || len(col.sigs["late"]) != 0 {
+		t.Fatalf("before the attach early was sent %v; the attach sent late %v", col.sigs["early"], col.sigs["late"])
 	}
 	feed(t, dyn, d, []graph.StreamEdge{
-		hostEdge(4, 8, 9, "icmp_echo_reply", base.Add(3*time.Second)),
+		hostEdge(4, 8, 9, "icmp_echo_reply", base.Add(3*time.Second)), // completes the backfilled partial
+		hostEdge(5, 2, 4, "icmp_echo_reply", base.Add(4*time.Second)), // joins edge 1 again
 	})
-	if len(col.sigs["late"]) != 1 {
-		t.Fatalf("completion over backfilled partial not emitted: %v", col.sigs["late"])
+	if len(col.sigs["early"]) != 3 || !slices.Equal(col.sigs["late"], col.sigs["early"][1:]) {
+		t.Fatalf("after the attach late was sent %v, early %v", col.sigs["late"], col.sigs["early"])
+	}
+	if n := att.root.rows.len(); n != 0 {
+		t.Fatalf("the parentless root holds %d rows", n)
 	}
 }
 
@@ -332,13 +340,13 @@ func TestDAGWindowNarrowsAfterDetach(t *testing.T) {
 	}
 }
 
-// TestWidenDeliversNothing: a narrow query's root, pruned by age while the
-// leaves below it are kept by wider queries, is widened when a wide query
-// attaches onto it, and re-derives from the kept leaves a match it pruned —
-// one the narrow query was sent and whose span its window still admits. The
-// re-derivation reaches the shared root but no one: not the narrow query,
-// which had the match, nor the wide one, which attached after its last edge.
-// Matches completed later go to each query whose window admits them, once.
+// TestWidenDeliversNothing: a narrow query's join root, whose link index
+// has dropped by age a leaf row the wider queries below keep, is widened
+// when a wide query attaches onto it. It re-indexes the row but, having no
+// parent, derives and keeps nothing and sends nothing: not the narrow query's
+// old match again, nor that match to the wide query, which attached after
+// its last edge. Matches completed later go to each query whose window
+// admits them, once — among them one joining the re-indexed row.
 func TestWidenDeliversNothing(t *testing.T) {
 	dyn := graph.NewDynamic(0)
 	d := New(dyn)
@@ -350,7 +358,7 @@ func TestWidenDeliversNothing(t *testing.T) {
 		MustBuild()
 	narrow, wide := smurf("narrow", 2*time.Second), smurf("wide", time.Minute)
 	for _, q := range []*query.Graph{narrow, probe("probe", time.Minute), replyDNS} {
-		if _, err := d.Attach(q.Name(), q, planFor(t, q), AttachOptions{Emit: col.emitFn(q.Name())}); err != nil {
+		if _, err := d.Attach(q.Name(), q, planWith(t, q, decompose.StrategyEager), AttachOptions{Emit: col.emitFn(q.Name())}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -362,15 +370,15 @@ func TestWidenDeliversNothing(t *testing.T) {
 	})
 	natt := d.atts["narrow"]
 	d.Prune(dyn.Watermark(), nil)
-	if len(col.sigs["narrow"]) != 1 || natt.root.rows.len() != 0 {
-		t.Fatalf("narrow was sent %v, its root holds %d rows after the sweep; want the match, and none", col.sigs["narrow"], natt.root.rows.len())
+	if len(col.sigs["narrow"]) != 1 {
+		t.Fatalf("narrow was sent %v, want the match", col.sigs["narrow"])
 	}
-	watt, err := d.Attach("wide", wide, planFor(t, wide), AttachOptions{Emit: col.emitFn("wide")})
+	watt, err := d.Attach("wide", wide, planWith(t, wide, decompose.StrategyEager), AttachOptions{Emit: col.emitFn("wide")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if watt.root != natt.root || natt.root.window != time.Minute || natt.root.rows.len() != 1 {
-		t.Fatalf("wide does not share narrow's root widened to a minute and re-derived")
+	if watt.root != natt.root || natt.root.window != time.Minute || natt.root.left == nil {
+		t.Fatalf("wide does not share narrow's join root widened to a minute")
 	}
 	if len(col.sigs["narrow"]) != 1 || len(col.sigs["wide"]) != 0 {
 		t.Fatalf("attaching wide sent narrow %v, wide %v", col.sigs["narrow"], col.sigs["wide"])
@@ -383,5 +391,8 @@ func TestWidenDeliversNothing(t *testing.T) {
 	if len(col.sigs["narrow"]) != 2 || len(col.sigs["wide"]) != 2 || col.sigs["wide"][0] == col.sigs["wide"][1] ||
 		col.sigs["narrow"][1] != col.sigs["wide"][1] {
 		t.Fatalf("after the attach narrow was sent %v, wide %v", col.sigs["narrow"], col.sigs["wide"])
+	}
+	if n := natt.root.rows.len(); n != 0 {
+		t.Fatalf("the parentless root holds %d rows", n)
 	}
 }

@@ -15,13 +15,25 @@ import (
 // every partial it stores binds all of it, so a partial is a fixed-width row:
 // the data vertices bound to the nv canonical vertices and the data edges
 // bound to the ne canonical edges (match.Match's slot layout), then the
-// span's start and end. Rows are appended in insertion order, deduplicated on
-// their edge words, and compacted by the prune sweep.
+// span's start and end. Rows are appended in insertion order and compacted by
+// the prune sweep. Only a node with a parent stores rows: they are there for
+// its parents' joins to read.
+//
+// Live derivation never repeats a row, so add appends without looking: a new
+// leaf row binds the arriving edge at its seed's position, a join probes each
+// pair of child and sibling rows once, and a parent row determines the pair
+// it came from. A backfill does repeat rows — a leaf finds an embedding once
+// per edge of it, a widened node re-derives what it keeps — so while one runs
+// the rows are indexed: a table keyed by their binding (vertex and edge
+// words), built over the stored rows by index and dropped by unindex, through
+// which add refuses a row it holds. The edge words alone would not do: a
+// mirrored fragment's row and its mirror bind the same edges (node.mirrored),
+// and a join on either endpoint reads both.
 type rows struct {
 	nv, ne, width int
 	words         []uint64 // row r is words[r*width : (r+1)*width]
-	dedup         table    // keyed by edge words
-	// inserted and pruned count the distinct rows ever added and removed.
+	dedup         table    // keyed by binding, while indexed
+	// inserted counts the rows ever added, pruned those the sweep removed.
 	inserted, pruned uint64
 }
 
@@ -35,6 +47,9 @@ func (s *rows) row(r int) []uint64 { return s.words[r*s.width : (r+1)*s.width : 
 
 func (s *rows) edges(row []uint64) []uint64 { return row[s.nv : s.nv+s.ne] }
 
+// binding returns the vertex and edge words of row: all of it but the span.
+func (s *rows) binding(row []uint64) []uint64 { return row[:s.nv+s.ne] }
+
 func (s *rows) span(row []uint64) graph.Interval {
 	return graph.Interval{Start: graph.Timestamp(row[s.nv+s.ne]), End: graph.Timestamp(row[s.nv+s.ne+1])}
 }
@@ -43,21 +58,40 @@ func (s *rows) setSpan(row []uint64, iv graph.Interval) {
 	row[s.nv+s.ne], row[s.nv+s.ne+1] = uint64(iv.Start), uint64(iv.End)
 }
 
-// add copies row in unless a row binding the same edges is stored, and
-// returns its index and whether it was added. h is the hash of its edge
-// words, match.HashEdgeSlots but where a test forces collisions.
-func (s *rows) add(h uint64, row []uint64) (int, bool) {
-	s.dedup.reserve()
-	e, found := s.dedup.find(h, func(r int) bool { return slices.Equal(s.edges(s.row(r)), s.edges(row)) })
-	if found {
-		return 0, false
-	}
+// add copies row in and returns its index, unless the rows are indexed and a
+// row with the same binding is stored: then it reports false. hash hashes
+// binding words, match.HashEdgeSlots but where a test forces collisions.
+func (s *rows) add(row []uint64, hash func([]uint64) uint64) (int, bool) {
 	r := s.len()
-	s.dedup.put(e, h, r)
+	if s.indexed() {
+		h := hash(s.binding(row))
+		s.dedup.reserve()
+		e, found := s.dedup.find(h, func(f int) bool { return slices.Equal(s.binding(s.row(f)), s.binding(row)) })
+		if found {
+			return 0, false
+		}
+		s.dedup.put(e, h, r)
+	}
 	s.words = append(s.words, row...)
 	s.inserted++
 	return r, true
 }
+
+// index builds the dedup table over the stored rows, hashed by hash. A sweep
+// leaves the table behind, so the rows are indexed only while no sweep can
+// run: inside a backfill.
+func (s *rows) index(hash func([]uint64) uint64) {
+	s.dedup = table{slots: make([]slot, max(8, 1<<bits.Len(uint(2*s.len()))))}
+	for r := range s.len() {
+		h := hash(s.binding(s.row(r)))
+		e, _ := s.dedup.find(h, nil)
+		s.dedup.put(e, h, r)
+	}
+}
+
+func (s *rows) indexed() bool { return s.dedup.slots != nil }
+
+func (s *rows) unindex() { s.dedup = table{} }
 
 // table is a flat open-addressed hash table of rows, probed linearly, equal
 // hashes told apart by the caller's comparison. There are no tombstones: its
@@ -204,14 +238,14 @@ const keepRows = 16
 
 // sweep prunes n's rows by n's rule, and each parent link's index of them by
 // that parent's rule, and returns how many rows it removed. The live rows are
-// compacted down in insertion order and the tables over them refilled, under
-// edgeHash and keyHash (match.HashEdgeSlots and hashKey but in tests), so a
-// row never outlives its sweep and chains keep insertion order. Capacity
-// follows the rows down: an arena or chain array past keepRows rows and more
-// than four times what it holds is reallocated at twice that, and so is a
-// table past 8 slots and more than eight times (table.reset).
-func sweep(n *node, wm graph.Timestamp, retention time.Duration,
-	edgeHash func([]uint64) uint64, keyHash func([]uint64, []query.VertexID) uint64) int {
+// compacted down in insertion order and the cut indexes over them refilled,
+// under keyHash (hashKey but in tests), so a row never outlives its sweep and
+// chains keep insertion order. Capacity follows the rows down: an arena or
+// chain array past keepRows rows and more than four times what it holds is
+// reallocated at twice that, and so is a key table past 8 slots and more than
+// eight times (table.reset). The dedup table is not refilled: the rows are
+// indexed only inside a backfill, where no sweep runs.
+func sweep(n *node, wm graph.Timestamp, retention time.Duration, keyHash func([]uint64, []query.VertexID) uint64) int {
 	s := &n.rows
 	// Until the first drop every row stays where it is, chains included; from
 	// there on next only says whether a kept row stays indexed.
@@ -242,15 +276,7 @@ func sweep(n *node, wm graph.Timestamp, retention time.Duration,
 		return 0
 	}
 	s.words = shrink(s.words[:kept*s.width], keepRows*s.width)
-	if kept < total {
-		s.dedup.reset(kept)
-		for r := 0; r < kept; r++ {
-			h := edgeHash(s.edges(s.row(r)))
-			e, _ := s.dedup.find(h, nil)
-			s.dedup.put(e, h, r)
-		}
-		s.pruned += uint64(total - kept)
-	}
+	s.pruned += uint64(total - kept)
 	for _, pl := range n.parents {
 		x := &pl.link.idx
 		x.next = shrink(x.next[:kept], keepRows)

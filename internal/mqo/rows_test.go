@@ -14,13 +14,13 @@ import (
 )
 
 // refStore is the map-of-pointers reference the row store is checked
-// against: the stored partials in insertion order, a set of their edge
-// bindings, and per parent link a map from cut key to the partials indexed
-// under it, in insertion order.
+// against: the stored partials in insertion order, a set of their bindings,
+// and per parent link a map from cut key to the partials indexed under it,
+// in insertion order.
 type refStore struct {
-	stored  []*[]uint64
-	byEdges map[string]bool
-	buckets []map[string][]*[]uint64
+	stored    []*[]uint64
+	byBinding map[string]bool
+	buckets   []map[string][]*[]uint64
 }
 
 // rowStoreFixture is a child node of 6 vertices and 3 edges under two parent
@@ -55,9 +55,14 @@ func keyOf(row []uint64, cuts []query.VertexID) string {
 // partials under every cut key in insertion order, across prunes by window
 // and, where a window is 0, by the retention, with the parents' narrower
 // windows dropping index entries the child keeps, and pruned partials stored
-// again. Spans arrive out of order within a slack. It runs with the real hashes and with every row
-// and key hash forced onto one value or sixteen, where only the word
-// comparisons tell rows and keys apart.
+// again. Spans arrive out of order within a slack. The rows are indexed, as
+// a backfill indexes them, so a repeated binding is refused, and a row
+// binding the edges of a stored one to other vertices, as a mirrored
+// fragment's row and its mirror do, is stored beside it: the dedup table
+// is built over the stored rows before the first add and again after every
+// sweep, which leaves it behind, as each backfill builds its own. It runs
+// with the real hashes and with every row and key hash forced onto one value
+// or sixteen, where only the word comparisons tell rows and keys apart.
 func TestRowStoreAgainstMapReference(t *testing.T) {
 	const slack = 40
 	for _, tc := range []struct {
@@ -69,41 +74,52 @@ func TestRowStoreAgainstMapReference(t *testing.T) {
 	} {
 		for _, mask := range []uint64{^uint64(0), 0, 15} {
 			t.Run(fmt.Sprintf("%s/mask %#x", tc.name, mask), func(t *testing.T) {
-				edgeHash := func(ws []uint64) uint64 { return match.HashEdgeSlots(ws) & mask }
+				hash := func(ws []uint64) uint64 { return match.HashEdgeSlots(ws) & mask }
 				keyHash := func(row []uint64, cuts []query.VertexID) uint64 { return hashKey(row, cuts) & mask }
 				rng := rand.New(rand.NewSource(27))
 				n := rowStoreFixture(tc.child, tc.left, tc.right)
 				s := &n.rows
-				ref := refStore{byEdges: map[string]bool{}, buckets: []map[string][]*[]uint64{{}, {}}}
+				ref := refStore{byBinding: map[string]bool{}, buckets: []map[string][]*[]uint64{{}, {}}}
 				pruned := map[string]bool{}
-				now, dups, readded, dropped := graph.Timestamp(1000), 0, 0, 0
+				s.index(hash)
+				now, dups, mirrors, readded, dropped := graph.Timestamp(1000), 0, 0, 0, 0
 				for op := 0; op < 6000; op++ {
 					if rng.Intn(40) > 0 {
 						now += graph.Timestamp(rng.Intn(3))
 						row := make([]uint64, s.width)
-						for v := 0; v < 6; v++ {
-							row[v] = uint64(rng.Intn(4))
-						}
 						for e := 0; e < 3; e++ {
 							row[6+e] = uint64(rng.Intn(12))
 						}
+						// The vertices follow from the edges, but for a coin
+						// that swaps the first two.
+						for v := 0; v < 6; v++ {
+							row[v] = (row[6+v%3] + uint64(v)) % 4
+						}
+						if rng.Intn(2) == 0 {
+							row[0], row[1] = row[1], row[0]
+						}
+						mirror := slices.Clone(s.binding(row))
+						mirror[0], mirror[1] = mirror[1], mirror[0]
+						if !slices.Equal(mirror, s.binding(row)) && ref.byBinding[fmt.Sprint(mirror)] {
+							mirrors++
+						}
 						start := now - graph.Timestamp(rng.Intn(slack))
 						s.setSpan(row, graph.Interval{Start: start, End: start + graph.Timestamp(rng.Intn(slack))})
-						edges := fmt.Sprint(s.edges(row))
-						r, added := s.add(edgeHash(s.edges(row)), row)
-						if added == ref.byEdges[edges] {
-							t.Fatalf("op %d: add of %v = %v, the reference holds it: %v", op, row, added, ref.byEdges[edges])
+						binding := fmt.Sprint(s.binding(row))
+						r, added := s.add(row, hash)
+						if added == ref.byBinding[binding] {
+							t.Fatalf("op %d: add of %v = %v, the reference holds it: %v", op, row, added, ref.byBinding[binding])
 						}
 						if !added {
 							dups++
 							continue
 						}
-						if pruned[edges] {
+						if pruned[binding] {
 							readded++
 						}
 						p := slices.Clone(row)
 						ref.stored = append(ref.stored, &p)
-						ref.byEdges[edges] = true
+						ref.byBinding[binding] = true
 						for i, pl := range n.parents {
 							pl.link.idx.add(s, pl.link.cuts, r, keyHash(row, pl.link.cuts))
 							key := keyOf(row, pl.link.cuts)
@@ -113,7 +129,8 @@ func TestRowStoreAgainstMapReference(t *testing.T) {
 							continue
 						}
 					} else {
-						removed := sweep(n, now, tc.retention, edgeHash, keyHash)
+						removed := sweep(n, now, tc.retention, keyHash)
+						s.index(hash)
 						drops := func(window time.Duration, row []uint64) bool {
 							if window == 0 {
 								window = tc.retention
@@ -123,8 +140,8 @@ func TestRowStoreAgainstMapReference(t *testing.T) {
 						kept := ref.stored[:0]
 						for _, p := range ref.stored {
 							if drops(n.window, *p) {
-								delete(ref.byEdges, fmt.Sprint(s.edges(*p)))
-								pruned[fmt.Sprint(s.edges(*p))] = true
+								delete(ref.byBinding, fmt.Sprint(s.binding(*p)))
+								pruned[fmt.Sprint(s.binding(*p))] = true
 								continue
 							}
 							kept = append(kept, p)
@@ -137,9 +154,9 @@ func TestRowStoreAgainstMapReference(t *testing.T) {
 							for key, list := range ref.buckets[i] {
 								keep := list[:0]
 								for _, p := range list {
-									if ref.byEdges[fmt.Sprint(s.edges(*p))] && !drops(pl.parent.window, *p) {
+									if ref.byBinding[fmt.Sprint(s.binding(*p))] && !drops(pl.parent.window, *p) {
 										keep = append(keep, p)
-									} else if ref.byEdges[fmt.Sprint(s.edges(*p))] {
+									} else if ref.byBinding[fmt.Sprint(s.binding(*p))] {
 										dropped++
 									}
 								}
@@ -151,8 +168,8 @@ func TestRowStoreAgainstMapReference(t *testing.T) {
 					}
 					checkRowStore(t, op, n, &ref, keyHash)
 				}
-				if dups < 200 || readded < 200 || dropped < 200 {
-					t.Fatalf("vacuous: %d duplicates refused, %d pruned partials stored again, %d index entries dropped under the child", dups, readded, dropped)
+				if dups < 200 || mirrors < 200 || readded < 200 || dropped < 200 {
+					t.Fatalf("vacuous: %d duplicates refused, %d mirrors stored, %d pruned partials stored again, %d index entries dropped under the child", dups, mirrors, readded, dropped)
 				}
 			})
 		}
@@ -404,8 +421,9 @@ func TestRowsMatchPrivateTreesAcrossSweeps(t *testing.T) {
 // TestRowStoreShrinksAfterABurst: a burst of partials, then quiet windows
 // with a trickle: once the burst has been swept, the node's arena and its
 // link's chain array hold at most four rows of capacity per live row
-// (keepRows at least), and its dedup and key tables eight slots per live row
-// (8 at least) — a burst does not pin its capacity for ever.
+// (keepRows at least), and its key table eight slots per live row
+// (8 at least) — a burst does not pin its capacity for ever. Rows added
+// outside a backfill build no dedup table at all.
 func TestRowStoreShrinksAfterABurst(t *testing.T) {
 	n := rowStoreFixture(10, 10, 10)
 	n.parents = n.parents[:1]
@@ -419,7 +437,7 @@ func TestRowStoreShrinksAfterABurst(t *testing.T) {
 			row[s.nv+e] = uint64(i)
 		}
 		s.setSpan(row, graph.NewInterval(at))
-		if r, ok := s.add(match.HashEdgeSlots(s.edges(row)), row); ok {
+		if r, ok := s.add(row, match.HashEdgeSlots); ok {
 			x.add(s, n.parents[0].link.cuts, r, hashKey(row, n.parents[0].link.cuts))
 		}
 	}
@@ -431,7 +449,7 @@ func TestRowStoreShrinksAfterABurst(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			add(100_000+int(w)*10+i, w*10)
 		}
-		sweep(n, w*10+5, 0, match.HashEdgeSlots, hashKey)
+		sweep(n, w*10+5, 0, hashKey)
 	}
 	live := s.len()
 	if live != 5 || burst < 20_000*s.width {
@@ -443,7 +461,7 @@ func TestRowStoreShrinksAfterABurst(t *testing.T) {
 	if c := cap(x.next); c > max(4*live, keepRows) {
 		t.Errorf("chain array keeps %d entries for %d live rows", c, live)
 	}
-	if len(s.dedup.slots) > max(8*live, 8) || len(x.keys.slots) > max(8*live, 8) {
+	if s.indexed() || len(x.keys.slots) > max(8*live, 8) {
 		t.Errorf("tables keep %d dedup and %d key slots for %d live rows", len(s.dedup.slots), len(x.keys.slots), live)
 	}
 }

@@ -33,9 +33,9 @@ type Stats struct {
 	Attachments int `json:"attachments"`
 	// PartialMatches counts the matches stored across all node collections,
 	// each once (the link partitions index them) — the engine's
-	// memory-pressure metric, comparable with sjtree.Tree.PartialMatchCount
-	// but for the roots, whose complete matches the DAG keeps for late
-	// attachments.
+	// memory-pressure metric, comparable with sjtree.Tree.PartialMatchCount.
+	// Only a node with a parent stores matches, so a root no join reads
+	// counts none.
 	PartialMatches int         `json:"partial_matches" metric:"partials_stored"`
 	LocalSearches  uint64      `json:"local_searches" metric:"mqo_local_searches"`
 	SharedHits     uint64      `json:"shared_hits" metric:"mqo_shared_hits"`
@@ -90,7 +90,8 @@ func MergeStats(snaps ...Stats) Stats {
 }
 
 // PartialMatches returns the number of matches stored across the node
-// collections, each once.
+// collections, each once: those of nodes with a parent, since no other
+// node stores any.
 func (d *DAG) PartialMatches() int {
 	total := 0
 	for _, n := range d.nodes {

@@ -38,13 +38,15 @@ var ceilings = map[string]float64{
 	"export.Reporter/25-consumer group": 0,
 	// internal/mqo: one root row fanned out to a group of 25 queries is one
 	// match built in query space and one Signature, whatever the group's
-	// size, both carved from the DAG's arena: nothing per match. Every
-	// partial below a root is a row: stored in its node's arena behind a
-	// dedup slot, chained under its cut key in each parent link's
-	// index, joined into the parent's scratch. Storing one under a new cut
-	// key, storing the row a join produced, and the leaf search that finds
-	// one allocate nothing but the amortised growth of arenas and tables.
+	// size, both carved from the DAG's arena: nothing per match. A root no
+	// join reads delivers its row and keeps nothing. Every partial below a
+	// root is a row: appended to its node's arena, chained under its cut
+	// key in each parent link's index, joined into the parent's scratch.
+	// Storing one under a new cut key, storing the row a join produced, and
+	// the leaf search that finds one allocate nothing but the amortised
+	// growth of arenas and tables.
 	"mqo.deliver/25-consumers":                              0,
+	"mqo.insert/parentless root, delivered":                 0,
 	"mqo.insert/stored partial, one parent, no sibling hit": 0,
 	"mqo.insert/joined partial":                             0,
 	"mqo.ProcessEdge/leaf search, no join":                  0,
