@@ -31,9 +31,9 @@ type durableEngine interface {
 }
 
 // engineMaker builds the in-process backend from options; the crash and
-// degradation suites run once per constructor through this seam: New (one
-// shard, on the caller's goroutine) and NewSharded (three shards, one
-// goroutine each). The cells keep the names the metrics golden records.
+// degradation suites run once per shard mode through this seam: New on one
+// shard, on the caller's goroutine, and on three shards, one goroutine
+// each. The cells keep the names the metrics golden records.
 type engineMaker struct {
 	name string
 	mk   func(opts ...streamworks.Option) durableEngine
@@ -45,7 +45,7 @@ func inProcessBackends() []engineMaker {
 			return streamworks.New(opts...)
 		}},
 		{"sharded", func(opts ...streamworks.Option) durableEngine {
-			return streamworks.NewSharded(append([]streamworks.Option{streamworks.WithShards(3)}, opts...)...)
+			return streamworks.New(append([]streamworks.Option{streamworks.WithShards(3)}, opts...)...)
 		}},
 	}
 }
@@ -638,7 +638,7 @@ func TestShardedFlushBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
-	eng := streamworks.NewSharded(streamworks.WithEngineConfig(w.Engine), streamworks.WithShards(3))
+	eng := streamworks.New(streamworks.WithEngineConfig(w.Engine), streamworks.WithShards(3))
 	defer eng.Close()
 	registerAll(t, eng, w)
 	var mu sync.Mutex

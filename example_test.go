@@ -65,17 +65,17 @@ func ExampleNew() {
 	// Output: icmp-echo matched: 2 vertices bound, 2 edges
 }
 
-// ExampleNewSharded runs the same workload on the sharded in-process
+// ExampleNew_sharded runs the same workload on two shards of the in-process
 // backend: identical API, each match pushed once, by the shard that owns
-// it.
-func ExampleNewSharded() {
+// it, on that shard's goroutine.
+func ExampleNew_sharded() {
 	ctx := context.Background()
 	q, err := streamworks.ParseQuery(echoQuery)
 	if err != nil {
 		panic(err)
 	}
 
-	eng := streamworks.NewSharded(streamworks.WithShards(2),
+	eng := streamworks.New(streamworks.WithShards(2),
 		streamworks.WithEngineConfig(streamworks.EngineConfig{Retention: time.Minute}))
 	defer eng.Close()
 	if err := eng.RegisterQuery(ctx, q); err != nil {

@@ -6,11 +6,14 @@
 // paper's SJ-Tree, a left-deep plan in the sense of arXiv 1407.3745 — is
 // folded into one evaluation DAG shared by every registration
 // (internal/mqo), in which a single query is simply a DAG where nothing
-// happens to be shared. The engine then consumes a stream of timestamped
-// edges and, for every arriving edge, runs one local search per distinct leaf
-// primitive the edge can participate in, joins the resulting primitive
-// matches up the DAG and reports every complete match that emerges within
-// each query's time window.
+// happens to be shared. The query's attachment to the DAG is the engine's
+// one record of a registration: its name, query graph and plan, in
+// registration order; the engine adds only the emitter the DAG calls with
+// each complete match, a closure holding the query's match counter. The
+// engine then consumes a stream of timestamped edges and, for every arriving
+// edge, runs one local search per distinct leaf primitive the edge can
+// participate in, joins the resulting primitive matches up the DAG and
+// reports every complete match that emerges within each query's time window.
 package core
 
 import (
@@ -131,13 +134,11 @@ type Engine struct {
 	// the window as it is now.
 	planner *decompose.Planner
 
-	registrations map[string]*Registration
-	order         []string // registration order, for deterministic iteration
-
-	// dag is the evaluation DAG every registration is attached to;
-	// dagEvents is where Registration.emit appends MatchEvents during a DAG
-	// ProcessEdge (the DAG emits through per-attachment callbacks rather than
-	// returning slices).
+	// dag is the evaluation DAG every registration is attached to, and the
+	// one record of each: its attachment holds the query's name, graph and
+	// plan, in registration order. dagEvents is where a query's emitter
+	// appends MatchEvents during a DAG ProcessEdge (the DAG emits through
+	// per-attachment callbacks rather than returning slices).
 	dag       *mqo.DAG
 	dagEvents []MatchEvent
 
@@ -146,7 +147,7 @@ type Engine struct {
 	evScratch []MatchEvent
 
 	// sink receives the matches of the query named sinkQuery ("" for every
-	// query) at the emission point (Registration.emit); nil drops them. Like
+	// query) at the emission point (emitter); nil drops them. Like
 	// the rest of the engine it is driver-goroutine state.
 	sink      MatchSink
 	sinkQuery string
@@ -165,9 +166,8 @@ func New(cfg *Config) *Engine {
 	}
 	c.Obs = c.Obs.Normalized()
 	e := &Engine{
-		cfg:           c,
-		dyn:           graph.NewDynamic(c.Retention, graph.WithSlack(c.Slack)),
-		registrations: make(map[string]*Registration),
+		cfg: c,
+		dyn: graph.NewDynamic(c.Retention, graph.WithSlack(c.Slack)),
 	}
 	e.summary = stats.NewSummary()
 	e.planner = decompose.NewPlanner(stats.NewEstimator(e.summary))
@@ -182,15 +182,23 @@ func (e *Engine) Graph() *graph.Dynamic { return e.dyn }
 // Registrations returns the names of all registered queries in registration
 // order.
 func (e *Engine) Registrations() []string {
-	out := make([]string, len(e.order))
-	copy(out, e.order)
+	atts := e.dag.Attachments()
+	out := make([]string, len(atts))
+	for i, a := range atts {
+		out[i] = a.Name()
+	}
 	return out
 }
 
-// Registration returns the named registration.
-func (e *Engine) Registration(name string) (*Registration, bool) {
-	r, ok := e.registrations[name]
-	return r, ok
+// Registration returns the named query's attachment to the evaluation DAG
+// (read-only use: its plan, stats, display).
+func (e *Engine) Registration(name string) (*mqo.Attachment, bool) {
+	for _, a := range e.dag.Attachments() {
+		if a.Name() == name {
+			return a, true
+		}
+	}
+	return nil, false
 }
 
 // Registration errors.
@@ -218,8 +226,8 @@ var (
 // have (ErrUnnamedQuery otherwise). The query is decomposed with
 // the configured strategy (selective by default, using the statistics of the
 // window as it is now) and the plan is attached to the engine's evaluation
-// DAG. Matches are reported both from ProcessEdge return values and to the
-// sink set with Subscribe.
+// DAG, whose attachment it returns. Matches are reported both from
+// ProcessEdge return values and to the sink set with Subscribe.
 //
 // A query registered mid-stream sees the retained window as if it had been
 // registered before it began: plan nodes new to the DAG are backfilled from
@@ -227,7 +235,7 @@ var (
 // registration even if some of its edges, or whole primitives, arrived
 // before. Matches already complete at registration are recorded and never
 // reported.
-func (e *Engine) RegisterQuery(q *query.Graph, opts ...RegistrationOption) (*Registration, error) {
+func (e *Engine) RegisterQuery(q *query.Graph, opts ...RegistrationOption) (*mqo.Attachment, error) {
 	if q == nil {
 		return nil, ErrNilQuery
 	}
@@ -235,43 +243,82 @@ func (e *Engine) RegisterQuery(q *query.Graph, opts ...RegistrationOption) (*Reg
 	if name == "" {
 		return nil, ErrUnnamedQuery
 	}
-	if _, dup := e.registrations[name]; dup {
+	if _, dup := e.Registration(name); dup {
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateQuery, name)
 	}
-	reg, err := newRegistration(e, name, q, opts...)
+	cfg := registrationConfig{strategy: decompose.StrategySelective}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	plan, err := e.planner.Plan(q, cfg.strategy)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: planning %q: %w", name, err)
 	}
 	if err := e.ExtendRetention(q.Window()); err != nil {
 		return nil, fmt.Errorf("registering %q: %w", name, err)
 	}
-	att, err := e.dag.Attach(name, q, reg.plan, mqo.AttachOptions{EmitSigned: reg.emit})
+	// The query's series lives as long as its registration:
+	// UnregisterQuery forgets it.
+	matches := e.obs.registry.Counter("query_matches_detected", obs.QueryLabelKey, name)
+	att, err := e.dag.Attach(name, q, plan, mqo.AttachOptions{EmitSigned: e.emitter(name, matches)})
 	if err != nil {
+		e.obs.registry.Forget(obs.QueryLabelKey, name)
 		return nil, fmt.Errorf("registering %q: %w", name, err)
 	}
-	reg.att = att
-	reg.bind(e.obs.registry)
-	e.registrations[name] = reg
-	e.order = append(e.order, name)
-	return reg, nil
+	return att, nil
+}
+
+// RegistrationOption configures how a query is registered.
+type RegistrationOption func(*registrationConfig)
+
+type registrationConfig struct {
+	strategy decompose.Strategy
+}
+
+// WithStrategy selects the decomposition strategy for the query (default:
+// the paper's selectivity-ordered decomposition).
+func WithStrategy(s decompose.Strategy) RegistrationOption {
+	return func(c *registrationConfig) { c.strategy = s }
+}
+
+// emitter returns the emission point of the query registered as name: the
+// DAG invokes it (through the attachment's EmitSigned callback) for every
+// complete match of the query, already remapped into the query's own
+// pattern space, with the signature its consumer group built. It counts
+// the match on the query's series, matches, and feeds the engine's sink,
+// the event slice and — when observability is on — the detection-lag
+// histogram. Events accumulate on e.dagEvents, which ProcessEdge points at
+// its scratch buffer.
+func (e *Engine) emitter(name string, matches *obs.Counter) func(*match.Match, string) {
+	return func(qm *match.Match, signature string) {
+		o := &e.obs
+		ev := MatchEvent{
+			Query:      name,
+			Match:      qm,
+			Signature:  signature,
+			DetectedAt: e.dyn.Watermark(),
+		}
+		if o.enabled {
+			ev.EmittedWallNS = o.clock.Now()
+			ev.ArrivedWallNS = o.curArrival
+			if qm.HasSpan() {
+				o.detectLag.Observe(int64(ev.DetectedAt - qm.Span.End))
+			}
+		}
+		matches.Inc()
+		if e.sink != nil && (e.sinkQuery == "" || e.sinkQuery == name) {
+			e.sink.OnMatch(ev)
+		}
+		e.dagEvents = append(e.dagEvents, ev)
+	}
 }
 
 // UnregisterQuery removes a registered query and discards its partial state.
 func (e *Engine) UnregisterQuery(name string) error {
-	if _, ok := e.registrations[name]; !ok {
+	if e.dag.Detach(name) != nil { // only a name not attached fails
 		return fmt.Errorf("%w: %q", ErrUnknownQuery, name)
 	}
-	if err := e.dag.Detach(name); err != nil {
-		return err
-	}
 	e.obs.registry.Forget(obs.QueryLabelKey, name)
-	delete(e.registrations, name)
-	for i, n := range e.order {
-		if n == name {
-			e.order = append(e.order[:i], e.order[i+1:]...)
-			break
-		}
-	}
 	return nil
 }
 
@@ -323,7 +370,7 @@ func (e *Engine) ProcessEdge(se graph.StreamEdge) []MatchEvent {
 	}
 
 	// One DAG pass covers every registration; emissions arrive through
-	// Registration.emit, which appends to e.dagEvents (pointed at the
+	// each query's emitter, which appends to e.dagEvents (pointed at the
 	// scratch slice for this call). The previous call's events are cleared
 	// first: a stale event would pin its match, and the slab chunks the
 	// match and its signature were carved from, until overwritten.
@@ -390,22 +437,22 @@ func (e *Engine) Metrics() Metrics {
 // from the registrations and the DAG.
 func (e *Engine) Snapshot() (Metrics, obs.Snapshot) {
 	e.refreshGauges()
-	m := Metrics{Registrations: uint64(len(e.registrations)), MQO: e.dag.Stats()}
-	for _, name := range e.order {
-		reg := e.registrations[name]
-		qm := QueryMetrics{
-			Name:      name,
-			Strategy:  reg.plan.Strategy,
-			PlanNodes: reg.plan.NumNodes(),
-			PlanDepth: reg.plan.Depth(),
+	atts := e.dag.Attachments()
+	m := Metrics{Registrations: uint64(len(atts)), MQO: e.dag.Stats()}
+	for _, att := range atts {
+		plan := att.Plan()
+		m.Queries = append(m.Queries, QueryMetrics{
+			Name:      att.Name(),
+			Strategy:  plan.Strategy,
+			PlanNodes: plan.NumNodes(),
+			PlanDepth: plan.Depth(),
 			// The per-query view of the DAG: LocalSearches reports the
 			// query's coverage (a shared leaf's searches count for every
 			// query viewing it); the DAG-level totals report actual cost, and
 			// the gap between the two is the sharing win.
-			PartialMatches: reg.att.PartialMatches(),
-			LocalSearches:  reg.att.LeafSearches(),
-		}
-		m.Queries = append(m.Queries, qm)
+			PartialMatches: att.PartialMatches(),
+			LocalSearches:  att.LeafSearches(),
+		})
 	}
 	snap := e.obs.registry.Snapshot()
 	FillMetrics(&m, snap)

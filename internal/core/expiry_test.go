@@ -41,7 +41,7 @@ func TestEngineExpiryPrunesUnwindowedPartials(t *testing.T) {
 			t.Fatalf("unexpected complete match: %v", got)
 		}
 	}
-	if got := reg.Attachment().PartialMatches(); got != 8 {
+	if got := reg.PartialMatches(); got != 8 {
 		t.Fatalf("PartialMatchCount = %d, want 8", got)
 	}
 	// Jump stream time far past retention: all hop1 edges expire, and the
@@ -50,7 +50,7 @@ func TestEngineExpiryPrunesUnwindowedPartials(t *testing.T) {
 	if live := e.Graph().NumEdges(); live != 0 {
 		t.Fatalf("%d edges still live after advance", live)
 	}
-	if got := reg.Attachment().PartialMatches(); got != 0 {
+	if got := reg.PartialMatches(); got != 0 {
 		t.Fatalf("PartialMatchCount = %d after expiry, want 0", got)
 	}
 	if m := e.Metrics(); m.PartialsPruned != 8 {
@@ -93,11 +93,11 @@ func TestWindowlessQueryTakesTheWidenedRetention(t *testing.T) {
 	if len(got) != 1 || got[0].Match.Span.End.Sub(got[0].Match.Span.Start) != 20*time.Second {
 		t.Fatalf("path was sent %v, want the one match spanning 20s", got)
 	}
-	if n := reg.Attachment().PartialMatches(); n == 0 {
+	if n := reg.PartialMatches(); n == 0 {
 		t.Fatal("no partials stored: the test proves nothing about their expiry")
 	}
 	e.Advance(base.Add(2 * time.Minute))
-	if n := reg.Attachment().PartialMatches(); n != 0 {
+	if n := reg.PartialMatches(); n != 0 {
 		t.Fatalf("PartialMatchCount = %d two minutes on, want 0", n)
 	}
 }

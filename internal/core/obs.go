@@ -32,7 +32,7 @@ type engineObs struct {
 	// curArrival is the serving-tier arrival stamp of the edge currently
 	// inside ProcessEdge (StreamEdge.ArrivedWallNS, zero when the edge never
 	// crossed a serving tier). The engine is single-threaded, so one field
-	// suffices; Registration.emit copies it onto every match the edge
+	// suffices; a query's emitter copies it onto every match the edge
 	// completes.
 	curArrival int64
 }

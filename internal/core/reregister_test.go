@@ -7,6 +7,7 @@ import (
 
 	"github.com/streamworks/streamworks/internal/decompose"
 	"github.com/streamworks/streamworks/internal/graph"
+	"github.com/streamworks/streamworks/internal/mqo"
 	"github.com/streamworks/streamworks/internal/query"
 )
 
@@ -26,7 +27,7 @@ func burstQuery(window time.Duration) *query.Graph {
 
 // reregister moves a registered query onto another strategy's plan the one
 // way there is: it unregisters the query and registers it again.
-func reregister(t *testing.T, e *Engine, name string, s decompose.Strategy) *Registration {
+func reregister(t *testing.T, e *Engine, name string, s decompose.Strategy) *mqo.Attachment {
 	t.Helper()
 	old, ok := e.Registration(name)
 	if !ok {
@@ -35,7 +36,7 @@ func reregister(t *testing.T, e *Engine, name string, s decompose.Strategy) *Reg
 	if err := e.UnregisterQuery(name); err != nil {
 		t.Fatal(err)
 	}
-	reg, err := e.RegisterQuery(old.Query(), WithStrategy(s))
+	reg, err := e.RegisterQuery(old.Plan().Query, WithStrategy(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestReregisterBoundaryMatchStraddlingEmitsOnce(t *testing.T) {
 	if len(emitted) != 0 {
 		t.Fatalf("no complete match yet, emitted %d", len(emitted))
 	}
-	if reg.Attachment().PartialMatches() == 0 {
+	if reg.PartialMatches() == 0 {
 		t.Fatalf("expected stored partials before the re-registration")
 	}
 
@@ -72,7 +73,7 @@ func TestReregisterBoundaryMatchStraddlingEmitsOnce(t *testing.T) {
 	if reg.Plan().Strategy != decompose.StrategyEager {
 		t.Fatalf("strategy not changed: %s", reg.Plan().Strategy)
 	}
-	if reg.Attachment().PartialMatches() == 0 {
+	if reg.PartialMatches() == 0 {
 		t.Fatalf("backfill did not rebuild partial state under the new plan")
 	}
 
@@ -82,8 +83,8 @@ func TestReregisterBoundaryMatchStraddlingEmitsOnce(t *testing.T) {
 	if len(emitted) != 1 {
 		t.Fatalf("straddling match emitted %d times, want 1", len(emitted))
 	}
-	if m := e.Metrics(); m.MatchesEmitted != 1 || reg.Matches() != 1 {
-		t.Fatalf("match counters: engine %d, registration %d", m.MatchesEmitted, reg.Matches())
+	if m := e.Metrics(); m.MatchesEmitted != 1 || queryMatches(e, "burst") != 1 {
+		t.Fatalf("match counters: engine %d, registration %d", m.MatchesEmitted, queryMatches(e, "burst"))
 	}
 }
 
@@ -106,17 +107,16 @@ func TestReregisterAfterEmissionDoesNotDuplicate(t *testing.T) {
 		t.Fatalf("expected the complete match before the re-registration, got %d", emitted)
 	}
 
-	var reg *Registration
 	for _, strat := range []decompose.Strategy{decompose.StrategyEager, decompose.StrategySelective, decompose.StrategyBalanced} {
-		reg = reregister(t, e, "burst", strat)
+		reregister(t, e, "burst", strat)
 		if emitted != 1 {
 			t.Fatalf("backfill under %s re-emitted the match: %d", strat, emitted)
 		}
 	}
 	// Neither counter may have drifted: the engine's still counts the one
 	// match, the last registration's none.
-	if m := e.Metrics(); m.MatchesEmitted != 1 || reg.Matches() != 0 {
-		t.Fatalf("match counters drifted: engine %d, registration %d", m.MatchesEmitted, reg.Matches())
+	if m := e.Metrics(); m.MatchesEmitted != 1 || queryMatches(e, "burst") != 0 {
+		t.Fatalf("match counters drifted: engine %d, registration %d", m.MatchesEmitted, queryMatches(e, "burst"))
 	}
 }
 
@@ -173,8 +173,8 @@ func TestReregisterRestartsTheQuerysView(t *testing.T) {
 		e.ProcessEdge(hostEdge(id+2, a, a+2, "flow", ts.Add(2*time.Second)))
 	}
 	burst(1, 10, 0)
-	if first.Matches() != 1 {
-		t.Fatalf("%d matches before the move, want 1", first.Matches())
+	if n := queryMatches(e, "burst"); n != 1 {
+		t.Fatalf("%d matches before the move, want 1", n)
 	}
 	reg := reregister(t, e, "burst", decompose.StrategyEager)
 	if reg.Plan().NumNodes() == first.Plan().NumNodes() {

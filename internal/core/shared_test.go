@@ -244,8 +244,7 @@ func TestSharedPlansChurn(t *testing.T) {
 		}
 		e.ProcessEdge(se)
 	}
-	reg, _ := e.Registration("smurf")
-	smurfMatches = reg.Matches()
+	smurfMatches = queryMatches(e, "smurf")
 	if smurfMatches == 0 {
 		t.Fatalf("smurf never matched across churn")
 	}
@@ -285,7 +284,7 @@ func TestSharedPlansReregister(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("the re-registration's backfill duplicated emissions: %d", len(got))
 	}
-	if reg.Attachment() == nil || reg.Attachment().Plan().Strategy != decompose.StrategyEager {
+	if reg.Plan().Strategy != decompose.StrategyEager {
 		t.Fatalf("attachment not on the eager plan")
 	}
 	// The dangling request must complete afterwards (state rebuilt).

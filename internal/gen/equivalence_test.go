@@ -81,7 +81,7 @@ func TestCrossStrategyEquivalenceMatrix(t *testing.T) {
 						if m.shards == 0 {
 							eng = streamworks.New(opts...)
 						} else {
-							eng = streamworks.NewSharded(append(opts, streamworks.WithShards(m.shards))...)
+							eng = streamworks.New(append(opts, streamworks.WithShards(m.shards))...)
 						}
 						run := RunEngine
 						if m.reregister {

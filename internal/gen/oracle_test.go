@@ -10,8 +10,11 @@ import (
 	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/decompose"
 	"github.com/streamworks/streamworks/internal/graph"
+	"github.com/streamworks/streamworks/internal/isomorphism"
 	"github.com/streamworks/streamworks/internal/mqo"
 	"github.com/streamworks/streamworks/internal/query"
+	"github.com/streamworks/streamworks/internal/sjtree"
+	"github.com/streamworks/streamworks/internal/stats"
 )
 
 // randomWorkload is a small typed multigraph stream with the nastiness the
@@ -314,5 +317,71 @@ func TestRootStorageFollowsParentLinks(t *testing.T) {
 				t.Fatalf("%d matches, the oracle finds %d", len(got), len(ref))
 			}
 		})
+	}
+}
+
+// TestPrivateTreesMatchOracle holds the single-query reference, a private
+// SJ-Tree per query (internal/sjtree), to the oracle on randomWorkload's
+// undirected queries under every strategy: a local search per leaf the
+// arriving edge can seed, every primitive match inserted, the tree swept by
+// its window. Local search finds the one flow of peers and relay in both
+// orientations; relay's eager plan joins that leaf on either host, so the
+// tree must keep both rows of it.
+func TestPrivateTreesMatchOracle(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		w := randomWorkload(seed)
+		w.Queries = slices.DeleteFunc(w.Queries, func(q *query.Graph) bool {
+			return q.Name() != "peers" && q.Name() != "relay"
+		})
+		for _, q := range w.Queries {
+			one := w
+			one.Queries = []*query.Graph{q}
+			ref := Oracle(one)
+			if len(ref) == 0 {
+				t.Fatalf("%s: the oracle finds no %s match; the stream proves nothing", w.Name, q.Name())
+			}
+			for _, strat := range decompose.Strategies() {
+				t.Run(fmt.Sprintf("%s/%s/%s", w.Name, q.Name(), strat), func(t *testing.T) {
+					plan, err := decompose.NewPlanner(stats.NewEstimator(nil)).Plan(q, strat)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tree, err := sjtree.New(plan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					matcher := isomorphism.New(q)
+					dyn := graph.NewDynamic(max(w.Engine.Retention, q.Window()), graph.WithSlack(w.Engine.Slack))
+					got := make(MatchSet)
+					for i, se := range w.Edges {
+						de, err := dyn.Apply(se)
+						if err != nil {
+							continue // late or duplicate, as the engine drops it
+						}
+						for _, leaf := range tree.Leaves() {
+							for _, qe := range leaf.Edges() {
+								if !q.Edge(qe).MatchesEdge(de) {
+									continue
+								}
+								order := matcher.ConnectedOrder(leaf.Edges(), qe)
+								for _, pm := range matcher.LocalSearchInto(nil, dyn.Graph(), order, de) {
+									for _, cm := range tree.Insert(leaf, pm) {
+										if !got.AddKey(q.Name(), cm.Signature()) {
+											t.Fatalf("the tree emitted %s twice", cm.Signature())
+										}
+									}
+								}
+							}
+						}
+						if (i+1)%w.Engine.PruneInterval == 0 {
+							tree.Prune(dyn.Watermark() - graph.Timestamp(q.Window()))
+						}
+					}
+					if !got.Equal(ref) {
+						t.Fatalf("%d matches, the oracle finds %d", len(got), len(ref))
+					}
+				})
+			}
+		}
 	}
 }

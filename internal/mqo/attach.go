@@ -97,7 +97,7 @@ type AttachOptions struct {
 // attached then (their plans were exact all along), or predates whoever was
 // not.
 func (d *DAG) Attach(name string, q *query.Graph, plan *decompose.Plan, opt AttachOptions) (*Attachment, error) {
-	if _, dup := d.atts[name]; dup {
+	if d.attachment(name) != nil {
 		return nil, fmt.Errorf("mqo: query %q already attached", name)
 	}
 	if err := plan.Validate(); err != nil {
@@ -126,8 +126,7 @@ func (d *DAG) Attach(name string, q *query.Graph, plan *decompose.Plan, opt Atta
 	att.rootEMap = rootFrag.EdgeToQuery
 	root.addConsumer(att)
 
-	d.atts[name] = att
-	d.attOrder = append(d.attOrder, name)
+	d.atts = append(d.atts, att)
 	return att, nil
 }
 
@@ -351,16 +350,15 @@ func (d *DAG) removeSeeds(n *node) {
 // count drops to zero are collected — anything still referenced by another
 // query's plan (or as a subtree of one) survives with its state intact.
 func (d *DAG) Detach(name string) error {
-	att, ok := d.atts[name]
-	if !ok {
+	att := d.attachment(name)
+	if att == nil {
 		return fmt.Errorf("mqo: query %q not attached", name)
 	}
 	root, g := att.root, att.group
 	if g.members = slices.DeleteFunc(g.members, func(a *Attachment) bool { return a == att }); len(g.members) == 0 {
 		root.consumers = slices.DeleteFunc(root.consumers, func(c *consumerGroup) bool { return c == g })
 	}
-	delete(d.atts, name)
-	d.attOrder = slices.DeleteFunc(d.attOrder, func(n string) bool { return n == name })
+	d.atts = slices.DeleteFunc(d.atts, func(a *Attachment) bool { return a == att })
 	d.gc(root)
 	d.recomputeWindows()
 	return nil
@@ -440,8 +438,7 @@ func (d *DAG) recomputeWindows() {
 			}
 		}
 	}
-	for _, name := range d.attOrder {
-		att := d.atts[name]
+	for _, att := range d.atts {
 		require(att.root, att.window)
 	}
 }

@@ -215,8 +215,8 @@ func TestConsumerGroupMembershipMatchesPrivateTrees(t *testing.T) {
 
 	feedTo(100)
 	// Everybody else follows, with the stream running in between.
-	for _, name := range slices.Clone(d.attOrder[:len(d.attOrder)-1]) { // the mover is last
-		reattach(t, d, name, planFor(t, d.atts[name].q))
+	for _, att := range slices.Clone(d.atts[:len(d.atts)-1]) { // the mover is last
+		reattach(t, d, att.name, planFor(t, att.q))
 		feedTo(fed + 2)
 	}
 	if _, gone := d.nodes[oldRoot.sig]; !gone && oldRoot.refs() > 0 {
@@ -290,7 +290,7 @@ func TestDetachEmptiesOnlyItsGroup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	root, group := d.atts["wide"].root, d.atts["wide"].group
+	root, group := d.attachment("wide").root, d.attachment("wide").group
 	if len(root.consumers) != 2 {
 		t.Fatalf("%d groups on the root, want 2", len(root.consumers))
 	}
@@ -370,9 +370,13 @@ func TestAttachRefusalChangesNothing(t *testing.T) {
 	if _, err := d.Attach("s1", dup, planFor(t, dup), AttachOptions{Emit: col.emitFn("dup")}); err == nil {
 		t.Fatal("a second attach of s1 succeeded")
 	}
-	if !slices.Equal(d.attOrder, []string{"s0", "s1", "s2"}) || !slices.Equal(group.members, members) ||
-		d.NumNodes() != nodes || d.atts["s1"].group != group || d.atts["s1"].window != time.Minute {
-		t.Fatalf("a refused attach moved something: order %v, %d members, %d nodes", d.attOrder, len(group.members), d.NumNodes())
+	order := make([]string, len(d.atts))
+	for i, a := range d.atts {
+		order[i] = a.name
+	}
+	if !slices.Equal(order, []string{"s0", "s1", "s2"}) || !slices.Equal(group.members, members) ||
+		d.NumNodes() != nodes || d.attachment("s1").group != group || d.attachment("s1").window != time.Minute {
+		t.Fatalf("a refused attach moved something: order %v, %d members, %d nodes", order, len(group.members), d.NumNodes())
 	}
 	feed(t, dyn, d, []graph.StreamEdge{
 		hostEdge(3, 5, 6, "icmp_echo_req", base.Add(2*time.Second)),

@@ -225,8 +225,9 @@ type DAG struct {
 	// wildcard pattern edges every arriving edge must be tested against.
 	seedsByType map[string][]seedRef
 
-	atts     map[string]*Attachment
-	attOrder []string
+	// atts lists the attached queries in attach order: the one record of
+	// each registration (its name, query and plan) an engine keeps.
+	atts []*Attachment
 
 	// The DAG's counts live in its registry (its engine's, under WithObs):
 	// leaf searches and the fan-out saving.
@@ -276,7 +277,6 @@ func New(g *graph.Dynamic, opts ...Option) *DAG {
 		g:           g,
 		nodes:       make(map[string]*node),
 		seedsByType: make(map[string][]seedRef),
-		atts:        make(map[string]*Attachment),
 	}
 	for _, o := range opts {
 		o(d)
@@ -287,6 +287,21 @@ func New(g *graph.Dynamic, opts ...Option) *DAG {
 	d.localSearches = d.reg.Counter("mqo_local_searches", "", "")
 	d.sharedHits = d.reg.Counter("mqo_shared_hits", "", "")
 	return d
+}
+
+// Attachments returns the attached queries in attach order. The slice is
+// the DAG's own: read it before the next Attach or Detach, and do not
+// modify it.
+func (d *DAG) Attachments() []*Attachment { return d.atts }
+
+// attachment returns the query attached under name, or nil.
+func (d *DAG) attachment(name string) *Attachment {
+	for _, a := range d.atts {
+		if a.name == name {
+			return a
+		}
+	}
+	return nil
 }
 
 // NumNodes returns the number of live DAG nodes.

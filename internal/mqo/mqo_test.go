@@ -73,7 +73,7 @@ func (c *collector) emitFn(name string) func(*match.Match) {
 // callbacks.
 func reattach(t *testing.T, d *DAG, name string, plan *decompose.Plan) *Attachment {
 	t.Helper()
-	old := d.atts[name]
+	old := d.attachment(name)
 	if err := d.Detach(name); err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestDAGMidStreamAttachBackfill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if att.root == d.atts["early"].root || att.root.left == nil {
+	if att.root == d.attachment("early").root || att.root.left == nil {
 		t.Fatal("the late query's plan is not a join of its own")
 	}
 	if len(col.sigs["early"]) != 1 || len(col.sigs["late"]) != 0 {
@@ -368,7 +368,7 @@ func TestWidenDeliversNothing(t *testing.T) {
 		hostEdge(2, 2, 3, "icmp_echo_reply", base.Add(time.Second)),
 		hostEdge(3, 20, 21, "http", base.Add(10*time.Second)),
 	})
-	natt := d.atts["narrow"]
+	natt := d.attachment("narrow")
 	d.Prune(dyn.Watermark(), nil)
 	if len(col.sigs["narrow"]) != 1 {
 		t.Fatalf("narrow was sent %v, want the match", col.sigs["narrow"])

@@ -346,7 +346,7 @@ func sweepStream(t *testing.T, edges []graph.StreamEdge, retention, slack time.D
 		}
 		if name, ok := reattachAt[i]; ok {
 			silently("re-attaching "+name, func() error {
-				reattach(t, d, name, planFor(t, d.atts[name].q))
+				reattach(t, d, name, planFor(t, d.attachment(name).q))
 				return nil
 			})
 		}

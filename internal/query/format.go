@@ -16,7 +16,9 @@ import (
 // type labels and attribute names must not contain whitespace or start a
 // quote, and string values must not contain double quotes. Everything
 // produced by Builder-based query constructors in this repository satisfies
-// that; queries that came from Parse trivially do.
+// that. So does every query Parse accepts, since it refuses a quote that
+// does not enclose a whole token, though not trivially: FuzzFormatRoundTrip
+// holds the pair to the round trip.
 func Format(q *Graph) string {
 	var sb strings.Builder
 	if q.Name() != "" {

@@ -2,6 +2,7 @@ package query
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -79,7 +80,10 @@ func (p *parser) parseLine(line int, raw string) error {
 	if text == "" || strings.HasPrefix(text, "#") || strings.HasPrefix(text, "//") {
 		return nil
 	}
-	fields := tokenize(text)
+	fields, err := tokenize(text)
+	if err != nil {
+		return &ParseError{Line: line, Msg: err.Error()}
+	}
 	if len(fields) == 0 {
 		return nil
 	}
@@ -231,28 +235,31 @@ func parseDSLValue(tok string) graph.Value {
 }
 
 // tokenize splits a line on whitespace while keeping double-quoted strings
-// (which may contain spaces) as single tokens, quotes included.
-func tokenize(s string) []string {
-	var out []string
-	var cur strings.Builder
-	inQuote := false
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
+// (which may contain spaces) as single tokens, quotes included. A quote
+// opens only a token and closes only at its end, so a quoted string is a
+// whole token, as Format writes one; anything else is an error.
+func tokenize(s string) ([]string, error) {
+	var fields []string
+	for s = strings.TrimLeft(s, " \t"); s != ""; s = strings.TrimLeft(s, " \t") {
+		end := strings.IndexAny(s, " \t")
+		if s[0] == '"' {
+			n := strings.IndexByte(s[1:], '"')
+			if n < 0 {
+				return nil, errors.New(`unterminated string (a '"' is never closed)`)
+			}
+			if end = n + 2; end < len(s) && s[end] != ' ' && s[end] != '\t' {
+				return nil, fmt.Errorf("text after the closing quote of %s", s[:end])
+			}
+		} else {
+			if end < 0 {
+				end = len(s)
+			}
+			if strings.Contains(s[:end], `"`) {
+				return nil, fmt.Errorf(`a '"' inside %s (quote a whole value)`, s[:end])
+			}
 		}
+		fields = append(fields, s[:end])
+		s = s[end:]
 	}
-	for _, r := range s {
-		switch {
-		case r == '"':
-			inQuote = !inQuote
-			cur.WriteRune(r)
-		case !inQuote && (r == ' ' || r == '\t'):
-			flush()
-		default:
-			cur.WriteRune(r)
-		}
-	}
-	flush()
-	return out
+	return fields, nil
 }

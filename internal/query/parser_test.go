@@ -188,7 +188,10 @@ func TestParseRoundTripThroughString(t *testing.T) {
 }
 
 func TestTokenize(t *testing.T) {
-	toks := tokenize(`edge a -[x]-> b where name = "two words" and n > 3`)
+	toks, err := tokenize(`edge a -[x]-> b where name = "two words" and n > 3`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []string{"edge", "a", "-[x]->", "b", "where", "name", "=", `"two words"`, "and", "n", ">", "3"}
 	if len(toks) != len(want) {
 		t.Fatalf("tokenize = %v", toks)
@@ -196,6 +199,29 @@ func TestTokenize(t *testing.T) {
 	for i := range want {
 		if toks[i] != want[i] {
 			t.Fatalf("token %d = %q, want %q", i, toks[i], want[i])
+		}
+	}
+}
+
+// TestParseRefusesStrayQuotes: a '"' that is never closed, or that does not
+// enclose a whole token, is a parse error naming its line, not part of a
+// value Format would render as DSL that does not parse.
+func TestParseRefusesStrayQuotes(t *testing.T) {
+	for _, c := range []struct{ dsl, frag string }{
+		{"vertex a where label = \"new york\nvertex b\nedge a --> b", "unterminated"},
+		{"vertex a\nvertex b where \"role = x\nedge a --> b", "unterminated"},
+		{"vertex a\nvertex b\nedge a --> b where name = \"x\" and note = \"y", "unterminated"},
+		{"vertex a where label = a\"b c\"\nvertex b\nedge a --> b", "inside"},
+		{"vertex a\nvertex b where label = \"b\"c\nedge a --> b", "after the closing quote"},
+	} {
+		_, err := ParseString(c.dsl)
+		pe, ok := err.(*ParseError)
+		if !ok {
+			t.Fatalf("%q: got %v (%T), want a *ParseError", c.dsl, err, err)
+		}
+		want := 1 + strings.Count(c.dsl[:strings.LastIndex(c.dsl, `"`)], "\n")
+		if pe.Line != want || !strings.Contains(pe.Msg, c.frag) {
+			t.Fatalf("%q: got %v, want a %q error on line %d", c.dsl, pe, c.frag, want)
 		}
 	}
 }

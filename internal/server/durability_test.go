@@ -41,6 +41,15 @@ func flowEdges(firstID, n int) []graph.StreamEdge {
 	return edges
 }
 
+// TestZeroConfigServesOneShard: a server built from the zero Config runs
+// one shard, the daemon's default, and says so on /healthz.
+func TestZeroConfigServesOneShard(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	if h := fetchHealth(t, ts.URL); h.Shards != 1 {
+		t.Fatalf("/healthz reports %d shards, want 1", h.Shards)
+	}
+}
+
 func TestHealthReportsDurabilityMode(t *testing.T) {
 	cases := []struct {
 		name string

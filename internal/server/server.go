@@ -76,8 +76,10 @@ import (
 // Config sizes the serving layer around a sharded engine configuration.
 type Config struct {
 	// Shard configures the underlying ShardedEngine: only its Shards and
-	// Engine are read. Sink is ignored, since matches leave through the
-	// server's subscriptions.
+	// Engine are read. Shards below 1, the zero value included, run one
+	// shard, on the ingest runner's goroutine; above one, each shard runs
+	// on a goroutine of its own. Sink is ignored, since matches leave
+	// through the server's subscriptions.
 	Shard shard.Config
 	// QueueDepth is the ingest queue bound in batches (default 64). When the
 	// queue is full POST /v1/edges fails fast with 429.
@@ -110,11 +112,6 @@ type Config struct {
 	// processed). Zero means no bound. A stalled WAL disk therefore cannot
 	// wedge HTTP workers indefinitely.
 	IngestTimeout time.Duration
-}
-
-// DefaultConfig serves a DefaultConfig sharded engine with default bounds.
-func DefaultConfig() Config {
-	return Config{Shard: shard.DefaultConfig()}
 }
 
 // ErrDraining is reported (as HTTP 503) for work arriving after Close began.
@@ -180,11 +177,6 @@ type Server struct {
 // runner and the subscriber hub all spin up immediately. cfg may be
 // zero-valued; defaults are applied.
 func New(cfg Config) *Server {
-	if cfg.Shard.Shards == 0 {
-		// Default only the shard count: a caller that set Engine (retention,
-		// slack, summaries) but left Shards zero keeps those settings.
-		cfg.Shard.Shards = shard.DefaultConfig().Shards
-	}
 	if cfg.MaxBatchEdges <= 0 {
 		cfg.MaxBatchEdges = 65536
 	}
@@ -208,7 +200,7 @@ func New(cfg Config) *Server {
 			streamworks.WithManualDeliveryAck(true),
 		)
 	}
-	eng := streamworks.NewSharded(engOpts...)
+	eng := streamworks.New(engOpts...)
 	reg := obs.NewRegistry()
 	s := &Server{
 		cfg:             cfg,

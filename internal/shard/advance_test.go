@@ -17,7 +17,7 @@ import (
 // edge-time watermark broadcast is switched off.
 func laggingStream(t *testing.T, broadcasts bool) (s *ShardedEngine, phase1 uint64, last graph.Timestamp) {
 	t.Helper()
-	cfg := DefaultConfig()
+	cfg := Config{Shards: 4}
 	cfg.Engine.Retention = 10 * time.Second
 	s = New(&cfg)
 	if !broadcasts {
@@ -41,7 +41,6 @@ func laggingStream(t *testing.T, broadcasts bool) (s *ShardedEngine, phase1 uint
 			SourceType: "Host", TargetType: "Host",
 		}
 	}
-	s.Start()
 	for i := 0; i < 64; i++ {
 		s.Process(edge(i+1, graph.VertexID(i), graph.VertexID(i+500), base.Add(time.Duration(i)*10*time.Millisecond)))
 	}
@@ -99,7 +98,7 @@ func TestBroadcastStepFollowsRetention(t *testing.T) {
 		{"80ms", 80 * time.Millisecond, 10 * time.Millisecond},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := DefaultConfig()
+			cfg := Config{Shards: 4}
 			cfg.Engine.Retention = c.retention
 			s := New(&cfg)
 			defer s.Close()

@@ -24,13 +24,11 @@ func flowEdge(id int, src, dst graph.VertexID, ts graph.Timestamp) graph.StreamE
 // be a no-op, and Process/RegisterQuery after Close must fail with the
 // ErrClosed sentinel instead of risking a send on a stopped mailbox.
 func TestCloseIdempotentAndLateProcess(t *testing.T) {
-	cfg := shard.DefaultConfig()
-	cfg.Shards = 2
+	cfg := shard.Config{Shards: 2}
 	s := shard.New(&cfg)
 	if err := s.RegisterQuery(gen.SmurfQuery(time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	s.Start()
 	base := graph.TimestampFromTime(time.Unix(5000, 0))
 	for i := 0; i < 16; i++ {
 		if err := s.Process(flowEdge(i+1, graph.VertexID(i), graph.VertexID(i+100), base.Add(time.Duration(i)*time.Millisecond))); err != nil {
@@ -53,11 +51,6 @@ func TestCloseIdempotentAndLateProcess(t *testing.T) {
 	if err := s.UnregisterQuery("smurf-ddos"); !errors.Is(err, shard.ErrClosed) {
 		t.Fatalf("UnregisterQuery after Close: %v, want ErrClosed", err)
 	}
-	// Start after Close is a no-op: the engine stays closed.
-	s.Start()
-	if err := s.Process(flowEdge(101, 1, 2, base.Add(time.Second))); !errors.Is(err, shard.ErrClosed) {
-		t.Fatalf("Process after Close+Start: %v, want ErrClosed", err)
-	}
 	// Metrics remain readable on a closed engine.
 	if m := s.Metrics(); m.EdgesProcessed == 0 {
 		t.Fatal("metrics lost after Close")
@@ -65,11 +58,11 @@ func TestCloseIdempotentAndLateProcess(t *testing.T) {
 }
 
 // TestCloseReturnsAfterTheFinalDelivery: right after Close returns, the sink
-// has seen every match the engine emitted — all of them on a running
-// engine, none on one never started.
+// has seen every match the engine emitted — all of them after a stream,
+// none on an engine that was sent no edge.
 func TestCloseReturnsAfterTheFinalDelivery(t *testing.T) {
 	w := smallNetflow(time.Minute, 37)
-	for _, start := range []bool{true, false} {
+	for _, stream := range []bool{true, false} {
 		delivered := 0
 		s := shard.New(&shard.Config{Shards: 2, Engine: w.Engine,
 			Sink: core.MatchSinkFunc(func(core.MatchEvent) { delivered++ })})
@@ -78,8 +71,7 @@ func TestCloseReturnsAfterTheFinalDelivery(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if start {
-			s.Start()
+		if stream {
 			for _, se := range w.Edges {
 				if err := s.Process(se); err != nil {
 					t.Fatal(err)
@@ -87,8 +79,8 @@ func TestCloseReturnsAfterTheFinalDelivery(t *testing.T) {
 			}
 		}
 		s.Close()
-		if m := s.Metrics(); uint64(delivered) != m.MatchesEmitted || start && delivered == 0 {
-			t.Fatalf("started=%v: sink saw %d matches by Close, engine emitted %d", start, delivered, m.MatchesEmitted)
+		if m := s.Metrics(); uint64(delivered) != m.MatchesEmitted || stream && delivered == 0 {
+			t.Fatalf("streamed=%v: sink saw %d matches by Close, engine emitted %d", stream, delivered, m.MatchesEmitted)
 		}
 	}
 }

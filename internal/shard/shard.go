@@ -3,9 +3,10 @@
 // core.Engine explicitly defers to ("shard streams across engines for
 // parallelism").
 //
-// A ShardedEngine owns N independent core.Engine workers. Until Start,
-// every call runs on the caller's goroutine, edges included; Start gives each
-// worker its own goroutine and input mailbox. Incoming stream edges are
+// A ShardedEngine owns N independent core.Engine workers. The count fixes
+// how they run, at construction: above one shard each worker gets its own
+// goroutine and input mailbox then, and a lone shard runs on the caller's
+// goroutine for its whole life, edges included. Incoming stream edges are
 // hash-partitioned by endpoint vertex: an edge is delivered to the shard
 // owning its source and the shard owning its target (one delivery when both
 // endpoints hash to the same shard), so every shard holds the complete
@@ -70,8 +71,9 @@ import (
 
 // Config controls the sharded front-end.
 type Config struct {
-	// Shards is the number of engine workers. Values below 1 are treated
-	// as 1.
+	// Shards is the number of engine workers. New, the one place that
+	// defaults it, treats a count below 1 as 1: the zero Config runs one
+	// shard, on the caller's goroutine.
 	Shards int
 	// Engine is the configuration applied to every per-shard core.Engine.
 	Engine core.Config
@@ -82,11 +84,6 @@ type Config struct {
 	Sink core.MatchSink
 }
 
-// DefaultConfig returns a four-way sharding of zero-config engines.
-func DefaultConfig() Config {
-	return Config{Shards: 4}
-}
-
 // mailboxDepth is each shard worker's mailbox capacity in messages; a full
 // mailbox blocks the router, which is the backpressure the stream driver
 // sees.
@@ -94,14 +91,13 @@ const mailboxDepth = 1024
 
 // ShardedEngine drives N core.Engine shards behind the same
 // register/process/metrics surface as a single engine. Control methods
-// (RegisterQuery, UnregisterQuery, Process, Advance, Metrics, Start, Close)
-// must be called from one goroutine — the stream driver.
+// (RegisterQuery, UnregisterQuery, Process, Advance, Metrics, Close) must be
+// called from one goroutine — the stream driver.
 type ShardedEngine struct {
 	workers []*worker
 	router  *router
 
-	running bool
-	closed  bool // Close was called; the engine is permanently stopped
+	closed bool // Close was called; the engine is permanently stopped
 	// deliver serializes the shards' calls into cfg.Sink.
 	deliver sync.Mutex
 
@@ -123,9 +119,10 @@ type ShardedEngine struct {
 	registrations *obs.Gauge
 }
 
-// New constructs a stopped ShardedEngine. cfg may be nil for DefaultConfig.
+// New constructs a ShardedEngine and, above one shard, starts its workers'
+// goroutines. cfg may be nil, the same as &Config{}: one shard.
 func New(cfg *Config) *ShardedEngine {
-	c := DefaultConfig()
+	var c Config
 	if cfg != nil {
 		c = *cfg
 	}
@@ -159,6 +156,9 @@ func New(cfg *Config) *ShardedEngine {
 			w.obsClock = obsCfg.Clock
 			w.obsMailbox = eng.ObsRegistry().Segment(obs.SegShardMailbox)
 			w.obsDispatch = eng.ObsRegistry().Segment(obs.SegDispatch)
+		}
+		if c.Shards > 1 {
+			w.start()
 		}
 		s.workers = append(s.workers, w)
 	}
@@ -231,7 +231,7 @@ var (
 
 // RegisterQuery registers a continuous query on its home shards: every
 // shard for a query with a hub vertex, shard 0 alone for a hub-free one. It
-// can be called before Start or mid-stream; mid-stream the registration
+// can be called before streaming or mid-stream; mid-stream the registration
 // takes effect on each shard after the edges already queued in its mailbox,
 // so matches completing exactly at the registration instant may differ from
 // a single-engine run. Cross-shard consistency is checked up front: a
@@ -262,10 +262,10 @@ func (s *ShardedEngine) RegisterQuery(q *query.Graph, opts ...core.RegistrationO
 	}
 	home := s.home(hub)
 	for i, w := range home {
-		if err := w.register(s.running, q, opts, hub); err != nil {
+		if err := w.register(q, opts, hub); err != nil {
 			for _, r := range home[:i] {
 				// Roll back the shards that accepted the registration.
-				_ = r.unregister(s.running, q.Name())
+				_ = r.unregister(q.Name())
 			}
 			return fmt.Errorf("shard %d: %w", w.id, err)
 		}
@@ -273,7 +273,7 @@ func (s *ShardedEngine) RegisterQuery(q *query.Graph, opts ...core.RegistrationO
 	if clock.Window() != s.clock.Window() {
 		for _, w := range s.workers[len(home):] {
 			// Cannot fail: no shard has seen an edge (checked above).
-			w.do(s.running, func() { _ = w.eng.ExtendRetention(q.Window()) })
+			w.do(func() { _ = w.eng.ExtendRetention(q.Window()) })
 		}
 	}
 	s.clock = clock
@@ -304,7 +304,7 @@ func (s *ShardedEngine) UnregisterQuery(name string) error {
 	}
 	var firstErr error
 	for _, w := range s.home(qr.hub) {
-		if err := w.unregister(s.running, name); err != nil && firstErr == nil {
+		if err := w.unregister(name); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("shard %d: %w", w.id, err)
 		}
 	}
@@ -315,20 +315,10 @@ func (s *ShardedEngine) UnregisterQuery(name string) error {
 	return firstErr
 }
 
-// Start spawns the shard workers, each with its own goroutine and mailbox.
-// Until then every call runs on the caller's goroutine, edges included:
-// Process hands each edge straight to its shards' engines, and their
-// matches reach the sink before it returns. It is a no-op when already
-// running or after Close.
-func (s *ShardedEngine) Start() {
-	if s.running || s.closed {
-		return
-	}
-	for _, w := range s.workers {
-		w.start()
-	}
-	s.running = true
-}
+// Start does nothing: New starts the workers' goroutines above one shard,
+// and a lone shard never has one. It is kept only because benchmark/ calls
+// it.
+func (s *ShardedEngine) Start() {}
 
 // Process routes one stream edge to the shards that need it and broadcasts a
 // watermark advance to the others when stream time has moved far enough.
@@ -339,8 +329,8 @@ func (s *ShardedEngine) Process(se graph.StreamEdge) error {
 	return s.ProcessContext(context.Background(), se)
 }
 
-// ProcessContext is Process with a cancellation bound: before Start, a
-// done ctx refuses the edge; once running, ctx bounds the blocking mailbox
+// ProcessContext is Process with a cancellation bound: on a lone shard, a
+// done ctx refuses the edge; above one, ctx bounds the blocking mailbox
 // hand-off, and when the shards cannot accept the edge before ctx is done,
 // it returns the context error. Cancellation can interrupt a multi-shard
 // delivery part-way; the edge may then have reached a subset of its shards,
@@ -349,14 +339,9 @@ func (s *ShardedEngine) ProcessContext(ctx context.Context, se graph.StreamEdge)
 	if s.closed {
 		return ErrClosed
 	}
-	if !s.running {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
 	dests := s.router.route(se)
 	for i, d := range dests {
-		if err := s.workers[d].edge(ctx, s.running, se); err != nil {
+		if err := s.workers[d].edge(ctx, se); err != nil {
 			if i > 0 {
 				// At least one shard already consumed the edge under
 				// endpoint-partition routing: the stream is no longer
@@ -379,7 +364,7 @@ func (s *ShardedEngine) ProcessContext(ctx context.Context, se graph.StreamEdge)
 	} else if newest.Sub(s.lastBroadcast) >= s.advanceEvery {
 		for _, w := range s.workers {
 			if !slices.Contains(dests, w.id) {
-				w.advance(s.running, newest)
+				w.advance(newest)
 			}
 		}
 		s.lastBroadcast = newest
@@ -402,7 +387,7 @@ func (s *ShardedEngine) Advance(ts graph.Timestamp) {
 		s.lastBroadcast = ts
 	}
 	for _, w := range s.workers {
-		w.advance(s.running, ts)
+		w.advance(ts)
 	}
 }
 
@@ -410,7 +395,7 @@ func (s *ShardedEngine) Advance(ts graph.Timestamp) {
 // advance and control message enqueued before the call has been processed
 // by its shard AND every match those messages produced has been delivered
 // to the sink — a worker delivers a match before it takes its next message.
-// Before Start it has nothing to wait for: every call has delivered its
+// A lone shard has nothing to wait for: every call has delivered its
 // matches by the time it returns. Recovery uses it to know that replaying
 // the log tail has surfaced every re-derivable match before it compares them
 // against the checkpointed emitted-set. Like Process, Flush must not race
@@ -420,30 +405,29 @@ func (s *ShardedEngine) Flush() error {
 		return ErrClosed
 	}
 	for _, w := range s.workers {
-		w.do(s.running, func() {})
+		w.do(func() {})
 	}
 	return nil
 }
 
 // Close drains the mailboxes and stops the workers, returning after the
-// final sink call. Close is idempotent and permanent: a closed engine
-// cannot be restarted, Process returns ErrClosed, and a second Close returns
-// immediately.
+// final sink call; their engines are then the caller's, as a lone shard's
+// is, so metrics stay readable. Close is idempotent and permanent: Process
+// returns ErrClosed, and a second Close returns immediately.
 func (s *ShardedEngine) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
-	if !s.running {
-		return
+	for _, w := range s.workers {
+		if w.in != nil {
+			close(w.in) // the worker drains its mailbox and exits
+		}
 	}
 	for _, w := range s.workers {
-		w.stop()
+		w.done.Wait()
+		w.in = nil
 	}
-	for _, w := range s.workers {
-		w.wait()
-	}
-	s.running = false
 }
 
 // PerShardMetrics snapshots every shard engine's counters in shard order:
@@ -457,9 +441,9 @@ func (s *ShardedEngine) PerShardMetrics() []core.Metrics {
 }
 
 // Metrics is the sharded engine's aggregate view: see Snapshot. A lone
-// stopped shard's view is its engine's own.
+// shard's view is its engine's own, read with no merge.
 func (s *ShardedEngine) Metrics() core.Metrics {
-	if len(s.workers) == 1 && !s.running {
+	if len(s.workers) == 1 {
 		return s.workers[0].eng.Metrics()
 	}
 	m, _, _ := s.Snapshot()
@@ -477,14 +461,14 @@ func (s *ShardedEngine) Metrics() core.Metrics {
 // driver goroutine.
 func (s *ShardedEngine) Snapshot() (core.Metrics, []core.Metrics, obs.Snapshot) {
 	if len(s.workers) == 1 {
-		m, snap := s.workers[0].snapshot(s.running)
+		m, snap := s.workers[0].snapshot()
 		return m, []core.Metrics{m}, obs.Merge(s.reg.Snapshot(), snap, delivered(snap))
 	}
 	snaps := []obs.Snapshot{s.reg.Snapshot()}
 	perShard := make([]core.Metrics, len(s.workers))
 	for i, w := range s.workers {
 		var snap obs.Snapshot
-		perShard[i], snap = w.snapshot(s.running)
+		perShard[i], snap = w.snapshot()
 		snaps = append(snaps, snap)
 	}
 	merged := obs.Merge(snaps...)

@@ -2,7 +2,6 @@ package shard_test
 
 import (
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -138,7 +137,7 @@ func TestShardedMetricsAggregate(t *testing.T) {
 }
 
 func TestShardedRegisterErrorsRollBack(t *testing.T) {
-	cfg := shard.DefaultConfig()
+	cfg := shard.Config{Shards: 4}
 	cfg.Engine.Retention = time.Second
 	matched := 0
 	cfg.Sink = core.MatchSinkFunc(func(core.MatchEvent) { matched++ })
@@ -153,7 +152,6 @@ func TestShardedRegisterErrorsRollBack(t *testing.T) {
 		t.Fatalf("duplicate: %v", err)
 	}
 	// After the duplicate failure the engine still runs and matches.
-	s.Start()
 	for _, se := range smallNetflow(time.Second, 23).Edges {
 		if err := s.Process(se); err != nil {
 			t.Fatalf("run after failed registration: %v", err)
@@ -166,7 +164,7 @@ func TestShardedRegisterErrorsRollBack(t *testing.T) {
 }
 
 func TestShardedMidStreamRegistration(t *testing.T) {
-	cfg := shard.DefaultConfig()
+	cfg := shard.Config{Shards: 4}
 	cfg.Engine.Retention = time.Minute
 	var got []core.MatchEvent // read after Close, which returns after the final sink call
 	cfg.Sink = core.MatchSinkFunc(func(ev core.MatchEvent) { got = append(got, ev) })
@@ -175,7 +173,6 @@ func TestShardedMidStreamRegistration(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := smallNetflow(30*time.Second, 29)
-	s.Start()
 	half := len(w.Edges) / 2
 	for _, se := range w.Edges[:half] {
 		s.Process(se)
@@ -215,49 +212,45 @@ func TestShardedMidStreamRegistration(t *testing.T) {
 	}
 }
 
-// TestShardedProcessBeforeStartRunsOnCaller: until Start, an edge is
-// processed on the caller's goroutine, so the sink has seen the match it
-// completes before Process returns, and Flush has nothing to wait for. The
-// sink reads inCall without synchronization: under the race detector a
-// delivery from any other goroutine fails the test.
+// TestShardedProcessBeforeStartRunsOnCaller: a lone shard processes an edge
+// on the caller's goroutine, so the sink has seen the match it completes
+// before Process returns, and Flush has nothing to wait for. The sink reads
+// inCall without synchronization: under the race detector a delivery from
+// any other goroutine fails the test.
 func TestShardedProcessBeforeStartRunsOnCaller(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			inCall, matched := false, 0
-			s := shard.New(&shard.Config{Shards: shards, Sink: core.MatchSinkFunc(func(core.MatchEvent) {
-				if !inCall {
-					t.Error("match delivered outside the Process call")
-				}
-				matched++
-			})})
-			defer s.Close()
-			if err := s.RegisterQuery(gen.SmurfQuery(time.Minute)); err != nil {
-				t.Fatal(err)
-			}
-			for i, typ := range []string{gen.EdgeICMPReq, gen.EdgeICMPReply} {
-				se := graph.StreamEdge{
-					Edge:       graph.Edge{ID: graph.EdgeID(i + 1), Source: graph.VertexID(i + 1), Target: graph.VertexID(i + 2), Type: typ, Timestamp: graph.Timestamp(100 + i)},
-					SourceType: gen.TypeHost, TargetType: gen.TypeHost,
-				}
-				inCall = true
-				if err := s.Process(se); err != nil {
-					t.Fatalf("Process before Start: %v", err)
-				}
-				inCall = false
-			}
-			if matched != 1 {
-				t.Fatalf("%d matches delivered by the time Process returned, want 1", matched)
-			}
-			if err := s.Flush(); err != nil {
-				t.Fatalf("Flush before Start: %v", err)
-			}
-		})
+	inCall, matched := false, 0
+	s := shard.New(&shard.Config{Shards: 1, Sink: core.MatchSinkFunc(func(core.MatchEvent) {
+		if !inCall {
+			t.Error("match delivered outside the Process call")
+		}
+		matched++
+	})})
+	defer s.Close()
+	if err := s.RegisterQuery(gen.SmurfQuery(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	for i, typ := range []string{gen.EdgeICMPReq, gen.EdgeICMPReply} {
+		se := graph.StreamEdge{
+			Edge:       graph.Edge{ID: graph.EdgeID(i + 1), Source: graph.VertexID(i + 1), Target: graph.VertexID(i + 2), Type: typ, Timestamp: graph.Timestamp(100 + i)},
+			SourceType: gen.TypeHost, TargetType: gen.TypeHost,
+		}
+		inCall = true
+		if err := s.Process(se); err != nil {
+			t.Fatalf("Process: %v", err)
+		}
+		inCall = false
+	}
+	if matched != 1 {
+		t.Fatalf("%d matches delivered by the time Process returned, want 1", matched)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
 	}
 }
 
 func TestShardedHubFreeQueryRejectedMidStream(t *testing.T) {
 	w := smallNews(5 * time.Minute)
-	cfg := shard.DefaultConfig()
+	cfg := shard.Config{Shards: 4}
 	cfg.Engine = w.Engine
 	s := shard.New(&cfg)
 	// Before any edges: fine (this is how NewsWorkload runs normally).
@@ -267,7 +260,6 @@ func TestShardedHubFreeQueryRejectedMidStream(t *testing.T) {
 	if err := s.UnregisterQuery(w.Queries[0].Name()); err != nil {
 		t.Fatal(err)
 	}
-	s.Start()
 	for _, se := range w.Edges[:100] {
 		s.Process(se)
 	}
@@ -296,6 +288,7 @@ func TestShardedRefusesUnnamedQuery(t *testing.T) {
 			MustBuild()
 	}
 	s := shard.New(&shard.Config{Shards: 2})
+	defer s.Close()
 	if err := s.RegisterQuery(unnamed()); !errors.Is(err, core.ErrUnnamedQuery) {
 		t.Fatalf("unnamed hub query alone: %v, want ErrUnnamedQuery", err)
 	}
@@ -303,6 +296,7 @@ func TestShardedRefusesUnnamedQuery(t *testing.T) {
 		t.Fatalf("refused registration left %d registrations, %d query views behind", m.Registrations, len(m.Queries))
 	}
 	s = shard.New(&shard.Config{Shards: 2, Engine: smallNews(time.Minute).Engine})
+	defer s.Close()
 	if err := s.RegisterQuery(smallNews(time.Minute).Queries[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -315,15 +309,13 @@ func TestShardedRefusesUnnamedQuery(t *testing.T) {
 }
 
 func TestShardedExplicitAdvanceExpires(t *testing.T) {
-	cfg := shard.DefaultConfig()
-	cfg.Shards = 2
+	cfg := shard.Config{Shards: 2}
 	cfg.Engine.Retention = 10 * time.Second
 	s := shard.New(&cfg)
 	if err := s.RegisterQuery(gen.SmurfQuery(10 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	base := graph.TimestampFromTime(time.Unix(1000, 0))
-	s.Start()
 	for i := 0; i < 64; i++ {
 		s.Process(graph.StreamEdge{
 			Edge: graph.Edge{
@@ -357,12 +349,10 @@ func TestShardedExplicitAdvanceExpires(t *testing.T) {
 // retention, and the widening keeps each shard's watermark, so an edge far
 // behind it is dropped on whichever shard it is routed to.
 func TestShardedWideningAfterAdvanceKeepsTheWatermark(t *testing.T) {
-	cfg := shard.DefaultConfig()
-	cfg.Shards = 2
+	cfg := shard.Config{Shards: 2}
 	cfg.Engine.Retention = 5 * time.Second
 	s := shard.New(&cfg)
 	base := graph.TimestampFromTime(time.Unix(1000, 0))
-	s.Start()
 	s.Advance(base.Add(100 * time.Second))
 	if err := s.RegisterQuery(gen.SmurfQuery(30 * time.Second)); err != nil {
 		t.Fatal(err)
@@ -420,7 +410,6 @@ func TestEachMatchReachesTheSinkOnce(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			s.Start()
 			for _, se := range tc.w.Edges {
 				if err := s.Process(se); err != nil {
 					t.Fatal(err)
@@ -458,7 +447,6 @@ func TestSinkNeverEnteredConcurrently(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.Start()
 	for _, se := range w.Edges {
 		if err := s.Process(se); err != nil {
 			t.Fatal(err)
@@ -481,7 +469,6 @@ func TestReregistrationCountsFromZero(t *testing.T) {
 	if err := s.RegisterQuery(smurf); err != nil {
 		t.Fatal(err)
 	}
-	s.Start()
 	for _, se := range w.Edges {
 		if err := s.Process(se); err != nil {
 			t.Fatal(err)

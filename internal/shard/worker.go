@@ -33,17 +33,17 @@ type message struct {
 	enqNS int64
 }
 
-// worker owns one shard: a core.Engine, the goroutine that drives it once
-// started, and the mailbox feeding it. The engine is only touched by the
-// worker goroutine while running; before Start, the front-end calls it
-// directly, on the caller's goroutine.
+// worker owns one shard: a core.Engine and, above one shard, the goroutine
+// that drives it and the mailbox feeding it, both made at construction. A
+// worker has a goroutine exactly when it has a mailbox; a lone shard has
+// neither, and the front-end calls its engine on the caller's goroutine.
 type worker struct {
 	id, shards int
 	eng        *core.Engine
 	// queries holds every query registered on this shard, read by the
 	// engine sink to deliver only the matches this shard owns. Written and
-	// read on the worker goroutine, or by the front-end while stopped. A
-	// lone shard owns every match and keeps none.
+	// read on the worker goroutine. A lone shard owns every match and keeps
+	// none.
 	queries map[string]homed
 	// emitted counts the matches this shard delivered, in its engine's
 	// registry; nil on a lone shard, whose engine's own count is the
@@ -53,7 +53,7 @@ type worker struct {
 	mu   *sync.Mutex
 	sink core.MatchSink
 
-	in   chan message
+	in   chan message // nil on a lone shard
 	done sync.WaitGroup
 
 	// Observability handles, resolved at construction when enabled (all nil
@@ -118,7 +118,7 @@ func (w *worker) deliver(ev core.MatchEvent) {
 	}
 }
 
-// start spawns the worker goroutine with a fresh mailbox.
+// start gives the worker its mailbox and the goroutine draining it.
 func (w *worker) start() {
 	w.in = make(chan message, mailboxDepth)
 	w.done.Add(1)
@@ -139,12 +139,6 @@ func (w *worker) owns(hub query.VertexID, ev core.MatchEvent) bool {
 	return ownerOf(v, w.shards) == w.id
 }
 
-// stop closes the mailbox; the worker drains it and exits.
-func (w *worker) stop() { close(w.in) }
-
-// wait blocks until the worker goroutine has exited.
-func (w *worker) wait() { w.done.Wait() }
-
 func (w *worker) loop() {
 	defer w.done.Done()
 	for msg := range w.in {
@@ -163,11 +157,11 @@ func (w *worker) loop() {
 }
 
 // do runs fn against the shard's engine: on the worker goroutine, behind the
-// messages already in its mailbox, when running — returning once fn has —
-// and directly otherwise. Every match the earlier messages produced has
-// been delivered before fn runs.
-func (w *worker) do(running bool, fn func()) {
-	if !running {
+// messages already in its mailbox — returning once fn has — and directly on
+// a lone shard. Every match the earlier messages produced has been
+// delivered before fn runs.
+func (w *worker) do(fn func()) {
+	if w.in == nil {
 		fn()
 		return
 	}
@@ -176,12 +170,16 @@ func (w *worker) do(running bool, fn func()) {
 	<-done
 }
 
-// edge hands an edge to the shard: when running, through its mailbox
-// (blocking when the mailbox is full — backpressure to the stream driver;
-// a context with cancellation bounds the wait, context.Background() takes
-// the uninstrumented fast path), and otherwise straight to its engine.
-func (w *worker) edge(ctx context.Context, running bool, se graph.StreamEdge) error {
-	if !running {
+// edge hands an edge to the shard: through its mailbox (blocking when the
+// mailbox is full — backpressure to the stream driver; a context with
+// cancellation bounds the wait, context.Background() takes the
+// uninstrumented fast path), and on a lone shard straight to its engine,
+// unless ctx is done.
+func (w *worker) edge(ctx context.Context, se graph.StreamEdge) error {
+	if w.in == nil {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		// Complete matches reach the sink through the engine sink; the
 		// scratch-backed return slice is deliberately unused.
 		w.eng.ProcessEdge(se)
@@ -203,10 +201,10 @@ func (w *worker) edge(ctx context.Context, running bool, se graph.StreamEdge) er
 	return nil
 }
 
-// advance hands the shard a watermark: through its mailbox when running,
-// straight to its engine otherwise.
-func (w *worker) advance(running bool, ts graph.Timestamp) {
-	if !running {
+// advance hands the shard a watermark: through its mailbox, and on a lone
+// shard straight to its engine.
+func (w *worker) advance(ts graph.Timestamp) {
+	if w.in == nil {
 		w.eng.Advance(ts)
 		return
 	}
@@ -214,8 +212,8 @@ func (w *worker) advance(running bool, ts graph.Timestamp) {
 }
 
 // register adds a query with the given hub on this shard.
-func (w *worker) register(running bool, q *query.Graph, opts []core.RegistrationOption, hub query.VertexID) (err error) {
-	w.do(running, func() {
+func (w *worker) register(q *query.Graph, opts []core.RegistrationOption, hub query.VertexID) (err error) {
+	w.do(func() {
 		if _, err = w.eng.RegisterQuery(q, opts...); err == nil && w.queries != nil {
 			name := q.Name()
 			w.queries[name] = homed{hub: hub, emitted: w.eng.ObsRegistry().Counter("query_matches_emitted", obs.QueryLabelKey, name)}
@@ -225,8 +223,8 @@ func (w *worker) register(running bool, q *query.Graph, opts []core.Registration
 }
 
 // unregister removes a query from this shard.
-func (w *worker) unregister(running bool, name string) (err error) {
-	w.do(running, func() {
+func (w *worker) unregister(name string) (err error) {
+	w.do(func() {
 		if err = w.eng.UnregisterQuery(name); err == nil {
 			delete(w.queries, name)
 		}
@@ -235,9 +233,9 @@ func (w *worker) unregister(running bool, name string) (err error) {
 }
 
 // snapshot reads the shard engine's registry and the view built from it, on
-// the worker goroutine when running so the engine refreshes its gauges
+// the worker goroutine if it has one, so the engine refreshes its gauges
 // serialized with edge processing.
-func (w *worker) snapshot(running bool) (m core.Metrics, snap obs.Snapshot) {
-	w.do(running, func() { m, snap = w.eng.Snapshot() })
+func (w *worker) snapshot() (m core.Metrics, snap obs.Snapshot) {
+	w.do(func() { m, snap = w.eng.Snapshot() })
 	return m, snap
 }

@@ -50,10 +50,17 @@ type Node struct {
 	// The root does not store matches; complete matches are emitted.
 	matches map[match.ProjectionKey][]*match.Match
 	// signatures deduplicates stored matches by their bound data-edge set,
-	// keyed on the match's cached 64-bit edge-set hash.
+	// keyed on the match's cached 64-bit edge-set hash. A mirrored node
+	// keeps none.
 	signatures sigSet
-	stored     int
-	inserted   uint64
+	// mirrored marks a node whose subgraph is two vertices joined only by
+	// undirected edges: a match and its mirror, the vertices swapped, bind
+	// the same edges. Local search finds each once, and a join on either
+	// vertex reads both, so both are stored, unchecked against the
+	// edge-set table; the root's emitted set still sends the pair once.
+	mirrored bool
+	stored   int
+	inserted uint64
 
 	// Live per-node join statistics (paper §3.2's sibling hash-joins), the
 	// observed side of the estimator-validation loop: joinAttempts counts
@@ -148,9 +155,10 @@ func New(plan *decompose.Plan) (*Tree, error) {
 
 func (t *Tree) build(pn *decompose.Node, parent *Node) *Node {
 	n := &Node{
-		plan:    pn,
-		parent:  parent,
-		matches: make(map[match.ProjectionKey][]*match.Match),
+		plan:     pn,
+		parent:   parent,
+		matches:  make(map[match.ProjectionKey][]*match.Match),
+		mirrored: mirrored(t.q, pn.Edges),
 	}
 	t.nodes = append(t.nodes, n)
 	if pn.Left != nil {
@@ -163,6 +171,20 @@ func (t *Tree) build(pn *decompose.Node, parent *Node) *Node {
 		t.leaves = append(t.leaves, n)
 	}
 	return n
+}
+
+// mirrored reports whether edges span two vertices of q joined only by
+// undirected edges (Node.mirrored).
+func mirrored(q *query.Graph, edges []query.EdgeID) bool {
+	first := q.Edge(edges[0])
+	for _, id := range edges {
+		e := q.Edge(id)
+		if !e.AnyDirection || e.Source == e.Target ||
+			!(e.Source == first.Source && e.Target == first.Target || e.Source == first.Target && e.Target == first.Source) {
+			return false
+		}
+	}
+	return true
 }
 
 // Query returns the query graph the tree answers.
@@ -192,7 +214,7 @@ func (t *Tree) Insert(n *Node, m *match.Match) []*match.Match {
 	if n.IsRoot() {
 		return t.acceptComplete(m)
 	}
-	if !n.signatures.add(m) {
+	if !n.mirrored && !n.signatures.add(m) {
 		t.duplicateDrops++
 		return nil
 	}
@@ -263,6 +285,9 @@ func (t *Tree) pruneWhere(drop func(*match.Match) bool) int {
 		}
 		n.pruned += uint64(before - n.stored)
 		removed += before - n.stored
+		if n.mirrored {
+			continue
+		}
 		n.signatures.reset(n.stored)
 		// Map order is harmless: the kept matches are distinct, so the set is
 		// the same whatever order they go back in.

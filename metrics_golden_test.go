@@ -57,9 +57,9 @@ func TestOneShardMetricsAllocationBudget(t *testing.T) {
 }
 
 // TestMetricsViewsMatchGolden pins what the metrics views report for a small
-// deterministic netflow run on the single engine and on two shards, each with
-// a write-ahead log: the aggregate view, every shard's, and the durability
-// counters, read once the pipeline has drained.
+// deterministic netflow run on one shard ("local") and on two ("sharded"),
+// each with a write-ahead log: the aggregate view, every shard's, and the
+// durability counters, read once the pipeline has drained.
 func TestMetricsViewsMatchGolden(t *testing.T) {
 	w := goldenNetflow()
 	type reading struct {
@@ -68,27 +68,29 @@ func TestMetricsViewsMatchGolden(t *testing.T) {
 		Durability any   `json:"durability"`
 	}
 	got := map[string]reading{}
-	for _, mk := range inProcessBackends() {
-		eng := mk.mk(streamworks.WithEngineConfig(w.Engine), streamworks.WithShards(2),
+	for _, c := range []struct {
+		name   string
+		shards int
+	}{{"local", 1}, {"sharded", 2}} {
+		eng := streamworks.New(streamworks.WithEngineConfig(w.Engine), streamworks.WithShards(c.shards),
 			streamworks.WithDataDir(t.TempDir()), streamworks.WithFsyncPolicy("off"))
 		registerAll(t, eng, w)
 		streamBatches(t, eng, w, 0, len(w.Edges), 250)
 		var r reading
-		s := eng.(*streamworks.Sharded)
-		if err := s.Flush(); err != nil {
+		if err := eng.Flush(); err != nil {
 			t.Fatalf("Flush: %v", err)
 		}
-		if _, perShard, _ := s.MetricsSnapshot(); len(perShard) > 1 {
+		if _, perShard, _ := eng.MetricsSnapshot(); len(perShard) > 1 {
 			for _, m := range perShard {
 				r.PerShard = append(r.PerShard, metricsView(t, m))
 			}
 		}
 		m, err := eng.Metrics(context.Background())
 		if err != nil {
-			t.Fatalf("%s: Metrics: %v", mk.name, err)
+			t.Fatalf("%s: Metrics: %v", c.name, err)
 		}
 		r.Metrics, r.Durability = metricsView(t, m), eng.Durability()
-		got[mk.name] = r
+		got[c.name] = r
 		eng.Close()
 	}
 	out, err := json.MarshalIndent(got, "", "  ")

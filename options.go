@@ -7,7 +7,6 @@ import (
 	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/decompose"
 	"github.com/streamworks/streamworks/internal/export"
-	"github.com/streamworks/streamworks/internal/shard"
 	"github.com/streamworks/streamworks/internal/wal"
 )
 
@@ -39,10 +38,6 @@ func (c *config) report(r *export.Reporter, ev core.MatchEvent, q *Query) Match 
 	return rep
 }
 
-func defaultConfig() config {
-	return config{shards: shard.DefaultConfig().Shards}
-}
-
 // coreOptions is the core option list the in-process backend passes to the
 // sharded front-end, which passes it to each shard it registers on.
 func coreOptions(o RegisterOptions) []core.RegistrationOption {
@@ -53,8 +48,8 @@ func coreOptions(o RegisterOptions) []core.RegistrationOption {
 }
 
 // Option customizes an engine constructor. Options that do not apply to the
-// chosen constructor are ignored (e.g. WithShards on New, WithEngineConfig on
-// Connect — a remote engine's window is fixed by the daemon).
+// chosen constructor are ignored (e.g. WithShards or WithEngineConfig on
+// Connect — a remote engine's window and shards are fixed by the daemon).
 type Option func(*config)
 
 // WithSummaries is ignored: the window statistics the selective query
@@ -74,8 +69,9 @@ func WithEngineConfig(cfg EngineConfig) Option {
 	return func(c *config) { c.engine = cfg }
 }
 
-// WithShards sets the number of engine shards for NewSharded (default 4,
-// minimum 1). Ignored by New, which builds one, and by Connect.
+// WithShards sets the number of engine shards New builds (default 1; a
+// count below 1 is 1). Above one shard, each shard runs on a goroutine of
+// its own. Ignored by Connect.
 func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
 }

@@ -110,7 +110,7 @@ func TestEmittedStatePlateaus(t *testing.T) {
 			return streamworks.New(streamworks.WithEngineConfig(streamworks.EngineConfig{Retention: chainRetention}))
 		}, group, true},
 		{"2 shards", func() streamworks.Engine {
-			return streamworks.NewSharded(streamworks.WithEngineConfig(streamworks.EngineConfig{Retention: chainRetention}), streamworks.WithShards(2))
+			return streamworks.New(streamworks.WithEngineConfig(streamworks.EngineConfig{Retention: chainRetention}), streamworks.WithShards(2))
 		}, one, true},
 		{"unbounded retention", func() streamworks.Engine { return streamworks.New() }, one, false},
 	} {

@@ -44,7 +44,7 @@ var _ Engine = (*Remote)(nil)
 // self-description is available via ServerInfo. Closing the Remote tears
 // down its subscriptions but leaves the daemon running.
 func Connect(ctx context.Context, baseURL string, opts ...Option) (*Remote, error) {
-	cfg := defaultConfig()
+	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}

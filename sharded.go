@@ -3,9 +3,12 @@ package streamworks
 import (
 	"context"
 	"slices"
+	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/streamworks/streamworks/internal/core"
+	"github.com/streamworks/streamworks/internal/export"
 	"github.com/streamworks/streamworks/internal/obs"
 	"github.com/streamworks/streamworks/internal/shard"
 	"github.com/streamworks/streamworks/internal/wal"
@@ -13,19 +16,45 @@ import (
 
 // Sharded is the in-process backend: N core engines over hash partitions of
 // the vertex space, each match delivered to subscriptions by the one shard
-// that owns it. Above one shard every shard runs on its own goroutine and
-// delivers on it; a single shard (New) runs its engine on the calling
-// goroutine, so its sinks run inside ProcessBatch and the call returning is
-// the delivery barrier. Subscribe and subscription teardown never wait
-// behind ingestion.
+// that owns it. The shard count, fixed at construction, fixes how it runs:
+// above one shard every shard runs on its own goroutine and delivers on it;
+// a single shard, the default, runs its engine on the calling goroutine, so
+// its sinks run inside ProcessBatch and the call returning is the delivery
+// barrier. Subscribe and subscription teardown never wait behind ingestion.
 type Sharded struct {
-	frontend
+	cfg config
+	dur *durable // nil without WithDataDir
+	// closed is set when Close begins; Subscribe reads it under rmu, so a
+	// subscription either makes it into the registry Close empties or is
+	// refused.
+	closed atomic.Bool
+
 	// mu serializes the sharded engine's single-driver control surface, so
 	// the public concurrency contract holds. A shard goroutine's delivery
 	// never takes it, or a blocked ingest could deadlock it; a single
 	// shard delivers inside the call holding it.
 	mu  sync.Mutex
 	eng *shard.ShardedEngine
+
+	// rmu guards the query map and the registry. It is a leaf lock, never
+	// held across a sink or engine call, so Subscribe and subscription
+	// teardown never wait behind ingestion and a sink may close its own
+	// subscription. subs is copy-on-write: fanout iterates a snapshot.
+	rmu     sync.Mutex
+	queries map[string]*Query
+	subs    []*subscription // in subscription order
+
+	// reports and pending belong to the delivering goroutine, which holds
+	// the shards' delivery lock (and, on a single shard, is the caller
+	// holding mu). pending holds the emissions fanout has delivered but not
+	// yet acknowledged to the WAL.
+	reports export.Reporter
+	pending []pendingNote
+}
+
+type pendingNote struct {
+	query, signature string
+	spanStart        int64
 }
 
 // Local is the name New returned when it built a backend of its own; it
@@ -34,19 +63,14 @@ type Local = Sharded
 
 var _ Engine = (*Sharded)(nil)
 
-// New builds the single-shard backend: one core engine, driven on the
-// caller's goroutine, so matches are pushed to subscriptions synchronously,
-// on the goroutine whose ProcessBatch call emitted them, and New starts no
-// goroutine. With no options it uses the default engine configuration
-// (unbounded retention); WithShards is ignored.
+// New builds the in-process backend on WithShards shards (default 1) of the
+// default engine configuration (unbounded retention) unless options say
+// otherwise. A single shard is driven on the caller's goroutine, so matches
+// are pushed to subscriptions synchronously, on the goroutine whose
+// ProcessBatch call emitted them, and New starts no goroutine; above one
+// shard, New starts one goroutine per shard.
 func New(opts ...Option) *Sharded {
-	return NewSharded(append(slices.Clip(opts), WithShards(1))...)
-}
-
-// NewSharded builds a sharded backend (default: 4 shards of the default
-// engine configuration) and, above one shard, starts the shard goroutines.
-func NewSharded(opts ...Option) *Sharded {
-	s := &Sharded{frontend: frontend{cfg: defaultConfig(), queries: make(map[string]*Query)}}
+	s := &Sharded{queries: make(map[string]*Query)}
 	for _, o := range opts {
 		o(&s.cfg)
 	}
@@ -54,22 +78,18 @@ func NewSharded(opts ...Option) *Sharded {
 		// Pinned, so the public tier stamps on the engine tiers' timebase.
 		s.cfg.engine.Obs.Clock = obs.SystemClock
 	}
-	inline := s.cfg.shards <= 1
 	// Above one shard, shards deliver one at a time and nothing overlaps a
 	// log write, so an emission is acknowledged as soon as its sinks have
 	// returned. A single shard delivers inside the batch whose log write is
 	// in flight, so ProcessBatch acknowledges behind the join.
 	sink := core.MatchSinkFunc(s.fanout)
-	if !inline {
+	if s.cfg.shards > 1 {
 		sink = func(ev core.MatchEvent) {
 			s.fanout(ev)
 			s.flushNotes()
 		}
 	}
 	s.eng = shard.New(&shard.Config{Shards: s.cfg.shards, Engine: s.cfg.engine, Sink: sink})
-	if !inline {
-		s.eng.Start()
-	}
 	var rec *wal.Recovery
 	if s.dur, rec = openDurable(&s.cfg); rec != nil {
 		replayRecovery(s, rec)
@@ -130,7 +150,10 @@ func (s *Sharded) RegisterQueryWith(ctx context.Context, q *Query, opts Register
 	if err := s.eng.RegisterQuery(q, coreOptions(opts)...); err != nil {
 		return err
 	}
-	s.addQuery(q.Name(), q, opts)
+	s.rmu.Lock()
+	s.queries[q.Name()] = q
+	s.rmu.Unlock()
+	s.dur.appendRegister(registerRecord(q, opts))
 	return nil
 }
 
@@ -143,7 +166,10 @@ func (s *Sharded) UnregisterQuery(ctx context.Context, name string) error {
 	if err := s.eng.UnregisterQuery(name); err != nil {
 		return err
 	}
-	s.dropQuery(name)
+	s.rmu.Lock()
+	delete(s.queries, name)
+	s.rmu.Unlock()
+	s.dur.appendUnregister(name)
 	return nil
 }
 
@@ -194,12 +220,37 @@ func (s *Sharded) Advance(ctx context.Context, ts Timestamp) error {
 // call back into the engine except to close their own subscription: a sink
 // that blocks stalls every shard's delivery and eventually ingestion, so
 // hand work off quickly. Subscribe never waits behind ingestion and is safe
-// while ProcessBatch runs; a recovered backlog is handed over under the
-// lock live deliveries take, so it may interleave with them but never
-// overlaps one — match identity is (query, signature), and the engine never
-// re-derives a match the replay already produced.
+// while ProcessBatch runs. It hands the new sink the recovered matches
+// never delivered before the crash, each to the first matching subscriber,
+// exactly once: outside rmu, since the sink may close its own
+// subscription, and under the lock live deliveries take
+// (ShardedEngine.Exclusive), so the backlog may interleave with them but
+// never overlaps one — match identity is (query, signature), and the
+// engine never re-derives a match the replay already produced.
 func (s *Sharded) Subscribe(queryFilter string, sink MatchSink) (Subscription, error) {
-	return s.subscribe(queryFilter, sink, s.eng.Exclusive)
+	sub := &subscription{s: s, query: queryFilter, sink: sink, done: make(chan struct{})}
+	s.rmu.Lock()
+	if s.closed.Load() {
+		s.rmu.Unlock()
+		return nil, ErrClosed
+	}
+	if _, known := s.queries[queryFilter]; !known && queryFilter != "" {
+		s.rmu.Unlock()
+		return nil, ErrUnknownQuery
+	}
+	s.subs = append(s.subs[:len(s.subs):len(s.subs)], sub) // copy on write
+	s.rmu.Unlock()
+	if backlog := s.dur.takeBacklog(queryFilter); len(backlog) > 0 {
+		s.eng.Exclusive(func() {
+			for _, m := range backlog {
+				sink.OnMatch(m)
+				if !s.dur.manual {
+					s.dur.note(m.Query, m.Signature, m.SpanStart)
+				}
+			}
+		})
+	}
+	return sub, nil
 }
 
 // Metrics aggregates per-shard counters into the single-engine Metrics
@@ -240,8 +291,10 @@ func (s *Sharded) MetricsSnapshot() (Metrics, []Metrics, ObsSnapshot) {
 
 // Close flushes the shard mailboxes, stops the workers and finishes every
 // subscription (Done closes after the final delivery; on a single shard,
-// once the call in flight, if any, has returned). Idempotent; subsequent
-// mutating calls return ErrClosed.
+// once the call in flight, if any, has returned). Then the WAL takes its
+// last checkpoint: it covers every delivered match, so a graceful restart
+// redelivers nothing. Idempotent; subsequent mutating calls return
+// ErrClosed.
 func (s *Sharded) Close() error {
 	if s.closed.Swap(true) {
 		return nil
@@ -249,6 +302,107 @@ func (s *Sharded) Close() error {
 	s.mu.Lock()
 	s.eng.Close() // returns after the final delivery
 	s.mu.Unlock()
-	s.finish()
+	s.rmu.Lock()
+	subs := s.subs
+	s.subs = nil
+	s.rmu.Unlock()
+	for _, sub := range subs {
+		if !sub.closed.Swap(true) {
+			close(sub.done)
+		}
+	}
+	s.dur.close()
 	return nil
+}
+
+// subscription is one push subscription on an in-process backend.
+type subscription struct {
+	s      *Sharded
+	query  string // "" subscribes to every query
+	sink   MatchSink
+	closed atomic.Bool // whoever sets it closes done
+	done   chan struct{}
+}
+
+func (s *subscription) Done() <-chan struct{} { return s.done }
+func (s *subscription) Err() error            { return nil }
+
+// Close cancels the subscription: idempotent, and safe from any goroutine,
+// the subscription's own sink included. A delivery already in flight on
+// another goroutine may still arrive.
+func (s *subscription) Close() error {
+	if s.closed.Swap(true) {
+		return nil
+	}
+	e := s.s
+	e.rmu.Lock()
+	if i := slices.Index(e.subs, s); i >= 0 {
+		e.subs = slices.Delete(slices.Clone(e.subs), i, i+1)
+	}
+	e.rmu.Unlock()
+	close(s.done)
+	return nil
+}
+
+// fanout is the one way out of an in-process backend. The engine tier's
+// sink calls it for every (deduplicated) match: resolve the event into the
+// public Match form once, push it to every subscription whose filter admits
+// it, then queue its acknowledgment — every sink has returned, so the match
+// is delivered — reusing the report's signature when one was built.
+func (s *Sharded) fanout(ev core.MatchEvent) {
+	s.rmu.Lock()
+	subs, q := s.subs, s.queries[ev.Query]
+	s.rmu.Unlock()
+	built := false
+	var rep Match
+	for _, sub := range subs {
+		if (sub.query == "" || sub.query == ev.Query) && !sub.closed.Load() {
+			if !built {
+				rep, built = s.cfg.report(&s.reports, ev, q), true
+			}
+			sub.sink.OnMatch(rep)
+		}
+	}
+	if s.dur.live() && !s.dur.manual {
+		sig := rep.Signature
+		if !built {
+			sig = ev.CanonicalSignature()
+		}
+		s.pending = append(s.pending, pendingNote{ev.Query, sig, int64(ev.Match.Span.Start)})
+	}
+}
+
+// flushNotes acknowledges the emissions fanout queued to the WAL, which may
+// then suppress them on recovery. The delivering goroutine calls it once
+// nothing orders the acknowledgment behind a log write still in flight.
+func (s *Sharded) flushNotes() {
+	for _, n := range s.pending {
+		s.dur.note(n.query, n.signature, n.spanStart)
+	}
+	clear(s.pending) // a stale signature would pin its slab chunk
+	s.pending = s.pending[:0]
+}
+
+// RegisteredQueries returns the currently registered queries, sorted by
+// name — including ones recovered from the WAL at construction. The serving
+// tier keeps no copy: its HTTP query listing reads this.
+func (s *Sharded) RegisteredQueries() []*Query {
+	s.rmu.Lock()
+	out := make([]*Query, 0, len(s.queries))
+	for _, q := range s.queries {
+		out = append(out, q)
+	}
+	s.rmu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
+	return out
+}
+
+// Durability reports the engine's durability mode and WAL counters.
+func (s *Sharded) Durability() DurabilityStats { return s.dur.stats() }
+
+// AckDelivered acknowledges, under WithManualDeliveryAck, that a match has
+// reached its consumer; once acknowledged (and checkpointed) the match is
+// suppressed instead of redelivered after a crash.
+func (s *Sharded) AckDelivered(query, signature string, spanStart int64) {
+	s.dur.note(query, signature, spanStart)
 }

@@ -44,7 +44,7 @@ func TestSharedPlansChurnUnderIngest(t *testing.T) {
 	}
 
 	run := func(withChurn bool) (gen.MatchSet, int) {
-		eng := streamworks.NewSharded(
+		eng := streamworks.New(
 			streamworks.WithEngineConfig(w.Engine),
 			streamworks.WithShards(2),
 		)

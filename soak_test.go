@@ -28,7 +28,7 @@ func TestShardedSoakDriftReregister(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run keeping its plans: %v", err)
 	}
-	moved, err := gen.RunReregistering(streamworks.NewSharded(
+	moved, err := gen.RunReregistering(streamworks.New(
 		streamworks.WithEngineConfig(w.Engine),
 		streamworks.WithShards(3),
 	), w)
@@ -70,7 +70,7 @@ func TestShardedSoakDriftReregister(t *testing.T) {
 // failure mode.
 func TestRegistrationChurnRacesStreamAndClose(t *testing.T) {
 	w := gen.BenchDriftWorkload(8_000, 300, 5*time.Second)
-	eng := streamworks.NewSharded(
+	eng := streamworks.New(
 		streamworks.WithEngineConfig(w.Engine),
 		streamworks.WithShards(3),
 	)

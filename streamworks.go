@@ -3,16 +3,17 @@
 // stream timestamped edges in, and have complete matches pushed to you as
 // the stream evolves.
 //
-// One Engine interface fronts two backends, reached by three constructors:
+// One Engine interface fronts two backends, reached by two constructors:
 //
-//   - New: the in-process engine on one shard, driven on the caller's
-//     goroutine, so matches reach their sinks before ProcessBatch returns.
-//   - NewSharded: the same in-process engine parallelized across hash
-//     partitions of the vertex space, one goroutine per shard.
+//   - New: the in-process engine over WithShards hash partitions of the
+//     vertex space. The count, fixed at construction, fixes how it runs:
+//     one shard, the default, is driven on the caller's goroutine, so
+//     matches reach their sinks before ProcessBatch returns; above one,
+//     each shard runs on a goroutine of its own.
 //   - Connect: a remote engine served by a streamworksd daemon over HTTP
 //     (wraps the typed client).
 //
-// All three deliver matches the same way: per-query push subscriptions.
+// Both deliver matches the same way: per-query push subscriptions.
 // Subscribe registers a MatchSink for one query (or all), the engine invokes
 // it once for every complete match, and Done on the returned
 // Subscription closes after the final delivery. There is no polling surface
@@ -189,7 +190,7 @@ type Subscription interface {
 }
 
 // Engine is the StreamWorks system surface, implemented by every backend
-// (Sharded, built by New and NewSharded, and Remote, built by Connect — and
+// (Sharded, built by New, and Remote, built by Connect — and
 // every future one). The contract:
 //
 //   - RegisterQuery installs a continuous query; matches of that query

@@ -122,11 +122,11 @@ func backendRun(t *testing.T, eng streamworks.Engine, w gen.Workload, filterQuer
 }
 
 // TestAllBackendsIdenticalMatchSets is the acceptance test for the public
-// API: the same netflow workload flows through all three backends — New,
-// NewSharded, and Connect against an httptest daemon — exclusively through
+// API: the same netflow workload flows through New on one shard and on four,
+// and Connect against an httptest daemon — exclusively through
 // the streamworks.Engine interface, and every backend must produce the
 // identical deduplicated match set; a per-query Subscribe must deliver
-// exactly that query's matches on each backend.
+// exactly that query's matches on each.
 func TestAllBackendsIdenticalMatchSets(t *testing.T) {
 	w := acceptanceWorkload(t)
 	const filterQuery = "smurf-ddos"
@@ -142,7 +142,7 @@ func TestAllBackendsIdenticalMatchSets(t *testing.T) {
 		t.Fatalf("filtered set (%d) not a strict subset of all (%d)", len(wantFiltered), len(wantAll))
 	}
 
-	sharded := streamworks.NewSharded(streamworks.WithEngineConfig(w.Engine), streamworks.WithShards(4))
+	sharded := streamworks.New(streamworks.WithEngineConfig(w.Engine), streamworks.WithShards(4))
 	gotAll, gotFiltered := backendRun(t, sharded, w, filterQuery, nil)
 	if !gotAll.Equal(wantAll) {
 		t.Fatalf("sharded: %d matches, local %d", len(gotAll), len(wantAll))
@@ -204,7 +204,7 @@ func TestUnnamedQueryRefusedOnEveryBackend(t *testing.T) {
 		eng  streamworks.Engine
 	}{
 		{"New", streamworks.New()},
-		{"NewSharded", streamworks.NewSharded(streamworks.WithShards(2))},
+		{"New/shards=2", streamworks.New(streamworks.WithShards(2))},
 		{"Connect", remote},
 	} {
 		if err := b.eng.RegisterQuery(ctx, unnamed); !errors.Is(err, streamworks.ErrUnnamedQuery) {
@@ -219,7 +219,7 @@ func TestUnnamedQueryRefusedOnEveryBackend(t *testing.T) {
 
 // TestFrontendContract is the one statement of what the in-process backends
 // promise about subscriptions and shutdown, run clause by clause against New
-// and NewSharded. (TestAllBackendsIdenticalMatchSets holds Connect to the
+// on one shard and on three. (TestAllBackendsIdenticalMatchSets holds Connect to the
 // clauses that apply to a remote engine: unknown filter, ErrClosed.)
 func TestFrontendContract(t *testing.T) {
 	w := acceptanceWorkload(t)
@@ -517,5 +517,22 @@ func TestNewStartsNoGoroutine(t *testing.T) {
 	}
 	if !got.Equal(ref) {
 		t.Fatalf("%d matches delivered by the last ProcessBatch return, reference %d", len(got), len(ref))
+	}
+}
+
+// TestNewHonoursWithShards: New builds the shard count WithShards asks for,
+// and one shard for a count below 1 or no option at all.
+func TestNewHonoursWithShards(t *testing.T) {
+	eng := streamworks.New()
+	if got := eng.Shards(); got != 1 {
+		t.Errorf("New without WithShards built %d shards, want 1", got)
+	}
+	eng.Close()
+	for asked, want := range map[int]int{1: 1, 2: 2, 3: 3, 0: 1, -2: 1} {
+		eng = streamworks.New(streamworks.WithShards(asked))
+		if got := eng.Shards(); got != want {
+			t.Errorf("New(WithShards(%d)) built %d shards, want %d", asked, got, want)
+		}
+		eng.Close()
 	}
 }
