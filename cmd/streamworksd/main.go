@@ -36,7 +36,7 @@ func main() {
 		addr      = flag.String("addr", ":8090", "HTTP listen address")
 		shards    = flag.Int("shards", 1, "number of engine shards; 1 runs the engine on the ingest goroutine with no mailbox hop (two shards measured slower than one on 2 CPUs; the default moves only if a shards benchmark lane shows a gain)")
 		retention = flag.Duration("retention", 0, "sliding window width (0 = retain everything; query windows widen it)")
-		slack     = flag.Duration("slack", 0, "out-of-order slack: an edge more than 2× it behind the newest is dropped as late, never with -retention 0")
+		slack     = flag.Duration("slack", 0, "out-of-order slack; which edges it drops as late is graph.Clock's rule (README: State and its bounds)")
 		subBuffer = flag.Int("sub-buffer", 256, "per-subscriber match buffer; overflow evicts the subscriber")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables")
 

@@ -97,8 +97,8 @@ type Config struct {
 	// automatically so no query can miss a match because data expired early.
 	// It is also the window of every query registered without one.
 	Retention time.Duration
-	// Slack is the out-of-order slack: an edge more than 2×Slack behind the
-	// newest is dropped as late, never under a zero Retention (graph.Clock).
+	// Slack is the out-of-order slack; graph.Clock states which edges it
+	// lets in and which it drops as late.
 	Slack time.Duration
 	// EnableSummaries is ignored: the statistics the selective planner reads
 	// cost nothing per edge, so they are always on. The field is kept only

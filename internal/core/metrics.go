@@ -12,8 +12,8 @@ import (
 type Metrics struct {
 	// EdgesProcessed is the number of stream edges admitted into the graph.
 	EdgesProcessed uint64 `metric:"edges_processed"`
-	// EdgesDropped counts edges dropped as late (more than 2×Slack behind the
-	// newest, never under a zero Retention; graph.Clock) or for a duplicate ID.
+	// EdgesDropped counts edges dropped as late, by graph.Clock's rule, or
+	// for a duplicate ID.
 	EdgesDropped uint64 `metric:"edges_dropped"`
 	// MatchesEmitted is the total number of complete matches across queries.
 	MatchesEmitted uint64 `metric:"matches_detected"`

@@ -37,8 +37,8 @@ type Dynamic struct {
 // DynamicOption configures a Dynamic graph.
 type DynamicOption func(*Dynamic)
 
-// WithSlack sets the out-of-order slack d: an edge more than 2·d behind the
-// newest is dropped as late, never under an unbounded window (Clock).
+// WithSlack sets the out-of-order slack d; Clock states which edges it lets
+// in and which it drops as late.
 func WithSlack(d time.Duration) DynamicOption {
 	return func(dg *Dynamic) { dg.slack = d }
 }
@@ -112,7 +112,7 @@ func (d *Dynamic) Apply(se StreamEdge) (*Edge, error) {
 // arrivals never enter the loop.
 func (d *Dynamic) pushSorted(h int32, ts Timestamp) {
 	q := &d.queue
-	q.push(h, &d.g.spares)
+	q.push(h)
 	for i := len(q.buf) - 1; i > q.head && d.g.edges.at(q.buf[i-1]).ts > ts; i-- {
 		q.buf[i], q.buf[i-1] = q.buf[i-1], h
 	}

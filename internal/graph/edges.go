@@ -3,8 +3,8 @@ package graph
 import "math/bits"
 
 // Records are addressed by dense int32 handles: handle h is slot
-// h&chunkMask of chunk h>>chunkBits. A chunk of 256 40-B edge records is
-// 10 KiB, one runtime size class.
+// h&chunkMask of chunk h>>chunkBits. A chunk of 256 48-B edge records is
+// 12 KiB, one runtime size class.
 const (
 	chunkBits = 8
 	chunkSize = 1 << chunkBits
@@ -43,22 +43,38 @@ func (c *chunks[R]) alloc() int32 {
 // release makes handle h available for a new record.
 func (c *chunks[R]) release(h int32) { c.free = append(c.free, h) }
 
-// edgeRecord is an edge as the window stores it, 40 B: its endpoints are
-// vertex handles and its type an index into the graph's type table.
+// edgeRecord is an edge as the window stores it, 48 B: its endpoints are
+// vertex handles and its type an index into the graph's type table. next
+// threads the incidence lists through the records: next[dirOut] is
+// handle+1 of the edge after it in its source's out-list, next[dirIn] of the
+// one after it in its target's in-list, and 0 ends a list.
 type edgeRecord struct {
 	id       EdgeID
 	ts       Timestamp
 	attrs    Attributes
 	src, dst int32
 	typ      int32
+	next     [2]int32
 }
 
-// vertexRecord is a vertex together with its incidence lists of edge
-// handles and the type table index of its type.
+// The two directions of incidence, indexing edgeRecord.next and
+// vertexRecord.lists.
+const (
+	dirOut = 0
+	dirIn  = 1
+)
+
+// chain is a vertex's out- or in-list, threaded through the edge records in
+// arrival order: first and last are handle+1 of its ends (0 when empty) and
+// n its length.
+type chain struct{ first, last, n int32 }
+
+// vertexRecord is a vertex together with its two incidence lists and the
+// type table index of its type, 64 B.
 type vertexRecord struct {
 	Vertex
-	out, in fifo
-	typ     int32
+	lists [2]chain
+	typ   int32
 }
 
 type edgeRecords struct{ chunks[edgeRecord] }

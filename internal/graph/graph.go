@@ -5,27 +5,22 @@ import "fmt"
 // The graph recycles what its insert/expire cycle would otherwise allocate
 // per edge, within these bounds:
 //
-//   - records: edge records (40 B) and vertex records live in chunks of 256,
-//     addressed by int32 handle (edges.go). An edge record names its
+//   - records: edge records (48 B) and vertex records (64 B) live in chunks
+//     of 256, addressed by int32 handle (edges.go). An edge record names its
 //     endpoints by vertex handle and its type by type table index. The
 //     handle of an expired edge, or of a vertex left with no edge, is reused
 //     for a new one, so the chunks are kept up to the peak number of records
 //     held at once. One ID table per kind (ID → handle) is at most half full
 //     and only grows.
+//   - incidence: a vertex's out- and in-list are chains threaded through
+//     the edge records, so they take no memory of their own.
 //   - types: one table interns the edge and vertex types and counts each;
 //     a type that no vertex and no edge of the window has any more is
 //     dropped and its index reused.
-//   - spareClasses, sparesPerClass: an incidence list that is grown out of or
-//     emptied is kept for reuse at its power-of-two capacity (2…256
-//     handles), at most 64 per class: ≤ 128 KiB of spares per graph.
-const (
-	spareClasses   = 8
-	sparesPerClass = 64
-)
 
 // Graph is an in-memory multi-relational property multigraph. Each vertex
-// has one record that holds its incidence lists of edge handles, split by
-// direction and in arrival order; per-type counts serve the query planner.
+// has one record that heads its incidence lists, split by direction and in
+// arrival order; per-type counts serve the query planner.
 // A Dynamic is its only writer, so a vertex is in the graph exactly while an
 // edge in it touches the vertex.
 //
@@ -38,7 +33,6 @@ type Graph struct {
 	edges     edgeRecords
 	edgeIDs   idTable // the handles of the live edges, by ID
 	types     typeTable
-	spares    spares
 
 	// mutations counts the changes to the graph's vertices, edges and vertex
 	// types (see Mutations).
@@ -147,8 +141,8 @@ func (g *Graph) insert(e *Edge, src, dst int32) int32 {
 	h := g.edges.alloc()
 	*g.edges.at(h) = edgeRecord{id: e.ID, ts: e.Timestamp, attrs: e.Attrs, src: src, dst: dst, typ: typ}
 	g.edgeIDs.insert(&g.edges, h)
-	g.vertices.at(src).out.push(h, &g.spares)
-	g.vertices.at(dst).in.push(h, &g.spares)
+	g.link(src, dirOut, h)
+	g.link(dst, dirIn, h)
 	g.mutations++
 	return h
 }
@@ -171,8 +165,8 @@ func (g *Graph) addStreamEdge(se *StreamEdge) (int32, error) {
 func (g *Graph) remove(h int32) (src, dst int32) {
 	r := g.edges.at(h)
 	g.edgeIDs.delete(&g.edges, uint64(r.id))
-	g.unlink(&g.vertices.at(r.src).out, h)
-	g.unlink(&g.vertices.at(r.dst).in, h)
+	g.unlink(r.src, dirOut, h)
+	g.unlink(r.dst, dirIn, h)
 	g.types.edges[r.typ]--
 	g.types.drop(r.typ)
 	r.attrs = nil
@@ -180,20 +174,44 @@ func (g *Graph) remove(h int32) (src, dst int32) {
 	return r.src, r.dst
 }
 
-// unlink removes h from list, recycling the list once empty.
-func (g *Graph) unlink(list *fifo, h int32) {
-	list.remove(h)
-	if list.len() == 0 {
-		g.spares.recycle(list.buf)
-		*list = fifo{}
+// link appends edge h to vertex v's list in direction dir.
+func (g *Graph) link(v int32, dir int, h int32) {
+	c := &g.vertices.at(v).lists[dir]
+	if c.last == 0 {
+		c.first = h + 1
+	} else {
+		g.edges.at(c.last - 1).next[dir] = h + 1
 	}
+	c.last = h + 1
+	c.n++
+}
+
+// unlink takes edge h out of vertex v's list in direction dir, keeping the
+// others in order. It walks from the front to h: edges leave the window in
+// about the order they arrived, so the walk is short where removal is
+// common.
+func (g *Graph) unlink(v int32, dir int, h int32) {
+	c := &g.vertices.at(v).lists[dir]
+	link, prev := &c.first, int32(0) // link holds h+1 once the walk ends
+	for *link != h+1 {
+		if *link == 0 {
+			panic("graph: edge missing from its incidence list")
+		}
+		prev = *link
+		link = &g.edges.at(prev - 1).next[dir]
+	}
+	*link = g.edges.at(h).next[dir]
+	if c.last == h+1 {
+		c.last = prev
+	}
+	c.n--
 }
 
 // removeIfIsolated removes the vertex of handle h if it has no incident
 // edges. The record is zeroed and its handle released for reuse.
 func (g *Graph) removeIfIsolated(h int32) {
 	r := g.vertices.at(h)
-	if r.out.len() > 0 || r.in.len() > 0 {
+	if r.lists[dirOut].n > 0 || r.lists[dirIn].n > 0 {
 		return
 	}
 	g.vertexIDs.delete(&g.vertices, uint64(r.ID))
@@ -204,39 +222,48 @@ func (g *Graph) removeIfIsolated(h int32) {
 	g.vertices.release(h)
 }
 
-// EdgeList is a read-only view of a vertex's out- or in-edges, in the order
-// they were added: an edge that arrived out of timestamp order keeps its
-// arrival position, and expiry leaves the others in order. A view is valid
-// only until the next Dynamic.Apply or Dynamic.AdvanceTo: the graph
-// recycles incidence lists, so a view held across a mutation may come to
-// list another vertex's edges. The edges it returns are values, built from
-// the records, and stay valid.
+// EdgeList is a cursor over a vertex's out- or in-edges, in the order they
+// were added: an edge that arrived out of timestamp order keeps its arrival
+// position, and expiry leaves the others in order. A cursor is valid only
+// until the next Dynamic.Apply or Dynamic.AdvanceTo: the graph reuses the
+// handles of expired edges, so a cursor held across a mutation may follow a
+// reused handle into another vertex's list. The edges it returns are values,
+// built from the records, and stay valid.
 type EdgeList struct {
-	g       *Graph
-	handles []int32
+	g    *Graph
+	next int32 // handle+1 of the edge Next returns, 0 past the end
+	n    int32
+	dir  int
 }
 
-// Len returns the number of edges in the list.
-func (l EdgeList) Len() int { return len(l.handles) }
+// edgeList returns a cursor at the front of vertex id's list in direction
+// dir, an empty one when the vertex is not in the graph.
+func (g *Graph) edgeList(id VertexID, dir int) EdgeList {
+	if h := g.findVertex(id); h >= 0 {
+		c := g.vertices.at(h).lists[dir]
+		return EdgeList{g: g, next: c.first, n: c.n, dir: dir}
+	}
+	return EdgeList{}
+}
 
-// At returns the i-th edge, in arrival order.
-func (l EdgeList) At(i int) Edge { return l.g.edge(l.handles[i]) }
+// Len returns the number of edges in the list, however far Next has gone.
+func (l EdgeList) Len() int { return int(l.n) }
+
+// Next returns the next edge in arrival order, or false past the end.
+func (l *EdgeList) Next() (Edge, bool) {
+	if l.next == 0 {
+		return Edge{}, false
+	}
+	h := l.next - 1
+	l.next = l.g.edges.at(h).next[l.dir]
+	return l.g.edge(h), true
+}
 
 // OutEdges returns the edges leaving v in the order they were added.
-func (g *Graph) OutEdges(v VertexID) EdgeList {
-	if h := g.findVertex(v); h >= 0 {
-		return EdgeList{g, g.vertices.at(h).out.live()}
-	}
-	return EdgeList{}
-}
+func (g *Graph) OutEdges(v VertexID) EdgeList { return g.edgeList(v, dirOut) }
 
 // InEdges returns the edges entering v in the order they were added.
-func (g *Graph) InEdges(v VertexID) EdgeList {
-	if h := g.findVertex(v); h >= 0 {
-		return EdgeList{g, g.vertices.at(h).in.live()}
-	}
-	return EdgeList{}
-}
+func (g *Graph) InEdges(v VertexID) EdgeList { return g.edgeList(v, dirIn) }
 
 // CountVerticesOfType returns the number of vertices with the given type.
 func (g *Graph) CountVerticesOfType(t string) int { return g.types.count(g.types.vertices, t) }

@@ -55,6 +55,61 @@ func TestDynamicApplyRepeatedNaNAttrAllocs(t *testing.T) {
 	allocbudget.Check(t, "graph.Dynamic.Apply/repeated NaN attribute", apply)
 }
 
+// Host degrees follow a Zipf law whose ranking rotates one host every 64
+// edges: each host warms up to a hub, drops to the coldest rank, leaves the
+// window and comes back warming again, so vertices keep leaving and
+// returning with lists longer than 16, up to about 75 edges. The ranks of
+// one rotation are drawn once and replayed, so the stream repeats with the
+// rotation: once it has run a rotation and a window, the live vertices and
+// the free handles have reached every count they will reach again, and
+// applying allocates nothing, counted exactly.
+func TestDynamicApplySkewedChurnAllocs(t *testing.T) {
+	const window, hosts, period, runs = 1 << 13, 1024, 64, 60000
+	const rotation = hosts * period // edges
+	zipf := rand.NewZipf(rand.New(rand.NewSource(51)), 1.1, 1, hosts-1)
+	ranks := make([]uint16, 2*rotation)
+	for i := range ranks {
+		ranks[i] = uint16(zipf.Uint64())
+	}
+	// left marks the hosts that have left the window since they last came
+	// back with more than 16 edges; returns counts those comebacks.
+	var left [hosts]bool
+	returns := 0
+	var d *Dynamic
+	d = NewDynamic(window, WithExpiryCallback(func(e *Edge) {
+		for _, v := range [2]VertexID{e.Source, e.Target} {
+			if _, ok := d.g.Vertex(v); !ok {
+				left[v] = true
+			}
+		}
+	}))
+	next := 0
+	host := func(end int) VertexID {
+		return VertexID((int(ranks[(2*next+end)%len(ranks)]) + next/period) % hosts)
+	}
+	apply := func() {
+		src, dst := host(0), host(1)
+		if _, err := d.Apply(streamEdge(EdgeID(next), src, dst, "flow", Timestamp(next))); err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range [2]VertexID{src, dst} {
+			if left[v] && d.g.OutEdges(v).Len()+d.g.InEdges(v).Len() > 16 {
+				left[v] = false
+				returns++
+			}
+		}
+		next++
+	}
+	for next < rotation+window {
+		apply()
+	}
+	returns = 0
+	allocbudget.CheckExact(t, "graph.Dynamic.Apply/skewed host churn", runs, apply)
+	if returns < 100 {
+		t.Fatalf("the stream did not churn: %d returns with more than 16 edges in %d applies", returns, runs)
+	}
+}
+
 // model is the naive reference for Dynamic: live edges in a map with their
 // arrival numbers, vertices with their merged metadata, expiry by scanning
 // every live edge.
@@ -165,13 +220,15 @@ func (m *model) compare(t *testing.T, step int, d *Dynamic) {
 		types[e.Type]++
 	}
 	list := func(v VertexID, dir string, got EdgeList, want []EdgeID) {
-		ids := make([]EdgeID, got.Len())
-		for i := range ids {
-			e := got.At(i)
+		ids := make([]EdgeID, 0, got.Len())
+		for e, ok := got.Next(); ok; e, ok = got.Next() {
 			if !sameEdge(e, m.edges[e.ID]) {
 				t.Fatalf("step %d: %s edges of v%d hold %v, model has %v", step, dir, v, e, m.edges[e.ID])
 			}
-			ids[i] = e.ID
+			ids = append(ids, e.ID)
+		}
+		if len(ids) != got.Len() {
+			t.Fatalf("step %d: %s edges of v%d: the cursor returns %d, its Len is %d", step, dir, v, len(ids), got.Len())
 		}
 		slices.SortFunc(want, func(a, b EdgeID) int { return m.arrival[a] - m.arrival[b] })
 		if !slices.Equal(ids, want) {
@@ -212,62 +269,48 @@ func (m *model) compare(t *testing.T, step int, d *Dynamic) {
 	checkRecycling(t, step, d)
 }
 
-// checkRecycling fails t when a spare is not empty, when a live vertex has no
-// incident edge, when an incidence list or the expiry queue holds a handle
-// that is not a live edge (of its vertex), when an edge's endpoint handles do
-// not name live vertices of its endpoint IDs, when an edge handle handed out
-// is neither in the expiry queue nor free or is both, when a vertex handle
-// handed out is neither live and filed under its ID nor free, or when two
-// lists, live or spare, share a backing array.
+// checkRecycling fails t when a live vertex has no incident edge, when a
+// chain does not hold exactly the live edges of its vertex and direction
+// (each handle on it a live edge that ends at the vertex, no edge twice, the
+// walk's count its n and the walk's end its last), when an edge's endpoint
+// handles do not name live vertices of its endpoint IDs, when an edge handle
+// handed out is neither in the expiry queue nor free or is both, or when a
+// vertex handle handed out is neither live and filed under its ID nor free
+// with zeroed chains. That a chain is in arrival order is compare's check,
+// through the EdgeList cursor that walks it.
 func checkRecycling(t *testing.T, step int, d *Dynamic) {
 	t.Helper()
-	type list struct {
-		kind string
-		v    VertexID
-	}
-	owner := make(map[*int32]list)
-	claim := func(l []int32, who list) {
-		base := &l[:cap(l)][0]
-		if prev, dup := owner[base]; dup {
-			t.Fatalf("step %d: %+v and %+v share a backing array", step, prev, who)
-		}
-		owner[base] = who
-	}
-	for c, spares := range d.g.spares {
-		for _, l := range spares {
-			if len(l) != 0 || cap(l) < 2<<c {
-				t.Fatalf("step %d: spare of class %d has len %d cap %d", step, c, len(l), cap(l))
-			}
-			claim(l, list{kind: "spare"})
-		}
-	}
 	recs, verts := &d.g.edges, &d.g.vertices
 	// isEdge reports whether h is the handle the ID table files its record's
 	// ID under: the live edge of that ID.
 	isEdge := func(h int32) bool { return d.g.edgeIDs.find(recs, recs.key(h)) == h }
 	// endsAt reports whether the edge of h names, by handle, the live
-	// vertices of its endpoint IDs, and v is its source (out) or target.
-	endsAt := func(h int32, v VertexID, out bool) bool {
+	// vertices of its endpoint IDs, and v is its source (dirOut) or target.
+	endsAt := func(h int32, v VertexID, dir int) bool {
 		r := recs.at(h)
 		src, dst := verts.at(r.src).ID, verts.at(r.dst).ID
 		if d.g.findVertex(src) != r.src || d.g.findVertex(dst) != r.dst {
 			return false
 		}
-		if out {
+		if dir == dirOut {
 			return src == v
 		}
 		return dst == v
 	}
-	live := func(f fifo, who list, valid func(h int32) bool) {
-		if f.buf == nil {
-			return
-		}
-		for i, h := range f.live() {
-			if h < 0 || h >= recs.n || !valid(h) {
-				t.Fatalf("step %d: %+v holds handle %d in slot %d, which it must not", step, who, h, f.head+i)
+	// chained holds, per direction, the handles found on some chain.
+	chained := [2]map[int32]bool{make(map[int32]bool), make(map[int32]bool)}
+	walk := func(v VertexID, dir int, c chain) {
+		var n, last int32
+		for s := c.first; s != 0; s = recs.at(s - 1).next[dir] {
+			if h := s - 1; h >= recs.n || !isEdge(h) || !endsAt(h, v, dir) || chained[dir][h] {
+				t.Fatalf("step %d: chain %d of v%d holds handle %d at position %d, which it must not", step, dir, v, h, n)
 			}
+			chained[dir][s-1] = true
+			n, last = n+1, s
 		}
-		claim(f.buf, who)
+		if n != c.n || last != c.last {
+			t.Fatalf("step %d: chain %d of v%d walks %d edges to %d, records %d ending at %d", step, dir, v, n, last, c.n, c.last)
+		}
 	}
 	// Every vertex handle handed out is live, and filed under its ID, or
 	// free, once.
@@ -282,21 +325,22 @@ func checkRecycling(t *testing.T, step int, d *Dynamic) {
 		}
 		liveVertex[h] = true
 		r := verts.at(h)
-		v := r.ID
-		if r.out.buf != nil && r.out.len() == 0 || r.in.buf != nil && r.in.len() == 0 {
-			t.Fatalf("step %d: vertex %d keeps an empty list", step, v)
+		if r.lists[dirOut].n+r.lists[dirIn].n == 0 {
+			t.Fatalf("step %d: vertex %d has no incident edge", step, r.ID)
 		}
-		if r.out.len()+r.in.len() == 0 {
-			t.Fatalf("step %d: vertex %d has no incident edge", step, v)
-		}
-		live(r.out, list{"out", v}, func(h int32) bool { return isEdge(h) && endsAt(h, v, true) })
-		live(r.in, list{"in", v}, func(h int32) bool { return isEdge(h) && endsAt(h, v, false) })
+		walk(r.ID, dirOut, r.lists[dirOut])
+		walk(r.ID, dirIn, r.lists[dirIn])
 	}
 	if len(liveVertex) != d.g.NumVertices() {
 		t.Fatalf("step %d: %d vertex handles filed, %d vertices", step, len(liveVertex), d.g.NumVertices())
 	}
+	for dir, hs := range chained {
+		if len(hs) != d.g.NumEdges() {
+			t.Fatalf("step %d: chains %d hold %d edges, the window %d", step, dir, len(hs), d.g.NumEdges())
+		}
+	}
 	for _, h := range verts.free {
-		if r := verts.at(h); liveVertex[h] || r.ID != 0 || r.out.buf != nil || r.in.buf != nil {
+		if r := verts.at(h); liveVertex[h] || r.ID != 0 || r.lists != [2]chain{} {
 			t.Fatalf("step %d: free vertex handle %d is live, filed or not zeroed", step, h)
 		}
 		liveVertex[h] = true
@@ -308,16 +352,17 @@ func checkRecycling(t *testing.T, step int, d *Dynamic) {
 	// is then released: every handle handed out is a live edge in the queue
 	// or free, once, and the queue holds every live edge.
 	held := make(map[int32]bool)
-	hold := func(h int32) bool {
-		dup := held[h]
+	for i, h := range d.queue.live() {
+		if h < 0 || h >= recs.n || !isEdge(h) || held[h] {
+			t.Fatalf("step %d: the queue holds handle %d in slot %d, which it must not", step, h, d.queue.head+i)
+		}
 		held[h] = true
-		return !dup
 	}
-	live(d.queue, list{kind: "queue"}, func(h int32) bool { return isEdge(h) && hold(h) })
 	for _, h := range recs.free {
-		if isEdge(h) || !hold(h) {
+		if isEdge(h) || held[h] {
 			t.Fatalf("step %d: free handle %d is live or also queued or free", step, h)
 		}
+		held[h] = true
 	}
 	if len(held) != int(recs.n) {
 		t.Fatalf("step %d: %d handles handed out, %d queued or free", step, recs.n, len(held))
@@ -335,13 +380,13 @@ func heapInUse() uint64 {
 }
 
 // TestDynamicMatchesNaiveModel runs Dynamic against model over 40 turnovers
-// of the window: a hub whose lists grow through every spare class, warm and
+// of the window: a hub with a live degree of at least 256 at its peak, warm and
 // cold vertices that go isolated and come back, parallel edges, self-loops,
 // arrivals out of order within the slack, equal timestamps, time signals
 // without an edge, and the ID of an expired edge arriving again on a later
 // edge. After every step the two must agree, the expiry callback must have
-// read exactly the model's expired edges, and no recycled list may share its
-// array, and every handle must be queued or free. The heap after 40 windows
+// read exactly the model's expired edges, every chain must hold exactly its
+// vertex's live edges, and every handle must be queued or free. The heap after 40 windows
 // must be that after 2: the records of expired edges are reused.
 func TestDynamicMatchesNaiveModel(t *testing.T) {
 	const (
@@ -376,7 +421,7 @@ func TestDynamicMatchesNaiveModel(t *testing.T) {
 		last            Edge
 		early           uint64
 		returned, added int
-		hubCap          int
+		hubDegree       int
 		isolated        = make(map[VertexID]bool)
 	)
 	for step := 0; clock < windows*window; step++ {
@@ -450,19 +495,17 @@ func TestDynamicMatchesNaiveModel(t *testing.T) {
 		}
 		clear(expired)
 		m.compare(t, step, d)
-		if h := d.g.findVertex(hub); h >= 0 {
-			hubCap = max(hubCap, cap(d.g.vertices.at(h).out.live()))
-		}
+		hubDegree = max(hubDegree, d.Graph().OutEdges(hub).Len()+d.Graph().InEdges(hub).Len())
 		if early == 0 && clock >= 2*window {
 			early = heapInUse()
 		}
 	}
 	late := heapInUse()
-	t.Logf("%d edges (%d reusing an expired ID), %d vertex returns, hub list capacity up to %d; heap %d KiB after 2 windows, %d KiB after %d",
-		added, reused, returned, hubCap, early>>10, late>>10, windows)
-	if d.ExpiredTotal() < uint64(added/2) || returned < added/4 || hubCap < 256 || reused < 50 {
-		t.Fatalf("the stream did not churn: %d of %d edges expired, %d vertex returns, hub capacity %d, %d IDs reused",
-			d.ExpiredTotal(), added, returned, hubCap, reused)
+	t.Logf("%d edges (%d reusing an expired ID), %d vertex returns, hub degree up to %d; heap %d KiB after 2 windows, %d KiB after %d",
+		added, reused, returned, hubDegree, early>>10, late>>10, windows)
+	if d.ExpiredTotal() < uint64(added/2) || returned < added/4 || hubDegree < 256 || reused < 50 {
+		t.Fatalf("the stream did not churn: %d of %d edges expired, %d vertex returns, hub degree %d, %d IDs reused",
+			d.ExpiredTotal(), added, returned, hubDegree, reused)
 	}
 	if late > early+256<<10 {
 		t.Errorf("heap grew from %d KiB after 2 windows to %d KiB after %d", early>>10, late>>10, windows)

@@ -6,9 +6,10 @@
 // expiring edges that fall outside the window as required by the paper's
 // temporal query semantics (τ(g) < tW). It is the only writer of its Graph,
 // which local search, offline ground-truth search and the planner's
-// statistics read. The graph keeps each edge as a 40-B record that names its
+// statistics read. The graph keeps each edge as a 48-B record that names its
 // endpoints by vertex handle and its type by an index into a table of the
-// window's types; readers get Edge values built from the records (graph.go).
+// window's types, and links it into its endpoints' incidence lists; readers
+// get Edge values built from the records (graph.go).
 package graph
 
 import (

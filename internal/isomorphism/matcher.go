@@ -191,8 +191,8 @@ func (m *Matcher) extend(g *graph.Graph, cur *match.Match, order []query.EdgeID,
 	// EdgesBetween would allocate a slice per candidate. Each edge is a
 	// value on the stack.
 	scan := func(l graph.EdgeList, to graph.VertexID, closing bool) bool {
-		for i := range l.Len() {
-			if de := l.At(i); (!closing || de.Target == to) && !consider(&de) {
+		for de, ok := l.Next(); ok; de, ok = l.Next() {
+			if (!closing || de.Target == to) && !consider(&de) {
 				return false
 			}
 		}

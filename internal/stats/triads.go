@@ -70,8 +70,7 @@ func (t *triadTable) fill(g *graph.Graph) {
 	g.Vertices(func(v *graph.Vertex) bool {
 		t.classes = t.classes[:0]
 		out := g.OutEdges(v.ID)
-		for i := range out.Len() {
-			e := out.At(i)
+		for e, ok := out.Next(); ok; e, ok = out.Next() {
 			c := t.class(e.Type, true)
 			c.n++
 			if e.Target == v.ID {
@@ -79,8 +78,8 @@ func (t *triadTable) fill(g *graph.Graph) {
 			}
 		}
 		in := g.InEdges(v.ID)
-		for i := range in.Len() {
-			t.class(in.At(i).Type, false).n++
+		for e, ok := in.Next(); ok; e, ok = in.Next() {
+			t.class(e.Type, false).n++
 		}
 		for i, a := range t.classes {
 			if a.n > 1 {
