@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -122,15 +123,21 @@ func streamWithLate(t *testing.T, eng streamworks.Engine, w gen.Workload, from, 
 	streamBatches(t, eng, w, late.at, to, batch)
 }
 
+// crashBatch is the batch size runCrashRestart streams in.
+const crashBatch = 64
+
+// halfway is the last whole batch boundary at or before the middle of w.
+func halfway(w gen.Workload) int { return len(w.Edges) / 2 / crashBatch * crashBatch }
+
 // runCrashRestart streams w through a durable engine, freezes the
-// filesystem mid-stream (the in-process stand-in for SIGKILL: everything
-// already written stays on disk, nothing further can reach it), restarts
-// from the same data dir with the real filesystem and finishes the stream.
-// It returns the union of both runs' delivered match sets — which
-// exactly-once-under-set-semantics says must equal an uninterrupted run's.
-// late, if not nil, is registered before the crash, at its place in the
-// stream.
-func runCrashRestart(t *testing.T, w gen.Workload, mk engineMaker, late *lateQuery) gen.MatchSet {
+// filesystem after the first crash edges, a multiple of crashBatch (the
+// in-process stand-in for SIGKILL: everything already written stays on
+// disk, nothing further can reach it), restarts from the same data dir with
+// the real filesystem and finishes the stream. It returns the union of both
+// runs' delivered match sets — which exactly-once-under-set-semantics says
+// must equal an uninterrupted run's. late, if not nil, is registered before
+// the crash, at its place in the stream.
+func runCrashRestart(t *testing.T, w gen.Workload, mk engineMaker, late *lateQuery, crash int) gen.MatchSet {
 	t.Helper()
 	dir := t.TempDir()
 	ffs := faultfs.New()
@@ -145,16 +152,13 @@ func runCrashRestart(t *testing.T, w gen.Workload, mk engineMaker, late *lateQue
 	union := make(gen.MatchSet)
 	sink := collectSet(&mu, union)
 
-	const batch = 64
-	crash := (len(w.Edges) / 2 / batch) * batch
-
 	eng := mk.mk(append(base, streamworks.WithWALFS(ffs))...)
 	registerAll(t, eng, w)
 	sub, err := eng.Subscribe("", oncePerRun(t, "the run before the crash", sink))
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
-	streamWithLate(t, eng, w, 0, crash, batch, late)
+	streamWithLate(t, eng, w, 0, crash, crashBatch, late)
 	if d := eng.Durability(); d.Mode != "ok" || d.Frames == 0 {
 		t.Fatalf("pre-crash durability: %+v", d)
 	}
@@ -181,7 +185,7 @@ func runCrashRestart(t *testing.T, w gen.Workload, mk engineMaker, late *lateQue
 	if err != nil {
 		t.Fatalf("Subscribe after restart: %v", err)
 	}
-	streamBatches(t, eng2, w, crash, len(w.Edges), batch)
+	streamBatches(t, eng2, w, crash, len(w.Edges), crashBatch)
 	eng2.Close()
 	<-sub2.Done()
 
@@ -201,7 +205,7 @@ func TestCrashRecoveryExactlyOnceNetflow(t *testing.T) {
 	}
 	for _, mk := range inProcessBackends() {
 		t.Run(mk.name, func(t *testing.T) {
-			union := runCrashRestart(t, w, mk, nil)
+			union := runCrashRestart(t, w, mk, nil, halfway(w))
 			if !union.Equal(ref) {
 				t.Fatalf("crash-restart union diverged: %d matches, reference %d", len(union), len(ref))
 			}
@@ -223,9 +227,39 @@ func TestCrashRecoveryExactlyOnceDrift(t *testing.T) {
 	}
 	for _, mk := range inProcessBackends() {
 		t.Run(mk.name, func(t *testing.T) {
-			union := runCrashRestart(t, w, mk, nil)
+			union := runCrashRestart(t, w, mk, nil, halfway(w))
 			if !union.Equal(ref) {
 				t.Fatalf("crash-restart union diverged: %d matches, reference %d", len(union), len(ref))
+			}
+		})
+	}
+}
+
+// TestCrashRecoveryUnderLateness crashes a stream with stragglers, one edge
+// in six moved back by up to twice the slack, at a batch drawn from a
+// seed. Edges behind the watermark are dropped before they reach a shard,
+// on the run before the crash, by the log's replay and after the restart
+// alike, so the union of both runs is the oracle's set on one shard and on
+// three.
+func TestCrashRecoveryUnderLateness(t *testing.T) {
+	w := gen.BenchDriftWorkload(3000, 60, time.Second)
+	w.Engine.Slack = 250 * time.Millisecond
+	rng := rand.New(rand.NewSource(52))
+	for i := range w.Edges {
+		if rng.Intn(6) == 0 {
+			w.Edges[i].Edge.Timestamp = w.Edges[i].Edge.Timestamp.Add(-time.Duration(rng.Int63n(int64(2 * w.Engine.Slack))))
+		}
+	}
+	crash := (1 + rng.Intn(len(w.Edges)/crashBatch-1)) * crashBatch
+	ref := gen.Oracle(w)
+	if len(ref) == 0 {
+		t.Fatal("the oracle finds no match; the stream proves nothing")
+	}
+	for _, mk := range inProcessBackends() {
+		t.Run(mk.name, func(t *testing.T) {
+			union := runCrashRestart(t, w, mk, nil, crash)
+			if !union.Equal(ref) {
+				t.Fatalf("crash after %d edges: the union of both runs holds %d matches, the oracle %d", crash, len(union), len(ref))
 			}
 		})
 	}
@@ -278,7 +312,7 @@ func TestCrashRecoveryMidStreamRegistration(t *testing.T) {
 			if lateMatches == 0 {
 				t.Fatalf("the uninterrupted run produced no %s match", late.q.Name())
 			}
-			union := runCrashRestart(t, w, mk, late)
+			union := runCrashRestart(t, w, mk, late, halfway(w))
 			if !union.Equal(ref) {
 				t.Fatalf("crash-restart union diverged: %d matches, uninterrupted run %d", len(union), len(ref))
 			}

@@ -95,43 +95,66 @@ func randomWorkload(seed int64) Workload {
 	}
 }
 
+// straggle returns w with one edge in six moved back by up to behind, drawn
+// from seed: those that land behind the watermark must be dropped on every
+// plan and shard count alike.
+func straggle(w Workload, seed int64, behind time.Duration) Workload {
+	rng := rand.New(rand.NewSource(seed * 977))
+	w.Edges = slices.Clone(w.Edges)
+	for i := range w.Edges {
+		if rng.Intn(6) == 0 {
+			w.Edges[i].Edge.Timestamp = w.Edges[i].Edge.Timestamp.Add(-time.Duration(rng.Int63n(int64(behind))))
+		}
+	}
+	return w
+}
+
 // TestRandomStreamsMatchOracle holds every engine configuration to the
 // oracle on streams the generators never produce: each decomposition
 // strategy on one engine and on two and three shards must deliver exactly
-// the matches naive expansion finds.
+// the matches naive expansion finds. Each stream has stragglers up to twice
+// the slack behind, and a 300-edge prefix of it runs again under unbounded
+// retention with stragglers up to twenty slacks behind: an edge behind the
+// watermark is late whatever the retention.
 func TestRandomStreamsMatchOracle(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
+	for seed := int64(1); seed <= 8; seed++ {
 		w := randomWorkload(seed)
-		t.Run(w.Name, func(t *testing.T) {
-			t.Parallel()
-			ref := Oracle(w)
-			if len(ref) == 0 {
-				t.Fatalf("the oracle found no matches; the stream proves nothing")
-			}
-			for _, strat := range decompose.Strategies() {
-				for _, shards := range []int{1, 2, 3} {
-					t.Run(fmt.Sprintf("%s/shards=%d", strat, shards), func(t *testing.T) {
-						w := w
-						w.Register.Strategy = string(strat)
-						var (
-							set MatchSet
-							err error
-						)
-						if shards == 1 {
-							set, _, err = RunSingle(w)
-						} else {
-							set, _, err = RunSharded(w, shards)
-						}
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !set.Equal(ref) {
-							t.Fatalf("%d matches, the oracle finds %d", len(set), len(ref))
-						}
-					})
+		unbounded := w
+		unbounded.Name += "-unbounded"
+		unbounded.Edges = w.Edges[:300]
+		unbounded.Engine.Retention = 0
+		for _, w := range []Workload{straggle(w, seed, 2*w.Engine.Slack), straggle(unbounded, seed, 20*w.Engine.Slack)} {
+			t.Run(w.Name, func(t *testing.T) {
+				t.Parallel()
+				ref := Oracle(w)
+				if len(ref) == 0 {
+					t.Fatalf("the oracle found no matches; the stream proves nothing")
 				}
-			}
-		})
+				for _, strat := range decompose.Strategies() {
+					for _, shards := range []int{1, 2, 3} {
+						t.Run(fmt.Sprintf("%s/shards=%d", strat, shards), func(t *testing.T) {
+							w := w
+							w.Register.Strategy = string(strat)
+							var (
+								set MatchSet
+								err error
+							)
+							if shards == 1 {
+								set, _, err = RunSingle(w)
+							} else {
+								set, _, err = RunSharded(w, shards)
+							}
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !set.Equal(ref) {
+								t.Fatalf("%d matches, the oracle finds %d", len(set), len(ref))
+							}
+						})
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -16,12 +16,11 @@ const NoCutoff Timestamp = math.MinInt64
 //
 //   - The newest time is the largest timestamp observed, an edge's or an
 //     explicit advance's (AdvanceTo); the watermark trails it by the slack.
-//   - An edge more than 2×slack behind the newest time is late and dropped
-//     (Late), but none is before the first time or under unbounded
-//     retention (0).
-//   - The expiry cutoff, below which nothing is retained, is
-//     max(previous, newest − retention − slack): it never moves back, and it
-//     stays NoCutoff under unbounded retention.
+//   - An edge behind the watermark is late and dropped (Late), at every
+//     retention; none is late before the first time is observed.
+//   - The expiry cutoff, below which nothing is retained (so no edge that is
+//     not late), is max(previous, watermark − retention): it never moves
+//     back, and it stays NoCutoff under unbounded retention.
 //   - A query window widens the retention (Extend) only until an edge has
 //     been admitted: after that, edges outside the old window may have
 //     expired.
@@ -49,7 +48,7 @@ func (c *Clock) AdvanceTo(ts Timestamp) {
 		c.newest, c.seen = ts, true
 	}
 	if c.retention > 0 {
-		c.cutoff = max(c.cutoff, c.newest-Timestamp(c.retention)-Timestamp(c.slack))
+		c.cutoff = max(c.cutoff, c.Watermark()-Timestamp(c.retention))
 	}
 }
 
@@ -73,9 +72,7 @@ func (c *Clock) Watermark() Timestamp {
 }
 
 // Late reports whether an edge at ts is dropped for lateness.
-func (c *Clock) Late(ts Timestamp) bool {
-	return c.seen && c.retention > 0 && ts < c.newest-Timestamp(c.slack)-Timestamp(c.slack)
-}
+func (c *Clock) Late(ts Timestamp) bool { return c.seen && ts < c.Watermark() }
 
 // Cutoff returns the expiry cutoff: nothing older is retained.
 func (c *Clock) Cutoff() Timestamp { return c.cutoff }

@@ -102,8 +102,8 @@ func TestDynamicIsolatedVerticesRemovedOnExpiry(t *testing.T) {
 
 // TestDynamicOutOfOrderWithinSlack: with a slack of 5 after an edge at
 // 1000, an edge at 997 is within the slack of the watermark (995) and
-// admitted. One further behind is refused by a bounded window, but an
-// unbounded window judges no edge late: it admits one 90× the slack behind.
+// admitted. One behind the watermark is refused, by a bounded window and an
+// unbounded one alike.
 func TestDynamicOutOfOrderWithinSlack(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -111,9 +111,11 @@ func TestDynamicOutOfOrderWithinSlack(t *testing.T) {
 		late   Timestamp
 		admit  bool
 	}{
+		{"bounded window, at the watermark", time.Hour, 995, true},
 		{"bounded window, beyond the slack", time.Hour, 980, false},
 		{"bounded window, 90× the slack", time.Hour, 1000 - 90*5, false},
-		{"unbounded window, 90× the slack", 0, 1000 - 90*5, true},
+		{"unbounded window, beyond the slack", 0, 994, false},
+		{"unbounded window, 90× the slack", 0, 1000 - 90*5, false},
 	} {
 		d := NewDynamic(tc.window, WithSlack(5*time.Nanosecond))
 		if _, err := d.Apply(streamEdge(1, 1, 2, "flow", 1000)); err != nil {
@@ -132,13 +134,19 @@ func TestDynamicOutOfOrderWithinSlack(t *testing.T) {
 	}
 }
 
-func TestDynamicRegressionAllowedWhenUnbounded(t *testing.T) {
+// TestDynamicRegressionRefusedWhenUnbounded: an unbounded window judges
+// lateness as a bounded one does: with no slack, an edge at the newest time
+// is admitted and one behind it refused.
+func TestDynamicRegressionRefusedWhenUnbounded(t *testing.T) {
 	d := NewDynamic(0)
 	if _, err := d.Apply(streamEdge(1, 1, 2, "flow", 100)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Apply(streamEdge(2, 2, 3, "flow", 1)); err != nil {
-		t.Fatalf("unbounded dynamic graph should accept late edges: %v", err)
+	if _, err := d.Apply(streamEdge(2, 2, 3, "flow", 100)); err != nil {
+		t.Fatalf("an edge at the newest time: %v", err)
+	}
+	if _, err := d.Apply(streamEdge(3, 3, 4, "flow", 1)); !errors.Is(err, ErrTimestampRegression) {
+		t.Fatalf("an edge behind the newest time: got %v, want ErrTimestampRegression", err)
 	}
 }
 
@@ -167,8 +175,8 @@ func TestDynamicAdvanceToRespectsSlack(t *testing.T) {
 	// what edge ingestion at the same timestamp would produce: both paths
 	// trail the observed stream time by the slack. Previously AdvanceTo
 	// ignored the slack, so an explicit time signal at the current stream
-	// time expired edges still inside the slack and rejected in-slack
-	// stragglers.
+	// time expired edges still inside the slack and rejected edges at the
+	// watermark.
 	d := NewDynamic(10*time.Nanosecond, WithSlack(5*time.Nanosecond))
 	if _, err := d.Apply(streamEdge(1, 1, 2, "flow", 86)); err != nil {
 		t.Fatal(err)
@@ -188,9 +196,12 @@ func TestDynamicAdvanceToRespectsSlack(t *testing.T) {
 	if d.NumEdges() != 2 {
 		t.Fatalf("AdvanceTo expired in-window edges: %d live, want 2", d.NumEdges())
 	}
-	// A straggler within the slack of the watermark is still accepted.
-	if _, err := d.Apply(streamEdge(3, 3, 4, "flow", 91)); err != nil {
-		t.Fatalf("in-slack edge rejected after AdvanceTo: %v", err)
+	// An edge at the watermark is still accepted, and one behind it is late.
+	if _, err := d.Apply(streamEdge(3, 3, 4, "flow", 95)); err != nil {
+		t.Fatalf("an edge at the watermark rejected after AdvanceTo: %v", err)
+	}
+	if _, err := d.Apply(streamEdge(4, 4, 5, "flow", 94)); !errors.Is(err, ErrTimestampRegression) {
+		t.Fatalf("an edge behind the watermark after AdvanceTo: got %v, want ErrTimestampRegression", err)
 	}
 	// Advancing the stream clock beyond the observed maximum applies slack too.
 	d.AdvanceTo(120)
@@ -281,27 +292,49 @@ func TestDynamicWidenOnlyWidensABoundedWindow(t *testing.T) {
 	}
 }
 
-// A straggler that is already below the cutoff when it arrives (slack wider
-// than the window) is expired by its own Apply, but the edge Apply returns
-// still carries its attributes for the search it seeds.
-func TestDynamicExpiredStragglerKeepsAttrs(t *testing.T) {
+// TestDynamicAdmittedEdgeNeverBelowCutoff: the cutoff trails the watermark
+// by the window and an edge behind the watermark is late, so an edge Apply
+// admits is never expired by its own Apply, even with a slack five times the
+// window, and the edge Apply returns carries its attributes. Stragglers up
+// to three slacks behind the newest time are refused exactly when they are
+// behind the watermark.
+func TestDynamicAdmittedEdgeNeverBelowCutoff(t *testing.T) {
+	const window, slack = 2, 10
 	var expired []EdgeID
-	d := NewDynamic(2*time.Nanosecond, WithSlack(10*time.Nanosecond),
+	d := NewDynamic(window*time.Nanosecond, WithSlack(slack*time.Nanosecond),
 		WithExpiryCallback(func(e *Edge) { expired = append(expired, e.ID) }))
-	if _, err := d.Apply(streamEdge(1, 1, 2, "flow", 100)); err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(52))
+	admitted, refused := 0, 0
+	for i := 1; i <= 2000; i++ {
+		ts := Timestamp(10 * i)
+		if rng.Intn(3) == 0 {
+			ts -= Timestamp(rng.Intn(3 * slack))
+		}
+		late := d.Late(ts)
+		se := streamEdge(EdgeID(i), VertexID(rng.Intn(8)), VertexID(8+rng.Intn(8)), "flow", ts)
+		se.Edge.Attrs = Attributes{"bytes": Int(int64(i))}
+		expired = expired[:0]
+		e, err := d.Apply(se)
+		if late {
+			if !errors.Is(err, ErrTimestampRegression) {
+				t.Fatalf("edge %d at %d behind the watermark: got %v, want ErrTimestampRegression", i, ts, err)
+			}
+			refused++
+			continue
+		}
+		if err != nil {
+			t.Fatalf("edge %d at %d, not behind the watermark: %v", i, ts, err)
+		}
+		admitted++
+		if ts < d.Cutoff() || !hasEdge(d.Graph(), EdgeID(i)) || slices.Contains(expired, EdgeID(i)) {
+			t.Fatalf("edge %d at %d expired by its own Apply (cutoff %d)", i, ts, d.Cutoff())
+		}
+		if e.Attrs["bytes"].Int64() != int64(i) {
+			t.Fatalf("the edge Apply returned lost its attributes: %v", e.Attrs)
+		}
 	}
-	se := streamEdge(2, 2, 3, "flow", 85)
-	se.Edge.Attrs = Attributes{"bytes": Int(9000)}
-	e, err := d.Apply(se)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(expired) != 1 || expired[0] != 2 || hasEdge(d.Graph(), 2) {
-		t.Fatalf("straggler below the cutoff not expired on arrival: expired %v", expired)
-	}
-	if e.Attrs["bytes"].Int64() != 9000 {
-		t.Fatalf("returned straggler lost its attributes: %v", e.Attrs)
+	if admitted == 0 || refused == 0 {
+		t.Fatalf("vacuous: %d edges admitted, %d refused", admitted, refused)
 	}
 }
 

@@ -15,21 +15,28 @@ const (
 // to a record stays valid while its handle is held. A handle names its
 // record from alloc until release, which makes it available for reuse; the
 // chunks are kept up to the peak number of handles held at once.
-type chunks[R any] struct {
+type chunks[R any, P record[R]] struct {
 	chunks []*[chunkSize]R
-	free   []int32 // released handles, reused last in, first out
-	n      int32   // handles ever handed out: the next fresh one
+	free   int32 // handle+1 atop a stack threaded through the released records
+	n      int32 // handles ever handed out: the next fresh one
+}
+
+// record is a pointer to a record whose freeLink a released one lends the
+// free stack, holding handle+1 of the one below it: a released edge is on no
+// incidence list and a released vertex has no type. Release allocates none.
+type record[R any] interface {
+	*R
+	freeLink() *int32
 }
 
 // at returns the record of handle h.
-func (c *chunks[R]) at(h int32) *R { return &c.chunks[h>>chunkBits][h&chunkMask] }
+func (c *chunks[R, P]) at(h int32) *R { return &c.chunks[h>>chunkBits][h&chunkMask] }
 
 // alloc returns a handle for the caller to fill in: a released one when
 // there is one, a fresh one, and so a zero record, otherwise.
-func (c *chunks[R]) alloc() int32 {
-	if n := len(c.free); n > 0 {
-		h := c.free[n-1]
-		c.free = c.free[:n-1]
+func (c *chunks[R, P]) alloc() int32 {
+	if h := c.free - 1; h >= 0 {
+		c.free = *P(c.at(h)).freeLink()
 		return h
 	}
 	h := c.n
@@ -41,7 +48,7 @@ func (c *chunks[R]) alloc() int32 {
 }
 
 // release makes handle h available for a new record.
-func (c *chunks[R]) release(h int32) { c.free = append(c.free, h) }
+func (c *chunks[R, P]) release(h int32) { *P(c.at(h)).freeLink(), c.free = c.free, h+1 }
 
 // edgeRecord is an edge as the window stores it, 48 B: its endpoints are
 // vertex handles and its type an index into the graph's type table. next
@@ -77,11 +84,18 @@ type vertexRecord struct {
 	typ   int32
 }
 
-type edgeRecords struct{ chunks[edgeRecord] }
+func (r *edgeRecord) freeLink() *int32   { return &r.next[dirOut] }
+func (r *vertexRecord) freeLink() *int32 { return &r.typ }
+
+type edgeRecords struct {
+	chunks[edgeRecord, *edgeRecord]
+}
 
 func (r *edgeRecords) key(h int32) uint64 { return uint64(r.at(h).id) }
 
-type vertexRecords struct{ chunks[vertexRecord] }
+type vertexRecords struct {
+	chunks[vertexRecord, *vertexRecord]
+}
 
 func (r *vertexRecords) key(h int32) uint64 { return uint64(r.at(h).ID) }
 

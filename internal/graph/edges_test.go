@@ -14,6 +14,16 @@ type keyedStore interface {
 	release(h int32)
 }
 
+// released returns the handles on c's free stack, the last released first.
+func (c *chunks[R, P]) released() []int32 {
+	var hs []int32
+	// A stack that loops yields more handles than were ever handed out.
+	for s := c.free; s != 0 && len(hs) <= int(c.n); s = *P(c.at(s - 1)).freeLink() {
+		hs = append(hs, s-1)
+	}
+	return hs
+}
+
 type testEdges struct{ edgeRecords }
 
 func (r *testEdges) add(id uint64) int32 {
@@ -184,15 +194,15 @@ func TestExpiredHandleWaitsForTheQueue(t *testing.T) {
 	if third == first || third == second {
 		t.Fatal("a handle was reused while the expiry queue held it")
 	}
-	if len(expired) != 1 || expired[0] != 1 || len(d.g.edges.free) != 1 {
-		t.Fatalf("expired %v with %d handles free, want [1] and 1", expired, len(d.g.edges.free))
+	if len(expired) != 1 || expired[0] != 1 || len(d.g.edges.released()) != 1 {
+		t.Fatalf("expired %v with %d handles free, want [1] and 1", expired, len(d.g.edges.released()))
 	}
 	again := apply(3, 1, 13)
 	if e, _ := d.g.Edge(1); again != first || e.Timestamp != 13 {
 		t.Fatalf("the expired edge's ID arriving again got handle %d holding %v, want %d", again, e, first)
 	}
-	if len(d.g.edges.free) != 0 || d.queue.len() != 3 {
-		t.Fatalf("%d handles free and %d queued, want 0 and 3", len(d.g.edges.free), d.queue.len())
+	if len(d.g.edges.released()) != 0 || d.queue.len() != 3 {
+		t.Fatalf("%d handles free and %d queued, want 0 and 3", len(d.g.edges.released()), d.queue.len())
 	}
 }
 

@@ -55,26 +55,30 @@ func TestDynamicApplyRepeatedNaNAttrAllocs(t *testing.T) {
 	allocbudget.Check(t, "graph.Dynamic.Apply/repeated NaN attribute", apply)
 }
 
-// Host degrees follow a Zipf law whose ranking rotates one host every 64
-// edges: each host warms up to a hub, drops to the coldest rank, leaves the
-// window and comes back warming again, so vertices keep leaving and
-// returning with lists longer than 16, up to about 75 edges. The ranks of
-// one rotation are drawn once and replayed, so the stream repeats with the
-// rotation: once it has run a rotation and a window, the live vertices and
-// the free handles have reached every count they will reach again, and
-// applying allocates nothing, counted exactly.
-func TestDynamicApplySkewedChurnAllocs(t *testing.T) {
-	const window, hosts, period, runs = 1 << 13, 1024, 64, 60000
+// skewedChurn returns apply, which applies the next edge of a stream whose
+// host degrees follow a Zipf law (seed 51) whose ranking rotates one host
+// every 64 edges: each host warms up to a hub, drops to the coldest rank,
+// leaves the window and comes back warming again, so vertices keep leaving
+// and returning with lists longer than 16, up to about 75 edges. Replayed,
+// the ranks of one rotation are drawn once and repeat with the rotation;
+// otherwise each edge draws its own. returns counts the hosts that came back
+// with more than 16 edges after leaving the window. apply has run a rotation
+// and, when replayed, a window on return.
+func skewedChurn(t *testing.T, replayed bool) (apply func(), returns *int) {
+	const window, hosts, period = 1 << 13, 1024, 64
 	const rotation = hosts * period // edges
 	zipf := rand.NewZipf(rand.New(rand.NewSource(51)), 1.1, 1, hosts-1)
-	ranks := make([]uint16, 2*rotation)
-	for i := range ranks {
-		ranks[i] = uint16(zipf.Uint64())
+	var ranks []uint16 // two per edge of one rotation, when replayed
+	if replayed {
+		ranks = make([]uint16, 2*rotation)
+		for i := range ranks {
+			ranks[i] = uint16(zipf.Uint64())
+		}
 	}
 	// left marks the hosts that have left the window since they last came
-	// back with more than 16 edges; returns counts those comebacks.
+	// back with more than 16 edges.
 	var left [hosts]bool
-	returns := 0
+	returns = new(int)
 	var d *Dynamic
 	d = NewDynamic(window, WithExpiryCallback(func(e *Edge) {
 		for _, v := range [2]VertexID{e.Source, e.Target} {
@@ -85,9 +89,15 @@ func TestDynamicApplySkewedChurnAllocs(t *testing.T) {
 	}))
 	next := 0
 	host := func(end int) VertexID {
-		return VertexID((int(ranks[(2*next+end)%len(ranks)]) + next/period) % hosts)
+		var rank int
+		if replayed {
+			rank = int(ranks[(2*next+end)%len(ranks)])
+		} else {
+			rank = int(zipf.Uint64())
+		}
+		return VertexID((rank + next/period) % hosts)
 	}
-	apply := func() {
+	apply = func() {
 		src, dst := host(0), host(1)
 		if _, err := d.Apply(streamEdge(EdgeID(next), src, dst, "flow", Timestamp(next))); err != nil {
 			t.Fatal(err)
@@ -95,18 +105,43 @@ func TestDynamicApplySkewedChurnAllocs(t *testing.T) {
 		for _, v := range [2]VertexID{src, dst} {
 			if left[v] && d.g.OutEdges(v).Len()+d.g.InEdges(v).Len() > 16 {
 				left[v] = false
-				returns++
+				*returns++
 			}
 		}
 		next++
 	}
-	for next < rotation+window {
+	warm := rotation
+	if replayed {
+		warm += window
+	}
+	for next < warm {
 		apply()
 	}
-	returns = 0
-	allocbudget.CheckExact(t, "graph.Dynamic.Apply/skewed host churn", runs, apply)
-	if returns < 100 {
-		t.Fatalf("the stream did not churn: %d returns with more than 16 edges in %d applies", returns, runs)
+	*returns = 0
+	return apply, returns
+}
+
+// Once the replayed stream has run a rotation and a window, the live
+// vertices and the free handles have reached every count they will reach
+// again, and applying allocates nothing, counted exactly. Drawn fresh, the
+// stream keeps setting new lows of live vertices, and so new highs of free
+// handles, long after a rotation of warm-up (the 70,386th apply after it
+// frees more vertex handles than ever before): releasing a handle must
+// allocate nothing however many are free.
+func TestDynamicApplySkewedChurnAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		op       string
+		replayed bool
+		runs     int
+	}{
+		{"graph.Dynamic.Apply/skewed host churn", true, 60000},
+		{"graph.Dynamic.Apply/skewed host churn, drawn fresh", false, 80000},
+	} {
+		apply, returns := skewedChurn(t, tc.replayed)
+		allocbudget.CheckExact(t, tc.op, tc.runs, apply)
+		if *returns < 100 {
+			t.Fatalf("%s: the stream did not churn: %d returns with more than 16 edges in %d applies", tc.op, *returns, tc.runs)
+		}
 	}
 }
 
@@ -339,7 +374,7 @@ func checkRecycling(t *testing.T, step int, d *Dynamic) {
 			t.Fatalf("step %d: chains %d hold %d edges, the window %d", step, dir, len(hs), d.g.NumEdges())
 		}
 	}
-	for _, h := range verts.free {
+	for _, h := range verts.released() {
 		if r := verts.at(h); liveVertex[h] || r.ID != 0 || r.lists != [2]chain{} {
 			t.Fatalf("step %d: free vertex handle %d is live, filed or not zeroed", step, h)
 		}
@@ -358,7 +393,7 @@ func checkRecycling(t *testing.T, step int, d *Dynamic) {
 		}
 		held[h] = true
 	}
-	for _, h := range recs.free {
+	for _, h := range recs.released() {
 		if isEdge(h) || held[h] {
 			t.Fatalf("step %d: free handle %d is live or also queued or free", step, h)
 		}

@@ -15,6 +15,7 @@ import (
 
 	"github.com/streamworks/streamworks"
 	"github.com/streamworks/streamworks/internal/gen"
+	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/obs"
 	"github.com/streamworks/streamworks/internal/query"
 	"github.com/streamworks/streamworks/internal/shard"
@@ -98,6 +99,38 @@ func scrape(t *testing.T, client *http.Client, base string) map[string]float64 {
 		out[s.Series()] = s.Value
 	}
 	return out
+}
+
+// TestLateEdgesCountedAtTheFrontEnd: an edge behind the watermark, though
+// within twice the slack of the newest time, is dropped where edges enter
+// and counted once, in Metrics and on /metrics, at one shard and at three.
+func TestLateEdgesCountedAtTheFrontEnd(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := shard.Config{Shards: shards}
+			cfg.Engine.Retention, cfg.Engine.Slack = time.Minute, time.Second
+			srv, ts := newTestServer(t, Config{Shard: cfg})
+			edges := []graph.StreamEdge{
+				hostEdge(1, 1, 2, "flow", testBase.Add(10*time.Second)),
+				hostEdge(2, 3, 4, "flow", testBase.Add(8500*time.Millisecond)),
+			}
+			resp := postEdges(t, ts.URL, ndjsonBody(t, edges), true)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("ingest: HTTP %d", resp.StatusCode)
+			}
+			m, err := srv.Engine().Metrics(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.EdgesDropped != 1 {
+				t.Errorf("Metrics: %d edges dropped, want 1", m.EdgesDropped)
+			}
+			if got := scrape(t, http.DefaultClient, ts.URL)["streamworks_edges_dropped_total"]; got != 1 {
+				t.Errorf("/metrics: streamworks_edges_dropped_total %v, want 1", got)
+			}
+		})
+	}
 }
 
 // TestPromScrapeNeverWaits: with the runner pinned, one shard parked in a

@@ -49,9 +49,9 @@
 //
 // Every count lives in one registry: each worker engine's own (written by
 // the goroutine driving it), which also counts the matches the shard
-// delivered, and the front-end's for the one count that must not be summed
-// over workers, the registrations. Metrics and ObsSnapshot fold them with
-// obs.Merge.
+// delivered, and the front-end's for the registrations and the late edges
+// it drops before routing (a lone shard's engine counts those). Metrics and
+// ObsSnapshot fold them with obs.Merge.
 package shard
 
 import (
@@ -102,7 +102,7 @@ type ShardedEngine struct {
 	deliver sync.Mutex
 
 	// clock follows the stream time routed (edges and Advance) and the
-	// retention every shard keeps; it admits an edge routed to any shard.
+	// retention every shard keeps; it judges lateness, before routing.
 	clock         graph.Clock
 	lastBroadcast graph.Timestamp
 	// advanceEvery is the watermark broadcast step: shards that did not
@@ -110,13 +110,13 @@ type ShardedEngine struct {
 	// observed timestamp has moved at least this far since the last
 	// broadcast — an eighth of the retention window, or one second when
 	// retention is unbounded. Broadcast latency only delays expiry and
-	// pruning on idle shards; the match set is unaffected because match
-	// admission checks the temporal span directly.
+	// pruning on idle shards.
 	advanceEvery time.Duration
 
 	// reg is the front-end's registry: the registrations gauge.
 	reg           *obs.Registry
 	registrations *obs.Gauge
+	dropped       *obs.Counter // late edges, in a lone shard's registry or reg
 }
 
 // New constructs a ShardedEngine and, above one shard, starts its workers'
@@ -162,6 +162,10 @@ func New(cfg *Config) *ShardedEngine {
 		}
 		s.workers = append(s.workers, w)
 	}
+	if c.Shards == 1 {
+		reg = s.workers[0].eng.ObsRegistry()
+	}
+	s.dropped = reg.Counter("edges_dropped", "", "")
 	return s
 }
 
@@ -321,10 +325,9 @@ func (s *ShardedEngine) UnregisterQuery(name string) error {
 func (s *ShardedEngine) Start() {}
 
 // Process routes one stream edge to the shards that need it and broadcasts a
-// watermark advance to the others when stream time has moved far enough.
-// Edges must be supplied in non-decreasing timestamp order up to the
-// configured slack, as with a single engine. It returns ErrClosed after
-// Close.
+// watermark advance to the others when stream time has moved far enough. A
+// late edge (graph.Clock) is counted and dropped before it is routed. It
+// returns ErrClosed after Close.
 func (s *ShardedEngine) Process(se graph.StreamEdge) error {
 	return s.ProcessContext(context.Background(), se)
 }
@@ -338,6 +341,10 @@ func (s *ShardedEngine) Process(se graph.StreamEdge) error {
 func (s *ShardedEngine) ProcessContext(ctx context.Context, se graph.StreamEdge) error {
 	if s.closed {
 		return ErrClosed
+	}
+	if s.clock.Late(se.Edge.Timestamp) {
+		s.dropped.Inc()
+		return nil
 	}
 	dests := s.router.route(se)
 	for i, d := range dests {
@@ -455,10 +462,10 @@ func (s *ShardedEngine) Metrics() core.Metrics {
 // reading with the aggregate and per-shard views built from it, which always
 // agree. Aggregate work counters are sums over shards and so include edges
 // sent to more than one shard; MatchesEmitted and per-query Matches sum what
-// each shard delivered, which counts each match once, and Registrations is
-// the front-end's. A lone shard's view is its engine's own, whose counts are
-// the delivered counts. Like all control methods it must be called from the
-// driver goroutine.
+// each shard delivered, which counts each match once, and Registrations and
+// the late edges among EdgesDropped are the front-end's. A lone shard's view
+// is its engine's own, whose counts are the delivered counts. Like all
+// control methods it must be called from the driver goroutine.
 func (s *ShardedEngine) Snapshot() (core.Metrics, []core.Metrics, obs.Snapshot) {
 	if len(s.workers) == 1 {
 		m, snap := s.workers[0].snapshot()

@@ -96,6 +96,8 @@ var ceilings = map[string]float64{
 	// for it. Counted exactly (CheckExact) over a stream of Zipf-skewed
 	// host degrees.
 	"graph.Dynamic.Apply/skewed host churn": 0,
+	// Drawn fresh, it keeps setting new highs of free handles, which cost none.
+	"graph.Dynamic.Apply/skewed host churn, drawn fresh": 0,
 	// A vertex attribute that repeats is found covered and not merged, a NaN
 	// too: values compare by their payload bits.
 	"graph.Dynamic.Apply/repeated NaN attribute": 0,
