@@ -34,7 +34,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":8090", "HTTP listen address")
-		shards    = flag.Int("shards", 1, "number of engine shards; 1 runs the engine on the ingest goroutine with no mailbox hop (two shards measured slower than one on 2 CPUs; the default moves only if a shards benchmark lane shows a gain)")
+		shards    = flag.Int("shards", 1, "number of engine shards, which divide the registered queries: each query lives on one shard, and each shard holding a query keeps its own copy of the window; 1 runs the engine on the ingest goroutine with no mailbox hop")
 		retention = flag.Duration("retention", 0, "sliding window width (0 = retain everything; query windows widen it)")
 		slack     = flag.Duration("slack", 0, "out-of-order slack; which edges it drops as late is graph.Clock's rule (README: State and its bounds)")
 		subBuffer = flag.Int("sub-buffer", 256, "per-subscriber match buffer; overflow evicts the subscriber")

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -260,6 +261,98 @@ func TestCrashRecoveryUnderLateness(t *testing.T) {
 			union := runCrashRestart(t, w, mk, nil, crash)
 			if !union.Equal(ref) {
 				t.Fatalf("crash after %d edges: the union of both runs holds %d matches, the oracle %d", crash, len(union), len(ref))
+			}
+		})
+	}
+}
+
+// smurfLegs is 32 smurf legs (an echo request, then its reply to a third
+// host) on distinct hosts, one edge per millisecond from start, edge IDs
+// from firstID: 64 edges and 32 matches.
+func smurfLegs(firstID int, start streamworks.Timestamp) []streamworks.StreamEdge {
+	edges := make([]streamworks.StreamEdge, 0, 64)
+	for i := 0; i < 64; i++ {
+		src := graph.VertexID(3*(i/2) + i%2 + 1)
+		typ := gen.EdgeICMPReq
+		if i%2 == 1 {
+			typ = gen.EdgeICMPReply
+		}
+		edges = append(edges, streamworks.StreamEdge{
+			Edge:       graph.Edge{ID: graph.EdgeID(firstID + i), Source: src, Target: src + 1, Type: typ, Timestamp: start.Add(time.Duration(i) * time.Millisecond)},
+			SourceType: gen.TypeHost, TargetType: gen.TypeHost,
+		})
+	}
+	return edges
+}
+
+// TestLateBatchIsNeitherLoggedNorReplayed: on one and two shards, a batch of
+// 64 edges an hour behind the watermark is counted in edges_dropped before
+// the write-ahead append, so the log does not grow by a byte for it, and a
+// crash-restart replays only the in-order batch and recovers the match set
+// it delivered.
+func TestLateBatchIsNeitherLoggedNorReplayed(t *testing.T) {
+	ctx := context.Background()
+	start := graph.TimestampFromTime(time.Date(2013, 6, 22, 12, 0, 0, 0, time.UTC))
+	inOrder, late := smurfLegs(1, start), smurfLegs(101, start.Add(-time.Hour))
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			ffs := faultfs.New()
+			base := []streamworks.Option{
+				streamworks.WithEngineConfig(streamworks.EngineConfig{Retention: time.Minute}),
+				streamworks.WithShards(shards),
+				streamworks.WithDataDir(dir),
+				streamworks.WithFsyncPolicy("off"),
+			}
+			var mu sync.Mutex
+			before, after := make(gen.MatchSet), make(gen.MatchSet)
+			eng := streamworks.New(append(base, streamworks.WithWALFS(ffs))...)
+			if err := eng.RegisterQuery(ctx, gen.SmurfQuery(time.Minute)); err != nil {
+				t.Fatal(err)
+			}
+			sub, err := eng.Subscribe("", collectSet(&mu, before))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.ProcessBatch(ctx, inOrder); err != nil {
+				t.Fatal(err)
+			}
+			logged := eng.Durability().Bytes
+			lateCopy := slices.Clone(late)
+			if err := eng.ProcessBatch(ctx, late); err != nil {
+				t.Fatal(err)
+			}
+			if grown := eng.Durability().Bytes - logged; grown != 0 {
+				t.Errorf("the log grew by %d bytes for a batch of late edges", grown)
+			}
+			if !reflect.DeepEqual(late, lateCopy) {
+				t.Errorf("ProcessBatch changed the caller's batch")
+			}
+			if m, _ := eng.Metrics(ctx); m.EdgesDropped != 64 || m.EdgesProcessed != 64 {
+				t.Errorf("%d edges dropped and %d processed, want 64 and 64", m.EdgesDropped, m.EdgesProcessed)
+			}
+			if err := eng.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			ffs.CrashNow()
+			eng.Close()
+			<-sub.Done()
+
+			eng2 := streamworks.New(base...)
+			defer eng2.Close()
+			sub2, err := eng2.Subscribe("", collectSet(&mu, after))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m, _ := eng2.Metrics(ctx); m.EdgesDropped != 0 || m.EdgesProcessed != 64 {
+				t.Errorf("recovery replayed %d edges and dropped %d, want the 64 in order and none", m.EdgesProcessed, m.EdgesDropped)
+			}
+			eng2.Close()
+			<-sub2.Done()
+			mu.Lock()
+			defer mu.Unlock()
+			if len(before) != 32 || !after.Equal(before) {
+				t.Errorf("%d matches delivered before the crash, %d recovered after it; want the same 32", len(before), len(after))
 			}
 		})
 	}

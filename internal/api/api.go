@@ -122,8 +122,8 @@ type WALMetrics struct {
 }
 
 // MetricsResponse is the GET /v1/metrics payload: the aggregated engine
-// view, each shard's raw counters (edges and matches counted on every shard
-// that received or found them), and the serving-layer counters. Every
+// view, each shard's raw counters (an edge counted on every shard sent it,
+// a match on the shard holding its query), and the serving-layer counters. Every
 // section is a rendering of one merged snapshot, taken once, which Obs
 // carries.
 type MetricsResponse struct {

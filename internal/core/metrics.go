@@ -43,8 +43,9 @@ type Metrics struct {
 	// Queries holds per-registration detail.
 	Queries []QueryMetrics
 	// MQO is the evaluation DAG's snapshot, the one place per-node
-	// statistics live. Per-node stats are keyed by canonical signature, so
-	// sharded front-ends aggregate them with mqo.MergeStats.
+	// statistics live. Per-node stats are keyed by canonical signature; a
+	// sharded front-end, whose shards each hold their own queries' DAG and
+	// may each hold a node of one signature, folds them with mqo.MergeStats.
 	MQO mqo.Stats
 }
 

@@ -13,7 +13,6 @@ import (
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/loader"
 	"github.com/streamworks/streamworks/internal/query"
-	"github.com/streamworks/streamworks/internal/shard"
 	"github.com/streamworks/streamworks/internal/stream"
 )
 
@@ -71,8 +70,7 @@ func NetFlowWorkload(cfg NetFlowConfig, window time.Duration) Workload {
 
 // NewsWorkload builds the news-stream evaluation workload: the article/
 // entity stream of cfg queried by the paper's Fig. 2 co-mention event
-// pattern (articles joined through a shared keyword and location — a
-// hub-free query, which a sharded engine runs on shard 0 alone).
+// pattern (articles joined through a shared keyword and location).
 func NewsWorkload(cfg NewsConfig, window time.Duration, articles int) Workload {
 	news := NewNews(cfg, nil)
 	edges, _ := news.Generate()
@@ -291,9 +289,7 @@ func RunEngine(eng streamworks.Engine, w Workload) (MatchSet, error) {
 // RunReregistering is RunEngine with two changes of plan mid-stream: at
 // half and at five sixths of the stream it unregisters each query and
 // registers it again under the next strategy of streamworks.PlanStrategies
-// after the one it ran. An engine of more than one shard refuses a hub-free
-// query once edges have streamed (by design: shard 0 lacks its history), so
-// there only the queries with a hub vertex move.
+// after the one it ran.
 func RunReregistering(eng streamworks.Engine, w Workload) (MatchSet, error) {
 	return runEngine(eng, w, []int{len(w.Edges) / 2, len(w.Edges) * 5 / 6})
 }
@@ -321,8 +317,6 @@ func runEngine(eng streamworks.Engine, w Workload, moves []int) (MatchSet, error
 		return nil, err
 	}
 	defer sub.Close()
-	sh, ok := eng.(interface{ Shards() int })
-	sharded := ok && sh.Shards() > 1
 	strategies := streamworks.PlanStrategies()
 	at := max(slices.Index(strategies, w.Register.Strategy), 0)
 	from := 0
@@ -336,9 +330,6 @@ func runEngine(eng streamworks.Engine, w Workload, moves []int) (MatchSet, error
 		}
 		next := streamworks.RegisterOptions{Strategy: strategies[(at+k+1)%len(strategies)]}
 		for _, q := range w.Queries {
-			if sharded && !shard.HasHub(q) {
-				continue
-			}
 			if err := eng.UnregisterQuery(ctx, q.Name()); err != nil {
 				return nil, err
 			}

@@ -13,6 +13,7 @@ import (
 	"github.com/streamworks/streamworks/internal/isomorphism"
 	"github.com/streamworks/streamworks/internal/mqo"
 	"github.com/streamworks/streamworks/internal/query"
+	"github.com/streamworks/streamworks/internal/shard"
 	"github.com/streamworks/streamworks/internal/sjtree"
 	"github.com/streamworks/streamworks/internal/stats"
 )
@@ -197,60 +198,106 @@ func TestLateRegistrationMatchesOracle(t *testing.T) {
 				t.Fatalf("the oracle finds nothing to send; the workload proves nothing")
 			}
 			for _, strat := range decompose.Strategies() {
-				t.Run(string(strat), func(t *testing.T) {
-					cfg := w.Engine
-					cfg.PruneInterval = 8
-					e := core.New(&cfg)
-					register := func(qs []*query.Graph, s decompose.Strategy) {
-						for _, q := range qs {
-							if _, err := e.RegisterQuery(q, core.WithStrategy(s)); err != nil {
-								t.Fatal(err)
-							}
-						}
+				for _, shards := range []int{1, 2, 3} {
+					name := string(strat)
+					if shards > 1 {
+						name = fmt.Sprintf("%s/shards=%d", strat, shards)
 					}
-					// Each re-registration point moves every query one
-					// strategy further from the one it registered with.
-					strategies := decompose.Strategies()
-					last := strategies[(slices.Index(strategies, strat)+2)%len(strategies)]
-					moveAt := map[int]decompose.Strategy{
-						len(w.Edges) / 2:     strategies[(slices.Index(strategies, strat)+1)%len(strategies)],
-						len(w.Edges) * 5 / 6: last,
-					}
-					// A sink sees every delivery, registrations' included,
-					// not only what ProcessEdge returns.
-					got := make(MatchSet)
-					e.Subscribe("", core.MatchSinkFunc(func(ev core.MatchEvent) {
-						if !got.Add(ev) {
-							t.Fatalf("%s sent %s twice", ev.Query, ev.CanonicalSignature())
+					t.Run(name, func(t *testing.T) {
+						got := lateRegistrationRun(t, w, early.Queries, late.Queries, split, strat, shards)
+						if !got.Equal(ref) {
+							t.Fatalf("%d matches with %d queries registered at edge %d, the oracle finds %d", len(got), len(late.Queries), split, len(ref))
 						}
-					}))
-					register(early.Queries, strat)
-					for i, se := range w.Edges {
-						if i == split {
-							register(late.Queries, strat)
-						}
-						if to, ok := moveAt[i]; ok {
-							for _, q := range w.Queries {
-								if err := e.UnregisterQuery(q.Name()); err != nil {
-									t.Fatal(err)
-								}
-								register([]*query.Graph{q}, to)
-							}
-						}
-						e.ProcessEdge(se)
-					}
-					for _, q := range w.Queries {
-						if reg, _ := e.Registration(q.Name()); reg.Plan().Strategy != last {
-							t.Fatalf("%s runs a %s plan, last registered %s", q.Name(), reg.Plan().Strategy, last)
-						}
-					}
-					if !got.Equal(ref) {
-						t.Fatalf("%d matches with %d queries registered at edge %d, the oracle finds %d", len(got), len(late.Queries), split, len(ref))
-					}
-				})
+					})
+				}
 			}
 		})
 	}
+}
+
+// lateRegistrationRun is one cell of TestLateRegistrationMatchesOracle: a
+// core engine for one shard, a sharded engine above one. It registers early
+// before the stream and late at edge split under strat, moves every query
+// one strategy further at half and at five sixths of the stream, checks
+// that each query ends on the last strategy it was moved to and that no
+// match was sent twice, and returns what the engine sent.
+func lateRegistrationRun(t *testing.T, w Workload, early, late []*query.Graph, split int, strat decompose.Strategy, shards int) MatchSet {
+	t.Helper()
+	cfg := w.Engine
+	cfg.PruneInterval = 8
+	// A sink sees every delivery, registrations' included, not only what
+	// ProcessEdge returns; shards call it one at a time.
+	got, dup := make(MatchSet), ""
+	sink := core.MatchSinkFunc(func(ev core.MatchEvent) {
+		if !got.Add(ev) && dup == "" {
+			dup = ev.Query + " " + ev.CanonicalSignature()
+		}
+	})
+	var (
+		e interface {
+			UnregisterQuery(string) error
+			Metrics() core.Metrics
+		}
+		register func(*query.Graph, core.RegistrationOption) error
+		process  func(graph.StreamEdge) error
+		done     = func() {}
+	)
+	if shards == 1 {
+		c := core.New(&cfg)
+		c.Subscribe("", sink)
+		e, process = c, func(se graph.StreamEdge) error { c.ProcessEdge(se); return nil }
+		register = func(q *query.Graph, o core.RegistrationOption) error {
+			_, err := c.RegisterQuery(q, o)
+			return err
+		}
+	} else {
+		s := shard.New(&shard.Config{Shards: shards, Engine: cfg, Sink: sink})
+		e, process, done = s, s.Process, s.Close
+		register = func(q *query.Graph, o core.RegistrationOption) error { return s.RegisterQuery(q, o) }
+	}
+	defer done()
+	registerAll := func(qs []*query.Graph, s decompose.Strategy) {
+		for _, q := range qs {
+			if err := register(q, core.WithStrategy(s)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Each re-registration point moves every query one strategy further
+	// from the one it registered with.
+	strategies := decompose.Strategies()
+	last := strategies[(slices.Index(strategies, strat)+2)%len(strategies)]
+	moveAt := map[int]decompose.Strategy{
+		len(w.Edges) / 2:     strategies[(slices.Index(strategies, strat)+1)%len(strategies)],
+		len(w.Edges) * 5 / 6: last,
+	}
+	registerAll(early, strat)
+	for i, se := range w.Edges {
+		if i == split {
+			registerAll(late, strat)
+		}
+		if to, ok := moveAt[i]; ok {
+			for _, q := range w.Queries {
+				if err := e.UnregisterQuery(q.Name()); err != nil {
+					t.Fatal(err)
+				}
+				registerAll([]*query.Graph{q}, to)
+			}
+		}
+		if err := process(se); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done()
+	for _, qm := range e.Metrics().Queries {
+		if qm.Strategy != last {
+			t.Fatalf("%s runs a %s plan, last registered %s", qm.Name, qm.Strategy, last)
+		}
+	}
+	if dup != "" {
+		t.Fatalf("%s sent twice", dup)
+	}
+	return got
 }
 
 // TestRootStorageFollowsParentLinks: a root keeps rows only while another

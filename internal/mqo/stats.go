@@ -44,35 +44,26 @@ type Stats struct {
 
 // MergeStats folds per-shard DAG snapshots' structure and per-node detail
 // into one; the DAG-wide counts (PartialMatches, LocalSearches, SharedHits)
-// are left to the caller, which reads them from the merged registries.
-// Shards fold the same queries into their DAGs — shard 0 also hub-free ones —
-// so per-node entries are merged by canonical signature: counters and stored sizes sum, structural
-// fields (Edges, IsLeaf, Refs, Consumers, Window) come from the first snapshot
-// that carries the signature. Node order follows the first snapshot, with
-// signatures unique to later snapshots appended in their order of appearance.
+// are left to the caller, which reads them from the merged registries. Each
+// shard holds its own queries' DAG, so the structure (Nodes, SharedNodes,
+// Attachments) sums over shards. Two shards may each hold a node of one
+// canonical signature, so per-node entries are merged by signature:
+// counters and stored sizes sum, structural fields (Edges, IsLeaf, Refs,
+// Consumers, Window) come from the first snapshot that carries the
+// signature. Node order follows the first snapshot, with signatures unique
+// to later snapshots appended in their order of appearance.
 func MergeStats(snaps ...Stats) Stats {
 	var out Stats
 	idx := make(map[string]int)
-	for i, s := range snaps {
-		if i == 0 {
-			out.Nodes = s.Nodes
-			out.SharedNodes = s.SharedNodes
-			out.Attachments = s.Attachments
-		}
+	for _, s := range snaps {
+		out.Nodes += s.Nodes
+		out.SharedNodes += s.SharedNodes
+		out.Attachments += s.Attachments
 		for _, ns := range s.PerNode {
 			j, ok := idx[ns.Sig]
 			if !ok {
 				idx[ns.Sig] = len(out.PerNode)
 				out.PerNode = append(out.PerNode, ns)
-				if i > 0 {
-					// A signature absent from the first snapshot (e.g. a
-					// register raced a snapshot sweep): keep the totals
-					// honest anyway.
-					out.Nodes++
-					if ns.Refs > 1 {
-						out.SharedNodes++
-					}
-				}
 				continue
 			}
 			m := &out.PerNode[j]

@@ -97,7 +97,7 @@ func (r *runner) process(b ingestBatch) {
 			b.edges[i].ArrivedWallNS = b.enqNS
 		}
 		// One ProcessBatch per chunk: one WAL frame and one pass through the
-		// shard router, instead of a per-edge append.
+		// shard front-end, instead of a per-edge append.
 		err := r.eng.ProcessBatch(context.Background(), b.edges)
 		r.batchesIngested.Inc()
 		if err == nil {

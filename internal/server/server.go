@@ -47,7 +47,7 @@
 //	GET    /healthz           liveness
 //
 // Close drains gracefully: new work is refused with 503, queued batches are
-// flushed through the shards, each of which delivers the matches it owns,
+// flushed through the shards, each of which delivers its queries' matches,
 // and every subscriber's stream ends cleanly after its final delivery.
 package server
 

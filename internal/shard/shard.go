@@ -1,66 +1,50 @@
-// Package shard parallelizes the StreamWorks continuous query engine across
-// hash partitions of the vertex space, the scale-out layer the single-threaded
-// core.Engine explicitly defers to ("shard streams across engines for
-// parallelism").
+// Package shard runs the StreamWorks continuous query engine on N
+// core.Engine shards and divides the registered queries between them, the
+// scale-out layer the single-threaded core.Engine explicitly defers to
+// ("shard streams across engines for parallelism").
 //
 // A ShardedEngine owns N independent core.Engine workers. The count fixes
 // how they run, at construction: above one shard each worker gets its own
 // goroutine and input mailbox then, and a lone shard runs on the caller's
-// goroutine for its whole life, edges included. Incoming stream edges are
-// hash-partitioned by endpoint vertex: an edge is delivered to the shard
-// owning its source and the shard owning its target (one delivery when both
-// endpoints hash to the same shard), so every shard holds the complete
-// neighbourhood of each vertex it owns.
+// goroutine for its whole life, edges included.
 //
-// Every complete match has exactly one owner shard, the only one that
-// delivers it, so no match reaches the sink twice:
+// A query, not a vertex, is the unit of sharding. Each query is registered
+// on exactly one shard: the one holding the fewest queries among the
+// candidates, the lowest index on a tie. Before the first edge is admitted
+// every shard is a candidate. The first admitted edge fixes the fed shards:
+// shard 0 and every shard holding a query at that moment. Every admitted
+// edge, and every Advance, goes to every fed shard in order, so each fed
+// shard's window is the whole stream's, as on one engine; a shard that is
+// not fed receives nothing and keeps no window. From then on only the fed
+// shards are candidates, so a query registered mid-stream lands on a shard
+// that has seen every edge, and sees exactly what a single engine would.
 //
-//   - A query with a hub vertex — a pattern vertex incident to every pattern
-//     edge, as in all the paper's Fig. 3 cyber patterns — is registered on
-//     every shard. Each match lies in the neighbourhood of the data vertex
-//     bound to the hub (the first such pattern vertex), so that vertex's
-//     owner always finds it; the owner delivers it and every other shard
-//     that happens to find it too drops it.
-//   - A hub-free query (e.g. the paper's Fig. 2 article/keyword/location
-//     pattern) is registered on shard 0 only, and the router sends shard 0
-//     every edge of the types it constrains besides the edge's endpoint
-//     owners. Since that only helps from registration onwards, hub-free
-//     queries must be registered before streaming begins
-//     (ErrBroadcastRequired otherwise).
+// Each query's matches come from its one shard, so each match reaches the
+// sink once with no rule across shards: every shard hands what its engine
+// finds to the one sink the engine was built with (Config.Sink), on
+// the goroutine driving it, under a lock every shard delivers under;
+// filtering and fan-out to subscribers belong to the tier above. A shard's
+// delivered counts are therefore its engine's detected counts. Every shard
+// keeps the same retention: a pre-stream registration that widens it widens
+// it on every shard, wherever the query lives.
 //
-// The owner counts the match and hands it to the one sink the engine was
-// built with (Config.Sink), on the goroutine driving it, under a lock every
-// shard delivers under; filtering and fan-out to subscribers belong to the
-// tier above. A lone shard owns every match, so its engine's own counts are
-// the delivered counts. Stream time is coordinated by sending watermark
-// advances to shards that did not receive an edge, keeping window expiry and
-// pruning moving on idle partitions. Every shard keeps the same retention: a
-// pre-stream registration that widens it widens it on every shard, wherever
-// the query lives.
-//
-// Sources feeding a ShardedEngine must populate endpoint metadata
-// (types/attributes) on every stream edge, not only on a vertex's first
-// appearance: shards see disjoint subsets of the stream, so "first
-// appearance" is a per-shard notion. All generators in internal/gen do this.
-//
-// Each shard plans a query it holds once, at registration, against its own
-// partition's statistics, so two shards may run different plans of one
-// query; the owner rule does not depend on the plan.
+// Two queries that share a plan node share it only when they live on the
+// same shard; on two shards each searches it. The DAG views of the shards
+// are folded by node signature (mqo.MergeStats).
 //
 // Every count lives in one registry: each worker engine's own (written by
-// the goroutine driving it), which also counts the matches the shard
-// delivered, and the front-end's for the registrations and the late edges
-// it drops before routing (a lone shard's engine counts those). Metrics and
-// ObsSnapshot fold them with obs.Merge.
+// the goroutine driving it), and the front-end's for the registrations and
+// the late edges it drops before routing (a lone shard's engine counts
+// those). Metrics and ObsSnapshot fold them with obs.Merge.
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/graph"
@@ -78,15 +62,15 @@ type Config struct {
 	// Engine is the configuration applied to every per-shard core.Engine.
 	Engine core.Config
 	// Sink receives every complete match, invoked on the goroutine driving
-	// the owner shard and never twice at once: it must not block, or it
-	// stalls every shard and eventually ingestion. Nil drops matches
-	// (counters still advance).
+	// the shard that holds the match's query and never twice at once: it
+	// must not block, or it stalls every shard and eventually ingestion.
+	// Nil drops matches (counters still advance).
 	Sink core.MatchSink
 }
 
 // mailboxDepth is each shard worker's mailbox capacity in messages; a full
-// mailbox blocks the router, which is the backpressure the stream driver
-// sees.
+// mailbox blocks the front-end, which is the backpressure the stream
+// driver sees.
 const mailboxDepth = 1024
 
 // ShardedEngine drives N core.Engine shards behind the same
@@ -95,7 +79,14 @@ const mailboxDepth = 1024
 // called from one goroutine — the stream driver.
 type ShardedEngine struct {
 	workers []*worker
-	router  *router
+	// fed are the shards sent the stream, in shard order: every shard until
+	// the first edge is admitted, then shard 0 and the shards holding a
+	// query at that moment. A query is registered on one of them.
+	fed []*worker
+	// home is the shard each registered query lives on, and order the
+	// registered queries in registration order.
+	home  map[string]*worker
+	order []string
 
 	closed bool // Close was called; the engine is permanently stopped
 	// deliver serializes the shards' calls into cfg.Sink.
@@ -103,15 +94,7 @@ type ShardedEngine struct {
 
 	// clock follows the stream time routed (edges and Advance) and the
 	// retention every shard keeps; it judges lateness, before routing.
-	clock         graph.Clock
-	lastBroadcast graph.Timestamp
-	// advanceEvery is the watermark broadcast step: shards that did not
-	// receive an edge are sent an explicit time advance whenever the maximum
-	// observed timestamp has moved at least this far since the last
-	// broadcast — an eighth of the retention window, or one second when
-	// retention is unbounded. Broadcast latency only delays expiry and
-	// pruning on idle shards.
-	advanceEvery time.Duration
+	clock graph.Clock
 
 	// reg is the front-end's registry: the registrations gauge.
 	reg           *obs.Registry
@@ -129,14 +112,9 @@ func New(cfg *Config) *ShardedEngine {
 	if c.Shards < 1 {
 		c.Shards = 1
 	}
-	adv := time.Second
-	if c.Engine.Retention > 0 {
-		adv = c.Engine.Retention / 8
-	}
 	reg := obs.NewRegistry()
 	s := &ShardedEngine{
-		router:        newRouter(c.Shards),
-		advanceEvery:  adv,
+		home:          make(map[string]*worker),
 		clock:         graph.NewClock(c.Engine.Retention, c.Engine.Slack),
 		reg:           reg,
 		registrations: reg.Gauge("registrations", "", ""),
@@ -151,7 +129,7 @@ func New(cfg *Config) *ShardedEngine {
 		engCfg.Obs = obsCfg
 		engCfg.Obs.Registry = nil
 		eng := core.New(&engCfg)
-		w := newWorker(i, c.Shards, eng, &s.deliver, c.Sink)
+		w := newWorker(i, eng, &s.deliver, c.Sink)
 		if obsCfg.Enabled {
 			w.obsClock = obsCfg.Clock
 			w.obsMailbox = eng.ObsRegistry().Segment(obs.SegShardMailbox)
@@ -162,6 +140,7 @@ func New(cfg *Config) *ShardedEngine {
 		}
 		s.workers = append(s.workers, w)
 	}
+	s.fed = s.workers
 	if c.Shards == 1 {
 		reg = s.workers[0].eng.ObsRegistry()
 	}
@@ -174,21 +153,18 @@ func New(cfg *Config) *ShardedEngine {
 // no worker round trip, so sizes are as of each owner's last refresh — and,
 // unlike the control methods, is safe from any goroutine.
 func (s *ShardedEngine) ObsSnapshot() obs.Snapshot {
-	snaps := make([]obs.Snapshot, 0, len(s.workers)+2)
+	snaps := make([]obs.Snapshot, 0, 2*len(s.workers)+1)
 	snaps = append(snaps, s.reg.Snapshot())
 	for _, w := range s.workers {
-		snaps = append(snaps, w.eng.ObsRegistry().Snapshot())
-	}
-	if len(s.workers) == 1 {
-		snaps = append(snaps, delivered(snaps[1]))
+		snap := w.eng.ObsRegistry().Snapshot()
+		snaps = append(snaps, snap, delivered(snap))
 	}
 	return obs.Merge(snaps...)
 }
 
-// delivered is a lone shard's delivered-match series: it owns and delivers
-// every match its engine finds, so they are the engine's matches_detected
-// and query_matches_detected under the names an owner shard counts its
-// deliveries by.
+// delivered is a shard's delivered-match series: it delivers every match
+// its engine finds, so they are the engine's matches_detected and
+// query_matches_detected under the names the delivered counts go by.
 func delivered(engine obs.Snapshot) obs.Snapshot {
 	var out obs.Snapshot
 	for _, c := range engine.Counters {
@@ -217,36 +193,22 @@ func (s *ShardedEngine) Exclusive(fn func()) {
 // Shards returns the number of shard workers.
 func (s *ShardedEngine) Shards() int { return len(s.workers) }
 
-// Registration errors specific to the sharded front-end.
-var (
-	// ErrClosed is returned by Process, RegisterQuery and UnregisterQuery
-	// after Close: the mailboxes are gone, so accepting the call would mean
-	// either silently dropping work or sending on a stopped mailbox. Close
-	// is permanent (and idempotent); build a new engine to stream again.
-	ErrClosed = errors.New("shard: engine closed")
-	// ErrBroadcastRequired is returned when a query without a hub vertex is
-	// registered after edges have been routed: its edge types were
-	// endpoint-partitioned rather than also sent to shard 0 up to that
-	// point, so shard 0 lacks the history the query needs and matches
-	// spanning pre-registration edges would be silently missed. Register
-	// hub-free queries before streaming.
-	ErrBroadcastRequired = errors.New("shard: hub-free query must be registered before edges are streamed")
-)
+// ErrClosed is returned by Process, RegisterQuery and UnregisterQuery after
+// Close: the mailboxes are gone, so accepting the call would mean either
+// silently dropping work or sending on a stopped mailbox. Close is
+// permanent (and idempotent); build a new engine to stream again.
+var ErrClosed = errors.New("shard: engine closed")
 
-// RegisterQuery registers a continuous query on its home shards: every
-// shard for a query with a hub vertex, shard 0 alone for a hub-free one. It
-// can be called before streaming or mid-stream; mid-stream the registration
-// takes effect on each shard after the edges already queued in its mailbox,
-// so matches completing exactly at the registration instant may differ from
-// a single-engine run. Cross-shard consistency is checked up front: a
+// RegisterQuery registers a continuous query on one shard: the candidate
+// holding the fewest queries, the lowest index on a tie (every shard before
+// the first edge is admitted, the fed shards after it). It can be called
+// before streaming or mid-stream; mid-stream the registration takes effect
+// after the edges already queued in its shard's mailbox, which has been
+// sent every edge, so the query sees what it would on a single engine. A
 // mid-stream query needing more retention than is in force fails with
-// ErrRetentionTooSmall before touching any shard (matching core.Engine
-// semantics), and a mid-stream hub-free query fails with
-// ErrBroadcastRequired since its edge types were not being sent to shard 0
-// while earlier edges were partitioned. A pre-stream query that widens the
-// retention widens it on every shard, so a later hub query sees the same
-// window on each. Per-shard failures (duplicate name, plan errors) roll back
-// the shards that had accepted.
+// ErrRetentionTooSmall (matching core.Engine semantics); a pre-stream query
+// that widens the retention widens it on every shard, so each keeps the
+// same window.
 func (s *ShardedEngine) RegisterQuery(q *query.Graph, opts ...core.RegistrationOption) error {
 	if q == nil {
 		return core.ErrNilQuery
@@ -254,69 +216,60 @@ func (s *ShardedEngine) RegisterQuery(q *query.Graph, opts ...core.RegistrationO
 	if s.closed {
 		return ErrClosed
 	}
-	hub := hubOf(q)
-	if s.clock.Admitted() && len(s.workers) > 1 && hub == noHub {
-		return fmt.Errorf("%w: %q", ErrBroadcastRequired, q.Name())
+	if _, ok := s.home[q.Name()]; ok {
+		return fmt.Errorf("shard: %w: %q", core.ErrDuplicateQuery, q.Name())
 	}
-	// The clock widens on a copy, kept once every home shard has accepted.
+	// The clock widens on a copy, kept once the shard has accepted.
 	clock := s.clock
 	if !clock.Extend(q.Window()) {
 		return fmt.Errorf("shard: registering %q: %w: query window %s exceeds retention %s mid-stream",
 			q.Name(), core.ErrRetentionTooSmall, q.Window(), s.clock.Window())
 	}
-	home := s.home(hub)
-	for i, w := range home {
-		if err := w.register(q, opts, hub); err != nil {
-			for _, r := range home[:i] {
-				// Roll back the shards that accepted the registration.
-				_ = r.unregister(q.Name())
-			}
-			return fmt.Errorf("shard %d: %w", w.id, err)
-		}
+	// The first of the least loaded: the lowest index on a tie.
+	w := slices.MinFunc(s.fed, func(a, b *worker) int { return cmp.Compare(a.queries, b.queries) })
+	var err error
+	w.do(func() { _, err = w.eng.RegisterQuery(q, opts...) })
+	if err != nil {
+		return fmt.Errorf("shard %d: %w", w.id, err)
 	}
 	if clock.Window() != s.clock.Window() {
-		for _, w := range s.workers[len(home):] {
-			// Cannot fail: no shard has seen an edge (checked above).
-			w.do(func() { _ = w.eng.ExtendRetention(q.Window()) })
+		for _, o := range s.workers {
+			if o != w {
+				// Cannot fail: no edge has been admitted (Extend).
+				o.do(func() { _ = o.eng.ExtendRetention(q.Window()) })
+			}
 		}
 	}
 	s.clock = clock
-	s.router.add(q.Name(), q)
-	s.registrations.Set(int64(len(s.router.byQuery)))
+	w.queries++
+	s.home[q.Name()] = w
+	s.order = append(s.order, q.Name())
+	s.registrations.Set(int64(len(s.order)))
 	return nil
 }
 
-// home returns the shards a query with the given hub is registered on: a
-// prefix of s.workers.
-func (s *ShardedEngine) home(hub query.VertexID) []*worker {
-	if hub == noHub {
-		return s.workers[:1]
-	}
-	return s.workers
-}
-
-// UnregisterQuery removes a registration from the shards it lives on.
+// UnregisterQuery removes a registration from the shard it lives on.
 // Partial matches held for the query are dropped with it, and so are its
 // series: a later registration under the same name counts from zero.
 func (s *ShardedEngine) UnregisterQuery(name string) error {
 	if s.closed {
 		return ErrClosed
 	}
-	qr, ok := s.router.byQuery[name]
+	w, ok := s.home[name]
 	if !ok {
 		return fmt.Errorf("shard: %w: %q", core.ErrUnknownQuery, name)
 	}
-	var firstErr error
-	for _, w := range s.home(qr.hub) {
-		if err := w.unregister(name); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("shard %d: %w", w.id, err)
-		}
+	var err error
+	w.do(func() { err = w.eng.UnregisterQuery(name) })
+	if err != nil {
+		return fmt.Errorf("shard %d: %w", w.id, err)
 	}
-	if firstErr == nil {
-		s.router.remove(name)
-		s.registrations.Set(int64(len(s.router.byQuery)))
-	}
-	return firstErr
+	w.queries--
+	delete(s.home, name)
+	i := slices.Index(s.order, name)
+	s.order = slices.Delete(s.order, i, i+1)
+	s.registrations.Set(int64(len(s.order)))
+	return nil
 }
 
 // Start does nothing: New starts the workers' goroutines above one shard,
@@ -324,10 +277,9 @@ func (s *ShardedEngine) UnregisterQuery(name string) error {
 // it.
 func (s *ShardedEngine) Start() {}
 
-// Process routes one stream edge to the shards that need it and broadcasts a
-// watermark advance to the others when stream time has moved far enough. A
-// late edge (graph.Clock) is counted and dropped before it is routed. It
-// returns ErrClosed after Close.
+// Process sends one stream edge to every fed shard. A late edge
+// (graph.Clock) is counted and dropped before it is sent. It returns
+// ErrClosed after Close.
 func (s *ShardedEngine) Process(se graph.StreamEdge) error {
 	return s.ProcessContext(context.Background(), se)
 }
@@ -335,9 +287,9 @@ func (s *ShardedEngine) Process(se graph.StreamEdge) error {
 // ProcessContext is Process with a cancellation bound: on a lone shard, a
 // done ctx refuses the edge; above one, ctx bounds the blocking mailbox
 // hand-off, and when the shards cannot accept the edge before ctx is done,
-// it returns the context error. Cancellation can interrupt a multi-shard
-// delivery part-way; the edge may then have reached a subset of its shards,
-// exactly as if the stream had been cut at that point.
+// it returns the context error. Cancellation can interrupt the hand-off
+// part-way; the edge may then have reached some of the fed shards, exactly
+// as if their streams had been cut at that point.
 func (s *ShardedEngine) ProcessContext(ctx context.Context, se graph.StreamEdge) error {
 	if s.closed {
 		return ErrClosed
@@ -346,54 +298,65 @@ func (s *ShardedEngine) ProcessContext(ctx context.Context, se graph.StreamEdge)
 		s.dropped.Inc()
 		return nil
 	}
-	dests := s.router.route(se)
-	for i, d := range dests {
-		if err := s.workers[d].edge(ctx, se); err != nil {
+	if !s.clock.Admitted() {
+		// The first edge to get in fixes the fed shards.
+		s.fed = s.workers[:1:1]
+		for _, w := range s.workers[1:] {
+			if w.queries > 0 {
+				s.fed = append(s.fed, w)
+			}
+		}
+	}
+	for i, w := range s.fed {
+		if err := w.edge(ctx, se); err != nil {
 			if i > 0 {
-				// At least one shard already consumed the edge under
-				// endpoint-partition routing: the stream is no longer
-				// pristine, so the registration guards must still engage.
+				// A shard consumed the edge: the fed shards stay as they
+				// are and the registration guards engage.
 				s.clock.Admit()
 			}
 			return err
 		}
 	}
 	s.clock.Admit()
-	ts := se.Edge.Timestamp
-	if _, seen := s.clock.Newest(); !seen {
-		s.lastBroadcast = ts
-	}
-	s.clock.AdvanceTo(ts)
-	newest, _ := s.clock.Newest()
-	if len(dests) == len(s.workers) {
-		// An edge every shard receives carries stream time by itself.
-		s.lastBroadcast = newest
-	} else if newest.Sub(s.lastBroadcast) >= s.advanceEvery {
-		for _, w := range s.workers {
-			if !slices.Contains(dests, w.id) {
-				w.advance(newest)
-			}
-		}
-		s.lastBroadcast = newest
-	}
+	s.clock.AdvanceTo(se.Edge.Timestamp)
 	return nil
 }
 
-// Advance broadcasts an explicit stream-time signal to every shard, exactly
+// Admit judges a batch on the front-end's clock, in order, as Process would
+// judge each edge in turn: it counts the late edges as dropped and returns
+// the others — batch itself, neither copied nor changed, when none is late,
+// and a new slice otherwise. Process finds none of the returned edges late,
+// so a caller that logs what it processes logs no edge Process would drop.
+func (s *ShardedEngine) Admit(batch []graph.StreamEdge) []graph.StreamEdge {
+	c := s.clock
+	for i, se := range batch {
+		if !c.Late(se.Edge.Timestamp) {
+			c.AdvanceTo(se.Edge.Timestamp)
+			continue
+		}
+		admitted := slices.Clone(batch[:i])
+		for _, se := range batch[i:] {
+			if c.Late(se.Edge.Timestamp) {
+				s.dropped.Inc()
+				continue
+			}
+			c.AdvanceTo(se.Edge.Timestamp)
+			admitted = append(admitted, se)
+		}
+		return admitted
+	}
+	return batch
+}
+
+// Advance sends an explicit stream-time signal to every fed shard, exactly
 // like Dynamic.AdvanceTo on a single engine (the watermark trails ts by the
-// configured slack). It always reaches every shard — even when ts does not
-// exceed the maximum routed timestamp — because edge-time broadcasts are
-// throttled by the broadcast step and individual shards may lag well behind
-// it; per-shard watermarks are monotone, so a stale signal is harmless.
+// configured slack).
 func (s *ShardedEngine) Advance(ts graph.Timestamp) {
 	if s.closed {
 		return
 	}
 	s.clock.AdvanceTo(ts)
-	if ts > s.lastBroadcast {
-		s.lastBroadcast = ts
-	}
-	for _, w := range s.workers {
+	for _, w := range s.fed {
 		w.advance(ts)
 	}
 }
@@ -438,10 +401,8 @@ func (s *ShardedEngine) Close() {
 }
 
 // PerShardMetrics snapshots every shard engine's counters in shard order:
-// see Snapshot. Per-shard counters include edges sent to two or three
-// shards, and per-shard match counts include the matches a shard found but
-// did not own; serving layers expose them so operators can spot skewed
-// partitions.
+// see Snapshot. Each fed shard counts every admitted edge; serving layers
+// expose the views so operators can see which shard carries which queries.
 func (s *ShardedEngine) PerShardMetrics() []core.Metrics {
 	_, perShard, _ := s.Snapshot()
 	return perShard
@@ -460,64 +421,38 @@ func (s *ShardedEngine) Metrics() core.Metrics {
 // Snapshot reads the sharded engine once — the front-end's registry, then
 // every worker's, each refreshing its gauges first — and returns the merged
 // reading with the aggregate and per-shard views built from it, which always
-// agree. Aggregate work counters are sums over shards and so include edges
-// sent to more than one shard; MatchesEmitted and per-query Matches sum what
-// each shard delivered, which counts each match once, and Registrations and
-// the late edges among EdgesDropped are the front-end's. A lone shard's view
-// is its engine's own, whose counts are the delivered counts. Like all
-// control methods it must be called from the driver goroutine.
+// agree. Aggregate work counters are sums over shards, so an edge counts
+// once per fed shard; each match is counted once, by the shard holding its
+// query; Registrations and the late edges among EdgesDropped are the
+// front-end's. Each query's view is its shard's, in registration order. A
+// lone shard's view is its engine's own. Like all control methods it must
+// be called from the driver goroutine.
 func (s *ShardedEngine) Snapshot() (core.Metrics, []core.Metrics, obs.Snapshot) {
-	if len(s.workers) == 1 {
-		m, snap := s.workers[0].snapshot()
-		return m, []core.Metrics{m}, obs.Merge(s.reg.Snapshot(), snap, delivered(snap))
-	}
 	snaps := []obs.Snapshot{s.reg.Snapshot()}
 	perShard := make([]core.Metrics, len(s.workers))
 	for i, w := range s.workers {
 		var snap obs.Snapshot
 		perShard[i], snap = w.snapshot()
-		snaps = append(snaps, snap)
+		snaps = append(snaps, snap, delivered(snap))
 	}
 	merged := obs.Merge(snaps...)
-	m := foldPlans(perShard)
-	core.FillMetrics(&m, merged)
-	m.MatchesEmitted = merged.Counter("matches_emitted", "")
-	m.Registrations = uint64(merged.Gauge("registrations", ""))
-	for i := range m.Queries {
-		m.Queries[i].Matches = merged.Counter("query_matches_emitted", m.Queries[i].Name)
+	if len(s.workers) == 1 {
+		return perShard[0], perShard, merged
 	}
-	return m, perShard, merged
-}
-
-// foldPlans merges what the shards describe rather than count: each query's
-// plan detail, its coverage views (mqo.Attachment.PartialMatches and
-// LeafSearches, summed over the shards it lives on) and the DAG's per-node
-// statistics (mqo.MergeStats). Shard 0 holds every query, so the queries
-// come out in its registration order. Each shard plans against its own
-// partition's statistics, so the plans of one query can differ per shard:
-// the plan detail is that of the first shard listing the query. The match
-// set does not depend on the shards agreeing — only a match's owner
-// delivers it.
-func foldPlans(perShard []core.Metrics) core.Metrics {
 	var m core.Metrics
-	idx := map[string]int{}
+	byName := make(map[string]core.QueryMetrics, len(s.order))
 	dags := make([]mqo.Stats, len(perShard))
 	for i, sm := range perShard {
 		dags[i] = sm.MQO
 		for _, qm := range sm.Queries {
-			j, ok := idx[qm.Name]
-			if !ok {
-				j = len(m.Queries)
-				idx[qm.Name] = j
-				m.Queries = append(m.Queries, core.QueryMetrics{
-					Name: qm.Name, Strategy: qm.Strategy, PlanNodes: qm.PlanNodes, PlanDepth: qm.PlanDepth,
-				})
-			}
-			q := &m.Queries[j]
-			q.PartialMatches += qm.PartialMatches
-			q.LocalSearches += qm.LocalSearches
+			byName[qm.Name] = qm
 		}
 	}
+	for _, name := range s.order {
+		m.Queries = append(m.Queries, byName[name])
+	}
 	m.MQO = mqo.MergeStats(dags...)
-	return m
+	core.FillMetrics(&m, merged)
+	m.Registrations = uint64(merged.Gauge("registrations", ""))
+	return m, perShard, merged
 }

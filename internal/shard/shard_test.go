@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,7 +16,7 @@ import (
 )
 
 // smallNetflow is a laptop-scale netflow workload with all four Fig. 3 cyber
-// queries (every one has a hub vertex, so it exercises endpoint routing).
+// queries, so four shards hold one query each.
 func smallNetflow(window time.Duration, seed int64) gen.Workload {
 	cfg := gen.NetFlowConfig{
 		Hosts:       300,
@@ -29,8 +30,8 @@ func smallNetflow(window time.Duration, seed int64) gen.Workload {
 	return gen.NetFlowWorkload(cfg, window)
 }
 
-// smallNews is a laptop-scale news workload; its Fig. 2 co-mention query has
-// no hub vertex, so it lives on shard 0 alone.
+// smallNews is a laptop-scale news workload; its one query, the Fig. 2
+// co-mention pattern, lives on shard 0, the only shard fed.
 func smallNews(window time.Duration) gen.Workload {
 	cfg := gen.NewsConfig{
 		Articles:           800,
@@ -79,8 +80,7 @@ func TestShardedEqualsSingleOnNetflow(t *testing.T) {
 
 func TestShardedEqualsSingleOnNetflowTightWindow(t *testing.T) {
 	// A window shorter than the stream span forces edge expiry and pruning
-	// while matching is in flight; watermark broadcasts keep idle shards
-	// expiring at the same pace.
+	// while matching is in flight, on every shard at the same pace.
 	requireEqualSets(t, smallNetflow(2*time.Second, 13), 4)
 }
 
@@ -107,22 +107,42 @@ func TestShardedEqualsSingleAcrossShardCounts(t *testing.T) {
 
 func TestShardedMetricsAggregate(t *testing.T) {
 	w := smallNetflow(time.Minute, 19)
-	_, m, err := gen.RunSharded(w, 4)
-	if err != nil {
-		t.Fatal(err)
+	s := shard.New(&shard.Config{Shards: 4, Engine: w.Engine})
+	for _, q := range w.Queries {
+		if err := s.RegisterQuery(q); err != nil {
+			t.Fatal(err)
+		}
 	}
+	for _, se := range w.Edges {
+		if err := s.Process(se); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	m, perShard, _ := s.Snapshot()
 	if m.Registrations != uint64(len(w.Queries)) {
 		t.Fatalf("Registrations = %d, want %d", m.Registrations, len(w.Queries))
 	}
 	if len(m.Queries) != len(w.Queries) {
 		t.Fatalf("per-query metrics for %d queries, want %d", len(m.Queries), len(w.Queries))
 	}
-	// Endpoint routing delivers each edge to at most two shards, so the
-	// summed EdgesProcessed is bounded by twice the stream (all netflow
-	// queries have hub vertices: nothing is broadcast).
+	// Four queries on four shards: each shard holds one, in registration
+	// order, and is fed the whole stream, so the aggregate counts every
+	// edge four times.
 	n := uint64(len(w.Edges))
-	if m.EdgesProcessed < n || m.EdgesProcessed > 2*n {
-		t.Fatalf("EdgesProcessed = %d, want within [%d, %d]", m.EdgesProcessed, n, 2*n)
+	for i, sm := range perShard {
+		if len(sm.Queries) != 1 || sm.Queries[0].Name != w.Queries[i].Name() || m.Queries[i].Name != w.Queries[i].Name() {
+			t.Errorf("shard %d holds %+v, want only %s", i, sm.Queries, w.Queries[i].Name())
+		}
+		if sm.EdgesProcessed != n {
+			t.Errorf("shard %d processed %d edges, want the stream's %d", i, sm.EdgesProcessed, n)
+		}
+		if sm.MatchesEmitted != m.Queries[i].Matches {
+			t.Errorf("shard %d found %d matches, its query was sent %d", i, sm.MatchesEmitted, m.Queries[i].Matches)
+		}
+	}
+	if m.EdgesProcessed != 4*n {
+		t.Fatalf("EdgesProcessed = %d, want %d", m.EdgesProcessed, 4*n)
 	}
 	if m.LocalSearches == 0 {
 		t.Fatalf("no local searches counted")
@@ -131,7 +151,7 @@ func TestShardedMetricsAggregate(t *testing.T) {
 	for _, qm := range m.Queries {
 		matches += qm.Matches
 	}
-	if matches != m.MatchesEmitted {
+	if matches != m.MatchesEmitted || matches == 0 {
 		t.Fatalf("per-query matches %d do not sum to MatchesEmitted %d", matches, m.MatchesEmitted)
 	}
 }
@@ -177,17 +197,16 @@ func TestShardedMidStreamRegistration(t *testing.T) {
 	for _, se := range w.Edges[:half] {
 		s.Process(se)
 	}
-	// Mid-stream: a second query within retention registers on every shard...
+	// Mid-stream: a second query within retention registers...
 	if err := s.RegisterQuery(gen.WormQuery(30 * time.Second)); err != nil {
 		t.Fatalf("mid-stream registration: %v", err)
 	}
-	// ...while one needing more retention than is in force is rejected
-	// atomically (every shard has seen edges by now).
+	// ...while one needing more retention than is in force is rejected.
 	if err := s.RegisterQuery(gen.WormChainQuery(5 * time.Minute)); !errors.Is(err, core.ErrRetentionTooSmall) {
 		t.Fatalf("wide mid-stream registration: %v", err)
 	}
-	// Unregistering mid-stream stops the query everywhere; the rejected
-	// query must have left no partial registration behind.
+	// Unregistering mid-stream stops the query; the rejected query must
+	// have left no registration behind.
 	if err := s.UnregisterQuery("smurf-ddos"); err != nil {
 		t.Fatalf("mid-stream unregister: %v", err)
 	}
@@ -248,37 +267,45 @@ func TestShardedProcessBeforeStartRunsOnCaller(t *testing.T) {
 	}
 }
 
-func TestShardedHubFreeQueryRejectedMidStream(t *testing.T) {
+// TestShardedHubFreeQueryRegistersMidStream: the Fig. 2 query, in which no
+// pattern vertex touches every edge, registers a third of the way into the
+// stream on four shards and is sent exactly what one engine sends it: its
+// shard has been fed every edge before it.
+func TestShardedHubFreeQueryRegistersMidStream(t *testing.T) {
 	w := smallNews(5 * time.Minute)
-	cfg := shard.Config{Shards: 4}
-	cfg.Engine = w.Engine
-	s := shard.New(&cfg)
-	// Before any edges: fine (this is how NewsWorkload runs normally).
-	if err := s.RegisterQuery(w.Queries[0]); err != nil {
-		t.Fatalf("pre-stream hub-free registration: %v", err)
+	split := len(w.Edges) / 3
+	run := func(shards int) gen.MatchSet {
+		set := make(gen.MatchSet)
+		s := shard.New(&shard.Config{Shards: shards, Engine: w.Engine,
+			Sink: core.MatchSinkFunc(func(ev core.MatchEvent) { set.Add(ev) })})
+		if err := s.RegisterQuery(gen.SmurfQuery(w.Engine.Retention)); err != nil {
+			t.Fatal(err)
+		}
+		for i, se := range w.Edges {
+			if i == split {
+				if err := s.RegisterQuery(w.Queries[0]); err != nil {
+					t.Fatalf("%d shards: mid-stream registration: %v", shards, err)
+				}
+			}
+			if err := s.Process(se); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Close()
+		return set
 	}
-	if err := s.UnregisterQuery(w.Queries[0].Name()); err != nil {
-		t.Fatal(err)
+	single, sharded := run(1), run(4)
+	if len(single) == 0 {
+		t.Fatal("degenerate workload: the late query matched nothing")
 	}
-	for _, se := range w.Edges[:100] {
-		s.Process(se)
+	if !single.Equal(sharded) {
+		t.Fatalf("4 shards sent %d matches, one engine %d", len(sharded), len(single))
 	}
-	// Mid-stream the query's edge types were endpoint-partitioned, not
-	// broadcast: shards lack the history it needs, so it is rejected loudly
-	// instead of silently missing matches.
-	if err := s.RegisterQuery(w.Queries[0]); !errors.Is(err, shard.ErrBroadcastRequired) {
-		t.Fatalf("mid-stream hub-free registration: %v, want ErrBroadcastRequired", err)
-	}
-	// Hub queries are unaffected.
-	if err := s.RegisterQuery(gen.SmurfQuery(w.Engine.Retention)); err != nil {
-		t.Fatalf("mid-stream hub registration: %v", err)
-	}
-	s.Close()
 }
 
-// TestShardedRefusesUnnamedQuery: every shard's engine refuses a query
-// without a name, alone or beside a hub-free query on shard 0, and the
-// refusal leaves no registration behind on any shard.
+// TestShardedRefusesUnnamedQuery: a query without a name is refused on the
+// shard it would go to, shard 0 or one beside a registered query, and the
+// refusal leaves no registration behind.
 func TestShardedRefusesUnnamedQuery(t *testing.T) {
 	unnamed := func() *query.Graph {
 		return query.NewBuilder("").
@@ -290,7 +317,7 @@ func TestShardedRefusesUnnamedQuery(t *testing.T) {
 	s := shard.New(&shard.Config{Shards: 2})
 	defer s.Close()
 	if err := s.RegisterQuery(unnamed()); !errors.Is(err, core.ErrUnnamedQuery) {
-		t.Fatalf("unnamed hub query alone: %v, want ErrUnnamedQuery", err)
+		t.Fatalf("unnamed query alone: %v, want ErrUnnamedQuery", err)
 	}
 	if m := s.Metrics(); m.Registrations != 0 || len(m.Queries) != 0 {
 		t.Fatalf("refused registration left %d registrations, %d query views behind", m.Registrations, len(m.Queries))
@@ -301,7 +328,7 @@ func TestShardedRefusesUnnamedQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := s.RegisterQuery(unnamed()); !errors.Is(err, core.ErrUnnamedQuery) {
-		t.Fatalf("unnamed hub query beside a hub-free one: %v, want ErrUnnamedQuery", err)
+		t.Fatalf("unnamed query beside a registered one: %v, want ErrUnnamedQuery", err)
 	}
 	if m := s.Metrics(); m.Registrations != 1 || len(m.Queries) != 1 {
 		t.Fatalf("refused registration left %d registrations, %d query views behind", m.Registrations, len(m.Queries))
@@ -329,18 +356,102 @@ func TestShardedExplicitAdvanceExpires(t *testing.T) {
 			TargetType: gen.TypeHost,
 		})
 	}
-	// Jump stream time far past the window on every shard: all edges expire
-	// even on shards that received nothing since.
+	// Jump stream time far past the window: every edge expires.
 	s.Advance(base.Add(time.Hour))
 	s.Close()
 	m := s.Metrics()
 	if m.LiveEdges != 0 {
 		t.Fatalf("explicit advance left %d live edges", m.LiveEdges)
 	}
-	// Each edge is delivered to one or two shards; every delivered copy must
-	// have expired.
-	if m.ExpiredEdges < 64 || m.ExpiredEdges != m.EdgesProcessed {
+	// One query: only shard 0 is fed, and every edge it took has expired.
+	if m.ExpiredEdges != 64 || m.EdgesProcessed != 64 {
 		t.Fatalf("ExpiredEdges = %d of %d processed", m.ExpiredEdges, m.EdgesProcessed)
+	}
+}
+
+// TestQueriesAreDealtToTheFedShards: before the first edge each query goes
+// to the shard holding the fewest, the lowest index on a tie. The first
+// admitted edge fixes the fed shards, shard 0 and every shard holding a
+// query then; each later query goes to the least loaded of them, and a
+// shard never fed takes no edge and keeps no window.
+func TestQueriesAreDealtToTheFedShards(t *testing.T) {
+	cfg := shard.Config{Shards: 4}
+	cfg.Engine.Retention = time.Minute
+	s := shard.New(&cfg)
+	defer s.Close()
+	register := func(q *query.Graph) {
+		t.Helper()
+		if err := s.RegisterQuery(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	register(gen.SmurfQuery(time.Minute))     // shard 0
+	register(gen.WormQuery(time.Minute))      // shard 1
+	register(gen.WormChainQuery(time.Minute)) // shard 2
+	if err := s.UnregisterQuery("worm-hop"); err != nil {
+		t.Fatal(err)
+	}
+	base := graph.TimestampFromTime(time.Unix(3000, 0))
+	if err := s.Process(flowEdge(1, 1, 2, base)); err != nil { // feeds shards 0 and 2
+		t.Fatal(err)
+	}
+	register(gen.ExfiltrationQuery(time.Minute)) // shards 0 and 2 tie: shard 0
+	register(gen.WormQuery(time.Minute))         // shard 2
+	if err := s.Process(flowEdge(2, 2, 3, base.Add(time.Millisecond))); err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		queries []string
+		edges   uint64
+	}{
+		{[]string{"smurf-ddos", "exfiltration"}, 2},
+		{nil, 0},
+		{[]string{"worm-chain", "worm-hop"}, 2},
+		{nil, 0},
+	}
+	for i, m := range s.PerShardMetrics() {
+		var names []string
+		for _, qm := range m.Queries {
+			names = append(names, qm.Name)
+		}
+		if !slices.Equal(names, want[i].queries) || m.EdgesProcessed != want[i].edges || m.LiveEdges != int(want[i].edges) {
+			t.Errorf("shard %d holds %v with %d edges processed, %d live; want %v with %d",
+				i, names, m.EdgesProcessed, m.LiveEdges, want[i].queries, want[i].edges)
+		}
+	}
+	if m := s.Metrics(); len(m.Queries) != 4 || m.Queries[3].Name != "worm-hop" {
+		t.Errorf("aggregate lists %+v, want the four queries in registration order", m.Queries)
+	}
+}
+
+// TestShardedAdvanceReachesEveryFedShard: an Advance reaches every fed
+// shard, so each expires its whole window, and no shard that is not fed.
+func TestShardedAdvanceReachesEveryFedShard(t *testing.T) {
+	cfg := shard.Config{Shards: 3}
+	cfg.Engine.Retention = 10 * time.Second
+	s := shard.New(&cfg)
+	defer s.Close()
+	for _, q := range []*query.Graph{gen.SmurfQuery(10 * time.Second), gen.WormQuery(10 * time.Second)} {
+		if err := s.RegisterQuery(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := graph.TimestampFromTime(time.Unix(2000, 0))
+	for i := 0; i < 64; i++ {
+		if err := s.Process(flowEdge(i+1, graph.VertexID(i), graph.VertexID(i+500), base.Add(time.Duration(i)*10*time.Millisecond))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Advance(base.Add(time.Hour))
+	for i, m := range s.PerShardMetrics() {
+		want := uint64(64)
+		if i == 2 {
+			want = 0 // holds no query: never fed
+		}
+		if m.EdgesProcessed != want || m.ExpiredEdges != want || m.LiveEdges != 0 {
+			t.Errorf("shard %d: %d edges processed, %d expired, %d live; want %d, %d, 0",
+				i, m.EdgesProcessed, m.ExpiredEdges, m.LiveEdges, want, want)
+		}
 	}
 }
 
@@ -381,11 +492,10 @@ func TestShardedWideningAfterAdvanceKeepsTheWatermark(t *testing.T) {
 	}
 }
 
-// TestEachMatchReachesTheSinkOnce: on hub queries (netflow), a hub-free
-// query (news) and hub queries on balanced plans under drift, at 2, 3 and 4
-// shards, every match the sink is handed is a distinct one — no shard
-// delivers a match another shard owns — and together they are exactly the
-// oracle's set.
+// TestEachMatchReachesTheSinkOnce: on four queries (netflow), one (news)
+// and five on balanced plans under drift, at 2, 3 and 4 shards, every match
+// the sink is handed is a distinct one — no two shards deliver the same
+// match — and together they are exactly the oracle's set.
 func TestEachMatchReachesTheSinkOnce(t *testing.T) {
 	drift := gen.BenchDriftWorkload(12_000, 400, 10*time.Second)
 	for _, tc := range []struct {
@@ -429,7 +539,7 @@ func TestEachMatchReachesTheSinkOnce(t *testing.T) {
 	}
 }
 
-// TestSinkNeverEnteredConcurrently: four shards find and deliver the hub
+// TestSinkNeverEnteredConcurrently: four shards find and deliver their
 // queries' matches on their own goroutines, yet the sink is never entered
 // while another call is still inside it.
 func TestSinkNeverEnteredConcurrently(t *testing.T) {
@@ -462,7 +572,7 @@ func TestSinkNeverEnteredConcurrently(t *testing.T) {
 }
 
 // TestReregistrationCountsFromZero: UnregisterQuery forgets the query's
-// query_matches_emitted series on every shard, so it leaves the snapshot and
+// series on its shard, so it leaves the snapshot and
 // a registration under the same name counts from zero, as on one engine.
 func TestReregistrationCountsFromZero(t *testing.T) {
 	w := smallNetflow(2*time.Second, 1)

@@ -7,7 +7,6 @@ import (
 	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/obs"
-	"github.com/streamworks/streamworks/internal/query"
 )
 
 // msgKind discriminates mailbox messages.
@@ -27,7 +26,7 @@ type message struct {
 	ts   graph.Timestamp
 	// ctrl runs on the worker goroutine, serialized with edge processing.
 	ctrl func()
-	// enqNS is the wall-clock enqueue time, stamped by the router only when
+	// enqNS is the wall-clock enqueue time, stamped by the front-end only when
 	// observability is enabled (zero otherwise); the worker subtracts it on
 	// dequeue to measure mailbox wait.
 	enqNS int64
@@ -38,17 +37,11 @@ type message struct {
 // worker has a goroutine exactly when it has a mailbox; a lone shard has
 // neither, and the front-end calls its engine on the caller's goroutine.
 type worker struct {
-	id, shards int
-	eng        *core.Engine
-	// queries holds every query registered on this shard, read by the
-	// engine sink to deliver only the matches this shard owns. Written and
-	// read on the worker goroutine. A lone shard owns every match and keeps
-	// none.
-	queries map[string]homed
-	// emitted counts the matches this shard delivered, in its engine's
-	// registry; nil on a lone shard, whose engine's own count is the
-	// delivered count.
-	emitted *obs.Counter
+	id  int
+	eng *core.Engine
+	// queries is the number of queries registered on this shard, read and
+	// written by the front-end.
+	queries int
 	// mu is the lock every shard delivers under; sink is where matches go.
 	mu   *sync.Mutex
 	sink core.MatchSink
@@ -65,43 +58,14 @@ type worker struct {
 	obsDispatch *obs.Histogram
 }
 
-// newWorker builds shard id of shards around eng. Matches are delivered by
-// an engine-level sink at the moment of emission, on whichever goroutine
-// drives the engine: a match this shard owns is handed to sink under mu,
-// the lock every shard delivers under, so sink is never entered twice at
-// once. A lone shard owns every match, so it skips the owner filter and the
-// counts of what it delivered.
-func newWorker(id, shards int, eng *core.Engine, mu *sync.Mutex, sink core.MatchSink) *worker {
-	w := &worker{id: id, shards: shards, eng: eng, mu: mu, sink: sink}
-	deliver := w.deliver
-	if shards > 1 {
-		w.queries = make(map[string]homed)
-		w.emitted = eng.ObsRegistry().Counter("matches_emitted", "", "")
-		deliver = w.deliverOwned
-	}
-	eng.Subscribe("", core.MatchSinkFunc(deliver))
+// newWorker builds shard id around eng. Matches are delivered by an
+// engine-level sink at the moment of emission, on whichever goroutine
+// drives the engine: each is handed to sink under mu, the lock every shard
+// delivers under, so sink is never entered twice at once.
+func newWorker(id int, eng *core.Engine, mu *sync.Mutex, sink core.MatchSink) *worker {
+	w := &worker{id: id, eng: eng, mu: mu, sink: sink}
+	eng.Subscribe("", core.MatchSinkFunc(w.deliver))
 	return w
-}
-
-// homed is one query registered on a shard: its hub (noHub for a hub-free
-// query) and its count of the matches this shard delivered, resolved in the
-// shard engine's registry, so UnregisterQuery forgets it with the query's
-// other series.
-type homed struct {
-	hub     query.VertexID
-	emitted *obs.Counter
-}
-
-// deliverOwned counts and delivers a match this shard owns, and drops the
-// rest.
-func (w *worker) deliverOwned(ev core.MatchEvent) {
-	q := w.queries[ev.Query]
-	if !w.owns(q.hub, ev) {
-		return
-	}
-	q.emitted.Inc()
-	w.emitted.Inc()
-	w.deliver(ev)
 }
 
 // deliver hands ev to the sink under the delivery lock.
@@ -123,20 +87,6 @@ func (w *worker) start() {
 	w.in = make(chan message, mailboxDepth)
 	w.done.Add(1)
 	go w.loop()
-}
-
-// owns reports whether this shard is the one that delivers ev, a match of a
-// query with the given hub: the owner of the data vertex bound to the hub.
-// Other shards may find the same match — a shard is sent every edge of the
-// vertices it owns, so it also holds edges at their far ends — but only the
-// owner is certain to. A hub-free query lives on one shard, which delivers
-// all it finds.
-func (w *worker) owns(hub query.VertexID, ev core.MatchEvent) bool {
-	if hub == noHub {
-		return true
-	}
-	v, _ := ev.Match.Vertex(hub)
-	return ownerOf(v, w.shards) == w.id
 }
 
 func (w *worker) loop() {
@@ -209,27 +159,6 @@ func (w *worker) advance(ts graph.Timestamp) {
 		return
 	}
 	w.in <- message{kind: msgAdvance, ts: ts}
-}
-
-// register adds a query with the given hub on this shard.
-func (w *worker) register(q *query.Graph, opts []core.RegistrationOption, hub query.VertexID) (err error) {
-	w.do(func() {
-		if _, err = w.eng.RegisterQuery(q, opts...); err == nil && w.queries != nil {
-			name := q.Name()
-			w.queries[name] = homed{hub: hub, emitted: w.eng.ObsRegistry().Counter("query_matches_emitted", obs.QueryLabelKey, name)}
-		}
-	})
-	return err
-}
-
-// unregister removes a query from this shard.
-func (w *worker) unregister(name string) (err error) {
-	w.do(func() {
-		if err = w.eng.UnregisterQuery(name); err == nil {
-			delete(w.queries, name)
-		}
-	})
-	return err
 }
 
 // snapshot reads the shard engine's registry and the view built from it, on

@@ -70,8 +70,11 @@ func WithEngineConfig(cfg EngineConfig) Option {
 }
 
 // WithShards sets the number of engine shards New builds (default 1; a
-// count below 1 is 1). Above one shard, each shard runs on a goroutine of
-// its own. Ignored by Connect.
+// count below 1 is 1). Each query is registered on one shard, the one
+// holding the fewest queries, and every shard holding a query when the first
+// edge arrives (shard 0 always) is sent every edge; any query can register
+// mid-stream. Above one shard, each shard runs on a goroutine of its own.
+// Ignored by Connect.
 func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
 }

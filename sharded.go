@@ -14,13 +14,15 @@ import (
 	"github.com/streamworks/streamworks/internal/wal"
 )
 
-// Sharded is the in-process backend: N core engines over hash partitions of
-// the vertex space, each match delivered to subscriptions by the one shard
-// that owns it. The shard count, fixed at construction, fixes how it runs:
-// above one shard every shard runs on its own goroutine and delivers on it;
-// a single shard, the default, runs its engine on the calling goroutine, so
-// its sinks run inside ProcessBatch and the call returning is the delivery
-// barrier. Subscribe and subscription teardown never wait behind ingestion.
+// Sharded is the in-process backend: N core engines that divide the
+// registered queries between them, each query on one shard that is sent
+// every edge, so each match reaches subscriptions from the one shard
+// holding its query. The shard count, fixed at construction, fixes how it
+// runs: above one shard every shard runs on its own goroutine and delivers
+// on it; a single shard, the default, runs its engine on the calling
+// goroutine, so its sinks run inside ProcessBatch and the call returning is
+// the delivery barrier. Subscribe and subscription teardown never wait
+// behind ingestion.
 type Sharded struct {
 	cfg config
 	dur *durable // nil without WithDataDir
@@ -128,20 +130,15 @@ func (s *Sharded) lock(ctx context.Context) error {
 	return nil
 }
 
-// RegisterQuery registers a continuous query on its home shards: every
-// shard for a query with a hub vertex (a pattern vertex touching every
-// pattern edge), shard 0 alone for a hub-free one. A hub-free query must be
-// registered before streaming begins, since shard 0 is sent the edges of
-// its types only from registration on (ErrBroadcastRequired from the shard
-// package otherwise).
+// RegisterQuery registers a continuous query on one shard, the one holding
+// the fewest queries among those that could hold it. Any query can register
+// before streaming or mid-stream: its shard has been sent every edge, so it
+// sees what it would on a single shard.
 func (s *Sharded) RegisterQuery(ctx context.Context, q *Query) error {
 	return s.RegisterQueryWith(ctx, q, RegisterOptions{})
 }
 
 // RegisterQueryWith is RegisterQuery with the query's own plan strategy.
-// Each shard plans against its own partition's statistics; the merged
-// match set stays canonical regardless (only a match's owner shard sends it
-// on).
 func (s *Sharded) RegisterQueryWith(ctx context.Context, q *Query, opts RegisterOptions) error {
 	if err := s.lock(ctx); err != nil {
 		return err
@@ -157,7 +154,7 @@ func (s *Sharded) RegisterQueryWith(ctx context.Context, q *Query, opts Register
 	return nil
 }
 
-// UnregisterQuery removes a registration from the shards it lives on.
+// UnregisterQuery removes a registration from the shard it lives on.
 func (s *Sharded) UnregisterQuery(ctx context.Context, name string) error {
 	if err := s.lock(ctx); err != nil {
 		return err
@@ -173,8 +170,9 @@ func (s *Sharded) UnregisterQuery(ctx context.Context, name string) error {
 	return nil
 }
 
-// ProcessBatch routes a batch of edges in order, each to the shards that
-// need it. Above one shard, ctx bounds the blocking mailbox hand-off under
+// ProcessBatch sends a batch of edges in order to the shards. An edge behind
+// the watermark is counted and dropped first, so it is neither logged nor
+// sent. Above one shard, ctx bounds the blocking mailbox hand-off under
 // backpressure; on a single shard, ctx is checked between edges, and the
 // matches they complete are pushed to subscriptions before it returns.
 func (s *Sharded) ProcessBatch(ctx context.Context, edges []StreamEdge) error {
@@ -182,6 +180,7 @@ func (s *Sharded) ProcessBatch(ctx context.Context, edges []StreamEdge) error {
 		return err
 	}
 	defer s.mu.Unlock()
+	edges = s.eng.Admit(edges)
 	// Write-ahead, overlapped: the log write runs concurrently with routing
 	// (s.mu makes log order equal routing order), and the join makes the
 	// batch durable — or durability degraded — before it can be acked
@@ -203,7 +202,8 @@ func (s *Sharded) ProcessBatch(ctx context.Context, edges []StreamEdge) error {
 	return nil
 }
 
-// Advance broadcasts an explicit stream-time signal to every shard.
+// Advance sends an explicit stream-time signal to every shard that is sent
+// the stream.
 func (s *Sharded) Advance(ctx context.Context, ts Timestamp) error {
 	if err := s.lock(ctx); err != nil {
 		return err
@@ -215,7 +215,7 @@ func (s *Sharded) Advance(ctx context.Context, ts Timestamp) error {
 }
 
 // Subscribe attaches sink to the query named by queryFilter ("" for all
-// queries). Sinks run one at a time — on the owning shard's goroutine above
+// queries). Sinks run one at a time — on the query's shard's goroutine above
 // one shard, inside the ProcessBatch call on a single shard — and must not
 // call back into the engine except to close their own subscription: a sink
 // that blocks stalls every shard's delivery and eventually ingestion, so
@@ -254,7 +254,7 @@ func (s *Sharded) Subscribe(queryFilter string, sink MatchSink) (Subscription, e
 }
 
 // Metrics aggregates per-shard counters into the single-engine Metrics
-// shape (matches as their owner shards delivered them, each once); it keeps
+// shape (each query's matches as its shard delivered them); it keeps
 // working after Close.
 func (s *Sharded) Metrics(ctx context.Context) (Metrics, error) {
 	if err := ctx.Err(); err != nil {
@@ -279,8 +279,8 @@ func (s *Sharded) ObsSnapshot() ObsSnapshot {
 // gauges on its own goroutine, then the WAL — and returns the aggregate and
 // per-shard views with the merged reading they were built from, which always
 // agree. The per-shard views are each shard engine's raw counters in shard
-// order — an edge counts on each shard it was sent to, a match on each shard
-// that found it, owner or not — for operators watching partition skew. The
+// order — an edge counts on each shard it was sent to, a match on the shard
+// holding its query — for operators watching which shard carries what. The
 // serving tier renders GET /v1/metrics from it.
 func (s *Sharded) MetricsSnapshot() (Metrics, []Metrics, ObsSnapshot) {
 	s.mu.Lock()

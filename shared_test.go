@@ -24,13 +24,12 @@ import (
 func TestSharedPlansChurnUnderIngest(t *testing.T) {
 	w := gen.BenchManyQueriesWorkload(16, 2500, 120, 10*time.Second)
 	// The stable set keeps matching throughout; the churn set is registered
-	// and unregistered continuously while edges stream. News variants are
-	// hub-free — they live on shard 0 alone, and the router sends shard 0
-	// their edge types only if they were registered before streaming
-	// (ErrBroadcastRequired otherwise) — so they all stay stable. The
-	// widest of them widens the retention before streaming, on every shard,
-	// so a churned hub query of that window registers on every shard. The first family cycle also stays stable so every
-	// churned variant shares DAG structure with a co-resident stable query.
+	// and unregistered continuously while edges stream, on whichever shard
+	// holds the fewest queries. The news variants stay stable: the widest of
+	// them widens the retention before streaming, on every shard, so a
+	// churned query of that window can register mid-stream. The first
+	// family cycle also stays stable, so a churned variant that lands beside
+	// its family's stable variant shares DAG structure with it.
 	stable, churn := w.Queries[:0:0], w.Queries[:0:0]
 	for i, q := range w.Queries {
 		if i < 8 || strings.HasPrefix(q.Name(), "news") {
@@ -40,7 +39,7 @@ func TestSharedPlansChurnUnderIngest(t *testing.T) {
 		}
 	}
 	if len(churn) == 0 {
-		t.Fatalf("no churnable (hub-bearing) query variants in the workload")
+		t.Fatalf("no churnable query variants in the workload")
 	}
 
 	run := func(withChurn bool) (gen.MatchSet, int) {

@@ -13,11 +13,10 @@ import (
 
 // TestShardedSoakDriftReregister is the short soak for moving queries to
 // other plans on the scale-out path: the drift workload streamed through the
-// public sharded backend, with every query that has a hub vertex
-// re-registered under another strategy at half and at five sixths of the
-// stream, must detect exactly the match set of a run that keeps its plans,
-// each match once; and the run that keeps them must report self-consistent
-// metrics. Skipped under -short; CI runs it (with -race) on every push.
+// public sharded backend, with every query re-registered under another
+// strategy at half and at five sixths of the stream, must detect exactly the
+// match set of a run that keeps its plans, each match once; and the run that
+// keeps them must report self-consistent metrics. Skipped under -short; CI runs it (with -race) on every push.
 func TestShardedSoakDriftReregister(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test; skipped with -short")
@@ -103,9 +102,8 @@ func TestRegistrationChurnRacesStreamAndClose(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		// Churn a hub-ful query's registration while edges stream. Failures
-		// are fine (duplicate/unknown under race; hub-free guard does not
-		// apply to smurf-ddos) — crashes and races are not.
+		// Churn a query's registration while edges stream. Failures are
+		// fine (duplicate/unknown under race) — crashes and races are not.
 		q := gen.SmurfQuery(5 * time.Second)
 		for i := 0; i < 20; i++ {
 			_ = eng.UnregisterQuery(ctx, q.Name())

@@ -5,8 +5,9 @@
 //
 // One Engine interface fronts two backends, reached by two constructors:
 //
-//   - New: the in-process engine over WithShards hash partitions of the
-//     vertex space. The count, fixed at construction, fixes how it runs:
+//   - New: the in-process engine on WithShards shards, which divide the
+//     registered queries between them, each shard that holds one reading
+//     the whole stream. The count, fixed at construction, fixes how it runs:
 //     one shard, the default, is driven on the caller's goroutine, so
 //     matches reach their sinks before ProcessBatch returns; above one,
 //     each shard runs on a goroutine of its own.
@@ -73,8 +74,8 @@ type (
 
 	// Metrics is a snapshot of engine counters, including per-query detail.
 	// For a sharded engine, work counters are summed over shards (and so
-	// count an edge on each shard it was sent to) while match counts are
-	// those of each match's owner shard, each match once.
+	// count an edge on each shard it was sent to) while each query's
+	// matches are counted by the one shard holding it.
 	Metrics = core.Metrics
 
 	// EngineConfig is the low-level per-engine configuration. Most callers
