@@ -11,16 +11,22 @@ import (
 // searches never see data that could not participate in a valid match. The
 // embedded Clock is read (Watermark, Cutoff, Window) and widened through the
 // Dynamic; its time moves only through Apply and AdvanceTo, which expire.
+//
+// The expiry queue holds every live edge in timestamp order, arrivals of
+// equal time in arrival order. It takes no memory of its own: it is a chain
+// threaded through the edge records (edgeRecord.later), like the incidence
+// lists. An edge in order joins at its tail. A straggler is not behind the
+// watermark, or it would be late, so it joins past behind, the last edge
+// that is. Expiry pops at the head: under a bounded retention the cutoff is
+// below the watermark, so it never passes behind's successor.
 type Dynamic struct {
 	Clock
 
 	g *Graph
 
-	// queue orders the handles of live edges by timestamp for window
-	// expiry. It is kept sorted up to the allowed slack, which is sufficient
-	// because we only expire edges strictly older than watermark-window. An
-	// edge leaves the graph only at its head, where its handle is released.
-	queue fifo
+	// head and tail are handle+1 of the ends of the expiry queue, behind of
+	// its last edge behind the watermark; 0 when there is none.
+	head, tail, behind int32
 
 	// onExpire, when set, is invoked for every edge evicted from the window,
 	// with expiring holding it.
@@ -100,21 +106,40 @@ func (d *Dynamic) Apply(se StreamEdge) (*Edge, error) {
 	}
 	d.addedTotal++
 	d.Admit()
-	d.pushSorted(h, ts)
+	d.enqueue(h, ts)
 	d.AdvanceTo(ts)
 	d.applied = se.Edge
 	return &d.applied, nil
 }
 
-// pushSorted appends handle h, of an edge at ts, to the expiry queue and
-// rotates it back past any later-timestamped entries. Arrivals are
-// near-ordered (bounded slack), so the rotation is O(1) amortized: in-order
-// arrivals never enter the loop.
-func (d *Dynamic) pushSorted(h int32, ts Timestamp) {
-	q := &d.queue
-	q.push(h)
-	for i := len(q.buf) - 1; i > q.head && d.g.edges.at(q.buf[i-1]).ts > ts; i-- {
-		q.buf[i], q.buf[i-1] = q.buf[i-1], h
+// after returns handle+1 of the queued edge after the one of s (handle+1),
+// the head when s is 0.
+func (d *Dynamic) after(s int32) int32 {
+	if s == 0 {
+		return d.head
+	}
+	return d.g.edges.at(s - 1).later
+}
+
+// enqueue links edge h, at ts, into the expiry queue after the last queued
+// edge not later than ts: at the tail when it arrived in order, and
+// otherwise found by a walk from behind, over the edges within the slack.
+func (d *Dynamic) enqueue(h int32, ts Timestamp) {
+	prev := d.tail
+	if prev != 0 && d.g.edges.at(prev-1).ts > ts {
+		prev = d.behind
+		for s := d.after(prev); d.g.edges.at(s-1).ts <= ts; s = d.after(s) {
+			prev = s
+		}
+	}
+	d.g.edges.at(h).later = d.after(prev)
+	if prev == 0 {
+		d.head = h + 1
+	} else {
+		d.g.edges.at(prev - 1).later = h + 1
+	}
+	if prev == d.tail {
+		d.tail = h + 1
 	}
 }
 
@@ -123,35 +148,45 @@ func (d *Dynamic) pushSorted(h int32, ts Timestamp) {
 // sharded front-end's broadcasts call it between edges.
 func (d *Dynamic) AdvanceTo(ts Timestamp) {
 	d.Clock.AdvanceTo(ts)
+	wm := d.Watermark()
+	for s := d.after(d.behind); s != 0 && d.g.edges.at(s-1).ts < wm; s = d.after(s) {
+		d.behind = s
+	}
 	d.expire()
 }
 
 // ForEachLiveEdge visits every edge currently retained in the sliding
-// window, in timestamp order (up to the ingest slack), until fn returns
-// false. The DAG backfills a new or widened node from the window with this
+// window, in timestamp order (arrivals of equal time in arrival order),
+// until fn returns false. The DAG backfills a new or widened node from the window with this
 // (mqo's attach); fn must not mutate the graph. The edge fn is passed is
 // valid only during the call: copy it to keep it.
 func (d *Dynamic) ForEachLiveEdge(fn func(*Edge) bool) {
 	var e Edge
-	for _, h := range d.queue.live() {
-		if e = d.g.edge(h); !fn(&e) {
+	for s := d.head; s != 0; s = d.after(s) {
+		if e = d.g.edge(s - 1); !fn(&e) {
 			return
 		}
 	}
 }
 
-// expire pops the queue's handles below the cutoff, removing their edges,
-// and releases each handle for reuse.
+// expire pops the queue's edges below the cutoff, removing them, and
+// releases each handle for reuse.
 func (d *Dynamic) expire() {
-	for d.queue.len() > 0 {
-		h := d.queue.buf[d.queue.head]
+	for d.head != 0 {
+		h := d.head - 1
 		if d.g.edges.at(h).ts >= d.Cutoff() {
 			return
 		}
 		if d.onExpire != nil {
 			d.expiring = d.g.edge(h)
 		}
-		d.queue.popFront()
+		d.head = d.g.edges.at(h).later
+		if d.head == 0 {
+			d.tail = 0
+		}
+		if d.behind == h+1 {
+			d.behind = 0
+		}
 		src, dst := d.g.remove(h)
 		d.expiredTotal++
 		d.g.removeIfIsolated(src)

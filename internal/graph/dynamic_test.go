@@ -17,6 +17,15 @@ func streamEdge(id EdgeID, src, dst VertexID, typ string, ts Timestamp) StreamEd
 	}
 }
 
+// listLen returns the number of edges of l.
+func listLen(l EdgeList) int {
+	n := 0
+	for _, ok := l.Next(); ok; _, ok = l.Next() {
+		n++
+	}
+	return n
+}
+
 // edgeIDs returns the IDs of the edges of l, in order.
 func edgeIDs(l EdgeList) []EdgeID {
 	var ids []EdgeID
@@ -411,6 +420,7 @@ func TestIncidenceListsKeepArrivalOrder(t *testing.T) {
 // live in-edges: every Apply expires the hub's oldest in-edge.
 func BenchmarkDynamicHubWindow(b *testing.B) {
 	const window, hub = 1 << 14, VertexID(1)
+	empty := heapInUse()
 	d := NewDynamic(window)
 	next := 0
 	apply := func() {
@@ -423,10 +433,10 @@ func BenchmarkDynamicHubWindow(b *testing.B) {
 	for next < 2*window {
 		apply()
 	}
-	if n := d.Graph().InEdges(hub).Len(); n < 10000 {
+	if n := listLen(d.Graph().InEdges(hub)); n < 10000 {
 		b.Fatalf("the hub holds %d in-edges", n)
 	}
-	benchApply(b, apply)
+	benchApply(b, d, empty, apply)
 }
 
 // BenchmarkDynamicNetflowWindow applies edges in the netflow shape: a window
@@ -436,6 +446,7 @@ func BenchmarkDynamicNetflowWindow(b *testing.B) {
 	const window, hosts = 30000, 2000
 	rng := rand.New(rand.NewSource(1))
 	types := []string{"tcp", "udp", "icmp"}
+	empty := heapInUse()
 	d := NewDynamic(window)
 	next := 0
 	apply := func() {
@@ -451,12 +462,14 @@ func BenchmarkDynamicNetflowWindow(b *testing.B) {
 	if n := d.NumEdges(); n != window+1 {
 		b.Fatalf("the window holds %d edges", n)
 	}
-	benchApply(b, apply)
+	benchApply(b, d, empty, apply)
 }
 
 // benchApply times b.N calls of apply and reports the exact mallocs per
-// 1000 of them: allocs/op rounds a few allocations in many calls down to 0.
-func benchApply(b *testing.B, apply func()) {
+// 1000 of them (allocs/op rounds a few allocations in many calls down to 0)
+// and the bytes d holds per live edge: the heap after a collection, less
+// empty, the heap before d was built.
+func benchApply(b *testing.B, d *Dynamic, empty uint64, apply func()) {
 	var before, after runtime.MemStats
 	b.ReportAllocs()
 	runtime.ReadMemStats(&before)
@@ -467,4 +480,5 @@ func benchApply(b *testing.B, apply func()) {
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(1000*float64(after.Mallocs-before.Mallocs)/float64(b.N), "mallocs/kapply")
+	b.ReportMetric(float64(heapInUse()-empty)/float64(d.NumEdges()), "B/live-edge")
 }

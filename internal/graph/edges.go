@@ -54,7 +54,8 @@ func (c *chunks[R, P]) release(h int32) { *P(c.at(h)).freeLink(), c.free = c.fre
 // vertex handles and its type an index into the graph's type table. next
 // threads the incidence lists through the records: next[dirOut] is
 // handle+1 of the edge after it in its source's out-list, next[dirIn] of the
-// one after it in its target's in-list, and 0 ends a list.
+// one after it in its target's in-list, and 0 ends a list. later threads the
+// Dynamic's expiry queue the same way, in timestamp order.
 type edgeRecord struct {
 	id       EdgeID
 	ts       Timestamp
@@ -62,6 +63,7 @@ type edgeRecord struct {
 	src, dst int32
 	typ      int32
 	next     [2]int32
+	later    int32
 }
 
 // The two directions of incidence, indexing edgeRecord.next and
@@ -72,14 +74,15 @@ const (
 )
 
 // chain is a vertex's out- or in-list, threaded through the edge records in
-// arrival order: first and last are handle+1 of its ends (0 when empty) and
-// n its length.
-type chain struct{ first, last, n int32 }
+// arrival order: first and last are handle+1 of its ends, 0 when empty.
+type chain struct{ first, last int32 }
 
-// vertexRecord is a vertex together with its two incidence lists and the
-// type table index of its type, 64 B.
+// vertexRecord is a vertex, 40 B: its ID and attributes, its two incidence
+// lists and the type table index of its type. A chunk of 256 is 10 KiB, one
+// runtime size class.
 type vertexRecord struct {
-	Vertex
+	id    VertexID
+	attrs Attributes
 	lists [2]chain
 	typ   int32
 }
@@ -97,7 +100,7 @@ type vertexRecords struct {
 	chunks[vertexRecord, *vertexRecord]
 }
 
-func (r *vertexRecords) key(h int32) uint64 { return uint64(r.at(h).ID) }
+func (r *vertexRecords) key(h int32) uint64 { return uint64(r.at(h).id) }
 
 // keyer reads the ID of the record of a handle: the key an idTable files
 // the handle under.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"strconv"
 	"testing"
+	"unsafe"
 )
 
 // keyedStore is a record store an idTable can be keyed by, with a way to
@@ -24,6 +25,25 @@ func (c *chunks[R, P]) released() []int32 {
 	return hs
 }
 
+// queued returns the handles on d's expiry queue, from its head.
+func (d *Dynamic) queued() []int32 {
+	var hs []int32
+	// A queue that loops yields more handles than were ever handed out.
+	for s := d.head; s != 0 && len(hs) <= int(d.g.edges.n); s = d.g.edges.at(s - 1).later {
+		hs = append(hs, s-1)
+	}
+	return hs
+}
+
+// The records are the window's cost per edge and per vertex: the expiry
+// link fills the edge record's padding, and a chunk of 256 vertex records is
+// 10 KiB, a runtime size class.
+func TestRecordSizes(t *testing.T) {
+	if e, v := unsafe.Sizeof(edgeRecord{}), unsafe.Sizeof(vertexRecord{}); e != 48 || v != 40 {
+		t.Fatalf("an edge record is %d B and a vertex record %d B, want 48 and 40", e, v)
+	}
+}
+
 type testEdges struct{ edgeRecords }
 
 func (r *testEdges) add(id uint64) int32 {
@@ -36,7 +56,7 @@ type testVertices struct{ vertexRecords }
 
 func (r *testVertices) add(id uint64) int32 {
 	h := r.alloc()
-	*r.at(h) = vertexRecord{Vertex: Vertex{ID: VertexID(id)}}
+	*r.at(h) = vertexRecord{id: VertexID(id)}
 	return h
 }
 
@@ -201,8 +221,8 @@ func TestExpiredHandleWaitsForTheQueue(t *testing.T) {
 	if e, _ := d.g.Edge(1); again != first || e.Timestamp != 13 {
 		t.Fatalf("the expired edge's ID arriving again got handle %d holding %v, want %d", again, e, first)
 	}
-	if len(d.g.edges.released()) != 0 || d.queue.len() != 3 {
-		t.Fatalf("%d handles free and %d queued, want 0 and 3", len(d.g.edges.released()), d.queue.len())
+	if len(d.g.edges.released()) != 0 || len(d.queued()) != 3 {
+		t.Fatalf("%d handles free and %d queued, want 0 and 3", len(d.g.edges.released()), len(d.queued()))
 	}
 }
 

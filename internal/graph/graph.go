@@ -5,15 +5,16 @@ import "fmt"
 // The graph recycles what its insert/expire cycle would otherwise allocate
 // per edge, within these bounds:
 //
-//   - records: edge records (48 B) and vertex records (64 B) live in chunks
+//   - records: edge records (48 B) and vertex records (40 B) live in chunks
 //     of 256, addressed by int32 handle (edges.go). An edge record names its
 //     endpoints by vertex handle and its type by type table index. The
 //     handle of an expired edge, or of a vertex left with no edge, is reused
 //     for a new one, so the chunks are kept up to the peak number of records
 //     held at once. One ID table per kind (ID → handle) is at most half full
 //     and only grows.
-//   - incidence: a vertex's out- and in-list are chains threaded through
-//     the edge records, so they take no memory of their own.
+//   - incidence and expiry: a vertex's out- and in-list, and the Dynamic's
+//     expiry queue, are chains threaded through the edge records, so they
+//     take no memory of their own.
 //   - types: one table interns the edge and vertex types and counts each;
 //     a type that no vertex and no edge of the window has any more is
 //     dropped and its index reused.
@@ -65,19 +66,17 @@ func (g *Graph) upsert(id VertexID, typ string, attrs Attributes) int32 {
 	if h < 0 {
 		h = g.vertices.alloc()
 		r := g.vertices.at(h)
-		r.typ = g.types.intern(typ)
-		r.Vertex = Vertex{ID: id, Type: g.types.names[r.typ], Attrs: attrs}
+		*r = vertexRecord{id: id, attrs: attrs, typ: g.types.intern(typ)}
 		g.types.vertices[r.typ]++
 		g.vertexIDs.insert(&g.vertices, h)
 		g.mutations++
 		return h
 	}
 	r := g.vertices.at(h)
-	if typ != "" && typ != r.Type {
+	if typ != "" && typ != g.types.names[r.typ] {
 		g.mutations++
 		old := r.typ
 		r.typ = g.types.intern(typ)
-		r.Type = g.types.names[r.typ]
 		g.types.vertices[r.typ]++
 		g.types.vertices[old]--
 		g.types.drop(old)
@@ -85,19 +84,24 @@ func (g *Graph) upsert(id VertexID, typ string, attrs Attributes) int32 {
 	// Streams repeat endpoint metadata on every edge (sharded routing
 	// requires it); skip the copy-on-write merge entirely when it would
 	// change nothing, which is the overwhelmingly common case.
-	if len(attrs) > 0 && !r.Attrs.Covers(attrs) {
-		r.Attrs = r.Attrs.Merge(attrs)
+	if len(attrs) > 0 && !r.attrs.Covers(attrs) {
+		r.attrs = r.attrs.Merge(attrs)
 	}
 	return h
 }
 
-// Vertex returns the vertex with the given ID. The record is valid until the
-// vertex is removed: the graph then zeroes it and reuses it for a new vertex.
-func (g *Graph) Vertex(id VertexID) (*Vertex, bool) {
+// vertex builds the vertex of handle h from its record.
+func (g *Graph) vertex(h int32) Vertex {
+	r := g.vertices.at(h)
+	return Vertex{ID: r.id, Type: g.types.names[r.typ], Attrs: r.attrs}
+}
+
+// Vertex returns the vertex with the given ID.
+func (g *Graph) Vertex(id VertexID) (Vertex, bool) {
 	if h := g.findVertex(id); h >= 0 {
-		return &g.vertices.at(h).Vertex, true
+		return g.vertex(h), true
 	}
-	return nil, false
+	return Vertex{}, false
 }
 
 // edge builds the edge of handle h from its record.
@@ -105,8 +109,8 @@ func (g *Graph) edge(h int32) Edge {
 	r := g.edges.at(h)
 	return Edge{
 		ID:        r.id,
-		Source:    g.vertices.at(r.src).ID,
-		Target:    g.vertices.at(r.dst).ID,
+		Source:    g.vertices.at(r.src).id,
+		Target:    g.vertices.at(r.dst).id,
 		Type:      g.types.names[r.typ],
 		Timestamp: r.ts,
 		Attrs:     r.attrs,
@@ -183,7 +187,6 @@ func (g *Graph) link(v int32, dir int, h int32) {
 		g.edges.at(c.last - 1).next[dir] = h + 1
 	}
 	c.last = h + 1
-	c.n++
 }
 
 // unlink takes edge h out of vertex v's list in direction dir, keeping the
@@ -204,17 +207,16 @@ func (g *Graph) unlink(v int32, dir int, h int32) {
 	if c.last == h+1 {
 		c.last = prev
 	}
-	c.n--
 }
 
 // removeIfIsolated removes the vertex of handle h if it has no incident
 // edges. The record is zeroed and its handle released for reuse.
 func (g *Graph) removeIfIsolated(h int32) {
 	r := g.vertices.at(h)
-	if r.lists[dirOut].n > 0 || r.lists[dirIn].n > 0 {
+	if r.lists[dirOut].first != 0 || r.lists[dirIn].first != 0 {
 		return
 	}
-	g.vertexIDs.delete(&g.vertices, uint64(r.ID))
+	g.vertexIDs.delete(&g.vertices, uint64(r.id))
 	g.types.vertices[r.typ]--
 	g.types.drop(r.typ)
 	g.mutations++
@@ -232,7 +234,6 @@ func (g *Graph) removeIfIsolated(h int32) {
 type EdgeList struct {
 	g    *Graph
 	next int32 // handle+1 of the edge Next returns, 0 past the end
-	n    int32
 	dir  int
 }
 
@@ -240,14 +241,10 @@ type EdgeList struct {
 // dir, an empty one when the vertex is not in the graph.
 func (g *Graph) edgeList(id VertexID, dir int) EdgeList {
 	if h := g.findVertex(id); h >= 0 {
-		c := g.vertices.at(h).lists[dir]
-		return EdgeList{g: g, next: c.first, n: c.n, dir: dir}
+		return EdgeList{g: g, next: g.vertices.at(h).lists[dir].first, dir: dir}
 	}
 	return EdgeList{}
 }
-
-// Len returns the number of edges in the list, however far Next has gone.
-func (l EdgeList) Len() int { return int(l.n) }
 
 // Next returns the next edge in arrival order, or false past the end.
 func (l *EdgeList) Next() (Edge, bool) {
@@ -271,10 +268,15 @@ func (g *Graph) CountVerticesOfType(t string) int { return g.types.count(g.types
 // CountEdgesOfType returns the number of edges with the given type.
 func (g *Graph) CountEdgesOfType(t string) int { return g.types.count(g.types.edges, t) }
 
-// Vertices calls fn for every vertex until fn returns false.
+// Vertices calls fn for every vertex until fn returns false. The vertex it
+// is passed is valid only during the call: copy it to keep it.
 func (g *Graph) Vertices(fn func(*Vertex) bool) {
+	var v Vertex
 	for _, s := range g.vertexIDs.slots {
-		if s != 0 && !fn(&g.vertices.at(s-1).Vertex) {
+		if s == 0 {
+			continue
+		}
+		if v = g.vertex(s - 1); !fn(&v) {
 			return
 		}
 	}

@@ -188,7 +188,7 @@ func TestGraphMultigraphEdges(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		apply(t, d, StreamEdge{Edge: Edge{ID: EdgeID(i), Source: 1, Target: 2, Type: "flow", Timestamp: Timestamp(i)}})
 	}
-	if g := d.Graph(); g.OutEdges(1).Len() != 5 || g.InEdges(2).Len() != 5 {
+	if g := d.Graph(); listLen(g.OutEdges(1)) != 5 || listLen(g.InEdges(2)) != 5 {
 		t.Fatalf("multigraph edges collapsed")
 	}
 }
@@ -227,8 +227,8 @@ func TestGraphDegreeSumProperty(t *testing.T) {
 		g := d.Graph()
 		var outSum, inSum int
 		g.Vertices(func(v *Vertex) bool {
-			outSum += g.OutEdges(v.ID).Len()
-			inSum += g.InEdges(v.ID).Len()
+			outSum += listLen(g.OutEdges(v.ID))
+			inSum += listLen(g.InEdges(v.ID))
 			return true
 		})
 		return outSum == g.NumEdges() && inSum == g.NumEdges()

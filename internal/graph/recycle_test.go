@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"runtime"
@@ -103,7 +104,7 @@ func skewedChurn(t *testing.T, replayed bool) (apply func(), returns *int) {
 			t.Fatal(err)
 		}
 		for _, v := range [2]VertexID{src, dst} {
-			if left[v] && d.g.OutEdges(v).Len()+d.g.InEdges(v).Len() > 16 {
+			if left[v] && listLen(d.g.OutEdges(v))+listLen(d.g.InEdges(v)) > 16 {
 				left[v] = false
 				*returns++
 			}
@@ -255,15 +256,12 @@ func (m *model) compare(t *testing.T, step int, d *Dynamic) {
 		types[e.Type]++
 	}
 	list := func(v VertexID, dir string, got EdgeList, want []EdgeID) {
-		ids := make([]EdgeID, 0, got.Len())
+		var ids []EdgeID
 		for e, ok := got.Next(); ok; e, ok = got.Next() {
 			if !sameEdge(e, m.edges[e.ID]) {
 				t.Fatalf("step %d: %s edges of v%d hold %v, model has %v", step, dir, v, e, m.edges[e.ID])
 			}
 			ids = append(ids, e.ID)
-		}
-		if len(ids) != got.Len() {
-			t.Fatalf("step %d: %s edges of v%d: the cursor returns %d, its Len is %d", step, dir, v, len(ids), got.Len())
 		}
 		slices.SortFunc(want, func(a, b EdgeID) int { return m.arrival[a] - m.arrival[b] })
 		if !slices.Equal(ids, want) {
@@ -290,16 +288,25 @@ func (m *model) compare(t *testing.T, step int, d *Dynamic) {
 			t.Fatalf("step %d: %d vertices of type %q, model has %d", step, got, typ, vertexTypes[typ])
 		}
 	}
-	visited := make(map[EdgeID]bool)
+	var visited []EdgeID
 	d.ForEachLiveEdge(func(e *Edge) bool {
-		if got, ok := g.Edge(e.ID); !ok || !sameEdge(got, *e) || !sameEdge(*e, m.edges[e.ID]) || visited[e.ID] {
-			t.Fatalf("step %d: ForEachLiveEdge visits %v, which is not the live edge %d or was visited before", step, e, e.ID)
+		if got, ok := g.Edge(e.ID); !ok || !sameEdge(got, *e) || !sameEdge(*e, m.edges[e.ID]) {
+			t.Fatalf("step %d: ForEachLiveEdge visits %v, which is not the live edge %d", step, e, e.ID)
 		}
-		visited[e.ID] = true
+		visited = append(visited, e.ID)
 		return true
 	})
-	if len(visited) != len(m.edges) {
-		t.Fatalf("step %d: ForEachLiveEdge visits %d edges, model has %d", step, len(visited), len(m.edges))
+	// The window in timestamp order, arrivals of equal time in arrival
+	// order: the model's live edges stably sorted by timestamp.
+	want := make([]EdgeID, 0, len(m.edges))
+	for id := range m.edges {
+		want = append(want, id)
+	}
+	slices.SortFunc(want, func(a, b EdgeID) int {
+		return cmp.Or(cmp.Compare(m.edges[a].Timestamp, m.edges[b].Timestamp), m.arrival[a]-m.arrival[b])
+	})
+	if !slices.Equal(visited, want) {
+		t.Fatalf("step %d: ForEachLiveEdge visits %v, model has %v in timestamp order", step, visited, want)
 	}
 	checkRecycling(t, step, d)
 }
@@ -307,12 +314,14 @@ func (m *model) compare(t *testing.T, step int, d *Dynamic) {
 // checkRecycling fails t when a live vertex has no incident edge, when a
 // chain does not hold exactly the live edges of its vertex and direction
 // (each handle on it a live edge that ends at the vertex, no edge twice, the
-// walk's count its n and the walk's end its last), when an edge's endpoint
-// handles do not name live vertices of its endpoint IDs, when an edge handle
-// handed out is neither in the expiry queue nor free or is both, or when a
-// vertex handle handed out is neither live and filed under its ID nor free
-// with zeroed chains. That a chain is in arrival order is compare's check,
-// through the EdgeList cursor that walks it.
+// walk's end its last), when an edge's endpoint handles do not name live
+// vertices of its endpoint IDs, when an edge handle handed out is neither on
+// the expiry queue nor free or is both, when the queue is out of timestamp
+// order, does not end at its tail or is not split at behind (the edges up to
+// it behind the watermark, the others not), or when a vertex handle handed
+// out is neither live and filed under its ID nor free with zeroed chains.
+// That a chain is in arrival order is compare's check, through the EdgeList
+// cursor that walks it.
 func checkRecycling(t *testing.T, step int, d *Dynamic) {
 	t.Helper()
 	recs, verts := &d.g.edges, &d.g.vertices
@@ -323,7 +332,7 @@ func checkRecycling(t *testing.T, step int, d *Dynamic) {
 	// vertices of its endpoint IDs, and v is its source (dirOut) or target.
 	endsAt := func(h int32, v VertexID, dir int) bool {
 		r := recs.at(h)
-		src, dst := verts.at(r.src).ID, verts.at(r.dst).ID
+		src, dst := verts.at(r.src).id, verts.at(r.dst).id
 		if d.g.findVertex(src) != r.src || d.g.findVertex(dst) != r.dst {
 			return false
 		}
@@ -343,8 +352,8 @@ func checkRecycling(t *testing.T, step int, d *Dynamic) {
 			chained[dir][s-1] = true
 			n, last = n+1, s
 		}
-		if n != c.n || last != c.last {
-			t.Fatalf("step %d: chain %d of v%d walks %d edges to %d, records %d ending at %d", step, dir, v, n, last, c.n, c.last)
+		if last != c.last {
+			t.Fatalf("step %d: chain %d of v%d walks %d edges to %d, records its end at %d", step, dir, v, n, last, c.last)
 		}
 	}
 	// Every vertex handle handed out is live, and filed under its ID, or
@@ -355,16 +364,16 @@ func checkRecycling(t *testing.T, step int, d *Dynamic) {
 			continue
 		}
 		h := s - 1
-		if h >= verts.n || liveVertex[h] || d.g.findVertex(verts.at(h).ID) != h {
+		if h >= verts.n || liveVertex[h] || d.g.findVertex(verts.at(h).id) != h {
 			t.Fatalf("step %d: vertex handle %d is not filed once under its ID", step, h)
 		}
 		liveVertex[h] = true
 		r := verts.at(h)
-		if r.lists[dirOut].n+r.lists[dirIn].n == 0 {
-			t.Fatalf("step %d: vertex %d has no incident edge", step, r.ID)
+		if r.lists[dirOut].first == 0 && r.lists[dirIn].first == 0 {
+			t.Fatalf("step %d: vertex %d has no incident edge", step, r.id)
 		}
-		walk(r.ID, dirOut, r.lists[dirOut])
-		walk(r.ID, dirIn, r.lists[dirIn])
+		walk(r.id, dirOut, r.lists[dirOut])
+		walk(r.id, dirIn, r.lists[dirIn])
 	}
 	if len(liveVertex) != d.g.NumVertices() {
 		t.Fatalf("step %d: %d vertex handles filed, %d vertices", step, len(liveVertex), d.g.NumVertices())
@@ -375,7 +384,7 @@ func checkRecycling(t *testing.T, step int, d *Dynamic) {
 		}
 	}
 	for _, h := range verts.released() {
-		if r := verts.at(h); liveVertex[h] || r.ID != 0 || r.lists != [2]chain{} {
+		if r := verts.at(h); liveVertex[h] || r.id != 0 || r.lists != [2]chain{} {
 			t.Fatalf("step %d: free vertex handle %d is live, filed or not zeroed", step, h)
 		}
 		liveVertex[h] = true
@@ -384,14 +393,34 @@ func checkRecycling(t *testing.T, step int, d *Dynamic) {
 		t.Fatalf("step %d: %d vertex handles handed out, %d live or free", step, verts.n, len(liveVertex))
 	}
 	// An edge leaves the graph only when the queue passes its handle, which
-	// is then released: every handle handed out is a live edge in the queue
-	// or free, once, and the queue holds every live edge.
+	// is then released: every handle handed out is a live edge on the queue
+	// or free, once, and the queue holds every live edge, in timestamp order,
+	// up to its tail.
 	held := make(map[int32]bool)
-	for i, h := range d.queue.live() {
+	queued := d.queued()
+	past := d.behind == 0 // past behind: no longer behind the watermark
+	for i, h := range queued {
 		if h < 0 || h >= recs.n || !isEdge(h) || held[h] {
-			t.Fatalf("step %d: the queue holds handle %d in slot %d, which it must not", step, h, d.queue.head+i)
+			t.Fatalf("step %d: the queue holds handle %d at position %d, which it must not", step, h, i)
 		}
 		held[h] = true
+		ts := recs.at(h).ts
+		if i > 0 && ts < recs.at(queued[i-1]).ts {
+			t.Fatalf("step %d: the queue holds an edge at %d after one at %d", step, ts, recs.at(queued[i-1]).ts)
+		}
+		if late := ts < d.Watermark(); late == past {
+			t.Fatalf("step %d: queued edge %d at %d (watermark %d) is on the wrong side of behind (%d)",
+				step, i, ts, d.Watermark(), d.behind-1)
+		}
+		if h+1 == d.behind {
+			past = true
+		}
+	}
+	if !past {
+		t.Fatalf("step %d: behind (%d) is not on the queue", step, d.behind-1)
+	}
+	if n := len(queued); n != d.g.NumEdges() || n > 0 && queued[n-1]+1 != d.tail || n == 0 && (d.tail != 0 || d.head != 0) {
+		t.Fatalf("step %d: %d handles queued for %d edges, the last %v, the tail %d", step, n, d.g.NumEdges(), queued[max(n-1, 0):], d.tail-1)
 	}
 	for _, h := range recs.released() {
 		if isEdge(h) || held[h] {
@@ -401,9 +430,6 @@ func checkRecycling(t *testing.T, step int, d *Dynamic) {
 	}
 	if len(held) != int(recs.n) {
 		t.Fatalf("step %d: %d handles handed out, %d queued or free", step, recs.n, len(held))
-	}
-	if d.queue.len() != d.g.NumEdges() {
-		t.Fatalf("step %d: %d handles queued, %d edges", step, d.queue.len(), d.g.NumEdges())
 	}
 }
 
@@ -530,7 +556,7 @@ func TestDynamicMatchesNaiveModel(t *testing.T) {
 		}
 		clear(expired)
 		m.compare(t, step, d)
-		hubDegree = max(hubDegree, d.Graph().OutEdges(hub).Len()+d.Graph().InEdges(hub).Len())
+		hubDegree = max(hubDegree, listLen(d.Graph().OutEdges(hub))+listLen(d.Graph().InEdges(hub)))
 		if early == 0 && clock >= 2*window {
 			early = heapInUse()
 		}

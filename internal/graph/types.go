@@ -8,8 +8,10 @@
 // which local search, offline ground-truth search and the planner's
 // statistics read. The graph keeps each edge as a 48-B record that names its
 // endpoints by vertex handle and its type by an index into a table of the
-// window's types, and links it into its endpoints' incidence lists; readers
-// get Edge values built from the records (graph.go).
+// window's types, and links it into its endpoints' incidence lists and, in
+// timestamp order, into the Dynamic's expiry queue; each vertex is a 40-B
+// record holding the ends of its lists. Readers get Edge and Vertex values
+// built from the records (graph.go).
 package graph
 
 import (

@@ -124,7 +124,7 @@ func (m *Matcher) checkEndpoints(g *graph.Graph, qe *query.Edge, srcID, dstID gr
 	if !okS || !okD {
 		return false
 	}
-	return m.q.Vertex(qe.Source).Matches(dsrc) && m.q.Vertex(qe.Target).Matches(ddst)
+	return m.q.Vertex(qe.Source).Matches(&dsrc) && m.q.Vertex(qe.Target).Matches(&ddst)
 }
 
 // bindAndExtend binds qe (order[idx]) to de in the given orientation when

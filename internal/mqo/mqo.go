@@ -434,7 +434,7 @@ func (d *DAG) mirrorSent(n *node, row []uint64) bool {
 	g, fg := d.g.Graph(), n.frag.Graph
 	first, _ := g.Vertex(graph.VertexID(row[0]))
 	second, _ := g.Vertex(graph.VertexID(row[1]))
-	return fg.Vertex(0).Matches(second) && fg.Vertex(1).Matches(first)
+	return fg.Vertex(0).Matches(&second) && fg.Vertex(1).Matches(&first)
 }
 
 // join indexes row r of l's child under its cut key and inserts into p its

@@ -15,7 +15,9 @@
 // shard 0 and every shard holding a query at that moment. Every admitted
 // edge, and every Advance, goes to every fed shard in order, so each fed
 // shard's window is the whole stream's, as on one engine; a shard that is
-// not fed receives nothing and keeps no window. From then on only the fed
+// not fed receives nothing and keeps no window, and its worker's goroutine
+// and mailbox are gone: its engine runs on the caller's goroutine, as a
+// lone shard's does. From then on only the fed
 // shards are candidates, so a query registered mid-stream lands on a shard
 // that has seen every edge, and sees exactly what a single engine would.
 //
@@ -35,7 +37,8 @@
 // Every count lives in one registry: each worker engine's own (written by
 // the goroutine driving it), and the front-end's for the registrations and
 // the late edges it drops before routing (a lone shard's engine counts
-// those). Metrics and ObsSnapshot fold them with obs.Merge.
+// those). Metrics and ObsSnapshot fold them with obs.Merge, each dropped
+// duplicate once (shardSeries).
 package shard
 
 import (
@@ -155,11 +158,24 @@ func New(cfg *Config) *ShardedEngine {
 func (s *ShardedEngine) ObsSnapshot() obs.Snapshot {
 	snaps := make([]obs.Snapshot, 0, 2*len(s.workers)+1)
 	snaps = append(snaps, s.reg.Snapshot())
-	for _, w := range s.workers {
-		snap := w.eng.ObsRegistry().Snapshot()
-		snaps = append(snaps, snap, delivered(snap))
+	for i, w := range s.workers {
+		snaps = append(snaps, shardSeries(i, w.eng.ObsRegistry().Snapshot())...)
 	}
 	return obs.Merge(snaps...)
+}
+
+// shardSeries is what shard i's engine snapshot adds to the fold: its series
+// and its delivered matches, and a duplicate edge ID it dropped only when i
+// is 0. Every fed shard is sent the same edges and keeps the same window, so
+// each drops the same duplicates, and shard 0 is always fed.
+func shardSeries(i int, engine obs.Snapshot) []obs.Snapshot {
+	out := delivered(engine)
+	if i > 0 {
+		engine.Counters = slices.DeleteFunc(slices.Clone(engine.Counters), func(c obs.CounterSnapshot) bool {
+			return c.Name == "edges_dropped"
+		})
+	}
+	return []obs.Snapshot{engine, out}
 }
 
 // delivered is a shard's delivered-match series: it delivers every match
@@ -312,14 +328,28 @@ func (s *ShardedEngine) ProcessContext(ctx context.Context, se graph.StreamEdge)
 			if i > 0 {
 				// A shard consumed the edge: the fed shards stay as they
 				// are and the registration guards engage.
-				s.clock.Admit()
+				s.admit()
 			}
 			return err
 		}
 	}
-	s.clock.Admit()
+	s.admit()
 	s.clock.AdvanceTo(se.Edge.Timestamp)
 	return nil
+}
+
+// admit records that an edge got in. The first time, that fixes the fed
+// shards, and the worker of every other shard drains its mailbox and exits.
+func (s *ShardedEngine) admit() {
+	if s.clock.Admitted() {
+		return
+	}
+	s.clock.Admit()
+	for _, w := range s.workers {
+		if !slices.Contains(s.fed, w) {
+			w.stop()
+		}
+	}
 }
 
 // Admit judges a batch on the front-end's clock, in order, as Process would
@@ -423,8 +453,8 @@ func (s *ShardedEngine) Metrics() core.Metrics {
 // reading with the aggregate and per-shard views built from it, which always
 // agree. Aggregate work counters are sums over shards, so an edge counts
 // once per fed shard; each match is counted once, by the shard holding its
-// query; Registrations and the late edges among EdgesDropped are the
-// front-end's. Each query's view is its shard's, in registration order. A
+// query; EdgesDropped counts each input edge once: the late ones are the
+// front-end's, the duplicates shard 0's. Registrations are the front-end's. Each query's view is its shard's, in registration order. A
 // lone shard's view is its engine's own. Like all control methods it must
 // be called from the driver goroutine.
 func (s *ShardedEngine) Snapshot() (core.Metrics, []core.Metrics, obs.Snapshot) {
@@ -433,7 +463,7 @@ func (s *ShardedEngine) Snapshot() (core.Metrics, []core.Metrics, obs.Snapshot) 
 	for i, w := range s.workers {
 		var snap obs.Snapshot
 		perShard[i], snap = w.snapshot()
-		snaps = append(snaps, snap, delivered(snap))
+		snaps = append(snaps, shardSeries(i, snap)...)
 	}
 	merged := obs.Merge(snaps...)
 	if len(s.workers) == 1 {

@@ -33,9 +33,11 @@ type message struct {
 }
 
 // worker owns one shard: a core.Engine and, above one shard, the goroutine
-// that drives it and the mailbox feeding it, both made at construction. A
-// worker has a goroutine exactly when it has a mailbox; a lone shard has
-// neither, and the front-end calls its engine on the caller's goroutine.
+// that drives it and the mailbox feeding it, both made at construction and
+// kept while the shard may be fed. A worker has a goroutine exactly when it
+// has a mailbox; a lone shard has neither, nor has a shard left unfed once
+// the first edge is admitted, and the front-end calls its engine on the
+// caller's goroutine.
 type worker struct {
 	id  int
 	eng *core.Engine
@@ -46,7 +48,7 @@ type worker struct {
 	mu   *sync.Mutex
 	sink core.MatchSink
 
-	in   chan message // nil on a lone shard
+	in   chan message // nil on a lone shard and an unfed one
 	done sync.WaitGroup
 
 	// Observability handles, resolved at construction when enabled (all nil
@@ -87,6 +89,16 @@ func (w *worker) start() {
 	w.in = make(chan message, mailboxDepth)
 	w.done.Add(1)
 	go w.loop()
+}
+
+// stop closes the mailbox and returns once the goroutine has drained it and
+// exited; the worker then runs every call on the caller's goroutine.
+func (w *worker) stop() {
+	if w.in != nil {
+		close(w.in)
+		w.done.Wait()
+		w.in = nil
+	}
 }
 
 func (w *worker) loop() {
