@@ -93,7 +93,7 @@ func main() {
 	c := client.New(*addr, client.WithTransport(ctr)) // no internal retry; ingest below owns it
 	ctx := context.Background()
 	rem := connect(ctx, *addr, 10*time.Second)
-	log.Printf("loadgen: connected (api %s, %d shards)", rem.ServerInfo().Version, rem.ServerInfo().Shards)
+	log.Printf("loadgen: connected (api %s)", rem.ServerInfo().Version)
 
 	for _, q := range w.Queries {
 		if err := rem.RegisterQuery(ctx, q); err != nil {
@@ -198,8 +198,8 @@ func main() {
 		}
 	}
 	// Flush: an empty wait batch (or, for the persistent session, closing it)
-	// returns only after everything queued ahead has been routed to the
-	// shards.
+	// returns only after everything queued ahead has been processed by the
+	// engine.
 	if es != nil {
 		res, err := es.Close()
 		if err != nil {
@@ -222,8 +222,8 @@ func main() {
 
 	sinkMu.Lock()
 	defer sinkMu.Unlock()
-	fmt.Printf("workload=%s transport=%s edges=%d batch=%d shards=%d retries=%d emitted=%d delivered=%d\n",
-		w.Name, *transport, len(w.Edges), *batch, rem.ServerInfo().Shards, retries, emitted, matches)
+	fmt.Printf("workload=%s transport=%s edges=%d batch=%d retries=%d emitted=%d delivered=%d\n",
+		w.Name, *transport, len(w.Edges), *batch, retries, emitted, matches)
 
 	if *sigsPath != "" {
 		lines := make([]string, 0, len(sigs))
@@ -325,7 +325,7 @@ func connect(ctx context.Context, addr string, timeout time.Duration) *streamwor
 }
 
 // settle polls metrics until the emitted match count stops moving, so the
-// matches of edges still queued in the shard mailboxes, and the fan-out, are
+// matches of edges still queued in the daemon, and the fan-out, are
 // delivered before the subscription is closed. It returns that count.
 func settle(ctx context.Context, rem *streamworks.Remote) uint64 {
 	var last uint64

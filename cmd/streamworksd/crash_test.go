@@ -60,7 +60,6 @@ func TestExactlyOnceAcrossSIGKILL(t *testing.T) {
 	start := func() *exec.Cmd {
 		cmd := exec.Command(bin,
 			"-addr", addr,
-			"-shards", "3",
 			"-data-dir", dataDir,
 			"-fsync", "interval",
 		)

@@ -1,7 +1,6 @@
 // Command streamworksd is the StreamWorks daemon: the continuous graph
-// query engine, optionally sharded across cores, served over HTTP. Register
-// queries in the text DSL, stream NDJSON edges at it, and subscribe to
-// matches:
+// query engine, served over HTTP. Register queries in the text DSL, stream
+// NDJSON edges at it, and subscribe to matches:
 //
 //	streamworksd -addr :8090 -retention 10m
 //	curl -X POST --data-binary @query.swq  localhost:8090/v1/queries
@@ -9,7 +8,7 @@
 //	curl -N 'localhost:8090/v1/matches?query=smurf-ddos'
 //
 // SIGINT/SIGTERM drain gracefully: queued edge batches flush through the
-// shards and every match subscriber's stream ends cleanly before exit.
+// engine and every match subscriber's stream ends cleanly before exit.
 package main
 
 import (
@@ -34,7 +33,6 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":8090", "HTTP listen address")
-		shards    = flag.Int("shards", 1, "number of engine shards, which divide the registered queries: each query lives on one shard, and each shard holding a query keeps its own copy of the window; 1 runs the engine on the ingest goroutine with no mailbox hop")
 		retention = flag.Duration("retention", 0, "sliding window width (0 = retain everything; query windows widen it)")
 		slack     = flag.Duration("slack", 0, "out-of-order slack; which edges it drops as late is graph.Clock's rule (README: State and its bounds)")
 		subBuffer = flag.Int("sub-buffer", 256, "per-subscriber match buffer; overflow evicts the subscriber")
@@ -58,14 +56,13 @@ func main() {
 		log.Fatalf("streamworksd: -require-durability needs -data-dir")
 	}
 
-	// The tuning values the daemon has no flag for — prune interval, mailbox
-	// depth, watermark broadcast step, ingest queue depth, batch cap,
-	// group-commit interval — are the owning packages'
+	// The tuning values the daemon has no flag for — prune interval, ingest
+	// queue depth, batch cap, group-commit interval — are the owning packages'
 	// constants: the only values any ledger run has measured.
 	engine := core.Config{Retention: *retention, Slack: *slack, Obs: obs.Config{Enabled: *obsOn}}
 
 	srv := server.New(server.Config{
-		Shard:             shard.Config{Shards: *shards, Engine: engine},
+		Shard:             shard.Config{Engine: engine},
 		SubscriberBuffer:  *subBuffer,
 		DataDir:           *dataDir,
 		FsyncPolicy:       *fsync,
@@ -97,8 +94,8 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("streamworksd: listening on %s (api=%s shards=%d retention=%s slack=%s data-dir=%q fsync=%s obs=%v)",
-			*addr, api.Version, *shards, *retention, *slack, *dataDir, *fsync, *obsOn)
+		log.Printf("streamworksd: listening on %s (api=%s retention=%s slack=%s data-dir=%q fsync=%s obs=%v)",
+			*addr, api.Version, *retention, *slack, *dataDir, *fsync, *obsOn)
 		errc <- hs.ListenAndServe()
 	}()
 
@@ -110,7 +107,7 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	log.Printf("streamworksd: draining (flushing shards, closing subscribers)")
+	log.Printf("streamworksd: draining (flushing the ingest queue, closing subscribers)")
 	srv.Close()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -181,10 +181,10 @@ func registerRecord(q *Query, o RegisterOptions) wal.RegisterRecord {
 // replayRecovery pushes the recovered operations back through the engine's
 // ordinary paths (replaying suppresses re-appending them to the log),
 // collecting every match the replay re-derives via a temporary
-// subscription. After e.Flush returns, every re-derived match has reached
-// the collector. Matches whose keys are not in the recovered emitted-set
-// were derived but never delivered before the crash; they become the
-// backlog, delivered once to the first matching subscriber that attaches.
+// subscription, which each call has fed before it returns. Matches whose
+// keys are not in the recovered emitted-set were derived but never
+// delivered before the crash; they become the backlog, delivered once to
+// the first matching subscriber that attaches.
 func replayRecovery(e *Sharded, rec *wal.Recovery) {
 	d := e.dur
 	d.replaying.Store(true)
@@ -222,9 +222,6 @@ func replayRecovery(e *Sharded, rec *wal.Recovery) {
 				log.Printf("streamworks: recovery: advancing watermark: %v", err)
 			}
 		}
-	}
-	if err := e.Flush(); err != nil {
-		log.Printf("streamworks: recovery: flush barrier: %v", err)
 	}
 	sub.Close()
 	backlog := make([]Match, 0)

@@ -24,37 +24,9 @@ import (
 	"github.com/streamworks/streamworks/internal/wire"
 )
 
-// durableEngine is the slice of the in-process backend the durability
-// suite needs: the public Engine contract plus the durability introspection
-// Sharded exposes.
-type durableEngine interface {
-	streamworks.Engine
-	Durability() streamworks.DurabilityStats
-}
-
-// engineMaker builds the in-process backend from options; the crash and
-// degradation suites run once per shard mode through this seam: New on one
-// shard, on the caller's goroutine, and on three shards, one goroutine
-// each. The cells keep the names the metrics golden records.
-type engineMaker struct {
-	name string
-	mk   func(opts ...streamworks.Option) durableEngine
-}
-
-func inProcessBackends() []engineMaker {
-	return []engineMaker{
-		{"local", func(opts ...streamworks.Option) durableEngine {
-			return streamworks.New(opts...)
-		}},
-		{"sharded", func(opts ...streamworks.Option) durableEngine {
-			return streamworks.New(append([]streamworks.Option{streamworks.WithShards(3)}, opts...)...)
-		}},
-	}
-}
-
 // collectSet returns a sink recording every delivered (query, signature)
-// into set under mu; the sharded backend delivers from its shard
-// goroutines, so collection must be locked.
+// into set under mu, for tests whose engine delivers on more than one
+// goroutine (a recovered backlog is delivered on the subscriber's).
 func collectSet(mu *sync.Mutex, set gen.MatchSet) streamworks.MatchSink {
 	return streamworks.SinkFunc(func(m streamworks.Match) {
 		mu.Lock()
@@ -138,7 +110,7 @@ func halfway(w gen.Workload) int { return len(w.Edges) / 2 / crashBatch * crashB
 // runs' delivered match sets — which exactly-once-under-set-semantics says
 // must equal an uninterrupted run's. late, if not nil, is registered before
 // the crash, at its place in the stream.
-func runCrashRestart(t *testing.T, w gen.Workload, mk engineMaker, late *lateQuery, crash int) gen.MatchSet {
+func runCrashRestart(t *testing.T, w gen.Workload, late *lateQuery, crash int) gen.MatchSet {
 	t.Helper()
 	dir := t.TempDir()
 	ffs := faultfs.New()
@@ -153,7 +125,7 @@ func runCrashRestart(t *testing.T, w gen.Workload, mk engineMaker, late *lateQue
 	union := make(gen.MatchSet)
 	sink := collectSet(&mu, union)
 
-	eng := mk.mk(append(base, streamworks.WithWALFS(ffs))...)
+	eng := streamworks.New(append(base, streamworks.WithWALFS(ffs))...)
 	registerAll(t, eng, w)
 	sub, err := eng.Subscribe("", oncePerRun(t, "the run before the crash", sink))
 	if err != nil {
@@ -172,7 +144,7 @@ func runCrashRestart(t *testing.T, w gen.Workload, mk engineMaker, late *lateQue
 
 	// Restart over the same directory. Recovery must have re-registered the
 	// workload's queries from the log...
-	eng2 := mk.mk(base...)
+	eng2 := streamworks.New(base...)
 	defer eng2.Close()
 	if err := eng2.RegisterQuery(context.Background(), w.Queries[0]); !errors.Is(err, streamworks.ErrDuplicateQuery) {
 		t.Fatalf("re-registering %q after recovery: %v, want ErrDuplicateQuery", w.Queries[0].Name(), err)
@@ -204,13 +176,9 @@ func TestCrashRecoveryExactlyOnceNetflow(t *testing.T) {
 	if len(ref) == 0 {
 		t.Fatal("reference run produced no matches")
 	}
-	for _, mk := range inProcessBackends() {
-		t.Run(mk.name, func(t *testing.T) {
-			union := runCrashRestart(t, w, mk, nil, halfway(w))
-			if !union.Equal(ref) {
-				t.Fatalf("crash-restart union diverged: %d matches, reference %d", len(union), len(ref))
-			}
-		})
+	union := runCrashRestart(t, w, nil, halfway(w))
+	if !union.Equal(ref) {
+		t.Fatalf("crash-restart union diverged: %d matches, reference %d", len(union), len(ref))
 	}
 }
 
@@ -226,22 +194,17 @@ func TestCrashRecoveryExactlyOnceDrift(t *testing.T) {
 	if len(ref) == 0 {
 		t.Fatal("reference run produced no matches")
 	}
-	for _, mk := range inProcessBackends() {
-		t.Run(mk.name, func(t *testing.T) {
-			union := runCrashRestart(t, w, mk, nil, halfway(w))
-			if !union.Equal(ref) {
-				t.Fatalf("crash-restart union diverged: %d matches, reference %d", len(union), len(ref))
-			}
-		})
+	union := runCrashRestart(t, w, nil, halfway(w))
+	if !union.Equal(ref) {
+		t.Fatalf("crash-restart union diverged: %d matches, reference %d", len(union), len(ref))
 	}
 }
 
 // TestCrashRecoveryUnderLateness crashes a stream with stragglers, one edge
 // in six moved back by up to twice the slack, at a batch drawn from a
-// seed. Edges behind the watermark are dropped before they reach a shard,
-// on the run before the crash, by the log's replay and after the restart
-// alike, so the union of both runs is the oracle's set on one shard and on
-// three.
+// seed. Edges behind the watermark are dropped before they reach the
+// engine, on the run before the crash, by the log's replay and after the
+// restart alike, so the union of both runs is the oracle's set.
 func TestCrashRecoveryUnderLateness(t *testing.T) {
 	w := gen.BenchDriftWorkload(3000, 60, time.Second)
 	w.Engine.Slack = 250 * time.Millisecond
@@ -256,13 +219,9 @@ func TestCrashRecoveryUnderLateness(t *testing.T) {
 	if len(ref) == 0 {
 		t.Fatal("the oracle finds no match; the stream proves nothing")
 	}
-	for _, mk := range inProcessBackends() {
-		t.Run(mk.name, func(t *testing.T) {
-			union := runCrashRestart(t, w, mk, nil, crash)
-			if !union.Equal(ref) {
-				t.Fatalf("crash after %d edges: the union of both runs holds %d matches, the oracle %d", crash, len(union), len(ref))
-			}
-		})
+	union := runCrashRestart(t, w, nil, crash)
+	if !union.Equal(ref) {
+		t.Fatalf("crash after %d edges: the union of both runs holds %d matches, the oracle %d", crash, len(union), len(ref))
 	}
 }
 
@@ -285,76 +244,70 @@ func smurfLegs(firstID int, start streamworks.Timestamp) []streamworks.StreamEdg
 	return edges
 }
 
-// TestLateBatchIsNeitherLoggedNorReplayed: on one and two shards, a batch of
-// 64 edges an hour behind the watermark is counted in edges_dropped before
-// the write-ahead append, so the log does not grow by a byte for it, and a
-// crash-restart replays only the in-order batch and recovers the match set
-// it delivered.
+// TestLateBatchIsNeitherLoggedNorReplayed: a batch of 64 edges an hour
+// behind the watermark is counted in edges_dropped before the write-ahead
+// append, so the log does not grow by a byte for it, and a crash-restart
+// replays only the in-order batch and recovers the match set it delivered.
 func TestLateBatchIsNeitherLoggedNorReplayed(t *testing.T) {
 	ctx := context.Background()
 	start := graph.TimestampFromTime(time.Date(2013, 6, 22, 12, 0, 0, 0, time.UTC))
 	inOrder, late := smurfLegs(1, start), smurfLegs(101, start.Add(-time.Hour))
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			dir := t.TempDir()
-			ffs := faultfs.New()
-			base := []streamworks.Option{
-				streamworks.WithEngineConfig(streamworks.EngineConfig{Retention: time.Minute}),
-				streamworks.WithShards(shards),
-				streamworks.WithDataDir(dir),
-				streamworks.WithFsyncPolicy("off"),
-			}
-			var mu sync.Mutex
-			before, after := make(gen.MatchSet), make(gen.MatchSet)
-			eng := streamworks.New(append(base, streamworks.WithWALFS(ffs))...)
-			if err := eng.RegisterQuery(ctx, gen.SmurfQuery(time.Minute)); err != nil {
-				t.Fatal(err)
-			}
-			sub, err := eng.Subscribe("", collectSet(&mu, before))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.ProcessBatch(ctx, inOrder); err != nil {
-				t.Fatal(err)
-			}
-			logged := eng.Durability().Bytes
-			lateCopy := slices.Clone(late)
-			if err := eng.ProcessBatch(ctx, late); err != nil {
-				t.Fatal(err)
-			}
-			if grown := eng.Durability().Bytes - logged; grown != 0 {
-				t.Errorf("the log grew by %d bytes for a batch of late edges", grown)
-			}
-			if !reflect.DeepEqual(late, lateCopy) {
-				t.Errorf("ProcessBatch changed the caller's batch")
-			}
-			if m, _ := eng.Metrics(ctx); m.EdgesDropped != 64 || m.EdgesProcessed != 64 {
-				t.Errorf("%d edges dropped and %d processed, want 64 and 64", m.EdgesDropped, m.EdgesProcessed)
-			}
-			if err := eng.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			ffs.CrashNow()
-			eng.Close()
-			<-sub.Done()
+	dir := t.TempDir()
+	ffs := faultfs.New()
+	base := []streamworks.Option{
+		streamworks.WithEngineConfig(streamworks.EngineConfig{Retention: time.Minute}),
+		streamworks.WithDataDir(dir),
+		streamworks.WithFsyncPolicy("off"),
+	}
+	var mu sync.Mutex
+	before, after := make(gen.MatchSet), make(gen.MatchSet)
+	eng := streamworks.New(append(base, streamworks.WithWALFS(ffs))...)
+	if err := eng.RegisterQuery(ctx, gen.SmurfQuery(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := eng.Subscribe("", collectSet(&mu, before))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.ProcessBatch(ctx, inOrder); err != nil {
+		t.Fatal(err)
+	}
+	logged := eng.Durability().Bytes
+	lateCopy := slices.Clone(late)
+	if err := eng.ProcessBatch(ctx, late); err != nil {
+		t.Fatal(err)
+	}
+	if grown := eng.Durability().Bytes - logged; grown != 0 {
+		t.Errorf("the log grew by %d bytes for a batch of late edges", grown)
+	}
+	if !reflect.DeepEqual(late, lateCopy) {
+		t.Errorf("ProcessBatch changed the caller's batch")
+	}
+	if m, _ := eng.Metrics(ctx); m.EdgesDropped != 64 || m.EdgesProcessed != 64 {
+		t.Errorf("%d edges dropped and %d processed, want 64 and 64", m.EdgesDropped, m.EdgesProcessed)
+	}
+	if err := eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ffs.CrashNow()
+	eng.Close()
+	<-sub.Done()
 
-			eng2 := streamworks.New(base...)
-			defer eng2.Close()
-			sub2, err := eng2.Subscribe("", collectSet(&mu, after))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m, _ := eng2.Metrics(ctx); m.EdgesDropped != 0 || m.EdgesProcessed != 64 {
-				t.Errorf("recovery replayed %d edges and dropped %d, want the 64 in order and none", m.EdgesProcessed, m.EdgesDropped)
-			}
-			eng2.Close()
-			<-sub2.Done()
-			mu.Lock()
-			defer mu.Unlock()
-			if len(before) != 32 || !after.Equal(before) {
-				t.Errorf("%d matches delivered before the crash, %d recovered after it; want the same 32", len(before), len(after))
-			}
-		})
+	eng2 := streamworks.New(base...)
+	defer eng2.Close()
+	sub2, err := eng2.Subscribe("", collectSet(&mu, after))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, _ := eng2.Metrics(ctx); m.EdgesDropped != 0 || m.EdgesProcessed != 64 {
+		t.Errorf("recovery replayed %d edges and dropped %d, want the 64 in order and none", m.EdgesProcessed, m.EdgesDropped)
+	}
+	eng2.Close()
+	<-sub2.Done()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(before) != 32 || !after.Equal(before) {
+		t.Errorf("%d matches delivered before the crash, %d recovered after it; want the same 32", len(before), len(after))
 	}
 }
 
@@ -383,33 +336,29 @@ func TestCrashRecoveryMidStreamRegistration(t *testing.T) {
 	// oldest retained one does not.
 	late := &lateQuery{q: w.Queries[0], at: 2496}
 	w.Queries = w.Queries[1:]
-	for _, mk := range inProcessBackends() {
-		t.Run(mk.name, func(t *testing.T) {
-			var mu sync.Mutex
-			ref := make(gen.MatchSet)
-			eng := mk.mk(streamworks.WithEngineConfig(w.Engine))
-			registerAll(t, eng, w)
-			sub, err := eng.Subscribe("", oncePerRun(t, "the uninterrupted run", collectSet(&mu, ref)))
-			if err != nil {
-				t.Fatalf("Subscribe: %v", err)
-			}
-			streamWithLate(t, eng, w, 0, len(w.Edges), 64, late)
-			eng.Close()
-			<-sub.Done()
-			lateMatches := 0
-			for k := range ref {
-				if strings.HasPrefix(k, late.q.Name()+"\x1f") {
-					lateMatches++
-				}
-			}
-			if lateMatches == 0 {
-				t.Fatalf("the uninterrupted run produced no %s match", late.q.Name())
-			}
-			union := runCrashRestart(t, w, mk, late, halfway(w))
-			if !union.Equal(ref) {
-				t.Fatalf("crash-restart union diverged: %d matches, uninterrupted run %d", len(union), len(ref))
-			}
-		})
+	var mu sync.Mutex
+	ref := make(gen.MatchSet)
+	eng := streamworks.New(streamworks.WithEngineConfig(w.Engine))
+	registerAll(t, eng, w)
+	sub, err := eng.Subscribe("", oncePerRun(t, "the uninterrupted run", collectSet(&mu, ref)))
+	if err != nil {
+		t.Fatalf("Subscribe: %v", err)
+	}
+	streamWithLate(t, eng, w, 0, len(w.Edges), 64, late)
+	eng.Close()
+	<-sub.Done()
+	lateMatches := 0
+	for k := range ref {
+		if strings.HasPrefix(k, late.q.Name()+"\x1f") {
+			lateMatches++
+		}
+	}
+	if lateMatches == 0 {
+		t.Fatalf("the uninterrupted run produced no %s match", late.q.Name())
+	}
+	union := runCrashRestart(t, w, late, halfway(w))
+	if !union.Equal(ref) {
+		t.Fatalf("crash-restart union diverged: %d matches, uninterrupted run %d", len(union), len(ref))
 	}
 }
 
@@ -423,63 +372,59 @@ func TestGracefulRestartNoRedelivery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
-	for _, mk := range inProcessBackends() {
-		t.Run(mk.name, func(t *testing.T) {
-			dir := t.TempDir()
-			base := []streamworks.Option{
-				streamworks.WithEngineConfig(w.Engine),
-				streamworks.WithDataDir(dir),
-				streamworks.WithFsyncPolicy("off"),
-			}
-			var mu sync.Mutex
-			first, second := make(gen.MatchSet), make(gen.MatchSet)
+	dir := t.TempDir()
+	base := []streamworks.Option{
+		streamworks.WithEngineConfig(w.Engine),
+		streamworks.WithDataDir(dir),
+		streamworks.WithFsyncPolicy("off"),
+	}
+	var mu sync.Mutex
+	first, second := make(gen.MatchSet), make(gen.MatchSet)
 
-			const batch = 64
-			half := (len(w.Edges) / 2 / batch) * batch
-			eng := mk.mk(base...)
-			registerAll(t, eng, w)
-			sub, err := eng.Subscribe("", collectSet(&mu, first))
-			if err != nil {
-				t.Fatalf("Subscribe: %v", err)
-			}
-			streamBatches(t, eng, w, 0, half, batch)
-			eng.Close()
-			<-sub.Done()
+	const batch = 64
+	half := (len(w.Edges) / 2 / batch) * batch
+	eng := streamworks.New(base...)
+	registerAll(t, eng, w)
+	sub, err := eng.Subscribe("", collectSet(&mu, first))
+	if err != nil {
+		t.Fatalf("Subscribe: %v", err)
+	}
+	streamBatches(t, eng, w, 0, half, batch)
+	eng.Close()
+	<-sub.Done()
 
-			eng2 := mk.mk(base...)
-			defer eng2.Close()
-			sub2, err := eng2.Subscribe("", collectSet(&mu, second))
-			if err != nil {
-				t.Fatalf("Subscribe after restart: %v", err)
-			}
-			// A graceful shutdown leaves no backlog: nothing may have been
-			// delivered by the act of subscribing.
-			mu.Lock()
-			backlog := len(second)
-			mu.Unlock()
-			if backlog != 0 {
-				t.Fatalf("graceful restart redelivered %d matches on subscribe", backlog)
-			}
-			streamBatches(t, eng2, w, half, len(w.Edges), batch)
-			eng2.Close()
-			<-sub2.Done()
+	eng2 := streamworks.New(base...)
+	defer eng2.Close()
+	sub2, err := eng2.Subscribe("", collectSet(&mu, second))
+	if err != nil {
+		t.Fatalf("Subscribe after restart: %v", err)
+	}
+	// A graceful shutdown leaves no backlog: nothing may have been
+	// delivered by the act of subscribing.
+	mu.Lock()
+	backlog := len(second)
+	mu.Unlock()
+	if backlog != 0 {
+		t.Fatalf("graceful restart redelivered %d matches on subscribe", backlog)
+	}
+	streamBatches(t, eng2, w, half, len(w.Edges), batch)
+	eng2.Close()
+	<-sub2.Done()
 
-			mu.Lock()
-			defer mu.Unlock()
-			union := make(gen.MatchSet)
-			for k := range first {
-				union[k] = struct{}{}
-			}
-			for k := range second {
-				if _, dup := first[k]; dup {
-					t.Errorf("match redelivered across graceful restart: %q", k)
-				}
-				union[k] = struct{}{}
-			}
-			if !union.Equal(ref) {
-				t.Fatalf("graceful-restart union diverged: %d matches, reference %d", len(union), len(ref))
-			}
-		})
+	mu.Lock()
+	defer mu.Unlock()
+	union := make(gen.MatchSet)
+	for k := range first {
+		union[k] = struct{}{}
+	}
+	for k := range second {
+		if _, dup := first[k]; dup {
+			t.Errorf("match redelivered across graceful restart: %q", k)
+		}
+		union[k] = struct{}{}
+	}
+	if !union.Equal(ref) {
+		t.Fatalf("graceful-restart union diverged: %d matches, reference %d", len(union), len(ref))
 	}
 }
 
@@ -493,61 +438,56 @@ func TestCancelledBatchThenCloseNoRedelivery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
-	for _, mk := range inProcessBackends() {
-		t.Run(mk.name, func(t *testing.T) {
-			base := []streamworks.Option{
-				streamworks.WithEngineConfig(w.Engine),
-				streamworks.WithDataDir(t.TempDir()),
-				streamworks.WithFsyncPolicy("off"),
-			}
-			var mu sync.Mutex
-			first, second := make(gen.MatchSet), make(gen.MatchSet)
+	base := []streamworks.Option{
+		streamworks.WithEngineConfig(w.Engine),
+		streamworks.WithDataDir(t.TempDir()),
+		streamworks.WithFsyncPolicy("off"),
+	}
+	var mu sync.Mutex
+	first, second := make(gen.MatchSet), make(gen.MatchSet)
 
-			eng := mk.mk(base...)
-			registerAll(t, eng, w)
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			record := collectSet(&mu, first)
-			sub, err := eng.Subscribe("", streamworks.SinkFunc(func(m streamworks.Match) {
-				record.OnMatch(m)
-				cancel() // mid-batch, with a match delivered
-			}))
-			if err != nil {
-				t.Fatalf("Subscribe: %v", err)
-			}
-			half := len(w.Edges) / 2
-			// One shard must stop at the cancellation; more route ahead of
-			// delivery and may have handed the whole batch over by then.
-			err = eng.ProcessBatch(ctx, w.Edges[:half])
-			if !errors.Is(err, context.Canceled) && (err != nil || mk.name == "local") {
-				t.Fatalf("ProcessBatch under a context cancelled by the sink: %v", err)
-			}
-			eng.Close()
-			<-sub.Done()
-			if len(first) == 0 {
-				t.Fatal("nothing was delivered before the cancellation")
-			}
+	eng := streamworks.New(base...)
+	registerAll(t, eng, w)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	record := collectSet(&mu, first)
+	sub, err := eng.Subscribe("", streamworks.SinkFunc(func(m streamworks.Match) {
+		record.OnMatch(m)
+		cancel() // mid-batch, with a match delivered
+	}))
+	if err != nil {
+		t.Fatalf("Subscribe: %v", err)
+	}
+	half := len(w.Edges) / 2
+	// The engine stops at the cancellation.
+	err = eng.ProcessBatch(ctx, w.Edges[:half])
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("ProcessBatch under a context cancelled by the sink: %v", err)
+	}
+	eng.Close()
+	<-sub.Done()
+	if len(first) == 0 {
+		t.Fatal("nothing was delivered before the cancellation")
+	}
 
-			eng2 := mk.mk(base...)
-			defer eng2.Close()
-			sub2, err := eng2.Subscribe("", collectSet(&mu, second))
-			if err != nil {
-				t.Fatalf("Subscribe after restart: %v", err)
-			}
-			streamBatches(t, eng2, w, half, len(w.Edges), 64)
-			eng2.Close()
-			<-sub2.Done()
+	eng2 := streamworks.New(base...)
+	defer eng2.Close()
+	sub2, err := eng2.Subscribe("", collectSet(&mu, second))
+	if err != nil {
+		t.Fatalf("Subscribe after restart: %v", err)
+	}
+	streamBatches(t, eng2, w, half, len(w.Edges), 64)
+	eng2.Close()
+	<-sub2.Done()
 
-			for k := range first {
-				if _, dup := second[k]; dup {
-					t.Errorf("match redelivered after a graceful restart: %q", k)
-				}
-				second[k] = struct{}{}
-			}
-			if !second.Equal(ref) {
-				t.Fatalf("both runs delivered %d matches, reference %d", len(second), len(ref))
-			}
-		})
+	for k := range first {
+		if _, dup := second[k]; dup {
+			t.Errorf("match redelivered after a graceful restart: %q", k)
+		}
+		second[k] = struct{}{}
+	}
+	if !second.Equal(ref) {
+		t.Fatalf("both runs delivered %d matches, reference %d", len(second), len(ref))
 	}
 }
 
@@ -692,65 +632,61 @@ func TestShortWriteLeavesRecoverableTornTail(t *testing.T) {
 // it enters.
 func TestBacklogNeverOverlapsLiveDelivery(t *testing.T) {
 	w := acceptanceWorkload(t)
-	for _, mk := range inProcessBackends() {
-		t.Run(mk.name, func(t *testing.T) {
-			base := []streamworks.Option{
-				streamworks.WithEngineConfig(w.Engine),
-				streamworks.WithDataDir(t.TempDir()),
-				streamworks.WithFsyncPolicy("off"),
-			}
-			half := len(w.Edges) / 2
-			ffs := faultfs.New()
-			eng := mk.mk(append(base, streamworks.WithWALFS(ffs))...)
-			registerAll(t, eng, w)
-			streamBatches(t, eng, w, 0, half, 64)
-			ffs.CrashNow() // no checkpoint: every match so far is recovered undelivered
-			eng.Close()
+	base := []streamworks.Option{
+		streamworks.WithEngineConfig(w.Engine),
+		streamworks.WithDataDir(t.TempDir()),
+		streamworks.WithFsyncPolicy("off"),
+	}
+	half := len(w.Edges) / 2
+	ffs := faultfs.New()
+	eng := streamworks.New(append(base, streamworks.WithWALFS(ffs))...)
+	registerAll(t, eng, w)
+	streamBatches(t, eng, w, 0, half, 64)
+	ffs.CrashNow() // no checkpoint: every match so far is recovered undelivered
+	eng.Close()
 
-			eng2 := mk.mk(base...)
-			defer eng2.Close()
-			var (
-				inside     atomic.Int32
-				overlapped = make(chan struct{})
-				first      sync.Once
-				started    atomic.Bool
-				ingested   = make(chan error, 1)
-			)
-			sub, err := eng2.Subscribe("", streamworks.SinkFunc(func(streamworks.Match) {
-				if inside.Add(1) > 1 {
-					select {
-					case <-overlapped:
-					default:
-						close(overlapped)
-					}
-				}
-				first.Do(func() {
-					started.Store(true)
-					go func() { ingested <- eng2.ProcessBatch(context.Background(), w.Edges[half:]) }()
-					select {
-					case <-overlapped:
-					case <-time.After(500 * time.Millisecond):
-					}
-				})
-				inside.Add(-1)
-			}))
-			if err != nil {
-				t.Fatalf("Subscribe after restart: %v", err)
-			}
-			if !started.Load() {
-				t.Fatal("no recovered backlog was delivered on Subscribe")
-			}
-			if err := <-ingested; err != nil {
-				t.Fatalf("ProcessBatch: %v", err)
-			}
-			eng2.Close()
-			<-sub.Done()
+	eng2 := streamworks.New(base...)
+	defer eng2.Close()
+	var (
+		inside     atomic.Int32
+		overlapped = make(chan struct{})
+		first      sync.Once
+		started    atomic.Bool
+		ingested   = make(chan error, 1)
+	)
+	sub, err := eng2.Subscribe("", streamworks.SinkFunc(func(streamworks.Match) {
+		if inside.Add(1) > 1 {
 			select {
 			case <-overlapped:
-				t.Fatal("a live delivery entered the sink while it held a backlog match")
 			default:
+				close(overlapped)
+			}
+		}
+		first.Do(func() {
+			started.Store(true)
+			go func() { ingested <- eng2.ProcessBatch(context.Background(), w.Edges[half:]) }()
+			select {
+			case <-overlapped:
+			case <-time.After(500 * time.Millisecond):
 			}
 		})
+		inside.Add(-1)
+	}))
+	if err != nil {
+		t.Fatalf("Subscribe after restart: %v", err)
+	}
+	if !started.Load() {
+		t.Fatal("no recovered backlog was delivered on Subscribe")
+	}
+	if err := <-ingested; err != nil {
+		t.Fatalf("ProcessBatch: %v", err)
+	}
+	eng2.Close()
+	<-sub.Done()
+	select {
+	case <-overlapped:
+		t.Fatal("a live delivery entered the sink while it held a backlog match")
+	default:
 	}
 }
 
@@ -765,7 +701,7 @@ func TestShardedFlushBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
-	eng := streamworks.New(streamworks.WithEngineConfig(w.Engine), streamworks.WithShards(3))
+	eng := streamworks.New(streamworks.WithEngineConfig(w.Engine))
 	defer eng.Close()
 	registerAll(t, eng, w)
 	var mu sync.Mutex
@@ -810,26 +746,22 @@ func TestRecoveryKeepsEachQuerysPlanSettings(t *testing.T) {
 		worm.Name():  {Strategy: "selective"},
 	}
 	ctx := context.Background()
-	for _, mk := range inProcessBackends() {
-		t.Run(mk.name, func(t *testing.T) {
-			dir := t.TempDir()
-			eng := mk.mk(streamworks.WithDataDir(dir))
-			if err := eng.RegisterQueryWith(ctx, smurf, streamworks.RegisterOptions{Strategy: "lazy"}); err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.RegisterQuery(ctx, worm); err != nil {
-				t.Fatal(err)
-			}
-			if got := planSettings(t, eng); !reflect.DeepEqual(got, want) {
-				t.Fatalf("before the restart: %v, want %v", got, want)
-			}
-			eng.Close()
-			eng = mk.mk(streamworks.WithDataDir(dir))
-			defer eng.Close()
-			if got := planSettings(t, eng); !reflect.DeepEqual(got, want) {
-				t.Fatalf("after the restart: %v, want %v", got, want)
-			}
-		})
+	dir := t.TempDir()
+	eng := streamworks.New(streamworks.WithDataDir(dir))
+	if err := eng.RegisterQueryWith(ctx, smurf, streamworks.RegisterOptions{Strategy: "lazy"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RegisterQuery(ctx, worm); err != nil {
+		t.Fatal(err)
+	}
+	if got := planSettings(t, eng); !reflect.DeepEqual(got, want) {
+		t.Fatalf("before the restart: %v, want %v", got, want)
+	}
+	eng.Close()
+	eng = streamworks.New(streamworks.WithDataDir(dir))
+	defer eng.Close()
+	if got := planSettings(t, eng); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the restart: %v, want %v", got, want)
 	}
 
 	// The payloads such a log wrote for a fresh engine's first segment and,

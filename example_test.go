@@ -65,38 +65,6 @@ func ExampleNew() {
 	// Output: icmp-echo matched: 2 vertices bound, 2 edges
 }
 
-// ExampleNew_sharded runs the same workload on two shards of the in-process
-// backend: identical API, each match pushed once, by the shard that owns
-// it, on that shard's goroutine.
-func ExampleNew_sharded() {
-	ctx := context.Background()
-	q, err := streamworks.ParseQuery(echoQuery)
-	if err != nil {
-		panic(err)
-	}
-
-	eng := streamworks.New(streamworks.WithShards(2),
-		streamworks.WithEngineConfig(streamworks.EngineConfig{Retention: time.Minute}))
-	defer eng.Close()
-	if err := eng.RegisterQuery(ctx, q); err != nil {
-		panic(err)
-	}
-	matches := 0
-	sub, err := eng.Subscribe("", streamworks.SinkFunc(func(streamworks.Match) { matches++ }))
-	if err != nil {
-		panic(err)
-	}
-
-	base := streamworks.TimestampFromTime(time.Date(2013, 6, 22, 0, 0, 0, 0, time.UTC))
-	if err := eng.ProcessBatch(ctx, echoEdges(base)); err != nil {
-		panic(err)
-	}
-	eng.Close()
-	<-sub.Done() // matches is safe to read once Done closes
-	fmt.Printf("sharded run delivered %d deduplicated match(es)\n", matches)
-	// Output: sharded run delivered 1 deduplicated match(es)
-}
-
 // ExampleConnect drives a streamworksd daemon over HTTP through the same
 // Engine interface. Here the daemon runs in-process on an httptest
 // listener; in production it is `streamworksd -addr :8090`.

@@ -21,8 +21,6 @@ type HealthResponse struct {
 	Status string `json:"status"`
 	// Version is the API generation (Version).
 	Version string `json:"version"`
-	// Shards is the number of engine shards behind this daemon.
-	Shards int `json:"shards"`
 	// UptimeSeconds is the time since the serving layer started.
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// GoVersion is the daemon's runtime.Version() — which toolchain built
@@ -48,7 +46,7 @@ type RegisterOptions struct {
 }
 
 // RegisterResponse summarizes a successful query registration: the query
-// shape and the plan settings it was registered with. The plan each shard
+// shape and the plan settings it was registered with. The plan the engine
 // actually runs is reported per query on GET /v1/metrics.
 type RegisterResponse struct {
 	Name     string `json:"name"`
@@ -69,7 +67,7 @@ type QueryInfo struct {
 // IngestResponse reports how an edge batch was handled.
 type IngestResponse struct {
 	// Accepted is the number of edges admitted: decoded and queued (async)
-	// or routed to the shards (wait=1).
+	// or processed by the engine (wait=1).
 	Accepted int `json:"accepted"`
 	// Queued is true when the batch was accepted asynchronously and is still
 	// in (or being drained from) the ingest queue.
@@ -80,8 +78,8 @@ type IngestResponse struct {
 }
 
 // AdvanceRequest is the body of POST /v1/advance: an explicit stream-time
-// signal (nanoseconds, same clock as edge timestamps) broadcast to every
-// shard, driving window expiry and pruning between sparse batches.
+// signal (nanoseconds, same clock as edge timestamps) to the engine,
+// driving window expiry and pruning between sparse batches.
 type AdvanceRequest struct {
 	TS int64 `json:"ts"`
 }
@@ -121,17 +119,14 @@ type WALMetrics struct {
 	RecoveryBacklog uint64 `json:"recovery_backlog" metric:"wal_recovery_backlog"`
 }
 
-// MetricsResponse is the GET /v1/metrics payload: the aggregated engine
-// view, each shard's raw counters (an edge counted on every shard sent it,
-// a match on the shard holding its query), and the serving-layer counters. Every
-// section is a rendering of one merged snapshot, taken once, which Obs
-// carries.
+// MetricsResponse is the GET /v1/metrics payload: the engine view and the
+// serving-layer counters. Every section is a rendering of one merged
+// snapshot, taken once, which Obs carries.
 type MetricsResponse struct {
-	Engine core.Metrics   `json:"engine"`
-	Shards []core.Metrics `json:"shards"`
-	Server ServerMetrics  `json:"server"`
+	Engine core.Metrics  `json:"engine"`
+	Server ServerMetrics `json:"server"`
 	// Obs is the merged registry snapshot of every tier — the server, the
-	// shard front-end, each shard worker and the WAL — that the
+	// engine and the WAL — that the
 	// other sections were read from: every counter and gauge, plus the
 	// latency histograms (with precomputed summaries) when the daemon runs
 	// with observability on. Always present.

@@ -127,7 +127,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path, contentType string
 }
 
 // Health probes /healthz and returns the daemon's self-description: API
-// version, shard count and uptime. A draining or unreachable daemon returns
+// version and uptime. A draining or unreachable daemon returns
 // an error.
 func (c *Client) Health(ctx context.Context) (*api.HealthResponse, error) {
 	var out api.HealthResponse
@@ -178,7 +178,7 @@ func (c *Client) Queries(ctx context.Context) ([]api.QueryInfo, error) {
 }
 
 // IngestBatch encodes edges as NDJSON (the loader wire format) and posts
-// them. wait=true blocks until the batch has been routed to the shards;
+// them. wait=true blocks until the engine has processed the batch;
 // wait=false returns as soon as the batch is queued. A full ingest queue
 // surfaces as an *APIError with status 429 (check with IsOverloaded); any
 // failure IsRetryable accepts may be retried by re-posting the same batch.
@@ -206,14 +206,14 @@ func (c *Client) IngestBatch(ctx context.Context, edges []graph.StreamEdge, wait
 	return &out, nil
 }
 
-// Advance broadcasts an explicit stream-time signal to every shard.
+// Advance sends an explicit stream-time signal to the engine.
 func (c *Client) Advance(ctx context.Context, ts graph.Timestamp) error {
 	body, _ := json.Marshal(api.AdvanceRequest{TS: int64(ts)})
 	return c.roundTrip(ctx, http.MethodPost, "/v1/advance", "application/json",
 		bytes.NewReader(body), nil)
 }
 
-// Metrics fetches engine, per-shard and serving-layer counters.
+// Metrics fetches engine and serving-layer counters.
 func (c *Client) Metrics(ctx context.Context) (*api.MetricsResponse, error) {
 	var out api.MetricsResponse
 	if err := c.roundTrip(ctx, http.MethodGet, "/v1/metrics", "", nil, &out); err != nil {

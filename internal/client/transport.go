@@ -233,7 +233,7 @@ func (es *EdgeStream) SendBatch(ctx context.Context, edges []graph.StreamEdge) (
 
 // Close ends the session body and waits for the server's last answer. The
 // response's Accepted is the authoritative count of edges the session got
-// routed to the shards.
+// to the engine.
 func (es *EdgeStream) Close() (*api.IngestResponse, error) {
 	es.pw.Close()
 	defer es.cancel()

@@ -124,8 +124,7 @@ type Config struct {
 }
 
 // Engine is the continuous query processor. It is not safe for concurrent
-// use; callers stream edges from a single goroutine (shard streams across
-// engines for parallelism).
+// use; callers stream edges from a single goroutine.
 type Engine struct {
 	cfg     Config
 	dyn     *graph.Dynamic
@@ -254,8 +253,13 @@ func (e *Engine) RegisterQuery(q *query.Graph, opts ...RegistrationOption) (*mqo
 	if err != nil {
 		return nil, fmt.Errorf("core: planning %q: %w", name, err)
 	}
-	if err := e.ExtendRetention(q.Window()); err != nil {
-		return nil, fmt.Errorf("registering %q: %w", name, err)
+	// The graph's window widens for the query's (graph.Clock.Extend), and
+	// refuses to once an edge has been admitted rather than risk missed
+	// matches. Window-less queries, whose window is the retention, widen
+	// with it.
+	if !e.dyn.Extend(q.Window()) {
+		return nil, fmt.Errorf("registering %q: %w: query window %s exceeds retention %s after %d edges",
+			name, ErrRetentionTooSmall, q.Window(), e.dyn.Window(), e.dyn.AddedTotal())
 	}
 	// The query's series lives as long as its registration:
 	// UnregisterQuery forgets it.
@@ -322,20 +326,6 @@ func (e *Engine) UnregisterQuery(name string) error {
 	return nil
 }
 
-// ExtendRetention widens the graph's window for a query of window w
-// (graph.Clock.Extend), as registering the query does, and fails with
-// ErrRetentionTooSmall once an edge has been admitted rather than risk
-// missed matches. Window-less queries, whose window is the retention, widen
-// with it. A sharded front-end calls it on the shards a query does not live
-// on, so every shard keeps the same window.
-func (e *Engine) ExtendRetention(w time.Duration) error {
-	if !e.dyn.Extend(w) {
-		return fmt.Errorf("%w: query window %s exceeds retention %s after %d edges",
-			ErrRetentionTooSmall, w, e.dyn.Window(), e.dyn.AddedTotal())
-	}
-	return nil
-}
-
 // Subscribe sets the engine's one sink: it receives every complete match of
 // the query named by queryFilter ("" for every query) as it is emitted,
 // before ProcessEdge returns it, in place of any sink set before (nil sets
@@ -393,9 +383,7 @@ func (e *Engine) ProcessEdge(se graph.StreamEdge) []MatchEvent {
 // Advance signals the passage of stream time to ts in the absence of edges:
 // the dynamic graph's watermark moves forward (trailing ts by the configured
 // slack, exactly as edge ingestion would), expiring out-of-window edges, and
-// partial matches that can no longer complete are pruned. Sharded front-ends
-// broadcast watermarks through this hook so that idle shards keep expiring
-// and pruning at the same pace as the shards receiving edges.
+// partial matches that can no longer complete are pruned.
 func (e *Engine) Advance(ts graph.Timestamp) {
 	before := e.dyn.Watermark()
 	e.dyn.AdvanceTo(ts)

@@ -43,9 +43,7 @@ type Metrics struct {
 	// Queries holds per-registration detail.
 	Queries []QueryMetrics
 	// MQO is the evaluation DAG's snapshot, the one place per-node
-	// statistics live. Per-node stats are keyed by canonical signature; a
-	// sharded front-end, whose shards each hold their own queries' DAG and
-	// may each hold a node of one signature, folds them with mqo.MergeStats.
+	// statistics live. Per-node stats are keyed by canonical signature.
 	MQO mqo.Stats
 }
 
@@ -67,9 +65,7 @@ type QueryMetrics struct {
 }
 
 // FillMetrics sets every count of m — the engine totals, the DAG's and each
-// listed query's own — from a registry snapshot: one engine's, or the merge
-// of a sharded engine's tiers. A sharded engine's view then reads the
-// front-end's series for what must not be summed over workers.
+// listed query's own — from a registry snapshot of the engine.
 func FillMetrics(m *Metrics, s obs.Snapshot) {
 	obs.Fill(m, s, "")
 	obs.Fill(&m.MQO, s, "")

@@ -17,9 +17,7 @@ import (
 )
 
 // Workload bundles a named, time-ordered edge stream with the continuous
-// queries evaluated over it and an engine configuration sized for it. It is
-// the unit the sharded driver replays when comparing single-engine and
-// N-shard runs.
+// queries evaluated over it and an engine configuration sized for it.
 type Workload struct {
 	Name    string
 	Edges   []graph.StreamEdge
@@ -272,7 +270,7 @@ func Oracle(w Workload) MatchSet {
 }
 
 // RunEngine replays the workload through an in-process public
-// streamworks.Engine (New, on any shard count): it registers the workload's
+// streamworks.Engine (New): it registers the workload's
 // queries with its plan settings, subscribes to every match, streams the edges and closes the
 // engine, returning the canonical match set, or an error when a match was
 // sent to its query twice. Its drain protocol — Close,
@@ -348,16 +346,10 @@ func runEngine(eng streamworks.Engine, w Workload, moves []int) (MatchSet, error
 	return set, nil
 }
 
-// RunSingle replays the workload through the public in-process backend on
-// one shard (streamworks.New) and returns the canonical match set and final
-// metrics.
-func RunSingle(w Workload) (MatchSet, core.Metrics, error) { return RunSharded(w, 1) }
-
-// RunSharded replays the workload through the public in-process backend
-// (streamworks.New) with the given shard count and returns the
-// deduplicated canonical match set and the aggregated metrics.
-func RunSharded(w Workload, shards int) (MatchSet, core.Metrics, error) {
-	eng := streamworks.New(streamworks.WithEngineConfig(w.Engine), streamworks.WithShards(shards))
+// RunSingle replays the workload through the public in-process backend
+// (streamworks.New) and returns the canonical match set and final metrics.
+func RunSingle(w Workload) (MatchSet, core.Metrics, error) {
+	eng := streamworks.New(streamworks.WithEngineConfig(w.Engine))
 	set, err := RunEngine(eng, w)
 	if err != nil {
 		return nil, core.Metrics{}, err

@@ -48,7 +48,7 @@ func TestNetFlowWorkloadComposition(t *testing.T) {
 	}
 }
 
-func TestRunSingleAndShardedAgreeOnTinyWorkload(t *testing.T) {
+func TestRunSingleMatchesOracleOnTinyWorkload(t *testing.T) {
 	w := tinyNetflowWorkload()
 	single, sm, err := RunSingle(w)
 	if err != nil {
@@ -60,12 +60,8 @@ func TestRunSingleAndShardedAgreeOnTinyWorkload(t *testing.T) {
 	if sm.EdgesProcessed == 0 {
 		t.Fatalf("single metrics empty: %+v", sm)
 	}
-	sharded, _, err := RunSharded(w, 2)
-	if err != nil {
-		t.Fatalf("RunSharded: %v", err)
-	}
-	if !single.Equal(sharded) {
-		t.Fatalf("driver runs disagree: single %d vs sharded %d matches", len(single), len(sharded))
+	if ref := Oracle(w); !single.Equal(ref) {
+		t.Fatalf("RunSingle found %d matches, the oracle %d", len(single), len(ref))
 	}
 }
 

@@ -6,8 +6,7 @@ package gen
 // pattern, no decomposition, no stored state). This is the safety net for all
 // planner work — a decomposition (or moving a query to another plan
 // mid-stream by re-registering it) is free to change HOW matches are found,
-// never WHICH matches are found. Run under -race in CI, the sharded cells
-// double as a concurrency check.
+// never WHICH matches are found.
 
 import (
 	"context"
@@ -46,19 +45,16 @@ func TestCrossStrategyEquivalenceMatrix(t *testing.T) {
 	}
 	type mode struct {
 		name       string
-		shards     int  // 0 = single engine
 		reregister bool // queries move to other strategies mid-stream
 		obs        bool // latency histograms on
 	}
 	modes := []mode{
-		{"single", 0, false, false},
-		{"single-reregister", 0, true, false},
-		{"sharded2", 2, false, false},
-		{"sharded2-reregister", 2, true, false},
+		{"single", false, false},
+		{"single-reregister", true, false},
 		// Observability cells: the latency histograms are free to change
 		// HOW the run is recorded, never WHICH matches it finds.
-		{"single-obs", 0, false, true},
-		{"sharded2-reregister-obs", 2, true, true},
+		{"single-obs", false, true},
+		{"single-reregister-obs", true, true},
 	}
 	for _, w := range workloads {
 		w := w
@@ -76,13 +72,7 @@ func TestCrossStrategyEquivalenceMatrix(t *testing.T) {
 						w := w
 						w.Register = streamworks.RegisterOptions{Strategy: string(strat)}
 						w.Engine.Obs.Enabled = m.obs
-						opts := []streamworks.Option{streamworks.WithEngineConfig(w.Engine)}
-						var eng streamworks.Engine
-						if m.shards == 0 {
-							eng = streamworks.New(opts...)
-						} else {
-							eng = streamworks.New(append(opts, streamworks.WithShards(m.shards))...)
-						}
+						eng := streamworks.New(streamworks.WithEngineConfig(w.Engine))
 						run := RunEngine
 						if m.reregister {
 							run = RunReregistering
@@ -209,9 +199,9 @@ func TestLateRegistrationPlansFromTheWindow(t *testing.T) {
 }
 
 // TestObservabilityParity pins that instrumentation changes how a run is
-// recorded, never which matches it finds: with the latency histograms on, one
-// engine and two shards deliver the uninstrumented match set. (The matrix
-// above covers observability across strategies.)
+// recorded, never which matches it finds: with the latency histograms on,
+// the engine delivers the uninstrumented match set. (The matrix above covers
+// observability across strategies.)
 func TestObservabilityParity(t *testing.T) {
 	w := BenchNetFlowWorkload(4000, 200, 10*time.Second)
 	ref, _, err := RunSingle(w)
@@ -221,24 +211,13 @@ func TestObservabilityParity(t *testing.T) {
 	if len(ref) == 0 {
 		t.Fatalf("reference run found no matches; the workload proves nothing")
 	}
-	for _, shards := range []int{0, 2} {
-		for _, histograms := range []bool{false, true} {
-			w := w
-			w.Engine.Obs.Enabled = histograms
-			var set MatchSet
-			if shards == 0 {
-				set, _, err = RunSingle(w)
-			} else {
-				set, _, err = RunSharded(w, shards)
-			}
-			if err != nil {
-				t.Fatalf("shards=%d histograms=%t: %v", shards, histograms, err)
-			}
-			if !set.Equal(ref) {
-				t.Errorf("shards=%d histograms=%t: %d matches, uninstrumented single engine found %d",
-					shards, histograms, len(set), len(ref))
-			}
-		}
+	w.Engine.Obs.Enabled = true
+	set, _, err := RunSingle(w)
+	if err != nil {
+		t.Fatalf("histograms on: %v", err)
+	}
+	if !set.Equal(ref) {
+		t.Errorf("histograms on: %d matches, uninstrumented run found %d", len(set), len(ref))
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"github.com/streamworks/streamworks/internal/isomorphism"
 	"github.com/streamworks/streamworks/internal/mqo"
 	"github.com/streamworks/streamworks/internal/query"
-	"github.com/streamworks/streamworks/internal/shard"
 	"github.com/streamworks/streamworks/internal/sjtree"
 	"github.com/streamworks/streamworks/internal/stats"
 )
@@ -98,7 +97,7 @@ func randomWorkload(seed int64) Workload {
 
 // straggle returns w with one edge in six moved back by up to behind, drawn
 // from seed: those that land behind the watermark must be dropped on every
-// plan and shard count alike.
+// plan alike.
 func straggle(w Workload, seed int64, behind time.Duration) Workload {
 	rng := rand.New(rand.NewSource(seed * 977))
 	w.Edges = slices.Clone(w.Edges)
@@ -110,13 +109,12 @@ func straggle(w Workload, seed int64, behind time.Duration) Workload {
 	return w
 }
 
-// TestRandomStreamsMatchOracle holds every engine configuration to the
-// oracle on streams the generators never produce: each decomposition
-// strategy on one engine and on two and three shards must deliver exactly
-// the matches naive expansion finds. Each stream has stragglers up to twice
-// the slack behind, and a 300-edge prefix of it runs again under unbounded
-// retention with stragglers up to twenty slacks behind: an edge behind the
-// watermark is late whatever the retention.
+// TestRandomStreamsMatchOracle holds every engine configuration to the oracle
+// on streams the generators never produce: each decomposition strategy must
+// deliver exactly the matches naive expansion finds. Each stream has stragglers
+// up to twice the slack behind, and a 300-edge prefix of it runs again under
+// unbounded retention with stragglers up to twenty slacks behind: an edge
+// behind the watermark is late whatever the retention.
 func TestRandomStreamsMatchOracle(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		w := randomWorkload(seed)
@@ -132,27 +130,17 @@ func TestRandomStreamsMatchOracle(t *testing.T) {
 					t.Fatalf("the oracle found no matches; the stream proves nothing")
 				}
 				for _, strat := range decompose.Strategies() {
-					for _, shards := range []int{1, 2, 3} {
-						t.Run(fmt.Sprintf("%s/shards=%d", strat, shards), func(t *testing.T) {
-							w := w
-							w.Register.Strategy = string(strat)
-							var (
-								set MatchSet
-								err error
-							)
-							if shards == 1 {
-								set, _, err = RunSingle(w)
-							} else {
-								set, _, err = RunSharded(w, shards)
-							}
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !set.Equal(ref) {
-								t.Fatalf("%d matches, the oracle finds %d", len(set), len(ref))
-							}
-						})
-					}
+					t.Run(string(strat), func(t *testing.T) {
+						w := w
+						w.Register.Strategy = string(strat)
+						set, _, err := RunSingle(w)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !set.Equal(ref) {
+							t.Fatalf("%d matches, the oracle finds %d", len(set), len(ref))
+						}
+					})
 				}
 			})
 		}
@@ -198,67 +186,39 @@ func TestLateRegistrationMatchesOracle(t *testing.T) {
 				t.Fatalf("the oracle finds nothing to send; the workload proves nothing")
 			}
 			for _, strat := range decompose.Strategies() {
-				for _, shards := range []int{1, 2, 3} {
-					name := string(strat)
-					if shards > 1 {
-						name = fmt.Sprintf("%s/shards=%d", strat, shards)
+				t.Run(string(strat), func(t *testing.T) {
+					got := lateRegistrationRun(t, w, early.Queries, late.Queries, split, strat)
+					if !got.Equal(ref) {
+						t.Fatalf("%d matches with %d queries registered at edge %d, the oracle finds %d", len(got), len(late.Queries), split, len(ref))
 					}
-					t.Run(name, func(t *testing.T) {
-						got := lateRegistrationRun(t, w, early.Queries, late.Queries, split, strat, shards)
-						if !got.Equal(ref) {
-							t.Fatalf("%d matches with %d queries registered at edge %d, the oracle finds %d", len(got), len(late.Queries), split, len(ref))
-						}
-					})
-				}
+				})
 			}
 		})
 	}
 }
 
-// lateRegistrationRun is one cell of TestLateRegistrationMatchesOracle: a
-// core engine for one shard, a sharded engine above one. It registers early
+// lateRegistrationRun is one cell of TestLateRegistrationMatchesOracle, on a
+// core engine. It registers early
 // before the stream and late at edge split under strat, moves every query
 // one strategy further at half and at five sixths of the stream, checks
 // that each query ends on the last strategy it was moved to and that no
 // match was sent twice, and returns what the engine sent.
-func lateRegistrationRun(t *testing.T, w Workload, early, late []*query.Graph, split int, strat decompose.Strategy, shards int) MatchSet {
+func lateRegistrationRun(t *testing.T, w Workload, early, late []*query.Graph, split int, strat decompose.Strategy) MatchSet {
 	t.Helper()
 	cfg := w.Engine
 	cfg.PruneInterval = 8
 	// A sink sees every delivery, registrations' included, not only what
-	// ProcessEdge returns; shards call it one at a time.
+	// ProcessEdge returns.
 	got, dup := make(MatchSet), ""
-	sink := core.MatchSinkFunc(func(ev core.MatchEvent) {
+	e := core.New(&cfg)
+	e.Subscribe("", core.MatchSinkFunc(func(ev core.MatchEvent) {
 		if !got.Add(ev) && dup == "" {
 			dup = ev.Query + " " + ev.CanonicalSignature()
 		}
-	})
-	var (
-		e interface {
-			UnregisterQuery(string) error
-			Metrics() core.Metrics
-		}
-		register func(*query.Graph, core.RegistrationOption) error
-		process  func(graph.StreamEdge) error
-		done     = func() {}
-	)
-	if shards == 1 {
-		c := core.New(&cfg)
-		c.Subscribe("", sink)
-		e, process = c, func(se graph.StreamEdge) error { c.ProcessEdge(se); return nil }
-		register = func(q *query.Graph, o core.RegistrationOption) error {
-			_, err := c.RegisterQuery(q, o)
-			return err
-		}
-	} else {
-		s := shard.New(&shard.Config{Shards: shards, Engine: cfg, Sink: sink})
-		e, process, done = s, s.Process, s.Close
-		register = func(q *query.Graph, o core.RegistrationOption) error { return s.RegisterQuery(q, o) }
-	}
-	defer done()
+	}))
 	registerAll := func(qs []*query.Graph, s decompose.Strategy) {
 		for _, q := range qs {
-			if err := register(q, core.WithStrategy(s)); err != nil {
+			if _, err := e.RegisterQuery(q, core.WithStrategy(s)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -284,11 +244,8 @@ func lateRegistrationRun(t *testing.T, w Workload, early, late []*query.Graph, s
 				registerAll([]*query.Graph{q}, to)
 			}
 		}
-		if err := process(se); err != nil {
-			t.Fatal(err)
-		}
+		e.ProcessEdge(se)
 	}
-	done()
 	for _, qm := range e.Metrics().Queries {
 		if qm.Strategy != last {
 			t.Fatalf("%s runs a %s plan, last registered %s", qm.Name, qm.Strategy, last)

@@ -10,9 +10,8 @@ import (
 const NoCutoff Timestamp = math.MinInt64
 
 // Clock is stream time and the window rules judged on it. The dynamic graph
-// (so every engine and shard worker), the sharded front-end and the
-// write-ahead log each hold one, and they agree because the rules are
-// written only here:
+// (so the engine), the engine's front-end and the write-ahead log each hold
+// one, and they agree because the rules are written only here:
 //
 //   - The newest time is the largest timestamp observed, an edge's or an
 //     explicit advance's (AdvanceTo); the watermark trails it by the slack.

@@ -144,8 +144,8 @@ func (d *Dynamic) enqueue(h int32, ts Timestamp) {
 }
 
 // AdvanceTo moves the clock to stream time ts and expires the edges below
-// its cutoff, exactly as Apply does for an edge at ts: heartbeats and a
-// sharded front-end's broadcasts call it between edges.
+// its cutoff, exactly as Apply does for an edge at ts: heartbeats call it
+// between edges.
 func (d *Dynamic) AdvanceTo(ts Timestamp) {
 	d.Clock.AdvanceTo(ts)
 	wm := d.Watermark()

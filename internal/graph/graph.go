@@ -81,9 +81,9 @@ func (g *Graph) upsert(id VertexID, typ string, attrs Attributes) int32 {
 		g.types.vertices[old]--
 		g.types.drop(old)
 	}
-	// Streams repeat endpoint metadata on every edge (sharded routing
-	// requires it); skip the copy-on-write merge entirely when it would
-	// change nothing, which is the overwhelmingly common case.
+	// Streams repeat endpoint metadata on every edge; skip the
+	// copy-on-write merge entirely when it would change nothing, which is
+	// the overwhelmingly common case.
 	if len(attrs) > 0 && !r.attrs.Covers(attrs) {
 		r.attrs = r.attrs.Merge(attrs)
 	}

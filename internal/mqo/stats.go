@@ -5,8 +5,7 @@ import (
 )
 
 // NodeStats is one DAG node's live counters. Sig is the canonical sharing
-// key — stable across engines, so sharded front-ends aggregate per-node
-// stats by summing counters of equal signatures.
+// key, stable across engines and runs.
 type NodeStats struct {
 	Sig    string `json:"sig"`
 	Edges  int    `json:"edges"`
@@ -40,44 +39,6 @@ type Stats struct {
 	LocalSearches  uint64      `json:"local_searches" metric:"mqo_local_searches"`
 	SharedHits     uint64      `json:"shared_hits" metric:"mqo_shared_hits"`
 	PerNode        []NodeStats `json:"per_node,omitempty"`
-}
-
-// MergeStats folds per-shard DAG snapshots' structure and per-node detail
-// into one; the DAG-wide counts (PartialMatches, LocalSearches, SharedHits)
-// are left to the caller, which reads them from the merged registries. Each
-// shard holds its own queries' DAG, so the structure (Nodes, SharedNodes,
-// Attachments) sums over shards. Two shards may each hold a node of one
-// canonical signature, so per-node entries are merged by signature:
-// counters and stored sizes sum, structural fields (Edges, IsLeaf, Refs,
-// Consumers, Window) come from the first snapshot that carries the
-// signature. Node order follows the first snapshot, with signatures unique
-// to later snapshots appended in their order of appearance.
-func MergeStats(snaps ...Stats) Stats {
-	var out Stats
-	idx := make(map[string]int)
-	for _, s := range snaps {
-		out.Nodes += s.Nodes
-		out.SharedNodes += s.SharedNodes
-		out.Attachments += s.Attachments
-		for _, ns := range s.PerNode {
-			j, ok := idx[ns.Sig]
-			if !ok {
-				idx[ns.Sig] = len(out.PerNode)
-				out.PerNode = append(out.PerNode, ns)
-				continue
-			}
-			m := &out.PerNode[j]
-			m.Stored += ns.Stored
-			m.Inserted += ns.Inserted
-			m.Pruned += ns.Pruned
-			m.Searches += ns.Searches
-			m.Partitions += ns.Partitions
-			m.JoinAttempts += ns.JoinAttempts
-			m.JoinHits += ns.JoinHits
-			m.WindowDrops += ns.WindowDrops
-		}
-	}
-	return out
 }
 
 // PartialMatches returns the number of matches stored across the node

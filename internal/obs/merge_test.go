@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// TestMergeEqualsSingleRegistry is the cross-shard merge property test: the
-// same stream of observations, split across N shard-local registries written
+// TestMergeEqualsSingleRegistry is the cross-registry merge property test:
+// the same stream of observations, split across N registries written
 // from N goroutines, must merge into exactly the snapshot a single registry
 // produces when fed every observation. Run under -race this also proves the
 // write/snapshot paths are race-clean.
@@ -23,7 +23,7 @@ func TestMergeEqualsSingleRegistry(t *testing.T) {
 		value   int64
 		counter bool
 	}
-	segments := []string{SegIngestQueueWait, SegShardMailbox, SegLocalSearch, SegDAGJoin, SegDispatch, SegHTTPFlush}
+	segments := []string{SegIngestQueueWait, SegWindowApply, SegLocalSearch, SegDAGJoin, SegDispatch, SegHTTPFlush}
 	records := make([]obsRecord, observations)
 	for i := range records {
 		records[i] = obsRecord{
@@ -44,8 +44,8 @@ func TestMergeEqualsSingleRegistry(t *testing.T) {
 		}
 	}
 
-	// Shard-local registries written concurrently (each goroutine owns its
-	// registry, like shard workers do), snapshotted from the main goroutine
+	// Registries written concurrently (each goroutine owns its registry, as
+	// each tier's owner does), snapshotted from the main goroutine
 	// while a late writer is still running to exercise the atomic reads.
 	locals := make([]*Registry, shards)
 	for i := range locals {

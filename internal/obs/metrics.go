@@ -342,11 +342,10 @@ func BucketUpperBound(i int) int64 {
 }
 
 // Merge folds any number of snapshots into one: counters and gauges with the
-// same (name, label) sum — a gauge here is a size, and the workers' sizes add
-// up to the engine's — and histograms sum cell-wise. It is the one place
-// numbers are added across shards or tiers: the sharded engine's Metrics, its
-// snapshot and the daemon's two metrics endpoints are all built from its
-// output. A fact that must not be summed is published once, under its own
+// same (name, label) sum and histograms sum cell-wise. It is the one place
+// numbers are added across tiers: the engine's delivered counts, the
+// backend's snapshots and the daemon's two metrics endpoints are all built
+// from its output. A fact that must not be summed is published once, under its own
 // name, by the tier that owns it.
 func Merge(snaps ...Snapshot) Snapshot {
 	var out Snapshot

@@ -4,16 +4,15 @@
 // hot path stream-time-pure.
 //
 // The registry is the one store of every number the system counts. Each tier
-// owns one — every core engine (one per shard worker), the shard front-end,
-// the server and the WAL manager — written only by its owner and
-// allocated whether or not observability is on; the series names are the
-// constants below. Every metrics surface is a rendering of a snapshot: the
-// Metrics views fill their structs from one, GET /metrics prints one, and
+// owns one — the core engine, the server and the WAL manager — written only by
+// its owner and allocated whether or not observability is on; the series names
+// are the constants below. Every metrics surface is a rendering of a snapshot:
+// the Metrics views fill their structs from one, GET /metrics prints one, and
 // front-ends fold the tiers' snapshots with Merge, the only code that adds
-// numbers across shards or tiers. Config.Enabled gates only what reads the
-// wall clock: the segment, journey and detect-lag histograms, the one record
-// of where an edge's time went. Nothing in this package allocates on the hot
-// path once the handles have been resolved, and every handle is nil-safe.
+// numbers across tiers. Config.Enabled gates only what reads the wall clock:
+// the segment, journey and detect-lag histograms, the one record of where an
+// edge's time went. Nothing in this package allocates on the hot path once the
+// handles have been resolved, and every handle is nil-safe.
 //
 // Wall time never enters the core engine directly: TestHotPathReadsNoWallClock
 // fails on a time.Now there. Core instead receives a Clock through its Config
@@ -84,9 +83,6 @@ const (
 	// edge of an ingest chunk to the runner goroutine picking the chunk up:
 	// the chunk's decode plus its wait in the bounded ingest queue.
 	SegIngestQueueWait = "ingest_queue_wait"
-	// SegShardMailbox is the time an edge waits in a shard worker's mailbox
-	// between routing and processing.
-	SegShardMailbox = "shard_mailbox_wait"
 	// SegWindowApply is the per-edge time spent applying the edge to the
 	// sliding-window graph, its insert and the expiry it triggers, measured
 	// in the core engine.
@@ -98,9 +94,8 @@ const (
 	// into the shared DAG's partial stores and propagating its hash joins
 	// upward.
 	SegDAGJoin = "dag_join"
-	// SegDispatch is the time from core emission of a complete match to its
-	// owner shard taking the delivery lock, behind the other shards'
-	// deliveries; measured in the shard worker.
+	// SegDispatch is the time from core emission of a complete match to the
+	// engine's front-end taking the delivery lock; measured there.
 	SegDispatch = "dispatch"
 	// SegHTTPFlush is the time from the engine handing a match to subscriber
 	// sinks to the streaming HTTP response flush completing: the wait in the

@@ -13,7 +13,6 @@ import (
 	"github.com/streamworks/streamworks/internal/gen"
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/query"
-	"github.com/streamworks/streamworks/internal/shard"
 )
 
 func fetchHealth(t *testing.T, base string) api.HealthResponse {
@@ -41,26 +40,17 @@ func flowEdges(firstID, n int) []graph.StreamEdge {
 	return edges
 }
 
-// TestZeroConfigServesOneShard: a server built from the zero Config runs
-// one shard, the daemon's default, and says so on /healthz.
-func TestZeroConfigServesOneShard(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	if h := fetchHealth(t, ts.URL); h.Shards != 1 {
-		t.Fatalf("/healthz reports %d shards, want 1", h.Shards)
-	}
-}
-
 func TestHealthReportsDurabilityMode(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
 		want string
 	}{
-		{"no-data-dir", Config{Shard: shard.Config{Shards: 2}}, "off"},
-		{"durable", Config{Shard: shard.Config{Shards: 2}, DataDir: t.TempDir(), FsyncPolicy: "off"}, "ok"},
+		{"no-data-dir", Config{}, "off"},
+		{"durable", Config{DataDir: t.TempDir(), FsyncPolicy: "off"}, "ok"},
 		// An unopenable WAL (here: a bad fsync policy) degrades at birth
 		// instead of refusing to serve.
-		{"degraded", Config{Shard: shard.Config{Shards: 2}, DataDir: t.TempDir(), FsyncPolicy: "bogus"}, "degraded"},
+		{"degraded", Config{DataDir: t.TempDir(), FsyncPolicy: "bogus"}, "degraded"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -75,7 +65,6 @@ func TestHealthReportsDurabilityMode(t *testing.T) {
 func TestRequireDurabilityRefusesDegradedIngest(t *testing.T) {
 	// Degraded from birth, and the operator asked for durable-or-nothing.
 	_, ts := newTestServer(t, Config{
-		Shard:             shard.Config{Shards: 2},
 		DataDir:           t.TempDir(),
 		FsyncPolicy:       "bogus",
 		RequireDurability: true,
@@ -108,7 +97,6 @@ func TestDegradedIngestContinuesByDefault(t *testing.T) {
 	// Without RequireDurability, degraded durability is an operational signal
 	// (healthz, metrics), not an outage: ingest keeps working in-memory.
 	_, ts := newTestServer(t, Config{
-		Shard:       shard.Config{Shards: 2},
 		DataDir:     t.TempDir(),
 		FsyncPolicy: "bogus",
 	})
@@ -128,7 +116,6 @@ func TestIngestTimeoutLeavesBatchQueued(t *testing.T) {
 	// batches are already queued: the 503 says "still queued", and every edge
 	// must land in the engine regardless.
 	_, ts := newTestServer(t, Config{
-		Shard:         shard.Config{Shards: 2},
 		IngestTimeout: time.Nanosecond,
 	})
 	const batches, per = 8, 16
@@ -174,7 +161,6 @@ func TestIngestTimeoutLeavesBatchQueued(t *testing.T) {
 
 func TestMetricsExposeWALCounters(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		Shard:       shard.Config{Shards: 2},
 		DataDir:     t.TempDir(),
 		FsyncPolicy: "off",
 	})
@@ -205,7 +191,7 @@ func TestMetricsExposeWALCounters(t *testing.T) {
 	}
 
 	// A non-durable daemon exposes neither.
-	_, plain := newTestServer(t, Config{Shard: shard.Config{Shards: 2}})
+	_, plain := newTestServer(t, Config{})
 	if m := fetchMetrics(t, plain.URL); m.WAL != nil {
 		t.Error("/v1/metrics has a wal section without -data-dir")
 	}
@@ -222,7 +208,7 @@ func TestMetricsExposeWALCounters(t *testing.T) {
 
 func TestRestartRecoversQueryRegistry(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Shard: shard.Config{Shards: 2}, DataDir: dir, FsyncPolicy: "off"}
+	cfg := Config{DataDir: dir, FsyncPolicy: "off"}
 
 	srv1 := New(cfg)
 	ts1 := httptest.NewServer(srv1)

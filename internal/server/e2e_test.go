@@ -6,11 +6,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/streamworks/streamworks/internal/api"
 	"github.com/streamworks/streamworks/internal/client"
+	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/gen"
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/query"
@@ -46,7 +48,7 @@ func TestEndToEndNetflow(t *testing.T) {
 	}
 
 	srv := server.New(server.Config{
-		Shard:            shard.Config{Shards: 4, Engine: w.Engine},
+		Shard:            shard.Config{Engine: w.Engine},
 		SubscriberBuffer: 8192,
 	})
 	hs := httptest.NewServer(srv)
@@ -54,14 +56,13 @@ func TestEndToEndNetflow(t *testing.T) {
 	c := client.New(hs.URL)
 	ctx := context.Background()
 
-	// The health endpoint self-describes the daemon: API version, shard
-	// count, uptime.
+	// The health endpoint self-describes the daemon: API version, uptime.
 	h, err := c.Health(ctx)
 	if err != nil {
 		t.Fatalf("health: %v", err)
 	}
-	if h.Status != "ok" || h.Version != api.Version || h.Shards != 4 {
-		t.Fatalf("health = %+v, want status=ok version=%s shards=4", h, api.Version)
+	if h.Status != "ok" || h.Version != api.Version {
+		t.Fatalf("health = %+v, want status=ok version=%s", h, api.Version)
 	}
 	if h.UptimeSeconds < 0 {
 		t.Fatalf("health uptime negative: %v", h.UptimeSeconds)
@@ -133,11 +134,9 @@ func TestEndToEndNetflow(t *testing.T) {
 	if m.Server.EdgesIngested != uint64(sent) {
 		t.Fatalf("EdgesIngested = %d, want %d", m.Server.EdgesIngested, sent)
 	}
-	if len(m.Shards) != 4 {
-		t.Fatalf("per-shard metrics = %d entries, want 4", len(m.Shards))
-	}
 
-	// Graceful drain flushes the shards and ends the subscription cleanly.
+	// Graceful drain flushes the ingest queue and ends the subscription
+	// cleanly.
 	srv.Close()
 	select {
 	case err := <-recvDone:
@@ -151,6 +150,64 @@ func TestEndToEndNetflow(t *testing.T) {
 	if !got.Equal(expected) {
 		t.Fatalf("streamed match set diverges from single-engine run: got %d matches, want %d",
 			len(got), len(expected))
+	}
+}
+
+// TestShardCountIsReadByNothing: benchmark/ serves news-served on
+// server.Config{Shard: shard.Config{Shards: 2}}. The daemon runs its one
+// engine whatever the count: the match set a subscriber is streamed and the
+// engine view of /v1/metrics are those of Shards: 1.
+func TestShardCountIsReadByNothing(t *testing.T) {
+	w := gen.NetFlowWorkload(gen.NetFlowConfig{
+		Hosts: 200, Servers: 20, Edges: 2500, Start: graph.TimestampFromTime(time.Date(2013, 6, 22, 0, 0, 0, 0, time.UTC)),
+		MeanGap: time.Millisecond, ContactSkew: 1.4, Seed: 13,
+	}, time.Minute)
+	run := func(shards int) (gen.MatchSet, core.Metrics) {
+		srv := server.New(server.Config{Shard: shard.Config{Shards: shards, Engine: w.Engine}, SubscriberBuffer: 8192})
+		hs := httptest.NewServer(srv)
+		defer hs.Close()
+		c := client.New(hs.URL)
+		ctx := context.Background()
+		for _, q := range w.Queries {
+			if _, err := c.RegisterQuery(ctx, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sub, err := c.SubscribeMatches(ctx, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Close()
+		if _, err := c.IngestBatch(ctx, w.Edges, true); err != nil {
+			t.Fatal(err)
+		}
+		m, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
+		got := make(gen.MatchSet)
+		for {
+			rep, err := sub.Next()
+			if errors.Is(err, io.EOF) {
+				return got, m.Engine
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.AddKey(rep.Query, rep.Signature)
+		}
+	}
+	oneSet, oneMetrics := run(1)
+	if len(oneSet) == 0 {
+		t.Fatal("degenerate workload: no matches")
+	}
+	twoSet, twoMetrics := run(2)
+	if !twoSet.Equal(oneSet) {
+		t.Errorf("Shards 2 streamed %d matches, Shards 1 %d", len(twoSet), len(oneSet))
+	}
+	if !reflect.DeepEqual(twoMetrics, oneMetrics) {
+		t.Errorf("Shards 2 reports %+v, Shards 1 %+v", twoMetrics, oneMetrics)
 	}
 }
 
@@ -180,7 +237,7 @@ func TestEndToEndFilteredSubscription(t *testing.T) {
 	}
 
 	srv := server.New(server.Config{
-		Shard:            shard.Config{Shards: 3, Engine: w.Engine},
+		Shard:            shard.Config{Engine: w.Engine},
 		SubscriberBuffer: 8192,
 	})
 	hs := httptest.NewServer(srv)

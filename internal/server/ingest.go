@@ -21,8 +21,8 @@ import (
 // body decodes, instead of queue-then-drain. A match completed by an edge
 // early in a large upload is detected (and flushed to subscribers) while
 // the rest of the body is still on the wire. Chunk sizing adapts to queue
-// depth — an idle queue favors small chunks so shards start immediately, a
-// backed-up queue favors large ones so the per-chunk routing and WAL-frame
+// depth — an idle queue favors small chunks so the engine starts
+// immediately, a backed-up queue favors large ones so the per-chunk WAL-frame
 // overhead amortizes.
 const (
 	minIngestChunk = 256
@@ -428,7 +428,7 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, g *ingester) {
 
 // handleIngest is POST /v1/edges: one batch, NDJSON or binary frames, at
 // most MaxBatchEdges edges (413 beyond); ?wait=1 answers once the batch has
-// been routed to the shards.
+// been processed by the engine.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	g := &ingester{s: s, limit: s.cfg.MaxBatchEdges}
 	if r.URL.Query().Get("wait") != "" {
@@ -439,7 +439,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 // handleStream is POST /v1/stream, the persistent-connection ingest session:
 // one long-lived POST whose body is a binary frame stream, decoded and
-// handed to the shards as frames arrive. Backpressure is the TCP window — a
+// handed to the engine as frames arrive. Backpressure is the TCP window — a
 // full queue blocks the decoder, which stops reading the socket. A plain
 // session is a stream, not a batch: no edge cap, and a partial chunk is
 // dispatched whenever the decoder would block. With ?batch=1 it is a session

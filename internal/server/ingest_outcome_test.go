@@ -211,7 +211,7 @@ func wantIngest(t *testing.T, code int, ir api.IngestResponse, wantCode, wantAcc
 func TestIngestOutcomes(t *testing.T) {
 	for _, lane := range ingestLanes {
 		serve := func(t *testing.T, cfg Config) *Server {
-			cfg.Shard = shard.Config{Shards: 2}
+			cfg.Shard = shard.Config{}
 			srv := New(cfg)
 			t.Cleanup(srv.Close)
 			return srv
@@ -375,7 +375,7 @@ func TestNDJSONUnknownAttrKindRejected(t *testing.T) {
 // all complete, every one of them answers 2xx — or 503 once Close has begun —
 // and neither they nor a concurrent Close hang.
 func TestControlRequestsDuringSaturatedIngestAndClose(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Shard: shard.Config{Shards: 2}, QueueDepth: 1})
+	srv, ts := newTestServer(t, Config{QueueDepth: 1})
 
 	var (
 		wg       sync.WaitGroup
@@ -468,7 +468,7 @@ func (c *stepClock) Now() int64 { return c.ns.Load() }
 func TestSessionChunksCarryTheirOwnArrival(t *testing.T) {
 	clock := &stepClock{}
 	clock.ns.Store(int64(time.Hour))
-	srv, ts := newTestServer(t, Config{Shard: shard.Config{Shards: 1, Engine: core.Config{
+	srv, ts := newTestServer(t, Config{Shard: shard.Config{Engine: core.Config{
 		Obs: obs.Config{Enabled: true, Clock: clock},
 	}}})
 	es, err := client.New(ts.URL).OpenEdgeStream(context.Background())
@@ -511,7 +511,7 @@ func TestSessionChunksCarryTheirOwnArrival(t *testing.T) {
 // server's Close, which waits for open requests, returns, and the next batch
 // gets the drain's 503, retryable, as a POST would.
 func TestDrainEndsAnIdleSession(t *testing.T) {
-	srv := New(Config{Shard: shard.Config{Shards: 2}})
+	srv := New(Config{})
 	ts := httptest.NewServer(srv)
 	ctx := context.Background()
 	es, err := client.New(ts.URL).OpenBatchStream(ctx)

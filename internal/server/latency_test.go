@@ -11,7 +11,6 @@ import (
 	"github.com/streamworks/streamworks/internal/gen"
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/server"
-	"github.com/streamworks/streamworks/internal/shard"
 )
 
 // TestFlushOnMatchLatencyIndependentOfBatchSize is the serving-path latency
@@ -23,7 +22,6 @@ import (
 // ingest is latency growing linearly with the batch.
 func TestFlushOnMatchLatencyIndependentOfBatchSize(t *testing.T) {
 	srv := server.New(server.Config{
-		Shard:            shard.Config{Shards: 1},
 		SubscriberBuffer: 1024,
 		MaxBatchEdges:    1 << 20,
 	})
@@ -121,7 +119,7 @@ func TestFlushOnMatchLatencyIndependentOfBatchSize(t *testing.T) {
 }
 
 // hostEdgeAt builds a fully-described stream edge (endpoint metadata on
-// every edge, as sharded ingestion requires).
+// every edge).
 func hostEdgeAt(id int, src, dst graph.VertexID, typ string, ts graph.Timestamp) graph.StreamEdge {
 	return graph.StreamEdge{
 		Edge: graph.Edge{

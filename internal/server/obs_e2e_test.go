@@ -52,7 +52,7 @@ func TestEndToEndObservability(t *testing.T) {
 
 	w.Engine.Obs = obs.Config{Enabled: true}
 	srv := server.New(server.Config{
-		Shard:            shard.Config{Shards: 2, Engine: w.Engine},
+		Shard:            shard.Config{Engine: w.Engine},
 		SubscriberBuffer: 8192,
 	})
 	hs := httptest.NewServer(srv)
@@ -133,7 +133,7 @@ func TestEndToEndObservability(t *testing.T) {
 		t.Fatal("metrics response has no obs snapshot with observability on")
 	}
 	for _, seg := range []string{
-		obs.SegIngestQueueWait, obs.SegShardMailbox, obs.SegWindowApply, obs.SegLocalSearch,
+		obs.SegIngestQueueWait, obs.SegWindowApply, obs.SegLocalSearch,
 		obs.SegDAGJoin, obs.SegDispatch, obs.SegHTTPFlush,
 	} {
 		hsnap, ok := m.Obs.Find(obs.SegmentHistogramName, seg)
@@ -145,8 +145,8 @@ func TestEndToEndObservability(t *testing.T) {
 		t.Errorf("detect_stream_lag has no observations (found=%v)", ok)
 	}
 	// Every delivered match must have contributed an arrival→flush journey
-	// observation: the arrival stamp survived routing, the shard mailbox, the
-	// core engine, dedup and fan-out.
+	// observation: the arrival stamp survived the ingest queue, the core
+	// engine, dedup and fan-out.
 	if jh, ok := m.Obs.Find(obs.JourneyHistogramName, ""); !ok || jh.Count == 0 {
 		t.Errorf("detect_wall_journey has no observations (found=%v)", ok)
 	} else if jh.Count < uint64(len(expected)) {
@@ -201,7 +201,7 @@ func TestEndToEndObservability(t *testing.T) {
 // without observability reports obs_enabled=false (and still reports its Go
 // version), and the prom endpoint carries no segment family.
 func TestHealthObsDisabled(t *testing.T) {
-	srv := server.New(server.Config{Shard: shard.Config{Shards: 2}})
+	srv := server.New(server.Config{})
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 	defer srv.Close()

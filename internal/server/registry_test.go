@@ -10,7 +10,6 @@ import (
 	"github.com/streamworks/streamworks/internal/api"
 	"github.com/streamworks/streamworks/internal/gen"
 	"github.com/streamworks/streamworks/internal/query"
-	"github.com/streamworks/streamworks/internal/shard"
 )
 
 // TestQueryRegistryIsTheEngines: the serving layer keeps no copy of the
@@ -18,7 +17,7 @@ import (
 // answer to the same request — and the subscription filter knows a query for
 // exactly as long as the engine does.
 func TestQueryRegistryIsTheEngines(t *testing.T) {
-	_, ts := newTestServer(t, Config{Shard: shard.Config{Shards: 2}})
+	_, ts := newTestServer(t, Config{})
 	dsl := query.Format(gen.SmurfQuery(time.Minute))
 	names := []string{"mike", "alpha", "zulu", "echo", "kilo", "bravo"}
 	for _, name := range names {

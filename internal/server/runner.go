@@ -90,14 +90,14 @@ func (r *runner) process(b ingestBatch) {
 		r.obsWait.ObserveN(r.obsClock.Now()-b.enqNS, len(b.edges))
 	}
 	if len(b.edges) > 0 {
-		// The arrival stamp rides the edge envelope down through routing and
-		// the shard mailbox so the engine can stamp it onto any match this
-		// edge completes — the per-match journey measurement.
+		// The arrival stamp rides the edge envelope down to the engine, which
+		// stamps it onto any match this edge completes — the per-match
+		// journey measurement.
 		for i := range b.edges {
 			b.edges[i].ArrivedWallNS = b.enqNS
 		}
 		// One ProcessBatch per chunk: one WAL frame and one pass through the
-		// shard front-end, instead of a per-edge append.
+		// engine's front-end, instead of a per-edge append.
 		err := r.eng.ProcessBatch(context.Background(), b.edges)
 		r.batchesIngested.Inc()
 		if err == nil {

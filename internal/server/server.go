@@ -1,4 +1,4 @@
-// Package server exposes the sharded StreamWorks engine over HTTP, turning
+// Package server exposes the StreamWorks engine over HTTP, turning
 // the library into the paper's system: analysts register continuous queries
 // in the text DSL, feeders push timestamped edge batches, and subscribers
 // receive every complete match as it emerges, streamed as NDJSON or binary
@@ -33,7 +33,7 @@
 //	DELETE /v1/queries/{name} unregister
 //	POST   /v1/edges          ingest an edge batch (NDJSON, or binary frames
 //	                          with Content-Type: application/x-streamworks-frame;
-//	                          ?wait=1 to block until routed; 429 on overload)
+//	                          ?wait=1 to block until processed; 429 on overload)
 //	POST   /v1/stream         persistent binary ingest session: the body is a
 //	                          long-lived frame stream, dispatched as it arrives;
 //	                          each sync frame is answered by an ack frame, in
@@ -41,14 +41,14 @@
 //	POST   /v1/advance        advance stream time (body: {"ts": ns})
 //	GET    /v1/matches        stream matches (?query= filters; NDJSON, binary
 //	                          frames when Accept: application/x-streamworks-frame)
-//	GET    /v1/metrics        engine + per-shard + server + WAL views, and the
+//	GET    /v1/metrics        engine + server + WAL views, and the
 //	                          merged registry snapshot they were read from
 //	GET    /metrics           the same registries in Prometheus text format
 //	GET    /healthz           liveness
 //
 // Close drains gracefully: new work is refused with 503, queued batches are
-// flushed through the shards, each of which delivers its queries' matches,
-// and every subscriber's stream ends cleanly after its final delivery.
+// flushed through the engine, which delivers their matches, and every
+// subscriber's stream ends cleanly after its final delivery.
 package server
 
 import (
@@ -73,12 +73,11 @@ import (
 	"github.com/streamworks/streamworks/internal/wire"
 )
 
-// Config sizes the serving layer around a sharded engine configuration.
+// Config sizes the serving layer around an engine configuration.
 type Config struct {
-	// Shard configures the underlying ShardedEngine: only its Shards and
-	// Engine are read. Shards below 1, the zero value included, run one
-	// shard, on the ingest runner's goroutine; above one, each shard runs
-	// on a goroutine of its own. Sink is ignored, since matches leave
+	// Shard configures the engine, which runs on the ingest runner's
+	// goroutine: only its Engine is read. Shards is read by nothing (a
+	// process runs one engine), and Sink is ignored, since matches leave
 	// through the server's subscriptions.
 	Shard shard.Config
 	// QueueDepth is the ingest queue bound in batches (default 64). When the
@@ -173,7 +172,7 @@ type Server struct {
 	obsJourney *obs.Histogram
 }
 
-// New builds and starts a server: the engine shards, the ingest-driving
+// New builds and starts a server: the engine, the ingest-driving
 // runner and the subscriber hub all spin up immediately. cfg may be
 // zero-valued; defaults are applied.
 func New(cfg Config) *Server {
@@ -182,12 +181,11 @@ func New(cfg Config) *Server {
 	}
 	// Normalize the obs seam once, up front, so the serving tier and every
 	// engine tier below share one clock; the engine config carries the
-	// normalized form down through the shard front-end.
+	// normalized form down to the engine.
 	obsCfg := cfg.Shard.Engine.Obs.Normalized()
 	cfg.Shard.Engine.Obs = obsCfg
 	engOpts := []streamworks.Option{
 		streamworks.WithEngineConfig(cfg.Shard.Engine),
-		streamworks.WithShards(cfg.Shard.Shards),
 	}
 	if cfg.DataDir != "" {
 		engOpts = append(engOpts,
@@ -249,7 +247,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 func (s *Server) Engine() *streamworks.Sharded { return s.eng }
 
 // Close drains the server: subsequent work is refused with 503, queued
-// ingest batches are flushed through the shards, and the engine drain ends
+// ingest batches are flushed through the engine, and the engine drain ends
 // every subscriber's stream after its final buffered matches. It is
 // idempotent and safe to call concurrently; all callers block until the
 // drain completes.
@@ -311,7 +309,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	resp := api.HealthResponse{
 		Status:        "ok",
 		Version:       api.Version,
-		Shards:        s.eng.Shards(),
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		GoVersion:     runtime.Version(),
 		ObsEnabled:    s.obsEnabled,
@@ -602,10 +599,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if !s.admit(w) {
 		return
 	}
-	engine, shards, snap := s.eng.MetricsSnapshot()
+	engine, snap := s.eng.MetricsSnapshot()
 	s.mu.RUnlock()
 	merged := obs.Merge(s.snapshot(), snap)
-	resp := api.MetricsResponse{Engine: engine, Shards: shards, Obs: &merged}
+	resp := api.MetricsResponse{Engine: engine, Obs: &merged}
 	obs.Fill(&resp.Server, merged, "")
 	if s.cfg.DataDir != "" {
 		wal := api.WALMetricsFrom(merged)
@@ -626,13 +623,12 @@ func (s *Server) snapshot() obs.Snapshot {
 // a separate debug listener — streamworksd mounts it next to pprof.
 func (s *Server) PromHandler() http.Handler { return http.HandlerFunc(s.handleProm) }
 
-// handleProm serves Prometheus text-format exposition of every tier's
-// registry — the server's, the shard workers', the front-end's,
-// the WAL's — merged: each counter and gauge as streamworks_<name>, plus the
-// latency histograms when observability is on. It reads only registry cells —
-// no engine round trip, no engine or WAL lock, no drain check — so scrapes
-// keep working while ingest is saturated, a log write is stalled, or the
-// server is draining.
+// handleProm serves Prometheus text-format exposition of every tier's registry
+// — the server's, the engine's and the WAL's — merged: each counter and gauge
+// as streamworks_<name>, plus the latency histograms when observability is on.
+// It reads only registry cells — no engine round trip, no engine or WAL lock,
+// no drain check — so scrapes keep working while ingest is saturated, a log
+// write is stalled, or the server is draining.
 func (s *Server) handleProm(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	p := obs.NewPromWriter(w)

@@ -27,7 +27,7 @@ import (
 var testBase = graph.TimestampFromTime(time.Date(2013, 6, 22, 0, 0, 0, 0, time.UTC))
 
 // hostEdge builds a fully-described stream edge (endpoint metadata on every
-// edge, as sharded ingestion requires).
+// edge).
 func hostEdge(id int, src, dst graph.VertexID, typ string, ts graph.Timestamp) graph.StreamEdge {
 	return graph.StreamEdge{
 		Edge: graph.Edge{
@@ -119,7 +119,7 @@ func fetchMetrics(t *testing.T, base string) api.MetricsResponse {
 }
 
 func TestRegisterLifecycle(t *testing.T) {
-	_, ts := newTestServer(t, Config{Shard: shard.Config{Shards: 2}})
+	_, ts := newTestServer(t, Config{})
 
 	dsl := query.Format(gen.SmurfQuery(10 * time.Minute))
 	resp := postDSL(t, ts.URL, dsl)
@@ -205,7 +205,7 @@ func TestRegisterLifecycle(t *testing.T) {
 // TestIngestWorkloadNDJSON proves the gen → wire → server path shares one
 // format: a Workload.NDJSON dump posts straight into /v1/edges.
 func TestIngestWorkloadNDJSON(t *testing.T) {
-	_, ts := newTestServer(t, Config{Shard: shard.Config{Shards: 2}})
+	_, ts := newTestServer(t, Config{})
 
 	cfg := gen.NetFlowConfig{
 		Hosts: 50, Servers: 5, Edges: 400,
@@ -250,7 +250,7 @@ func pinRunner(t *testing.T, srv *Server) (release func()) {
 // is pinned and checks overload is shed with 429 instead of blocking the
 // request.
 func TestIngestBackpressure429(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Shard: shard.Config{Shards: 1}, QueueDepth: 1})
+	srv, ts := newTestServer(t, Config{QueueDepth: 1})
 
 	release := pinRunner(t, srv)
 
@@ -300,7 +300,7 @@ func (w *stuckWriter) Write(p []byte) (int, error) {
 // TestSlowSubscriberEvictedNotBlocking is the acceptance scenario: a match
 // subscriber that never consumes must be evicted while ingest keeps flowing.
 func TestSlowSubscriberEvictedNotBlocking(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Shard: shard.Config{Shards: 2}, SubscriberBuffer: 1})
+	srv, ts := newTestServer(t, Config{SubscriberBuffer: 1})
 
 	resp := postDSL(t, ts.URL, query.Format(gen.SmurfQuery(10*time.Minute)))
 	resp.Body.Close()
@@ -319,7 +319,7 @@ func TestSlowSubscriberEvictedNotBlocking(t *testing.T) {
 	waitFor(t, time.Second, func() bool { return srv.hub.subscribers.Value() == 1 })
 
 	// Ingest enough pairs for dozens of matches; wait=1 proves the whole
-	// batch routed through the shards while the subscriber was stuck.
+	// batch processed while the subscriber was stuck.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -426,7 +426,7 @@ func TestHubEviction(t *testing.T) {
 // asking for server-sent events is streamed NDJSON — one JSON match per line,
 // no event framing.
 func TestEventStreamAcceptGetsNDJSON(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Shard: shard.Config{Shards: 2}})
+	srv, ts := newTestServer(t, Config{})
 
 	resp := postDSL(t, ts.URL, query.Format(gen.SmurfQuery(10*time.Minute)))
 	resp.Body.Close()
@@ -465,7 +465,7 @@ func TestEventStreamAcceptGetsNDJSON(t *testing.T) {
 // across the break, so the next subscription carries exactly the matches of
 // the edges ingested after it, once each.
 func TestBrokenSubscriberFreesItsSlot(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Shard: shard.Config{Shards: 2}})
+	srv, ts := newTestServer(t, Config{})
 
 	resp := postDSL(t, ts.URL, query.Format(gen.SmurfQuery(10*time.Minute)))
 	resp.Body.Close()
@@ -551,12 +551,9 @@ func readAll(r io.Reader) (done <-chan struct{}, text func() string) {
 }
 
 // TestAdvanceExpiresWindows drives stream time forward over HTTP and checks
-// idle shards expire their windows.
+// the engine expires its window.
 func TestAdvanceExpiresWindows(t *testing.T) {
-	cfg := Config{Shard: shard.Config{
-		Shards: 2,
-		Engine: core.Config{Retention: time.Minute},
-	}}
+	cfg := Config{Shard: shard.Config{Engine: core.Config{Retention: time.Minute}}}
 	_, ts := newTestServer(t, cfg)
 
 	postEdges(t, ts.URL, ndjsonBody(t, smurfPairs(4)), true).Body.Close()
@@ -580,7 +577,7 @@ func TestAdvanceExpiresWindows(t *testing.T) {
 // TestGracefulDrain checks Close refuses new work with 503 on every
 // endpoint while in-flight subscribers end cleanly.
 func TestGracefulDrain(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Shard: shard.Config{Shards: 2}})
+	srv, ts := newTestServer(t, Config{})
 	srv.Close()
 
 	checks := []struct {

@@ -12,7 +12,6 @@ import (
 
 	"github.com/streamworks/streamworks/internal/gen"
 	"github.com/streamworks/streamworks/internal/query"
-	"github.com/streamworks/streamworks/internal/shard"
 	"github.com/streamworks/streamworks/internal/wire"
 )
 
@@ -49,7 +48,7 @@ func (w *stuckCaptureWriter) bytes() []byte {
 // — including the frames flushed during teardown — forms a valid frame
 // stream: magic, then whole decodable match frames, then a clean end.
 func TestSlowSubscriberEvictedBinaryStream(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Shard: shard.Config{Shards: 2}, SubscriberBuffer: 1})
+	srv, ts := newTestServer(t, Config{SubscriberBuffer: 1})
 
 	resp := postDSL(t, ts.URL, query.Format(gen.SmurfQuery(10*time.Minute)))
 	resp.Body.Close()
@@ -68,7 +67,7 @@ func TestSlowSubscriberEvictedBinaryStream(t *testing.T) {
 	waitFor(t, time.Second, func() bool { return srv.hub.subscribers.Value() == 1 })
 
 	// Ingest enough pairs for dozens of matches; wait=1 proves the whole
-	// batch routed through the shards while the subscriber was stuck.
+	// batch processed while the subscriber was stuck.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

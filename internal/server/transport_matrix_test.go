@@ -3,7 +3,6 @@ package server_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net/http/httptest"
 	"testing"
@@ -36,8 +35,8 @@ func matrixWorkload() gen.Workload {
 // canonical match set — keyed by (query, signature), the identity both
 // transports serialize byte-identically — must be the same for every
 // combination of ingest transport (NDJSON batches, binary batches, the
-// persistent binary stream, binary batches synced on one session) and shard
-// count, and must equal the independent oracle's (gen.Oracle).
+// persistent binary stream, binary batches synced on one session), and must
+// equal the independent oracle's (gen.Oracle).
 func TestTransportEquivalenceMatrix(t *testing.T) {
 	w := matrixWorkload()
 	expected := gen.Oracle(w)
@@ -46,26 +45,23 @@ func TestTransportEquivalenceMatrix(t *testing.T) {
 	}
 
 	for _, transport := range []string{"ndjson", "binary", "stream", "batches"} {
-		for _, shards := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/shards=%d", transport, shards), func(t *testing.T) {
-				got := runTransportCell(t, w, transport, shards)
-				if !got.Equal(expected) {
-					t.Fatalf("match set diverges from the oracle's: got %d matches, want %d",
-						len(got), len(expected))
-				}
-			})
-		}
+		t.Run(transport, func(t *testing.T) {
+			got := runTransportCell(t, w, transport)
+			if !got.Equal(expected) {
+				t.Fatalf("match set diverges from the oracle's: got %d matches, want %d",
+					len(got), len(expected))
+			}
+		})
 	}
 }
 
-// runTransportCell runs one matrix cell: a fresh server with the requested
-// shard count, the workload ingested over the requested transport while a
-// subscription (binary frames for the binary transports, NDJSON otherwise)
-// collects the delivered match set.
-func runTransportCell(t *testing.T, w gen.Workload, transport string, shards int) gen.MatchSet {
+// runTransportCell runs one matrix cell: a fresh server, the workload ingested
+// over the requested transport while a subscription (binary frames for the
+// binary transports, NDJSON otherwise) collects the delivered match set.
+func runTransportCell(t *testing.T, w gen.Workload, transport string) gen.MatchSet {
 	t.Helper()
 	srv := server.New(server.Config{
-		Shard:            shard.Config{Shards: shards, Engine: w.Engine},
+		Shard:            shard.Config{Engine: w.Engine},
 		SubscriberBuffer: 8192,
 	})
 	hs := httptest.NewServer(srv)
@@ -162,7 +158,8 @@ func runTransportCell(t *testing.T, w gen.Workload, transport string, shards int
 		t.Fatalf("unknown transport %q", transport)
 	}
 
-	// Graceful drain flushes the shards and ends the subscription cleanly.
+	// Graceful drain flushes the ingest queue and ends the subscription
+	// cleanly.
 	srv.Close()
 	select {
 	case err := <-recvDone:

@@ -7,12 +7,11 @@ import (
 
 	"github.com/streamworks/streamworks/internal/gen"
 	"github.com/streamworks/streamworks/internal/graph"
+	"github.com/streamworks/streamworks/internal/shard"
 )
 
-// The scaling benchmark replays one multi-pattern netflow workload (all four
-// Fig. 3 cyber queries) through engines of increasing shard counts. Edges/s
-// counts unique stream edges, not per-shard deliveries, so the numbers are
-// directly comparable across shard counts and to the single engine.
+// The benchmarks replay one multi-pattern netflow workload (all four Fig. 3
+// cyber queries).
 var (
 	benchOnce sync.Once
 	benchW    gen.Workload
@@ -46,19 +45,26 @@ func BenchmarkSingleEngine(b *testing.B) {
 	b.ReportMetric(float64(len(w.Edges))*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
 }
 
-func benchmarkSharded(b *testing.B, shards int) {
+// BenchmarkShardedEngine_1 drives the front-end itself, with no public
+// backend, subscription or report around it: what BenchmarkSingleEngine
+// pays beyond it is delivery.
+func BenchmarkShardedEngine_1(b *testing.B) {
 	w := benchWorkload()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := gen.RunSharded(w, shards); err != nil {
-			b.Fatal(err)
+		s := shard.New(&shard.Config{Engine: w.Engine})
+		for _, q := range w.Queries {
+			if err := s.RegisterQuery(q); err != nil {
+				b.Fatal(err)
+			}
 		}
+		for j := range w.Edges {
+			if err := s.Process(w.Edges[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		s.Close()
 	}
 	b.ReportMetric(float64(len(w.Edges))*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
 }
-
-func BenchmarkShardedEngine_1(b *testing.B) { benchmarkSharded(b, 1) }
-func BenchmarkShardedEngine_2(b *testing.B) { benchmarkSharded(b, 2) }
-func BenchmarkShardedEngine_4(b *testing.B) { benchmarkSharded(b, 4) }
-func BenchmarkShardedEngine_8(b *testing.B) { benchmarkSharded(b, 8) }

@@ -12,66 +12,63 @@ import (
 	"github.com/streamworks/streamworks/internal/testutil/allocbudget"
 )
 
-// TestLoneShardDeliversWithoutAllocating: a shard delivers every match its
-// engine finds, so handing one to the sink is the delivery lock, the
-// dispatch histogram and the call — no lookup, no count, no allocation.
-func TestLoneShardDeliversWithoutAllocating(t *testing.T) {
+// TestDeliverDoesNotAllocate: the front-end delivers every match its engine
+// finds, so handing one to the sink is the delivery lock, the dispatch
+// histogram and the call — no lookup, no count, no allocation.
+func TestDeliverDoesNotAllocate(t *testing.T) {
 	delivered := 0
 	s := New(&Config{
-		Shards: 1,
 		Engine: core.Config{Obs: obs.Config{Enabled: true}},
 		Sink:   core.MatchSinkFunc(func(core.MatchEvent) { delivered++ }),
 	})
 	defer s.Close()
 	ev := core.MatchEvent{Query: "q", Match: &match.Match{}, EmittedWallNS: 1}
-	allocbudget.Check(t, "shard.worker.deliver/one shard", func() { s.workers[0].deliver(ev) })
+	allocbudget.Check(t, "shard.ShardedEngine.deliver", func() { s.deliver(ev) })
 	if delivered != allocbudget.Runs+1 {
 		t.Fatalf("%d deliveries, want %d", delivered, allocbudget.Runs+1)
 	}
 }
 
-// TestAdmitDropsOnlyLateEdges: on one and two shards, a batch with no edge
-// behind the watermark comes back as it went in, the same slice, with no
-// allocation. A batch holding late edges comes back as a new slice without
-// them, each counted as dropped, and the caller's batch is left as it was;
-// processing what came back drops nothing more.
+// TestAdmitDropsOnlyLateEdges: a batch with no edge behind the watermark
+// comes back as it went in, the same slice, with no allocation. A batch
+// holding late edges comes back as a new slice without them, each counted
+// as dropped, and the caller's batch is left as it was; processing what
+// came back drops nothing more.
 func TestAdmitDropsOnlyLateEdges(t *testing.T) {
 	base := graph.TimestampFromTime(time.Unix(4000, 0))
 	edge := func(id int, ts graph.Timestamp) graph.StreamEdge {
 		return graph.StreamEdge{Edge: graph.Edge{ID: graph.EdgeID(id), Source: 1, Target: 2, Type: "flow", Timestamp: ts}}
 	}
-	for _, shards := range []int{1, 2} {
-		s := New(&Config{Shards: shards, Engine: core.Config{Retention: time.Minute, Slack: time.Second}})
-		inOrder := []graph.StreamEdge{edge(1, base), edge(2, base.Add(-time.Second/2)), edge(3, base.Add(time.Second))}
-		var admitted []graph.StreamEdge
-		allocbudget.Check(t, "shard.ShardedEngine.Admit/none late", func() { admitted = s.Admit(inOrder) })
-		if len(admitted) != len(inOrder) || &admitted[0] != &inOrder[0] {
-			t.Errorf("%d shards: a batch with no late edge came back as another slice", shards)
+	s := New(&Config{Engine: core.Config{Retention: time.Minute, Slack: time.Second}})
+	defer s.Close()
+	inOrder := []graph.StreamEdge{edge(1, base), edge(2, base.Add(-time.Second/2)), edge(3, base.Add(time.Second))}
+	var admitted []graph.StreamEdge
+	allocbudget.Check(t, "shard.ShardedEngine.Admit/none late", func() { admitted = s.Admit(inOrder) })
+	if len(admitted) != len(inOrder) || &admitted[0] != &inOrder[0] {
+		t.Error("a batch with no late edge came back as another slice")
+	}
+	for _, se := range admitted {
+		if err := s.Process(se); err != nil {
+			t.Fatal(err)
 		}
-		for _, se := range admitted {
-			if err := s.Process(se); err != nil {
-				t.Fatal(err)
-			}
+	}
+	// The watermark is now base: edge 5 is behind it, and edge 7 is behind
+	// the watermark edge 6 moves to.
+	mixed := []graph.StreamEdge{edge(4, base), edge(5, base.Add(-2*time.Second)), edge(6, base.Add(10*time.Second)), edge(7, base.Add(8*time.Second))}
+	before := append([]graph.StreamEdge(nil), mixed...)
+	admitted = s.Admit(mixed)
+	if !reflect.DeepEqual(mixed, before) {
+		t.Error("Admit changed the caller's batch")
+	}
+	if len(admitted) != 2 || admitted[0].Edge.ID != 4 || admitted[1].Edge.ID != 6 {
+		t.Errorf("admitted %v, want edges 4 and 6", admitted)
+	}
+	for _, se := range admitted {
+		if err := s.Process(se); err != nil {
+			t.Fatal(err)
 		}
-		// The watermark is now base: edge 5 is behind it, and edge 7 is
-		// behind the watermark edge 6 moves to.
-		mixed := []graph.StreamEdge{edge(4, base), edge(5, base.Add(-2*time.Second)), edge(6, base.Add(10*time.Second)), edge(7, base.Add(8*time.Second))}
-		before := append([]graph.StreamEdge(nil), mixed...)
-		admitted = s.Admit(mixed)
-		if !reflect.DeepEqual(mixed, before) {
-			t.Errorf("%d shards: Admit changed the caller's batch", shards)
-		}
-		if len(admitted) != 2 || admitted[0].Edge.ID != 4 || admitted[1].Edge.ID != 6 {
-			t.Errorf("%d shards: admitted %v, want edges 4 and 6", shards, admitted)
-		}
-		for _, se := range admitted {
-			if err := s.Process(se); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s.Close()
-		if m := s.Metrics(); m.EdgesDropped != 2 || m.EdgesProcessed != 5 {
-			t.Errorf("%d shards: %d edges dropped, %d processed; want 2 and 5", shards, m.EdgesDropped, m.EdgesProcessed)
-		}
+	}
+	if m := s.Metrics(); m.EdgesDropped != 2 || m.EdgesProcessed != 5 {
+		t.Errorf("%d edges dropped, %d processed; want 2 and 5", m.EdgesDropped, m.EdgesProcessed)
 	}
 }

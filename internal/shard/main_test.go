@@ -6,9 +6,8 @@ import (
 	"github.com/streamworks/streamworks/internal/testutil/leakcheck"
 )
 
-// TestMain gates the package on goroutine hygiene: every worker goroutine
-// must be gone once Close has returned, so a leak here means the sharded
-// drain protocol regressed.
+// TestMain gates the package on goroutine hygiene: the front-end starts no
+// goroutine, so a leak here is a test's own or a regression.
 func TestMain(m *testing.M) {
 	leakcheck.Main(m)
 }

@@ -1,48 +1,24 @@
-// Package shard runs the StreamWorks continuous query engine on N
-// core.Engine shards and divides the registered queries between them, the
-// scale-out layer the single-threaded core.Engine explicitly defers to
-// ("shard streams across engines for parallelism").
+// Package shard is the front-end of the one continuous-query engine a
+// process runs: a single core.Engine behind the register/process/metrics
+// surface the public backend and the serving tier drive, on the caller's
+// goroutine.
 //
-// A ShardedEngine owns N independent core.Engine workers. The count fixes
-// how they run, at construction: above one shard each worker gets its own
-// goroutine and input mailbox then, and a lone shard runs on the caller's
-// goroutine for its whole life, edges included.
+// The front-end adds three things to the engine. It judges lateness on a
+// graph.Clock of its own, so a caller that logs what it processes can drop
+// a late edge before the log append (Admit). It hands every match the
+// engine finds to the one sink it was built with (Config.Sink) under a lock
+// that Exclusive also takes, so a delivery made from another goroutine, a
+// recovered backlog, never overlaps a live one. And it publishes the
+// engine's detected counts as its delivered counts, since every match the
+// engine finds is delivered.
 //
-// A query, not a vertex, is the unit of sharding. Each query is registered
-// on exactly one shard: the one holding the fewest queries among the
-// candidates, the lowest index on a tie. Before the first edge is admitted
-// every shard is a candidate. The first admitted edge fixes the fed shards:
-// shard 0 and every shard holding a query at that moment. Every admitted
-// edge, and every Advance, goes to every fed shard in order, so each fed
-// shard's window is the whole stream's, as on one engine; a shard that is
-// not fed receives nothing and keeps no window, and its worker's goroutine
-// and mailbox are gone: its engine runs on the caller's goroutine, as a
-// lone shard's does. From then on only the fed
-// shards are candidates, so a query registered mid-stream lands on a shard
-// that has seen every edge, and sees exactly what a single engine would.
-//
-// Each query's matches come from its one shard, so each match reaches the
-// sink once with no rule across shards: every shard hands what its engine
-// finds to the one sink the engine was built with (Config.Sink), on
-// the goroutine driving it, under a lock every shard delivers under;
-// filtering and fan-out to subscribers belong to the tier above. A shard's
-// delivered counts are therefore its engine's detected counts. Every shard
-// keeps the same retention: a pre-stream registration that widens it widens
-// it on every shard, wherever the query lives.
-//
-// Two queries that share a plan node share it only when they live on the
-// same shard; on two shards each searches it. The DAG views of the shards
-// are folded by node signature (mqo.MergeStats).
-//
-// Every count lives in one registry: each worker engine's own (written by
-// the goroutine driving it), and the front-end's for the registrations and
-// the late edges it drops before routing (a lone shard's engine counts
-// those). Metrics and ObsSnapshot fold them with obs.Merge, each dropped
-// duplicate once (shardSeries).
+// The package keeps the name it had while it divided the registered queries
+// between several engines, each on a goroutine of its own and each applying
+// every edge to a window of its own. One engine reached every number two or
+// four did, on less CPU (README "Shard rows"), so that split was deleted.
 package shard
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -51,136 +27,107 @@ import (
 
 	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/graph"
-	"github.com/streamworks/streamworks/internal/mqo"
 	"github.com/streamworks/streamworks/internal/obs"
 	"github.com/streamworks/streamworks/internal/query"
 )
 
-// Config controls the sharded front-end.
+// Config controls the front-end.
 type Config struct {
-	// Shards is the number of engine workers. New, the one place that
-	// defaults it, treats a count below 1 as 1: the zero Config runs one
-	// shard, on the caller's goroutine.
+	// Shards is read by nothing: a process runs one engine, whatever the
+	// count. The field stays because benchmark/ sets it.
 	Shards int
-	// Engine is the configuration applied to every per-shard core.Engine.
+	// Engine is the engine's configuration.
 	Engine core.Config
 	// Sink receives every complete match, invoked on the goroutine driving
-	// the shard that holds the match's query and never twice at once: it
-	// must not block, or it stalls every shard and eventually ingestion.
-	// Nil drops matches (counters still advance).
+	// the engine and never twice at once: it must not block, or it stalls
+	// ingestion. Nil drops matches (counters still advance).
 	Sink core.MatchSink
 }
 
-// mailboxDepth is each shard worker's mailbox capacity in messages; a full
-// mailbox blocks the front-end, which is the backpressure the stream
-// driver sees.
-const mailboxDepth = 1024
-
-// ShardedEngine drives N core.Engine shards behind the same
-// register/process/metrics surface as a single engine. Control methods
-// (RegisterQuery, UnregisterQuery, Process, Advance, Metrics, Close) must be
-// called from one goroutine — the stream driver.
+// ShardedEngine drives one core.Engine. Control methods (RegisterQuery,
+// UnregisterQuery, Process, Advance, Metrics, Close) must be called from one
+// goroutine — the stream driver.
 type ShardedEngine struct {
-	workers []*worker
-	// fed are the shards sent the stream, in shard order: every shard until
-	// the first edge is admitted, then shard 0 and the shards holding a
-	// query at that moment. A query is registered on one of them.
-	fed []*worker
-	// home is the shard each registered query lives on, and order the
-	// registered queries in registration order.
-	home  map[string]*worker
-	order []string
+	eng  *core.Engine
+	sink core.MatchSink
 
 	closed bool // Close was called; the engine is permanently stopped
-	// deliver serializes the shards' calls into cfg.Sink.
-	deliver sync.Mutex
+	// delivering serializes calls into sink with Exclusive's.
+	delivering sync.Mutex
 
-	// clock follows the stream time routed (edges and Advance) and the
-	// retention every shard keeps; it judges lateness, before routing.
+	// clock follows the stream time processed (edges and Advance); it judges
+	// lateness before the engine sees an edge. The retention is the
+	// engine's to keep.
 	clock graph.Clock
 
-	// reg is the front-end's registry: the registrations gauge.
+	// reg is the front-end's registry, holding the registrations gauge; it
+	// stays out of the engine's, whose snapshot every Metrics call reads
+	// and whose view counts registrations from its DAG. The late edges
+	// dropped here are counted in the engine's registry, beside its
+	// duplicate IDs.
 	reg           *obs.Registry
 	registrations *obs.Gauge
-	dropped       *obs.Counter // late edges, in a lone shard's registry or reg
+	dropped       *obs.Counter
+
+	// The dispatch histogram and its clock, when observability is enabled.
+	obsClock    obs.Clock
+	obsDispatch *obs.Histogram
 }
 
-// New constructs a ShardedEngine and, above one shard, starts its workers'
-// goroutines. cfg may be nil, the same as &Config{}: one shard.
+// New constructs a ShardedEngine. cfg may be nil, the same as &Config{}.
 func New(cfg *Config) *ShardedEngine {
 	var c Config
 	if cfg != nil {
 		c = *cfg
 	}
-	if c.Shards < 1 {
-		c.Shards = 1
-	}
-	reg := obs.NewRegistry()
+	// The observability clock is shared; the registry is the engine's own,
+	// which core.New allocates.
+	engCfg := c.Engine
+	engCfg.Obs = c.Engine.Obs.Normalized()
+	engCfg.Obs.Registry = nil
 	s := &ShardedEngine{
-		home:          make(map[string]*worker),
-		clock:         graph.NewClock(c.Engine.Retention, c.Engine.Slack),
-		reg:           reg,
-		registrations: reg.Gauge("registrations", "", ""),
+		eng:   core.New(&engCfg),
+		sink:  c.Sink,
+		clock: graph.NewClock(0, c.Engine.Slack),
+		reg:   obs.NewRegistry(),
 	}
-	// Normalize the obs config once so the clock is shared.
-	obsCfg := c.Engine.Obs.Normalized()
-	for i := 0; i < c.Shards; i++ {
-		// Same clock (safe for concurrent use), but a private registry,
-		// which core.New allocates, so each worker's goroutine writes
-		// without sharing cache lines with its siblings.
-		engCfg := c.Engine
-		engCfg.Obs = obsCfg
-		engCfg.Obs.Registry = nil
-		eng := core.New(&engCfg)
-		w := newWorker(i, eng, &s.deliver, c.Sink)
-		if obsCfg.Enabled {
-			w.obsClock = obsCfg.Clock
-			w.obsMailbox = eng.ObsRegistry().Segment(obs.SegShardMailbox)
-			w.obsDispatch = eng.ObsRegistry().Segment(obs.SegDispatch)
-		}
-		if c.Shards > 1 {
-			w.start()
-		}
-		s.workers = append(s.workers, w)
-	}
-	s.fed = s.workers
-	if c.Shards == 1 {
-		reg = s.workers[0].eng.ObsRegistry()
-	}
+	s.registrations = s.reg.Gauge("registrations", "", "")
+	reg := s.eng.ObsRegistry()
 	s.dropped = reg.Counter("edges_dropped", "", "")
+	if engCfg.Obs.Enabled {
+		s.obsClock = engCfg.Obs.Clock
+		s.obsDispatch = reg.Segment(obs.SegDispatch)
+	}
+	s.eng.Subscribe("", core.MatchSinkFunc(s.deliver))
 	return s
 }
 
-// ObsSnapshot folds the front-end registry and every worker's private
-// registry into one logical snapshot. It reads the registries as they stand —
-// no worker round trip, so sizes are as of each owner's last refresh — and,
-// unlike the control methods, is safe from any goroutine.
+// deliver hands ev to the sink under the delivery lock.
+func (s *ShardedEngine) deliver(ev core.MatchEvent) {
+	s.delivering.Lock()
+	defer s.delivering.Unlock()
+	if s.obsDispatch != nil && ev.EmittedWallNS != 0 {
+		// Dispatch latency: core emission → delivery, including the wait for
+		// the lock.
+		s.obsDispatch.Observe(s.obsClock.Now() - ev.EmittedWallNS)
+	}
+	if s.sink != nil {
+		s.sink.OnMatch(ev)
+	}
+}
+
+// ObsSnapshot reads the front-end's and the engine's registries as they
+// stand, with the delivered counts beside the detected ones. It refreshes
+// no gauge, so sizes are as of the engine's last refresh, and, unlike the
+// control methods, it is safe from any goroutine.
 func (s *ShardedEngine) ObsSnapshot() obs.Snapshot {
-	snaps := make([]obs.Snapshot, 0, 2*len(s.workers)+1)
-	snaps = append(snaps, s.reg.Snapshot())
-	for i, w := range s.workers {
-		snaps = append(snaps, shardSeries(i, w.eng.ObsRegistry().Snapshot())...)
-	}
-	return obs.Merge(snaps...)
+	snap := s.eng.ObsRegistry().Snapshot()
+	return obs.Merge(s.reg.Snapshot(), snap, delivered(snap))
 }
 
-// shardSeries is what shard i's engine snapshot adds to the fold: its series
-// and its delivered matches, and a duplicate edge ID it dropped only when i
-// is 0. Every fed shard is sent the same edges and keeps the same window, so
-// each drops the same duplicates, and shard 0 is always fed.
-func shardSeries(i int, engine obs.Snapshot) []obs.Snapshot {
-	out := delivered(engine)
-	if i > 0 {
-		engine.Counters = slices.DeleteFunc(slices.Clone(engine.Counters), func(c obs.CounterSnapshot) bool {
-			return c.Name == "edges_dropped"
-		})
-	}
-	return []obs.Snapshot{engine, out}
-}
-
-// delivered is a shard's delivered-match series: it delivers every match
-// its engine finds, so they are the engine's matches_detected and
-// query_matches_detected under the names the delivered counts go by.
+// delivered is the delivered-match series: every match the engine finds is
+// delivered, so they are its matches_detected and query_matches_detected
+// under the names the delivered counts go by.
 func delivered(engine obs.Snapshot) obs.Snapshot {
 	var out obs.Snapshot
 	for _, c := range engine.Counters {
@@ -197,34 +144,23 @@ func delivered(engine obs.Snapshot) obs.Snapshot {
 	return out
 }
 
-// Exclusive runs fn under the lock every shard delivers under, so fn never
+// Exclusive runs fn under the lock every delivery takes, so fn never
 // overlaps a call into Config.Sink. It is safe from any goroutine but a
 // sink's own.
 func (s *ShardedEngine) Exclusive(fn func()) {
-	s.deliver.Lock()
-	defer s.deliver.Unlock()
+	s.delivering.Lock()
+	defer s.delivering.Unlock()
 	fn()
 }
 
-// Shards returns the number of shard workers.
-func (s *ShardedEngine) Shards() int { return len(s.workers) }
-
 // ErrClosed is returned by Process, RegisterQuery and UnregisterQuery after
-// Close: the mailboxes are gone, so accepting the call would mean either
-// silently dropping work or sending on a stopped mailbox. Close is
-// permanent (and idempotent); build a new engine to stream again.
+// Close. Close is permanent (and idempotent); build a new engine to stream
+// again.
 var ErrClosed = errors.New("shard: engine closed")
 
-// RegisterQuery registers a continuous query on one shard: the candidate
-// holding the fewest queries, the lowest index on a tie (every shard before
-// the first edge is admitted, the fed shards after it). It can be called
-// before streaming or mid-stream; mid-stream the registration takes effect
-// after the edges already queued in its shard's mailbox, which has been
-// sent every edge, so the query sees what it would on a single engine. A
-// mid-stream query needing more retention than is in force fails with
-// ErrRetentionTooSmall (matching core.Engine semantics); a pre-stream query
-// that widens the retention widens it on every shard, so each keeps the
-// same window.
+// RegisterQuery registers a continuous query, before streaming or
+// mid-stream. A mid-stream query needing more retention than is in force
+// fails with ErrRetentionTooSmall (matching core.Engine semantics).
 func (s *ShardedEngine) RegisterQuery(q *query.Graph, opts ...core.RegistrationOption) error {
 	if q == nil {
 		return core.ErrNilQuery
@@ -232,80 +168,38 @@ func (s *ShardedEngine) RegisterQuery(q *query.Graph, opts ...core.RegistrationO
 	if s.closed {
 		return ErrClosed
 	}
-	if _, ok := s.home[q.Name()]; ok {
-		return fmt.Errorf("shard: %w: %q", core.ErrDuplicateQuery, q.Name())
+	if _, err := s.eng.RegisterQuery(q, opts...); err != nil {
+		return fmt.Errorf("shard: %w", err)
 	}
-	// The clock widens on a copy, kept once the shard has accepted.
-	clock := s.clock
-	if !clock.Extend(q.Window()) {
-		return fmt.Errorf("shard: registering %q: %w: query window %s exceeds retention %s mid-stream",
-			q.Name(), core.ErrRetentionTooSmall, q.Window(), s.clock.Window())
-	}
-	// The first of the least loaded: the lowest index on a tie.
-	w := slices.MinFunc(s.fed, func(a, b *worker) int { return cmp.Compare(a.queries, b.queries) })
-	var err error
-	w.do(func() { _, err = w.eng.RegisterQuery(q, opts...) })
-	if err != nil {
-		return fmt.Errorf("shard %d: %w", w.id, err)
-	}
-	if clock.Window() != s.clock.Window() {
-		for _, o := range s.workers {
-			if o != w {
-				// Cannot fail: no edge has been admitted (Extend).
-				o.do(func() { _ = o.eng.ExtendRetention(q.Window()) })
-			}
-		}
-	}
-	s.clock = clock
-	w.queries++
-	s.home[q.Name()] = w
-	s.order = append(s.order, q.Name())
-	s.registrations.Set(int64(len(s.order)))
+	s.registrations.Set(int64(len(s.eng.Registrations())))
 	return nil
 }
 
-// UnregisterQuery removes a registration from the shard it lives on.
-// Partial matches held for the query are dropped with it, and so are its
-// series: a later registration under the same name counts from zero.
+// UnregisterQuery removes a registration. Partial matches held for the query
+// are dropped with it, and so are its series: a later registration under
+// the same name counts from zero.
 func (s *ShardedEngine) UnregisterQuery(name string) error {
 	if s.closed {
 		return ErrClosed
 	}
-	w, ok := s.home[name]
-	if !ok {
-		return fmt.Errorf("shard: %w: %q", core.ErrUnknownQuery, name)
+	if err := s.eng.UnregisterQuery(name); err != nil {
+		return fmt.Errorf("shard: %w", err)
 	}
-	var err error
-	w.do(func() { err = w.eng.UnregisterQuery(name) })
-	if err != nil {
-		return fmt.Errorf("shard %d: %w", w.id, err)
-	}
-	w.queries--
-	delete(s.home, name)
-	i := slices.Index(s.order, name)
-	s.order = slices.Delete(s.order, i, i+1)
-	s.registrations.Set(int64(len(s.order)))
+	s.registrations.Set(int64(len(s.eng.Registrations())))
 	return nil
 }
 
-// Start does nothing: New starts the workers' goroutines above one shard,
-// and a lone shard never has one. It is kept only because benchmark/ calls
-// it.
+// Start does nothing. It is kept only because benchmark/ calls it.
 func (s *ShardedEngine) Start() {}
 
-// Process sends one stream edge to every fed shard. A late edge
-// (graph.Clock) is counted and dropped before it is sent. It returns
-// ErrClosed after Close.
+// Process hands one stream edge to the engine. A late edge (graph.Clock) is
+// counted and dropped first. It returns ErrClosed after Close.
 func (s *ShardedEngine) Process(se graph.StreamEdge) error {
 	return s.ProcessContext(context.Background(), se)
 }
 
-// ProcessContext is Process with a cancellation bound: on a lone shard, a
-// done ctx refuses the edge; above one, ctx bounds the blocking mailbox
-// hand-off, and when the shards cannot accept the edge before ctx is done,
-// it returns the context error. Cancellation can interrupt the hand-off
-// part-way; the edge may then have reached some of the fed shards, exactly
-// as if their streams had been cut at that point.
+// ProcessContext is Process that refuses the edge, with the context's
+// error, once ctx is done.
 func (s *ShardedEngine) ProcessContext(ctx context.Context, se graph.StreamEdge) error {
 	if s.closed {
 		return ErrClosed
@@ -314,42 +208,14 @@ func (s *ShardedEngine) ProcessContext(ctx context.Context, se graph.StreamEdge)
 		s.dropped.Inc()
 		return nil
 	}
-	if !s.clock.Admitted() {
-		// The first edge to get in fixes the fed shards.
-		s.fed = s.workers[:1:1]
-		for _, w := range s.workers[1:] {
-			if w.queries > 0 {
-				s.fed = append(s.fed, w)
-			}
-		}
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	for i, w := range s.fed {
-		if err := w.edge(ctx, se); err != nil {
-			if i > 0 {
-				// A shard consumed the edge: the fed shards stay as they
-				// are and the registration guards engage.
-				s.admit()
-			}
-			return err
-		}
-	}
-	s.admit()
+	// Complete matches reach the sink through the engine's; the
+	// scratch-backed return slice is deliberately unused.
+	s.eng.ProcessEdge(se)
 	s.clock.AdvanceTo(se.Edge.Timestamp)
 	return nil
-}
-
-// admit records that an edge got in. The first time, that fixes the fed
-// shards, and the worker of every other shard drains its mailbox and exits.
-func (s *ShardedEngine) admit() {
-	if s.clock.Admitted() {
-		return
-	}
-	s.clock.Admit()
-	for _, w := range s.workers {
-		if !slices.Contains(s.fed, w) {
-			w.stop()
-		}
-	}
 }
 
 // Admit judges a batch on the front-end's clock, in order, as Process would
@@ -359,130 +225,64 @@ func (s *ShardedEngine) admit() {
 // so a caller that logs what it processes logs no edge Process would drop.
 func (s *ShardedEngine) Admit(batch []graph.StreamEdge) []graph.StreamEdge {
 	c := s.clock
-	for i, se := range batch {
-		if !c.Late(se.Edge.Timestamp) {
-			c.AdvanceTo(se.Edge.Timestamp)
+	for i := range batch {
+		ts := batch[i].Edge.Timestamp
+		if !c.Late(ts) {
+			c.AdvanceTo(ts)
 			continue
 		}
 		admitted := slices.Clone(batch[:i])
-		for _, se := range batch[i:] {
-			if c.Late(se.Edge.Timestamp) {
+		for j := i; j < len(batch); j++ {
+			if ts := batch[j].Edge.Timestamp; c.Late(ts) {
 				s.dropped.Inc()
-				continue
+			} else {
+				c.AdvanceTo(ts)
+				admitted = append(admitted, batch[j])
 			}
-			c.AdvanceTo(se.Edge.Timestamp)
-			admitted = append(admitted, se)
 		}
 		return admitted
 	}
 	return batch
 }
 
-// Advance sends an explicit stream-time signal to every fed shard, exactly
-// like Dynamic.AdvanceTo on a single engine (the watermark trails ts by the
-// configured slack).
+// Advance signals the passage of stream time to the engine, exactly like
+// Dynamic.AdvanceTo (the watermark trails ts by the configured slack).
 func (s *ShardedEngine) Advance(ts graph.Timestamp) {
 	if s.closed {
 		return
 	}
 	s.clock.AdvanceTo(ts)
-	for _, w := range s.fed {
-		w.advance(ts)
-	}
+	s.eng.Advance(ts)
 }
 
-// Flush is a full-pipeline barrier: it returns only after every edge,
-// advance and control message enqueued before the call has been processed
-// by its shard AND every match those messages produced has been delivered
-// to the sink — a worker delivers a match before it takes its next message.
-// A lone shard has nothing to wait for: every call has delivered its
-// matches by the time it returns. Recovery uses it to know that replaying
-// the log tail has surfaced every re-derivable match before it compares them
-// against the checkpointed emitted-set. Like Process, Flush must not race
-// with Close.
+// Flush is the delivery barrier: it returns once every match of the calls
+// made before it has reached the sink. Each call has delivered its matches
+// by the time it returns, so Flush waits for nothing. It returns ErrClosed
+// after Close.
 func (s *ShardedEngine) Flush() error {
 	if s.closed {
 		return ErrClosed
 	}
-	for _, w := range s.workers {
-		w.do(func() {})
-	}
 	return nil
 }
 
-// Close drains the mailboxes and stops the workers, returning after the
-// final sink call; their engines are then the caller's, as a lone shard's
-// is, so metrics stay readable. Close is idempotent and permanent: Process
-// returns ErrClosed, and a second Close returns immediately.
-func (s *ShardedEngine) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	for _, w := range s.workers {
-		if w.in != nil {
-			close(w.in) // the worker drains its mailbox and exits
-		}
-	}
-	for _, w := range s.workers {
-		w.done.Wait()
-		w.in = nil
-	}
-}
+// Close stops the engine: Process returns ErrClosed from then on. Metrics
+// stay readable. Close is idempotent.
+func (s *ShardedEngine) Close() { s.closed = true }
 
-// PerShardMetrics snapshots every shard engine's counters in shard order:
-// see Snapshot. Each fed shard counts every admitted edge; serving layers
-// expose the views so operators can see which shard carries which queries.
+// PerShardMetrics returns the engine's view, alone: see Metrics. It is kept
+// only because benchmark/ calls it.
 func (s *ShardedEngine) PerShardMetrics() []core.Metrics {
-	_, perShard, _ := s.Snapshot()
-	return perShard
+	return []core.Metrics{s.Metrics()}
 }
 
-// Metrics is the sharded engine's aggregate view: see Snapshot. A lone
-// shard's view is its engine's own, read with no merge.
-func (s *ShardedEngine) Metrics() core.Metrics {
-	if len(s.workers) == 1 {
-		return s.workers[0].eng.Metrics()
-	}
-	m, _, _ := s.Snapshot()
-	return m
-}
+// Metrics is the engine's own view.
+func (s *ShardedEngine) Metrics() core.Metrics { return s.eng.Metrics() }
 
-// Snapshot reads the sharded engine once — the front-end's registry, then
-// every worker's, each refreshing its gauges first — and returns the merged
-// reading with the aggregate and per-shard views built from it, which always
-// agree. Aggregate work counters are sums over shards, so an edge counts
-// once per fed shard; each match is counted once, by the shard holding its
-// query; EdgesDropped counts each input edge once: the late ones are the
-// front-end's, the duplicates shard 0's. Registrations are the front-end's. Each query's view is its shard's, in registration order. A
-// lone shard's view is its engine's own. Like all control methods it must
-// be called from the driver goroutine.
-func (s *ShardedEngine) Snapshot() (core.Metrics, []core.Metrics, obs.Snapshot) {
-	snaps := []obs.Snapshot{s.reg.Snapshot()}
-	perShard := make([]core.Metrics, len(s.workers))
-	for i, w := range s.workers {
-		var snap obs.Snapshot
-		perShard[i], snap = w.snapshot()
-		snaps = append(snaps, shardSeries(i, snap)...)
-	}
-	merged := obs.Merge(snaps...)
-	if len(s.workers) == 1 {
-		return perShard[0], perShard, merged
-	}
-	var m core.Metrics
-	byName := make(map[string]core.QueryMetrics, len(s.order))
-	dags := make([]mqo.Stats, len(perShard))
-	for i, sm := range perShard {
-		dags[i] = sm.MQO
-		for _, qm := range sm.Queries {
-			byName[qm.Name] = qm
-		}
-	}
-	for _, name := range s.order {
-		m.Queries = append(m.Queries, byName[name])
-	}
-	m.MQO = mqo.MergeStats(dags...)
-	core.FillMetrics(&m, merged)
-	m.Registrations = uint64(merged.Gauge("registrations", ""))
-	return m, perShard, merged
+// Snapshot reads the engine once, refreshing its gauges first, and returns
+// its view with the reading it was built from, delivered counts included.
+// Like all control methods it must be called from the driver goroutine.
+func (s *ShardedEngine) Snapshot() (core.Metrics, obs.Snapshot) {
+	m, snap := s.eng.Snapshot()
+	return m, obs.Merge(s.reg.Snapshot(), snap, delivered(snap))
 }

@@ -2,7 +2,7 @@ package shard_test
 
 import (
 	"errors"
-	"slices"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,7 +16,7 @@ import (
 )
 
 // smallNetflow is a laptop-scale netflow workload with all four Fig. 3 cyber
-// queries, so four shards hold one query each.
+// queries.
 func smallNetflow(window time.Duration, seed int64) gen.Workload {
 	cfg := gen.NetFlowConfig{
 		Hosts:       300,
@@ -30,8 +30,8 @@ func smallNetflow(window time.Duration, seed int64) gen.Workload {
 	return gen.NetFlowWorkload(cfg, window)
 }
 
-// smallNews is a laptop-scale news workload; its one query, the Fig. 2
-// co-mention pattern, lives on shard 0, the only shard fed.
+// smallNews is a laptop-scale news workload with one query, the Fig. 2
+// co-mention pattern.
 func smallNews(window time.Duration) gen.Workload {
 	cfg := gen.NewsConfig{
 		Articles:           800,
@@ -52,112 +52,49 @@ func smallNews(window time.Duration) gen.Workload {
 	return gen.NewsWorkload(cfg, window, 2)
 }
 
-func requireEqualSets(t *testing.T, w gen.Workload, shards int) {
-	t.Helper()
-	single, _, err := gen.RunSingle(w)
-	if err != nil {
-		t.Fatalf("single run: %v", err)
-	}
-	if len(single) == 0 {
-		t.Fatalf("degenerate workload %q: no matches at all", w.Name)
-	}
-	sharded, m, err := gen.RunSharded(w, shards)
-	if err != nil {
-		t.Fatalf("sharded run: %v", err)
-	}
-	if !single.Equal(sharded) {
-		t.Fatalf("workload %q: single engine found %d matches, %d-shard engine %d",
-			w.Name, len(single), shards, len(sharded))
-	}
-	if m.MatchesEmitted != uint64(len(sharded)) {
-		t.Fatalf("aggregated MatchesEmitted = %d, want %d deduplicated", m.MatchesEmitted, len(sharded))
-	}
-}
-
-func TestShardedEqualsSingleOnNetflow(t *testing.T) {
-	requireEqualSets(t, smallNetflow(time.Minute, 11), 4)
-}
-
-func TestShardedEqualsSingleOnNetflowTightWindow(t *testing.T) {
-	// A window shorter than the stream span forces edge expiry and pruning
-	// while matching is in flight, on every shard at the same pace.
-	requireEqualSets(t, smallNetflow(2*time.Second, 13), 4)
-}
-
-func TestShardedEqualsSingleOnNews(t *testing.T) {
-	requireEqualSets(t, smallNews(5*time.Minute), 4)
-}
-
-func TestShardedEqualsSingleAcrossShardCounts(t *testing.T) {
-	w := smallNetflow(30*time.Second, 17)
-	single, _, err := gen.RunSingle(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 3, 8} {
-		sharded, _, err := gen.RunSharded(w, shards)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+// TestShardsIsReadByNothing: benchmark/ builds the front-end with Shards: 2.
+// It runs the one engine every count runs: the match set and Metrics of
+// Shards 0, 2 and 4 are those of Shards 1, and PerShardMetrics is that one
+// view alone.
+func TestShardsIsReadByNothing(t *testing.T) {
+	w := smallNetflow(30*time.Second, 43)
+	run := func(shards int) (gen.MatchSet, core.Metrics, []core.Metrics) {
+		set := make(gen.MatchSet)
+		s := shard.New(&shard.Config{Shards: shards, Engine: w.Engine,
+			Sink: core.MatchSinkFunc(func(ev core.MatchEvent) { set.Add(ev) })})
+		defer s.Close()
+		for _, q := range w.Queries {
+			if err := s.RegisterQuery(q); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if !single.Equal(sharded) {
-			t.Fatalf("shards=%d: %d matches vs single %d", shards, len(sharded), len(single))
+		for i := range w.Edges {
+			if err := s.Process(w.Edges[i]); err != nil {
+				t.Fatal(err)
+			}
 		}
+		return set, s.Metrics(), s.PerShardMetrics()
 	}
-}
-
-func TestShardedMetricsAggregate(t *testing.T) {
-	w := smallNetflow(time.Minute, 19)
-	s := shard.New(&shard.Config{Shards: 4, Engine: w.Engine})
-	for _, q := range w.Queries {
-		if err := s.RegisterQuery(q); err != nil {
-			t.Fatal(err)
+	refSet, refMetrics, _ := run(1)
+	if len(refSet) == 0 {
+		t.Fatal("degenerate workload: no matches")
+	}
+	for _, shards := range []int{0, 1, 2, 4} {
+		set, m, perShard := run(shards)
+		if !set.Equal(refSet) {
+			t.Errorf("Shards %d: %d matches, Shards 1 %d", shards, len(set), len(refSet))
 		}
-	}
-	for _, se := range w.Edges {
-		if err := s.Process(se); err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(m, refMetrics) {
+			t.Errorf("Shards %d: Metrics %+v, Shards 1 %+v", shards, m, refMetrics)
 		}
-	}
-	s.Close()
-	m, perShard, _ := s.Snapshot()
-	if m.Registrations != uint64(len(w.Queries)) {
-		t.Fatalf("Registrations = %d, want %d", m.Registrations, len(w.Queries))
-	}
-	if len(m.Queries) != len(w.Queries) {
-		t.Fatalf("per-query metrics for %d queries, want %d", len(m.Queries), len(w.Queries))
-	}
-	// Four queries on four shards: each shard holds one, in registration
-	// order, and is fed the whole stream, so the aggregate counts every
-	// edge four times.
-	n := uint64(len(w.Edges))
-	for i, sm := range perShard {
-		if len(sm.Queries) != 1 || sm.Queries[0].Name != w.Queries[i].Name() || m.Queries[i].Name != w.Queries[i].Name() {
-			t.Errorf("shard %d holds %+v, want only %s", i, sm.Queries, w.Queries[i].Name())
+		if len(perShard) != 1 || !reflect.DeepEqual(perShard[0], m) {
+			t.Errorf("Shards %d: PerShardMetrics holds %d views, want the engine's one", shards, len(perShard))
 		}
-		if sm.EdgesProcessed != n {
-			t.Errorf("shard %d processed %d edges, want the stream's %d", i, sm.EdgesProcessed, n)
-		}
-		if sm.MatchesEmitted != m.Queries[i].Matches {
-			t.Errorf("shard %d found %d matches, its query was sent %d", i, sm.MatchesEmitted, m.Queries[i].Matches)
-		}
-	}
-	if m.EdgesProcessed != 4*n {
-		t.Fatalf("EdgesProcessed = %d, want %d", m.EdgesProcessed, 4*n)
-	}
-	if m.LocalSearches == 0 {
-		t.Fatalf("no local searches counted")
-	}
-	var matches uint64
-	for _, qm := range m.Queries {
-		matches += qm.Matches
-	}
-	if matches != m.MatchesEmitted || matches == 0 {
-		t.Fatalf("per-query matches %d do not sum to MatchesEmitted %d", matches, m.MatchesEmitted)
 	}
 }
 
 func TestShardedRegisterErrorsRollBack(t *testing.T) {
-	cfg := shard.Config{Shards: 4}
+	var cfg shard.Config
 	cfg.Engine.Retention = time.Second
 	matched := 0
 	cfg.Sink = core.MatchSinkFunc(func(core.MatchEvent) { matched++ })
@@ -184,7 +121,7 @@ func TestShardedRegisterErrorsRollBack(t *testing.T) {
 }
 
 func TestShardedMidStreamRegistration(t *testing.T) {
-	cfg := shard.Config{Shards: 4}
+	var cfg shard.Config
 	cfg.Engine.Retention = time.Minute
 	var got []core.MatchEvent // read after Close, which returns after the final sink call
 	cfg.Sink = core.MatchSinkFunc(func(ev core.MatchEvent) { got = append(got, ev) })
@@ -231,14 +168,14 @@ func TestShardedMidStreamRegistration(t *testing.T) {
 	}
 }
 
-// TestShardedProcessBeforeStartRunsOnCaller: a lone shard processes an edge
+// TestShardedProcessBeforeStartRunsOnCaller: the front-end processes an edge
 // on the caller's goroutine, so the sink has seen the match it completes
 // before Process returns, and Flush has nothing to wait for. The sink reads
 // inCall without synchronization: under the race detector a delivery from
 // any other goroutine fails the test.
 func TestShardedProcessBeforeStartRunsOnCaller(t *testing.T) {
 	inCall, matched := false, 0
-	s := shard.New(&shard.Config{Shards: 1, Sink: core.MatchSinkFunc(func(core.MatchEvent) {
+	s := shard.New(&shard.Config{Sink: core.MatchSinkFunc(func(core.MatchEvent) {
 		if !inCall {
 			t.Error("match delivered outside the Process call")
 		}
@@ -267,45 +204,9 @@ func TestShardedProcessBeforeStartRunsOnCaller(t *testing.T) {
 	}
 }
 
-// TestShardedHubFreeQueryRegistersMidStream: the Fig. 2 query, in which no
-// pattern vertex touches every edge, registers a third of the way into the
-// stream on four shards and is sent exactly what one engine sends it: its
-// shard has been fed every edge before it.
-func TestShardedHubFreeQueryRegistersMidStream(t *testing.T) {
-	w := smallNews(5 * time.Minute)
-	split := len(w.Edges) / 3
-	run := func(shards int) gen.MatchSet {
-		set := make(gen.MatchSet)
-		s := shard.New(&shard.Config{Shards: shards, Engine: w.Engine,
-			Sink: core.MatchSinkFunc(func(ev core.MatchEvent) { set.Add(ev) })})
-		if err := s.RegisterQuery(gen.SmurfQuery(w.Engine.Retention)); err != nil {
-			t.Fatal(err)
-		}
-		for i, se := range w.Edges {
-			if i == split {
-				if err := s.RegisterQuery(w.Queries[0]); err != nil {
-					t.Fatalf("%d shards: mid-stream registration: %v", shards, err)
-				}
-			}
-			if err := s.Process(se); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s.Close()
-		return set
-	}
-	single, sharded := run(1), run(4)
-	if len(single) == 0 {
-		t.Fatal("degenerate workload: the late query matched nothing")
-	}
-	if !single.Equal(sharded) {
-		t.Fatalf("4 shards sent %d matches, one engine %d", len(sharded), len(single))
-	}
-}
-
-// TestShardedRefusesUnnamedQuery: a query without a name is refused on the
-// shard it would go to, shard 0 or one beside a registered query, and the
-// refusal leaves no registration behind.
+// TestShardedRefusesUnnamedQuery: a query without a name is refused, alone
+// or beside a registered query, and the refusal leaves no registration
+// behind.
 func TestShardedRefusesUnnamedQuery(t *testing.T) {
 	unnamed := func() *query.Graph {
 		return query.NewBuilder("").
@@ -314,7 +215,7 @@ func TestShardedRefusesUnnamedQuery(t *testing.T) {
 			Edge("a", "b", gen.EdgeFlow).
 			MustBuild()
 	}
-	s := shard.New(&shard.Config{Shards: 2})
+	s := shard.New(nil)
 	defer s.Close()
 	if err := s.RegisterQuery(unnamed()); !errors.Is(err, core.ErrUnnamedQuery) {
 		t.Fatalf("unnamed query alone: %v, want ErrUnnamedQuery", err)
@@ -322,7 +223,7 @@ func TestShardedRefusesUnnamedQuery(t *testing.T) {
 	if m := s.Metrics(); m.Registrations != 0 || len(m.Queries) != 0 {
 		t.Fatalf("refused registration left %d registrations, %d query views behind", m.Registrations, len(m.Queries))
 	}
-	s = shard.New(&shard.Config{Shards: 2, Engine: smallNews(time.Minute).Engine})
+	s = shard.New(&shard.Config{Engine: smallNews(time.Minute).Engine})
 	defer s.Close()
 	if err := s.RegisterQuery(smallNews(time.Minute).Queries[0]); err != nil {
 		t.Fatal(err)
@@ -336,7 +237,7 @@ func TestShardedRefusesUnnamedQuery(t *testing.T) {
 }
 
 func TestShardedExplicitAdvanceExpires(t *testing.T) {
-	cfg := shard.Config{Shards: 2}
+	var cfg shard.Config
 	cfg.Engine.Retention = 10 * time.Second
 	s := shard.New(&cfg)
 	if err := s.RegisterQuery(gen.SmurfQuery(10 * time.Second)); err != nil {
@@ -363,104 +264,17 @@ func TestShardedExplicitAdvanceExpires(t *testing.T) {
 	if m.LiveEdges != 0 {
 		t.Fatalf("explicit advance left %d live edges", m.LiveEdges)
 	}
-	// One query: only shard 0 is fed, and every edge it took has expired.
 	if m.ExpiredEdges != 64 || m.EdgesProcessed != 64 {
 		t.Fatalf("ExpiredEdges = %d of %d processed", m.ExpiredEdges, m.EdgesProcessed)
-	}
-}
-
-// TestQueriesAreDealtToTheFedShards: before the first edge each query goes
-// to the shard holding the fewest, the lowest index on a tie. The first
-// admitted edge fixes the fed shards, shard 0 and every shard holding a
-// query then; each later query goes to the least loaded of them, and a
-// shard never fed takes no edge and keeps no window.
-func TestQueriesAreDealtToTheFedShards(t *testing.T) {
-	cfg := shard.Config{Shards: 4}
-	cfg.Engine.Retention = time.Minute
-	s := shard.New(&cfg)
-	defer s.Close()
-	register := func(q *query.Graph) {
-		t.Helper()
-		if err := s.RegisterQuery(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	register(gen.SmurfQuery(time.Minute))     // shard 0
-	register(gen.WormQuery(time.Minute))      // shard 1
-	register(gen.WormChainQuery(time.Minute)) // shard 2
-	if err := s.UnregisterQuery("worm-hop"); err != nil {
-		t.Fatal(err)
-	}
-	base := graph.TimestampFromTime(time.Unix(3000, 0))
-	if err := s.Process(flowEdge(1, 1, 2, base)); err != nil { // feeds shards 0 and 2
-		t.Fatal(err)
-	}
-	register(gen.ExfiltrationQuery(time.Minute)) // shards 0 and 2 tie: shard 0
-	register(gen.WormQuery(time.Minute))         // shard 2
-	if err := s.Process(flowEdge(2, 2, 3, base.Add(time.Millisecond))); err != nil {
-		t.Fatal(err)
-	}
-	want := []struct {
-		queries []string
-		edges   uint64
-	}{
-		{[]string{"smurf-ddos", "exfiltration"}, 2},
-		{nil, 0},
-		{[]string{"worm-chain", "worm-hop"}, 2},
-		{nil, 0},
-	}
-	for i, m := range s.PerShardMetrics() {
-		var names []string
-		for _, qm := range m.Queries {
-			names = append(names, qm.Name)
-		}
-		if !slices.Equal(names, want[i].queries) || m.EdgesProcessed != want[i].edges || m.LiveEdges != int(want[i].edges) {
-			t.Errorf("shard %d holds %v with %d edges processed, %d live; want %v with %d",
-				i, names, m.EdgesProcessed, m.LiveEdges, want[i].queries, want[i].edges)
-		}
-	}
-	if m := s.Metrics(); len(m.Queries) != 4 || m.Queries[3].Name != "worm-hop" {
-		t.Errorf("aggregate lists %+v, want the four queries in registration order", m.Queries)
-	}
-}
-
-// TestShardedAdvanceReachesEveryFedShard: an Advance reaches every fed
-// shard, so each expires its whole window, and no shard that is not fed.
-func TestShardedAdvanceReachesEveryFedShard(t *testing.T) {
-	cfg := shard.Config{Shards: 3}
-	cfg.Engine.Retention = 10 * time.Second
-	s := shard.New(&cfg)
-	defer s.Close()
-	for _, q := range []*query.Graph{gen.SmurfQuery(10 * time.Second), gen.WormQuery(10 * time.Second)} {
-		if err := s.RegisterQuery(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	base := graph.TimestampFromTime(time.Unix(2000, 0))
-	for i := 0; i < 64; i++ {
-		if err := s.Process(flowEdge(i+1, graph.VertexID(i), graph.VertexID(i+500), base.Add(time.Duration(i)*10*time.Millisecond))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Advance(base.Add(time.Hour))
-	for i, m := range s.PerShardMetrics() {
-		want := uint64(64)
-		if i == 2 {
-			want = 0 // holds no query: never fed
-		}
-		if m.EdgesProcessed != want || m.ExpiredEdges != want || m.LiveEdges != 0 {
-			t.Errorf("shard %d: %d edges processed, %d expired, %d live; want %d, %d, 0",
-				i, m.EdgesProcessed, m.ExpiredEdges, m.LiveEdges, want, want)
-		}
 	}
 }
 
 // TestShardedWideningAfterAdvanceKeepsTheWatermark: an Advance moves the
 // front-end's clock before a registration widens the retention, and the
 // widening keeps its watermark, so an edge far behind it is counted and
-// dropped by the front-end and reaches no shard.
+// dropped by the front-end and never reaches the engine.
 func TestShardedWideningAfterAdvanceKeepsTheWatermark(t *testing.T) {
-	cfg := shard.Config{Shards: 2}
+	var cfg shard.Config
 	cfg.Engine.Retention = 5 * time.Second
 	s := shard.New(&cfg)
 	base := graph.TimestampFromTime(time.Unix(1000, 0))
@@ -482,20 +296,14 @@ func TestShardedWideningAfterAdvanceKeepsTheWatermark(t *testing.T) {
 		})
 	}
 	s.Close()
-	if m := s.Metrics(); m.EdgesDropped != 16 || m.EdgesProcessed != 0 {
-		t.Errorf("%d of 16 edges 99s behind the watermark dropped, %d admitted", m.EdgesDropped, m.EdgesProcessed)
-	}
-	for i, m := range s.PerShardMetrics() {
-		if m.EdgesDropped != 0 || m.EdgesProcessed != 0 {
-			t.Errorf("shard %d was routed %d dropped and %d admitted edges", i, m.EdgesDropped, m.EdgesProcessed)
-		}
+	if m := s.Metrics(); m.EdgesDropped != 16 || m.EdgesProcessed != 0 || m.LiveEdges != 0 {
+		t.Errorf("%d of 16 edges 99s behind the watermark dropped, %d admitted, %d live", m.EdgesDropped, m.EdgesProcessed, m.LiveEdges)
 	}
 }
 
 // TestEachMatchReachesTheSinkOnce: on four queries (netflow), one (news)
-// and five on balanced plans under drift, at 2, 3 and 4 shards, every match
-// the sink is handed is a distinct one — no two shards deliver the same
-// match — and together they are exactly the oracle's set.
+// and five on balanced plans under drift, every match the sink is handed is
+// a distinct one, and together they are exactly the oracle's set.
 func TestEachMatchReachesTheSinkOnce(t *testing.T) {
 	drift := gen.BenchDriftWorkload(12_000, 400, 10*time.Second)
 	for _, tc := range []struct {
@@ -511,72 +319,92 @@ func TestEachMatchReachesTheSinkOnce(t *testing.T) {
 		if len(oracle) == 0 {
 			t.Fatalf("%s: degenerate workload, no matches", tc.name)
 		}
-		for _, shards := range []int{2, 3, 4} {
-			received, set := 0, make(gen.MatchSet)
-			s := shard.New(&shard.Config{Shards: shards, Engine: tc.w.Engine,
-				Sink: core.MatchSinkFunc(func(ev core.MatchEvent) {
-					received++
-					set.Add(ev)
-				})})
-			for _, q := range tc.w.Queries {
-				if err := s.RegisterQuery(q, tc.opts...); err != nil {
-					t.Fatal(err)
-				}
+		received, set := 0, make(gen.MatchSet)
+		s := shard.New(&shard.Config{Engine: tc.w.Engine,
+			Sink: core.MatchSinkFunc(func(ev core.MatchEvent) {
+				received++
+				set.Add(ev)
+			})})
+		for _, q := range tc.w.Queries {
+			if err := s.RegisterQuery(q, tc.opts...); err != nil {
+				t.Fatal(err)
 			}
-			for _, se := range tc.w.Edges {
-				if err := s.Process(se); err != nil {
-					t.Fatal(err)
-				}
+		}
+		for i := range tc.w.Edges {
+			if err := s.Process(tc.w.Edges[i]); err != nil {
+				t.Fatal(err)
 			}
-			s.Close()
-			if received != len(set) {
-				t.Errorf("%s, %d shards: %d events reached the sink for %d distinct matches", tc.name, shards, received, len(set))
-			}
-			if !set.Equal(oracle) {
-				t.Errorf("%s, %d shards: %d matches, oracle %d", tc.name, shards, len(set), len(oracle))
-			}
+		}
+		s.Close()
+		if received != len(set) {
+			t.Errorf("%s: %d events reached the sink for %d distinct matches", tc.name, received, len(set))
+		}
+		if !set.Equal(oracle) {
+			t.Errorf("%s: %d matches, oracle %d", tc.name, len(set), len(oracle))
 		}
 	}
 }
 
-// TestSinkNeverEnteredConcurrently: four shards find and deliver their
-// queries' matches on their own goroutines, yet the sink is never entered
-// while another call is still inside it.
+// TestSinkNeverEnteredConcurrently: while the driver delivers its matches
+// on its own goroutine, another goroutine runs Exclusive over and over, as
+// a recovered backlog's delivery does, yet the sink and Exclusive's calls
+// are never inside at once.
 func TestSinkNeverEnteredConcurrently(t *testing.T) {
 	w := smallNetflow(30*time.Second, 41)
 	var inFlight atomic.Int32
-	var delivered int
-	s := shard.New(&shard.Config{Shards: 4, Engine: w.Engine,
+	var calls, delivered, exclusive int
+	enter := func() {
+		if n := inFlight.Add(1); n > 1 {
+			t.Errorf("entered with %d calls in flight", n)
+		}
+		calls++ // unsynchronized: -race flags overlapping calls too
+		time.Sleep(10 * time.Microsecond)
+		inFlight.Add(-1)
+	}
+	s := shard.New(&shard.Config{Engine: w.Engine,
 		Sink: core.MatchSinkFunc(func(core.MatchEvent) {
-			if n := inFlight.Add(1); n > 1 {
-				t.Errorf("sink entered with %d calls in flight", n)
-			}
-			delivered++ // unsynchronized: -race flags overlapping calls too
-			time.Sleep(10 * time.Microsecond)
-			inFlight.Add(-1)
+			delivered++
+			enter()
 		})})
 	for _, q := range w.Queries {
 		if err := s.RegisterQuery(q); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, se := range w.Edges {
-		if err := s.Process(se); err != nil {
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Exclusive(func() {
+					exclusive++
+					enter()
+				})
+			}
+		}
+	}()
+	for i := range w.Edges {
+		if err := s.Process(w.Edges[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
+	close(stop)
+	<-done
 	s.Close()
-	if m := s.Metrics(); delivered == 0 || uint64(delivered) != m.MatchesEmitted {
-		t.Fatalf("sink saw %d matches, engine emitted %d", delivered, m.MatchesEmitted)
+	if m := s.Metrics(); delivered == 0 || exclusive == 0 || uint64(delivered) != m.MatchesEmitted || calls != delivered+exclusive {
+		t.Fatalf("sink saw %d matches, engine emitted %d, %d exclusive calls, %d in all", delivered, m.MatchesEmitted, exclusive, calls)
 	}
 }
 
 // TestReregistrationCountsFromZero: UnregisterQuery forgets the query's
-// series on its shard, so it leaves the snapshot and
+// series, so it leaves the snapshot and
 // a registration under the same name counts from zero, as on one engine.
 func TestReregistrationCountsFromZero(t *testing.T) {
 	w := smallNetflow(2*time.Second, 1)
-	s := shard.New(&shard.Config{Shards: 2, Engine: w.Engine})
+	s := shard.New(&shard.Config{Engine: w.Engine})
 	defer s.Close()
 	smurf := gen.SmurfQuery(2 * time.Second)
 	if err := s.RegisterQuery(smurf); err != nil {

@@ -121,16 +121,16 @@ var ceilings = map[string]float64{
 	// emitted set's growth now and then.
 	"wal.Manager.NoteEmitted/new key":   0,
 	"wal.Manager.NoteEmitted/duplicate": 0,
-	// internal/shard: a shard delivers every match its engine finds, so
-	// delivering one is the delivery lock and the sink call, with nothing
+	// internal/shard: the front-end delivers every match its engine finds,
+	// so delivering one is the delivery lock and the sink call, with nothing
 	// looked up or counted on the way. Judging a batch with no late edge
 	// hands the batch back as it is.
-	"shard.worker.deliver/one shard":      0,
+	"shard.ShardedEngine.deliver":         0,
 	"shard.ShardedEngine.Admit/none late": 0,
-	// The root package: a one-shard engine's Metrics is its engine's own
-	// view — one registry snapshot filled into it, no per-shard fold or
-	// merge — on the four netflow queries of the metrics golden.
-	"streamworks.Sharded.Metrics/one shard": 16,
+	// The root package: the backend's Metrics is its engine's own view —
+	// one registry snapshot filled into it, no fold or merge — on the four
+	// netflow queries of the metrics golden.
+	"streamworks.Sharded.Metrics": 16,
 }
 
 // Runs is how many times Check measures f, after one warm-up call: a test

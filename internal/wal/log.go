@@ -55,8 +55,12 @@ type segLog struct {
 	interval int64 // ns
 	now      func() int64
 
-	seq  uint64
-	f    File
+	seq uint64
+	f   File
+	// size counts the bytes appended to the active segment behind its
+	// manifest, which is what SegmentBytes bounds: a manifest carries the
+	// whole emitted set, so counting it would seal every segment at its
+	// first append once the set outgrows a segment.
 	size int64
 	// maxTS is the newest edge timestamp in the active segment: what decides,
 	// once the segment is sealed, when it may be deleted.
@@ -94,7 +98,7 @@ func (l *segLog) rotate(manifest []byte) error {
 	}
 	l.f = f
 	l.seq++
-	l.size = int64(len(l.buf))
+	l.size = 0
 	l.maxTS = math.MinInt64
 	l.lastSync = l.now()
 	l.owed = false

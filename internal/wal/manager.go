@@ -396,9 +396,9 @@ func (m *Manager) checkpointLocked() error {
 }
 
 // checkpointIfDueLocked checkpoints once SnapshotEvery batches have been
-// appended since the last one or the active segment has outgrown
-// SegmentBytes. Call after an append has been folded into the manager's
-// state, so the manifest includes it.
+// appended since the last one or the records behind the active segment's
+// manifest have outgrown SegmentBytes. Call after an append has been folded
+// into the manager's state, so the manifest includes it.
 func (m *Manager) checkpointIfDueLocked() error {
 	due := m.log.size >= m.opts.SegmentBytes ||
 		m.opts.SnapshotEvery > 0 && m.batches >= m.opts.SnapshotEvery

@@ -17,10 +17,10 @@
 // text plus registration options), explicit advances of stream time and
 // incremental emitted-set checkpoints.
 //
-// The log follows stream time on a graph.Clock, as the engine's window
-// does, so its expiry cutoff is the window's. A checkpoint
-// (Manager.Snapshot, every Options.SnapshotEvery batches, and whenever a
-// segment outgrows Options.SegmentBytes) rotates to a new segment, syncs its
+// The log follows stream time on a graph.Clock, as the engine's window does, so
+// its expiry cutoff is the window's. A checkpoint (Manager.Snapshot, every
+// Options.SnapshotEvery batches, and whenever the records behind a segment's
+// manifest outgrow Options.SegmentBytes) rotates to a new segment, syncs its
 // manifest, then deletes the oldest segments whose newest edge is below the
 // cutoff. Recovery reads the oldest retained segment's manifest and replays
 // every record after it in the order it was appended. Four rules hold
@@ -117,8 +117,8 @@ type Options struct {
 	FS FS
 	// Fsync is the sync policy for appended frames.
 	Fsync FsyncPolicy
-	// SegmentBytes checkpoints once the active segment exceeds this size.
-	// Zero defaults to 8 MiB.
+	// SegmentBytes checkpoints once the records appended to the active
+	// segment behind its manifest reach this size. Zero defaults to 8 MiB.
 	SegmentBytes int64
 	// SnapshotEvery checkpoints (new segment, expired segments deleted)
 	// every N appended edge batches, which bounds how far beyond the window

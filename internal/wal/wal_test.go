@@ -1003,3 +1003,51 @@ func FuzzWALDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestCheckpointsFollowAppendedBytes: once the emitted set's manifest is
+// larger than SegmentBytes, a segment is still sealed only after
+// SegmentBytes of records have been appended behind its manifest. The same
+// stream of single-edge batches and emission notes runs twice, with 4 KiB
+// segments and with segments that never fill; the second run's bytes are
+// the records alone. The first may checkpoint once per 4 KiB of them, and
+// not once per batch.
+func TestCheckpointsFollowAppendedBytes(t *testing.T) {
+	const (
+		segmentBytes = 4 << 10
+		prefill      = 3000 // noted matches before the stream: a manifest of ~150 KiB
+		edges        = 1000 // one batch each, one note each
+	)
+	sig := func(i int) string { return fmt.Sprintf("%032d", i) }
+	run := func(segment int64) (checkpoints, recordBytes uint64) {
+		m, _ := openTest(t, t.TempDir(), func(o *Options) { o.SegmentBytes = segment; o.EmittedEvery = 16 })
+		defer m.Close()
+		for i := 0; i < prefill; i++ {
+			m.NoteEmitted("q", sig(i), 0)
+		}
+		if err := m.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		before := m.Stats()
+		for i := 0; i < edges; i++ {
+			if err := m.AppendEdges([]graph.StreamEdge{testEdge(uint64(i+1), int64(i))}); err != nil {
+				t.Fatal(err)
+			}
+			m.NoteEmitted("q", sig(prefill+i), int64(i))
+		}
+		after := m.Stats()
+		return after.Snapshots - before.Snapshots, after.Bytes - before.Bytes
+	}
+	none, recordBytes := run(1 << 40)
+	if none != 0 {
+		t.Fatalf("%d checkpoints with segments that never fill", none)
+	}
+	checkpoints, _ := run(segmentBytes)
+	bound := recordBytes/segmentBytes + 1
+	if checkpoints > bound {
+		t.Errorf("%.0f checkpoints per thousand edges over %d B of records; want at most %.0f, one per %d B",
+			float64(checkpoints)*1000/edges, recordBytes, float64(bound)*1000/edges, segmentBytes)
+	}
+	if checkpoints == 0 {
+		t.Errorf("no checkpoint over %d B of records with %d-B segments", recordBytes, segmentBytes)
+	}
+}

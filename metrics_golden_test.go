@@ -44,55 +44,37 @@ func goldenNetflow() gen.Workload {
 	}, time.Second)
 }
 
-// TestOneShardMetricsAllocationBudget: a one-shard engine's Metrics is its
-// engine's own view, with no per-shard fold or merge behind it.
-func TestOneShardMetricsAllocationBudget(t *testing.T) {
+// TestMetricsAllocationBudget: the backend's Metrics is its engine's own
+// view, with no fold or merge behind it.
+func TestMetricsAllocationBudget(t *testing.T) {
 	w := goldenNetflow()
 	eng := streamworks.New(streamworks.WithEngineConfig(w.Engine))
 	defer eng.Close()
 	registerAll(t, eng, w)
 	streamBatches(t, eng, w, 0, len(w.Edges), 250)
 	ctx := context.Background()
-	allocbudget.Check(t, "streamworks.Sharded.Metrics/one shard", func() { eng.Metrics(ctx) })
+	allocbudget.Check(t, "streamworks.Sharded.Metrics", func() { eng.Metrics(ctx) })
 }
 
 // TestMetricsViewsMatchGolden pins what the metrics views report for a small
-// deterministic netflow run on one shard ("local") and on two ("sharded"),
-// each with a write-ahead log: the aggregate view, every shard's, and the
-// durability counters, read once the pipeline has drained.
+// deterministic netflow run with a write-ahead log ("local"): the engine's
+// view and the durability counters, read once the pipeline has drained.
 func TestMetricsViewsMatchGolden(t *testing.T) {
 	w := goldenNetflow()
 	type reading struct {
-		Metrics    any   `json:"metrics"`
-		PerShard   []any `json:"per_shard,omitempty"`
-		Durability any   `json:"durability"`
+		Metrics    any `json:"metrics"`
+		Durability any `json:"durability"`
 	}
-	got := map[string]reading{}
-	for _, c := range []struct {
-		name   string
-		shards int
-	}{{"local", 1}, {"sharded", 2}} {
-		eng := streamworks.New(streamworks.WithEngineConfig(w.Engine), streamworks.WithShards(c.shards),
-			streamworks.WithDataDir(t.TempDir()), streamworks.WithFsyncPolicy("off"))
-		registerAll(t, eng, w)
-		streamBatches(t, eng, w, 0, len(w.Edges), 250)
-		var r reading
-		if err := eng.Flush(); err != nil {
-			t.Fatalf("Flush: %v", err)
-		}
-		if _, perShard, _ := eng.MetricsSnapshot(); len(perShard) > 1 {
-			for _, m := range perShard {
-				r.PerShard = append(r.PerShard, metricsView(t, m))
-			}
-		}
-		m, err := eng.Metrics(context.Background())
-		if err != nil {
-			t.Fatalf("%s: Metrics: %v", c.name, err)
-		}
-		r.Metrics, r.Durability = metricsView(t, m), eng.Durability()
-		got[c.name] = r
-		eng.Close()
+	eng := streamworks.New(streamworks.WithEngineConfig(w.Engine),
+		streamworks.WithDataDir(t.TempDir()), streamworks.WithFsyncPolicy("off"))
+	registerAll(t, eng, w)
+	streamBatches(t, eng, w, 0, len(w.Edges), 250)
+	m, err := eng.Metrics(context.Background())
+	if err != nil {
+		t.Fatalf("Metrics: %v", err)
 	}
+	got := map[string]reading{"local": {Metrics: metricsView(t, m), Durability: eng.Durability()}}
+	eng.Close()
 	out, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {
 		t.Fatalf("encoding readings: %v", err)

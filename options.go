@@ -14,7 +14,6 @@ import (
 // fields that apply to it and ignores the rest.
 type config struct {
 	engine     core.Config
-	shards     int
 	httpClient *http.Client
 	transport  Transport
 	// Durability knobs (WithDataDir and friends). walFS is the filesystem
@@ -38,8 +37,8 @@ func (c *config) report(r *export.Reporter, ev core.MatchEvent, q *Query) Match 
 	return rep
 }
 
-// coreOptions is the core option list the in-process backend passes to the
-// sharded front-end, which passes it to each shard it registers on.
+// coreOptions is the core option list the in-process backend passes to its
+// engine's front-end.
 func coreOptions(o RegisterOptions) []core.RegistrationOption {
 	if o.Strategy == "" {
 		return nil
@@ -48,8 +47,8 @@ func coreOptions(o RegisterOptions) []core.RegistrationOption {
 }
 
 // Option customizes an engine constructor. Options that do not apply to the
-// chosen constructor are ignored (e.g. WithShards or WithEngineConfig on
-// Connect — a remote engine's window and shards are fixed by the daemon).
+// chosen constructor are ignored (e.g. WithEngineConfig on Connect — a
+// remote engine's window is fixed by the daemon).
 type Option func(*config)
 
 // WithSummaries is ignored: the window statistics the selective query
@@ -67,16 +66,6 @@ func WithSummaries(bool) Option {
 // counters and gauges kept either way. In-process engines only.
 func WithEngineConfig(cfg EngineConfig) Option {
 	return func(c *config) { c.engine = cfg }
-}
-
-// WithShards sets the number of engine shards New builds (default 1; a
-// count below 1 is 1). Each query is registered on one shard, the one
-// holding the fewest queries, and every shard holding a query when the first
-// edge arrives (shard 0 always) is sent every edge; any query can register
-// mid-stream. Above one shard, each shard runs on a goroutine of its own.
-// Ignored by Connect.
-func WithShards(n int) Option {
-	return func(c *config) { c.shards = n }
 }
 
 // WithSharedPlans is ignored: every in-process backend folds its queries
@@ -116,7 +105,7 @@ func WithFsyncPolicy(policy string) Option {
 // are deleted. It bounds how far beyond the window a recovery replays and
 // how many segment files the window is spread over; nothing is serialized
 // but the manifest. Default 4096; negative leaves checkpoints to segment
-// size (8 MiB). Requires WithDataDir.
+// size (8 MiB of records behind the manifest). Requires WithDataDir.
 func WithSnapshotEvery(n int) Option {
 	return func(c *config) { c.snapshotEvery = n }
 }

@@ -77,7 +77,7 @@ func measureResident(t *testing.T, eng streamworks.Engine) resident {
 }
 
 // TestEmittedStatePlateaus streams 22 retentions of a match-dense stream
-// through a 25-member consumer group of the DAG and a 2-shard engine: every
+// through a 25-member consumer group of the DAG and a one-query engine: every
 // query is sent every match, and what the engine holds after 22 retentions
 // must be what it held after 4 — the heap covering the window, its
 // statistics and the slabs delivery carves matches and reports from (a sink
@@ -109,9 +109,6 @@ func TestEmittedStatePlateaus(t *testing.T) {
 		{"consumer group of 25", func() streamworks.Engine {
 			return streamworks.New(streamworks.WithEngineConfig(streamworks.EngineConfig{Retention: chainRetention}))
 		}, group, true},
-		{"2 shards", func() streamworks.Engine {
-			return streamworks.New(streamworks.WithEngineConfig(streamworks.EngineConfig{Retention: chainRetention}), streamworks.WithShards(2))
-		}, one, true},
 		{"unbounded retention", func() streamworks.Engine { return streamworks.New() }, one, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

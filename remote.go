@@ -65,7 +65,7 @@ func Connect(ctx context.Context, baseURL string, opts ...Option) (*Remote, erro
 }
 
 // ServerInfo returns the daemon's health self-description captured at
-// Connect time (API version, shard count, uptime).
+// Connect time (API version, uptime).
 func (r *Remote) ServerInfo() ServerInfo { return r.info }
 
 // remoteErr maps wire-level failures onto the shared API sentinels so
@@ -113,7 +113,7 @@ func (r *Remote) UnregisterQuery(ctx context.Context, name string) error {
 }
 
 // ProcessBatch ships a batch of edges and waits until the batch has been
-// routed to the shards. Over NDJSON each batch is one POST
+// processed by the daemon's engine. Over NDJSON each batch is one POST
 // /v1/edges?wait=1. Over TransportBinary every batch travels on one
 // long-lived ingest session (POST /v1/stream?batch=1) as its edge frames
 // and a sync frame, answered by an ack frame; the answer is the one the
@@ -177,7 +177,7 @@ func (r *Remote) dropSession() {
 	r.session, r.endSession = nil, nil
 }
 
-// Advance broadcasts an explicit stream-time signal to every daemon shard.
+// Advance sends an explicit stream-time signal to the daemon's engine.
 func (r *Remote) Advance(ctx context.Context, ts Timestamp) error {
 	if err := r.checkOpen(); err != nil {
 		return err

@@ -25,7 +25,7 @@ import (
 // ends only when the session is torn down.
 func TestRemoteBinaryCancelDropsSession(t *testing.T) {
 	w := acceptanceWorkload(t)
-	srv := server.New(server.Config{Shard: shard.Config{Shards: 2, Engine: w.Engine}})
+	srv := server.New(server.Config{Shard: shard.Config{Engine: w.Engine}})
 	defer srv.Close()
 	var sessions atomic.Int32
 	torn := make(chan struct{})
@@ -71,7 +71,7 @@ func TestRemoteRefusalReadsTheSameOnBothTransports(t *testing.T) {
 	w := acceptanceWorkload(t)
 	var refusals []string
 	for _, transport := range []streamworks.Transport{streamworks.TransportNDJSON, streamworks.TransportBinary} {
-		srv := server.New(server.Config{Shard: shard.Config{Shards: 2, Engine: w.Engine}, MaxBatchEdges: 50})
+		srv := server.New(server.Config{Shard: shard.Config{Engine: w.Engine}, MaxBatchEdges: 50})
 		hs := httptest.NewServer(srv)
 		remote, err := streamworks.Connect(context.Background(), hs.URL, streamworks.WithTransport(transport))
 		if err != nil {

@@ -67,7 +67,7 @@ func within(t *testing.T, d time.Duration, what string, f func()) {
 // neither takes the manager's lock or joins the append in flight.
 func TestScrapeNeverWaitsOnTheLog(t *testing.T) {
 	fs := &stallingFS{parked: make(chan struct{}), release: make(chan struct{})}
-	eng := streamworks.New(streamworks.WithShards(2), streamworks.WithDataDir(t.TempDir()),
+	eng := streamworks.New(streamworks.WithDataDir(t.TempDir()),
 		streamworks.WithFsyncPolicy("off"), streamworks.WithWALFS(fs))
 	defer eng.Close()
 	var released sync.Once

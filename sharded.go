@@ -14,15 +14,10 @@ import (
 	"github.com/streamworks/streamworks/internal/wal"
 )
 
-// Sharded is the in-process backend: N core engines that divide the
-// registered queries between them, each query on one shard that is sent
-// every edge, so each match reaches subscriptions from the one shard
-// holding its query. The shard count, fixed at construction, fixes how it
-// runs: above one shard every shard runs on its own goroutine and delivers
-// on it; a single shard, the default, runs its engine on the calling
-// goroutine, so its sinks run inside ProcessBatch and the call returning is
-// the delivery barrier. Subscribe and subscription teardown never wait
-// behind ingestion.
+// Sharded is the in-process backend: one core engine, driven on the
+// calling goroutine, so its sinks run inside ProcessBatch and the call
+// returning is the delivery barrier. Subscribe and subscription teardown
+// never wait behind ingestion.
 type Sharded struct {
 	cfg config
 	dur *durable // nil without WithDataDir
@@ -31,10 +26,9 @@ type Sharded struct {
 	// refused.
 	closed atomic.Bool
 
-	// mu serializes the sharded engine's single-driver control surface, so
-	// the public concurrency contract holds. A shard goroutine's delivery
-	// never takes it, or a blocked ingest could deadlock it; a single
-	// shard delivers inside the call holding it.
+	// mu serializes the engine's single-driver control surface, so the
+	// public concurrency contract holds. Delivery runs inside the call
+	// holding it.
 	mu  sync.Mutex
 	eng *shard.ShardedEngine
 
@@ -46,9 +40,8 @@ type Sharded struct {
 	queries map[string]*Query
 	subs    []*subscription // in subscription order
 
-	// reports and pending belong to the delivering goroutine, which holds
-	// the shards' delivery lock (and, on a single shard, is the caller
-	// holding mu). pending holds the emissions fanout has delivered but not
+	// reports and pending belong to the delivering goroutine, the caller
+	// holding mu. pending holds the emissions fanout has delivered but not
 	// yet acknowledged to the WAL.
 	reports export.Reporter
 	pending []pendingNote
@@ -65,12 +58,11 @@ type Local = Sharded
 
 var _ Engine = (*Sharded)(nil)
 
-// New builds the in-process backend on WithShards shards (default 1) of the
-// default engine configuration (unbounded retention) unless options say
-// otherwise. A single shard is driven on the caller's goroutine, so matches
-// are pushed to subscriptions synchronously, on the goroutine whose
-// ProcessBatch call emitted them, and New starts no goroutine; above one
-// shard, New starts one goroutine per shard.
+// New builds the in-process backend on the default engine configuration
+// (unbounded retention) unless options say otherwise. Its engine is driven
+// on the caller's goroutine, so matches are pushed to subscriptions
+// synchronously, on the goroutine whose ProcessBatch call emitted them, and
+// New starts no goroutine.
 func New(opts ...Option) *Sharded {
 	s := &Sharded{queries: make(map[string]*Query)}
 	for _, o := range opts {
@@ -80,18 +72,7 @@ func New(opts ...Option) *Sharded {
 		// Pinned, so the public tier stamps on the engine tiers' timebase.
 		s.cfg.engine.Obs.Clock = obs.SystemClock
 	}
-	// Above one shard, shards deliver one at a time and nothing overlaps a
-	// log write, so an emission is acknowledged as soon as its sinks have
-	// returned. A single shard delivers inside the batch whose log write is
-	// in flight, so ProcessBatch acknowledges behind the join.
-	sink := core.MatchSinkFunc(s.fanout)
-	if s.cfg.shards > 1 {
-		sink = func(ev core.MatchEvent) {
-			s.fanout(ev)
-			s.flushNotes()
-		}
-	}
-	s.eng = shard.New(&shard.Config{Shards: s.cfg.shards, Engine: s.cfg.engine, Sink: sink})
+	s.eng = shard.New(&shard.Config{Engine: s.cfg.engine, Sink: core.MatchSinkFunc(s.fanout)})
 	var rec *wal.Recovery
 	if s.dur, rec = openDurable(&s.cfg); rec != nil {
 		replayRecovery(s, rec)
@@ -99,11 +80,9 @@ func New(opts ...Option) *Sharded {
 	return s
 }
 
-// Flush is a full-pipeline barrier: it returns once every edge and control
-// message accepted before the call has been processed by its shard and
-// every match they produced has been delivered to subscriptions. On a
-// single shard every call has done so before it returns, so Flush returns
-// at once.
+// Flush is the delivery barrier: it returns once every match of the calls
+// made before it has been delivered to subscriptions. Every call has done
+// so before it returns, so Flush returns at once, or ErrClosed after Close.
 func (s *Sharded) Flush() error {
 	if err := s.lock(context.Background()); err != nil {
 		return err
@@ -112,12 +91,9 @@ func (s *Sharded) Flush() error {
 	return s.eng.Flush()
 }
 
-// Shards returns the number of engine shards.
-func (s *Sharded) Shards() int { return s.eng.Shards() }
-
 // lock takes mu for a call that reaches the engine, unless ctx is done or
 // the backend is closed. Close marks it closed before it takes mu, so no
-// call reaches a closed shard engine.
+// call reaches a closed engine.
 func (s *Sharded) lock(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -130,10 +106,8 @@ func (s *Sharded) lock(ctx context.Context) error {
 	return nil
 }
 
-// RegisterQuery registers a continuous query on one shard, the one holding
-// the fewest queries among those that could hold it. Any query can register
-// before streaming or mid-stream: its shard has been sent every edge, so it
-// sees what it would on a single shard.
+// RegisterQuery registers a continuous query, before streaming or
+// mid-stream.
 func (s *Sharded) RegisterQuery(ctx context.Context, q *Query) error {
 	return s.RegisterQueryWith(ctx, q, RegisterOptions{})
 }
@@ -154,7 +128,7 @@ func (s *Sharded) RegisterQueryWith(ctx context.Context, q *Query, opts Register
 	return nil
 }
 
-// UnregisterQuery removes a registration from the shard it lives on.
+// UnregisterQuery removes a registration.
 func (s *Sharded) UnregisterQuery(ctx context.Context, name string) error {
 	if err := s.lock(ctx); err != nil {
 		return err
@@ -170,40 +144,36 @@ func (s *Sharded) UnregisterQuery(ctx context.Context, name string) error {
 	return nil
 }
 
-// ProcessBatch sends a batch of edges in order to the shards. An edge behind
+// ProcessBatch hands a batch of edges in order to the engine. An edge behind
 // the watermark is counted and dropped first, so it is neither logged nor
-// sent. Above one shard, ctx bounds the blocking mailbox hand-off under
-// backpressure; on a single shard, ctx is checked between edges, and the
-// matches they complete are pushed to subscriptions before it returns.
+// processed. ctx is checked between edges, and the matches they complete
+// are pushed to subscriptions before it returns.
 func (s *Sharded) ProcessBatch(ctx context.Context, edges []StreamEdge) error {
 	if err := s.lock(ctx); err != nil {
 		return err
 	}
 	defer s.mu.Unlock()
 	edges = s.eng.Admit(edges)
-	// Write-ahead, overlapped: the log write runs concurrently with routing
-	// (s.mu makes log order equal routing order), and the join makes the
-	// batch durable — or durability degraded — before it can be acked
-	// upstream. A single shard acknowledges its emissions behind the join
-	// on every way out, a cancelled ctx's included.
+	// Write-ahead, overlapped: the log write runs concurrently with
+	// processing (s.mu makes log order equal processing order), and the join
+	// makes the batch durable — or durability degraded — before it can be
+	// acked upstream. The emissions delivered meanwhile are acknowledged
+	// behind the join, on every way out, a cancelled ctx's included.
 	if join := s.dur.appendEdgesAsync(edges); join != nil {
 		defer func() {
 			join()
-			if s.eng.Shards() == 1 {
-				s.flushNotes()
-			}
+			s.flushNotes()
 		}()
 	}
-	for _, se := range edges {
-		if err := s.eng.ProcessContext(ctx, se); err != nil {
+	for i := range edges {
+		if err := s.eng.ProcessContext(ctx, edges[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Advance sends an explicit stream-time signal to every shard that is sent
-// the stream.
+// Advance sends an explicit stream-time signal to the engine.
 func (s *Sharded) Advance(ctx context.Context, ts Timestamp) error {
 	if err := s.lock(ctx); err != nil {
 		return err
@@ -215,18 +185,16 @@ func (s *Sharded) Advance(ctx context.Context, ts Timestamp) error {
 }
 
 // Subscribe attaches sink to the query named by queryFilter ("" for all
-// queries). Sinks run one at a time — on the query's shard's goroutine above
-// one shard, inside the ProcessBatch call on a single shard — and must not
-// call back into the engine except to close their own subscription: a sink
-// that blocks stalls every shard's delivery and eventually ingestion, so
-// hand work off quickly. Subscribe never waits behind ingestion and is safe
-// while ProcessBatch runs. It hands the new sink the recovered matches
-// never delivered before the crash, each to the first matching subscriber,
-// exactly once: outside rmu, since the sink may close its own
-// subscription, and under the lock live deliveries take
-// (ShardedEngine.Exclusive), so the backlog may interleave with them but
-// never overlaps one — match identity is (query, signature), and the
-// engine never re-derives a match the replay already produced.
+// queries). Sinks run one at a time, inside the ProcessBatch call, and must not
+// call back into the engine except to close their own subscription: a sink that
+// blocks stalls ingestion, so hand work off quickly. Subscribe never waits
+// behind ingestion and is safe while ProcessBatch runs. It hands the new sink
+// the recovered matches never delivered before the crash, each to the first
+// matching subscriber, exactly once: outside rmu, since the sink may close its
+// own subscription, and under the lock live deliveries take
+// (ShardedEngine.Exclusive), so the backlog may interleave with them but never
+// overlaps one — match identity is (query, signature), and the engine never
+// re-derives a match the replay already produced.
 func (s *Sharded) Subscribe(queryFilter string, sink MatchSink) (Subscription, error) {
 	sub := &subscription{s: s, query: queryFilter, sink: sink, done: make(chan struct{})}
 	s.rmu.Lock()
@@ -253,9 +221,7 @@ func (s *Sharded) Subscribe(queryFilter string, sink MatchSink) (Subscription, e
 	return sub, nil
 }
 
-// Metrics aggregates per-shard counters into the single-engine Metrics
-// shape (each query's matches as its shard delivered them); it keeps
-// working after Close.
+// Metrics snapshots the engine's counters; it keeps working after Close.
 func (s *Sharded) Metrics(ctx context.Context) (Metrics, error) {
 	if err := ctx.Err(); err != nil {
 		return Metrics{}, err
@@ -265,42 +231,38 @@ func (s *Sharded) Metrics(ctx context.Context) (Metrics, error) {
 	return s.eng.Metrics(), nil
 }
 
-// ObsSnapshot folds every tier's registry — each shard worker's, the
-// front-end's, and the WAL's — into one snapshot: every counter
-// and gauge, plus the latency histograms when the engine's EngineConfig.Obs
-// is enabled. It reads the registries as they stand, taking no lock
-// and waiting on nothing (no shard round trip, no log write), so it is safe
-// from any goroutine and answers while ingest is blocked.
+// ObsSnapshot folds every tier's registry — the engine's and the WAL's —
+// into one snapshot: every counter and gauge, plus the latency histograms
+// when the engine's EngineConfig.Obs is enabled. It reads the registries as
+// they stand, taking no lock and waiting on nothing (no gauge refresh, no
+// log write), so it is safe from any goroutine and answers while ingest is
+// blocked.
 func (s *Sharded) ObsSnapshot() ObsSnapshot {
 	return obs.Merge(s.eng.ObsSnapshot(), s.dur.snapshot())
 }
 
-// MetricsSnapshot reads every tier once — each shard worker refreshing its
-// gauges on its own goroutine, then the WAL — and returns the aggregate and
-// per-shard views with the merged reading they were built from, which always
-// agree. The per-shard views are each shard engine's raw counters in shard
-// order — an edge counts on each shard it was sent to, a match on the shard
-// holding its query — for operators watching which shard carries what. The
-// serving tier renders GET /v1/metrics from it.
-func (s *Sharded) MetricsSnapshot() (Metrics, []Metrics, ObsSnapshot) {
+// MetricsSnapshot reads every tier once — the engine refreshing its gauges
+// first, then the WAL — and returns the engine's view with the merged
+// reading it was built from, which always agree. The serving tier renders
+// GET /v1/metrics from it.
+func (s *Sharded) MetricsSnapshot() (Metrics, ObsSnapshot) {
 	s.mu.Lock()
-	m, perShard, snap := s.eng.Snapshot()
+	m, snap := s.eng.Snapshot()
 	s.mu.Unlock()
-	return m, perShard, obs.Merge(snap, s.dur.snapshot())
+	return m, obs.Merge(snap, s.dur.snapshot())
 }
 
-// Close flushes the shard mailboxes, stops the workers and finishes every
-// subscription (Done closes after the final delivery; on a single shard,
-// once the call in flight, if any, has returned). Then the WAL takes its
-// last checkpoint: it covers every delivered match, so a graceful restart
-// redelivers nothing. Idempotent; subsequent mutating calls return
-// ErrClosed.
+// Close stops the engine and finishes every subscription (Done closes after
+// the final delivery, once the call in flight, if any, has returned). Then
+// the WAL takes its last checkpoint: it covers every delivered match, so a
+// graceful restart redelivers nothing. Idempotent; subsequent mutating calls
+// return ErrClosed.
 func (s *Sharded) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
 	s.mu.Lock()
-	s.eng.Close() // returns after the final delivery
+	s.eng.Close()
 	s.mu.Unlock()
 	s.rmu.Lock()
 	subs := s.subs
@@ -373,8 +335,8 @@ func (s *Sharded) fanout(ev core.MatchEvent) {
 }
 
 // flushNotes acknowledges the emissions fanout queued to the WAL, which may
-// then suppress them on recovery. The delivering goroutine calls it once
-// nothing orders the acknowledgment behind a log write still in flight.
+// then suppress them on recovery. ProcessBatch calls it once the batch's log
+// write has joined.
 func (s *Sharded) flushNotes() {
 	for _, n := range s.pending {
 		s.dur.note(n.query, n.signature, n.spanStart)

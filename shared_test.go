@@ -13,7 +13,7 @@ import (
 )
 
 // TestSharedPlansChurnUnderIngest races query register/unregister churn
-// against live ingest on a sharded engine running the shared evaluation DAG.
+// against live ingest on an engine running the shared evaluation DAG.
 // It pins the two churn guarantees at the public surface: matches of the
 // stable queries are exactly those of a churn-free run (attach/detach of
 // other queries never perturbs a co-resident query's emissions, even where
@@ -24,12 +24,11 @@ import (
 func TestSharedPlansChurnUnderIngest(t *testing.T) {
 	w := gen.BenchManyQueriesWorkload(16, 2500, 120, 10*time.Second)
 	// The stable set keeps matching throughout; the churn set is registered
-	// and unregistered continuously while edges stream, on whichever shard
-	// holds the fewest queries. The news variants stay stable: the widest of
-	// them widens the retention before streaming, on every shard, so a
-	// churned query of that window can register mid-stream. The first
-	// family cycle also stays stable, so a churned variant that lands beside
-	// its family's stable variant shares DAG structure with it.
+	// and unregistered continuously while edges stream. The news variants
+	// stay stable: the widest of them widens the retention before streaming,
+	// so a churned query of that window can register mid-stream. The first
+	// family cycle also stays stable, so a churned variant shares DAG
+	// structure with its family's stable variant.
 	stable, churn := w.Queries[:0:0], w.Queries[:0:0]
 	for i, q := range w.Queries {
 		if i < 8 || strings.HasPrefix(q.Name(), "news") {
@@ -43,10 +42,7 @@ func TestSharedPlansChurnUnderIngest(t *testing.T) {
 	}
 
 	run := func(withChurn bool) (gen.MatchSet, int) {
-		eng := streamworks.New(
-			streamworks.WithEngineConfig(w.Engine),
-			streamworks.WithShards(2),
-		)
+		eng := streamworks.New(streamworks.WithEngineConfig(w.Engine))
 		defer eng.Close()
 		ctx := context.Background()
 		for _, q := range stable {

@@ -11,26 +11,23 @@ import (
 	"github.com/streamworks/streamworks/internal/gen"
 )
 
-// TestShardedSoakDriftReregister is the short soak for moving queries to
-// other plans on the scale-out path: the drift workload streamed through the
-// public sharded backend, with every query re-registered under another
+// TestSoakDriftReregister is the short soak for moving queries to other
+// plans: the drift workload streamed through the public backend, with every
+// query re-registered under another
 // strategy at half and at five sixths of the stream, must detect exactly the
 // match set of a run that keeps its plans, each match once; and the run that
 // keeps them must report self-consistent metrics. Skipped under -short; CI runs it (with -race) on every push.
-func TestShardedSoakDriftReregister(t *testing.T) {
+func TestSoakDriftReregister(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test; skipped with -short")
 	}
 	w := gen.BenchDriftWorkload(40_000, 800, 20*time.Second)
 
-	kept, m, err := gen.RunSharded(w, 3)
+	kept, m, err := gen.RunSingle(w)
 	if err != nil {
 		t.Fatalf("run keeping its plans: %v", err)
 	}
-	moved, err := gen.RunReregistering(streamworks.New(
-		streamworks.WithEngineConfig(w.Engine),
-		streamworks.WithShards(3),
-	), w)
+	moved, err := gen.RunReregistering(streamworks.New(streamworks.WithEngineConfig(w.Engine)), w)
 	if err != nil {
 		t.Fatalf("re-registering run: %v", err)
 	}
@@ -38,7 +35,7 @@ func TestShardedSoakDriftReregister(t *testing.T) {
 		t.Fatalf("soak produced no matches")
 	}
 	if !moved.Equal(kept) {
-		t.Fatalf("re-registering sharded run diverged: %d matches vs %d", len(moved), len(kept))
+		t.Fatalf("re-registering run diverged: %d matches vs %d", len(moved), len(kept))
 	}
 
 	// Metrics self-consistency: every query is reported with its plan
@@ -60,19 +57,16 @@ func TestShardedSoakDriftReregister(t *testing.T) {
 }
 
 // TestRegistrationChurnRacesStreamAndClose drives the drift workload
-// through a sharded engine while another goroutine unregisters and
+// through the in-process engine while another goroutine unregisters and
 // re-registers a query and a third closes the engine mid-stream. Run under
 // -race in CI: the point is that registrations (which backfill DAG nodes
-// from the window on the shard workers) serialize safely against the
+// from the window) serialize safely against the
 // stream and the control plane. Errors from the losing side of each race
 // (ErrClosed, unknown query) are expected; data races and deadlocks are the
 // failure mode.
 func TestRegistrationChurnRacesStreamAndClose(t *testing.T) {
 	w := gen.BenchDriftWorkload(8_000, 300, 5*time.Second)
-	eng := streamworks.New(
-		streamworks.WithEngineConfig(w.Engine),
-		streamworks.WithShards(3),
-	)
+	eng := streamworks.New(streamworks.WithEngineConfig(w.Engine))
 	ctx := context.Background()
 	for _, q := range w.Queries {
 		if err := eng.RegisterQuery(ctx, q); err != nil {

@@ -5,12 +5,8 @@
 //
 // One Engine interface fronts two backends, reached by two constructors:
 //
-//   - New: the in-process engine on WithShards shards, which divide the
-//     registered queries between them, each shard that holds one reading
-//     the whole stream. The count, fixed at construction, fixes how it runs:
-//     one shard, the default, is driven on the caller's goroutine, so
-//     matches reach their sinks before ProcessBatch returns; above one,
-//     each shard runs on a goroutine of its own.
+//   - New: the in-process engine, driven on the caller's goroutine, so
+//     matches reach their sinks before ProcessBatch returns.
 //   - Connect: a remote engine served by a streamworksd daemon over HTTP
 //     (wraps the typed client).
 //
@@ -53,9 +49,6 @@ type (
 	Query = query.Graph
 
 	// StreamEdge is the unit of arrival: an edge plus endpoint metadata.
-	// Sources feeding a sharded or remote engine must populate SourceType/
-	// TargetType (and attributes) on every edge, not only on a vertex's
-	// first appearance — shards see disjoint subsets of the stream.
 	StreamEdge = graph.StreamEdge
 
 	// Edge is a directed, typed, timestamped, attributed data-graph edge.
@@ -73,9 +66,6 @@ type (
 	Timestamp = graph.Timestamp
 
 	// Metrics is a snapshot of engine counters, including per-query detail.
-	// For a sharded engine, work counters are summed over shards (and so
-	// count an edge on each shard it was sent to) while each query's
-	// matches are counted by the one shard holding it.
 	Metrics = core.Metrics
 
 	// EngineConfig is the low-level per-engine configuration. Most callers
@@ -163,9 +153,9 @@ func PlanStrategies() []string {
 }
 
 // MatchSink consumes pushed matches. OnMatch is invoked sequentially per
-// subscription, on an engine-owned goroutine (or the caller's, for a
-// one-shard engine): implementations must be fast and must not call
-// back into the engine, or they stall match delivery — and eventually
+// subscription — in process on the goroutine driving the engine, over the
+// wire on the subscription's own: implementations must be fast and must not
+// call back into the engine, or they stall match delivery — and eventually
 // ingestion — behind themselves.
 type MatchSink interface {
 	OnMatch(Match)
@@ -202,9 +192,9 @@ type Subscription interface {
 //     selective.
 //   - ProcessBatch ingests timestamped edges — one edge is a batch of one —
 //     which must arrive in non-decreasing timestamp order up to the
-//     engine's slack. ctx bounds the blocking hand-off; a one-shard engine
-//     checks it between edges and has delivered every match the batch
-//     completed by the time it returns.
+//     engine's slack. ctx bounds the call; the in-process engine checks it
+//     between edges and has delivered every match the batch completed by
+//     the time it returns.
 //   - Advance signals the passage of stream time in the absence of edges,
 //     driving window expiry and pruning.
 //   - Subscribe attaches a MatchSink for one query ("" for all).
