@@ -48,7 +48,10 @@ func TestNetFlowWorkloadComposition(t *testing.T) {
 	}
 }
 
-func TestRunSingleMatchesOracleOnTinyWorkload(t *testing.T) {
+// TestRunSingleAndShardedAgreeOnTinyWorkload: the public backend finds the
+// oracle's matches, and so does the front-end built with Shards: 2, as
+// benchmark/ builds it.
+func TestRunSingleAndShardedAgreeOnTinyWorkload(t *testing.T) {
 	w := tinyNetflowWorkload()
 	single, sm, err := RunSingle(w)
 	if err != nil {
@@ -62,6 +65,13 @@ func TestRunSingleMatchesOracleOnTinyWorkload(t *testing.T) {
 	}
 	if ref := Oracle(w); !single.Equal(ref) {
 		t.Fatalf("RunSingle found %d matches, the oracle %d", len(single), len(ref))
+	}
+	sharded, err := runShardConfig(w, 2, false)
+	if err != nil {
+		t.Fatalf("Shards: 2: %v", err)
+	}
+	if !single.Equal(sharded) {
+		t.Fatalf("driver runs disagree: single %d vs Shards: 2 %d matches", len(single), len(sharded))
 	}
 }
 

@@ -45,16 +45,22 @@ func TestCrossStrategyEquivalenceMatrix(t *testing.T) {
 	}
 	type mode struct {
 		name       string
+		shards     int  // 0 = the public backend; else the front-end's Config.Shards
 		reregister bool // queries move to other strategies mid-stream
 		obs        bool // latency histograms on
 	}
+	// The sharded2 cells build the front-end with Shards: 2, as benchmark/
+	// does; it runs the one engine the public backend runs.
 	modes := []mode{
-		{"single", false, false},
-		{"single-reregister", true, false},
+		{"single", 0, false, false},
+		{"single-reregister", 0, true, false},
+		{"sharded2", 2, false, false},
+		{"sharded2-reregister", 2, true, false},
 		// Observability cells: the latency histograms are free to change
 		// HOW the run is recorded, never WHICH matches it finds.
-		{"single-obs", false, true},
-		{"single-reregister-obs", true, true},
+		{"single-obs", 0, false, true},
+		{"single-reregister-obs", 0, true, true},
+		{"sharded2-reregister-obs", 2, true, true},
 	}
 	for _, w := range workloads {
 		w := w
@@ -72,12 +78,18 @@ func TestCrossStrategyEquivalenceMatrix(t *testing.T) {
 						w := w
 						w.Register = streamworks.RegisterOptions{Strategy: string(strat)}
 						w.Engine.Obs.Enabled = m.obs
-						eng := streamworks.New(streamworks.WithEngineConfig(w.Engine))
-						run := RunEngine
-						if m.reregister {
-							run = RunReregistering
+						var (
+							set MatchSet
+							err error
+						)
+						switch {
+						case m.shards > 0:
+							set, err = runShardConfig(w, m.shards, m.reregister)
+						case m.reregister:
+							set, err = RunReregistering(streamworks.New(streamworks.WithEngineConfig(w.Engine)), w)
+						default:
+							set, err = RunEngine(streamworks.New(streamworks.WithEngineConfig(w.Engine)), w)
 						}
-						set, err := run(eng, w)
 						if err != nil {
 							t.Fatalf("run: %v", err)
 						}
@@ -199,9 +211,10 @@ func TestLateRegistrationPlansFromTheWindow(t *testing.T) {
 }
 
 // TestObservabilityParity pins that instrumentation changes how a run is
-// recorded, never which matches it finds: with the latency histograms on,
-// the engine delivers the uninstrumented match set. (The matrix above covers
-// observability across strategies.)
+// recorded, never which matches it finds: with the latency histograms off and
+// on, the public backend and the front-end built with Shards: 2, as
+// benchmark/ builds it, deliver the uninstrumented match set. (The matrix
+// above covers observability across strategies.)
 func TestObservabilityParity(t *testing.T) {
 	w := BenchNetFlowWorkload(4000, 200, 10*time.Second)
 	ref, _, err := RunSingle(w)
@@ -211,13 +224,28 @@ func TestObservabilityParity(t *testing.T) {
 	if len(ref) == 0 {
 		t.Fatalf("reference run found no matches; the workload proves nothing")
 	}
-	w.Engine.Obs.Enabled = true
-	set, _, err := RunSingle(w)
-	if err != nil {
-		t.Fatalf("histograms on: %v", err)
-	}
-	if !set.Equal(ref) {
-		t.Errorf("histograms on: %d matches, uninstrumented run found %d", len(set), len(ref))
+	for _, shards := range []int{1, 2} {
+		for _, histograms := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d/histograms=%t", shards, histograms), func(t *testing.T) {
+				w := w
+				w.Engine.Obs.Enabled = histograms
+				var (
+					set MatchSet
+					err error
+				)
+				if shards == 1 {
+					set, _, err = RunSingle(w)
+				} else {
+					set, err = runShardConfig(w, shards, false)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !set.Equal(ref) {
+					t.Errorf("%d matches, uninstrumented public backend found %d", len(set), len(ref))
+				}
+			})
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"github.com/streamworks/streamworks/internal/isomorphism"
 	"github.com/streamworks/streamworks/internal/mqo"
 	"github.com/streamworks/streamworks/internal/query"
+	"github.com/streamworks/streamworks/internal/shard"
 	"github.com/streamworks/streamworks/internal/sjtree"
 	"github.com/streamworks/streamworks/internal/stats"
 )
@@ -111,7 +112,9 @@ func straggle(w Workload, seed int64, behind time.Duration) Workload {
 
 // TestRandomStreamsMatchOracle holds every engine configuration to the oracle
 // on streams the generators never produce: each decomposition strategy must
-// deliver exactly the matches naive expansion finds. Each stream has stragglers
+// deliver exactly the matches naive expansion finds, through the public
+// backend (shards=1) and through the front-end built with the shard counts
+// benchmark/ may pass, which run the same one engine. Each stream has stragglers
 // up to twice the slack behind, and a 300-edge prefix of it runs again under
 // unbounded retention with stragglers up to twenty slacks behind: an edge
 // behind the watermark is late whatever the retention.
@@ -130,17 +133,27 @@ func TestRandomStreamsMatchOracle(t *testing.T) {
 					t.Fatalf("the oracle found no matches; the stream proves nothing")
 				}
 				for _, strat := range decompose.Strategies() {
-					t.Run(string(strat), func(t *testing.T) {
-						w := w
-						w.Register.Strategy = string(strat)
-						set, _, err := RunSingle(w)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !set.Equal(ref) {
-							t.Fatalf("%d matches, the oracle finds %d", len(set), len(ref))
-						}
-					})
+					for _, shards := range []int{1, 2, 3} {
+						t.Run(fmt.Sprintf("%s/shards=%d", strat, shards), func(t *testing.T) {
+							w := w
+							w.Register.Strategy = string(strat)
+							var (
+								set MatchSet
+								err error
+							)
+							if shards == 1 {
+								set, _, err = RunSingle(w)
+							} else {
+								set, err = runShardConfig(w, shards, false)
+							}
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !set.Equal(ref) {
+								t.Fatalf("%d matches, the oracle finds %d", len(set), len(ref))
+							}
+						})
+					}
 				}
 			})
 		}
@@ -186,39 +199,67 @@ func TestLateRegistrationMatchesOracle(t *testing.T) {
 				t.Fatalf("the oracle finds nothing to send; the workload proves nothing")
 			}
 			for _, strat := range decompose.Strategies() {
-				t.Run(string(strat), func(t *testing.T) {
-					got := lateRegistrationRun(t, w, early.Queries, late.Queries, split, strat)
-					if !got.Equal(ref) {
-						t.Fatalf("%d matches with %d queries registered at edge %d, the oracle finds %d", len(got), len(late.Queries), split, len(ref))
+				for _, shards := range []int{1, 2, 3} {
+					name := string(strat)
+					if shards > 1 {
+						name = fmt.Sprintf("%s/shards=%d", strat, shards)
 					}
-				})
+					t.Run(name, func(t *testing.T) {
+						got := lateRegistrationRun(t, w, early.Queries, late.Queries, split, strat, shards)
+						if !got.Equal(ref) {
+							t.Fatalf("%d matches with %d queries registered at edge %d, the oracle finds %d", len(got), len(late.Queries), split, len(ref))
+						}
+					})
+				}
 			}
 		})
 	}
 }
 
-// lateRegistrationRun is one cell of TestLateRegistrationMatchesOracle, on a
-// core engine. It registers early
-// before the stream and late at edge split under strat, moves every query
+// lateRegistrationRun is one cell of TestLateRegistrationMatchesOracle: a
+// core engine for one shard, and above one the front-end built with that
+// shard count, as benchmark/ builds it (it runs one engine whatever the
+// count, behind its lateness clock). It registers early before the stream and late at edge split under strat, moves every query
 // one strategy further at half and at five sixths of the stream, checks
 // that each query ends on the last strategy it was moved to and that no
 // match was sent twice, and returns what the engine sent.
-func lateRegistrationRun(t *testing.T, w Workload, early, late []*query.Graph, split int, strat decompose.Strategy) MatchSet {
+func lateRegistrationRun(t *testing.T, w Workload, early, late []*query.Graph, split int, strat decompose.Strategy, shards int) MatchSet {
 	t.Helper()
 	cfg := w.Engine
 	cfg.PruneInterval = 8
 	// A sink sees every delivery, registrations' included, not only what
 	// ProcessEdge returns.
 	got, dup := make(MatchSet), ""
-	e := core.New(&cfg)
-	e.Subscribe("", core.MatchSinkFunc(func(ev core.MatchEvent) {
+	sink := core.MatchSinkFunc(func(ev core.MatchEvent) {
 		if !got.Add(ev) && dup == "" {
 			dup = ev.Query + " " + ev.CanonicalSignature()
 		}
-	}))
+	})
+	var (
+		e interface {
+			UnregisterQuery(string) error
+			Metrics() core.Metrics
+		}
+		register func(*query.Graph, core.RegistrationOption) error
+		process  func(graph.StreamEdge) error
+	)
+	if shards == 1 {
+		c := core.New(&cfg)
+		c.Subscribe("", sink)
+		e, process = c, func(se graph.StreamEdge) error { c.ProcessEdge(se); return nil }
+		register = func(q *query.Graph, o core.RegistrationOption) error {
+			_, err := c.RegisterQuery(q, o)
+			return err
+		}
+	} else {
+		s := shard.New(&shard.Config{Shards: shards, Engine: cfg, Sink: sink})
+		defer s.Close()
+		e, process = s, s.Process
+		register = func(q *query.Graph, o core.RegistrationOption) error { return s.RegisterQuery(q, o) }
+	}
 	registerAll := func(qs []*query.Graph, s decompose.Strategy) {
 		for _, q := range qs {
-			if _, err := e.RegisterQuery(q, core.WithStrategy(s)); err != nil {
+			if err := register(q, core.WithStrategy(s)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -244,7 +285,9 @@ func lateRegistrationRun(t *testing.T, w Workload, early, late []*query.Graph, s
 				registerAll([]*query.Graph{q}, to)
 			}
 		}
-		e.ProcessEdge(se)
+		if err := process(se); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, qm := range e.Metrics().Queries {
 		if qm.Strategy != last {

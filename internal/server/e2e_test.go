@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -156,7 +157,8 @@ func TestEndToEndNetflow(t *testing.T) {
 // TestShardCountIsReadByNothing: benchmark/ serves news-served on
 // server.Config{Shard: shard.Config{Shards: 2}}. The daemon runs its one
 // engine whatever the count: the match set a subscriber is streamed and the
-// engine view of /v1/metrics are those of Shards: 1.
+// engine view of /v1/metrics are those of Shards: 1, at the zero count and
+// at two and four.
 func TestShardCountIsReadByNothing(t *testing.T) {
 	w := gen.NetFlowWorkload(gen.NetFlowConfig{
 		Hosts: 200, Servers: 20, Edges: 2500, Start: graph.TimestampFromTime(time.Date(2013, 6, 22, 0, 0, 0, 0, time.UTC)),
@@ -202,12 +204,16 @@ func TestShardCountIsReadByNothing(t *testing.T) {
 	if len(oneSet) == 0 {
 		t.Fatal("degenerate workload: no matches")
 	}
-	twoSet, twoMetrics := run(2)
-	if !twoSet.Equal(oneSet) {
-		t.Errorf("Shards 2 streamed %d matches, Shards 1 %d", len(twoSet), len(oneSet))
-	}
-	if !reflect.DeepEqual(twoMetrics, oneMetrics) {
-		t.Errorf("Shards 2 reports %+v, Shards 1 %+v", twoMetrics, oneMetrics)
+	for _, shards := range []int{0, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			set, m := run(shards)
+			if !set.Equal(oneSet) {
+				t.Errorf("Shards %d streamed %d matches, Shards 1 %d", shards, len(set), len(oneSet))
+			}
+			if !reflect.DeepEqual(m, oneMetrics) {
+				t.Errorf("Shards %d reports %+v, Shards 1 %+v", shards, m, oneMetrics)
+			}
+		})
 	}
 }
 

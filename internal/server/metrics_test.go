@@ -103,29 +103,34 @@ func scrape(t *testing.T, client *http.Client, base string) map[string]float64 {
 
 // TestLateEdgesCountedAtTheFrontEnd: an edge behind the watermark, though
 // within twice the slack of the newest time, is dropped where edges enter
-// and counted once, in Metrics and on /metrics.
+// and counted once, in Metrics and on /metrics, whatever shard count the
+// daemon is configured with.
 func TestLateEdgesCountedAtTheFrontEnd(t *testing.T) {
-	var cfg shard.Config
-	cfg.Engine.Retention, cfg.Engine.Slack = time.Minute, time.Second
-	srv, ts := newTestServer(t, Config{Shard: cfg})
-	edges := []graph.StreamEdge{
-		hostEdge(1, 1, 2, "flow", testBase.Add(10*time.Second)),
-		hostEdge(2, 3, 4, "flow", testBase.Add(8500*time.Millisecond)),
-	}
-	resp := postEdges(t, ts.URL, ndjsonBody(t, edges), true)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest: HTTP %d", resp.StatusCode)
-	}
-	m, err := srv.Engine().Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.EdgesDropped != 1 {
-		t.Errorf("Metrics: %d edges dropped, want 1", m.EdgesDropped)
-	}
-	if got := scrape(t, http.DefaultClient, ts.URL)["streamworks_edges_dropped_total"]; got != 1 {
-		t.Errorf("/metrics: streamworks_edges_dropped_total %v, want 1", got)
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := shard.Config{Shards: shards}
+			cfg.Engine.Retention, cfg.Engine.Slack = time.Minute, time.Second
+			srv, ts := newTestServer(t, Config{Shard: cfg})
+			edges := []graph.StreamEdge{
+				hostEdge(1, 1, 2, "flow", testBase.Add(10*time.Second)),
+				hostEdge(2, 3, 4, "flow", testBase.Add(8500*time.Millisecond)),
+			}
+			resp := postEdges(t, ts.URL, ndjsonBody(t, edges), true)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("ingest: HTTP %d", resp.StatusCode)
+			}
+			m, err := srv.Engine().Metrics(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.EdgesDropped != 1 {
+				t.Errorf("Metrics: %d edges dropped, want 1", m.EdgesDropped)
+			}
+			if got := scrape(t, http.DefaultClient, ts.URL)["streamworks_edges_dropped_total"]; got != 1 {
+				t.Errorf("/metrics: streamworks_edges_dropped_total %v, want 1", got)
+			}
+		})
 	}
 }
 
@@ -217,77 +222,79 @@ func TestMetricsRenderingsAgree(t *testing.T) {
 	}
 
 	for _, obsOn := range []bool{false, true} {
-		t.Run(fmt.Sprintf("obs=%v", obsOn), func(t *testing.T) {
-			w := goldenWorkload()
-			w.Engine.Obs.Enabled = obsOn
-			srv, ts := newTestServer(t, Config{
-				Shard:   shard.Config{Engine: w.Engine},
-				DataDir: t.TempDir(), FsyncPolicy: "off",
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("obs=%v/shards=%d", obsOn, shards), func(t *testing.T) {
+				w := goldenWorkload()
+				w.Engine.Obs.Enabled = obsOn
+				srv, ts := newTestServer(t, Config{
+					Shard:   shard.Config{Shards: shards, Engine: w.Engine},
+					DataDir: t.TempDir(), FsyncPolicy: "off",
+				})
+				sub, err := srv.hub.register("")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer srv.hub.unsubscribe(sub)
+				ingestWaiting(t, ts.URL, w)
+				if err := srv.Engine().Flush(); err != nil {
+					t.Fatal(err)
+				}
+
+				resp, err := http.Get(ts.URL + "/v1/metrics")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var doc struct {
+					Engine map[string]any
+					Server map[string]any
+					WAL    map[string]any
+				}
+				err = json.NewDecoder(resp.Body).Decode(&doc)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				prom := scrape(t, http.DefaultClient, ts.URL)
+
+				checked := 0
+				agree := func(where, series string, v any) {
+					t.Helper()
+					want, ok := v.(float64)
+					if !ok {
+						return
+					}
+					checked++
+					if got, ok := prom[series]; !ok || got != want {
+						t.Errorf("%s = %v in /v1/metrics, %s = %v (present %v) in /metrics", where, want, series, got, ok)
+					}
+				}
+				for field, v := range doc.Engine {
+					if _, numeric := v.(float64); numeric && engineSeries[field] == "" {
+						t.Errorf("engine.%s has no series", field)
+					}
+					agree("engine."+field, engineSeries[field], v)
+				}
+				dag := doc.Engine["MQO"].(map[string]any)
+				for field, series := range dagSeries {
+					agree("engine.MQO."+field, series, dag[field])
+				}
+				for _, q := range doc.Engine["Queries"].([]any) {
+					q := q.(map[string]any)
+					for field, series := range querySeries {
+						agree(fmt.Sprintf("engine.Queries[%s].%s", q["Name"], field), fmt.Sprintf("%s{query=%q}", series, q["Name"]), q[field])
+					}
+				}
+				for field, v := range doc.Server {
+					agree("server."+field, tierSeries("server_", field), v)
+				}
+				for field, v := range doc.WAL {
+					agree("wal."+field, tierSeries("wal_", field), v)
+				}
+				if doc.WAL["mode"] != "ok" || checked < 35 || prom["streamworks_matches_emitted_total"] == 0 || prom["streamworks_server_matches_delivered_total"] == 0 {
+					t.Fatalf("%d fields compared; wal mode %v, %v matches, %v delivered", checked, doc.WAL["mode"],
+						prom["streamworks_matches_emitted_total"], prom["streamworks_server_matches_delivered_total"])
+				}
 			})
-			sub, err := srv.hub.register("")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.hub.unsubscribe(sub)
-			ingestWaiting(t, ts.URL, w)
-			if err := srv.Engine().Flush(); err != nil {
-				t.Fatal(err)
-			}
-
-			resp, err := http.Get(ts.URL + "/v1/metrics")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var doc struct {
-				Engine map[string]any
-				Server map[string]any
-				WAL    map[string]any
-			}
-			err = json.NewDecoder(resp.Body).Decode(&doc)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			prom := scrape(t, http.DefaultClient, ts.URL)
-
-			checked := 0
-			agree := func(where, series string, v any) {
-				t.Helper()
-				want, ok := v.(float64)
-				if !ok {
-					return
-				}
-				checked++
-				if got, ok := prom[series]; !ok || got != want {
-					t.Errorf("%s = %v in /v1/metrics, %s = %v (present %v) in /metrics", where, want, series, got, ok)
-				}
-			}
-			for field, v := range doc.Engine {
-				if _, numeric := v.(float64); numeric && engineSeries[field] == "" {
-					t.Errorf("engine.%s has no series", field)
-				}
-				agree("engine."+field, engineSeries[field], v)
-			}
-			dag := doc.Engine["MQO"].(map[string]any)
-			for field, series := range dagSeries {
-				agree("engine.MQO."+field, series, dag[field])
-			}
-			for _, q := range doc.Engine["Queries"].([]any) {
-				q := q.(map[string]any)
-				for field, series := range querySeries {
-					agree(fmt.Sprintf("engine.Queries[%s].%s", q["Name"], field), fmt.Sprintf("%s{query=%q}", series, q["Name"]), q[field])
-				}
-			}
-			for field, v := range doc.Server {
-				agree("server."+field, tierSeries("server_", field), v)
-			}
-			for field, v := range doc.WAL {
-				agree("wal."+field, tierSeries("wal_", field), v)
-			}
-			if doc.WAL["mode"] != "ok" || checked < 35 || prom["streamworks_matches_emitted_total"] == 0 || prom["streamworks_server_matches_delivered_total"] == 0 {
-				t.Fatalf("%d fields compared; wal mode %v, %v matches, %v delivered", checked, doc.WAL["mode"],
-					prom["streamworks_matches_emitted_total"], prom["streamworks_server_matches_delivered_total"])
-			}
-		})
+		}
 	}
 }

@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"testing"
@@ -35,8 +36,9 @@ func matrixWorkload() gen.Workload {
 // canonical match set — keyed by (query, signature), the identity both
 // transports serialize byte-identically — must be the same for every
 // combination of ingest transport (NDJSON batches, binary batches, the
-// persistent binary stream, binary batches synced on one session), and must
-// equal the independent oracle's (gen.Oracle).
+// persistent binary stream, binary batches synced on one session) and shard
+// count — benchmark/ serves on Shards: 2, which the daemon reads nowhere —
+// and must equal the independent oracle's (gen.Oracle).
 func TestTransportEquivalenceMatrix(t *testing.T) {
 	w := matrixWorkload()
 	expected := gen.Oracle(w)
@@ -45,23 +47,25 @@ func TestTransportEquivalenceMatrix(t *testing.T) {
 	}
 
 	for _, transport := range []string{"ndjson", "binary", "stream", "batches"} {
-		t.Run(transport, func(t *testing.T) {
-			got := runTransportCell(t, w, transport)
-			if !got.Equal(expected) {
-				t.Fatalf("match set diverges from the oracle's: got %d matches, want %d",
-					len(got), len(expected))
-			}
-		})
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/shards=%d", transport, shards), func(t *testing.T) {
+				got := runTransportCell(t, w, transport, shards)
+				if !got.Equal(expected) {
+					t.Fatalf("match set diverges from the oracle's: got %d matches, want %d",
+						len(got), len(expected))
+				}
+			})
+		}
 	}
 }
 
-// runTransportCell runs one matrix cell: a fresh server, the workload ingested
-// over the requested transport while a subscription (binary frames for the
+// runTransportCell runs one matrix cell: a fresh server with the requested
+// shard count, the workload ingested over the requested transport while a subscription (binary frames for the
 // binary transports, NDJSON otherwise) collects the delivered match set.
-func runTransportCell(t *testing.T, w gen.Workload, transport string) gen.MatchSet {
+func runTransportCell(t *testing.T, w gen.Workload, transport string, shards int) gen.MatchSet {
 	t.Helper()
 	srv := server.New(server.Config{
-		Shard:            shard.Config{Engine: w.Engine},
+		Shard:            shard.Config{Shards: shards, Engine: w.Engine},
 		SubscriberBuffer: 8192,
 	})
 	hs := httptest.NewServer(srv)

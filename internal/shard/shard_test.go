@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -52,44 +53,142 @@ func smallNews(window time.Duration) gen.Workload {
 	return gen.NewsWorkload(cfg, window, 2)
 }
 
+// runFrontEnd replays w through the front-end built with the given shard
+// count, as benchmark/ builds it, and returns what its sink was sent, its
+// Metrics and its PerShardMetrics.
+func runFrontEnd(t *testing.T, w gen.Workload, shards int) (gen.MatchSet, core.Metrics, []core.Metrics) {
+	t.Helper()
+	set := make(gen.MatchSet)
+	s := shard.New(&shard.Config{Shards: shards, Engine: w.Engine,
+		Sink: core.MatchSinkFunc(func(ev core.MatchEvent) {
+			if !set.Add(ev) {
+				t.Errorf("Shards %d: %s %s sent twice", shards, ev.Query, ev.CanonicalSignature())
+			}
+		})})
+	defer s.Close()
+	for _, q := range w.Queries {
+		if err := s.RegisterQuery(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range w.Edges {
+		if err := s.Process(w.Edges[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return set, s.Metrics(), s.PerShardMetrics()
+}
+
+// requireEqualSets: the front-end built with the given shard count sends
+// what the public backend sends, once each, and counts each match once.
+func requireEqualSets(t *testing.T, w gen.Workload, shards int) {
+	t.Helper()
+	single, _, err := gen.RunSingle(w)
+	if err != nil {
+		t.Fatalf("single run: %v", err)
+	}
+	if len(single) == 0 {
+		t.Fatalf("degenerate workload %q: no matches at all", w.Name)
+	}
+	sharded, m, _ := runFrontEnd(t, w, shards)
+	if !single.Equal(sharded) {
+		t.Fatalf("workload %q: public backend found %d matches, Shards %d front-end %d",
+			w.Name, len(single), shards, len(sharded))
+	}
+	if m.MatchesEmitted != uint64(len(sharded)) {
+		t.Fatalf("MatchesEmitted = %d, want %d deduplicated", m.MatchesEmitted, len(sharded))
+	}
+}
+
+func TestShardedEqualsSingleOnNetflow(t *testing.T) {
+	requireEqualSets(t, smallNetflow(time.Minute, 11), 4)
+}
+
+func TestShardedEqualsSingleOnNetflowTightWindow(t *testing.T) {
+	// A window shorter than the stream span forces edge expiry and pruning
+	// while matching is in flight.
+	requireEqualSets(t, smallNetflow(2*time.Second, 13), 4)
+}
+
+func TestShardedEqualsSingleOnNews(t *testing.T) {
+	requireEqualSets(t, smallNews(5*time.Minute), 4)
+}
+
+func TestShardedEqualsSingleAcrossShardCounts(t *testing.T) {
+	w := smallNetflow(30*time.Second, 17)
+	single, _, err := gen.RunSingle(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2, 3, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			sharded, _, _ := runFrontEnd(t, w, shards)
+			if !single.Equal(sharded) {
+				t.Fatalf("%d matches vs single %d", len(sharded), len(single))
+			}
+		})
+	}
+}
+
+// TestShardedMetricsAggregate: with Shards: 4 the front-end's Metrics is
+// the one engine's view: every query, every edge counted once, and the
+// per-query matches summing to MatchesEmitted. PerShardMetrics is that
+// view alone.
+func TestShardedMetricsAggregate(t *testing.T) {
+	w := smallNetflow(time.Minute, 19)
+	_, m, perShard := runFrontEnd(t, w, 4)
+	if m.Registrations != uint64(len(w.Queries)) {
+		t.Fatalf("Registrations = %d, want %d", m.Registrations, len(w.Queries))
+	}
+	if len(m.Queries) != len(w.Queries) {
+		t.Fatalf("per-query metrics for %d queries, want %d", len(m.Queries), len(w.Queries))
+	}
+	for i, qm := range m.Queries {
+		if qm.Name != w.Queries[i].Name() {
+			t.Errorf("query view %d is %s, want %s in registration order", i, qm.Name, w.Queries[i].Name())
+		}
+	}
+	if n := uint64(len(w.Edges)); m.EdgesProcessed != n {
+		t.Fatalf("EdgesProcessed = %d, want the stream's %d", m.EdgesProcessed, n)
+	}
+	if m.LocalSearches == 0 {
+		t.Fatalf("no local searches counted")
+	}
+	var matches uint64
+	for _, qm := range m.Queries {
+		matches += qm.Matches
+	}
+	if matches != m.MatchesEmitted || matches == 0 {
+		t.Fatalf("per-query matches %d do not sum to MatchesEmitted %d", matches, m.MatchesEmitted)
+	}
+	if len(perShard) != 1 || !reflect.DeepEqual(perShard[0], m) {
+		t.Fatalf("PerShardMetrics holds %d views, want Metrics alone", len(perShard))
+	}
+}
+
 // TestShardsIsReadByNothing: benchmark/ builds the front-end with Shards: 2.
 // It runs the one engine every count runs: the match set and Metrics of
 // Shards 0, 2 and 4 are those of Shards 1, and PerShardMetrics is that one
 // view alone.
 func TestShardsIsReadByNothing(t *testing.T) {
 	w := smallNetflow(30*time.Second, 43)
-	run := func(shards int) (gen.MatchSet, core.Metrics, []core.Metrics) {
-		set := make(gen.MatchSet)
-		s := shard.New(&shard.Config{Shards: shards, Engine: w.Engine,
-			Sink: core.MatchSinkFunc(func(ev core.MatchEvent) { set.Add(ev) })})
-		defer s.Close()
-		for _, q := range w.Queries {
-			if err := s.RegisterQuery(q); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := range w.Edges {
-			if err := s.Process(w.Edges[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return set, s.Metrics(), s.PerShardMetrics()
-	}
-	refSet, refMetrics, _ := run(1)
+	refSet, refMetrics, _ := runFrontEnd(t, w, 1)
 	if len(refSet) == 0 {
 		t.Fatal("degenerate workload: no matches")
 	}
 	for _, shards := range []int{0, 1, 2, 4} {
-		set, m, perShard := run(shards)
-		if !set.Equal(refSet) {
-			t.Errorf("Shards %d: %d matches, Shards 1 %d", shards, len(set), len(refSet))
-		}
-		if !reflect.DeepEqual(m, refMetrics) {
-			t.Errorf("Shards %d: Metrics %+v, Shards 1 %+v", shards, m, refMetrics)
-		}
-		if len(perShard) != 1 || !reflect.DeepEqual(perShard[0], m) {
-			t.Errorf("Shards %d: PerShardMetrics holds %d views, want the engine's one", shards, len(perShard))
-		}
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			set, m, perShard := runFrontEnd(t, w, shards)
+			if !set.Equal(refSet) {
+				t.Errorf("%d matches, Shards 1 %d", len(set), len(refSet))
+			}
+			if !reflect.DeepEqual(m, refMetrics) {
+				t.Errorf("Metrics %+v, Shards 1 %+v", m, refMetrics)
+			}
+			if len(perShard) != 1 || !reflect.DeepEqual(perShard[0], m) {
+				t.Errorf("PerShardMetrics holds %d views, want the engine's one", len(perShard))
+			}
+		})
 	}
 }
 
@@ -204,6 +303,50 @@ func TestShardedProcessBeforeStartRunsOnCaller(t *testing.T) {
 	}
 }
 
+// TestShardedHubFreeQueryRegistersMidStream: the Fig. 2 query, in which no
+// pattern vertex touches every edge, registers a third of the way into the
+// stream on the front-end built with Shards: 4 and is sent exactly what a
+// bare core engine sends it.
+func TestShardedHubFreeQueryRegistersMidStream(t *testing.T) {
+	w := smallNews(5 * time.Minute)
+	split := len(w.Edges) / 3
+	single := make(gen.MatchSet)
+	e := core.New(&w.Engine)
+	e.Subscribe("", core.MatchSinkFunc(func(ev core.MatchEvent) { single.Add(ev) }))
+	sharded := make(gen.MatchSet)
+	s := shard.New(&shard.Config{Shards: 4, Engine: w.Engine,
+		Sink: core.MatchSinkFunc(func(ev core.MatchEvent) { sharded.Add(ev) })})
+	defer s.Close()
+	for _, q := range []*query.Graph{gen.SmurfQuery(w.Engine.Retention)} {
+		if _, err := e.RegisterQuery(q); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RegisterQuery(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, se := range w.Edges {
+		if i == split {
+			if _, err := e.RegisterQuery(w.Queries[0]); err != nil {
+				t.Fatalf("core engine: mid-stream registration: %v", err)
+			}
+			if err := s.RegisterQuery(w.Queries[0]); err != nil {
+				t.Fatalf("front-end: mid-stream registration: %v", err)
+			}
+		}
+		e.ProcessEdge(se)
+		if err := s.Process(se); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(single) == 0 {
+		t.Fatal("degenerate workload: the late query matched nothing")
+	}
+	if !single.Equal(sharded) {
+		t.Fatalf("Shards: 4 sent %d matches, one core engine %d", len(sharded), len(single))
+	}
+}
+
 // TestShardedRefusesUnnamedQuery: a query without a name is refused, alone
 // or beside a registered query, and the refusal leaves no registration
 // behind.
@@ -266,6 +409,35 @@ func TestShardedExplicitAdvanceExpires(t *testing.T) {
 	}
 	if m.ExpiredEdges != 64 || m.EdgesProcessed != 64 {
 		t.Fatalf("ExpiredEdges = %d of %d processed", m.ExpiredEdges, m.EdgesProcessed)
+	}
+}
+
+// TestShardedAdvanceReachesEveryFedShard: with Shards: 3 the front-end
+// feeds its one engine, and an Advance reaches it, so it expires its whole
+// window.
+func TestShardedAdvanceReachesEveryFedShard(t *testing.T) {
+	cfg := shard.Config{Shards: 3}
+	cfg.Engine.Retention = 10 * time.Second
+	s := shard.New(&cfg)
+	defer s.Close()
+	for _, q := range []*query.Graph{gen.SmurfQuery(10 * time.Second), gen.WormQuery(10 * time.Second)} {
+		if err := s.RegisterQuery(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := graph.TimestampFromTime(time.Unix(2000, 0))
+	for i := 0; i < 64; i++ {
+		if err := s.Process(flowEdge(i+1, graph.VertexID(i), graph.VertexID(i+500), base.Add(time.Duration(i)*10*time.Millisecond))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Advance(base.Add(time.Hour))
+	perShard := s.PerShardMetrics()
+	if len(perShard) != 1 {
+		t.Fatalf("PerShardMetrics holds %d views, want the engine's one", len(perShard))
+	}
+	if m := perShard[0]; m.EdgesProcessed != 64 || m.ExpiredEdges != 64 || m.LiveEdges != 0 {
+		t.Errorf("%d edges processed, %d expired, %d live; want 64, 64, 0", m.EdgesProcessed, m.ExpiredEdges, m.LiveEdges)
 	}
 }
 
