@@ -3,7 +3,8 @@ package streamworks
 import (
 	"context"
 	"log"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -19,7 +20,7 @@ type DurabilityStats = api.WALMetrics
 
 // durable is the in-process backend's durability state: the WAL manager,
 // the recovery backlog awaiting its first subscriber, and the flags gating
-// when appends and emission notes are live.
+// when appends and cursor moves are live.
 type durable struct {
 	man *wal.Manager
 	// reg is the WAL's registry, which also holds the recovery backlog's
@@ -28,11 +29,11 @@ type durable struct {
 	// degraded gauge is set from birth, and the engine runs in-memory.
 	reg     *obs.Registry
 	backlog *obs.Gauge
-	// manual defers emission acknowledgment to the embedder
+	// manual defers delivery acknowledgment to the embedder
 	// (WithManualDeliveryAck): the serving tier acks a match only once it
 	// has flushed it to the subscriber's socket.
 	manual bool
-	// replaying gates out WAL appends and emission notes while recovered
+	// replaying gates out WAL appends and cursor moves while recovered
 	// operations are being pushed back through the engine.
 	replaying atomic.Bool
 
@@ -82,14 +83,15 @@ func (d *durable) live() bool {
 	return d != nil && d.man != nil && !d.replaying.Load()
 }
 
-// appendEdgesAsync starts the write-ahead append and returns its join
-// barrier (nil when durability is off). The caller overlaps engine work
-// with the log write, then must run the barrier before acking the batch or
-// flushing emission notes — that is the point at which the frame has
-// reached the OS and survives a crash.
-func (d *durable) appendEdgesAsync(edges []StreamEdge) func() error {
+// appendEdgesAsync starts the write-ahead append and returns the log
+// position of the batch's first edge (0 when nothing is logged) and the
+// append's join barrier (nil when durability is off). The caller overlaps engine work with the
+// log write, then must run the barrier before acking the batch or
+// committing a cursor — that is the point at which the frame has reached
+// the OS and survives a crash.
+func (d *durable) appendEdgesAsync(edges []StreamEdge) (uint64, func() error) {
 	if !d.live() {
-		return nil
+		return 0, nil
 	}
 	return d.man.AppendEdgesAsync(edges)
 }
@@ -112,10 +114,21 @@ func (d *durable) appendAdvance(ts Timestamp) {
 	}
 }
 
-// note records a delivered emission (auto mode and backlog replay).
-func (d *durable) note(query, signature string, spanStart int64) {
-	if d.live() {
-		d.man.NoteEmitted(query, signature, spanStart)
+// commit logs, once a batch's append has joined, how far delivery has
+// gone: every match up to the one completed by the edge at log position
+// matched reached its sinks, unless delivery is acknowledged by hand, where
+// only what AckDelivered acked is logged.
+func (d *durable) commit(matched uint64) {
+	if d.manual {
+		matched = 0
+	}
+	d.man.Commit(matched)
+}
+
+// ack moves m's query's cursor past m, under manual acknowledgment.
+func (d *durable) ack(m Match) {
+	if d.live() && d.manual {
+		d.man.Ack(m.Query, m.Signature, m.Seq)
 	}
 }
 
@@ -125,8 +138,9 @@ func (d *durable) close() {
 	}
 }
 
-// takeBacklog removes and returns the recovered matches the filter admits;
-// each backlog entry is handed to exactly one subscriber.
+// takeBacklog removes and returns the recovered matches the filter admits,
+// in their queries' log order; each backlog entry is handed to exactly one
+// subscriber.
 func (d *durable) takeBacklog(filter string) []Match {
 	if d == nil || d.man == nil {
 		return nil
@@ -147,6 +161,16 @@ func (d *durable) takeBacklog(filter string) []Match {
 	}
 	d.setRecovered(kept)
 	return out
+}
+
+// hold holds, or frees, the cursors of the backlog's queries (Hold),
+// unless delivery is acknowledged by hand, which moves them itself.
+func (d *durable) hold(backlog []Match, held bool) {
+	for _, m := range backlog {
+		if !d.manual {
+			d.man.Hold(m.Query, held)
+		}
+	}
 }
 
 // setRecovered replaces the backlog and publishes its size; backMu held.
@@ -179,20 +203,25 @@ func registerRecord(q *Query, o RegisterOptions) wal.RegisterRecord {
 }
 
 // replayRecovery pushes the recovered operations back through the engine's
-// ordinary paths (replaying suppresses re-appending them to the log),
-// collecting every match the replay re-derives via a temporary
-// subscription, which each call has fed before it returns. Matches whose
-// keys are not in the recovered emitted-set were derived but never
-// delivered before the crash; they become the backlog, delivered once to
-// the first matching subscriber that attaches.
+// ordinary paths (replaying suppresses re-appending them to the log), each
+// edge at its log position, collecting every match the replay re-derives
+// via a temporary subscription, which each call has fed before it returns.
+// A match its query's cursor does not cover was derived but never
+// delivered before the crash; it joins the backlog, delivered once to the
+// first matching subscriber that attaches. A query unregistered in the log
+// takes its matches with it. Until its backlog is delivered, a query's
+// cursor is held where recovery found it (unless delivery is acknowledged
+// by hand, which moves it).
 func replayRecovery(e *Sharded, rec *wal.Recovery) {
 	d := e.dur
 	d.replaying.Store(true)
 	defer d.replaying.Store(false)
 	ctx := context.Background()
-	collected := make(map[string]Match)
+	var backlog []Match
 	sub, err := e.Subscribe("", SinkFunc(func(m Match) {
-		collected[wal.MatchKey(m.Query, m.Signature)] = m
+		if !rec.Cursors[m.Query].Covers(m.Seq, m.Signature) {
+			backlog = append(backlog, m)
+		}
 	}))
 	if err != nil {
 		log.Printf("streamworks: recovery subscription failed: %v", err)
@@ -201,7 +230,7 @@ func replayRecovery(e *Sharded, rec *wal.Recovery) {
 	for _, op := range rec.Ops {
 		switch op.Type {
 		case wal.RecEdgeBatch:
-			if err := e.ProcessBatch(ctx, op.Edges); err != nil {
+			if err := e.process(ctx, op.Edges, op.Seq); err != nil {
 				log.Printf("streamworks: recovery: replaying %d edges: %v", len(op.Edges), err)
 			}
 		case wal.RecRegister:
@@ -217,6 +246,7 @@ func replayRecovery(e *Sharded, rec *wal.Recovery) {
 			if err := e.UnregisterQuery(ctx, op.Name); err != nil {
 				log.Printf("streamworks: recovery: unregistering %q: %v", op.Name, err)
 			}
+			backlog = slices.DeleteFunc(backlog, func(m Match) bool { return m.Query == op.Name })
 		case wal.RecAdvance:
 			if err := e.Advance(ctx, Timestamp(op.TS)); err != nil {
 				log.Printf("streamworks: recovery: advancing watermark: %v", err)
@@ -224,18 +254,8 @@ func replayRecovery(e *Sharded, rec *wal.Recovery) {
 		}
 	}
 	sub.Close()
-	backlog := make([]Match, 0)
-	for key, m := range collected {
-		if _, emitted := rec.Emitted[key]; !emitted {
-			backlog = append(backlog, m)
-		}
-	}
-	sort.Slice(backlog, func(i, j int) bool {
-		if backlog[i].Query != backlog[j].Query {
-			return backlog[i].Query < backlog[j].Query
-		}
-		return backlog[i].Signature < backlog[j].Signature
-	})
+	slices.SortStableFunc(backlog, func(a, b Match) int { return strings.Compare(a.Query, b.Query) })
+	d.hold(backlog, true)
 	d.backMu.Lock()
 	d.setRecovered(backlog)
 	d.backMu.Unlock()

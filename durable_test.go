@@ -2,14 +2,15 @@ package streamworks_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -247,7 +248,9 @@ func smurfLegs(firstID int, start streamworks.Timestamp) []streamworks.StreamEdg
 // TestLateBatchIsNeitherLoggedNorReplayed: a batch of 64 edges an hour
 // behind the watermark is counted in edges_dropped before the write-ahead
 // append, so the log does not grow by a byte for it, and a crash-restart
-// replays only the in-order batch and recovers the match set it delivered.
+// replays only the in-order batch and re-derives the match set it
+// delivered. Manual acknowledgment with no ack leaves every cursor at the
+// start, so each re-derived match reaches the backlog, where it is seen.
 func TestLateBatchIsNeitherLoggedNorReplayed(t *testing.T) {
 	ctx := context.Background()
 	start := graph.TimestampFromTime(time.Date(2013, 6, 22, 12, 0, 0, 0, time.UTC))
@@ -258,6 +261,7 @@ func TestLateBatchIsNeitherLoggedNorReplayed(t *testing.T) {
 		streamworks.WithEngineConfig(streamworks.EngineConfig{Retention: time.Minute}),
 		streamworks.WithDataDir(dir),
 		streamworks.WithFsyncPolicy("off"),
+		streamworks.WithManualDeliveryAck(true),
 	}
 	var mu sync.Mutex
 	before, after := make(gen.MatchSet), make(gen.MatchSet)
@@ -542,6 +546,19 @@ func TestWALDegradationKeepsServing(t *testing.T) {
 			},
 			arm: func(*faultfs.FS) {},
 		},
+		{
+			name: "v2-data-dir",
+			opts: func(dir string) []streamworks.Option {
+				// A v2 log, its manifest JSON with an emitted set.
+				seg := wire.AppendFrame([]byte("SWWAL002"), wal.RecManifest,
+					[]byte(`{"watermark":0,"retention":0,"cutoff":-9223372036854775808,"registrations":null,"emitted":[]}`))
+				if err := os.WriteFile(filepath.Join(dir, "seg-00000001.wal"), seg, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return nil
+			},
+			arm: func(*faultfs.FS) {},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -636,13 +653,15 @@ func TestBacklogNeverOverlapsLiveDelivery(t *testing.T) {
 		streamworks.WithEngineConfig(w.Engine),
 		streamworks.WithDataDir(t.TempDir()),
 		streamworks.WithFsyncPolicy("off"),
+		// No ack: every match so far is recovered undelivered.
+		streamworks.WithManualDeliveryAck(true),
 	}
 	half := len(w.Edges) / 2
 	ffs := faultfs.New()
 	eng := streamworks.New(append(base, streamworks.WithWALFS(ffs))...)
 	registerAll(t, eng, w)
 	streamBatches(t, eng, w, 0, half, 64)
-	ffs.CrashNow() // no checkpoint: every match so far is recovered undelivered
+	ffs.CrashNow()
 	eng.Close()
 
 	eng2 := streamworks.New(base...)
@@ -735,10 +754,7 @@ func planSettings(t *testing.T, eng streamworks.Engine) map[string]streamworks.R
 }
 
 // TestRecoveryKeepsEachQuerysPlanSettings: a restart re-registers every
-// query with the strategy it was registered with. A log written while a
-// query could opt into runtime re-planning carries "adaptive":"on" in its
-// register frames and manifests; such a query recovers with its strategy's
-// plan, like every query now, with no change to the log format.
+// query with the strategy it was registered with.
 func TestRecoveryKeepsEachQuerysPlanSettings(t *testing.T) {
 	smurf, worm := gen.SmurfQuery(time.Minute), gen.WormQuery(time.Minute)
 	want := map[string]streamworks.RegisterOptions{
@@ -764,42 +780,590 @@ func TestRecoveryKeepsEachQuerysPlanSettings(t *testing.T) {
 		t.Fatalf("after the restart: %v, want %v", got, want)
 	}
 
-	// The payloads such a log wrote for a fresh engine's first segment and,
-	// after a restart, its second, byte for byte.
-	record := func(q *streamworks.Query, strategy string) string {
-		dsl, err := json.Marshal(streamworks.FormatQuery(q))
-		if err != nil {
+}
+
+// manyQueriesWorkload is the match-heavy 50-query many-queries shape:
+// edges netflow edges among 1,000 hosts and a news stream an eighth their
+// size, every query window scaled so that the stream spans the given number
+// of retentions of the engine, whose retention is the widest of them.
+func manyQueriesWorkload(edges, retentions int) gen.Workload {
+	w := gen.BenchManyQueriesWorkload(50, edges, 1000, time.Second)
+	widest := w.Engine.Retention
+	for _, q := range w.Queries {
+		widest = max(widest, q.Window())
+	}
+	scale := float64(streamSpan(w)) / float64(time.Duration(retentions)*widest)
+	return gen.BenchManyQueriesWorkload(50, edges, 1000, time.Duration(scale*float64(time.Second)))
+}
+
+// streamSpan is the stream time w's edges cover.
+func streamSpan(w gen.Workload) time.Duration {
+	return time.Duration(w.Edges[len(w.Edges)-1].Edge.Timestamp - w.Edges[0].Edge.Timestamp)
+}
+
+// crashAfter is the batch boundary right after the edge that, by the log
+// positions in ref, completes the match at quantile q: that share of the
+// matches is delivered before it, and its last batch completes at least one.
+func crashAfter(ref map[string]uint64, q float64) int {
+	seqs := make([]uint64, 0, len(ref))
+	for _, seq := range ref {
+		seqs = append(seqs, seq)
+	}
+	slices.Sort(seqs)
+	return (int(seqs[int(q*float64(len(seqs)))]) + crashBatch - 1) / crashBatch * crashBatch
+}
+
+// positions records the log position of the edge that completed each
+// delivered match, keyed as gen.MatchSet keys them, and fails the test on a
+// second delivery within one engine's life.
+type positions struct {
+	t   *testing.T
+	run string
+	mu  sync.Mutex
+	at  map[string]uint64
+}
+
+func newPositions(t *testing.T, run string) *positions {
+	return &positions{t: t, run: run, at: make(map[string]uint64)}
+}
+
+func (p *positions) OnMatch(m streamworks.Match) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	k := m.Query + "\x1f" + m.Signature
+	if _, dup := p.at[k]; dup {
+		p.t.Errorf("%s delivered %s %s twice", p.run, m.Query, m.Signature)
+	}
+	p.at[k] = m.Seq
+}
+
+// durablePositions streams w through a durable engine that never crashes
+// and returns where each match completed: the positions a crashed run's
+// log gives the same edges, streamed in the same batches.
+func durablePositions(t *testing.T, w gen.Workload) map[string]uint64 {
+	t.Helper()
+	eng := streamworks.New(streamworks.WithEngineConfig(w.Engine), streamworks.WithDataDir(t.TempDir()),
+		streamworks.WithFsyncPolicy("off"))
+	registerAll(t, eng, w)
+	ref := newPositions(t, "the uninterrupted run")
+	sub, err := eng.Subscribe("", ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamBatches(t, eng, w, 0, len(w.Edges), crashBatch)
+	eng.Close()
+	<-sub.Done()
+	set, _, err := gen.RunSingle(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.at) != len(set) {
+		t.Fatalf("the durable run delivered %d matches, the in-memory one %d", len(ref.at), len(set))
+	}
+	for k, seq := range ref.at {
+		if _, ok := set[k]; !ok {
+			t.Fatalf("the durable run delivered %q, which the in-memory run does not deliver", k)
+		}
+		if seq == 0 {
+			t.Fatalf("the durable run delivered %q with no log position", k)
+		}
+	}
+	return ref.at
+}
+
+// TestCrashRecoveryRederivesAtTheSamePositions is the property the
+// delivery cursor rests on: replay re-derives each match when the same
+// logged edge completes it, whatever the plan. Nothing is acked before the
+// crash, so every match the replay re-derives comes back in the backlog
+// with the position of its completing edge, which must be the one the
+// uninterrupted run's match had, on the 50-query shape over 20 retentions
+// crashed after three quarters of its matches, once checkpoints have
+// deleted the log's head: positions count from the manifest of the oldest
+// segment left.
+func TestCrashRecoveryRederivesAtTheSamePositions(t *testing.T) {
+	w := manyQueriesWorkload(8000, 20)
+	ref := durablePositions(t, w)
+	crash := crashAfter(ref, 0.75)
+	dir := t.TempDir()
+	base := []streamworks.Option{
+		streamworks.WithEngineConfig(w.Engine),
+		streamworks.WithDataDir(dir),
+		streamworks.WithFsyncPolicy("off"),
+		streamworks.WithSnapshotEvery(8),
+		streamworks.WithManualDeliveryAck(true),
+	}
+	ffs := faultfs.New()
+	eng := streamworks.New(append(base, streamworks.WithWALFS(ffs))...)
+	registerAll(t, eng, w)
+	streamBatches(t, eng, w, 0, crash, crashBatch)
+	if _, err := os.Stat(filepath.Join(dir, "seg-00000001.wal")); err == nil {
+		t.Fatal("no checkpoint deleted the head of the log before the crash")
+	}
+	ffs.CrashNow()
+	eng.Close()
+
+	eng2 := streamworks.New(base...)
+	rederived := newPositions(t, "the recovery")
+	sub, err := eng2.Subscribe("", rederived)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng2.Close()
+	<-sub.Done()
+	before := 0
+	for _, seq := range ref {
+		if seq <= uint64(crash) {
+			before++
+		}
+	}
+	if len(rederived.at) == 0 {
+		t.Fatalf("recovery re-derived none of the %d matches completed before the crash", before)
+	}
+	t.Logf("recovery re-derived %d of the %d matches completed by the first %d edges", len(rederived.at), before, crash)
+	for k, seq := range rederived.at {
+		if want, ok := ref[k]; !ok || seq != want || seq > uint64(crash) {
+			t.Errorf("%q re-derived at log position %d; the uninterrupted run completed it at %d (crash after %d)", k, seq, want, crash)
+		}
+	}
+}
+
+// TestCrashRecoveryManyQueriesExactlyOnce crashes the match-heavy 50-query
+// shape in the middle of its matches, after the last batch's edges reached the
+// log and before its cursor did, and restarts it: the matches delivered
+// before the crash and after the restart are exactly the uninterrupted
+// run's, each at its log position, no run delivers one twice, and the
+// restart redelivers exactly that last batch's matches, as its backlog.
+func TestCrashRecoveryManyQueriesExactlyOnce(t *testing.T) {
+	w := manyQueriesWorkload(8000, 4)
+	ref := durablePositions(t, w)
+	crash := crashAfter(ref, 0.5)
+	dir := t.TempDir()
+	base := []streamworks.Option{
+		streamworks.WithEngineConfig(w.Engine),
+		streamworks.WithDataDir(dir),
+		streamworks.WithFsyncPolicy("off"),
+		streamworks.WithSnapshotEvery(8),
+	}
+	ffs := faultfs.New()
+	eng := streamworks.New(append(base, streamworks.WithWALFS(ffs))...)
+	registerAll(t, eng, w)
+	first := newPositions(t, "the run before the crash")
+	sub, err := eng.Subscribe("", first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamBatches(t, eng, w, 0, crash-crashBatch, crashBatch)
+	// The disk takes the last batch's frame and nothing after it.
+	ffs.SetWriteBudget(int64(wire.FrameHeaderLen + len(wire.AppendEdges(nil, w.Edges[crash-crashBatch:crash]))))
+	streamBatches(t, eng, w, crash-crashBatch, crash, crashBatch)
+	ffs.CrashNow()
+	eng.Close()
+	<-sub.Done()
+
+	eng2 := streamworks.New(base...)
+	second := newPositions(t, "the restarted run")
+	sub2, err := eng2.Subscribe("", second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second.mu.Lock()
+	backlog := len(second.at)
+	second.mu.Unlock()
+	if backlog == 0 {
+		t.Fatal("the restart has no backlog: the last batch's matches were not re-derived")
+	}
+	streamBatches(t, eng2, w, crash, len(w.Edges), crashBatch)
+	eng2.Close()
+	<-sub2.Done()
+	union := make(map[string]uint64, len(ref))
+	redelivered := 0
+	for _, p := range []*positions{first, second} {
+		for k, seq := range p.at {
+			if _, twice := union[k]; twice {
+				redelivered++
+				if seq <= uint64(crash-crashBatch) {
+					t.Errorf("%q, completed before the last batch, delivered before the crash and again after it", k)
+				}
+			}
+			union[k] = seq
+		}
+	}
+	if redelivered != backlog {
+		t.Errorf("the restart redelivered %d matches but handed %d to its subscriber", redelivered, backlog)
+	}
+	if !reflect.DeepEqual(union, ref) {
+		t.Fatalf("the runs delivered %d matches across the crash, the uninterrupted run %d (or at other positions)", len(union), len(ref))
+	}
+}
+
+// TestCrashRecoveryManualAckTwoSpeeds: under WithManualDeliveryAck two
+// subscribers to every query ack what they flush at different speeds. The
+// fast one acks each match as it receives it, until it stops between two
+// matches one edge completes for one query; the slow one acks far enough
+// behind never to reach that edge, so every ack it makes is one the cursor
+// already covers. After a
+// crash the restart redelivers exactly the matches neither acked, the rest
+// of that edge's included, no acked match again, and with the acked ones
+// and the rest of the stream they make up the uninterrupted run.
+func TestCrashRecoveryManualAckTwoSpeeds(t *testing.T) {
+	w := manyQueriesWorkload(8000, 4)
+	ref := durablePositions(t, w)
+	crash := crashAfter(ref, 0.5)
+	// The last edge before the crash that completes two matches of one
+	// query: the fast subscriber acks the first of them and stops, and the
+	// slow one lags by more than the matches from that edge on.
+	type pair struct {
+		query string
+		seq   uint64
+	}
+	per := make(map[pair]int)
+	var early []uint64
+	for k, seq := range ref {
+		if seq <= uint64(crash) {
+			per[pair{k[:strings.IndexByte(k, '\x1f')], seq}]++
+			early = append(early, seq)
+		}
+	}
+	slices.Sort(early)
+	var stop pair
+	for p, n := range per {
+		if n >= 2 && (p.seq > stop.seq || p.seq == stop.seq && p.query < stop.query) {
+			stop = p
+		}
+	}
+	lagBy := len(early) - sort.Search(len(early), func(i int) bool { return early[i] >= stop.seq }) + 50
+	if stop.seq == 0 || lagBy >= len(early) {
+		t.Fatalf("no edge before the crash completes two matches of one query early enough: %+v", stop)
+	}
+	base := []streamworks.Option{
+		streamworks.WithEngineConfig(w.Engine),
+		streamworks.WithDataDir(t.TempDir()),
+		streamworks.WithFsyncPolicy("off"),
+		streamworks.WithSnapshotEvery(8),
+		streamworks.WithManualDeliveryAck(true),
+	}
+	ffs := faultfs.New()
+	eng := streamworks.New(append(base, streamworks.WithWALFS(ffs))...)
+	registerAll(t, eng, w)
+	var mu sync.Mutex
+	delivered, acked := make(gen.MatchSet), make(gen.MatchSet)
+	ack := func(m streamworks.Match) {
+		eng.AckDelivered(m)
+		acked.AddKey(m.Query, m.Signature)
+	}
+	stopped := false
+	fast := streamworks.SinkFunc(func(m streamworks.Match) {
+		mu.Lock()
+		defer mu.Unlock()
+		delivered.AddKey(m.Query, m.Signature)
+		if !stopped {
+			ack(m)
+			stopped = m.Query == stop.query && m.Seq == stop.seq
+		}
+	})
+	var lag []streamworks.Match
+	slow := streamworks.SinkFunc(func(m streamworks.Match) {
+		mu.Lock()
+		defer mu.Unlock()
+		if lag = append(lag, m); len(lag) > lagBy {
+			ack(lag[0])
+			lag = lag[1:]
+		}
+	})
+	for _, sink := range []streamworks.MatchSink{fast, slow} {
+		if _, err := eng.Subscribe("", sink); err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprintf(`{"name":%q,"dsl":%s,"strategy":%q,"adaptive":"on"}`, q.Name(), dsl, strategy)
 	}
-	manifest := func(registrations string) string {
-		return `{"watermark":0,"retention":0,"cutoff":-9223372036854775808,"registrations":` + registrations + `,"emitted":[]}`
+	streamBatches(t, eng, w, 0, crash, crashBatch)
+	ffs.CrashNow()
+	eng.Close()
+	if !stopped {
+		t.Fatalf("the fast subscriber never reached %s at log position %d", stop.query, stop.seq)
 	}
-	for _, tc := range []struct {
-		name, segment, manifest, frame string
-		want                           map[string]streamworks.RegisterOptions
-	}{
-		{"adaptive-on-frame", "seg-00000001.wal", manifest("null"), record(smurf, "lazy"),
-			map[string]streamworks.RegisterOptions{smurf.Name(): {Strategy: "lazy"}}},
-		{"adaptive-on-manifest", "seg-00000002.wal", manifest("[" + record(smurf, "lazy") + "]"), record(worm, "balanced"),
-			map[string]streamworks.RegisterOptions{smurf.Name(): {Strategy: "lazy"}, worm.Name(): {Strategy: "balanced"}}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+
+	eng2 := streamworks.New(base...)
+	after := newPositions(t, "the restarted run")
+	sub, err := eng2.Subscribe("", after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after.mu.Lock()
+	backlog := make(gen.MatchSet, len(after.at))
+	rest := 0 // the stopping edge's other matches for its query
+	for k, seq := range after.at {
+		backlog[k] = struct{}{}
+		if seq == stop.seq && strings.HasPrefix(k, stop.query+"\x1f") {
+			rest++
+		}
+	}
+	after.mu.Unlock()
+	if rest != per[stop]-1 {
+		t.Errorf("the restart redelivered %d of the %d matches the fast subscriber left unacked at its last edge", rest, per[stop]-1)
+	}
+	streamBatches(t, eng2, w, crash, len(w.Edges), crashBatch)
+	eng2.Close()
+	<-sub.Done()
+	want := make(gen.MatchSet)
+	for k := range delivered {
+		if _, ok := acked[k]; !ok {
+			want[k] = struct{}{}
+		}
+	}
+	if !backlog.Equal(want) {
+		t.Fatalf("the restart redelivered %d matches; %d were delivered and not acked before the crash", len(backlog), len(want))
+	}
+	t.Logf("%d matches before the crash, %d acked, the slow subscriber %d behind; %d redelivered, %d of them at the fast one's last edge",
+		len(delivered), len(acked), lagBy, len(backlog), rest)
+	union := make(map[string]uint64, len(ref))
+	for k, seq := range after.at {
+		if _, ok := acked[k]; ok {
+			t.Errorf("%q acked before the crash and delivered again after it", k)
+		}
+		union[k] = seq
+	}
+	for k := range acked {
+		union[k] = ref[k]
+	}
+	if !reflect.DeepEqual(union, ref) {
+		t.Fatalf("acked before the crash and delivered after it: %d matches, the uninterrupted run %d (or at other positions)", len(union), len(ref))
+	}
+}
+
+// TestDurableMatchHeavyCosts is the match-heavy durable cell: the 50-query
+// shape through WithDataDir over 4 retentions and over 20, in batches of
+// 256 with a checkpoint every 16. What the log holds about delivery is a
+// cursor per registration, so whatever the match count
+//   - the newest manifest is its registrations' text plus a fixed 16 bytes
+//     each and 64 in all;
+//   - the log's bytes are within 10% of its edge frames alone;
+//   - checkpoints come once per 16 batches, no more.
+//
+// Durable against in-memory ingest and recovery against live ingest are
+// logged, not asserted: they are wall-clock.
+func TestDurableMatchHeavyCosts(t *testing.T) {
+	const batch, every = 256, 16
+	for _, retentions := range []int{4, 20} {
+		t.Run(fmt.Sprintf("retentions=%d", retentions), func(t *testing.T) {
+			w := manyQueriesWorkload(8000, retentions)
+			ingest := func(opts ...streamworks.Option) (*streamworks.Sharded, int, time.Duration) {
+				eng := streamworks.New(append([]streamworks.Option{streamworks.WithEngineConfig(w.Engine)}, opts...)...)
+				registerAll(t, eng, w)
+				var matches atomic.Int64
+				if _, err := eng.Subscribe("", streamworks.SinkFunc(func(streamworks.Match) { matches.Add(1) })); err != nil {
+					t.Fatal(err)
+				}
+				t0 := time.Now()
+				streamBatches(t, eng, w, 0, len(w.Edges), batch)
+				return eng, int(matches.Load()), time.Since(t0)
+			}
+			mem, want, memTime := ingest()
+			mem.Close()
 			dir := t.TempDir()
-			seg := wire.AppendFrame([]byte("SWWAL002"), wal.RecManifest, []byte(tc.manifest))
-			seg = wire.AppendFrame(seg, wal.RecRegister, []byte(tc.frame))
-			if err := os.WriteFile(filepath.Join(dir, tc.segment), seg, 0o644); err != nil {
+			eng, got, durTime := ingest(streamworks.WithDataDir(dir), streamworks.WithFsyncPolicy("off"), streamworks.WithSnapshotEvery(every))
+			d := eng.Durability()
+			eng.Close()
+			if got != want || d.Mode != "ok" {
+				t.Fatalf("durable run delivered %d matches, in-memory %d; durability %+v", got, want, d)
+			}
+
+			allowance := 64
+			for _, q := range w.Queries {
+				allowance += len(q.Name()) + len(streamworks.FormatQuery(q)) + 16
+			}
+			names, err := wal.OSFS{}.ReadDir(dir)
+			if err != nil {
 				t.Fatal(err)
 			}
-			eng := streamworks.New(streamworks.WithDataDir(dir))
-			defer eng.Close()
-			if d := eng.Durability(); d.Mode != "ok" {
-				t.Fatalf("durability %q after recovering the log", d.Mode)
+			seg, err := os.ReadFile(filepath.Join(dir, names[len(names)-1]))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got := planSettings(t, eng); !reflect.DeepEqual(got, tc.want) {
-				t.Fatalf("recovered %v, want %v", got, tc.want)
+			typ, manifest, _, err := wire.DecodeFrame(seg[len("SWWAL003"):])
+			if err != nil || typ != wal.RecManifest {
+				t.Fatalf("%s does not start with a manifest: type %d, %v", names[len(names)-1], typ, err)
 			}
+			if len(manifest) > allowance {
+				t.Errorf("the manifest is %d B after %d matches; its %d registrations allow %d", len(manifest), got, len(w.Queries), allowance)
+			}
+
+			edgeFrames := 0
+			for i := 0; i < len(w.Edges); i += batch {
+				edgeFrames += wire.FrameHeaderLen + len(wire.AppendEdges(nil, w.Edges[i:min(i+batch, len(w.Edges))]))
+			}
+			if float64(d.Bytes) > 1.1*float64(edgeFrames) {
+				t.Errorf("the log wrote %.1f B per edge; its edge frames alone are %.1f", float64(d.Bytes)/float64(len(w.Edges)), float64(edgeFrames)/float64(len(w.Edges)))
+			}
+			batches := (len(w.Edges) + batch - 1) / batch
+			if d.Snapshots > uint64(batches/every) {
+				t.Errorf("%d checkpoints over %d batches, one per %d allowed", d.Snapshots, batches, every)
+			}
+
+			t0 := time.Now()
+			rec := streamworks.New(streamworks.WithEngineConfig(w.Engine), streamworks.WithDataDir(dir), streamworks.WithFsyncPolicy("off"))
+			recTime := time.Since(t0)
+			rec.Close()
+			n := float64(len(w.Edges))
+			t.Logf("%d edges, %d matches: %.0f ns/edge in memory, %.0f durable; %.2f B/edge logged, %.2f in edge frames; %d checkpoints; %d-B manifest; recovery %v against %v of live ingest",
+				len(w.Edges), got, float64(memTime)/n, float64(durTime)/n, float64(d.Bytes)/n, float64(edgeFrames)/n, d.Snapshots, len(manifest), recTime, durTime)
 		})
+	}
+}
+
+// TestBacklogSurvivesASecondCrash: a recovered backlog no subscriber has
+// taken holds its queries' cursors where recovery found them, so batches
+// processed meanwhile, whose commits move every other cursor, do not
+// suppress it, and a second crash recovers it again.
+func TestBacklogSurvivesASecondCrash(t *testing.T) {
+	w := acceptanceWorkload(t)
+	ref := durablePositions(t, w)
+	crash := crashAfter(ref, 0.5)
+	base := []streamworks.Option{
+		streamworks.WithEngineConfig(w.Engine),
+		streamworks.WithDataDir(t.TempDir()),
+		streamworks.WithFsyncPolicy("off"),
+	}
+	ffs := faultfs.New()
+	eng := streamworks.New(append(base, streamworks.WithWALFS(ffs))...)
+	registerAll(t, eng, w)
+	streamBatches(t, eng, w, 0, crash-crashBatch, crashBatch)
+	// The disk takes the last batch's frame and nothing after it: that
+	// batch's matches are the backlog.
+	ffs.SetWriteBudget(int64(wire.FrameHeaderLen + len(wire.AppendEdges(nil, w.Edges[crash-crashBatch:crash]))))
+	streamBatches(t, eng, w, crash-crashBatch, crash, crashBatch)
+	ffs.CrashNow()
+	eng.Close()
+	want := make(gen.MatchSet)
+	for k, seq := range ref {
+		if seq > uint64(crash-crashBatch) && seq <= uint64(crash) {
+			want[k] = struct{}{}
+		}
+	}
+
+	// No subscriber: the backlog waits while the stream goes on, then the
+	// process dies again.
+	ffs = faultfs.New()
+	eng2 := streamworks.New(append(base, streamworks.WithWALFS(ffs))...)
+	if n := eng2.Durability().RecoveryBacklog; n != uint64(len(want)) {
+		t.Fatalf("recovery backlog %d, the last batch before the crash completed %d", n, len(want))
+	}
+	streamBatches(t, eng2, w, crash, len(w.Edges), crashBatch)
+	ffs.CrashNow()
+	eng2.Close()
+
+	eng3 := streamworks.New(base...)
+	defer eng3.Close()
+	var mu sync.Mutex
+	got := make(gen.MatchSet)
+	if _, err := eng3.Subscribe("", collectSet(&mu, got)); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for k := range want {
+		if _, ok := got[k]; !ok {
+			t.Errorf("%q, in the first restart's backlog, is missing from the second's", k)
+		}
+	}
+}
+
+// TestBacklogSurvivesSubscribeRacingClose: a Subscribe that Close refuses
+// delivers none of the recovered backlog and leaves it held, so the next
+// start recovers it again; one that wins delivers it whole. Either way no
+// backlog match is lost, whichever way each round's race goes.
+func TestBacklogSurvivesSubscribeRacingClose(t *testing.T) {
+	w := acceptanceWorkload(t)
+	ref := durablePositions(t, w)
+	crash := crashAfter(ref, 0.5)
+	dir := t.TempDir()
+	opts := func(dir string) []streamworks.Option {
+		return []streamworks.Option{
+			streamworks.WithEngineConfig(w.Engine),
+			streamworks.WithDataDir(dir),
+			streamworks.WithFsyncPolicy("off"),
+		}
+	}
+	ffs := faultfs.New()
+	eng := streamworks.New(append(opts(dir), streamworks.WithWALFS(ffs))...)
+	registerAll(t, eng, w)
+	streamBatches(t, eng, w, 0, crash-crashBatch, crashBatch)
+	// The disk takes the last batch's frame and nothing after it: that
+	// batch's matches are the backlog.
+	ffs.SetWriteBudget(int64(wire.FrameHeaderLen + len(wire.AppendEdges(nil, w.Edges[crash-crashBatch:crash]))))
+	streamBatches(t, eng, w, crash-crashBatch, crash, crashBatch)
+	ffs.CrashNow()
+	eng.Close()
+	want := make(gen.MatchSet)
+	for k, seq := range ref {
+		if seq > uint64(crash-crashBatch) && seq <= uint64(crash) {
+			want[k] = struct{}{}
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("the crashed batch completed no match: no backlog to race for")
+	}
+
+	for round := range 80 {
+		copyDir := filepath.Join(t.TempDir(), fmt.Sprint(round))
+		copyFiles(t, dir, copyDir)
+		var mu sync.Mutex
+		got := make(gen.MatchSet)
+		eng := streamworks.New(opts(copyDir)...)
+		// Subscribe starts as soon as Close may, and Close a little later
+		// each round, sweeping it across Subscribe's span.
+		var ready, start atomic.Bool
+		subscribed := make(chan error, 1)
+		go func() {
+			ready.Store(true)
+			for !start.Load() {
+			}
+			_, err := eng.Subscribe("", collectSet(&mu, got))
+			subscribed <- err
+		}()
+		for !ready.Load() {
+			runtime.Gosched()
+		}
+		start.Store(true)
+		var spin atomic.Int64
+		for spin.Add(1) < int64(round*20) {
+		}
+		eng.Close()
+		if err := <-subscribed; err != nil && !errors.Is(err, streamworks.ErrClosed) {
+			t.Fatalf("round %d: Subscribe: %v", round, err)
+		}
+
+		again := streamworks.New(opts(copyDir)...)
+		if _, err := again.Subscribe("", collectSet(&mu, got)); err != nil {
+			t.Fatal(err)
+		}
+		again.Close()
+		mu.Lock()
+		for k := range want {
+			if _, ok := got[k]; !ok {
+				t.Errorf("round %d: backlog match %q was delivered neither before Close nor after the restart", round, k)
+			}
+		}
+		mu.Unlock()
+	}
+}
+
+// copyFiles copies the files of directory from into a new directory to.
+func copyFiles(t *testing.T, from, to string) {
+	t.Helper()
+	entries, err := os.ReadDir(from)
+	if err == nil {
+		err = os.Mkdir(to, 0o755)
+	}
+	for _, e := range entries {
+		var b []byte
+		if b, err = os.ReadFile(filepath.Join(from, e.Name())); err == nil {
+			err = os.WriteFile(filepath.Join(to, e.Name()), b, 0o644)
+		}
+		if err != nil {
+			break
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }

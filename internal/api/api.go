@@ -113,7 +113,6 @@ type WALMetrics struct {
 	Snapshots           uint64 `json:"snapshots_written" metric:"wal_snapshots_written"`
 	TornTailTruncations uint64 `json:"torn_tail_truncations" metric:"wal_torn_tail_truncations"`
 	AppendErrors        uint64 `json:"append_errors" metric:"wal_append_errors"`
-	EmittedTracked      uint64 `json:"emitted_tracked" metric:"wal_emitted_tracked"`
 	// RecoveryBacklog is the number of recovered matches still waiting for a
 	// first subscriber to redeliver them to.
 	RecoveryBacklog uint64 `json:"recovery_backlog" metric:"wal_recovery_backlog"`

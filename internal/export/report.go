@@ -51,6 +51,11 @@ type MatchReport struct {
 	// point subtracts it to record the per-match journey — and never
 	// serialized.
 	ArrivedWallNS int64 `json:"-"`
+	// Seq is the write-ahead log position of the edge that completed this
+	// match on a durable in-process engine (zero otherwise): what
+	// AckDelivered moves the query's delivery cursor by. Process-local and
+	// never serialized, like the wall-clock stamps.
+	Seq uint64 `json:"-"`
 }
 
 // BuildReport resolves a match event into a MatchReport using the query

@@ -54,9 +54,6 @@ func (c *Clock) AdvanceTo(ts Timestamp) {
 // Admit records that an edge got in: from now on Extend refuses to widen.
 func (c *Clock) Admit() { c.admitted = true }
 
-// Admitted reports whether an edge has got in.
-func (c *Clock) Admitted() bool { return c.admitted }
-
 // Newest returns the newest time observed and whether there is one: it is
 // math.MinInt64 and false before any.
 func (c *Clock) Newest() (Timestamp, bool) { return c.newest, c.seen }

@@ -213,7 +213,7 @@ func TestMetricsRenderingsAgree(t *testing.T) {
 	}
 	// The server's and the WAL's series are their JSON names under the
 	// tier's prefix, counters with Prometheus' _total suffix.
-	gauges := map[string]bool{"subscribers": true, "ingest_queue_len": true, "ingest_queue_cap": true, "emitted_tracked": true, "recovery_backlog": true}
+	gauges := map[string]bool{"subscribers": true, "ingest_queue_len": true, "ingest_queue_cap": true, "recovery_backlog": true}
 	tierSeries := func(prefix, field string) string {
 		if gauges[field] {
 			return "streamworks_" + prefix + field
@@ -290,7 +290,7 @@ func TestMetricsRenderingsAgree(t *testing.T) {
 				for field, v := range doc.WAL {
 					agree("wal."+field, tierSeries("wal_", field), v)
 				}
-				if doc.WAL["mode"] != "ok" || checked < 35 || prom["streamworks_matches_emitted_total"] == 0 || prom["streamworks_server_matches_delivered_total"] == 0 {
+				if doc.WAL["mode"] != "ok" || checked < 34 || prom["streamworks_matches_emitted_total"] == 0 || prom["streamworks_server_matches_delivered_total"] == 0 {
 					t.Fatalf("%d fields compared; wal mode %v, %v matches, %v delivered", checked, doc.WAL["mode"],
 						prom["streamworks_matches_emitted_total"], prom["streamworks_server_matches_delivered_total"])
 				}

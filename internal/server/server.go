@@ -508,7 +508,7 @@ func (s *Server) handleMatches(w http.ResponseWriter, r *http.Request) {
 			// buffered data even if we crash now, so each match counts as
 			// delivered and is suppressed (not redelivered) after recovery.
 			for _, rep := range pending {
-				s.eng.AckDelivered(rep.Query, rep.Signature, rep.SpanStart)
+				s.eng.AckDelivered(rep)
 			}
 		}
 		if s.obsFlush != nil {

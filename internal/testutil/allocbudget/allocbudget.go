@@ -115,12 +115,13 @@ var ceilings = map[string]float64{
 	// goes to the log through two reused buffers, so neither does any edge
 	// nor the frame around the batch.
 	"wal.AppendEdges/512-edge batch": 0,
-	// A noted match's key is built in reused scratch and looked up without
-	// a copy: a duplicate allocates nothing, and a new key is carved from
-	// the manager's 8 KiB slab chunks — nothing per key but a chunk and the
-	// emitted set's growth now and then.
-	"wal.Manager.NoteEmitted/new key":   0,
-	"wal.Manager.NoteEmitted/duplicate": 0,
+	// A batch's delivery moves every query's cursor in place and is logged
+	// from a reused buffer; an ack its cursor already covers is a lookup,
+	// and a new key is carved from the manager's 8 KiB slab chunks into
+	// the cursor's reused key list.
+	"wal.Manager.Commit":      0,
+	"wal.Manager.Ack/covered": 0,
+	"wal.Manager.Ack/new key": 0,
 	// internal/shard: the front-end delivers every match its engine finds,
 	// so delivering one is the delivery lock and the sink call, with nothing
 	// looked up or counted on the way. Judging a batch with no late edge

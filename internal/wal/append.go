@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"time"
 
 	"github.com/streamworks/streamworks/internal/graph"
@@ -12,14 +13,16 @@ import (
 // error flips the manager into degraded (in-memory) mode and is returned
 // once; once degraded, appends are silent no-ops so ingest keeps flowing.
 func (m *Manager) AppendEdges(edges []graph.StreamEdge) error {
-	return m.AppendEdgesAsync(edges)()
+	_, join := m.AppendEdgesAsync(edges)
+	return join()
 }
 
 // AppendEdgesAsync hands one ingested batch to the manager's appender
-// goroutine and returns the join barrier. The caller may overlap its own
+// goroutine and returns the log position of the batch's first edge (0 when
+// nothing is logged) and the join barrier. The caller may overlap its own
 // work on the batch — the engines process edges while the frame is encoded
 // and written — but must invoke the barrier before treating the batch as
-// ingested (acking it upstream, flushing emission notes): the barrier
+// ingested (acking it upstream, committing a cursor): the barrier
 // returning means the frame reached the OS, which is what survives a
 // process crash. The batch slice must not be mutated until the barrier
 // returns. At most one append is in flight; every other Manager method
@@ -27,17 +30,18 @@ func (m *Manager) AppendEdges(edges []graph.StreamEdge) error {
 // started by the first append and lives until Close, the batch and its
 // outcome travel on channels made with it, and the barrier is one func
 // value built by Open.
-func (m *Manager) AppendEdgesAsync(edges []graph.StreamEdge) func() error {
+func (m *Manager) AppendEdgesAsync(edges []graph.StreamEdge) (uint64, func() error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.joinLocked()
 	if len(edges) == 0 || m.closed || m.degraded {
-		return noBarrier
+		return 0, noBarrier
 	}
+	first := m.seq + 1 // read before the appender owns seq
 	m.startAppenderLocked()
 	m.pending = true
 	m.batch <- edges // never blocks: the last batch was received before it was joined
-	return m.barrier
+	return first, m.barrier
 }
 
 // noBarrier is the barrier of an append that logs nothing.
@@ -143,7 +147,7 @@ func (m *Manager) appender() {
 }
 
 // appendBatch writes one edge-batch frame. It runs on the appender, which
-// owns log, encBuf and batches while the append is pending.
+// owns log, encBuf, seq and batches while the append is pending.
 func (m *Manager) appendBatch(edges []graph.StreamEdge) error {
 	m.encBuf = wire.AppendEdges(m.encBuf[:0], edges)
 	if err := m.log.append(RecEdgeBatch, m.encBuf); err != nil {
@@ -152,6 +156,7 @@ func (m *Manager) appendBatch(edges []graph.StreamEdge) error {
 	for i := range edges {
 		m.log.maxTS = max(m.log.maxTS, int64(edges[i].Edge.Timestamp))
 	}
+	m.seq += uint64(len(edges))
 	m.batches++
 	return nil
 }
@@ -188,11 +193,7 @@ func (m *Manager) appendControl(rec byte, payload []byte, apply func()) error {
 
 // AppendRegister logs a query registration.
 func (m *Manager) AppendRegister(r RegisterRecord) error {
-	payload, err := encodeRegister(r)
-	if err != nil {
-		return err
-	}
-	return m.appendControl(RecRegister, payload, func() { m.applyRegister(r) })
+	return m.appendControl(RecRegister, appendRegister(nil, r), func() { m.applyRegister(r) })
 }
 
 // AppendUnregister logs a query unregistration.
@@ -202,7 +203,7 @@ func (m *Manager) AppendUnregister(name string) error {
 
 // AppendAdvance logs an explicit advance of stream time.
 func (m *Manager) AppendAdvance(ts int64) error {
-	return m.appendControl(RecAdvance, encodeAdvance(ts), func() { m.clock.AdvanceTo(graph.Timestamp(ts)) })
+	return m.appendControl(RecAdvance, binary.AppendVarint(nil, ts), func() { m.clock.AdvanceTo(graph.Timestamp(ts)) })
 }
 
 // Snapshot forces a checkpoint now: start a new segment with a manifest of
@@ -222,7 +223,7 @@ func (m *Manager) Snapshot() error {
 	return nil
 }
 
-// Close checkpoints the emitted-set one final time, making a graceful
+// Close logs the cursors acked since the last Commit, making a graceful
 // restart strictly exactly-once: every match delivered before Close is
 // suppressed on recovery. Call only after the engine has stopped emitting.
 func (m *Manager) Close() error {
@@ -234,7 +235,9 @@ func (m *Manager) Close() error {
 	}
 	m.closed = true // no append starts the appender again
 	m.stopAppenderLocked()
-	m.checkpointEmittedLocked()
+	if !m.degraded {
+		m.commitLocked(0)
+	}
 	if m.degraded {
 		return nil
 	}

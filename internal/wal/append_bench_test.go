@@ -55,21 +55,42 @@ func TestAppendEdgesAllocs(t *testing.T) {
 	})
 }
 
-// TestNoteEmittedAllocs: noting a match builds its key in scratch; only a
-// new key is kept, carved from the manager's slab chunks.
-func TestNoteEmittedAllocs(t *testing.T) {
+// TestCursorAllocs: committing a batch's delivery moves every cursor in
+// place and logs one frame from a reused buffer, and an ack the cursor
+// already covers is a lookup.
+func TestCursorAllocs(t *testing.T) {
 	m, _ := openTest(t, t.TempDir(), nil)
 	defer m.Close()
-	sigs := make([]string, allocbudget.Runs+1)
-	for i := range sigs {
-		sigs[i] = fmt.Sprintf("e:%d,%d,%d", 3*i, 3*i+1, 3*i+2)
+	for _, name := range []string{"watch", "other"} {
+		if err := m.AppendRegister(RegisterRecord{Name: name, DSL: testDSL}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	i := 0
-	allocbudget.Check(t, "wal.Manager.NoteEmitted/new key", func() {
-		m.NoteEmitted("watch", sigs[i], int64(i))
-		i++
+	if err := m.AppendEdges(makeBatch(allocbudget.Runs+2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	seq := uint64(0)
+	allocbudget.Check(t, "wal.Manager.Commit", func() {
+		seq++
+		if err := m.Commit(seq); err != nil {
+			t.Fatal(err)
+		}
 	})
-	allocbudget.Check(t, "wal.Manager.NoteEmitted/duplicate", func() {
-		m.NoteEmitted("watch", sigs[0], 0)
+	allocbudget.Check(t, "wal.Manager.Ack/covered", func() {
+		m.Ack("watch", "e:1,2,3", seq)
 	})
+	// Each ack is of the edge after the last one's, with a key of its own.
+	keys := make([]string, allocbudget.Runs+1)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("e:%d,%d,%d", i, i+1, i+2)
+	}
+	n := 0
+	allocbudget.Check(t, "wal.Manager.Ack/new key", func() {
+		seq++
+		m.Ack("watch", keys[n%len(keys)], seq)
+		n++
+	})
+	if c := m.find("watch").cur; c.Seq != seq-1 || len(c.Keys) != 1 {
+		t.Fatalf("cursor %+v after acking a key at position %d", c, seq)
+	}
 }

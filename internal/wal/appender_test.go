@@ -84,6 +84,38 @@ func TestGroupCommitSyncsAnIdleTail(t *testing.T) {
 	}
 }
 
+// TestFsyncAlwaysDefersCursorFrames: under FsyncAlways a batch's commit
+// adds no sync of its own; its cursor frame waits for the group-commit
+// timer as it would under FsyncInterval.
+func TestFsyncAlwaysDefersCursorFrames(t *testing.T) {
+	fs := &hookFS{}
+	m, _ := openTest(t, t.TempDir(), func(o *Options) {
+		o.FS, o.Fsync = fs, FsyncAlways
+		o.Now = func() int64 { return 0 }
+	})
+	defer m.Close()
+	if err := m.AppendRegister(RegisterRecord{Name: "watch", DSL: shortDSL}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AppendEdges(makeBatch(4, 1)); err != nil {
+		t.Fatal(err)
+	}
+	before := fs.syncs.Load()
+	if err := m.Commit(4); err != nil {
+		t.Fatal(err)
+	}
+	if got := fs.syncs.Load(); got != before {
+		t.Fatalf("the commit synced %d times; its frame should wait for the timer", got-before)
+	}
+	deadline := time.Now().Add(time.Second)
+	for fs.syncs.Load() == before {
+		if time.Now().After(deadline) {
+			t.Fatal("no sync within 1s of the commit: the cursor frame waits for the next append")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestFsyncOffNeverSyncsAnIdleTail: the timer belongs to FsyncInterval.
 func TestFsyncOffNeverSyncsAnIdleTail(t *testing.T) {
 	fs := &hookFS{}
@@ -142,7 +174,7 @@ func TestAppendAfterCloseIsANoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- m.AppendEdgesAsync(makeBatch(2, 10))() }()
+	go func() { done <- m.AppendEdges(makeBatch(2, 10)) }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -158,17 +190,20 @@ func TestAppendAfterCloseIsANoOp(t *testing.T) {
 	}
 }
 
-// TestConcurrentAppendsUnderGroupCommit drives batches, control records and
-// emission notes from several goroutines while the group-commit timer
-// fires between them; every batch must recover. Run it with -race.
+// TestConcurrentAppendsUnderGroupCommit drives batches, control records,
+// acks and commits from several goroutines while the group-commit timer
+// fires between them; every batch and the furthest ack must recover. Run
+// it with -race.
 func TestConcurrentAppendsUnderGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	fs := &hookFS{}
 	m, _ := openTest(t, dir, func(o *Options) {
 		o.FS, o.Fsync = fs, FsyncInterval
 		o.Now = func() int64 { return 0 }
-		o.EmittedEvery = 8
 	})
+	if err := m.AppendRegister(RegisterRecord{Name: "watch", DSL: testDSL}); err != nil {
+		t.Fatal(err)
+	}
 	const writers, batches = 4, 40
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -177,13 +212,14 @@ func TestConcurrentAppendsUnderGroupCommit(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < batches; i++ {
 				id := uint64(w*batches+i) * 2
-				barrier := m.AppendEdgesAsync(makeBatch(2, id))
-				m.NoteEmitted("watch", fmt.Sprint(id), int64(id))
+				_, barrier := m.AppendEdgesAsync(makeBatch(2, id))
+				m.Ack("watch", fmt.Sprint(id), id)
 				if err := barrier(); err != nil {
 					t.Errorf("batch %d: %v", id, err)
 				}
 				if i%10 == 0 {
 					m.AppendAdvance(int64(id))
+					m.Commit(0)
 					time.Sleep(groupCommitInterval / 4)
 				}
 			}
@@ -202,7 +238,8 @@ func TestConcurrentAppendsUnderGroupCommit(t *testing.T) {
 	if edges != writers*batches*2 {
 		t.Fatalf("recovered %d edges, want %d", edges, writers*batches*2)
 	}
-	if len(rec.Emitted) != writers*batches {
-		t.Fatalf("recovered %d emitted keys, want %d", len(rec.Emitted), writers*batches)
+	last := uint64(writers*batches-1) * 2
+	if c := rec.Cursors["watch"]; c.Seq != last-1 || !c.Covers(last, fmt.Sprint(last)) {
+		t.Fatalf("recovered cursor %+v, want the ack of position %d", c, last)
 	}
 }

@@ -35,7 +35,7 @@ func TestAppendAfterWriteFailure(t *testing.T) {
 		t.Fatal("a write failure left the manager undegraded")
 	}
 	done := make(chan error, 1)
-	go func() { done <- m.AppendEdgesAsync(batch)() }()
+	go func() { done <- m.AppendEdges(batch) }()
 	select {
 	case err := <-done:
 		if err != nil {

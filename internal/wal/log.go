@@ -12,9 +12,10 @@ import (
 	"github.com/streamworks/streamworks/internal/wire"
 )
 
-// segMagic identifies a StreamWorks WAL segment, version 2: the magic, one
-// manifest frame, then records, all in internal/wire's envelope.
-var segMagic = []byte("SWWAL002")
+// segMagic identifies a StreamWorks WAL segment, version 3: the magic, one
+// manifest frame, then records, all in internal/wire's envelope and every
+// payload binary.
+var segMagic = []byte("SWWAL003")
 
 // segName formats the on-disk name for segment seq.
 func segName(seq uint64) string { return fmt.Sprintf("seg-%08d.wal", seq) }
@@ -58,9 +59,7 @@ type segLog struct {
 	seq uint64
 	f   File
 	// size counts the bytes appended to the active segment behind its
-	// manifest, which is what SegmentBytes bounds: a manifest carries the
-	// whole emitted set, so counting it would seal every segment at its
-	// first append once the set outgrows a segment.
+	// manifest, which is what SegmentBytes bounds.
 	size int64
 	// maxTS is the newest edge timestamp in the active segment: what decides,
 	// once the segment is sealed, when it may be deleted.
@@ -109,7 +108,10 @@ func (l *segLog) rotate(manifest []byte) error {
 	return nil
 }
 
-// append writes one frame and applies the fsync policy.
+// append writes one frame and applies the fsync policy. A cursor frame is
+// synced as FsyncInterval would, under FsyncAlways too: losing one only
+// redelivers, so it rides on the next frame's sync or the group-commit
+// timer instead of costing a second sync per batch.
 func (l *segLog) append(rec byte, payload []byte) error {
 	if l.f == nil {
 		return errors.New("wal: log is closed")
@@ -122,13 +124,11 @@ func (l *segLog) append(rec byte, payload []byte) error {
 	}
 	l.frames.Inc()
 	l.bytes.Add(uint64(len(l.buf)))
-	switch l.policy {
-	case FsyncAlways:
+	switch {
+	case l.policy == FsyncOff:
+	case l.policy == FsyncAlways && rec != RecCursor, l.now()-l.lastSync >= l.interval:
 		return l.sync()
-	case FsyncInterval:
-		if l.now()-l.lastSync >= l.interval {
-			return l.sync()
-		}
+	default:
 		l.owed = true
 	}
 	return nil

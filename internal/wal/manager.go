@@ -2,11 +2,10 @@ package wal
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"math"
 	"slices"
 	"sync"
@@ -21,20 +20,19 @@ import (
 
 // ErrFormatVersion is returned by Open for a data directory some other
 // version of the log wrote. Open leaves such a directory exactly as found.
-var ErrFormatVersion = errors.New("wal: data directory is not in the SWWAL002 format")
+var ErrFormatVersion = errors.New("wal: data directory is not in the SWWAL003 format")
 
-// Manager owns a data directory: the segments, the emitted-set and the
-// checkpoint cycle. It keeps no copy of the window — the retained segments
-// are the window — only what a manifest records plus one timestamp per
-// segment. All methods are safe for concurrent use.
+// Manager owns a data directory: the segments, the delivery cursors and
+// the checkpoint cycle. It keeps no copy of the window — the retained
+// segments are the window — only what a manifest records plus one
+// timestamp per segment. All methods are safe for concurrent use.
 //
-// Emission tracking is ack-based: NoteEmitted must be called only after a
-// match has actually reached its consumer (a synchronous sink returned, or
-// the serving tier flushed the report to the subscriber's socket). Noted
-// therefore implies delivered, so entries are checkpointable immediately
-// and a checkpointed match can be suppressed on recovery without risking
-// loss. Matches delivered but not yet noted/checkpointed when the process
-// dies are re-derived and redelivered — the bounded, signature-dedupable
+// A cursor moves only once a match has actually reached its consumer: the
+// caller commits a position after its synchronous sinks returned, or acks
+// a match after the serving tier flushed it to the subscriber's socket. A
+// covered match can therefore be suppressed on recovery without risking
+// loss. Matches delivered but not yet committed when the process dies are
+// re-derived and redelivered — the bounded, signature-dedupable
 // redelivery documented in the package comment.
 type Manager struct {
 	mu   sync.Mutex
@@ -42,21 +40,20 @@ type Manager struct {
 	fs   FS
 	dir  string
 	log  segLog
-	// encBuf is the edge-batch payload scratch, reused across appends.
-	encBuf []byte
+	// encBuf is the edge-batch payload scratch, reused across appends;
+	// recBuf the manifest, cursor-frame and acked-key scratch, used under
+	// the lock. keys holds the acked keys the cursors keep.
+	encBuf, recBuf []byte
+	keys           slab.Strings
 	// sealed lists the retained segments behind the active one, oldest
 	// first, each with its newest edge timestamp.
 	sealed []sealedSeg
-	regs   []RegisterRecord
-	// emitted maps match keys to span starts; unlogged are the entries noted
-	// since the last RecEmitted frame or manifest. A key NoteEmitted adds is
-	// built in keyBuf and, only when new, copied into keys' chunks: a chunk
-	// lives until the last of its keys is evicted at a checkpoint, and
-	// pins no slab of the delivery path the signature came from.
-	emitted  map[string]int64
-	unlogged []EmittedEntry
-	keyBuf   []byte
-	keys     slab.Strings
+	regs   []registration
+	// seq is the log position of the last edge logged (edges are numbered
+	// from 1 in the order they are appended; the appender advances it).
+	// all is the newest position Commit moved every cursor to, and before
+	// any the last position recovered.
+	seq, all uint64
 	// clock follows stream time as the engine's graph does — the edges and
 	// advances logged, the effective retention — so the log deletes exactly
 	// what the graph has expired: its cutoff.
@@ -83,7 +80,7 @@ type Manager struct {
 	// happen, read by Stats without the manager lock.
 	reg                             *obs.Registry
 	torn, appendErrors, checkpoints *obs.Counter
-	emittedTracked, degradedGauge   *obs.Gauge
+	degradedGauge                   *obs.Gauge
 }
 
 type sealedSeg struct {
@@ -92,16 +89,20 @@ type sealedSeg struct {
 }
 
 // Recovery is what Open reconstructed from disk: the ordered operations to
-// replay through an engine, plus the recovered emitted-set for backlog
-// suppression.
+// replay through an engine, plus each registration's delivery cursor, by
+// which replay tells the matches it re-derives that were delivered from
+// those that were not.
 type Recovery struct {
 	// Ops are the recovered operations in replay order: the registrations
 	// of the oldest retained segment's manifest, then every record after
-	// it in the order it was appended, less the edges older than the
-	// recovered cutoff.
+	// it in the order it was appended but the cursor frames, which are
+	// folded into Cursors.
 	Ops []Op
-	// Emitted maps checkpointed match keys (MatchKey) to span starts.
-	Emitted map[string]int64
+	// Cursors maps each recovered registration to its delivery cursor.
+	Cursors map[string]Cursor
+	// Seq is the log position of the last edge the log holds: the next
+	// edge appended is Seq+1.
+	Seq uint64
 	// TornTail reports that a torn or corrupt tail was truncated.
 	TornTail bool
 }
@@ -113,17 +114,15 @@ func Open(opts Options) (*Manager, *Recovery, error) {
 	opts = opts.withDefaults()
 	reg := obs.NewRegistry()
 	m := &Manager{
-		opts:           opts,
-		fs:             opts.FS,
-		dir:            opts.Dir,
-		emitted:        make(map[string]int64),
-		clock:          graph.NewClock(opts.Retention, opts.Slack),
-		reg:            reg,
-		torn:           reg.Counter("wal_torn_tail_truncations", "", ""),
-		appendErrors:   reg.Counter("wal_append_errors", "", ""),
-		checkpoints:    reg.Counter("wal_snapshots_written", "", ""),
-		emittedTracked: reg.Gauge("wal_emitted_tracked", "", ""),
-		degradedGauge:  reg.Gauge("wal_degraded", "", ""),
+		opts:          opts,
+		fs:            opts.FS,
+		dir:           opts.Dir,
+		clock:         graph.NewClock(opts.Retention, opts.Slack),
+		reg:           reg,
+		torn:          reg.Counter("wal_torn_tail_truncations", "", ""),
+		appendErrors:  reg.Counter("wal_append_errors", "", ""),
+		checkpoints:   reg.Counter("wal_snapshots_written", "", ""),
+		degradedGauge: reg.Gauge("wal_degraded", "", ""),
 	}
 	m.barrier = m.join
 	m.log = segLog{
@@ -165,28 +164,41 @@ func Open(opts Options) (*Manager, *Recovery, error) {
 	if err := m.checkpointLocked(); err != nil {
 		return nil, nil, fmt.Errorf("wal: opening segment: %w", err)
 	}
-	ops := rec.Ops[:0]
+	// Edges below the cutoff had left the window: replay skips them, each
+	// run of kept edges keeping its log positions.
+	cut := m.clock.Cutoff()
+	ops := make([]Op, 0, len(rec.Ops))
 	for _, op := range rec.Ops {
-		if op.Type == RecEdgeBatch {
-			op.Edges = slices.DeleteFunc(op.Edges, func(e graph.StreamEdge) bool {
-				return e.Edge.Timestamp < m.clock.Cutoff()
-			})
-			if len(op.Edges) == 0 {
-				continue
-			}
+		if op.Type != RecEdgeBatch {
+			ops = append(ops, op)
+			continue
 		}
-		ops = append(ops, op)
+		for i := 0; i < len(op.Edges); {
+			j := i
+			for j < len(op.Edges) && op.Edges[j].Edge.Timestamp >= cut {
+				j++
+			}
+			if j > i {
+				ops = append(ops, Op{Type: RecEdgeBatch, Edges: op.Edges[i:j], Seq: op.Seq + uint64(i)})
+			}
+			i = j + 1 // edges[j], if any, expired
+		}
 	}
 	rec.Ops = ops
-	rec.Emitted = maps.Clone(m.emitted)
+	m.all = m.seq
+	rec.Seq = m.seq
+	rec.Cursors = make(map[string]Cursor, len(m.regs))
+	for _, r := range m.regs {
+		rec.Cursors[r.Name] = Cursor{Seq: r.cur.Seq, Keys: slices.Clone(r.cur.Keys)}
+	}
 	rec.TornTail = m.torn.Value() > 0
 	return m, rec, nil
 }
 
-// checkFormat refuses a directory holding anything a v1 log wrote — its
-// snapshot file, or a segment with a complete header that is not segMagic —
-// before Open has modified a byte. A header shorter than the magic is a
-// segment torn at creation, in any version, and passes.
+// checkFormat refuses a directory holding anything another version of the
+// log wrote — a v1 snapshot file, or a segment with a complete header that
+// is not segMagic — before Open has modified a byte. A header shorter than
+// the magic is a segment torn at creation, in any version, and passes.
 func (m *Manager) checkFormat(names []string) error {
 	for _, name := range names {
 		if name == "snapshot" {
@@ -255,10 +267,12 @@ func (m *Manager) replaySegment(seq uint64, root bool, rec *Recovery) (stop bool
 			m.applyManifest(op.manifest)
 			if root {
 				for i := range op.manifest.Registrations {
-					rec.Ops = append(rec.Ops, Op{Type: RecRegister, Register: &op.manifest.Registrations[i]})
+					rec.Ops = append(rec.Ops, Op{Type: RecRegister, Register: &op.manifest.Registrations[i].RegisterRecord})
 				}
 			}
 		case RecEdgeBatch:
+			op.Seq = m.seq + 1
+			m.seq += uint64(len(op.Edges))
 			for i := range op.Edges {
 				ts := op.Edges[i].Edge.Timestamp
 				maxTS = max(maxTS, int64(ts))
@@ -270,12 +284,10 @@ func (m *Manager) replaySegment(seq uint64, root bool, rec *Recovery) (stop bool
 			m.regs = removeReg(m.regs, op.Name)
 		case RecAdvance:
 			m.clock.AdvanceTo(graph.Timestamp(op.TS))
-		case RecEmitted:
-			for _, e := range op.Emitted {
-				m.emitted[e.Key] = e.SpanStart
-			}
+		case RecCursor:
+			m.applyCursors(op.cursors)
 		}
-		if op.Type != RecManifest {
+		if op.Type != RecManifest && op.Type != RecCursor {
 			rec.Ops = append(rec.Ops, op)
 		}
 		off += n
@@ -303,30 +315,41 @@ func (m *Manager) replaySegment(seq uint64, root bool, rec *Recovery) (stop bool
 }
 
 // applyManifest resets the manager to a manifest's state. Replaying a
-// segment's predecessor leaves exactly this state but for the emitted-set,
-// where the manifest is ahead: it holds entries no RecEmitted frame carried
-// and lacks those evicted when it was written.
+// segment's predecessor leaves exactly this state but for cursors acked
+// and not yet committed when the manifest was written, which it holds.
 func (m *Manager) applyManifest(man *manifest) {
 	m.regs = append(m.regs[:0], man.Registrations...)
-	clear(m.emitted)
-	for _, e := range man.Emitted {
-		m.emitted[e.Key] = e.SpanStart
-	}
+	m.seq = man.Seq
 	m.clock.Resume(time.Duration(man.Retention), graph.Timestamp(man.Newest), man.Newest != math.MinInt64,
 		graph.Timestamp(man.Cutoff))
 }
 
-// applyRegister records an active registration and mirrors the engine's
-// retention extension for the query's time window so the log never deletes
-// an edge the engine still retains.
+// applyRegister records an active registration, its cursor at the start,
+// and mirrors the engine's retention extension for the query's time window
+// so the log never deletes an edge the engine still retains.
 func (m *Manager) applyRegister(r RegisterRecord) {
-	m.regs = append(removeReg(m.regs, r.Name), r)
+	m.regs = append(removeReg(m.regs, r.Name), registration{RegisterRecord: r})
 	if q, err := query.ParseString(r.DSL); err == nil {
 		m.clock.Widen(q.Window())
 	}
 }
 
-func removeReg(regs []RegisterRecord, name string) []RegisterRecord {
+// applyCursors replays a RecCursor frame, as commitLocked moved the cursors
+// it records.
+func (m *Manager) applyCursors(c *cursors) {
+	for i := range m.regs {
+		if r := &m.regs[i]; r.cur.Seq < c.All {
+			r.cur = Cursor{Seq: c.All}
+		}
+	}
+	for _, s := range c.Set {
+		if r := m.find(s.Name); r != nil {
+			r.cur = s.cur
+		}
+	}
+}
+
+func removeReg(regs []registration, name string) []registration {
 	out := regs[:0]
 	for _, r := range regs {
 		if r.Name != name {
@@ -336,51 +359,45 @@ func removeReg(regs []RegisterRecord, name string) []RegisterRecord {
 	return out
 }
 
-// checkpointLocked is the log's only maintenance step: evict what expired
-// from the emitted set, seal the active segment and start the next one
-// with a synced manifest of the current state, then delete the oldest
-// segments whose newest edge has expired. What is below the clock's cutoff
-// has expired: its edges are deleted with their segments and skipped by
-// recovery, its emitted entries evicted. The cutoff never moves back (it is
-// persisted in every manifest). The window is never rewritten; with zero
-// retention nothing is deleted either.
+// find returns the active registration named name, or nil.
+func (m *Manager) find(name string) *registration {
+	for i := range m.regs {
+		if m.regs[i].Name == name {
+			return &m.regs[i]
+		}
+	}
+	return nil
+}
+
+// checkpointLocked is the log's only maintenance step: seal the active
+// segment and start the next one with a synced manifest of the current
+// state, then delete the oldest segments whose newest edge is below the
+// clock's cutoff, which never moves back (it is persisted in every
+// manifest). The window is never rewritten; with zero retention nothing is
+// deleted either.
 func (m *Manager) checkpointLocked() error {
 	cut := int64(m.clock.Cutoff())
 	newest, _ := m.clock.Newest() // math.MinInt64 before any time
-	man := manifest{
+	m.recBuf = appendManifest(m.recBuf[:0], &manifest{
 		Newest:        int64(newest),
 		Retention:     int64(m.clock.Window()),
 		Cutoff:        cut,
+		Seq:           m.seq,
 		Registrations: m.regs,
-		Emitted:       make([]EmittedEntry, 0, len(m.emitted)),
-	}
-	for k, spanStart := range m.emitted {
-		if spanStart < cut {
-			// The match can no longer be re-derived: its suppression entry
-			// is dead weight.
-			delete(m.emitted, k)
-			continue
-		}
-		man.Emitted = append(man.Emitted, EmittedEntry{Key: k, SpanStart: spanStart})
-	}
-	m.emittedTracked.Set(int64(len(m.emitted)))
-	sortEntries(man.Emitted)
-	payload, err := json.Marshal(man)
-	if err != nil {
-		return fmt.Errorf("wal: encoding manifest: %w", err)
-	}
+	})
 	sealing := m.log.f != nil // false only for the segment Open starts
 	if sealing {
 		m.sealed = append(m.sealed, sealedSeg{seq: m.log.seq, maxTS: m.log.maxTS})
 	}
-	if err := m.log.rotate(payload); err != nil {
+	if err := m.log.rotate(m.recBuf); err != nil {
 		return err
 	}
 	if sealing {
 		m.checkpoints.Inc()
 	}
-	clear(m.unlogged)
-	m.unlogged = m.unlogged[:0]
+	for i := range m.regs {
+		m.regs[i].dirty = false
+	}
 	m.batches = 0
 	drop := 0
 	for drop < len(m.sealed) && m.sealed[drop].maxTS < cut {
@@ -412,49 +429,93 @@ func (m *Manager) checkpointIfDueLocked() error {
 	return nil
 }
 
-// NoteEmitted records that a match reached its consumer. Call only after
-// delivery completed (sink returned / socket flushed); see the type
-// comment for why that timing is what makes suppression safe. A match
-// already noted costs a lookup and nothing more; a new one costs its key's
-// bytes in the manager's slab chunks.
-func (m *Manager) NoteEmitted(query, signature string, spanStart int64) {
+// Ack records that query's match with key (its signature), completed by
+// the edge at log position seq, has reached a consumer. Consumers ack in
+// delivery order, the order of the completing edges, so a later edge's ack
+// moves the cursor past every earlier edge; until then the keys acked from
+// the edge after the cursor are kept. The next Commit logs what moved.
+func (m *Manager) Ack(query, key string, seq uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed || m.degraded {
+	r := m.find(query)
+	if r == nil || r.cur.Covers(seq, key) || m.closed || m.degraded {
 		return
 	}
-	m.keyBuf = appendMatchKey(m.keyBuf[:0], query, signature)
-	if _, ok := m.emitted[string(m.keyBuf)]; ok {
-		return
+	if seq > r.cur.Seq+1 {
+		r.cur.Seq = seq - 1
+		r.cur.Keys = r.cur.Keys[:0]
 	}
-	key := m.keys.Copy(m.keyBuf)
-	m.emitted[key] = spanStart
-	m.emittedTracked.Set(int64(len(m.emitted)))
-	m.unlogged = append(m.unlogged, EmittedEntry{Key: key, SpanStart: spanStart})
-	if len(m.unlogged) >= m.opts.EmittedEvery {
-		m.checkpointEmittedLocked()
-	}
+	m.recBuf = append(m.recBuf[:0], key...)
+	r.cur.Keys = append(r.cur.Keys, m.keys.Copy(m.recBuf))
+	r.dirty = true
 }
 
-// checkpointEmittedLocked appends a RecEmitted frame holding every noted
-// entry not yet persisted. Close calls it last, once closed is set.
-func (m *Manager) checkpointEmittedLocked() {
+// Commit records that the matches completed by the edges up to log
+// position all have reached a consumer, moving every cursor there but the
+// held ones (0 moves none), and logs the cursors moved since the last frame
+// or manifest in one RecCursor frame. Call it at most once per batch, after
+// the batch's append has joined, so no logged cursor runs ahead of the log.
+func (m *Manager) Commit(all uint64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.joinLocked()
-	if m.degraded || len(m.unlogged) == 0 {
-		return
+	if m.closed || m.degraded {
+		return nil
 	}
-	payload, err := encodeEmitted(m.unlogged)
-	if err == nil {
-		err = m.log.append(RecEmitted, payload)
+	return m.commitLocked(all)
+}
+
+// commitLocked is Commit; Close calls it last, once closed is set. A
+// frame's all moves the cursors of the registrations that are not listed
+// after it, so a held registration is listed in every frame that moves all.
+func (m *Manager) commitLocked(all uint64) error {
+	if all <= m.all {
+		all = 0
+	} else {
+		m.all = all
 	}
-	if err != nil {
+	listed := func(r *registration) bool { return r.dirty || all > 0 && r.held }
+	n := 0
+	for i := range m.regs {
+		r := &m.regs[i]
+		if all > 0 && !r.held && r.cur.Seq < all {
+			r.cur, r.dirty = Cursor{Seq: all}, false
+		}
+		if listed(r) {
+			n++
+		}
+	}
+	if all == 0 && n == 0 {
+		return nil
+	}
+	m.recBuf = binary.AppendUvarint(binary.AppendUvarint(m.recBuf[:0], all), uint64(n))
+	for i := range m.regs {
+		if r := &m.regs[i]; listed(r) {
+			m.recBuf = appendCursor(wire.AppendString(m.recBuf, r.Name), r.cur)
+			r.dirty = false
+		}
+	}
+	if err := m.log.append(RecCursor, m.recBuf); err != nil {
 		m.degradeLocked(err)
-		return
+		return err
 	}
 	m.wakeLocked()
-	clear(m.unlogged) // a stale key would pin its slab chunk
-	m.unlogged = m.unlogged[:0]
-	m.checkpointIfDueLocked()
+	return m.checkpointIfDueLocked()
+}
+
+// Hold keeps query's cursor where recovery left it while the matches
+// recovery re-derived past it wait for a subscriber, so that a crash before
+// they are delivered recovers them again: Commit's all passes a held cursor
+// by. Released (held false), the cursor moves to the newest position Commit
+// moved every cursor to, or the last position recovered.
+func (m *Manager) Hold(query string, held bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if r := m.find(query); r != nil && r.held != held {
+		if r.held = held; !held && r.cur.Seq < m.all {
+			r.cur, r.dirty = Cursor{Seq: m.all}, true
+		}
+	}
 }
 
 // joinLocked waits for the in-flight asynchronous append, if any, and folds

@@ -2,55 +2,72 @@ package wal
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"slices"
-	"strings"
 
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/wire"
 )
 
-// Record types: the type byte of a segment's frames.
+// Record types: the type byte of a segment's frames. Every payload is
+// binary: uvarint counts and lengths, varint times, strings as a uvarint
+// length and their bytes.
 const (
 	// RecEdgeBatch carries one ingested edge batch in the binary edge
 	// encoding (wire.AppendEdges).
 	RecEdgeBatch byte = 1
-	// RecRegister carries a query registration: DSL text plus options
-	// (RegisterRecord JSON).
+	// RecRegister carries a query registration: name, DSL text, strategy.
 	RecRegister byte = 2
 	// RecUnregister carries the raw name of an unregistered query.
 	RecUnregister byte = 3
-	// RecAdvance carries an explicit advance of stream time as a big-endian
-	// int64 stream timestamp.
+	// RecAdvance carries an explicit advance of stream time: a varint
+	// stream timestamp.
 	RecAdvance byte = 4
-	// RecEmitted carries an emitted-set checkpoint: a sorted JSON array of
-	// (match key, span start) entries (EmittedEntry).
-	RecEmitted byte = 5
+	// RecCursor carries delivery cursors that moved (Manager.Commit): the
+	// log position every registration's cursor moved to (0 for none), then
+	// the registrations whose cursors are set one by one, each its name and
+	// cursor.
+	RecCursor byte = 5
 	// RecManifest is the first frame of every segment and appears nowhere
-	// else: the manager's whole state at the moment the segment was started
-	// (manifest JSON).
+	// else: the manager's whole state at the moment the segment was started.
 	RecManifest byte = 6
 )
 
 // RegisterRecord is the durable form of one query registration: the DSL
 // text (query.Format round-trips name, window and pattern) plus the
 // query's plan settings, so recovery re-registers it identically. Strategy
-// empty means selective. Records written by earlier versions may also carry
-// an "adaptive" key, which the reader ignores.
+// empty means selective.
 type RegisterRecord struct {
-	Name     string `json:"name"`
-	DSL      string `json:"dsl"`
-	Strategy string `json:"strategy,omitempty"`
+	Name     string
+	DSL      string
+	Strategy string
 }
 
-// EmittedEntry is one checkpointed emission: Key is the canonical
-// query+signature match identity (MatchKey) and SpanStart the match's
-// stream-time span start, which bounds how long the entry must outlive the
-// retained window before it can be evicted.
-type EmittedEntry struct {
-	Key       string `json:"k"`
-	SpanStart int64  `json:"s"`
+// Cursor is how far a registration's matches have reached a consumer: all
+// those completed by the edges at log positions 1 through Seq, and those
+// completed by the edge at Seq+1 whose keys (signatures) are in Keys. An
+// edge completes its matches when it is applied, whatever the plan, so a
+// re-derived match is delivered exactly when its completing edge's position
+// and key are covered.
+type Cursor struct {
+	Seq  uint64
+	Keys []string
+}
+
+// Covers reports whether the match with key completed by the edge at log
+// position seq has reached a consumer.
+func (c Cursor) Covers(seq uint64, key string) bool {
+	return seq <= c.Seq || seq == c.Seq+1 && slices.Contains(c.Keys, key)
+}
+
+// registration is an active query with its delivery cursor. held and dirty
+// are the manager's alone: a held cursor ignores Commit's all (its query
+// still owes a recovered backlog), and a dirty one moved since the last
+// frame or manifest recorded it.
+type registration struct {
+	RegisterRecord
+	cur         Cursor
+	held, dirty bool
 }
 
 // manifest is everything recovery needs that the records after it do not
@@ -58,63 +75,81 @@ type EmittedEntry struct {
 // their edges have left the window.
 type manifest struct {
 	// Newest is the newest stream time the log has seen, math.MinInt64
-	// before any (older versions wrote 0, read as a time), under the key
-	// they wrote.
-	Newest int64 `json:"watermark"`
+	// before any.
+	Newest int64
 	// Retention is the effective window width in stream nanoseconds — the
 	// configured one widened by every query window registered so far; 0
 	// retains everything.
-	Retention int64 `json:"retention"`
-	// Cutoff is the newest expiry bound ever applied: emitted entries below
-	// it have been evicted, so edges below it must never be replayed.
-	Cutoff int64 `json:"cutoff"`
-	// Registrations are the active queries in registration order.
-	Registrations []RegisterRecord `json:"registrations"`
-	// Emitted is the whole emitted set, sorted by key.
-	Emitted []EmittedEntry `json:"emitted"`
-}
-
-// MatchKey builds the canonical emitted-set key for a match. The unit
-// separator cannot appear in query names or signatures, so the mapping is
-// injective — the same key form internal/gen uses for cross-run match-set
-// equality.
-func MatchKey(query, signature string) string { return query + "\x1f" + signature }
-
-// appendMatchKey appends the bytes of MatchKey(query, signature) to dst.
-func appendMatchKey(dst []byte, query, signature string) []byte {
-	return append(append(append(dst, query...), '\x1f'), signature...)
+	Retention int64
+	// Cutoff is the newest expiry bound ever applied: edges below it are
+	// never replayed.
+	Cutoff int64
+	// Seq is the log position of the last edge logged before the manifest:
+	// the edges after it are numbered from Seq+1.
+	Seq uint64
+	// Registrations are the active queries in registration order, each with
+	// its cursor.
+	Registrations []registration
 }
 
 // Op is one decoded WAL operation, in replay order. Exactly one field
 // group is populated, keyed by Type (the Rec* constants).
 type Op struct {
 	Type     byte
-	Edges    []graph.StreamEdge // RecEdgeBatch
+	Edges    []graph.StreamEdge // RecEdgeBatch, its first edge at log position Seq
+	Seq      uint64             // RecEdgeBatch
 	Register *RegisterRecord    // RecRegister
 	Name     string             // RecUnregister
 	TS       int64              // RecAdvance
-	Emitted  []EmittedEntry     // RecEmitted
 	manifest *manifest          // RecManifest; folded into the Manager, never handed out
+	cursors  *cursors           // RecCursor; folded in likewise
 }
 
-func encodeRegister(r RegisterRecord) ([]byte, error) { return json.Marshal(r) }
-
-func encodeAdvance(ts int64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(ts))
-	return b[:]
+// cursors is a RecCursor frame: every registration's cursor moved to All
+// (0 moves none), then each of Set's, by name, to its own.
+type cursors struct {
+	All uint64
+	Set []registration
 }
 
-// encodeEmitted serializes checkpoint entries sorted by key so the frame
-// bytes are deterministic regardless of how the emitted set is stored.
-func encodeEmitted(entries []EmittedEntry) ([]byte, error) {
-	sortEntries(entries)
-	return json.Marshal(entries)
+func appendCursor(dst []byte, c Cursor) []byte {
+	dst = binary.AppendUvarint(dst, c.Seq)
+	dst = binary.AppendUvarint(dst, uint64(len(c.Keys)))
+	for _, k := range c.Keys {
+		dst = wire.AppendString(dst, k)
+	}
+	return dst
 }
 
-// sortEntries sorts emitted entries by key.
-func sortEntries(entries []EmittedEntry) {
-	slices.SortFunc(entries, func(a, b EmittedEntry) int { return strings.Compare(a.Key, b.Key) })
+func appendRegister(dst []byte, r RegisterRecord) []byte {
+	return wire.AppendString(wire.AppendString(wire.AppendString(dst, r.Name), r.DSL), r.Strategy)
+}
+
+func appendManifest(dst []byte, man *manifest) []byte {
+	dst = binary.AppendVarint(dst, man.Newest)
+	dst = binary.AppendVarint(dst, man.Retention)
+	dst = binary.AppendVarint(dst, man.Cutoff)
+	dst = binary.AppendUvarint(dst, man.Seq)
+	dst = binary.AppendUvarint(dst, uint64(len(man.Registrations)))
+	for _, r := range man.Registrations {
+		dst = appendCursor(appendRegister(dst, r.RegisterRecord), r.cur)
+	}
+	return dst
+}
+
+func decodeCursor(d *wire.Decoder) Cursor {
+	c := Cursor{Seq: d.Uvarint()}
+	if n := d.Count("key count", 1); n > 0 {
+		c.Keys = make([]string, n)
+		for i := range c.Keys {
+			c.Keys[i] = d.Str()
+		}
+	}
+	return c
+}
+
+func decodeRegister(d *wire.Decoder) RegisterRecord {
+	return RegisterRecord{Name: d.Str(), DSL: d.Str(), Strategy: d.Str()}
 }
 
 // decodeOp decodes one frame's payload into an Op, taking an edge batch's
@@ -122,6 +157,7 @@ func sortEntries(entries []EmittedEntry) {
 // nothing).
 func decodeOp(rec byte, payload []byte, in *wire.Interner) (Op, error) {
 	op := Op{Type: rec}
+	d := wire.NewDecoder(payload)
 	switch rec {
 	case RecEdgeBatch:
 		edges, err := in.DecodeEdges(payload)
@@ -129,30 +165,37 @@ func decodeOp(rec byte, payload []byte, in *wire.Interner) (Op, error) {
 			return op, fmt.Errorf("wal: decoding edge batch: %w", err)
 		}
 		op.Edges = edges
+		return op, nil
 	case RecRegister:
-		var r RegisterRecord
-		if err := json.Unmarshal(payload, &r); err != nil {
-			return op, fmt.Errorf("wal: decoding register record: %w", err)
-		}
-		op.Register = &r
+		reg := decodeRegister(d)
+		op.Register = &reg
 	case RecUnregister:
 		op.Name = string(payload)
+		return op, nil
 	case RecAdvance:
-		if len(payload) != 8 {
-			return op, fmt.Errorf("wal: advance payload is %d bytes, want 8", len(payload))
-		}
-		op.TS = int64(binary.BigEndian.Uint64(payload))
-	case RecEmitted:
-		if err := json.Unmarshal(payload, &op.Emitted); err != nil {
-			return op, fmt.Errorf("wal: decoding emitted checkpoint: %w", err)
+		op.TS = d.Varint()
+	case RecCursor:
+		op.cursors = &cursors{All: d.Uvarint()}
+		if n := d.Count("cursor count", 3); n > 0 { // name, seq and key count: a byte each at least
+			op.cursors.Set = make([]registration, n)
+			for i := range op.cursors.Set {
+				op.cursors.Set[i] = registration{RegisterRecord: RegisterRecord{Name: d.Str()}, cur: decodeCursor(d)}
+			}
 		}
 	case RecManifest:
-		op.manifest = new(manifest)
-		if err := json.Unmarshal(payload, op.manifest); err != nil {
-			return op, fmt.Errorf("wal: decoding manifest: %w", err)
+		man := &manifest{Newest: d.Varint(), Retention: d.Varint(), Cutoff: d.Varint(), Seq: d.Uvarint()}
+		if n := d.Count("registration count", 5); n > 0 { // three strings, seq and key count
+			man.Registrations = make([]registration, n)
+			for i := range man.Registrations {
+				man.Registrations[i] = registration{RegisterRecord: decodeRegister(d), cur: decodeCursor(d)}
+			}
 		}
+		op.manifest = man
 	default:
 		return op, fmt.Errorf("wal: unknown record type %d", rec)
+	}
+	if err := d.Finish("record"); err != nil {
+		return op, fmt.Errorf("wal: decoding record type %d: %w", rec, err)
 	}
 	return op, nil
 }

@@ -1,53 +1,49 @@
 // Package wal is the durability layer for StreamWorks engines: a segmented
 // write-ahead log on the ingest path that is also the only durable copy of
-// the sliding window, and the emitted-set checkpointing that makes match
-// delivery exactly-once across a crash boundary.
+// the sliding window, and the delivery cursors that make match delivery
+// exactly-once across a crash boundary.
 //
 // The state of the system is a function of the edges inside the window, so
 // its durable form is the suffix of the ingest log that still covers the
 // window — there is no snapshot file and the Manager keeps no copy of the
-// window in memory. A segment is the 8-byte magic SWWAL002 followed by
-// frames in internal/wire's envelope (length, CRC32, record type); a torn
-// tail — the partial frame a crash leaves behind — is detected and truncated
-// at the last valid frame instead of poisoning recovery. The first frame of
-// every segment is a manifest: the active registrations in order, the
-// emitted set, the newest stream time, the effective retention and the
-// expiry cutoff. After it come edge batches in wire's binary edge encoding,
-// in arrival order, interleaved with query register/unregister records (DSL
-// text plus registration options), explicit advances of stream time and
-// incremental emitted-set checkpoints.
+// window in memory. A segment is the 8-byte magic SWWAL003 followed by
+// frames in internal/wire's envelope (length, CRC32, record type), every
+// payload in wire's binary field encoding; a torn tail — the partial frame
+// a crash leaves behind — is truncated at the last valid frame instead of
+// poisoning recovery. The first frame of every segment is a manifest: the
+// active registrations in order, each with its delivery cursor, the log
+// position of the last edge logged, the newest stream time, the effective
+// retention and the expiry cutoff. After it come edge batches in wire's
+// binary edge encoding, in arrival order, interleaved with query
+// register/unregister records, explicit advances of stream time and cursor
+// frames.
 //
 // The log follows stream time on a graph.Clock, as the engine's window does, so
 // its expiry cutoff is the window's. A checkpoint (Manager.Snapshot, every
 // Options.SnapshotEvery batches, and whenever the records behind a segment's
 // manifest outgrow Options.SegmentBytes) rotates to a new segment, syncs its
 // manifest, then deletes the oldest segments whose newest edge is below the
-// cutoff. Recovery reads the oldest retained segment's manifest and replays
-// every record after it in the order it was appended. Four rules hold
-// throughout:
+// cutoff: only a prefix, only once the new manifest is synced, and nothing
+// with retention 0. Recovery reads the oldest retained segment's manifest
+// and replays every record after it in the order it was appended.
 //
-//   - Old segments are deleted only after the new segment's manifest has been
-//     synced.
-//   - Only a prefix of the segments is ever deleted.
-//   - Recovery never replays an edge older than the recovered cutoff, and
-//     emitted-set eviction uses the same cutoff, so a match evicted from the
-//     emitted set can never be re-derived into the backlog.
-//   - With retention 0 nothing is ever deleted and nothing is ever rewritten.
-//
-// Recovery replays through the ordinary engine paths: re-register the stored
-// queries at the points of the stream where they were registered, re-apply
-// the retained edges, and suppress every match whose (query, signature) key
-// was already checkpointed as emitted. Matches that were emitted but not yet
-// checkpointed when the process died are redelivered — the emitted-set is
-// checkpointed one epoch behind live emission precisely so a match is never
-// suppressed before it plausibly reached a subscriber. Crash recovery is
-// therefore exactly-once under set semantics (no loss; bounded, dedupable
-// redelivery by canonical signature) and strictly exactly-once across a
-// graceful restart, where Close checkpoints everything.
+// Every logged edge has a log position, counted from 1 in append order
+// across segments and restarts. An engine completes a match when the
+// match's last edge is applied, whatever its plan, so what a query has
+// delivered is a prefix of the positions of the edges completing its
+// matches: its Cursor. Cursors move by Commit (once a batch's synchronous
+// sinks have returned) or Ack (one match, once the serving tier has flushed
+// it), and reach the log in at most one cursor frame per batch and in every
+// manifest: O(queries), whatever the match count. Recovery suppresses every
+// re-derived match its query's cursor covers; one delivered but not yet
+// committed when the process died is redelivered, never lost. Crash
+// recovery is therefore exactly-once under set semantics (bounded,
+// dedupable redelivery by canonical signature) and strictly exactly-once
+// across a graceful restart, where Close logs every cursor.
 //
 // A directory written by another format version (a v1 snapshot file, or a
-// segment whose complete header is not SWWAL002) is refused with
-// ErrFormatVersion and left exactly as found.
+// segment whose complete header is not SWWAL003, such as a v2 log's
+// SWWAL002) is refused with ErrFormatVersion and left exactly as found.
 //
 // All file access goes through the FS seam so the fault-injection harness
 // (internal/testutil/faultfs) can exercise short writes, fsync errors,
@@ -73,7 +69,8 @@ const (
 	// FsyncInterval group-commits: appended frames wait at most
 	// groupCommitInterval for a sync. The default.
 	FsyncInterval FsyncPolicy = iota
-	// FsyncAlways syncs after every appended frame.
+	// FsyncAlways syncs after every appended frame but cursor frames,
+	// which wait for a sync as under FsyncInterval.
 	FsyncAlways
 	// FsyncOff never syncs; durability rides on the OS page cache alone.
 	FsyncOff
@@ -125,10 +122,6 @@ type Options struct {
 	// recovery replays. Zero defaults to 4096; negative leaves checkpoints
 	// to SegmentBytes and Snapshot.
 	SnapshotEvery int
-	// EmittedEvery writes an emitted-set checkpoint frame once that many
-	// mature, un-checkpointed emissions have accumulated. Zero defaults
-	// to 256.
-	EmittedEvery int
 	// Retention mirrors the engine's sliding-window width so segments
 	// expire in lockstep with the window. Zero retains every edge.
 	Retention time.Duration
@@ -152,9 +145,6 @@ func (o Options) withDefaults() Options {
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = 4096
 	}
-	if o.EmittedEvery <= 0 {
-		o.EmittedEvery = 256
-	}
 	if o.Now == nil {
 		o.Now = func() int64 { return time.Now().UnixNano() }
 	}
@@ -175,6 +165,5 @@ type Stats struct {
 	Snapshots       uint64 `json:"snapshots_written" metric:"wal_snapshots_written"`
 	TornTruncations uint64 `json:"torn_tail_truncations" metric:"wal_torn_tail_truncations"`
 	AppendErrors    uint64 `json:"append_errors" metric:"wal_append_errors"`
-	EmittedTracked  uint64 `json:"emitted_tracked" metric:"wal_emitted_tracked"`
 	Degraded        bool   `json:"degraded" metric:"wal_degraded"`
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -80,7 +82,7 @@ func diskSegments(t *testing.T, dir string) []uint64 {
 }
 
 // crash abandons a manager the way a SIGKILL would: the file is closed,
-// nothing more is written — no final emitted checkpoint.
+// nothing more is written — no final cursor frame.
 func crash(m *Manager) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -93,43 +95,29 @@ func crash(m *Manager) {
 func TestRecordRoundTrip(t *testing.T) {
 	edges := []graph.StreamEdge{testEdge(1, 100), testEdge(2, 200)}
 	reg := RegisterRecord{Name: "watch", DSL: testDSL, Strategy: "lazy"}
-	regPayload, err := encodeRegister(reg)
-	if err != nil {
-		t.Fatalf("encodeRegister: %v", err)
-	}
-	// Logs written while a query could opt into runtime re-planning carry an
-	// "adaptive" key in each register record; it decodes away.
-	adaptivePayload, err := json.Marshal(struct {
-		RegisterRecord
-		Adaptive string `json:"adaptive"`
-	}{reg, "on"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	emitted := []EmittedEntry{{Key: MatchKey("q", "sigB"), SpanStart: 7}, {Key: MatchKey("q", "sigA"), SpanStart: 3}}
-	emittedPayload, err := encodeEmitted(emitted)
-	if err != nil {
-		t.Fatalf("encodeEmitted: %v", err)
-	}
-	// encodeEmitted sorts by key, so recovery sees sorted entries.
-	sorted := []EmittedEntry{{Key: MatchKey("q", "sigA"), SpanStart: 3}, {Key: MatchKey("q", "sigB"), SpanStart: 7}}
-	man := manifest{Newest: 200, Retention: 100, Cutoff: 90, Registrations: []RegisterRecord{reg}, Emitted: sorted}
-	manPayload, err := json.Marshal(man)
-	if err != nil {
-		t.Fatal(err)
+	man := manifest{Newest: 200, Retention: 100, Cutoff: 90, Seq: 7, Registrations: []registration{
+		{RegisterRecord: reg, cur: Cursor{Seq: 5, Keys: []string{"sigA", "sigB"}}},
+		{RegisterRecord: RegisterRecord{Name: "other", DSL: shortDSL}},
+	}}
+	frame := cursors{All: 9, Set: []registration{
+		{RegisterRecord: RegisterRecord{Name: "watch"}, cur: Cursor{Seq: 3, Keys: []string{"sigC"}}},
+		{RegisterRecord: RegisterRecord{Name: "other"}, cur: Cursor{Seq: 8}},
+	}}
+	cursorPayload := binary.AppendUvarint(binary.AppendUvarint(nil, frame.All), uint64(len(frame.Set)))
+	for _, c := range frame.Set {
+		cursorPayload = appendCursor(wire.AppendString(cursorPayload, c.Name), c.cur)
 	}
 	cases := []struct {
 		rec     byte
 		payload []byte
 		want    Op
 	}{
-		{RecManifest, manPayload, Op{manifest: &man}},
+		{RecManifest, appendManifest(nil, &man), Op{manifest: &man}},
 		{RecEdgeBatch, wire.AppendEdges(nil, edges), Op{Edges: edges}},
-		{RecRegister, regPayload, Op{Register: &reg}},
-		{RecRegister, adaptivePayload, Op{Register: &reg}},
+		{RecRegister, appendRegister(nil, reg), Op{Register: &reg}},
 		{RecUnregister, []byte("watch"), Op{Name: "watch"}},
-		{RecAdvance, encodeAdvance(-42), Op{TS: -42}},
-		{RecEmitted, emittedPayload, Op{Emitted: sorted}},
+		{RecAdvance, binary.AppendVarint(nil, -42), Op{TS: -42}},
+		{RecCursor, cursorPayload, Op{cursors: &frame}},
 	}
 	var buf []byte
 	for _, c := range cases {
@@ -152,6 +140,15 @@ func TestRecordRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(op, c.want) {
 			t.Fatalf("record type %d did not round-trip:\ngot  %+v\nwant %+v", c.rec, op, c.want)
 		}
+		// A binary payload cut short or carrying a stray byte is refused.
+		if c.rec != RecUnregister && len(payload) > 0 {
+			if _, err := decodeOp(rec, payload[:len(payload)-1], nil); err == nil {
+				t.Fatalf("record type %d decoded one byte short", c.rec)
+			}
+			if _, err := decodeOp(rec, append(slices.Clone(payload), 0), nil); err == nil {
+				t.Fatalf("record type %d decoded with a trailing byte", c.rec)
+			}
+		}
 		off += n
 	}
 	if off != len(buf) {
@@ -164,31 +161,22 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEncodeEmittedDeterministic(t *testing.T) {
-	a := []EmittedEntry{{Key: "b", SpanStart: 2}, {Key: "a", SpanStart: 1}, {Key: "c", SpanStart: 3}}
-	b := []EmittedEntry{{Key: "c", SpanStart: 3}, {Key: "a", SpanStart: 1}, {Key: "b", SpanStart: 2}}
-	pa, err := encodeEmitted(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := encodeEmitted(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pa, pb) {
-		t.Fatalf("same logical checkpoint encoded differently:\n%s\n%s", pa, pb)
-	}
-}
-
-// TestManifestDeterministic: the manifest's emitted set is read out of a
-// map, so two checkpoints of the same state only encode the same bytes if
-// the entries are sorted on the way out.
+// TestManifestDeterministic: two checkpoints of the same state encode the
+// same bytes, cursors and their keys included.
 func TestManifestDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	m, _ := openTest(t, dir, nil)
 	defer m.Close()
+	for _, name := range []string{"q", "r"} {
+		if err := m.AppendRegister(RegisterRecord{Name: name, DSL: testDSL}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.AppendEdges([]graph.StreamEdge{testEdge(1, 100), testEdge(2, 200)}); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 32; i++ {
-		m.NoteEmitted("q", fmt.Sprintf("sig-%02d", i), int64(i))
+		m.Ack("q", fmt.Sprintf("sig-%02d", i), 2)
 	}
 	var first []byte
 	for seq := uint64(2); seq <= 5; seq++ {
@@ -202,7 +190,7 @@ func TestManifestDeterministic(t *testing.T) {
 		if first == nil {
 			first = seg
 		} else if !bytes.Equal(seg, first) {
-			t.Fatalf("segment %d's manifest differs from segment 2's for the same state:\n%s\n%s", seq, seg, first)
+			t.Fatalf("segment %d's manifest differs from segment 2's for the same state:\n%q\n%q", seq, seg, first)
 		}
 	}
 }
@@ -483,8 +471,8 @@ func TestDropsSegmentsAfterTruncatedOne(t *testing.T) {
 
 // TestCheckpointDropsCoveredSegmentsAndRecovers: a checkpoint deletes the
 // segments whose every edge has left the window, and what remains recovers
-// from the oldest retained segment's manifest — registrations, emitted set
-// and watermark included — with no snapshot file anywhere.
+// from the oldest retained segment's manifest — registrations, cursors, log
+// positions and watermark included — with no snapshot file anywhere.
 func TestCheckpointDropsCoveredSegmentsAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	bounded := func(o *Options) { o.Retention, o.Slack = 100, 10 }
@@ -501,7 +489,7 @@ func TestCheckpointDropsCoveredSegmentsAndRecovers(t *testing.T) {
 	if err := m.AppendEdges([]graph.StreamEdge{testEdge(1, 100), testEdge(2, 200)}); err != nil {
 		t.Fatal(err)
 	}
-	m.NoteEmitted("watch", "sig-1", 950)
+	m.Ack("watch", "sig-1", 2)
 	// First checkpoint: segment 1 still holds the window (cutoff 90), so it
 	// stays; only "watch" goes into segment 2's manifest.
 	if err := m.Snapshot(); err != nil {
@@ -545,14 +533,15 @@ func TestCheckpointDropsCoveredSegmentsAndRecovers(t *testing.T) {
 	if rec.Ops[0].Register.Name != "watch" {
 		t.Fatalf("recovered registration: %+v", rec.Ops[0].Register)
 	}
-	if !reflect.DeepEqual(rec.Ops[1].Edges, live) {
-		t.Fatalf("recovered window mismatch: %+v", rec.Ops[1].Edges)
+	if !reflect.DeepEqual(rec.Ops[1].Edges, live) || rec.Ops[1].Seq != 3 || rec.Seq != 3 {
+		t.Fatalf("recovered window mismatch: %+v at %d of %d", rec.Ops[1].Edges, rec.Ops[1].Seq, rec.Seq)
 	}
 	if ts, _ := m2.clock.Newest(); ts != 1010 {
 		t.Fatalf("newest time: got %d, want 1010", ts)
 	}
-	if got, ok := rec.Emitted[MatchKey("watch", "sig-1")]; !ok || got != 950 {
-		t.Fatalf("emitted-set not recovered from the manifest: %v", rec.Emitted)
+	// The ack was never committed by a frame; the manifests carried it.
+	if c := rec.Cursors["watch"]; !c.Covers(2, "sig-1") || c.Covers(2, "sig-2") || c.Covers(3, "sig-1") {
+		t.Fatalf("cursor not recovered from the manifest: %+v", c)
 	}
 	names, err := OSFS{}.ReadDir(dir)
 	if err != nil {
@@ -567,8 +556,9 @@ func TestCheckpointDropsCoveredSegmentsAndRecovers(t *testing.T) {
 
 // TestLogIsTheWindow appends several windows' worth of batches under a
 // small SnapshotEvery: segments must fall off the front of the directory,
-// recovery must hand back exactly the edges inside the cutoff in arrival
-// order, and the Manager must hold none of them.
+// recovery must hand back every edge inside the cutoff in arrival order,
+// each at its log position, from no further back than the oldest retained
+// segment's first batch, and the Manager must hold none of them.
 func TestLogIsTheWindow(t *testing.T) {
 	dir := t.TempDir()
 	const (
@@ -614,11 +604,13 @@ func TestLogIsTheWindow(t *testing.T) {
 
 	m2, rec := openTest(t, dir, bounded)
 	defer m2.Close()
+	// Edge i was logged at position i, so the recovered edges are exactly
+	// those inside the cutoff, each at its own position.
 	cutoff := int64(total) - retention - slack
 	next := uint64(cutoff)
 	for _, op := range rec.Ops {
-		if op.Type != RecEdgeBatch {
-			t.Fatalf("unexpected op type %d", op.Type)
+		if op.Type != RecEdgeBatch || op.Seq != next {
+			t.Fatalf("op of type %d at position %d, want an edge batch at %d", op.Type, op.Seq, next)
 		}
 		for _, e := range op.Edges {
 			if uint64(e.Edge.ID) != next {
@@ -627,8 +619,37 @@ func TestLogIsTheWindow(t *testing.T) {
 			next++
 		}
 	}
-	if next != total+1 {
-		t.Fatalf("recovery stopped at edge %d of %d", next-1, total)
+	if next != total+1 || rec.Seq != total {
+		t.Fatalf("recovery stopped at edge %d of %d (log position %d)", next-1, total, rec.Seq)
+	}
+}
+
+// TestRecoveryKeepsPositionsPastExpiredEdges: an expired edge inside a
+// batch is skipped on recovery, and the edges after it keep their log
+// positions, by which the delivery cursors know them.
+func TestRecoveryKeepsPositionsPastExpiredEdges(t *testing.T) {
+	dir := t.TempDir()
+	bounded := func(o *Options) { o.Retention = 40 }
+	m, _ := openTest(t, dir, bounded)
+	for _, batch := range [][]graph.StreamEdge{
+		{testEdge(1, 10), testEdge(2, 100), testEdge(3, 5), testEdge(4, 101)},
+		{testEdge(5, 102)},
+	} {
+		if err := m.AppendEdges(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crash(m)
+	m2, rec := openTest(t, dir, bounded)
+	defer m2.Close()
+	var got []string
+	for _, op := range rec.Ops {
+		for i, e := range op.Edges {
+			got = append(got, fmt.Sprintf("%d@%d", e.Edge.ID, op.Seq+uint64(i)))
+		}
+	}
+	if want := []string{"2@2", "4@4", "5@5"}; !slices.Equal(got, want) || rec.Seq != 5 {
+		t.Fatalf("recovered edge@position %v (last position %d), want %v (5)", got, rec.Seq, want)
 	}
 }
 
@@ -678,21 +699,28 @@ func TestCrashBeforeManifestSynced(t *testing.T) {
 	}
 }
 
-// TestForeignFormatRefusedUntouched: a v1 data directory — a segment with
-// the old magic, or a leftover snapshot file — makes Open fail with
-// ErrFormatVersion and leaves every byte where it was.
+// TestForeignFormatRefusedUntouched: a data directory of an earlier version
+// — a v1 segment or leftover snapshot file, or a v2 segment with its JSON
+// manifest — makes Open fail with ErrFormatVersion and leaves every byte
+// where it was.
 func TestForeignFormatRefusedUntouched(t *testing.T) {
 	v1 := append([]byte("SWWAL001"), wire.AppendFrame(nil, RecUnregister, []byte("watch"))...)
-	for name, file := range map[string]string{"v1-segment": segName(1), "v1-snapshot": "snapshot"} {
+	v2 := wire.AppendFrame([]byte("SWWAL002"), RecManifest,
+		[]byte(`{"watermark":0,"retention":0,"cutoff":-9223372036854775808,"registrations":null,"emitted":[]}`))
+	for name, tc := range map[string]struct {
+		file     string
+		contents []byte
+	}{"v1-segment": {segName(1), v1}, "v1-snapshot": {"snapshot", v1}, "v2-segment": {segName(1), v2}} {
+		file := tc.file
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			// A real v2 segment next to it: nothing may be touched, valid or not.
+			// A real segment next to it: nothing may be touched, valid or not.
 			m, _ := openTest(t, dir, nil)
 			crash(m)
 			if err := os.Rename(segPath(dir, 1), segPath(dir, 7)); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(dir, file), v1, 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, file), tc.contents, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			before := readDir(t, dir)
@@ -725,41 +753,81 @@ func readDir(t *testing.T, dir string) map[string]string {
 	return out
 }
 
-func TestEmittedCheckpointRecovery(t *testing.T) {
+// TestCursorsRecoverAsCommitted: a Commit logs what moved since the last
+// frame, all of it or none; an ack no Commit or Close logged is gone after
+// a crash, so its match is redelivered, never lost.
+func TestCursorsRecoverAsCommitted(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := openTest(t, dir, func(o *Options) { o.EmittedEvery = 2 })
-	m.NoteEmitted("q", "a", 10)
-	m.NoteEmitted("q", "b", 20) // second note hits EmittedEvery: checkpoint frame
-	m.NoteEmitted("q", "c", 30) // un-checkpointed; lost on crash
-	// Duplicate notes never re-count toward the checkpoint threshold.
-	m.NoteEmitted("q", "a", 10)
-
-	m2, rec := openTest(t, dir, func(o *Options) { o.EmittedEvery = 2 })
-	defer m2.Close()
-	if len(rec.Emitted) != 2 {
-		t.Fatalf("recovered emitted-set: %v", rec.Emitted)
-	}
-	for _, sig := range []string{"a", "b"} {
-		if _, ok := rec.Emitted[MatchKey("q", sig)]; !ok {
-			t.Fatalf("checkpointed match %q not recovered", sig)
+	m, _ := openTest(t, dir, nil)
+	for _, name := range []string{"q", "r", "s"} {
+		if err := m.AppendRegister(RegisterRecord{Name: name, DSL: testDSL}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if _, ok := rec.Emitted[MatchKey("q", "c")]; ok {
-		t.Fatal("un-checkpointed match survived the crash — would suppress delivery")
+	if err := m.AppendEdges(makeBatch(8, 1)); err != nil {
+		t.Fatal(err)
+	}
+	m.Ack("q", "a", 3)
+	m.Ack("q", "b", 3)
+	m.Ack("q", "a", 3) // already covered: moves nothing
+	m.Ack("q", "c", 2) // behind the cursor: moves nothing
+	if err := m.Commit(0); err != nil {
+		t.Fatal(err)
+	}
+	frames := m.Stats().Frames
+	if err := m.Commit(0); err != nil || m.Stats().Frames != frames {
+		t.Fatalf("a Commit with nothing moved logged a frame (%v)", err)
+	}
+	if err := m.Commit(5); err != nil { // every cursor to 5 ...
+		t.Fatal(err)
+	}
+	m.Ack("r", "x", 8) // ... r's past it, by an ack no Commit logs
+	crash(m)
+
+	m2, rec := openTest(t, dir, nil)
+	defer m2.Close()
+	want := map[string]Cursor{"q": {Seq: 5}, "r": {Seq: 5}, "s": {Seq: 5}}
+	if !reflect.DeepEqual(rec.Cursors, want) {
+		t.Fatalf("recovered cursors %+v, want %+v", rec.Cursors, want)
+	}
+	// A frame that moves every cursor passes a held one by, and Release
+	// brings it to the last position recovered, for the next Commit to log.
+	m2.Hold("q", true)
+	if err := m2.AppendEdges(makeBatch(4, 9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m2.Commit(12); err != nil {
+		t.Fatal(err)
+	}
+	crash(m2)
+	m3, rec := openTest(t, dir, nil)
+	if c := rec.Cursors["q"]; c.Seq != 5 || rec.Cursors["r"].Seq != 12 {
+		t.Fatalf("held cursor recovered at %d, another at %d; want 5 and 12", c.Seq, rec.Cursors["r"].Seq)
+	}
+	m3.Hold("q", true)
+	m3.Hold("q", false)
+	if err := m3.Commit(0); err != nil {
+		t.Fatal(err)
+	}
+	crash(m3)
+	m4, rec := openTest(t, dir, nil)
+	defer m4.Close()
+	if c := rec.Cursors["q"]; c.Seq != 12 {
+		t.Fatalf("released cursor recovered at %d, want 12", c.Seq)
 	}
 }
 
 func TestCloseIsStrictlyExactOnce(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := openTest(t, dir, func(o *Options) { o.EmittedEvery = 1000 })
+	m, _ := openTest(t, dir, nil)
 	if err := m.AppendRegister(RegisterRecord{Name: "watch", DSL: testDSL}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.AppendEdges([]graph.StreamEdge{testEdge(1, 100)}); err != nil {
 		t.Fatal(err)
 	}
-	// Far below EmittedEvery: only Close's final checkpoint can persist it.
-	m.NoteEmitted("watch", "sig-1", 100)
+	// No Commit: only Close's final frame can persist it.
+	m.Ack("watch", "sig-1", 1)
 	if err := m.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -770,42 +838,14 @@ func TestCloseIsStrictlyExactOnce(t *testing.T) {
 
 	m2, rec := openTest(t, dir, nil)
 	defer m2.Close()
-	if _, ok := rec.Emitted[MatchKey("watch", "sig-1")]; !ok {
-		t.Fatal("graceful close lost the emitted-set: restart would redeliver")
+	if !rec.Cursors["watch"].Covers(1, "sig-1") {
+		t.Fatal("graceful close lost the cursor: restart would redeliver")
 	}
 	if ts, _ := m2.clock.Newest(); ts != 100 {
 		t.Fatalf("newest time: got %d, want 100", ts)
 	}
 	if rec.TornTail {
 		t.Fatal("graceful close left a torn tail")
-	}
-}
-
-func TestEmittedEvictionAtCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	bounded := func(o *Options) {
-		o.Retention = 100 // nanoseconds of stream time
-		o.Slack = 10
-	}
-	m, _ := openTest(t, dir, bounded)
-	m.NoteEmitted("q", "old", 50)
-	m.NoteEmitted("q", "new", 900)
-	if err := m.AppendEdges([]graph.StreamEdge{testEdge(1, 1000)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	crash(m)
-	// cutoff = 1000 - 100 - 10 = 890: "old" (span 50) can no longer be
-	// re-derived from the retained window, so its suppression entry goes.
-	m2, rec := openTest(t, dir, bounded)
-	defer m2.Close()
-	if _, ok := rec.Emitted[MatchKey("q", "old")]; ok {
-		t.Fatal("expired emitted entry survived checkpoint eviction")
-	}
-	if _, ok := rec.Emitted[MatchKey("q", "new")]; !ok {
-		t.Fatal("live emitted entry was evicted")
 	}
 }
 
@@ -891,11 +931,11 @@ func TestPrefixRecovery(t *testing.T) {
 	if err := m.AppendEdges([]graph.StreamEdge{testEdge(1, 100), testEdge(2, 150)}); err != nil {
 		t.Fatal(err)
 	}
-	m.NoteEmitted("watch", "sig-1", 100)
-	m.NoteEmitted("watch", "sig-2", 150) // EmittedEvery default won't fire; force it
-	m.mu.Lock()
-	m.checkpointEmittedLocked()
-	m.mu.Unlock()
+	m.Ack("watch", "sig-1", 1)
+	m.Ack("watch", "sig-2", 2)
+	if err := m.Commit(0); err != nil {
+		t.Fatal(err)
+	}
 	if err := m.AppendAdvance(400); err != nil {
 		t.Fatal(err)
 	}
@@ -965,15 +1005,21 @@ func FuzzWALDecode(f *testing.F) {
 	if err := m.AppendAdvance(200); err != nil {
 		f.Fatal(err)
 	}
-	m.NoteEmitted("watch", "sig", 100)
-	// The second segment's manifest lists the registration and the emission.
+	m.Ack("watch", "sig", 1)
+	// The second segment's manifest lists the registration and its cursor.
 	if err := m.Snapshot(); err != nil {
 		f.Fatal(err)
 	}
 	if err := m.AppendUnregister("watch"); err != nil {
 		f.Fatal(err)
 	}
-	m.NoteEmitted("watch", "sig-2", 150)
+	if err := m.AppendRegister(RegisterRecord{Name: "again", DSL: testDSL}); err != nil {
+		f.Fatal(err)
+	}
+	if err := m.Commit(1); err != nil {
+		f.Fatal(err)
+	}
+	m.Ack("again", "sig-2", 3)
 	if err := m.Close(); err != nil {
 		f.Fatal(err)
 	}
@@ -1004,25 +1050,26 @@ func FuzzWALDecode(f *testing.F) {
 	})
 }
 
-// TestCheckpointsFollowAppendedBytes: once the emitted set's manifest is
-// larger than SegmentBytes, a segment is still sealed only after
-// SegmentBytes of records have been appended behind its manifest. The same
-// stream of single-edge batches and emission notes runs twice, with 4 KiB
-// segments and with segments that never fill; the second run's bytes are
-// the records alone. The first may checkpoint once per 4 KiB of them, and
-// not once per batch.
+// TestCheckpointsFollowAppendedBytes: once the manifest is larger than
+// SegmentBytes, a segment is still sealed only after SegmentBytes of records
+// have been appended behind its manifest. The same stream of single-edge
+// batches, each with an ack and a commit, runs twice, with 4 KiB segments
+// and with segments that never fill; the second run's bytes are the records
+// alone. The first may checkpoint once per 4 KiB of them, and not once per
+// batch.
 func TestCheckpointsFollowAppendedBytes(t *testing.T) {
 	const (
 		segmentBytes = 4 << 10
-		prefill      = 3000 // noted matches before the stream: a manifest of ~150 KiB
-		edges        = 1000 // one batch each, one note each
+		queries      = 100  // registrations of ~100 B each: a manifest of ~10 KiB
+		edges        = 1000 // one batch each, one ack and one commit each
 	)
-	sig := func(i int) string { return fmt.Sprintf("%032d", i) }
 	run := func(segment int64) (checkpoints, recordBytes uint64) {
-		m, _ := openTest(t, t.TempDir(), func(o *Options) { o.SegmentBytes = segment; o.EmittedEvery = 16 })
+		m, _ := openTest(t, t.TempDir(), func(o *Options) { o.SegmentBytes = segment })
 		defer m.Close()
-		for i := 0; i < prefill; i++ {
-			m.NoteEmitted("q", sig(i), 0)
+		for i := 0; i < queries; i++ {
+			if err := m.AppendRegister(RegisterRecord{Name: fmt.Sprintf("q%03d", i), DSL: testDSL}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := m.Snapshot(); err != nil {
 			t.Fatal(err)
@@ -1032,7 +1079,10 @@ func TestCheckpointsFollowAppendedBytes(t *testing.T) {
 			if err := m.AppendEdges([]graph.StreamEdge{testEdge(uint64(i+1), int64(i))}); err != nil {
 				t.Fatal(err)
 			}
-			m.NoteEmitted("q", sig(prefill+i), int64(i))
+			m.Ack(fmt.Sprintf("q%03d", i%queries), fmt.Sprintf("%032d", i), uint64(i+1))
+			if err := m.Commit(0); err != nil {
+				t.Fatal(err)
+			}
 		}
 		after := m.Stats()
 		return after.Snapshots - before.Snapshots, after.Bytes - before.Bytes

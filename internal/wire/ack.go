@@ -29,22 +29,22 @@ func AppendAckFrame(dst, scratch []byte, a Ack) ([]byte, []byte) {
 	if a.Queued {
 		queued = 1
 	}
-	scratch = appendString(append(scratch, queued), a.Error)
+	scratch = AppendString(append(scratch, queued), a.Error)
 	return AppendFrame(dst, FrameAck, scratch), scratch
 }
 
 // DecodeAck decodes an ack payload produced by AppendAckFrame.
 func DecodeAck(payload []byte) (Ack, error) {
-	d := decoder{buf: payload}
-	a := Ack{Status: int(d.uvarint()), Accepted: int(d.uvarint())}
+	d := Decoder{buf: payload}
+	a := Ack{Status: int(d.Uvarint()), Accepted: int(d.Uvarint())}
 	switch q := d.byte(); {
 	case q == 1:
 		a.Queued = true
 	case q > 1:
 		d.fail("queued byte %d", q)
 	}
-	a.Error = d.string()
-	if err := d.finish("ack"); err != nil {
+	a.Error = d.Str()
+	if err := d.Finish("ack"); err != nil {
 		return Ack{}, err
 	}
 	return a, nil

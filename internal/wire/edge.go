@@ -30,10 +30,10 @@ func AppendEdge(dst []byte, se graph.StreamEdge) []byte {
 	dst = binary.AppendUvarint(dst, uint64(se.Edge.ID))
 	dst = binary.AppendUvarint(dst, uint64(se.Edge.Source))
 	dst = binary.AppendUvarint(dst, uint64(se.Edge.Target))
-	dst = appendString(dst, se.Edge.Type)
+	dst = AppendString(dst, se.Edge.Type)
 	dst = binary.AppendVarint(dst, int64(se.Edge.Timestamp))
-	dst = appendString(dst, se.SourceType)
-	dst = appendString(dst, se.TargetType)
+	dst = AppendString(dst, se.SourceType)
+	dst = AppendString(dst, se.TargetType)
 	dst = appendAttrs(dst, se.Edge.Attrs)
 	dst = appendAttrs(dst, se.SourceAttrs)
 	dst = appendAttrs(dst, se.TargetAttrs)
@@ -67,9 +67,9 @@ func DecodeEdge(payload []byte) (graph.StreamEdge, error) {
 // DecodeEdge is the package-level DecodeEdge, taking the edge's strings and
 // attribute maps from in where it holds them. A nil in caches nothing.
 func (in *Interner) DecodeEdge(payload []byte) (graph.StreamEdge, error) {
-	d := decoder{buf: payload, in: in}
+	d := Decoder{buf: payload, in: in}
 	se := d.edge()
-	if err := d.finish("edge"); err != nil {
+	if err := d.Finish("edge"); err != nil {
 		return graph.StreamEdge{}, err
 	}
 	return se, nil
@@ -83,8 +83,8 @@ func DecodeEdges(payload []byte) ([]graph.StreamEdge, error) {
 // DecodeEdges is the package-level DecodeEdges, taking the edges' strings
 // and attribute maps from in where it holds them. A nil in caches nothing.
 func (in *Interner) DecodeEdges(payload []byte) ([]graph.StreamEdge, error) {
-	d := decoder{buf: payload, in: in}
-	n := d.count("edge count", minEdgeBytes)
+	d := Decoder{buf: payload, in: in}
+	n := d.Count("edge count", minEdgeBytes)
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -92,36 +92,37 @@ func (in *Interner) DecodeEdges(payload []byte) ([]graph.StreamEdge, error) {
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		edges = append(edges, d.edge())
 	}
-	if err := d.finish("edge batch"); err != nil {
+	if err := d.Finish("edge batch"); err != nil {
 		return nil, err
 	}
 	return edges, nil
 }
 
-func (d *decoder) edge() graph.StreamEdge {
+func (d *Decoder) edge() graph.StreamEdge {
 	var se graph.StreamEdge
-	se.Edge.ID = graph.EdgeID(d.uvarint())
-	se.Edge.Source = graph.VertexID(d.uvarint())
-	se.Edge.Target = graph.VertexID(d.uvarint())
-	se.Edge.Type = d.string()
-	se.Edge.Timestamp = graph.Timestamp(d.varint())
-	se.SourceType = d.string()
-	se.TargetType = d.string()
+	se.Edge.ID = graph.EdgeID(d.Uvarint())
+	se.Edge.Source = graph.VertexID(d.Uvarint())
+	se.Edge.Target = graph.VertexID(d.Uvarint())
+	se.Edge.Type = d.Str()
+	se.Edge.Timestamp = graph.Timestamp(d.Varint())
+	se.SourceType = d.Str()
+	se.TargetType = d.Str()
 	se.Edge.Attrs = d.attrs()
 	se.SourceAttrs = d.attrs()
 	se.TargetAttrs = d.attrs()
 	return se
 }
 
-// finish reports the latched error, or the bytes left over after what.
-func (d *decoder) finish(what string) error {
+// Finish reports the latched error, or the bytes left over after what.
+func (d *Decoder) Finish(what string) error {
 	if d.err == nil && len(d.buf) != 0 {
 		d.fail("%d trailing bytes after %s", len(d.buf), what)
 	}
 	return d.err
 }
 
-func appendString(dst []byte, s string) []byte {
+// AppendString appends s as a uvarint length and its bytes.
+func AppendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
@@ -148,12 +149,12 @@ func appendAttrs(dst []byte, a graph.Attributes) []byte {
 	}
 	slices.Sort(keys)
 	for _, k := range keys {
-		dst = appendString(dst, k)
+		dst = AppendString(dst, k)
 		v := a[k]
 		dst = append(dst, byte(v.Kind()))
 		switch v.Kind() {
 		case graph.KindString:
-			dst = appendString(dst, v.Str())
+			dst = AppendString(dst, v.Str())
 		case graph.KindInt:
 			dst = binary.AppendVarint(dst, v.Int64())
 		case graph.KindFloat:
@@ -169,23 +170,27 @@ func appendAttrs(dst []byte, a graph.Attributes) []byte {
 	return dst
 }
 
-// decoder is a cursor over a frame payload. The first malformed field
-// latches err (always wrapping ErrCorrupt) and every later read is a no-op,
-// so codecs read straight through and check once. Strings and attribute
-// maps come from in when it holds them (nil caches nothing).
-type decoder struct {
+// Decoder is a cursor over a frame payload, for this package's codecs and
+// those outside it (the write-ahead log's records). The first malformed
+// field latches err (always wrapping ErrCorrupt) and every later read is a
+// no-op, so codecs read straight through and check once. Strings and
+// attribute maps come from in when it holds them (nil caches nothing).
+type Decoder struct {
 	buf []byte
 	err error
 	in  *Interner
 }
 
-func (d *decoder) fail(format string, args ...any) {
+// NewDecoder returns a Decoder over payload that caches nothing.
+func NewDecoder(payload []byte) *Decoder { return &Decoder{buf: payload} }
+
+func (d *Decoder) fail(format string, args ...any) {
 	if d.err == nil {
 		d.err = fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 	}
 }
 
-func (d *decoder) uvarint() uint64 {
+func (d *Decoder) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
@@ -207,12 +212,12 @@ const (
 	minBindingBytes = 2  // variable, vertex ID
 )
 
-// count reads an element count and refuses one whose elements, at least
+// Count reads an element count and refuses one whose elements, at least
 // size bytes each, the rest of the payload cannot hold: no count read off
 // the wire sizes an allocation beyond what its bytes can hold. A refused
 // count, or one read after an error, is 0.
-func (d *decoder) count(what string, size int) uint64 {
-	n := d.uvarint()
+func (d *Decoder) Count(what string, size int) uint64 {
+	n := d.Uvarint()
 	if d.err == nil && n > uint64(len(d.buf)/size) {
 		d.fail("%s %d exceeds what %d remaining bytes hold at %d bytes each", what, n, len(d.buf), size)
 	}
@@ -222,7 +227,7 @@ func (d *decoder) count(what string, size int) uint64 {
 	return n
 }
 
-func (d *decoder) varint() int64 {
+func (d *Decoder) Varint() int64 {
 	if d.err != nil {
 		return 0
 	}
@@ -236,8 +241,8 @@ func (d *decoder) varint() int64 {
 }
 
 // bytes reads a length-prefixed string's bytes, aliasing the payload.
-func (d *decoder) bytes() []byte {
-	n := d.uvarint()
+func (d *Decoder) bytes() []byte {
+	n := d.Uvarint()
 	if d.err != nil {
 		return nil
 	}
@@ -250,9 +255,9 @@ func (d *decoder) bytes() []byte {
 	return b
 }
 
-func (d *decoder) string() string { return d.in.string(d.bytes()) }
+func (d *Decoder) Str() string { return d.in.string(d.bytes()) }
 
-func (d *decoder) byte() byte {
+func (d *Decoder) byte() byte {
 	if d.err != nil {
 		return 0
 	}
@@ -271,11 +276,11 @@ func (d *decoder) byte() byte {
 // miss is decoded and recorded only once it has decoded cleanly. The empty
 // block, its one count byte, costs nothing to decode and is never cached,
 // so it cannot evict a map.
-func (d *decoder) attrs() graph.Attributes {
+func (d *Decoder) attrs() graph.Attributes {
 	if d.in == nil || d.err != nil {
 		return d.attrBlock(true)
 	}
-	skip := decoder{buf: d.buf}
+	skip := Decoder{buf: d.buf}
 	skip.attrBlock(false)
 	enc := d.buf[:len(d.buf)-len(skip.buf)]
 	if skip.err != nil || len(enc) == 1 || len(enc) > internMaxLen {
@@ -300,8 +305,8 @@ func (d *decoder) attrs() graph.Attributes {
 // equal, floats by their IEEE bits (−0 is not +0, and NaN payloads differ),
 // bools by the value they decode to.
 func holds(enc []byte, a graph.Attributes) bool {
-	d := decoder{buf: enc}
-	if d.uvarint() != uint64(len(a)) {
+	d := Decoder{buf: enc}
+	if d.Uvarint() != uint64(len(a)) {
 		return false
 	}
 	var prev []byte
@@ -319,7 +324,7 @@ func holds(enc []byte, a graph.Attributes) bool {
 		case graph.KindString:
 			ok = v.Str() == string(d.bytes())
 		case graph.KindInt:
-			ok = v.Int64() == d.varint()
+			ok = v.Int64() == d.Varint()
 		case graph.KindFloat:
 			ok = math.Float64bits(v.Float64()) == binary.BigEndian.Uint64(d.buf)
 			d.buf = d.buf[8:]
@@ -335,8 +340,8 @@ func holds(enc []byte, a graph.Attributes) bool {
 
 // attrBlock reads an attribute block, building the map only when build is
 // set: without it the block is validated and skipped.
-func (d *decoder) attrBlock(build bool) graph.Attributes {
-	n := d.count("attr count", minAttrBytes)
+func (d *Decoder) attrBlock(build bool) graph.Attributes {
+	n := d.Count("attr count", minAttrBytes)
 	if n == 0 {
 		return nil
 	}
@@ -353,7 +358,7 @@ func (d *decoder) attrBlock(build bool) graph.Attributes {
 				v = graph.String(d.in.string(s))
 			}
 		case graph.KindInt:
-			v = graph.Int(d.varint())
+			v = graph.Int(d.Varint())
 		case graph.KindFloat:
 			if len(d.buf) < 8 {
 				d.fail("truncated float value")

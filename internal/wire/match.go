@@ -20,14 +20,14 @@ import (
 
 // AppendMatch appends the binary payload for rep to dst.
 func AppendMatch(dst []byte, rep export.MatchReport) []byte {
-	dst = appendString(dst, rep.Query)
+	dst = AppendString(dst, rep.Query)
 	dst = binary.AppendVarint(dst, rep.DetectedAt)
 	dst = binary.AppendVarint(dst, rep.SpanStart)
 	dst = binary.AppendVarint(dst, rep.SpanEnd)
-	dst = appendString(dst, rep.Signature)
+	dst = AppendString(dst, rep.Signature)
 	dst = binary.AppendUvarint(dst, uint64(len(rep.Bindings)))
 	for _, b := range rep.Bindings {
-		dst = appendString(dst, b.Variable)
+		dst = AppendString(dst, b.Variable)
 		dst = binary.AppendUvarint(dst, b.VertexID)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(rep.EdgeIDs)))
@@ -57,27 +57,27 @@ func DecodeMatch(payload []byte) (export.MatchReport, error) {
 func (in *Interner) DecodeMatch(payload []byte) (export.MatchReport, error) {
 	var rep export.MatchReport
 	sigs, bindings, edgeIDs := in.reportSlabs()
-	d := decoder{buf: payload, in: in}
-	rep.Query = d.string()
-	rep.DetectedAt = d.varint()
-	rep.SpanStart = d.varint()
-	rep.SpanEnd = d.varint()
+	d := Decoder{buf: payload, in: in}
+	rep.Query = d.Str()
+	rep.DetectedAt = d.Varint()
+	rep.SpanStart = d.Varint()
+	rep.SpanEnd = d.Varint()
 	rep.Signature = sigs.Copy(d.bytes())
-	if nb := d.count("binding count", minBindingBytes); nb > 0 {
+	if nb := d.Count("binding count", minBindingBytes); nb > 0 {
 		rep.Bindings = bindings.Make(int(nb))
 		for i := range rep.Bindings {
 			b := &rep.Bindings[i]
-			b.Variable = d.string()
-			b.VertexID = d.uvarint()
+			b.Variable = d.Str()
+			b.VertexID = d.Uvarint()
 		}
 	}
-	if ne := d.count("edge-ID count", 1); ne > 0 {
+	if ne := d.Count("edge-ID count", 1); ne > 0 {
 		rep.EdgeIDs = edgeIDs.Make(int(ne))
 		for i := range rep.EdgeIDs {
-			rep.EdgeIDs[i] = d.uvarint()
+			rep.EdgeIDs[i] = d.Uvarint()
 		}
 	}
-	if err := d.finish("match"); err != nil {
+	if err := d.Finish("match"); err != nil {
 		return export.MatchReport{}, err
 	}
 	return rep, nil

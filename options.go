@@ -100,9 +100,9 @@ func WithFsyncPolicy(policy string) Option {
 }
 
 // WithSnapshotEvery checkpoints the write-ahead log every n ingested
-// batches: a new segment starts with a manifest of the registrations and the
-// emitted-set, and the oldest segments whose edges have all left the window
-// are deleted. It bounds how far beyond the window a recovery replays and
+// batches: a new segment starts with a manifest of the registrations and
+// their delivery cursors, and the oldest segments whose edges have all left
+// the window are deleted. It bounds how far beyond the window a recovery replays and
 // how many segment files the window is spread over; nothing is serialized
 // but the manifest. Default 4096; negative leaves checkpoints to segment
 // size (8 MiB of records behind the manifest). Requires WithDataDir.
@@ -110,12 +110,14 @@ func WithSnapshotEvery(n int) Option {
 	return func(c *config) { c.snapshotEvery = n }
 }
 
-// WithManualDeliveryAck defers emitted-match acknowledgment to the
-// embedder: the engine stops treating a subscription sink's return as
-// proof of delivery, and the embedder must call AckDelivered once a match
-// has truly reached its consumer (e.g. the serving tier flushed it to the
-// subscriber's socket). Without the ack a match is redelivered after a
-// crash; with it the match is suppressed on recovery. For asynchronous
+// WithManualDeliveryAck defers delivery acknowledgment to the embedder:
+// the engine stops treating a subscription sink's return as proof of
+// delivery, and the embedder must call AckDelivered once a match has truly
+// reached its consumer (e.g. the serving tier flushed it to the
+// subscriber's socket). The acks move each query's delivery cursor: a match
+// neither acked nor followed by an acked match of its query is redelivered
+// after a crash, and an acked one is suppressed on recovery. With several
+// subscribers the furthest ack leads (see AckDelivered). For asynchronous
 // delivery pipelines only; synchronous embedders should keep the default.
 func WithManualDeliveryAck(enabled bool) Option {
 	return func(c *config) { c.manualAck = enabled }

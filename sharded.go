@@ -40,16 +40,12 @@ type Sharded struct {
 	queries map[string]*Query
 	subs    []*subscription // in subscription order
 
-	// reports and pending belong to the delivering goroutine, the caller
-	// holding mu. pending holds the emissions fanout has delivered but not
-	// yet acknowledged to the WAL.
-	reports export.Reporter
-	pending []pendingNote
-}
-
-type pendingNote struct {
-	query, signature string
-	spanStart        int64
+	// reports, at and matched belong to the delivering goroutine, the
+	// caller holding mu. With durability, at is the log position of the
+	// edge being applied, which fanout stamps on its matches, and matched
+	// the position of the last edge that completed one.
+	reports     export.Reporter
+	at, matched uint64
 }
 
 // Local is the name New returned when it built a backend of its own; it
@@ -157,15 +153,26 @@ func (s *Sharded) ProcessBatch(ctx context.Context, edges []StreamEdge) error {
 	// Write-ahead, overlapped: the log write runs concurrently with
 	// processing (s.mu makes log order equal processing order), and the join
 	// makes the batch durable — or durability degraded — before it can be
-	// acked upstream. The emissions delivered meanwhile are acknowledged
-	// behind the join, on every way out, a cancelled ctx's included.
-	if join := s.dur.appendEdgesAsync(edges); join != nil {
+	// acked upstream. The deliveries made meanwhile are committed behind
+	// the join, on every way out, a cancelled ctx's included.
+	first, join := s.dur.appendEdgesAsync(edges)
+	if join != nil {
 		defer func() {
 			join()
-			s.flushNotes()
+			s.dur.commit(s.matched)
 		}()
 	}
+	return s.process(ctx, edges, first)
+}
+
+// process applies edges in order, edges[i] at log position first+i (no
+// position when first is 0), until ctx is done: under mu, or by recovery
+// before New returns.
+func (s *Sharded) process(ctx context.Context, edges []StreamEdge, first uint64) error {
 	for i := range edges {
+		if first != 0 {
+			s.at = first + uint64(i)
+		}
 		if err := s.eng.ProcessContext(ctx, edges[i]); err != nil {
 			return err
 		}
@@ -190,35 +197,56 @@ func (s *Sharded) Advance(ctx context.Context, ts Timestamp) error {
 // blocks stalls ingestion, so hand work off quickly. Subscribe never waits
 // behind ingestion and is safe while ProcessBatch runs. It hands the new sink
 // the recovered matches never delivered before the crash, each to the first
-// matching subscriber, exactly once: outside rmu, since the sink may close its
-// own subscription, and under the lock live deliveries take
-// (ShardedEngine.Exclusive), so the backlog may interleave with them but never
-// overlaps one — match identity is (query, signature), and the engine never
-// re-derives a match the replay already produced.
+// matching subscriber, exactly once, in their queries' log order: under the
+// lock live deliveries take (ShardedEngine.Exclusive), which also attaches
+// the sink, so the backlog reaches it before any live match and never
+// overlaps one — and the engine never re-derives a match the replay already
+// produced.
 func (s *Sharded) Subscribe(queryFilter string, sink MatchSink) (Subscription, error) {
 	sub := &subscription{s: s, query: queryFilter, sink: sink, done: make(chan struct{})}
-	s.rmu.Lock()
 	if s.closed.Load() {
-		s.rmu.Unlock()
 		return nil, ErrClosed
 	}
-	if _, known := s.queries[queryFilter]; !known && queryFilter != "" {
-		s.rmu.Unlock()
+	s.rmu.Lock()
+	_, known := s.queries[queryFilter]
+	s.rmu.Unlock()
+	if !known && queryFilter != "" {
 		return nil, ErrUnknownQuery
 	}
-	s.subs = append(s.subs[:len(s.subs):len(s.subs)], sub) // copy on write
-	s.rmu.Unlock()
-	if backlog := s.dur.takeBacklog(queryFilter); len(backlog) > 0 {
+	var err error
+	if backlog := s.dur.takeBacklog(queryFilter); len(backlog) == 0 {
+		err = s.attach(sub)
+	} else {
 		s.eng.Exclusive(func() {
-			for _, m := range backlog {
-				sink.OnMatch(m)
-				if !s.dur.manual {
-					s.dur.note(m.Query, m.Signature, m.SpanStart)
+			if err = s.attach(sub); err == nil {
+				for _, m := range backlog {
+					sink.OnMatch(m)
 				}
 			}
 		})
+		// Refused by a racing Close, the backlog stays held: it is
+		// recovered again on the next start.
+		if err == nil {
+			s.dur.hold(backlog, false)
+		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	return sub, nil
+}
+
+// attach adds sub to the registry unless the backend is closed. Close
+// reads closed under rmu too, so sub is either in the registry Close
+// empties or refused.
+func (s *Sharded) attach(sub *subscription) error {
+	s.rmu.Lock()
+	defer s.rmu.Unlock()
+	if s.closed.Load() {
+		return ErrClosed
+	}
+	s.subs = append(s.subs[:len(s.subs):len(s.subs)], sub) // copy on write
+	return nil
 }
 
 // Metrics snapshots the engine's counters; it keeps working after Close.
@@ -254,9 +282,9 @@ func (s *Sharded) MetricsSnapshot() (Metrics, ObsSnapshot) {
 
 // Close stops the engine and finishes every subscription (Done closes after
 // the final delivery, once the call in flight, if any, has returned). Then
-// the WAL takes its last checkpoint: it covers every delivered match, so a
-// graceful restart redelivers nothing. Idempotent; subsequent mutating calls
-// return ErrClosed.
+// the WAL logs the cursors last acknowledged: they cover every delivered
+// match, so a graceful restart redelivers nothing. Idempotent; subsequent
+// mutating calls return ErrClosed.
 func (s *Sharded) Close() error {
 	if s.closed.Swap(true) {
 		return nil
@@ -308,9 +336,9 @@ func (s *subscription) Close() error {
 
 // fanout is the one way out of an in-process backend. The engine tier's
 // sink calls it for every (deduplicated) match: resolve the event into the
-// public Match form once, push it to every subscription whose filter admits
-// it, then queue its acknowledgment — every sink has returned, so the match
-// is delivered — reusing the report's signature when one was built.
+// public Match form once, stamped with its completing edge's log position,
+// and push it to every subscription whose filter admits it. Every sink has
+// returned, so the match is delivered: the batch's commit covers it.
 func (s *Sharded) fanout(ev core.MatchEvent) {
 	s.rmu.Lock()
 	subs, q := s.subs, s.queries[ev.Query]
@@ -321,28 +349,12 @@ func (s *Sharded) fanout(ev core.MatchEvent) {
 		if (sub.query == "" || sub.query == ev.Query) && !sub.closed.Load() {
 			if !built {
 				rep, built = s.cfg.report(&s.reports, ev, q), true
+				rep.Seq = s.at
 			}
 			sub.sink.OnMatch(rep)
 		}
 	}
-	if s.dur.live() && !s.dur.manual {
-		sig := rep.Signature
-		if !built {
-			sig = ev.CanonicalSignature()
-		}
-		s.pending = append(s.pending, pendingNote{ev.Query, sig, int64(ev.Match.Span.Start)})
-	}
-}
-
-// flushNotes acknowledges the emissions fanout queued to the WAL, which may
-// then suppress them on recovery. ProcessBatch calls it once the batch's log
-// write has joined.
-func (s *Sharded) flushNotes() {
-	for _, n := range s.pending {
-		s.dur.note(n.query, n.signature, n.spanStart)
-	}
-	clear(s.pending) // a stale signature would pin its slab chunk
-	s.pending = s.pending[:0]
+	s.matched = s.at
 }
 
 // RegisteredQueries returns the currently registered queries, sorted by
@@ -362,9 +374,18 @@ func (s *Sharded) RegisteredQueries() []*Query {
 // Durability reports the engine's durability mode and WAL counters.
 func (s *Sharded) Durability() DurabilityStats { return s.dur.stats() }
 
-// AckDelivered acknowledges, under WithManualDeliveryAck, that a match has
-// reached its consumer; once acknowledged (and checkpointed) the match is
+// AckDelivered acknowledges, under WithManualDeliveryAck, that m has
+// reached its consumer. Its query's delivery cursor moves past m and past
+// every match completed before m's completing edge, so ack each
+// subscriber's matches in the order they were delivered. Once logged (by
+// the next ProcessBatch, or Close) the matches the cursor covers are
 // suppressed instead of redelivered after a crash.
-func (s *Sharded) AckDelivered(query, signature string, spanStart int64) {
-	s.dur.note(query, signature, spanStart)
-}
+//
+// The furthest ack leads. When several subscribers flush a query's
+// matches at different speeds, a match one of them has not flushed yet is
+// not redelivered once another has acked it or a later match; a subscriber
+// that attaches late or is evicted holds no cursor back; and a match sent
+// to no subscriber counts as delivered once a later match of its query is
+// acked. A set of acked matches, which the cursor replaced, suppressed the
+// acked matches only, and grew with them.
+func (s *Sharded) AckDelivered(m Match) { s.dur.ack(m) }
