@@ -1,33 +1,13 @@
-package shard
+package core
 
 import (
 	"reflect"
 	"testing"
 	"time"
 
-	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/graph"
-	"github.com/streamworks/streamworks/internal/match"
-	"github.com/streamworks/streamworks/internal/obs"
 	"github.com/streamworks/streamworks/internal/testutil/allocbudget"
 )
-
-// TestDeliverDoesNotAllocate: the front-end delivers every match its engine
-// finds, so handing one to the sink is the delivery lock, the dispatch
-// histogram and the call — no lookup, no count, no allocation.
-func TestDeliverDoesNotAllocate(t *testing.T) {
-	delivered := 0
-	s := New(&Config{
-		Engine: core.Config{Obs: obs.Config{Enabled: true}},
-		Sink:   core.MatchSinkFunc(func(core.MatchEvent) { delivered++ }),
-	})
-	defer s.Close()
-	ev := core.MatchEvent{Query: "q", Match: &match.Match{}, EmittedWallNS: 1}
-	allocbudget.Check(t, "shard.ShardedEngine.deliver", func() { s.deliver(ev) })
-	if delivered != allocbudget.Runs+1 {
-		t.Fatalf("%d deliveries, want %d", delivered, allocbudget.Runs+1)
-	}
-}
 
 // TestAdmitDropsOnlyLateEdges: a batch with no edge behind the watermark
 // comes back as it went in, the same slice, with no allocation. A batch
@@ -39,24 +19,21 @@ func TestAdmitDropsOnlyLateEdges(t *testing.T) {
 	edge := func(id int, ts graph.Timestamp) graph.StreamEdge {
 		return graph.StreamEdge{Edge: graph.Edge{ID: graph.EdgeID(id), Source: 1, Target: 2, Type: "flow", Timestamp: ts}}
 	}
-	s := New(&Config{Engine: core.Config{Retention: time.Minute, Slack: time.Second}})
-	defer s.Close()
+	e := New(&Config{Retention: time.Minute, Slack: time.Second})
 	inOrder := []graph.StreamEdge{edge(1, base), edge(2, base.Add(-time.Second/2)), edge(3, base.Add(time.Second))}
 	var admitted []graph.StreamEdge
-	allocbudget.Check(t, "shard.ShardedEngine.Admit/none late", func() { admitted = s.Admit(inOrder) })
+	allocbudget.Check(t, "core.Engine.Admit/none late", func() { admitted = e.Admit(inOrder) })
 	if len(admitted) != len(inOrder) || &admitted[0] != &inOrder[0] {
 		t.Error("a batch with no late edge came back as another slice")
 	}
 	for _, se := range admitted {
-		if err := s.Process(se); err != nil {
-			t.Fatal(err)
-		}
+		e.ProcessEdge(se)
 	}
 	// The watermark is now base: edge 5 is behind it, and edge 7 is behind
 	// the watermark edge 6 moves to.
 	mixed := []graph.StreamEdge{edge(4, base), edge(5, base.Add(-2*time.Second)), edge(6, base.Add(10*time.Second)), edge(7, base.Add(8*time.Second))}
 	before := append([]graph.StreamEdge(nil), mixed...)
-	admitted = s.Admit(mixed)
+	admitted = e.Admit(mixed)
 	if !reflect.DeepEqual(mixed, before) {
 		t.Error("Admit changed the caller's batch")
 	}
@@ -64,11 +41,9 @@ func TestAdmitDropsOnlyLateEdges(t *testing.T) {
 		t.Errorf("admitted %v, want edges 4 and 6", admitted)
 	}
 	for _, se := range admitted {
-		if err := s.Process(se); err != nil {
-			t.Fatal(err)
-		}
+		e.ProcessEdge(se)
 	}
-	if m := s.Metrics(); m.EdgesDropped != 2 || m.EdgesProcessed != 5 {
+	if m := e.Metrics(); m.EdgesDropped != 2 || m.EdgesProcessed != 5 {
 		t.Errorf("%d edges dropped, %d processed; want 2 and 5", m.EdgesDropped, m.EdgesProcessed)
 	}
 }

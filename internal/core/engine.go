@@ -19,6 +19,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/streamworks/streamworks/internal/decompose"
@@ -75,7 +76,7 @@ func (e MatchEvent) String() string {
 }
 
 // MatchSink receives complete matches at the moment of emission, the push
-// half of the engine API: a front-end sets its sink once and the engine
+// half of the engine API: a backend sets its sink once and the engine
 // drives it, instead of every caller polling ProcessEdge's scratch-backed
 // return slice. OnMatch is invoked synchronously on the goroutine driving
 // the engine, so implementations must be fast and must not call back into
@@ -378,6 +379,34 @@ func (e *Engine) ProcessEdge(se graph.StreamEdge) []MatchEvent {
 		e.pruneAll()
 	}
 	return events
+}
+
+// Admit judges a batch on a copy of the window's clock, in order, as
+// ProcessEdge would judge each edge in turn: it counts the late edges as
+// dropped and returns the others — batch itself, neither copied nor changed,
+// when none is late, and a new slice otherwise. ProcessEdge finds none of the
+// returned edges late, so a caller that logs what it processes logs no edge
+// ProcessEdge would drop.
+func (e *Engine) Admit(batch []graph.StreamEdge) []graph.StreamEdge {
+	c := e.dyn.Clock
+	for i := range batch {
+		ts := batch[i].Edge.Timestamp
+		if !c.Late(ts) {
+			c.AdvanceTo(ts)
+			continue
+		}
+		admitted := slices.Clone(batch[:i])
+		for j := i; j < len(batch); j++ {
+			if ts := batch[j].Edge.Timestamp; c.Late(ts) {
+				e.obs.edgesDropped.Inc()
+			} else {
+				c.AdvanceTo(ts)
+				admitted = append(admitted, batch[j])
+			}
+		}
+		return admitted
+	}
+	return batch
 }
 
 // Advance signals the passage of stream time to ts in the absence of edges:

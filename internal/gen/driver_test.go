@@ -49,8 +49,8 @@ func TestNetFlowWorkloadComposition(t *testing.T) {
 }
 
 // TestRunSingleAndShardedAgreeOnTinyWorkload: the public backend finds the
-// oracle's matches, and so does the front-end built with Shards: 2, as
-// benchmark/ builds it.
+// oracle's matches, in one batch and one edge per batch, as benchmark/'s
+// shard lanes drive it.
 func TestRunSingleAndShardedAgreeOnTinyWorkload(t *testing.T) {
 	w := tinyNetflowWorkload()
 	single, sm, err := RunSingle(w)
@@ -66,7 +66,7 @@ func TestRunSingleAndShardedAgreeOnTinyWorkload(t *testing.T) {
 	if ref := Oracle(w); !single.Equal(ref) {
 		t.Fatalf("RunSingle found %d matches, the oracle %d", len(single), len(ref))
 	}
-	sharded, err := runShardConfig(w, 2, false)
+	sharded, err := runShardConfig(w, false)
 	if err != nil {
 		t.Fatalf("Shards: 2: %v", err)
 	}

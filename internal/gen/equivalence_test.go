@@ -45,12 +45,12 @@ func TestCrossStrategyEquivalenceMatrix(t *testing.T) {
 	}
 	type mode struct {
 		name       string
-		shards     int  // 0 = the public backend; else the front-end's Config.Shards
+		shards     int  // 0 = the public backend in batches; else the shard lanes' count, one edge per batch
 		reregister bool // queries move to other strategies mid-stream
 		obs        bool // latency histograms on
 	}
-	// The sharded2 cells build the front-end with Shards: 2, as benchmark/
-	// does; it runs the one engine the public backend runs.
+	// The sharded2 cells drive the public backend one edge per batch, as
+	// benchmark/'s shard lanes drive it with Shards: 2.
 	modes := []mode{
 		{"single", 0, false, false},
 		{"single-reregister", 0, true, false},
@@ -84,7 +84,7 @@ func TestCrossStrategyEquivalenceMatrix(t *testing.T) {
 						)
 						switch {
 						case m.shards > 0:
-							set, err = runShardConfig(w, m.shards, m.reregister)
+							set, err = runShardConfig(w, m.reregister)
 						case m.reregister:
 							set, err = RunReregistering(streamworks.New(streamworks.WithEngineConfig(w.Engine)), w)
 						default:
@@ -212,8 +212,8 @@ func TestLateRegistrationPlansFromTheWindow(t *testing.T) {
 
 // TestObservabilityParity pins that instrumentation changes how a run is
 // recorded, never which matches it finds: with the latency histograms off and
-// on, the public backend and the front-end built with Shards: 2, as
-// benchmark/ builds it, deliver the uninstrumented match set. (The matrix
+// on, the public backend in one batch and one edge per batch, as
+// benchmark/'s shard lanes drive it, deliver the uninstrumented match set. (The matrix
 // above covers observability across strategies.)
 func TestObservabilityParity(t *testing.T) {
 	w := BenchNetFlowWorkload(4000, 200, 10*time.Second)
@@ -236,7 +236,7 @@ func TestObservabilityParity(t *testing.T) {
 				if shards == 1 {
 					set, _, err = RunSingle(w)
 				} else {
-					set, err = runShardConfig(w, shards, false)
+					set, err = runShardConfig(w, false)
 				}
 				if err != nil {
 					t.Fatal(err)

@@ -1,37 +1,38 @@
 package gen
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
-	"github.com/streamworks/streamworks/internal/core"
-	"github.com/streamworks/streamworks/internal/decompose"
-	"github.com/streamworks/streamworks/internal/shard"
+	"github.com/streamworks/streamworks"
 )
 
-// runShardConfig replays w through the front-end built the way benchmark/
-// builds it, shard.New with Config.Shards set to shards, and returns the
-// canonical match set, or an error when a match was sent twice. Shards is
-// read by nothing, so every count runs the one engine the public backend
-// runs, and must find what RunEngine finds. With reregister, every query
-// is unregistered and registered again under the next strategy of
-// decompose.Strategies at half and at five sixths of the stream, as
+// runShardConfig replays w through the public backend one edge per
+// ProcessBatch, the way benchmark/'s shard lanes drive it, and returns the
+// canonical match set, or an error when a match was sent twice. Every shard
+// count of those lanes runs this one engine (shard.Config.Shards is read by
+// nothing), so it must find what RunEngine finds. With reregister, every
+// query is unregistered and registered again under the next strategy of
+// streamworks.PlanStrategies at half and at five sixths of the stream, as
 // RunReregistering does.
-func runShardConfig(w Workload, shards int, reregister bool) (MatchSet, error) {
+func runShardConfig(w Workload, reregister bool) (MatchSet, error) {
+	eng := streamworks.New(streamworks.WithEngineConfig(w.Engine))
+	defer eng.Close()
+	ctx := context.Background()
 	set, dup := make(MatchSet), ""
-	s := shard.New(&shard.Config{Shards: shards, Engine: w.Engine,
-		Sink: core.MatchSinkFunc(func(ev core.MatchEvent) {
-			if !set.Add(ev) && dup == "" {
-				dup = ev.Query + " " + ev.CanonicalSignature()
-			}
-		})})
-	defer s.Close()
-	s.Start()
-	strategies := decompose.Strategies()
-	at := max(slices.Index(strategies, decompose.Strategy(w.Register.Strategy)), 0)
-	register := func(strat decompose.Strategy) error {
+	if _, err := eng.Subscribe("", streamworks.SinkFunc(func(m streamworks.Match) {
+		if !set.AddKey(m.Query, m.Signature) && dup == "" {
+			dup = m.Query + " " + m.Signature
+		}
+	})); err != nil {
+		return nil, err
+	}
+	strategies := streamworks.PlanStrategies()
+	at := max(slices.Index(strategies, w.Register.Strategy), 0)
+	register := func(strat string) error {
 		for _, q := range w.Queries {
-			if err := s.RegisterQuery(q, core.WithStrategy(strat)); err != nil {
+			if err := eng.RegisterQueryWith(ctx, q, streamworks.RegisterOptions{Strategy: strat}); err != nil {
 				return err
 			}
 		}
@@ -47,7 +48,7 @@ func runShardConfig(w Workload, shards int, reregister bool) (MatchSet, error) {
 	from := 0
 	for k, to := range append(moves, len(w.Edges)) {
 		for i := from; i < to; i++ {
-			if err := s.Process(w.Edges[i]); err != nil {
+			if err := eng.ProcessBatch(ctx, w.Edges[i:i+1]); err != nil {
 				return nil, err
 			}
 		}
@@ -56,16 +57,13 @@ func runShardConfig(w Workload, shards int, reregister bool) (MatchSet, error) {
 			break
 		}
 		for _, q := range w.Queries {
-			if err := s.UnregisterQuery(q.Name()); err != nil {
+			if err := eng.UnregisterQuery(ctx, q.Name()); err != nil {
 				return nil, err
 			}
 		}
 		if err := register(strategies[(at+k+1)%len(strategies)]); err != nil {
 			return nil, err
 		}
-	}
-	if err := s.Flush(); err != nil {
-		return nil, err
 	}
 	if dup != "" {
 		return nil, fmt.Errorf("gen: %s: %s sent twice", w.Name, dup)

@@ -1,19 +1,20 @@
 package gen
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 	"time"
 
+	"github.com/streamworks/streamworks"
 	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/decompose"
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/isomorphism"
 	"github.com/streamworks/streamworks/internal/mqo"
 	"github.com/streamworks/streamworks/internal/query"
-	"github.com/streamworks/streamworks/internal/shard"
 	"github.com/streamworks/streamworks/internal/sjtree"
 	"github.com/streamworks/streamworks/internal/stats"
 )
@@ -113,8 +114,9 @@ func straggle(w Workload, seed int64, behind time.Duration) Workload {
 // TestRandomStreamsMatchOracle holds every engine configuration to the oracle
 // on streams the generators never produce: each decomposition strategy must
 // deliver exactly the matches naive expansion finds, through the public
-// backend (shards=1) and through the front-end built with the shard counts
-// benchmark/ may pass, which run the same one engine. Each stream has stragglers
+// backend (shards=1) and driven one edge per batch as benchmark/'s shard
+// lanes drive it with the shard counts they may pass, which run the same one
+// engine. Each stream has stragglers
 // up to twice the slack behind, and a 300-edge prefix of it runs again under
 // unbounded retention with stragglers up to twenty slacks behind: an edge
 // behind the watermark is late whatever the retention.
@@ -144,7 +146,7 @@ func TestRandomStreamsMatchOracle(t *testing.T) {
 							if shards == 1 {
 								set, _, err = RunSingle(w)
 							} else {
-								set, err = runShardConfig(w, shards, false)
+								set, err = runShardConfig(w, false)
 							}
 							if err != nil {
 								t.Fatal(err)
@@ -157,6 +159,89 @@ func TestRandomStreamsMatchOracle(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestDuplicateIDAgreesWithOracle: an edge refused for a duplicate ID is
+// still stream time on every path, so the public backend, a bare core engine
+// and the oracle admit and drop the same edges and find the same matches.
+// On the stream id1@t, id1@t+10s, id2@t+5s at slack 0 the second edge is
+// refused and moves the watermark to t+10s, which makes the third late: one
+// edge processed, two dropped. The random streams copy the ID of an edge
+// one or two places back onto one edge in eight, then straggle.
+func TestDuplicateIDAgreesWithOracle(t *testing.T) {
+	flow := query.NewBuilder("flow").Window(time.Minute).
+		Vertex("a", "Host").Vertex("b", "Host").
+		Edge("a", "b", "flow").
+		MustBuild()
+	t0 := graph.TimestampFromTime(time.Unix(1000, 0))
+	edge := func(id graph.EdgeID, src graph.VertexID, ts graph.Timestamp) graph.StreamEdge {
+		return graph.StreamEdge{
+			Edge:       graph.Edge{ID: id, Source: src, Target: src + 1, Type: "flow", Timestamp: ts},
+			SourceType: "Host", TargetType: "Host",
+		}
+	}
+	fixed := Workload{
+		Name:    "fixed",
+		Edges:   []graph.StreamEdge{edge(1, 1, t0), edge(1, 3, t0.Add(10*time.Second)), edge(2, 5, t0.Add(5*time.Second))},
+		Queries: []*query.Graph{flow},
+		Engine:  core.Config{Retention: time.Minute},
+	}
+	workloads := []Workload{fixed}
+	for seed := int64(1); seed <= 4; seed++ {
+		w := randomWorkload(seed)
+		rng := rand.New(rand.NewSource(seed * 31))
+		w.Edges = slices.Clone(w.Edges)
+		for i := 2; i < len(w.Edges); i++ {
+			if rng.Intn(8) == 0 {
+				w.Edges[i].Edge.ID = w.Edges[i-1-rng.Intn(2)].Edge.ID
+			}
+		}
+		workloads = append(workloads, straggle(w, seed, 2*w.Engine.Slack))
+	}
+	for _, w := range workloads {
+		t.Run(w.Name, func(t *testing.T) {
+			ref := Oracle(w)
+			if len(ref) == 0 {
+				t.Fatal("the oracle found no matches; the stream proves nothing")
+			}
+			e := core.New(&w.Engine)
+			bare := make(MatchSet)
+			e.Subscribe("", core.MatchSinkFunc(func(ev core.MatchEvent) { bare.Add(ev) }))
+			ctx := context.Background()
+			b := streamworks.New(streamworks.WithEngineConfig(w.Engine))
+			defer b.Close()
+			public := make(MatchSet)
+			if _, err := b.Subscribe("", streamworks.SinkFunc(func(m streamworks.Match) { public.AddKey(m.Query, m.Signature) })); err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range w.Queries {
+				if _, err := e.RegisterQuery(q); err != nil {
+					t.Fatal(err)
+				}
+				if err := b.RegisterQuery(ctx, q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, se := range w.Edges {
+				e.ProcessEdge(se)
+			}
+			if err := b.ProcessBatch(ctx, w.Edges); err != nil {
+				t.Fatal(err)
+			}
+			pm, _ := b.Metrics(ctx)
+			cm := e.Metrics()
+			if pm.EdgesProcessed != cm.EdgesProcessed || pm.EdgesDropped != cm.EdgesDropped {
+				t.Errorf("public backend processed %d and dropped %d, core engine %d and %d",
+					pm.EdgesProcessed, pm.EdgesDropped, cm.EdgesProcessed, cm.EdgesDropped)
+			}
+			if w.Name == fixed.Name && (cm.EdgesProcessed != 1 || cm.EdgesDropped != 2) {
+				t.Errorf("%d edges processed, %d dropped; want 1 and 2", cm.EdgesProcessed, cm.EdgesDropped)
+			}
+			if !public.Equal(ref) || !bare.Equal(ref) {
+				t.Errorf("public backend found %d matches, core engine %d, oracle %d", len(public), len(bare), len(ref))
+			}
+		})
 	}
 }
 
@@ -217,9 +302,10 @@ func TestLateRegistrationMatchesOracle(t *testing.T) {
 }
 
 // lateRegistrationRun is one cell of TestLateRegistrationMatchesOracle: a
-// core engine for one shard, and above one the front-end built with that
-// shard count, as benchmark/ builds it (it runs one engine whatever the
-// count, behind its lateness clock). It registers early before the stream and late at edge split under strat, moves every query
+// core engine for one shard, and above one the public backend, driven one
+// edge per ProcessBatch, as benchmark/'s shard lanes drive it with that
+// shard count (it runs one engine whatever the count). It registers early
+// before the stream and late at edge split under strat, moves every query
 // one strategy further at half and at five sixths of the stream, checks
 // that each query ends on the last strategy it was moved to and that no
 // match was sent twice, and returns what the engine sent.
@@ -230,36 +316,46 @@ func lateRegistrationRun(t *testing.T, w Workload, early, late []*query.Graph, s
 	// A sink sees every delivery, registrations' included, not only what
 	// ProcessEdge returns.
 	got, dup := make(MatchSet), ""
-	sink := core.MatchSinkFunc(func(ev core.MatchEvent) {
-		if !got.Add(ev) && dup == "" {
-			dup = ev.Query + " " + ev.CanonicalSignature()
+	add := func(query, signature string) {
+		if !got.AddKey(query, signature) && dup == "" {
+			dup = query + " " + signature
 		}
-	})
+	}
 	var (
-		e interface {
-			UnregisterQuery(string) error
-			Metrics() core.Metrics
-		}
-		register func(*query.Graph, core.RegistrationOption) error
-		process  func(graph.StreamEdge) error
+		register   func(*query.Graph, decompose.Strategy) error
+		unregister func(string) error
+		process    func(graph.StreamEdge) error
+		metrics    func() core.Metrics
 	)
 	if shards == 1 {
 		c := core.New(&cfg)
-		c.Subscribe("", sink)
-		e, process = c, func(se graph.StreamEdge) error { c.ProcessEdge(se); return nil }
-		register = func(q *query.Graph, o core.RegistrationOption) error {
-			_, err := c.RegisterQuery(q, o)
+		c.Subscribe("", core.MatchSinkFunc(func(ev core.MatchEvent) { add(ev.Query, ev.CanonicalSignature()) }))
+		unregister, metrics = c.UnregisterQuery, c.Metrics
+		process = func(se graph.StreamEdge) error { c.ProcessEdge(se); return nil }
+		register = func(q *query.Graph, s decompose.Strategy) error {
+			_, err := c.RegisterQuery(q, core.WithStrategy(s))
 			return err
 		}
 	} else {
-		s := shard.New(&shard.Config{Shards: shards, Engine: cfg, Sink: sink})
-		defer s.Close()
-		e, process = s, s.Process
-		register = func(q *query.Graph, o core.RegistrationOption) error { return s.RegisterQuery(q, o) }
+		ctx := context.Background()
+		b := streamworks.New(streamworks.WithEngineConfig(cfg))
+		defer b.Close()
+		if _, err := b.Subscribe("", streamworks.SinkFunc(func(m streamworks.Match) { add(m.Query, m.Signature) })); err != nil {
+			t.Fatal(err)
+		}
+		unregister = func(name string) error { return b.UnregisterQuery(ctx, name) }
+		process = func(se graph.StreamEdge) error { return b.ProcessBatch(ctx, []graph.StreamEdge{se}) }
+		metrics = func() core.Metrics {
+			m, _ := b.Metrics(ctx)
+			return m
+		}
+		register = func(q *query.Graph, s decompose.Strategy) error {
+			return b.RegisterQueryWith(ctx, q, streamworks.RegisterOptions{Strategy: string(s)})
+		}
 	}
 	registerAll := func(qs []*query.Graph, s decompose.Strategy) {
 		for _, q := range qs {
-			if err := register(q, core.WithStrategy(s)); err != nil {
+			if err := register(q, s); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -279,7 +375,7 @@ func lateRegistrationRun(t *testing.T, w Workload, early, late []*query.Graph, s
 		}
 		if to, ok := moveAt[i]; ok {
 			for _, q := range w.Queries {
-				if err := e.UnregisterQuery(q.Name()); err != nil {
+				if err := unregister(q.Name()); err != nil {
 					t.Fatal(err)
 				}
 				registerAll([]*query.Graph{q}, to)
@@ -289,7 +385,7 @@ func lateRegistrationRun(t *testing.T, w Workload, early, late []*query.Graph, s
 			t.Fatal(err)
 		}
 	}
-	for _, qm := range e.Metrics().Queries {
+	for _, qm := range metrics().Queries {
 		if qm.Strategy != last {
 			t.Fatalf("%s runs a %s plan, last registered %s", qm.Name, qm.Strategy, last)
 		}

@@ -10,11 +10,12 @@ import (
 const NoCutoff Timestamp = math.MinInt64
 
 // Clock is stream time and the window rules judged on it. The dynamic graph
-// (so the engine), the engine's front-end and the write-ahead log each hold
-// one, and they agree because the rules are written only here:
+// (so the engine) and the write-ahead log each hold one, and they agree
+// because the rules are written only here:
 //
 //   - The newest time is the largest timestamp observed, an edge's or an
 //     explicit advance's (AdvanceTo); the watermark trails it by the slack.
+//     An edge that is not late is observed whether or not it is admitted.
 //   - An edge behind the watermark is late and dropped (Late), at every
 //     retention; none is late before the first time is observed.
 //   - The expiry cutoff, below which nothing is retained (so no edge that is

@@ -90,6 +90,9 @@ func (d *Dynamic) ExpiredTotal() uint64 { return d.expiredTotal }
 // metadata is upserted, the edge is added to the live graph and the
 // window is advanced, expiring edges that fall out of it. It returns se's
 // edge, held by d and valid only until the next Apply: copy it to keep it.
+// An edge refused for its ID (a duplicate or a reserved one) is still stream
+// time: the window advances to it as if it had been admitted, so lateness
+// is judged the same whether or not the edges before were admitted.
 //
 // The graph takes the attribute maps of se by reference: callers must not
 // mutate them after Apply. Updates never mutate a stored map in place
@@ -102,6 +105,7 @@ func (d *Dynamic) Apply(se StreamEdge) (*Edge, error) {
 	}
 	h, err := d.g.addStreamEdge(&se)
 	if err != nil {
+		d.AdvanceTo(ts)
 		return nil, err
 	}
 	d.addedTotal++

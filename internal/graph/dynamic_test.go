@@ -235,6 +235,28 @@ func TestDynamicDuplicateEdgeRejected(t *testing.T) {
 	}
 }
 
+// TestRefusedEdgeAdvancesStreamTime: an edge refused for a duplicate ID
+// still moves the watermark, so an edge behind it is late, as it would be
+// had the refused edge been admitted.
+func TestRefusedEdgeAdvancesStreamTime(t *testing.T) {
+	d := NewDynamic(time.Minute)
+	if _, err := d.Apply(streamEdge(1, 1, 2, "flow", 100)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Apply(streamEdge(1, 3, 4, "flow", 110)); !errors.Is(err, ErrDuplicateEdge) {
+		t.Fatalf("expected ErrDuplicateEdge, got %v", err)
+	}
+	if got := d.Watermark(); got != 110 {
+		t.Fatalf("watermark after a refused edge at 110 = %d, want 110", got)
+	}
+	if _, err := d.Apply(streamEdge(2, 1, 2, "flow", 105)); !errors.Is(err, ErrTimestampRegression) {
+		t.Fatalf("edge behind the refused edge's time: %v, want ErrTimestampRegression", err)
+	}
+	if d.AddedTotal() != 1 || d.NumEdges() != 1 {
+		t.Fatalf("%d edges added, %d live; want 1 and 1", d.AddedTotal(), d.NumEdges())
+	}
+}
+
 func TestDynamicStringContainsCounters(t *testing.T) {
 	d := NewDynamic(time.Second)
 	if _, err := d.Apply(streamEdge(1, 1, 2, "flow", 1)); err != nil {

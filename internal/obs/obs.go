@@ -95,7 +95,7 @@ const (
 	// upward.
 	SegDAGJoin = "dag_join"
 	// SegDispatch is the time from core emission of a complete match to the
-	// engine's front-end taking the delivery lock; measured there.
+	// in-process backend taking the delivery lock; measured there.
 	SegDispatch = "dispatch"
 	// SegHTTPFlush is the time from the engine handing a match to subscriber
 	// sinks to the streaming HTTP response flush completing: the wait in the

@@ -96,8 +96,8 @@ func (r *runner) process(b ingestBatch) {
 		for i := range b.edges {
 			b.edges[i].ArrivedWallNS = b.enqNS
 		}
-		// One ProcessBatch per chunk: one WAL frame and one pass through the
-		// engine's front-end, instead of a per-edge append.
+		// One ProcessBatch per chunk: one WAL frame and one lateness check,
+		// instead of a per-edge append.
 		err := r.eng.ProcessBatch(context.Background(), b.edges)
 		r.batchesIngested.Inc()
 		if err == nil {

@@ -76,9 +76,8 @@ import (
 // Config sizes the serving layer around an engine configuration.
 type Config struct {
 	// Shard configures the engine, which runs on the ingest runner's
-	// goroutine: only its Engine is read. Shards is read by nothing (a
-	// process runs one engine), and Sink is ignored, since matches leave
-	// through the server's subscriptions.
+	// goroutine: only its Engine is read, into the backend streamworks.New
+	// builds. Shards is read by nothing (a process runs one engine).
 	Shard shard.Config
 	// QueueDepth is the ingest queue bound in batches (default 64). When the
 	// queue is full POST /v1/edges fails fast with 429.

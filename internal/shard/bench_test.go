@@ -45,9 +45,9 @@ func BenchmarkSingleEngine(b *testing.B) {
 	b.ReportMetric(float64(len(w.Edges))*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
 }
 
-// BenchmarkShardedEngine_1 drives the front-end itself, with no public
-// backend, subscription or report around it: what BenchmarkSingleEngine
-// pays beyond it is delivery.
+// BenchmarkShardedEngine_1 drives the backend the way benchmark/'s shard
+// lanes do, one edge per batch and with no subscription, so no report is
+// built: what BenchmarkSingleEngine pays beyond it is delivery.
 func BenchmarkShardedEngine_1(b *testing.B) {
 	w := benchWorkload()
 	b.ReportAllocs()

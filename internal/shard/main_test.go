@@ -6,7 +6,7 @@ import (
 	"github.com/streamworks/streamworks/internal/testutil/leakcheck"
 )
 
-// TestMain gates the package on goroutine hygiene: the front-end starts no
+// TestMain gates the package on goroutine hygiene: the backend starts no
 // goroutine, so a leak here is a test's own or a regression.
 func TestMain(m *testing.M) {
 	leakcheck.Main(m)

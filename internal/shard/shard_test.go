@@ -1,20 +1,29 @@
 package shard_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/streamworks/streamworks"
 	"github.com/streamworks/streamworks/internal/core"
-	"github.com/streamworks/streamworks/internal/decompose"
 	"github.com/streamworks/streamworks/internal/gen"
 	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/query"
 	"github.com/streamworks/streamworks/internal/shard"
 )
+
+// subscribe hands sink every match the backend s drives delivers, on the
+// goroutine driving s.
+func subscribe(t *testing.T, s *shard.ShardedEngine, sink func(streamworks.Match)) {
+	t.Helper()
+	if _, err := shard.Backend(s).Subscribe("", streamworks.SinkFunc(sink)); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // smallNetflow is a laptop-scale netflow workload with all four Fig. 3 cyber
 // queries.
@@ -53,19 +62,19 @@ func smallNews(window time.Duration) gen.Workload {
 	return gen.NewsWorkload(cfg, window, 2)
 }
 
-// runFrontEnd replays w through the front-end built with the given shard
-// count, as benchmark/ builds it, and returns what its sink was sent, its
-// Metrics and its PerShardMetrics.
+// runFrontEnd replays w through the engine built with the given shard
+// count, as benchmark/ builds it, and returns what its subscription was
+// sent, its Metrics and its PerShardMetrics.
 func runFrontEnd(t *testing.T, w gen.Workload, shards int) (gen.MatchSet, core.Metrics, []core.Metrics) {
 	t.Helper()
 	set := make(gen.MatchSet)
-	s := shard.New(&shard.Config{Shards: shards, Engine: w.Engine,
-		Sink: core.MatchSinkFunc(func(ev core.MatchEvent) {
-			if !set.Add(ev) {
-				t.Errorf("Shards %d: %s %s sent twice", shards, ev.Query, ev.CanonicalSignature())
-			}
-		})})
+	s := shard.New(&shard.Config{Shards: shards, Engine: w.Engine})
 	defer s.Close()
+	subscribe(t, s, func(m streamworks.Match) {
+		if !set.AddKey(m.Query, m.Signature) {
+			t.Errorf("Shards %d: %s %s sent twice", shards, m.Query, m.Signature)
+		}
+	})
 	for _, q := range w.Queries {
 		if err := s.RegisterQuery(q); err != nil {
 			t.Fatal(err)
@@ -79,8 +88,8 @@ func runFrontEnd(t *testing.T, w gen.Workload, shards int) (gen.MatchSet, core.M
 	return set, s.Metrics(), s.PerShardMetrics()
 }
 
-// requireEqualSets: the front-end built with the given shard count sends
-// what the public backend sends, once each, and counts each match once.
+// requireEqualSets: the engine built with the given shard count sends what
+// the public backend sends, once each, and counts each match once.
 func requireEqualSets(t *testing.T, w gen.Workload, shards int) {
 	t.Helper()
 	single, _, err := gen.RunSingle(w)
@@ -92,7 +101,7 @@ func requireEqualSets(t *testing.T, w gen.Workload, shards int) {
 	}
 	sharded, m, _ := runFrontEnd(t, w, shards)
 	if !single.Equal(sharded) {
-		t.Fatalf("workload %q: public backend found %d matches, Shards %d front-end %d",
+		t.Fatalf("workload %q: public backend found %d matches, the Shards %d engine %d",
 			w.Name, len(single), shards, len(sharded))
 	}
 	if m.MatchesEmitted != uint64(len(sharded)) {
@@ -130,8 +139,8 @@ func TestShardedEqualsSingleAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// TestShardedMetricsAggregate: with Shards: 4 the front-end's Metrics is
-// the one engine's view: every query, every edge counted once, and the
+// TestShardedMetricsAggregate: with Shards: 4 the Metrics is the one
+// engine's view: every query, every edge counted once, and the
 // per-query matches summing to MatchesEmitted. PerShardMetrics is that
 // view alone.
 func TestShardedMetricsAggregate(t *testing.T) {
@@ -166,7 +175,7 @@ func TestShardedMetricsAggregate(t *testing.T) {
 	}
 }
 
-// TestShardsIsReadByNothing: benchmark/ builds the front-end with Shards: 2.
+// TestShardsIsReadByNothing: benchmark/ builds the engine with Shards: 2.
 // It runs the one engine every count runs: the match set and Metrics of
 // Shards 0, 2 and 4 are those of Shards 1, and PerShardMetrics is that one
 // view alone.
@@ -196,8 +205,8 @@ func TestShardedRegisterErrorsRollBack(t *testing.T) {
 	var cfg shard.Config
 	cfg.Engine.Retention = time.Second
 	matched := 0
-	cfg.Sink = core.MatchSinkFunc(func(core.MatchEvent) { matched++ })
 	s := shard.New(&cfg)
+	subscribe(t, s, func(streamworks.Match) { matched++ })
 	if err := s.RegisterQuery(nil); !errors.Is(err, core.ErrNilQuery) {
 		t.Fatalf("nil query: %v", err)
 	}
@@ -222,9 +231,10 @@ func TestShardedRegisterErrorsRollBack(t *testing.T) {
 func TestShardedMidStreamRegistration(t *testing.T) {
 	var cfg shard.Config
 	cfg.Engine.Retention = time.Minute
-	var got []core.MatchEvent // read after Close, which returns after the final sink call
-	cfg.Sink = core.MatchSinkFunc(func(ev core.MatchEvent) { got = append(got, ev) })
+	var got []streamworks.Match // read after Close, which returns after the final sink call
 	s := shard.New(&cfg)
+	subscribe(t, s, func(m streamworks.Match) { got = append(got, m) })
+	ctx := context.Background()
 	if err := s.RegisterQuery(gen.SmurfQuery(30 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
@@ -243,10 +253,10 @@ func TestShardedMidStreamRegistration(t *testing.T) {
 	}
 	// Unregistering mid-stream stops the query; the rejected query must
 	// have left no registration behind.
-	if err := s.UnregisterQuery("smurf-ddos"); err != nil {
+	if err := shard.Backend(s).UnregisterQuery(ctx, "smurf-ddos"); err != nil {
 		t.Fatalf("mid-stream unregister: %v", err)
 	}
-	if err := s.UnregisterQuery("worm-chain"); !errors.Is(err, core.ErrUnknownQuery) {
+	if err := shard.Backend(s).UnregisterQuery(ctx, "worm-chain"); !errors.Is(err, core.ErrUnknownQuery) {
 		t.Fatalf("rolled-back query still present somewhere: %v", err)
 	}
 	for _, se := range w.Edges[half:] {
@@ -257,30 +267,31 @@ func TestShardedMidStreamRegistration(t *testing.T) {
 	if len(m.Queries) != 1 || m.Queries[0].Name != "worm-hop" {
 		t.Fatalf("surviving registrations = %+v, want only worm-hop", m.Queries)
 	}
-	// No event for the unregistered query may postdate the second half of
-	// the stream: its shard-local state was dropped before those edges.
-	// (Events from the first half are fine.)
-	for _, ev := range got {
-		if ev.Query != "smurf-ddos" && ev.Query != "worm-hop" {
-			t.Fatalf("event for unknown query: %v", ev)
+	// No match for the unregistered query may postdate the second half of
+	// the stream: its state was dropped before those edges. (Matches from
+	// the first half are fine.)
+	for _, m := range got {
+		if m.Query != "smurf-ddos" && m.Query != "worm-hop" {
+			t.Fatalf("match for unknown query: %v", m)
 		}
 	}
 }
 
-// TestShardedProcessBeforeStartRunsOnCaller: the front-end processes an edge
+// TestShardedProcessBeforeStartRunsOnCaller: the engine processes an edge
 // on the caller's goroutine, so the sink has seen the match it completes
 // before Process returns, and Flush has nothing to wait for. The sink reads
 // inCall without synchronization: under the race detector a delivery from
 // any other goroutine fails the test.
 func TestShardedProcessBeforeStartRunsOnCaller(t *testing.T) {
 	inCall, matched := false, 0
-	s := shard.New(&shard.Config{Sink: core.MatchSinkFunc(func(core.MatchEvent) {
+	s := shard.New(nil)
+	defer s.Close()
+	subscribe(t, s, func(streamworks.Match) {
 		if !inCall {
 			t.Error("match delivered outside the Process call")
 		}
 		matched++
-	})})
-	defer s.Close()
+	})
 	if err := s.RegisterQuery(gen.SmurfQuery(time.Minute)); err != nil {
 		t.Fatal(err)
 	}
@@ -305,8 +316,8 @@ func TestShardedProcessBeforeStartRunsOnCaller(t *testing.T) {
 
 // TestShardedHubFreeQueryRegistersMidStream: the Fig. 2 query, in which no
 // pattern vertex touches every edge, registers a third of the way into the
-// stream on the front-end built with Shards: 4 and is sent exactly what a
-// bare core engine sends it.
+// stream on the engine built with Shards: 4 and is sent exactly what a bare
+// core engine sends it.
 func TestShardedHubFreeQueryRegistersMidStream(t *testing.T) {
 	w := smallNews(5 * time.Minute)
 	split := len(w.Edges) / 3
@@ -314,9 +325,9 @@ func TestShardedHubFreeQueryRegistersMidStream(t *testing.T) {
 	e := core.New(&w.Engine)
 	e.Subscribe("", core.MatchSinkFunc(func(ev core.MatchEvent) { single.Add(ev) }))
 	sharded := make(gen.MatchSet)
-	s := shard.New(&shard.Config{Shards: 4, Engine: w.Engine,
-		Sink: core.MatchSinkFunc(func(ev core.MatchEvent) { sharded.Add(ev) })})
+	s := shard.New(&shard.Config{Shards: 4, Engine: w.Engine})
 	defer s.Close()
+	subscribe(t, s, func(m streamworks.Match) { sharded.AddKey(m.Query, m.Signature) })
 	for _, q := range []*query.Graph{gen.SmurfQuery(w.Engine.Retention)} {
 		if _, err := e.RegisterQuery(q); err != nil {
 			t.Fatal(err)
@@ -331,7 +342,7 @@ func TestShardedHubFreeQueryRegistersMidStream(t *testing.T) {
 				t.Fatalf("core engine: mid-stream registration: %v", err)
 			}
 			if err := s.RegisterQuery(w.Queries[0]); err != nil {
-				t.Fatalf("front-end: mid-stream registration: %v", err)
+				t.Fatalf("Shards: 4: mid-stream registration: %v", err)
 			}
 		}
 		e.ProcessEdge(se)
@@ -401,7 +412,9 @@ func TestShardedExplicitAdvanceExpires(t *testing.T) {
 		})
 	}
 	// Jump stream time far past the window: every edge expires.
-	s.Advance(base.Add(time.Hour))
+	if err := shard.Backend(s).Advance(context.Background(), base.Add(time.Hour)); err != nil {
+		t.Fatal(err)
+	}
 	s.Close()
 	m := s.Metrics()
 	if m.LiveEdges != 0 {
@@ -412,9 +425,8 @@ func TestShardedExplicitAdvanceExpires(t *testing.T) {
 	}
 }
 
-// TestShardedAdvanceReachesEveryFedShard: with Shards: 3 the front-end
-// feeds its one engine, and an Advance reaches it, so it expires its whole
-// window.
+// TestShardedAdvanceReachesEveryFedShard: with Shards: 3 there is one
+// engine, and an Advance reaches it, so it expires its whole window.
 func TestShardedAdvanceReachesEveryFedShard(t *testing.T) {
 	cfg := shard.Config{Shards: 3}
 	cfg.Engine.Retention = 10 * time.Second
@@ -431,7 +443,9 @@ func TestShardedAdvanceReachesEveryFedShard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.Advance(base.Add(time.Hour))
+	if err := shard.Backend(s).Advance(context.Background(), base.Add(time.Hour)); err != nil {
+		t.Fatal(err)
+	}
 	perShard := s.PerShardMetrics()
 	if len(perShard) != 1 {
 		t.Fatalf("PerShardMetrics holds %d views, want the engine's one", len(perShard))
@@ -442,15 +456,17 @@ func TestShardedAdvanceReachesEveryFedShard(t *testing.T) {
 }
 
 // TestShardedWideningAfterAdvanceKeepsTheWatermark: an Advance moves the
-// front-end's clock before a registration widens the retention, and the
+// window's clock before a registration widens the retention, and the
 // widening keeps its watermark, so an edge far behind it is counted and
-// dropped by the front-end and never reaches the engine.
+// dropped before it reaches the window.
 func TestShardedWideningAfterAdvanceKeepsTheWatermark(t *testing.T) {
 	var cfg shard.Config
 	cfg.Engine.Retention = 5 * time.Second
 	s := shard.New(&cfg)
 	base := graph.TimestampFromTime(time.Unix(1000, 0))
-	s.Advance(base.Add(100 * time.Second))
+	if err := shard.Backend(s).Advance(context.Background(), base.Add(100*time.Second)); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.RegisterQuery(gen.SmurfQuery(30 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
@@ -470,104 +486,6 @@ func TestShardedWideningAfterAdvanceKeepsTheWatermark(t *testing.T) {
 	s.Close()
 	if m := s.Metrics(); m.EdgesDropped != 16 || m.EdgesProcessed != 0 || m.LiveEdges != 0 {
 		t.Errorf("%d of 16 edges 99s behind the watermark dropped, %d admitted, %d live", m.EdgesDropped, m.EdgesProcessed, m.LiveEdges)
-	}
-}
-
-// TestEachMatchReachesTheSinkOnce: on four queries (netflow), one (news)
-// and five on balanced plans under drift, every match the sink is handed is
-// a distinct one, and together they are exactly the oracle's set.
-func TestEachMatchReachesTheSinkOnce(t *testing.T) {
-	drift := gen.BenchDriftWorkload(12_000, 400, 10*time.Second)
-	for _, tc := range []struct {
-		name string
-		w    gen.Workload
-		opts []core.RegistrationOption
-	}{
-		{"netflow", smallNetflow(30*time.Second, 31), nil},
-		{"news", smallNews(5 * time.Minute), nil},
-		{"drift balanced", drift, []core.RegistrationOption{core.WithStrategy(decompose.StrategyBalanced)}},
-	} {
-		oracle := gen.Oracle(tc.w)
-		if len(oracle) == 0 {
-			t.Fatalf("%s: degenerate workload, no matches", tc.name)
-		}
-		received, set := 0, make(gen.MatchSet)
-		s := shard.New(&shard.Config{Engine: tc.w.Engine,
-			Sink: core.MatchSinkFunc(func(ev core.MatchEvent) {
-				received++
-				set.Add(ev)
-			})})
-		for _, q := range tc.w.Queries {
-			if err := s.RegisterQuery(q, tc.opts...); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := range tc.w.Edges {
-			if err := s.Process(tc.w.Edges[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s.Close()
-		if received != len(set) {
-			t.Errorf("%s: %d events reached the sink for %d distinct matches", tc.name, received, len(set))
-		}
-		if !set.Equal(oracle) {
-			t.Errorf("%s: %d matches, oracle %d", tc.name, len(set), len(oracle))
-		}
-	}
-}
-
-// TestSinkNeverEnteredConcurrently: while the driver delivers its matches
-// on its own goroutine, another goroutine runs Exclusive over and over, as
-// a recovered backlog's delivery does, yet the sink and Exclusive's calls
-// are never inside at once.
-func TestSinkNeverEnteredConcurrently(t *testing.T) {
-	w := smallNetflow(30*time.Second, 41)
-	var inFlight atomic.Int32
-	var calls, delivered, exclusive int
-	enter := func() {
-		if n := inFlight.Add(1); n > 1 {
-			t.Errorf("entered with %d calls in flight", n)
-		}
-		calls++ // unsynchronized: -race flags overlapping calls too
-		time.Sleep(10 * time.Microsecond)
-		inFlight.Add(-1)
-	}
-	s := shard.New(&shard.Config{Engine: w.Engine,
-		Sink: core.MatchSinkFunc(func(core.MatchEvent) {
-			delivered++
-			enter()
-		})})
-	for _, q := range w.Queries {
-		if err := s.RegisterQuery(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stop, done := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				s.Exclusive(func() {
-					exclusive++
-					enter()
-				})
-			}
-		}
-	}()
-	for i := range w.Edges {
-		if err := s.Process(w.Edges[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(stop)
-	<-done
-	s.Close()
-	if m := s.Metrics(); delivered == 0 || exclusive == 0 || uint64(delivered) != m.MatchesEmitted || calls != delivered+exclusive {
-		t.Fatalf("sink saw %d matches, engine emitted %d, %d exclusive calls, %d in all", delivered, m.MatchesEmitted, exclusive, calls)
 	}
 }
 
@@ -593,10 +511,10 @@ func TestReregistrationCountsFromZero(t *testing.T) {
 	if m := s.Metrics(); m.Queries[0].Matches == 0 {
 		t.Fatalf("degenerate workload: %s matched nothing", smurf.Name())
 	}
-	if err := s.UnregisterQuery(smurf.Name()); err != nil {
+	if err := shard.Backend(s).UnregisterQuery(context.Background(), smurf.Name()); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range s.ObsSnapshot().Counters {
+	for _, c := range shard.Backend(s).ObsSnapshot().Counters {
 		if c.LabelValue == smurf.Name() {
 			t.Errorf("%s{%s} = %d survives UnregisterQuery", c.Name, c.LabelValue, c.Value)
 		}

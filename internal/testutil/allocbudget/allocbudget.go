@@ -122,15 +122,15 @@ var ceilings = map[string]float64{
 	"wal.Manager.Commit":      0,
 	"wal.Manager.Ack/covered": 0,
 	"wal.Manager.Ack/new key": 0,
-	// internal/shard: the front-end delivers every match its engine finds,
-	// so delivering one is the delivery lock and the sink call, with nothing
-	// looked up or counted on the way. Judging a batch with no late edge
-	// hands the batch back as it is.
-	"shard.ShardedEngine.deliver":         0,
-	"shard.ShardedEngine.Admit/none late": 0,
-	// The root package: the backend's Metrics is its engine's own view —
-	// one registry snapshot filled into it, no fold or merge — on the four
-	// netflow queries of the metrics golden.
+	// internal/core: judging a batch with no late edge hands the batch back
+	// as it is.
+	"core.Engine.Admit/none late": 0,
+	// The root package: delivering a match no subscription admits is the
+	// delivery lock, the dispatch histogram and the filter, with no report
+	// built. The backend's Metrics is its engine's own view — one registry
+	// snapshot filled into it, no fold or merge — on the four netflow
+	// queries of the metrics golden.
+	"streamworks.Sharded.deliver": 0,
 	"streamworks.Sharded.Metrics": 16,
 }
 

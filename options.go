@@ -37,8 +37,8 @@ func (c *config) report(r *export.Reporter, ev core.MatchEvent, q *Query) Match 
 	return rep
 }
 
-// coreOptions is the core option list the in-process backend passes to its
-// engine's front-end.
+// coreOptions is the core option list the in-process backend registers a
+// query with on its engine.
 func coreOptions(o RegisterOptions) []core.RegistrationOption {
 	if o.Strategy == "" {
 		return nil

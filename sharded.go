@@ -10,7 +10,6 @@ import (
 	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/export"
 	"github.com/streamworks/streamworks/internal/obs"
-	"github.com/streamworks/streamworks/internal/shard"
 	"github.com/streamworks/streamworks/internal/wal"
 )
 
@@ -30,19 +29,32 @@ type Sharded struct {
 	// public concurrency contract holds. Delivery runs inside the call
 	// holding it.
 	mu  sync.Mutex
-	eng *shard.ShardedEngine
+	eng *core.Engine
+
+	// delivering is taken by every delivery: the engine's, inside the call
+	// holding mu, and a recovered backlog's, which Subscribe makes on its
+	// caller's goroutine. So a backlog never overlaps a live delivery.
+	delivering sync.Mutex
+
+	// reg holds the registrations gauge. It stays out of the engine's
+	// registry, whose snapshot every Metrics call reads and whose view counts
+	// registrations from its DAG. dispatch, in the engine's registry when its
+	// observability is enabled, times each match from emission to delivery.
+	reg           *obs.Registry
+	registrations *obs.Gauge
+	dispatch      *obs.Histogram
 
 	// rmu guards the query map and the registry. It is a leaf lock, never
 	// held across a sink or engine call, so Subscribe and subscription
 	// teardown never wait behind ingestion and a sink may close its own
-	// subscription. subs is copy-on-write: fanout iterates a snapshot.
+	// subscription. subs is copy-on-write: deliver iterates a snapshot.
 	rmu     sync.Mutex
 	queries map[string]*Query
 	subs    []*subscription // in subscription order
 
 	// reports, at and matched belong to the delivering goroutine, the
 	// caller holding mu. With durability, at is the log position of the
-	// edge being applied, which fanout stamps on its matches, and matched
+	// edge being applied, which deliver stamps on its matches, and matched
 	// the position of the last edge that completed one.
 	reports     export.Reporter
 	at, matched uint64
@@ -60,7 +72,7 @@ var _ Engine = (*Sharded)(nil)
 // synchronously, on the goroutine whose ProcessBatch call emitted them, and
 // New starts no goroutine.
 func New(opts ...Option) *Sharded {
-	s := &Sharded{queries: make(map[string]*Query)}
+	s := &Sharded{queries: make(map[string]*Query), reg: obs.NewRegistry()}
 	for _, o := range opts {
 		o(&s.cfg)
 	}
@@ -68,7 +80,16 @@ func New(opts ...Option) *Sharded {
 		// Pinned, so the public tier stamps on the engine tiers' timebase.
 		s.cfg.engine.Obs.Clock = obs.SystemClock
 	}
-	s.eng = shard.New(&shard.Config{Engine: s.cfg.engine, Sink: core.MatchSinkFunc(s.fanout)})
+	// The engine keeps its counts in a registry of its own, whichever the
+	// configuration names: a serving tier keeps its own series in that one.
+	engCfg := s.cfg.engine
+	engCfg.Obs.Registry = nil
+	s.eng = core.New(&engCfg)
+	s.registrations = s.reg.Gauge("registrations", "", "")
+	if engCfg.Obs.Enabled {
+		s.dispatch = s.eng.ObsRegistry().Segment(obs.SegDispatch)
+	}
+	s.eng.Subscribe("", core.MatchSinkFunc(s.deliver))
 	var rec *wal.Recovery
 	if s.dur, rec = openDurable(&s.cfg); rec != nil {
 		replayRecovery(s, rec)
@@ -83,8 +104,8 @@ func (s *Sharded) Flush() error {
 	if err := s.lock(context.Background()); err != nil {
 		return err
 	}
-	defer s.mu.Unlock()
-	return s.eng.Flush()
+	s.mu.Unlock()
+	return nil
 }
 
 // lock takes mu for a call that reaches the engine, unless ctx is done or
@@ -114,11 +135,12 @@ func (s *Sharded) RegisterQueryWith(ctx context.Context, q *Query, opts Register
 		return err
 	}
 	defer s.mu.Unlock()
-	if err := s.eng.RegisterQuery(q, coreOptions(opts)...); err != nil {
+	if _, err := s.eng.RegisterQuery(q, coreOptions(opts)...); err != nil {
 		return err
 	}
 	s.rmu.Lock()
 	s.queries[q.Name()] = q
+	s.registrations.Set(int64(len(s.queries)))
 	s.rmu.Unlock()
 	s.dur.appendRegister(registerRecord(q, opts))
 	return nil
@@ -135,15 +157,16 @@ func (s *Sharded) UnregisterQuery(ctx context.Context, name string) error {
 	}
 	s.rmu.Lock()
 	delete(s.queries, name)
+	s.registrations.Set(int64(len(s.queries)))
 	s.rmu.Unlock()
 	s.dur.appendUnregister(name)
 	return nil
 }
 
 // ProcessBatch hands a batch of edges in order to the engine. An edge behind
-// the watermark is counted and dropped first, so it is neither logged nor
-// processed. ctx is checked between edges, and the matches they complete
-// are pushed to subscriptions before it returns.
+// the window's watermark is counted and dropped first (core.Engine.Admit),
+// so it is neither logged nor processed. ctx is checked between edges, and
+// the matches they complete are pushed to subscriptions before it returns.
 func (s *Sharded) ProcessBatch(ctx context.Context, edges []StreamEdge) error {
 	if err := s.lock(ctx); err != nil {
 		return err
@@ -170,12 +193,15 @@ func (s *Sharded) ProcessBatch(ctx context.Context, edges []StreamEdge) error {
 // before New returns.
 func (s *Sharded) process(ctx context.Context, edges []StreamEdge, first uint64) error {
 	for i := range edges {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		if first != 0 {
 			s.at = first + uint64(i)
 		}
-		if err := s.eng.ProcessContext(ctx, edges[i]); err != nil {
-			return err
-		}
+		// Complete matches reach deliver through the engine's sink; the
+		// scratch-backed return slice is deliberately unused.
+		s.eng.ProcessEdge(edges[i])
 	}
 	return nil
 }
@@ -198,10 +224,9 @@ func (s *Sharded) Advance(ctx context.Context, ts Timestamp) error {
 // behind ingestion and is safe while ProcessBatch runs. It hands the new sink
 // the recovered matches never delivered before the crash, each to the first
 // matching subscriber, exactly once, in their queries' log order: under the
-// lock live deliveries take (ShardedEngine.Exclusive), which also attaches
-// the sink, so the backlog reaches it before any live match and never
-// overlaps one — and the engine never re-derives a match the replay already
-// produced.
+// lock every live delivery takes, which also attaches the sink, so the
+// backlog reaches it before any live match and never overlaps one — and the
+// engine never re-derives a match the replay already produced.
 func (s *Sharded) Subscribe(queryFilter string, sink MatchSink) (Subscription, error) {
 	sub := &subscription{s: s, query: queryFilter, sink: sink, done: make(chan struct{})}
 	if s.closed.Load() {
@@ -217,13 +242,15 @@ func (s *Sharded) Subscribe(queryFilter string, sink MatchSink) (Subscription, e
 	if backlog := s.dur.takeBacklog(queryFilter); len(backlog) == 0 {
 		err = s.attach(sub)
 	} else {
-		s.eng.Exclusive(func() {
+		func() {
+			s.delivering.Lock()
+			defer s.delivering.Unlock()
 			if err = s.attach(sub); err == nil {
 				for _, m := range backlog {
 					sink.OnMatch(m)
 				}
 			}
-		})
+		}()
 		// Refused by a racing Close, the backlog stays held: it is
 		// recovered again on the next start.
 		if err == nil {
@@ -266,7 +293,8 @@ func (s *Sharded) Metrics(ctx context.Context) (Metrics, error) {
 // log write), so it is safe from any goroutine and answers while ingest is
 // blocked.
 func (s *Sharded) ObsSnapshot() ObsSnapshot {
-	return obs.Merge(s.eng.ObsSnapshot(), s.dur.snapshot())
+	snap := s.eng.ObsRegistry().Snapshot()
+	return obs.Merge(s.reg.Snapshot(), snap, delivered(snap), s.dur.snapshot())
 }
 
 // MetricsSnapshot reads every tier once — the engine refreshing its gauges
@@ -277,7 +305,26 @@ func (s *Sharded) MetricsSnapshot() (Metrics, ObsSnapshot) {
 	s.mu.Lock()
 	m, snap := s.eng.Snapshot()
 	s.mu.Unlock()
-	return m, obs.Merge(snap, s.dur.snapshot())
+	return m, obs.Merge(s.reg.Snapshot(), snap, delivered(snap), s.dur.snapshot())
+}
+
+// delivered is the delivered-match series: every match the engine finds is
+// delivered, so they are its matches_detected and query_matches_detected
+// under the names the delivered counts go by.
+func delivered(engine obs.Snapshot) obs.Snapshot {
+	var out obs.Snapshot
+	for _, c := range engine.Counters {
+		switch c.Name {
+		case "matches_detected":
+			c.Name = "matches_emitted"
+		case "query_matches_detected":
+			c.Name = "query_matches_emitted"
+		default:
+			continue
+		}
+		out.Counters = append(out.Counters, c)
+	}
+	return out
 }
 
 // Close stops the engine and finishes every subscription (Done closes after
@@ -289,8 +336,10 @@ func (s *Sharded) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
+	// The call in flight, if any, returns first; the engine delivers nothing
+	// after it.
 	s.mu.Lock()
-	s.eng.Close()
+	s.eng.Subscribe("", nil)
 	s.mu.Unlock()
 	s.rmu.Lock()
 	subs := s.subs
@@ -334,12 +383,20 @@ func (s *subscription) Close() error {
 	return nil
 }
 
-// fanout is the one way out of an in-process backend. The engine tier's
-// sink calls it for every (deduplicated) match: resolve the event into the
-// public Match form once, stamped with its completing edge's log position,
-// and push it to every subscription whose filter admits it. Every sink has
-// returned, so the match is delivered: the batch's commit covers it.
-func (s *Sharded) fanout(ev core.MatchEvent) {
+// deliver is the one way out of an in-process backend, the engine's sink,
+// called for every (deduplicated) match. Under the delivery lock it
+// resolves the event into the public Match form once, stamped with its
+// completing edge's log position, and pushes it to every subscription whose
+// filter admits it. Every sink has returned, so the match is delivered: the
+// batch's commit covers it.
+func (s *Sharded) deliver(ev core.MatchEvent) {
+	s.delivering.Lock()
+	defer s.delivering.Unlock()
+	if s.dispatch != nil && ev.EmittedWallNS != 0 {
+		// Dispatch latency: core emission → delivery, including the wait for
+		// the lock.
+		s.dispatch.Observe(s.cfg.engine.Obs.Clock.Now() - ev.EmittedWallNS)
+	}
 	s.rmu.Lock()
 	subs, q := s.subs, s.queries[ev.Query]
 	s.rmu.Unlock()
