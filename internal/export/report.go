@@ -109,18 +109,7 @@ func (b *Reporter) Build(ev core.MatchEvent, q *query.Graph) MatchReport {
 // same name, so that a binding list resolved against one reads the same
 // against the other.
 func sameVariables(a, b *query.Graph) bool {
-	if a == b {
-		return true
-	}
-	if a == nil || b == nil || a.NumVertices() != b.NumVertices() {
-		return false
-	}
-	for i := 0; i < a.NumVertices(); i++ {
-		if a.Vertex(query.VertexID(i)).Name != b.Vertex(query.VertexID(i)).Name {
-			return false
-		}
-	}
-	return true
+	return a == b || a != nil && b != nil && a.VariablesKey() == b.VariablesKey()
 }
 
 // header fills the scalar fields of ev's report.

@@ -43,48 +43,91 @@ func (k Kind) String() string {
 // edges of the multi-relational graph. Values are small immutable structs
 // and are passed by value throughout the library.
 //
-// A Value is 32 bytes: a string payload, and one word that holds an int, a
-// float's IEEE bits or a bool as 0/1. So == compares kind and payload bits:
-// a NaN equals the same NaN, and −0 differs from +0. Equal compares numbers
-// numerically instead.
+// A Value is 24 bytes: a string and one word. A string value holds its text
+// and a zero word. An int, a float or a bool holds a two-byte tag led by NUL
+// ("\x00i", "\x00f", "\x00b") and its payload in the word: the int, the
+// float's IEEE bits, or the bool as 0/1. A text that is empty or starts with
+// NUL is held behind the tag "\x00s", so no text reads as a tag, and the zero
+// Value, whose string is empty, stays invalid. So == compares kind and
+// payload bits: a NaN equals the same NaN, and −0 differs from +0. Equal
+// compares numbers numerically instead.
 type Value struct {
 	str  string
 	bits uint64
-	kind Kind
 }
 
+// The tags of the kinds held in the word, and the escape of a text that is
+// empty or starts with NUL; the second byte tells them apart.
+const (
+	tagInt    = "\x00i"
+	tagFloat  = "\x00f"
+	tagBool   = "\x00b"
+	tagString = "\x00s"
+)
+
 // String constructs a string Value.
-func String(s string) Value { return Value{kind: KindString, str: s} }
+func String(s string) Value {
+	if s == "" || s[0] == 0 {
+		return Value{str: tagString + s}
+	}
+	return Value{str: s}
+}
 
 // Int constructs an integer Value.
-func Int(v int64) Value { return Value{kind: KindInt, bits: uint64(v)} }
+func Int(v int64) Value { return Value{str: tagInt, bits: uint64(v)} }
 
 // Float constructs a floating point Value.
-func Float(v float64) Value { return Value{kind: KindFloat, bits: math.Float64bits(v)} }
+func Float(v float64) Value { return Value{str: tagFloat, bits: math.Float64bits(v)} }
 
 // Bool constructs a boolean Value.
 func Bool(v bool) Value {
 	if v {
-		return Value{kind: KindBool, bits: 1}
+		return Value{str: tagBool, bits: 1}
 	}
-	return Value{kind: KindBool}
+	return Value{str: tagBool}
 }
 
 // Kind reports the dynamic kind of the value.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind {
+	switch {
+	case v.str == "":
+		return KindInvalid
+	case v.str[0] != 0:
+		return KindString
+	}
+	switch v.str[1] {
+	case tagInt[1]:
+		return KindInt
+	case tagFloat[1]:
+		return KindFloat
+	case tagBool[1]:
+		return KindBool
+	default:
+		return KindString
+	}
+}
 
 // IsValid reports whether the value holds data of any kind.
-func (v Value) IsValid() bool { return v.kind != KindInvalid }
+func (v Value) IsValid() bool { return v.str != "" }
 
 // Str returns the string payload. It is only meaningful for KindString.
-func (v Value) Str() string { return v.str }
+func (v Value) Str() string {
+	switch {
+	case v.str == "" || v.str[0] != 0:
+		return v.str
+	case v.str[1] == tagString[1]:
+		return v.str[len(tagString):]
+	default:
+		return ""
+	}
+}
 
 // Int64 returns the integer payload, converting from float if necessary.
 func (v Value) Int64() int64 {
-	switch v.kind {
-	case KindInt:
+	switch v.str {
+	case tagInt:
 		return int64(v.bits)
-	case KindFloat:
+	case tagFloat:
 		return int64(math.Float64frombits(v.bits))
 	default:
 		return 0
@@ -94,10 +137,10 @@ func (v Value) Int64() int64 {
 // Float64 returns the numeric payload as a float64, converting from int
 // if necessary.
 func (v Value) Float64() float64 {
-	switch v.kind {
-	case KindInt:
+	switch v.str {
+	case tagInt:
 		return float64(int64(v.bits))
-	case KindFloat:
+	case tagFloat:
 		return math.Float64frombits(v.bits)
 	default:
 		return 0
@@ -105,18 +148,18 @@ func (v Value) Float64() float64 {
 }
 
 // BoolVal returns the boolean payload.
-func (v Value) BoolVal() bool { return v.kind == KindBool && v.bits != 0 }
+func (v Value) BoolVal() bool { return v.str == tagBool && v.bits != 0 }
 
 // IsNumeric reports whether the value holds an int or float.
-func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
+func (v Value) IsNumeric() bool { return v.str == tagInt || v.str == tagFloat }
 
 // Equal reports whether two values are equal. Numeric values of different
 // kinds (int vs float) compare equal when they represent the same number.
 func (v Value) Equal(o Value) bool {
-	if v.kind == o.kind {
-		switch v.kind {
+	if k := v.Kind(); k == o.Kind() {
+		switch k {
 		case KindString:
-			return v.str == o.str
+			return v.str == o.str // the escape is one-to-one
 		case KindInt, KindBool:
 			return v.bits == o.bits
 		case KindFloat:
@@ -145,15 +188,16 @@ func (v Value) Compare(o Value) int {
 			return 0
 		}
 	}
-	if v.kind != o.kind {
-		if v.kind < o.kind {
+	k, ok := v.Kind(), o.Kind()
+	if k != ok {
+		if k < ok {
 			return -1
 		}
 		return 1
 	}
-	switch v.kind {
+	switch k {
 	case KindString:
-		return strings.Compare(v.str, o.str)
+		return strings.Compare(v.Str(), o.Str())
 	case KindBool:
 		switch {
 		case v.bits == o.bits:
@@ -170,9 +214,9 @@ func (v Value) Compare(o Value) int {
 
 // String renders the value for display and DOT/JSON export.
 func (v Value) String() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindString:
-		return v.str
+		return v.Str()
 	case KindInt:
 		return strconv.FormatInt(v.Int64(), 10)
 	case KindFloat:

@@ -4,7 +4,16 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestValueSize pins a Value at 24 bytes, a string and one word: each slot
+// of an attribute map's group holds a 16-B key and a Value.
+func TestValueSize(t *testing.T) {
+	if size := unsafe.Sizeof(Value{}); size != 24 {
+		t.Fatalf("a Value is %d B, want 24", size)
+	}
+}
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
 	cases := []struct {

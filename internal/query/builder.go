@@ -1,6 +1,7 @@
 package query
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -129,6 +130,13 @@ func (b *Builder) Build() (*Graph, error) {
 		out:      make(map[VertexID][]EdgeID),
 		in:       make(map[VertexID][]EdgeID),
 	}
+	var buf [64]byte // room for a typical pattern's names: the key is one allocation
+	key := buf[:0]
+	for _, v := range q.vertices {
+		key = binary.AppendUvarint(key, uint64(len(v.Name)))
+		key = append(key, v.Name...)
+	}
+	q.variables = string(key)
 	for i := range q.edges {
 		e := &q.edges[i]
 		q.out[e.Source] = append(q.out[e.Source], e.ID)

@@ -213,3 +213,30 @@ func TestGraphStringAndAccessorsCopy(t *testing.T) {
 		t.Fatalf("Edges() must return a copy")
 	}
 }
+
+// TestVariablesKeyTellsNamingsApart: two graphs share a VariablesKey exactly
+// when they name every vertex alike, in ID order, whatever their types,
+// edges and names' lengths.
+func TestVariablesKeyTellsNamingsApart(t *testing.T) {
+	path := func(name string, vars ...string) *Graph {
+		b := NewBuilder(name)
+		for _, v := range vars {
+			b.Vertex(v, "Host")
+		}
+		for i := 1; i < len(vars); i++ {
+			b.Edge(vars[i-1], vars[i], "flow")
+		}
+		return b.MustBuild()
+	}
+	same := []*Graph{path("a", "ab", "c"), path("b", "ab", "c"), MustParse("vertex ab : Article\nvertex c\nedge c -[x]- ab")}
+	for _, q := range same[1:] {
+		if q.VariablesKey() != same[0].VariablesKey() {
+			t.Errorf("%v and %v name their vertices alike but their keys differ", same[0], q)
+		}
+	}
+	for _, q := range []*Graph{path("d", "a", "bc"), path("e", "c", "ab"), path("f", "ab", "c", "d")} {
+		if q.VariablesKey() == same[0].VariablesKey() {
+			t.Errorf("%v and %v name their vertices differently but share a key", same[0], q)
+		}
+	}
+}

@@ -119,6 +119,9 @@ type Graph struct {
 
 	out map[VertexID][]EdgeID
 	in  map[VertexID][]EdgeID
+
+	// variables is VariablesKey, built once by Build.
+	variables string
 }
 
 // Name returns the query name (may be empty for ad-hoc queries).
@@ -127,6 +130,11 @@ func (q *Graph) Name() string { return q.name }
 // Window returns the query time window tW. Zero means none: the engine's
 // retention is then the window, unbounded only when the retention is.
 func (q *Graph) Window() time.Duration { return q.window }
+
+// VariablesKey returns the pattern vertices' names in ID order, each behind
+// its length, so two graphs give every vertex the same name exactly when
+// their keys are equal.
+func (q *Graph) VariablesKey() string { return q.variables }
 
 // NumVertices returns the number of pattern vertices.
 func (q *Graph) NumVertices() int { return len(q.vertices) }

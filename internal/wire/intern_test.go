@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -180,6 +181,64 @@ func TestInternerNewBlockAllocs(t *testing.T) {
 		}
 		next++
 	})
+}
+
+// TestInternerNewBlockBytes pins what a new attribute block costs in heap
+// bytes: its map alone, a 48 B header and one group of 8 slots (8 control
+// bytes and 40 B per key and 24-B Value, in the 352 B size class), 400 B in
+// all, whether the block holds one entry (a news keyword's) or three (a
+// netflow flow's). With 32-B Values the group was 416 B.
+func TestInternerNewBlockBytes(t *testing.T) {
+	const warm, decodes = 10, 1000
+	news := newsEdge()
+	flow := graph.StreamEdge{
+		Edge:       graph.Edge{ID: 9, Source: 1, Target: 2, Type: "flow", Timestamp: 1371859200000000000},
+		SourceType: "host", TargetType: "server",
+	}
+	for _, c := range []struct {
+		name  string
+		strs  []string
+		block func(i int) graph.StreamEdge
+	}{
+		{"one-entry news block", []string{news.Edge.Type, news.SourceType, news.TargetType, "published", "rank"},
+			func(i int) graph.StreamEdge {
+				se := news
+				se.TargetAttrs = graph.Attributes{"rank": graph.Int(int64(i))}
+				return se
+			}},
+		{"three-entry netflow flow block", []string{flow.Edge.Type, flow.SourceType, flow.TargetType, "bytes", "port", "proto", "tcp"},
+			func(i int) graph.StreamEdge {
+				se := flow
+				se.Edge.Attrs = graph.Attributes{"bytes": graph.Int(int64(64 + i)), "port": graph.Int(443), "proto": graph.String("tcp")}
+				return se
+			}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			payloads := make([][]byte, warm+decodes)
+			for i := range payloads {
+				payloads[i] = AppendEdge(nil, c.block(i))
+			}
+			in := quietInterner(t, c.strs)
+			for _, p := range payloads[:warm] {
+				if _, err := in.DecodeEdge(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, p := range payloads[warm:] {
+				if _, err := in.DecodeEdge(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			perBlock := (after.TotalAlloc - before.TotalAlloc) / decodes
+			t.Logf("%d B and %.2f allocations per new block", perBlock, float64(after.Mallocs-before.Mallocs)/decodes)
+			if perBlock > 400 {
+				t.Errorf("a new block costs %d B, want at most 400 (a 48 B map header and a 352 B group)", perBlock)
+			}
+		})
+	}
 }
 
 // TestInternerKeepsTwoTypesSharingASlot alternates edges of two types whose
