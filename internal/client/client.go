@@ -182,7 +182,7 @@ func (c *Client) Queries(ctx context.Context) ([]api.QueryInfo, error) {
 // wait=false returns as soon as the batch is queued. A full ingest queue
 // surfaces as an *APIError with status 429 (check with IsOverloaded); any
 // failure IsRetryable accepts may be retried by re-posting the same batch.
-func (c *Client) IngestBatch(ctx context.Context, edges []graph.StreamEdge, wait bool) (*api.IngestResponse, error) {
+func (c *Client) IngestBatch(ctx context.Context, edges []graph.StreamEdge, wait bool) (api.IngestResponse, error) {
 	var payload []byte
 	contentType := "application/x-ndjson"
 	if c.Transport() == TransportBinary {
@@ -191,7 +191,7 @@ func (c *Client) IngestBatch(ctx context.Context, edges []graph.StreamEdge, wait
 	} else {
 		var buf bytes.Buffer
 		if err := loader.WriteJSONL(&buf, edges); err != nil {
-			return nil, err
+			return api.IngestResponse{}, err
 		}
 		payload = buf.Bytes()
 	}
@@ -201,9 +201,9 @@ func (c *Client) IngestBatch(ctx context.Context, edges []graph.StreamEdge, wait
 	}
 	var out api.IngestResponse
 	if err := c.roundTrip(ctx, http.MethodPost, path, contentType, bytes.NewReader(payload), &out); err != nil {
-		return nil, err
+		return api.IngestResponse{}, err
 	}
-	return &out, nil
+	return out, nil
 }
 
 // Advance sends an explicit stream-time signal to the engine.

@@ -211,7 +211,7 @@ func (es *EdgeStream) Send(edges []graph.StreamEdge) error {
 // classify it), and it ends the session. So does the server's drain, whose
 // 503 the next SendBatch returns. Cancelling ctx abandons the wait, tears
 // the session down and returns ctx's error.
-func (es *EdgeStream) SendBatch(ctx context.Context, edges []graph.StreamEdge) (*api.IngestResponse, error) {
+func (es *EdgeStream) SendBatch(ctx context.Context, edges []graph.StreamEdge) (api.IngestResponse, error) {
 	if ctx.Done() != nil {
 		stop := context.AfterFunc(ctx, es.cancel)
 		defer stop()
@@ -222,11 +222,11 @@ func (es *EdgeStream) SendBatch(ctx context.Context, edges []graph.StreamEdge) (
 	answered := es.next()
 	switch {
 	case ctx.Err() != nil:
-		return nil, ctx.Err()
+		return api.IngestResponse{}, ctx.Err()
 	case !answered:
-		return nil, cmp.Or(es.err, werr, errSessionOver)
+		return api.IngestResponse{}, cmp.Or(es.err, werr, errSessionOver)
 	case werr != nil && es.last.Status < 300:
-		return nil, werr
+		return api.IngestResponse{}, werr
 	}
 	return ackResponse(es.last)
 }
@@ -234,24 +234,25 @@ func (es *EdgeStream) SendBatch(ctx context.Context, edges []graph.StreamEdge) (
 // Close ends the session body and waits for the server's last answer. The
 // response's Accepted is the authoritative count of edges the session got
 // to the engine.
-func (es *EdgeStream) Close() (*api.IngestResponse, error) {
+func (es *EdgeStream) Close() (api.IngestResponse, error) {
 	es.pw.Close()
 	defer es.cancel()
 	for es.next() {
 	}
 	if es.err != nil {
-		return nil, es.err
+		return api.IngestResponse{}, es.err
 	}
 	if !es.answered {
-		return nil, errSessionOver
+		return api.IngestResponse{}, errSessionOver
 	}
 	return ackResponse(es.last)
 }
 
-// ackResponse is an answer as IngestBatch returns the same one.
-func ackResponse(a wire.Ack) (*api.IngestResponse, error) {
+// ackResponse is an answer as IngestBatch returns the same one, by value,
+// so a session's answer to each batch allocates nothing.
+func ackResponse(a wire.Ack) (api.IngestResponse, error) {
 	if a.Status < 200 || a.Status > 299 {
-		return nil, &APIError{Status: a.Status, Message: a.Error}
+		return api.IngestResponse{}, &APIError{Status: a.Status, Message: a.Error}
 	}
-	return &api.IngestResponse{Accepted: a.Accepted, Queued: a.Queued, Error: a.Error}, nil
+	return api.IngestResponse{Accepted: a.Accepted, Queued: a.Queued, Error: a.Error}, nil
 }

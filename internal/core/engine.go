@@ -136,21 +136,19 @@ type Engine struct {
 
 	// dag is the evaluation DAG every registration is attached to, and the
 	// one record of each: its attachment holds the query's name, graph and
-	// plan, in registration order. dagEvents is where a query's emitter
-	// appends MatchEvents during a DAG ProcessEdge (the DAG emits through
-	// per-attachment callbacks rather than returning slices).
-	dag       *mqo.DAG
-	dagEvents []MatchEvent
-
-	// evScratch is the per-edge match-event buffer reused across
-	// ProcessEdge calls; see the ProcessEdge doc for the aliasing contract.
-	evScratch []MatchEvent
+	// plan, in registration order.
+	dag *mqo.DAG
 
 	// sink receives the matches of the query named sinkQuery ("" for every
-	// query) at the emission point (emitter); nil drops them. Like
+	// query) at the emission point (emitter). Without a sink the emitter
+	// appends them to evScratch instead, the buffer ProcessEdge returns
+	// (see its doc for the aliasing contract); with one, evScratch stays
+	// empty. detected counts the current edge's matches either way. Like
 	// the rest of the engine it is driver-goroutine state.
 	sink      MatchSink
 	sinkQuery string
+	evScratch []MatchEvent
+	detected  uint64
 
 	obs engineObs
 }
@@ -226,8 +224,8 @@ var (
 // have (ErrUnnamedQuery otherwise). The query is decomposed with
 // the configured strategy (selective by default, using the statistics of the
 // window as it is now) and the plan is attached to the engine's evaluation
-// DAG, whose attachment it returns. Matches are reported both from
-// ProcessEdge return values and to the sink set with Subscribe.
+// DAG, whose attachment it returns. Its matches go to the sink set with
+// Subscribe, or, when none is set, to ProcessEdge's return value.
 //
 // A query registered mid-stream sees the retained window as if it had been
 // registered before it began: plan nodes new to the DAG are backfilled from
@@ -290,10 +288,11 @@ func WithStrategy(s decompose.Strategy) RegistrationOption {
 // DAG invokes it (through the attachment's EmitSigned callback) for every
 // complete match of the query, already remapped into the query's own
 // pattern space, with the signature its consumer group built. It counts
-// the match on the query's series, matches, and feeds the engine's sink,
-// the event slice and — when observability is on — the detection-lag
-// histogram. Events accumulate on e.dagEvents, which ProcessEdge points at
-// its scratch buffer.
+// the match on the query's series, matches, and on the edge's count, feeds
+// the detection-lag histogram when observability is on, and hands the
+// event to one place: the engine's sink when one is set (its filter alone
+// decides whether the sink sees it), the event scratch ProcessEdge
+// returns otherwise.
 func (e *Engine) emitter(name string, matches *obs.Counter) func(*match.Match, string) {
 	return func(qm *match.Match, signature string) {
 		o := &e.obs
@@ -311,10 +310,13 @@ func (e *Engine) emitter(name string, matches *obs.Counter) func(*match.Match, s
 			}
 		}
 		matches.Inc()
-		if e.sink != nil && (e.sinkQuery == "" || e.sinkQuery == name) {
+		e.detected++
+		switch {
+		case e.sink == nil:
+			e.evScratch = append(e.evScratch, ev)
+		case e.sinkQuery == "" || e.sinkQuery == name:
 			e.sink.OnMatch(ev)
 		}
-		e.dagEvents = append(e.dagEvents, ev)
 	}
 }
 
@@ -327,18 +329,26 @@ func (e *Engine) UnregisterQuery(name string) error {
 	return nil
 }
 
-// Subscribe sets the engine's one sink: it receives every complete match of
-// the query named by queryFilter ("" for every query) as it is emitted,
-// before ProcessEdge returns it, in place of any sink set before (nil sets
-// none). The filter may name a query that is not registered yet. Call it
-// from the goroutine driving the engine.
+// Subscribe sets the engine's one sink, in place of any sink set before
+// (nil sets none). Every complete match goes to one place: while a sink is
+// set, to the sink alone — when the match's query is the one named by
+// queryFilter ("" for every query), dropped otherwise — and never to
+// ProcessEdge's return value; while none is set, to that return value. A
+// match is counted in matches_detected either way. The filter may name a
+// query that is not registered yet. Call it from the goroutine driving the
+// engine.
 func (e *Engine) Subscribe(queryFilter string, sink MatchSink) {
 	e.sink, e.sinkQuery = sink, queryFilter
+	if sink != nil {
+		e.evScratch = nil // unused while a sink is set
+	}
 }
 
-// ProcessEdge ingests one stream edge and returns the complete matches it
-// produced across all registered queries. A late edge (graph.Clock) and a
+// ProcessEdge ingests one stream edge. A late edge (graph.Clock) and a
 // duplicate edge ID are counted and skipped rather than aborting the stream.
+// The complete matches the edge produced across all registered queries go
+// to the sink set with Subscribe, as they are emitted; with no sink set,
+// ProcessEdge returns them instead, and with one it returns nil.
 //
 // The returned slice aliases an internal scratch buffer and is only valid
 // until the next ProcessEdge call; callers that retain events across calls
@@ -361,24 +371,20 @@ func (e *Engine) ProcessEdge(se graph.StreamEdge) []MatchEvent {
 	}
 
 	// One DAG pass covers every registration; emissions arrive through
-	// each query's emitter, which appends to e.dagEvents (pointed at the
-	// scratch slice for this call). The previous call's events are cleared
-	// first: a stale event would pin its match, and the slab chunks the
-	// match and its signature were carved from, until overwritten.
+	// each query's emitter. The previous call's events are cleared first: a
+	// stale event would pin its match, and the slab chunks the match and its
+	// signature were carved from, until overwritten.
 	clear(e.evScratch)
-	e.dagEvents = e.evScratch[:0]
+	e.evScratch, e.detected = e.evScratch[:0], 0
 	e.dag.ProcessEdge(stored)
-	events := e.dagEvents
-	e.dagEvents = nil
-	e.evScratch = events
-	if len(events) > 0 {
-		e.obs.matchesDetected.Add(uint64(len(events)))
+	if e.detected > 0 {
+		e.obs.matchesDetected.Add(e.detected)
 	}
 
 	if e.obs.edgesProcessed.Value()%uint64(e.cfg.PruneInterval) == 0 {
 		e.pruneAll()
 	}
-	return events
+	return e.evScratch // nil while a sink is set
 }
 
 // Admit judges a batch on a copy of the window's clock, in order, as

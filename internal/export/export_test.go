@@ -111,13 +111,12 @@ func TestReporterSharesAGroupsSlices(t *testing.T) {
 		clones[i] = ev.Match.Clone()
 	}
 	var rep Reporter
-	var got []MatchReport
+	got := make([]MatchReport, len(group))
 	next := 0
 	allocbudget.Check(t, "export.Reporter/25-consumer group", func() {
-		got = got[:0]
-		for _, member := range group {
+		for i, member := range group {
 			member.Match = clones[next]
-			got = append(got, rep.Build(member, q))
+			rep.Build(&got[i], member, q)
 		}
 		next++
 	})
@@ -138,12 +137,37 @@ func TestReporterSharesAGroupsSlices(t *testing.T) {
 		MustBuild()
 	last := group[24]
 	last.Match = clones[next-1]
-	other := rep.Build(last, renamed)
+	var other, fresh MatchReport
+	rep.Build(&other, last, renamed)
 	if other.Bindings[0].Variable != "x" || &other.EdgeIDs[0] != &got[0].EdgeIDs[0] {
 		t.Fatalf("report under other variable names: %+v", other)
 	}
-	if fresh := rep.Build(ev, q); &fresh.EdgeIDs[0] == &got[0].EdgeIDs[0] {
+	if rep.Build(&fresh, ev, q); &fresh.EdgeIDs[0] == &got[0].EdgeIDs[0] {
 		t.Fatal("a different match reused the previous one's edge IDs")
+	}
+}
+
+// TestReusedReportEqualsBuildReport: one report, reused as a backend reuses
+// it, fed the events of two consumer groups in turn (25 queries handed one
+// match, then another match), each stamped with a log position and a
+// delivery time after it is built, as a durable backend with observability
+// on stamps it. Each build equals BuildReport of its event, so no build
+// carries a previous report's Seq or DeliveredWallNS.
+func TestReusedReportEqualsBuildReport(t *testing.T) {
+	q, events := fixture(t)
+	var rep Reporter
+	var r MatchReport
+	for g, m := range []*match.Match{events[0].Match, events[0].Match.Clone()} {
+		for i := range 25 {
+			ev := events[0]
+			ev.Match, ev.Query = m, fmt.Sprintf("rule-%02d", i)
+			ev.ArrivedWallNS = int64(100*g + i)
+			rep.Build(&r, ev, q)
+			if want := BuildReport(ev, q, nil); !reflect.DeepEqual(r, want) {
+				t.Fatalf("group %d, event %d: reused report %+v, want %+v", g, i, r, want)
+			}
+			r.Seq, r.DeliveredWallNS = uint64(1+g), int64(1000+i)
+		}
 	}
 }
 
@@ -172,7 +196,8 @@ func TestReporterEqualsBuildReport(t *testing.T) {
 			}
 		}
 		ev := core.MatchEvent{Query: "q", Match: m, Signature: m.Signature(), DetectedAt: graph.Timestamp(i)}
-		got := rep.Build(ev, nil)
+		var got MatchReport
+		rep.Build(&got, ev, nil)
 		if want := BuildReport(ev, nil, nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("match %d: Reporter built %+v, BuildReport %+v", i, got, want)
 		}

@@ -64,7 +64,8 @@ type MatchReport struct {
 // The third parameter is unused: a report carries vertex IDs only. It stays
 // only because the benchmark harness still passes a data graph.
 func BuildReport(ev core.MatchEvent, q *query.Graph, _ *graph.Graph) MatchReport {
-	r := header(ev)
+	var r MatchReport
+	header(&r, ev)
 	r.Bindings = bindings(make([]Binding, ev.Match.NumVertices()), ev.Match, q)
 	r.EdgeIDs = edgeIDs(make([]uint64, ev.Match.NumEdges()), ev.Match)
 	return r
@@ -77,8 +78,9 @@ func BuildReport(ev core.MatchEvent, q *query.Graph, _ *graph.Graph) MatchReport
 // when the queries name their variables alike, one Bindings slice. Reports
 // of one match may therefore share slices; sinks must not mutate them. The
 // slices are carved from the Reporter's 8 KiB slab chunks, so a report costs
-// no allocation of its own. The zero value is ready to use; a Reporter is
-// not safe for concurrent use.
+// no allocation of its own, and the report itself is written in place, so a
+// caller that reuses one copies nothing. The zero value is ready to use; a
+// Reporter is not safe for concurrent use.
 type Reporter struct {
 	match    *match.Match
 	q        *query.Graph
@@ -89,8 +91,11 @@ type Reporter struct {
 	edgeIDSlab  slab.Slab[uint64]
 }
 
-// Build is BuildReport, less what the previous report already holds.
-func (b *Reporter) Build(ev core.MatchEvent, q *query.Graph) MatchReport {
+// Build writes BuildReport's report of ev into r, less what the previous
+// report already holds. Every field of r is overwritten: the ones BuildReport
+// leaves zero (Seq, DeliveredWallNS) are zeroed, so a reused r carries
+// nothing of the report it held before.
+func (b *Reporter) Build(r *MatchReport, ev core.MatchEvent, q *query.Graph) {
 	m := ev.Match
 	sameMatch := m == b.match
 	if !sameMatch {
@@ -100,9 +105,8 @@ func (b *Reporter) Build(ev core.MatchEvent, q *query.Graph) MatchReport {
 		b.bindings = bindings(b.bindingSlab.Make(m.NumVertices()), m, q)
 	}
 	b.match, b.q = ev.Match, q
-	r := header(ev)
+	header(r, ev)
 	r.Bindings, r.EdgeIDs = b.bindings, b.edgeIDs
-	return r
 }
 
 // sameVariables reports whether two queries give every pattern vertex the
@@ -112,16 +116,15 @@ func sameVariables(a, b *query.Graph) bool {
 	return a == b || a != nil && b != nil && a.VariablesKey() == b.VariablesKey()
 }
 
-// header fills the scalar fields of ev's report.
-func header(ev core.MatchEvent) MatchReport {
-	return MatchReport{
-		Query:         ev.Query,
-		DetectedAt:    int64(ev.DetectedAt),
-		SpanStart:     int64(ev.Match.Span.Start),
-		SpanEnd:       int64(ev.Match.Span.End),
-		Signature:     ev.CanonicalSignature(),
-		ArrivedWallNS: ev.ArrivedWallNS,
-	}
+// header zeroes r and fills the scalar fields of ev's report.
+func header(r *MatchReport, ev core.MatchEvent) {
+	*r = MatchReport{}
+	r.Query = ev.Query
+	r.DetectedAt = int64(ev.DetectedAt)
+	r.SpanStart = int64(ev.Match.Span.Start)
+	r.SpanEnd = int64(ev.Match.Span.End)
+	r.Signature = ev.CanonicalSignature()
+	r.ArrivedWallNS = ev.ArrivedWallNS
 }
 
 // bindings resolves m's vertex bindings into dst, which holds one per bound

@@ -49,17 +49,20 @@ func (s *Server) adaptiveChunk() int {
 
 // chunkPool recycles ingest chunk slices. The runner returns a chunk after
 // ProcessBatch (the WAL append has joined and every downstream tier holds
-// copies, never the slice), so reuse is alias-free.
+// copies, never the slice), so reuse is alias-free. A chunk travels as the
+// pool's own handle from getChunk to putChunk, so the round trip allocates
+// nothing.
 var chunkPool = sync.Pool{New: func() any { return new([]graph.StreamEdge) }}
 
-func getChunk() []graph.StreamEdge {
-	return (*(chunkPool.Get().(*[]graph.StreamEdge)))[:0]
+// getChunk returns an empty chunk from the pool.
+func getChunk() *[]graph.StreamEdge {
+	c := chunkPool.Get().(*[]graph.StreamEdge)
+	*c = (*c)[:0]
+	return c
 }
 
-func putChunk(c []graph.StreamEdge) {
-	c = c[:0]
-	chunkPool.Put(&c)
-}
+// putChunk returns a chunk getChunk handed out.
+func putChunk(c *[]graph.StreamEdge) { chunkPool.Put(c) }
 
 // takeInterner returns a warm edge-decode interner from the server's free
 // list, or a new one when every listed one is in use, so a request's first
@@ -131,16 +134,16 @@ type ingester struct {
 	// sess is the answer stream of a /v1/stream session (nil on /v1/edges).
 	sess *session
 
-	arrived int64          // obs stamp of the current chunk's first decoded edge (0 when observability is off)
-	job     *ingestJob     // non-nil when the answer waits for the runner's result
-	done    chan ingestJob // the wait sentinel's reply channel, reused by each sync of a session
-	chunk   []graph.StreamEdge
-	target  int   // size at which the current chunk is enqueued
-	grown   int   // floor for the next target (probe only)
-	total   int   // edges of this batch accepted (enqueued) so far
-	chunks  int   // chunks of this batch enqueued so far
-	capped  bool  // the batch held more than limit edges
-	err     error // what refused the request: ErrDraining, errQueueFull or errDegraded
+	arrived int64               // obs stamp of the current chunk's first decoded edge (0 when observability is off)
+	job     *ingestJob          // non-nil when the answer waits for the runner's result
+	done    chan ingestJob      // the wait sentinel's reply channel, reused by each sync of a session
+	chunk   *[]graph.StreamEdge // from getChunk; nil between chunks
+	target  int                 // size at which the current chunk is enqueued
+	grown   int                 // floor for the next target (probe only)
+	total   int                 // edges of this batch accepted (enqueued) so far
+	chunks  int                 // chunks of this batch enqueued so far
+	capped  bool                // the batch held more than limit edges
+	err     error               // what refused the request: ErrDraining, errQueueFull or errDegraded
 }
 
 // session is the response side of a /v1/stream ingest once admitted: a
@@ -200,9 +203,9 @@ func (g *ingester) push(se graph.StreamEdge) bool {
 			g.arrived = g.s.obsClock.Now()
 		}
 	}
-	g.chunk = append(g.chunk, se)
+	*g.chunk = append(*g.chunk, se)
 	g.total++
-	if len(g.chunk) < g.target {
+	if len(*g.chunk) < g.target {
 		return true
 	}
 	if g.probe {
@@ -217,12 +220,12 @@ func (g *ingester) push(se graph.StreamEdge) bool {
 // from shedding to pacing the decoder (and, transitively, the client's TCP
 // stream) against the runner.
 func (g *ingester) flush() bool {
-	if len(g.chunk) == 0 {
+	if g.chunk == nil {
 		return true
 	}
-	b := ingestBatch{edges: g.chunk, job: g.job, enqNS: g.arrived}
+	b := ingestBatch{chunk: g.chunk, job: g.job, enqNS: g.arrived}
 	if err := g.s.enqueue(b, g.chunks > 0); err != nil {
-		g.total -= len(g.chunk)
+		g.total -= len(*g.chunk)
 		putChunk(g.chunk)
 		g.chunk = nil
 		g.err = err
@@ -259,7 +262,7 @@ func (g *ingester) consumeBinary(body io.Reader) error {
 	in := g.s.takeInterner()
 	defer g.s.putInterner(in)
 	for {
-		if g.probe && len(g.chunk) > 0 && rd.Buffered() < streamFlushProbe {
+		if g.probe && g.chunk != nil && rd.Buffered() < streamFlushProbe {
 			// About to block on the socket: dispatch what we have.
 			if !g.flush() {
 				return nil

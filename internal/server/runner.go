@@ -40,15 +40,16 @@ type runner struct {
 
 // ingestBatch is one chunk of a streaming ingest request (the handler
 // enqueues chunks as the body decodes; a request usually spans several).
-// done is non-nil only on the final sentinel chunk of a waiting request; the
-// runner answers it with the request's accumulated job, exactly once. enqNS
-// is the wall-clock time the chunk's first edge was decoded, stamped only
-// when observability is enabled — the ingest segment spans the chunk's
-// decode plus its queue wait, everything between the daemon seeing the edge
-// and the engine starting on it, and no more: a session's later chunks do
-// not carry the time since it opened.
+// chunk, from getChunk, is nil only on a sentinel; the runner returns it to
+// the pool once processed. done is non-nil only on the final sentinel chunk
+// of a waiting request; the runner answers it with the request's
+// accumulated job, exactly once. enqNS is the wall-clock time the chunk's
+// first edge was decoded, stamped only when observability is enabled — the
+// ingest segment spans the chunk's decode plus its queue wait, everything
+// between the daemon seeing the edge and the engine starting on it, and no
+// more: a session's later chunks do not carry the time since it opened.
 type ingestBatch struct {
-	edges []graph.StreamEdge
+	chunk *[]graph.StreamEdge
 	job   *ingestJob
 	done  chan ingestJob
 	enqNS int64
@@ -86,31 +87,37 @@ func (r *runner) loop() {
 }
 
 func (r *runner) process(b ingestBatch) {
-	if b.enqNS != 0 && r.obsWait != nil {
-		r.obsWait.ObserveN(r.obsClock.Now()-b.enqNS, len(b.edges))
+	var edges []graph.StreamEdge
+	if b.chunk != nil {
+		edges = *b.chunk
 	}
-	if len(b.edges) > 0 {
+	if b.enqNS != 0 && r.obsWait != nil {
+		r.obsWait.ObserveN(r.obsClock.Now()-b.enqNS, len(edges))
+	}
+	if len(edges) > 0 {
 		// The arrival stamp rides the edge envelope down to the engine, which
 		// stamps it onto any match this edge completes — the per-match
 		// journey measurement.
-		for i := range b.edges {
-			b.edges[i].ArrivedWallNS = b.enqNS
+		for i := range edges {
+			edges[i].ArrivedWallNS = b.enqNS
 		}
 		// One ProcessBatch per chunk: one WAL frame and one lateness check,
 		// instead of a per-edge append.
-		err := r.eng.ProcessBatch(context.Background(), b.edges)
+		err := r.eng.ProcessBatch(context.Background(), edges)
 		r.batchesIngested.Inc()
 		if err == nil {
-			r.edgesIngested.Add(uint64(len(b.edges)))
+			r.edgesIngested.Add(uint64(len(edges)))
 		}
 		if b.job != nil {
 			if err == nil {
-				b.job.processed += len(b.edges)
+				b.job.processed += len(edges)
 			} else if b.job.err == nil {
 				b.job.err = err
 			}
 		}
-		putChunk(b.edges) // see chunkPool: nothing downstream holds the slice now
+	}
+	if b.chunk != nil {
+		putChunk(b.chunk) // see chunkPool: nothing downstream holds the slice now
 	}
 	if b.done != nil {
 		b.done <- *b.job

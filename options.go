@@ -6,7 +6,6 @@ import (
 	"github.com/streamworks/streamworks/internal/client"
 	"github.com/streamworks/streamworks/internal/core"
 	"github.com/streamworks/streamworks/internal/decompose"
-	"github.com/streamworks/streamworks/internal/export"
 	"github.com/streamworks/streamworks/internal/wal"
 )
 
@@ -23,18 +22,6 @@ type config struct {
 	snapshotEvery int
 	manualAck     bool
 	walFS         wal.FS
-}
-
-// report resolves a match event into the public Match form through the
-// backend's reporter (which shares slices between the reports of one match),
-// stamping the dispatch→flush hand-off when observability is on: the serving
-// tier measures its flush segment (subscriber-buffer wait included) from it.
-func (c *config) report(r *export.Reporter, ev core.MatchEvent, q *Query) Match {
-	rep := r.Build(ev, q)
-	if c.engine.Obs.Enabled && c.engine.Obs.Clock != nil {
-		rep.DeliveredWallNS = c.engine.Obs.Clock.Now()
-	}
-	return rep
 }
 
 // coreOptions is the core option list the in-process backend registers a

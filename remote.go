@@ -125,7 +125,7 @@ func (r *Remote) ProcessBatch(ctx context.Context, edges []StreamEdge) error {
 	if err := r.checkOpen(); err != nil {
 		return err
 	}
-	var res *api.IngestResponse
+	var res api.IngestResponse
 	var err error
 	if r.c.Transport() == client.TransportBinary {
 		res, err = r.sendOnSession(ctx, edges)
@@ -143,18 +143,18 @@ func (r *Remote) ProcessBatch(ctx context.Context, edges []StreamEdge) error {
 
 // sendOnSession sends one batch on the ingest session, opening the session
 // when there is none, and drops it when the batch fails.
-func (r *Remote) sendOnSession(ctx context.Context, edges []StreamEdge) (*api.IngestResponse, error) {
+func (r *Remote) sendOnSession(ctx context.Context, edges []StreamEdge) (api.IngestResponse, error) {
 	r.ingest.Lock()
 	defer r.ingest.Unlock()
 	if r.ctx.Err() != nil {
-		return nil, ErrClosed
+		return api.IngestResponse{}, ErrClosed
 	}
 	if r.session == nil {
 		sctx, end := context.WithCancel(r.ctx)
 		es, err := r.c.OpenBatchStream(sctx)
 		if err != nil {
 			end()
-			return nil, err
+			return api.IngestResponse{}, err
 		}
 		r.session, r.endSession = es, end
 	}

@@ -31,9 +31,9 @@ type Sharded struct {
 	mu  sync.Mutex
 	eng *core.Engine
 
-	// delivering is taken by every delivery: the engine's, inside the call
-	// holding mu, and a recovered backlog's, which Subscribe makes on its
-	// caller's goroutine. So a backlog never overlaps a live delivery.
+	// delivering is the one lock a delivery takes: the engine's, inside the
+	// call holding mu, and a recovered backlog's, which Subscribe makes on
+	// its caller's goroutine. So a backlog never overlaps a live delivery.
 	delivering sync.Mutex
 
 	// reg holds the registrations gauge. It stays out of the engine's
@@ -44,19 +44,25 @@ type Sharded struct {
 	registrations *obs.Gauge
 	dispatch      *obs.Histogram
 
-	// rmu guards the query map and the registry. It is a leaf lock, never
-	// held across a sink or engine call, so Subscribe and subscription
-	// teardown never wait behind ingestion and a sink may close its own
-	// subscription. subs is copy-on-write: deliver iterates a snapshot.
+	// rmu serializes the writers of the query map and of the subscription
+	// list. It is a leaf lock, never held across a sink or engine call, and
+	// no delivery takes it, so Subscribe and subscription teardown never
+	// wait behind ingestion and a sink may close its own subscription.
+	// queries is written under mu and rmu both, so deliver, inside the call
+	// holding mu, reads it without rmu. subs is copy-on-write behind an
+	// atomic pointer: deliver iterates the list it loads.
 	rmu     sync.Mutex
 	queries map[string]*Query
-	subs    []*subscription // in subscription order
+	subs    atomic.Pointer[[]*subscription] // in subscription order
 
-	// reports, at and matched belong to the delivering goroutine, the
-	// caller holding mu. With durability, at is the log position of the
-	// edge being applied, which deliver stamps on its matches, and matched
-	// the position of the last edge that completed one.
+	// reports, report, at and matched belong to the delivering goroutine,
+	// the caller holding mu. report is the one Match every delivery is
+	// built into and handed from, zeroed once its last sink returns. With
+	// durability, at is the log position of the edge being applied, which
+	// deliver stamps on its matches, and matched the position of the last
+	// edge that completed one.
 	reports     export.Reporter
+	report      Match
 	at, matched uint64
 }
 
@@ -272,7 +278,18 @@ func (s *Sharded) attach(sub *subscription) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	s.subs = append(s.subs[:len(s.subs):len(s.subs)], sub) // copy on write
+	subs := s.subscribers()
+	subs = append(subs[:len(subs):len(subs)], sub) // copy on write
+	s.subs.Store(&subs)
+	return nil
+}
+
+// subscribers returns the subscription list as it stands, which no one
+// modifies: writers replace it under rmu.
+func (s *Sharded) subscribers() []*subscription {
+	if subs := s.subs.Load(); subs != nil {
+		return *subs
+	}
 	return nil
 }
 
@@ -342,8 +359,8 @@ func (s *Sharded) Close() error {
 	s.eng.Subscribe("", nil)
 	s.mu.Unlock()
 	s.rmu.Lock()
-	subs := s.subs
-	s.subs = nil
+	subs := s.subscribers()
+	s.subs.Store(nil)
 	s.rmu.Unlock()
 	for _, sub := range subs {
 		if !sub.closed.Swap(true) {
@@ -375,8 +392,10 @@ func (s *subscription) Close() error {
 	}
 	e := s.s
 	e.rmu.Lock()
-	if i := slices.Index(e.subs, s); i >= 0 {
-		e.subs = slices.Delete(slices.Clone(e.subs), i, i+1)
+	subs := e.subscribers()
+	if i := slices.Index(subs, s); i >= 0 {
+		rest := slices.Delete(slices.Clone(subs), i, i+1)
+		e.subs.Store(&rest)
 	}
 	e.rmu.Unlock()
 	close(s.done)
@@ -384,10 +403,11 @@ func (s *subscription) Close() error {
 }
 
 // deliver is the one way out of an in-process backend, the engine's sink,
-// called for every (deduplicated) match. Under the delivery lock it
-// resolves the event into the public Match form once, stamped with its
-// completing edge's log position, and pushes it to every subscription whose
-// filter admits it. Every sink has returned, so the match is delivered: the
+// called for every (deduplicated) match inside the call holding mu. Under
+// the delivery lock, the only lock it takes, it resolves the event into the
+// public Match form once, in place in s.report, stamped with its completing
+// edge's log position, and pushes it to every subscription whose filter
+// admits it. Every sink has returned, so the match is delivered: the
 // batch's commit covers it.
 func (s *Sharded) deliver(ev core.MatchEvent) {
 	s.delivering.Lock()
@@ -397,21 +417,34 @@ func (s *Sharded) deliver(ev core.MatchEvent) {
 		// the lock.
 		s.dispatch.Observe(s.cfg.engine.Obs.Clock.Now() - ev.EmittedWallNS)
 	}
-	s.rmu.Lock()
-	subs, q := s.subs, s.queries[ev.Query]
-	s.rmu.Unlock()
+	s.matched = s.at
 	built := false
-	var rep Match
-	for _, sub := range subs {
+	for _, sub := range s.subscribers() {
 		if (sub.query == "" || sub.query == ev.Query) && !sub.closed.Load() {
 			if !built {
-				rep, built = s.cfg.report(&s.reports, ev, q), true
-				rep.Seq = s.at
+				s.build(ev)
+				built = true
 			}
-			sub.sink.OnMatch(rep)
+			sub.sink.OnMatch(s.report)
 		}
 	}
-	s.matched = s.at
+	if built {
+		// A report left here would pin its slices' slab chunks.
+		s.report = Match{}
+	}
+}
+
+// build resolves ev into s.report through the backend's reporter (which
+// shares slices between the reports of one match), stamped with the log
+// position of its completing edge and, when observability is on, with the
+// dispatch→flush hand-off: the serving tier measures its flush segment
+// (subscriber-buffer wait included) from it.
+func (s *Sharded) build(ev core.MatchEvent) {
+	s.reports.Build(&s.report, ev, s.queries[ev.Query])
+	s.report.Seq = s.at
+	if s.cfg.engine.Obs.Enabled {
+		s.report.DeliveredWallNS = s.cfg.engine.Obs.Clock.Now()
+	}
 }
 
 // RegisteredQueries returns the currently registered queries, sorted by

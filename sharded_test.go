@@ -2,6 +2,9 @@ package streamworks_test
 
 import (
 	"context"
+	"reflect"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -207,5 +210,167 @@ func TestSinkNeverEnteredConcurrently(t *testing.T) {
 	eng.Close()
 	if m, _ := eng.Metrics(context.Background()); delivered == 0 || exclusive == 0 || uint64(delivered) != m.MatchesEmitted || calls != delivered+exclusive {
 		t.Fatalf("sink saw %d matches, engine emitted %d, %d exclusive calls, %d in all", delivered, m.MatchesEmitted, exclusive, calls)
+	}
+}
+
+// tickClock is an obs.Clock that moves one nanosecond on every reading.
+type tickClock struct{ ns atomic.Int64 }
+
+func (c *tickClock) Now() int64 { return c.ns.Add(1) }
+
+// TestDeliveredReportsCarryNothingStale: a durable backend with
+// observability on builds every delivery into one reused report. Each report
+// its sink receives equals the one a plain backend delivers for the same
+// match, and carries its own completing edge's log position and a delivery
+// time later than the previous report's, never the previous report's.
+func TestDeliveredReportsCarryNothingStale(t *testing.T) {
+	w := manyQueriesWorkload(1500, 4)
+	type delivery struct {
+		m  streamworks.Match
+		at int // index of the edge being processed
+	}
+	run := func(opts ...streamworks.Option) []delivery {
+		eng := streamworks.New(opts...)
+		defer eng.Close()
+		registerAll(t, eng, w)
+		var got []delivery
+		at := 0
+		if _, err := eng.Subscribe("", streamworks.SinkFunc(func(m streamworks.Match) {
+			got = append(got, delivery{m, at})
+		})); err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		for at = range w.Edges {
+			if err := eng.ProcessBatch(ctx, w.Edges[at:at+1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if m, _ := eng.Metrics(ctx); m.EdgesDropped != 0 {
+			t.Fatalf("%d edges dropped: log positions are not edge indexes", m.EdgesDropped)
+		}
+		return got
+	}
+	cfg := w.Engine
+	cfg.Obs = obs.Config{Enabled: true, Clock: &tickClock{}}
+	got := run(streamworks.WithEngineConfig(cfg), streamworks.WithDataDir(t.TempDir()))
+	want := run(streamworks.WithEngineConfig(w.Engine))
+	if len(want) < 1000 || len(got) != len(want) {
+		t.Fatalf("%d deliveries, want %d (and at least 1,000)", len(got), len(want))
+	}
+	var last int64
+	for i, d := range got {
+		if seq := uint64(d.at + 1); d.m.Seq != seq {
+			t.Fatalf("delivery %d: Seq %d, want the completing edge's position %d", i, d.m.Seq, seq)
+		}
+		if d.m.DeliveredWallNS <= last {
+			t.Fatalf("delivery %d: delivered at %d, after a delivery at %d", i, d.m.DeliveredWallNS, last)
+		}
+		last = d.m.DeliveredWallNS
+		d.m.Seq, d.m.DeliveredWallNS = 0, 0
+		if !reflect.DeepEqual(d.m, want[i].m) {
+			t.Fatalf("delivery %d: %+v, a plain backend delivers %+v", i, d.m, want[i].m)
+		}
+	}
+}
+
+// TestDeliveryUnderSubscriptionChurn: while a match-heavy stream is
+// processed, another goroutine subscribes and closes subscriptions over and
+// over, some of them closing themselves from their own sink. Every sink is
+// entered one at a time, the subscription that stays sees every match, and
+// no closed subscription is left with Done open once the stream and the
+// churn are over, nor any subscription after Close.
+func TestDeliveryUnderSubscriptionChurn(t *testing.T) {
+	w := manyQueriesWorkload(1500, 4)
+	eng := streamworks.New(streamworks.WithEngineConfig(w.Engine))
+	registerAll(t, eng, w)
+	var inFlight atomic.Int32
+	enter := func() {
+		if n := inFlight.Add(1); n > 1 {
+			t.Errorf("a sink entered with %d in flight", n)
+		}
+		inFlight.Add(-1)
+	}
+	delivered := 0
+	if _, err := eng.Subscribe("", streamworks.SinkFunc(func(streamworks.Match) {
+		enter()
+		delivered++
+	})); err != nil {
+		t.Fatal(err)
+	}
+	stop, churned := make(chan struct{}), make(chan []streamworks.Subscription)
+	var rounds atomic.Int64
+	var selfClosed []streamworks.Subscription // appended by sinks, inside ProcessBatch
+	go func() {
+		var subs, closed []streamworks.Subscription
+		for i := 0; ; i++ {
+			rounds.Store(int64(i))
+			select {
+			case <-stop:
+				churned <- closed
+				churned <- subs
+				return
+			default:
+			}
+			filter := ""
+			if i%2 == 1 {
+				filter = w.Queries[i%len(w.Queries)].Name()
+			}
+			var self streamworks.Subscription
+			var ready sync.WaitGroup
+			ready.Add(1)
+			sink := func(streamworks.Match) { enter() }
+			if i%3 == 0 { // closes itself on its first match
+				sink = func(streamworks.Match) {
+					enter()
+					ready.Wait()
+					self.Close()
+					selfClosed = append(selfClosed, self)
+				}
+			}
+			sub, err := eng.Subscribe(filter, streamworks.SinkFunc(sink))
+			if err != nil {
+				t.Errorf("Subscribe: %v", err)
+				ready.Done()
+				continue
+			}
+			self = sub
+			ready.Done()
+			subs = append(subs, sub)
+			if len(subs) > 8 {
+				subs[0].Close()
+				closed, subs = append(closed, subs[0]), subs[1:]
+			}
+		}
+	}()
+	// Each batch waits for a round of churn, so the two interleave.
+	for from, round := 0, int64(1); from < len(w.Edges); from, round = from+50, round+1 {
+		streamBatches(t, eng, w, from, min(from+50, len(w.Edges)), 50)
+		for rounds.Load() < round {
+			runtime.Gosched()
+		}
+	}
+	close(stop)
+	closed, subs := <-churned, <-churned
+	if len(closed) < 10 || len(selfClosed) == 0 {
+		t.Fatalf("vacuous: %d subscriptions closed by the churn, %d by their own sink", len(closed), len(selfClosed))
+	}
+	for i, s := range append(closed, selfClosed...) {
+		select {
+		case <-s.Done():
+		default:
+			t.Fatalf("closed subscription %d: Done open", i)
+		}
+	}
+	eng.Close()
+	for i, s := range subs {
+		select {
+		case <-s.Done():
+		default:
+			t.Fatalf("subscription %d: Done open after Close", i)
+		}
+	}
+	if m, _ := eng.Metrics(context.Background()); uint64(delivered) != m.MatchesEmitted || delivered < 1000 {
+		t.Fatalf("the standing sink saw %d matches, the engine emitted %d (want at least 1,000)", delivered, m.MatchesEmitted)
 	}
 }
